@@ -60,6 +60,39 @@ fn bench_tools(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    // The router's hot loop on its own: `alu8` from the QoR suite at its
+    // minimum channel width, where negotiation runs longest — the shape of
+    // the final probes of a min-W search.
+    let (alu_clustering, alu_placement, alu_graph) = {
+        let (mut mapped, _) =
+            fpga_synth::map_to_luts(&fpga_circuits::alu(8), fpga_synth::MapOptions::default())
+                .unwrap();
+        fpga_pack::prepare(&mut mapped).unwrap();
+        let clustering = fpga_pack::pack(&mapped, &arch.clb).unwrap();
+        let device = Device::sized_for(
+            arch.clone(),
+            clustering.clusters.len(),
+            mapped.inputs.len() + mapped.outputs.len() + 1,
+        );
+        let placement = AnnealingPlacer::new(PlaceConfig::new().seed(1).inner_num(1.0))
+            .place(&clustering, device)
+            .unwrap();
+        let (min_w, _) = PathFinderRouter::new(RouteConfig::new())
+            .find_min_channel_width(&clustering, &placement, 128)
+            .unwrap();
+        let graph = RrGraph::build(&placement.device, min_w);
+        (clustering, placement, graph)
+    };
+    group.bench_function("rrgraph_build", |b| {
+        b.iter(|| RrGraph::build(&alu_placement.device, alu_graph.channel_width()))
+    });
+    group.bench_function("route_search", |b| {
+        b.iter(|| {
+            PathFinderRouter::new(RouteConfig::new())
+                .route(&alu_clustering, &alu_placement, &alu_graph)
+                .unwrap()
+        })
+    });
     group.bench_function("dagger_bitstream", |b| {
         b.iter(|| {
             let bs = fpga_bitstream::generate(&clustering, &placement, &routed, &graph).unwrap();

@@ -76,5 +76,6 @@ fn main() {
         "routed at channel width {w}: wirelength {}, {} iterations",
         routed.wirelength, routed.iterations
     );
+    eprint!("{}", routed.stats_table());
     cli::write_output(&args, &placement.write_place(&clustering));
 }

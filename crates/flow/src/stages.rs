@@ -307,12 +307,19 @@ pub fn route(
             &fpga_route::timing::TimingModel::default(),
             &fpga_route::LogicDelays::default(),
         );
+        // Search effort of the route that produced the result (under the
+        // min-W search: of the final probe).
+        let search = routing.search_totals();
         let metrics = serde_json::json!({
             "channel_width": routing.channel_width,
             "wirelength": routing.wirelength,
             "iterations": routing.iterations,
             "critical_ns": sta.critical_delay * 1e9,
             "fmax_mhz": sta.fmax() / 1e6,
+            "nets_rerouted": routing.stats.iter().map(|r| r.worklist).sum::<usize>(),
+            "heap_pops": search.heap_pops,
+            "relaxations": search.relaxations,
+            "pins_skipped": search.pins_skipped,
         });
         let routed = RoutedDesign {
             device: placement.device.clone(),

@@ -106,7 +106,7 @@ fn disconnected_nets(nl: &Netlist, g: &RrGraph, r: &RouteResult, out: &mut Vec<D
                 ));
                 continue;
             }
-            if !g.edges[parent.0 as usize].contains(&node) {
+            if !g.successors(parent).contains(&node) {
                 problems.push(format!(
                     "no RR-graph switch from {} to {}",
                     rr_name(g.kind(parent)),
@@ -230,7 +230,7 @@ mod tests {
         assert!(tree_len > 2);
         let distant = r.nets[0].tree[tree_len - 1].0;
         let source = r.nets[0].tree[0].0;
-        if g.edges[source.0 as usize].contains(&distant) {
+        if g.successors(source).contains(&distant) {
             return; // adjacent by luck; nothing to break
         }
         r.nets[0].tree[tree_len - 1].1 = Some(source);

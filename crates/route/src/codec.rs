@@ -23,7 +23,9 @@ fn read_node(r: &mut ByteReader) -> CodecResult<RrNodeId> {
 }
 
 /// Serialize a routing result (net trees, channel width, iteration and
-/// wirelength counters).
+/// wirelength counters). The per-iteration search statistics stay out:
+/// they describe a run, not the routing, and the bytes are a contract
+/// with every store already on disk.
 pub fn route_result_to_bytes(res: &RouteResult) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.usize(res.channel_width);
@@ -61,6 +63,7 @@ pub fn route_result_from_bytes(bytes: &[u8]) -> CodecResult<RouteResult> {
         channel_width,
         iterations,
         wirelength,
+        stats: Vec::new(),
     })
 }
 
@@ -92,6 +95,7 @@ mod tests {
             channel_width: 12,
             iterations: 3,
             wirelength: 2,
+            stats: vec![crate::IterationStats::default()],
         }
     }
 
@@ -104,6 +108,7 @@ mod tests {
         assert_eq!(back.nets.len(), 2);
         assert_eq!(back.nets[0].tree.len(), 4);
         assert_eq!(back.channel_width, 12);
+        assert!(back.stats.is_empty(), "run statistics are not serialized");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use fpga_pack::Clustering;
 use fpga_place::Placement;
 
-use crate::pathfinder::{route_with, RouteOptions, RouteResult};
+use crate::pathfinder::{route_with, RouteResult};
 use crate::rrgraph::RrGraph;
 use crate::{Result, RouteError};
 
@@ -82,18 +82,6 @@ impl RouteConfig {
     }
 }
 
-impl From<&RouteOptions> for RouteConfig {
-    fn from(opts: &RouteOptions) -> Self {
-        RouteConfig {
-            max_iterations: opts.max_iterations,
-            pres_fac_first: opts.pres_fac_first,
-            pres_fac_mult: opts.pres_fac_mult,
-            hist_fac: opts.hist_fac,
-            parallelism: Parallelism::default(),
-        }
-    }
-}
-
 /// A routing engine: connects every placed net on an RR graph.
 pub trait RouteEngine {
     /// Stable engine name (for traces and reports).
@@ -110,6 +98,9 @@ pub trait RouteEngine {
     /// Binary search for the minimum channel width that routes the design
     /// (the width VPR reports for an architecture). Starts from the
     /// architecture's default width, doubles until routable, then bisects.
+    /// Only a failure that a different width could cure steers the search
+    /// ([`RouteError::Unroutable`], [`RouteError::NoPath`]); any other
+    /// error is returned from the probe that met it.
     fn find_min_channel_width(
         &self,
         clustering: &Clustering,
@@ -127,7 +118,7 @@ pub trait RouteEngine {
                     best = Some((hi, r));
                     break;
                 }
-                Err(_) if hi < max_width => hi = (hi * 2).min(max_width),
+                Err(e) if width_dependent(&e) && hi < max_width => hi = (hi * 2).min(max_width),
                 Err(e) => return Err(e),
             }
         }
@@ -141,11 +132,16 @@ pub trait RouteEngine {
                     best = Some((mid, r));
                     hi_w = mid;
                 }
-                Err(_) => lo = mid + 1,
+                Err(e) if width_dependent(&e) => lo = mid + 1,
+                Err(e) => return Err(e),
             }
         }
         best.ok_or_else(|| RouteError::Internal("no routable channel width".into()))
     }
+}
+
+fn width_dependent(e: &RouteError) -> bool {
+    matches!(e, RouteError::Unroutable { .. } | RouteError::NoPath { .. })
 }
 
 /// The PathFinder negotiated-congestion router with concurrent per-net
@@ -199,16 +195,102 @@ mod tests {
         assert_eq!(cfg.parallelism.threads, 4);
     }
 
-    #[test]
-    fn config_from_legacy_options_maps_fields() {
-        let opts = RouteOptions {
-            max_iterations: 9,
-            pres_fac_first: 0.7,
-            pres_fac_mult: 1.5,
-            hist_fac: 0.3,
+    /// Counts the probes the trait's default min-W search makes.
+    struct Counting<E> {
+        inner: E,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl<E: RouteEngine> RouteEngine for Counting<E> {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn route(&self, c: &Clustering, p: &Placement, g: &RrGraph) -> Result<RouteResult> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.route(c, p, g)
+        }
+    }
+
+    /// Fails every probe with a fixed error.
+    struct Failing(RouteError);
+
+    impl RouteEngine for Failing {
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+
+        fn route(&self, _: &Clustering, _: &Placement, _: &RrGraph) -> Result<RouteResult> {
+            Err(self.0.clone())
+        }
+    }
+
+    /// One LUT between two input pads and an output pad, packed and placed.
+    fn placed_lut() -> (Clustering, Placement) {
+        use fpga_arch::{device::Device, Architecture, ClbArch};
+        use fpga_netlist::ir::{CellKind, Netlist};
+        use fpga_place::{AnnealingPlacer, PlaceConfig, PlaceEngine};
+
+        let mut nl = Netlist::new("t");
+        let (a, b, y) = (nl.net("a"), nl.net("b"), nl.net("y"));
+        nl.add_input(a);
+        nl.add_input(b);
+        nl.add_cell(
+            "l",
+            CellKind::Lut {
+                k: 2,
+                truth: 0b0110,
+            },
+            vec![a, b],
+            y,
+        );
+        nl.add_output(y);
+        let c = fpga_pack::pack(&nl, &ClbArch::paper_default()).unwrap();
+        let device = Device::sized_for(Architecture::paper_default(), c.clusters.len(), 4);
+        let p = AnnealingPlacer::new(PlaceConfig::new().seed(1).inner_num(1.0))
+            .place(&c, device)
+            .unwrap();
+        (c, p)
+    }
+
+    fn search<E: RouteEngine>(inner: E, c: &Clustering, p: &Placement) -> (usize, RouteError) {
+        let engine = Counting {
+            inner,
+            calls: std::cell::Cell::new(0),
         };
-        let cfg = RouteConfig::from(&opts);
-        assert_eq!(cfg.max_iterations, 9);
-        assert_eq!(cfg.pres_fac_first, 0.7);
+        let err = engine.find_min_channel_width(c, p, 64).unwrap_err();
+        (engine.calls.get(), err)
+    }
+
+    #[test]
+    fn min_width_search_returns_a_width_independent_error_at_once() {
+        let (mut c, p) = placed_lut();
+        // The placement still says cluster 0 drives `y`; the clustering
+        // no longer does. No channel width cures that.
+        c.clusters[0].bles.clear();
+        let (calls, err) = search(PathFinderRouter::default(), &c, &p);
+        assert!(matches!(err, RouteError::BadEndpoint(_)), "{err}");
+        assert_eq!(
+            calls, 1,
+            "a BadEndpoint must not be retried at other widths"
+        );
+    }
+
+    #[test]
+    fn min_width_search_widens_on_width_dependent_errors() {
+        let (c, p) = placed_lut();
+        // 12 (the architecture default) -> 24 -> 48 -> 64, then gives up.
+        for error in [
+            RouteError::Unroutable {
+                channel_width: 0,
+                overused: 1,
+            },
+            RouteError::NoPath {
+                channel_width: 0,
+                net: "y".into(),
+            },
+        ] {
+            assert_eq!(search(Failing(error.clone()), &c, &p), (4, error));
+        }
     }
 }

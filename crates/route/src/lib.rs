@@ -24,9 +24,7 @@ pub mod timing;
 
 pub use codec::{route_result_from_bytes, route_result_to_bytes};
 pub use engine::{Parallelism, PathFinderRouter, RouteConfig, RouteEngine};
-#[allow(deprecated)]
-pub use pathfinder::{find_min_channel_width, route};
-pub use pathfinder::{RouteOptions, RouteResult, RoutedNet};
+pub use pathfinder::{IterationStats, RouteResult, RoutedNet, SearchStats};
 pub use rrgraph::{RrGraph, RrKind, RrNodeId};
 pub use sta::{analyze_paths, LogicDelays, StaResult};
 
@@ -37,6 +35,13 @@ pub enum RouteError {
     Unroutable {
         channel_width: usize,
         overused: usize,
+    },
+    /// A net's source cannot reach one of its sinks on this graph at
+    /// all, whatever the congestion (with fractional Fc, the pins' track
+    /// sets can miss each other at one width and meet at another).
+    NoPath {
+        channel_width: usize,
+        net: String,
     },
     /// A net endpoint could not be attached to the graph.
     BadEndpoint(String),
@@ -53,6 +58,12 @@ impl std::fmt::Display for RouteError {
                 f,
                 "unroutable at channel width {channel_width}: {overused} overused nodes"
             ),
+            RouteError::NoPath { channel_width, net } => {
+                write!(
+                    f,
+                    "no path for net '{net}' at channel width {channel_width}"
+                )
+            }
             RouteError::BadEndpoint(msg) => write!(f, "bad net endpoint: {msg}"),
             RouteError::Internal(msg) => write!(f, "internal routing error: {msg}"),
         }

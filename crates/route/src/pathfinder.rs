@@ -44,29 +44,9 @@ use fpga_netlist::ir::NetId;
 use fpga_pack::Clustering;
 use fpga_place::{BlockRef, Placement};
 
-use crate::engine::{PathFinderRouter, RouteConfig, RouteEngine};
+use crate::engine::RouteConfig;
 use crate::rrgraph::{clb_ipin, clb_opin, RrGraph, RrKind, RrNodeId};
 use crate::{Result, RouteError};
-
-/// Router options for the deprecated free-function API.
-#[derive(Clone, Debug)]
-pub struct RouteOptions {
-    pub max_iterations: usize,
-    pub pres_fac_first: f64,
-    pub pres_fac_mult: f64,
-    pub hist_fac: f64,
-}
-
-impl Default for RouteOptions {
-    fn default() -> Self {
-        RouteOptions {
-            max_iterations: 30,
-            pres_fac_first: 0.5,
-            pres_fac_mult: 1.8,
-            hist_fac: 0.4,
-        }
-    }
-}
 
 /// One routed net: the tree as (node, parent-node) pairs, roots first.
 #[derive(Clone, Debug)]
@@ -82,11 +62,37 @@ pub struct RoutedNet {
 impl RoutedNet {
     /// Wire segments used.
     pub fn wirelength(&self, g: &RrGraph) -> usize {
-        self.tree
-            .iter()
-            .filter(|(n, _)| g.kind(*n).is_wire())
-            .count()
+        self.tree.iter().filter(|(n, _)| g.is_wire(*n)).count()
     }
+}
+
+/// Search effort, counted where the work happens: one heap pop per
+/// node taken off the frontier, one relaxation per successor edge
+/// costed, one skipped pin per input-pin successor left uncosted
+/// because it is not a sink the net is looking for.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    pub heap_pops: u64,
+    pub relaxations: u64,
+    pub pins_skipped: u64,
+}
+
+impl SearchStats {
+    fn add(&mut self, other: SearchStats) {
+        self.heap_pops += other.heap_pops;
+        self.relaxations += other.relaxations;
+        self.pins_skipped += other.pins_skipped;
+    }
+}
+
+/// One PathFinder iteration as the router saw it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IterationStats {
+    /// Nets ripped up and rerouted.
+    pub worklist: usize,
+    /// Nodes shared by more than one net after the iteration.
+    pub overused: usize,
+    pub search: SearchStats,
 }
 
 /// The routing result.
@@ -97,6 +103,43 @@ pub struct RouteResult {
     pub iterations: usize,
     /// Total wire segments used.
     pub wirelength: usize,
+    /// One row per iteration run (polish sweeps included). A record of
+    /// how the result was reached, not part of it: the codec leaves it
+    /// out, so a decoded result carries none.
+    pub stats: Vec<IterationStats>,
+}
+
+impl RouteResult {
+    /// Search effort summed over all iterations.
+    pub fn search_totals(&self) -> SearchStats {
+        let mut total = SearchStats::default();
+        for row in &self.stats {
+            total.add(row.search);
+        }
+        total
+    }
+
+    /// The per-iteration statistics as an aligned text table, one line
+    /// per iteration plus a totals line.
+    pub fn stats_table(&self) -> String {
+        let mut out = format!(
+            "{:>5} {:>9} {:>9} {:>12} {:>12} {:>13}\n",
+            "iter", "worklist", "overused", "heap_pops", "relaxations", "pins_skipped"
+        );
+        let mut line = |label: &str, worklist: usize, overused: &str, s: SearchStats| {
+            out.push_str(&format!(
+                "{label:>5} {worklist:>9} {overused:>9} {:>12} {:>12} {:>13}\n",
+                s.heap_pops, s.relaxations, s.pins_skipped
+            ));
+        };
+        for (i, row) in self.stats.iter().enumerate() {
+            let overused = row.overused.to_string();
+            line(&i.to_string(), row.worklist, &overused, row.search);
+        }
+        let rerouted = self.stats.iter().map(|r| r.worklist).sum();
+        line("total", rerouted, "", self.search_totals());
+        out
+    }
 }
 
 /// Endpoints of every routable net in RR-graph terms.
@@ -215,31 +258,28 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Grid label of an RR node — every variant carries the (x, y) of its
-/// tile or channel segment, and every RR edge moves at most one step in
-/// this label space (unit-length segments, disjoint switch boxes,
-/// pin-to-adjacent-channel connections).
-fn tile(kind: RrKind) -> (i32, i32) {
-    match kind {
-        RrKind::Opin { x, y, .. }
-        | RrKind::Ipin { x, y, .. }
-        | RrKind::Chanx { x, y, .. }
-        | RrKind::Chany { x, y, .. } => (x as i32, y as i32),
-    }
-}
-
 /// Beyond this fanout, remaining sinks blanket the chip and a
 /// min-over-sinks bound prunes little while costing O(sinks) per edge.
 const ASTAR_MAX_GOALS: usize = 16;
 
-/// Admissible distance-to-go lower bound for A*: every edge moves at
-/// most one step in label space and costs at least 0.9 (the minimum
-/// base cost; the congestion/history/jitter multipliers are all >= 1),
-/// so `0.9 * (manhattan - 1)` never overestimates the true remaining
-/// cost to the nearest goal. The -1 slack absorbs the half-step
-/// offsets between a pin's label and its adjacent channel's. An empty
-/// goal list means "no bound" (plain Dijkstra).
-fn lower_bound(goals: &[(i32, i32)], at: (i32, i32)) -> f64 {
+/// Base cost of a channel wire and of a pin; the congestion, history
+/// and jitter multipliers on top of them are all >= 1.
+const WIRE_COST: f64 = 1.0;
+const PIN_COST: f64 = 0.9;
+
+/// Distance-to-go lower bound for A*, `h_fac * (manhattan - 1)` to the
+/// nearest goal. Every node carries the (x, y) of its tile or channel
+/// segment and every RR edge moves at most one step in that label space
+/// (unit-length segments, disjoint switch boxes, pin-to-adjacent-channel
+/// connections), so a node at distance `d` is at least `d` edges from
+/// the goal pin. Every edge the search relaxes enters a wire (cost >=
+/// `WIRE_COST`) except the last one into the sink pin (>= `PIN_COST`),
+/// which the -1 slack leaves out of the count: the remaining cost is at
+/// least `WIRE_COST * (d - 1)`, so any `h_fac <= WIRE_COST` is
+/// admissible, and consistent because one edge changes `d` by at most
+/// one and costs at least `h_fac`. An empty goal list means "no bound"
+/// (plain Dijkstra).
+fn lower_bound(h_fac: f64, goals: &[(i32, i32)], at: (i32, i32)) -> f64 {
     let mut best = i32::MAX;
     for &(gx, gy) in goals {
         let d = (gx - at.0).abs() + (gy - at.1).abs();
@@ -248,17 +288,22 @@ fn lower_bound(goals: &[(i32, i32)], at: (i32, i32)) -> f64 {
     if best == i32::MAX {
         0.0
     } else {
-        0.9 * (best - 1).max(0) as f64
+        h_fac * (best - 1).max(0) as f64
     }
 }
 
-fn base_cost(kind: RrKind) -> f64 {
-    match kind {
-        RrKind::Chanx { .. } | RrKind::Chany { .. } => 1.0,
-        RrKind::Ipin { .. } => 0.9,
-        RrKind::Opin { .. } => 0.9,
-    }
-}
+/// `h_fac` of a search whose costs carry per-(net, node) jitter: the
+/// tightest admissible value. Jitter makes the cheapest path to the
+/// cheapest sink unique, and a consistent bound always finds that path,
+/// so tightening it shrinks the explored region without touching the
+/// tree.
+const H_FAC_JITTER: f64 = WIRE_COST;
+/// `h_fac` of a classic-mode search (no jitter). Equal-cost paths are
+/// common there and the winner is whichever the pop order reaches first
+/// — which depends on the bound. The minimum-channel-width results of
+/// small designs hang on those tie-breaks, so classic mode keeps the
+/// looser bound it has always had.
+const H_FAC_CLASSIC: f64 = 0.9;
 
 type Tree = Vec<(RrNodeId, Option<RrNodeId>)>;
 
@@ -328,41 +373,13 @@ const STAGNATION_SWEEP: usize = 3;
 /// last legal routing is kept as a fallback.
 const POLISH_SWEEPS: usize = 2;
 
-/// Route all nets of a placement on an RR graph.
-#[deprecated(
-    since = "0.2.0",
-    note = "use engine::{PathFinderRouter, RouteConfig, RouteEngine}"
-)]
-pub fn route(
-    clustering: &Clustering,
-    placement: &Placement,
-    g: &RrGraph,
-    opts: &RouteOptions,
-) -> Result<RouteResult> {
-    PathFinderRouter::new(RouteConfig::from(opts)).route(clustering, placement, g)
-}
-
-/// Binary search for the minimum channel width that routes the design.
-#[deprecated(
-    since = "0.2.0",
-    note = "use engine::RouteEngine::find_min_channel_width"
-)]
-pub fn find_min_channel_width(
-    clustering: &Clustering,
-    placement: &Placement,
-    opts: &RouteOptions,
-    max_width: usize,
-) -> Result<(usize, RouteResult)> {
-    PathFinderRouter::new(RouteConfig::from(opts))
-        .find_min_channel_width(clustering, placement, max_width)
-}
-
 /// Reusable, epoch-stamped per-worker search state. An entry of `dist`/
 /// `prev` is valid only when `stamp` carries the current search epoch;
 /// `mark` (in-tree), `own` (the net's previous tree) and `sinkm`
-/// (pending sinks) are valid under the current net epoch. Bumping an
-/// epoch invalidates the whole array in O(1) instead of re-zeroing
-/// node-count-sized buffers for every sink of every net.
+/// (pending sinks) are valid under the current net epoch, as is
+/// `near_sink`, which flags the wires with an edge into one of the net's
+/// sinks. Bumping an epoch invalidates the whole array in O(1) instead
+/// of re-zeroing node-count-sized buffers for every sink of every net.
 struct SearchBuffers {
     dist: Vec<f64>,
     prev: Vec<u32>,
@@ -371,8 +388,12 @@ struct SearchBuffers {
     mark: Vec<u32>,
     own: Vec<u32>,
     sinkm: Vec<u32>,
+    near_sink: Vec<u32>,
     net_epoch: u32,
     heap: BinaryHeap<HeapEntry>,
+    /// Effort of every search run on these buffers since the router
+    /// last collected it.
+    stats: SearchStats,
 }
 
 impl SearchBuffers {
@@ -385,14 +406,24 @@ impl SearchBuffers {
             mark: vec![0; n],
             own: vec![0; n],
             sinkm: vec![0; n],
+            near_sink: vec![0; n],
             net_epoch: 0,
             heap: BinaryHeap::new(),
+            stats: SearchStats::default(),
         }
     }
 }
 
 /// A*-grown route tree for one net against a frozen congestion
 /// snapshot, with the net's own previous tree subtracted from its view.
+///
+/// An input pin that is not a pending sink of this net is never relaxed.
+/// Such a pin could only ever be popped and dropped — a path cannot run
+/// *through* a pin, and nothing reads its `dist`/`prev` — and the heap
+/// order is a total order on `(cost, node id)`, so leaving its entries
+/// out changes no other pop, no `dist`, no `prev` and no tree. The pin
+/// part of a wire's successor range is read only when `near_sink` says
+/// the wire feeds one of the net's sinks.
 #[allow(clippy::too_many_arguments)]
 fn route_net(
     g: &RrGraph,
@@ -407,108 +438,148 @@ fn route_net(
 ) -> Option<Tree> {
     bufs.net_epoch += 1;
     let ne = bufs.net_epoch;
+    let SearchBuffers {
+        dist,
+        prev,
+        stamp,
+        search_epoch,
+        mark,
+        own,
+        sinkm,
+        near_sink,
+        heap,
+        ..
+    } = bufs;
     if let Some(old) = own_old {
         for (node, _) in old {
-            bufs.own[node.0 as usize] = ne;
+            own[node.0 as usize] = ne;
         }
     }
     let mut tree: Tree = vec![(source, None)];
-    bufs.mark[source.0 as usize] = ne;
+    mark[source.0 as usize] = ne;
     let mut remaining = 0usize;
     for s in sinks {
-        if bufs.sinkm[s.0 as usize] != ne {
-            bufs.sinkm[s.0 as usize] = ne;
+        if sinkm[s.0 as usize] != ne {
+            sinkm[s.0 as usize] = ne;
             remaining += 1;
+            g.for_each_feeder(*s, |wire| near_sink[wire.0 as usize] = ne);
         }
     }
 
+    let h_fac = if net_salt.is_some() {
+        H_FAC_JITTER
+    } else {
+        H_FAC_CLASSIC
+    };
+    let mut stats = SearchStats::default();
     let mut goals: Vec<(i32, i32)> = Vec::new();
-    while remaining > 0 {
-        // A* from the whole current tree to the nearest sink: plain
-        // Dijkstra ordering plus the admissible `lower_bound` estimate,
-        // which steers the wavefront toward the remaining sinks instead
-        // of flooding cost-annuli across the whole chip. The bound is
-        // consistent, so the first sink popped still carries its true
-        // minimum path cost — the heuristic changes how much gets
-        // explored, never which tree wins.
-        goals.clear();
-        if remaining <= ASTAR_MAX_GOALS {
-            goals.extend(
-                sinks
-                    .iter()
-                    .filter(|s| bufs.sinkm[s.0 as usize] == ne)
-                    .map(|&s| tile(g.kind(s))),
-            );
-        }
-        bufs.search_epoch += 1;
-        let se = bufs.search_epoch;
-        bufs.heap.clear();
-        for &(tn, _) in &tree {
-            let i = tn.0 as usize;
-            bufs.dist[i] = 0.0;
-            bufs.stamp[i] = se;
-            bufs.prev[i] = u32::MAX;
-            bufs.heap.push(HeapEntry {
-                cost: lower_bound(&goals, tile(g.kind(tn))),
-                dist: 0.0,
-                node: tn,
-            });
-        }
-        let mut reached: Option<RrNodeId> = None;
-        while let Some(HeapEntry { dist, node, .. }) = bufs.heap.pop() {
-            let i = node.0 as usize;
-            if bufs.stamp[i] == se && dist > bufs.dist[i] {
-                continue;
+    let routed = 'net: {
+        while remaining > 0 {
+            // A* from the whole current tree to the nearest sink: plain
+            // Dijkstra ordering plus the `lower_bound` estimate, which
+            // steers the wavefront toward the remaining sinks instead of
+            // flooding cost-annuli across the whole chip. The bound is
+            // consistent, so the first sink popped still carries its
+            // true minimum path cost. Among paths of exactly equal cost
+            // the bound does pick the winner (see `H_FAC_CLASSIC`).
+            goals.clear();
+            if remaining <= ASTAR_MAX_GOALS {
+                goals.extend(
+                    sinks
+                        .iter()
+                        .filter(|s| sinkm[s.0 as usize] == ne)
+                        .map(|&s| g.tile(s)),
+                );
             }
-            if bufs.sinkm[i] == ne {
-                reached = Some(node);
-                break;
+            *search_epoch += 1;
+            let se = *search_epoch;
+            heap.clear();
+            for &(tn, _) in &tree {
+                let i = tn.0 as usize;
+                dist[i] = 0.0;
+                stamp[i] = se;
+                prev[i] = u32::MAX;
+                heap.push(HeapEntry {
+                    cost: lower_bound(h_fac, &goals, g.tile(tn)),
+                    dist: 0.0,
+                    node: tn,
+                });
             }
-            // Input pins terminate paths: you cannot route *through* a pin.
-            if bufs.mark[i] != ne && matches!(g.kind(node), RrKind::Ipin { .. }) {
-                continue;
-            }
-            for &succ in &g.edges[i] {
-                let si = succ.0 as usize;
-                let occ = occupancy[si].saturating_sub((bufs.own[si] == ne) as u32);
-                let over = occ as f64; // capacity 1: occ >= 1 means congestion next
-                let c = dist
-                    + base_cost(g.kind(succ))
+            let mut reached: Option<RrNodeId> = None;
+            while let Some(HeapEntry { dist: d, node, .. }) = heap.pop() {
+                stats.heap_pops += 1;
+                let i = node.0 as usize;
+                if stamp[i] == se && d > dist[i] {
+                    continue;
+                }
+                if sinkm[i] == ne {
+                    reached = Some(node);
+                    break;
+                }
+                // An input pin popped here is already part of the tree
+                // and has no successors: paths end at pins.
+                let mut relax = |succ: RrNodeId, base: f64| {
+                    let si = succ.0 as usize;
+                    let occ = occupancy[si].saturating_sub((own[si] == ne) as u32);
+                    let over = occ as f64; // capacity 1: occ >= 1 means congestion next
+                    let c = d + base
                         * (1.0 + history[si])
                         * (1.0 + pres_fac * over)
                         * net_salt.map_or(1.0, |salt| jitter(salt, si));
-                if bufs.stamp[si] != se || c < bufs.dist[si] {
-                    bufs.dist[si] = c;
-                    bufs.stamp[si] = se;
-                    bufs.prev[si] = node.0;
-                    bufs.heap.push(HeapEntry {
-                        cost: c + lower_bound(&goals, tile(g.kind(succ))),
-                        dist: c,
-                        node: succ,
-                    });
+                    if stamp[si] != se || c < dist[si] {
+                        dist[si] = c;
+                        stamp[si] = se;
+                        prev[si] = node.0;
+                        heap.push(HeapEntry {
+                            cost: c + lower_bound(h_fac, &goals, g.tile(succ)),
+                            dist: c,
+                            node: succ,
+                        });
+                    }
+                };
+                let (wires, pins) = g.split_successors(node);
+                stats.relaxations += wires.len() as u64;
+                for &succ in wires {
+                    relax(succ, WIRE_COST);
+                }
+                if near_sink[i] == ne {
+                    for &succ in pins {
+                        if sinkm[succ.0 as usize] == ne {
+                            stats.relaxations += 1;
+                            relax(succ, PIN_COST);
+                        } else {
+                            stats.pins_skipped += 1;
+                        }
+                    }
+                } else {
+                    stats.pins_skipped += pins.len() as u64;
                 }
             }
-        }
-        let sink = reached?;
-        // Trace back to the tree.
-        let mut cur = sink;
-        let mut path = Vec::new();
-        while bufs.mark[cur.0 as usize] != ne {
-            let p = bufs.prev[cur.0 as usize];
-            if p == u32::MAX {
-                return None;
+            let Some(sink) = reached else {
+                break 'net None;
+            };
+            // Trace back to the tree.
+            let mut cur = sink;
+            let mut path = Vec::new();
+            while mark[cur.0 as usize] != ne {
+                let p = prev[cur.0 as usize];
+                if p == u32::MAX {
+                    break 'net None;
+                }
+                path.push((cur, Some(RrNodeId(p))));
+                cur = RrNodeId(p);
             }
-            path.push((cur, Some(RrNodeId(p))));
-            cur = RrNodeId(p);
+            for &(node, parent) in path.iter().rev() {
+                tree.push((node, parent));
+                mark[node.0 as usize] = ne;
+            }
+            sinkm[sink.0 as usize] = 0;
+            remaining -= 1;
         }
-        for &(node, parent) in path.iter().rev() {
-            tree.push((node, parent));
-            bufs.mark[node.0 as usize] = ne;
-        }
-        bufs.sinkm[sink.0 as usize] = 0;
-        remaining -= 1;
-    }
-    Some(tree)
+        Some(tree)
+    };
+    bufs.stats.add(stats);
+    routed
 }
 
 /// Route one batch of nets against the frozen batch-start state, spread
@@ -583,7 +654,7 @@ pub(crate) fn route_with(
     let threads = cfg.parallelism.threads.max(1);
     let mut pool: Vec<SearchBuffers> = Vec::new();
 
-    let finish = |trees: &[Option<Tree>], iterations: usize| -> RouteResult {
+    let finish = |trees: &[Option<Tree>], iterations: usize, stats| -> RouteResult {
         let nets: Vec<RoutedNet> = endpoints
             .iter()
             .enumerate()
@@ -597,9 +668,10 @@ pub(crate) fn route_with(
         let wirelength = nets.iter().map(|n| n.wirelength(g)).sum();
         RouteResult {
             nets,
-            channel_width: g.channel_width,
+            channel_width: g.channel_width(),
             iterations,
             wirelength,
+            stats,
         }
     };
 
@@ -616,6 +688,7 @@ pub(crate) fn route_with(
     let mut last_legal: Option<(Vec<Option<Tree>>, usize)> = None;
     let mut prev_overused = usize::MAX;
     let mut stagnant = 0usize;
+    let mut stats: Vec<IterationStats> = Vec::new();
     for iteration in 0..cfg.max_iterations {
         // Worklist in canonical net order. Iteration 0, classic mode,
         // polish sweeps (no overuse left), and stagnation escalation
@@ -667,11 +740,9 @@ pub(crate) fn route_with(
             );
             for (&wi, tree) in batch.iter().zip(results) {
                 let wi = wi as usize;
-                let tree = tree.ok_or_else(|| {
-                    RouteError::Internal(format!(
-                        "no path for net '{}'",
-                        clustering.netlist.net_name(endpoints[wi].0)
-                    ))
+                let tree = tree.ok_or_else(|| RouteError::NoPath {
+                    channel_width: g.channel_width(),
+                    net: clustering.netlist.net_name(endpoints[wi].0).to_string(),
                 })?;
                 if let Some(old) = trees[wi].take() {
                     for (n, _) in &old {
@@ -692,9 +763,18 @@ pub(crate) fn route_with(
                 history[i] += cfg.hist_fac * (occ - 1) as f64;
             }
         }
+        let mut row = IterationStats {
+            worklist: worklist.len(),
+            overused,
+            search: SearchStats::default(),
+        };
+        for bufs in &mut pool {
+            row.search.add(std::mem::take(&mut bufs.stats));
+        }
+        stats.push(row);
         if overused == 0 {
             if polish_left == 0 {
-                return Ok(finish(&trees, iteration + 1));
+                return Ok(finish(&trees, iteration + 1, stats));
             }
             // Legal but not yet polished: keep this routing as the
             // fallback, hold pressure steady, and run a clean-up sweep
@@ -702,12 +782,6 @@ pub(crate) fn route_with(
             last_legal = Some((trees.clone(), iteration + 1));
             polish_left -= 1;
             continue;
-        }
-        if std::env::var_os("ROUTE_DEBUG").is_some() {
-            eprintln!(
-                "iter {iteration}: overused {overused} worklist {} pres {pres_fac:.1}",
-                worklist.len()
-            );
         }
         if overused >= prev_overused {
             stagnant += 1;
@@ -720,11 +794,11 @@ pub(crate) fn route_with(
     if let Some((trees, iterations)) = last_legal {
         // The iteration budget ran out mid-polish; the pre-polish
         // routing was legal, so ship that.
-        return Ok(finish(&trees, iterations));
+        return Ok(finish(&trees, iterations, stats));
     }
     let overused = occupancy.iter().filter(|&&o| o > 1).count();
     Err(RouteError::Unroutable {
-        channel_width: g.channel_width,
+        channel_width: g.channel_width(),
         overused,
     })
 }
@@ -732,7 +806,7 @@ pub(crate) fn route_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Parallelism;
+    use crate::engine::{Parallelism, PathFinderRouter, RouteEngine};
     use fpga_arch::device::Device;
     use fpga_arch::{Architecture, ClbArch};
     use fpga_netlist::ir::{CellKind, Netlist};
@@ -793,6 +867,13 @@ mod tests {
         let r = router(1).route(&c, &p, &g).unwrap();
         assert_eq!(r.nets.len(), p.nets.len());
         assert!(r.wirelength > 0);
+        // Classic mode: every iteration reroutes every net, the last
+        // row is the legal one, and the pruning left pins uncosted.
+        assert_eq!(r.stats.len(), r.iterations);
+        assert!(r.stats.iter().all(|row| row.worklist == r.nets.len()));
+        assert_eq!(r.stats.last().map(|row| row.overused), Some(0));
+        let totals = r.search_totals();
+        assert!(totals.heap_pops > 0 && totals.relaxations > 0 && totals.pins_skipped > 0);
         // Legality: no node used twice.
         let mut used = std::collections::HashSet::new();
         for net in &r.nets {
@@ -827,7 +908,7 @@ mod tests {
             for (node, parent) in &net.tree {
                 if let Some(par) = parent {
                     assert!(
-                        g.edges[par.0 as usize].contains(node),
+                        g.successors(*par).contains(node),
                         "tree edge {:?} -> {:?} not in graph",
                         g.kind(*par),
                         g.kind(*node)
@@ -846,6 +927,7 @@ mod tests {
             let rn = router(threads).route(&c, &p, &g).unwrap();
             assert_eq!(r1.iterations, rn.iterations, "threads={threads}");
             assert_eq!(r1.wirelength, rn.wirelength, "threads={threads}");
+            assert_eq!(r1.stats, rn.stats, "threads={threads}");
             for (a, b) in r1.nets.iter().zip(rn.nets.iter()) {
                 assert_eq!(a.net, b.net);
                 assert_eq!(a.tree, b.tree, "threads={threads} tree diverged");
@@ -867,34 +949,12 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_wrapper_matches_engine() {
-        let (c, p) = flow(9, 6);
-        let g = RrGraph::build(&p.device, p.device.arch.routing.channel_width);
-        #[allow(deprecated)]
-        let legacy = route(
-            &c,
-            &p,
-            &g,
-            &RouteOptions {
-                max_iterations: 50,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let modern = router(1).route(&c, &p, &g).unwrap();
-        assert_eq!(legacy.wirelength, modern.wirelength);
-        for (a, b) in legacy.nets.iter().zip(modern.nets.iter()) {
-            assert_eq!(a.tree, b.tree);
-        }
-    }
-
-    #[test]
     fn tiny_channel_is_unroutable() {
         let (c, p) = flow(25, 4);
         let g = RrGraph::build(&p.device, 1);
         let r = PathFinderRouter::new(RouteConfig::new().max_iterations(6));
         match r.route(&c, &p, &g) {
-            Err(RouteError::Unroutable { .. }) | Err(RouteError::Internal(_)) => {}
+            Err(RouteError::Unroutable { .. }) | Err(RouteError::NoPath { .. }) => {}
             Ok(r) => {
                 // Highly unlikely but legal for trivially small placements.
                 assert!(r.wirelength > 0);

@@ -80,6 +80,9 @@ sh scripts/equiv.sh
 echo "==> scripts/bench.sh (QoR + speed gate: smoke tier vs BENCH_baseline.json)"
 sh scripts/bench.sh
 
+echo "==> benchmark/selfcheck.sh (flowbench: catalogue, BENCHMARK.json and recorded results agree)"
+bash benchmark/selfcheck.sh
+
 echo "==> scripts/farm.sh (compile farm: kill-a-node failover, breakers, tenant quotas, gateway QoR parity, artifact tier chaos)"
 sh scripts/farm.sh
 

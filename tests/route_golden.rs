@@ -1,0 +1,210 @@
+//! Byte-identity of the router's output against digests recorded from
+//! the commit *before* the search fast path landed (PR 11, `e7f914a`).
+//!
+//! RR node ids are heap tie-breakers and are written into route
+//! artifacts, so "the same trees" means the same bytes: a warm
+//! `DiskStore` written by an older build must still serve route-stage
+//! hits. Classic mode (<= 512 nets, no jitter, ties resolved by pop
+//! order) is covered through the min-W search on three small suite
+//! designs; jitter mode through `rent_1k`, the smallest suite design
+//! with more than 512 routable nets, at a comfortable pinned width.
+//! Both run at 1 and 2 threads.
+//!
+//! The second half is a proptest over random fabrics that pins the
+//! graph facts the fast path rests on: `find` inverts `kind`, no
+//! duplicate successors, symmetric track-preserving wire edges, and
+//! pins that are pure sources (`Opin`) or pure dead ends (`Ipin`).
+
+use fpga_framework::arch::device::Device;
+use fpga_framework::arch::Architecture;
+use fpga_framework::circuits::suite_entry;
+use fpga_framework::flow::hash::Sha256;
+use fpga_framework::flow::stages;
+use fpga_framework::flow::{FlowCtx, FlowOptions};
+use fpga_framework::pack::Clustering;
+use fpga_framework::place::{Parallelism, Placement};
+use fpga_framework::route::{
+    route_result_to_bytes, PathFinderRouter, RouteConfig, RouteEngine, RouteResult, RrGraph,
+    RrKind, RrNodeId,
+};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+fn sha256_hex(bytes: &[u8]) -> String {
+    let mut h = Sha256::new();
+    h.update(bytes);
+    h.finish().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Map, pack and place a suite design exactly as the benchmark's
+/// compiles do (`place_effort` 1.0, place seed 1, one thread).
+fn placed(name: &str) -> (Arc<Clustering>, Arc<Placement>) {
+    let entry = suite_entry(name).expect("suite design exists");
+    let opts = FlowOptions::builder()
+        .place_effort(1.0)
+        .verify_cycles(0)
+        .threads(1)
+        .build();
+    let ctx = FlowCtx::default();
+    let rtl = stages::adopt_rtl((entry.build)());
+    let mapped = stages::lut_map(&rtl, &opts, ctx).expect("maps");
+    let clustering = stages::pack(&mapped, &opts.arch, ctx).expect("packs");
+    let placement = stages::place(&clustering, &opts, ctx).expect("places");
+    (clustering.value, placement.value)
+}
+
+fn router(threads: usize) -> PathFinderRouter {
+    PathFinderRouter::new(RouteConfig::new().parallelism(Parallelism::serial().threads(threads)))
+}
+
+/// Route at 1 and 2 threads and compare `(channel width, SHA-256 of
+/// route_result_to_bytes)` with the recorded pair.
+fn check(name: &str, golden: (usize, &str), route: impl Fn(usize) -> RouteResult) {
+    for threads in [1, 2] {
+        let r = route(threads);
+        let digest = sha256_hex(&route_result_to_bytes(&r));
+        assert_eq!(
+            (r.channel_width, digest.as_str()),
+            golden,
+            "{name}: route bytes at {threads} thread(s) differ from the parent commit's"
+        );
+    }
+}
+
+fn check_min_width(name: &str, golden: (usize, &str)) {
+    let (c, p) = placed(name);
+    assert!(p.nets.len() <= 512, "{name} must route in classic mode");
+    check(name, golden, |threads| {
+        let (_, r) = router(threads)
+            .find_min_channel_width(&c, &p, 128)
+            .expect("routes");
+        r
+    });
+}
+
+#[test]
+fn add32_min_width_bytes_match_parent() {
+    check_min_width("add32", GOLDEN_ADD32);
+}
+
+#[test]
+fn alu8_min_width_bytes_match_parent() {
+    check_min_width("alu8", GOLDEN_ALU8);
+}
+
+#[test]
+fn crc16_min_width_bytes_match_parent() {
+    check_min_width("crc16", GOLDEN_CRC16);
+}
+
+#[test]
+fn rent_1k_jitter_mode_bytes_match_parent() {
+    let (c, p) = placed("rent_1k");
+    assert!(p.nets.len() > 512, "rent_1k must route in jitter mode");
+    let g = RrGraph::build(&p.device, GOLDEN_RENT_1K.0);
+    check("rent_1k", GOLDEN_RENT_1K, |threads| {
+        router(threads).route(&c, &p, &g).expect("routes")
+    });
+}
+
+/// `(min W, digest)` per classic-mode design.
+const GOLDEN_ADD32: (usize, &str) = (
+    6,
+    "5f2577d2ff8e84ab090577a4556769c4f32d6b571512baa4f4be80873d5f1b8d",
+);
+const GOLDEN_ALU8: (usize, &str) = (
+    9,
+    "bbf69b639264936a3c88d3ca7c2dc85ad0fb3f6d3fc73d58849a30377e2c9b5a",
+);
+const GOLDEN_CRC16: (usize, &str) = (
+    6,
+    "d4d6dc7d680bf1fba5984062309683496c1d26913d9eb60e3d0781f8bb9cdd70",
+);
+/// Jitter mode at W = 48, well above `rent_1k`'s pinned 32: converges in
+/// a few iterations, so the case stays affordable in a debug build.
+const GOLDEN_RENT_1K: (usize, &str) = (
+    48,
+    "9c5002234ce0e998a91d859ebef68247285823ffcef4a7203db9e50721574899",
+);
+
+fn wire_track(kind: RrKind) -> Option<u32> {
+    match kind {
+        RrKind::Chanx { t, .. } | RrKind::Chany { t, .. } => Some(t),
+        _ => None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn rr_graph_structure_holds_on_random_fabrics(
+        w in 1usize..6,
+        h in 1usize..6,
+        cw in 1usize..9,
+    ) {
+        let device = Device::new(Architecture::paper_default(), w, h);
+        let g = RrGraph::build(&device, cw);
+        let n = g.node_count();
+        let ids = || (0..n as u32).map(RrNodeId);
+        let mut has_pred = vec![false; n];
+        for id in ids() {
+            let kind = g.kind(id);
+            prop_assert_eq!(g.find(kind), Some(id), "find(kind(id)) for {:?}", kind);
+            let succs = g.successors(id);
+            let mut sorted: Vec<RrNodeId> = succs.to_vec();
+            sorted.sort();
+            sorted.dedup();
+            prop_assert_eq!(sorted.len(), succs.len(), "{:?} lists a successor twice", kind);
+            for &s in succs {
+                has_pred[s.0 as usize] = true;
+                let sk = g.kind(s);
+                match (wire_track(kind), wire_track(sk)) {
+                    (Some(t), Some(t2)) => {
+                        prop_assert_eq!(t, t2, "switch box changed track: {:?} -> {:?}", kind, sk);
+                        prop_assert!(
+                            g.successors(s).contains(&id),
+                            "wire edge {:?} -> {:?} has no reverse", kind, sk
+                        );
+                    }
+                    (Some(_), None) => prop_assert!(
+                        matches!(sk, RrKind::Ipin { .. }), "wire drives {:?}", sk
+                    ),
+                    (None, Some(_)) => prop_assert!(
+                        matches!(kind, RrKind::Opin { .. }), "{:?} drives a wire", kind
+                    ),
+                    (None, None) => prop_assert!(false, "pin-to-pin edge {:?} -> {:?}", kind, sk),
+                }
+            }
+            if matches!(kind, RrKind::Ipin { .. }) {
+                prop_assert!(succs.is_empty(), "{:?} has successors", kind);
+            }
+        }
+        for id in ids() {
+            if matches!(g.kind(id), RrKind::Opin { .. }) {
+                prop_assert!(!has_pred[id.0 as usize], "{:?} has a predecessor", g.kind(id));
+            }
+        }
+        // Out-of-range kinds are absent, on every axis.
+        let (w, h, cw) = (w as u32, h as u32, cw as u32);
+        for kind in [
+            RrKind::Chanx { x: 0, y: 0, t: 0 },
+            RrKind::Chanx { x: w + 1, y: 0, t: 0 },
+            RrKind::Chanx { x: 1, y: h + 1, t: 0 },
+            RrKind::Chanx { x: 1, y: 0, t: cw },
+            RrKind::Chany { x: 0, y: 0, t: 0 },
+            RrKind::Chany { x: w + 1, y: 1, t: 0 },
+            RrKind::Chany { x: 0, y: h + 1, t: 0 },
+            RrKind::Chany { x: 0, y: 1, t: cw },
+            RrKind::Ipin { x: 1, y: 1, pin: 1_000 },
+            RrKind::Opin { x: 1, y: 1, pin: 0 },
+            RrKind::Opin { x: 1, y: 1, pin: 1_000 },
+            RrKind::Ipin { x: 0, y: 0, pin: 0 },
+            RrKind::Opin { x: w + 1, y: h + 1, pin: 0 },
+            RrKind::Ipin { x: w + 2, y: 1, pin: 0 },
+            RrKind::Opin { x: 0, y: 1, pin: 1_000 },
+        ] {
+            prop_assert_eq!(g.find(kind), None, "{:?} should be out of range", kind);
+        }
+    }
+}
