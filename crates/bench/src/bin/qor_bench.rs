@@ -109,7 +109,7 @@ fn run() -> Result<ExitCode, String> {
             }
             "--verify" => {
                 let raw = value("--verify")?;
-                cfg.verify = fpga_flow::VerifyMode::parse(&raw)
+                cfg.verify = fpga_flow::GateMode::parse(&raw)
                     .ok_or_else(|| format!("unknown --verify mode '{raw}' (off|warn|deny)"))?;
             }
             "--list" => {

@@ -22,7 +22,7 @@
 use fpga_circuits::{qor_suite, SuiteEntry, SuiteTier};
 use fpga_flow::report::QorSummary;
 use fpga_flow::trace::TraceLog;
-use fpga_flow::{run_netlist_ctx, FlowCtx, FlowOptions, FlowReport, VerifyMode};
+use fpga_flow::{run_netlist_ctx, FlowCtx, FlowOptions, FlowReport, GateMode};
 use fpga_server::client::FlowClient;
 use fpga_server::proto::{CompileRequest, SourceFormat};
 use serde::{Deserialize, Serialize};
@@ -60,7 +60,7 @@ pub struct BenchConfig {
     /// default) keeps trajectory numbers comparable with pre-verify
     /// baselines; `Warn`/`Deny` add the `verify:*` spans, reported in
     /// the per-row `verify_ms` column (and inside `wall_ms`).
-    pub verify: VerifyMode,
+    pub verify: GateMode,
 }
 
 impl Default for BenchConfig {
@@ -72,7 +72,7 @@ impl Default for BenchConfig {
             verify_cycles: 0,
             only: Vec::new(),
             threads: None,
-            verify: VerifyMode::Off,
+            verify: GateMode::Off,
         }
     }
 }
@@ -905,7 +905,7 @@ mod tests {
     fn verify_deny_run_is_clean_and_reports_its_wall_clock() {
         let entry = fpga_circuits::suite_entry("add32").unwrap();
         let cfg = BenchConfig {
-            verify: VerifyMode::Deny,
+            verify: GateMode::Deny,
             ..Default::default()
         };
         // Deny means a non-equivalent stage artifact would have failed

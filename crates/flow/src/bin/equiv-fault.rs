@@ -1,5 +1,5 @@
 //! `equiv-fault` — seeded fault-injection harness for the cross-stage
-//! equivalence checker (the falsifiability leg of `scripts/equiv.sh`).
+//! equivalence checker (the falsifiability leg of `scripts/check.sh`).
 //!
 //! ```text
 //! equiv-fault --seed N            # corrupt one LUT truth bit, expect EQ001

@@ -1,15 +1,17 @@
 //! `fpga-lint` — offline design-rule checker.
 //!
-//! Runs the full deep lint ([`fpga_flow::check`]) over a VHDL or BLIF
+//! Runs the deep check ([`fpga_flow::check::deep`]) over a VHDL or BLIF
 //! design without a daemon: netlist rules first, then — when the netlist
 //! is clean — mapping, packing, placement, routing, and bitstream
-//! generation, each checked by its stage's rules.
+//! generation, each checked by its stage's rules. `--verify` runs the
+//! equivalence kind of the same check instead.
 //!
 //! Exit codes: 0 = no deny-severity findings, 1 = local/flow error,
 //! 2 = usage error, 6 = deny findings (the same code `flowc lint` uses,
 //! so CI scripts treat daemon and offline lint alike).
 
-use fpga_flow::{check, cli, FlowCtx, FlowOptions};
+use fpga_flow::check::{self, CheckKind, Source};
+use fpga_flow::{cli, FlowCtx, FlowOptions};
 
 const EXIT_USAGE: i32 = 2;
 /// Deny-severity findings present (matches `flowc`'s lint exit code).
@@ -66,60 +68,39 @@ fn main() {
         Err(e) => cli::die("fpga-lint", format!("cannot read '{path}': {e}")),
     };
 
-    let opts = FlowOptions::default();
-    let ctx = FlowCtx::default();
-    let is_blif = args.flags.iter().any(|f| f == "blif") || path.ends_with(".blif");
-    if args.flags.iter().any(|f| f == "verify") {
-        let result = if is_blif {
-            check::verify_blif(&source, &opts, ctx)
-        } else {
-            check::verify_vhdl(&source, &opts, ctx)
-        };
-        let report = match result {
-            Ok(r) => r,
-            Err(e) => cli::die("fpga-lint", e),
-        };
-        render(&args, &report.diagnostics, &report.design, report.reached);
-        if !report.clean() {
-            std::process::exit(EXIT_DENIED);
-        }
-        return;
-    }
-    let result = if is_blif {
-        check::lint_blif(&source, &opts, ctx)
+    let kind = if args.flags.iter().any(|f| f == "verify") {
+        CheckKind::Verify
     } else {
-        check::lint_vhdl(&source, &opts, ctx)
+        CheckKind::Lint
     };
-    let report = match result {
+    let source = if args.flags.iter().any(|f| f == "blif") || path.ends_with(".blif") {
+        Source::Blif(&source)
+    } else {
+        Source::Vhdl(&source)
+    };
+    let report = match check::deep(kind, source, &FlowOptions::default(), FlowCtx::default()) {
         Ok(r) => r,
         Err(e) => cli::die("fpga-lint", e),
     };
-
-    render(&args, &report.diagnostics, &report.design, report.reached);
-    if !report.clean() {
-        std::process::exit(EXIT_DENIED);
-    }
-}
-
-/// Print findings (per `--json`/`--quiet`) and the summary line shared by
-/// the lint and verify paths.
-fn render(args: &cli::Args, diagnostics: &[fpga_lint::Diagnostic], design: &str, reached: &str) {
     let quiet = args.flags.iter().any(|f| f == "quiet");
     if args.flags.iter().any(|f| f == "json") {
-        let body = fpga_lint::diagnostics_to_value(diagnostics);
+        let body = fpga_lint::diagnostics_to_value(&report.diagnostics);
         match serde_json::to_string_pretty(&body) {
             Ok(text) => println!("{text}"),
             Err(e) => cli::die("fpga-lint", format!("cannot render findings: {e}")),
         }
     } else if !quiet {
-        for d in diagnostics {
+        for d in &report.diagnostics {
             println!("{d}");
         }
     }
     eprintln!(
         "{}: checked through '{}': {}",
-        design,
-        reached,
-        fpga_lint::summarize(diagnostics)
+        report.design,
+        report.reached,
+        fpga_lint::summarize(&report.diagnostics)
     );
+    if !report.clean() {
+        std::process::exit(EXIT_DENIED);
+    }
 }

@@ -18,10 +18,10 @@
 //!   *unknown*. Warn severity: an unverifiable cone is a gap in
 //!   assurance, not a proven bug.
 //!
-//! The pipeline's `verify:{point}` gates (active when
-//! [`crate::FlowOptions::verify`] is not `Off`) and the offline deep
-//! verify (`flowc verify`, [`crate::check`]) both route through here, so
-//! a finding looks identical no matter which surface produced it.
+//! A compile's `verify:{point}` gates (active when
+//! [`crate::FlowOptions::verify`] is not `Off`) and the deep check
+//! (`flowc verify`) both reach this through [`crate::check`], so a
+//! finding looks identical no matter which surface produced it.
 
 use fpga_bitstream::Bitstream;
 use fpga_lint::{Diagnostic, Severity};
@@ -33,8 +33,6 @@ use fpga_route::RouteResult;
 use fpga_verify::{
     check_equiv, CombView, Counterexample, VerifyError, DEFAULT_BATCHES, DEFAULT_SEED,
 };
-
-pub use fpga_verify::VerifyMode;
 
 /// One flow run's equivalence checker: the reference view plus the
 /// seed/batch policy. Build it once per run; each `check_*` extracts the

@@ -35,11 +35,10 @@ pub mod trace;
 
 pub use artifact::Artifact;
 pub use cache::{CacheOutcome, RemoteTier, StageCache, StageId, StageStats};
-pub use check::{
-    lint_blif, lint_rtl, lint_vhdl, verify_blif, verify_rtl, verify_vhdl, LintReport, VerifyReport,
-};
-pub use equiv::{EquivGate, VerifyMode};
+pub use check::{CheckKind, CheckReport, Source};
+pub use equiv::EquivGate;
 pub use fault::{CancelReason, CancelToken, FaultAction, FaultPlan, FaultRule, Gate};
+pub use fpga_lint::GateMode;
 pub use pipeline::{
     run_blif, run_blif_ctx, run_netlist, run_netlist_ctx, run_vhdl, run_vhdl_ctx, FlowArtifacts,
     FlowCtx, FlowCtxBuilder, FlowOptions, FlowOptionsBuilder,

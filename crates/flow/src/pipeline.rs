@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use fpga_arch::Architecture;
 use fpga_bitstream::Bitstream;
-use fpga_lint::{DiagSink, Diagnostic, LintMode, Severity};
+use fpga_lint::{DiagSink, Diagnostic, GateMode};
 use fpga_netlist::{NetId, Netlist};
 use fpga_pack::Clustering;
 use fpga_place::Placement;
@@ -19,10 +19,11 @@ use fpga_route::rrgraph::RrGraph;
 use fpga_route::RouteResult;
 
 use crate::cache::{StageCache, StageId};
-use crate::equiv::{EquivGate, VerifyMode};
+use crate::check::{gate, CheckKind};
+use crate::equiv::EquivGate;
 use crate::fault::{CancelReason, CancelToken, FaultPlan};
 use crate::report::{FlowReport, StageReport};
-use crate::stages::{self, Staged};
+use crate::stages::{self, GeneratedBitstream, RoutedDesign, Staged};
 use crate::trace::TraceLog;
 use crate::{FlowError, Result};
 
@@ -42,7 +43,7 @@ pub struct FlowOptions {
     /// today's behavior, byte for byte, including cache keys), `Warn`
     /// (run the passes, report, proceed), or `Deny` (any deny-severity
     /// finding fails the job with the diagnostics attached).
-    pub lint: LintMode,
+    pub lint: GateMode,
     /// P&R worker threads. `None` defers to the `FLOW_THREADS`
     /// environment variable (or 1). Engine results are bit-identical
     /// across thread counts, so this never enters stage-cache keys.
@@ -54,7 +55,7 @@ pub struct FlowOptions {
     /// the job with the counterexample attached). Like `lint` and
     /// `threads`, this is a check on the flow, not an input to it — it
     /// never enters stage-cache keys.
-    pub verify: VerifyMode,
+    pub verify: GateMode,
 }
 
 impl Default for FlowOptions {
@@ -66,9 +67,9 @@ impl Default for FlowOptions {
             channel_width: None,
             power: PowerOptions::default(),
             verify_cycles: 48,
-            lint: LintMode::Off,
+            lint: GateMode::Off,
             threads: None,
-            verify: VerifyMode::Off,
+            verify: GateMode::Off,
         }
     }
 }
@@ -88,6 +89,14 @@ impl FlowOptions {
             p.threads = t.max(1);
         }
         p
+    }
+
+    /// The gate mode these options select for one check kind.
+    pub(crate) fn mode(&self, kind: CheckKind) -> GateMode {
+        match kind {
+            CheckKind::Lint => self.lint,
+            CheckKind::Verify => self.verify,
+        }
     }
 }
 
@@ -133,7 +142,7 @@ impl FlowOptionsBuilder {
     }
 
     /// Design-rule lint gate mode (see [`FlowOptions::lint`]).
-    pub fn lint(mut self, mode: LintMode) -> Self {
+    pub fn lint(mut self, mode: GateMode) -> Self {
         self.opts.lint = mode;
         self
     }
@@ -146,7 +155,7 @@ impl FlowOptionsBuilder {
     }
 
     /// Cross-stage equivalence gate mode (see [`FlowOptions::verify`]).
-    pub fn verify(mut self, mode: VerifyMode) -> Self {
+    pub fn verify(mut self, mode: GateMode) -> Self {
         self.opts.verify = mode;
         self
     }
@@ -303,16 +312,14 @@ pub fn run_vhdl_ctx(source: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<Fl
         ..Default::default()
     };
     record(
-        &mut report,
+        Some(&mut report),
         &ctx,
         "synthesis (VHDL Parser + DIVINER)",
         &rtl,
         t,
     );
     let mut lint = Vec::new();
-    lint_point(&ctx, opts, "netlist", &mut lint, || {
-        fpga_lint::lint_netlist(&rtl.value)
-    })?;
+    lint_netlist_gate(&ctx, opts, &rtl.value, &mut lint)?;
     run_from_rtl(rtl, opts, ctx, report, lint)
 }
 
@@ -327,9 +334,7 @@ pub fn run_blif_ctx(text: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<Flow
     let mut lint = Vec::new();
     if opts.lint.enabled() {
         if let Ok(raw) = fpga_netlist::blif::parse(text) {
-            lint_point(&ctx, opts, "netlist", &mut lint, || {
-                fpga_lint::lint_netlist(&raw)
-            })?;
+            lint_netlist_gate(&ctx, opts, &raw, &mut lint)?;
         }
     }
     let t = Instant::now();
@@ -338,7 +343,7 @@ pub fn run_blif_ctx(text: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<Flow
         design: rtl.value.name.clone(),
         ..Default::default()
     };
-    record(&mut report, &ctx, "file upload (BLIF)", &rtl, t);
+    record(Some(&mut report), &ctx, "file upload (BLIF)", &rtl, t);
     run_from_rtl(rtl, opts, ctx, report, lint)
 }
 
@@ -350,21 +355,33 @@ pub fn run_netlist_ctx(rtl: Netlist, opts: &FlowOptions, ctx: FlowCtx) -> Result
     };
     let rtl = stages::adopt_rtl(rtl);
     let mut lint = Vec::new();
-    lint_point(&ctx, opts, "netlist", &mut lint, || {
-        fpga_lint::lint_netlist(&rtl.value)
-    })?;
+    lint_netlist_gate(&ctx, opts, &rtl.value, &mut lint)?;
     run_from_rtl(rtl, opts, ctx, report, lint)
 }
 
+/// The lint gate on the design as it enters the flow. The equivalence
+/// gate has no counterpart here: the entering netlist *is* its reference.
+fn lint_netlist_gate(
+    ctx: &FlowCtx,
+    opts: &FlowOptions,
+    rtl: &Netlist,
+    found: &mut Vec<Diagnostic>,
+) -> Result<()> {
+    let at = Boundary::Netlist("netlist", rtl);
+    gate(ctx, opts, CheckKind::Lint, None, &at, found)
+}
+
 /// Append a stage's report entry (tagging cache hits and their tier) and
-/// notify the observer.
+/// notify the observer. A walk that only checks passes no report and
+/// records nothing.
 fn record<T>(
-    report: &mut FlowReport,
+    report: Option<&mut FlowReport>,
     ctx: &FlowCtx,
     name: &str,
     staged: &Staged<T>,
     started: Instant,
 ) {
+    let Some(report) = report else { return };
     let mut metrics = staged.metrics.clone();
     if staged.cache_hit() {
         if let serde_json::Value::Object(m) = &mut metrics {
@@ -384,117 +401,139 @@ fn record<T>(
     }
 }
 
-/// One lint gate: run the passes for a boundary, record the findings
-/// (trace span, sink, the run's accumulator), and — under
-/// [`LintMode::Deny`] — fail the flow when any deny-severity finding
-/// exists. `Off` short-circuits before doing any work, so the default
-/// flow is untouched.
-fn lint_point(
-    ctx: &FlowCtx,
-    opts: &FlowOptions,
-    point: &'static str,
-    collected: &mut Vec<Diagnostic>,
-    run: impl FnOnce() -> Vec<Diagnostic>,
-) -> Result<()> {
-    if !opts.lint.enabled() {
-        return Ok(());
-    }
-    let span = ctx.trace.map(|t| t.start(&format!("lint:{point}")));
-    let diags = run();
-    let denied = opts.lint == LintMode::Deny && diags.iter().any(|d| d.severity == Severity::Deny);
-    if let (Some(log), Some(id)) = (ctx.trace, span) {
-        let (outcome, detail) = if denied {
-            (
-                crate::trace::SpanOutcome::Error,
-                Some(fpga_lint::summarize(&diags)),
-            )
-        } else {
-            (crate::trace::SpanOutcome::Computed, None)
-        };
-        log.finish(id, outcome, detail);
-    }
-    if let Some(sink) = ctx.lint {
-        sink.extend(diags.iter().cloned());
-    }
-    collected.extend(diags);
-    if denied {
-        let denies: Vec<&Diagnostic> = collected
-            .iter()
-            .filter(|d| d.severity == Severity::Deny)
-            .collect();
-        if let Some(first) = denies.first() {
-            return Err(FlowError {
-                stage: "lint",
-                message: format!(
-                    "design-rule check failed at '{point}': {} ({} deny finding{}; first: [{}] {})",
-                    fpga_lint::summarize(collected),
-                    denies.len(),
-                    if denies.len() == 1 { "" } else { "s" },
-                    first.code,
-                    first.message
-                ),
-            });
-        }
-    }
-    Ok(())
+/// One stage boundary of the walk: the artifacts a check at that point
+/// may look at, borrowed from the stages that produced them.
+pub(crate) enum Boundary<'a> {
+    /// A netlist-shaped artifact: the design as it enters the flow
+    /// (point `netlist`) or the LUT-mapped netlist (point `mapped`).
+    Netlist(&'static str, &'a Netlist),
+    Pack(&'a Clustering),
+    Place(&'a Clustering, &'a Placement),
+    Route(&'a Clustering, &'a Placement, &'a RoutedDesign),
+    Bitstream(
+        &'a Clustering,
+        &'a Placement,
+        &'a RoutedDesign,
+        &'a Bitstream,
+    ),
 }
 
-/// One equivalence gate: check a stage artifact against the reference
-/// view, record the findings (trace span `verify:{point}`, the shared
-/// diagnostic sink, the run's accumulator), and — under
-/// [`VerifyMode::Deny`] — fail the flow on any deny-severity EQ finding,
-/// carrying the counterexample in the error message. `Off` runs pass a
-/// `None` gate and short-circuit before doing any work, so the default
-/// flow is untouched (byte for byte, including cache keys).
-fn verify_point(
-    ctx: &FlowCtx,
+impl Boundary<'_> {
+    /// The point's name: what trace spans, deny messages and a check
+    /// report's `reached` call this boundary.
+    pub(crate) fn point(&self) -> &'static str {
+        match self {
+            Boundary::Netlist(point, _) => point,
+            Boundary::Pack(..) => "pack",
+            Boundary::Place(..) => "place",
+            Boundary::Route(..) => "route",
+            Boundary::Bitstream(..) => "bitstream",
+        }
+    }
+}
+
+/// What a completed walk leaves behind.
+pub(crate) struct Walked {
+    mapped: Staged<Netlist>,
+    clustering: Staged<Clustering>,
+    placement: Staged<Placement>,
+    routed: Staged<RoutedDesign>,
+    bits: Staged<GeneratedBitstream>,
+    /// Present when the walk measured (a compile), absent for a check.
+    power: Option<Staged<PowerReport>>,
+}
+
+/// The stage sequence, written once: map, pack, place, route, bitstream,
+/// handing each boundary to `at` as soon as its stage completes; an
+/// error from `at` stops the walk. With a `report` the walk is a
+/// compile — every stage is recorded (and streamed to the observer) and
+/// the measuring stages, power estimation and fabric re-simulation, run
+/// too. Without one it only produces the artifacts to be checked.
+pub(crate) fn walk(
+    rtl: &Staged<Netlist>,
     opts: &FlowOptions,
-    point: &'static str,
-    collected: &mut Vec<Diagnostic>,
-    gate: Option<&EquivGate>,
-    run: impl FnOnce(&EquivGate) -> Vec<Diagnostic>,
-) -> Result<()> {
-    let Some(gate) = gate else {
-        return Ok(());
+    ctx: FlowCtx,
+    mut report: Option<&mut FlowReport>,
+    mut at: impl FnMut(Boundary) -> Result<()>,
+) -> Result<Walked> {
+    let t = Instant::now();
+    let mapped = stages::lut_map(rtl, opts, ctx)?;
+    record(report.as_deref_mut(), &ctx, "lut mapping (SIS)", &mapped, t);
+    at(Boundary::Netlist("mapped", &mapped.value))?;
+
+    let t = Instant::now();
+    let clustering = stages::pack(&mapped, &opts.arch, ctx)?;
+    record(
+        report.as_deref_mut(),
+        &ctx,
+        "packing (T-VPack)",
+        &clustering,
+        t,
+    );
+    at(Boundary::Pack(&clustering.value))?;
+
+    let t = Instant::now();
+    let placement = stages::place(&clustering, opts, ctx)?;
+    record(
+        report.as_deref_mut(),
+        &ctx,
+        "placement (VPR)",
+        &placement,
+        t,
+    );
+    at(Boundary::Place(&clustering.value, &placement.value))?;
+
+    let t = Instant::now();
+    let routed = stages::route(&clustering, &placement, opts, ctx)?;
+    record(report.as_deref_mut(), &ctx, "routing (VPR)", &routed, t);
+    at(Boundary::Route(
+        &clustering.value,
+        &placement.value,
+        &routed.value,
+    ))?;
+
+    let power = match report.as_deref_mut() {
+        Some(report) => {
+            let t = Instant::now();
+            let power = stages::power(&clustering, &routed, opts, ctx)?;
+            record(Some(report), &ctx, "power (PowerModel)", &power, t);
+            Some(power)
+        }
+        None => None,
     };
-    let span = ctx.trace.map(|t| t.start(&format!("verify:{point}")));
-    let diags = run(gate);
-    let first_deny = if opts.verify == VerifyMode::Deny {
-        diags.iter().find(|d| d.severity == Severity::Deny).cloned()
-    } else {
-        None
-    };
-    if let (Some(log), Some(id)) = (ctx.trace, span) {
-        let (outcome, detail) = if first_deny.is_some() {
-            (
-                crate::trace::SpanOutcome::Error,
-                Some(fpga_lint::summarize(&diags)),
-            )
-        } else {
-            (crate::trace::SpanOutcome::Computed, None)
-        };
-        log.finish(id, outcome, detail);
+
+    let t = Instant::now();
+    let bits = stages::bitstream(&clustering, &placement, &routed, ctx)?;
+    record(report.as_deref_mut(), &ctx, "bitstream (DAGGER)", &bits, t);
+    at(Boundary::Bitstream(
+        &clustering.value,
+        &placement.value,
+        &routed.value,
+        &bits.value.bitstream,
+    ))?;
+
+    if let Some(report) = report {
+        if opts.verify_cycles > 0 {
+            let t = Instant::now();
+            let verified = stages::verify(&bits, &mapped, opts.verify_cycles, ctx)?;
+            record(
+                Some(report),
+                &ctx,
+                "verify (fabric emulation)",
+                &verified,
+                t,
+            );
+        }
     }
-    if let Some(sink) = ctx.lint {
-        sink.extend(diags.iter().cloned());
-    }
-    collected.extend(diags);
-    if let Some(first) = first_deny {
-        let cex = first
-            .notes
-            .iter()
-            .find(|n| n.starts_with("counterexample: "))
-            .map(|n| format!(" — {n}"))
-            .unwrap_or_default();
-        return Err(FlowError {
-            stage: "verify",
-            message: format!(
-                "equivalence check failed at '{point}': [{}] {}{}",
-                first.code, first.message, cex
-            ),
-        });
-    }
-    Ok(())
+
+    Ok(Walked {
+        mapped,
+        clustering,
+        placement,
+        routed,
+        bits,
+        power,
+    })
 }
 
 fn run_from_rtl(
@@ -507,86 +546,21 @@ fn run_from_rtl(
     // The equivalence gates all compare against one reference view,
     // extracted from the synthesized netlist exactly once per run.
     let equiv = opts.verify.enabled().then(|| EquivGate::new(&rtl.value));
-
-    let t = Instant::now();
-    let mapped = stages::lut_map(&rtl, opts, ctx)?;
-    record(&mut report, &ctx, "lut mapping (SIS)", &mapped, t);
-    lint_point(&ctx, opts, "mapped", &mut lint, || {
-        fpga_lint::lint_netlist(&mapped.value)
+    let done = walk(&rtl, opts, ctx, Some(&mut report), |at| {
+        gate(&ctx, opts, CheckKind::Lint, None, &at, &mut lint)?;
+        let equiv = equiv.as_ref();
+        gate(&ctx, opts, CheckKind::Verify, equiv, &at, &mut lint)
     })?;
-    verify_point(&ctx, opts, "mapped", &mut lint, equiv.as_ref(), |g| {
-        g.check_netlist("mapped", &mapped.value)
+    let power = done.power.ok_or_else(|| FlowError {
+        stage: "power",
+        message: "internal: a recorded walk skipped power estimation".to_string(),
     })?;
-
-    let t = Instant::now();
-    let clustering = stages::pack(&mapped, &opts.arch, ctx)?;
-    record(&mut report, &ctx, "packing (T-VPack)", &clustering, t);
-    lint_point(&ctx, opts, "pack", &mut lint, || {
-        fpga_lint::lint_clustering(&clustering.value)
-    })?;
-    verify_point(&ctx, opts, "pack", &mut lint, equiv.as_ref(), |g| {
-        g.check_clustering(&clustering.value)
-    })?;
-
-    let t = Instant::now();
-    let placement = stages::place(&clustering, opts, ctx)?;
-    record(&mut report, &ctx, "placement (VPR)", &placement, t);
-    lint_point(&ctx, opts, "place", &mut lint, || {
-        fpga_lint::lint_placement(&clustering.value, &placement.value)
-    })?;
-    verify_point(&ctx, opts, "place", &mut lint, equiv.as_ref(), |g| {
-        g.check_placement(&clustering.value, &placement.value)
-    })?;
-
-    let t = Instant::now();
-    let routed = stages::route(&clustering, &placement, opts, ctx)?;
-    record(&mut report, &ctx, "routing (VPR)", &routed, t);
-    lint_point(&ctx, opts, "route", &mut lint, || {
-        fpga_lint::lint_routing(
-            &clustering.value.netlist,
-            &routed.value.graph,
-            &routed.value.routing,
-        )
-    })?;
-    verify_point(&ctx, opts, "route", &mut lint, equiv.as_ref(), |g| {
-        g.check_routing(
-            &clustering.value,
-            &placement.value,
-            &routed.value.graph,
-            &routed.value.routing,
-        )
-    })?;
-
-    let t = Instant::now();
-    let power = stages::power(&clustering, &routed, opts, ctx)?;
-    record(&mut report, &ctx, "power (PowerModel)", &power, t);
-
-    let t = Instant::now();
-    let bits = stages::bitstream(&clustering, &placement, &routed, ctx)?;
-    record(&mut report, &ctx, "bitstream (DAGGER)", &bits, t);
-    lint_point(&ctx, opts, "bitstream", &mut lint, || {
-        fpga_lint::lint_bitstream(
-            &clustering.value.netlist,
-            &routed.value.device,
-            &routed.value.graph,
-            &routed.value.routing,
-            &bits.value.bitstream,
-        )
-    })?;
-    verify_point(&ctx, opts, "bitstream", &mut lint, equiv.as_ref(), |g| {
-        g.check_bitstream(&bits.value.bitstream, &clustering.value, &placement.value)
-    })?;
-
-    if opts.verify_cycles > 0 {
-        let t = Instant::now();
-        let verified = stages::verify(&bits, &mapped, opts.verify_cycles, ctx)?;
-        record(&mut report, &ctx, "verify (fabric emulation)", &verified, t);
-    }
 
     // Typed QoR summary. Everything comes from the artifacts except the
     // STA numbers, which ride in the routing stage's metrics (they are
     // preserved verbatim across cache tiers, so a fully-warm run reports
     // the same QoR as the run that computed it).
+    let (mapped, routed) = (&done.mapped, &done.routed);
     let luts = mapped
         .value
         .cells
@@ -596,9 +570,9 @@ fn run_from_rtl(
     report.qor = Some(crate::report::QorSummary {
         luts,
         ffs: mapped.value.cell_counts().1 as u64,
-        clbs: clustering.value.clusters.len() as u64,
-        grid_w: placement.value.device.width as u64,
-        grid_h: placement.value.device.height as u64,
+        clbs: done.clustering.value.clusters.len() as u64,
+        grid_w: done.placement.value.device.width as u64,
+        grid_h: done.placement.value.device.height as u64,
         channel_width: routed.value.routing.channel_width as u64,
         wirelength: routed.value.routing.wirelength as u64,
         critical_path_ns: routed.metrics["critical_ns"].as_f64().unwrap_or(0.0),
@@ -609,14 +583,14 @@ fn run_from_rtl(
     Ok(FlowArtifacts {
         rtl: (*rtl.value).clone(),
         mapped: (*mapped.value).clone(),
-        clustering: (*clustering.value).clone(),
-        placement: (*placement.value).clone(),
+        clustering: (*done.clustering.value).clone(),
+        placement: (*done.placement.value).clone(),
         graph: routed.value.graph.clone(),
         routing: routed.value.routing.clone(),
         critical_nets: routed.value.critical_nets.clone(),
         power: *power.value,
-        bitstream: bits.value.bitstream.clone(),
-        bitstream_bytes: bits.value.bytes.clone(),
+        bitstream: done.bits.value.bitstream.clone(),
+        bitstream_bytes: done.bits.value.bytes.clone(),
         report,
         lint,
     })
@@ -626,6 +600,7 @@ fn run_from_rtl(
 mod tests {
     use super::*;
     use crate::cache::{StageId, STAGES};
+    use fpga_lint::Severity;
 
     #[test]
     fn vhdl_counter_to_verified_bitstream() {
@@ -849,7 +824,7 @@ mod tests {
 
         let sink = DiagSink::new();
         let ctx = FlowCtx::builder().lint_sink(&sink).build();
-        let opts = FlowOptions::builder().lint(LintMode::Deny).build();
+        let opts = FlowOptions::builder().lint(GateMode::Deny).build();
         let err = expect_err(run_netlist_ctx(nl.clone(), &opts, ctx));
         assert_eq!(err.stage, "lint");
         assert!(err.message.contains("NL001"), "{}", err.message);
@@ -865,7 +840,7 @@ mod tests {
     #[test]
     fn lint_warn_reports_but_does_not_fail() {
         let src = fpga_circuits::vhdl_counter(3);
-        let opts = FlowOptions::builder().lint(LintMode::Warn).build();
+        let opts = FlowOptions::builder().lint(GateMode::Warn).build();
         let art = run_vhdl(&src, &opts).unwrap();
         assert!(
             art.lint.iter().all(|d| d.severity != Severity::Deny),
@@ -889,7 +864,7 @@ mod tests {
 0 1
 .end";
         let cache = StageCache::new();
-        let opts = FlowOptions::builder().lint(LintMode::Deny).build();
+        let opts = FlowOptions::builder().lint(GateMode::Deny).build();
         let err = expect_err(run_blif_ctx(blif, &opts, FlowCtx::with_cache(&cache)));
         assert_eq!(err.stage, "lint");
         // The deny fired before the cached upload stage ever ran.
@@ -902,7 +877,7 @@ mod tests {
         let cache = StageCache::new();
         let src = fpga_circuits::vhdl_counter(3);
         let off = FlowOptions::default();
-        let warn = FlowOptions::builder().lint(LintMode::Warn).build();
+        let warn = FlowOptions::builder().lint(GateMode::Warn).build();
         run_vhdl_ctx(&src, &off, FlowCtx::with_cache(&cache)).unwrap();
         // Same design with lint on: every stage is a memory hit — the
         // lint gate lives outside the content-addressed keys.
@@ -951,7 +926,7 @@ mod tests {
         let src = fpga_circuits::vhdl_counter(3);
         let log = crate::trace::TraceLog::new();
         let ctx = FlowCtx::builder().trace(&log).build();
-        let opts = FlowOptions::builder().lint(LintMode::Warn).build();
+        let opts = FlowOptions::builder().lint(GateMode::Warn).build();
         run_vhdl_ctx(&src, &opts, ctx).unwrap();
         let names: Vec<String> = log.spans().iter().map(|s| s.stage.clone()).collect();
         for point in ["lint:netlist", "lint:pack", "lint:route", "lint:bitstream"] {
@@ -969,7 +944,7 @@ mod tests {
         let cache = StageCache::new();
         let src = fpga_circuits::vhdl_counter(3);
         let off = FlowOptions::default();
-        let deny = FlowOptions::builder().verify(VerifyMode::Deny).build();
+        let deny = FlowOptions::builder().verify(GateMode::Deny).build();
         run_vhdl_ctx(&src, &off, FlowCtx::with_cache(&cache)).unwrap();
         // Same design with the equivalence gate on: every stage is a
         // memory hit — verification lives outside the content-addressed
@@ -986,7 +961,7 @@ mod tests {
         let src = fpga_circuits::vhdl_counter(3);
         let log = crate::trace::TraceLog::new();
         let ctx = FlowCtx::builder().trace(&log).build();
-        let opts = FlowOptions::builder().verify(VerifyMode::Warn).build();
+        let opts = FlowOptions::builder().verify(GateMode::Warn).build();
         run_vhdl_ctx(&src, &opts, ctx).unwrap();
         let names: Vec<String> = log.spans().iter().map(|s| s.stage.clone()).collect();
         for point in [
@@ -1008,7 +983,7 @@ mod tests {
     #[test]
     fn verify_deny_passes_a_clean_design_with_no_findings() {
         let src = fpga_circuits::vhdl_counter(3);
-        let opts = FlowOptions::builder().verify(VerifyMode::Deny).build();
+        let opts = FlowOptions::builder().verify(GateMode::Deny).build();
         let art = run_vhdl(&src, &opts).unwrap();
         assert!(art.lint.is_empty(), "{:?}", art.lint);
     }
@@ -1027,14 +1002,20 @@ mod tests {
         if let CellKind::Lut { truth, .. } = &mut lut.kind {
             *truth ^= 1;
         }
-        let gate = EquivGate::new(&rtl);
+        let equiv = EquivGate::new(&rtl);
         let sink = DiagSink::new();
         let ctx = FlowCtx::builder().lint_sink(&sink).build();
-        let opts = FlowOptions::builder().verify(VerifyMode::Deny).build();
+        let opts = FlowOptions::builder().verify(GateMode::Deny).build();
         let mut collected = Vec::new();
-        let err = verify_point(&ctx, &opts, "mapped", &mut collected, Some(&gate), |g| {
-            g.check_netlist("mapped", &bad)
-        })
+        let at = Boundary::Netlist("mapped", &bad);
+        let err = gate(
+            &ctx,
+            &opts,
+            CheckKind::Verify,
+            Some(&equiv),
+            &at,
+            &mut collected,
+        )
         .expect_err("corrupted LUT must be denied");
         assert_eq!(err.stage, "verify");
         assert!(err.message.contains("EQ001"), "{}", err.message);
@@ -1044,11 +1025,16 @@ mod tests {
         assert!(sink.drain().iter().any(|d| d.code == "EQ001"));
 
         // Warn mode reports the same finding but does not fail.
-        let opts = FlowOptions::builder().verify(VerifyMode::Warn).build();
+        let opts = FlowOptions::builder().verify(GateMode::Warn).build();
         let mut collected = Vec::new();
-        verify_point(&ctx, &opts, "mapped", &mut collected, Some(&gate), |g| {
-            g.check_netlist("mapped", &bad)
-        })
+        gate(
+            &ctx,
+            &opts,
+            CheckKind::Verify,
+            Some(&equiv),
+            &at,
+            &mut collected,
+        )
         .unwrap();
         assert!(collected.iter().any(|d| d.code == "EQ001"), "{collected:?}");
     }

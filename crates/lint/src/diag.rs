@@ -18,7 +18,7 @@ pub enum Severity {
     Info,
     /// Suspicious but not fatal; the flow proceeds.
     Warn,
-    /// A design-rule violation; under `LintMode::Deny` it fails the job.
+    /// A design-rule violation; under `GateMode::Deny` it fails the job.
     Deny,
 }
 
@@ -47,39 +47,41 @@ impl std::fmt::Display for Severity {
     }
 }
 
-/// How much the pipeline cares about lint findings.
+/// How much the pipeline cares about a gate's findings. One mode type
+/// serves both gates a compile can switch on — the design-rule lint and
+/// the cross-stage equivalence check.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LintMode {
-    /// No passes run; today's behavior, byte for byte.
+pub enum GateMode {
+    /// No checks run; today's behavior, byte for byte.
     #[default]
     Off,
-    /// Passes run and report; the flow always proceeds.
+    /// Checks run and report; the flow always proceeds.
     Warn,
-    /// Passes run; any `Severity::Deny` finding fails the job.
+    /// Checks run; any `Severity::Deny` finding fails the job.
     Deny,
 }
 
-impl LintMode {
+impl GateMode {
     pub fn name(self) -> &'static str {
         match self {
-            LintMode::Off => "off",
-            LintMode::Warn => "warn",
-            LintMode::Deny => "deny",
+            GateMode::Off => "off",
+            GateMode::Warn => "warn",
+            GateMode::Deny => "deny",
         }
     }
 
-    pub fn parse(text: &str) -> Option<LintMode> {
+    pub fn parse(text: &str) -> Option<GateMode> {
         match text {
-            "off" => Some(LintMode::Off),
-            "warn" => Some(LintMode::Warn),
-            "deny" => Some(LintMode::Deny),
+            "off" => Some(GateMode::Off),
+            "warn" => Some(GateMode::Warn),
+            "deny" => Some(GateMode::Deny),
             _ => None,
         }
     }
 
-    /// Whether passes run at all under this mode.
+    /// Whether checks run at all under this mode.
     pub fn enabled(self) -> bool {
-        self != LintMode::Off
+        self != GateMode::Off
     }
 }
 
@@ -380,13 +382,14 @@ mod tests {
     }
 
     #[test]
-    fn lint_mode_parses_and_defaults_off() {
-        assert_eq!(LintMode::default(), LintMode::Off);
-        for m in [LintMode::Off, LintMode::Warn, LintMode::Deny] {
-            assert_eq!(LintMode::parse(m.name()), Some(m));
+    fn gate_mode_parses_and_defaults_off() {
+        assert_eq!(GateMode::default(), GateMode::Off);
+        for m in [GateMode::Off, GateMode::Warn, GateMode::Deny] {
+            assert_eq!(GateMode::parse(m.name()), Some(m));
         }
-        assert!(!LintMode::Off.enabled());
-        assert!(LintMode::Deny.enabled());
+        assert_eq!(GateMode::parse("loud"), None);
+        assert!(!GateMode::Off.enabled());
+        assert!(GateMode::Deny.enabled());
     }
 
     #[test]

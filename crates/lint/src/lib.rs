@@ -46,7 +46,7 @@ pub mod route;
 pub use bitstream::lint_bitstream;
 pub use diag::{
     catalogue_text, diagnostics_from_value, diagnostics_to_value, rule, summarize, worst, DiagSink,
-    Diagnostic, LintMode, Rule, Severity, RULES,
+    Diagnostic, GateMode, Rule, Severity, RULES,
 };
 pub use netlist::lint_netlist;
 pub use pack::lint_clustering;

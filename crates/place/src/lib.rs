@@ -21,9 +21,7 @@ pub mod sa;
 pub use codec::{placement_from_bytes, placement_to_bytes};
 pub use cost::{net_terminals, PlacedNet};
 pub use engine::{AnnealingPlacer, Parallelism, PlaceConfig, PlaceEngine};
-#[allow(deprecated)]
-pub use sa::place;
-pub use sa::{PlaceOptions, Placement};
+pub use sa::Placement;
 
 use fpga_arch::device::GridLoc;
 use fpga_netlist::ir::NetId;

@@ -28,26 +28,8 @@ use fpga_arch::device::{Device, GridLoc};
 use fpga_pack::{ClusterId, Clustering};
 
 use crate::cost::{crossing_factor, net_terminals, PlacedNet};
-use crate::engine::{AnnealingPlacer, PlaceConfig, PlaceEngine};
+use crate::engine::PlaceConfig;
 use crate::{BlockRef, PlaceError, Result, Slot};
-
-/// Placement options for the deprecated free-function API.
-#[derive(Clone, Debug)]
-pub struct PlaceOptions {
-    pub seed: u64,
-    /// Moves per temperature = `inner_num * blocks^(4/3)` (VPR default 10;
-    /// smaller values trade quality for speed).
-    pub inner_num: f64,
-}
-
-impl Default for PlaceOptions {
-    fn default() -> Self {
-        PlaceOptions {
-            seed: 1,
-            inner_num: 5.0,
-        }
-    }
-}
 
 /// The placement result.
 #[derive(Clone, Debug)]
@@ -137,16 +119,6 @@ fn bbox(terminals: &[BlockRef], slots: &HashMap<BlockRef, Slot>) -> (u32, u32) {
 fn net_cost(net: &PlacedNet, slots: &HashMap<BlockRef, Slot>) -> f64 {
     let (w, h) = bbox(&net.terminals, slots);
     crossing_factor(net.terminals.len()) * (w + h) as f64
-}
-
-/// Place a clustering onto a device with simulated annealing.
-#[deprecated(
-    since = "0.2.0",
-    note = "use engine::{AnnealingPlacer, PlaceConfig, PlaceEngine}"
-)]
-pub fn place(clustering: &Clustering, device: Device, opts: PlaceOptions) -> Result<Placement> {
-    AnnealingPlacer::new(PlaceConfig::new().seed(opts.seed).inner_num(opts.inner_num))
-        .place(clustering, device)
 }
 
 fn splitmix64(x: u64) -> u64 {
@@ -682,7 +654,7 @@ pub(crate) fn anneal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Parallelism;
+    use crate::engine::{AnnealingPlacer, Parallelism, PlaceEngine};
     use fpga_arch::{Architecture, ClbArch};
     use fpga_netlist::ir::{CellKind, Netlist};
 
@@ -829,24 +801,6 @@ mod tests {
             engine(1, 5.0, 1).place(&c, device),
             Err(PlaceError::DoesNotFit { .. })
         ));
-    }
-
-    #[test]
-    fn deprecated_wrapper_matches_engine() {
-        let c = chain_clustering(12);
-        let device = Device::sized_for(Architecture::paper_default(), c.clusters.len(), 4);
-        #[allow(deprecated)]
-        let via_wrapper = place(
-            &c,
-            device.clone(),
-            PlaceOptions {
-                seed: 2,
-                inner_num: 1.0,
-            },
-        )
-        .unwrap();
-        let via_engine = engine(2, 1.0, 1).place(&c, device).unwrap();
-        assert_eq!(via_wrapper.slots, via_engine.slots);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use fpga_flow::RemoteTier;
 use serde_json::Value;
 
-use crate::breaker::CircuitBreaker;
+use crate::breaker::{xorshift64, CircuitBreaker};
 use crate::metrics::RemoteTierCounters;
 use crate::proto::{self, ReadLineError, Request};
 
@@ -104,12 +104,7 @@ impl RemoteTierClient {
             .rng
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let mut x = *state | 1;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *state = x;
-        x
+        xorshift64(&mut state)
     }
 
     /// One timed request/reply exchange with the gateway.

@@ -5,7 +5,7 @@
 //!       [--seed N] [--effort F] [--width W] [--cycles N]
 //!       [--deadline DUR] [--retries N] [--trace]
 //!       [-o design.bit] [--report report.json]
-//! flowc [...] verify design.vhd [--blif] [--json] [--quiet]
+//! flowc [...] lint|verify design.vhd [--blif] [--json] [--quiet]
 //! flowc [...] metrics [--text] | stats | ping | shutdown
 //! ```
 //!
@@ -27,8 +27,8 @@
 
 use std::io::{self, Write};
 
-use fpga_flow::cli;
 use fpga_flow::trace::spans_from_value;
+use fpga_flow::{cli, CheckKind};
 use fpga_server::{
     compile_with_retry, CompileError, CompileRequest, FlowClient, RetryPolicy, SourceFormat,
 };
@@ -198,17 +198,15 @@ fn main() {
             Err(e) => fail(EXIT_TRANSPORT, e),
         },
         "compile" => compile(&args),
-        "lint" => lint(&args),
-        "verify" => verify(&args),
+        "lint" => check(CheckKind::Lint, &args),
+        "verify" => check(CheckKind::Verify, &args),
         other => cli::die("flowc", format!("unknown command '{other}'")),
     }
 }
 
-fn compile(args: &cli::Args) {
-    let Some(path) = args.positionals.get(1) else {
-        eprintln!("usage: flowc compile <design.vhd|design.blif> [--blif] [--seed N] ...");
-        std::process::exit(EXIT_USAGE);
-    };
+/// Read the design a job verb names; `--blif` or a `.blif` extension
+/// selects the format.
+fn read_design(args: &cli::Args, path: &str) -> (SourceFormat, String) {
     let source = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => cli::die("flowc", format!("cannot read '{path}': {e}")),
@@ -218,6 +216,26 @@ fn compile(args: &cli::Args) {
     } else {
         SourceFormat::Vhdl
     };
+    (format, source)
+}
+
+/// A newer daemon may stream event kinds this client does not know;
+/// they are skipped, but say so (CI treats these warnings as failures).
+fn warn_unknown_events(names: &[String], dropped: u64) {
+    for name in names {
+        eprintln!("flowc: warning: unknown event '{name}' (daemon newer than this client?)");
+    }
+    if dropped > 0 {
+        eprintln!("flowc: warning: {dropped} more unknown event kinds not recorded");
+    }
+}
+
+fn compile(args: &cli::Args) {
+    let Some(path) = args.positionals.get(1) else {
+        eprintln!("usage: flowc compile <design.vhd|design.blif> [--blif] [--seed N] ...");
+        std::process::exit(EXIT_USAGE);
+    };
+    let (format, source) = read_design(args, path);
 
     let mut options = serde_json::Map::new();
     let mut numeric = |flag: &str, wire: &str| {
@@ -305,17 +323,7 @@ fn compile(args: &cli::Args) {
         }
         Err(e @ CompileError::Rejected { .. }) => fail(EXIT_COMPILE, e),
     };
-    // A newer daemon may stream event kinds this client does not know;
-    // they are skipped, but say so (CI treats these warnings as failures).
-    for name in &outcome.unknown_events {
-        eprintln!("flowc: warning: unknown event '{name}' (daemon newer than this client?)");
-    }
-    if outcome.unknown_events_dropped > 0 {
-        eprintln!(
-            "flowc: warning: {} more unknown event kinds not recorded",
-            outcome.unknown_events_dropped
-        );
-    }
+    warn_unknown_events(&outcome.unknown_events, outcome.unknown_events_dropped);
     // Warn/info findings from `--lint warn|deny` runs.
     for d in &outcome.lint {
         eprintln!("{d}");
@@ -370,25 +378,24 @@ fn compile(args: &cli::Args) {
     );
 }
 
-/// `flowc lint <design>` — run the deep design-rule check on the daemon
-/// and print the findings. Deny-severity findings exit with
-/// [`EXIT_LINT`]; flow errors (a design the checker cannot even parse)
-/// exit like a failed compile.
-fn lint(args: &cli::Args) {
+/// `flowc lint|verify <design>` — run one kind of deep check on the
+/// daemon and print the findings. Deny-severity findings (a broken
+/// design rule; for `verify`, a stage artifact that is provably NOT the
+/// synthesized netlist, with a replayable counterexample in the notes)
+/// exit with [`EXIT_LINT`]; flow errors (a design the checker cannot
+/// even parse) exit like a failed compile.
+fn check(kind: CheckKind, args: &cli::Args) {
+    let verb = kind.verb();
+    let (catalogue, summary_word) = match kind {
+        CheckKind::Lint => ("rule catalogue", "checked"),
+        CheckKind::Verify => ("EQ rule codes", "verified"),
+    };
     let Some(path) = args.positionals.get(1) else {
-        eprintln!("usage: flowc lint <design.vhd|design.blif> [--blif] [--json] [--quiet]");
-        eprintln!("       (see flowc --help for the rule catalogue)");
+        eprintln!("usage: flowc {verb} <design.vhd|design.blif> [--blif] [--json] [--quiet]");
+        eprintln!("       (see flowc --help for the {catalogue})");
         std::process::exit(EXIT_USAGE);
     };
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => cli::die("flowc", format!("cannot read '{path}': {e}")),
-    };
-    let format = if args.flags.iter().any(|f| f == "blif") || path.ends_with(".blif") {
-        SourceFormat::Blif
-    } else {
-        SourceFormat::Vhdl
-    };
+    let (format, source) = read_design(args, path);
     let mut req = CompileRequest::new(format, source);
     req.deadline_ms = args.options.get("deadline").map(|raw| {
         cli::parse_duration_ms(raw)
@@ -397,7 +404,7 @@ fn lint(args: &cli::Args) {
     req.tenant = args.options.get("tenant").cloned();
     req.threads = parse_threads(args);
 
-    let outcome = match connect(args).lint_request(&req) {
+    let outcome = match connect(args).check_request(kind, &req) {
         Ok(o) => o,
         Err(e @ CompileError::Io(_)) => fail(EXIT_TRANSPORT, e),
         Err(e @ CompileError::TimedOut { .. }) => fail(EXIT_DEADLINE, e),
@@ -405,15 +412,7 @@ fn lint(args: &cli::Args) {
             fail(EXIT_COMPILE, e)
         }
     };
-    for name in &outcome.unknown_events {
-        eprintln!("flowc: warning: unknown event '{name}' (daemon newer than this client?)");
-    }
-    if outcome.unknown_events_dropped > 0 {
-        eprintln!(
-            "flowc: warning: {} more unknown event kinds not recorded",
-            outcome.unknown_events_dropped
-        );
-    }
+    warn_unknown_events(&outcome.unknown_events, outcome.unknown_events_dropped);
     let quiet = args.flags.iter().any(|f| f == "quiet");
     if args.flags.iter().any(|f| f == "json") {
         let body = fpga_lint::diagnostics_to_value(&outcome.diagnostics);
@@ -424,73 +423,7 @@ fn lint(args: &cli::Args) {
         }
     }
     eprintln!(
-        "job {}: {}: checked through '{}': {}",
-        outcome.job,
-        outcome.design,
-        outcome.reached,
-        fpga_lint::summarize(&outcome.diagnostics)
-    );
-    if fpga_lint::worst(&outcome.diagnostics) == Some(fpga_lint::Severity::Deny) {
-        std::process::exit(EXIT_LINT);
-    }
-}
-
-/// `flowc verify <design>` — run the deep cross-stage equivalence check
-/// on the daemon and print the EQ findings. Deny-severity findings (a
-/// stage artifact that is provably NOT the synthesized netlist, with a
-/// replayable counterexample in the notes) exit with [`EXIT_LINT`]; flow
-/// errors exit like a failed compile.
-fn verify(args: &cli::Args) {
-    let Some(path) = args.positionals.get(1) else {
-        eprintln!("usage: flowc verify <design.vhd|design.blif> [--blif] [--json] [--quiet]");
-        eprintln!("       (see flowc --help for the EQ rule codes)");
-        std::process::exit(EXIT_USAGE);
-    };
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => cli::die("flowc", format!("cannot read '{path}': {e}")),
-    };
-    let format = if args.flags.iter().any(|f| f == "blif") || path.ends_with(".blif") {
-        SourceFormat::Blif
-    } else {
-        SourceFormat::Vhdl
-    };
-    let mut req = CompileRequest::new(format, source);
-    req.deadline_ms = args.options.get("deadline").map(|raw| {
-        cli::parse_duration_ms(raw)
-            .unwrap_or_else(|e| cli::die("flowc", format!("bad --deadline: {e}")))
-    });
-    req.tenant = args.options.get("tenant").cloned();
-    req.threads = parse_threads(args);
-
-    let outcome = match connect(args).verify_request(&req) {
-        Ok(o) => o,
-        Err(e @ CompileError::Io(_)) => fail(EXIT_TRANSPORT, e),
-        Err(e @ CompileError::TimedOut { .. }) => fail(EXIT_DEADLINE, e),
-        Err(e @ (CompileError::Failed { .. } | CompileError::Rejected { .. })) => {
-            fail(EXIT_COMPILE, e)
-        }
-    };
-    for name in &outcome.unknown_events {
-        eprintln!("flowc: warning: unknown event '{name}' (daemon newer than this client?)");
-    }
-    if outcome.unknown_events_dropped > 0 {
-        eprintln!(
-            "flowc: warning: {} more unknown event kinds not recorded",
-            outcome.unknown_events_dropped
-        );
-    }
-    let quiet = args.flags.iter().any(|f| f == "quiet");
-    if args.flags.iter().any(|f| f == "json") {
-        let body = fpga_lint::diagnostics_to_value(&outcome.diagnostics);
-        println!("{}", render_pretty(&body));
-    } else if !quiet {
-        for d in &outcome.diagnostics {
-            println!("{d}");
-        }
-    }
-    eprintln!(
-        "job {}: {}: verified through '{}': {}",
+        "job {}: {}: {summary_word} through '{}': {}",
         outcome.job,
         outcome.design,
         outcome.reached,

@@ -162,8 +162,11 @@ impl CircuitBreaker {
     }
 }
 
-/// Same tiny PRNG the retry backoff uses: deterministic, dependency-free.
-fn xorshift64(state: &mut u64) -> u64 {
+/// The server crate's one jitter PRNG (breaker reopen, client retry
+/// backoff, artifact-tier backoff): xorshift64 — enough randomness to
+/// de-synchronize retrying peers, dependency-free, and fully
+/// deterministic under a fixed seed.
+pub(crate) fn xorshift64(state: &mut u64) -> u64 {
     let mut x = *state | 1;
     x ^= x << 13;
     x ^= x >> 7;

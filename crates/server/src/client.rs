@@ -16,11 +16,14 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
+use fpga_flow::CheckKind;
 use fpga_lint::Diagnostic;
 use serde_json::Value;
 
+use crate::breaker::xorshift64;
 use crate::proto::{
-    self, from_hex, parse_event, CompileRequest, Event, EventParseError, Request, SourceFormat,
+    self, from_hex, parse_event, CompileRequest, Event, EventParseError, JobKind, Request,
+    SourceFormat,
 };
 
 /// Either transport, behind one blocking interface.
@@ -68,6 +71,15 @@ impl Write for Conn {
     }
 }
 
+/// What every job's event stream folds into, whatever its kind.
+#[derive(Debug, Default)]
+struct Stream {
+    job: u64,
+    stage_events: Vec<Value>,
+    unknown_events: Vec<String>,
+    unknown_events_dropped: u64,
+}
+
 /// The final state of one compile submission.
 #[derive(Debug)]
 pub struct CompileOutcome {
@@ -94,40 +106,18 @@ pub struct CompileOutcome {
     pub unknown_events_dropped: u64,
 }
 
-/// The final state of one `lint` submission.
+/// The final state of one check (`lint` / `verify`) submission.
 #[derive(Debug)]
-pub struct LintOutcome {
+pub struct CheckOutcome {
     /// Server-assigned job id.
     pub job: u64,
     /// Design name from the report.
     pub design: String,
-    /// The last lint point the deep check reached (`"netlist"` ...
+    /// The last boundary the deep check reached (`"netlist"` ...
     /// `"bitstream"`).
     pub reached: String,
-    /// Every finding, in flow order.
-    pub diagnostics: Vec<Diagnostic>,
-    /// The streamed `stage` events, in arrival order (wire form).
-    pub stage_events: Vec<Value>,
-    /// Unknown event names skipped along the way (capped at
-    /// [`MAX_UNKNOWN_EVENTS`], overflow counted in
-    /// `unknown_events_dropped`).
-    pub unknown_events: Vec<String>,
-    /// Unknown events past the cap (skipped but not recorded by name).
-    pub unknown_events_dropped: u64,
-}
-
-/// The final state of one `verify` submission.
-#[derive(Debug)]
-pub struct VerifyOutcome {
-    /// Server-assigned job id.
-    pub job: u64,
-    /// Design name from the report.
-    pub design: String,
-    /// The last verify point the equivalence check reached (`"mapped"`
-    /// ... `"bitstream"`).
-    pub reached: String,
-    /// Every EQ finding, in flow order (empty means proven-equivalent
-    /// at every checked point).
+    /// Every finding, in flow order (for `verify`, empty means
+    /// equivalent at every checked point).
     pub diagnostics: Vec<Diagnostic>,
     /// The streamed `stage` events, in arrival order (wire form).
     pub stage_events: Vec<Value>,
@@ -144,12 +134,14 @@ pub struct VerifyOutcome {
 /// streaming novel events must not grow client memory without bound.
 pub const MAX_UNKNOWN_EVENTS: usize = 32;
 
-/// Record an unknown event name under the cap; past it, only count.
-fn note_unknown(names: &mut Vec<String>, dropped: &mut u64, name: String) {
-    if names.len() < MAX_UNKNOWN_EVENTS {
-        names.push(name);
-    } else {
-        *dropped += 1;
+impl Stream {
+    /// Record an unknown event name under the cap; past it, only count.
+    fn note_unknown(&mut self, name: String) {
+        if self.unknown_events.len() < MAX_UNKNOWN_EVENTS {
+            self.unknown_events.push(name);
+        } else {
+            self.unknown_events_dropped += 1;
+        }
     }
 }
 
@@ -318,7 +310,8 @@ impl FlowClient {
     /// Submit a design and block until it finishes, collecting the
     /// streamed stage events along the way. `options` uses the wire
     /// option names (`place_seed`, `place_effort`, `channel_width`,
-    /// `verify_cycles`, `arch`); pass `Value::Null` for all-defaults.
+    /// `verify_cycles`, `arch`, `lint`, `verify`); pass `Value::Null`
+    /// for all-defaults.
     ///
     /// Flow errors and rejections come back as `io::ErrorKind::Other`
     /// with the server's message.
@@ -350,20 +343,83 @@ impl FlowClient {
         self.compile_request(&req)
     }
 
-    /// The fully-typed submission path: send a [`CompileRequest`]
-    /// (including its `trace` flag) and fold the event stream into a
-    /// [`CompileOutcome`]. Every known event is matched exhaustively;
-    /// unknown event names are collected, not fatal.
+    /// The fully-typed compile path: send a [`CompileRequest`] (including
+    /// its `trace` flag) and fold the event stream into a
+    /// [`CompileOutcome`].
     pub fn compile_request(
         &mut self,
         req: &CompileRequest,
     ) -> Result<CompileOutcome, CompileError> {
-        self.send(&Request::Compile(Box::new(req.clone())).to_value())?;
+        let (stream, (bitstream_hex, report, trace, lint)) =
+            self.submit(JobKind::Compile, req, |event| match event {
+                Event::Done {
+                    bitstream_hex,
+                    report,
+                    trace,
+                    lint,
+                    ..
+                } => Some((bitstream_hex, report, trace, lint)),
+                _ => None,
+            })?;
+        let bitstream = from_hex(&bitstream_hex).map_err(invalid_data)?;
+        Ok(CompileOutcome {
+            job: stream.job,
+            stage_events: stream.stage_events,
+            report,
+            bitstream,
+            trace,
+            lint,
+            unknown_events: stream.unknown_events,
+            unknown_events_dropped: stream.unknown_events_dropped,
+        })
+    }
 
-        let mut job = 0u64;
-        let mut stage_events = Vec::new();
-        let mut unknown_events = Vec::new();
-        let mut unknown_events_dropped = 0u64;
+    /// Submit a design for a deep check (`lint` or `verify` verb) and
+    /// block until its report arrives. The same rejection / failure /
+    /// timeout errors as a compile apply; deny-severity findings are NOT
+    /// an error — they ride back in the outcome for the caller to judge.
+    pub fn check_request(
+        &mut self,
+        kind: CheckKind,
+        req: &CompileRequest,
+    ) -> Result<CheckOutcome, CompileError> {
+        let (stream, (design, reached, diagnostics)) =
+            self.submit(JobKind::Check(kind), req, |event| match event {
+                Event::Report {
+                    kind: reported,
+                    design,
+                    reached,
+                    diagnostics,
+                    ..
+                } if reported == kind => Some((design, reached, diagnostics)),
+                _ => None,
+            })?;
+        Ok(CheckOutcome {
+            job: stream.job,
+            design,
+            reached,
+            diagnostics,
+            stage_events: stream.stage_events,
+            unknown_events: stream.unknown_events,
+            unknown_events_dropped: stream.unknown_events_dropped,
+        })
+    }
+
+    /// The one event fold behind every job verb: send the request, then
+    /// read until a terminal event. `own_terminal` picks out the success
+    /// terminal that belongs to this `kind` of job (`done` for a compile,
+    /// the matching report for a check); a success terminal of any other
+    /// kind is a protocol violation. Every known event is matched
+    /// exhaustively; unknown event names are collected, not fatal.
+    fn submit<T>(
+        &mut self,
+        kind: JobKind,
+        req: &CompileRequest,
+        own_terminal: impl Fn(Event) -> Option<T>,
+    ) -> Result<(Stream, T), CompileError> {
+        self.send(&kind.request(req.clone()).to_value())?;
+
+        let mut stream = Stream::default();
         loop {
             let raw = self.recv()?;
             let event = match parse_event(&raw) {
@@ -372,40 +428,14 @@ impl FlowClient {
                     // A newer server sent something we don't know yet;
                     // skipping keeps the session alive, recording it
                     // lets flowc warn.
-                    note_unknown(&mut unknown_events, &mut unknown_events_dropped, name);
+                    stream.note_unknown(name);
                     continue;
                 }
-                Err(e @ EventParseError::Malformed(_)) => {
-                    return Err(CompileError::Io(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        e.to_string(),
-                    )));
-                }
+                Err(e @ EventParseError::Malformed(_)) => return Err(invalid_data(e.to_string())),
             };
             match event {
-                Event::Queued { job: id } => job = id,
-                Event::Stage { .. } => stage_events.push(raw),
-                Event::Done {
-                    bitstream_hex,
-                    report,
-                    trace,
-                    lint,
-                    ..
-                } => {
-                    let bitstream = from_hex(&bitstream_hex).map_err(|e| {
-                        CompileError::Io(io::Error::new(io::ErrorKind::InvalidData, e))
-                    })?;
-                    return Ok(CompileOutcome {
-                        job,
-                        stage_events,
-                        report,
-                        bitstream,
-                        trace,
-                        lint,
-                        unknown_events,
-                        unknown_events_dropped,
-                    });
-                }
+                Event::Queued { job } => stream.job = job,
+                Event::Stage { .. } => stream.stage_events.push(raw),
                 Event::Rejected {
                     reason,
                     retry_after_ms,
@@ -449,110 +479,11 @@ impl FlowClient {
                         diagnostics,
                     });
                 }
-                Event::Pong { .. }
-                | Event::Stats(_)
-                | Event::Metrics(_)
-                | Event::Status(_)
-                | Event::ShuttingDown
-                | Event::Artifact { .. }
-                | Event::ArtifactAck { .. }
-                | Event::LintReport { .. }
-                | Event::VerifyReport { .. } => {
-                    return Err(CompileError::Io(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("event out of place in a compile stream: {}", raw),
-                    )));
-                }
-            }
-        }
-    }
-
-    /// Submit a design for a deep design-rule check (`lint` verb) and
-    /// block until its `lint_report` arrives. The same rejection /
-    /// failure / timeout errors as a compile apply; deny-severity
-    /// findings are NOT an error — they ride back in the outcome for the
-    /// caller to judge.
-    pub fn lint_request(&mut self, req: &CompileRequest) -> Result<LintOutcome, CompileError> {
-        self.send(&Request::Lint(Box::new(req.clone())).to_value())?;
-
-        let mut job = 0u64;
-        let mut stage_events = Vec::new();
-        let mut unknown_events = Vec::new();
-        let mut unknown_events_dropped = 0u64;
-        loop {
-            let raw = self.recv()?;
-            let event = match parse_event(&raw) {
-                Ok(event) => event,
-                Err(EventParseError::Unknown(name)) => {
-                    note_unknown(&mut unknown_events, &mut unknown_events_dropped, name);
-                    continue;
-                }
-                Err(e @ EventParseError::Malformed(_)) => {
-                    return Err(CompileError::Io(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        e.to_string(),
-                    )));
-                }
-            };
-            match event {
-                Event::Queued { job: id } => job = id,
-                Event::Stage { .. } => stage_events.push(raw),
-                Event::LintReport {
-                    design,
-                    reached,
-                    diagnostics,
-                    ..
-                } => {
-                    return Ok(LintOutcome {
-                        job,
-                        design,
-                        reached,
-                        diagnostics,
-                        stage_events,
-                        unknown_events,
-                        unknown_events_dropped,
-                    });
-                }
-                Event::Rejected {
-                    reason,
-                    retry_after_ms,
-                    ..
-                } => {
-                    return Err(CompileError::Rejected {
-                        reason,
-                        retry_after_ms,
-                    });
-                }
-                Event::Timeout {
-                    deadline_ms,
-                    completed_stages,
-                    ..
-                } => {
-                    return Err(CompileError::TimedOut {
-                        deadline_ms,
-                        completed_stages,
-                    });
-                }
-                Event::Error {
-                    kind,
-                    stage,
-                    message,
-                    retry_after_ms,
-                    diagnostics,
-                    ..
-                } => {
-                    if kind.as_deref() == Some("overloaded") {
-                        return Err(CompileError::Rejected {
-                            reason: message,
-                            retry_after_ms,
-                        });
-                    }
-                    return Err(CompileError::Failed {
-                        stage: stage.unwrap_or_else(|| "?".to_string()),
-                        message,
-                        kind,
-                        diagnostics,
-                    });
+                terminal @ (Event::Done { .. } | Event::Report { .. }) => {
+                    return match own_terminal(terminal) {
+                        Some(outcome) => Ok((stream, outcome)),
+                        None => Err(out_of_place(kind, &raw)),
+                    };
                 }
                 Event::Pong { .. }
                 | Event::Stats(_)
@@ -560,122 +491,23 @@ impl FlowClient {
                 | Event::Status(_)
                 | Event::ShuttingDown
                 | Event::Artifact { .. }
-                | Event::ArtifactAck { .. }
-                | Event::VerifyReport { .. }
-                | Event::Done { .. } => {
-                    return Err(CompileError::Io(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("event out of place in a lint stream: {}", raw),
-                    )));
-                }
+                | Event::ArtifactAck { .. } => return Err(out_of_place(kind, &raw)),
             }
         }
     }
+}
 
-    /// Submit a design for a deep equivalence check (`verify` verb) and
-    /// block until its `verify_report` arrives. The same rejection /
-    /// failure / timeout errors as a compile apply; deny-severity EQ
-    /// findings are NOT an error — they ride back in the outcome for
-    /// the caller to judge.
-    pub fn verify_request(&mut self, req: &CompileRequest) -> Result<VerifyOutcome, CompileError> {
-        self.send(&Request::Verify(Box::new(req.clone())).to_value())?;
+/// A protocol violation by the server, as the transport error it is.
+fn invalid_data(message: String) -> CompileError {
+    CompileError::Io(io::Error::new(io::ErrorKind::InvalidData, message))
+}
 
-        let mut job = 0u64;
-        let mut stage_events = Vec::new();
-        let mut unknown_events = Vec::new();
-        let mut unknown_events_dropped = 0u64;
-        loop {
-            let raw = self.recv()?;
-            let event = match parse_event(&raw) {
-                Ok(event) => event,
-                Err(EventParseError::Unknown(name)) => {
-                    note_unknown(&mut unknown_events, &mut unknown_events_dropped, name);
-                    continue;
-                }
-                Err(e @ EventParseError::Malformed(_)) => {
-                    return Err(CompileError::Io(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        e.to_string(),
-                    )));
-                }
-            };
-            match event {
-                Event::Queued { job: id } => job = id,
-                Event::Stage { .. } => stage_events.push(raw),
-                Event::VerifyReport {
-                    design,
-                    reached,
-                    diagnostics,
-                    ..
-                } => {
-                    return Ok(VerifyOutcome {
-                        job,
-                        design,
-                        reached,
-                        diagnostics,
-                        stage_events,
-                        unknown_events,
-                        unknown_events_dropped,
-                    });
-                }
-                Event::Rejected {
-                    reason,
-                    retry_after_ms,
-                    ..
-                } => {
-                    return Err(CompileError::Rejected {
-                        reason,
-                        retry_after_ms,
-                    });
-                }
-                Event::Timeout {
-                    deadline_ms,
-                    completed_stages,
-                    ..
-                } => {
-                    return Err(CompileError::TimedOut {
-                        deadline_ms,
-                        completed_stages,
-                    });
-                }
-                Event::Error {
-                    kind,
-                    stage,
-                    message,
-                    retry_after_ms,
-                    diagnostics,
-                    ..
-                } => {
-                    if kind.as_deref() == Some("overloaded") {
-                        return Err(CompileError::Rejected {
-                            reason: message,
-                            retry_after_ms,
-                        });
-                    }
-                    return Err(CompileError::Failed {
-                        stage: stage.unwrap_or_else(|| "?".to_string()),
-                        message,
-                        kind,
-                        diagnostics,
-                    });
-                }
-                Event::Pong { .. }
-                | Event::Stats(_)
-                | Event::Metrics(_)
-                | Event::Status(_)
-                | Event::ShuttingDown
-                | Event::Artifact { .. }
-                | Event::ArtifactAck { .. }
-                | Event::LintReport { .. }
-                | Event::Done { .. } => {
-                    return Err(CompileError::Io(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("event out of place in a verify stream: {}", raw),
-                    )));
-                }
-            }
-        }
-    }
+/// A known event that has no business in this kind of job's stream.
+fn out_of_place(kind: JobKind, raw: &Value) -> CompileError {
+    invalid_data(format!(
+        "event out of place in a {} stream: {raw}",
+        kind.verb()
+    ))
 }
 
 /// Map a wire format name to [`SourceFormat`].
@@ -713,17 +545,6 @@ impl Default for RetryPolicy {
             jitter_seed: 0x5eed_f10d,
         }
     }
-}
-
-/// xorshift64 — enough randomness to de-synchronize retrying clients,
-/// with no dependency and full determinism under a fixed seed.
-fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
 }
 
 /// Submit with retries: each attempt opens a fresh connection via
@@ -824,6 +645,113 @@ mod tests {
         let seq_a: Vec<u64> = (0..8).map(|_| xorshift64(&mut a) % 1000).collect();
         let seq_b: Vec<u64> = (0..8).map(|_| xorshift64(&mut b) % 1000).collect();
         assert_eq!(seq_a, seq_b);
+    }
+
+    /// A one-connection scripted server: reads the request line, answers
+    /// with `lines`, closes. Returns the client and the request it saw.
+    fn scripted(lines: Vec<String>) -> (FlowClient, std::thread::JoinHandle<Value>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let request = proto::read_line(&mut BufReader::new(stream))
+                .unwrap()
+                .unwrap();
+            for line in lines {
+                writeln!(writer, "{line}").unwrap();
+            }
+            request
+        });
+        (FlowClient::connect_tcp(addr).unwrap(), server)
+    }
+
+    const KINDS: [JobKind; 3] = [
+        JobKind::Compile,
+        JobKind::Check(CheckKind::Lint),
+        JobKind::Check(CheckKind::Verify),
+    ];
+
+    /// Each kind's own success terminal, as it appears on the wire.
+    fn terminal_line(kind: JobKind) -> String {
+        match kind {
+            JobKind::Compile => {
+                r#"{"event":"done","job":4,"design":"d","report":{},"bitstream_hex":"a0b1"}"#.into()
+            }
+            JobKind::Check(check) => format!(
+                r#"{{"event":"{}_report","job":4,"design":"d","reached":"route","diagnostics":[{{"code":"EQ001","severity":"deny","stage":"verify","subject":"po:y","message":"m","notes":[]}}]}}"#,
+                check.verb()
+            ),
+        }
+    }
+
+    /// Run one submission of `kind` against a scripted stream and reduce
+    /// the outcome to what the fold collected.
+    fn run(kind: JobKind, lines: Vec<String>) -> Result<(u64, usize, usize, u64), CompileError> {
+        let (mut client, server) = scripted(lines);
+        let req = CompileRequest::new(SourceFormat::Vhdl, "entity e is end e;");
+        let folded = match kind {
+            JobKind::Compile => client.compile_request(&req).map(|o| {
+                assert_eq!(o.bitstream, [0xa0, 0xb1]);
+                (
+                    o.job,
+                    o.stage_events.len(),
+                    o.unknown_events.len(),
+                    o.unknown_events_dropped,
+                )
+            }),
+            JobKind::Check(check) => client.check_request(check, &req).map(|o| {
+                // Deny findings ride in the outcome; they are not an error.
+                assert_eq!((o.reached.as_str(), o.diagnostics.len()), ("route", 1));
+                (
+                    o.job,
+                    o.stage_events.len(),
+                    o.unknown_events.len(),
+                    o.unknown_events_dropped,
+                )
+            }),
+        };
+        let request = server.join().unwrap();
+        assert_eq!(request["cmd"].as_str(), Some(kind.verb()));
+        folded
+    }
+
+    #[test]
+    fn submit_folds_every_kind_and_caps_unknown_events() {
+        for kind in KINDS {
+            let mut lines = vec![r#"{"event":"queued","job":4}"#.to_string()];
+            for i in 0..MAX_UNKNOWN_EVENTS + 3 {
+                lines.push(format!(r#"{{"event":"hologram{i}","job":4}}"#));
+            }
+            lines.push(
+                r#"{"event":"stage","job":4,"id":"pack","stage":"packing (T-VPack)","ok":true,"elapsed_ms":1.0,"metrics":{}}"#
+                    .to_string(),
+            );
+            lines.push(terminal_line(kind));
+            let folded = run(kind, lines).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            assert_eq!(folded, (4, 1, MAX_UNKNOWN_EVENTS, 3), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn another_kinds_terminal_is_out_of_place_and_names_the_stream() {
+        for kind in KINDS {
+            for other in KINDS.into_iter().filter(|k| *k != kind) {
+                let sent = terminal_line(other);
+                let lines = vec![r#"{"event":"queued","job":4}"#.to_string(), sent.clone()];
+                match run(kind, lines) {
+                    Err(CompileError::Io(e)) => {
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                        let parsed: Value = serde_json::from_str(&sent).unwrap();
+                        assert_eq!(
+                            e.to_string(),
+                            format!("event out of place in a {} stream: {parsed}", kind.verb())
+                        );
+                    }
+                    got => panic!("{kind:?} accepted {other:?}'s terminal: {got:?}"),
+                }
+            }
+        }
     }
 
     #[test]

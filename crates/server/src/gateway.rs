@@ -26,7 +26,8 @@
 //!   instead of queueing without limit.
 //!
 //! The gateway speaks the same typed protocol as `flowd` (`ping`,
-//! `status`, `metrics`, `stats`, `compile`, `lint`, `shutdown`), so
+//! `status`, `metrics`, `stats`, `compile`, `lint`, `verify`,
+//! `shutdown`, and the artifact verbs), so
 //! `flowc` and `qor_bench --via-daemon` work against either unchanged.
 
 use std::io::{self, BufReader};
@@ -43,7 +44,7 @@ use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::metrics::{
     BackendSnapshot, GatewayArtifactCounters, GatewayJobCounters, GatewaySnapshot,
 };
-use crate::proto::{self, CompileRequest, Event, ReadLineError, Request, PROTO_VERSION};
+use crate::proto::{self, CompileRequest, Event, JobKind, ReadLineError, Request, PROTO_VERSION};
 use crate::tenancy::{AdmitOutcome, GovernorConfig, TenantGovernor};
 
 /// Gateway tuning. Durations are milliseconds, like [`super::ServerConfig`].
@@ -116,7 +117,7 @@ pub fn affinity_order(key: &str, addrs: &[String]) -> Vec<usize> {
 /// The affinity key for a job: exactly the request material that
 /// determines the stage-cache key on a backend, so identical
 /// resubmissions rendezvous on the same node. `kind` is the wire verb
-/// (`"compile"` / `"lint"`). Public so tests can predict routing.
+/// ([`JobKind::verb`]). Public so tests can predict routing.
 pub fn affinity_key(kind: &str, req: &CompileRequest) -> String {
     format!(
         "{}\u{1f}{}\u{1f}{}\u{1f}{}",
@@ -125,13 +126,6 @@ pub fn affinity_key(kind: &str, req: &CompileRequest) -> String {
         req.source,
         req.options
     )
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum JobKind {
-    Compile,
-    Lint,
-    Verify,
 }
 
 /// Live per-backend state.
@@ -675,13 +669,8 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     return; // client gone mid-stream
                 }
             }
-            Request::Lint(req) => {
-                if !handle_job(JobKind::Lint, *req, shared, &mut writer) {
-                    return;
-                }
-            }
-            Request::Verify(req) => {
-                if !handle_job(JobKind::Verify, *req, shared, &mut writer) {
+            Request::Check(kind, req) => {
+                if !handle_job(JobKind::Check(kind), *req, shared, &mut writer) {
                     return;
                 }
             }
@@ -936,12 +925,7 @@ fn handle_job(
         return false;
     }
 
-    let verb = match kind {
-        JobKind::Compile => "compile",
-        JobKind::Lint => "lint",
-        JobKind::Verify => "verify",
-    };
-    let order = affinity_order(&affinity_key(verb, &req), &shared.config.backends);
+    let order = affinity_order(&affinity_key(kind.verb(), &req), &shared.config.backends);
     let mut tried = vec![false; shared.backends.len()];
     let mut completed_stages: Vec<String> = Vec::new();
     let mut last_saturated: Option<Option<u64>> = None;
@@ -1144,11 +1128,7 @@ fn run_attempt(
         Err(e) => return Attempt::Transient(format!("clone stream: {e}")),
     };
     let mut backend_reader = BufReader::new(stream);
-    let request = match kind {
-        JobKind::Compile => Request::Compile(Box::new(req.clone())),
-        JobKind::Lint => Request::Lint(Box::new(req.clone())),
-        JobKind::Verify => Request::Verify(Box::new(req.clone())),
-    };
+    let request = kind.request(req.clone());
     if let Err(e) = proto::write_line(&mut backend_writer, &request.to_value()) {
         return Attempt::Transient(format!("send to {}: {e}", backend.addr));
     }
@@ -1268,7 +1248,7 @@ fn forward_events(
                 }
                 return Attempt::Terminal(Terminal::TimedOut);
             }
-            Event::Done { .. } | Event::LintReport { .. } | Event::VerifyReport { .. } => {
+            Event::Done { .. } | Event::Report { .. } => {
                 if proto::write_line(writer, &rewrite_job(raw, job_id)).is_err() {
                     return Attempt::ClientGone;
                 }

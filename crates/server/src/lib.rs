@@ -29,10 +29,12 @@
 //! (per-stage latency histograms, cache memory/disk hit tiers, the
 //! queue high-water mark, and per-rule lint counters — ask with
 //! `"format":"text"` for a Prometheus-style exposition),
-//! `{"cmd":"lint"}` (same shape as `compile`; runs the deep design-rule
-//! check and answers with a terminal `{"event":"lint_report"}` carrying
-//! typed diagnostics) and `{"cmd":"shutdown"}` (graceful: new jobs are
-//! rejected, queued jobs drain, then the daemon exits).
+//! `{"cmd":"lint"}` / `{"cmd":"verify"}` (same shape as `compile`; run
+//! one kind of deep check — design rules or cross-stage equivalence —
+//! and answer with a terminal `{"event":"lint_report"}` /
+//! `{"event":"verify_report"}` carrying typed diagnostics) and
+//! `{"cmd":"shutdown"}` (graceful: new jobs are rejected, queued jobs
+//! drain, then the daemon exits).
 //!
 //! Both sides speak through the *typed* layer in [`proto`]:
 //! [`proto::Request`] and [`proto::Event`] round-trip through the JSON
@@ -73,13 +75,14 @@ pub mod tenancy;
 pub use artifact::RemoteTierClient;
 pub use breaker::{BreakerCounters, BreakerState, CircuitBreaker};
 pub use client::{
-    compile_with_retry, CompileError, CompileOutcome, FlowClient, LintOutcome, RetryPolicy,
-    VerifyOutcome, MAX_UNKNOWN_EVENTS,
+    compile_with_retry, CheckOutcome, CompileError, CompileOutcome, FlowClient, RetryPolicy,
+    MAX_UNKNOWN_EVENTS,
 };
 pub use gateway::{Gateway, GatewayConfig};
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use proto::{
-    CompileRequest, Event, EventParseError, ReadLineError, Request, SourceFormat, PROTO_VERSION,
+    CompileRequest, Event, EventParseError, JobKind, ReadLineError, Request, SourceFormat,
+    PROTO_VERSION,
 };
 pub use queue::{FairQueue, JobQueue, SubmitError};
 pub use service::{Server, ServerConfig};

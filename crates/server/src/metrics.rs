@@ -20,7 +20,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fpga_flow::cache::STAGES;
-use fpga_lint::RULES;
+use fpga_flow::CheckKind;
+use fpga_lint::{Diagnostic, Rule, RULES};
 use serde_json::Value;
 
 use crate::breaker::BreakerCounters;
@@ -114,17 +115,34 @@ pub struct Metrics {
     /// Stage events whose id the registry did not recognize — should
     /// stay zero; nonzero means a flow/daemon version skew.
     unknown_stage_events: AtomicU64,
-    /// Design-rule findings by rule code, in [`RULES`] order.
-    lint_rule_hits: [AtomicU64; RULES.len()],
-    /// Findings whose code the catalogue does not list — the lint
-    /// analogue of `unknown_stage_events`; nonzero means version skew.
-    unknown_lint_rules: AtomicU64,
-    /// Equivalence findings by rule code (the `stage == "verify"` slice
-    /// of [`RULES`]), counted separately from the structural lint rules
-    /// so `flowd_verify_*` stays its own metric family.
-    verify_rule_hits: [AtomicU64; RULES.len()],
-    /// EQ-family findings whose code the catalogue does not list.
-    unknown_verify_rules: AtomicU64,
+    /// Findings by rule code, one table per family (indexed by
+    /// [`CheckKind`]): the structural design rules under `flowd_lint_*`,
+    /// the EQ equivalence rules under `flowd_verify_*`.
+    rule_hits: [RuleHits; 2],
+}
+
+/// One rule family's finding counters.
+#[derive(Default)]
+struct RuleHits {
+    /// By rule code, in [`RULES`] order.
+    hits: [AtomicU64; RULES.len()],
+    /// Findings whose code the family does not list — the rule analogue
+    /// of `unknown_stage_events`; nonzero means version skew.
+    unknown: AtomicU64,
+}
+
+/// The rule families, indexed by [`CheckKind`]: metric name stem and
+/// `# HELP` text.
+const RULE_FAMILIES: [(&str, &str); 2] = [
+    ("lint", "Design-rule findings by rule code."),
+    ("verify", "Equivalence findings by EQ rule code."),
+];
+
+/// Whether a family lists a catalogue rule: `verify` the EQ slice of
+/// [`RULES`], `lint` the whole catalogue (the EQ codes included, which
+/// it never counts).
+fn family_lists(family: CheckKind, rule: &Rule) -> bool {
+    family == CheckKind::Lint || rule.stage == "verify"
 }
 
 impl Metrics {
@@ -147,58 +165,39 @@ impl Metrics {
         self.unknown_stage_events.load(Ordering::Relaxed)
     }
 
-    /// Record one design-rule finding by its code (`"NL001"`, ...).
-    pub fn observe_lint_rule(&self, code: &str) {
-        match RULES.iter().position(|r| r.code == code) {
-            Some(i) => {
-                self.lint_rule_hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                self.unknown_lint_rules.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Per-rule finding counts, in catalogue order.
-    pub fn lint_rule_snapshots(&self) -> Vec<(&'static str, u64)> {
-        RULES
+    /// Record one finding. It is counted where its rule lives — EQ
+    /// findings (stage `verify`) in the verify family, everything else
+    /// in the lint family — not by which job kind surfaced it.
+    pub fn observe_rule(&self, d: &Diagnostic) {
+        let family = if d.stage == "verify" {
+            CheckKind::Verify
+        } else {
+            CheckKind::Lint
+        };
+        let counters = &self.rule_hits[family as usize];
+        let listed = RULES
             .iter()
-            .zip(self.lint_rule_hits.iter())
-            .map(|(r, n)| (r.code, n.load(Ordering::Relaxed)))
-            .collect()
+            .position(|r| r.code == d.code && family_lists(family, r));
+        match listed {
+            Some(i) => counters.hits[i].fetch_add(1, Ordering::Relaxed),
+            None => counters.unknown.fetch_add(1, Ordering::Relaxed),
+        };
     }
 
-    pub fn unknown_lint_rules(&self) -> u64 {
-        self.unknown_lint_rules.load(Ordering::Relaxed)
-    }
-
-    /// Record one equivalence finding by its code (`"EQ001"`, ...).
-    pub fn observe_verify_rule(&self, code: &str) {
-        match RULES
-            .iter()
-            .position(|r| r.code == code && r.stage == "verify")
-        {
-            Some(i) => {
-                self.verify_rule_hits[i].fetch_add(1, Ordering::Relaxed);
+    /// Every family's per-rule finding counts, in catalogue order.
+    pub fn rule_counts(&self) -> [RuleCounts; 2] {
+        [CheckKind::Lint, CheckKind::Verify].map(|family| {
+            let counters = &self.rule_hits[family as usize];
+            RuleCounts {
+                hits: RULES
+                    .iter()
+                    .zip(counters.hits.iter())
+                    .filter(|(r, _)| family_lists(family, r))
+                    .map(|(r, n)| (r.code, n.load(Ordering::Relaxed)))
+                    .collect(),
+                unknown: counters.unknown.load(Ordering::Relaxed),
             }
-            None => {
-                self.unknown_verify_rules.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Per-EQ-rule finding counts, in catalogue order.
-    pub fn verify_rule_snapshots(&self) -> Vec<(&'static str, u64)> {
-        RULES
-            .iter()
-            .zip(self.verify_rule_hits.iter())
-            .filter(|(r, _)| r.stage == "verify")
-            .map(|(r, n)| (r.code, n.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    pub fn unknown_verify_rules(&self) -> u64 {
-        self.unknown_verify_rules.load(Ordering::Relaxed)
+        })
     }
 
     /// Snapshot every stage histogram, in flow order.
@@ -277,12 +276,16 @@ pub struct MetricsSnapshot {
     /// is configured.
     pub remote: Option<RemoteTierCounters>,
     pub unknown_stage_events: u64,
+    /// Findings per rule family, indexed by [`CheckKind`].
+    pub rules: [RuleCounts; 2],
+}
+
+/// One rule family's findings in a [`MetricsSnapshot`].
+#[derive(Default)]
+pub struct RuleCounts {
     /// `(rule_code, findings)` in catalogue order.
-    pub lint_rules: Vec<(&'static str, u64)>,
-    pub unknown_lint_rules: u64,
-    /// `(rule_code, findings)` for the EQ equivalence rules.
-    pub verify_rules: Vec<(&'static str, u64)>,
-    pub unknown_verify_rules: u64,
+    pub hits: Vec<(&'static str, u64)>,
+    pub unknown: u64,
 }
 
 impl MetricsSnapshot {
@@ -384,18 +387,14 @@ impl MetricsSnapshot {
             "unknown_stage_events".into(),
             self.unknown_stage_events.into(),
         );
-        let mut lint = serde_json::Map::new();
-        for (code, n) in &self.lint_rules {
-            lint.insert(code.to_string(), (*n).into());
+        for ((family, _), counts) in RULE_FAMILIES.iter().zip(&self.rules) {
+            let mut rules = serde_json::Map::new();
+            for (code, n) in &counts.hits {
+                rules.insert(code.to_string(), (*n).into());
+            }
+            rules.insert("unknown".into(), counts.unknown.into());
+            root.insert(format!("{family}_rules"), Value::Object(rules));
         }
-        lint.insert("unknown".into(), self.unknown_lint_rules.into());
-        root.insert("lint_rules".into(), Value::Object(lint));
-        let mut verify = serde_json::Map::new();
-        for (code, n) in &self.verify_rules {
-            verify.insert(code.to_string(), (*n).into());
-        }
-        verify.insert("unknown".into(), self.unknown_verify_rules.into());
-        root.insert("verify_rules".into(), Value::Object(verify));
         Value::Object(root)
     }
 
@@ -614,50 +613,30 @@ impl MetricsSnapshot {
             ),
         );
 
-        push(
-            &mut out,
-            "# HELP flowd_lint_rule_hits_total Design-rule findings by rule code.".into(),
-        );
-        push(&mut out, "# TYPE flowd_lint_rule_hits_total counter".into());
-        for (code, n) in &self.lint_rules {
+        for ((family, help), counts) in RULE_FAMILIES.iter().zip(&self.rules) {
             push(
                 &mut out,
-                format!("flowd_lint_rule_hits_total{{rule=\"{code}\"}} {n}"),
+                format!("# HELP flowd_{family}_rule_hits_total {help}"),
             );
-        }
-        push(
-            &mut out,
-            "# TYPE flowd_unknown_lint_rules_total counter".into(),
-        );
-        push(
-            &mut out,
-            format!("flowd_unknown_lint_rules_total {}", self.unknown_lint_rules),
-        );
-        push(
-            &mut out,
-            "# HELP flowd_verify_rule_hits_total Equivalence findings by EQ rule code.".into(),
-        );
-        push(
-            &mut out,
-            "# TYPE flowd_verify_rule_hits_total counter".into(),
-        );
-        for (code, n) in &self.verify_rules {
             push(
                 &mut out,
-                format!("flowd_verify_rule_hits_total{{rule=\"{code}\"}} {n}"),
+                format!("# TYPE flowd_{family}_rule_hits_total counter"),
+            );
+            for (code, n) in &counts.hits {
+                push(
+                    &mut out,
+                    format!("flowd_{family}_rule_hits_total{{rule=\"{code}\"}} {n}"),
+                );
+            }
+            push(
+                &mut out,
+                format!("# TYPE flowd_unknown_{family}_rules_total counter"),
+            );
+            push(
+                &mut out,
+                format!("flowd_unknown_{family}_rules_total {}", counts.unknown),
             );
         }
-        push(
-            &mut out,
-            "# TYPE flowd_unknown_verify_rules_total counter".into(),
-        );
-        push(
-            &mut out,
-            format!(
-                "flowd_unknown_verify_rules_total {}",
-                self.unknown_verify_rules
-            ),
-        );
         out
     }
 }
@@ -1178,38 +1157,103 @@ mod tests {
         assert_eq!(m.unknown_stage_events(), 1);
     }
 
+    /// The rule families keep the exact JSON and exposition the two
+    /// hand-written counter families produced before they became one
+    /// table (strings recorded from that commit), including the quirk
+    /// that `lint_rules` lists the EQ codes it never counts.
     #[test]
-    fn lint_rule_counters_route_by_code_and_flag_unknowns() {
+    fn rule_families_route_by_stage_and_render_as_recorded() {
         let m = Metrics::new();
-        m.observe_lint_rule("NL001");
-        m.observe_lint_rule("NL001");
-        m.observe_lint_rule("RT002");
-        m.observe_lint_rule("XX999");
-        let snap = m.lint_rule_snapshots();
-        assert_eq!(snap.len(), RULES.len());
-        assert_eq!(
-            snap.iter().find(|(c, _)| *c == "NL001"),
-            Some(&("NL001", 2))
-        );
-        assert_eq!(
-            snap.iter().find(|(c, _)| *c == "RT002"),
-            Some(&("RT002", 1))
-        );
-        assert_eq!(m.unknown_lint_rules(), 1);
-
-        let rendered = MetricsSnapshot {
-            lint_rules: snap,
-            unknown_lint_rules: m.unknown_lint_rules(),
+        for (code, stage) in [
+            ("NL001", "netlist"),
+            ("EQ001", "verify"),
+            ("EQ003", "verify"),
+            ("XX999", "route"),
+            ("EQ999", "verify"),
+        ] {
+            m.observe_rule(&Diagnostic::new(
+                code,
+                fpga_lint::Severity::Warn,
+                stage,
+                "subject",
+                "message",
+            ));
+        }
+        let rules = m.rule_counts();
+        let lint = &rules[CheckKind::Lint as usize];
+        assert_eq!(lint.hits.len(), RULES.len());
+        assert_eq!((lint.hits[0], lint.unknown), (("NL001", 1), 1));
+        let snap = MetricsSnapshot {
+            rules,
             ..Default::default()
         };
-        let text = rendered.to_prometheus_text();
-        assert!(text.contains("flowd_lint_rule_hits_total{rule=\"NL001\"} 2"));
-        assert!(text.contains("flowd_lint_rule_hits_total{rule=\"PK001\"} 0"));
-        assert!(text.contains("flowd_unknown_lint_rules_total 1"));
-        let js = rendered.to_json();
-        assert_eq!(js["lint_rules"]["NL001"].as_u64(), Some(2));
-        assert_eq!(js["lint_rules"]["unknown"].as_u64(), Some(1));
+
+        assert_eq!(snap.to_json().to_string(), RECORDED_JSON);
+        assert_eq!(snap.to_prometheus_text(), RECORDED_TEXT);
     }
+
+    const RECORDED_JSON: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":0,"respawned":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{},"unknown_stage_events":0,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":1,"EQ002":0,"EQ003":1,"unknown":1}}"#;
+
+    const RECORDED_TEXT: &str = "\
+# HELP flowd_jobs_total Jobs by terminal state.
+# TYPE flowd_jobs_total counter
+flowd_jobs_total{state=\"submitted\"} 0
+flowd_jobs_total{state=\"completed\"} 0
+flowd_jobs_total{state=\"failed\"} 0
+flowd_jobs_total{state=\"rejected\"} 0
+flowd_jobs_total{state=\"panicked\"} 0
+flowd_jobs_total{state=\"timed_out\"} 0
+flowd_jobs_total{state=\"cancelled\"} 0
+# TYPE flowd_queue_depth gauge
+flowd_queue_depth 0
+# TYPE flowd_queue_depth_peak gauge
+flowd_queue_depth_peak 0
+# TYPE flowd_workers_configured gauge
+flowd_workers_configured 0
+# TYPE flowd_workers_respawned_total counter
+flowd_workers_respawned_total 0
+# TYPE flowd_connections_open gauge
+flowd_connections_open 0
+# TYPE flowd_connections_rejected_total counter
+flowd_connections_rejected_total 0
+# HELP flowd_cache_hits_total Stage-cache hits by tier.
+# TYPE flowd_cache_hits_total counter
+flowd_cache_hits_total{tier=\"memory\"} 0
+flowd_cache_hits_total{tier=\"disk\"} 0
+flowd_cache_hits_total{tier=\"remote\"} 0
+# TYPE flowd_cache_misses_total counter
+flowd_cache_misses_total 0
+# TYPE flowd_cache_entries gauge
+flowd_cache_entries 0
+# TYPE flowd_cache_memory_evicted_total counter
+flowd_cache_memory_evicted_total 0
+# HELP flowd_stage_duration_ms Per-stage service latency (cache hits included).
+# TYPE flowd_stage_duration_ms histogram
+# TYPE flowd_unknown_stage_events_total counter
+flowd_unknown_stage_events_total 0
+# HELP flowd_lint_rule_hits_total Design-rule findings by rule code.
+# TYPE flowd_lint_rule_hits_total counter
+flowd_lint_rule_hits_total{rule=\"NL001\"} 1
+flowd_lint_rule_hits_total{rule=\"NL002\"} 0
+flowd_lint_rule_hits_total{rule=\"NL003\"} 0
+flowd_lint_rule_hits_total{rule=\"PK001\"} 0
+flowd_lint_rule_hits_total{rule=\"PL001\"} 0
+flowd_lint_rule_hits_total{rule=\"RT001\"} 0
+flowd_lint_rule_hits_total{rule=\"RT002\"} 0
+flowd_lint_rule_hits_total{rule=\"BS001\"} 0
+flowd_lint_rule_hits_total{rule=\"EQ001\"} 0
+flowd_lint_rule_hits_total{rule=\"EQ002\"} 0
+flowd_lint_rule_hits_total{rule=\"EQ003\"} 0
+# TYPE flowd_unknown_lint_rules_total counter
+flowd_unknown_lint_rules_total 1
+# HELP flowd_verify_rule_hits_total Equivalence findings by EQ rule code.
+# TYPE flowd_verify_rule_hits_total counter
+flowd_verify_rule_hits_total{rule=\"EQ001\"} 1
+flowd_verify_rule_hits_total{rule=\"EQ002\"} 0
+flowd_verify_rule_hits_total{rule=\"EQ003\"} 1
+# TYPE flowd_unknown_verify_rules_total counter
+flowd_unknown_verify_rules_total 1
+";
 
     #[test]
     fn prometheus_text_has_expected_families() {

@@ -15,8 +15,8 @@
 use std::io::{self, BufRead, Write};
 
 use fpga_arch::Architecture;
-use fpga_flow::{FlowOptions, VerifyMode};
-use fpga_lint::{diagnostics_from_value, diagnostics_to_value, Diagnostic, LintMode};
+use fpga_flow::{CheckKind, FlowOptions};
+use fpga_lint::{diagnostics_from_value, diagnostics_to_value, Diagnostic, GateMode};
 use serde_json::Value;
 
 /// Version of the request/event schema this build speaks. Bumped when a
@@ -125,6 +125,42 @@ impl CompileRequest {
     }
 }
 
+/// What a submitted job does with its request: run the full compile
+/// flow, or only one kind of deep check. The three job verbs share one
+/// submission shape ([`CompileRequest`]) and differ only in this.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JobKind {
+    Compile,
+    Check(CheckKind),
+}
+
+impl JobKind {
+    /// The wire verb: `compile`, `lint` or `verify`.
+    pub fn verb(self) -> &'static str {
+        match self {
+            JobKind::Compile => "compile",
+            JobKind::Check(kind) => kind.verb(),
+        }
+    }
+
+    /// The request that submits `req` as this kind of job.
+    pub fn request(self, req: CompileRequest) -> Request {
+        match self {
+            JobKind::Compile => Request::Compile(Box::new(req)),
+            JobKind::Check(kind) => Request::Check(kind, Box::new(req)),
+        }
+    }
+}
+
+/// The terminal event name of a check job: `lint_report` /
+/// `verify_report`.
+fn report_event(kind: CheckKind) -> &'static str {
+    match kind {
+        CheckKind::Lint => "lint_report",
+        CheckKind::Verify => "verify_report",
+    }
+}
+
 /// Everything a client can ask.
 #[derive(Clone, Debug)]
 pub enum Request {
@@ -140,17 +176,14 @@ pub enum Request {
     /// `flow-gateway`, the per-backend health/breaker/queue table.
     Status,
     Compile(Box<CompileRequest>),
-    /// Deep design-rule check: same submission shape as `compile`
-    /// (source, options, deadline), but the job runs the lint driver —
-    /// no power, no verification, no bitstream in the reply — and
-    /// terminates with a `lint_report` event.
-    Lint(Box<CompileRequest>),
-    /// Deep equivalence check (proto 6): same submission shape as
-    /// `compile`, but the job drives the stages purely to prove each
-    /// artifact equivalent to the synthesized netlist — collecting every
-    /// EQ finding instead of stopping at the first — and terminates with
-    /// a `verify_report` event.
-    Verify(Box<CompileRequest>),
+    /// Deep check, the `lint` (design rules) and `verify` (proto 6:
+    /// cross-stage equivalence) verbs: same submission shape as
+    /// `compile` (source, options, deadline), but the job drives the
+    /// stages purely to check them — no power, no re-simulation, no
+    /// bitstream in the reply, every finding collected instead of
+    /// stopping at the first — and terminates with a `lint_report` /
+    /// `verify_report` event.
+    Check(CheckKind, Box<CompileRequest>),
     /// Fetch one stage artifact's raw store entry by its content
     /// address (proto 5, the farm's shared artifact tier). `flowd`
     /// answers from its own durable store only; `flow-gateway` fans the
@@ -197,13 +230,12 @@ impl Request {
             Request::Status => {
                 obj.insert("cmd".into(), "status".into());
             }
-            Request::Compile(c) | Request::Lint(c) | Request::Verify(c) => {
-                let cmd = match self {
-                    Request::Compile(_) => "compile",
-                    Request::Lint(_) => "lint",
-                    _ => "verify",
+            Request::Compile(c) | Request::Check(_, c) => {
+                let kind = match self {
+                    Request::Check(kind, _) => JobKind::Check(*kind),
+                    _ => JobKind::Compile,
                 };
-                obj.insert("cmd".into(), cmd.into());
+                obj.insert("cmd".into(), kind.verb().into());
                 obj.insert("format".into(), c.format.name().into());
                 obj.insert("source".into(), c.source.clone().into());
                 if !c.options.is_null() {
@@ -324,8 +356,8 @@ pub fn parse_request_value(v: &Value) -> Result<Request, String> {
                 threads,
             });
             Ok(match cmd {
-                "lint" => Request::Lint(req),
-                "verify" => Request::Verify(req),
+                "lint" => Request::Check(CheckKind::Lint, req),
+                "verify" => Request::Check(CheckKind::Verify, req),
                 _ => Request::Compile(req),
             })
         }
@@ -398,19 +430,17 @@ fn parse_options(v: Option<&Value>) -> Result<FlowOptions, String> {
                 opts.arch =
                     Architecture::from_json(&text).map_err(|e| format!("bad 'arch': {e}"))?;
             }
-            "lint" => {
+            "lint" | "verify" => {
                 let name = val
                     .as_str()
-                    .ok_or_else(|| "lint must be a string".to_string())?;
-                opts.lint = LintMode::parse(name)
-                    .ok_or_else(|| format!("unknown lint mode '{name}' (off/warn/deny)"))?;
-            }
-            "verify" => {
-                let name = val
-                    .as_str()
-                    .ok_or_else(|| "verify must be a string".to_string())?;
-                opts.verify = VerifyMode::parse(name)
-                    .ok_or_else(|| format!("unknown verify mode '{name}' (off/warn/deny)"))?;
+                    .ok_or_else(|| format!("{key} must be a string"))?;
+                let mode = GateMode::parse(name)
+                    .ok_or_else(|| format!("unknown {key} mode '{name}' (off/warn/deny)"))?;
+                if key == "lint" {
+                    opts.lint = mode;
+                } else {
+                    opts.verify = mode;
+                }
             }
             other => return Err(format!("unknown option '{other}'")),
         }
@@ -469,20 +499,13 @@ pub enum Event {
         trace: Option<Value>,
         lint: Vec<Diagnostic>,
     },
-    /// Terminal reply to a `lint` request: every finding the deep check
-    /// produced, plus how far the flow got (`reached` is the last stage
-    /// whose artifact was linted, e.g. `"netlist"` or `"bitstream"`).
-    LintReport {
-        job: u64,
-        design: String,
-        reached: String,
-        diagnostics: Vec<Diagnostic>,
-    },
-    /// Terminal reply to a `verify` request (proto 6): every EQ finding
-    /// the deep equivalence check produced — counterexamples ride in the
-    /// diagnostics' notes — plus how far the flow got (`reached` is the
-    /// last check point, e.g. `"mapped"` or `"bitstream"`).
-    VerifyReport {
+    /// Terminal reply to a check job (`lint_report` / `verify_report` on
+    /// the wire, by `kind`): every finding the deep check produced —
+    /// equivalence counterexamples ride in the diagnostics' notes — plus
+    /// how far the flow got (`reached` is the last boundary checked,
+    /// e.g. `"netlist"` or `"bitstream"`).
+    Report {
+        kind: CheckKind,
         job: u64,
         design: String,
         reached: String,
@@ -615,24 +638,14 @@ impl Event {
                     obj.insert("lint".into(), diagnostics_to_value(lint));
                 }
             }
-            Event::LintReport {
-                job,
-                design,
-                reached,
-                diagnostics,
-            }
-            | Event::VerifyReport {
+            Event::Report {
+                kind,
                 job,
                 design,
                 reached,
                 diagnostics,
             } => {
-                let marker = if matches!(self, Event::LintReport { .. }) {
-                    "lint_report"
-                } else {
-                    "verify_report"
-                };
-                obj.insert("event".into(), marker.into());
+                obj.insert("event".into(), report_event(*kind).into());
                 obj.insert("job".into(), (*job).into());
                 obj.insert("design".into(), design.clone().into());
                 obj.insert("reached".into(), reached.clone().into());
@@ -812,20 +825,16 @@ pub fn parse_event(v: &Value) -> Result<Event, EventParseError> {
                 .to_string();
             let diagnostics = diagnostics_from_value(v.get("diagnostics").unwrap_or(&Value::Null))
                 .map_err(|e| Malformed(format!("'{name}' diagnostics: {e}")))?;
-            Ok(if name == "lint_report" {
-                Event::LintReport {
-                    job: job(v)?,
-                    design,
-                    reached,
-                    diagnostics,
-                }
-            } else {
-                Event::VerifyReport {
-                    job: job(v)?,
-                    design,
-                    reached,
-                    diagnostics,
-                }
+            Ok(Event::Report {
+                kind: if name == "lint_report" {
+                    CheckKind::Lint
+                } else {
+                    CheckKind::Verify
+                },
+                job: job(v)?,
+                design,
+                reached,
+                diagnostics,
             })
         }
         "timeout" => Ok(Event::Timeout {
@@ -1035,16 +1044,22 @@ mod tests {
                 c.tenant = Some("acme".into());
                 c
             })),
-            Request::Lint(Box::new(
-                CompileRequest::new(SourceFormat::Vhdl, "entity e is end;")
-                    .with_options(serde_json::json!({"lint": "deny"}))
-                    .unwrap(),
-            )),
-            Request::Verify(Box::new(
-                CompileRequest::new(SourceFormat::Vhdl, "entity e is end;")
-                    .with_options(serde_json::json!({"verify": "deny"}))
-                    .unwrap(),
-            )),
+            Request::Check(
+                CheckKind::Lint,
+                Box::new(
+                    CompileRequest::new(SourceFormat::Vhdl, "entity e is end;")
+                        .with_options(serde_json::json!({"lint": "deny"}))
+                        .unwrap(),
+                ),
+            ),
+            Request::Check(
+                CheckKind::Verify,
+                Box::new(
+                    CompileRequest::new(SourceFormat::Vhdl, "entity e is end;")
+                        .with_options(serde_json::json!({"verify": "deny"}))
+                        .unwrap(),
+                ),
+            ),
             Request::ArtifactGet {
                 stage: "route".into(),
                 key: "ab".repeat(32),
@@ -1113,7 +1128,8 @@ mod tests {
                     "net 'spare' is driven but never read",
                 )],
             },
-            Event::LintReport {
+            Event::Report {
+                kind: CheckKind::Lint,
                 job: 9,
                 design: "loopy".into(),
                 reached: "netlist".into(),
@@ -1126,7 +1142,8 @@ mod tests {
                 )
                 .with_note("a -> b -> a")],
             },
-            Event::VerifyReport {
+            Event::Report {
+                kind: CheckKind::Verify,
                 job: 11,
                 design: "rent24".into(),
                 reached: "bitstream".into(),
@@ -1195,12 +1212,53 @@ mod tests {
         }
     }
 
+    /// Wire goldens: the exact lines the commit before the check-job
+    /// merge emitted for the lint/verify verbs and the events that carry
+    /// diagnostics. Each must parse and re-serialise byte for byte.
+    #[test]
+    fn check_verbs_and_reports_keep_their_wire_lines() {
+        let requests = [
+            r#"{"cmd":"lint","format":"blif","source":".model m\n.end\n","options":{"place_seed":3,"lint":"deny"},"deadline_ms":900,"trace":true,"tenant":"acme","threads":2}"#,
+            r#"{"cmd":"verify","format":"vhdl","source":"entity e is end;"}"#,
+        ];
+        for (line, kind) in requests
+            .into_iter()
+            .zip([CheckKind::Lint, CheckKind::Verify])
+        {
+            let req = parse_request(line).unwrap();
+            assert!(matches!(req, Request::Check(k, _) if k == kind), "{line}");
+            assert_eq!(req.to_value().to_string(), line);
+        }
+        let events = [
+            r#"{"event":"lint_report","job":9,"design":"loopy","reached":"netlist","diagnostics":[{"code":"NL001","severity":"deny","stage":"netlist","subject":"cell 'g1'","message":"combinational loop","notes":["a -> b -> a"]}]}"#,
+            r#"{"event":"verify_report","job":11,"design":"rent24","reached":"bitstream","diagnostics":[{"code":"EQ001","severity":"deny","stage":"verify","subject":"po:y","message":"'mapped' diverges from the netlist on po:y","notes":["check point: mapped","counterexample: observable po:y reference=1 candidate=0 :: a=1 b=0"]}]}"#,
+            r#"{"event":"error","job":7,"stage":"lint","message":"design-rule check failed at 'netlist': 1 finding (1 deny) (1 deny finding; first: [NL001] combinational loop)","diagnostics":[{"code":"NL001","severity":"deny","stage":"netlist","subject":"cell 'g1'","message":"combinational loop","notes":["a -> b -> a"]}]}"#,
+            r#"{"event":"done","job":8,"design":"counter","report":{"design":"counter"},"bitstream_hex":"a0b1","lint":[{"code":"NL003","severity":"warn","stage":"netlist","subject":"net 'spare'","message":"net 'spare' is driven but never read","notes":[]}]}"#,
+        ];
+        for line in events {
+            let v: Value = serde_json::from_str(line).unwrap();
+            assert_eq!(parse_event(&v).unwrap().to_value().to_string(), line);
+        }
+        let reports = [&events[0], &events[1]];
+        for (line, want) in reports
+            .into_iter()
+            .zip([CheckKind::Lint, CheckKind::Verify])
+        {
+            let v: Value = serde_json::from_str(line).unwrap();
+            assert!(
+                matches!(parse_event(&v), Ok(Event::Report { kind, .. }) if kind == want),
+                "{line}"
+            );
+        }
+    }
+
     #[test]
     fn diagnostics_survive_the_wire_intact() {
         // Satellite check for the lint protocol: a finding serialized
         // into a lint_report, written as a line, read back, and parsed
         // keeps its code, severity, subject, and notes.
-        let ev = Event::LintReport {
+        let ev = Event::Report {
+            kind: CheckKind::Lint,
             job: 3,
             design: "mux".into(),
             reached: "route".into(),
@@ -1226,7 +1284,8 @@ mod tests {
         write_line(&mut wire, &ev.to_value()).unwrap();
         let mut r = std::io::BufReader::new(wire.as_slice());
         let line = read_line(&mut r).unwrap().unwrap();
-        let Event::LintReport {
+        let Event::Report {
+            kind: CheckKind::Lint,
             diagnostics,
             reached,
             ..
@@ -1266,10 +1325,10 @@ mod tests {
         let Request::Compile(c) = req else {
             panic!("not compile")
         };
-        assert_eq!(c.flow_options().unwrap().lint, LintMode::Warn);
+        assert_eq!(c.flow_options().unwrap().lint, GateMode::Warn);
         // Default stays Off: absent option means no behavior change.
         let opts = parse_options(None).unwrap();
-        assert_eq!(opts.lint, LintMode::Off);
+        assert_eq!(opts.lint, GateMode::Off);
         assert!(
             parse_request(r#"{"cmd":"lint","source":"x","options":{"lint":"strict"}}"#).is_err()
         );
@@ -1307,7 +1366,7 @@ mod tests {
         assert!(Request::Compile(c).to_value().get("tenant").is_none());
         // Explicit null is the same as absent; a non-string is rejected.
         let req = parse_request(r#"{"cmd":"lint","source":".model m","tenant":null}"#).unwrap();
-        let Request::Lint(c) = req else {
+        let Request::Check(CheckKind::Lint, c) = req else {
             panic!("not lint")
         };
         assert_eq!(c.tenant, None);
@@ -1332,7 +1391,7 @@ mod tests {
         assert!(Request::Compile(c).to_value().get("threads").is_none());
         // Explicit null is the same as absent.
         let req = parse_request(r#"{"cmd":"lint","source":".model m","threads":null}"#).unwrap();
-        let Request::Lint(c) = req else {
+        let Request::Check(CheckKind::Lint, c) = req else {
             panic!("not lint")
         };
         assert_eq!(c.threads, None);

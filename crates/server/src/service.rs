@@ -29,15 +29,16 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use std::{fmt, io};
 
+use fpga_flow::check::{self, CheckKind, Source};
 use fpga_flow::fault::{CancelToken, FaultPlan, KILL_WORKER_PANIC};
-use fpga_flow::{check, DiskStore, FlowCtx, StageCache, TraceLog};
+use fpga_flow::{DiskStore, FlowCtx, StageCache, TraceLog};
 use fpga_lint::{DiagSink, Diagnostic};
 use serde_json::Value;
 
 use crate::artifact::RemoteTierClient;
 use crate::metrics::{Metrics, MetricsSnapshot, ServiceCounters, StageCacheCounters};
 use crate::proto::{
-    self, CompileRequest, Event, ReadLineError, Request, SourceFormat, PROTO_VERSION,
+    self, CompileRequest, Event, JobKind, ReadLineError, Request, SourceFormat, PROTO_VERSION,
 };
 use crate::queue::JobQueue;
 use crate::supervisor;
@@ -128,15 +129,6 @@ impl Default for ServerConfig {
             threads: None,
         }
     }
-}
-
-/// What a queued job does with its request: run the full compile flow,
-/// only the deep design-rule check, or only the deep equivalence check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum JobKind {
-    Compile,
-    Lint,
-    Verify,
 }
 
 /// One queued job: the request plus the channel its events flow
@@ -311,10 +303,7 @@ impl Shared {
             store,
             remote: self.remote.as_ref().map(|r| r.counters()),
             unknown_stage_events: self.metrics.unknown_stage_events(),
-            lint_rules: self.metrics.lint_rule_snapshots(),
-            unknown_lint_rules: self.metrics.unknown_lint_rules(),
-            verify_rules: self.metrics.verify_rule_snapshots(),
-            unknown_verify_rules: self.metrics.unknown_verify_rules(),
+            rules: self.metrics.rule_counts(),
         }
     }
 
@@ -815,13 +804,8 @@ fn serve_connection<S: Read + Write + TryCloneStream>(
                     return; // client gone mid-stream
                 }
             }
-            Request::Lint(req) => {
-                if !handle_submit(JobKind::Lint, *req, shared, &mut writer) {
-                    return;
-                }
-            }
-            Request::Verify(req) => {
-                if !handle_submit(JobKind::Verify, *req, shared, &mut writer) {
+            Request::Check(kind, req) => {
+                if !handle_submit(JobKind::Check(kind), *req, shared, &mut writer) {
                     return;
                 }
             }
@@ -923,7 +907,7 @@ fn effective_deadline_ms(requested: Option<u64>, cap: Option<u64>) -> Option<u64
     }
 }
 
-/// Submit one compile or lint job and forward its event stream to the
+/// Submit one job (a compile or a check) and forward its event stream to the
 /// client. Returns `false` when the client connection broke (which also
 /// cancels the job, so it stops at its next stage boundary).
 fn handle_submit(
@@ -970,8 +954,7 @@ fn handle_submit(
                 let terminal = matches!(
                     event,
                     Event::Done { .. }
-                        | Event::LintReport { .. }
-                        | Event::VerifyReport { .. }
+                        | Event::Report { .. }
                         | Event::Error { .. }
                         | Event::Timeout { .. }
                 );
@@ -1023,12 +1006,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// What a job's flow produced when it ran to completion.
 enum Finished {
     Compiled(Box<fpga_flow::FlowArtifacts>),
-    Linted(fpga_flow::LintReport),
-    Verified(fpga_flow::VerifyReport),
+    Checked(CheckKind, fpga_flow::CheckReport),
 }
 
 /// Run one job under the panic guard and classify its ending: `done` or
-/// `lint_report`, flow `error`, structured `panic`, `timeout` (with the
+/// a check report, flow `error`, structured `panic`, `timeout` (with the
 /// completed-stage list), or silent cancellation after a client hang-up.
 fn run_job(shared: &Arc<Shared>, job: Job) {
     let Job {
@@ -1116,17 +1098,13 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
                 fpga_flow::run_blif_ctx(&req.source, &options, ctx)
                     .map(|art| Finished::Compiled(Box::new(art)))
             }
-            (JobKind::Lint, SourceFormat::Vhdl) => {
-                check::lint_vhdl(&req.source, &options, ctx).map(Finished::Linted)
-            }
-            (JobKind::Lint, SourceFormat::Blif) => {
-                check::lint_blif(&req.source, &options, ctx).map(Finished::Linted)
-            }
-            (JobKind::Verify, SourceFormat::Vhdl) => {
-                check::verify_vhdl(&req.source, &options, ctx).map(Finished::Verified)
-            }
-            (JobKind::Verify, SourceFormat::Blif) => {
-                check::verify_blif(&req.source, &options, ctx).map(Finished::Verified)
+            (JobKind::Check(check), format) => {
+                let source = match format {
+                    SourceFormat::Vhdl => Source::Vhdl(&req.source),
+                    SourceFormat::Blif => Source::Blif(&req.source),
+                };
+                check::deep(check, source, &options, ctx)
+                    .map(|report| Finished::Checked(check, report))
             }
         }
     }));
@@ -1135,11 +1113,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
     // not by which job kind surfaced it.
     let count_rules = |diags: &[Diagnostic]| {
         for d in diags {
-            if d.stage == "verify" {
-                shared.metrics.observe_verify_rule(&d.code);
-            } else {
-                shared.metrics.observe_lint_rule(&d.code);
-            }
+            shared.metrics.observe_rule(d);
         }
     };
     match result {
@@ -1173,24 +1147,13 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
                 lint: art.lint.clone(),
             });
         }
-        Ok(Ok(Finished::Linted(report))) => {
-            // A lint job "completes" whatever it found; severity is the
+        Ok(Ok(Finished::Checked(kind, report))) => {
+            // A check job "completes" whatever it found; severity is the
             // client's verdict to act on, carried in the diagnostics.
             shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
             count_rules(&report.diagnostics);
-            let _ = events.send(Event::LintReport {
-                job: id,
-                design: report.design.clone(),
-                reached: report.reached.to_string(),
-                diagnostics: report.diagnostics,
-            });
-        }
-        Ok(Ok(Finished::Verified(report))) => {
-            // Same contract as lint: the job "completes" whatever the
-            // equivalence check found; the diagnostics carry the verdict.
-            shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
-            count_rules(&report.diagnostics);
-            let _ = events.send(Event::VerifyReport {
+            let _ = events.send(Event::Report {
+                kind,
                 job: id,
                 design: report.design.clone(),
                 reached: report.reached.to_string(),

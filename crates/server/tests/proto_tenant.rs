@@ -39,7 +39,7 @@ fn build_request(
     req.tenant = tenant;
     let req = Box::new(req);
     if lint {
-        Request::Lint(req)
+        Request::Check(fpga_flow::CheckKind::Lint, req)
     } else {
         Request::Compile(req)
     }

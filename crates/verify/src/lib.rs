@@ -20,7 +20,7 @@
 //! Random simulation can only refute equivalence, never prove it — a
 //! clean run is "no divergence found in `vectors` vectors", the standard
 //! signature-CEC guarantee. The deliberate-fault harness
-//! (`scripts/equiv.sh`) keeps the refutation path honest.
+//! (`scripts/check.sh`) keeps the refutation path honest.
 
 mod view;
 
@@ -58,43 +58,6 @@ impl std::fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 pub type Result<T> = std::result::Result<T, VerifyError>;
-
-/// How the pipeline treats equivalence findings, mirroring the lint
-/// gate's `LintMode`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum VerifyMode {
-    /// No checking; the flow is byte-identical to a build without the
-    /// verify layer.
-    #[default]
-    Off,
-    /// Check and report, never fail.
-    Warn,
-    /// Check and fail the flow on any mismatch.
-    Deny,
-}
-
-impl VerifyMode {
-    pub fn name(&self) -> &'static str {
-        match self {
-            VerifyMode::Off => "off",
-            VerifyMode::Warn => "warn",
-            VerifyMode::Deny => "deny",
-        }
-    }
-
-    pub fn parse(text: &str) -> Option<VerifyMode> {
-        match text {
-            "off" => Some(VerifyMode::Off),
-            "warn" => Some(VerifyMode::Warn),
-            "deny" => Some(VerifyMode::Deny),
-            _ => None,
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        !matches!(self, VerifyMode::Off)
-    }
-}
 
 /// A concrete refutation of equivalence: one cut assignment under which
 /// an observable differs between reference and candidate.
@@ -568,15 +531,5 @@ mod tests {
             a,
             signature_digest(&view, DEFAULT_SEED + 1, DEFAULT_BATCHES)
         );
-    }
-
-    #[test]
-    fn mode_parses_and_names_round_trip() {
-        for mode in [VerifyMode::Off, VerifyMode::Warn, VerifyMode::Deny] {
-            assert_eq!(VerifyMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(VerifyMode::parse("loud"), None);
-        assert!(!VerifyMode::Off.enabled());
-        assert!(VerifyMode::Deny.enabled());
     }
 }

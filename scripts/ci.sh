@@ -71,11 +71,8 @@ sh scripts/crash.sh
 echo "==> scripts/metrics.sh (observability smoke: metrics verb + trace)"
 sh scripts/metrics.sh
 
-echo "==> scripts/lint.sh (design-rule gate over examples/, seeded fault)"
-sh scripts/lint.sh
-
-echo "==> scripts/equiv.sh (cross-stage equivalence gate, seeded LUT corruption)"
-sh scripts/equiv.sh
+echo "==> scripts/check.sh (lint + equivalence gate over examples/, broken input, seeded LUT corruption)"
+sh scripts/check.sh
 
 echo "==> scripts/bench.sh (QoR + speed gate: smoke tier vs BENCH_baseline.json)"
 sh scripts/bench.sh

@@ -12,7 +12,7 @@
 use fpga_framework::circuits::rent_logic;
 use fpga_framework::flow::equiv::EquivGate;
 use fpga_framework::flow::pipeline::run_netlist_ctx;
-use fpga_framework::flow::{FlowCtx, FlowOptions, StageCache, VerifyMode};
+use fpga_framework::flow::{FlowCtx, FlowOptions, GateMode, StageCache};
 use fpga_framework::verify::{signature_digest, CombView, DEFAULT_BATCHES, DEFAULT_SEED};
 use proptest::prelude::*;
 
@@ -23,7 +23,7 @@ fn stage_digests(luts: usize, seed: u64, threads: usize) -> Vec<u64> {
     let reference = CombView::from_netlist("rtl", &nl).expect("reference view");
     let opts = FlowOptions::builder()
         .threads(threads)
-        .verify(VerifyMode::Deny)
+        .verify(GateMode::Deny)
         .build();
     let art = run_netlist_ctx(nl, &opts, FlowCtx::default()).expect("flow verifies");
     let mapped = CombView::from_netlist("mapped", &art.mapped).expect("mapped view");
@@ -69,7 +69,7 @@ fn warm_cache_replays_verify_to_identical_signatures() {
     for _ in 0..3 {
         let nl = rent_logic(40, 0.62, 11);
         let gate = EquivGate::new(&nl);
-        let opts = FlowOptions::builder().verify(VerifyMode::Deny).build();
+        let opts = FlowOptions::builder().verify(GateMode::Deny).build();
         let art = run_netlist_ctx(nl, &opts, FlowCtx::with_cache(&cache)).expect("flow verifies");
         assert_gate_clean(&gate, &art);
         let digests: Vec<u64> = [
