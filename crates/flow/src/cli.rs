@@ -146,6 +146,28 @@ pub fn parse_size_bytes(text: &str) -> Result<u64, String> {
     Ok((value * scale as f64).round() as u64)
 }
 
+/// `--flag N`: a plain integer option, or exit with `tool`'s error.
+pub fn opt_u64(args: &Args, tool: &str, flag: &str) -> Option<u64> {
+    args.options.get(flag).map(|raw| match raw.parse() {
+        Ok(n) => n,
+        Err(_) => die(tool, format!("bad --{flag} '{raw}'")),
+    })
+}
+
+/// `--flag DUR`: a [`parse_duration_ms`] option, in milliseconds.
+pub fn opt_duration_ms(args: &Args, tool: &str, flag: &str) -> Option<u64> {
+    args.options.get(flag).map(|raw| {
+        parse_duration_ms(raw).unwrap_or_else(|e| die(tool, format!("bad --{flag}: {e}")))
+    })
+}
+
+/// `--flag SIZE`: a [`parse_size_bytes`] option, in bytes.
+pub fn opt_size_bytes(args: &Args, tool: &str, flag: &str) -> Option<u64> {
+    args.options.get(flag).map(|raw| {
+        parse_size_bytes(raw).unwrap_or_else(|e| die(tool, format!("bad --{flag}: {e}")))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -149,7 +149,7 @@ impl RemoteTierClient {
             published: self.published.load(Ordering::Relaxed),
             publish_failures: self.publish_failures.load(Ordering::Relaxed),
             breaker_skips: self.breaker_skips.load(Ordering::Relaxed),
-            breaker: self.lock_breaker().state().name(),
+            breaker: self.lock_breaker().state(),
         }
     }
 }
@@ -238,6 +238,7 @@ impl RemoteTier for RemoteTierClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::BreakerState;
     use crate::proto::Event;
     use std::net::TcpListener;
 
@@ -271,7 +272,7 @@ mod tests {
         let c = client.counters();
         assert_eq!(c.fetch_hits, 1);
         assert_eq!(c.bytes_fetched, 21);
-        assert_eq!(c.breaker, "closed");
+        assert_eq!(c.breaker, BreakerState::Closed);
     }
 
     #[test]
@@ -303,7 +304,7 @@ mod tests {
         assert!(c.fetch_failures >= 1, "errors counted: {c:?}");
         // 2 attempts per fetch and a threshold of 3: by now it's open,
         // and the next fetch is a skip, not a stall.
-        assert_eq!(c.breaker, "open");
+        assert_eq!(c.breaker, BreakerState::Open);
         assert_eq!(client.fetch("synthesis", "k", "netlist"), None);
         assert!(client.counters().breaker_skips >= 1);
     }

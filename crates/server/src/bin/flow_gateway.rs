@@ -62,20 +62,6 @@ guards (same spellings as flowd):
 observe with: flowc status | flowc metrics [--text]
 durations (DUR) take 250 / 250ms / 30s / 5m; sizes take 512 / 64k / 8m";
 
-fn parse_u64(args: &cli::Args, flag: &str) -> Option<u64> {
-    args.options.get(flag).map(|raw| match raw.parse() {
-        Ok(n) => n,
-        Err(_) => cli::die("flow-gateway", format!("bad --{flag} '{raw}'")),
-    })
-}
-
-fn parse_duration(args: &cli::Args, flag: &str) -> Option<u64> {
-    args.options.get(flag).map(|raw| {
-        cli::parse_duration_ms(raw)
-            .unwrap_or_else(|e| cli::die("flow-gateway", format!("bad --{flag}: {e}")))
-    })
-}
-
 fn main() {
     let args = cli::parse_args(&[
         "tcp",
@@ -116,46 +102,46 @@ fn main() {
         }
         None => cli::die("flow-gateway", "--backend HOST:PORT[,...] is required"),
     }
-    if let Some(ms) = parse_duration(&args, "health-interval") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "health-interval") {
         if ms == 0 {
             cli::die("flow-gateway", "bad --health-interval '0'");
         }
         config.health_interval_ms = ms;
     }
-    if let Some(ms) = parse_duration(&args, "probe-timeout") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "probe-timeout") {
         if ms == 0 {
             cli::die("flow-gateway", "bad --probe-timeout '0'");
         }
         config.probe_timeout_ms = ms;
     }
-    if let Some(n) = parse_u64(&args, "breaker-failures") {
+    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "breaker-failures") {
         if n == 0 {
             cli::die("flow-gateway", "bad --breaker-failures '0'");
         }
         config.breaker_threshold = n as u32;
     }
-    if let Some(ms) = parse_duration(&args, "breaker-reopen") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "breaker-reopen") {
         config.breaker_reopen_ms = ms;
     }
-    if let Some(seed) = parse_u64(&args, "jitter-seed") {
+    if let Some(seed) = cli::opt_u64(&args, "flow-gateway", "jitter-seed") {
         config.jitter_seed = seed;
     }
-    if let Some(n) = parse_u64(&args, "max-inflight") {
+    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "max-inflight") {
         if n == 0 {
             cli::die("flow-gateway", "bad --max-inflight '0'");
         }
         config.governor.max_inflight = n as usize;
     }
-    if let Some(n) = parse_u64(&args, "admission-queue") {
+    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "admission-queue") {
         config.governor.queue_bound = n as usize;
     }
-    if let Some(n) = parse_u64(&args, "tenant-burst") {
+    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "tenant-burst") {
         if n == 0 {
             cli::die("flow-gateway", "bad --tenant-burst '0'");
         }
         config.governor.tenant_burst = n;
     }
-    if let Some(n) = parse_u64(&args, "tenant-rate") {
+    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "tenant-rate") {
         config.governor.tenant_refill_milli_per_s = n * 1_000;
     }
     if let Some(spec) = args.options.get("tenant-weight") {
@@ -177,21 +163,19 @@ fn main() {
             }
         }
     }
-    if let Some(ms) = parse_duration(&args, "retry-after") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "retry-after") {
         config.governor.retry_after_ms = ms;
     }
-    if let Some(ms) = parse_duration(&args, "idle-timeout") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "idle-timeout") {
         config.idle_timeout_ms = (ms > 0).then_some(ms);
     }
-    if let Some(raw) = args.options.get("max-line") {
-        let bytes = cli::parse_size_bytes(raw)
-            .unwrap_or_else(|e| cli::die("flow-gateway", format!("bad --max-line: {e}")));
+    if let Some(bytes) = cli::opt_size_bytes(&args, "flow-gateway", "max-line") {
         if bytes == 0 {
             cli::die("flow-gateway", "bad --max-line '0'");
         }
         config.max_line_bytes = bytes as usize;
     }
-    if let Some(n) = parse_u64(&args, "max-conns") {
+    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "max-conns") {
         if n == 0 {
             cli::die("flow-gateway", "bad --max-conns '0'");
         }

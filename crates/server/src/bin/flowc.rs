@@ -267,10 +267,7 @@ fn compile(args: &cli::Args) {
         Value::Object(options)
     };
 
-    let deadline_ms = args.options.get("deadline").map(|raw| {
-        cli::parse_duration_ms(raw)
-            .unwrap_or_else(|e| cli::die("flowc", format!("bad --deadline: {e}")))
-    });
+    let deadline_ms = cli::opt_duration_ms(args, "flowc", "deadline");
     let mut policy = RetryPolicy::default();
     if let Some(raw) = args.options.get("retries") {
         match raw.parse() {
@@ -397,10 +394,7 @@ fn check(kind: CheckKind, args: &cli::Args) {
     };
     let (format, source) = read_design(args, path);
     let mut req = CompileRequest::new(format, source);
-    req.deadline_ms = args.options.get("deadline").map(|raw| {
-        cli::parse_duration_ms(raw)
-            .unwrap_or_else(|e| cli::die("flowc", format!("bad --deadline: {e}")))
-    });
+    req.deadline_ms = cli::opt_duration_ms(args, "flowc", "deadline");
     req.tenant = args.options.get("tenant").cloned();
     req.threads = parse_threads(args);
 

@@ -68,29 +68,6 @@ disables that guard.
 
 observe a running daemon with: flowc metrics [--text] | flowc stats";
 
-fn parse_u64(args: &cli::Args, flag: &str) -> Option<u64> {
-    args.options.get(flag).map(|raw| match raw.parse() {
-        Ok(n) => n,
-        Err(_) => cli::die("flowd", format!("bad --{flag} '{raw}'")),
-    })
-}
-
-/// Parse a `--flag DUR` duration option (shared spellings with flowc).
-fn parse_duration(args: &cli::Args, flag: &str) -> Option<u64> {
-    args.options.get(flag).map(|raw| {
-        cli::parse_duration_ms(raw)
-            .unwrap_or_else(|e| cli::die("flowd", format!("bad --{flag}: {e}")))
-    })
-}
-
-/// Parse a `--flag SIZE` size option (shared spellings with flowc).
-fn parse_size(args: &cli::Args, flag: &str) -> Option<u64> {
-    args.options.get(flag).map(|raw| {
-        cli::parse_size_bytes(raw)
-            .unwrap_or_else(|e| cli::die("flowd", format!("bad --{flag}: {e}")))
-    })
-}
-
 /// Parse a comma-separated fault spec, e.g.
 /// `route:1:sleep:5000,pack:2:panic`.
 fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
@@ -178,37 +155,37 @@ fn main() {
         }
     }
     // 0 disables the corresponding guard.
-    if let Some(ms) = parse_duration(&args, "max-deadline") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "max-deadline") {
         config.max_deadline_ms = (ms > 0).then_some(ms);
     }
-    if let Some(ms) = parse_duration(&args, "idle-timeout") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "idle-timeout") {
         config.idle_timeout_ms = (ms > 0).then_some(ms);
     }
-    if let Some(bytes) = parse_size(&args, "max-line") {
+    if let Some(bytes) = cli::opt_size_bytes(&args, "flowd", "max-line") {
         if bytes == 0 {
             cli::die("flowd", "bad --max-line '0'");
         }
         config.max_line_bytes = bytes as usize;
     }
-    if let Some(n) = parse_u64(&args, "max-conns") {
+    if let Some(n) = cli::opt_u64(&args, "flowd", "max-conns") {
         if n == 0 {
             cli::die("flowd", "bad --max-conns '0'");
         }
         config.max_connections = n as usize;
     }
-    if let Some(ms) = parse_duration(&args, "retry-after") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "retry-after") {
         config.retry_after_ms = ms;
     }
     if let Some(dir) = args.options.get("cache-dir") {
         config.cache_dir = Some(dir.into());
     }
-    if let Some(mb) = parse_u64(&args, "cache-budget-mb") {
+    if let Some(mb) = cli::opt_u64(&args, "flowd", "cache-budget-mb") {
         if config.cache_dir.is_none() {
             cli::die("flowd", "--cache-budget-mb needs --cache-dir");
         }
         config.cache_budget_mb = Some(mb);
     }
-    if let Some(n) = parse_u64(&args, "cache-entries") {
+    if let Some(n) = cli::opt_u64(&args, "flowd", "cache-entries") {
         if n == 0 {
             cli::die("flowd", "bad --cache-entries '0'");
         }
@@ -220,7 +197,7 @@ fn main() {
         }
         config.artifact_gateway = Some(gw.clone());
     }
-    if let Some(ms) = parse_duration(&args, "artifact-timeout") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "artifact-timeout") {
         if ms == 0 {
             cli::die("flowd", "bad --artifact-timeout '0'");
         }

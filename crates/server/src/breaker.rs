@@ -21,9 +21,10 @@
 //! count.
 
 /// Where the breaker is in its cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy: requests flow, consecutive failures are counted.
+    #[default]
     Closed,
     /// Tripped: requests are refused until the reopen deadline.
     Open,
@@ -37,6 +38,15 @@ impl BreakerState {
             BreakerState::Closed => "closed",
             BreakerState::Open => "open",
             BreakerState::HalfOpen => "half-open",
+        }
+    }
+
+    /// The `*_breaker_state` gauge value: 0=closed 1=half-open 2=open.
+    pub fn code(self) -> u64 {
+        match self {
+            BreakerState::Closed => 0,
+            BreakerState::HalfOpen => 1,
+            BreakerState::Open => 2,
         }
     }
 }
@@ -178,6 +188,26 @@ pub(crate) fn xorshift64(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The gauge encoding the three hand-written matches used at commit
+    /// 17b1350 (`"closed" => 0, "half-open" => 1, _ => 2`), now total
+    /// over the enum.
+    #[test]
+    fn state_codes_match_the_recorded_gauge_values() {
+        for state in [
+            BreakerState::Closed,
+            BreakerState::HalfOpen,
+            BreakerState::Open,
+        ] {
+            let recorded = match state.name() {
+                "closed" => 0,
+                "half-open" => 1,
+                "open" => 2,
+                other => panic!("unnamed state {other}"),
+            };
+            assert_eq!(state.code(), recorded);
+        }
+    }
 
     #[test]
     fn trips_after_threshold_consecutive_failures() {

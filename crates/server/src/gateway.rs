@@ -42,9 +42,12 @@ use serde_json::Value;
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::metrics::{
-    BackendSnapshot, GatewayArtifactCounters, GatewayJobCounters, GatewaySnapshot,
+    BackendSnapshot, GatewayArtifactCounters, GatewaySnapshot, JobCounters, StageCacheCounters,
+    GATEWAY_JOB_STATES,
 };
-use crate::proto::{self, CompileRequest, Event, JobKind, ReadLineError, Request, PROTO_VERSION};
+use crate::proto::{
+    self, conn_error, CompileRequest, Event, JobKind, ReadLineError, Request, PROTO_VERSION,
+};
 use crate::tenancy::{AdmitOutcome, GovernorConfig, TenantGovernor};
 
 /// Gateway tuning. Durations are milliseconds, like [`super::ServerConfig`].
@@ -162,13 +165,13 @@ impl Backend {
         BackendSnapshot {
             addr: self.addr.clone(),
             healthy: self.probe_ok.load(Ordering::Relaxed) && breaker.state() != BreakerState::Open,
-            breaker: breaker.state().name(),
+            breaker: breaker.state(),
             breaker_transitions: breaker.counters(),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
-            fetch_breaker: self.lock_fetch_breaker().state().name(),
+            fetch_breaker: self.lock_fetch_breaker().state(),
             steals: self.steals.load(Ordering::Relaxed),
         }
     }
@@ -210,11 +213,8 @@ struct Shared {
     backends: Vec<Arc<Backend>>,
     governor: Arc<TenantGovernor>,
     artifacts: ArtifactStats,
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_shed: AtomicU64,
-    jobs_timed_out: AtomicU64,
+    /// Job outcomes, one counter per [`GATEWAY_JOB_STATES`] entry.
+    jobs: JobCounters<{ GATEWAY_JOB_STATES.len() }>,
     next_job_id: AtomicU64,
     open_connections: AtomicU64,
     connections_rejected: AtomicU64,
@@ -228,17 +228,11 @@ impl Shared {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    fn snapshot(&self, cache: Option<(u64, u64, u64, u64)>) -> GatewaySnapshot {
+    fn snapshot(&self, cache: Option<StageCacheCounters>) -> GatewaySnapshot {
         let (inflight, queued) = self.governor.depths();
         let gov = self.governor.config();
         GatewaySnapshot {
-            jobs: GatewayJobCounters {
-                submitted: self.jobs_submitted.load(Ordering::Relaxed),
-                completed: self.jobs_completed.load(Ordering::Relaxed),
-                failed: self.jobs_failed.load(Ordering::Relaxed),
-                shed: self.jobs_shed.load(Ordering::Relaxed),
-                timed_out: self.jobs_timed_out.load(Ordering::Relaxed),
-            },
+            jobs: self.jobs.snapshot(),
             backends: self.backends.iter().map(|b| b.snapshot()).collect(),
             tenants: self.governor.tenant_snapshots(),
             admission_inflight: inflight as u64,
@@ -252,18 +246,8 @@ impl Shared {
 
     /// The `status` verb body: the per-backend health/breaker table.
     fn status_json(&self) -> Value {
-        let snap = self.snapshot(None);
-        let mut body = match snap.to_json() {
-            Value::Object(map) => map,
-            other => {
-                let mut map = serde_json::Map::new();
-                map.insert("body".into(), other);
-                map
-            }
-        };
-        body.insert("event".into(), "status".into());
+        let mut body = proto::framed_body("status", self.snapshot(None).to_json());
         body.insert("role".into(), "gateway".into());
-        body.insert("version".into(), fpga_flow::FLOW_VERSION.into());
         body.insert("proto_version".into(), PROTO_VERSION.into());
         body.insert(
             "shutting_down".into(),
@@ -274,9 +258,9 @@ impl Shared {
 
     /// Aggregate the `cache` object across reachable backends so
     /// cache-aware clients see one farm-wide view.
-    fn scrape_backend_caches(&self) -> Option<(u64, u64, u64, u64)> {
+    fn scrape_backend_caches(&self) -> Option<StageCacheCounters> {
         let timeout = Duration::from_millis(self.config.probe_timeout_ms.max(1));
-        let mut total = (0u64, 0u64, 0u64, 0u64);
+        let mut total = StageCacheCounters::default();
         let mut any = false;
         for backend in &self.backends {
             let Ok(body) = backend_verb(
@@ -289,10 +273,10 @@ impl Shared {
             };
             let cache = &body["cache"];
             let get = |k: &str| cache[k].as_u64().unwrap_or(0);
-            total.0 += get("memory_hits");
-            total.1 += get("disk_hits");
-            total.2 += get("remote_hits");
-            total.3 += get("misses");
+            total.memory_hits += get("memory_hits");
+            total.disk_hits += get("disk_hits");
+            total.remote_hits += get("remote_hits");
+            total.misses += get("misses");
             any = true;
         }
         any.then_some(total)
@@ -393,11 +377,7 @@ impl Gateway {
             backends,
             governor,
             artifacts: ArtifactStats::default(),
-            jobs_submitted: AtomicU64::new(0),
-            jobs_completed: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_shed: AtomicU64::new(0),
-            jobs_timed_out: AtomicU64::new(0),
+            jobs: JobCounters::new(&GATEWAY_JOB_STATES),
             next_job_id: AtomicU64::new(1),
             open_connections: AtomicU64::new(0),
             connections_rejected: AtomicU64::new(0),
@@ -453,10 +433,7 @@ impl Gateway {
     /// Stop accepting, poke the listener awake, join the daemon threads.
     pub fn shutdown(mut self) {
         trigger_shutdown(&self.shared, self.tcp_addr);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        drain_connections(&self.shared);
+        self.wait();
     }
 
     /// Block until a client's `shutdown` verb stops the gateway.
@@ -495,17 +472,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
             shared.open_connections.fetch_sub(1, Ordering::SeqCst);
             shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
             let mut writer = stream;
+            let retry_after_ms = Some(shared.config.governor.retry_after_ms);
             let _ = proto::write_line(
                 &mut writer,
-                &Event::Error {
-                    job: None,
-                    kind: Some("overloaded".to_string()),
-                    stage: None,
-                    message: "too many connections".to_string(),
-                    retry_after_ms: Some(shared.config.governor.retry_after_ms),
-                    diagnostics: Vec::new(),
-                }
-                .to_value(),
+                &conn_error(Some("overloaded"), "too many connections", retry_after_ms),
             );
             continue;
         }
@@ -575,45 +545,20 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         let line = match proto::read_line_limited(&mut reader, shared.config.max_line_bytes) {
             Ok(Some(v)) => v,
             Ok(None) => return,
-            Err(ReadLineError::TooLong { limit }) => {
-                if proto::write_line(
-                    &mut writer,
-                    &conn_error(
-                        Some("oversized"),
-                        format!("request line exceeds {limit} bytes"),
-                    ),
-                )
-                .is_err()
-                {
+            // A broken transport gets no reply.
+            Err(e @ ReadLineError::Io(_)) if !e.is_idle_timeout() => return,
+            Err(e) => {
+                let (reply, keep_serving) = e.client_reply();
+                if proto::write_line(&mut writer, &reply).is_err() || !keep_serving {
                     return;
                 }
                 continue;
             }
-            Err(ReadLineError::BadJson(message)) => {
-                let _ = proto::write_line(
-                    &mut writer,
-                    &conn_error(None, format!("bad JSON: {message}")),
-                );
-                return;
-            }
-            Err(ReadLineError::Io(e))
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                let _ = proto::write_line(
-                    &mut writer,
-                    &conn_error(Some("idle-timeout"), "connection idle too long".to_string()),
-                );
-                return;
-            }
-            Err(ReadLineError::Io(_)) => return,
         };
         let req = match proto::parse_request_value(&line) {
             Ok(req) => req,
             Err(message) => {
-                let _ = proto::write_line(&mut writer, &conn_error(None, message));
+                let _ = proto::write_line(&mut writer, &conn_error(None, message, None));
                 continue;
             }
         };
@@ -627,24 +572,14 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 let _ = proto::write_line(&mut writer, &pong.to_value());
             }
             Request::Stats => {
-                let snap = shared.snapshot(None);
-                let mut body = match snap.to_json() {
-                    Value::Object(map) => map,
-                    _ => serde_json::Map::new(),
-                };
-                body.insert("event".into(), "stats".into());
-                body.insert("version".into(), fpga_flow::FLOW_VERSION.into());
+                let body = proto::framed_body("stats", shared.snapshot(None).to_json());
                 let _ =
                     proto::write_line(&mut writer, &Event::Stats(Value::Object(body)).to_value());
             }
             Request::Metrics { text } => {
                 let snap = shared.snapshot(shared.scrape_backend_caches());
                 let body = if text {
-                    serde_json::json!({
-                        "event": "metrics",
-                        "format": "text",
-                        "text": snap.to_prometheus_text(),
-                    })
+                    proto::metrics_text_body(snap.to_prometheus_text())
                 } else {
                     snap.to_json()
                 };
@@ -834,18 +769,6 @@ fn corrupt_hex(s: &mut String) {
     }
 }
 
-fn conn_error(kind: Option<&str>, message: String) -> Value {
-    Event::Error {
-        job: None,
-        kind: kind.map(str::to_string),
-        stage: None,
-        message,
-        retry_after_ms: None,
-        diagnostics: Vec::new(),
-    }
-    .to_value()
-}
-
 /// How one attempt against one backend ended.
 enum Attempt {
     /// A terminal event was forwarded to the client; the job is over.
@@ -877,7 +800,7 @@ fn handle_job(
 ) -> bool {
     let started = Instant::now();
     let job_id = shared.next_job_id.fetch_add(1, Ordering::SeqCst);
-    shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+    shared.jobs.inc("submitted");
     let total_deadline_ms = req.deadline_ms;
     let deadline = total_deadline_ms.map(|ms| started + Duration::from_millis(ms));
     let tenant = req.tenant.clone().unwrap_or_else(|| "anon".to_string());
@@ -886,7 +809,7 @@ fn handle_job(
     let permit = match shared.governor.admit(&tenant, deadline) {
         AdmitOutcome::Admitted(permit) => permit,
         AdmitOutcome::Shed { retry_after_ms } => {
-            shared.jobs_shed.fetch_add(1, Ordering::Relaxed);
+            shared.jobs.inc("shed");
             return proto::write_line(
                 writer,
                 &Event::Rejected {
@@ -901,7 +824,7 @@ fn handle_job(
             .is_ok();
         }
         AdmitOutcome::Expired => {
-            shared.jobs_timed_out.fetch_add(1, Ordering::Relaxed);
+            shared.jobs.inc("timed_out");
             return proto::write_line(
                 writer,
                 &Event::Timeout {
@@ -940,7 +863,7 @@ fn handle_job(
                 let elapsed = started.elapsed().as_millis() as u64;
                 let left = total.saturating_sub(elapsed);
                 if left == 0 {
-                    shared.jobs_timed_out.fetch_add(1, Ordering::Relaxed);
+                    shared.jobs.inc("timed_out");
                     return proto::write_line(
                         writer,
                         &Event::Timeout {
@@ -993,7 +916,7 @@ fn handle_job(
         let Some(index) = pick else {
             // Nobody left: shed with the best hint we have. Retryable
             // from the client's point of view (it is a `rejected`).
-            shared.jobs_shed.fetch_add(1, Ordering::Relaxed);
+            shared.jobs.inc("shed");
             let (reason, retry_after_ms) = match (&last_saturated, &last_transient) {
                 (Some(hint), _) => (
                     "all backends saturated".to_string(),
@@ -1042,13 +965,13 @@ fn handle_job(
                 backend.lock_breaker().on_success();
                 match terminal {
                     Terminal::Completed => {
-                        shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                        shared.jobs.inc("completed");
                     }
                     Terminal::Failed => {
-                        shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
+                        shared.jobs.inc("failed");
                     }
                     Terminal::TimedOut => {
-                        shared.jobs_timed_out.fetch_add(1, Ordering::Relaxed);
+                        shared.jobs.inc("timed_out");
                     }
                 }
                 return true;

@@ -12,19 +12,27 @@
 //! Two renderings:
 //!
 //! * [`MetricsSnapshot::to_json`] — the structured body of the
-//!   `{"cmd":"metrics"}` response;
+//!   `{"cmd":"metrics"}` response, a hand-shaped tree;
 //! * [`MetricsSnapshot::to_prometheus_text`] — a Prometheus-style text
 //!   exposition (`flowd_*` families) for `flowc metrics --text` and
 //!   `flowd --metrics-dump`.
+//!
+//! The exposition is split in two: the family tables ([`catalogue`])
+//! declare each family's name, type and help text once, and the
+//! `Exposition` writer owns the text syntax (headers, label escaping,
+//! histogram expansion). The snapshots own the values and only list
+//! writer calls. [`GatewaySnapshot`] renders `flow-gateway`'s
+//! `flowgw_*` families the same way.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fpga_flow::cache::STAGES;
-use fpga_flow::CheckKind;
+use fpga_flow::{CheckKind, StoreCounters};
 use fpga_lint::{Diagnostic, Rule, RULES};
 use serde_json::Value;
 
-use crate::breaker::BreakerCounters;
+use crate::breaker::{BreakerCounters, BreakerState};
 use crate::tenancy::TenantCounters;
 
 /// Upper bounds (milliseconds, inclusive) of the latency buckets; an
@@ -85,17 +93,22 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// JSON form: cumulative `le` buckets, Prometheus-style.
+    /// Cumulative `(le, count)` buckets, Prometheus-style; `None` is the
+    /// `+Inf` bound.
+    fn cumulative(&self) -> impl Iterator<Item = (Option<u64>, u64)> + '_ {
+        let mut count = 0;
+        self.buckets.iter().enumerate().map(move |(i, n)| {
+            count += n;
+            (BUCKET_BOUNDS_MS.get(i).copied(), count)
+        })
+    }
+
+    /// JSON form: cumulative `le` buckets.
     pub fn to_json(&self) -> Value {
         let mut buckets = Vec::with_capacity(self.buckets.len());
-        let mut cumulative = 0u64;
-        for (i, n) in self.buckets.iter().enumerate() {
-            cumulative += n;
-            let le = match BUCKET_BOUNDS_MS.get(i) {
-                Some(bound) => Value::from(*bound),
-                None => Value::from("+Inf"),
-            };
-            buckets.push(serde_json::json!({"le": le, "count": cumulative}));
+        for (le, count) in self.cumulative() {
+            let le = le.map_or(Value::from("+Inf"), Value::from);
+            buckets.push(serde_json::json!({"le": le, "count": count}));
         }
         serde_json::json!({
             "count": self.count,
@@ -132,7 +145,7 @@ struct RuleHits {
 }
 
 /// The rule families, indexed by [`CheckKind`]: metric name stem and
-/// `# HELP` text.
+/// help text.
 const RULE_FAMILIES: [(&str, &str); 2] = [
     ("lint", "Design-rule findings by rule code."),
     ("verify", "Equivalence findings by EQ rule code."),
@@ -210,18 +223,332 @@ impl Metrics {
     }
 }
 
+/// What a family's samples mean to a scraper: its declared type.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+impl Kind {
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// One metric family's declaration. Every family either daemon exposes
+/// is declared exactly once — in the two tables below, or from
+/// [`RULE_FAMILIES`] — and listed by [`catalogue`], which README's
+/// "Metrics reference" table is tested against.
+#[derive(Clone, Debug)]
+pub struct Family {
+    pub name: Cow<'static, str>,
+    pub kind: Kind,
+    pub help: Option<&'static str>,
+}
+
+const fn family(name: &'static str, kind: Kind, help: Option<&'static str>) -> Family {
+    Family {
+        name: Cow::Borrowed(name),
+        kind,
+        help,
+    }
+}
+
+const fn counter(name: &'static str, help: Option<&'static str>) -> Family {
+    family(name, Kind::Counter, help)
+}
+
+const fn gauge(name: &'static str, help: Option<&'static str>) -> Family {
+    family(name, Kind::Gauge, help)
+}
+
+/// The `flowd_*` families with fixed names, in exposition order (the
+/// rule families follow them). [`MetricsSnapshot::to_prometheus_text`]
+/// binds them by position.
+const FLOWD_FAMILIES: [Family; 22] = [
+    counter("flowd_jobs_total", Some("Jobs by terminal state.")),
+    gauge("flowd_queue_depth", None),
+    gauge("flowd_queue_depth_peak", None),
+    gauge("flowd_workers_configured", None),
+    counter("flowd_workers_respawned_total", None),
+    gauge("flowd_connections_open", None),
+    counter("flowd_connections_rejected_total", None),
+    counter("flowd_cache_hits_total", Some("Stage-cache hits by tier.")),
+    counter("flowd_cache_misses_total", None),
+    gauge("flowd_cache_entries", None),
+    counter("flowd_cache_memory_evicted_total", None),
+    counter("flowd_store_disk_hits_total", None),
+    counter("flowd_store_disk_misses_total", None),
+    counter("flowd_store_quarantined_total", None),
+    counter("flowd_store_evicted_total", None),
+    counter("flowd_store_writes_total", None),
+    counter(
+        "flowd_remote_fetch_total",
+        Some("Remote artifact fetches by result."),
+    ),
+    counter("flowd_remote_bytes_fetched_total", None),
+    counter("flowd_remote_publish_total", None),
+    gauge(
+        "flowd_remote_breaker_state",
+        Some("0=closed 1=half-open 2=open."),
+    ),
+    family(
+        "flowd_stage_duration_ms",
+        Kind::Histogram,
+        Some("Per-stage service latency (cache hits included)."),
+    ),
+    counter("flowd_unknown_stage_events_total", None),
+];
+
+/// The `flowgw_*` families, in exposition order;
+/// [`GatewaySnapshot::to_prometheus_text`] binds them by position.
+const FLOWGW_FAMILIES: [Family; 21] = [
+    counter("flowgw_jobs_total", Some("Gateway jobs by terminal state.")),
+    counter(
+        "flowgw_backend_requests_total",
+        Some("Job attempts per backend."),
+    ),
+    counter("flowgw_backend_failures_total", None),
+    counter(
+        "flowgw_backend_failovers_total",
+        Some("Attempts re-routed here from a dead peer."),
+    ),
+    counter(
+        "flowgw_backend_steals_total",
+        Some("Jobs routed here instead of their busy affinity backend."),
+    ),
+    counter("flowgw_steals_total", None),
+    gauge("flowgw_backend_in_flight", None),
+    gauge(
+        "flowgw_backend_healthy",
+        Some("Last probe ok and breaker not open."),
+    ),
+    gauge("flowgw_breaker_state", Some("0=closed 1=half-open 2=open.")),
+    gauge(
+        "flowgw_fetch_breaker_state",
+        Some("Artifact-fetch breaker: 0=closed 1=half-open 2=open."),
+    ),
+    counter("flowgw_breaker_transitions_total", None),
+    counter(
+        "flowgw_tenant_jobs_total",
+        Some("Per-tenant admission outcomes."),
+    ),
+    gauge("flowgw_admission_inflight", None),
+    gauge("flowgw_admission_queued", None),
+    counter(
+        "flowgw_artifact_requests_total",
+        Some("Artifact verbs received from daemons."),
+    ),
+    counter(
+        "flowgw_artifact_gets_total",
+        Some("Artifact gets by result (failures degrade to misses downstream)."),
+    ),
+    counter("flowgw_artifact_put_failures_total", None),
+    counter("flowgw_artifact_bytes_total", None),
+    counter(
+        "flowgw_artifact_corrupted_total",
+        Some("Payloads corrupted by the chaos hook."),
+    ),
+    counter(
+        "flowgw_cache_hits_total",
+        Some("Backend stage-cache hits by tier (aggregated)."),
+    ),
+    counter("flowgw_cache_misses_total", None),
+];
+
+/// One [`RULE_FAMILIES`] row's two metric families: findings per rule
+/// code, and the unknown-code tripwire.
+fn rule_families((stem, help): (&str, &'static str)) -> [Family; 2] {
+    let named = |name: String, help| Family {
+        name: Cow::Owned(name),
+        kind: Kind::Counter,
+        help,
+    };
+    [
+        named(format!("flowd_{stem}_rule_hits_total"), Some(help)),
+        named(format!("flowd_unknown_{stem}_rules_total"), None),
+    ]
+}
+
+/// Every family `flowd` and `flow-gateway` can expose, in exposition
+/// order: the daemon's (fixed, then one pair per rule family), then the
+/// gateway's.
+pub fn catalogue() -> Vec<Family> {
+    let mut all = FLOWD_FAMILIES.to_vec();
+    all.extend(RULE_FAMILIES.into_iter().flat_map(rule_families));
+    all.extend(FLOWGW_FAMILIES);
+    all
+}
+
+/// The text exposition writer — the only code that knows the format:
+/// the help and type comment lines a family opens with, the sample line
+/// syntax, label-value escaping, and how a histogram expands.
+#[derive(Default)]
+struct Exposition {
+    out: String,
+}
+
+impl Exposition {
+    fn header(&mut self, f: &Family) {
+        if let Some(help) = f.help {
+            self.out.push_str(&format!("# HELP {} {help}\n", f.name));
+        }
+        self.out
+            .push_str(&format!("# TYPE {} {}\n", f.name, f.kind.name()));
+    }
+
+    /// One `name{k="v",...} value` line. Label values may be arbitrary
+    /// client strings (`tenant`), so `\`, `"` and newline are escaped as
+    /// the format prescribes — a value can never end its quotes or line.
+    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: impl std::fmt::Display) {
+        self.out.push_str(name);
+        let mut open = '{';
+        for (key, raw) in labels {
+            self.out.push(open);
+            open = ',';
+            self.out.push_str(key);
+            self.out.push_str("=\"");
+            for c in raw.chars() {
+                match c {
+                    '\\' => self.out.push_str("\\\\"),
+                    '"' => self.out.push_str("\\\""),
+                    '\n' => self.out.push_str("\\n"),
+                    c => self.out.push(c),
+                }
+            }
+            self.out.push('"');
+        }
+        if !labels.is_empty() {
+            self.out.push('}');
+        }
+        self.out.push_str(&format!(" {value}\n"));
+    }
+
+    /// A family whose samples each carry `N` labels.
+    fn family<'a, const N: usize>(
+        &mut self,
+        f: &Family,
+        samples: impl IntoIterator<Item = ([(&'a str, &'a str); N], u64)>,
+    ) {
+        self.header(f);
+        for (labels, value) in samples {
+            self.sample(&f.name, &labels, value);
+        }
+    }
+
+    /// A family with one unlabelled sample.
+    fn scalar(&mut self, f: &Family, value: u64) {
+        self.family(f, [([], value)]);
+    }
+
+    /// A family split by one label: a sample per `(label value, n)`.
+    fn labelled<'a>(
+        &mut self,
+        f: &Family,
+        key: &'a str,
+        samples: impl IntoIterator<Item = (&'a str, u64)>,
+    ) {
+        self.family(f, samples.into_iter().map(|(v, n)| ([(key, v)], n)));
+    }
+
+    /// A histogram family: per series, cumulative `_bucket{..,le=..}`
+    /// lines over [`BUCKET_BOUNDS_MS`] and `+Inf`, then `_sum`, `_count`.
+    fn histogram<'a>(
+        &mut self,
+        f: &Family,
+        series: impl IntoIterator<Item = ((&'a str, &'a str), &'a HistogramSnapshot)>,
+    ) {
+        self.header(f);
+        let [bucket, sum, count] = ["bucket", "sum", "count"].map(|s| format!("{}_{s}", f.name));
+        for (label, hist) in series {
+            for (le, cumulative) in hist.cumulative() {
+                let le = le.map_or("+Inf".to_string(), |bound| bound.to_string());
+                self.sample(&bucket, &[label, ("le", &le)], cumulative);
+            }
+            self.sample(&sum, &[label], hist.sum_ms);
+            self.sample(&count, &[label], hist.count);
+        }
+    }
+
+    /// The stage-cache view both roles expose: hits by tier, and misses.
+    fn cache_tiers(&mut self, hits: &Family, misses: &Family, c: &StageCacheCounters) {
+        let tiers = [
+            ("memory", c.memory_hits),
+            ("disk", c.disk_hits),
+            ("remote", c.remote_hits),
+        ];
+        self.labelled(hits, "tier", tiers);
+        self.scalar(misses, c.misses);
+    }
+}
+
+/// flowd's job states, in the order every rendering lists them.
+pub const JOB_STATES: [&str; 7] = [
+    "submitted",
+    "completed",
+    "failed",
+    "rejected",
+    "panicked",
+    "timed_out",
+    "cancelled",
+];
+
+/// The gateway's job states. `shed` covers admission (tenant quota /
+/// queue bound) and every backend being saturated or broken.
+pub const GATEWAY_JOB_STATES: [&str; 5] = ["submitted", "completed", "failed", "shed", "timed_out"];
+
+/// Live job counters of one role: a slot per name in its state list.
+pub(crate) struct JobCounters<const N: usize> {
+    states: &'static [&'static str; N],
+    counts: [AtomicU64; N],
+}
+
+impl<const N: usize> JobCounters<N> {
+    pub(crate) fn new(states: &'static [&'static str; N]) -> Self {
+        JobCounters {
+            states,
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    /// Count one job reaching `state`, which must be in the state list.
+    pub(crate) fn inc(&self, state: &str) {
+        let slot = self.states.iter().position(|s| *s == state);
+        debug_assert!(slot.is_some(), "unknown job state '{state}'");
+        if let Some(i) = slot {
+            self.counts[i].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn snapshot(&self) -> [u64; N] {
+        std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed))
+    }
+}
+
+/// A JSON object of counters, keys in the order given.
+pub(crate) fn counts_json<'a>(
+    counts: impl IntoIterator<Item = (&'a str, u64)>,
+) -> serde_json::Map<String, Value> {
+    let mut map = serde_json::Map::new();
+    for (key, n) in counts {
+        map.insert(key.to_string(), n.into());
+    }
+    map
+}
+
 /// Scalar counters the service contributes to a snapshot (already
 /// tracked elsewhere in the daemon; gathered here so the two renderings
 /// agree on names).
 #[derive(Clone, Debug, Default)]
 pub struct ServiceCounters {
-    pub jobs_submitted: u64,
-    pub jobs_completed: u64,
-    pub jobs_failed: u64,
-    pub jobs_rejected: u64,
-    pub jobs_panicked: u64,
-    pub jobs_timed_out: u64,
-    pub jobs_cancelled: u64,
+    /// One count per [`JOB_STATES`] entry.
+    pub jobs: [u64; JOB_STATES.len()],
     pub queue_depth: u64,
     pub queue_peak: u64,
     pub workers_configured: u64,
@@ -230,7 +557,8 @@ pub struct ServiceCounters {
     pub connections_rejected: u64,
 }
 
-/// Per-stage cache tier counts folded into a snapshot.
+/// Cache tier counts: one stage's in a snapshot, or a sum over stages
+/// (and, at the gateway, over backends).
 #[derive(Clone, Debug, Default)]
 pub struct StageCacheCounters {
     pub memory_hits: u64,
@@ -239,6 +567,16 @@ pub struct StageCacheCounters {
     pub remote_hits: u64,
     pub misses: u64,
     pub wall_ms: u64,
+}
+
+impl StageCacheCounters {
+    /// The four keys every JSON `cache` object (and stage row) carries.
+    fn insert_tiers(&self, map: &mut serde_json::Map<String, Value>) {
+        map.insert("memory_hits".into(), self.memory_hits.into());
+        map.insert("disk_hits".into(), self.disk_hits.into());
+        map.insert("remote_hits".into(), self.remote_hits.into());
+        map.insert("misses".into(), self.misses.into());
+    }
 }
 
 /// Daemon-side remote artifact tier client counters, present when
@@ -257,8 +595,8 @@ pub struct RemoteTierCounters {
     pub publish_failures: u64,
     /// Fetches skipped outright because the per-gateway breaker was open.
     pub breaker_skips: u64,
-    /// Fetch breaker state name: `closed` / `open` / `half-open`.
-    pub breaker: &'static str,
+    /// Fetch breaker state.
+    pub breaker: BreakerState,
 }
 
 /// Everything the `metrics` verb reports, assembled by the service.
@@ -269,9 +607,8 @@ pub struct MetricsSnapshot {
     pub stages: Vec<(&'static str, HistogramSnapshot, StageCacheCounters)>,
     pub cache_entries: u64,
     pub cache_memory_evicted: u64,
-    /// Durable-store counters, when `--cache-dir` is configured:
-    /// `(disk_hits, disk_misses, quarantined, evicted, writes)`.
-    pub store: Option<(u64, u64, u64, u64, u64)>,
+    /// Durable-store counters, when `--cache-dir` is configured.
+    pub store: Option<StoreCounters>,
     /// Remote artifact tier client counters, when `--artifact-gateway`
     /// is configured.
     pub remote: Option<RemoteTierCounters>,
@@ -289,52 +626,33 @@ pub struct RuleCounts {
 }
 
 impl MetricsSnapshot {
-    fn totals(&self) -> (u64, u64, u64, u64) {
-        let mut memory = 0;
-        let mut disk = 0;
-        let mut remote = 0;
-        let mut misses = 0;
+    /// Tier counts summed over the stages.
+    fn totals(&self) -> StageCacheCounters {
+        let mut total = StageCacheCounters::default();
         for (_, _, c) in &self.stages {
-            memory += c.memory_hits;
-            disk += c.disk_hits;
-            remote += c.remote_hits;
-            misses += c.misses;
+            total.memory_hits += c.memory_hits;
+            total.disk_hits += c.disk_hits;
+            total.remote_hits += c.remote_hits;
+            total.misses += c.misses;
         }
-        (memory, disk, remote, misses)
+        total
     }
 
     /// The structured body of the `{"cmd":"metrics"}` response. Field
     /// names are part of the wire protocol (see DESIGN.md).
     pub fn to_json(&self) -> Value {
         let mut stages = serde_json::Map::new();
-        for (name, hist, cache) in &self.stages {
-            stages.insert(
-                name.to_string(),
-                serde_json::json!({
-                    "latency": hist.to_json(),
-                    "memory_hits": cache.memory_hits,
-                    "disk_hits": cache.disk_hits,
-                    "remote_hits": cache.remote_hits,
-                    "misses": cache.misses,
-                    "wall_ms": cache.wall_ms,
-                }),
-            );
+        for (name, hist, c) in &self.stages {
+            let mut stage = serde_json::Map::new();
+            stage.insert("latency".into(), hist.to_json());
+            c.insert_tiers(&mut stage);
+            stage.insert("wall_ms".into(), c.wall_ms.into());
+            stages.insert(name.to_string(), Value::Object(stage));
         }
-        let (memory_hits, disk_hits, remote_hits, misses) = self.totals();
         let s = &self.service;
         let mut root = serde_json::Map::new();
-        root.insert(
-            "jobs".into(),
-            serde_json::json!({
-                "submitted": s.jobs_submitted,
-                "completed": s.jobs_completed,
-                "failed": s.jobs_failed,
-                "rejected": s.jobs_rejected,
-                "panicked": s.jobs_panicked,
-                "timed_out": s.jobs_timed_out,
-                "cancelled": s.jobs_cancelled,
-            }),
-        );
+        let jobs = counts_json(JOB_STATES.into_iter().zip(s.jobs));
+        root.insert("jobs".into(), Value::Object(jobs));
         root.insert(
             "queue".into(),
             serde_json::json!({"depth": s.queue_depth, "peak": s.queue_peak}),
@@ -348,21 +666,18 @@ impl MetricsSnapshot {
             serde_json::json!({"open": s.connections_open, "rejected": s.connections_rejected}),
         );
         let mut cache = serde_json::Map::new();
-        cache.insert("memory_hits".into(), memory_hits.into());
-        cache.insert("disk_hits".into(), disk_hits.into());
-        cache.insert("remote_hits".into(), remote_hits.into());
-        cache.insert("misses".into(), misses.into());
+        self.totals().insert_tiers(&mut cache);
         cache.insert("entries".into(), self.cache_entries.into());
         cache.insert("memory_evicted".into(), self.cache_memory_evicted.into());
-        if let Some((dh, dm, q, ev, w)) = self.store {
+        if let Some(c) = &self.store {
             cache.insert(
                 "store".into(),
                 serde_json::json!({
-                    "disk_hits": dh,
-                    "disk_misses": dm,
-                    "quarantined": q,
-                    "evicted": ev,
-                    "writes": w,
+                    "disk_hits": c.disk_hits,
+                    "disk_misses": c.disk_misses,
+                    "quarantined": c.quarantined,
+                    "evicted": c.evicted,
+                    "writes": c.writes,
                 }),
             );
         }
@@ -377,7 +692,7 @@ impl MetricsSnapshot {
                     "published": r.published,
                     "publish_failures": r.publish_failures,
                     "breaker_skips": r.breaker_skips,
-                    "breaker": r.breaker,
+                    "breaker": r.breaker.name(),
                 }),
             );
         }
@@ -388,11 +703,8 @@ impl MetricsSnapshot {
             self.unknown_stage_events.into(),
         );
         for ((family, _), counts) in RULE_FAMILIES.iter().zip(&self.rules) {
-            let mut rules = serde_json::Map::new();
-            for (code, n) in &counts.hits {
-                rules.insert(code.to_string(), (*n).into());
-            }
-            rules.insert("unknown".into(), counts.unknown.into());
+            let unknown = [("unknown", counts.unknown)];
+            let rules = counts_json(counts.hits.iter().copied().chain(unknown));
             root.insert(format!("{family}_rules"), Value::Object(rules));
         }
         Value::Object(root)
@@ -401,243 +713,53 @@ impl MetricsSnapshot {
     /// Prometheus-style text exposition (`flowd --metrics-dump`,
     /// `flowc metrics --text`).
     pub fn to_prometheus_text(&self) -> String {
-        let mut out = String::new();
+        let [jobs, queue_depth, queue_peak, workers, respawned, rest @ ..] = &FLOWD_FAMILIES;
+        let [conns_open, conns_rejected, cache_hits, cache_misses, rest @ ..] = rest;
+        let [cache_entries, cache_evicted, rest @ ..] = rest;
+        let [store_hits, store_misses, quarantined, store_evicted, store_writes, rest @ ..] = rest;
+        let [remote_fetch, remote_bytes, remote_publish, remote_breaker, rest @ ..] = rest;
+        let [stage_duration, unknown_stage_events] = rest;
+        let mut w = Exposition::default();
         let s = &self.service;
-        let push = |out: &mut String, line: String| {
-            out.push_str(&line);
-            out.push('\n');
-        };
-
-        push(
-            &mut out,
-            "# HELP flowd_jobs_total Jobs by terminal state.".into(),
-        );
-        push(&mut out, "# TYPE flowd_jobs_total counter".into());
-        for (state, n) in [
-            ("submitted", s.jobs_submitted),
-            ("completed", s.jobs_completed),
-            ("failed", s.jobs_failed),
-            ("rejected", s.jobs_rejected),
-            ("panicked", s.jobs_panicked),
-            ("timed_out", s.jobs_timed_out),
-            ("cancelled", s.jobs_cancelled),
-        ] {
-            push(
-                &mut out,
-                format!("flowd_jobs_total{{state=\"{state}\"}} {n}"),
-            );
-        }
-
-        push(&mut out, "# TYPE flowd_queue_depth gauge".into());
-        push(&mut out, format!("flowd_queue_depth {}", s.queue_depth));
-        push(&mut out, "# TYPE flowd_queue_depth_peak gauge".into());
-        push(&mut out, format!("flowd_queue_depth_peak {}", s.queue_peak));
-        push(&mut out, "# TYPE flowd_workers_configured gauge".into());
-        push(
-            &mut out,
-            format!("flowd_workers_configured {}", s.workers_configured),
-        );
-        push(
-            &mut out,
-            "# TYPE flowd_workers_respawned_total counter".into(),
-        );
-        push(
-            &mut out,
-            format!("flowd_workers_respawned_total {}", s.workers_respawned),
-        );
-        push(&mut out, "# TYPE flowd_connections_open gauge".into());
-        push(
-            &mut out,
-            format!("flowd_connections_open {}", s.connections_open),
-        );
-        push(
-            &mut out,
-            "# TYPE flowd_connections_rejected_total counter".into(),
-        );
-        push(
-            &mut out,
-            format!(
-                "flowd_connections_rejected_total {}",
-                s.connections_rejected
-            ),
-        );
-
-        let (memory_hits, disk_hits, remote_hits, misses) = self.totals();
-        push(
-            &mut out,
-            "# HELP flowd_cache_hits_total Stage-cache hits by tier.".into(),
-        );
-        push(&mut out, "# TYPE flowd_cache_hits_total counter".into());
-        push(
-            &mut out,
-            format!("flowd_cache_hits_total{{tier=\"memory\"}} {memory_hits}"),
-        );
-        push(
-            &mut out,
-            format!("flowd_cache_hits_total{{tier=\"disk\"}} {disk_hits}"),
-        );
-        push(
-            &mut out,
-            format!("flowd_cache_hits_total{{tier=\"remote\"}} {remote_hits}"),
-        );
-        push(&mut out, "# TYPE flowd_cache_misses_total counter".into());
-        push(&mut out, format!("flowd_cache_misses_total {misses}"));
-        push(&mut out, "# TYPE flowd_cache_entries gauge".into());
-        push(
-            &mut out,
-            format!("flowd_cache_entries {}", self.cache_entries),
-        );
-        push(
-            &mut out,
-            "# TYPE flowd_cache_memory_evicted_total counter".into(),
-        );
-        push(
-            &mut out,
-            format!(
-                "flowd_cache_memory_evicted_total {}",
-                self.cache_memory_evicted
-            ),
-        );
-        if let Some((dh, dm, q, ev, w)) = self.store {
-            push(
-                &mut out,
-                "# TYPE flowd_store_disk_hits_total counter".into(),
-            );
-            push(&mut out, format!("flowd_store_disk_hits_total {dh}"));
-            push(
-                &mut out,
-                "# TYPE flowd_store_disk_misses_total counter".into(),
-            );
-            push(&mut out, format!("flowd_store_disk_misses_total {dm}"));
-            push(
-                &mut out,
-                "# TYPE flowd_store_quarantined_total counter".into(),
-            );
-            push(&mut out, format!("flowd_store_quarantined_total {q}"));
-            push(&mut out, "# TYPE flowd_store_evicted_total counter".into());
-            push(&mut out, format!("flowd_store_evicted_total {ev}"));
-            push(&mut out, "# TYPE flowd_store_writes_total counter".into());
-            push(&mut out, format!("flowd_store_writes_total {w}"));
+        w.labelled(jobs, "state", JOB_STATES.into_iter().zip(s.jobs));
+        w.scalar(queue_depth, s.queue_depth);
+        w.scalar(queue_peak, s.queue_peak);
+        w.scalar(workers, s.workers_configured);
+        w.scalar(respawned, s.workers_respawned);
+        w.scalar(conns_open, s.connections_open);
+        w.scalar(conns_rejected, s.connections_rejected);
+        w.cache_tiers(cache_hits, cache_misses, &self.totals());
+        w.scalar(cache_entries, self.cache_entries);
+        w.scalar(cache_evicted, self.cache_memory_evicted);
+        if let Some(c) = &self.store {
+            w.scalar(store_hits, c.disk_hits);
+            w.scalar(store_misses, c.disk_misses);
+            w.scalar(quarantined, c.quarantined);
+            w.scalar(store_evicted, c.evicted);
+            w.scalar(store_writes, c.writes);
         }
         if let Some(r) = &self.remote {
-            push(
-                &mut out,
-                "# HELP flowd_remote_fetch_total Remote artifact fetches by result.".into(),
-            );
-            push(&mut out, "# TYPE flowd_remote_fetch_total counter".into());
-            for (result, n) in [
+            let fetches = [
                 ("hit", r.fetch_hits),
                 ("miss", r.fetch_misses),
                 ("failure", r.fetch_failures),
                 ("breaker-skip", r.breaker_skips),
-            ] {
-                push(
-                    &mut out,
-                    format!("flowd_remote_fetch_total{{result=\"{result}\"}} {n}"),
-                );
-            }
-            push(
-                &mut out,
-                "# TYPE flowd_remote_bytes_fetched_total counter".into(),
-            );
-            push(
-                &mut out,
-                format!("flowd_remote_bytes_fetched_total {}", r.bytes_fetched),
-            );
-            push(&mut out, "# TYPE flowd_remote_publish_total counter".into());
-            for (result, n) in [("ok", r.published), ("failure", r.publish_failures)] {
-                push(
-                    &mut out,
-                    format!("flowd_remote_publish_total{{result=\"{result}\"}} {n}"),
-                );
-            }
-            push(
-                &mut out,
-                "# HELP flowd_remote_breaker_state 0=closed 1=half-open 2=open.".into(),
-            );
-            push(&mut out, "# TYPE flowd_remote_breaker_state gauge".into());
-            let code = match r.breaker {
-                "closed" => 0,
-                "half-open" => 1,
-                _ => 2,
-            };
-            push(&mut out, format!("flowd_remote_breaker_state {code}"));
+            ];
+            w.labelled(remote_fetch, "result", fetches);
+            w.scalar(remote_bytes, r.bytes_fetched);
+            let publishes = [("ok", r.published), ("failure", r.publish_failures)];
+            w.labelled(remote_publish, "result", publishes);
+            w.scalar(remote_breaker, r.breaker.code());
         }
-
-        push(
-            &mut out,
-            "# HELP flowd_stage_duration_ms Per-stage service latency (cache hits included)."
-                .into(),
-        );
-        push(&mut out, "# TYPE flowd_stage_duration_ms histogram".into());
-        for (stage, hist, _) in &self.stages {
-            let mut cumulative = 0u64;
-            for (i, n) in hist.buckets.iter().enumerate() {
-                cumulative += n;
-                let le = match BUCKET_BOUNDS_MS.get(i) {
-                    Some(bound) => bound.to_string(),
-                    None => "+Inf".to_string(),
-                };
-                push(
-                    &mut out,
-                    format!(
-                        "flowd_stage_duration_ms_bucket{{stage=\"{stage}\",le=\"{le}\"}} {cumulative}"
-                    ),
-                );
-            }
-            push(
-                &mut out,
-                format!(
-                    "flowd_stage_duration_ms_sum{{stage=\"{stage}\"}} {}",
-                    hist.sum_ms
-                ),
-            );
-            push(
-                &mut out,
-                format!(
-                    "flowd_stage_duration_ms_count{{stage=\"{stage}\"}} {}",
-                    hist.count
-                ),
-            );
+        let latencies = self.stages.iter().map(|(id, h, _)| (("stage", *id), h));
+        w.histogram(stage_duration, latencies);
+        w.scalar(unknown_stage_events, self.unknown_stage_events);
+        for (family, counts) in RULE_FAMILIES.into_iter().zip(&self.rules) {
+            let [hits, unknown] = rule_families(family);
+            w.labelled(&hits, "rule", counts.hits.iter().copied());
+            w.scalar(&unknown, counts.unknown);
         }
-
-        push(
-            &mut out,
-            "# TYPE flowd_unknown_stage_events_total counter".into(),
-        );
-        push(
-            &mut out,
-            format!(
-                "flowd_unknown_stage_events_total {}",
-                self.unknown_stage_events
-            ),
-        );
-
-        for ((family, help), counts) in RULE_FAMILIES.iter().zip(&self.rules) {
-            push(
-                &mut out,
-                format!("# HELP flowd_{family}_rule_hits_total {help}"),
-            );
-            push(
-                &mut out,
-                format!("# TYPE flowd_{family}_rule_hits_total counter"),
-            );
-            for (code, n) in &counts.hits {
-                push(
-                    &mut out,
-                    format!("flowd_{family}_rule_hits_total{{rule=\"{code}\"}} {n}"),
-                );
-            }
-            push(
-                &mut out,
-                format!("# TYPE flowd_unknown_{family}_rules_total counter"),
-            );
-            push(
-                &mut out,
-                format!("flowd_unknown_{family}_rules_total {}", counts.unknown),
-            );
-        }
-        out
+        w.out
     }
 }
 
@@ -647,8 +769,7 @@ pub struct BackendSnapshot {
     pub addr: String,
     /// Last health probe succeeded and the breaker is not open.
     pub healthy: bool,
-    /// Breaker state name: `closed` / `open` / `half-open`.
-    pub breaker: &'static str,
+    pub breaker: BreakerState,
     pub breaker_transitions: BreakerCounters,
     pub in_flight: u64,
     /// Job attempts routed to this backend (including failed ones).
@@ -657,10 +778,9 @@ pub struct BackendSnapshot {
     pub failures: u64,
     /// Attempts re-routed here *from* a failed peer attempt.
     pub failovers: u64,
-    /// Artifact-fetch breaker state name (`closed` / `open` /
-    /// `half-open`) — separate from the job breaker so a flaky artifact
-    /// path never stops job routing.
-    pub fetch_breaker: &'static str,
+    /// Artifact-fetch breaker — separate from the job breaker so a
+    /// flaky artifact path never stops job routing.
+    pub fetch_breaker: BreakerState,
     /// Jobs routed here instead of their busy affinity backend.
     pub steals: u64,
 }
@@ -691,24 +811,13 @@ pub struct GatewayArtifactCounters {
     pub corrupted: u64,
 }
 
-/// Gateway-level job terminals.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GatewayJobCounters {
-    pub submitted: u64,
-    pub completed: u64,
-    pub failed: u64,
-    /// Shed at admission (tenant quota / queue bound) or because every
-    /// backend was saturated or broken.
-    pub shed: u64,
-    pub timed_out: u64,
-}
-
 /// Everything `flow-gateway`'s `metrics` verb reports — the gateway
 /// family the issue asks for, rendered in the same two shapes as the
 /// daemon's snapshot (JSON body + `flowgw_*` Prometheus text).
 #[derive(Clone, Debug, Default)]
 pub struct GatewaySnapshot {
-    pub jobs: GatewayJobCounters,
+    /// One count per [`GATEWAY_JOB_STATES`] entry.
+    pub jobs: [u64; GATEWAY_JOB_STATES.len()],
     pub backends: Vec<BackendSnapshot>,
     /// `(tenant, counters)` sorted by tenant name.
     pub tenants: Vec<(String, TenantCounters)>,
@@ -718,12 +827,11 @@ pub struct GatewaySnapshot {
     pub queue_bound: u64,
     /// Artifact-tier traffic through the gateway.
     pub artifacts: GatewayArtifactCounters,
-    /// Aggregated `(memory_hits, disk_hits, remote_hits, misses)`
-    /// scraped from the healthy backends at snapshot time — lets
-    /// cache-aware clients (`qor_bench --via-daemon`) read one `cache`
-    /// object through the gateway exactly as they would from a single
-    /// daemon.
-    pub cache: Option<(u64, u64, u64, u64)>,
+    /// Tier counts summed over the healthy backends, scraped at
+    /// snapshot time — lets cache-aware clients (`qor_bench
+    /// --via-daemon`) read one `cache` object through the gateway
+    /// exactly as they would from a single daemon.
+    pub cache: Option<StageCacheCounters>,
 }
 
 impl GatewaySnapshot {
@@ -740,21 +848,14 @@ impl GatewaySnapshot {
 
     /// The structured body of the gateway's `{"cmd":"metrics"}` reply.
     pub fn to_json(&self) -> Value {
-        let j = &self.jobs;
         let mut root = serde_json::Map::new();
         root.insert("role".into(), "gateway".into());
-        root.insert(
-            "jobs".into(),
-            serde_json::json!({
-                "submitted": j.submitted,
-                "completed": j.completed,
-                "failed": j.failed,
-                "shed": j.shed,
-                "timed_out": j.timed_out,
-                "failovers": self.failover_total(),
-                "steals": self.steal_total(),
-            }),
-        );
+        let totals = [
+            ("failovers", self.failover_total()),
+            ("steals", self.steal_total()),
+        ];
+        let jobs = counts_json(GATEWAY_JOB_STATES.into_iter().zip(self.jobs).chain(totals));
+        root.insert("jobs".into(), Value::Object(jobs));
         let backends: Vec<Value> = self
             .backends
             .iter()
@@ -762,7 +863,7 @@ impl GatewaySnapshot {
                 serde_json::json!({
                     "addr": b.addr.clone(),
                     "healthy": b.healthy,
-                    "breaker": b.breaker,
+                    "breaker": b.breaker.name(),
                     "breaker_transitions": serde_json::json!({
                         "opened": b.breaker_transitions.opened,
                         "half_opened": b.breaker_transitions.half_opened,
@@ -772,7 +873,7 @@ impl GatewaySnapshot {
                     "requests": b.requests,
                     "failures": b.failures,
                     "failovers": b.failovers,
-                    "fetch_breaker": b.fetch_breaker,
+                    "fetch_breaker": b.fetch_breaker.name(),
                     "steals": b.steals,
                 })
             })
@@ -814,306 +915,83 @@ impl GatewaySnapshot {
                 "corrupted": a.corrupted,
             }),
         );
-        if let Some((memory_hits, disk_hits, remote_hits, misses)) = self.cache {
-            root.insert(
-                "cache".into(),
-                serde_json::json!({
-                    "memory_hits": memory_hits,
-                    "disk_hits": disk_hits,
-                    "remote_hits": remote_hits,
-                    "misses": misses,
-                }),
-            );
+        if let Some(c) = &self.cache {
+            let mut cache = serde_json::Map::new();
+            c.insert_tiers(&mut cache);
+            root.insert("cache".into(), Value::Object(cache));
         }
         Value::Object(root)
     }
 
     /// Prometheus-style text exposition (`flowgw_*` families).
     pub fn to_prometheus_text(&self) -> String {
-        let mut out = String::new();
-        let push = |out: &mut String, line: String| {
-            out.push_str(&line);
-            out.push('\n');
+        let [jobs, requests, failures, failovers, backend_steals, steals, rest @ ..] =
+            &FLOWGW_FAMILIES;
+        let [in_flight, healthy, breaker, fetch_breaker, transitions, tenant_jobs, rest @ ..] =
+            rest;
+        let [inflight, queued, artifact_requests, artifact_gets, put_failures, rest @ ..] = rest;
+        let [artifact_bytes, corrupted, cache_hits, cache_misses] = rest;
+        let mut w = Exposition::default();
+        w.labelled(jobs, "state", GATEWAY_JOB_STATES.into_iter().zip(self.jobs));
+        let per_backend = |value: fn(&BackendSnapshot) -> u64| {
+            self.backends
+                .iter()
+                .map(move |b| (b.addr.as_str(), value(b)))
         };
-        let j = &self.jobs;
-        push(
-            &mut out,
-            "# HELP flowgw_jobs_total Gateway jobs by terminal state.".into(),
+        w.labelled(requests, "backend", per_backend(|b| b.requests));
+        w.labelled(failures, "backend", per_backend(|b| b.failures));
+        w.labelled(failovers, "backend", per_backend(|b| b.failovers));
+        w.labelled(backend_steals, "backend", per_backend(|b| b.steals));
+        w.scalar(steals, self.steal_total());
+        w.labelled(in_flight, "backend", per_backend(|b| b.in_flight));
+        w.labelled(healthy, "backend", per_backend(|b| b.healthy.into()));
+        w.labelled(breaker, "backend", per_backend(|b| b.breaker.code()));
+        w.labelled(
+            fetch_breaker,
+            "backend",
+            per_backend(|b| b.fetch_breaker.code()),
         );
-        push(&mut out, "# TYPE flowgw_jobs_total counter".into());
-        for (state, n) in [
-            ("submitted", j.submitted),
-            ("completed", j.completed),
-            ("failed", j.failed),
-            ("shed", j.shed),
-            ("timed_out", j.timed_out),
-        ] {
-            push(
-                &mut out,
-                format!("flowgw_jobs_total{{state=\"{state}\"}} {n}"),
-            );
-        }
-        push(
-            &mut out,
-            "# HELP flowgw_backend_requests_total Job attempts per backend.".into(),
-        );
-        push(
-            &mut out,
-            "# TYPE flowgw_backend_requests_total counter".into(),
-        );
-        for b in &self.backends {
-            push(
-                &mut out,
-                format!(
-                    "flowgw_backend_requests_total{{backend=\"{}\"}} {}",
-                    b.addr, b.requests
-                ),
-            );
-        }
-        push(
-            &mut out,
-            "# TYPE flowgw_backend_failures_total counter".into(),
-        );
-        for b in &self.backends {
-            push(
-                &mut out,
-                format!(
-                    "flowgw_backend_failures_total{{backend=\"{}\"}} {}",
-                    b.addr, b.failures
-                ),
-            );
-        }
-        push(
-            &mut out,
-            "# HELP flowgw_backend_failovers_total Attempts re-routed here from a dead peer."
-                .into(),
-        );
-        push(
-            &mut out,
-            "# TYPE flowgw_backend_failovers_total counter".into(),
-        );
-        for b in &self.backends {
-            push(
-                &mut out,
-                format!(
-                    "flowgw_backend_failovers_total{{backend=\"{}\"}} {}",
-                    b.addr, b.failovers
-                ),
-            );
-        }
-        push(
-            &mut out,
-            "# HELP flowgw_backend_steals_total Jobs routed here instead of their busy affinity backend.".into(),
-        );
-        push(
-            &mut out,
-            "# TYPE flowgw_backend_steals_total counter".into(),
-        );
-        for b in &self.backends {
-            push(
-                &mut out,
-                format!(
-                    "flowgw_backend_steals_total{{backend=\"{}\"}} {}",
-                    b.addr, b.steals
-                ),
-            );
-        }
-        push(&mut out, "# TYPE flowgw_steals_total counter".into());
-        push(
-            &mut out,
-            format!("flowgw_steals_total {}", self.steal_total()),
-        );
-        push(&mut out, "# TYPE flowgw_backend_in_flight gauge".into());
-        for b in &self.backends {
-            push(
-                &mut out,
-                format!(
-                    "flowgw_backend_in_flight{{backend=\"{}\"}} {}",
-                    b.addr, b.in_flight
-                ),
-            );
-        }
-        push(
-            &mut out,
-            "# HELP flowgw_backend_healthy Last probe ok and breaker not open.".into(),
-        );
-        push(&mut out, "# TYPE flowgw_backend_healthy gauge".into());
-        for b in &self.backends {
-            push(
-                &mut out,
-                format!(
-                    "flowgw_backend_healthy{{backend=\"{}\"}} {}",
-                    b.addr,
-                    u64::from(b.healthy)
-                ),
-            );
-        }
-        push(
-            &mut out,
-            "# HELP flowgw_breaker_state 0=closed 1=half-open 2=open.".into(),
-        );
-        push(&mut out, "# TYPE flowgw_breaker_state gauge".into());
-        for b in &self.backends {
-            let code = match b.breaker {
-                "closed" => 0,
-                "half-open" => 1,
-                _ => 2,
-            };
-            push(
-                &mut out,
-                format!("flowgw_breaker_state{{backend=\"{}\"}} {code}", b.addr),
-            );
-        }
-        push(
-            &mut out,
-            "# HELP flowgw_fetch_breaker_state Artifact-fetch breaker: 0=closed 1=half-open 2=open.".into(),
-        );
-        push(&mut out, "# TYPE flowgw_fetch_breaker_state gauge".into());
-        for b in &self.backends {
-            let code = match b.fetch_breaker {
-                "closed" => 0,
-                "half-open" => 1,
-                _ => 2,
-            };
-            push(
-                &mut out,
-                format!(
-                    "flowgw_fetch_breaker_state{{backend=\"{}\"}} {code}",
-                    b.addr
-                ),
-            );
-        }
-        push(
-            &mut out,
-            "# TYPE flowgw_breaker_transitions_total counter".into(),
-        );
-        for b in &self.backends {
-            for (to, n) in [
-                ("open", b.breaker_transitions.opened),
-                ("half-open", b.breaker_transitions.half_opened),
-                ("closed", b.breaker_transitions.closed),
-            ] {
-                push(
-                    &mut out,
-                    format!(
-                        "flowgw_breaker_transitions_total{{backend=\"{}\",to=\"{to}\"}} {n}",
-                        b.addr
-                    ),
-                );
-            }
-        }
-        push(
-            &mut out,
-            "# HELP flowgw_tenant_jobs_total Per-tenant admission outcomes.".into(),
-        );
-        push(&mut out, "# TYPE flowgw_tenant_jobs_total counter".into());
-        for (tenant, c) in &self.tenants {
-            for (state, n) in [
+        let by_backend = self.backends.iter().flat_map(|b| {
+            let t = &b.breaker_transitions;
+            let to = [
+                ("open", t.opened),
+                ("half-open", t.half_opened),
+                ("closed", t.closed),
+            ];
+            to.map(|(to, n)| ([("backend", b.addr.as_str()), ("to", to)], n))
+        });
+        w.family(transitions, by_backend);
+        let by_tenant = self.tenants.iter().flat_map(|(tenant, c)| {
+            let states = [
                 ("admitted", c.admitted),
                 ("queued", c.queued),
                 ("shed", c.shed),
-            ] {
-                push(
-                    &mut out,
-                    format!(
-                        "flowgw_tenant_jobs_total{{tenant=\"{tenant}\",state=\"{state}\"}} {n}"
-                    ),
-                );
-            }
-        }
-        push(&mut out, "# TYPE flowgw_admission_inflight gauge".into());
-        push(
-            &mut out,
-            format!("flowgw_admission_inflight {}", self.admission_inflight),
-        );
-        push(&mut out, "# TYPE flowgw_admission_queued gauge".into());
-        push(
-            &mut out,
-            format!("flowgw_admission_queued {}", self.admission_queued),
-        );
+            ];
+            states.map(|(state, n)| ([("tenant", tenant.as_str()), ("state", state)], n))
+        });
+        w.family(tenant_jobs, by_tenant);
+        w.scalar(inflight, self.admission_inflight);
+        w.scalar(queued, self.admission_queued);
         let a = &self.artifacts;
-        push(
-            &mut out,
-            "# HELP flowgw_artifact_requests_total Artifact verbs received from daemons.".into(),
+        w.labelled(
+            artifact_requests,
+            "verb",
+            [("get", a.gets), ("put", a.puts)],
         );
-        push(
-            &mut out,
-            "# TYPE flowgw_artifact_requests_total counter".into(),
-        );
-        for (verb, n) in [("get", a.gets), ("put", a.puts)] {
-            push(
-                &mut out,
-                format!("flowgw_artifact_requests_total{{verb=\"{verb}\"}} {n}"),
-            );
-        }
-        push(
-            &mut out,
-            "# HELP flowgw_artifact_gets_total Artifact gets by result (failures degrade to misses downstream).".into(),
-        );
-        push(&mut out, "# TYPE flowgw_artifact_gets_total counter".into());
-        for (result, n) in [
+        let gets = [
             ("hit", a.hits),
             ("miss", a.misses),
             ("fetch-failure", a.fetch_failures),
-        ] {
-            push(
-                &mut out,
-                format!("flowgw_artifact_gets_total{{result=\"{result}\"}} {n}"),
-            );
+        ];
+        w.labelled(artifact_gets, "result", gets);
+        w.scalar(put_failures, a.put_failures);
+        let bytes = [("served", a.bytes_served), ("stored", a.bytes_stored)];
+        w.labelled(artifact_bytes, "direction", bytes);
+        w.scalar(corrupted, a.corrupted);
+        if let Some(c) = &self.cache {
+            w.cache_tiers(cache_hits, cache_misses, c);
         }
-        push(
-            &mut out,
-            "# TYPE flowgw_artifact_put_failures_total counter".into(),
-        );
-        push(
-            &mut out,
-            format!("flowgw_artifact_put_failures_total {}", a.put_failures),
-        );
-        push(
-            &mut out,
-            "# TYPE flowgw_artifact_bytes_total counter".into(),
-        );
-        for (direction, n) in [("served", a.bytes_served), ("stored", a.bytes_stored)] {
-            push(
-                &mut out,
-                format!("flowgw_artifact_bytes_total{{direction=\"{direction}\"}} {n}"),
-            );
-        }
-        push(
-            &mut out,
-            "# HELP flowgw_artifact_corrupted_total Payloads corrupted by the chaos hook.".into(),
-        );
-        push(
-            &mut out,
-            "# TYPE flowgw_artifact_corrupted_total counter".into(),
-        );
-        push(
-            &mut out,
-            format!("flowgw_artifact_corrupted_total {}", a.corrupted),
-        );
-        if let Some((memory_hits, disk_hits, remote_hits, misses)) = self.cache {
-            push(
-                &mut out,
-                "# HELP flowgw_cache_hits_total Backend stage-cache hits by tier (aggregated)."
-                    .into(),
-            );
-            push(&mut out, "# TYPE flowgw_cache_hits_total counter".into());
-            push(
-                &mut out,
-                format!("flowgw_cache_hits_total{{tier=\"memory\"}} {memory_hits}"),
-            );
-            push(
-                &mut out,
-                format!("flowgw_cache_hits_total{{tier=\"disk\"}} {disk_hits}"),
-            );
-            push(
-                &mut out,
-                format!("flowgw_cache_hits_total{{tier=\"remote\"}} {remote_hits}"),
-            );
-            push(&mut out, "# TYPE flowgw_cache_misses_total counter".into());
-            push(&mut out, format!("flowgw_cache_misses_total {misses}"));
-        }
-        out
+        w.out
     }
 }
 
@@ -1255,83 +1133,103 @@ flowd_verify_rule_hits_total{rule=\"EQ003\"} 1
 flowd_unknown_verify_rules_total 1
 ";
 
-    #[test]
-    fn prometheus_text_has_expected_families() {
+    /// Every section present: two stages with observations in different
+    /// buckets (`+Inf` included), all tier counters nonzero, a store, a
+    /// remote tier with its breaker half-open, both rule families with an
+    /// unknown each.
+    fn full_flowd_snapshot() -> MetricsSnapshot {
+        let hist = |observations: &[f64]| {
+            let h = Histogram::new();
+            for ms in observations {
+                h.observe_ms(*ms);
+            }
+            h.snapshot()
+        };
+        let tiers = |memory_hits, disk_hits, remote_hits, misses, wall_ms| StageCacheCounters {
+            memory_hits,
+            disk_hits,
+            remote_hits,
+            misses,
+            wall_ms,
+        };
         let m = Metrics::new();
-        m.observe_stage("pack", 12.0);
-        let snap = MetricsSnapshot {
+        for (code, stage) in [
+            ("NL001", "netlist"),
+            ("RT002", "route"),
+            ("RT002", "route"),
+            ("EQ002", "verify"),
+            ("XX999", "route"),
+            ("EQ999", "verify"),
+        ] {
+            m.observe_rule(&Diagnostic::new(
+                code,
+                fpga_lint::Severity::Warn,
+                stage,
+                "subject",
+                "message",
+            ));
+        }
+        MetricsSnapshot {
             service: ServiceCounters {
-                jobs_completed: 3,
-                queue_peak: 2,
-                ..Default::default()
+                jobs: [11, 7, 2, 3, 1, 4, 5],
+                queue_depth: 6,
+                queue_peak: 9,
+                workers_configured: 2,
+                workers_respawned: 1,
+                connections_open: 3,
+                connections_rejected: 8,
             },
-            stages: m
-                .stage_snapshots()
-                .into_iter()
-                .map(|(n, h)| (n, h, StageCacheCounters::default()))
-                .collect(),
-            store: Some((8, 1, 0, 0, 9)),
+            stages: vec![
+                ("pack", hist(&[0.4, 12.0]), tiers(5, 2, 1, 3, 40)),
+                ("route", hist(&[150.0, 9999.0]), tiers(4, 1, 2, 6, 10150)),
+            ],
+            cache_entries: 14,
+            cache_memory_evicted: 3,
+            store: Some(StoreCounters {
+                disk_hits: 8,
+                disk_misses: 1,
+                quarantined: 2,
+                evicted: 3,
+                writes: 9,
+                ..Default::default()
+            }),
             remote: Some(RemoteTierCounters {
                 fetch_hits: 4,
                 fetch_misses: 2,
                 fetch_failures: 1,
                 bytes_fetched: 1024,
                 published: 5,
-                publish_failures: 0,
-                breaker_skips: 0,
-                breaker: "closed",
+                publish_failures: 1,
+                breaker_skips: 2,
+                breaker: BreakerState::HalfOpen,
             }),
-            ..Default::default()
-        };
-        let text = snap.to_prometheus_text();
-        assert!(text.contains("flowd_jobs_total{state=\"completed\"} 3"));
-        assert!(text.contains("flowd_queue_depth_peak 2"));
-        assert!(text.contains("flowd_stage_duration_ms_bucket{stage=\"pack\",le=\"20\"} 1"));
-        assert!(text.contains("flowd_stage_duration_ms_count{stage=\"pack\"} 1"));
-        assert!(text.contains("flowd_store_disk_hits_total 8"));
-        assert!(text.contains("flowd_cache_hits_total{tier=\"memory\"} 0"));
-        assert!(text.contains("flowd_cache_hits_total{tier=\"remote\"} 0"));
-        assert!(text.contains("flowd_remote_fetch_total{result=\"hit\"} 4"));
-        assert!(text.contains("flowd_remote_fetch_total{result=\"failure\"} 1"));
-        assert!(text.contains("flowd_remote_bytes_fetched_total 1024"));
-        assert!(text.contains("flowd_remote_publish_total{result=\"ok\"} 5"));
-        assert!(text.contains("flowd_remote_breaker_state 0"));
-        // Every line is a comment or `name{labels} value`.
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#') || line.split(' ').count() == 2,
-                "malformed exposition line: {line}"
-            );
+            unknown_stage_events: 1,
+            rules: m.rule_counts(),
         }
     }
 
-    #[test]
-    fn gateway_snapshot_renders_both_shapes() {
-        let snap = GatewaySnapshot {
-            jobs: GatewayJobCounters {
-                submitted: 5,
-                completed: 4,
-                failed: 0,
-                shed: 1,
-                timed_out: 0,
-            },
+    /// Two backends (breakers closed and open), one tenant, an
+    /// aggregated cache.
+    fn full_gateway_snapshot() -> GatewaySnapshot {
+        GatewaySnapshot {
+            jobs: [5, 4, 0, 1, 0],
             backends: vec![
                 BackendSnapshot {
                     addr: "127.0.0.1:9101".into(),
                     healthy: true,
-                    breaker: "closed",
+                    breaker: BreakerState::Closed,
                     breaker_transitions: BreakerCounters::default(),
                     in_flight: 1,
                     requests: 3,
                     failures: 0,
                     failovers: 0,
-                    fetch_breaker: "closed",
+                    fetch_breaker: BreakerState::Closed,
                     steals: 2,
                 },
                 BackendSnapshot {
                     addr: "127.0.0.1:9102".into(),
                     healthy: false,
-                    breaker: "open",
+                    breaker: BreakerState::Open,
                     breaker_transitions: BreakerCounters {
                         opened: 1,
                         half_opened: 0,
@@ -1341,7 +1239,7 @@ flowd_unknown_verify_rules_total 1
                     requests: 2,
                     failures: 1,
                     failovers: 1,
-                    fetch_breaker: "open",
+                    fetch_breaker: BreakerState::Open,
                     steals: 0,
                 },
             ],
@@ -1368,55 +1266,383 @@ flowd_unknown_verify_rules_total 1
                 bytes_stored: 4096,
                 corrupted: 1,
             },
-            cache: Some((10, 2, 4, 3)),
-        };
-        assert_eq!(snap.failover_total(), 1);
-        assert_eq!(snap.steal_total(), 2);
-
-        let js = snap.to_json();
-        assert_eq!(js["role"].as_str(), Some("gateway"));
-        assert_eq!(js["jobs"]["failovers"].as_u64(), Some(1));
-        assert_eq!(js["jobs"]["steals"].as_u64(), Some(2));
-        assert_eq!(js["backends"][1]["breaker"].as_str(), Some("open"));
-        assert_eq!(js["backends"][1]["fetch_breaker"].as_str(), Some("open"));
-        assert_eq!(
-            js["backends"][1]["breaker_transitions"]["opened"].as_u64(),
-            Some(1)
-        );
-        assert_eq!(js["tenants"]["acme"]["shed"].as_u64(), Some(1));
-        assert_eq!(js["artifacts"]["hits"].as_u64(), Some(4));
-        assert_eq!(js["artifacts"]["bytes_served"].as_u64(), Some(2048));
-        // The aggregated cache object matches the daemon's field names,
-        // so cache-aware clients work unchanged through the gateway.
-        assert_eq!(js["cache"]["memory_hits"].as_u64(), Some(10));
-        assert_eq!(js["cache"]["disk_hits"].as_u64(), Some(2));
-        assert_eq!(js["cache"]["remote_hits"].as_u64(), Some(4));
-        assert_eq!(js["cache"]["misses"].as_u64(), Some(3));
-
-        let text = snap.to_prometheus_text();
-        assert!(text.contains("flowgw_jobs_total{state=\"shed\"} 1"));
-        assert!(text.contains("flowgw_backend_failovers_total{backend=\"127.0.0.1:9102\"} 1"));
-        assert!(text.contains("flowgw_breaker_state{backend=\"127.0.0.1:9102\"} 2"));
-        assert!(text.contains(
-            "flowgw_breaker_transitions_total{backend=\"127.0.0.1:9102\",to=\"open\"} 1"
-        ));
-        assert!(text.contains("flowgw_tenant_jobs_total{tenant=\"acme\",state=\"admitted\"} 4"));
-        assert!(text.contains("flowgw_backend_healthy{backend=\"127.0.0.1:9101\"} 1"));
-        assert!(text.contains("flowgw_cache_hits_total{tier=\"memory\"} 10"));
-        assert!(text.contains("flowgw_cache_hits_total{tier=\"remote\"} 4"));
-        assert!(text.contains("flowgw_steals_total 2"));
-        assert!(text.contains("flowgw_backend_steals_total{backend=\"127.0.0.1:9101\"} 2"));
-        assert!(text.contains("flowgw_fetch_breaker_state{backend=\"127.0.0.1:9102\"} 2"));
-        assert!(text.contains("flowgw_artifact_requests_total{verb=\"get\"} 7"));
-        assert!(text.contains("flowgw_artifact_gets_total{result=\"hit\"} 4"));
-        assert!(text.contains("flowgw_artifact_bytes_total{direction=\"served\"} 2048"));
-        assert!(text.contains("flowgw_artifact_corrupted_total 1"));
-        // Same exposition-format invariant as the daemon family.
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#') || line.split(' ').count() == 2,
-                "malformed exposition line: {line}"
-            );
+            cache: Some(StageCacheCounters {
+                memory_hits: 10,
+                disk_hits: 2,
+                remote_hits: 4,
+                misses: 3,
+                wall_ms: 0,
+            }),
         }
     }
+
+    /// Both renderings of both roles, byte for byte as commit 17b1350's
+    /// hand-written renderers produced them for these snapshots.
+    #[test]
+    fn full_snapshots_render_as_recorded() {
+        let flowd = full_flowd_snapshot();
+        assert_eq!(flowd.to_json().to_string(), RECORDED_FLOWD_JSON);
+        assert_eq!(flowd.to_prometheus_text(), RECORDED_FLOWD_TEXT);
+        let gateway = full_gateway_snapshot();
+        assert_eq!((gateway.failover_total(), gateway.steal_total()), (1, 2));
+        assert_eq!(gateway.to_json().to_string(), RECORDED_GATEWAY_JSON);
+        assert_eq!(gateway.to_prometheus_text(), RECORDED_GATEWAY_TEXT);
+    }
+
+    /// One sample line taken apart: `name`, optional
+    /// `{key="escaped value",...}`, one space, a number. Gives the name
+    /// and the labels, values un-escaped; `None` for anything else.
+    fn parse_sample(line: &str) -> Option<(&str, Vec<(&str, String)>)> {
+        let ident =
+            |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+        let name_end = line.find(['{', ' '])?;
+        let (name, mut rest) = line.split_at(name_end);
+        let mut labels = Vec::new();
+        if let Some(body) = rest.strip_prefix('{') {
+            rest = body;
+            loop {
+                let (key, tail) = rest.split_once("=\"")?;
+                let mut value = String::new();
+                let mut chars = tail.char_indices();
+                let close = loop {
+                    match chars.next()? {
+                        (_, '\\') => value.push(match chars.next()?.1 {
+                            'n' => '\n',
+                            c @ ('\\' | '"') => c,
+                            _ => return None,
+                        }),
+                        (i, '"') => break i,
+                        (_, c) => value.push(c),
+                    }
+                };
+                labels.push((key, value));
+                rest = &tail[close + 1..];
+                match rest.strip_prefix(',') {
+                    Some(more) => rest = more,
+                    None => break,
+                }
+            }
+            rest = rest.strip_prefix('}')?;
+        }
+        rest.strip_prefix(' ')?.parse::<f64>().ok()?;
+        (ident(name) && labels.iter().all(|(key, _)| ident(key))).then_some((name, labels))
+    }
+
+    /// The family a sample belongs to: its name, or for a histogram's
+    /// expansion the name without `_bucket` / `_sum` / `_count`.
+    fn sample_family<'a>(name: &'a str, typed: &[(String, Kind)]) -> Option<&'a str> {
+        let owns = |family: &str, kind| typed.contains(&(family.to_string(), kind));
+        if owns(name, Kind::Counter) || owns(name, Kind::Gauge) {
+            return Some(name);
+        }
+        ["_bucket", "_sum", "_count"]
+            .iter()
+            .filter_map(|suffix| name.strip_suffix(suffix))
+            .find(|family| owns(family, Kind::Histogram))
+    }
+
+    /// Rendering the two full snapshots emits every catalogue entry
+    /// exactly once, in catalogue order, typed before its first sample,
+    /// and nothing the catalogue does not list.
+    #[test]
+    fn catalogue_is_exactly_what_the_snapshots_expose() {
+        let catalogue = catalogue();
+        for (i, f) in catalogue.iter().enumerate() {
+            assert!(
+                catalogue[..i].iter().all(|g| g.name != f.name),
+                "{} is declared twice",
+                f.name
+            );
+        }
+        let text = full_flowd_snapshot().to_prometheus_text()
+            + &full_gateway_snapshot().to_prometheus_text();
+        let mut typed: Vec<(String, Kind)> = Vec::new();
+        let mut helped = Vec::new();
+        for line in text.lines() {
+            if let Some(header) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = header.split_once(' ').expect("# TYPE name kind");
+                let kind = [Kind::Counter, Kind::Gauge, Kind::Histogram]
+                    .into_iter()
+                    .find(|k| k.name() == kind)
+                    .expect("a known kind");
+                typed.push((name.to_string(), kind));
+            } else if let Some(header) = line.strip_prefix("# HELP ") {
+                helped.push(header.split_once(' ').expect("# HELP name text"));
+            } else {
+                let (name, _) =
+                    parse_sample(line).unwrap_or_else(|| panic!("malformed sample line: {line}"));
+                let family = sample_family(name, &typed)
+                    .unwrap_or_else(|| panic!("sample outside the catalogue: {line}"));
+                assert_eq!(
+                    typed.last().map(|(name, _)| name.as_str()),
+                    Some(family),
+                    "sample not under its own # TYPE: {line}"
+                );
+            }
+        }
+        let declared: Vec<(String, Kind)> = catalogue
+            .iter()
+            .map(|f| (f.name.to_string(), f.kind))
+            .collect();
+        assert_eq!(typed, declared);
+        let with_help: Vec<(&str, &str)> = catalogue
+            .iter()
+            .filter_map(|f| Some((f.name.as_ref(), f.help?)))
+            .collect();
+        assert_eq!(helped, with_help);
+    }
+
+    /// README's "Metrics reference" table lists exactly the catalogue:
+    /// same families, same types, same order.
+    #[test]
+    fn readme_metrics_reference_matches_the_catalogue() {
+        let readme = include_str!("../../../README.md");
+        let section = readme
+            .split_once("#### Metrics reference\n")
+            .expect("README has a Metrics reference section")
+            .1;
+        let section = section.split("\n#").next().unwrap_or(section);
+        let documented: Vec<(String, String)> = section
+            .lines()
+            .filter_map(|line| {
+                let mut cells = line.strip_prefix("| `")?.split('|');
+                let name = cells.next()?.trim().trim_matches('`');
+                Some((name.to_string(), cells.next()?.trim().to_string()))
+            })
+            .collect();
+        let declared: Vec<(String, String)> = catalogue()
+            .iter()
+            .map(|f| (f.name.to_string(), f.kind.name().to_string()))
+            .collect();
+        assert_eq!(documented, declared);
+    }
+
+    /// A label value is client-chosen (`tenant`): whatever it contains,
+    /// it stays inside its quotes on its one line, and parses back.
+    #[test]
+    fn label_values_are_escaped() {
+        let hostile = "evil\"} 1\nflowgw_jobs_total{state=\"shed\\";
+        let mut snap = full_gateway_snapshot();
+        snap.tenants[0].0 = hostile.to_string();
+        let text = snap.to_prometheus_text();
+        assert_eq!(
+            text.lines().count(),
+            RECORDED_GATEWAY_TEXT.lines().count(),
+            "a label value must not add lines"
+        );
+        let tenant_samples: Vec<_> = text
+            .lines()
+            .filter_map(parse_sample)
+            .filter(|(name, _)| *name == "flowgw_tenant_jobs_total")
+            .collect();
+        assert_eq!(tenant_samples.len(), 3);
+        for (_, labels) in &tenant_samples {
+            assert_eq!(labels[0], ("tenant", hostile.to_string()));
+        }
+        assert_eq!(
+            text.lines()
+                .filter(|l| l.starts_with("flowgw_jobs_total{state=\"shed\"}"))
+                .collect::<Vec<_>>(),
+            ["flowgw_jobs_total{state=\"shed\"} 1"]
+        );
+    }
+
+    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2,"respawned":1},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"remote_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9},"remote":{"fetch_hits":4,"fetch_misses":2,"fetch_failures":1,"bytes_fetched":1024,"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"remote_hits":1,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"remote_hits":2,"misses":6,"wall_ms":10150}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
+
+    const RECORDED_FLOWD_TEXT: &str = r#"# HELP flowd_jobs_total Jobs by terminal state.
+# TYPE flowd_jobs_total counter
+flowd_jobs_total{state="submitted"} 11
+flowd_jobs_total{state="completed"} 7
+flowd_jobs_total{state="failed"} 2
+flowd_jobs_total{state="rejected"} 3
+flowd_jobs_total{state="panicked"} 1
+flowd_jobs_total{state="timed_out"} 4
+flowd_jobs_total{state="cancelled"} 5
+# TYPE flowd_queue_depth gauge
+flowd_queue_depth 6
+# TYPE flowd_queue_depth_peak gauge
+flowd_queue_depth_peak 9
+# TYPE flowd_workers_configured gauge
+flowd_workers_configured 2
+# TYPE flowd_workers_respawned_total counter
+flowd_workers_respawned_total 1
+# TYPE flowd_connections_open gauge
+flowd_connections_open 3
+# TYPE flowd_connections_rejected_total counter
+flowd_connections_rejected_total 8
+# HELP flowd_cache_hits_total Stage-cache hits by tier.
+# TYPE flowd_cache_hits_total counter
+flowd_cache_hits_total{tier="memory"} 9
+flowd_cache_hits_total{tier="disk"} 3
+flowd_cache_hits_total{tier="remote"} 3
+# TYPE flowd_cache_misses_total counter
+flowd_cache_misses_total 9
+# TYPE flowd_cache_entries gauge
+flowd_cache_entries 14
+# TYPE flowd_cache_memory_evicted_total counter
+flowd_cache_memory_evicted_total 3
+# TYPE flowd_store_disk_hits_total counter
+flowd_store_disk_hits_total 8
+# TYPE flowd_store_disk_misses_total counter
+flowd_store_disk_misses_total 1
+# TYPE flowd_store_quarantined_total counter
+flowd_store_quarantined_total 2
+# TYPE flowd_store_evicted_total counter
+flowd_store_evicted_total 3
+# TYPE flowd_store_writes_total counter
+flowd_store_writes_total 9
+# HELP flowd_remote_fetch_total Remote artifact fetches by result.
+# TYPE flowd_remote_fetch_total counter
+flowd_remote_fetch_total{result="hit"} 4
+flowd_remote_fetch_total{result="miss"} 2
+flowd_remote_fetch_total{result="failure"} 1
+flowd_remote_fetch_total{result="breaker-skip"} 2
+# TYPE flowd_remote_bytes_fetched_total counter
+flowd_remote_bytes_fetched_total 1024
+# TYPE flowd_remote_publish_total counter
+flowd_remote_publish_total{result="ok"} 5
+flowd_remote_publish_total{result="failure"} 1
+# HELP flowd_remote_breaker_state 0=closed 1=half-open 2=open.
+# TYPE flowd_remote_breaker_state gauge
+flowd_remote_breaker_state 1
+# HELP flowd_stage_duration_ms Per-stage service latency (cache hits included).
+# TYPE flowd_stage_duration_ms histogram
+flowd_stage_duration_ms_bucket{stage="pack",le="1"} 1
+flowd_stage_duration_ms_bucket{stage="pack",le="2"} 1
+flowd_stage_duration_ms_bucket{stage="pack",le="5"} 1
+flowd_stage_duration_ms_bucket{stage="pack",le="10"} 1
+flowd_stage_duration_ms_bucket{stage="pack",le="20"} 2
+flowd_stage_duration_ms_bucket{stage="pack",le="50"} 2
+flowd_stage_duration_ms_bucket{stage="pack",le="100"} 2
+flowd_stage_duration_ms_bucket{stage="pack",le="200"} 2
+flowd_stage_duration_ms_bucket{stage="pack",le="500"} 2
+flowd_stage_duration_ms_bucket{stage="pack",le="1000"} 2
+flowd_stage_duration_ms_bucket{stage="pack",le="2000"} 2
+flowd_stage_duration_ms_bucket{stage="pack",le="5000"} 2
+flowd_stage_duration_ms_bucket{stage="pack",le="+Inf"} 2
+flowd_stage_duration_ms_sum{stage="pack"} 12.4
+flowd_stage_duration_ms_count{stage="pack"} 2
+flowd_stage_duration_ms_bucket{stage="route",le="1"} 0
+flowd_stage_duration_ms_bucket{stage="route",le="2"} 0
+flowd_stage_duration_ms_bucket{stage="route",le="5"} 0
+flowd_stage_duration_ms_bucket{stage="route",le="10"} 0
+flowd_stage_duration_ms_bucket{stage="route",le="20"} 0
+flowd_stage_duration_ms_bucket{stage="route",le="50"} 0
+flowd_stage_duration_ms_bucket{stage="route",le="100"} 0
+flowd_stage_duration_ms_bucket{stage="route",le="200"} 1
+flowd_stage_duration_ms_bucket{stage="route",le="500"} 1
+flowd_stage_duration_ms_bucket{stage="route",le="1000"} 1
+flowd_stage_duration_ms_bucket{stage="route",le="2000"} 1
+flowd_stage_duration_ms_bucket{stage="route",le="5000"} 1
+flowd_stage_duration_ms_bucket{stage="route",le="+Inf"} 2
+flowd_stage_duration_ms_sum{stage="route"} 10149
+flowd_stage_duration_ms_count{stage="route"} 2
+# TYPE flowd_unknown_stage_events_total counter
+flowd_unknown_stage_events_total 1
+# HELP flowd_lint_rule_hits_total Design-rule findings by rule code.
+# TYPE flowd_lint_rule_hits_total counter
+flowd_lint_rule_hits_total{rule="NL001"} 1
+flowd_lint_rule_hits_total{rule="NL002"} 0
+flowd_lint_rule_hits_total{rule="NL003"} 0
+flowd_lint_rule_hits_total{rule="PK001"} 0
+flowd_lint_rule_hits_total{rule="PL001"} 0
+flowd_lint_rule_hits_total{rule="RT001"} 0
+flowd_lint_rule_hits_total{rule="RT002"} 2
+flowd_lint_rule_hits_total{rule="BS001"} 0
+flowd_lint_rule_hits_total{rule="EQ001"} 0
+flowd_lint_rule_hits_total{rule="EQ002"} 0
+flowd_lint_rule_hits_total{rule="EQ003"} 0
+# TYPE flowd_unknown_lint_rules_total counter
+flowd_unknown_lint_rules_total 1
+# HELP flowd_verify_rule_hits_total Equivalence findings by EQ rule code.
+# TYPE flowd_verify_rule_hits_total counter
+flowd_verify_rule_hits_total{rule="EQ001"} 0
+flowd_verify_rule_hits_total{rule="EQ002"} 1
+flowd_verify_rule_hits_total{rule="EQ003"} 0
+# TYPE flowd_unknown_verify_rules_total counter
+flowd_unknown_verify_rules_total 1
+"#;
+
+    const RECORDED_GATEWAY_JSON: &str = r#"{"role":"gateway","jobs":{"submitted":5,"completed":4,"failed":0,"shed":1,"timed_out":0,"failovers":1,"steals":2},"backends":[{"addr":"127.0.0.1:9101","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":1,"requests":3,"failures":0,"failovers":0,"fetch_breaker":"closed","steals":2},{"addr":"127.0.0.1:9102","healthy":false,"breaker":"open","breaker_transitions":{"opened":1,"half_opened":0,"closed":0},"in_flight":0,"requests":2,"failures":1,"failovers":1,"fetch_breaker":"open","steals":0}],"tenants":{"acme":{"admitted":4,"queued":2,"shed":1}},"admission":{"inflight":1,"queued":0,"max_inflight":8,"queue_bound":16},"artifacts":{"gets":7,"hits":4,"misses":2,"fetch_failures":1,"puts":5,"put_failures":0,"bytes_served":2048,"bytes_stored":4096,"corrupted":1},"cache":{"memory_hits":10,"disk_hits":2,"remote_hits":4,"misses":3}}"#;
+
+    const RECORDED_GATEWAY_TEXT: &str = r#"# HELP flowgw_jobs_total Gateway jobs by terminal state.
+# TYPE flowgw_jobs_total counter
+flowgw_jobs_total{state="submitted"} 5
+flowgw_jobs_total{state="completed"} 4
+flowgw_jobs_total{state="failed"} 0
+flowgw_jobs_total{state="shed"} 1
+flowgw_jobs_total{state="timed_out"} 0
+# HELP flowgw_backend_requests_total Job attempts per backend.
+# TYPE flowgw_backend_requests_total counter
+flowgw_backend_requests_total{backend="127.0.0.1:9101"} 3
+flowgw_backend_requests_total{backend="127.0.0.1:9102"} 2
+# TYPE flowgw_backend_failures_total counter
+flowgw_backend_failures_total{backend="127.0.0.1:9101"} 0
+flowgw_backend_failures_total{backend="127.0.0.1:9102"} 1
+# HELP flowgw_backend_failovers_total Attempts re-routed here from a dead peer.
+# TYPE flowgw_backend_failovers_total counter
+flowgw_backend_failovers_total{backend="127.0.0.1:9101"} 0
+flowgw_backend_failovers_total{backend="127.0.0.1:9102"} 1
+# HELP flowgw_backend_steals_total Jobs routed here instead of their busy affinity backend.
+# TYPE flowgw_backend_steals_total counter
+flowgw_backend_steals_total{backend="127.0.0.1:9101"} 2
+flowgw_backend_steals_total{backend="127.0.0.1:9102"} 0
+# TYPE flowgw_steals_total counter
+flowgw_steals_total 2
+# TYPE flowgw_backend_in_flight gauge
+flowgw_backend_in_flight{backend="127.0.0.1:9101"} 1
+flowgw_backend_in_flight{backend="127.0.0.1:9102"} 0
+# HELP flowgw_backend_healthy Last probe ok and breaker not open.
+# TYPE flowgw_backend_healthy gauge
+flowgw_backend_healthy{backend="127.0.0.1:9101"} 1
+flowgw_backend_healthy{backend="127.0.0.1:9102"} 0
+# HELP flowgw_breaker_state 0=closed 1=half-open 2=open.
+# TYPE flowgw_breaker_state gauge
+flowgw_breaker_state{backend="127.0.0.1:9101"} 0
+flowgw_breaker_state{backend="127.0.0.1:9102"} 2
+# HELP flowgw_fetch_breaker_state Artifact-fetch breaker: 0=closed 1=half-open 2=open.
+# TYPE flowgw_fetch_breaker_state gauge
+flowgw_fetch_breaker_state{backend="127.0.0.1:9101"} 0
+flowgw_fetch_breaker_state{backend="127.0.0.1:9102"} 2
+# TYPE flowgw_breaker_transitions_total counter
+flowgw_breaker_transitions_total{backend="127.0.0.1:9101",to="open"} 0
+flowgw_breaker_transitions_total{backend="127.0.0.1:9101",to="half-open"} 0
+flowgw_breaker_transitions_total{backend="127.0.0.1:9101",to="closed"} 0
+flowgw_breaker_transitions_total{backend="127.0.0.1:9102",to="open"} 1
+flowgw_breaker_transitions_total{backend="127.0.0.1:9102",to="half-open"} 0
+flowgw_breaker_transitions_total{backend="127.0.0.1:9102",to="closed"} 0
+# HELP flowgw_tenant_jobs_total Per-tenant admission outcomes.
+# TYPE flowgw_tenant_jobs_total counter
+flowgw_tenant_jobs_total{tenant="acme",state="admitted"} 4
+flowgw_tenant_jobs_total{tenant="acme",state="queued"} 2
+flowgw_tenant_jobs_total{tenant="acme",state="shed"} 1
+# TYPE flowgw_admission_inflight gauge
+flowgw_admission_inflight 1
+# TYPE flowgw_admission_queued gauge
+flowgw_admission_queued 0
+# HELP flowgw_artifact_requests_total Artifact verbs received from daemons.
+# TYPE flowgw_artifact_requests_total counter
+flowgw_artifact_requests_total{verb="get"} 7
+flowgw_artifact_requests_total{verb="put"} 5
+# HELP flowgw_artifact_gets_total Artifact gets by result (failures degrade to misses downstream).
+# TYPE flowgw_artifact_gets_total counter
+flowgw_artifact_gets_total{result="hit"} 4
+flowgw_artifact_gets_total{result="miss"} 2
+flowgw_artifact_gets_total{result="fetch-failure"} 1
+# TYPE flowgw_artifact_put_failures_total counter
+flowgw_artifact_put_failures_total 0
+# TYPE flowgw_artifact_bytes_total counter
+flowgw_artifact_bytes_total{direction="served"} 2048
+flowgw_artifact_bytes_total{direction="stored"} 4096
+# HELP flowgw_artifact_corrupted_total Payloads corrupted by the chaos hook.
+# TYPE flowgw_artifact_corrupted_total counter
+flowgw_artifact_corrupted_total 1
+# HELP flowgw_cache_hits_total Backend stage-cache hits by tier (aggregated).
+# TYPE flowgw_cache_hits_total counter
+flowgw_cache_hits_total{tier="memory"} 10
+flowgw_cache_hits_total{tier="disk"} 2
+flowgw_cache_hits_total{tier="remote"} 4
+# TYPE flowgw_cache_misses_total counter
+flowgw_cache_misses_total 3
+"#;
 }

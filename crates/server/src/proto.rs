@@ -721,6 +721,45 @@ impl Event {
     }
 }
 
+/// Wire form of a connection-level complaint (no job attached).
+pub(crate) fn conn_error(
+    kind: Option<&str>,
+    message: impl Into<String>,
+    retry_after_ms: Option<u64>,
+) -> Value {
+    Event::Error {
+        job: None,
+        kind: kind.map(str::to_string),
+        stage: None,
+        message: message.into(),
+        retry_after_ms,
+        diagnostics: Vec::new(),
+    }
+    .to_value()
+}
+
+/// The `metrics` reply body that carries a text exposition.
+pub(crate) fn metrics_text_body(text: String) -> Value {
+    serde_json::json!({"event": "metrics", "format": "text", "text": text})
+}
+
+/// Frame a snapshot's JSON body as `event`: append the `event` marker
+/// and the flow `version`, leaving the map open for the serving node's
+/// own keys. A non-object body is kept under `"body"`.
+pub(crate) fn framed_body(event: &str, body: Value) -> serde_json::Map<String, Value> {
+    let mut map = match body {
+        Value::Object(map) => map,
+        other => {
+            let mut map = serde_json::Map::new();
+            map.insert("body".to_string(), other);
+            map
+        }
+    };
+    map.insert("event".to_string(), event.into());
+    map.insert("version".to_string(), fpga_flow::FLOW_VERSION.into());
+    map
+}
+
 /// Why [`parse_event`] could not produce an [`Event`].
 #[derive(Clone, Debug)]
 pub enum EventParseError {
@@ -906,6 +945,37 @@ pub enum ReadLineError {
     /// Transport error; `WouldBlock`/`TimedOut` kinds mean the
     /// connection's read timeout elapsed.
     Io(io::Error),
+}
+
+impl ReadLineError {
+    /// The connection's read timeout elapsed (as opposed to a broken
+    /// transport).
+    pub(crate) fn is_idle_timeout(&self) -> bool {
+        matches!(self, ReadLineError::Io(e)
+            if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut))
+    }
+
+    /// What a serving connection tells its client about a request line
+    /// it could not read, and whether it can keep serving afterwards:
+    /// only an oversized line can — it was drained, never buffered
+    /// beyond the limit, so framing is intact.
+    pub(crate) fn client_reply(&self) -> (Value, bool) {
+        match self {
+            ReadLineError::TooLong { limit } => {
+                let message = format!("request line exceeds {limit} bytes");
+                (conn_error(Some("oversized"), message, None), true)
+            }
+            ReadLineError::BadJson(message) => (
+                conn_error(None, format!("bad JSON: {message}"), None),
+                false,
+            ),
+            ReadLineError::Io(_) if self.is_idle_timeout() => {
+                let reply = conn_error(Some("idle-timeout"), "connection idle too long", None);
+                (reply, false)
+            }
+            ReadLineError::Io(e) => (conn_error(None, e.to_string(), None), false),
+        }
+    }
 }
 
 /// Discard the rest of the current line (through its newline, or EOF)

@@ -36,9 +36,12 @@ use fpga_lint::{DiagSink, Diagnostic};
 use serde_json::Value;
 
 use crate::artifact::RemoteTierClient;
-use crate::metrics::{Metrics, MetricsSnapshot, ServiceCounters, StageCacheCounters};
+use crate::metrics::{
+    counts_json, JobCounters, Metrics, MetricsSnapshot, ServiceCounters, StageCacheCounters,
+    JOB_STATES,
+};
 use crate::proto::{
-    self, CompileRequest, Event, JobKind, ReadLineError, Request, SourceFormat, PROTO_VERSION,
+    self, conn_error, CompileRequest, Event, JobKind, Request, SourceFormat, PROTO_VERSION,
 };
 use crate::queue::JobQueue;
 use crate::supervisor;
@@ -153,13 +156,8 @@ struct Shared {
     /// Per-stage latency histograms (and the unknown-stage-id tripwire).
     metrics: Metrics,
     shutting_down: AtomicBool,
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_rejected: AtomicU64,
-    jobs_panicked: AtomicU64,
-    jobs_timed_out: AtomicU64,
-    jobs_cancelled: AtomicU64,
+    /// Job outcomes, one counter per [`JOB_STATES`] entry.
+    jobs: JobCounters<{ JOB_STATES.len() }>,
     /// `Arc`ed separately so the supervisor can count respawns without
     /// holding the whole shared state.
     workers_respawned: Arc<AtomicU64>,
@@ -170,24 +168,12 @@ struct Shared {
 
 impl Shared {
     fn stats_json(&self) -> Value {
-        let mut jobs = serde_json::Map::new();
-        for (name, counter) in [
-            ("submitted", &self.jobs_submitted),
-            ("completed", &self.jobs_completed),
-            ("failed", &self.jobs_failed),
-            ("rejected", &self.jobs_rejected),
-            ("panicked", &self.jobs_panicked),
-            ("timed_out", &self.jobs_timed_out),
-            ("cancelled", &self.jobs_cancelled),
-        ] {
-            jobs.insert(
-                name.to_string(),
-                serde_json::json!(counter.load(Ordering::Relaxed)),
-            );
-        }
-        jobs.insert(
-            "queued".to_string(),
-            serde_json::json!(self.queue.len() as u64),
+        let queued = [("queued", self.queue.len() as u64)];
+        let jobs = counts_json(
+            JOB_STATES
+                .into_iter()
+                .zip(self.jobs.snapshot())
+                .chain(queued),
         );
         let mut root = serde_json::Map::new();
         root.insert("event".to_string(), serde_json::json!("stats"));
@@ -255,13 +241,7 @@ impl Shared {
     /// `metrics` verb draw from.
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         let service = ServiceCounters {
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            jobs_panicked: self.jobs_panicked.load(Ordering::Relaxed),
-            jobs_timed_out: self.jobs_timed_out.load(Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
+            jobs: self.jobs.snapshot(),
             queue_depth: self.queue.len() as u64,
             queue_peak: self.queue.peak() as u64,
             workers_configured: self.config.workers.max(1) as u64,
@@ -285,22 +265,12 @@ impl Shared {
                 (name, hist, cache)
             })
             .collect();
-        let store = self.cache.store().map(|s| {
-            let c = s.counters();
-            (
-                c.disk_hits,
-                c.disk_misses,
-                c.quarantined,
-                c.evicted,
-                c.writes,
-            )
-        });
         MetricsSnapshot {
             service,
             stages,
             cache_entries: self.cache.len() as u64,
             cache_memory_evicted: self.cache.memory_evicted(),
-            store,
+            store: self.cache.store().map(|s| s.counters()),
             remote: self.remote.as_ref().map(|r| r.counters()),
             unknown_stage_events: self.metrics.unknown_stage_events(),
             rules: self.metrics.rule_counts(),
@@ -309,23 +279,8 @@ impl Shared {
 
     /// The `metrics` verb's JSON body, framed and versioned.
     fn metrics_json(&self) -> Value {
-        let mut body = match self.metrics_snapshot().to_json() {
-            Value::Object(map) => map,
-            other => {
-                let mut map = serde_json::Map::new();
-                map.insert("body".to_string(), other);
-                map
-            }
-        };
-        body.insert("event".to_string(), serde_json::json!("metrics"));
-        body.insert(
-            "version".to_string(),
-            serde_json::json!(fpga_flow::FLOW_VERSION),
-        );
-        body.insert(
-            "proto_version".to_string(),
-            serde_json::json!(PROTO_VERSION),
-        );
+        let mut body = proto::framed_body("metrics", self.metrics_snapshot().to_json());
+        body.insert("proto_version".to_string(), PROTO_VERSION.into());
         Value::Object(body)
     }
 
@@ -401,13 +356,7 @@ impl Server {
             config,
             metrics: Metrics::new(),
             shutting_down: AtomicBool::new(false),
-            jobs_submitted: AtomicU64::new(0),
-            jobs_completed: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_rejected: AtomicU64::new(0),
-            jobs_panicked: AtomicU64::new(0),
-            jobs_timed_out: AtomicU64::new(0),
-            jobs_cancelled: AtomicU64::new(0),
+            jobs: JobCounters::new(&JOB_STATES),
             workers_respawned: Arc::new(AtomicU64::new(0)),
             open_connections: AtomicU64::new(0),
             connections_rejected: AtomicU64::new(0),
@@ -433,7 +382,10 @@ impl Server {
                 threads.push(
                     std::thread::Builder::new()
                         .name("flowd-accept-tcp".to_string())
-                        .spawn(move || tcp_accept_loop(listener, &shared))?,
+                        .spawn(move || {
+                            let accept = || listener.accept().map(|(stream, _)| stream);
+                            accept_loop(accept, &shared, Some(local), None)
+                        })?,
                 );
                 Some(local)
             }
@@ -451,7 +403,10 @@ impl Server {
                 threads.push(
                     std::thread::Builder::new()
                         .name("flowd-accept-unix".to_string())
-                        .spawn(move || unix_accept_loop(listener, &shared, &thread_path))?,
+                        .spawn(move || {
+                            let accept = || listener.accept().map(|(stream, _)| stream);
+                            accept_loop(accept, &shared, None, Some(thread_path))
+                        })?,
                 );
                 Some(path)
             }
@@ -517,13 +472,7 @@ impl Server {
     /// listeners, join every daemon thread.
     pub fn shutdown(mut self) {
         trigger_shutdown(&self.shared, self.tcp_addr, self.unix_path.as_deref());
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        drain_connections(&self.shared);
-        if let Some(path) = &self.unix_path {
-            let _ = std::fs::remove_file(path);
-        }
+        self.wait();
     }
 
     /// Block until a client's `shutdown` command stops the daemon (what
@@ -575,23 +524,6 @@ fn trigger_shutdown(
     let _ = unix_path;
 }
 
-/// Wire form of a connection-level complaint (no job attached).
-fn conn_error(
-    kind: Option<&str>,
-    message: impl Into<String>,
-    retry_after_ms: Option<u64>,
-) -> Value {
-    Event::Error {
-        job: None,
-        kind: kind.map(str::to_string),
-        stage: None,
-        message: message.into(),
-        retry_after_ms,
-        diagnostics: Vec::new(),
-    }
-    .to_value()
-}
-
 /// Admission control shared by both accept loops. Returns the connection
 /// guard when the connection should be served; `None` when it was
 /// answered (shutdown notice / overload rejection) and must be dropped,
@@ -640,52 +572,31 @@ fn idle_timeout(shared: &Shared) -> Option<Duration> {
         .map(|ms| Duration::from_millis(ms.max(1)))
 }
 
-fn tcp_accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
+/// Accept connections until shutdown, serving each admitted one on its
+/// own thread. `accept` hides the listener type; `tcp_addr` / `unix_path`
+/// name the listener for a `shutdown` verb's self-poke.
+fn accept_loop<S: Read + Write + ConnStream>(
+    accept: impl Fn() -> io::Result<S>,
+    shared: &Arc<Shared>,
+    tcp_addr: Option<SocketAddr>,
+    unix_path: Option<PathBuf>,
+) {
     loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
+        match accept() {
+            Ok(mut stream) => {
                 let guard = match admit(&mut stream, shared) {
                     Admission::Serve(guard) => guard,
                     Admission::Reject => continue,
                     Admission::StopAccepting => return,
                 };
-                let _ = stream.set_read_timeout(idle_timeout(shared));
+                let _ = stream.set_idle_timeout(idle_timeout(shared));
                 let shared = Arc::clone(shared);
-                let addr = listener.local_addr().ok();
+                let unix_path = unix_path.clone();
                 let _ = std::thread::Builder::new()
                     .name("flowd-conn".to_string())
                     .spawn(move || {
                         let _guard = guard;
-                        serve_connection(stream, &shared, addr, None);
-                    });
-            }
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(unix)]
-fn unix_accept_loop(listener: UnixListener, shared: &Arc<Shared>, path: &std::path::Path) {
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let guard = match admit(&mut stream, shared) {
-                    Admission::Serve(guard) => guard,
-                    Admission::Reject => continue,
-                    Admission::StopAccepting => return,
-                };
-                let _ = stream.set_read_timeout(idle_timeout(shared));
-                let shared = Arc::clone(shared);
-                let path = path.to_path_buf();
-                let _ = std::thread::Builder::new()
-                    .name("flowd-conn".to_string())
-                    .spawn(move || {
-                        let _guard = guard;
-                        serve_connection(stream, &shared, None, Some(path));
+                        serve_connection(stream, &shared, tcp_addr, unix_path);
                     });
             }
             Err(_) => {
@@ -699,7 +610,7 @@ fn unix_accept_loop(listener: UnixListener, shared: &Arc<Shared>, path: &std::pa
 
 /// Serve one client connection: a loop of request lines, each answered
 /// by one or more event lines. Works over any bidirectional stream.
-fn serve_connection<S: Read + Write + TryCloneStream>(
+fn serve_connection<S: Read + Write + ConnStream>(
     stream: S,
     shared: &Arc<Shared>,
     tcp_addr: Option<SocketAddr>,
@@ -713,46 +624,12 @@ fn serve_connection<S: Read + Write + TryCloneStream>(
         let line = match proto::read_line_limited(&mut reader, shared.config.max_line_bytes) {
             Ok(Some(v)) => v,
             Ok(None) => return, // client hung up
-            Err(ReadLineError::TooLong { limit }) => {
-                // The oversized line was drained (never buffered beyond
-                // the limit), so framing is intact: answer and keep
-                // serving this connection.
-                if proto::write_line(
-                    &mut writer,
-                    &conn_error(
-                        Some("oversized"),
-                        format!("request line exceeds {limit} bytes"),
-                        None,
-                    ),
-                )
-                .is_err()
-                {
+            Err(e) => {
+                let (reply, keep_serving) = e.client_reply();
+                if proto::write_line(&mut writer, &reply).is_err() || !keep_serving {
                     return;
                 }
                 continue;
-            }
-            Err(ReadLineError::BadJson(message)) => {
-                let _ = proto::write_line(
-                    &mut writer,
-                    &conn_error(None, format!("bad JSON: {message}"), None),
-                );
-                return;
-            }
-            Err(ReadLineError::Io(e))
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                let _ = proto::write_line(
-                    &mut writer,
-                    &conn_error(Some("idle-timeout"), "connection idle too long", None),
-                );
-                return;
-            }
-            Err(ReadLineError::Io(e)) => {
-                let _ = proto::write_line(&mut writer, &conn_error(None, e.to_string(), None));
-                return;
             }
         };
         let req = match proto::parse_request_value(&line) {
@@ -777,11 +654,7 @@ fn serve_connection<S: Read + Write + TryCloneStream>(
             }
             Request::Metrics { text } => {
                 let body = if text {
-                    serde_json::json!({
-                        "event": "metrics",
-                        "format": "text",
-                        "text": shared.metrics_snapshot().to_prometheus_text(),
-                    })
+                    proto::metrics_text_body(shared.metrics_snapshot().to_prometheus_text())
                 } else {
                     shared.metrics_json()
                 };
@@ -932,7 +805,7 @@ fn handle_submit(
         deadline_ms,
     }) {
         Err(reason) => {
-            shared.jobs_rejected.fetch_add(1, Ordering::Relaxed);
+            shared.jobs.inc("rejected");
             let rejected = Event::Rejected {
                 job: id,
                 reason: reason.to_string(),
@@ -941,7 +814,7 @@ fn handle_submit(
             proto::write_line(writer, &rejected.to_value()).is_ok()
         }
         Ok(()) => {
-            shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+            shared.jobs.inc("submitted");
             if proto::write_line(writer, &Event::Queued { job: id }.to_value()).is_err() {
                 // Client left before the ack: stop the job at its next
                 // stage boundary instead of computing for nobody.
@@ -1026,7 +899,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
         Err(message) => {
             // Unreachable in practice: options were validated at parse
             // time. Kept as a structured error, not a panic.
-            shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
+            shared.jobs.inc("failed");
             let _ = events.send(Event::Error {
                 job: Some(id),
                 kind: None,
@@ -1125,7 +998,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
                 // connection answers with `worker-lost`.
                 std::panic::resume_unwind(payload);
             }
-            shared.jobs_panicked.fetch_add(1, Ordering::Relaxed);
+            shared.jobs.inc("panicked");
             let _ = events.send(Event::Error {
                 job: Some(id),
                 kind: Some("panic".into()),
@@ -1136,7 +1009,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
             });
         }
         Ok(Ok(Finished::Compiled(art))) => {
-            shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
+            shared.jobs.inc("completed");
             count_rules(&art.lint);
             let _ = events.send(Event::Done {
                 job: id,
@@ -1150,7 +1023,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
         Ok(Ok(Finished::Checked(kind, report))) => {
             // A check job "completes" whatever it found; severity is the
             // client's verdict to act on, carried in the diagnostics.
-            shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
+            shared.jobs.inc("completed");
             count_rules(&report.diagnostics);
             let _ = events.send(Event::Report {
                 kind,
@@ -1167,7 +1040,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
             if cancel.cancelled() {
                 // The client hung up; nobody is listening, but the event
                 // documents the ending for any late reader.
-                shared.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+                shared.jobs.inc("cancelled");
                 let _ = events.send(Event::Error {
                     job: Some(id),
                     kind: Some("cancelled".into()),
@@ -1177,7 +1050,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
                     diagnostics: Vec::new(),
                 });
             } else if cancel.timed_out() {
-                shared.jobs_timed_out.fetch_add(1, Ordering::Relaxed);
+                shared.jobs.inc("timed_out");
                 let _ = events.send(Event::Timeout {
                     job: id,
                     deadline_ms,
@@ -1189,7 +1062,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
                     completed_stages: completed.clone(),
                 });
             } else {
-                shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
+                shared.jobs.inc("failed");
                 // A design-rule denial carries its findings; other
                 // failures leave the sink's partial findings behind
                 // (they described a design that never finished).
@@ -1213,31 +1086,85 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
     }
 }
 
-/// The one stream capability the connection loop needs beyond
-/// `Read + Write`: a second handle for the writer half.
-trait TryCloneStream: Sized + Send + 'static {
+/// What the accept and connection loops need of a stream beyond
+/// `Read + Write`: a second handle for the writer half, and the idle
+/// read timeout.
+trait ConnStream: Sized + Send + 'static {
     type Writer: Write + Send + 'static;
     fn try_clone_stream(&self) -> io::Result<Self::Writer>;
+    fn set_idle_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
 }
 
-impl TryCloneStream for TcpStream {
+impl ConnStream for TcpStream {
     type Writer = TcpStream;
     fn try_clone_stream(&self) -> io::Result<TcpStream> {
         self.try_clone()
     }
+    fn set_idle_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.set_read_timeout(timeout)
+    }
 }
 
 #[cfg(unix)]
-impl TryCloneStream for UnixStream {
+impl ConnStream for UnixStream {
     type Writer = UnixStream;
     fn try_clone_stream(&self) -> io::Result<UnixStream> {
         self.try_clone()
+    }
+    fn set_idle_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.set_read_timeout(timeout)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `stats`, `status` and framed `metrics` bodies of a fresh
+    /// daemon, byte for byte as commit 17b1350 rendered them.
+    #[test]
+    fn fresh_bodies_render_as_recorded() {
+        let server = Server::start(ServerConfig {
+            tcp_addr: Some("127.0.0.1:0".to_string()),
+            workers: 3,
+            queue_capacity: 5,
+            max_deadline_ms: Some(60_000),
+            idle_timeout_ms: None,
+            max_line_bytes: 4096,
+            max_connections: 7,
+            retry_after_ms: 150,
+            ..ServerConfig::default()
+        })
+        .expect("bind in-process flowd");
+        // Recorded at ifdf-0.2.0 / proto 6; neither version is what this pins.
+        let at_this_version = |recorded: &str| {
+            recorded
+                .replace("ifdf-0.2.0", fpga_flow::FLOW_VERSION)
+                .replace(
+                    "\"proto_version\":6",
+                    &format!("\"proto_version\":{PROTO_VERSION}"),
+                )
+        };
+        assert_eq!(
+            server.stats_json().to_string(),
+            at_this_version(RECORDED_STATS)
+        );
+        assert_eq!(
+            server.status_json().to_string(),
+            at_this_version(RECORDED_STATUS)
+        );
+        assert_eq!(
+            server.metrics_json().to_string(),
+            at_this_version(RECORDED_METRICS)
+        );
+        server.shutdown();
+    }
+
+    const RECORDED_METRICS: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":3,"respawned":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{"synthesis":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"lut_map":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"pack":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"place":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"route":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"power":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"bitstream":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"verify":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0}},"unknown_stage_events":0,"lint_rules":{"NL001":0,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"verify_rules":{"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"event":"metrics","version":"ifdf-0.2.0","proto_version":6}"#;
+
+    const RECORDED_STATS: &str = r#"{"event":"stats","version":"ifdf-0.2.0","jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0,"queued":0},"workers":{"configured":3,"respawned":0},"connections":{"open":0,"rejected":0,"limit":7},"limits":{"max_deadline_ms":60000,"idle_timeout_ms":null,"max_line_bytes":4096,"retry_after_ms":150},"cache":{"entries":0,"hits":0,"misses":0,"memory_evicted":0,"stages":{"synthesis":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"lut_map":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"pack":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"place":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"route":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"power":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"bitstream":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"verify":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0}}}}"#;
+
+    const RECORDED_STATUS: &str = r#"{"event":"status","role":"flowd","version":"ifdf-0.2.0","proto_version":6,"shutting_down":false,"queue":{"depth":0,"capacity":5,"peak":0},"workers":{"configured":3,"respawned":0},"connections":{"open":0,"limit":7}}"#;
 
     #[test]
     fn deadline_clamping() {

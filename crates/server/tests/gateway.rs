@@ -314,3 +314,115 @@ fn tenant_quotas_shed_the_hog_but_not_the_neighbor() {
     gateway.shutdown();
     backend.shutdown();
 }
+
+/// `tenant` is an arbitrary client string and becomes a label value in
+/// the gateway's exposition: whatever it contains, it cannot forge a
+/// sample line, and the JSON body still keys on the raw name.
+#[test]
+fn hostile_tenant_cannot_forge_exposition_lines() {
+    let backend = start_flowd();
+    let backend_addr = backend.tcp_addr().expect("tcp enabled");
+    let gateway = Gateway::start(GatewayConfig {
+        backends: vec![backend_addr.to_string()],
+        ..GatewayConfig::default()
+    })
+    .expect("start gateway");
+
+    let tenant = "evil\"} 1\nflowgw_jobs_total{state=\"shed";
+    let mut client = FlowClient::connect_tcp(gateway.tcp_addr()).expect("connect");
+    let mut req = CompileRequest::new(SourceFormat::Vhdl, fpga_circuits::vhdl_counter(2));
+    req.tenant = Some(tenant.to_string());
+    client
+        .compile_request(&req)
+        .expect("the job itself is fine");
+
+    let body = client.metrics(true).expect("metrics --text");
+    let text = body["text"].as_str().expect("text exposition");
+    let shed: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("flowgw_jobs_total{state=\"shed\"}"))
+        .collect();
+    assert_eq!(shed, ["flowgw_jobs_total{state=\"shed\"} 0"], "{text}");
+
+    // The tenant's three samples: one line each, the label value is the
+    // escaped name, and un-escaping it gives the name back.
+    let unescape = |escaped: &str| {
+        let mut raw = String::new();
+        let mut chars = escaped.chars();
+        while let Some(c) = chars.next() {
+            raw.push(match c {
+                '\\' => match chars.next() {
+                    Some('n') => '\n',
+                    Some(c @ ('\\' | '"')) => c,
+                    other => panic!("bad escape {other:?} in {escaped}"),
+                },
+                '"' => panic!("unescaped quote in {escaped}"),
+                c => c,
+            });
+        }
+        raw
+    };
+    let states: Vec<(String, &str)> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("flowgw_tenant_jobs_total{tenant=\""))
+        .map(|l| {
+            let (value, tail) = l.rsplit_once("\",state=\"").expect("state label");
+            (unescape(value), tail)
+        })
+        .collect();
+    let name = tenant.to_string();
+    assert_eq!(
+        states,
+        [
+            (name.clone(), "admitted\"} 1"),
+            (name.clone(), "queued\"} 0"),
+            (name, "shed\"} 0"),
+        ],
+        "{text}"
+    );
+
+    let metrics = gateway.metrics_json();
+    assert_eq!(metrics["tenants"][tenant]["admitted"].as_u64(), Some(1));
+
+    gateway.shutdown();
+    backend.shutdown();
+}
+
+/// The gateway's `status`, `stats` and `metrics` replies over the wire,
+/// byte for byte as commit 17b1350 sent them for a fresh one-backend
+/// farm (backend address masked; recorded at ifdf-0.2.0 / proto 6).
+#[test]
+fn fresh_gateway_replies_render_as_recorded() {
+    const SNAPSHOT: &str = r#"{"role":"gateway","jobs":{"submitted":0,"completed":0,"failed":0,"shed":0,"timed_out":0,"failovers":0,"steals":0},"backends":[{"addr":"BACKEND","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":0,"requests":0,"failures":0,"failovers":0,"fetch_breaker":"closed","steals":0}],"tenants":{},"admission":{"inflight":0,"queued":0,"max_inflight":64,"queue_bound":128},"artifacts":{"gets":0,"hits":0,"misses":0,"fetch_failures":0,"puts":0,"put_failures":0,"bytes_served":0,"bytes_stored":0,"corrupted":0}"#;
+    let backend = start_flowd();
+    let backend_addr = backend.tcp_addr().expect("tcp enabled").to_string();
+    let gateway = Gateway::start(GatewayConfig {
+        backends: vec![backend_addr.clone()],
+        ..GatewayConfig::default()
+    })
+    .expect("start gateway");
+    let mut client = FlowClient::connect_tcp(gateway.tcp_addr()).expect("connect");
+    let version = fpga_flow::FLOW_VERSION;
+    let proto = fpga_server::PROTO_VERSION;
+    let masked = |reply: Value| reply.to_string().replace(&backend_addr, "BACKEND");
+
+    assert_eq!(
+        masked(client.status().expect("status")),
+        format!(
+            r#"{SNAPSHOT},"event":"status","version":"{version}","proto_version":{proto},"shutting_down":false}}"#
+        )
+    );
+    assert_eq!(
+        masked(client.stats().expect("stats")),
+        format!(r#"{SNAPSHOT},"event":"stats","version":"{version}"}}"#)
+    );
+    assert_eq!(
+        masked(client.metrics(false).expect("metrics")),
+        format!(
+            r#"{SNAPSHOT},"cache":{{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0}},"event":"metrics"}}"#
+        )
+    );
+
+    gateway.shutdown();
+    backend.shutdown();
+}

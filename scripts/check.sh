@@ -55,14 +55,7 @@ LINT=target/debug/fpga-lint
 FAULT=target/debug/equiv-fault
 BENCH=target/debug/qor_bench
 
-wait_for() {
-    _tries=150
-    while ! "$@" >/dev/null 2>&1; do
-        _tries=$((_tries - 1))
-        [ "$_tries" -gt 0 ] || { echo "timed out waiting for: $*" >&2; exit 1; }
-        sleep 0.1
-    done
-}
+. scripts/lib.sh
 
 die() {
     echo "FAIL: $1" >&2

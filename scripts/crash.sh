@@ -62,15 +62,7 @@ cargo build -q -p fpga-server --bins
 FLOWD=target/debug/flowd
 FLOWC=target/debug/flowc
 
-# Poll until a command succeeds (about 15 s at 100 ms steps).
-wait_for() {
-    _tries=150
-    while ! "$@" >/dev/null 2>&1; do
-        _tries=$((_tries - 1))
-        [ "$_tries" -gt 0 ] || { echo "timed out waiting for: $*" >&2; exit 1; }
-        sleep 0.1
-    done
-}
+. scripts/lib.sh
 
 # Count durable entries (64-hex files inside the two-hex shard dirs).
 entries() {

@@ -85,15 +85,7 @@ begin
 end rtl;
 EOF
 
-# Poll until a command succeeds (about 15 s at 100 ms steps).
-wait_for() {
-    _tries=150
-    while ! "$@" >/dev/null 2>&1; do
-        _tries=$((_tries - 1))
-        [ "$_tries" -gt 0 ] || { echo "timed out waiting for: $*" >&2; exit 1; }
-        sleep 0.1
-    done
-}
+. scripts/lib.sh
 
 echo "==> leg 1: SIGKILL the busy backend mid-pipeline, job fails over"
 # Each backend stalls 8 s the first time it runs route: long enough to
@@ -149,6 +141,7 @@ DONES=$(grep -c ' done (' "$WORK/submit.log" || true)
 [ "$DONES" -eq 1 ] || { echo "FAIL: expected exactly one done line, got $DONES" >&2; cat "$WORK/submit.log" >&2; exit 1; }
 
 "$FLOWC" --tcp "127.0.0.1:$PG1" metrics --text > "$WORK/gw1-metrics.txt"
+check_exposition "$WORK/gw1-metrics.txt"
 FAILOVERS=$(awk -F'} ' '/^flowgw_backend_failovers_total\{/{ total += $2 } END { print total + 0 }' "$WORK/gw1-metrics.txt")
 [ "$FAILOVERS" -ge 1 ] \
     || { echo "FAIL: metrics show no failover" >&2; cat "$WORK/gw1-metrics.txt" >&2; exit 1; }
@@ -183,6 +176,7 @@ set -e
     || { echo "FAIL: light tenant must not be starved by heavy's quota" >&2; exit 1; }
 
 "$FLOWC" --tcp "127.0.0.1:$PG2" metrics --text > "$WORK/gw2-metrics.txt"
+check_exposition "$WORK/gw2-metrics.txt"
 grep -q 'flowgw_tenant_jobs_total{tenant="heavy",state="shed"} 1' "$WORK/gw2-metrics.txt" \
     || { echo "FAIL: heavy's shed not counted" >&2; cat "$WORK/gw2-metrics.txt" >&2; exit 1; }
 grep -q 'flowgw_tenant_jobs_total{tenant="light",state="admitted"} 1' "$WORK/gw2-metrics.txt" \
@@ -281,9 +275,11 @@ DONES4=$(grep -c ' done (' "$WORK/submit4.log" || true)
 # The survivor replayed on remote hits, not a cold recompute of every
 # stage — and the artifact gateway served them from the store node.
 "$FLOWC" --tcp "127.0.0.1:$SURVIVOR" metrics --text > "$WORK/survivor-metrics.txt"
+check_exposition "$WORK/survivor-metrics.txt"
 grep -q 'flowd_cache_hits_total{tier="remote"} [1-9]' "$WORK/survivor-metrics.txt" \
     || { echo "FAIL: survivor shows no remote hits" >&2; cat "$WORK/survivor-metrics.txt" >&2; exit 1; }
 "$FLOWC" --tcp "127.0.0.1:$PGA" metrics --text > "$WORK/gwa-metrics.txt"
+check_exposition "$WORK/gwa-metrics.txt"
 grep -q 'flowgw_artifact_gets_total{result="hit"} [1-9]' "$WORK/gwa-metrics.txt" \
     || { echo "FAIL: artifact gateway served no hits" >&2; cat "$WORK/gwa-metrics.txt" >&2; exit 1; }
 grep -q 'flowgw_artifact_corrupted_total 0' "$WORK/gwa-metrics.txt" \
@@ -336,6 +332,7 @@ cmp -s "$WORK/direct5.bit" "$WORK/corrupt5.bit" \
 # Corruption surfaced only as quarantines + remote misses, never as job
 # errors or accepted remote hits.
 "$FLOWC" --tcp "127.0.0.1:$P8" metrics --text > "$WORK/w8-metrics.txt"
+check_exposition "$WORK/w8-metrics.txt"
 grep -q 'flowd_cache_hits_total{tier="remote"} 0' "$WORK/w8-metrics.txt" \
     || { echo "FAIL: a corrupt transfer was accepted as a remote hit" >&2; cat "$WORK/w8-metrics.txt" >&2; exit 1; }
 grep -q 'flowd_store_quarantined_total [1-9]' "$WORK/w8-metrics.txt" \
@@ -343,6 +340,7 @@ grep -q 'flowd_store_quarantined_total [1-9]' "$WORK/w8-metrics.txt" \
 grep -q 'flowd_remote_fetch_total{result="hit"} [1-9]' "$WORK/w8-metrics.txt" \
     || { echo "FAIL: no transfers arrived at all" >&2; cat "$WORK/w8-metrics.txt" >&2; exit 1; }
 "$FLOWC" --tcp "127.0.0.1:$PGC" metrics --text > "$WORK/gwc-metrics.txt"
+check_exposition "$WORK/gwc-metrics.txt"
 grep -q 'flowgw_artifact_corrupted_total [1-9]' "$WORK/gwc-metrics.txt" \
     || { echo "FAIL: corrupting gateway counted nothing" >&2; cat "$WORK/gwc-metrics.txt" >&2; exit 1; }
 
@@ -379,6 +377,7 @@ EOF
     -o /dev/null 2>> "$WORK/leg5.log" \
     || { echo "FAIL: job errored with a dead artifact gateway" >&2; cat "$WORK/leg5.log" >&2; exit 1; }
 "$FLOWC" --tcp "127.0.0.1:$P8" metrics --text > "$WORK/w8-metrics2.txt"
+check_exposition "$WORK/w8-metrics2.txt"
 grep -Eq 'flowd_remote_fetch_total\{result="failure"\} [1-9]' "$WORK/w8-metrics2.txt" \
     || { echo "FAIL: dead gateway not counted as fetch failures" >&2; cat "$WORK/w8-metrics2.txt" >&2; exit 1; }
 "$FLOWC" --tcp "127.0.0.1:$P8" shutdown >/dev/null 2>&1 || true

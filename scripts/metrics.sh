@@ -35,14 +35,7 @@ cargo build -q -p fpga-server --bins
 FLOWD=target/debug/flowd
 FLOWC=target/debug/flowc
 
-wait_for() {
-    _tries=150
-    while ! "$@" >/dev/null 2>&1; do
-        _tries=$((_tries - 1))
-        [ "$_tries" -gt 0 ] || { echo "timed out waiting for: $*" >&2; exit 1; }
-        sleep 0.1
-    done
-}
+. scripts/lib.sh
 
 start_daemon() {
     "$FLOWD" --tcp "$ADDR" --workers 1 --cache-dir "$CACHE" "$@" \
@@ -79,6 +72,7 @@ cmp -s "$WORK/cold.bit" "$WORK/warm.bit" \
 
 echo "==> leg 2: scrape metrics, assert tiers and histograms"
 "$FLOWC" --tcp "$ADDR" metrics --text > "$WORK/metrics1.txt"
+check_exposition "$WORK/metrics1.txt"
 assert_metric 'flowd_jobs_total{state="completed"}' 2 "$WORK/metrics1.txt"
 assert_metric 'flowd_cache_hits_total{tier="memory"}' 8 "$WORK/metrics1.txt"
 assert_metric 'flowd_cache_hits_total{tier="disk"}' 0 "$WORK/metrics1.txt"
@@ -99,12 +93,14 @@ DISK_HITS=$(grep -c 'disk-hit' "$WORK/disk.log" || true)
 [ "$DISK_HITS" -eq 8 ] \
     || { echo "FAIL: post-restart waterfall shows $DISK_HITS disk-hit rows, want 8" >&2; cat "$WORK/disk.log" >&2; exit 1; }
 "$FLOWC" --tcp "$ADDR" metrics --text > "$WORK/metrics2.txt"
+check_exposition "$WORK/metrics2.txt"
 assert_metric 'flowd_cache_hits_total{tier="disk"}' 8 "$WORK/metrics2.txt"
 assert_metric 'flowd_cache_hits_total{tier="memory"}' 0 "$WORK/metrics2.txt"
 assert_metric 'flowd_store_disk_hits_total' 8 "$WORK/metrics2.txt"
 "$FLOWC" --tcp "$ADDR" shutdown
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
+check_exposition "$WORK/dump.txt"
 assert_metric 'flowd_cache_hits_total{tier="disk"}' 8 "$WORK/dump.txt"
 
 # The typed-protocol promise: no event this daemon sent was unknown to
