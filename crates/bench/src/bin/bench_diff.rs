@@ -1,9 +1,10 @@
-//! `bench-diff` — compare two `BENCH_*.json` reports and fail on
-//! regressions beyond configurable thresholds.
+//! `bench-diff` — compare two `BENCH_*.json` reports and fail on QoR
+//! regressions beyond a configurable threshold. The geomean wall-clock
+//! delta is printed, not gated (`flowbench` owns timing claims).
 //!
 //! ```text
 //! bench-diff BENCH_baseline.json BENCH_ci.json
-//! bench-diff BENCH_1.json BENCH_2.json --max-wall-regress 25 --max-qor-regress 2
+//! bench-diff BENCH_1.json BENCH_2.json --max-qor-regress 2
 //! ```
 //!
 //! Exit codes: 0 = no regressions, 1 = regressions beyond thresholds,
@@ -14,14 +15,12 @@ use std::process::ExitCode;
 
 use fpga_bench::qor::{diff, BenchReport, DiffThresholds};
 
-const USAGE: &str = "bench-diff — QoR/speed regression gate over two BENCH_*.json reports
+const USAGE: &str = "bench-diff — QoR regression gate over two BENCH_*.json reports
 
 USAGE:
     bench-diff BASELINE.json CURRENT.json [OPTIONS]
 
 OPTIONS:
-    --max-wall-regress PCT   tolerated geomean wall-clock growth
-                             (default: 10; widen when comparing across hosts)
     --max-qor-regress PCT    tolerated per-design QoR growth for every
                              lower-is-better metric (default: 5)
     --table                  also print the current report's trajectory table
@@ -51,11 +50,6 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or_else(|| format!("{name} needs a value (see --help)"))
         };
         match arg.as_str() {
-            "--max-wall-regress" => {
-                th.max_wall_regress_pct = value("--max-wall-regress")?
-                    .parse()
-                    .map_err(|_| "--max-wall-regress must be a number".to_string())?;
-            }
             "--max-qor-regress" => {
                 th.max_qor_regress_pct = value("--max-qor-regress")?
                     .parse()

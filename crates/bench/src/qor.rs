@@ -463,14 +463,13 @@ pub fn git_rev() -> String {
 
 // --- Regression diff ---------------------------------------------------
 
-/// Regression thresholds for [`diff`]. A *regression* is the current
+/// Regression threshold for [`diff`]. A *regression* is the current
 /// report being worse than baseline by more than the threshold; getting
-/// better is always fine (and reported as a note).
+/// better is always fine (and reported as a note). Wall-clock is not
+/// gated here — it drifts 10–30 % on a shared host, and `flowbench`
+/// owns timing claims; the geomean delta is printed for the reader.
 #[derive(Clone, Debug)]
 pub struct DiffThresholds {
-    /// Max tolerated geomean wall-clock growth, percent (wall-clock is
-    /// machine-sensitive; CI widens this when comparing across hosts).
-    pub max_wall_regress_pct: f64,
     /// Max tolerated per-design QoR growth, percent, for every
     /// lower-is-better metric (critical path, channel width, wirelength,
     /// LUTs, CLBs, power).
@@ -480,7 +479,6 @@ pub struct DiffThresholds {
 impl Default for DiffThresholds {
     fn default() -> Self {
         DiffThresholds {
-            max_wall_regress_pct: 10.0,
             max_qor_regress_pct: 5.0,
         }
     }
@@ -534,8 +532,8 @@ impl DiffOutcome {
 
 /// Compare `current` against `baseline`. Refuses mismatched schema
 /// versions; a design missing from `current` is a regression (rows are
-/// append-only); every lower-is-better QoR metric and the geomean
-/// wall-clock are checked against the thresholds.
+/// append-only); every lower-is-better QoR metric is checked against
+/// the threshold.
 pub fn diff(baseline: &BenchReport, current: &BenchReport, th: &DiffThresholds) -> DiffOutcome {
     let mut out = DiffOutcome::default();
     if baseline.schema_version != current.schema_version {
@@ -599,17 +597,7 @@ pub fn diff(baseline: &BenchReport, current: &BenchReport, th: &DiffThresholds) 
         }
     }
 
-    let (gb, gc) = (geomean(&base_wall), geomean(&cur_wall));
-    out.wall_geomean_ms = (gb, gc);
-    if gb > 0.0 && out.compared > 0 {
-        let pct = (gc / gb - 1.0) * 100.0;
-        if pct > th.max_wall_regress_pct {
-            out.regressions.push(format!(
-                "geomean wall-clock {gb:.1} ms -> {gc:.1} ms (+{pct:.1}%, threshold {:.1}%)",
-                th.max_wall_regress_pct
-            ));
-        }
-    }
+    out.wall_geomean_ms = (geomean(&base_wall), geomean(&cur_wall));
     out
 }
 
@@ -790,19 +778,12 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_regression_fails_only_beyond_threshold() {
+    fn wall_clock_is_reported_never_gated() {
         let base = report(vec![row("a", 10.0, 5.0, 100)]);
-        let slightly = report(vec![row("a", 10.8, 5.0, 100)]);
-        let badly = report(vec![row("a", 15.0, 5.0, 100)]);
-        let th = DiffThresholds::default();
-        assert!(diff(&base, &slightly, &th).passed(), "8% is within 10%");
-        let out = diff(&base, &badly, &th);
-        assert!(!out.passed(), "50% is a regression");
-        assert!(
-            out.regressions.iter().any(|r| r.contains("geomean wall")),
-            "{:?}",
-            out.regressions
-        );
+        let slower = report(vec![row("a", 15.0, 5.0, 100)]);
+        let out = diff(&base, &slower, &DiffThresholds::default());
+        assert!(out.passed(), "{:?}", out.regressions);
+        assert!(out.render().contains("(+50.0%)"), "{}", out.render());
     }
 
     #[test]
@@ -849,16 +830,14 @@ mod tests {
         let base = report(vec![row("a", 10.0, 5.0, 100)]);
         let worse = report(vec![row("a", 30.0, 5.0, 106)]);
         let lax = DiffThresholds {
-            max_wall_regress_pct: 400.0,
             max_qor_regress_pct: 10.0,
         };
+        // Tripled wall-clock is reported, never gated.
         assert!(diff(&base, &worse, &lax).passed());
         let strict = DiffThresholds {
-            max_wall_regress_pct: 1.0,
             max_qor_regress_pct: 1.0,
         };
-        let out = diff(&base, &worse, &strict);
-        assert!(out.regressions.len() >= 2, "{:?}", out.regressions);
+        assert!(!diff(&base, &worse, &strict).passed());
     }
 
     #[test]

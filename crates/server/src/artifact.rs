@@ -24,8 +24,6 @@
 //! job still has. The deadline check runs at stage boundaries either
 //! way, so the artifact tier can delay a job, never wedge it.
 
-use std::io::{self, BufReader};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -35,7 +33,8 @@ use serde_json::Value;
 
 use crate::breaker::{xorshift64, CircuitBreaker};
 use crate::metrics::RemoteTierCounters;
-use crate::proto::{self, ReadLineError, Request};
+use crate::net;
+use crate::proto::{self, Request};
 
 /// Attempts per fetch (1 initial + 1 retry). Publishes never retry.
 pub const FETCH_ATTEMPTS: u32 = 2;
@@ -107,38 +106,6 @@ impl RemoteTierClient {
         xorshift64(&mut state)
     }
 
-    /// One timed request/reply exchange with the gateway.
-    fn exchange(&self, req: &Request) -> io::Result<Value> {
-        let sock = self.gateway.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::AddrNotAvailable,
-                "gateway resolves to nothing",
-            )
-        })?;
-        let stream = TcpStream::connect_timeout(&sock, self.timeout)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
-        proto::write_line(&mut writer, &req.to_value())?;
-        match proto::read_line_limited(&mut reader, self.max_line_bytes) {
-            Ok(Some(v)) => Ok(v),
-            Ok(None) => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "gateway closed",
-            )),
-            Err(ReadLineError::TooLong { limit }) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("gateway reply exceeds {limit} bytes"),
-            )),
-            Err(ReadLineError::BadJson(message)) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("gateway sent bad JSON: {message}"),
-            )),
-            Err(ReadLineError::Io(e)) => Err(e),
-        }
-    }
-
     /// Snapshot for the daemon's `metrics` verb.
     pub fn counters(&self) -> RemoteTierCounters {
         RemoteTierCounters {
@@ -184,7 +151,7 @@ impl RemoteTier for RemoteTierClient {
                     break;
                 }
             }
-            match self.exchange(&req) {
+            match net::exchange(&self.gateway, &req, self.timeout, self.max_line_bytes) {
                 Ok(body) => {
                     self.lock_breaker().on_success();
                     if let Some(raw) = artifact_payload(&body) {
@@ -216,7 +183,7 @@ impl RemoteTier for RemoteTierClient {
             kind: kind.to_string(),
             data_hex: proto::to_hex(raw),
         };
-        match self.exchange(&req) {
+        match net::exchange(&self.gateway, &req, self.timeout, self.max_line_bytes) {
             Ok(body) => {
                 self.lock_breaker().on_success();
                 if body["event"].as_str() == Some("artifact_ack")
@@ -240,6 +207,7 @@ mod tests {
     use super::*;
     use crate::breaker::BreakerState;
     use crate::proto::Event;
+    use std::io::BufReader;
     use std::net::TcpListener;
 
     /// A one-shot fake gateway: accepts one connection, reads one

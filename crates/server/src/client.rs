@@ -9,10 +9,8 @@
 //!   the retry helper turns the daemon's `retry_after_ms` hints into
 //!   jittered exponential backoff across fresh connections.
 
-use std::io::{self, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
+use std::io::{self, BufReader};
+use std::net::ToSocketAddrs;
 use std::path::Path;
 use std::time::Duration;
 
@@ -21,55 +19,11 @@ use fpga_lint::Diagnostic;
 use serde_json::Value;
 
 use crate::breaker::xorshift64;
+use crate::net;
 use crate::proto::{
     self, from_hex, parse_event, CompileRequest, Event, EventParseError, JobKind, Request,
     SourceFormat,
 };
-
-/// Either transport, behind one blocking interface.
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
 
 /// What every job's event stream folds into, whatever its kind.
 #[derive(Debug, Default)]
@@ -233,34 +187,20 @@ impl From<CompileError> for io::Error {
 
 /// A connected client. One request/response exchange at a time.
 pub struct FlowClient {
-    reader: BufReader<Conn>,
-    writer: Conn,
+    reader: BufReader<net::Stream>,
+    writer: net::Stream,
 }
 
 impl FlowClient {
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<FlowClient> {
-        Self::from_conn(Conn::Tcp(TcpStream::connect(addr)?))
+        let (reader, writer) = net::dial(addr, None, None)?;
+        Ok(FlowClient { reader, writer })
     }
 
-    #[cfg(unix)]
+    /// Unix only; elsewhere an `Unsupported` error.
     pub fn connect_unix(path: impl AsRef<Path>) -> io::Result<FlowClient> {
-        Self::from_conn(Conn::Unix(UnixStream::connect(path)?))
-    }
-
-    #[cfg(not(unix))]
-    pub fn connect_unix(_path: impl AsRef<Path>) -> io::Result<FlowClient> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "unix sockets are not available on this platform",
-        ))
-    }
-
-    fn from_conn(conn: Conn) -> io::Result<FlowClient> {
-        let writer = conn.try_clone()?;
-        Ok(FlowClient {
-            reader: BufReader::new(conn),
-            writer,
-        })
+        let (reader, writer) = net::dial_unix(path.as_ref())?;
+        Ok(FlowClient { reader, writer })
     }
 
     fn send(&mut self, v: &Value) -> io::Result<()> {
@@ -609,6 +549,7 @@ pub fn compile_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
     fn retryability_is_by_kind() {

@@ -30,8 +30,8 @@
 //! `shutdown`, and the artifact verbs), so
 //! `flowc` and `qor_bench --via-daemon` work against either unchanged.
 
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::BufReader;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
@@ -45,9 +45,8 @@ use crate::metrics::{
     BackendSnapshot, GatewayArtifactCounters, GatewaySnapshot, JobCounters, StageCacheCounters,
     GATEWAY_JOB_STATES,
 };
-use crate::proto::{
-    self, conn_error, CompileRequest, Event, JobKind, ReadLineError, Request, PROTO_VERSION,
-};
+use crate::net::{self, Conns, Endpoint, Limits, Node};
+use crate::proto::{self, CompileRequest, Event, JobKind, ReadLineError, Request, PROTO_VERSION};
 use crate::tenancy::{AdmitOutcome, GovernorConfig, TenantGovernor};
 
 /// Gateway tuning. Durations are milliseconds, like [`super::ServerConfig`].
@@ -69,9 +68,11 @@ pub struct GatewayConfig {
     pub jitter_seed: u64,
     /// Admission policy (quotas, fair-queue weights, bounds).
     pub governor: GovernorConfig,
-    /// Client-side guards, mirroring the daemon's. `idle_timeout_ms`
-    /// also bounds (plus slack) per-event backend reads for jobs with
-    /// no deadline; `None` disables both.
+    /// Connection guards of the listening endpoint — the same three,
+    /// enforced by the same code, as [`super::ServerConfig`]'s.
+    /// `idle_timeout_ms` also bounds (plus slack) per-event backend
+    /// reads for jobs with no deadline; `None` disables both.
+    /// `max_line_bytes` also bounds every line a backend sends back.
     pub idle_timeout_ms: Option<u64>,
     pub max_line_bytes: usize,
     pub max_connections: usize,
@@ -216,9 +217,8 @@ struct Shared {
     /// Job outcomes, one counter per [`GATEWAY_JOB_STATES`] entry.
     jobs: JobCounters<{ GATEWAY_JOB_STATES.len() }>,
     next_job_id: AtomicU64,
-    open_connections: AtomicU64,
-    connections_rejected: AtomicU64,
-    shutting_down: AtomicBool,
+    /// Connection-level state, driven by [`net::serve`].
+    conns: Conns,
     /// Breaker clock epoch: breakers take ms-since-start.
     epoch: Instant,
 }
@@ -244,18 +244,6 @@ impl Shared {
         }
     }
 
-    /// The `status` verb body: the per-backend health/breaker table.
-    fn status_json(&self) -> Value {
-        let mut body = proto::framed_body("status", self.snapshot(None).to_json());
-        body.insert("role".into(), "gateway".into());
-        body.insert("proto_version".into(), PROTO_VERSION.into());
-        body.insert(
-            "shutting_down".into(),
-            self.shutting_down.load(Ordering::SeqCst).into(),
-        );
-        Value::Object(body)
-    }
-
     /// Aggregate the `cache` object across reachable backends so
     /// cache-aware clients see one farm-wide view.
     fn scrape_backend_caches(&self) -> Option<StageCacheCounters> {
@@ -263,12 +251,9 @@ impl Shared {
         let mut total = StageCacheCounters::default();
         let mut any = false;
         for backend in &self.backends {
-            let Ok(body) = backend_verb(
-                &backend.addr,
-                &Request::Metrics { text: false },
-                timeout,
-                self.config.max_line_bytes,
-            ) else {
+            let scrape = Request::Metrics { text: false };
+            let limit = self.config.max_line_bytes;
+            let Ok(body) = net::exchange(&backend.addr, &scrape, timeout, limit) else {
                 continue;
             };
             let cache = &body["cache"];
@@ -283,54 +268,54 @@ impl Shared {
     }
 }
 
-/// One short request/response exchange with a backend (probe, scrape,
-/// artifact fetch). The reply read is line-length-bounded like every
-/// other socket read in the farm — a misbehaving backend cannot balloon
-/// gateway memory with one endless line.
-fn backend_verb(
-    addr: &str,
-    req: &Request,
-    timeout: Duration,
-    max_line_bytes: usize,
-) -> io::Result<Value> {
-    let sock = resolve(addr)?;
-    let stream = TcpStream::connect_timeout(&sock, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    proto::write_line(&mut writer, &req.to_value())?;
-    match proto::read_line_limited(&mut reader, max_line_bytes) {
-        Ok(Some(v)) => Ok(v),
-        Ok(None) => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "backend closed",
-        )),
-        Err(ReadLineError::TooLong { limit }) => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("backend reply exceeds {limit} bytes"),
-        )),
-        Err(ReadLineError::BadJson(message)) => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("backend sent bad JSON: {message}"),
-        )),
-        Err(ReadLineError::Io(e)) => Err(e),
+/// What each verb does on a gateway; the connection around it is
+/// [`net::serve`]'s.
+impl Node for Shared {
+    fn conns(&self) -> &Conns {
+        &self.conns
     }
-}
 
-fn resolve(addr: &str) -> io::Result<SocketAddr> {
-    addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::AddrNotAvailable,
-            "address resolves to nothing",
-        )
-    })
+    fn stats(&self) -> Value {
+        Value::Object(proto::framed_body("stats", self.snapshot(None).to_json()))
+    }
+
+    /// The `status` verb body: the per-backend health/breaker table.
+    fn status(&self) -> Value {
+        let mut body = proto::framed_body("status", self.snapshot(None).to_json());
+        body.insert("role".into(), "gateway".into());
+        body.insert("proto_version".into(), PROTO_VERSION.into());
+        body.insert("shutting_down".into(), self.conns.shutting_down().into());
+        Value::Object(body)
+    }
+
+    fn metrics_json(&self) -> Value {
+        self.snapshot(self.scrape_backend_caches()).to_json()
+    }
+
+    fn metrics_text(&self) -> String {
+        self.snapshot(self.scrape_backend_caches())
+            .to_prometheus_text()
+    }
+
+    fn submit(&self, kind: JobKind, req: CompileRequest, writer: &mut net::Stream) -> bool {
+        handle_job(kind, req, self, writer)
+    }
+
+    fn artifact_get(&self, stage: &str, key: &str, kind: &str) -> Event {
+        handle_artifact_get(self, stage, key, kind)
+    }
+
+    fn artifact_put(&self, stage: &str, key: &str, kind: &str, data_hex: &str) -> Event {
+        handle_artifact_put(self, stage, key, kind, data_hex)
+    }
 }
 
 /// A running gateway (mirrors [`super::Server`]'s lifecycle).
 pub struct Gateway {
     shared: Arc<Shared>,
+    endpoint: Endpoint,
     tcp_addr: SocketAddr,
+    /// The health prober.
     threads: Vec<thread::JoinHandle<()>>,
 }
 
@@ -339,11 +324,15 @@ impl Gateway {
         if config.backends.is_empty() {
             return Err("gateway needs at least one --backend".to_string());
         }
-        let listener = TcpListener::bind(&config.tcp_addr)
-            .map_err(|e| format!("bind {}: {e}", config.tcp_addr))?;
-        let tcp_addr = listener
-            .local_addr()
-            .map_err(|e| format!("local_addr: {e}"))?;
+        let conns = Conns::new(
+            "gw",
+            Limits {
+                max_connections: config.max_connections,
+                idle_timeout_ms: config.idle_timeout_ms,
+                max_line_bytes: config.max_line_bytes,
+                retry_after_ms: config.governor.retry_after_ms,
+            },
+        );
         let backends: Vec<Arc<Backend>> = config
             .backends
             .iter()
@@ -379,35 +368,24 @@ impl Gateway {
             artifacts: ArtifactStats::default(),
             jobs: JobCounters::new(&GATEWAY_JOB_STATES),
             next_job_id: AtomicU64::new(1),
-            open_connections: AtomicU64::new(0),
-            connections_rejected: AtomicU64::new(0),
-            shutting_down: AtomicBool::new(false),
+            conns,
             epoch: Instant::now(),
         });
 
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                thread::Builder::new()
-                    .name("gw-accept".to_string())
-                    .spawn(move || accept_loop(listener, &shared))
-                    .map_err(|e| format!("spawn accept loop: {e}"))?,
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                thread::Builder::new()
-                    .name("gw-health".to_string())
-                    .spawn(move || health_loop(&shared))
-                    .map_err(|e| format!("spawn health loop: {e}"))?,
-            );
-        }
+        let node = Arc::clone(&shared) as Arc<dyn Node>;
+        let endpoint = net::serve(Some(&shared.config.tcp_addr), None, node)
+            .map_err(|e| format!("bind {}: {e}", shared.config.tcp_addr))?;
+        let tcp_addr = endpoint.tcp_addr().ok_or("no TCP listener bound")?;
+        let health_shared = Arc::clone(&shared);
+        let health = thread::Builder::new()
+            .name("gw-health".to_string())
+            .spawn(move || health_loop(&health_shared))
+            .map_err(|e| format!("spawn health loop: {e}"))?;
         Ok(Gateway {
             shared,
+            endpoint,
             tcp_addr,
-            threads,
+            threads: vec![health],
         })
     }
 
@@ -417,7 +395,7 @@ impl Gateway {
 
     /// The `status` verb's body.
     pub fn status_json(&self) -> Value {
-        self.shared.status_json()
+        self.shared.status()
     }
 
     /// The `metrics` verb's JSON body (without backend cache scrape).
@@ -432,7 +410,7 @@ impl Gateway {
 
     /// Stop accepting, poke the listener awake, join the daemon threads.
     pub fn shutdown(mut self) {
-        trigger_shutdown(&self.shared, self.tcp_addr);
+        self.endpoint.shutdown();
         self.wait();
     }
 
@@ -441,64 +419,17 @@ impl Gateway {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        drain_connections(&self.shared);
-    }
-}
-
-fn trigger_shutdown(shared: &Arc<Shared>, tcp_addr: SocketAddr) {
-    if shared.shutting_down.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    // Poke the blocking accept() so the loop observes the flag.
-    let _ = TcpStream::connect_timeout(&tcp_addr, Duration::from_millis(250));
-}
-
-/// Bounded grace for in-flight connection threads to finish final writes.
-fn drain_connections(shared: &Arc<Shared>) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while shared.open_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        let open = shared.open_connections.fetch_add(1, Ordering::SeqCst) + 1;
-        if open > shared.config.max_connections as u64 {
-            shared.open_connections.fetch_sub(1, Ordering::SeqCst);
-            shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
-            let mut writer = stream;
-            let retry_after_ms = Some(shared.config.governor.retry_after_ms);
-            let _ = proto::write_line(
-                &mut writer,
-                &conn_error(Some("overloaded"), "too many connections", retry_after_ms),
-            );
-            continue;
-        }
-        let conn_shared = Arc::clone(shared);
-        let spawned = thread::Builder::new()
-            .name("gw-conn".to_string())
-            .spawn(move || {
-                serve_connection(stream, &conn_shared);
-                conn_shared.open_connections.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
-            shared.open_connections.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.endpoint.wait();
     }
 }
 
 /// Probe every backend on the configured interval, feeding breakers.
-fn health_loop(shared: &Arc<Shared>) {
+fn health_loop(shared: &Shared) {
     let interval = Duration::from_millis(shared.config.health_interval_ms.max(10));
     let timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
-    while !shared.shutting_down.load(Ordering::SeqCst) {
+    while !shared.conns.shutting_down() {
         for backend in &shared.backends {
-            if shared.shutting_down.load(Ordering::SeqCst) {
+            if shared.conns.shutting_down() {
                 return;
             }
             // Respect the breaker: while open, no probes until the
@@ -507,7 +438,7 @@ fn health_loop(shared: &Arc<Shared>) {
                 continue;
             }
             let ok = matches!(
-                backend_verb(
+                net::exchange(
                     &backend.addr,
                     &Request::Ping,
                     timeout,
@@ -525,103 +456,10 @@ fn health_loop(shared: &Arc<Shared>) {
         }
         // Sleep in small steps so shutdown is prompt.
         let mut slept = Duration::ZERO;
-        while slept < interval && !shared.shutting_down.load(Ordering::SeqCst) {
+        while slept < interval && !shared.conns.shutting_down() {
             let step = Duration::from_millis(20).min(interval - slept);
             thread::sleep(step);
             slept += step;
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    if let Some(ms) = shared.config.idle_timeout_ms {
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(ms.max(1))));
-    }
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let line = match proto::read_line_limited(&mut reader, shared.config.max_line_bytes) {
-            Ok(Some(v)) => v,
-            Ok(None) => return,
-            // A broken transport gets no reply.
-            Err(e @ ReadLineError::Io(_)) if !e.is_idle_timeout() => return,
-            Err(e) => {
-                let (reply, keep_serving) = e.client_reply();
-                if proto::write_line(&mut writer, &reply).is_err() || !keep_serving {
-                    return;
-                }
-                continue;
-            }
-        };
-        let req = match proto::parse_request_value(&line) {
-            Ok(req) => req,
-            Err(message) => {
-                let _ = proto::write_line(&mut writer, &conn_error(None, message, None));
-                continue;
-            }
-        };
-        // Exhaustive, like the daemon: new verbs must be answered here.
-        match req {
-            Request::Ping => {
-                let pong = Event::Pong {
-                    version: fpga_flow::FLOW_VERSION.to_string(),
-                    proto_version: PROTO_VERSION,
-                };
-                let _ = proto::write_line(&mut writer, &pong.to_value());
-            }
-            Request::Stats => {
-                let body = proto::framed_body("stats", shared.snapshot(None).to_json());
-                let _ =
-                    proto::write_line(&mut writer, &Event::Stats(Value::Object(body)).to_value());
-            }
-            Request::Metrics { text } => {
-                let snap = shared.snapshot(shared.scrape_backend_caches());
-                let body = if text {
-                    proto::metrics_text_body(snap.to_prometheus_text())
-                } else {
-                    snap.to_json()
-                };
-                let _ = proto::write_line(&mut writer, &Event::Metrics(body).to_value());
-            }
-            Request::Status => {
-                let _ =
-                    proto::write_line(&mut writer, &Event::Status(shared.status_json()).to_value());
-            }
-            Request::Shutdown => {
-                // The gateway stops; backends keep running (they have
-                // their own shutdown verb).
-                let tcp_addr = writer.local_addr().ok();
-                let _ = proto::write_line(&mut writer, &Event::ShuttingDown.to_value());
-                if let Some(addr) = tcp_addr {
-                    trigger_shutdown(shared, addr);
-                }
-                return;
-            }
-            Request::Compile(req) => {
-                if !handle_job(JobKind::Compile, *req, shared, &mut writer) {
-                    return; // client gone mid-stream
-                }
-            }
-            Request::Check(kind, req) => {
-                if !handle_job(JobKind::Check(kind), *req, shared, &mut writer) {
-                    return;
-                }
-            }
-            Request::ArtifactGet { stage, key, kind } => {
-                let event = handle_artifact_get(shared, &stage, &key, &kind);
-                let _ = proto::write_line(&mut writer, &event.to_value());
-            }
-            Request::ArtifactPut {
-                stage,
-                key,
-                kind,
-                data_hex,
-            } => {
-                let event = handle_artifact_put(shared, &stage, &key, &kind, &data_hex);
-                let _ = proto::write_line(&mut writer, &event.to_value());
-            }
         }
     }
 }
@@ -631,7 +469,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
 /// breaker open, exchange error, peer without the entry — collapses to
 /// a `hit=false` reply; the requesting daemon then recomputes locally,
 /// never errors.
-fn handle_artifact_get(shared: &Arc<Shared>, stage: &str, key: &str, kind: &str) -> Event {
+fn handle_artifact_get(shared: &Shared, stage: &str, key: &str, kind: &str) -> Event {
     shared.artifacts.gets.fetch_add(1, Ordering::Relaxed);
     let timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
     let req = Request::ArtifactGet {
@@ -644,7 +482,7 @@ fn handle_artifact_get(shared: &Arc<Shared>, stage: &str, key: &str, kind: &str)
         if !backend.lock_fetch_breaker().allow(shared.now_ms()) {
             continue;
         }
-        match backend_verb(&backend.addr, &req, timeout, shared.config.max_line_bytes) {
+        match net::exchange(&backend.addr, &req, timeout, shared.config.max_line_bytes) {
             Ok(body) => {
                 // Any well-formed answer counts as a live backend — a
                 // version-4 daemon's "unknown cmd" error is just a miss.
@@ -700,7 +538,7 @@ const PUT_REPLICAS: usize = 2;
 /// the publishing daemon ignores even that — publish failures only
 /// show in counters.
 fn handle_artifact_put(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     stage: &str,
     key: &str,
     kind: &str,
@@ -729,7 +567,7 @@ fn handle_artifact_put(
             continue;
         }
         attempted += 1;
-        match backend_verb(&backend.addr, &req, timeout, shared.config.max_line_bytes) {
+        match net::exchange(&backend.addr, &req, timeout, shared.config.max_line_bytes) {
             Ok(body) => {
                 backend.lock_fetch_breaker().on_success();
                 if body["event"].as_str() == Some("artifact_ack")
@@ -795,8 +633,8 @@ enum Terminal {
 fn handle_job(
     kind: JobKind,
     req: CompileRequest,
-    shared: &Arc<Shared>,
-    writer: &mut TcpStream,
+    shared: &Shared,
+    writer: &mut net::Stream,
 ) -> bool {
     let started = Instant::now();
     let job_id = shared.next_job_id.fetch_add(1, Ordering::SeqCst);
@@ -1012,20 +850,11 @@ fn run_attempt(
     kind: JobKind,
     req: &CompileRequest,
     backend: &Backend,
-    shared: &Arc<Shared>,
-    writer: &mut TcpStream,
+    shared: &Shared,
+    writer: &mut net::Stream,
     job_id: u64,
     completed_stages: &mut Vec<String>,
 ) -> Attempt {
-    let connect_timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
-    let sock = match resolve(&backend.addr) {
-        Ok(s) => s,
-        Err(e) => return Attempt::Transient(format!("resolve {}: {e}", backend.addr)),
-    };
-    let stream = match TcpStream::connect_timeout(&sock, connect_timeout) {
-        Ok(s) => s,
-        Err(e) => return Attempt::Transient(format!("connect {}: {e}", backend.addr)),
-    };
     // Reads block until the backend's next event; bound them by the
     // job's remaining deadline (plus slack for the backend to notice and
     // emit its own timeout event) so a silently dead backend cannot hang
@@ -1040,17 +869,18 @@ fn run_attempt(
             .idle_timeout_ms
             .map(|ms| ms.saturating_add(30_000)),
     };
-    if stream
-        .set_read_timeout(read_timeout.map(|ms| Duration::from_millis(ms.max(1))))
-        .is_err()
-    {
-        return Attempt::Transient("set_read_timeout failed".to_string());
-    }
-    let mut backend_writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => return Attempt::Transient(format!("clone stream: {e}")),
+    // Connect and the request write share the probe timeout: a backend
+    // that accepted and then stopped reading fails the attempt instead
+    // of holding this thread in a multi-MiB `source` write.
+    let dialled = net::dial(
+        &backend.addr,
+        Some(Duration::from_millis(shared.config.probe_timeout_ms.max(1))),
+        read_timeout.map(|ms| Duration::from_millis(ms.max(1))),
+    );
+    let (mut backend_reader, mut backend_writer) = match dialled {
+        Ok(halves) => halves,
+        Err(e) => return Attempt::Transient(format!("connect {}: {e}", backend.addr)),
     };
-    let mut backend_reader = BufReader::new(stream);
     let request = kind.request(req.clone());
     if let Err(e) = proto::write_line(&mut backend_writer, &request.to_value()) {
         return Attempt::Transient(format!("send to {}: {e}", backend.addr));
@@ -1071,8 +901,8 @@ fn run_attempt(
 
 fn forward_events(
     backend: &Backend,
-    writer: &mut TcpStream,
-    backend_reader: &mut BufReader<TcpStream>,
+    writer: &mut net::Stream,
+    backend_reader: &mut BufReader<net::Stream>,
     job_id: u64,
     completed_stages: &mut Vec<String>,
     max_line_bytes: usize,

@@ -60,12 +60,23 @@
 //!   overload rejections carry a `retry_after_ms` hint that
 //!   [`client::compile_with_retry`] honors with jittered exponential
 //!   backoff.
+//!
+//! ## Modules
+//!
+//! [`proto`] is the typed wire layer and the private `net` module the
+//! one transport under it: `flowd` ([`service`]) and `flow-gateway`
+//! ([`gateway`], with [`tenancy`], [`queue`], [`breaker`]) are two
+//! nodes served by the same endpoint loop — same connection guards,
+//! same replies — and [`client`], the gateway's backend hops and the
+//! remote artifact tier ([`artifact`]) all dial through it. [`metrics`]
+//! declares every exported family once.
 
 pub mod artifact;
 pub mod breaker;
 pub mod client;
 pub mod gateway;
 pub mod metrics;
+mod net;
 pub mod proto;
 pub mod queue;
 pub mod service;

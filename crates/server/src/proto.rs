@@ -948,18 +948,12 @@ pub enum ReadLineError {
 }
 
 impl ReadLineError {
-    /// The connection's read timeout elapsed (as opposed to a broken
-    /// transport).
-    pub(crate) fn is_idle_timeout(&self) -> bool {
-        matches!(self, ReadLineError::Io(e)
-            if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut))
-    }
-
     /// What a serving connection tells its client about a request line
     /// it could not read, and whether it can keep serving afterwards:
     /// only an oversized line can — it was drained, never buffered
     /// beyond the limit, so framing is intact.
     pub(crate) fn client_reply(&self) -> (Value, bool) {
+        use io::ErrorKind::{TimedOut, WouldBlock};
         match self {
             ReadLineError::TooLong { limit } => {
                 let message = format!("request line exceeds {limit} bytes");
@@ -969,11 +963,25 @@ impl ReadLineError {
                 conn_error(None, format!("bad JSON: {message}"), None),
                 false,
             ),
-            ReadLineError::Io(_) if self.is_idle_timeout() => {
+            // The connection's read timeout elapsed.
+            ReadLineError::Io(e) if matches!(e.kind(), WouldBlock | TimedOut) => {
                 let reply = conn_error(Some("idle-timeout"), "connection idle too long", None);
                 (reply, false)
             }
             ReadLineError::Io(e) => (conn_error(None, e.to_string(), None), false),
+        }
+    }
+}
+
+/// A peer's unreadable line as the transport error it is to a caller
+/// that only wanted the reply.
+impl From<ReadLineError> for io::Error {
+    fn from(e: ReadLineError) -> io::Error {
+        let invalid = |message| io::Error::new(io::ErrorKind::InvalidData, message);
+        match e {
+            ReadLineError::TooLong { limit } => invalid(format!("line exceeds {limit} bytes")),
+            ReadLineError::BadJson(message) => invalid(message),
+            ReadLineError::Io(e) => e,
         }
     }
 }
@@ -1035,12 +1043,7 @@ pub fn read_line_limited(
 /// side trusts its server: `done` events carry whole bitstreams).
 /// `Ok(None)` on clean EOF.
 pub fn read_line(r: &mut impl BufRead) -> io::Result<Option<Value>> {
-    match read_line_limited(r, usize::MAX - 1) {
-        Ok(v) => Ok(v),
-        Err(ReadLineError::Io(e)) => Err(e),
-        Err(ReadLineError::BadJson(m)) => Err(io::Error::new(io::ErrorKind::InvalidData, m)),
-        Err(ReadLineError::TooLong { .. }) => unreachable!("effectively unlimited"),
-    }
+    Ok(read_line_limited(r, usize::MAX - 1)?)
 }
 
 /// Lowercase hex encoding for bitstream bytes on the wire.

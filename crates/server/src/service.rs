@@ -1,4 +1,6 @@
-//! The daemon: listeners, worker pool, job lifecycle, graceful shutdown.
+//! The daemon: worker pool, job lifecycle, and what each protocol verb
+//! does on a `flowd` (the listeners and connections around them are
+//! `crate::net`'s, shared with the gateway).
 //!
 //! Fault-tolerance model (every path here is exercised by the chaos
 //! suite in `tests/`):
@@ -13,20 +15,18 @@
 //!   overruns answer with a `timeout` event naming the stages that did
 //!   complete; a client hang-up cancels its job at the next stage
 //!   boundary instead of burning the worker.
-//! * **Connection guards** — an idle read timeout on every stream, a
-//!   cap on concurrent connections, and a byte limit on request lines;
-//!   rejections carry a `retry_after_ms` hint that `flowc` honors with
-//!   jittered exponential backoff.
+//! * **Connection guards** (`crate::net`) — an idle read timeout on
+//!   every stream, a cap on concurrent connections, and a byte limit on
+//!   request lines; rejections carry a `retry_after_ms` hint that
+//!   `flowc` honors with jittered exponential backoff.
 
-use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Duration;
 use std::{fmt, io};
 
 use fpga_flow::check::{self, CheckKind, Source};
@@ -40,9 +40,8 @@ use crate::metrics::{
     counts_json, JobCounters, Metrics, MetricsSnapshot, ServiceCounters, StageCacheCounters,
     JOB_STATES,
 };
-use crate::proto::{
-    self, conn_error, CompileRequest, Event, JobKind, Request, SourceFormat, PROTO_VERSION,
-};
+use crate::net::{self, Conns, Endpoint, Limits, Node};
+use crate::proto::{self, CompileRequest, Event, JobKind, SourceFormat, PROTO_VERSION};
 use crate::queue::JobQueue;
 use crate::supervisor;
 
@@ -155,19 +154,24 @@ struct Shared {
     config: ServerConfig,
     /// Per-stage latency histograms (and the unknown-stage-id tripwire).
     metrics: Metrics,
-    shutting_down: AtomicBool,
+    /// Connection-level state, driven by [`net::serve`].
+    conns: Conns,
     /// Job outcomes, one counter per [`JOB_STATES`] entry.
     jobs: JobCounters<{ JOB_STATES.len() }>,
     /// `Arc`ed separately so the supervisor can count respawns without
     /// holding the whole shared state.
     workers_respawned: Arc<AtomicU64>,
-    open_connections: AtomicU64,
-    connections_rejected: AtomicU64,
     next_job_id: AtomicU64,
 }
 
-impl Shared {
-    fn stats_json(&self) -> Value {
+/// What each verb does on a daemon; the connection around it is
+/// [`net::serve`]'s.
+impl Node for Shared {
+    fn conns(&self) -> &Conns {
+        &self.conns
+    }
+
+    fn stats(&self) -> Value {
         let queued = [("queued", self.queue.len() as u64)];
         let jobs = counts_json(
             JOB_STATES
@@ -192,8 +196,8 @@ impl Shared {
         root.insert(
             "connections".to_string(),
             serde_json::json!({
-                "open": self.open_connections.load(Ordering::Relaxed),
-                "rejected": self.connections_rejected.load(Ordering::Relaxed),
+                "open": self.conns.open(),
+                "rejected": self.conns.rejected(),
                 "limit": self.config.max_connections as u64,
             }),
         );
@@ -213,13 +217,13 @@ impl Shared {
     /// The `status` verb body: a lightweight health probe — queue and
     /// worker state without the full stats/metrics payloads. Shaped for
     /// `flow-gateway`, which folds it into its per-backend table.
-    fn status_json(&self) -> Value {
+    fn status(&self) -> Value {
         serde_json::json!({
             "event": "status",
             "role": "flowd",
             "version": fpga_flow::FLOW_VERSION,
             "proto_version": PROTO_VERSION,
-            "shutting_down": self.shutting_down.load(Ordering::SeqCst),
+            "shutting_down": self.conns.shutting_down(),
             "queue": serde_json::json!({
                 "depth": self.queue.len() as u64,
                 "capacity": self.config.queue_capacity as u64,
@@ -230,12 +234,42 @@ impl Shared {
                 "respawned": self.workers_respawned.load(Ordering::Relaxed),
             }),
             "connections": serde_json::json!({
-                "open": self.open_connections.load(Ordering::Relaxed),
+                "open": self.conns.open(),
                 "limit": self.config.max_connections as u64,
             }),
         })
     }
 
+    /// The `metrics` verb's JSON body, framed and versioned.
+    fn metrics_json(&self) -> Value {
+        let mut body = proto::framed_body("metrics", self.metrics_snapshot().to_json());
+        body.insert("proto_version".to_string(), PROTO_VERSION.into());
+        Value::Object(body)
+    }
+
+    fn metrics_text(&self) -> String {
+        self.metrics_snapshot().to_prometheus_text()
+    }
+
+    fn submit(&self, kind: JobKind, req: CompileRequest, writer: &mut net::Stream) -> bool {
+        handle_submit(kind, req, self, writer)
+    }
+
+    fn artifact_get(&self, stage: &str, key: &str, kind: &str) -> Event {
+        artifact_get_event(self, stage, key, kind)
+    }
+
+    fn artifact_put(&self, stage: &str, key: &str, kind: &str, data_hex: &str) -> Event {
+        artifact_put_event(self, stage, key, kind, data_hex)
+    }
+
+    /// Reject new jobs and let the queued ones drain.
+    fn begin_shutdown(&self) {
+        self.queue.drain();
+    }
+}
+
+impl Shared {
     /// Gather every live counter into one [`MetricsSnapshot`] — the
     /// single source both the JSON and Prometheus-text renderings of the
     /// `metrics` verb draw from.
@@ -246,8 +280,8 @@ impl Shared {
             queue_peak: self.queue.peak() as u64,
             workers_configured: self.config.workers.max(1) as u64,
             workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            connections_open: self.open_connections.load(Ordering::Relaxed),
-            connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
+            connections_open: self.conns.open(),
+            connections_rejected: self.conns.rejected(),
         };
         let stages = self
             .metrics
@@ -276,27 +310,6 @@ impl Shared {
             rules: self.metrics.rule_counts(),
         }
     }
-
-    /// The `metrics` verb's JSON body, framed and versioned.
-    fn metrics_json(&self) -> Value {
-        let mut body = proto::framed_body("metrics", self.metrics_snapshot().to_json());
-        body.insert("proto_version".to_string(), PROTO_VERSION.into());
-        Value::Object(body)
-    }
-
-    fn retry_after(&self) -> u64 {
-        self.config.retry_after_ms
-    }
-}
-
-/// Decrements the open-connection gauge when a connection thread ends,
-/// however it ends (including by panic).
-struct ConnGuard(Arc<Shared>);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.0.open_connections.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 /// A running daemon. Dropping it without calling [`Server::shutdown`] or
@@ -304,16 +317,16 @@ impl Drop for ConnGuard {
 /// tests and `flowd` always go through the graceful path.
 pub struct Server {
     shared: Arc<Shared>,
-    tcp_addr: Option<SocketAddr>,
-    unix_path: Option<PathBuf>,
+    endpoint: Endpoint,
+    /// The worker supervisor.
     threads: Vec<JoinHandle<()>>,
 }
 
 impl fmt::Debug for Server {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Server")
-            .field("tcp_addr", &self.tcp_addr)
-            .field("unix_path", &self.unix_path)
+            .field("tcp_addr", &self.tcp_addr())
+            .field("unix_path", &self.unix_path())
             .finish_non_exhaustive()
     }
 }
@@ -349,96 +362,54 @@ impl Server {
             cache = cache.with_remote(Arc::clone(&client) as Arc<dyn fpga_flow::RemoteTier>);
             remote = Some(client);
         }
+        let conns = Conns::new(
+            "flowd",
+            Limits {
+                max_connections: config.max_connections,
+                idle_timeout_ms: config.idle_timeout_ms,
+                max_line_bytes: config.max_line_bytes,
+                retry_after_ms: config.retry_after_ms,
+            },
+        );
         let shared = Arc::new(Shared {
             cache,
             remote,
             queue: JobQueue::new(queue_capacity),
             config,
             metrics: Metrics::new(),
-            shutting_down: AtomicBool::new(false),
+            conns,
             jobs: JobCounters::new(&JOB_STATES),
             workers_respawned: Arc::new(AtomicU64::new(0)),
-            open_connections: AtomicU64::new(0),
-            connections_rejected: AtomicU64::new(0),
             next_job_id: AtomicU64::new(1),
         });
 
-        let mut threads = Vec::new();
-        {
-            let worker_shared = Arc::clone(&shared);
-            threads.push(supervisor::supervise_workers(
-                "flowd-worker",
-                workers,
-                Arc::clone(&shared.workers_respawned),
-                move || worker_loop(&worker_shared),
-            )?);
-        }
-
-        let tcp_addr = match &shared.config.tcp_addr {
-            Some(addr) => {
-                let listener = TcpListener::bind(addr.as_str())?;
-                let local = listener.local_addr()?;
-                let shared = Arc::clone(&shared);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("flowd-accept-tcp".to_string())
-                        .spawn(move || {
-                            let accept = || listener.accept().map(|(stream, _)| stream);
-                            accept_loop(accept, &shared, Some(local), None)
-                        })?,
-                );
-                Some(local)
-            }
-            None => None,
-        };
-
-        #[cfg(unix)]
-        let unix_path = match shared.config.unix_path.clone() {
-            Some(path) => {
-                // A previous daemon's socket file would make bind fail.
-                let _ = std::fs::remove_file(&path);
-                let listener = UnixListener::bind(&path)?;
-                let shared = Arc::clone(&shared);
-                let thread_path = path.clone();
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("flowd-accept-unix".to_string())
-                        .spawn(move || {
-                            let accept = || listener.accept().map(|(stream, _)| stream);
-                            accept_loop(accept, &shared, None, Some(thread_path))
-                        })?,
-                );
-                Some(path)
-            }
-            None => None,
-        };
-        #[cfg(not(unix))]
-        let unix_path = {
-            if shared.config.unix_path.is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "unix sockets are not available on this platform",
-                ));
-            }
-            None
-        };
-
+        let endpoint = net::serve(
+            shared.config.tcp_addr.as_deref(),
+            shared.config.unix_path.as_deref(),
+            Arc::clone(&shared) as Arc<dyn Node>,
+        )?;
+        let worker_shared = Arc::clone(&shared);
+        let supervisor = supervisor::supervise_workers(
+            "flowd-worker",
+            workers,
+            Arc::clone(&shared.workers_respawned),
+            move || worker_loop(&worker_shared),
+        )?;
         Ok(Server {
             shared,
-            tcp_addr,
-            unix_path,
-            threads,
+            endpoint,
+            threads: vec![supervisor],
         })
     }
 
     /// The bound TCP address (with the real port when `:0` was asked).
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp_addr
+        self.endpoint.tcp_addr()
     }
 
     /// The bound Unix socket path.
     pub fn unix_path(&self) -> Option<&PathBuf> {
-        self.unix_path.as_ref()
+        self.endpoint.unix_path()
     }
 
     /// The shared stage cache (tests assert on its counters).
@@ -448,12 +419,12 @@ impl Server {
 
     /// Current job + cache statistics.
     pub fn stats_json(&self) -> Value {
-        self.shared.stats_json()
+        self.shared.stats()
     }
 
     /// The `status` verb's body: the daemon's lightweight health probe.
     pub fn status_json(&self) -> Value {
-        self.shared.status_json()
+        self.shared.status()
     }
 
     /// The `metrics` verb's JSON body (histograms, cache tiers, queue
@@ -465,13 +436,13 @@ impl Server {
     /// Prometheus-style text exposition of the same snapshot
     /// (`flowd --metrics-dump` prints this at exit).
     pub fn metrics_text(&self) -> String {
-        self.shared.metrics_snapshot().to_prometheus_text()
+        self.shared.metrics_text()
     }
 
     /// Graceful shutdown: reject new jobs, drain the queue, stop the
     /// listeners, join every daemon thread.
     pub fn shutdown(mut self) {
-        trigger_shutdown(&self.shared, self.tcp_addr, self.unix_path.as_deref());
+        self.endpoint.shutdown();
         self.wait();
     }
 
@@ -483,219 +454,7 @@ impl Server {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        drain_connections(&self.shared);
-        if let Some(path) = &self.unix_path {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// Connection threads are detached, so joining the listener and worker
-/// threads does not prove the last ack left the building — in particular
-/// the `shutting_down` reply to the client that requested the shutdown.
-/// Give in-flight connections a bounded grace period to finish their
-/// final write before the process tears the sockets down.
-fn drain_connections(shared: &Shared) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while shared.open_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Flip the flag, drain the queue, and poke each listener with a no-op
-/// connection so its blocking `accept` observes the flag and exits.
-fn trigger_shutdown(
-    shared: &Shared,
-    tcp_addr: Option<SocketAddr>,
-    unix_path: Option<&std::path::Path>,
-) {
-    if shared.shutting_down.swap(true, Ordering::SeqCst) {
-        return; // already triggered
-    }
-    shared.queue.drain();
-    if let Some(addr) = tcp_addr {
-        let _ = TcpStream::connect(addr);
-    }
-    #[cfg(unix)]
-    if let Some(path) = unix_path {
-        let _ = UnixStream::connect(path);
-    }
-    #[cfg(not(unix))]
-    let _ = unix_path;
-}
-
-/// Admission control shared by both accept loops. Returns the connection
-/// guard when the connection should be served; `None` when it was
-/// answered (shutdown notice / overload rejection) and must be dropped,
-/// or when the whole accept loop should stop.
-enum Admission {
-    Serve(ConnGuard),
-    Reject,
-    StopAccepting,
-}
-
-fn admit(stream: &mut impl Write, shared: &Arc<Shared>) -> Admission {
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        // A real client racing shutdown deserves a reason, not a
-        // wordless hangup. (The shutdown self-poke also lands here; it
-        // never reads, so the write is harmless.)
-        let _ = proto::write_line(
-            stream,
-            &conn_error(Some("shutting-down"), "shutting down", None),
-        );
-        return Admission::StopAccepting;
-    }
-    let open = shared.open_connections.fetch_add(1, Ordering::SeqCst);
-    if open >= shared.config.max_connections as u64 {
-        shared.open_connections.fetch_sub(1, Ordering::SeqCst);
-        shared.connections_rejected.fetch_add(1, Ordering::SeqCst);
-        let _ = proto::write_line(
-            stream,
-            &conn_error(
-                Some("overloaded"),
-                format!(
-                    "too many connections ({} open)",
-                    shared.config.max_connections
-                ),
-                Some(shared.retry_after()),
-            ),
-        );
-        return Admission::Reject;
-    }
-    Admission::Serve(ConnGuard(Arc::clone(shared)))
-}
-
-fn idle_timeout(shared: &Shared) -> Option<Duration> {
-    shared
-        .config
-        .idle_timeout_ms
-        .map(|ms| Duration::from_millis(ms.max(1)))
-}
-
-/// Accept connections until shutdown, serving each admitted one on its
-/// own thread. `accept` hides the listener type; `tcp_addr` / `unix_path`
-/// name the listener for a `shutdown` verb's self-poke.
-fn accept_loop<S: Read + Write + ConnStream>(
-    accept: impl Fn() -> io::Result<S>,
-    shared: &Arc<Shared>,
-    tcp_addr: Option<SocketAddr>,
-    unix_path: Option<PathBuf>,
-) {
-    loop {
-        match accept() {
-            Ok(mut stream) => {
-                let guard = match admit(&mut stream, shared) {
-                    Admission::Serve(guard) => guard,
-                    Admission::Reject => continue,
-                    Admission::StopAccepting => return,
-                };
-                let _ = stream.set_idle_timeout(idle_timeout(shared));
-                let shared = Arc::clone(shared);
-                let unix_path = unix_path.clone();
-                let _ = std::thread::Builder::new()
-                    .name("flowd-conn".to_string())
-                    .spawn(move || {
-                        let _guard = guard;
-                        serve_connection(stream, &shared, tcp_addr, unix_path);
-                    });
-            }
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Serve one client connection: a loop of request lines, each answered
-/// by one or more event lines. Works over any bidirectional stream.
-fn serve_connection<S: Read + Write + ConnStream>(
-    stream: S,
-    shared: &Arc<Shared>,
-    tcp_addr: Option<SocketAddr>,
-    unix_path: Option<PathBuf>,
-) {
-    let Ok(mut writer) = stream.try_clone_stream() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let line = match proto::read_line_limited(&mut reader, shared.config.max_line_bytes) {
-            Ok(Some(v)) => v,
-            Ok(None) => return, // client hung up
-            Err(e) => {
-                let (reply, keep_serving) = e.client_reply();
-                if proto::write_line(&mut writer, &reply).is_err() || !keep_serving {
-                    return;
-                }
-                continue;
-            }
-        };
-        let req = match proto::parse_request_value(&line) {
-            Ok(req) => req,
-            Err(message) => {
-                let _ = proto::write_line(&mut writer, &conn_error(None, message, None));
-                continue;
-            }
-        };
-        // Exhaustive: a new verb fails to compile until it is answered.
-        match req {
-            Request::Ping => {
-                let pong = Event::Pong {
-                    version: fpga_flow::FLOW_VERSION.to_string(),
-                    proto_version: PROTO_VERSION,
-                };
-                let _ = proto::write_line(&mut writer, &pong.to_value());
-            }
-            Request::Stats => {
-                let _ =
-                    proto::write_line(&mut writer, &Event::Stats(shared.stats_json()).to_value());
-            }
-            Request::Metrics { text } => {
-                let body = if text {
-                    proto::metrics_text_body(shared.metrics_snapshot().to_prometheus_text())
-                } else {
-                    shared.metrics_json()
-                };
-                let _ = proto::write_line(&mut writer, &Event::Metrics(body).to_value());
-            }
-            Request::Status => {
-                let _ =
-                    proto::write_line(&mut writer, &Event::Status(shared.status_json()).to_value());
-            }
-            Request::Shutdown => {
-                // Trigger BEFORE acknowledging: once the client reads the
-                // ack, the queue is already draining, so nothing submitted
-                // afterwards can slip in and be served.
-                trigger_shutdown(shared, tcp_addr, unix_path.as_deref());
-                let _ = proto::write_line(&mut writer, &Event::ShuttingDown.to_value());
-                return;
-            }
-            Request::Compile(req) => {
-                if !handle_submit(JobKind::Compile, *req, shared, &mut writer) {
-                    return; // client gone mid-stream
-                }
-            }
-            Request::Check(kind, req) => {
-                if !handle_submit(JobKind::Check(kind), *req, shared, &mut writer) {
-                    return;
-                }
-            }
-            Request::ArtifactGet { stage, key, kind } => {
-                let event = artifact_get_event(shared, &stage, &key, &kind);
-                let _ = proto::write_line(&mut writer, &event.to_value());
-            }
-            Request::ArtifactPut {
-                stage,
-                key,
-                kind,
-                data_hex,
-            } => {
-                let event = artifact_put_event(shared, &stage, &key, &kind, &data_hex);
-                let _ = proto::write_line(&mut writer, &event.to_value());
-            }
-        }
+        self.endpoint.wait();
     }
 }
 
@@ -713,7 +472,7 @@ fn stage_by_name(name: &str) -> Option<fpga_flow::StageId> {
 /// from this daemon's own remote tier, so lookups can't bounce around
 /// the farm. `raw_entry` re-verifies the digest before shipping, so a
 /// locally-rotted entry is quarantined here and answered as a miss.
-fn artifact_get_event(shared: &Arc<Shared>, stage: &str, key: &str, kind: &str) -> Event {
+fn artifact_get_event(shared: &Shared, stage: &str, key: &str, kind: &str) -> Event {
     let raw = stage_by_name(stage).and_then(|sid| {
         shared
             .cache
@@ -741,7 +500,7 @@ fn artifact_get_event(shared: &Arc<Shared>, stage: &str, key: &str, kind: &str) 
 /// installing; a corrupt or mismatched payload is quarantined and
 /// refused with the reason in the ack.
 fn artifact_put_event(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     stage: &str,
     key: &str,
     kind: &str,
@@ -786,7 +545,7 @@ fn effective_deadline_ms(requested: Option<u64>, cap: Option<u64>) -> Option<u64
 fn handle_submit(
     kind: JobKind,
     mut req: CompileRequest,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     writer: &mut impl Write,
 ) -> bool {
     let id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
@@ -809,7 +568,7 @@ fn handle_submit(
             let rejected = Event::Rejected {
                 job: id,
                 reason: reason.to_string(),
-                retry_after_ms: Some(shared.retry_after()),
+                retry_after_ms: Some(shared.config.retry_after_ms),
             };
             proto::write_line(writer, &rejected.to_value()).is_ok()
         }
@@ -1083,36 +842,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
                 });
             }
         }
-    }
-}
-
-/// What the accept and connection loops need of a stream beyond
-/// `Read + Write`: a second handle for the writer half, and the idle
-/// read timeout.
-trait ConnStream: Sized + Send + 'static {
-    type Writer: Write + Send + 'static;
-    fn try_clone_stream(&self) -> io::Result<Self::Writer>;
-    fn set_idle_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl ConnStream for TcpStream {
-    type Writer = TcpStream;
-    fn try_clone_stream(&self) -> io::Result<TcpStream> {
-        self.try_clone()
-    }
-    fn set_idle_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-}
-
-#[cfg(unix)]
-impl ConnStream for UnixStream {
-    type Writer = UnixStream;
-    fn try_clone_stream(&self) -> io::Result<UnixStream> {
-        self.try_clone()
-    }
-    fn set_idle_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
     }
 }
 

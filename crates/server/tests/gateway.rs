@@ -204,6 +204,68 @@ fn mid_job_backend_death_fails_over_with_exactly_one_done() {
     healthy.shutdown();
 }
 
+/// A backend that accepted the connection and then stopped reading
+/// (SIGSTOP, a full receive buffer) must not hold the gateway thread in
+/// the request write past the job's deadline: the forwarding hop's
+/// write is bounded like its connect, so the attempt is given up and
+/// the client gets its one terminal in time.
+#[test]
+fn a_backend_that_stops_reading_cannot_hold_a_job_past_its_deadline() {
+    const DEADLINE_MS: u64 = 1_000;
+    // Never accepts: the kernel completes handshakes into the backlog
+    // and buffers what it can (well under 4 MiB on loopback), then the
+    // writer blocks.
+    let stuck = TcpListener::bind("127.0.0.1:0").expect("bind stuck backend");
+    let gateway = Gateway::start(GatewayConfig {
+        backends: vec![stuck.local_addr().expect("addr").to_string()],
+        probe_timeout_ms: 200,
+        health_interval_ms: 60_000,
+        max_line_bytes: 64 << 20,
+        ..GatewayConfig::default()
+    })
+    .expect("start gateway");
+
+    let source = format!(
+        "{}\n-- {}\n",
+        fpga_circuits::vhdl_counter(2),
+        "x".repeat(5 << 20)
+    );
+    let mut req = CompileRequest::new(SourceFormat::Vhdl, source);
+    req.deadline_ms = Some(DEADLINE_MS);
+    let mut conn = RawConn::connect(gateway.tcp_addr());
+    // A gateway stuck in the write fails the test instead of hanging it.
+    let patience = Duration::from_millis(DEADLINE_MS + 15_000);
+    conn.writer
+        .set_read_timeout(Some(patience))
+        .expect("set read timeout");
+    let started = Instant::now();
+    conn.send(&fpga_server::Request::Compile(Box::new(req)).to_value());
+    assert_eq!(conn.recv()["event"].as_str(), Some("queued"));
+    let terminal = conn.recv();
+    let took = started.elapsed();
+    assert!(
+        matches!(terminal["event"].as_str(), Some("rejected" | "timeout")),
+        "one terminal, no progress: {terminal}"
+    );
+    assert!(
+        took < Duration::from_millis(DEADLINE_MS + 10_000),
+        "{terminal} only after {took:?}"
+    );
+    // Hashing a 5 MiB source for routing eats into the deadline in a
+    // debug build; on a host so loaded that it ran out before the
+    // attempt, there was no write to bound and nothing more to check.
+    let unattempted = format!("deadline of {DEADLINE_MS}ms exhausted across 0 attempt(s)");
+    if terminal["message"].as_str() != Some(unattempted.as_str()) {
+        let metrics = gateway.metrics_json();
+        assert_eq!(
+            metrics["backends"][0]["failures"].as_u64(),
+            Some(1),
+            "the stuck attempt was given up: {metrics}"
+        );
+    }
+    gateway.shutdown();
+}
+
 #[test]
 fn dead_backend_opens_its_breaker_and_jobs_shed_fast() {
     // A bound-then-dropped listener: connecting to it refuses.

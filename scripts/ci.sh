@@ -47,6 +47,24 @@ if [ -n "$HASHED" ]; then
     exit 1
 fi
 
+echo "==> source lint: sockets are opened, accepted and timed in crates/server/src/net.rs only"
+# One transport: the endpoint loop and every outbound dial live in
+# net.rs, so a guard or a socket option is decided in one place. No
+# allowlist — a site that cannot move means the design is wrong.
+SOCKETS=$(
+    find crates/server/src -name '*.rs' ! -path crates/server/src/net.rs | sort | while read -r f; do
+        awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
+            /TcpStream::connect|connect_timeout|UnixStream::connect|TcpListener::bind|UnixListener::bind|\.accept\(\)|\.incoming\(\)|set_read_timeout|set_write_timeout/ && !/^[ \t]*\/\//{
+                sub(/^[ \t]+/, ""); print file": "$0 }' "$f"
+    done
+)
+if [ -n "$SOCKETS" ]; then
+    echo "FAIL: socket call outside crates/server/src/net.rs:" >&2
+    echo "$SOCKETS" >&2
+    echo "(use net::serve / net::exchange / net::dial)" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -74,7 +92,7 @@ sh scripts/metrics.sh
 echo "==> scripts/check.sh (lint + equivalence gate over examples/, broken input, seeded LUT corruption)"
 sh scripts/check.sh
 
-echo "==> scripts/bench.sh (QoR + speed gate: smoke tier vs BENCH_baseline.json)"
+echo "==> scripts/bench.sh (QoR gate: smoke tier vs BENCH_baseline.json)"
 sh scripts/bench.sh
 
 echo "==> benchmark/selfcheck.sh (flowbench: catalogue, BENCHMARK.json and recorded results agree)"

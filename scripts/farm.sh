@@ -199,14 +199,12 @@ wait_for "$FLOWC" --tcp "127.0.0.1:$PG3" ping
 "$QOR_BENCH" --tier smoke --via-daemon "127.0.0.1:$P5" --out "$WORK/BENCH_direct.json" \
     2> "$WORK/bench-direct.log" \
     || { echo "FAIL: qor_bench direct at backend" >&2; cat "$WORK/bench-direct.log" >&2; exit 1; }
-# QoR must be identical in both directions; wall-clock is unconstrained
-# (the second run is cache-warm and near-zero wall, so any percentage
-# threshold would trip — `inf` disables the speed gate, QoR gate stays 0).
+# QoR must be identical in both directions (bench-diff gates QoR only).
 "$BENCH_DIFF" "$WORK/BENCH_direct.json" "$WORK/BENCH_gw.json" \
-    --max-qor-regress 0 --max-wall-regress inf \
+    --max-qor-regress 0 \
     || { echo "FAIL: gateway rows differ from direct rows" >&2; exit 1; }
 "$BENCH_DIFF" "$WORK/BENCH_gw.json" "$WORK/BENCH_direct.json" \
-    --max-qor-regress 0 --max-wall-regress inf \
+    --max-qor-regress 0 \
     || { echo "FAIL: direct rows differ from gateway rows" >&2; exit 1; }
 # The gateway's metrics verb aggregates the farm's cache tiers, so
 # cache-aware clients (qor_bench) see real counters through it.
@@ -315,7 +313,7 @@ cmp -s "$WORK/direct5.bit" "$WORK/corrupt5.bit" \
     || { echo "FAIL: corruption changed the bitstream" >&2; exit 1; }
 
 # QoR through the corrupting tier == QoR straight at the warm store, in
-# both directions (wall-clock unconstrained, as in leg 3).
+# both directions, as in leg 3.
 "$QOR_BENCH" --tier smoke --via-daemon "127.0.0.1:$P8" --out "$WORK/BENCH_corrupt.json" \
     2> "$WORK/bench-corrupt.log" \
     || { echo "FAIL: qor_bench via corrupting tier" >&2; cat "$WORK/bench-corrupt.log" >&2; exit 1; }
@@ -323,10 +321,10 @@ cmp -s "$WORK/direct5.bit" "$WORK/corrupt5.bit" \
     2> "$WORK/bench-clean.log" \
     || { echo "FAIL: qor_bench at the store node" >&2; cat "$WORK/bench-clean.log" >&2; exit 1; }
 "$BENCH_DIFF" "$WORK/BENCH_clean.json" "$WORK/BENCH_corrupt.json" \
-    --max-qor-regress 0 --max-wall-regress inf \
+    --max-qor-regress 0 \
     || { echo "FAIL: corrupt-tier QoR differs from clean QoR" >&2; exit 1; }
 "$BENCH_DIFF" "$WORK/BENCH_corrupt.json" "$WORK/BENCH_clean.json" \
-    --max-qor-regress 0 --max-wall-regress inf \
+    --max-qor-regress 0 \
     || { echo "FAIL: clean QoR differs from corrupt-tier QoR" >&2; exit 1; }
 
 # Corruption surfaced only as quarantines + remote misses, never as job
