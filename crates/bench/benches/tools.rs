@@ -1,5 +1,6 @@
 //! Criterion benches of the mapping toolset: one benchmark per Fig. 11
-//! stage, run on a mid-size generated circuit.
+//! stage, run on a mid-size generated circuit, plus the per-byte work a
+//! served cache hit does on its `done` line.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -102,5 +103,44 @@ fn bench_tools(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tools);
+/// What one hop does to a cache hit's terminal event, on the largest
+/// design of the served pool (`mult16` at W=28: a ~121 KB bitstream, a
+/// ~243 KB line): hex-encode, build and serialize the `done` event on
+/// the sending side; parse, type and hex-decode it on the receiving
+/// side. After the transport stall these passes over the bytes *are* a
+/// hit's latency, and each is paid once per hop.
+fn bench_wire(c: &mut Criterion) {
+    use fpga_server::proto::{self, Event};
+
+    let opts = fpga_flow::FlowOptions::builder()
+        .channel_width(28)
+        .place_effort(1.0)
+        .verify_cycles(0)
+        .build();
+    let art = fpga_flow::run_netlist(fpga_circuits::multiplier(16), &opts).unwrap();
+    let report = serde_json::to_value(&art.report);
+
+    let mut group = c.benchmark_group("wire");
+    group.bench_function("wire_done_line", |b| {
+        b.iter(|| {
+            let done = Event::Done {
+                job: 1,
+                design: art.report.design.clone(),
+                report: report.clone(),
+                bitstream_hex: proto::to_hex(&art.bitstream_bytes),
+                trace: None,
+                lint: Vec::new(),
+            };
+            let line = serde_json::to_string(&done.to_value()).unwrap();
+            let value: serde_json::Value = serde_json::from_str(&line).unwrap();
+            match proto::parse_event(&value) {
+                Ok(Event::Done { bitstream_hex, .. }) => proto::from_hex(&bitstream_hex).unwrap(),
+                other => panic!("not a done event: {other:?}"),
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_tools, bench_wire);
 criterion_main!(benches);

@@ -40,8 +40,9 @@ pub use equiv::EquivGate;
 pub use fault::{CancelReason, CancelToken, FaultAction, FaultPlan, FaultRule, Gate};
 pub use fpga_lint::GateMode;
 pub use pipeline::{
-    run_blif, run_blif_ctx, run_netlist, run_netlist_ctx, run_vhdl, run_vhdl_ctx, FlowArtifacts,
-    FlowCtx, FlowCtxBuilder, FlowOptions, FlowOptionsBuilder,
+    compile_blif_ctx, compile_vhdl_ctx, run_blif, run_blif_ctx, run_netlist, run_netlist_ctx,
+    run_vhdl, run_vhdl_ctx, Compiled, FlowArtifacts, FlowCtx, FlowCtxBuilder, FlowOptions,
+    FlowOptionsBuilder,
 };
 pub use report::{FlowReport, StageReport};
 pub use store::{verify_entry, DiskStore, LoadMiss, StoreCounters};

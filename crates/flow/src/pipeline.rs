@@ -6,6 +6,7 @@
 //! server) and an optional per-stage observer used to stream progress to
 //! connected clients.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use fpga_arch::Architecture;
@@ -268,7 +269,61 @@ impl<'a> FlowCtxBuilder<'a> {
     }
 }
 
-/// Everything the flow produces.
+/// A finished compile as the stage walk left it: every stage's output
+/// still behind the `Arc` it shares with the stage cache — building this
+/// copies no artifact — plus the report and the gate findings. It is all
+/// a caller that wants the bitstream and the report needs (the flow
+/// server answers a cache hit from it); [`FlowArtifacts`] is the owned,
+/// field-per-artifact view converted from it.
+pub struct Compiled {
+    rtl: Arc<Netlist>,
+    mapped: Arc<Netlist>,
+    clustering: Arc<Clustering>,
+    placement: Arc<Placement>,
+    routed: Arc<RoutedDesign>,
+    power: PowerReport,
+    bits: Arc<GeneratedBitstream>,
+    pub report: FlowReport,
+    /// Design-rule findings from the lint gates (empty when
+    /// [`FlowOptions::lint`] is `Off`).
+    pub lint: Vec<Diagnostic>,
+}
+
+impl Compiled {
+    /// The serialized bitstream, as the bitstream stage produced it.
+    pub fn bitstream_bytes(&self) -> &[u8] {
+        &self.bits.bytes
+    }
+}
+
+/// The value out of its `Arc`: moved when this is the only holder (an
+/// uncached run), copied when a stage cache holds it too.
+fn owned<T: Clone>(shared: Arc<T>) -> T {
+    Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone())
+}
+
+impl From<Compiled> for FlowArtifacts {
+    fn from(done: Compiled) -> FlowArtifacts {
+        let routed = owned(done.routed);
+        let bits = owned(done.bits);
+        FlowArtifacts {
+            rtl: owned(done.rtl),
+            mapped: owned(done.mapped),
+            clustering: owned(done.clustering),
+            placement: owned(done.placement),
+            graph: routed.graph,
+            routing: routed.routing,
+            critical_nets: routed.critical_nets,
+            power: done.power,
+            bitstream: bits.bitstream,
+            bitstream_bytes: bits.bytes,
+            report: done.report,
+            lint: done.lint,
+        }
+    }
+}
+
+/// Everything the flow produces, each artifact owned by the caller.
 pub struct FlowArtifacts {
     pub rtl: Netlist,
     pub mapped: Netlist,
@@ -305,6 +360,16 @@ pub fn run_netlist(rtl: Netlist, opts: &FlowOptions) -> Result<FlowArtifacts> {
 
 /// [`run_vhdl`] with a cache/observer context.
 pub fn run_vhdl_ctx(source: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<FlowArtifacts> {
+    compile_vhdl_ctx(source, opts, ctx).map(FlowArtifacts::from)
+}
+
+/// [`run_blif`] with a cache/observer context.
+pub fn run_blif_ctx(text: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<FlowArtifacts> {
+    compile_blif_ctx(text, opts, ctx).map(FlowArtifacts::from)
+}
+
+/// Compile VHDL source, leaving the artifacts shared with the cache.
+pub fn compile_vhdl_ctx(source: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<Compiled> {
     let t = Instant::now();
     let rtl = stages::synthesize_vhdl(source, ctx)?;
     let mut report = FlowReport {
@@ -320,11 +385,11 @@ pub fn run_vhdl_ctx(source: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<Fl
     );
     let mut lint = Vec::new();
     lint_netlist_gate(&ctx, opts, &rtl.value, &mut lint)?;
-    run_from_rtl(rtl, opts, ctx, report, lint)
+    compile_from_rtl(rtl, opts, ctx, report, lint)
 }
 
-/// [`run_blif`] with a cache/observer context.
-pub fn run_blif_ctx(text: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<FlowArtifacts> {
+/// Compile a BLIF file, leaving the artifacts shared with the cache.
+pub fn compile_blif_ctx(text: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<Compiled> {
     // When linting, pre-gate on a *raw* parse before the cached upload
     // stage: a structurally broken BLIF (combinational loop, double
     // driver) then fails with its precise diagnostics instead of the
@@ -344,7 +409,7 @@ pub fn run_blif_ctx(text: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<Flow
         ..Default::default()
     };
     record(Some(&mut report), &ctx, "file upload (BLIF)", &rtl, t);
-    run_from_rtl(rtl, opts, ctx, report, lint)
+    compile_from_rtl(rtl, opts, ctx, report, lint)
 }
 
 /// [`run_netlist`] with a cache/observer context.
@@ -356,7 +421,7 @@ pub fn run_netlist_ctx(rtl: Netlist, opts: &FlowOptions, ctx: FlowCtx) -> Result
     let rtl = stages::adopt_rtl(rtl);
     let mut lint = Vec::new();
     lint_netlist_gate(&ctx, opts, &rtl.value, &mut lint)?;
-    run_from_rtl(rtl, opts, ctx, report, lint)
+    compile_from_rtl(rtl, opts, ctx, report, lint).map(FlowArtifacts::from)
 }
 
 /// The lint gate on the design as it enters the flow. The equivalence
@@ -536,13 +601,13 @@ pub(crate) fn walk(
     })
 }
 
-fn run_from_rtl(
+fn compile_from_rtl(
     rtl: Staged<Netlist>,
     opts: &FlowOptions,
     ctx: FlowCtx,
     mut report: FlowReport,
     mut lint: Vec<Diagnostic>,
-) -> Result<FlowArtifacts> {
+) -> Result<Compiled> {
     // The equivalence gates all compare against one reference view,
     // extracted from the synthesized netlist exactly once per run.
     let equiv = opts.verify.enabled().then(|| EquivGate::new(&rtl.value));
@@ -580,17 +645,14 @@ fn run_from_rtl(
         power_mw: power.value.total() * 1e3,
     });
 
-    Ok(FlowArtifacts {
-        rtl: (*rtl.value).clone(),
-        mapped: (*mapped.value).clone(),
-        clustering: (*done.clustering.value).clone(),
-        placement: (*done.placement.value).clone(),
-        graph: routed.value.graph.clone(),
-        routing: routed.value.routing.clone(),
-        critical_nets: routed.value.critical_nets.clone(),
+    Ok(Compiled {
+        rtl: rtl.value,
+        mapped: done.mapped.value,
+        clustering: done.clustering.value,
+        placement: done.placement.value,
+        routed: done.routed.value,
         power: *power.value,
-        bitstream: done.bits.value.bitstream.clone(),
-        bitstream_bytes: done.bits.value.bytes.clone(),
+        bits: done.bits.value,
         report,
         lint,
     })

@@ -67,6 +67,7 @@ impl<T> Staged<T> {
 }
 
 /// Routing's bundled output: the stage is only meaningful as a whole.
+#[derive(Clone)]
 pub struct RoutedDesign {
     /// The device the design was routed on — carried so the durable form
     /// can rebuild [`RrGraph`] on load instead of serializing it.
@@ -78,6 +79,7 @@ pub struct RoutedDesign {
 }
 
 /// Bitstream generation's bundled output.
+#[derive(Clone)]
 pub struct GeneratedBitstream {
     pub bitstream: Bitstream,
     pub bytes: Vec<u8>,

@@ -42,8 +42,8 @@ use serde_json::Value;
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::metrics::{
-    BackendSnapshot, GatewayArtifactCounters, GatewaySnapshot, JobCounters, StageCacheCounters,
-    GATEWAY_JOB_STATES,
+    BackendSnapshot, GatewayArtifactCounters, GatewaySnapshot, JobCounters, JobDurations,
+    StageCacheCounters, GATEWAY_JOB_STATES,
 };
 use crate::net::{self, Conns, Endpoint, Limits, Node};
 use crate::proto::{self, CompileRequest, Event, JobKind, ReadLineError, Request, PROTO_VERSION};
@@ -216,6 +216,8 @@ struct Shared {
     artifacts: ArtifactStats,
     /// Job outcomes, one counter per [`GATEWAY_JOB_STATES`] entry.
     jobs: JobCounters<{ GATEWAY_JOB_STATES.len() }>,
+    /// Admission → a backend's terminal event forwarded, per job verb.
+    job_durations: JobDurations,
     next_job_id: AtomicU64,
     /// Connection-level state, driven by [`net::serve`].
     conns: Conns,
@@ -233,6 +235,7 @@ impl Shared {
         let gov = self.governor.config();
         GatewaySnapshot {
             jobs: self.jobs.snapshot(),
+            job_durations: self.job_durations.snapshot(),
             backends: self.backends.iter().map(|b| b.snapshot()).collect(),
             tenants: self.governor.tenant_snapshots(),
             admission_inflight: inflight as u64,
@@ -367,6 +370,7 @@ impl Gateway {
             governor,
             artifacts: ArtifactStats::default(),
             jobs: JobCounters::new(&GATEWAY_JOB_STATES),
+            job_durations: JobDurations::default(),
             next_job_id: AtomicU64::new(1),
             conns,
             epoch: Instant::now(),
@@ -679,6 +683,7 @@ fn handle_job(
     // The permit lives for the rest of the job; dropping it (any return
     // path) releases the slot and pumps the next waiter.
     let _permit = permit;
+    let admitted = Instant::now();
 
     // The client hears `queued` from the gateway exactly once, before
     // the first attempt; backend `queued` events are swallowed.
@@ -800,6 +805,7 @@ fn handle_job(
             &mut completed_stages,
         ) {
             Attempt::Terminal(terminal) => {
+                shared.job_durations.observe_since(kind, admitted);
                 backend.lock_breaker().on_success();
                 match terminal {
                     Terminal::Completed => {

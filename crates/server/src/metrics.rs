@@ -26,6 +26,7 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use fpga_flow::cache::STAGES;
 use fpga_flow::{CheckKind, StoreCounters};
@@ -33,6 +34,7 @@ use fpga_lint::{Diagnostic, Rule, RULES};
 use serde_json::Value;
 
 use crate::breaker::{BreakerCounters, BreakerState};
+use crate::proto::JobKind;
 use crate::tenancy::TenantCounters;
 
 /// Upper bounds (milliseconds, inclusive) of the latency buckets; an
@@ -116,6 +118,60 @@ impl HistogramSnapshot {
             "buckets": Value::Array(buckets),
         })
     }
+}
+
+/// The job kinds, in the order every rendering lists their verbs.
+const JOB_KINDS: [JobKind; 3] = [
+    JobKind::Compile,
+    JobKind::Check(CheckKind::Lint),
+    JobKind::Check(CheckKind::Verify),
+];
+
+/// One histogram per observed job verb, `(verb, histogram)` in
+/// [`JOB_KINDS`] order.
+pub type JobDurationSnapshot = Vec<(&'static str, HistogramSnapshot)>;
+
+/// Whole-job latency per verb, as the node itself clocks it. The stage
+/// histograms time the stages only; this one also covers everything
+/// between them and the client — queue wait, serialization, the wire —
+/// which is where a transport stall shows and no stage span does.
+#[derive(Default)]
+pub(crate) struct JobDurations([Histogram; JOB_KINDS.len()]);
+
+impl JobDurations {
+    /// Record a `kind` job that took from `started` until now.
+    pub(crate) fn observe_since(&self, kind: JobKind, started: Instant) {
+        if let Some(i) = JOB_KINDS.iter().position(|k| *k == kind) {
+            self.0[i].observe_ms(started.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+
+    /// A verb's series appears with its first observation, like any
+    /// labelled series: a node that only ever compiles reports one.
+    pub(crate) fn snapshot(&self) -> JobDurationSnapshot {
+        JOB_KINDS
+            .iter()
+            .zip(&self.0)
+            .map(|(kind, hist)| (kind.verb(), hist.snapshot()))
+            .filter(|(_, hist)| hist.count > 0)
+            .collect()
+    }
+}
+
+/// The JSON form of a job-duration family: `{"<verb>": <histogram>}`.
+fn job_durations_json(durations: &JobDurationSnapshot) -> Value {
+    let mut verbs = serde_json::Map::new();
+    for (verb, hist) in durations {
+        verbs.insert(verb.to_string(), hist.to_json());
+    }
+    Value::Object(verbs)
+}
+
+/// The exposition series of a job-duration family.
+fn job_duration_series(
+    durations: &JobDurationSnapshot,
+) -> impl Iterator<Item = ((&str, &str), &HistogramSnapshot)> {
+    durations.iter().map(|(verb, hist)| (("verb", *verb), hist))
 }
 
 /// The registry: one latency histogram per pipeline stage, keyed by the
@@ -271,7 +327,7 @@ const fn gauge(name: &'static str, help: Option<&'static str>) -> Family {
 /// The `flowd_*` families with fixed names, in exposition order (the
 /// rule families follow them). [`MetricsSnapshot::to_prometheus_text`]
 /// binds them by position.
-const FLOWD_FAMILIES: [Family; 22] = [
+const FLOWD_FAMILIES: [Family; 23] = [
     counter("flowd_jobs_total", Some("Jobs by terminal state.")),
     gauge("flowd_queue_depth", None),
     gauge("flowd_queue_depth_peak", None),
@@ -303,13 +359,23 @@ const FLOWD_FAMILIES: [Family; 22] = [
         Kind::Histogram,
         Some("Per-stage service latency (cache hits included)."),
     ),
+    family(
+        "flowd_job_duration_ms",
+        Kind::Histogram,
+        Some("Request parsed to terminal event written, per job verb."),
+    ),
     counter("flowd_unknown_stage_events_total", None),
 ];
 
 /// The `flowgw_*` families, in exposition order;
 /// [`GatewaySnapshot::to_prometheus_text`] binds them by position.
-const FLOWGW_FAMILIES: [Family; 21] = [
+const FLOWGW_FAMILIES: [Family; 22] = [
     counter("flowgw_jobs_total", Some("Gateway jobs by terminal state.")),
+    family(
+        "flowgw_job_duration_ms",
+        Kind::Histogram,
+        Some("Admission to terminal event forwarded, per job verb."),
+    ),
     counter(
         "flowgw_backend_requests_total",
         Some("Job attempts per backend."),
@@ -605,6 +671,8 @@ pub struct MetricsSnapshot {
     pub service: ServiceCounters,
     /// `(stage_id, latency, cache)` in flow order.
     pub stages: Vec<(&'static str, HistogramSnapshot, StageCacheCounters)>,
+    /// Request parsed → terminal event written, per job verb.
+    pub job_durations: JobDurationSnapshot,
     pub cache_entries: u64,
     pub cache_memory_evicted: u64,
     /// Durable-store counters, when `--cache-dir` is configured.
@@ -699,6 +767,10 @@ impl MetricsSnapshot {
         root.insert("cache".into(), Value::Object(cache));
         root.insert("stages".into(), Value::Object(stages));
         root.insert(
+            "job_duration_ms".into(),
+            job_durations_json(&self.job_durations),
+        );
+        root.insert(
             "unknown_stage_events".into(),
             self.unknown_stage_events.into(),
         );
@@ -718,7 +790,7 @@ impl MetricsSnapshot {
         let [cache_entries, cache_evicted, rest @ ..] = rest;
         let [store_hits, store_misses, quarantined, store_evicted, store_writes, rest @ ..] = rest;
         let [remote_fetch, remote_bytes, remote_publish, remote_breaker, rest @ ..] = rest;
-        let [stage_duration, unknown_stage_events] = rest;
+        let [stage_duration, job_duration, unknown_stage_events] = rest;
         let mut w = Exposition::default();
         let s = &self.service;
         w.labelled(jobs, "state", JOB_STATES.into_iter().zip(s.jobs));
@@ -753,6 +825,7 @@ impl MetricsSnapshot {
         }
         let latencies = self.stages.iter().map(|(id, h, _)| (("stage", *id), h));
         w.histogram(stage_duration, latencies);
+        w.histogram(job_duration, job_duration_series(&self.job_durations));
         w.scalar(unknown_stage_events, self.unknown_stage_events);
         for (family, counts) in RULE_FAMILIES.into_iter().zip(&self.rules) {
             let [hits, unknown] = rule_families(family);
@@ -818,6 +891,8 @@ pub struct GatewayArtifactCounters {
 pub struct GatewaySnapshot {
     /// One count per [`GATEWAY_JOB_STATES`] entry.
     pub jobs: [u64; GATEWAY_JOB_STATES.len()],
+    /// Admission → a backend's terminal event forwarded, per job verb.
+    pub job_durations: JobDurationSnapshot,
     pub backends: Vec<BackendSnapshot>,
     /// `(tenant, counters)` sorted by tenant name.
     pub tenants: Vec<(String, TenantCounters)>,
@@ -856,6 +931,10 @@ impl GatewaySnapshot {
         ];
         let jobs = counts_json(GATEWAY_JOB_STATES.into_iter().zip(self.jobs).chain(totals));
         root.insert("jobs".into(), Value::Object(jobs));
+        root.insert(
+            "job_duration_ms".into(),
+            job_durations_json(&self.job_durations),
+        );
         let backends: Vec<Value> = self
             .backends
             .iter()
@@ -925,14 +1004,16 @@ impl GatewaySnapshot {
 
     /// Prometheus-style text exposition (`flowgw_*` families).
     pub fn to_prometheus_text(&self) -> String {
-        let [jobs, requests, failures, failovers, backend_steals, steals, rest @ ..] =
+        let [jobs, job_duration, requests, failures, failovers, backend_steals, rest @ ..] =
             &FLOWGW_FAMILIES;
+        let [steals, rest @ ..] = rest;
         let [in_flight, healthy, breaker, fetch_breaker, transitions, tenant_jobs, rest @ ..] =
             rest;
         let [inflight, queued, artifact_requests, artifact_gets, put_failures, rest @ ..] = rest;
         let [artifact_bytes, corrupted, cache_hits, cache_misses] = rest;
         let mut w = Exposition::default();
         w.labelled(jobs, "state", GATEWAY_JOB_STATES.into_iter().zip(self.jobs));
+        w.histogram(job_duration, job_duration_series(&self.job_durations));
         let per_backend = |value: fn(&BackendSnapshot) -> u64| {
             self.backends
                 .iter()
@@ -1070,7 +1151,7 @@ mod tests {
         assert_eq!(snap.to_prometheus_text(), RECORDED_TEXT);
     }
 
-    const RECORDED_JSON: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":0,"respawned":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{},"unknown_stage_events":0,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":1,"EQ002":0,"EQ003":1,"unknown":1}}"#;
+    const RECORDED_JSON: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":0,"respawned":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":1,"EQ002":0,"EQ003":1,"unknown":1}}"#;
 
     const RECORDED_TEXT: &str = "\
 # HELP flowd_jobs_total Jobs by terminal state.
@@ -1107,6 +1188,8 @@ flowd_cache_entries 0
 flowd_cache_memory_evicted_total 0
 # HELP flowd_stage_duration_ms Per-stage service latency (cache hits included).
 # TYPE flowd_stage_duration_ms histogram
+# HELP flowd_job_duration_ms Request parsed to terminal event written, per job verb.
+# TYPE flowd_job_duration_ms histogram
 # TYPE flowd_unknown_stage_events_total counter
 flowd_unknown_stage_events_total 0
 # HELP flowd_lint_rule_hits_total Design-rule findings by rule code.
@@ -1133,18 +1216,19 @@ flowd_verify_rule_hits_total{rule=\"EQ003\"} 1
 flowd_unknown_verify_rules_total 1
 ";
 
+    fn hist(observations: &[f64]) -> HistogramSnapshot {
+        let h = Histogram::new();
+        for ms in observations {
+            h.observe_ms(*ms);
+        }
+        h.snapshot()
+    }
+
     /// Every section present: two stages with observations in different
     /// buckets (`+Inf` included), all tier counters nonzero, a store, a
     /// remote tier with its breaker half-open, both rule families with an
     /// unknown each.
     fn full_flowd_snapshot() -> MetricsSnapshot {
-        let hist = |observations: &[f64]| {
-            let h = Histogram::new();
-            for ms in observations {
-                h.observe_ms(*ms);
-            }
-            h.snapshot()
-        };
         let tiers = |memory_hits, disk_hits, remote_hits, misses, wall_ms| StageCacheCounters {
             memory_hits,
             disk_hits,
@@ -1183,6 +1267,7 @@ flowd_unknown_verify_rules_total 1
                 ("pack", hist(&[0.4, 12.0]), tiers(5, 2, 1, 3, 40)),
                 ("route", hist(&[150.0, 9999.0]), tiers(4, 1, 2, 6, 10150)),
             ],
+            job_durations: vec![("compile", hist(&[1.5, 88.0]))],
             cache_entries: 14,
             cache_memory_evicted: 3,
             store: Some(StoreCounters {
@@ -1213,6 +1298,7 @@ flowd_unknown_verify_rules_total 1
     fn full_gateway_snapshot() -> GatewaySnapshot {
         GatewaySnapshot {
             jobs: [5, 4, 0, 1, 0],
+            job_durations: vec![("compile", hist(&[2.5]))],
             backends: vec![
                 BackendSnapshot {
                     addr: "127.0.0.1:9101".into(),
@@ -1447,7 +1533,7 @@ flowd_unknown_verify_rules_total 1
         );
     }
 
-    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2,"respawned":1},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"remote_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9},"remote":{"fetch_hits":4,"fetch_misses":2,"fetch_failures":1,"bytes_fetched":1024,"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"remote_hits":1,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"remote_hits":2,"misses":6,"wall_ms":10150}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
+    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2,"respawned":1},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"remote_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9},"remote":{"fetch_hits":4,"fetch_misses":2,"fetch_failures":1,"bytes_fetched":1024,"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"remote_hits":1,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"remote_hits":2,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
 
     const RECORDED_FLOWD_TEXT: &str = r#"# HELP flowd_jobs_total Jobs by terminal state.
 # TYPE flowd_jobs_total counter
@@ -1537,6 +1623,23 @@ flowd_stage_duration_ms_bucket{stage="route",le="5000"} 1
 flowd_stage_duration_ms_bucket{stage="route",le="+Inf"} 2
 flowd_stage_duration_ms_sum{stage="route"} 10149
 flowd_stage_duration_ms_count{stage="route"} 2
+# HELP flowd_job_duration_ms Request parsed to terminal event written, per job verb.
+# TYPE flowd_job_duration_ms histogram
+flowd_job_duration_ms_bucket{verb="compile",le="1"} 0
+flowd_job_duration_ms_bucket{verb="compile",le="2"} 1
+flowd_job_duration_ms_bucket{verb="compile",le="5"} 1
+flowd_job_duration_ms_bucket{verb="compile",le="10"} 1
+flowd_job_duration_ms_bucket{verb="compile",le="20"} 1
+flowd_job_duration_ms_bucket{verb="compile",le="50"} 1
+flowd_job_duration_ms_bucket{verb="compile",le="100"} 2
+flowd_job_duration_ms_bucket{verb="compile",le="200"} 2
+flowd_job_duration_ms_bucket{verb="compile",le="500"} 2
+flowd_job_duration_ms_bucket{verb="compile",le="1000"} 2
+flowd_job_duration_ms_bucket{verb="compile",le="2000"} 2
+flowd_job_duration_ms_bucket{verb="compile",le="5000"} 2
+flowd_job_duration_ms_bucket{verb="compile",le="+Inf"} 2
+flowd_job_duration_ms_sum{verb="compile"} 89.5
+flowd_job_duration_ms_count{verb="compile"} 2
 # TYPE flowd_unknown_stage_events_total counter
 flowd_unknown_stage_events_total 1
 # HELP flowd_lint_rule_hits_total Design-rule findings by rule code.
@@ -1563,7 +1666,7 @@ flowd_verify_rule_hits_total{rule="EQ003"} 0
 flowd_unknown_verify_rules_total 1
 "#;
 
-    const RECORDED_GATEWAY_JSON: &str = r#"{"role":"gateway","jobs":{"submitted":5,"completed":4,"failed":0,"shed":1,"timed_out":0,"failovers":1,"steals":2},"backends":[{"addr":"127.0.0.1:9101","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":1,"requests":3,"failures":0,"failovers":0,"fetch_breaker":"closed","steals":2},{"addr":"127.0.0.1:9102","healthy":false,"breaker":"open","breaker_transitions":{"opened":1,"half_opened":0,"closed":0},"in_flight":0,"requests":2,"failures":1,"failovers":1,"fetch_breaker":"open","steals":0}],"tenants":{"acme":{"admitted":4,"queued":2,"shed":1}},"admission":{"inflight":1,"queued":0,"max_inflight":8,"queue_bound":16},"artifacts":{"gets":7,"hits":4,"misses":2,"fetch_failures":1,"puts":5,"put_failures":0,"bytes_served":2048,"bytes_stored":4096,"corrupted":1},"cache":{"memory_hits":10,"disk_hits":2,"remote_hits":4,"misses":3}}"#;
+    const RECORDED_GATEWAY_JSON: &str = r#"{"role":"gateway","jobs":{"submitted":5,"completed":4,"failed":0,"shed":1,"timed_out":0,"failovers":1,"steals":2},"job_duration_ms":{"compile":{"count":1,"sum_ms":2.5,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":1},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":1}]}},"backends":[{"addr":"127.0.0.1:9101","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":1,"requests":3,"failures":0,"failovers":0,"fetch_breaker":"closed","steals":2},{"addr":"127.0.0.1:9102","healthy":false,"breaker":"open","breaker_transitions":{"opened":1,"half_opened":0,"closed":0},"in_flight":0,"requests":2,"failures":1,"failovers":1,"fetch_breaker":"open","steals":0}],"tenants":{"acme":{"admitted":4,"queued":2,"shed":1}},"admission":{"inflight":1,"queued":0,"max_inflight":8,"queue_bound":16},"artifacts":{"gets":7,"hits":4,"misses":2,"fetch_failures":1,"puts":5,"put_failures":0,"bytes_served":2048,"bytes_stored":4096,"corrupted":1},"cache":{"memory_hits":10,"disk_hits":2,"remote_hits":4,"misses":3}}"#;
 
     const RECORDED_GATEWAY_TEXT: &str = r#"# HELP flowgw_jobs_total Gateway jobs by terminal state.
 # TYPE flowgw_jobs_total counter
@@ -1572,6 +1675,23 @@ flowgw_jobs_total{state="completed"} 4
 flowgw_jobs_total{state="failed"} 0
 flowgw_jobs_total{state="shed"} 1
 flowgw_jobs_total{state="timed_out"} 0
+# HELP flowgw_job_duration_ms Admission to terminal event forwarded, per job verb.
+# TYPE flowgw_job_duration_ms histogram
+flowgw_job_duration_ms_bucket{verb="compile",le="1"} 0
+flowgw_job_duration_ms_bucket{verb="compile",le="2"} 0
+flowgw_job_duration_ms_bucket{verb="compile",le="5"} 1
+flowgw_job_duration_ms_bucket{verb="compile",le="10"} 1
+flowgw_job_duration_ms_bucket{verb="compile",le="20"} 1
+flowgw_job_duration_ms_bucket{verb="compile",le="50"} 1
+flowgw_job_duration_ms_bucket{verb="compile",le="100"} 1
+flowgw_job_duration_ms_bucket{verb="compile",le="200"} 1
+flowgw_job_duration_ms_bucket{verb="compile",le="500"} 1
+flowgw_job_duration_ms_bucket{verb="compile",le="1000"} 1
+flowgw_job_duration_ms_bucket{verb="compile",le="2000"} 1
+flowgw_job_duration_ms_bucket{verb="compile",le="5000"} 1
+flowgw_job_duration_ms_bucket{verb="compile",le="+Inf"} 1
+flowgw_job_duration_ms_sum{verb="compile"} 2.5
+flowgw_job_duration_ms_count{verb="compile"} 1
 # HELP flowgw_backend_requests_total Job attempts per backend.
 # TYPE flowgw_backend_requests_total counter
 flowgw_backend_requests_total{backend="127.0.0.1:9101"} 3

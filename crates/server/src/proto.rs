@@ -926,8 +926,11 @@ pub fn parse_event(v: &Value) -> Result<Event, EventParseError> {
 }
 
 /// Write one event line and flush (clients block on complete lines).
+/// The line leaves in a single `write`, newline included: a separate
+/// 1-byte `"\n"` write is what Nagle's algorithm holds back until the
+/// peer's delayed ACK, while the peer cannot parse without it.
 pub fn write_line(w: &mut impl Write, v: &Value) -> io::Result<()> {
-    writeln!(w, "{v}")?;
+    w.write_all(format!("{v}\n").as_bytes())?;
     w.flush()
 }
 
@@ -1046,25 +1049,48 @@ pub fn read_line(r: &mut impl BufRead) -> io::Result<Option<Value>> {
     Ok(read_line_limited(r, usize::MAX - 1)?)
 }
 
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 /// Lowercase hex encoding for bitstream bytes on the wire.
 pub fn to_hex(bytes: &[u8]) -> String {
-    use std::fmt::Write as _;
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
-        write!(s, "{b:02x}").expect("write to String");
+        s.push(HEX_DIGITS[usize::from(b >> 4)] as char);
+        s.push(HEX_DIGITS[usize::from(b & 0xf)] as char);
     }
     s
 }
 
-/// Inverse of [`to_hex`].
+/// Hex digit value by byte, either case; `0xff` for every byte that is
+/// not `[0-9a-fA-F]`.
+const NIBBLE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Inverse of [`to_hex`]: exactly pairs of `[0-9a-fA-F]`. The input is a
+/// peer's (`artifact_put.data_hex`, a gateway's `artifact` reply), so
+/// anything else — a sign, a non-ASCII character — is an `Err`, never a
+/// panic.
 pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) {
         return Err("odd-length hex".to_string());
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| format!("bad hex at {i}")))
-        .collect()
+    let mut bytes = Vec::with_capacity(s.len() / 2);
+    for (i, pair) in s.as_bytes().chunks_exact(2).enumerate() {
+        let (hi, lo) = (NIBBLE[usize::from(pair[0])], NIBBLE[usize::from(pair[1])]);
+        if hi | lo > 0xf {
+            return Err(format!("bad hex at {}", 2 * i));
+        }
+        bytes.push(hi << 4 | lo);
+    }
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -1606,5 +1632,115 @@ mod tests {
         assert_eq!(from_hex(&to_hex(&data)).unwrap(), data);
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
+    }
+
+    /// Peer-supplied hex that the `from_str_radix`-on-slices decoder
+    /// panicked on (a slice through a multi-byte character) or took for
+    /// a number (a sign).
+    #[test]
+    fn from_hex_refuses_hostile_input_without_panicking() {
+        assert_eq!(from_hex("a\u{e9}1"), Err("bad hex at 0".to_string()));
+        assert_eq!(from_hex("00\u{e9}\u{e9}"), Err("bad hex at 2".to_string()));
+        assert_eq!(from_hex("+f"), Err("bad hex at 0".to_string()));
+        assert_eq!(from_hex("0f-1"), Err("bad hex at 2".to_string()));
+        assert_eq!(from_hex("\u{e9}"), Err("bad hex at 0".to_string()));
+        assert_eq!(from_hex("0"), Err("odd-length hex".to_string()));
+        assert_eq!(from_hex("aBcD"), Ok(vec![0xab, 0xcd]));
+    }
+
+    /// The decoder this one replaced, for all-hex-digit input only (it
+    /// panics or mis-accepts outside that).
+    fn from_hex_reference(s: &str) -> Result<Vec<u8>, String> {
+        if !s.len().is_multiple_of(2) {
+            return Err("odd-length hex".to_string());
+        }
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| format!("bad hex at {i}")))
+            .collect()
+    }
+
+    /// A write sink that records each `write` call it receives.
+    #[derive(Default)]
+    struct RecordedWrites(Vec<Vec<u8>>);
+
+    impl Write for RecordedWrites {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One line, one write: on an unbuffered socket a separate newline
+    /// write is a separate segment for Nagle's algorithm to hold.
+    #[test]
+    fn write_line_issues_exactly_one_write_ending_in_newline() {
+        let small = Event::Queued { job: 7 }.to_value();
+        let large = Event::Artifact {
+            stage: "route".into(),
+            key: "ab".repeat(32),
+            hit: true,
+            data_hex: Some(to_hex(&vec![0x5a; 512 * 1024])),
+        }
+        .to_value();
+        for value in [small, large] {
+            let mut sink = RecordedWrites::default();
+            write_line(&mut sink, &value).unwrap();
+            assert_eq!(
+                sink.0.len(),
+                1,
+                "write calls for a {} byte line",
+                sink.0[0].len()
+            );
+            assert_eq!(sink.0[0], format!("{value}\n").into_bytes());
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Characters a hostile or merely broken peer might put in a hex
+        /// field: digits of both cases, near-misses, signs, whitespace,
+        /// multi-byte characters.
+        const HEXISH: &str = "09afAFgG+- x/:@`\u{e9}\u{20ac}\u{1d11e}\n";
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn from_hex_never_panics(picks in collection::vec(0usize..HEXISH.chars().count(), 0..24)) {
+                let hexish: Vec<char> = HEXISH.chars().collect();
+                let s: String = picks.iter().map(|&i| hexish[i]).collect();
+                let all_hex = s.chars().all(|c| c.is_ascii_hexdigit());
+                match from_hex(&s) {
+                    Ok(bytes) => {
+                        prop_assert!(all_hex && s.len() == 2 * bytes.len(), "accepted {s:?}");
+                        prop_assert_eq!(to_hex(&bytes), s.to_ascii_lowercase());
+                    }
+                    Err(_) => prop_assert!(!all_hex || s.len() % 2 == 1, "refused {s:?}"),
+                }
+            }
+
+            #[test]
+            fn hex_round_trips_any_bytes(bytes in collection::vec(0u8..=255, 0..512)) {
+                let hex = to_hex(&bytes);
+                prop_assert_eq!(hex.len(), 2 * bytes.len());
+                prop_assert!(hex.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)));
+                prop_assert_eq!(from_hex(&hex), Ok(bytes.clone()));
+                prop_assert_eq!(from_hex(&hex.to_ascii_uppercase()), Ok(bytes));
+            }
+
+            #[test]
+            fn from_hex_agrees_with_the_old_decoder_on_hex_digits(
+                digits in "[0-9a-fA-F]{0,64}",
+            ) {
+                prop_assert_eq!(from_hex(&digits), from_hex_reference(&digits));
+            }
+        }
     }
 }

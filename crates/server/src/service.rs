@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use std::{fmt, io};
 
 use fpga_flow::check::{self, CheckKind, Source};
@@ -37,8 +37,8 @@ use serde_json::Value;
 
 use crate::artifact::RemoteTierClient;
 use crate::metrics::{
-    counts_json, JobCounters, Metrics, MetricsSnapshot, ServiceCounters, StageCacheCounters,
-    JOB_STATES,
+    counts_json, JobCounters, JobDurations, Metrics, MetricsSnapshot, ServiceCounters,
+    StageCacheCounters, JOB_STATES,
 };
 use crate::net::{self, Conns, Endpoint, Limits, Node};
 use crate::proto::{self, CompileRequest, Event, JobKind, SourceFormat, PROTO_VERSION};
@@ -158,6 +158,8 @@ struct Shared {
     conns: Conns,
     /// Job outcomes, one counter per [`JOB_STATES`] entry.
     jobs: JobCounters<{ JOB_STATES.len() }>,
+    /// Request parsed → terminal event written, per job verb.
+    job_durations: JobDurations,
     /// `Arc`ed separately so the supervisor can count respawns without
     /// holding the whole shared state.
     workers_respawned: Arc<AtomicU64>,
@@ -302,6 +304,7 @@ impl Shared {
         MetricsSnapshot {
             service,
             stages,
+            job_durations: self.job_durations.snapshot(),
             cache_entries: self.cache.len() as u64,
             cache_memory_evicted: self.cache.memory_evicted(),
             store: self.cache.store().map(|s| s.counters()),
@@ -379,6 +382,7 @@ impl Server {
             metrics: Metrics::new(),
             conns,
             jobs: JobCounters::new(&JOB_STATES),
+            job_durations: JobDurations::default(),
             workers_respawned: Arc::new(AtomicU64::new(0)),
             next_job_id: AtomicU64::new(1),
         });
@@ -548,6 +552,7 @@ fn handle_submit(
     shared: &Shared,
     writer: &mut impl Write,
 ) -> bool {
+    let started = Instant::now();
     let id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
     let deadline_ms = effective_deadline_ms(req.deadline_ms.take(), shared.config.max_deadline_ms);
     let cancel = match deadline_ms {
@@ -611,8 +616,11 @@ fn handle_submit(
                     retry_after_ms: None,
                     diagnostics: Vec::new(),
                 };
-                return proto::write_line(writer, &lost.to_value()).is_ok();
+                if proto::write_line(writer, &lost.to_value()).is_err() {
+                    return false;
+                }
             }
+            shared.job_durations.observe_since(kind, started);
             true
         }
     }
@@ -637,7 +645,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// What a job's flow produced when it ran to completion.
 enum Finished {
-    Compiled(Box<fpga_flow::FlowArtifacts>),
+    Compiled(Box<fpga_flow::Compiled>),
     Checked(CheckKind, fpga_flow::CheckReport),
 }
 
@@ -723,12 +731,12 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
         let ctx = builder.build();
         match (kind, req.format) {
             (JobKind::Compile, SourceFormat::Vhdl) => {
-                fpga_flow::run_vhdl_ctx(&req.source, &options, ctx)
-                    .map(|art| Finished::Compiled(Box::new(art)))
+                fpga_flow::compile_vhdl_ctx(&req.source, &options, ctx)
+                    .map(|done| Finished::Compiled(Box::new(done)))
             }
             (JobKind::Compile, SourceFormat::Blif) => {
-                fpga_flow::run_blif_ctx(&req.source, &options, ctx)
-                    .map(|art| Finished::Compiled(Box::new(art)))
+                fpga_flow::compile_blif_ctx(&req.source, &options, ctx)
+                    .map(|done| Finished::Compiled(Box::new(done)))
             }
             (JobKind::Check(check), format) => {
                 let source = match format {
@@ -767,16 +775,16 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
                 diagnostics: Vec::new(),
             });
         }
-        Ok(Ok(Finished::Compiled(art))) => {
+        Ok(Ok(Finished::Compiled(done))) => {
             shared.jobs.inc("completed");
-            count_rules(&art.lint);
+            count_rules(&done.lint);
             let _ = events.send(Event::Done {
                 job: id,
-                design: art.report.design.clone(),
-                report: serde_json::to_value(&art.report),
-                bitstream_hex: proto::to_hex(&art.bitstream_bytes),
+                design: done.report.design.clone(),
+                report: serde_json::to_value(&done.report),
+                bitstream_hex: proto::to_hex(done.bitstream_bytes()),
                 trace: trace.as_ref().map(TraceLog::to_value),
-                lint: art.lint.clone(),
+                lint: done.lint,
             });
         }
         Ok(Ok(Finished::Checked(kind, report))) => {
@@ -889,7 +897,7 @@ mod tests {
         server.shutdown();
     }
 
-    const RECORDED_METRICS: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":3,"respawned":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{"synthesis":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"lut_map":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"pack":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"place":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"route":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"power":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"bitstream":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"verify":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0}},"unknown_stage_events":0,"lint_rules":{"NL001":0,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"verify_rules":{"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"event":"metrics","version":"ifdf-0.2.0","proto_version":6}"#;
+    const RECORDED_METRICS: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":3,"respawned":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{"synthesis":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"lut_map":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"pack":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"place":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"route":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"power":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"bitstream":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"verify":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0}},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":0,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"verify_rules":{"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"event":"metrics","version":"ifdf-0.2.0","proto_version":6}"#;
 
     const RECORDED_STATS: &str = r#"{"event":"stats","version":"ifdf-0.2.0","jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0,"queued":0},"workers":{"configured":3,"respawned":0},"connections":{"open":0,"rejected":0,"limit":7},"limits":{"max_deadline_ms":60000,"idle_timeout_ms":null,"max_line_bytes":4096,"retry_after_ms":150},"cache":{"entries":0,"hits":0,"misses":0,"memory_evicted":0,"stages":{"synthesis":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"lut_map":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"pack":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"place":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"route":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"power":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"bitstream":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"verify":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0}}}}"#;
 

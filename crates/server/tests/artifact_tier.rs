@@ -1,13 +1,15 @@
 //! Shared-artifact-tier acceptance tests (proto v5): a fresh node is
 //! served digest-verified stage artifacts from a warm peer through the
 //! gateway; a corrupted transfer is quarantined and recomputed with an
-//! identical result; a dead gateway degrades to plain local compute;
-//! and an idle backend steals a job from a busy affinity pick.
+//! identical result; a dead gateway — or one answering garbage hex —
+//! degrades to plain local compute; and an idle backend steals a job
+//! from a busy affinity pick.
 //!
 //! All in-process — real TCP, no subprocesses; polling loops rendezvous
 //! on observable state with generous ceilings.
 
 use std::fs;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -206,6 +208,52 @@ fn dead_gateway_degrades_to_local_compute_within_the_deadline() {
     assert!(
         failures + skips >= 2,
         "after the breaker opens, later stages skip instead of dialing: {metrics}"
+    );
+
+    node.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A gateway that answers every `artifact_get` with a hit whose payload
+/// is not hex at all — an odd byte count of it inside a multi-byte
+/// character, which the pre-table decoder sliced through and panicked
+/// on, inside the fetching worker's stage.
+#[test]
+fn garbage_hex_from_the_gateway_is_a_miss_and_the_job_completes() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake gateway");
+    let fake_gateway = listener.local_addr().expect("addr").to_string();
+    thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let mut request = String::new();
+            let Ok(reader) = stream.try_clone() else {
+                continue;
+            };
+            if BufReader::new(reader).read_line(&mut request).is_err() {
+                continue;
+            }
+            let reply = if request.contains("\"artifact_get\"") {
+                "{\"event\":\"artifact\",\"stage\":\"s\",\"key\":\"k\",\"hit\":true,\"data_hex\":\"a\u{e9}1\"}\n"
+            } else {
+                "{\"event\":\"artifact_ack\",\"stored\":true}\n"
+            };
+            let _ = stream.write_all(reply.as_bytes());
+        }
+    });
+
+    let dir = temp_cache_dir("badhex");
+    let node = server_on(&dir, Some(fake_gateway));
+    let outcome = compile(&node, &fpga_circuits::vhdl_counter(3));
+    assert!(!outcome.bitstream.is_empty());
+
+    let metrics = node.metrics_json();
+    assert_eq!(metrics["jobs"]["panicked"].as_u64(), Some(0), "{metrics}");
+    assert_eq!(metrics["cache"]["remote_hits"].as_u64(), Some(0));
+    let remote = &metrics["cache"]["remote"];
+    assert_eq!(remote["fetch_hits"].as_u64(), Some(0), "{metrics}");
+    assert!(
+        remote["fetch_misses"].as_u64() >= Some(1),
+        "an undecodable payload counts as a miss: {metrics}"
     );
 
     node.shutdown();

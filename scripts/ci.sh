@@ -47,14 +47,15 @@ if [ -n "$HASHED" ]; then
     exit 1
 fi
 
-echo "==> source lint: sockets are opened, accepted and timed in crates/server/src/net.rs only"
+echo "==> source lint: sockets are opened, accepted, timed and given options in crates/server/src/net.rs only"
 # One transport: the endpoint loop and every outbound dial live in
-# net.rs, so a guard or a socket option is decided in one place. No
-# allowlist — a site that cannot move means the design is wrong.
+# net.rs, so a guard or a socket option (TCP_NODELAY) is decided in one
+# place. No allowlist — a site that cannot move means the design is
+# wrong.
 SOCKETS=$(
     find crates/server/src -name '*.rs' ! -path crates/server/src/net.rs | sort | while read -r f; do
         awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
-            /TcpStream::connect|connect_timeout|UnixStream::connect|TcpListener::bind|UnixListener::bind|\.accept\(\)|\.incoming\(\)|set_read_timeout|set_write_timeout/ && !/^[ \t]*\/\//{
+            /TcpStream::connect|connect_timeout|UnixStream::connect|TcpListener::bind|UnixListener::bind|\.accept\(\)|\.incoming\(\)|set_read_timeout|set_write_timeout|set_nodelay/ && !/^[ \t]*\/\//{
                 sub(/^[ \t]+/, ""); print file": "$0 }' "$f"
     done
 )

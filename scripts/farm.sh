@@ -13,7 +13,11 @@
 #      flowgw_tenant_jobs_total;
 #   3. the QoR smoke tier through the gateway vs straight at the backend
 #      on one cache dir: rows must be QoR-identical in both directions
-#      (the gateway adds routing, never results);
+#      (the gateway adds routing, never results); then the tier once more
+#      through the gateway, all cache hits, and the gateway's own
+#      flowgw_job_duration_ms must average under 40 ms per job — real
+#      binaries over real sockets never wait out a Nagle/delayed-ACK
+#      stall (one costs 44 ms per hop direction);
 #   4. warm-remote failover: stage artifacts published to a store node
 #      survive a SIGKILL — the failover peer replays the job on warm
 #      *remote* hits and still finishes inside the client's original
@@ -210,6 +214,27 @@ wait_for "$FLOWC" --tcp "127.0.0.1:$PG3" ping
 # cache-aware clients (qor_bench) see real counters through it.
 grep -q '"daemon_cache"' "$WORK/BENCH_gw.json" \
     || { echo "FAIL: gateway bench report missing aggregated cache counters" >&2; exit 1; }
+# Warm pass through the gateway: the mean whole-job time the gateway
+# clocked over exactly these jobs (histogram _sum and _count, after
+# minus before).
+job_duration() {
+    awk -v want="flowgw_job_duration_ms_$1{verb=\"compile\"}" '$1 == want { print $2 }' "$2"
+}
+"$FLOWC" --tcp "127.0.0.1:$PG3" metrics --text > "$WORK/gw3-before.txt"
+"$QOR_BENCH" --tier smoke --via-daemon "127.0.0.1:$PG3" --out "$WORK/BENCH_gw_warm.json" \
+    2> "$WORK/bench-gw-warm.log" \
+    || { echo "FAIL: warm qor_bench via gateway" >&2; cat "$WORK/bench-gw-warm.log" >&2; exit 1; }
+"$FLOWC" --tcp "127.0.0.1:$PG3" metrics --text > "$WORK/gw3-after.txt"
+check_exposition "$WORK/gw3-after.txt"
+WARM_JOBS=$(( $(job_duration count "$WORK/gw3-after.txt") - $(job_duration count "$WORK/gw3-before.txt") ))
+[ "$WARM_JOBS" -gt 0 ] \
+    || { echo "FAIL: the warm pass left no flowgw_job_duration_ms observations" >&2; exit 1; }
+WARM_MEAN_MS=$(awk -v a="$(job_duration sum "$WORK/gw3-after.txt")" \
+    -v b="$(job_duration sum "$WORK/gw3-before.txt")" -v n="$WARM_JOBS" \
+    'BEGIN { printf "%.3f", (a - b) / n }')
+echo "    warm pass: $WARM_JOBS jobs, gateway mean $WARM_MEAN_MS ms/job"
+awk -v mean="$WARM_MEAN_MS" 'BEGIN { exit !(mean < 40) }' \
+    || { echo "FAIL: warm jobs through the gateway average $WARM_MEAN_MS ms (>= 40): a hop is stalling" >&2; exit 1; }
 "$FLOWC" --tcp "127.0.0.1:$PG3" shutdown >/dev/null 2>&1 || true
 "$FLOWC" --tcp "127.0.0.1:$P5" shutdown >/dev/null 2>&1 || true
 

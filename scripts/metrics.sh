@@ -5,7 +5,8 @@
 #      (cold computes, warm hits memory) with --trace, and assert the
 #      waterfall attributes every warm stage to the memory tier;
 #   2. scrape `flowc metrics --text` and assert the memory-hit counter,
-#      a zero disk tier, and a nonzero latency histogram per stage;
+#      a zero disk tier, a nonzero latency histogram per stage and a
+#      whole-job duration observation per compile;
 #   3. restart on the same cache dir, compile again, and assert the
 #      hits moved to the disk tier — then shut down with --metrics-dump
 #      and check the final exposition agrees.
@@ -81,6 +82,7 @@ assert_metric 'flowd_unknown_stage_events_total' 0 "$WORK/metrics1.txt"
 for stage in synthesis lut_map pack place route power bitstream verify; do
     assert_metric "flowd_stage_duration_ms_count{stage=\"$stage\"}" 2 "$WORK/metrics1.txt"
 done
+assert_metric 'flowd_job_duration_ms_count{verb="compile"}' 2 "$WORK/metrics1.txt"
 
 echo "==> leg 3: restart, hits move to the disk tier, dump agrees"
 "$FLOWC" --tcp "$ADDR" shutdown

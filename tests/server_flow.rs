@@ -8,13 +8,17 @@
 //!   show one miss and three hits per stage, and all four bitstreams are
 //!   byte-identical;
 //! * a later resubmission recomputes nothing (0 additional misses);
-//! * backpressure and graceful shutdown behave as documented.
+//! * backpressure and graceful shutdown behave as documented;
+//! * a cache hit through gateway + flowd over TCP answers in
+//!   milliseconds: no hop waits out a Nagle / delayed-ACK stall.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fpga_framework::flow::cache::STAGES;
-use fpga_framework::server::{FlowClient, Server, ServerConfig};
+use fpga_framework::server::{
+    FlowClient, Gateway, GatewayConfig, GovernorConfig, Server, ServerConfig,
+};
 use serde_json::Value;
 
 fn start_server(workers: usize) -> Server {
@@ -199,4 +203,63 @@ fn graceful_shutdown_rejects_new_work() {
         }
     }
     server.shutdown();
+}
+
+/// The served path's transport, end to end: client -> gateway -> flowd
+/// and back over real TCP sockets. With Nagle's algorithm on and a line
+/// leaving in two writes, every hop direction waits for the peer's
+/// delayed ACK (~44 ms), and a warm compile that computes for a
+/// millisecond took a flat 88 ms; `TCP_NODELAY` on every socket plus one
+/// write per line leaves 1-2 ms. The bound sits between the two, well
+/// under one stall quantum.
+#[test]
+fn warm_compiles_through_the_gateway_do_not_wait_on_the_wire() {
+    let backends = [start_server(1), start_server(1)];
+    let gateway = Gateway::start(GatewayConfig {
+        backends: backends
+            .iter()
+            .map(|b| b.tcp_addr().expect("tcp enabled").to_string())
+            .collect(),
+        // One tenant sends everything: no quota wait in the round trip.
+        governor: GovernorConfig {
+            tenant_burst: 1_000,
+            ..GovernorConfig::default()
+        },
+        ..GatewayConfig::default()
+    })
+    .expect("start in-process gateway");
+    let mut client = FlowClient::connect_tcp(gateway.tcp_addr()).expect("connect to gateway");
+
+    let src = fpga_framework::circuits::vhdl_counter(4);
+    let options = || serde_json::json!({"channel_width": 12u64, "verify_cycles": 0u64});
+    let cold = client
+        .compile("vhdl", &src, options())
+        .expect("cold fill compiles");
+
+    let mut round_trips_ms: Vec<f64> = (0..30)
+        .map(|_| {
+            let sent = std::time::Instant::now();
+            let warm = client
+                .compile("vhdl", &src, options())
+                .expect("warm compile");
+            let elapsed = sent.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(warm.bitstream, cold.bitstream);
+            assert!(warm
+                .stage_events
+                .iter()
+                .all(|e| e["metrics"]["cache_tier"] == serde_json::json!("memory-hit")));
+            elapsed
+        })
+        .collect();
+    round_trips_ms.sort_by(f64::total_cmp);
+    let median = round_trips_ms[round_trips_ms.len() / 2];
+    assert!(
+        median < 20.0,
+        "median warm round trip {median:.1} ms (all: {round_trips_ms:.1?})"
+    );
+
+    gateway.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
 }
