@@ -6,9 +6,24 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use fpga_arch::device::Device;
 use fpga_arch::Architecture;
-use fpga_place::{AnnealingPlacer, PlaceConfig, PlaceEngine};
+use fpga_netlist::Netlist;
+use fpga_pack::Clustering;
+use fpga_place::{AnnealingPlacer, Parallelism, PlaceConfig, PlaceEngine};
 use fpga_route::rrgraph::RrGraph;
 use fpga_route::{PathFinderRouter, RouteConfig, RouteEngine};
+
+/// Map and pack a design, and size a device for it as the flow does.
+fn packed(rtl: &Netlist, arch: &Architecture) -> (Clustering, Device) {
+    let (mut mapped, _) = fpga_synth::map_to_luts(rtl, fpga_synth::MapOptions::default()).unwrap();
+    fpga_pack::prepare(&mut mapped).unwrap();
+    let clustering = fpga_pack::pack(&mapped, &arch.clb).unwrap();
+    let device = Device::sized_for(
+        arch.clone(),
+        clustering.clusters.len(),
+        mapped.inputs.len() + mapped.outputs.len() + 1,
+    );
+    (clustering, device)
+}
 
 fn bench_tools(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_stages");
@@ -65,16 +80,7 @@ fn bench_tools(c: &mut Criterion) {
     // minimum channel width, where negotiation runs longest — the shape of
     // the final probes of a min-W search.
     let (alu_clustering, alu_placement, alu_graph) = {
-        let (mut mapped, _) =
-            fpga_synth::map_to_luts(&fpga_circuits::alu(8), fpga_synth::MapOptions::default())
-                .unwrap();
-        fpga_pack::prepare(&mut mapped).unwrap();
-        let clustering = fpga_pack::pack(&mapped, &arch.clb).unwrap();
-        let device = Device::sized_for(
-            arch.clone(),
-            clustering.clusters.len(),
-            mapped.inputs.len() + mapped.outputs.len() + 1,
-        );
+        let (clustering, device) = packed(&fpga_circuits::alu(8), &arch);
         let placement = AnnealingPlacer::new(PlaceConfig::new().seed(1).inner_num(1.0))
             .place(&clustering, device)
             .unwrap();
@@ -91,6 +97,21 @@ fn bench_tools(c: &mut Criterion) {
         b.iter(|| {
             PathFinderRouter::new(RouteConfig::new())
                 .route(&alu_clustering, &alu_placement, &alu_graph)
+                .unwrap()
+        })
+    });
+    // The annealer's move loop on its own: `mult16` from the QoR suite,
+    // packed outside the timer, at the benchmark's effort on one thread —
+    // the larger half of what `cold_mult` spends in `place`.
+    let (mult_clustering, mult_device) = packed(&fpga_circuits::multiplier(16), &arch);
+    group.bench_function("place_anneal", |b| {
+        let cfg = PlaceConfig::new()
+            .seed(1)
+            .inner_num(1.0)
+            .parallelism(Parallelism::serial());
+        b.iter(|| {
+            AnnealingPlacer::new(cfg.clone())
+                .place(&mult_clustering, mult_device.clone())
                 .unwrap()
         })
     });

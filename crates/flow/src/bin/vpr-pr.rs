@@ -59,6 +59,7 @@ fn main() {
         "placed on {} x {} grid, cost {:.1}",
         placement.device.width, placement.device.height, placement.cost
     );
+    eprint!("{}", placement.stats_table());
     let router = PathFinderRouter::new(RouteConfig::new().parallelism(parallelism));
     let (w, routed) = match args.options.get("w").and_then(|s| s.parse::<usize>().ok()) {
         Some(w) => {

@@ -33,7 +33,7 @@ use fpga_cells::caps::ClbCaps;
 use fpga_cells::tech::Tech;
 use fpga_netlist::{canonical_text, NetId, Netlist};
 use fpga_pack::Clustering;
-use fpga_place::{AnnealingPlacer, PlaceConfig, PlaceEngine, Placement};
+use fpga_place::{AnnealingPlacer, PlaceConfig, PlaceEngine, Placement, SweepStats};
 use fpga_power::PowerReport;
 use fpga_route::rrgraph::RrGraph;
 use fpga_route::{PathFinderRouter, RouteConfig, RouteEngine, RouteResult};
@@ -262,11 +262,15 @@ pub fn place(
         let placement = engine
             .place(&clustering, device)
             .map_err(stage_err("placement (VPR)"))?;
+        let moves = |of: fn(&SweepStats) -> usize| placement.stats.iter().map(of).sum::<usize>();
         let metrics = serde_json::json!({
             "grid_w": placement.device.width,
             "grid_h": placement.device.height,
             "cost": placement.cost,
             "hpwl": placement.hpwl(),
+            "sweeps": placement.stats.len(),
+            "moves_attempted": moves(|s| s.attempted),
+            "moves_accepted": moves(|s| s.accepted),
         });
         Ok((placement, metrics))
     })

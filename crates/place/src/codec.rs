@@ -114,6 +114,7 @@ pub fn placement_from_bytes(bytes: &[u8]) -> CodecResult<Placement> {
         slots,
         cost,
         nets,
+        stats: Vec::new(),
     })
 }
 
@@ -157,6 +158,7 @@ mod tests {
                     BlockRef::Cluster(ClusterId(0)),
                 ],
             }],
+            stats: vec![crate::SweepStats::default()],
         }
     }
 
@@ -170,6 +172,7 @@ mod tests {
         assert_eq!(back.cost, p.cost);
         assert_eq!(back.device.arch, p.device.arch);
         assert_eq!((back.device.width, back.device.height), (2, 2));
+        assert!(back.stats.is_empty(), "run statistics are not serialized");
     }
 
     #[test]

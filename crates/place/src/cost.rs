@@ -13,29 +13,58 @@ pub struct PlacedNet {
     pub terminals: Vec<BlockRef>,
 }
 
+/// What one pass over the clusters and the primary IO lists learns about
+/// a net.
+#[derive(Clone, Default)]
+struct NetUse {
+    /// First cluster (lowest index) with a BLE driving the net.
+    producer: Option<ClusterId>,
+    /// Clusters listing the net as an input, ascending, once each.
+    sinks: Vec<ClusterId>,
+    clock: bool,
+    output: bool,
+}
+
 /// Build the net -> terminal-block list for all routable (non-clock)
-/// nets of a clustering: primary IO pads plus cluster pins.
+/// nets of a clustering: primary IO pads plus cluster pins. Terminal
+/// order — driver, sink clusters ascending, output pad — is part of the
+/// placement artifact and of every routed byte downstream.
 pub fn net_terminals(clustering: &Clustering) -> Vec<PlacedNet> {
     let nl = &clustering.netlist;
-    let mut nets = Vec::new();
-    for net in clustering.external_nets() {
-        if nl.clocks.contains(&net) {
-            continue; // dedicated global network
+    let mut uses = vec![NetUse::default(); nl.nets.len()];
+    for (ci, cluster) in clustering.clusters.iter().enumerate() {
+        let c = ClusterId(ci as u32);
+        for &bid in &cluster.bles {
+            let driven = clustering.bles[bid.0 as usize].output;
+            uses[driven.index()].producer.get_or_insert(c);
         }
-        let mut terminals = Vec::new();
-        // Driver: producing cluster or an input pad.
-        match clustering.producer(net) {
-            Some(c) => terminals.push(BlockRef::Cluster(c)),
-            None => terminals.push(BlockRef::InputPad(net)),
-        }
-        // Sinks: clusters that list the net as an input.
-        for (ci, cluster) in clustering.clusters.iter().enumerate() {
-            if cluster.inputs.contains(&net) {
-                terminals.push(BlockRef::Cluster(ClusterId(ci as u32)));
+        for &net in &cluster.inputs {
+            let sinks = &mut uses[net.index()].sinks;
+            if sinks.last() != Some(&c) {
+                sinks.push(c);
             }
         }
-        // Primary output pad.
-        if nl.outputs.contains(&net) {
+    }
+    for &net in &nl.clocks {
+        uses[net.index()].clock = true;
+    }
+    for &net in &nl.outputs {
+        uses[net.index()].output = true;
+    }
+
+    let mut nets = Vec::new();
+    for net in clustering.external_nets() {
+        let u = &uses[net.index()];
+        if u.clock {
+            continue; // dedicated global network
+        }
+        // Driver: producing cluster or an input pad.
+        let mut terminals = vec![match u.producer {
+            Some(c) => BlockRef::Cluster(c),
+            None => BlockRef::InputPad(net),
+        }];
+        terminals.extend(u.sinks.iter().map(|&c| BlockRef::Cluster(c)));
+        if u.output {
             terminals.push(BlockRef::OutputPad(net));
         }
         if terminals.len() >= 2 {
@@ -81,6 +110,60 @@ mod tests {
             assert!(q >= prev);
             prev = q;
         }
+    }
+
+    /// The one-pass build lists exactly what the per-net definition
+    /// lists, in its order — on a clustering with a cluster that reads
+    /// its own output and one that lists an input twice.
+    #[test]
+    fn terminals_match_the_per_net_definition() {
+        let mut nl = Netlist::new("chain");
+        let x = nl.net("x");
+        nl.add_input(x);
+        let mut prev = nl.net("y");
+        nl.add_input(prev);
+        for i in 0..40 {
+            let d = nl.net(&format!("d{i}"));
+            let xor = CellKind::Lut {
+                k: 2,
+                truth: 0b0110,
+            };
+            nl.add_cell(&format!("l{i}"), xor, vec![x, prev], d);
+            prev = d;
+        }
+        nl.add_output(prev);
+        let mut c = fpga_pack::pack(&nl, &ClbArch::paper_default()).unwrap();
+        assert!(c.clusters.len() > 4);
+        let own = c.bles[c.clusters[1].bles[0].0 as usize].output;
+        c.clusters[1].inputs.push(own);
+        c.clusters[3].inputs.push(x);
+
+        let mut by_definition = Vec::new();
+        for net in c.external_nets() {
+            let mut terminals = vec![match c.producer(net) {
+                Some(cl) => BlockRef::Cluster(cl),
+                None => BlockRef::InputPad(net),
+            }];
+            for (ci, cluster) in c.clusters.iter().enumerate() {
+                if cluster.inputs.contains(&net) {
+                    terminals.push(BlockRef::Cluster(ClusterId(ci as u32)));
+                }
+            }
+            if c.netlist.outputs.contains(&net) {
+                terminals.push(BlockRef::OutputPad(net));
+            }
+            if terminals.len() >= 2 {
+                by_definition.push((net, terminals));
+            }
+        }
+        let built: Vec<_> = net_terminals(&c)
+            .into_iter()
+            .map(|pn| (pn.net, pn.terminals))
+            .collect();
+        assert_eq!(built, by_definition);
+        let looped = &built.iter().find(|(net, _)| *net == own).unwrap().1;
+        let listed = looped.iter().filter(|&&t| t == looped[0]).count();
+        assert_eq!(listed, 2, "driver listed again as a sink");
     }
 
     #[test]

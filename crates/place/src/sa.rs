@@ -11,16 +11,60 @@
 //! sweep degenerates to a single serial whole-chip region, preserving the
 //! early global moves the VPR schedule relies on.
 //!
-//! Determinism across thread counts is by construction:
+//! # What a move touches
+//!
+//! The annealer's runtime is the cost of one move, so a move reads and
+//! writes flat, index-addressed memory only and allocates nothing.
+//! Blocks, sites (CLB sites first, then IO pads) and nets are dense
+//! indices. The committed state is a `Board` — block → location,
+//! block → site, site → block — plus one cost per net. Every worker owns
+//! a *working copy* of both, refreshed from the committed state at the
+//! start of a phase. A move writes the block's (and the displaced
+//! block's) location into the copy, evaluates each affected net by plain
+//! indexing, and on reject writes the two locations back; on accept it
+//! also updates the copy's site and occupancy entries and net costs and
+//! flags the blocks as touched. When a region's attempts are spent its
+//! touched blocks are reported with their new sites and the copy is put
+//! back — sites, occupancy, locations and the nets of the touched blocks
+//! — from the phase-start state, so the next region the same worker runs
+//! starts from exactly what every other worker sees.
+//!
+//! # Determinism across thread counts
+//!
+//! By construction:
 //! * every region draws from its own xorshift stream seeded from
 //!   `(seed, deterministic_seed, sweep, phase, region index)` — never
 //!   from a shared RNG or a thread id;
-//! * workers read cross-region state from the phase-start snapshot and
-//!   write only to their own region's blocks;
+//! * a region reads other regions' blocks as they stood at phase start
+//!   (the undo above is what keeps a worker's copy equal to that
+//!   snapshot outside the region it is running) and moves only its own;
 //! * per-region move batches are committed in region-index order at the
 //!   phase barrier, and net costs are recomputed exactly afterwards;
 //! * region geometry is a function of the deterministic schedule state
 //!   (`rlim`, sweep number) only — never of the thread count.
+//!
+//! # Exactness
+//!
+//! A placement is a cache value and the input of every routed byte;
+//! `tests/place_golden.rs` pins its digests to the map-based loop this
+//! one replaced. Kept from that loop, and not to be "tidied":
+//! * the RNG draw sequence — one `range` for the block, one for the
+//!   site, up to 8 redraws while the pick is farther than
+//!   `rlim.max(2.0)` or is the block's own site, the 9th pick used even
+//!   if out of range; an attempt whose class has at most one site in the
+//!   region, or that ends on its own site, is spent without evaluating;
+//!   `f64()` is drawn only when `delta > 0` and the temperature is
+//!   finite;
+//! * `delta` is summed over the affected nets in ascending unique net
+//!   index, `new - old` per net, `old` being the region's own running
+//!   cost for a net it already changed and the phase-start cost
+//!   otherwise;
+//! * a net's crossing factor comes from its terminal list as
+//!   [`net_terminals`] built it, duplicates included (a cluster that
+//!   drives a net it also reads is listed twice);
+//! * a region gets `max(1, moves_per_temp * |region| / total)` attempts,
+//!   and the initial temperature is sampled on a whole-chip region at
+//!   `temp = ∞` whose moves are thrown away.
 
 use std::collections::HashMap;
 
@@ -30,6 +74,21 @@ use fpga_pack::{ClusterId, Clustering};
 use crate::cost::{crossing_factor, net_terminals, PlacedNet};
 use crate::engine::PlaceConfig;
 use crate::{BlockRef, PlaceError, Result, Slot};
+
+/// One sweep (one temperature) as the schedule saw it.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct SweepStats {
+    /// Temperature and range limit the sweep ran at.
+    pub temp: f64,
+    pub rlim: f64,
+    /// Regions that ran, both checkerboard phases together (1 while the
+    /// range limit still spans the chip).
+    pub regions: usize,
+    pub attempted: usize,
+    pub accepted: usize,
+    /// Bounding-box cost after the sweep's last barrier.
+    pub cost: f64,
+}
 
 /// The placement result.
 #[derive(Clone, Debug)]
@@ -41,6 +100,10 @@ pub struct Placement {
     pub cost: f64,
     /// Nets used for the cost (kept for routing and reports).
     pub nets: Vec<PlacedNet>,
+    /// One row per annealing sweep. A record of how the result was
+    /// reached, not part of it: the codec leaves it out, so a decoded
+    /// placement carries none. Identical at every thread count.
+    pub stats: Vec<SweepStats>,
 }
 
 impl Placement {
@@ -58,11 +121,38 @@ impl Placement {
     pub fn hpwl(&self) -> u64 {
         self.nets
             .iter()
-            .map(|n| {
-                let (w, h) = bbox(&n.terminals, &self.slots);
-                (w + h) as u64
-            })
+            .map(|n| half_perimeter(n.terminals.iter().map(|t| self.slots[t].loc)) as u64)
             .sum()
+    }
+
+    /// The per-sweep statistics as an aligned text table, one line per
+    /// sweep plus a totals line.
+    pub fn stats_table(&self) -> String {
+        let mut out = format!(
+            "{:>5} {:>12} {:>7} {:>7} {:>10} {:>10} {:>6} {:>12}\n",
+            "sweep", "temp", "rlim", "regions", "attempted", "accepted", "rate", "cost"
+        );
+        let mut line = |label: &str, schedule: (&str, &str), row: &SweepStats| {
+            let (temp, rlim) = schedule;
+            let rate = row.accepted as f64 / row.attempted.max(1) as f64;
+            out.push_str(&format!(
+                "{label:>5} {temp:>12} {rlim:>7} {:>7} {:>10} {:>10} {rate:>6.3} {:>12.2}\n",
+                row.regions, row.attempted, row.accepted, row.cost
+            ));
+        };
+        let mut total = SweepStats {
+            cost: self.cost,
+            ..SweepStats::default()
+        };
+        for (i, row) in self.stats.iter().enumerate() {
+            let schedule = (format!("{:.5}", row.temp), format!("{:.2}", row.rlim));
+            line(&i.to_string(), (&schedule.0, &schedule.1), row);
+            total.regions += row.regions;
+            total.attempted += row.attempted;
+            total.accepted += row.accepted;
+        }
+        line("total", ("", ""), &total);
+        out
     }
 
     /// Render the `.place`-style text file.
@@ -101,24 +191,29 @@ impl Placement {
     }
 }
 
-fn bbox(terminals: &[BlockRef], slots: &HashMap<BlockRef, Slot>) -> (u32, u32) {
+/// Half-perimeter of the bounding box of a net's terminal locations.
+fn half_perimeter(terminals: impl Iterator<Item = GridLoc>) -> u32 {
     let mut min_x = u32::MAX;
     let mut max_x = 0;
     let mut min_y = u32::MAX;
     let mut max_y = 0;
-    for t in terminals {
-        let loc = slots[t].loc;
+    for loc in terminals {
         min_x = min_x.min(loc.x);
         max_x = max_x.max(loc.x);
         min_y = min_y.min(loc.y);
         max_y = max_y.max(loc.y);
     }
-    (max_x - min_x, max_y - min_y)
+    (max_x - min_x) + (max_y - min_y)
+}
+
+/// [`half_perimeter`] of a net given as block indices into `loc`.
+fn half_perimeter_at(terms: &[u32], loc: &[GridLoc]) -> u32 {
+    half_perimeter(terms.iter().map(|&t| loc[t as usize]))
 }
 
 fn net_cost(net: &PlacedNet, slots: &HashMap<BlockRef, Slot>) -> f64 {
-    let (w, h) = bbox(&net.terminals, slots);
-    crossing_factor(net.terminals.len()) * (w + h) as f64
+    let hp = half_perimeter(net.terminals.iter().map(|t| slots[t].loc));
+    crossing_factor(net.terminals.len()) * hp as f64
 }
 
 fn splitmix64(x: u64) -> u64 {
@@ -159,14 +254,62 @@ impl XorShift {
     }
 }
 
+/// "No block" in [`Board::occ`].
+const NONE: u32 = u32::MAX;
+
+/// Where every block sits, three ways, kept in step: the location the
+/// bounding boxes read, the site index a move compares and the
+/// occupancy a move displaces through.
+#[derive(Clone)]
+struct Board {
+    /// Block -> grid location.
+    loc: Vec<GridLoc>,
+    /// Block -> site index.
+    site_of: Vec<u32>,
+    /// Site index -> block, or [`NONE`].
+    occ: Vec<u32>,
+}
+
+impl Board {
+    fn copy_from(&mut self, other: &Board) {
+        self.loc.copy_from_slice(&other.loc);
+        self.site_of.copy_from_slice(&other.site_of);
+        self.occ.copy_from_slice(&other.occ);
+    }
+
+    /// Put each `(block, site)` of a batch in place. The batch may chain
+    /// (a block lands where another of the batch stood), so every old
+    /// site is vacated before any new one is filled.
+    fn place_all(&mut self, sites: &[Slot], batch: impl Iterator<Item = (u32, u32)> + Clone) {
+        for (b, _) in batch.clone() {
+            self.occ[self.site_of[b as usize] as usize] = NONE;
+        }
+        for (b, s) in batch {
+            self.site_of[b as usize] = s;
+            self.occ[s as usize] = b;
+            self.loc[b as usize] = sites[s as usize].loc;
+        }
+    }
+
+    /// Each block's site holds that block at that location; every other
+    /// site is empty.
+    fn is_consistent(&self, sites: &[Slot]) -> bool {
+        let held = self.occ.iter().filter(|&&b| b != NONE).count();
+        held == self.loc.len()
+            && (0..self.loc.len()).all(|b| {
+                let s = self.site_of[b] as usize;
+                self.occ[s] == b as u32 && self.loc[b] == sites[s].loc
+            })
+    }
+}
+
 /// One region's slice of a checkerboard phase.
 struct RegionTask {
-    /// Blocks (indices into the annealer's block table) positioned inside
-    /// this region at sweep start.
+    /// Blocks positioned inside this region at sweep start, ascending.
     blocks: Vec<u32>,
-    /// CLB site indices inside this region.
+    /// CLB site indices inside this region, ascending.
     clb_sites: Vec<u32>,
-    /// IO site indices inside this region.
+    /// IO site indices inside this region, ascending.
     io_sites: Vec<u32>,
     attempts: usize,
     seed: u64,
@@ -174,168 +317,178 @@ struct RegionTask {
 
 /// Deterministic result of one region's moves.
 struct RegionOutcome {
-    /// Final positions of blocks this region moved, sorted by block index
-    /// so the barrier commit order never depends on map iteration order.
-    moved: Vec<(u32, Slot)>,
-    /// Accepted move deltas (drives the adaptive schedule).
-    deltas: Vec<f64>,
-    attempted: usize,
+    /// `(block, new site)` for every block an accepted move displaced,
+    /// ascending by block so the barrier commit has one order.
+    moved: Vec<(u32, u32)>,
+    accepted: usize,
 }
 
-/// Immutable phase-start snapshot shared by all concurrent regions.
-struct PhaseCtx<'a> {
-    pos: &'a [Slot],
-    net_costs: &'a [f64],
-    term_idx: &'a [Vec<u32>],
-    net_q: &'a [f64],
-    nets_of: &'a [Vec<u32>],
-    clb_sites: &'a [Slot],
-    io_sites: &'a [Slot],
-    n_clb: usize,
+/// A worker's private state: the working copy its moves are made on,
+/// equal to the phase-start state outside the region it is running, and
+/// the scratch a move would otherwise allocate.
+struct Worker {
+    board: Board,
+    net_costs: Vec<f64>,
+    /// Block -> displaced by an accepted move of the current region.
+    touched: Vec<bool>,
+    affected: Vec<u32>,
+    new_costs: Vec<f64>,
+}
+
+/// Run one region's annealing moves on the worker's copy of the
+/// phase-start state `ann`, then put the copy back. The caller commits
+/// the returned batch at the phase barrier. `on_accept` sees the delta
+/// of every accepted move, in order.
+fn run_region(
+    task: &RegionTask,
+    ann: &Annealer,
     temp: f64,
     rlim: f64,
-}
-
-fn bbox_idx(terms: &[u32], pos_of: impl Fn(u32) -> Slot) -> (u32, u32) {
-    let mut min_x = u32::MAX;
-    let mut max_x = 0;
-    let mut min_y = u32::MAX;
-    let mut max_y = 0;
-    for &t in terms {
-        let loc = pos_of(t).loc;
-        min_x = min_x.min(loc.x);
-        max_x = max_x.max(loc.x);
-        min_y = min_y.min(loc.y);
-        max_y = max_y.max(loc.y);
-    }
-    (max_x - min_x, max_y - min_y)
-}
-
-/// Run one region's annealing moves against the phase-start snapshot.
-/// Writes go to region-local overlays only; the caller commits them at
-/// the phase barrier.
-fn run_region(task: &RegionTask, ctx: &PhaseCtx<'_>) -> RegionOutcome {
+    worker: &mut Worker,
+    mut on_accept: impl FnMut(f64),
+) -> RegionOutcome {
+    let Worker {
+        board,
+        net_costs,
+        touched,
+        affected,
+        new_costs,
+    } = worker;
     let mut rng = XorShift::seeded(&[task.seed]);
-    // Region-local overlays over the phase-start snapshot. Only blocks of
-    // this region ever appear here, and only this region's sites can be
-    // occupied by them.
-    let mut local_pos: HashMap<u32, Slot> = HashMap::new();
-    let mut local_net: HashMap<u32, f64> = HashMap::new();
-    let mut occ: HashMap<Slot, u32> = task
-        .blocks
-        .iter()
-        .map(|&b| (ctx.pos[b as usize], b))
-        .collect();
-    let mut deltas = Vec::new();
-    let mut attempted = 0usize;
+    let reach = rlim.max(2.0);
+    let mut accepted = 0usize;
 
     for _ in 0..task.attempts {
-        attempted += 1;
-        let b = task.blocks[rng.range(task.blocks.len())];
-        let from = local_pos.get(&b).copied().unwrap_or(ctx.pos[b as usize]);
-        let (site_idx, all_sites) = if (b as usize) < ctx.n_clb {
-            (&task.clb_sites, ctx.clb_sites)
+        let b = task.blocks[rng.range(task.blocks.len())] as usize;
+        let region_sites = if b < ann.n_clb {
+            &task.clb_sites
         } else {
-            (&task.io_sites, ctx.io_sites)
+            &task.io_sites
         };
-        if site_idx.len() <= 1 {
+        if region_sites.len() <= 1 {
             continue;
         }
         // Target site of the same class within the range limit.
-        let mut to = all_sites[site_idx[rng.range(site_idx.len())] as usize];
+        let from = board.loc[b];
+        let from_site = board.site_of[b];
+        let mut to_site = region_sites[rng.range(region_sites.len())];
         for _ in 0..8 {
-            let d = (from.loc.x.abs_diff(to.loc.x) + from.loc.y.abs_diff(to.loc.y)) as f64;
-            if d <= ctx.rlim.max(2.0) && to != from {
+            let to = ann.sites[to_site as usize].loc;
+            if from.dist(&to) as f64 <= reach && to_site != from_site {
                 break;
             }
-            to = all_sites[site_idx[rng.range(site_idx.len())] as usize];
+            to_site = region_sites[rng.range(region_sites.len())];
         }
-        if to == from {
+        if to_site == from_site {
             continue;
         }
-        let other = occ.get(&to).copied();
+        let to = ann.sites[to_site as usize].loc;
+        let other = board.occ[to_site as usize];
 
-        // Affected nets.
-        let mut affected: Vec<u32> = ctx.nets_of[b as usize].clone();
-        if let Some(o) = other {
-            affected.extend_from_slice(&ctx.nets_of[o as usize]);
+        // Apply the swap to the working copy and collect the nets it
+        // stretches or shrinks.
+        affected.clear();
+        affected.extend_from_slice(&ann.nets_of[b]);
+        board.loc[b] = to;
+        if other != NONE {
+            affected.extend_from_slice(&ann.nets_of[other as usize]);
+            board.loc[other as usize] = from;
         }
         affected.sort_unstable();
         affected.dedup();
 
-        // Evaluate with the move overlaid; commit only on accept.
-        let pos_of = |t: u32| -> Slot {
-            if t == b {
-                to
-            } else if Some(t) == other {
-                from
-            } else {
-                local_pos.get(&t).copied().unwrap_or(ctx.pos[t as usize])
-            }
-        };
+        new_costs.clear();
         let mut delta = 0.0;
-        let mut new_costs: Vec<(u32, f64)> = Vec::with_capacity(affected.len());
-        for &ni in &affected {
-            let (w, h) = bbox_idx(&ctx.term_idx[ni as usize], pos_of);
-            let c = ctx.net_q[ni as usize] * (w + h) as f64;
-            let old = local_net
-                .get(&ni)
-                .copied()
-                .unwrap_or(ctx.net_costs[ni as usize]);
-            delta += c - old;
-            new_costs.push((ni, c));
+        for &ni in affected.iter() {
+            let ni = ni as usize;
+            let c = ann.net_q[ni] * half_perimeter_at(&ann.term_idx[ni], &board.loc) as f64;
+            delta += c - net_costs[ni];
+            new_costs.push(c);
         }
 
         let accept = delta <= 0.0
-            || if ctx.temp.is_finite() {
-                rng.f64() < (-delta / ctx.temp).exp()
+            || if temp.is_finite() {
+                rng.f64() < (-delta / temp).exp()
             } else {
                 true
             };
         if accept {
-            local_pos.insert(b, to);
-            occ.insert(to, b);
-            if let Some(o) = other {
-                local_pos.insert(o, from);
-                occ.insert(from, o);
-            } else {
-                occ.remove(&from);
+            board.site_of[b] = to_site;
+            board.occ[to_site as usize] = b as u32;
+            board.occ[from_site as usize] = other;
+            touched[b] = true;
+            if other != NONE {
+                board.site_of[other as usize] = from_site;
+                touched[other as usize] = true;
             }
-            for (ni, c) in new_costs {
-                local_net.insert(ni, c);
+            for (&ni, &c) in affected.iter().zip(new_costs.iter()) {
+                net_costs[ni as usize] = c;
             }
-            deltas.push(delta);
+            accepted += 1;
+            on_accept(delta);
+        } else {
+            board.loc[b] = from;
+            if other != NONE {
+                board.loc[other as usize] = to;
+            }
         }
     }
 
-    let mut moved: Vec<(u32, Slot)> = local_pos.into_iter().collect();
-    moved.sort_unstable_by_key(|&(b, _)| b);
-    RegionOutcome {
-        moved,
-        deltas,
-        attempted,
+    let mut moved = Vec::new();
+    for &b in &task.blocks {
+        if std::mem::take(&mut touched[b as usize]) {
+            moved.push((b, board.site_of[b as usize]));
+        }
     }
+    // Undo: back to the phase-start state for whichever region this
+    // worker runs next. Only nets of touched blocks were re-costed.
+    board.place_all(
+        &ann.sites,
+        moved
+            .iter()
+            .map(|&(b, _)| (b, ann.board.site_of[b as usize])),
+    );
+    for &(b, _) in &moved {
+        for &ni in &ann.nets_of[b as usize] {
+            net_costs[ni as usize] = ann.net_costs[ni as usize];
+        }
+    }
+    RegionOutcome { moved, accepted }
 }
 
-/// Run a phase's regions, on `threads` workers when it pays. Outcomes are
-/// returned in task order regardless of which worker ran which region.
-fn run_phase(tasks: &[RegionTask], ctx: &PhaseCtx<'_>, threads: usize) -> Vec<RegionOutcome> {
-    if threads <= 1 || tasks.len() <= 1 {
-        return tasks.iter().map(|t| run_region(t, ctx)).collect();
+/// Run a phase's regions, one chunk per worker when there is more than
+/// one of each. Outcomes are returned in task order regardless of which
+/// worker ran which region.
+fn run_phase(
+    tasks: &[RegionTask],
+    ann: &Annealer,
+    temp: f64,
+    rlim: f64,
+    workers: &mut [Worker],
+) -> Vec<RegionOutcome> {
+    let run_chunk = &|chunk: &[RegionTask], w: &mut Worker| -> Vec<RegionOutcome> {
+        w.board.copy_from(&ann.board);
+        w.net_costs.copy_from_slice(&ann.net_costs);
+        chunk
+            .iter()
+            .map(|t| run_region(t, ann, temp, rlim, w, |_| {}))
+            .collect()
+    };
+    let n = workers.len().min(tasks.len());
+    if n == 1 {
+        return run_chunk(tasks, &mut workers[0]);
     }
-    let workers = threads.min(tasks.len());
-    let chunk = tasks.len().div_ceil(workers);
-    let mut out: Vec<Option<RegionOutcome>> = tasks.iter().map(|_| None).collect();
     std::thread::scope(|s| {
-        for (tch, och) in tasks.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (t, o) in tch.iter().zip(och.iter_mut()) {
-                    *o = Some(run_region(t, ctx));
-                }
-            });
-        }
-    });
-    out.into_iter().flatten().collect()
+        let handles: Vec<_> = tasks
+            .chunks(tasks.len().div_ceil(n))
+            .zip(workers.iter_mut())
+            .map(|(chunk, w)| s.spawn(move || run_chunk(chunk, w)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("annealing worker panicked"))
+            .collect()
+    })
 }
 
 /// Smallest power-of-two region side (min 8) that covers `rlim`.
@@ -348,45 +501,58 @@ fn region_side(rlim: f64, maxdim: u32) -> u32 {
     s
 }
 
+/// The committed state between phase barriers, and the tables a move
+/// reads. Workers see it through `&Annealer` while a phase runs.
 struct Annealer {
-    device: Device,
-    blocks: Vec<BlockRef>,
+    /// Grid extent, IO ring included.
+    extent: (u32, u32),
+    /// Blocks `0..n_clb` are clusters, the rest IO pads.
     n_clb: usize,
-    clb_sites: Vec<Slot>,
-    io_sites: Vec<Slot>,
+    /// Every site: `n_clb_sites` CLB sites, then the IO pads.
+    sites: Vec<Slot>,
+    n_clb_sites: usize,
     /// Per-net terminal block indices.
     term_idx: Vec<Vec<u32>>,
     /// Per-net crossing factor.
     net_q: Vec<f64>,
     /// Per-block touching-net indices.
     nets_of: Vec<Vec<u32>>,
-    pos: Vec<Slot>,
+    board: Board,
     net_costs: Vec<f64>,
 }
 
 impl Annealer {
     fn recompute_net_costs(&mut self) {
         for (ni, terms) in self.term_idx.iter().enumerate() {
-            let (w, h) = bbox_idx(terms, |t| self.pos[t as usize]);
-            self.net_costs[ni] = self.net_q[ni] * (w + h) as f64;
+            self.net_costs[ni] = self.net_q[ni] * half_perimeter_at(terms, &self.board.loc) as f64;
+        }
+    }
+
+    fn worker(&self) -> Worker {
+        Worker {
+            board: self.board.clone(),
+            net_costs: self.net_costs.clone(),
+            touched: vec![false; self.board.loc.len()],
+            affected: Vec::new(),
+            new_costs: Vec::new(),
         }
     }
 
     /// One full sweep: bucket blocks/sites into regions, run the two
     /// checkerboard phases, commit batches in region order, and refresh
-    /// net costs exactly. Returns (attempted, accepted deltas).
+    /// net costs exactly.
     fn sweep(
         &mut self,
         sweep_no: u64,
         temp: f64,
         rlim: f64,
         moves_per_temp: usize,
-        threads: usize,
+        workers: &mut [Worker],
         cfg: &PlaceConfig,
-    ) -> (usize, Vec<f64>) {
+    ) -> SweepStats {
         // Region geometry covers the *full* grid including the IO ring
         // (coordinates run 0..=width+1), not just the logic columns.
-        let (w, h) = self.device.extent();
+        let (w, h) = self.extent;
         let maxdim = w.max(h);
         let side = region_side(rlim, maxdim);
         let single = side >= maxdim;
@@ -407,21 +573,26 @@ impl Annealer {
         };
 
         let mut rblocks: Vec<Vec<u32>> = vec![Vec::new(); n_regions];
-        for (bi, s) in self.pos.iter().enumerate() {
-            rblocks[rid_of(s.loc)].push(bi as u32);
+        for (bi, &loc) in self.board.loc.iter().enumerate() {
+            rblocks[rid_of(loc)].push(bi as u32);
         }
         let mut rclb: Vec<Vec<u32>> = vec![Vec::new(); n_regions];
-        for (si, s) in self.clb_sites.iter().enumerate() {
-            rclb[rid_of(s.loc)].push(si as u32);
-        }
         let mut rio: Vec<Vec<u32>> = vec![Vec::new(); n_regions];
-        for (si, s) in self.io_sites.iter().enumerate() {
-            rio[rid_of(s.loc)].push(si as u32);
+        for (si, s) in self.sites.iter().enumerate() {
+            let class = if si < self.n_clb_sites {
+                &mut rclb
+            } else {
+                &mut rio
+            };
+            class[rid_of(s.loc)].push(si as u32);
         }
 
-        let total = self.blocks.len();
-        let mut attempted = 0usize;
-        let mut deltas = Vec::new();
+        let total = self.board.loc.len();
+        let mut row = SweepStats {
+            temp,
+            rlim,
+            ..SweepStats::default()
+        };
         for color in 0..2u32 {
             if single && color == 1 {
                 break;
@@ -452,33 +623,20 @@ impl Annealer {
             if tasks.is_empty() {
                 continue;
             }
-            let outcomes = {
-                let ctx = PhaseCtx {
-                    pos: &self.pos,
-                    net_costs: &self.net_costs,
-                    term_idx: &self.term_idx,
-                    net_q: &self.net_q,
-                    nets_of: &self.nets_of,
-                    clb_sites: &self.clb_sites,
-                    io_sites: &self.io_sites,
-                    n_clb: self.n_clb,
-                    temp,
-                    rlim,
-                };
-                run_phase(&tasks, &ctx, threads)
-            };
+            let outcomes = run_phase(&tasks, self, temp, rlim, workers);
             // Barrier: commit in region-index (task) order, then refresh
             // net costs so the next phase sees exact baselines.
-            for out in outcomes {
-                attempted += out.attempted;
-                deltas.extend_from_slice(&out.deltas);
-                for (b, s) in out.moved {
-                    self.pos[b as usize] = s;
-                }
+            for (task, out) in tasks.iter().zip(outcomes) {
+                row.regions += 1;
+                row.attempted += task.attempts;
+                row.accepted += out.accepted;
+                self.board.place_all(&self.sites, out.moved.iter().copied());
             }
             self.recompute_net_costs();
+            debug_assert!(self.board.is_consistent(&self.sites));
         }
-        (attempted, deltas)
+        row.cost = self.net_costs.iter().sum();
+        row
     }
 }
 
@@ -522,37 +680,43 @@ pub(crate) fn anneal(
     }
     blocks.extend(io_blocks.iter().copied());
 
-    // Initial placement: round-robin over sites.
-    let clb_sites: Vec<Slot> = device
+    let mut sites: Vec<Slot> = device
         .clb_locs()
         .into_iter()
         .map(|loc| Slot { loc, sub: 0 })
         .collect();
-    let io_sites: Vec<Slot> = device
-        .io_locs()
-        .into_iter()
-        .flat_map(|loc| (0..device.arch.io_per_tile as u32).map(move |sub| Slot { loc, sub }))
+    let n_clb_sites = sites.len();
+    sites.extend(
+        device
+            .io_locs()
+            .into_iter()
+            .flat_map(|loc| (0..device.arch.io_per_tile as u32).map(move |sub| Slot { loc, sub })),
+    );
+
+    // Initial placement: each class fills its sites in order.
+    let site_of: Vec<u32> = (0..n_clb)
+        .chain(n_clb_sites..n_clb_sites + n_io)
+        .map(|s| s as u32)
         .collect();
-
-    let mut pos: Vec<Slot> = Vec::with_capacity(blocks.len());
-    pos.extend_from_slice(&clb_sites[..n_clb]);
-    pos.extend_from_slice(&io_sites[..n_io]);
-
-    let build_placement = |pos: &[Slot], cost: f64, nets: Vec<PlacedNet>| -> Placement {
-        let slots: HashMap<BlockRef, Slot> =
-            blocks.iter().copied().zip(pos.iter().copied()).collect();
-        Placement {
-            device: device.clone(),
-            slots,
-            cost,
-            nets,
-        }
+    let mut occ = vec![NONE; sites.len()];
+    for (b, &s) in site_of.iter().enumerate() {
+        occ[s as usize] = b as u32;
+    }
+    let board = Board {
+        loc: site_of.iter().map(|&s| sites[s as usize].loc).collect(),
+        site_of,
+        occ,
     };
 
     if blocks.is_empty() || nets.is_empty() {
-        let p = build_placement(&pos, 0.0, nets);
-        let cost = p.nets.iter().map(|n| net_cost(n, &p.slots)).sum();
-        return Ok(Placement { cost, ..p });
+        let slots = slots_of(&blocks, &sites, &board);
+        return Ok(Placement {
+            cost: nets.iter().map(|n| net_cost(n, &slots)).sum(),
+            device,
+            slots,
+            nets,
+            stats: Vec::new(),
+        });
     }
 
     // Index nets by block position index.
@@ -576,65 +740,61 @@ pub(crate) fn anneal(
     }
 
     let mut ann = Annealer {
-        device: device.clone(),
-        blocks: blocks.clone(),
+        extent: device.extent(),
         n_clb,
-        clb_sites,
-        io_sites,
+        sites,
+        n_clb_sites,
         term_idx,
         net_q,
         nets_of,
-        pos,
+        board,
         net_costs: vec![0.0; nets.len()],
     };
     ann.recompute_net_costs();
     let mut cost: f64 = ann.net_costs.iter().sum();
+    let mut workers: Vec<Worker> = (0..cfg.parallelism.threads.max(1))
+        .map(|_| ann.worker())
+        .collect();
 
-    let threads = cfg.parallelism.threads.max(1);
     let moves_per_temp = ((cfg.inner_num * (blocks.len() as f64).powf(4.0 / 3.0)) as usize).max(16);
     let maxdim = device.width.max(device.height);
     let mut rlim = maxdim as f64;
 
     // Initial temperature: the std-dev of a sample of move deltas (VPR
     // uses 20x; accept-everything warm start). Sampled on a throwaway
-    // whole-chip region so the committed state is untouched.
-    let deltas = {
-        let sample = RegionTask {
-            blocks: (0..blocks.len() as u32).collect(),
-            clb_sites: (0..ann.clb_sites.len() as u32).collect(),
-            io_sites: (0..ann.io_sites.len() as u32).collect(),
-            attempts: blocks.len().min(200),
-            seed: splitmix64(
-                splitmix64(cfg.seed ^ cfg.parallelism.deterministic_seed.rotate_left(17))
-                    ^ u64::MAX,
-            ),
-        };
-        let ctx = PhaseCtx {
-            pos: &ann.pos,
-            net_costs: &ann.net_costs,
-            term_idx: &ann.term_idx,
-            net_q: &ann.net_q,
-            nets_of: &ann.nets_of,
-            clb_sites: &ann.clb_sites,
-            io_sites: &ann.io_sites,
-            n_clb,
-            temp: f64::INFINITY,
-            rlim,
-        };
-        run_region(&sample, &ctx).deltas
+    // whole-chip region whose batch is never committed.
+    let mut deltas = Vec::new();
+    let sample = RegionTask {
+        blocks: (0..blocks.len() as u32).collect(),
+        clb_sites: (0..n_clb_sites as u32).collect(),
+        io_sites: (n_clb_sites as u32..ann.sites.len() as u32).collect(),
+        attempts: blocks.len().min(200),
+        seed: splitmix64(
+            splitmix64(cfg.seed ^ cfg.parallelism.deterministic_seed.rotate_left(17)) ^ u64::MAX,
+        ),
     };
+    run_region(&sample, &ann, f64::INFINITY, rlim, &mut workers[0], |d| {
+        deltas.push(d)
+    });
     let mean = deltas.iter().sum::<f64>() / deltas.len().max(1) as f64;
     let var =
         deltas.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / deltas.len().max(1) as f64;
     let mut temp = 20.0 * var.sqrt().max(1.0);
 
     let exit_temp = |cost: f64, nets: usize| 0.005 * cost / nets.max(1) as f64;
-    let mut sweep_no = 0u64;
+    let mut stats = Vec::new();
     while temp > exit_temp(cost, nets.len()) {
-        let (attempted, accepted) = ann.sweep(sweep_no, temp, rlim, moves_per_temp, threads, cfg);
-        cost = ann.net_costs.iter().sum();
+        let row = ann.sweep(
+            stats.len() as u64,
+            temp,
+            rlim,
+            moves_per_temp,
+            &mut workers,
+            cfg,
+        );
+        cost = row.cost;
         // VPR's schedule: keep the acceptance rate near 0.44.
-        let rate = accepted.len() as f64 / attempted.max(1) as f64;
+        let rate = row.accepted as f64 / row.attempted.max(1) as f64;
         let alpha = if rate > 0.96 {
             0.5
         } else if rate > 0.8 {
@@ -646,9 +806,23 @@ pub(crate) fn anneal(
         };
         temp *= alpha;
         rlim = (rlim * (1.0 - 0.44 + rate)).clamp(1.0, maxdim as f64);
-        sweep_no += 1;
+        stats.push(row);
     }
-    Ok(build_placement(&ann.pos, cost, nets))
+    Ok(Placement {
+        device,
+        slots: slots_of(&blocks, &ann.sites, &ann.board),
+        cost,
+        nets,
+        stats,
+    })
+}
+
+fn slots_of(blocks: &[BlockRef], sites: &[Slot], board: &Board) -> HashMap<BlockRef, Slot> {
+    blocks
+        .iter()
+        .zip(&board.site_of)
+        .map(|(&b, &s)| (b, sites[s as usize]))
+        .collect()
 }
 
 #[cfg(test)]
@@ -697,16 +871,8 @@ mod tests {
         )
     }
 
-    #[test]
-    fn placement_is_legal() {
-        let c = chain_clustering(40);
-        let device = Device::sized_for(
-            Architecture::paper_default(),
-            c.clusters.len(),
-            c.netlist.inputs.len() + c.netlist.outputs.len(),
-        );
-        let p = engine(1, 5.0, 1).place(&c, device).unwrap();
-        // Every block has a distinct slot of the right class.
+    /// Every block has a distinct slot of the right class.
+    fn assert_legal(p: &Placement) {
         let mut seen = std::collections::HashSet::new();
         for (b, s) in &p.slots {
             assert!(seen.insert(*s), "slot reused: {s:?}");
@@ -721,7 +887,94 @@ mod tests {
                 assert_eq!(s.sub, 0);
             }
         }
+    }
+
+    #[test]
+    fn placement_is_legal() {
+        let c = chain_clustering(40);
+        let device = Device::sized_for(
+            Architecture::paper_default(),
+            c.clusters.len(),
+            c.netlist.inputs.len() + c.netlist.outputs.len(),
+        );
+        let p = engine(1, 5.0, 1).place(&c, device).unwrap();
+        assert_legal(&p);
         assert!(p.cost > 0.0);
+    }
+
+    /// The running costs a region keeps must never drift from the
+    /// geometry: the reported cost is the sum over nets recomputed from
+    /// the final slots, bit for bit — on a design with a net past the
+    /// crossing-factor table (61 terminals) and a net whose driver
+    /// cluster also reads it, so is listed twice.
+    #[test]
+    fn final_cost_is_the_sum_over_nets_at_the_final_slots() {
+        let mut nl = Netlist::new("fan");
+        let clk = nl.net("clk");
+        nl.add_clock(clk);
+        let x = nl.net("x");
+        nl.add_input(x);
+        let mut prev = nl.net("y");
+        nl.add_input(prev);
+        for i in 0..300 {
+            let d = nl.net(&format!("d{i}"));
+            let q = nl.net(&format!("q{i}"));
+            let xor = CellKind::Lut {
+                k: 2,
+                truth: 0b0110,
+            };
+            nl.add_cell(&format!("l{i}"), xor, vec![x, prev], d);
+            let dff = CellKind::Dff {
+                clock: clk,
+                init: false,
+            };
+            nl.add_cell(&format!("f{i}"), dff, vec![d], q);
+            prev = q;
+        }
+        nl.add_output(prev);
+        let mut c = fpga_pack::pack(&nl, &ClbArch::paper_default()).unwrap();
+        // The packer never lists a cluster's own output among its
+        // inputs; a hand-written .net file may.
+        let own = c.bles[c.clusters[0].bles[0].0 as usize].output;
+        for cluster in &mut c.clusters[..4] {
+            if !cluster.inputs.contains(&own) {
+                cluster.inputs.push(own);
+            }
+        }
+
+        let device = Device::sized_for(Architecture::paper_default(), c.clusters.len(), 4);
+        let p = engine(3, 1.0, 1).place(&c, device).unwrap();
+        assert_legal(&p);
+        let fan = p.nets.iter().find(|n| n.net == x).unwrap();
+        assert!(
+            fan.terminals.len() > 50,
+            "{} terminals",
+            fan.terminals.len()
+        );
+        let looped = p.nets.iter().find(|n| n.net == own).unwrap();
+        let driver = looped.terminals[0];
+        assert_eq!(looped.terminals.iter().filter(|&&t| t == driver).count(), 2);
+        assert!(looped.terminals.len() > 3, "past the flat part of q(t)");
+        assert!(p.stats.iter().any(|s| s.accepted > 0));
+        let recomputed: f64 = p.nets.iter().map(|n| net_cost(n, &p.slots)).sum();
+        assert_eq!(p.cost.to_bits(), recomputed.to_bits());
+    }
+
+    /// One cluster on a 1 x 1 device: the CLB class has a single site,
+    /// so a pick of the cluster spends its attempt without a move.
+    #[test]
+    fn single_clb_site_spends_the_attempt_and_terminates() {
+        let c = chain_clustering(3);
+        assert_eq!(c.clusters.len(), 1);
+        let device = Device::new(Architecture::paper_default(), 1, 1);
+        let p = engine(1, 1.0, 1).place(&c, device).unwrap();
+        assert_legal(&p);
+        // 4 blocks: moves per temperature sit at the floor of 16, all in
+        // the one whole-chip region.
+        assert!(!p.stats.is_empty());
+        for row in &p.stats {
+            assert_eq!((row.regions, row.attempted), (1, 16));
+        }
     }
 
     #[test]
@@ -773,6 +1026,7 @@ mod tests {
             let pn = mk(threads);
             assert_eq!(p1.slots, pn.slots, "threads={threads} diverged");
             assert_eq!(p1.cost.to_bits(), pn.cost.to_bits());
+            assert_eq!(p1.stats, pn.stats, "threads={threads}");
         }
     }
 

@@ -47,6 +47,21 @@ if [ -n "$HASHED" ]; then
     exit 1
 fi
 
+echo "==> source lint: no HashMap/HashSet in the annealer's move loop (crates/place/src/sa.rs, run_region up to region_side)"
+# The placer's runtime is the cost of one move: run_region and run_phase
+# touch flat, index-addressed memory only (sa.rs module doc). No
+# allowlist — Placement::slots and anneal's one-time block index live
+# outside the range.
+MOVE_LOOP=$(awk '/^fn run_region\(/,/^fn region_side\(/' crates/place/src/sa.rs)
+if [ -z "$MOVE_LOOP" ]; then
+    echo "FAIL: fn run_region .. fn region_side not found in crates/place/src/sa.rs" >&2
+    exit 1
+fi
+if printf '%s\n' "$MOVE_LOOP" | grep -nE 'HashMap|HashSet' >&2; then
+    echo "FAIL: hashed lookup in the annealer's move loop (lines are relative to fn run_region)" >&2
+    exit 1
+fi
+
 echo "==> source lint: sockets are opened, accepted, timed and given options in crates/server/src/net.rs only"
 # One transport: the endpoint loop and every outbound dial live in
 # net.rs, so a guard or a socket option (TCP_NODELAY) is decided in one
