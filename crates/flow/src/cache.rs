@@ -365,33 +365,19 @@ impl StageCache {
     /// contention) and remember its output. Returns the typed output, the
     /// stage metrics, and the [`CacheOutcome`] attribution of the lookup.
     ///
+    /// A memory miss first tries the attached [`DiskStore`], then the
+    /// remote tier. A verified, decodable entry from either counts as a
+    /// hit (the job skipped the computation — that is what the counter
+    /// means); a corrupt or undecodable one is quarantined and the stage
+    /// recomputes, so a bad entry can never fail a job. Computed
+    /// artifacts are persisted best-effort before being published to
+    /// memory.
+    ///
     /// Failed computations are not cached: the in-flight marker is
     /// removed and the error propagates, so a later retry recomputes.
     /// Likewise a *panicking* computation: the marker is removed before
     /// the unwind continues, so waiters on the same key never hang on a
     /// slot whose computing thread died.
-    pub fn get_or_compute<T: Any + Send + Sync>(
-        &self,
-        stage: StageId,
-        key: &str,
-        compute: impl FnOnce() -> Result<(T, Value)>,
-    ) -> Result<(Arc<T>, Value, CacheOutcome)> {
-        let guard = match self.claim(stage, key) {
-            Claim::Hit(value, metrics) => {
-                return Ok((Self::downcast(value), metrics, CacheOutcome::MemoryHit))
-            }
-            Claim::Miss(guard) => guard,
-        };
-        self.compute_into(stage, guard, compute)
-    }
-
-    /// [`StageCache::get_or_compute`] with durable-store fall-through:
-    /// a memory miss first tries the attached [`DiskStore`]. A verified,
-    /// decodable disk entry counts as a hit (the job skipped the
-    /// computation — that is what the counter means); a corrupt or
-    /// undecodable one is quarantined and the stage recomputes, so a bad
-    /// disk entry can never fail a job. Computed artifacts are persisted
-    /// best-effort before being published to memory.
     pub fn get_or_compute_artifact<T: Artifact>(
         &self,
         stage: StageId,
@@ -406,7 +392,27 @@ impl StageCache {
         };
 
         if let Some(store) = &self.store {
-            if let Ok((payload, metrics_text)) = store.load(stage, key, T::KIND) {
+            // Disk first, then the remote tier, if one is attached. Every
+            // failure mode — no peer has it, transport trouble, corrupt
+            // bytes (`load` and `admit_raw` quarantine them), undecodable
+            // payload — falls through to the next tier and finally to a
+            // local recompute; the remote tier can slow a job down by one
+            // bounded fetch, never fail it.
+            let c = &self.counters[stage.index()];
+            for outcome in [CacheOutcome::DiskHit, CacheOutcome::RemoteHit] {
+                let (stored, tier_hits) = match outcome {
+                    CacheOutcome::DiskHit => (store.load(stage, key, T::KIND).ok(), &c.disk_hits),
+                    _ => (
+                        self.remote
+                            .as_ref()
+                            .and_then(|remote| remote.fetch(stage.name(), key, T::KIND))
+                            .and_then(|raw| store.admit_raw(stage, key, T::KIND, &raw).ok()),
+                        &c.remote_hits,
+                    ),
+                };
+                let Some((payload, metrics_text)) = stored else {
+                    continue;
+                };
                 match T::from_bytes(&payload) {
                     Ok(value) => {
                         let metrics = serde_json::from_str::<Value>(&metrics_text)
@@ -416,43 +422,14 @@ impl StageCache {
                             Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
                             metrics.clone(),
                         );
-                        let c = &self.counters[stage.index()];
                         c.hits.fetch_add(1, Ordering::Relaxed);
-                        c.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok((value, metrics, CacheOutcome::DiskHit));
+                        tier_hits.fetch_add(1, Ordering::Relaxed);
+                        return Ok((value, metrics, outcome));
                     }
                     Err(e) => {
-                        // Structurally sound on disk but semantically
-                        // rotten; retire it and fall through to compute.
+                        // Structurally sound in the store but semantically
+                        // rotten; retire it and fall through.
                         store.quarantine(key, &format!("artifact decode failed: {e}"));
-                    }
-                }
-            }
-
-            // Disk missed too: ask the remote tier, if one is attached.
-            // Every failure mode — no peer has it, transport trouble,
-            // corrupt bytes (admit_raw quarantines them), undecodable
-            // payload — falls through to a local recompute; the remote
-            // tier can slow a job down by one bounded fetch, never fail
-            // it.
-            if let Some(remote) = &self.remote {
-                if let Some(raw) = remote.fetch(stage.name(), key, T::KIND) {
-                    if let Ok((payload, metrics_text)) = store.admit_raw(stage, key, T::KIND, &raw)
-                    {
-                        if let Ok(value) = T::from_bytes(&payload) {
-                            let metrics = serde_json::from_str::<Value>(&metrics_text)
-                                .unwrap_or_else(|_| serde_json::json!({}));
-                            let value = Arc::new(value);
-                            guard.fulfill(
-                                Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
-                                metrics.clone(),
-                            );
-                            let c = &self.counters[stage.index()];
-                            c.hits.fetch_add(1, Ordering::Relaxed);
-                            c.remote_hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok((value, metrics, CacheOutcome::RemoteHit));
-                        }
-                        store.quarantine(key, "remote artifact decode failed");
                     }
                 }
             }
@@ -598,6 +575,23 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// The smallest artifact with a value: a number as eight bytes.
+    #[derive(Debug, PartialEq)]
+    struct Num(u64);
+
+    impl Artifact for Num {
+        const KIND: &'static str = "num";
+
+        fn to_bytes(&self) -> Vec<u8> {
+            self.0.to_le_bytes().to_vec()
+        }
+
+        fn from_bytes(bytes: &[u8]) -> std::result::Result<Self, String> {
+            let bytes = bytes.try_into().map_err(|_| "not eight bytes")?;
+            Ok(Num(u64::from_le_bytes(bytes)))
+        }
+    }
+
     #[test]
     fn hit_after_miss_returns_same_value_and_metrics() {
         let cache = StageCache::new();
@@ -605,12 +599,12 @@ mod tests {
         let computed = AtomicUsize::new(0);
         for round in 0..3 {
             let (v, m, outcome) = cache
-                .get_or_compute(StageId::Pack, &key, || {
+                .get_or_compute_artifact(StageId::Pack, &key, || {
                     computed.fetch_add(1, Ordering::SeqCst);
-                    Ok((41usize + 1, serde_json::json!({"n": 7})))
+                    Ok((Num(41 + 1), serde_json::json!({"n": 7})))
                 })
                 .unwrap();
-            assert_eq!(*v, 42);
+            assert_eq!(*v, Num(42));
             assert_eq!(m["n"], serde_json::json!(7u64));
             assert_eq!(outcome.is_hit(), round > 0);
         }
@@ -623,18 +617,15 @@ mod tests {
     fn errors_are_not_cached() {
         let cache = StageCache::new();
         let key = stage_key(StageId::Route, &["e"]);
-        let r = cache.get_or_compute::<usize>(StageId::Route, &key, || {
-            Err(crate::FlowError {
-                stage: "routing (VPR)",
-                message: "no".into(),
-            })
+        let r = cache.get_or_compute_artifact::<Num>(StageId::Route, &key, || {
+            Err(crate::FlowError::new("routing (VPR)", "no"))
         });
         assert!(r.is_err());
         assert_eq!(cache.len(), 0);
         let (v, _, outcome) = cache
-            .get_or_compute(StageId::Route, &key, || Ok((9usize, Value::Null)))
+            .get_or_compute_artifact(StageId::Route, &key, || Ok((Num(9), Value::Null)))
             .unwrap();
-        assert_eq!((*v, outcome), (9, CacheOutcome::Computed));
+        assert_eq!((v.0, outcome), (9, CacheOutcome::Computed));
     }
 
     #[test]
@@ -645,16 +636,17 @@ mod tests {
             let cache = Arc::clone(&cache);
             let key = key.clone();
             std::thread::spawn(move || {
-                cache.get_or_compute::<usize>(StageId::Pack, &key, || panic!("stage blew up"))
+                cache
+                    .get_or_compute_artifact::<Num>(StageId::Pack, &key, || panic!("stage blew up"))
             })
         };
         assert!(panicked.join().is_err(), "panic propagates to the caller");
         // The in-flight marker is gone: a later lookup computes fresh
         // instead of waiting forever.
         let (v, _, outcome) = cache
-            .get_or_compute(StageId::Pack, &key, || Ok((11usize, Value::Null)))
+            .get_or_compute_artifact(StageId::Pack, &key, || Ok((Num(11), Value::Null)))
             .unwrap();
-        assert_eq!((*v, outcome), (11, CacheOutcome::Computed));
+        assert_eq!((v.0, outcome), (11, CacheOutcome::Computed));
         let s = cache.stats(StageId::Pack);
         assert_eq!((s.misses, s.hits), (1, 0), "the panic counted nothing");
     }
@@ -671,13 +663,13 @@ mod tests {
             let computed = Arc::clone(&computed);
             handles.push(std::thread::spawn(move || {
                 let (v, _, _) = cache
-                    .get_or_compute(StageId::LutMap, &key, || {
+                    .get_or_compute_artifact(StageId::LutMap, &key, || {
                         computed.fetch_add(1, Ordering::SeqCst);
                         std::thread::sleep(std::time::Duration::from_millis(20));
-                        Ok((7usize, Value::Null))
+                        Ok((Num(7), Value::Null))
                     })
                     .unwrap();
-                *v
+                v.0
             }));
         }
         for h in handles {
@@ -710,28 +702,28 @@ mod tests {
             .map(|i| stage_key(StageId::Pack, &[&format!("cap{i}")]))
             .collect();
         cache
-            .get_or_compute(StageId::Pack, &keys[0], || Ok((0usize, Value::Null)))
+            .get_or_compute_artifact(StageId::Pack, &keys[0], || Ok((Num(0), Value::Null)))
             .unwrap();
         cache
-            .get_or_compute(StageId::Pack, &keys[1], || Ok((1usize, Value::Null)))
+            .get_or_compute_artifact(StageId::Pack, &keys[1], || Ok((Num(1), Value::Null)))
             .unwrap();
         // Touch keys[0] so keys[1] is the LRU victim when keys[2] lands.
         let (_, _, outcome) = cache
-            .get_or_compute(StageId::Pack, &keys[0], || Ok((99usize, Value::Null)))
+            .get_or_compute_artifact(StageId::Pack, &keys[0], || Ok((Num(99), Value::Null)))
             .unwrap();
         assert!(outcome.is_hit());
         cache
-            .get_or_compute(StageId::Pack, &keys[2], || Ok((2usize, Value::Null)))
+            .get_or_compute_artifact(StageId::Pack, &keys[2], || Ok((Num(2), Value::Null)))
             .unwrap();
 
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.memory_evicted(), 1);
         let (_, _, o0) = cache
-            .get_or_compute(StageId::Pack, &keys[0], || Ok((0usize, Value::Null)))
+            .get_or_compute_artifact(StageId::Pack, &keys[0], || Ok((Num(0), Value::Null)))
             .unwrap();
         assert!(o0.is_hit(), "recently used entry survived");
         let (_, _, o1) = cache
-            .get_or_compute(StageId::Pack, &keys[1], || Ok((1usize, Value::Null)))
+            .get_or_compute_artifact(StageId::Pack, &keys[1], || Ok((Num(1), Value::Null)))
             .unwrap();
         assert!(!o1.is_hit(), "LRU entry was evicted");
     }

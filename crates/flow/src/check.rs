@@ -81,11 +81,12 @@ pub(crate) fn checks_at(
 }
 
 /// One gate of a compile: check a boundary, record the findings (trace
-/// span `{kind}:{point}`, the shared diagnostic sink, the run's
-/// accumulator `found`), and — under [`GateMode::Deny`] — fail the flow
-/// when the boundary has a deny-severity finding. `Off` short-circuits
-/// before doing any work, so the default flow is untouched (byte for
-/// byte, including cache keys).
+/// span `{kind}:{point}`, the run's accumulator `found`), and — under
+/// [`GateMode::Deny`] — fail the flow when the boundary has a
+/// deny-severity finding, moving `found` into the error so a denied job
+/// still hands its findings to the caller. `Off` short-circuits before
+/// doing any work, so the default flow is untouched (byte for byte,
+/// including cache keys).
 pub(crate) fn gate(
     ctx: &FlowCtx,
     opts: &FlowOptions,
@@ -113,9 +114,6 @@ pub(crate) fn gate(
             None => (SpanOutcome::Computed, None),
         };
         log.finish(id, outcome, detail);
-    }
-    if let Some(sink) = ctx.lint {
-        sink.extend(diags.iter().cloned());
     }
     let first_new = found.len();
     found.extend(diags);
@@ -154,6 +152,7 @@ pub(crate) fn gate(
     Err(FlowError {
         stage: kind.verb(),
         message,
+        diagnostics: std::mem::take(found),
     })
 }
 

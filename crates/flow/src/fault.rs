@@ -221,10 +221,10 @@ impl FaultPlan {
             FaultAction::KillWorker => {
                 std::panic::panic_any(KILL_WORKER_PANIC);
             }
-            FaultAction::Fail(message) => Err(FlowError {
-                stage: "fault",
-                message: format!("injected failure at stage '{stage}': {message}"),
-            }),
+            FaultAction::Fail(message) => Err(FlowError::new(
+                "fault",
+                format!("injected failure at stage '{stage}': {message}"),
+            )),
             FaultAction::SleepMs(ms) => {
                 let until = Instant::now() + Duration::from_millis(*ms);
                 while Instant::now() < until {

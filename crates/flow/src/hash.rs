@@ -2,8 +2,14 @@
 //!
 //! The stage cache addresses stage outputs by a digest of their canonical
 //! inputs, and the build environment has no crates registry, so the hash
-//! lives here rather than behind an external dependency. Performance is a
-//! non-issue: the flow hashes a few kilobytes of canonical text per job.
+//! lives here rather than behind an external dependency.
+//!
+//! It is a plain scalar implementation: `flow.digest_mb_per_s` reads
+//! 115–240 MB/s on the 2-core benchmark host, depending on what else
+//! runs. Keys digest whole request sources — an 89 KB BLIF is 0.4–0.7 ms
+//! per pass — so a caller that needs several digests over one long
+//! prefix absorbs the prefix once and clones the state ([`Sha256`] is
+//! `Clone` for that) instead of starting over.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -17,6 +23,7 @@ const K: [u32; 64] = [
 ];
 
 /// Incremental SHA-256 state.
+#[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
     /// Partial input block awaiting the next 64-byte boundary.
@@ -70,6 +77,13 @@ impl Sha256 {
         self.buf[..data.len()].copy_from_slice(data);
         self.buf_len = data.len();
         self
+    }
+
+    /// Absorb one part the way [`digest_hex`] frames it: length-prefixed,
+    /// so concatenation ambiguity cannot alias two different part lists.
+    pub fn update_part(&mut self, part: &[u8]) -> &mut Self {
+        self.update(&(part.len() as u64).to_le_bytes());
+        self.update(part)
     }
 
     pub fn finish(mut self) -> [u8; 32] {
@@ -130,13 +144,12 @@ impl Sha256 {
     }
 }
 
-/// Digest `parts` (length-prefixing each, so concatenation ambiguity
-/// cannot alias two different inputs) and return lowercase hex.
+/// Digest `parts`, each framed by [`Sha256::update_part`], and return
+/// lowercase hex.
 pub fn digest_hex(parts: &[&[u8]]) -> String {
     let mut h = Sha256::new();
     for p in parts {
-        h.update(&(p.len() as u64).to_le_bytes());
-        h.update(p);
+        h.update_part(p);
     }
     hex(&h.finish())
 }

@@ -60,6 +60,20 @@ pub const FLOW_VERSION: &str = concat!("ifdf-", env!("CARGO_PKG_VERSION"));
 pub struct FlowError {
     pub stage: &'static str,
     pub message: String,
+    /// Every gate finding of the run, when a [`GateMode::Deny`] gate
+    /// failed it; empty for any other failure.
+    pub diagnostics: Vec<fpga_lint::Diagnostic>,
+}
+
+impl FlowError {
+    /// A failure that carries no findings.
+    pub fn new(stage: &'static str, message: impl Into<String>) -> Self {
+        FlowError {
+            stage,
+            message: message.into(),
+            diagnostics: Vec::new(),
+        }
+    }
 }
 
 impl std::fmt::Display for FlowError {
@@ -74,8 +88,5 @@ pub type Result<T> = std::result::Result<T, FlowError>;
 
 /// Tag an error with its stage.
 pub fn stage_err<E: std::fmt::Display>(stage: &'static str) -> impl Fn(E) -> FlowError {
-    move |e| FlowError {
-        stage,
-        message: e.to_string(),
-    }
+    move |e| FlowError::new(stage, e.to_string())
 }

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use fpga_arch::Architecture;
 use fpga_bitstream::Bitstream;
-use fpga_lint::{DiagSink, Diagnostic, GateMode};
+use fpga_lint::{Diagnostic, GateMode};
 use fpga_netlist::{NetId, Netlist};
 use fpga_pack::Clustering;
 use fpga_place::Placement;
@@ -187,11 +187,6 @@ pub struct FlowCtx<'a> {
     /// Per-job trace log: every stage step records one span into it
     /// (start/finish, cache-vs-compute attribution, faults).
     pub trace: Option<&'a TraceLog>,
-    /// Collector for design-rule diagnostics. The lint gates (active when
-    /// [`FlowOptions::lint`] is not `Off`) push every finding here, so a
-    /// denied job still hands its diagnostics to the caller — the flow
-    /// server drains the sink into the structured error event.
-    pub lint: Option<&'a DiagSink>,
 }
 
 impl<'a> FlowCtx<'a> {
@@ -210,15 +205,15 @@ impl<'a> FlowCtx<'a> {
     /// strand an in-flight cache entry.
     pub fn stage_gate(&self, stage: StageId) -> Result<()> {
         if let Some(reason) = self.cancel.and_then(CancelToken::status) {
-            return Err(FlowError {
-                stage: "cancelled",
-                message: match reason {
+            return Err(FlowError::new(
+                "cancelled",
+                match reason {
                     CancelReason::Cancelled => "job cancelled".to_string(),
                     CancelReason::DeadlineExceeded => {
                         format!("deadline exceeded before stage '{}'", stage.name())
                     }
                 },
-            });
+            ));
         }
         if let Some(plan) = self.fault {
             plan.before_stage(stage.name(), self.cancel)?;
@@ -256,11 +251,6 @@ impl<'a> FlowCtxBuilder<'a> {
 
     pub fn trace(mut self, trace: &'a TraceLog) -> Self {
         self.ctx.trace = Some(trace);
-        self
-    }
-
-    pub fn lint_sink(mut self, sink: &'a DiagSink) -> Self {
-        self.ctx.lint = Some(sink);
         self
     }
 
@@ -616,9 +606,11 @@ fn compile_from_rtl(
         let equiv = equiv.as_ref();
         gate(&ctx, opts, CheckKind::Verify, equiv, &at, &mut lint)
     })?;
-    let power = done.power.ok_or_else(|| FlowError {
-        stage: "power",
-        message: "internal: a recorded walk skipped power estimation".to_string(),
+    let power = done.power.ok_or_else(|| {
+        FlowError::new(
+            "power",
+            "internal: a recorded walk skipped power estimation",
+        )
     })?;
 
     // Typed QoR summary. Everything comes from the artifacts except the
@@ -705,7 +697,11 @@ mod tests {
     #[test]
     fn bad_vhdl_fails_in_synthesis_stage() {
         match run_vhdl("entity oops", &FlowOptions::default()) {
-            Err(err) => assert_eq!(err.stage, "synthesis"),
+            Err(err) => {
+                assert_eq!(err.stage, "synthesis");
+                // Only a denied gate attaches findings.
+                assert!(err.diagnostics.is_empty(), "{:?}", err.diagnostics);
+            }
             Ok(_) => panic!("bad VHDL must fail"),
         }
     }
@@ -875,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn lint_deny_fails_cyclic_netlist_with_nl001_in_the_sink() {
+    fn lint_deny_fails_cyclic_netlist_with_nl001_on_the_error() {
         use fpga_netlist::ir::CellKind;
         let mut nl = Netlist::new("loopy");
         let x = nl.net("x");
@@ -884,13 +880,11 @@ mod tests {
         nl.add_cell("g1", CellKind::Not, vec![x], y);
         nl.add_cell("g2", CellKind::Not, vec![y], x);
 
-        let sink = DiagSink::new();
-        let ctx = FlowCtx::builder().lint_sink(&sink).build();
         let opts = FlowOptions::builder().lint(GateMode::Deny).build();
-        let err = expect_err(run_netlist_ctx(nl.clone(), &opts, ctx));
+        let err = expect_err(run_netlist(nl.clone(), &opts));
         assert_eq!(err.stage, "lint");
         assert!(err.message.contains("NL001"), "{}", err.message);
-        let diags = sink.drain();
+        let diags = &err.diagnostics;
         assert!(diags.iter().any(|d| d.code == "NL001"), "{diags:?}");
 
         // Off preserves today's behavior: the failure comes from the
@@ -1065,8 +1059,7 @@ mod tests {
             *truth ^= 1;
         }
         let equiv = EquivGate::new(&rtl);
-        let sink = DiagSink::new();
-        let ctx = FlowCtx::builder().lint_sink(&sink).build();
+        let ctx = FlowCtx::default();
         let opts = FlowOptions::builder().verify(GateMode::Deny).build();
         let mut collected = Vec::new();
         let at = Boundary::Netlist("mapped", &bad);
@@ -1082,9 +1075,10 @@ mod tests {
         assert_eq!(err.stage, "verify");
         assert!(err.message.contains("EQ001"), "{}", err.message);
         assert!(err.message.contains("counterexample: "), "{}", err.message);
-        // The finding also reached the shared sink (how the flow server
-        // attaches it to the structured error event).
-        assert!(sink.drain().iter().any(|d| d.code == "EQ001"));
+        // The finding rides on the error (how the flow server attaches it
+        // to the structured error event), taken out of the accumulator.
+        assert!(err.diagnostics.iter().any(|d| d.code == "EQ001"));
+        assert!(collected.is_empty());
 
         // Warn mode reports the same finding but does not fail.
         let opts = FlowOptions::builder().verify(GateMode::Warn).build();

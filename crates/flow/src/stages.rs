@@ -44,7 +44,7 @@ use crate::artifact::Artifact;
 use crate::cache::{stage_key, CacheOutcome, StageId};
 use crate::pipeline::{FlowCtx, FlowOptions};
 use crate::trace::SpanOutcome;
-use crate::{stage_err, FlowError, Result};
+use crate::{stage_err, Result};
 
 /// One stage step's output.
 pub struct Staged<T> {
@@ -360,10 +360,7 @@ pub fn power(
             &caps,
             &power_opts,
         )
-        .map_err(|m| FlowError {
-            stage: "power (PowerModel)",
-            message: m,
-        })?;
+        .map_err(stage_err("power (PowerModel)"))?;
         let metrics = serde_json::json!({
             "dynamic_mw": power.dynamic() * 1e3,
             "total_mw": power.total() * 1e3,

@@ -1,13 +1,10 @@
-//! The diagnostics framework: severities, rule catalogue, the
-//! [`Diagnostic`] record every pass emits, and the thread-safe
-//! [`DiagSink`] the pipeline threads through its stage gates.
+//! The diagnostics framework: severities, rule catalogue and the
+//! [`Diagnostic`] record every pass emits.
 //!
 //! Diagnostics are plain data. They serialize to/from `serde_json::Value`
 //! with the same explicit field-by-field discipline as the flow server's
 //! wire protocol, so they can ride protocol events unchanged and a newer
 //! daemon can add fields without breaking older clients.
-
-use std::sync::Mutex;
 
 use serde_json::{json, Value};
 
@@ -233,56 +230,6 @@ pub fn summarize(diags: &[Diagnostic]) -> String {
     )
 }
 
-/// A thread-safe collector the pipeline threads through its lint gates,
-/// following the [`TraceLog`](../../flow/src/trace.rs) borrowed-hook
-/// idiom: stage gates push through a shared reference, the driver drains
-/// once at the end.
-#[derive(Debug, Default)]
-pub struct DiagSink {
-    diags: Mutex<Vec<Diagnostic>>,
-}
-
-impl DiagSink {
-    pub fn new() -> Self {
-        DiagSink::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Diagnostic>> {
-        // Every mutation keeps the vector valid between statements, so a
-        // poisoned lock still holds usable data.
-        self.diags
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    pub fn push(&self, d: Diagnostic) {
-        self.lock().push(d);
-    }
-
-    pub fn extend(&self, batch: impl IntoIterator<Item = Diagnostic>) {
-        self.lock().extend(batch);
-    }
-
-    /// Snapshot without draining.
-    pub fn snapshot(&self) -> Vec<Diagnostic> {
-        self.lock().clone()
-    }
-
-    /// Take everything collected so far.
-    pub fn drain(&self) -> Vec<Diagnostic> {
-        std::mem::take(&mut *self.lock())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Highest severity collected so far, if any.
-    pub fn worst(&self) -> Option<Severity> {
-        worst(&self.lock())
-    }
-}
-
 /// One rule in the catalogue.
 #[derive(Clone, Copy, Debug)]
 pub struct Rule {
@@ -423,30 +370,6 @@ mod tests {
         assert_eq!(worst(&diags), Some(Severity::Deny));
         assert_eq!(worst(&[]), None);
         assert!(summarize(&diags).contains("1 deny"));
-    }
-
-    #[test]
-    fn sink_collects_and_drains() {
-        let sink = DiagSink::new();
-        assert!(sink.is_empty());
-        sink.push(Diagnostic::new(
-            "PK001",
-            Severity::Deny,
-            "pack",
-            "cluster 0",
-            "too many BLEs",
-        ));
-        sink.extend(vec![Diagnostic::new(
-            "NL003",
-            Severity::Warn,
-            "netlist",
-            "n",
-            "unused",
-        )]);
-        assert_eq!(sink.worst(), Some(Severity::Deny));
-        assert_eq!(sink.snapshot().len(), 2);
-        assert_eq!(sink.drain().len(), 2);
-        assert!(sink.is_empty());
     }
 
     #[test]

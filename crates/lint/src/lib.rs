@@ -45,7 +45,7 @@ pub mod route;
 
 pub use bitstream::lint_bitstream;
 pub use diag::{
-    catalogue_text, diagnostics_from_value, diagnostics_to_value, rule, summarize, worst, DiagSink,
+    catalogue_text, diagnostics_from_value, diagnostics_to_value, rule, summarize, worst,
     Diagnostic, GateMode, Rule, Severity, RULES,
 };
 pub use netlist::lint_netlist;

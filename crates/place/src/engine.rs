@@ -17,7 +17,7 @@ use fpga_pack::Clustering;
 use crate::sa::{anneal, Placement};
 use crate::Result;
 
-/// Shared parallelism knobs for the place & route engines.
+/// The parallelism knob shared by the place & route engines.
 ///
 /// `threads` only controls how much hardware is used: engines are required
 /// to produce bit-identical results for any value, which is why this
@@ -26,9 +26,6 @@ use crate::Result;
 pub struct Parallelism {
     /// Worker threads (1 = serial).
     pub threads: usize,
-    /// Extra seed mixed into every per-region RNG stream. Changing it
-    /// changes results (deterministically); changing `threads` never does.
-    pub deterministic_seed: u64,
 }
 
 fn env_threads() -> usize {
@@ -49,26 +46,17 @@ impl Default for Parallelism {
     fn default() -> Self {
         Parallelism {
             threads: env_threads(),
-            deterministic_seed: 0,
         }
     }
 }
 
 impl Parallelism {
     pub fn serial() -> Self {
-        Parallelism {
-            threads: 1,
-            deterministic_seed: 0,
-        }
+        Parallelism { threads: 1 }
     }
 
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
-        self
-    }
-
-    pub fn deterministic_seed(mut self, seed: u64) -> Self {
-        self.deterministic_seed = seed;
         self
     }
 }
@@ -121,9 +109,6 @@ impl PlaceConfig {
 
 /// A placement engine: maps a packed clustering onto a device.
 pub trait PlaceEngine {
-    /// Stable engine name (for traces and reports).
-    fn name(&self) -> &'static str;
-
     /// Place a clustering onto a device.
     fn place(&self, clustering: &Clustering, device: Device) -> Result<Placement>;
 }
@@ -138,17 +123,9 @@ impl AnnealingPlacer {
     pub fn new(cfg: PlaceConfig) -> Self {
         AnnealingPlacer { cfg }
     }
-
-    pub fn config(&self) -> &PlaceConfig {
-        &self.cfg
-    }
 }
 
 impl PlaceEngine for AnnealingPlacer {
-    fn name(&self) -> &'static str {
-        "annealing"
-    }
-
     fn place(&self, clustering: &Clustering, device: Device) -> Result<Placement> {
         anneal(clustering, device, &self.cfg)
     }
@@ -171,10 +148,9 @@ mod tests {
         let cfg = PlaceConfig::new()
             .seed(9)
             .inner_num(2.5)
-            .parallelism(Parallelism::serial().threads(4).deterministic_seed(7));
+            .parallelism(Parallelism::serial().threads(4));
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.inner_num, 2.5);
         assert_eq!(cfg.parallelism.threads, 4);
-        assert_eq!(cfg.parallelism.deterministic_seed, 7);
     }
 }

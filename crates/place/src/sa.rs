@@ -33,7 +33,7 @@
 //!
 //! By construction:
 //! * every region draws from its own xorshift stream seeded from
-//!   `(seed, deterministic_seed, sweep, phase, region index)` — never
+//!   `(seed, sweep, phase, region index)` — never
 //!   from a shared RNG or a thread id;
 //! * a region reads other regions' blocks as they stood at phase start
 //!   (the undo above is what keeps a worker's copy equal to that
@@ -613,7 +613,7 @@ impl Annealer {
                     io_sites: std::mem::take(&mut rio[rid]),
                     attempts,
                     seed: splitmix64(
-                        splitmix64(cfg.seed ^ cfg.parallelism.deterministic_seed.rotate_left(17))
+                        splitmix64(cfg.seed)
                             ^ (sweep_no << 8)
                             ^ ((color as u64) << 40)
                             ^ rid as u64,
@@ -769,9 +769,7 @@ pub(crate) fn anneal(
         clb_sites: (0..n_clb_sites as u32).collect(),
         io_sites: (n_clb_sites as u32..ann.sites.len() as u32).collect(),
         attempts: blocks.len().min(200),
-        seed: splitmix64(
-            splitmix64(cfg.seed ^ cfg.parallelism.deterministic_seed.rotate_left(17)) ^ u64::MAX,
-        ),
+        seed: splitmix64(splitmix64(cfg.seed) ^ u64::MAX),
     };
     run_region(&sample, &ann, f64::INFINITY, rlim, &mut workers[0], |d| {
         deltas.push(d)
@@ -1028,23 +1026,6 @@ mod tests {
             assert_eq!(p1.cost.to_bits(), pn.cost.to_bits());
             assert_eq!(p1.stats, pn.stats, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn deterministic_seed_changes_results() {
-        let c = chain_clustering(30);
-        let mk = |det: u64| {
-            let device = Device::sized_for(Architecture::paper_default(), c.clusters.len(), 4);
-            AnnealingPlacer::new(
-                PlaceConfig::new()
-                    .seed(5)
-                    .inner_num(2.0)
-                    .parallelism(Parallelism::serial().deterministic_seed(det)),
-            )
-            .place(&c, device)
-            .unwrap()
-        };
-        assert_ne!(mk(0).slots, mk(99).slots);
     }
 
     #[test]

@@ -15,60 +15,19 @@ use crate::pathfinder::{route_with, RouteResult};
 use crate::rrgraph::RrGraph;
 use crate::{Result, RouteError};
 
-/// Shared parallelism knobs, re-exported from `fpga-place` so both P&R
-/// engines configure threading with one type.
+/// The shared parallelism knob, re-exported from `fpga-place` so both
+/// P&R engines configure threading with one type.
 pub use fpga_place::engine::Parallelism;
 
 /// Typed builder-style configuration for [`PathFinderRouter`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RouteConfig {
-    pub max_iterations: usize,
-    pub pres_fac_first: f64,
-    pub pres_fac_mult: f64,
-    pub hist_fac: f64,
     pub parallelism: Parallelism,
-}
-
-impl Default for RouteConfig {
-    fn default() -> Self {
-        RouteConfig {
-            // Batch-synchronous Gauss-Seidel converges like the serial
-            // router (later batches see earlier batches' commits within
-            // an iteration); a third of headroom over the old serial
-            // ceiling of 30 absorbs within-batch blindness on designs
-            // pinned near their minimum channel width.
-            max_iterations: 40,
-            pres_fac_first: 0.5,
-            pres_fac_mult: 1.8,
-            hist_fac: 0.4,
-            parallelism: Parallelism::default(),
-        }
-    }
 }
 
 impl RouteConfig {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    pub fn max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n;
-        self
-    }
-
-    pub fn pres_fac_first(mut self, v: f64) -> Self {
-        self.pres_fac_first = v;
-        self
-    }
-
-    pub fn pres_fac_mult(mut self, v: f64) -> Self {
-        self.pres_fac_mult = v;
-        self
-    }
-
-    pub fn hist_fac(mut self, v: f64) -> Self {
-        self.hist_fac = v;
-        self
     }
 
     pub fn parallelism(mut self, p: Parallelism) -> Self {
@@ -84,9 +43,6 @@ impl RouteConfig {
 
 /// A routing engine: connects every placed net on an RR graph.
 pub trait RouteEngine {
-    /// Stable engine name (for traces and reports).
-    fn name(&self) -> &'static str;
-
     /// Route all nets of a placement on an RR graph.
     fn route(
         &self,
@@ -155,17 +111,9 @@ impl PathFinderRouter {
     pub fn new(cfg: RouteConfig) -> Self {
         PathFinderRouter { cfg }
     }
-
-    pub fn config(&self) -> &RouteConfig {
-        &self.cfg
-    }
 }
 
 impl RouteEngine for PathFinderRouter {
-    fn name(&self) -> &'static str {
-        "pathfinder"
-    }
-
     fn route(
         &self,
         clustering: &Clustering,
@@ -182,16 +130,7 @@ mod tests {
 
     #[test]
     fn config_builder_sets_fields() {
-        let cfg = RouteConfig::new()
-            .max_iterations(12)
-            .pres_fac_first(0.25)
-            .pres_fac_mult(2.0)
-            .hist_fac(0.5)
-            .threads(4);
-        assert_eq!(cfg.max_iterations, 12);
-        assert_eq!(cfg.pres_fac_first, 0.25);
-        assert_eq!(cfg.pres_fac_mult, 2.0);
-        assert_eq!(cfg.hist_fac, 0.5);
+        let cfg = RouteConfig::new().threads(4);
         assert_eq!(cfg.parallelism.threads, 4);
     }
 
@@ -202,10 +141,6 @@ mod tests {
     }
 
     impl<E: RouteEngine> RouteEngine for Counting<E> {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-
         fn route(&self, c: &Clustering, p: &Placement, g: &RrGraph) -> Result<RouteResult> {
             self.calls.set(self.calls.get() + 1);
             self.inner.route(c, p, g)
@@ -216,10 +151,6 @@ mod tests {
     struct Failing(RouteError);
 
     impl RouteEngine for Failing {
-        fn name(&self) -> &'static str {
-            "failing"
-        }
-
         fn route(&self, _: &Clustering, _: &Placement, _: &RrGraph) -> Result<RouteResult> {
             Err(self.0.clone())
         }

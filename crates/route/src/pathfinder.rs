@@ -329,6 +329,22 @@ fn jitter(net_salt: u64, node: usize) -> f64 {
         * ((splitmix64(net_salt ^ node as u64) >> 11) as f64 * (1.0 / (1u64 << 53) as f64))
 }
 
+/// Iteration ceiling. Batch-synchronous Gauss-Seidel converges like the
+/// serial router (later batches see earlier batches' commits within an
+/// iteration); a third of headroom over the old serial ceiling of 30
+/// absorbs within-batch blindness on designs pinned near their minimum
+/// channel width.
+const MAX_ITERATIONS: usize = 40;
+
+/// The negotiation schedule: the present-congestion factor starts at
+/// `PRES_FAC_FIRST` and grows by `PRES_FAC_MULT` per iteration; every
+/// iteration adds `HIST_FAC` per unit of overuse to a node's history
+/// cost. Constants because a routed result is a cache value whose key
+/// names only the channel width.
+const PRES_FAC_FIRST: f64 = 0.5;
+const PRES_FAC_MULT: f64 = 1.8;
+const HIST_FAC: f64 = 0.4;
+
 /// Nets routed concurrently between commit barriers. A constant — never
 /// derived from the thread count — so batch composition and barrier
 /// placement, and therefore the routed result, are identical at any
@@ -683,13 +699,13 @@ pub(crate) fn route_with(
     // this size. The mode is a function of the design alone.
     let classic = endpoints.len() <= SERIAL_WORKLIST;
 
-    let mut pres_fac = cfg.pres_fac_first;
+    let mut pres_fac = PRES_FAC_FIRST;
     let mut polish_left = if classic { 0 } else { POLISH_SWEEPS };
     let mut last_legal: Option<(Vec<Option<Tree>>, usize)> = None;
     let mut prev_overused = usize::MAX;
     let mut stagnant = 0usize;
     let mut stats: Vec<IterationStats> = Vec::new();
-    for iteration in 0..cfg.max_iterations {
+    for iteration in 0..MAX_ITERATIONS {
         // Worklist in canonical net order. Iteration 0, classic mode,
         // polish sweeps (no overuse left), and stagnation escalation
         // (see STAGNATION_SWEEP) route every net; incremental
@@ -760,7 +776,7 @@ pub(crate) fn route_with(
         for (i, &occ) in occupancy.iter().enumerate() {
             if occ > 1 {
                 overused += 1;
-                history[i] += cfg.hist_fac * (occ - 1) as f64;
+                history[i] += HIST_FAC * (occ - 1) as f64;
             }
         }
         let mut row = IterationStats {
@@ -789,7 +805,7 @@ pub(crate) fn route_with(
             stagnant = 0;
         }
         prev_overused = overused;
-        pres_fac *= cfg.pres_fac_mult;
+        pres_fac *= PRES_FAC_MULT;
     }
     if let Some((trees, iterations)) = last_legal {
         // The iteration budget ran out mid-polish; the pre-polish
@@ -952,7 +968,7 @@ mod tests {
     fn tiny_channel_is_unroutable() {
         let (c, p) = flow(25, 4);
         let g = RrGraph::build(&p.device, 1);
-        let r = PathFinderRouter::new(RouteConfig::new().max_iterations(6));
+        let r = router(1);
         match r.route(&c, &p, &g) {
             Err(RouteError::Unroutable { .. }) | Err(RouteError::NoPath { .. }) => {}
             Ok(r) => {

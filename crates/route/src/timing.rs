@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use crate::pathfinder::{RouteResult, RoutedNet};
+use crate::pathfinder::RoutedNet;
 use crate::rrgraph::{RrGraph, RrKind, RrNodeId};
 
 /// Per-resource electrical parameters (seconds-friendly SI units).
@@ -90,42 +90,11 @@ pub fn net_delays(net: &RoutedNet, g: &RrGraph, model: &TimingModel) -> HashMap<
         .collect()
 }
 
-/// Summary timing over a whole routing: worst net delay and the
-/// worst-case register-to-register period estimate (net + CLB delay).
-#[derive(Clone, Copy, Debug)]
-pub struct TimingReport {
-    pub worst_net_delay: f64,
-    pub mean_net_delay: f64,
-    pub critical_path_estimate: f64,
-}
-
-/// Compute the timing report for a routed design.
-pub fn analyze(result: &RouteResult, g: &RrGraph, model: &TimingModel) -> TimingReport {
-    let mut worst: f64 = 0.0;
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for net in &result.nets {
-        for (_, d) in net_delays(net, g, model) {
-            worst = worst.max(d);
-            total += d;
-            count += 1;
-        }
-    }
-    TimingReport {
-        worst_net_delay: worst,
-        mean_net_delay: if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        },
-        critical_path_estimate: worst + model.clb_delay,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{PathFinderRouter, RouteConfig, RouteEngine};
+    use crate::pathfinder::RouteResult;
     use crate::rrgraph::RrGraph;
     use fpga_arch::device::Device;
     use fpga_arch::{Architecture, ClbArch};
@@ -171,14 +140,6 @@ mod tests {
                 assert!(d > 0.0 && d < 100e-9, "delay {d}");
             }
         }
-    }
-
-    #[test]
-    fn report_aggregates() {
-        let (r, g) = routed();
-        let rep = analyze(&r, &g, &TimingModel::default());
-        assert!(rep.worst_net_delay >= rep.mean_net_delay);
-        assert!(rep.critical_path_estimate > rep.worst_net_delay);
     }
 
     #[test]

@@ -21,14 +21,16 @@ usage:
                [--tenant-weight TENANT=W[,TENANT=W...]]
                [--retry-after DUR] [--idle-timeout DUR]
                [--max-line SIZE] [--max-conns N]
-               [--no-steal] [--corrupt-artifacts]
+               [--corrupt-artifacts]
   flow-gateway --help | --version
 
 routing:
   --backend LIST        flowd addresses (comma separated, required);
                         jobs shard by stage-cache affinity (rendezvous
                         hashing), so resubmissions of a design reuse the
-                        backend that already holds its cached stages
+                        backend that already holds its cached stages;
+                        while that backend is busy an idle peer takes
+                        the job and warms it through the artifact tier
   --health-interval DUR ping each backend this often (default 500ms)
   --probe-timeout DUR   connect/probe timeout (default 1s)
   --breaker-failures N  consecutive failures that trip a backend's
@@ -37,9 +39,6 @@ routing:
                         half-opens; actual adds up to 50% jitter
                         (default 5s)
   --jitter-seed N       pin breaker jitter for deterministic chaos runs
-  --no-steal            disable work stealing (by default an idle backend
-                        may take a queued job from a busy affinity pick
-                        so the farm's artifact tier can warm it remotely)
   --corrupt-artifacts   test-only: flip one hex digit in every artifact
                         payload served, to exercise the digest-verified
                         quarantine path; never set in production
@@ -181,9 +180,6 @@ fn main() {
         }
         config.max_connections = n as usize;
     }
-    if args.flags.iter().any(|f| f == "no-steal") {
-        config.steal = false;
-    }
     if args.flags.iter().any(|f| f == "corrupt-artifacts") {
         config.corrupt_artifacts = true;
     }
@@ -191,7 +187,7 @@ fn main() {
     let backends = config.backends.clone();
     let gov = config.governor.clone();
     let (threshold, reopen) = (config.breaker_threshold, config.breaker_reopen_ms);
-    let (steal, corrupt) = (config.steal, config.corrupt_artifacts);
+    let corrupt = config.corrupt_artifacts;
     let mut gateway = match Gateway::start(config) {
         Ok(g) => g,
         Err(e) => cli::die("flow-gateway", e),
@@ -211,10 +207,7 @@ fn main() {
         gov.tenant_burst,
         gov.tenant_refill_milli_per_s / 1_000
     );
-    eprintln!(
-        "flow-gateway artifact tier: serving peer fetches (work stealing {})",
-        if steal { "on" } else { "off" }
-    );
+    eprintln!("flow-gateway artifact tier: serving peer fetches, stealing for idle backends");
     if corrupt {
         eprintln!("flow-gateway CORRUPTING ARTIFACT TRANSFERS (test mode)");
     }

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use fpga_flow::hash::digest_hex;
+use fpga_flow::hash::Sha256;
 use serde_json::Value;
 
 use crate::breaker::{BreakerState, CircuitBreaker};
@@ -76,10 +76,6 @@ pub struct GatewayConfig {
     pub idle_timeout_ms: Option<u64>,
     pub max_line_bytes: usize,
     pub max_connections: usize,
-    /// Route a job to an idle peer when its affinity backend is busy.
-    /// The artifact tier keeps the steal cheap: the idle peer fetches
-    /// the job's warm stage prefix remotely instead of recomputing it.
-    pub steal: bool,
     /// Chaos hook: flip one byte of every artifact payload served
     /// through the gateway, so receivers must quarantine and recompute.
     pub corrupt_artifacts: bool,
@@ -99,22 +95,29 @@ impl Default for GatewayConfig {
             idle_timeout_ms: Some(300_000),
             max_line_bytes: 8 * 1024 * 1024,
             max_connections: 256,
-            steal: true,
             corrupt_artifacts: false,
         }
     }
 }
 
-/// Rendezvous order: backends ranked by `digest(key ‖ addr)` descending.
-/// Deterministic, uniform, and stable under fleet changes — removing one
-/// backend only moves the jobs that hashed to it.
+/// Rendezvous order: backends ranked by `digest_hex(&[key, addr])`
+/// descending. Deterministic, uniform, and stable under fleet changes —
+/// removing one backend only moves the jobs that hashed to it.
 pub fn affinity_order(key: &str, addrs: &[String]) -> Vec<usize> {
-    let mut scored: Vec<(String, usize)> = addrs
+    // A job's key holds its whole source: absorb it once and fork the
+    // state per backend. The raw digests order exactly as their hex does.
+    let mut keyed = Sha256::new();
+    keyed.update_part(key.as_bytes());
+    let mut scored: Vec<([u8; 32], usize)> = addrs
         .iter()
         .enumerate()
-        .map(|(i, addr)| (digest_hex(&[key.as_bytes(), addr.as_bytes()]), i))
+        .map(|(i, addr)| {
+            let mut h = keyed.clone();
+            h.update_part(addr.as_bytes());
+            (h.finish(), i)
+        })
         .collect();
-    scored.sort_by(|a, b| b.0.cmp(&a.0));
+    scored.sort_by_key(|&(digest, _)| std::cmp::Reverse(digest));
     scored.into_iter().map(|(_, i)| i).collect()
 }
 
@@ -738,8 +741,7 @@ fn handle_job(
         // closed breakers take part, so a half-open probe slot granted
         // by `allow` above is never abandoned unanswered.
         let pick = pick.map(|best| {
-            if shared.config.steal
-                && shared.backends[best].in_flight.load(Ordering::Relaxed) > 0
+            if shared.backends[best].in_flight.load(Ordering::Relaxed) > 0
                 && shared.backends[best].lock_breaker().state() == BreakerState::Closed
             {
                 let idle = order.iter().copied().find(|&i| {
@@ -984,8 +986,11 @@ fn forward_events(
                     Some("worker-lost") => {
                         return Attempt::Transient(format!("{}: {message}", backend.addr));
                     }
-                    // Connection-cap backpressure: same as a rejection.
-                    Some("overloaded") => {
+                    // Connection-level refusals — the connection cap, or
+                    // the notice a connection gets when it races a
+                    // draining backend's shutdown flag: the backend
+                    // answered and took no job, same as a rejection.
+                    Some("overloaded") | Some("shutting-down") => {
                         return Attempt::Saturated {
                             retry_after_ms: *retry_after_ms,
                         };
@@ -1052,6 +1057,35 @@ mod tests {
         let mut sorted = a.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3], "a permutation of all backends");
+    }
+
+    /// The order is defined by `digest_hex(&[key, addr])`; forking one
+    /// keyed state per backend must reproduce it at every alignment of
+    /// the key's end against SHA-256's 64-byte blocks (the length prefix
+    /// is 8 bytes, so a 56-byte key ends one).
+    #[test]
+    fn affinity_order_matches_its_digest_hex_definition() {
+        use fpga_flow::hash::digest_hex;
+        let by_definition = |key: &str, addrs: &[String]| -> Vec<usize> {
+            let mut scored: Vec<(String, usize)> = addrs
+                .iter()
+                .enumerate()
+                .map(|(i, addr)| (digest_hex(&[key.as_bytes(), addr.as_bytes()]), i))
+                .collect();
+            scored.sort_by(|a, b| b.0.cmp(&a.0));
+            scored.into_iter().map(|(_, i)| i).collect()
+        };
+        for len in [0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 121, 5_000, 90_000] {
+            let key: String = (0..len).map(|i| (b'a' + (i % 23) as u8) as char).collect();
+            for n in 1..=7 {
+                let addrs: Vec<String> = (0..n).map(|i| format!("10.0.{len}.{i}:71{i}")).collect();
+                assert_eq!(
+                    affinity_order(&key, &addrs),
+                    by_definition(&key, &addrs),
+                    "key of {len} bytes over {n} backends"
+                );
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::{fmt, io};
 use fpga_flow::check::{self, CheckKind, Source};
 use fpga_flow::fault::{CancelToken, FaultPlan, KILL_WORKER_PANIC};
 use fpga_flow::{DiskStore, FlowCtx, StageCache, TraceLog};
-use fpga_lint::{DiagSink, Diagnostic};
+use fpga_lint::Diagnostic;
 use serde_json::Value;
 
 use crate::artifact::RemoteTierClient;
@@ -711,9 +711,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
             });
     };
     let trace = req.trace.then(TraceLog::new);
-    // Collects gate findings so a lint-denied compile can attach them to
-    // its error event; only wired in when the compile runs with lint on.
-    let lint_sink = DiagSink::new();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut builder = FlowCtx::builder()
             .cache(&shared.cache)
@@ -724,9 +721,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
         }
         if let Some(trace) = &trace {
             builder = builder.trace(trace);
-        }
-        if kind == JobKind::Compile && (options.lint.enabled() || options.verify.enabled()) {
-            builder = builder.lint_sink(&lint_sink);
         }
         let ctx = builder.build();
         match (kind, req.format) {
@@ -830,23 +824,16 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
                 });
             } else {
                 shared.jobs.inc("failed");
-                // A design-rule denial carries its findings; other
-                // failures leave the sink's partial findings behind
-                // (they described a design that never finished).
-                let diagnostics = if e.stage == "lint" || e.stage == "verify" {
-                    let diags = lint_sink.drain();
-                    count_rules(&diags);
-                    diags
-                } else {
-                    Vec::new()
-                };
+                // A denied gate carries the run's findings; any other
+                // failure carries none.
+                count_rules(&e.diagnostics);
                 let _ = events.send(Event::Error {
                     job: Some(id),
                     kind: None,
                     stage: Some(e.stage.to_string()),
-                    message: e.message.clone(),
+                    message: e.message,
                     retry_after_ms: None,
-                    diagnostics,
+                    diagnostics: e.diagnostics,
                 });
             }
         }

@@ -55,10 +55,9 @@ fn start_flowd() -> Server {
     .expect("bind in-process flowd")
 }
 
-/// A backend that answers health pings but dies (drops the connection)
-/// right after streaming `queued` + one stage event of any job — the
-/// in-process stand-in for SIGKILL mid-pipeline.
-fn start_dying_backend() -> SocketAddr {
+/// A backend that answers health pings and answers any job with the
+/// lines `on_job` lists, then drops the connection.
+fn start_fake_backend(on_job: fn() -> Vec<Value>) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
     let addr = listener.local_addr().expect("addr");
     thread::spawn(move || {
@@ -84,31 +83,46 @@ fn start_dying_backend() -> SocketAddr {
                     );
                 }
                 Some("compile") | Some("lint") => {
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        serde_json::json!({"event": "queued", "job": 999u64})
-                    );
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        serde_json::json!({
-                            "event": "stage",
-                            "job": 999u64,
-                            "id": "synthesis",
-                            "stage": "synthesis (fake)",
-                            "ok": true,
-                            "elapsed_ms": 0.1,
-                            "metrics": serde_json::json!({}),
-                        })
-                    );
-                    // ...and dies. Connection drops here.
+                    for line in on_job() {
+                        let _ = writeln!(writer, "{line}");
+                    }
                 }
                 _ => {}
             }
         }
     });
     addr
+}
+
+/// Dies right after streaming `queued` + one stage event of any job —
+/// the in-process stand-in for SIGKILL mid-pipeline.
+fn start_dying_backend() -> SocketAddr {
+    start_fake_backend(|| {
+        vec![
+            serde_json::json!({"event": "queued", "job": 999u64}),
+            serde_json::json!({
+                "event": "stage",
+                "job": 999u64,
+                "id": "synthesis",
+                "stage": "synthesis (fake)",
+                "ok": true,
+                "elapsed_ms": 0.1,
+                "metrics": serde_json::json!({}),
+            }),
+        ]
+    })
+}
+
+/// Answers every job with the notice `net::serve` writes to a connection
+/// that races the shutdown flag — a node draining for a rolling restart.
+fn start_draining_backend() -> SocketAddr {
+    start_fake_backend(|| {
+        vec![serde_json::json!({
+            "event": "error",
+            "kind": "shutting-down",
+            "message": "shutting down",
+        })]
+    })
 }
 
 /// Find a design the rendezvous hash routes to `want_first` among
@@ -123,6 +137,54 @@ fn design_routed_to(backends: &[String], want_first: usize) -> String {
         }
     }
     panic!("no counter design hashed to backend {want_first}");
+}
+
+/// Compile `source` through the gateway at `addr` and hold the stream to
+/// the exactly-once contract: one `queued`, stage events under the
+/// gateway's job id, one terminal `done`, then silence. Returns the
+/// number of stage events.
+fn compile_to_exactly_one_done(addr: SocketAddr, source: String) -> usize {
+    let mut conn = RawConn::connect(addr);
+    let req = CompileRequest::new(SourceFormat::Vhdl, source);
+    conn.send(&fpga_server::Request::Compile(Box::new(req)).to_value());
+
+    let first = conn.recv();
+    assert_eq!(first.get("event").and_then(Value::as_str), Some("queued"));
+    let gateway_job = first.get("job").and_then(Value::as_u64).expect("job id");
+    let mut stages = 0;
+    loop {
+        let ev = conn.recv();
+        assert_eq!(
+            ev.get("job").and_then(Value::as_u64),
+            Some(gateway_job),
+            "every forwarded event carries the gateway's job id: {ev}"
+        );
+        match ev.get("event").and_then(Value::as_str) {
+            Some("stage") => stages += 1,
+            Some("done") => break,
+            other => panic!("unexpected event {other:?}: {ev}"),
+        }
+    }
+    // The stream is silent after the terminal: a ping answers next, so
+    // no second `done` (or any stray event) is queued behind it.
+    conn.send(&serde_json::json!({"cmd": "ping"}));
+    let after = conn.recv();
+    assert_eq!(
+        after.get("event").and_then(Value::as_str),
+        Some("pong"),
+        "stray event after the terminal: {after}"
+    );
+    stages
+}
+
+/// One backend's row of the gateway's `metrics` body.
+fn backend_row<'a>(metrics: &'a Value, addr: &str) -> &'a Value {
+    metrics["backends"]
+        .as_array()
+        .expect("backends array")
+        .iter()
+        .find(|b| b["addr"].as_str() == Some(addr))
+        .expect("backend row")
 }
 
 #[test]
@@ -140,47 +202,12 @@ fn mid_job_backend_death_fails_over_with_exactly_one_done() {
     })
     .expect("start gateway");
 
-    let mut conn = RawConn::connect(gateway.tcp_addr());
-    let req = CompileRequest::new(SourceFormat::Vhdl, source);
-    conn.send(&fpga_server::Request::Compile(Box::new(req)).to_value());
-
-    // Exactly one queued, exactly one terminal `done`; stage events may
-    // repeat across the failover (first attempt's partial progress, then
-    // the peer's full run).
-    let first = conn.recv();
-    assert_eq!(first.get("event").and_then(Value::as_str), Some("queued"));
-    let gateway_job = first.get("job").and_then(Value::as_u64).expect("job id");
-    let mut dones = 0;
-    let mut stages = 0;
-    loop {
-        let ev = conn.recv();
-        assert_eq!(
-            ev.get("job").and_then(Value::as_u64),
-            Some(gateway_job),
-            "every forwarded event carries the gateway's job id: {ev}"
-        );
-        match ev.get("event").and_then(Value::as_str) {
-            Some("stage") => stages += 1,
-            Some("done") => {
-                dones += 1;
-                break;
-            }
-            other => panic!("unexpected event {other:?}: {ev}"),
-        }
-    }
-    assert_eq!(dones, 1);
+    // Stage events may repeat across the failover (first attempt's
+    // partial progress, then the peer's full run).
+    let stages = compile_to_exactly_one_done(gateway.tcp_addr(), source);
     assert!(
         stages >= 9,
         "one fake stage + the peer's full 8-stage run, got {stages}"
-    );
-    // The stream is silent after the terminal: a ping answers next, so
-    // no second `done` (or any stray event) is queued behind it.
-    conn.send(&serde_json::json!({"cmd": "ping"}));
-    let after = conn.recv();
-    assert_eq!(
-        after.get("event").and_then(Value::as_str),
-        Some("pong"),
-        "stray event after the terminal: {after}"
     );
 
     let metrics = gateway.metrics_json();
@@ -189,16 +216,41 @@ fn mid_job_backend_death_fails_over_with_exactly_one_done() {
         metrics["jobs"]["failovers"].as_u64() >= Some(1),
         "failover counted: {metrics}"
     );
-    let by_addr = |addr: &str| -> &Value {
-        metrics["backends"]
-            .as_array()
-            .expect("backends array")
-            .iter()
-            .find(|b| b["addr"].as_str() == Some(addr))
-            .expect("backend row")
-    };
-    assert!(by_addr(&backends[0])["failures"].as_u64() >= Some(1));
-    assert!(by_addr(&backends[1])["failovers"].as_u64() >= Some(1));
+    assert!(backend_row(&metrics, &backends[0])["failures"].as_u64() >= Some(1));
+    assert!(backend_row(&metrics, &backends[1])["failovers"].as_u64() >= Some(1));
+
+    gateway.shutdown();
+    healthy.shutdown();
+}
+
+/// A backend draining for a restart refuses the connection with a
+/// `shutting-down` notice. That is the node's state, not the job's
+/// outcome: the next peer gets the job, and the node — which did answer —
+/// takes no breaker penalty.
+#[test]
+fn a_draining_backend_fails_over_with_exactly_one_done() {
+    let draining = start_draining_backend();
+    let healthy = start_flowd();
+    let healthy_addr = healthy.tcp_addr().expect("tcp enabled");
+    let backends = vec![draining.to_string(), healthy_addr.to_string()];
+    let source = design_routed_to(&backends, 0);
+
+    let gateway = Gateway::start(GatewayConfig {
+        backends: backends.clone(),
+        health_interval_ms: 50,
+        ..GatewayConfig::default()
+    })
+    .expect("start gateway");
+
+    let stages = compile_to_exactly_one_done(gateway.tcp_addr(), source);
+    assert_eq!(stages, 8, "the peer's full run and nothing else");
+
+    let metrics = gateway.metrics_json();
+    assert_eq!(metrics["jobs"]["completed"].as_u64(), Some(1));
+    assert_eq!(metrics["jobs"]["failed"].as_u64(), Some(0));
+    let draining_row = backend_row(&metrics, &backends[0]);
+    assert_eq!(draining_row["requests"].as_u64(), Some(1));
+    assert_eq!(draining_row["failures"].as_u64(), Some(0));
 
     gateway.shutdown();
     healthy.shutdown();

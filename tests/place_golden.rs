@@ -11,9 +11,9 @@
 //! to never leave the single whole-chip region. Each is driven through
 //! `stages::place` exactly as the benchmark's compiles are
 //! (`place_effort` 1.0, no fabric verify) at two place seeds; `crc16`
-//! also through the engine with a non-zero `deterministic_seed`, which
-//! `FlowOptions` does not expose. Every case runs at 1, 2, 3 and 8
-//! threads.
+//! also through the engine at the seed the removed
+//! `Parallelism::deterministic_seed` knob aliased. Every case runs at
+//! 1, 2, 3 and 8 threads.
 
 use fpga_framework::arch::device::Device;
 use fpga_framework::circuits::{multiplier, suite_entry};
@@ -98,9 +98,11 @@ fn crc16_placement_bytes_match_parent() {
     check("crc16", suite("crc16"), GOLDEN_CRC16);
 }
 
-/// The per-region streams also fold in `Parallelism::deterministic_seed`;
-/// the stage always passes 0, so the non-zero case goes to the engine
-/// with the device sized as `stages::place` sizes it.
+/// `Parallelism::deterministic_seed` was a second name for the seed: the
+/// per-region streams read `seed ^ deterministic_seed.rotate_left(17)`
+/// and nothing else read either. The digest recorded with the knob at 99
+/// is reached through the seed alone, on the engine with the device
+/// sized as `stages::place` sizes it.
 #[test]
 fn crc16_deterministic_seed_bytes_match_parent() {
     let clustering = packed(suite("crc16")).value;
@@ -113,18 +115,14 @@ fn crc16_deterministic_seed_bytes_match_parent() {
             nl.inputs.len() + nl.outputs.len() + 1,
         );
         let cfg = PlaceConfig::new()
-            .seed(opts.place_seed)
+            .seed(opts.place_seed ^ 99u64.rotate_left(17))
             .inner_num(opts.place_effort)
-            .parallelism(
-                Parallelism::serial()
-                    .threads(threads)
-                    .deterministic_seed(99),
-            );
+            .parallelism(Parallelism::serial().threads(threads));
         let p = AnnealingPlacer::new(cfg)
             .place(&clustering, device)
             .expect("places");
         assert_golden(
-            "crc16 deterministic_seed 99",
+            "crc16 seed 1 ^ 99.rotate_left(17)",
             threads,
             &p,
             GOLDEN_CRC16_DET99,
@@ -132,7 +130,7 @@ fn crc16_deterministic_seed_bytes_match_parent() {
     }
 }
 
-/// Seeds 1 and 7 per design, `deterministic_seed` 0.
+/// Seeds 1 and 7 per design.
 const GOLDEN_MULT16: [Golden; 2] = [
     (
         "4ff19896fdee1a7c11a4e1269054145272ad9b84a7cffdaafeba90767a3d337e",
@@ -173,7 +171,7 @@ const GOLDEN_CRC16: [Golden; 2] = [
         0x4043800000000000,
     ),
 ];
-/// Seed 1, `deterministic_seed` 99.
+/// Seed `1 ^ 99.rotate_left(17)` (recorded as seed 1, `deterministic_seed` 99).
 const GOLDEN_CRC16_DET99: Golden = (
     "6b44d0484c7bec470a4a0143eb1d0e9998ba6becd161db6ee2b690926f6117d2",
     0x4044000000000000,
