@@ -186,15 +186,6 @@ impl Device {
             (false, self.width as u32, loc.y)
         }
     }
-
-    /// Number of horizontal channel rows / vertical channel columns.
-    pub fn chan_rows(&self) -> usize {
-        self.height + 1
-    }
-
-    pub fn chan_cols(&self) -> usize {
-        self.width + 1
-    }
 }
 
 #[cfg(test)]

@@ -15,19 +15,21 @@ use fpga_route::rrgraph::RrKind;
 use crate::config::{Bitstream, IoMode, WireKey, XbarSel};
 use crate::{BitstreamError, Result};
 
-/// Union-find over wire keys.
-struct Dsu {
+/// Union-find over wire-key indices `0..n`: the reduction from closed
+/// switches to electrical nets, shared with `fpga-verify`'s bitstream
+/// decode.
+pub struct Dsu {
     parent: Vec<usize>,
 }
 
 impl Dsu {
-    fn new(n: usize) -> Self {
+    pub fn new(n: usize) -> Self {
         Dsu {
             parent: (0..n).collect(),
         }
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
+    pub fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
             x = self.parent[x];
@@ -35,7 +37,7 @@ impl Dsu {
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    pub fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;
@@ -358,16 +360,6 @@ impl Fabric {
             .collect()
     }
 
-    /// Output pad symbols.
-    pub fn output_names(&self) -> Vec<String> {
-        self.bs
-            .ios
-            .iter()
-            .filter(|io| io.mode == IoMode::Output)
-            .map(|io| io.net.clone())
-            .collect()
-    }
-
     /// Electrical net count (diagnostics).
     pub fn electrical_net_count(&self) -> usize {
         self.n_nets
@@ -384,17 +376,12 @@ pub fn verify_against_netlist(
     cycles: usize,
     seed: u64,
 ) -> Result<()> {
-    use fpga_netlist::sim::Simulator;
+    use fpga_netlist::{mix::xorshift64, sim::Simulator};
     let mut sim = Simulator::new(netlist).map_err(|e| BitstreamError::Fabric(e.to_string()))?;
     fabric.reset();
 
     let mut state = seed | 1;
-    let mut next_bit = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state & 1 == 1
-    };
+    let mut next_bit = || xorshift64(&mut state) & 1 == 1;
 
     let fabric_inputs = fabric.input_names();
     for cycle in 0..cycles {

@@ -17,6 +17,7 @@
 
 use fpga_flow::cli;
 use fpga_flow::EquivGate;
+use fpga_netlist::mix::{xorshift64, XORSHIFT_STAR};
 use fpga_netlist::sim::Simulator;
 use fpga_netlist::{CellKind, NetId, Netlist};
 use fpga_verify::Counterexample;
@@ -84,12 +85,7 @@ fn replay(nl: &Netlist, cex: &Counterexample) -> Result<bool, String> {
 /// xorshift64* — the same cheap deterministic generator the verifier
 /// seeds its vectors with; good enough to pick a fault site.
 fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
+    xorshift64(state).wrapping_mul(XORSHIFT_STAR)
 }
 
 fn main() {

@@ -168,6 +168,21 @@ pub fn opt_size_bytes(args: &Args, tool: &str, flag: &str) -> Option<u64> {
     })
 }
 
+/// `opt` ([`opt_u64`], [`opt_duration_ms`] or [`opt_size_bytes`]) for a
+/// flag whose zero means nothing: `--flag 0` exits with `tool`'s error.
+pub fn nonzero(
+    opt: fn(&Args, &str, &str) -> Option<u64>,
+    args: &Args,
+    tool: &str,
+    flag: &str,
+) -> Option<u64> {
+    let value = opt(args, tool, flag)?;
+    if value == 0 {
+        die(tool, format!("bad --{flag} '0'"));
+    }
+    Some(value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

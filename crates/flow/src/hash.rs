@@ -10,6 +10,10 @@
 //! per pass — so a caller that needs several digests over one long
 //! prefix absorbs the prefix once and clones the state ([`Sha256`] is
 //! `Clone` for that) instead of starting over.
+//!
+//! The hex codec the digests are written in lives here too
+//! ([`to_hex`] / [`from_hex`]); the server's wire payloads use the same
+//! pair.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -151,16 +155,51 @@ pub fn digest_hex(parts: &[&[u8]]) -> String {
     for p in parts {
         h.update_part(p);
     }
-    hex(&h.finish())
+    to_hex(&h.finish())
 }
 
-fn hex(bytes: &[u8]) -> String {
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Lowercase hex: digests, and artifact / bitstream bytes on the wire.
+pub fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
-        use std::fmt::Write;
-        write!(s, "{b:02x}").expect("write to String");
+        s.push(HEX_DIGITS[usize::from(b >> 4)] as char);
+        s.push(HEX_DIGITS[usize::from(b & 0xf)] as char);
     }
     s
+}
+
+/// Hex digit value by byte, either case; `0xff` for every byte that is
+/// not `[0-9a-fA-F]`.
+const NIBBLE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Inverse of [`to_hex`]: exactly pairs of `[0-9a-fA-F]`. The input is a
+/// peer's (`artifact_put.data_hex`, a gateway's `artifact` reply), so
+/// anything else — a sign, a non-ASCII character — is an `Err`, never a
+/// panic.
+pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
+    if !s.len().is_multiple_of(2) {
+        return Err("odd-length hex".to_string());
+    }
+    let mut bytes = Vec::with_capacity(s.len() / 2);
+    for (i, pair) in s.as_bytes().chunks_exact(2).enumerate() {
+        let (hi, lo) = (NIBBLE[usize::from(pair[0])], NIBBLE[usize::from(pair[1])]);
+        if hi | lo > 0xf {
+            return Err(format!("bad hex at {}", 2 * i));
+        }
+        bytes.push(hi << 4 | lo);
+    }
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -170,7 +209,7 @@ mod tests {
     fn sha(data: &[u8]) -> String {
         let mut h = Sha256::new();
         h.update(data);
-        hex(&h.finish())
+        to_hex(&h.finish())
     }
 
     #[test]
@@ -196,7 +235,7 @@ mod tests {
             h.update(&[b'a'; 1000]);
         }
         assert_eq!(
-            hex(&h.finish()),
+            to_hex(&h.finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
@@ -209,7 +248,7 @@ mod tests {
         for chunk in data.chunks(7) {
             h.update(chunk);
         }
-        assert_eq!(hex(&h.finish()), one);
+        assert_eq!(to_hex(&h.finish()), one);
     }
 
     #[test]

@@ -57,12 +57,8 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    pub fn push(&mut self, stage: &str, metrics: serde_json::Value, started: std::time::Instant) {
-        self.push_with_id(None, stage, metrics, started);
-    }
-
-    /// [`FlowReport::push`] carrying the short stable stage id alongside
-    /// the human-readable title.
+    /// Append a finished stage: its human-readable title, and the short
+    /// stable stage id when the producer has one.
     pub fn push_with_id(
         &mut self,
         id: Option<&str>,
@@ -131,7 +127,7 @@ mod tests {
             ..Default::default()
         };
         let t = std::time::Instant::now();
-        r.push("synthesis", serde_json::json!({"cells": 42}), t);
+        r.push_with_id(None, "synthesis", serde_json::json!({"cells": 42}), t);
         r.push_with_id(
             Some("pack"),
             "packing (T-VPack)",

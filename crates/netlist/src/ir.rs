@@ -242,6 +242,28 @@ impl Netlist {
         s
     }
 
+    /// Remove cells whose output feeds nothing and is not a primary
+    /// output, to a fixpoint; returns how many went. The one dead-logic
+    /// rule: the synthesis sweep and the verifier's netlist view both
+    /// call it, so a pre-sweep netlist and its swept image present
+    /// identical boundaries by construction.
+    pub fn sweep_dead(&mut self) -> usize {
+        let before = self.cells.len();
+        loop {
+            let sinks = self.sinks();
+            let live: Vec<bool> = self
+                .cells
+                .iter()
+                .map(|c| !sinks[c.output.index()].is_empty() || self.outputs.contains(&c.output))
+                .collect();
+            if live.iter().all(|&l| l) {
+                return before - self.cells.len();
+            }
+            let mut live = live.into_iter();
+            self.cells.retain(|_| live.next() == Some(true));
+        }
+    }
+
     /// Topological order of the combinational cells (FF outputs and primary
     /// inputs are sources; FFs and outputs are sinks). Errors on
     /// combinational cycles.

@@ -16,16 +16,17 @@
 //! * [`sim`] — a two-valued cycle-accurate logic simulator (the reference
 //!   model that synthesis, mapping, packing and bitstream generation are
 //!   all checked against);
-//! * [`stats`] — structural statistics (cell counts, logic depth, fanout).
+//! * [`mix`] — the xorshift step, `splitmix64` and FNV-1a that every
+//!   crate's seeded streams and structural hashes are built from.
 
 pub mod blif;
 pub mod canonical;
 pub mod codec;
 pub mod edif;
 pub mod ir;
+pub mod mix;
 pub mod sim;
 pub mod sop;
-pub mod stats;
 
 pub use canonical::canonical_text;
 pub use codec::{ByteReader, ByteWriter, CodecError, CodecResult};

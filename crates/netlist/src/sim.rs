@@ -9,6 +9,7 @@
 //! is transparent at this level.
 
 use crate::ir::{CellId, CellKind, NetId, Netlist};
+use crate::mix::xorshift64;
 use crate::{NetlistError, Result};
 
 /// Cycle-level simulator over a netlist.
@@ -198,12 +199,7 @@ pub fn check_equivalence(
     let mut state = seed
         .wrapping_mul(0x9E3779B97F4A7C15)
         .wrapping_add(0xDEADBEEF);
-    let mut next_bit = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state & 1 == 1
-    };
+    let mut next_bit = || xorshift64(&mut state) & 1 == 1;
 
     for cycle in 0..cycles {
         for &input in &golden.inputs {
@@ -246,12 +242,7 @@ pub fn activity_estimate(
     let mut prev: Vec<bool> = vec![false; netlist.nets.len()];
 
     let mut state = seed | 1;
-    let mut next_bit = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state & 1 == 1
-    };
+    let mut next_bit = || xorshift64(&mut state) & 1 == 1;
 
     for cycle in 0..cycles {
         for &input in &netlist.inputs {

@@ -69,6 +69,7 @@
 use std::collections::HashMap;
 
 use fpga_arch::device::{Device, GridLoc};
+use fpga_netlist::mix::{splitmix64, xorshift64, XORSHIFT_STAR};
 use fpga_pack::{ClusterId, Clustering};
 
 use crate::cost::{crossing_factor, net_terminals, PlacedNet};
@@ -216,13 +217,6 @@ fn net_cost(net: &PlacedNet, slots: &HashMap<BlockRef, Slot>) -> f64 {
     crossing_factor(net.terminals.len()) * hp as f64
 }
 
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// xorshift64* stream, seeded by folding schedule coordinates through
 /// splitmix64. Each region of each phase gets its own stream.
 struct XorShift(u64);
@@ -237,12 +231,7 @@ impl XorShift {
     }
 
     fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        xorshift64(&mut self.0).wrapping_mul(XORSHIFT_STAR)
     }
 
     fn range(&mut self, n: usize) -> usize {
@@ -829,6 +818,38 @@ mod tests {
     use crate::engine::{AnnealingPlacer, Parallelism, PlaceEngine};
     use fpga_arch::{Architecture, ClbArch};
     use fpga_netlist::ir::{CellKind, Netlist};
+
+    /// Recorded at eb39634, before the step and `splitmix64` moved to
+    /// `fpga_netlist::mix`: the annealer's draws and its stream seeding.
+    #[test]
+    fn xorshift_keeps_its_recorded_streams() {
+        let recorded: [(u64, [u64; 4]); 2] = [
+            (
+                1,
+                [
+                    0xbafacf624f01c45d,
+                    0x02da6891e507685d,
+                    0xfe17a361146fb7a5,
+                    0xe1f55904ddd37531,
+                ],
+            ),
+            (
+                0x5eed_f10d,
+                [
+                    0xdfe501691d6debd3,
+                    0xc203601f7280998c,
+                    0x01d9f465dea7383b,
+                    0xdcd4efc07376ff8d,
+                ],
+            ),
+        ];
+        for (seed, want) in recorded {
+            let mut rng = XorShift(seed);
+            let got: Vec<u64> = (0..4).map(|_| rng.next()).collect();
+            assert_eq!(got, want, "state {seed:#x}");
+        }
+        assert_eq!(XorShift::seeded(&[7, 3, 1]).0, 0x83ade3851af195b2);
+    }
 
     fn chain_clustering(n: usize) -> Clustering {
         let mut nl = Netlist::new("chain");

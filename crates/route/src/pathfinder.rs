@@ -41,6 +41,7 @@
 use std::collections::BinaryHeap;
 
 use fpga_netlist::ir::NetId;
+use fpga_netlist::mix::splitmix64;
 use fpga_pack::Clustering;
 use fpga_place::{BlockRef, Placement};
 
@@ -306,13 +307,6 @@ const H_FAC_JITTER: f64 = WIRE_COST;
 const H_FAC_CLASSIC: f64 = 0.9;
 
 type Tree = Vec<(RrNodeId, Option<RrNodeId>)>;
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Deterministic per-(net, node) cost jitter in `[0, JITTER_FAC)`.
 ///

@@ -20,8 +20,6 @@ pub struct TimingModel {
     pub ipin_c: f64,
     /// Driver (output buffer) resistance (ohm).
     pub driver_r: f64,
-    /// Intra-cluster (crossbar + LUT + FF) delay per CLB traversal (s).
-    pub clb_delay: f64,
 }
 
 impl Default for TimingModel {
@@ -35,7 +33,6 @@ impl Default for TimingModel {
             wire_r: 450.0,
             ipin_c: 2e-15,
             driver_r: 350.0,
-            clb_delay: 800e-12,
         }
     }
 }

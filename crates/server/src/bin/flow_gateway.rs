@@ -101,22 +101,18 @@ fn main() {
         }
         None => cli::die("flow-gateway", "--backend HOST:PORT[,...] is required"),
     }
-    if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "health-interval") {
-        if ms == 0 {
-            cli::die("flow-gateway", "bad --health-interval '0'");
-        }
+    if let Some(ms) = cli::nonzero(
+        cli::opt_duration_ms,
+        &args,
+        "flow-gateway",
+        "health-interval",
+    ) {
         config.health_interval_ms = ms;
     }
-    if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "probe-timeout") {
-        if ms == 0 {
-            cli::die("flow-gateway", "bad --probe-timeout '0'");
-        }
+    if let Some(ms) = cli::nonzero(cli::opt_duration_ms, &args, "flow-gateway", "probe-timeout") {
         config.probe_timeout_ms = ms;
     }
-    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "breaker-failures") {
-        if n == 0 {
-            cli::die("flow-gateway", "bad --breaker-failures '0'");
-        }
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flow-gateway", "breaker-failures") {
         config.breaker_threshold = n as u32;
     }
     if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "breaker-reopen") {
@@ -125,19 +121,13 @@ fn main() {
     if let Some(seed) = cli::opt_u64(&args, "flow-gateway", "jitter-seed") {
         config.jitter_seed = seed;
     }
-    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "max-inflight") {
-        if n == 0 {
-            cli::die("flow-gateway", "bad --max-inflight '0'");
-        }
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flow-gateway", "max-inflight") {
         config.governor.max_inflight = n as usize;
     }
     if let Some(n) = cli::opt_u64(&args, "flow-gateway", "admission-queue") {
         config.governor.queue_bound = n as usize;
     }
-    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "tenant-burst") {
-        if n == 0 {
-            cli::die("flow-gateway", "bad --tenant-burst '0'");
-        }
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flow-gateway", "tenant-burst") {
         config.governor.tenant_burst = n;
     }
     if let Some(n) = cli::opt_u64(&args, "flow-gateway", "tenant-rate") {
@@ -168,16 +158,10 @@ fn main() {
     if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "idle-timeout") {
         config.idle_timeout_ms = (ms > 0).then_some(ms);
     }
-    if let Some(bytes) = cli::opt_size_bytes(&args, "flow-gateway", "max-line") {
-        if bytes == 0 {
-            cli::die("flow-gateway", "bad --max-line '0'");
-        }
+    if let Some(bytes) = cli::nonzero(cli::opt_size_bytes, &args, "flow-gateway", "max-line") {
         config.max_line_bytes = bytes as usize;
     }
-    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "max-conns") {
-        if n == 0 {
-            cli::die("flow-gateway", "bad --max-conns '0'");
-        }
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flow-gateway", "max-conns") {
         config.max_connections = n as usize;
     }
     if args.flags.iter().any(|f| f == "corrupt-artifacts") {

@@ -269,11 +269,8 @@ fn compile(args: &cli::Args) {
 
     let deadline_ms = cli::opt_duration_ms(args, "flowc", "deadline");
     let mut policy = RetryPolicy::default();
-    if let Some(raw) = args.options.get("retries") {
-        match raw.parse() {
-            Ok(n) if n > 0 => policy.max_attempts = n,
-            _ => cli::die("flowc", format!("bad --retries '{raw}'")),
-        }
+    if let Some(n) = cli::nonzero(cli::opt_u64, args, "flowc", "retries") {
+        policy.max_attempts = u32::try_from(n).unwrap_or(u32::MAX);
     }
 
     let mut req = match CompileRequest::new(format, source).with_options(options) {

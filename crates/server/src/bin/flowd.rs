@@ -136,23 +136,14 @@ fn main() {
             config.tcp_addr = None;
         }
     }
-    if let Some(w) = args.options.get("workers") {
-        match w.parse() {
-            Ok(n) if n > 0 => config.workers = n,
-            _ => cli::die("flowd", format!("bad --workers '{w}'")),
-        }
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "workers") {
+        config.workers = n as usize;
     }
-    if let Some(q) = args.options.get("queue") {
-        match q.parse() {
-            Ok(n) if n > 0 => config.queue_capacity = n,
-            _ => cli::die("flowd", format!("bad --queue '{q}'")),
-        }
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "queue") {
+        config.queue_capacity = n as usize;
     }
-    if let Some(t) = args.options.get("threads") {
-        match t.parse() {
-            Ok(n) if n > 0 => config.threads = Some(n),
-            _ => cli::die("flowd", format!("bad --threads '{t}'")),
-        }
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "threads") {
+        config.threads = Some(n as usize);
     }
     // 0 disables the corresponding guard.
     if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "max-deadline") {
@@ -161,16 +152,10 @@ fn main() {
     if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "idle-timeout") {
         config.idle_timeout_ms = (ms > 0).then_some(ms);
     }
-    if let Some(bytes) = cli::opt_size_bytes(&args, "flowd", "max-line") {
-        if bytes == 0 {
-            cli::die("flowd", "bad --max-line '0'");
-        }
+    if let Some(bytes) = cli::nonzero(cli::opt_size_bytes, &args, "flowd", "max-line") {
         config.max_line_bytes = bytes as usize;
     }
-    if let Some(n) = cli::opt_u64(&args, "flowd", "max-conns") {
-        if n == 0 {
-            cli::die("flowd", "bad --max-conns '0'");
-        }
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "max-conns") {
         config.max_connections = n as usize;
     }
     if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "retry-after") {
@@ -185,10 +170,7 @@ fn main() {
         }
         config.cache_budget_mb = Some(mb);
     }
-    if let Some(n) = cli::opt_u64(&args, "flowd", "cache-entries") {
-        if n == 0 {
-            cli::die("flowd", "bad --cache-entries '0'");
-        }
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "cache-entries") {
         config.cache_entries = Some(n as usize);
     }
     if let Some(gw) = args.options.get("artifact-gateway") {
@@ -197,10 +179,7 @@ fn main() {
         }
         config.artifact_gateway = Some(gw.clone());
     }
-    if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "artifact-timeout") {
-        if ms == 0 {
-            cli::die("flowd", "bad --artifact-timeout '0'");
-        }
+    if let Some(ms) = cli::nonzero(cli::opt_duration_ms, &args, "flowd", "artifact-timeout") {
         if config.artifact_gateway.is_none() {
             cli::die("flowd", "--artifact-timeout needs --artifact-gateway");
         }

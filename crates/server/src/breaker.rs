@@ -177,12 +177,8 @@ impl CircuitBreaker {
 /// de-synchronize retrying peers, dependency-free, and fully
 /// deterministic under a fixed seed.
 pub(crate) fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
+    *state |= 1;
+    fpga_netlist::mix::xorshift64(state)
 }
 
 #[cfg(test)]
@@ -311,5 +307,25 @@ mod tests {
             let d = deadline(seed);
             assert!((1_000..=1_500).contains(&d), "jitter out of range: {d}");
         }
+    }
+
+    /// Recorded at eb39634, before the step moved to
+    /// `fpga_netlist::mix`: the jitter stream, zero guard included.
+    #[test]
+    fn xorshift64_keeps_its_recorded_stream_and_zero_guard() {
+        let mut state = 0x5eed_f10d;
+        let got: Vec<u64> = (0..4).map(|_| xorshift64(&mut state)).collect();
+        assert_eq!(
+            got,
+            [
+                0x1794bdd1c853c9af,
+                0x328ad5dbcdfce5fc,
+                0xf698fcff1f0dc376,
+                0xca94257b504fe531
+            ]
+        );
+        let (mut zero, mut one) = (0, 1);
+        assert_eq!(xorshift64(&mut one), 0x0000000040822041);
+        assert_eq!(xorshift64(&mut zero), 0x0000000040822041, "0 seeds as 1");
     }
 }

@@ -373,14 +373,23 @@ impl FlowClient {
                 }
                 Err(e @ EventParseError::Malformed(_)) => return Err(invalid_data(e.to_string())),
             };
+            let refused = event.refusal().is_some();
             match event {
                 Event::Queued { job } => stream.job = job,
                 Event::Stage { .. } => stream.stage_events.push(raw),
+                // A `rejected`, or a connection-level refusal (the
+                // connection cap, a draining daemon's notice): same
+                // retry treatment either way.
                 Event::Rejected {
                     reason,
                     retry_after_ms,
                     ..
-                } => {
+                }
+                | Event::Error {
+                    message: reason,
+                    retry_after_ms,
+                    ..
+                } if refused => {
                     return Err(CompileError::Rejected {
                         reason,
                         retry_after_ms,
@@ -400,18 +409,9 @@ impl FlowClient {
                     kind,
                     stage,
                     message,
-                    retry_after_ms,
                     diagnostics,
                     ..
                 } => {
-                    // Saturation errors (connection cap) are rejections
-                    // in spirit: same retry treatment as a full queue.
-                    if kind.as_deref() == Some("overloaded") {
-                        return Err(CompileError::Rejected {
-                            reason: message,
-                            retry_after_ms,
-                        });
-                    }
                     return Err(CompileError::Failed {
                         stage: stage.unwrap_or_else(|| "?".to_string()),
                         message,
@@ -419,19 +419,15 @@ impl FlowClient {
                         diagnostics,
                     });
                 }
-                terminal @ (Event::Done { .. } | Event::Report { .. }) => {
-                    return match own_terminal(terminal) {
+                // This job's own success terminal, or an event with no
+                // business here: another kind's terminal, a reply to a
+                // verb this client did not send.
+                other => {
+                    return match own_terminal(other) {
                         Some(outcome) => Ok((stream, outcome)),
                         None => Err(out_of_place(kind, &raw)),
                     };
                 }
-                Event::Pong { .. }
-                | Event::Stats(_)
-                | Event::Metrics(_)
-                | Event::Status(_)
-                | Event::ShuttingDown
-                | Event::Artifact { .. }
-                | Event::ArtifactAck { .. } => return Err(out_of_place(kind, &raw)),
             }
         }
     }
@@ -690,6 +686,36 @@ mod tests {
                         );
                     }
                     got => panic!("{kind:?} accepted {other:?}'s terminal: {got:?}"),
+                }
+            }
+        }
+    }
+
+    /// The notice a connection gets when it races a draining daemon's
+    /// shutdown flag is the refusal the queue words as a `rejected`:
+    /// same message, same exit path, not retryable. The connection
+    /// cap's `overloaded` is a refusal too, and is.
+    #[test]
+    fn connection_level_refusals_are_rejections_not_stage_failures() {
+        let draining = r#"{"event":"error","kind":"shutting-down","message":"shutting down"}"#;
+        let capped = r#"{"event":"error","kind":"overloaded","message":"too many connections (limit 1)","retry_after_ms":150}"#;
+        for kind in KINDS {
+            for (line, display, retryable, hint) in [
+                (draining, "job rejected: shutting down", false, None),
+                (
+                    capped,
+                    "job rejected: too many connections (limit 1)",
+                    true,
+                    Some(150),
+                ),
+            ] {
+                match run(kind, vec![line.to_string()]) {
+                    Err(e @ CompileError::Rejected { .. }) => {
+                        assert_eq!(e.to_string(), display, "{kind:?}");
+                        assert_eq!(e.is_retryable(), retryable, "{kind:?}: {e}");
+                        assert_eq!(e.retry_after_ms(), hint, "{kind:?}: {e}");
+                    }
+                    got => panic!("{kind:?}: {line} folded to {got:?}"),
                 }
             }
         }

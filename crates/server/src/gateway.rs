@@ -471,66 +471,83 @@ fn health_loop(shared: &Shared) {
     }
 }
 
-/// Serve an `artifact_get` by asking affinity peers, best-ranked first,
-/// each behind its own fetch breaker. Every failure mode — no backend,
-/// breaker open, exchange error, peer without the entry — collapses to
-/// a `hit=false` reply; the requesting daemon then recomputes locally,
-/// never errors.
-fn handle_artifact_get(shared: &Shared, stage: &str, key: &str, kind: &str) -> Event {
-    shared.artifacts.gets.fetch_add(1, Ordering::Relaxed);
+/// The artifact verbs' peer walk: offer `req` to `key`'s affinity peers,
+/// best-ranked first, skipping any whose fetch breaker is open. `reply`
+/// gets each peer's answer — `None` when the exchange failed — and says
+/// whether to go on to the next peer. Any well-formed answer counts as
+/// a live backend: a version-4 daemon's "unknown cmd" error is just a
+/// miss.
+fn walk_peers(
+    shared: &Shared,
+    key: &str,
+    req: &Request,
+    mut reply: impl FnMut(Option<Value>) -> bool,
+) {
     let timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
-    let req = Request::ArtifactGet {
-        stage: stage.to_string(),
-        key: key.to_string(),
-        kind: kind.to_string(),
-    };
     for &i in &affinity_order(key, &shared.config.backends) {
         let backend = &shared.backends[i];
         if !backend.lock_fetch_breaker().allow(shared.now_ms()) {
             continue;
         }
-        match net::exchange(&backend.addr, &req, timeout, shared.config.max_line_bytes) {
-            Ok(body) => {
-                // Any well-formed answer counts as a live backend — a
-                // version-4 daemon's "unknown cmd" error is just a miss.
-                backend.lock_fetch_breaker().on_success();
-                if body["event"].as_str() == Some("artifact") && body["hit"].as_bool() == Some(true)
-                {
-                    if let Some(data_hex) = body["data_hex"].as_str() {
-                        let mut data_hex = data_hex.to_string();
-                        if shared.config.corrupt_artifacts {
-                            corrupt_hex(&mut data_hex);
-                            shared.artifacts.corrupted.fetch_add(1, Ordering::Relaxed);
-                        }
-                        shared.artifacts.hits.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .artifacts
-                            .bytes_served
-                            .fetch_add((data_hex.len() / 2) as u64, Ordering::Relaxed);
-                        return Event::Artifact {
-                            stage: stage.to_string(),
-                            key: key.to_string(),
-                            hit: true,
-                            data_hex: Some(data_hex),
-                        };
-                    }
-                }
-            }
-            Err(_) => {
-                shared
-                    .artifacts
-                    .fetch_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                backend.lock_fetch_breaker().on_failure(shared.now_ms());
-            }
+        let body = net::exchange(&backend.addr, req, timeout, shared.config.max_line_bytes).ok();
+        match body {
+            Some(_) => backend.lock_fetch_breaker().on_success(),
+            None => backend.lock_fetch_breaker().on_failure(shared.now_ms()),
+        }
+        if !reply(body) {
+            return;
         }
     }
-    shared.artifacts.misses.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Serve an `artifact_get` from the first peer that holds the entry.
+/// Every failure mode — no backend, breaker open, exchange error, peer
+/// without the entry — collapses to a `hit=false` reply; the requesting
+/// daemon then recomputes locally, never errors.
+fn handle_artifact_get(shared: &Shared, stage: &str, key: &str, kind: &str) -> Event {
+    let counters = &shared.artifacts;
+    counters.gets.fetch_add(1, Ordering::Relaxed);
+    let req = Request::ArtifactGet {
+        stage: stage.to_string(),
+        key: key.to_string(),
+        kind: kind.to_string(),
+    };
+    let mut data_hex: Option<String> = None;
+    walk_peers(shared, key, &req, |body| {
+        match body {
+            Some(body)
+                if body["event"].as_str() == Some("artifact")
+                    && body["hit"].as_bool() == Some(true) =>
+            {
+                data_hex = body["data_hex"].as_str().map(str::to_string);
+            }
+            Some(_) => {}
+            None => {
+                counters.fetch_failures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        data_hex.is_none()
+    });
+    match &mut data_hex {
+        Some(data_hex) => {
+            if shared.config.corrupt_artifacts {
+                corrupt_hex(data_hex);
+                counters.corrupted.fetch_add(1, Ordering::Relaxed);
+            }
+            counters.hits.fetch_add(1, Ordering::Relaxed);
+            counters
+                .bytes_served
+                .fetch_add((data_hex.len() / 2) as u64, Ordering::Relaxed);
+        }
+        None => {
+            counters.misses.fetch_add(1, Ordering::Relaxed);
+        }
+    }
     Event::Artifact {
         stage: stage.to_string(),
         key: key.to_string(),
-        hit: false,
-        data_hex: None,
+        hit: data_hex.is_some(),
+        data_hex,
     }
 }
 
@@ -551,12 +568,11 @@ fn handle_artifact_put(
     kind: &str,
     data_hex: &str,
 ) -> Event {
-    shared.artifacts.puts.fetch_add(1, Ordering::Relaxed);
-    shared
-        .artifacts
+    let counters = &shared.artifacts;
+    counters.puts.fetch_add(1, Ordering::Relaxed);
+    counters
         .bytes_stored
         .fetch_add((data_hex.len() / 2) as u64, Ordering::Relaxed);
-    let timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
     let req = Request::ArtifactPut {
         stage: stage.to_string(),
         key: key.to_string(),
@@ -565,38 +581,21 @@ fn handle_artifact_put(
     };
     let mut stored = 0usize;
     let mut attempted = 0usize;
-    for &i in &affinity_order(key, &shared.config.backends) {
-        if attempted >= PUT_REPLICAS {
-            break;
-        }
-        let backend = &shared.backends[i];
-        if !backend.lock_fetch_breaker().allow(shared.now_ms()) {
-            continue;
+    walk_peers(shared, key, &req, |body| {
+        match body {
+            Some(body)
+                if body["event"].as_str() == Some("artifact_ack")
+                    && body["stored"].as_bool() == Some(true) =>
+            {
+                stored += 1;
+            }
+            _ => {
+                counters.put_failures.fetch_add(1, Ordering::Relaxed);
+            }
         }
         attempted += 1;
-        match net::exchange(&backend.addr, &req, timeout, shared.config.max_line_bytes) {
-            Ok(body) => {
-                backend.lock_fetch_breaker().on_success();
-                if body["event"].as_str() == Some("artifact_ack")
-                    && body["stored"].as_bool() == Some(true)
-                {
-                    stored += 1;
-                } else {
-                    shared
-                        .artifacts
-                        .put_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(_) => {
-                shared
-                    .artifacts
-                    .put_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                backend.lock_fetch_breaker().on_failure(shared.now_ms());
-            }
-        }
-    }
+        attempted < PUT_REPLICAS
+    });
     Event::ArtifactAck {
         stored: stored > 0,
         message: (stored == 0).then(|| "no backend stored the artifact".to_string()),
@@ -952,84 +951,44 @@ fn forward_events(
                 return Attempt::Transient(format!("{}: {e}", backend.addr));
             }
         };
-        match event {
+        // The backend answered and took no job (a rejection, the
+        // connection cap, a draining node's notice): try a peer.
+        if let Some(retry_after_ms) = event.refusal() {
+            return Attempt::Saturated { retry_after_ms };
+        }
+        // What forwarding this event ends the job as, if it does.
+        let terminal = match &event {
             // The gateway already announced the job under its own id.
             Event::Queued { .. } => continue,
-            Event::Stage {
-                ok,
-                ref id,
-                ref stage,
-                ..
-            } => {
-                if ok {
-                    let name = id.clone().unwrap_or_else(|| stage.clone());
-                    if !completed_stages.contains(&name) {
-                        completed_stages.push(name);
-                    }
+            Event::Stage { ok, stage, .. } => {
+                if *ok && !completed_stages.contains(stage) {
+                    completed_stages.push(stage.clone());
                 }
-                if proto::write_line(writer, &rewrite_job(raw, job_id)).is_err() {
-                    return Attempt::ClientGone;
-                }
+                None
             }
-            Event::Rejected { retry_after_ms, .. } => {
-                return Attempt::Saturated { retry_after_ms };
+            // The backend's worker died under the job; a peer can still
+            // complete it (the compile is pure).
+            Event::Error { kind, message, .. } if kind.as_deref() == Some("worker-lost") => {
+                return Attempt::Transient(format!("{}: {message}", backend.addr));
             }
-            Event::Error {
-                ref kind,
-                ref retry_after_ms,
-                ref message,
-                ..
-            } => {
-                match kind.as_deref() {
-                    // The backend's worker died under the job; a peer
-                    // can still complete it (the compile is pure).
-                    Some("worker-lost") => {
-                        return Attempt::Transient(format!("{}: {message}", backend.addr));
-                    }
-                    // Connection-level refusals — the connection cap, or
-                    // the notice a connection gets when it races a
-                    // draining backend's shutdown flag: the backend
-                    // answered and took no job, same as a rejection.
-                    Some("overloaded") | Some("shutting-down") => {
-                        return Attempt::Saturated {
-                            retry_after_ms: *retry_after_ms,
-                        };
-                    }
-                    // Real flow failures (including panics and lint
-                    // denials) are deterministic: failing over would
-                    // just fail again. Forward as the terminal.
-                    _ => {
-                        if proto::write_line(writer, &rewrite_job(raw, job_id)).is_err() {
-                            return Attempt::ClientGone;
-                        }
-                        return Attempt::Terminal(Terminal::Failed);
-                    }
-                }
-            }
-            Event::Timeout { .. } => {
-                if proto::write_line(writer, &rewrite_job(raw, job_id)).is_err() {
-                    return Attempt::ClientGone;
-                }
-                return Attempt::Terminal(Terminal::TimedOut);
-            }
-            Event::Done { .. } | Event::Report { .. } => {
-                if proto::write_line(writer, &rewrite_job(raw, job_id)).is_err() {
-                    return Attempt::ClientGone;
-                }
-                return Attempt::Terminal(Terminal::Completed);
-            }
-            Event::Pong { .. }
-            | Event::Stats(_)
-            | Event::Metrics(_)
-            | Event::Status(_)
-            | Event::Artifact { .. }
-            | Event::ArtifactAck { .. }
-            | Event::ShuttingDown => {
+            // Every other `error` is a real flow failure (panics and
+            // lint denials included) and deterministic: failing over
+            // would just fail again.
+            Event::Error { .. } => Some(Terminal::Failed),
+            Event::Timeout { .. } => Some(Terminal::TimedOut),
+            done if done.is_terminal() => Some(Terminal::Completed),
+            _ => {
                 return Attempt::Transient(format!(
                     "{} sent an out-of-place event mid-job",
                     backend.addr
                 ));
             }
+        };
+        if proto::write_line(writer, &rewrite_job(raw, job_id)).is_err() {
+            return Attempt::ClientGone;
+        }
+        if let Some(terminal) = terminal {
+            return Attempt::Terminal(terminal);
         }
     }
 }

@@ -19,6 +19,11 @@ use fpga_flow::{CheckKind, FlowOptions};
 use fpga_lint::{diagnostics_from_value, diagnostics_to_value, Diagnostic, GateMode};
 use serde_json::Value;
 
+use crate::tenancy::MAX_TENANT_BYTES;
+
+/// The wire's hex encoding of bitstream and artifact bytes.
+pub use fpga_flow::hash::{from_hex, to_hex};
+
 /// Version of the request/event schema this build speaks. Bumped when a
 /// verb or event changes shape; absent on the wire means 1.
 ///
@@ -333,11 +338,15 @@ pub fn parse_request_value(v: &Value) -> Result<Request, String> {
             };
             let tenant = match v.get("tenant") {
                 None | Some(Value::Null) => None,
-                Some(t) => Some(
-                    t.as_str()
-                        .ok_or_else(|| "tenant must be a string".to_string())?
-                        .to_string(),
-                ),
+                Some(t) => {
+                    let t = t
+                        .as_str()
+                        .ok_or_else(|| "tenant must be a string".to_string())?;
+                    if t.len() > MAX_TENANT_BYTES {
+                        return Err(format!("tenant must be at most {MAX_TENANT_BYTES} bytes"));
+                    }
+                    Some(t.to_string())
+                }
             };
             let threads = match v.get("threads") {
                 None | Some(Value::Null) => None,
@@ -550,6 +559,33 @@ pub enum Event {
 }
 
 impl Event {
+    /// This event ends a job's stream: `done`, a report, `error` or
+    /// `timeout` — nothing follows it for that job.
+    pub fn is_terminal(&self) -> bool {
+        matches!(
+            self,
+            Event::Done { .. } | Event::Report { .. } | Event::Error { .. } | Event::Timeout { .. }
+        )
+    }
+
+    /// `Some(retry_after_ms)` when the peer answered and took no job: a
+    /// `rejected` (queue full, quota, draining), or a connection-level
+    /// `error` of kind `overloaded` (the connection cap) or
+    /// `shutting-down` (the notice a connection gets when it races a
+    /// draining daemon's shutdown flag). Every other `error` is about a
+    /// job that ran, or a connection that is being closed.
+    pub fn refusal(&self) -> Option<Option<u64>> {
+        match self {
+            Event::Rejected { retry_after_ms, .. } => Some(*retry_after_ms),
+            Event::Error {
+                kind: Some(kind),
+                retry_after_ms,
+                ..
+            } if matches!(kind.as_str(), "overloaded" | "shutting-down") => Some(*retry_after_ms),
+            _ => None,
+        }
+    }
+
     /// The wire form. Inverse of [`parse_event`]; field names and
     /// shapes match what version-1 clients already string-matched on.
     pub fn to_value(&self) -> Value {
@@ -1049,50 +1085,6 @@ pub fn read_line(r: &mut impl BufRead) -> io::Result<Option<Value>> {
     Ok(read_line_limited(r, usize::MAX - 1)?)
 }
 
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// Lowercase hex encoding for bitstream bytes on the wire.
-pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(HEX_DIGITS[usize::from(b >> 4)] as char);
-        s.push(HEX_DIGITS[usize::from(b & 0xf)] as char);
-    }
-    s
-}
-
-/// Hex digit value by byte, either case; `0xff` for every byte that is
-/// not `[0-9a-fA-F]`.
-const NIBBLE: [u8; 256] = {
-    let mut table = [0xff; 256];
-    let mut i = 0;
-    while i < 16 {
-        table[HEX_DIGITS[i] as usize] = i as u8;
-        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
-        i += 1;
-    }
-    table
-};
-
-/// Inverse of [`to_hex`]: exactly pairs of `[0-9a-fA-F]`. The input is a
-/// peer's (`artifact_put.data_hex`, a gateway's `artifact` reply), so
-/// anything else — a sign, a non-ASCII character — is an `Err`, never a
-/// panic.
-pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex".to_string());
-    }
-    let mut bytes = Vec::with_capacity(s.len() / 2);
-    for (i, pair) in s.as_bytes().chunks_exact(2).enumerate() {
-        let (hi, lo) = (NIBBLE[usize::from(pair[0])], NIBBLE[usize::from(pair[1])]);
-        if hi | lo > 0xf {
-            return Err(format!("bad hex at {}", 2 * i));
-        }
-        bytes.push(hi << 4 | lo);
-    }
-    Ok(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1311,6 +1303,132 @@ mod tests {
         }
     }
 
+    /// The two stream rules, over every event variant and every error
+    /// kind the daemons write. A refusal `error` is also a terminal: it
+    /// is the last line its connection gets.
+    #[test]
+    fn refusal_and_terminal_rules_cover_every_event_and_error_kind() {
+        let error = |kind: Option<&str>, retry_after_ms| Event::Error {
+            job: None,
+            kind: kind.map(str::to_string),
+            stage: None,
+            message: "m".into(),
+            retry_after_ms,
+            diagnostics: Vec::new(),
+        };
+        // (event, refusal(), is_terminal())
+        let table = [
+            (
+                Event::Pong {
+                    version: "v".into(),
+                    proto_version: PROTO_VERSION,
+                },
+                None,
+                false,
+            ),
+            (Event::Stats(Value::Null), None, false),
+            (Event::Metrics(Value::Null), None, false),
+            (Event::Status(Value::Null), None, false),
+            (Event::ShuttingDown, None, false),
+            (Event::Queued { job: 1 }, None, false),
+            (
+                Event::Rejected {
+                    job: 1,
+                    reason: "queue full".into(),
+                    retry_after_ms: Some(200),
+                },
+                Some(Some(200)),
+                false,
+            ),
+            (
+                Event::Rejected {
+                    job: 1,
+                    reason: "shutting down".into(),
+                    retry_after_ms: None,
+                },
+                Some(None),
+                false,
+            ),
+            (
+                Event::Stage {
+                    job: 1,
+                    id: None,
+                    stage: "s".into(),
+                    ok: true,
+                    elapsed_ms: 0.0,
+                    metrics: Value::Null,
+                },
+                None,
+                false,
+            ),
+            (
+                Event::Done {
+                    job: 1,
+                    design: "d".into(),
+                    report: Value::Null,
+                    bitstream_hex: String::new(),
+                    trace: None,
+                    lint: Vec::new(),
+                },
+                None,
+                true,
+            ),
+            (
+                Event::Report {
+                    kind: CheckKind::Verify,
+                    job: 1,
+                    design: "d".into(),
+                    reached: "route".into(),
+                    diagnostics: Vec::new(),
+                },
+                None,
+                true,
+            ),
+            (
+                Event::Timeout {
+                    job: 1,
+                    deadline_ms: None,
+                    completed_stages: Vec::new(),
+                    message: "m".into(),
+                },
+                None,
+                true,
+            ),
+            (
+                Event::Artifact {
+                    stage: "route".into(),
+                    key: "k".into(),
+                    hit: false,
+                    data_hex: None,
+                },
+                None,
+                false,
+            ),
+            (
+                Event::ArtifactAck {
+                    stored: true,
+                    message: None,
+                },
+                None,
+                false,
+            ),
+            (error(Some("overloaded"), Some(150)), Some(Some(150)), true),
+            (error(Some("shutting-down"), None), Some(None), true),
+            (error(Some("oversized"), None), None, true),
+            (error(Some("idle-timeout"), None), None, true),
+            (error(Some("worker-lost"), None), None, true),
+            (error(Some("panic"), None), None, true),
+            (error(Some("cancelled"), None), None, true),
+            // A kindless flow failure, even one carrying a hint.
+            (error(None, Some(150)), None, true),
+        ];
+        for (event, refusal, terminal) in table {
+            let line = event.to_value();
+            assert_eq!(event.refusal(), refusal, "refusal of {line}");
+            assert_eq!(event.is_terminal(), terminal, "is_terminal of {line}");
+        }
+    }
+
     /// Wire goldens: the exact lines the commit before the check-job
     /// merge emitted for the lint/verify verbs and the events that carry
     /// diagnostics. Each must parse and re-serialise byte for byte.
@@ -1470,6 +1588,18 @@ mod tests {
         };
         assert_eq!(c.tenant, None);
         assert!(parse_request(r#"{"cmd":"compile","source":"x","tenant":7}"#).is_err());
+        // A tenant is a map key and a metric label downstream: bounded
+        // in bytes, at the boundary included.
+        let named = |n: usize| {
+            let line =
+                serde_json::json!({"cmd": "compile", "source": "x", "tenant": "t".repeat(n)});
+            parse_request(&line.to_string())
+        };
+        assert!(named(64).is_ok());
+        assert_eq!(
+            named(65).err().as_deref(),
+            Some("tenant must be at most 64 bytes")
+        );
         // Present tenant survives the round trip.
         let req = parse_request(r#"{"cmd":"compile","source":"x","tenant":"acme"}"#).unwrap();
         let Request::Compile(c) = req else {

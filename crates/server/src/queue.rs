@@ -277,11 +277,6 @@ impl<T> FairQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Queued items for one class.
-    pub fn class_len(&self, class: &str) -> usize {
-        self.classes.get(class).map_or(0, |c| c.items.len())
-    }
 }
 
 #[cfg(test)]
@@ -402,7 +397,7 @@ mod tests {
         let (class, item) = q.pop_where(|c| c == "open").unwrap();
         assert_eq!((class.as_str(), item), ("open", 2));
         assert!(q.pop_where(|c| c == "open").is_none());
-        assert_eq!(q.class_len("blocked"), 1);
+        assert_eq!(q.len(), 1);
         let (class, item) = q.pop().unwrap();
         assert_eq!((class.as_str(), item), ("blocked", 1));
     }

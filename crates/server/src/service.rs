@@ -588,13 +588,7 @@ fn handle_submit(
             // Forward until the worker's terminal event.
             let mut saw_terminal = false;
             for event in rx {
-                let terminal = matches!(
-                    event,
-                    Event::Done { .. }
-                        | Event::Report { .. }
-                        | Event::Error { .. }
-                        | Event::Timeout { .. }
-                );
+                let terminal = event.is_terminal();
                 if proto::write_line(writer, &event.to_value()).is_err() {
                     cancel.cancel();
                     return false;

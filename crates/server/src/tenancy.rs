@@ -31,6 +31,17 @@ const TOKEN_MILLI: u64 = 1_000;
 /// to come back, the number would just be noise.
 const MAX_RETRY_AFTER_MS: u64 = 60_000;
 
+/// A `tenant` is a client-chosen string that becomes a map key and a
+/// metric label: a longer one is refused where requests are parsed.
+pub const MAX_TENANT_BYTES: usize = 64;
+
+/// Distinct tenant names the governor tracks. Every name in
+/// [`GovernorConfig::weights`] and `anon` always get theirs; a job
+/// under a name beyond the bound is admitted, queued, shed and counted
+/// as tenant `other` — one shared bucket, one fair-queue class — so
+/// neither the table nor the metrics grow with what clients send.
+const MAX_TENANTS: usize = 1024;
+
 /// Admission policy knobs.
 #[derive(Clone, Debug)]
 pub struct GovernorConfig {
@@ -92,6 +103,8 @@ pub enum Admission {
 pub struct GovernorCore {
     config: GovernorConfig,
     tenants: HashMap<String, TenantState>,
+    /// Names guaranteed a place in `tenants` that have not claimed it.
+    reserved: HashSet<String>,
     /// Waiting tickets, fair-queued per tenant.
     waiters: FairQueue<u64>,
     /// Tickets the pump admitted that their waiter has not observed yet.
@@ -104,12 +117,15 @@ pub struct GovernorCore {
 impl GovernorCore {
     pub fn new(config: GovernorConfig) -> Self {
         let mut waiters = FairQueue::new(config.queue_bound, 1);
+        let mut reserved = HashSet::from(["anon".to_string()]);
         for (tenant, weight) in &config.weights {
             waiters.set_weight(tenant, *weight);
+            reserved.insert(tenant.clone());
         }
         GovernorCore {
             config,
             tenants: HashMap::new(),
+            reserved,
             waiters,
             ready: HashSet::new(),
             inflight: 0,
@@ -119,7 +135,7 @@ impl GovernorCore {
 
     /// Ask to run one job for `tenant`.
     pub fn submit(&mut self, tenant: &str, now_ms: u64) -> Admission {
-        self.refill(tenant, now_ms);
+        let tenant = self.tracked(tenant);
         let state = self.tenant_mut(tenant, now_ms);
         let has_token = state.tokens_milli >= TOKEN_MILLI;
         if has_token && self.inflight < self.config.max_inflight && self.waiters.is_empty() {
@@ -168,6 +184,7 @@ impl GovernorCore {
         if self.ready.remove(&ticket) {
             self.release(now_ms);
         } else {
+            let tenant = self.tracked(tenant);
             self.waiters.remove_where(tenant, |t| *t == ticket);
         }
     }
@@ -184,16 +201,12 @@ impl GovernorCore {
         while self.inflight < self.config.max_inflight {
             let config = &self.config;
             let tenants = &mut self.tenants;
+            // Every waiting class is a tenant `submit` already tracks.
             let popped = self.waiters.pop_where(|tenant| {
-                let state = tenants
-                    .entry(tenant.to_string())
-                    .or_insert_with(|| TenantState {
-                        tokens_milli: config.tenant_burst.saturating_mul(TOKEN_MILLI),
-                        last_refill_ms: now_ms,
-                        counters: TenantCounters::default(),
-                    });
-                refill_state(state, config, now_ms);
-                state.tokens_milli >= TOKEN_MILLI
+                tenants.get_mut(tenant).is_some_and(|state| {
+                    refill_state(state, config, now_ms);
+                    state.tokens_milli >= TOKEN_MILLI
+                })
             });
             let Some((tenant, ticket)) = popped else {
                 break; // nobody eligible (token drought) or queue empty
@@ -249,22 +262,34 @@ impl GovernorCore {
         &self.config
     }
 
-    fn tenant_mut(&mut self, tenant: &str, now_ms: u64) -> &mut TenantState {
-        let burst = self.config.tenant_burst;
-        self.tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantState {
-                // A fresh tenant starts with a full bucket.
-                tokens_milli: burst.saturating_mul(TOKEN_MILLI),
-                last_refill_ms: now_ms,
-                counters: TenantCounters::default(),
-            })
+    /// The name `tenant`'s jobs run under: its own while it has a place
+    /// in the table (see [`MAX_TENANTS`]), `other` beyond. Stable for a
+    /// name once answered — the table never shrinks.
+    fn tracked<'a>(&self, tenant: &'a str) -> &'a str {
+        if self.tenants.contains_key(tenant)
+            || self.reserved.contains(tenant)
+            || self.tenants.len() + self.reserved.len() < MAX_TENANTS
+        {
+            tenant
+        } else {
+            "other"
+        }
     }
 
-    fn refill(&mut self, tenant: &str, now_ms: u64) {
-        let config = self.config.clone();
-        let state = self.tenant_mut(tenant, now_ms);
-        refill_state(state, &config, now_ms);
+    /// `tenant`'s state, refilled to `now_ms`; a fresh tenant starts
+    /// with a full bucket.
+    fn tenant_mut(&mut self, tenant: &str, now_ms: u64) -> &mut TenantState {
+        let config = &self.config;
+        let state = self.tenants.entry(tenant.to_string()).or_insert_with(|| {
+            self.reserved.remove(tenant);
+            TenantState {
+                tokens_milli: config.tenant_burst.saturating_mul(TOKEN_MILLI),
+                last_refill_ms: now_ms,
+                counters: TenantCounters::default(),
+            }
+        });
+        refill_state(state, config, now_ms);
+        state
     }
 }
 
@@ -509,6 +534,62 @@ mod tests {
         assert!(
             (1_900..=2_100).contains(&retry_after_ms),
             "hint {retry_after_ms} should be ~2000ms"
+        );
+    }
+
+    /// `tenant` is whatever string a client sends. 10⁵ distinct names
+    /// leave a table of [`MAX_TENANTS`] + `other`: the overflow shares
+    /// one bucket (one token here, so one admission and the rest shed),
+    /// a queued overflow job cancels out of the class it waits in, and
+    /// the names the operator configured, and `anon`, still get their
+    /// own bucket after the flood.
+    #[test]
+    fn a_flood_of_tenant_names_folds_into_other() {
+        const NAMES: usize = 100_000;
+        let mut cfg = config(usize::MAX, 1, 1, 0);
+        cfg.weights = vec![("gold".to_string(), 3)];
+        let mut g = GovernorCore::new(cfg);
+        let mut shed = 0u64;
+        let mut waiting = None;
+        for i in 0..NAMES {
+            let name = format!("tenant-{i}");
+            match g.submit(&name, 0) {
+                Admission::Admitted => {}
+                Admission::Queued(ticket) => {
+                    assert_eq!(waiting.replace((name, ticket)), None, "queue bound is 1");
+                }
+                Admission::Shed { .. } => shed += 1,
+            }
+        }
+        let (name, ticket) = waiting.expect("one overflow job queued");
+        assert_eq!(g.queued(), 1);
+        g.cancel(&name, ticket, 0);
+        assert_eq!(g.queued(), 0, "cancelled under the name it was folded to");
+        assert_eq!(g.submit("gold", 0), Admission::Admitted);
+        assert_eq!(g.submit("anon", 0), Admission::Admitted);
+
+        let rows = g.tenant_snapshots();
+        assert_eq!(rows.len(), MAX_TENANTS + 1);
+        let row = |name: &str| rows.iter().find(|(n, _)| n == name).map(|(_, c)| *c);
+        assert_eq!(row("gold").map(|c| c.admitted), Some(1));
+        assert_eq!(row("anon").map(|c| c.admitted), Some(1));
+        let other = row("other").expect("the overflow row");
+        let overflow = (NAMES - (MAX_TENANTS - 2)) as u64;
+        assert_eq!(
+            (other.admitted, other.queued, other.shed),
+            (1, 1, overflow - 2)
+        );
+        assert_eq!(other.shed, shed, "only the overflow was ever refused");
+
+        let text = crate::metrics::GatewaySnapshot {
+            tenants: rows,
+            ..Default::default()
+        }
+        .to_prometheus_text();
+        assert!(
+            text.lines().count() < 4_000,
+            "{} lines",
+            text.lines().count()
         );
     }
 

@@ -256,6 +256,68 @@ fn a_draining_backend_fails_over_with_exactly_one_done() {
     healthy.shutdown();
 }
 
+/// A `timeout` the gateway writes itself (here: the only backend drops
+/// the connection with the deadline already spent) reports progress in
+/// the vocabulary of the `stage` events it forwarded — the `stage`
+/// field, as a backend's own `timeout` does — not in stage ids.
+#[test]
+fn a_gateway_written_timeout_names_stages_as_they_were_streamed() {
+    const DEADLINE_MS: u64 = 300;
+    let slow = start_fake_backend(|| {
+        thread::sleep(Duration::from_millis(DEADLINE_MS + 100));
+        let stage = |id: &str, title: &str| {
+            serde_json::json!({
+                "event": "stage",
+                "job": 999u64,
+                "id": id,
+                "stage": title,
+                "ok": true,
+                "elapsed_ms": 0.1,
+                "metrics": serde_json::json!({}),
+            })
+        };
+        vec![
+            serde_json::json!({"event": "queued", "job": 999u64}),
+            stage("synthesis", "synthesis (fake parser)"),
+            stage("lut_map", "lut mapping (fake)"),
+        ]
+    });
+    let gateway = Gateway::start(GatewayConfig {
+        backends: vec![slow.to_string()],
+        health_interval_ms: 60_000,
+        ..GatewayConfig::default()
+    })
+    .expect("start gateway");
+
+    let mut req = CompileRequest::new(SourceFormat::Vhdl, fpga_circuits::vhdl_counter(2));
+    req.deadline_ms = Some(DEADLINE_MS);
+    let mut conn = RawConn::connect(gateway.tcp_addr());
+    conn.send(&fpga_server::Request::Compile(Box::new(req)).to_value());
+    assert_eq!(conn.recv()["event"].as_str(), Some("queued"));
+    let mut streamed = Vec::new();
+    let timeout = loop {
+        let ev = conn.recv();
+        match ev["event"].as_str() {
+            Some("stage") => streamed.push(ev["stage"].clone()),
+            Some("timeout") => break ev,
+            other => panic!("unexpected event {other:?}: {ev}"),
+        }
+    };
+    assert_eq!(streamed.len(), 2, "both stage events were forwarded");
+    assert_eq!(
+        timeout["completed_stages"].as_array(),
+        Some(&streamed),
+        "{timeout}"
+    );
+    assert!(
+        timeout["message"]
+            .as_str()
+            .is_some_and(|m| m.contains("exhausted across 1 attempt(s)")),
+        "written by the gateway, not forwarded: {timeout}"
+    );
+    gateway.shutdown();
+}
+
 /// A backend that accepted the connection and then stopped reading
 /// (SIGSTOP, a full receive buffer) must not hold the gateway thread in
 /// the request write past the job's deadline: the forwarding hop's

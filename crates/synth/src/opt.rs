@@ -52,34 +52,7 @@ fn replace_uses(netlist: &mut Netlist, from: NetId, to: NetId) {
 
 /// Remove cells whose outputs are unused (not a PO and no sinks).
 pub fn sweep(netlist: &mut Netlist) -> Result<usize> {
-    let mut removed = 0usize;
-    loop {
-        let sinks = netlist.sinks();
-        let dead: Vec<usize> = netlist
-            .cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                sinks[c.output.index()].is_empty() && !netlist.outputs.contains(&c.output)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if dead.is_empty() {
-            break;
-        }
-        removed += dead.len();
-        let mut keep = vec![true; netlist.cells.len()];
-        for i in dead {
-            keep[i] = false;
-        }
-        let mut idx = 0;
-        netlist.cells.retain(|_| {
-            let k = keep[idx];
-            idx += 1;
-            k
-        });
-    }
-    Ok(removed)
+    Ok(netlist.sweep_dead())
 }
 
 /// Constant folding: cells all of whose inputs are constants become

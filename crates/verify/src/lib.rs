@@ -24,6 +24,8 @@
 
 mod view;
 
+use fpga_netlist::mix::{fnv1a, xorshift64, FNV_OFFSET, FNV_PRIME, XORSHIFT_STAR};
+
 pub use view::{eval_cell64, CombView};
 
 /// Default signature seed. Matches the seed the fabric-emulation stage
@@ -143,19 +145,12 @@ impl EquivReport {
 /// Keying by name is what aligns vectors across differently-numbered
 /// views.
 pub fn cut_word(seed: u64, name: &str, batch: u64) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in name.as_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
+    let h = fnv1a(FNV_OFFSET, name.as_bytes());
     let mut state =
         h ^ seed.wrapping_mul(0x9E3779B97F4A7C15) ^ batch.wrapping_mul(0xD1B54A32D192ED03);
     state |= 1;
-    for _ in 0..2 {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-    }
-    state.wrapping_mul(0x2545F4914F6CDD1D)
+    xorshift64(&mut state);
+    xorshift64(&mut state).wrapping_mul(XORSHIFT_STAR)
 }
 
 /// Prove (to `batches * 64` random vectors) or refute that two views
@@ -232,16 +227,14 @@ pub fn check_equiv(
 /// determinism suite compares across thread counts and cache replays.
 pub fn signature_digest(view: &CombView, seed: u64, batches: usize) -> u64 {
     let mut words = vec![0u64; view.cuts.len()];
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = FNV_OFFSET;
     for batch in 0..batches {
         for ((name, _), w) in view.cuts.iter().zip(words.iter_mut()) {
             *w = cut_word(seed, name, batch as u64);
         }
         for ((name, _), out) in view.observables.iter().zip(view.eval64(&words)) {
-            for &b in name.as_bytes() {
-                digest = (digest ^ b as u64).wrapping_mul(0x100000001b3);
-            }
-            digest = (digest ^ out).wrapping_mul(0x100000001b3);
+            digest = fnv1a(digest, name.as_bytes());
+            digest = (digest ^ out).wrapping_mul(FNV_PRIME);
         }
     }
     digest
@@ -398,6 +391,16 @@ mod tests {
             routing,
             bitstream,
         }
+    }
+
+    /// Recorded at eb39634, before the FNV loop and the xorshift step
+    /// moved to `fpga_netlist::mix`: the vectors every signature and
+    /// every recorded counterexample seed is made of.
+    #[test]
+    fn cut_word_keeps_its_recorded_values() {
+        assert_eq!(cut_word(0, "a", 0), 0x64878527d9f7ae1c);
+        assert_eq!(cut_word(0x5eed_f10d, "count[3]", 7), 0xa34df043c1f7abaa);
+        assert_eq!(cut_word(u64::MAX, "ff:q_reg", 1 << 40), 0x215ccd284d3e3a16);
     }
 
     #[test]

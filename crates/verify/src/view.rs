@@ -18,7 +18,9 @@
 use std::collections::HashMap;
 
 use fpga_bitstream::config::{Bitstream, IoMode, WireKey, XbarSel};
+use fpga_bitstream::fabric::Dsu;
 use fpga_netlist::ir::{CellId, CellKind, NetId, Netlist};
+use fpga_netlist::mix::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use fpga_netlist::sim::eval_cell;
 use fpga_pack::{ClusterId, Clustering};
 use fpga_place::{BlockRef, Placement};
@@ -108,13 +110,13 @@ impl CombView {
     /// View of a plain netlist (the synthesized or mapped reference).
     ///
     /// Dead cells — those whose output feeds nothing and is not a
-    /// primary output — are pruned to a fixpoint first, mirroring the
-    /// mapper's sweep pass: a register the flow legitimately swept must
-    /// not count as a missing state element, and its unobservable cone
-    /// must not enter the boundary.
+    /// primary output — are swept first, by the mapper's own sweep
+    /// ([`Netlist::sweep_dead`]): a register the flow legitimately swept
+    /// must not count as a missing state element, and its unobservable
+    /// cone must not enter the boundary.
     pub fn from_netlist(stage: &'static str, nl: &Netlist) -> Result<CombView> {
         let mut nl = nl.clone();
-        prune_dead(&mut nl);
+        nl.sweep_dead();
         let (cuts, observables) = Self::boundaries(&nl);
         Self::assemble(stage, nl, cuts, observables)
     }
@@ -211,8 +213,8 @@ impl CombView {
         }
 
         // Electrical connectivity: union-find over every wire/pin key the
-        // configuration shorts together (same reduction the fabric
-        // emulator performs).
+        // configuration shorts together (the fabric emulator's own
+        // `Dsu`; the keys are decoded here, from the `Bitstream` model).
         let mut keys: Vec<WireKey> = Vec::new();
         let mut key_index: HashMap<WireKey, usize> = HashMap::new();
         let mut intern = |k: WireKey, keys: &mut Vec<WireKey>| -> usize {
@@ -266,26 +268,16 @@ impl CombView {
             };
             intern(k, &mut keys);
         }
-        let mut parent: Vec<usize> = (0..keys.len()).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
+        let mut dsu = Dsu::new(keys.len());
         for (a, b) in pairs {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                parent[ra] = rb;
-            }
+            dsu.union(a, b);
         }
         // Electrical nets, numbered in key order (deterministic).
         let mut root_to_enet: HashMap<usize, usize> = HashMap::new();
         let mut enet_of_key: Vec<usize> = Vec::with_capacity(keys.len());
         let mut n_enets = 0usize;
         for i in 0..keys.len() {
-            let root = find(&mut parent, i);
+            let root = dsu.find(i);
             let e = *root_to_enet.entry(root).or_insert_with(|| {
                 n_enets += 1;
                 n_enets - 1
@@ -657,29 +649,6 @@ fn check_placement(c: &Clustering, p: &Placement) -> Result<()> {
 
 /// 64-lane mirror of [`fpga_netlist::sim::eval_cell`]: bit `b` of every
 /// word is an independent evaluation under input vector `b`.
-/// Remove cells whose output feeds nothing and is not a primary output,
-/// to a fixpoint — the same iteration the synthesis sweep runs, so a
-/// pre-sweep netlist and its swept image present identical boundaries.
-fn prune_dead(nl: &mut Netlist) {
-    loop {
-        let sinks = nl.sinks();
-        let keep: Vec<bool> = nl
-            .cells
-            .iter()
-            .map(|c| !sinks[c.output.index()].is_empty() || nl.outputs.contains(&c.output))
-            .collect();
-        if keep.iter().all(|&k| k) {
-            return;
-        }
-        let mut idx = 0;
-        nl.cells.retain(|_| {
-            let k = keep[idx];
-            idx += 1;
-            k
-        });
-    }
-}
-
 pub fn eval_cell64(kind: &CellKind, inputs: &[NetId], values: &[u64]) -> u64 {
     let v = |i: usize| values[inputs[i].index()];
     match kind {
@@ -736,17 +705,13 @@ pub fn eval_cell64(kind: &CellKind, inputs: &[NetId], values: &[u64]) -> u64 {
 }
 
 fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 fn mix(h: u64, x: u64) -> u64 {
     (h ^ x.wrapping_mul(0x9E3779B97F4A7C15))
         .rotate_left(23)
-        .wrapping_mul(0x100000001b3)
+        .wrapping_mul(FNV_PRIME)
 }
 
 fn kind_hash(kind: &CellKind) -> u64 {
@@ -771,5 +736,15 @@ fn kind_hash(kind: &CellKind) -> u64 {
             h
         }
         CellKind::Dff { .. } => fnv64(b"dff"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// Recorded at eb39634, before the byte loop moved to
+    /// `fpga_netlist::mix`: the structural hash's leaf values.
+    #[test]
+    fn fnv64_keeps_its_recorded_value() {
+        assert_eq!(super::fnv64(b"undriven"), 0x35af52179fc45a10);
     }
 }

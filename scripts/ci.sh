@@ -81,6 +81,32 @@ if [ -n "$SOCKETS" ]; then
     exit 1
 fi
 
+echo "==> source lint: one home per primitive (xorshift step, splitmix64, xorshift* multiplier, FNV prime, union-find)"
+# Each of these was re-typed by crates that sat one dependency away from
+# the first copy (fpga_netlist::mix, fpga_bitstream::fabric::Dsu); the
+# equivalence boundary and every seeded stream are only sound while
+# there is one. Lines are lowercased and stripped of `_` first, so a
+# re-grouped hex literal still matches. No allowlist.
+for pat in '<< 13' 'fn splitmix64' '2545f4914f6cdd1d' '100000001b3' 'parent\['; do
+    HOMES=$(
+        find crates -name '*.rs' | sort | while read -r f; do
+            awk -v file="$f" -v pat="$pat" '/#\[cfg\(test\)\]/{exit}
+                { line = tolower($0); gsub(/_/, "", line) }
+                line ~ pat { print file; exit }' "$f"
+        done
+    )
+    if [ "$(printf '%s\n' "$HOMES" | grep -c .)" -ne 1 ]; then
+        echo "FAIL: '$pat' must occur in exactly one non-test file under crates/, found in:" >&2
+        printf '%s\n' "${HOMES:-(none)}" >&2
+        echo "(call fpga_netlist::mix / fpga_bitstream::fabric::Dsu)" >&2
+        exit 1
+    fi
+done
+if grep -rn "fn prune_dead\|netlist::stats\|clb_delay" crates README.md DESIGN.md >&2; then
+    echo "FAIL: a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep)" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
