@@ -12,7 +12,7 @@ fn main() {
     if args.flags.iter().any(|f| f == "no-verify") {
         opts.verify_cycles = 0;
     }
-    if let Some(seed) = args.options.get("seed").and_then(|s| s.parse().ok()) {
+    if let Some(seed) = cli::opt_u64(&args, "dagger", "seed") {
         opts.place_seed = seed;
     }
     match run_blif(&text, &opts) {

@@ -10,17 +10,17 @@ fn main() {
     if let Some(name) = args.options.get("name") {
         arch.name = name.clone();
     }
-    if let Some(k) = args.options.get("k").and_then(|s| s.parse().ok()) {
+    if let Some(k) = cli::opt_u64(&args, "dutys", "k").map(|k| k as usize) {
         arch.clb.lut_k = k;
         arch.clb.inputs = clb_inputs_eq1(k, arch.clb.cluster_size);
     }
-    if let Some(n) = args.options.get("n").and_then(|s| s.parse().ok()) {
+    if let Some(n) = cli::opt_u64(&args, "dutys", "n").map(|n| n as usize) {
         arch.clb.cluster_size = n;
         arch.clb.outputs = n;
         arch.clb.inputs = clb_inputs_eq1(arch.clb.lut_k, n);
     }
-    if let Some(w) = args.options.get("w").and_then(|s| s.parse().ok()) {
-        arch.routing.channel_width = w;
+    if let Some(w) = cli::opt_u64(&args, "dutys", "w") {
+        arch.routing.channel_width = w as usize;
     }
     let out = if args.flags.iter().any(|f| f == "json") {
         arch.to_json()

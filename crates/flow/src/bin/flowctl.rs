@@ -24,11 +24,11 @@ fn main() {
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| cli::die("flowctl", format!("cannot read '{path}': {e}")));
     let mut opts = FlowOptions::default();
-    if let Some(seed) = args.options.get("seed").and_then(|s| s.parse().ok()) {
+    if let Some(seed) = cli::opt_u64(&args, "flowctl", "seed") {
         opts.place_seed = seed;
     }
-    if let Some(w) = args.options.get("w").and_then(|s| s.parse().ok()) {
-        opts.channel_width = Some(w);
+    if let Some(w) = cli::opt_u64(&args, "flowctl", "w") {
+        opts.channel_width = Some(w as usize);
     }
     let result = if path.ends_with(".blif") {
         run_blif(&text, &opts)

@@ -19,11 +19,11 @@ fn main() {
     let clustering = fpga_pack::pack(&netlist, &fpga_arch::ClbArch::paper_default())
         .unwrap_or_else(|e| cli::die("powermodel", e));
     let mut opts = PowerOptions::default();
-    if let Some(f) = args.options.get("f").and_then(|s| s.parse().ok()) {
+    if let Some(f) = cli::opt_f64(&args, "powermodel", "f") {
         opts.frequency = f;
     }
-    if let Some(c) = args.options.get("cycles").and_then(|s| s.parse().ok()) {
-        opts.activity_cycles = c;
+    if let Some(c) = cli::opt_u64(&args, "powermodel", "cycles") {
+        opts.activity_cycles = c as usize;
     }
     let tech = Tech::stm018();
     let caps = ClbCaps::from_designs(&tech);

@@ -8,11 +8,7 @@ fn main() {
     let args = cli::parse_args(&["o", "k"]);
     cli::handle_version("sis-map", &args);
     let text = cli::input_or_usage(&args, "sis-map <in.blif> [-k 4] [-o out.blif]");
-    let k: usize = args
-        .options
-        .get("k")
-        .map(|s| s.parse().unwrap_or(4))
-        .unwrap_or(4);
+    let k = cli::opt_u64(&args, "sis-map", "k").map_or(4, |k| k as usize);
     let mut netlist = match fpga_netlist::blif::parse(&text) {
         Ok(n) => n,
         Err(e) => cli::die("sis-map", e),

@@ -8,21 +8,9 @@ fn main() {
     let args = cli::parse_args(&["o", "k", "n", "i"]);
     cli::handle_version("tvpack", &args);
     let text = cli::input_or_usage(&args, "tvpack <in.blif> [-k 4] [-n 5] [-i 12] [-o out.net]");
-    let k: usize = args
-        .options
-        .get("k")
-        .map(|s| s.parse().unwrap_or(4))
-        .unwrap_or(4);
-    let n: usize = args
-        .options
-        .get("n")
-        .map(|s| s.parse().unwrap_or(5))
-        .unwrap_or(5);
-    let i: usize = args
-        .options
-        .get("i")
-        .map(|s| s.parse().unwrap_or(clb_inputs_eq1(k, n)))
-        .unwrap_or_else(|| clb_inputs_eq1(k, n));
+    let k = cli::opt_u64(&args, "tvpack", "k").map_or(4, |k| k as usize);
+    let n = cli::opt_u64(&args, "tvpack", "n").map_or(5, |n| n as usize);
+    let i = cli::opt_u64(&args, "tvpack", "i").map_or_else(|| clb_inputs_eq1(k, n), |i| i as usize);
     let arch = ClbArch {
         lut_k: k,
         cluster_size: n,

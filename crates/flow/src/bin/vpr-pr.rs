@@ -22,11 +22,7 @@ fn main() {
         }
         None => Architecture::paper_default(),
     };
-    let seed: u64 = args
-        .options
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let seed = cli::opt_u64(&args, "vpr-pr", "seed").unwrap_or(1);
     let mut netlist = fpga_netlist::blif::parse(&text).unwrap_or_else(|e| cli::die("vpr-pr", e));
     fpga_pack::prepare(&mut netlist).unwrap_or_else(|e| cli::die("vpr-pr", e));
     // Either consume T-VPack's .net file or re-pack internally.

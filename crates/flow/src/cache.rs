@@ -20,17 +20,22 @@
 //! the hit path — so N concurrent submissions of the same design cost
 //! exactly one computation per stage and count as one miss plus N-1 hits
 //! in the metrics.
+//!
+//! Each stage's counters are one [`StageStats`]: the lookup path
+//! increments its [`Counter`]s, and [`StageCache::stats`] hands out a
+//! clone — there is no separate snapshot type.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use serde_json::Value;
 
 use crate::artifact::Artifact;
 use crate::store::DiskStore;
+use crate::sync::{lock, wait, Counter};
 use crate::Result;
 
 /// The cacheable pipeline stages, in flow order.
@@ -135,37 +140,31 @@ pub trait RemoteTier: Send + Sync {
     fn publish(&self, stage: &'static str, key: &str, kind: &'static str, raw: &[u8]);
 }
 
-/// Per-stage counters. `misses` counts actual computations, `hits` counts
-/// lookups served without computing — from a ready entry, from waiting
-/// out another job's in-flight computation, from a verified disk entry,
-/// or from a verified remote fetch. `disk_hits` and `remote_hits`
-/// attribute the subsets of `hits` that came from the durable store and
-/// the remote tier (memory hits = `hits - disk_hits - remote_hits`).
-/// `wall_nanos` accumulates compute time spent on misses.
-#[derive(Default)]
-pub struct StageCounters {
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub disk_hits: AtomicU64,
-    pub remote_hits: AtomicU64,
-    pub wall_nanos: AtomicU64,
-}
-
-/// A snapshot of one stage's counters (plain numbers, for assertions and
-/// JSON rendering).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Per-stage counters: the cache increments one of these per stage, and
+/// a clone of it is that stage's snapshot ([`StageCache::stats`]).
+/// `misses` counts actual computations, `hits` counts lookups served
+/// without computing — from a ready entry, from waiting out another
+/// job's in-flight computation, from a verified disk entry, or from a
+/// verified remote fetch. `disk_hits` and `remote_hits` attribute the
+/// subsets of `hits` that came from the durable store and the remote
+/// tier. `wall_nanos` accumulates compute time spent on misses.
+#[derive(Clone, Debug, Default)]
 pub struct StageStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub disk_hits: u64,
-    pub remote_hits: u64,
-    pub wall_nanos: u64,
+    pub hits: Counter,
+    pub misses: Counter,
+    pub disk_hits: Counter,
+    pub remote_hits: Counter,
+    pub wall_nanos: Counter,
 }
 
 impl StageStats {
-    /// Hits served straight from the in-memory slot map.
+    /// Hits served straight from the in-memory slot map: `hits` less the
+    /// two tier counts. Saturating, because a tier hit is two increments
+    /// and a snapshot can land between them, holding the tier count but
+    /// not yet the hit.
     pub fn memory_hits(&self) -> u64 {
-        self.hits - self.disk_hits - self.remote_hits
+        let lower_tiers = self.disk_hits.get() + self.remote_hits.get();
+        self.hits.get().saturating_sub(lower_tiers)
     }
 }
 
@@ -189,12 +188,12 @@ enum Slot {
 pub struct StageCache {
     slots: Mutex<HashMap<String, Slot>>,
     ready: Condvar,
-    counters: [StageCounters; STAGES.len()],
+    counters: [StageStats; STAGES.len()],
     clock: AtomicU64,
     capacity: Option<usize>,
     store: Option<Arc<DiskStore>>,
     remote: Option<Arc<dyn RemoteTier>>,
-    memory_evicted: AtomicU64,
+    memory_evicted: Counter,
 }
 
 /// Exclusive right to compute one key, handed out by [`StageCache::claim`].
@@ -211,7 +210,7 @@ impl ClaimGuard<'_> {
     fn fulfill(mut self, value: Arc<dyn Any + Send + Sync>, metrics: Value) {
         let tick = self.cache.tick();
         {
-            let mut slots = self.cache.lock_slots();
+            let mut slots = lock(&self.cache.slots);
             slots.insert(
                 self.key.clone(),
                 Slot::Ready(ReadyEntry {
@@ -230,7 +229,7 @@ impl ClaimGuard<'_> {
 impl Drop for ClaimGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            self.cache.lock_slots().remove(&self.key);
+            lock(&self.cache.slots).remove(&self.key);
             self.cache.ready.notify_all();
         }
     }
@@ -282,36 +281,21 @@ impl StageCache {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Lock the slot map, recovering from poisoning: the map's invariants
-    /// hold between statements (a panicking holder can at worst leave an
-    /// in-flight marker, which the claim guard cleans up), so a poisoned
-    /// lock must not cascade into every later job.
-    fn lock_slots(&self) -> MutexGuard<'_, HashMap<String, Slot>> {
-        self.slots
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Resolve `key` to a ready value or the exclusive right to compute
     /// it, waiting out any in-flight computation by another thread.
     fn claim(&self, stage: StageId, key: &str) -> Claim<'_> {
-        let mut slots = self.lock_slots();
+        let mut slots = lock(&self.slots);
         loop {
             match slots.get_mut(key) {
                 Some(Slot::Ready(entry)) => {
                     entry.last_used = self.tick();
                     let out = Arc::clone(&entry.value);
                     let metrics = entry.metrics.clone();
-                    self.counters[stage.index()]
-                        .hits
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.counters[stage.index()].hits.inc();
                     return Claim::Hit(out, metrics);
                 }
                 Some(Slot::InFlight) => {
-                    slots = self
-                        .ready
-                        .wait(slots)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                    slots = wait(&self.ready, slots);
                 }
                 None => {
                     slots.insert(key.to_string(), Slot::InFlight);
@@ -351,7 +335,7 @@ impl StageCache {
                 return;
             };
             slots.remove(&key);
-            self.memory_evicted.fetch_add(1, Ordering::Relaxed);
+            self.memory_evicted.inc();
         }
     }
 
@@ -422,8 +406,8 @@ impl StageCache {
                             Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
                             metrics.clone(),
                         );
-                        c.hits.fetch_add(1, Ordering::Relaxed);
-                        tier_hits.fetch_add(1, Ordering::Relaxed);
+                        c.hits.inc();
+                        tier_hits.inc();
                         return Ok((value, metrics, outcome));
                     }
                     Err(e) => {
@@ -476,21 +460,14 @@ impl StageCache {
             metrics.clone(),
         );
         let c = &self.counters[stage.index()];
-        c.misses.fetch_add(1, Ordering::Relaxed);
-        c.wall_nanos.fetch_add(elapsed, Ordering::Relaxed);
+        c.misses.inc();
+        c.wall_nanos.add(elapsed);
         Ok((value, metrics, CacheOutcome::Computed))
     }
 
     /// Snapshot one stage's counters.
     pub fn stats(&self, stage: StageId) -> StageStats {
-        let c = &self.counters[stage.index()];
-        StageStats {
-            hits: c.hits.load(Ordering::Relaxed),
-            misses: c.misses.load(Ordering::Relaxed),
-            disk_hits: c.disk_hits.load(Ordering::Relaxed),
-            remote_hits: c.remote_hits.load(Ordering::Relaxed),
-            wall_nanos: c.wall_nanos.load(Ordering::Relaxed),
-        }
+        self.counters[stage.index()].clone()
     }
 
     /// Snapshot every stage, in flow order.
@@ -503,15 +480,15 @@ impl StageCache {
         let mut hits = 0;
         let mut misses = 0;
         for (_, s) in self.all_stats() {
-            hits += s.hits;
-            misses += s.misses;
+            hits += s.hits.get();
+            misses += s.misses.get();
         }
         (hits, misses)
     }
 
     /// Number of ready entries (in-flight markers excluded).
     pub fn len(&self) -> usize {
-        self.lock_slots()
+        lock(&self.slots)
             .values()
             .filter(|s| matches!(s, Slot::Ready(..)))
             .count()
@@ -523,7 +500,7 @@ impl StageCache {
 
     /// Entries evicted from memory by the capacity bound.
     pub fn memory_evicted(&self) -> u64 {
-        self.memory_evicted.load(Ordering::Relaxed)
+        self.memory_evicted.get()
     }
 
     /// Metrics as JSON, shaped for `flowc stats`.
@@ -533,11 +510,11 @@ impl StageCache {
             stages.insert(
                 name.to_string(),
                 serde_json::json!({
-                    "hits": s.hits,
-                    "misses": s.misses,
-                    "disk_hits": s.disk_hits,
-                    "remote_hits": s.remote_hits,
-                    "wall_ms": s.wall_nanos / 1_000_000,
+                    "hits": s.hits.get(),
+                    "misses": s.misses.get(),
+                    "disk_hits": s.disk_hits.get(),
+                    "remote_hits": s.remote_hits.get(),
+                    "wall_ms": s.wall_nanos.get() / 1_000_000,
                 }),
             );
         }
@@ -610,7 +587,7 @@ mod tests {
         }
         assert_eq!(computed.load(Ordering::SeqCst), 1);
         let s = cache.stats(StageId::Pack);
-        assert_eq!((s.misses, s.hits), (1, 2));
+        assert_eq!((s.misses.get(), s.hits.get()), (1, 2));
     }
 
     #[test]
@@ -648,7 +625,11 @@ mod tests {
             .unwrap();
         assert_eq!((v.0, outcome), (11, CacheOutcome::Computed));
         let s = cache.stats(StageId::Pack);
-        assert_eq!((s.misses, s.hits), (1, 0), "the panic counted nothing");
+        assert_eq!(
+            (s.misses.get(), s.hits.get()),
+            (1, 0),
+            "the panic counted nothing"
+        );
     }
 
     #[test]
@@ -757,7 +738,10 @@ mod tests {
         assert_eq!(outcome, CacheOutcome::DiskHit);
         assert_eq!(metrics["ok"], serde_json::json!(true));
         let s = cache.stats(StageId::Verify);
-        assert_eq!((s.hits, s.disk_hits, s.memory_hits()), (1, 1, 0));
+        assert_eq!(
+            (s.hits.get(), s.disk_hits.get(), s.memory_hits()),
+            (1, 1, 0)
+        );
         assert_eq!(store.counters().disk_hits, 1);
 
         // Third lookup on the same cache: plain memory hit, disk untouched.
@@ -766,8 +750,65 @@ mod tests {
             .unwrap();
         assert_eq!(outcome, CacheOutcome::MemoryHit);
         let s = cache.stats(StageId::Verify);
-        assert_eq!((s.hits, s.disk_hits, s.memory_hits()), (2, 1, 1));
+        assert_eq!(
+            (s.hits.get(), s.disk_hits.get(), s.memory_hits()),
+            (2, 1, 1)
+        );
         assert_eq!(store.counters().disk_hits, 1);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A tier hit is two increments; a snapshot that lands between them
+    /// holds the tier count without the hit.
+    #[test]
+    fn memory_hits_saturates_on_a_torn_snapshot() {
+        let torn = StageStats {
+            hits: Counter::from(4),
+            disk_hits: Counter::from(5),
+            ..Default::default()
+        };
+        assert_eq!(torn.memory_hits(), 0);
+    }
+
+    #[test]
+    fn scraping_beside_disk_hits_never_reads_more_memory_hits_than_hits() {
+        let root = std::env::temp_dir().join(format!(
+            "ifdf-cache-scrape-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = Arc::new(DiskStore::open(&root, None).unwrap());
+        // One memory slot, two keys: each lookup evicts the other key,
+        // so once both are on disk every lookup is a disk hit.
+        let cache = StageCache::new().with_store(store).with_capacity(1);
+        let keys = ["scrape-a", "scrape-b"].map(|k| stage_key(StageId::Verify, &[k]));
+        for key in &keys {
+            cache
+                .get_or_compute_artifact(StageId::Verify, key, || Ok(((), Value::Null)))
+                .unwrap();
+        }
+        std::thread::scope(|s| {
+            let scraper = s.spawn(|| {
+                for _ in 0..10_000 {
+                    let stats = cache.stats(StageId::Verify);
+                    assert!(stats.memory_hits() <= stats.hits.get(), "{stats:?}");
+                }
+            });
+            while !scraper.is_finished() {
+                for key in &keys {
+                    let (_, _, outcome) = cache
+                        .get_or_compute_artifact::<()>(StageId::Verify, key, || {
+                            panic!("must not recompute")
+                        })
+                        .unwrap();
+                    assert_eq!(outcome, CacheOutcome::DiskHit);
+                }
+            }
+        });
+        let stats = cache.stats(StageId::Verify);
+        assert!(stats.disk_hits.get() >= 2);
+        assert_eq!((stats.memory_hits(), stats.misses.get()), (0, 2));
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -875,7 +916,10 @@ mod tests {
         assert_eq!(outcome, CacheOutcome::RemoteHit);
         assert_eq!(metrics["ok"], serde_json::json!(true));
         let s = cache_b.stats(StageId::Verify);
-        assert_eq!((s.hits, s.remote_hits, s.memory_hits()), (1, 1, 0));
+        assert_eq!(
+            (s.hits.get(), s.remote_hits.get(), s.memory_hits()),
+            (1, 1, 0)
+        );
         assert_eq!(store_b.len(), 1, "remote hit installed locally");
         std::fs::remove_dir_all(&root_a).unwrap();
         std::fs::remove_dir_all(&root_b).unwrap();

@@ -146,12 +146,22 @@ pub fn parse_size_bytes(text: &str) -> Result<u64, String> {
     Ok((value * scale as f64).round() as u64)
 }
 
-/// `--flag N`: a plain integer option, or exit with `tool`'s error.
-pub fn opt_u64(args: &Args, tool: &str, flag: &str) -> Option<u64> {
+/// `--flag N`: a plain number option, or exit with `tool`'s error.
+fn opt_number<T: std::str::FromStr>(args: &Args, tool: &str, flag: &str) -> Option<T> {
     args.options.get(flag).map(|raw| match raw.parse() {
         Ok(n) => n,
         Err(_) => die(tool, format!("bad --{flag} '{raw}'")),
     })
+}
+
+/// `--flag N`: an integer [`opt_number`].
+pub fn opt_u64(args: &Args, tool: &str, flag: &str) -> Option<u64> {
+    opt_number(args, tool, flag)
+}
+
+/// `--flag X`: a floating-point [`opt_number`].
+pub fn opt_f64(args: &Args, tool: &str, flag: &str) -> Option<f64> {
+    opt_number(args, tool, flag)
 }
 
 /// `--flag DUR`: a [`parse_duration_ms`] option, in milliseconds.

@@ -16,16 +16,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::sync::{lock, wait_timeout};
 use crate::{FlowError, Result};
-
-/// Recover a lock even when a panicking holder poisoned it: the guarded
-/// state is either a plain flag or a counter map, both safe to reuse.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Why a job stopped before finishing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,24 +104,19 @@ impl Gate {
 
     /// Open the gate, releasing every waiter (idempotent).
     pub fn open(&self) {
-        *lock_unpoisoned(&self.inner.0) = true;
+        *lock(&self.inner.0) = true;
         self.inner.1.notify_all();
     }
 
     /// Block until the gate opens or `cancel` fires; polls the token in
     /// short waits so cancellation is observed promptly.
     pub fn wait_open(&self, cancel: Option<&CancelToken>) {
-        let mut open = lock_unpoisoned(&self.inner.0);
+        let mut open = lock(&self.inner.0);
         while !*open {
             if cancel.is_some_and(|c| c.status().is_some()) {
                 return;
             }
-            let (guard, _timeout) = self
-                .inner
-                .1
-                .wait_timeout(open, Duration::from_millis(5))
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            open = guard;
+            open = wait_timeout(&self.inner.1, open, Duration::from_millis(5));
         }
     }
 }
@@ -191,10 +181,7 @@ impl FaultPlan {
 
     /// How many times `stage` has been entered so far.
     pub fn executions(&self, stage: &str) -> u64 {
-        lock_unpoisoned(&self.counts)
-            .get(stage)
-            .copied()
-            .unwrap_or(0)
+        lock(&self.counts).get(stage).copied().unwrap_or(0)
     }
 
     /// Record one execution of `stage` and fire any matching rule.
@@ -202,7 +189,7 @@ impl FaultPlan {
     /// originate here, *outside* the stage cache.
     pub fn before_stage(&self, stage: &str, cancel: Option<&CancelToken>) -> Result<()> {
         let n = {
-            let mut counts = lock_unpoisoned(&self.counts);
+            let mut counts = lock(&self.counts);
             let entry = counts.entry(stage.to_string()).or_insert(0);
             *entry += 1;
             *entry

@@ -31,6 +31,7 @@ pub mod report;
 pub mod stages;
 pub mod store;
 pub mod svg;
+pub mod sync;
 pub mod trace;
 
 pub use artifact::Artifact;

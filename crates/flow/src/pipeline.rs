@@ -715,13 +715,13 @@ mod tests {
         let cold = run_vhdl_ctx(&src, &opts, FlowCtx::with_cache(&cache)).unwrap();
         for stage in STAGES {
             let s = cache.stats(stage);
-            assert_eq!((s.misses, s.hits), (1, 0), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits.get()), (1, 0), "{}", stage.name());
         }
 
         let warm = run_vhdl_ctx(&src, &opts, FlowCtx::with_cache(&cache)).unwrap();
         for stage in STAGES {
             let s = cache.stats(stage);
-            assert_eq!((s.misses, s.hits), (1, 1), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits.get()), (1, 1), "{}", stage.name());
         }
         assert_eq!(cold.bitstream_bytes, warm.bitstream_bytes);
         assert!(warm
@@ -777,7 +777,7 @@ mod tests {
         let art = run_vhdl_ctx(&src, &FlowOptions::default(), ctx).unwrap();
         assert!(art.bitstream_bytes.len() > 64);
         let synth = cache.stats(StageId::Synthesis);
-        assert_eq!((synth.misses, synth.hits), (1, 1));
+        assert_eq!((synth.misses.get(), synth.hits.get()), (1, 1));
     }
 
     #[test]
@@ -925,7 +925,7 @@ mod tests {
         assert_eq!(err.stage, "lint");
         // The deny fired before the cached upload stage ever ran.
         let s = cache.stats(StageId::Synthesis);
-        assert_eq!((s.misses, s.hits), (0, 0));
+        assert_eq!((s.misses.get(), s.hits.get()), (0, 0));
     }
 
     #[test]
@@ -940,7 +940,7 @@ mod tests {
         run_vhdl_ctx(&src, &warn, FlowCtx::with_cache(&cache)).unwrap();
         for stage in STAGES {
             let s = cache.stats(stage);
-            assert_eq!((s.misses, s.hits), (1, 1), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits.get()), (1, 1), "{}", stage.name());
         }
     }
 
@@ -957,7 +957,7 @@ mod tests {
         run_vhdl_ctx(&src, &parallel, FlowCtx::with_cache(&cache)).unwrap();
         for stage in STAGES {
             let s = cache.stats(stage);
-            assert_eq!((s.misses, s.hits), (1, 1), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits.get()), (1, 1), "{}", stage.name());
         }
     }
 
@@ -1008,7 +1008,7 @@ mod tests {
         run_vhdl_ctx(&src, &deny, FlowCtx::with_cache(&cache)).unwrap();
         for stage in STAGES {
             let s = cache.stats(stage);
-            assert_eq!((s.misses, s.hits), (1, 1), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits.get()), (1, 1), "{}", stage.name());
         }
     }
 
@@ -1106,12 +1106,12 @@ mod tests {
         // Front end (synth/map/pack) is seed-independent: shared.
         for stage in [StageId::Synthesis, StageId::LutMap, StageId::Pack] {
             let s = cache.stats(stage);
-            assert_eq!((s.misses, s.hits), (1, 1), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits.get()), (1, 1), "{}", stage.name());
         }
         // Placement and everything chained after it re-ran.
         for stage in [StageId::Place, StageId::Route, StageId::Bitstream] {
             let s = cache.stats(stage);
-            assert_eq!((s.misses, s.hits), (2, 0), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits.get()), (2, 0), "{}", stage.name());
         }
     }
 }

@@ -37,6 +37,10 @@
 //!   LRU eviction. Recency is tracked in memory (monotonic ticks) and
 //!   seeded from file access times at startup, so a warm restart evicts
 //!   cold entries first.
+//! * Every outcome is counted where it happens, in one [`StoreCounters`]
+//!   (hits, misses, quarantines, evictions, writes, write errors,
+//!   scrubbed files); [`DiskStore::counters`] is a clone of it, and all
+//!   seven reach `stats` and both `metrics` renderings.
 //!
 //! [`StageCache`]: crate::cache::StageCache
 
@@ -52,6 +56,7 @@ use fpga_netlist::codec::{ByteReader, ByteWriter};
 
 use crate::cache::StageId;
 use crate::hash::digest_hex;
+use crate::sync::{lock, Counter};
 use crate::FLOW_VERSION;
 
 const MAGIC: &[u8; 8] = b"IFDFSTOR";
@@ -101,16 +106,17 @@ struct Index {
     total_bytes: u64,
 }
 
-/// Counters exposed through [`DiskStore::stats_json`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// The store's counters: it increments these where each event happens,
+/// and a clone is the snapshot [`DiskStore::counters`] hands out.
+#[derive(Clone, Debug, Default)]
 pub struct StoreCounters {
-    pub disk_hits: u64,
-    pub disk_misses: u64,
-    pub quarantined: u64,
-    pub evicted: u64,
-    pub writes: u64,
-    pub write_errors: u64,
-    pub scrubbed: u64,
+    pub disk_hits: Counter,
+    pub disk_misses: Counter,
+    pub quarantined: Counter,
+    pub evicted: Counter,
+    pub writes: Counter,
+    pub write_errors: Counter,
+    pub scrubbed: Counter,
 }
 
 /// A durable, digest-verified, size-bounded store of stage artifacts.
@@ -121,13 +127,7 @@ pub struct DiskStore {
     index: Mutex<Index>,
     clock: AtomicU64,
     temp_seq: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    quarantined: AtomicU64,
-    evicted: AtomicU64,
-    writes: AtomicU64,
-    write_errors: AtomicU64,
-    scrubbed: AtomicU64,
+    counters: StoreCounters,
 }
 
 fn is_hex_key(name: &str) -> bool {
@@ -180,13 +180,7 @@ impl DiskStore {
             }),
             clock: AtomicU64::new(0),
             temp_seq: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            disk_misses: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-            scrubbed: AtomicU64::new(0),
+            counters: StoreCounters::default(),
         };
         store.scrub_and_index()?;
         store.enforce_budget();
@@ -225,7 +219,7 @@ impl DiskStore {
                 // Stray files directly under the root (including crashed
                 // pre-shard temp files from older layouts) are stale.
                 if fs::remove_file(shard.path()).is_ok() {
-                    self.scrubbed.fetch_add(1, Ordering::Relaxed);
+                    self.counters.scrubbed.inc();
                 }
                 continue;
             }
@@ -243,7 +237,7 @@ impl DiskStore {
                     // Temp files from interrupted writes, or anything
                     // else that is not an entry.
                     if fs::remove_file(&path).is_ok() {
-                        self.scrubbed.fetch_add(1, Ordering::Relaxed);
+                        self.counters.scrubbed.inc();
                     }
                 }
             }
@@ -251,7 +245,7 @@ impl DiskStore {
 
         // Seed in-memory recency from on-disk access order.
         found.sort_by_key(|(_, _, rank)| *rank);
-        let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+        let mut index = lock(&self.index);
         for (key, size, _) in found {
             let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
             index.total_bytes += size;
@@ -283,7 +277,7 @@ impl DiskStore {
                 .unwrap_or(0);
             if age_ms > self.quarantine_limits.max_age_ms {
                 if fs::remove_file(&path).is_ok() {
-                    self.scrubbed.fetch_add(1, Ordering::Relaxed);
+                    self.counters.scrubbed.inc();
                 }
                 continue;
             }
@@ -296,21 +290,21 @@ impl DiskStore {
         for (path, size, _) in kept {
             total = total.saturating_add(size);
             if total > self.quarantine_limits.max_bytes && fs::remove_file(&path).is_ok() {
-                self.scrubbed.fetch_add(1, Ordering::Relaxed);
+                self.counters.scrubbed.inc();
             }
         }
     }
 
     fn touch(&self, key: &str) {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+        let mut index = lock(&self.index);
         if let Some(meta) = index.entries.get_mut(key) {
             meta.tick = tick;
         }
     }
 
     fn forget(&self, key: &str) -> Option<u64> {
-        let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+        let mut index = lock(&self.index);
         let meta = index.entries.remove(key)?;
         index.total_bytes = index.total_bytes.saturating_sub(meta.size);
         Some(meta.size)
@@ -322,7 +316,7 @@ impl DiskStore {
         };
         loop {
             let victim = {
-                let index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+                let index = lock(&self.index);
                 if index.total_bytes <= budget {
                     return;
                 }
@@ -337,7 +331,7 @@ impl DiskStore {
             };
             if self.forget(&key).is_some() {
                 let _ = fs::remove_file(self.entry_path(&key));
-                self.evicted.fetch_add(1, Ordering::Relaxed);
+                self.counters.evicted.inc();
             }
         }
     }
@@ -355,12 +349,8 @@ impl DiskStore {
     ) -> io::Result<()> {
         let result = self.put_inner(stage, key, kind, metrics_json, payload);
         match &result {
-            Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-            }
+            Ok(()) => self.counters.writes.inc(),
+            Err(_) => self.counters.write_errors.inc(),
         }
         result
     }
@@ -411,7 +401,7 @@ impl DiskStore {
         let size = encoded.len() as u64;
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         {
-            let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+            let mut index = lock(&self.index);
             if let Some(old) = index
                 .entries
                 .insert(key.to_string(), EntryMeta { size, tick })
@@ -438,18 +428,18 @@ impl DiskStore {
         match File::open(&path).and_then(|mut f| f.read_to_end(&mut raw)) {
             Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.disk_misses.inc();
                 return Err(LoadMiss::Absent);
             }
             Err(e) => {
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.disk_misses.inc();
                 return Err(self.quarantine(key, &format!("unreadable: {e}")));
             }
         }
 
         match verify_entry(&raw, stage, key, kind) {
             Ok(ok) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.disk_hits.inc();
                 self.touch(key);
                 // Reads don't reliably update atime (relatime/noatime
                 // mounts), so stamp it by hand — recency must survive a
@@ -460,7 +450,7 @@ impl DiskStore {
                 Ok(ok)
             }
             Err(reason) => {
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.disk_misses.inc();
                 Err(self.quarantine(key, &reason))
             }
         }
@@ -512,7 +502,7 @@ impl DiskStore {
             Err(reason) => {
                 let to = self.quarantine_path(key);
                 let _ = fs::write(&to, raw);
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
+                self.counters.quarantined.inc();
                 self.trim_quarantine();
                 Err(reason)
             }
@@ -531,7 +521,7 @@ impl DiskStore {
             let _ = fs::remove_file(&from);
         }
         self.forget(key);
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        self.counters.quarantined.inc();
         // Keep the holding area bounded even within one long process
         // lifetime (a decaying disk can quarantine entries for months).
         self.trim_quarantine();
@@ -540,11 +530,7 @@ impl DiskStore {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.index
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .len()
+        lock(&self.index).entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -553,27 +539,16 @@ impl DiskStore {
 
     /// Total bytes of live entries.
     pub fn total_bytes(&self) -> u64 {
-        self.index
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .total_bytes
+        lock(&self.index).total_bytes
     }
 
     pub fn counters(&self) -> StoreCounters {
-        StoreCounters {
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-            scrubbed: self.scrubbed.load(Ordering::Relaxed),
-        }
+        self.counters.clone()
     }
 
     /// Store health as a JSON object (embedded in the cache stats).
     pub fn stats_json(&self) -> serde_json::Value {
-        let c = self.counters();
+        let c = &self.counters;
         let budget = match self.budget_bytes {
             Some(b) => serde_json::json!(b),
             None => serde_json::Value::Null,
@@ -582,13 +557,13 @@ impl DiskStore {
             "entries": self.len() as u64,
             "bytes": self.total_bytes(),
             "budget_bytes": budget,
-            "disk_hits": c.disk_hits,
-            "disk_misses": c.disk_misses,
-            "quarantined": c.quarantined,
-            "evicted": c.evicted,
-            "writes": c.writes,
-            "write_errors": c.write_errors,
-            "scrubbed": c.scrubbed,
+            "disk_hits": c.disk_hits.get(),
+            "disk_misses": c.disk_misses.get(),
+            "quarantined": c.quarantined.get(),
+            "evicted": c.evicted.get(),
+            "writes": c.writes.get(),
+            "write_errors": c.write_errors.get(),
+            "scrubbed": c.scrubbed.get(),
         })
     }
 }
@@ -696,7 +671,10 @@ mod tests {
         assert_eq!(payload, b"payload");
         assert_eq!(metrics, "{\"n\":1}");
         let c = store.counters();
-        assert_eq!((c.disk_hits, c.disk_misses, c.writes), (1, 0, 1));
+        assert_eq!(
+            (c.disk_hits.get(), c.disk_misses.get(), c.writes.get()),
+            (1, 0, 1)
+        );
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -754,7 +732,7 @@ mod tests {
                 .put(StageId::Power, &key, "power-report", "{}", b"wattage")
                 .unwrap();
         }
-        assert_eq!(store.counters().quarantined as usize, pristine.len());
+        assert_eq!(store.counters().quarantined.get() as usize, pristine.len());
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -833,7 +811,7 @@ mod tests {
         }
         let store = DiskStore::open(&root, None).unwrap();
         assert_eq!(store.len(), 1);
-        assert!(store.counters().scrubbed >= 2);
+        assert!(store.counters().scrubbed.get() >= 2);
         assert!(store.load(StageId::Synthesis, &key, "netlist").is_ok());
         let leftovers: Vec<_> = fs::read_dir(root.join(QUARANTINE_DIR))
             .unwrap()
@@ -996,7 +974,7 @@ mod tests {
         // Reopen with room for three entries.
         let store = DiskStore::open(&root, Some(entry_size * 3 + 1)).unwrap();
         assert_eq!(store.len(), 3);
-        assert!(store.counters().evicted >= 1);
+        assert!(store.counters().evicted.get() >= 1);
         assert!(store.load(StageId::LutMap, &keys[0], "netlist").is_ok());
         assert_eq!(
             store.load(StageId::LutMap, &keys[1], "netlist"),

@@ -20,11 +20,13 @@
 //! --trace` asks the daemon for it and renders the per-stage waterfall
 //! with [`render_waterfall`].
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+
+use crate::sync::lock;
 
 /// Handle to one span in a [`TraceLog`] (an index; spans are never
 /// removed). Obtained from [`TraceLog::start`], spent in
@@ -164,18 +166,10 @@ impl TraceLog {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Recover the span list even if a panicking recorder poisoned the
-    /// lock: every mutation keeps the vector valid between statements.
-    fn lock(&self) -> MutexGuard<'_, Vec<TraceSpan>> {
-        self.spans
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Open a span for `stage` (records the `start` event).
     pub fn start(&self, stage: &str) -> SpanId {
         let at = self.now_us();
-        let mut spans = self.lock();
+        let mut spans = lock(&self.spans);
         spans.push(TraceSpan {
             stage: stage.to_string(),
             start_us: at,
@@ -195,7 +189,7 @@ impl TraceLog {
     /// no-op, so a belt-and-suspenders caller cannot double-count.
     pub fn finish(&self, id: SpanId, outcome: SpanOutcome, detail: Option<String>) {
         let at = self.now_us();
-        let mut spans = self.lock();
+        let mut spans = lock(&self.spans);
         let Some(span) = spans.get_mut(id.0) else {
             return;
         };
@@ -219,7 +213,7 @@ impl TraceLog {
 
     /// Snapshot the spans recorded so far.
     pub fn spans(&self) -> Vec<TraceSpan> {
-        self.lock().clone()
+        lock(&self.spans).clone()
     }
 
     /// The wire form: `{"spans":[...]}`.

@@ -24,10 +24,10 @@
 //! job still has. The deadline check runs at stage boundaries either
 //! way, so the artifact tier can delay a job, never wedge it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use fpga_flow::sync::lock;
 use fpga_flow::RemoteTier;
 use serde_json::Value;
 
@@ -56,13 +56,8 @@ pub struct RemoteTierClient {
     rng: Mutex<u64>,
     /// Breaker clock epoch (breakers take ms-since-start).
     epoch: Instant,
-    fetch_hits: AtomicU64,
-    fetch_misses: AtomicU64,
-    fetch_failures: AtomicU64,
-    bytes_fetched: AtomicU64,
-    published: AtomicU64,
-    publish_failures: AtomicU64,
-    breaker_skips: AtomicU64,
+    /// Live counts; `breaker` is only filled in by [`Self::counters`].
+    counters: RemoteTierCounters,
 }
 
 impl RemoteTierClient {
@@ -78,13 +73,7 @@ impl RemoteTierClient {
             )),
             rng: Mutex::new(0x5eed_a57e),
             epoch: Instant::now(),
-            fetch_hits: AtomicU64::new(0),
-            fetch_misses: AtomicU64::new(0),
-            fetch_failures: AtomicU64::new(0),
-            bytes_fetched: AtomicU64::new(0),
-            published: AtomicU64::new(0),
-            publish_failures: AtomicU64::new(0),
-            breaker_skips: AtomicU64::new(0),
+            counters: RemoteTierCounters::default(),
         }
     }
 
@@ -92,31 +81,15 @@ impl RemoteTierClient {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    fn lock_breaker(&self) -> MutexGuard<'_, CircuitBreaker> {
-        self.breaker
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     fn next_rand(&self) -> u64 {
-        let mut state = self
-            .rng
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        xorshift64(&mut state)
+        xorshift64(&mut lock(&self.rng))
     }
 
     /// Snapshot for the daemon's `metrics` verb.
     pub fn counters(&self) -> RemoteTierCounters {
         RemoteTierCounters {
-            fetch_hits: self.fetch_hits.load(Ordering::Relaxed),
-            fetch_misses: self.fetch_misses.load(Ordering::Relaxed),
-            fetch_failures: self.fetch_failures.load(Ordering::Relaxed),
-            bytes_fetched: self.bytes_fetched.load(Ordering::Relaxed),
-            published: self.published.load(Ordering::Relaxed),
-            publish_failures: self.publish_failures.load(Ordering::Relaxed),
-            breaker_skips: self.breaker_skips.load(Ordering::Relaxed),
-            breaker: self.lock_breaker().state(),
+            breaker: lock(&self.breaker).state(),
+            ..self.counters.clone()
         }
     }
 }
@@ -132,8 +105,8 @@ fn artifact_payload(body: &Value) -> Option<Vec<u8>> {
 
 impl RemoteTier for RemoteTierClient {
     fn fetch(&self, stage: &'static str, key: &str, kind: &'static str) -> Option<Vec<u8>> {
-        if !self.lock_breaker().allow(self.now_ms()) {
-            self.breaker_skips.fetch_add(1, Ordering::Relaxed);
+        if !lock(&self.breaker).allow(self.now_ms()) {
+            self.counters.breaker_skips.inc();
             return None;
         }
         let req = Request::ArtifactGet {
@@ -147,34 +120,33 @@ impl RemoteTier for RemoteTierClient {
                 let jitter = backoff / 2 + self.next_rand() % (backoff / 2 + 1);
                 std::thread::sleep(Duration::from_millis(jitter.min(BACKOFF_CAP_MS)));
                 backoff = (backoff * 2).min(BACKOFF_CAP_MS);
-                if !self.lock_breaker().allow(self.now_ms()) {
+                if !lock(&self.breaker).allow(self.now_ms()) {
                     break;
                 }
             }
             match net::exchange(&self.gateway, &req, self.timeout, self.max_line_bytes) {
                 Ok(body) => {
-                    self.lock_breaker().on_success();
+                    lock(&self.breaker).on_success();
                     if let Some(raw) = artifact_payload(&body) {
-                        self.fetch_hits.fetch_add(1, Ordering::Relaxed);
-                        self.bytes_fetched
-                            .fetch_add(raw.len() as u64, Ordering::Relaxed);
+                        self.counters.fetch_hits.inc();
+                        self.counters.bytes_fetched.add(raw.len() as u64);
                         return Some(raw);
                     }
-                    self.fetch_misses.fetch_add(1, Ordering::Relaxed);
+                    self.counters.fetch_misses.inc();
                     return None;
                 }
                 Err(_) => {
-                    self.lock_breaker().on_failure(self.now_ms());
+                    lock(&self.breaker).on_failure(self.now_ms());
                 }
             }
         }
-        self.fetch_failures.fetch_add(1, Ordering::Relaxed);
+        self.counters.fetch_failures.inc();
         None
     }
 
     fn publish(&self, stage: &'static str, key: &str, kind: &'static str, raw: &[u8]) {
-        if !self.lock_breaker().allow(self.now_ms()) {
-            self.breaker_skips.fetch_add(1, Ordering::Relaxed);
+        if !lock(&self.breaker).allow(self.now_ms()) {
+            self.counters.breaker_skips.inc();
             return;
         }
         let req = Request::ArtifactPut {
@@ -185,18 +157,18 @@ impl RemoteTier for RemoteTierClient {
         };
         match net::exchange(&self.gateway, &req, self.timeout, self.max_line_bytes) {
             Ok(body) => {
-                self.lock_breaker().on_success();
+                lock(&self.breaker).on_success();
                 if body["event"].as_str() == Some("artifact_ack")
                     && body["stored"].as_bool() == Some(true)
                 {
-                    self.published.fetch_add(1, Ordering::Relaxed);
+                    self.counters.published.inc();
                 } else {
-                    self.publish_failures.fetch_add(1, Ordering::Relaxed);
+                    self.counters.publish_failures.inc();
                 }
             }
             Err(_) => {
-                self.lock_breaker().on_failure(self.now_ms());
-                self.publish_failures.fetch_add(1, Ordering::Relaxed);
+                lock(&self.breaker).on_failure(self.now_ms());
+                self.counters.publish_failures.inc();
             }
         }
     }
@@ -269,12 +241,12 @@ mod tests {
         assert_eq!(client.fetch("synthesis", "k", "netlist"), None);
         assert_eq!(client.fetch("synthesis", "k", "netlist"), None);
         let c = client.counters();
-        assert!(c.fetch_failures >= 1, "errors counted: {c:?}");
+        assert!(c.fetch_failures.get() >= 1, "errors counted: {c:?}");
         // 2 attempts per fetch and a threshold of 3: by now it's open,
         // and the next fetch is a skip, not a stall.
         assert_eq!(c.breaker, BreakerState::Open);
         assert_eq!(client.fetch("synthesis", "k", "netlist"), None);
-        assert!(client.counters().breaker_skips >= 1);
+        assert!(client.counters().breaker_skips.get() >= 1);
     }
 
     #[test]

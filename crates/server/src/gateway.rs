@@ -33,17 +33,19 @@
 use std::io::BufReader;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use fpga_flow::hash::Sha256;
+use fpga_flow::sync::lock;
+use fpga_flow::StageStats;
 use serde_json::Value;
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::metrics::{
-    BackendSnapshot, GatewayArtifactCounters, GatewaySnapshot, JobCounters, JobDurations,
-    StageCacheCounters, GATEWAY_JOB_STATES,
+    BackendCounters, BackendSnapshot, GatewayArtifactCounters, GatewaySnapshot, JobCounters,
+    JobDurations, GATEWAY_JOB_STATES,
 };
 use crate::net::{self, Conns, Endpoint, Limits, Node};
 use crate::proto::{self, CompileRequest, Event, JobKind, ReadLineError, Request, PROTO_VERSION};
@@ -145,69 +147,20 @@ struct Backend {
     /// Last health probe succeeded.
     probe_ok: AtomicBool,
     in_flight: AtomicU64,
-    requests: AtomicU64,
-    failures: AtomicU64,
-    failovers: AtomicU64,
-    steals: AtomicU64,
+    counters: BackendCounters,
 }
 
 impl Backend {
-    fn lock_breaker(&self) -> MutexGuard<'_, CircuitBreaker> {
-        self.breaker
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn lock_fetch_breaker(&self) -> MutexGuard<'_, CircuitBreaker> {
-        self.fetch_breaker
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     fn snapshot(&self) -> BackendSnapshot {
-        let breaker = self.lock_breaker();
+        let breaker = lock(&self.breaker);
         BackendSnapshot {
             addr: self.addr.clone(),
             healthy: self.probe_ok.load(Ordering::Relaxed) && breaker.state() != BreakerState::Open,
             breaker: breaker.state(),
             breaker_transitions: breaker.counters(),
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            failures: self.failures.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            fetch_breaker: self.lock_fetch_breaker().state(),
-            steals: self.steals.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Gateway-side artifact-tier traffic counters (atomics; snapshotted
-/// into [`GatewayArtifactCounters`]).
-#[derive(Default)]
-struct ArtifactStats {
-    gets: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    fetch_failures: AtomicU64,
-    puts: AtomicU64,
-    put_failures: AtomicU64,
-    bytes_served: AtomicU64,
-    bytes_stored: AtomicU64,
-    corrupted: AtomicU64,
-}
-
-impl ArtifactStats {
-    fn snapshot(&self) -> GatewayArtifactCounters {
-        GatewayArtifactCounters {
-            gets: self.gets.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            fetch_failures: self.fetch_failures.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            put_failures: self.put_failures.load(Ordering::Relaxed),
-            bytes_served: self.bytes_served.load(Ordering::Relaxed),
-            bytes_stored: self.bytes_stored.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
+            counters: self.counters.clone(),
+            fetch_breaker: lock(&self.fetch_breaker).state(),
         }
     }
 }
@@ -216,7 +169,7 @@ struct Shared {
     config: GatewayConfig,
     backends: Vec<Arc<Backend>>,
     governor: Arc<TenantGovernor>,
-    artifacts: ArtifactStats,
+    artifacts: GatewayArtifactCounters,
     /// Job outcomes, one counter per [`GATEWAY_JOB_STATES`] entry.
     jobs: JobCounters<{ GATEWAY_JOB_STATES.len() }>,
     /// Admission → a backend's terminal event forwarded, per job verb.
@@ -233,7 +186,7 @@ impl Shared {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    fn snapshot(&self, cache: Option<StageCacheCounters>) -> GatewaySnapshot {
+    fn snapshot(&self, cache: Option<StageStats>) -> GatewaySnapshot {
         let (inflight, queued) = self.governor.depths();
         let gov = self.governor.config();
         GatewaySnapshot {
@@ -245,16 +198,16 @@ impl Shared {
             admission_queued: queued as u64,
             max_inflight: gov.max_inflight as u64,
             queue_bound: gov.queue_bound as u64,
-            artifacts: self.artifacts.snapshot(),
+            artifacts: self.artifacts.clone(),
             cache,
         }
     }
 
     /// Aggregate the `cache` object across reachable backends so
     /// cache-aware clients see one farm-wide view.
-    fn scrape_backend_caches(&self) -> Option<StageCacheCounters> {
+    fn scrape_backend_caches(&self) -> Option<StageStats> {
         let timeout = Duration::from_millis(self.config.probe_timeout_ms.max(1));
-        let mut total = StageCacheCounters::default();
+        let total = StageStats::default();
         let mut any = false;
         for backend in &self.backends {
             let scrape = Request::Metrics { text: false };
@@ -264,10 +217,11 @@ impl Shared {
             };
             let cache = &body["cache"];
             let get = |k: &str| cache[k].as_u64().unwrap_or(0);
-            total.memory_hits += get("memory_hits");
-            total.disk_hits += get("disk_hits");
-            total.remote_hits += get("remote_hits");
-            total.misses += get("misses");
+            let (disk_hits, remote_hits) = (get("disk_hits"), get("remote_hits"));
+            total.hits.add(get("memory_hits") + disk_hits + remote_hits);
+            total.disk_hits.add(disk_hits);
+            total.remote_hits.add(remote_hits);
+            total.misses.add(get("misses"));
             any = true;
         }
         any.then_some(total)
@@ -359,10 +313,7 @@ impl Gateway {
                     )),
                     probe_ok: AtomicBool::new(true),
                     in_flight: AtomicU64::new(0),
-                    requests: AtomicU64::new(0),
-                    failures: AtomicU64::new(0),
-                    failovers: AtomicU64::new(0),
-                    steals: AtomicU64::new(0),
+                    counters: BackendCounters::default(),
                 })
             })
             .collect();
@@ -371,7 +322,7 @@ impl Gateway {
             config,
             backends,
             governor,
-            artifacts: ArtifactStats::default(),
+            artifacts: GatewayArtifactCounters::default(),
             jobs: JobCounters::new(&GATEWAY_JOB_STATES),
             job_durations: JobDurations::default(),
             next_job_id: AtomicU64::new(1),
@@ -441,7 +392,7 @@ fn health_loop(shared: &Shared) {
             }
             // Respect the breaker: while open, no probes until the
             // jittered reopen deadline grants the half-open slot.
-            if !backend.lock_breaker().allow(shared.now_ms()) {
+            if !lock(&backend.breaker).allow(shared.now_ms()) {
                 continue;
             }
             let ok = matches!(
@@ -454,7 +405,7 @@ fn health_loop(shared: &Shared) {
                 Ok(ref v) if v["event"].as_str() == Some("pong")
             );
             backend.probe_ok.store(ok, Ordering::Relaxed);
-            let mut breaker = backend.lock_breaker();
+            let mut breaker = lock(&backend.breaker);
             if ok {
                 breaker.on_success();
             } else {
@@ -486,13 +437,13 @@ fn walk_peers(
     let timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
     for &i in &affinity_order(key, &shared.config.backends) {
         let backend = &shared.backends[i];
-        if !backend.lock_fetch_breaker().allow(shared.now_ms()) {
+        if !lock(&backend.fetch_breaker).allow(shared.now_ms()) {
             continue;
         }
         let body = net::exchange(&backend.addr, req, timeout, shared.config.max_line_bytes).ok();
         match body {
-            Some(_) => backend.lock_fetch_breaker().on_success(),
-            None => backend.lock_fetch_breaker().on_failure(shared.now_ms()),
+            Some(_) => lock(&backend.fetch_breaker).on_success(),
+            None => lock(&backend.fetch_breaker).on_failure(shared.now_ms()),
         }
         if !reply(body) {
             return;
@@ -506,7 +457,7 @@ fn walk_peers(
 /// daemon then recomputes locally, never errors.
 fn handle_artifact_get(shared: &Shared, stage: &str, key: &str, kind: &str) -> Event {
     let counters = &shared.artifacts;
-    counters.gets.fetch_add(1, Ordering::Relaxed);
+    counters.gets.inc();
     let req = Request::ArtifactGet {
         stage: stage.to_string(),
         key: key.to_string(),
@@ -522,9 +473,7 @@ fn handle_artifact_get(shared: &Shared, stage: &str, key: &str, kind: &str) -> E
                 data_hex = body["data_hex"].as_str().map(str::to_string);
             }
             Some(_) => {}
-            None => {
-                counters.fetch_failures.fetch_add(1, Ordering::Relaxed);
-            }
+            None => counters.fetch_failures.inc(),
         }
         data_hex.is_none()
     });
@@ -532,16 +481,12 @@ fn handle_artifact_get(shared: &Shared, stage: &str, key: &str, kind: &str) -> E
         Some(data_hex) => {
             if shared.config.corrupt_artifacts {
                 corrupt_hex(data_hex);
-                counters.corrupted.fetch_add(1, Ordering::Relaxed);
+                counters.corrupted.inc();
             }
-            counters.hits.fetch_add(1, Ordering::Relaxed);
-            counters
-                .bytes_served
-                .fetch_add((data_hex.len() / 2) as u64, Ordering::Relaxed);
+            counters.hits.inc();
+            counters.bytes_served.add((data_hex.len() / 2) as u64);
         }
-        None => {
-            counters.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        None => counters.misses.inc(),
     }
     Event::Artifact {
         stage: stage.to_string(),
@@ -569,10 +514,8 @@ fn handle_artifact_put(
     data_hex: &str,
 ) -> Event {
     let counters = &shared.artifacts;
-    counters.puts.fetch_add(1, Ordering::Relaxed);
-    counters
-        .bytes_stored
-        .fetch_add((data_hex.len() / 2) as u64, Ordering::Relaxed);
+    counters.puts.inc();
+    counters.bytes_stored.add((data_hex.len() / 2) as u64);
     let req = Request::ArtifactPut {
         stage: stage.to_string(),
         key: key.to_string(),
@@ -589,9 +532,7 @@ fn handle_artifact_put(
             {
                 stored += 1;
             }
-            _ => {
-                counters.put_failures.fetch_add(1, Ordering::Relaxed);
-            }
+            _ => counters.put_failures.inc(),
         }
         attempted += 1;
         attempted < PUT_REPLICAS
@@ -733,7 +674,7 @@ fn handle_job(
         let pick = order
             .iter()
             .copied()
-            .find(|&i| !tried[i] && shared.backends[i].lock_breaker().allow(now));
+            .find(|&i| !tried[i] && lock(&shared.backends[i].breaker).allow(now));
         // Work stealing: when the affinity pick is busy and a peer sits
         // idle, route there — its cold stage prefix is one remote fetch
         // away, cheaper than queueing behind the busy node. Only fully
@@ -741,17 +682,17 @@ fn handle_job(
         // by `allow` above is never abandoned unanswered.
         let pick = pick.map(|best| {
             if shared.backends[best].in_flight.load(Ordering::Relaxed) > 0
-                && shared.backends[best].lock_breaker().state() == BreakerState::Closed
+                && lock(&shared.backends[best].breaker).state() == BreakerState::Closed
             {
                 let idle = order.iter().copied().find(|&i| {
                     i != best
                         && !tried[i]
                         && shared.backends[i].in_flight.load(Ordering::Relaxed) == 0
                         && shared.backends[i].probe_ok.load(Ordering::Relaxed)
-                        && shared.backends[i].lock_breaker().state() == BreakerState::Closed
+                        && lock(&shared.backends[i].breaker).state() == BreakerState::Closed
                 });
                 if let Some(idle) = idle {
-                    shared.backends[idle].steals.fetch_add(1, Ordering::Relaxed);
+                    shared.backends[idle].counters.steals.inc();
                     return idle;
                 }
             }
@@ -789,10 +730,10 @@ fn handle_job(
 
         tried[index] = true;
         let backend = &shared.backends[index];
-        backend.requests.fetch_add(1, Ordering::Relaxed);
+        backend.counters.requests.inc();
         if prior_failure {
             // This attempt exists because a peer died mid-job.
-            backend.failovers.fetch_add(1, Ordering::Relaxed);
+            backend.counters.failovers.inc();
         }
         let mut attempt_req = req.clone();
         attempt_req.deadline_ms = remaining_ms;
@@ -807,7 +748,7 @@ fn handle_job(
         ) {
             Attempt::Terminal(terminal) => {
                 shared.job_durations.observe_since(kind, admitted);
-                backend.lock_breaker().on_success();
+                lock(&backend.breaker).on_success();
                 match terminal {
                     Terminal::Completed => {
                         shared.jobs.inc("completed");
@@ -824,12 +765,12 @@ fn handle_job(
             Attempt::ClientGone => {
                 // Not the backend's fault; dropping our backend
                 // connection cancels the job at its next stage boundary.
-                backend.lock_breaker().on_success();
+                lock(&backend.breaker).on_success();
                 return false;
             }
             Attempt::Transient(message) => {
-                backend.failures.fetch_add(1, Ordering::Relaxed);
-                backend.lock_breaker().on_failure(shared.now_ms());
+                backend.counters.failures.inc();
+                lock(&backend.breaker).on_failure(shared.now_ms());
                 last_transient = Some(message);
                 prior_failure = true;
                 // Loop: the next-best peer picks the job up with the
@@ -841,7 +782,7 @@ fn handle_job(
                 // half-open probe slot it must be released, or the
                 // breaker camps in HalfOpen and the backend is never
                 // routed to (or probed) again.
-                backend.lock_breaker().on_saturated();
+                lock(&backend.breaker).on_saturated();
                 last_saturated = Some(retry_after_ms);
                 prior_failure = false;
             }

@@ -69,7 +69,10 @@
 //! nodes served by the same endpoint loop — same connection guards,
 //! same replies — and [`client`], the gateway's backend hops and the
 //! remote artifact tier ([`artifact`]) all dial through it. [`metrics`]
-//! declares every exported family once.
+//! declares every exported family once, as a named `const`. A statistic
+//! is a [`fpga_flow::sync::Counter`] field of the struct that counts it,
+//! and that struct's `clone` is the snapshot the renderers read — no
+//! role keeps a second, plain-number copy of its counters.
 
 pub mod artifact;
 pub mod breaker;

@@ -6,8 +6,8 @@
 //! Histograms use fixed millisecond bucket bounds (the classic
 //! log-ish ladder 1..5000 ms plus `+Inf`), so two snapshots can be
 //! subtracted and exports stay mergeable across restarts. Everything is
-//! atomics — `observe` on the hot path is a couple of relaxed
-//! `fetch_add`s, no locks.
+//! [`Counter`]s — `observe` on the hot path is a couple of relaxed
+//! adds, no locks.
 //!
 //! Two renderings:
 //!
@@ -17,19 +17,24 @@
 //!   exposition (`flowd_*` families) for `flowc metrics --text` and
 //!   `flowd --metrics-dump`.
 //!
-//! The exposition is split in two: the family tables ([`catalogue`])
-//! declare each family's name, type and help text once, and the
-//! `Exposition` writer owns the text syntax (headers, label escaping,
-//! histogram expansion). The snapshots own the values and only list
-//! writer calls. [`GatewaySnapshot`] renders `flow-gateway`'s
-//! `flowgw_*` families the same way.
+//! The exposition is split in two: each family's name, type and help
+//! text is declared once, as a named `const` (listed by [`catalogue`]),
+//! and the `Exposition` writer owns the text syntax (headers, label
+//! escaping, histogram expansion). The snapshots own the values and only
+//! list writer calls, each naming its family's const. [`GatewaySnapshot`]
+//! renders `flow-gateway`'s `flowgw_*` families the same way.
+//!
+//! The counter structs here ([`RemoteTierCounters`],
+//! [`GatewayArtifactCounters`], [`BackendCounters`]) and `fpga_flow`'s
+//! ([`StageStats`], [`StoreCounters`]) are the live structs their owners
+//! increment; a snapshot holds a `clone` of them.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use fpga_flow::cache::STAGES;
-use fpga_flow::{CheckKind, StoreCounters};
+use fpga_flow::sync::Counter;
+use fpga_flow::{CheckKind, StageStats, StoreCounters};
 use fpga_lint::{Diagnostic, Rule, RULES};
 use serde_json::Value;
 
@@ -47,10 +52,10 @@ pub const BUCKET_BOUNDS_MS: [u64; 12] = [1, 2, 5, 10, 20, 50, 100, 200, 500, 100
 #[derive(Default)]
 pub struct Histogram {
     /// One slot per bound in [`BUCKET_BOUNDS_MS`] plus the `+Inf` slot.
-    buckets: [AtomicU64; BUCKET_BOUNDS_MS.len() + 1],
-    count: AtomicU64,
+    buckets: [Counter; BUCKET_BOUNDS_MS.len() + 1],
+    count: Counter,
     /// Sum in microseconds: integer atomics, converted to ms on export.
-    sum_us: AtomicU64,
+    sum_us: Counter,
 }
 
 impl Histogram {
@@ -65,21 +70,16 @@ impl Histogram {
             .iter()
             .position(|&bound| ms <= bound as f64)
             .unwrap_or(BUCKET_BOUNDS_MS.len());
-        self.buckets[slot].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us
-            .fetch_add((ms * 1e3).round() as u64, Ordering::Relaxed);
+        self.buckets[slot].inc();
+        self.count.inc();
+        self.sum_us.add((ms * 1e3).round() as u64);
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum_ms: self.sum_us.load(Ordering::Relaxed) as f64 / 1e3,
+            buckets: self.buckets.iter().map(Counter::get).collect(),
+            count: self.count.get(),
+            sum_ms: self.sum_us.get() as f64 / 1e3,
         }
     }
 }
@@ -183,7 +183,7 @@ pub struct Metrics {
     stage_latency: [Histogram; STAGES.len()],
     /// Stage events whose id the registry did not recognize — should
     /// stay zero; nonzero means a flow/daemon version skew.
-    unknown_stage_events: AtomicU64,
+    unknown_stage_events: Counter,
     /// Findings by rule code, one table per family (indexed by
     /// [`CheckKind`]): the structural design rules under `flowd_lint_*`,
     /// the EQ equivalence rules under `flowd_verify_*`.
@@ -194,10 +194,10 @@ pub struct Metrics {
 #[derive(Default)]
 struct RuleHits {
     /// By rule code, in [`RULES`] order.
-    hits: [AtomicU64; RULES.len()],
+    hits: [Counter; RULES.len()],
     /// Findings whose code the family does not list — the rule analogue
     /// of `unknown_stage_events`; nonzero means version skew.
-    unknown: AtomicU64,
+    unknown: Counter,
 }
 
 /// The rule families, indexed by [`CheckKind`]: metric name stem and
@@ -224,14 +224,12 @@ impl Metrics {
     pub fn observe_stage(&self, stage_id: &str, elapsed_ms: f64) {
         match STAGES.iter().position(|s| s.name() == stage_id) {
             Some(i) => self.stage_latency[i].observe_ms(elapsed_ms),
-            None => {
-                self.unknown_stage_events.fetch_add(1, Ordering::Relaxed);
-            }
+            None => self.unknown_stage_events.inc(),
         }
     }
 
     pub fn unknown_stage_events(&self) -> u64 {
-        self.unknown_stage_events.load(Ordering::Relaxed)
+        self.unknown_stage_events.get()
     }
 
     /// Record one finding. It is counted where its rule lives — EQ
@@ -248,9 +246,9 @@ impl Metrics {
             .iter()
             .position(|r| r.code == d.code && family_lists(family, r));
         match listed {
-            Some(i) => counters.hits[i].fetch_add(1, Ordering::Relaxed),
-            None => counters.unknown.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(i) => counters.hits[i].inc(),
+            None => counters.unknown.inc(),
+        }
     }
 
     /// Every family's per-rule finding counts, in catalogue order.
@@ -262,9 +260,9 @@ impl Metrics {
                     .iter()
                     .zip(counters.hits.iter())
                     .filter(|(r, _)| family_lists(family, r))
-                    .map(|(r, n)| (r.code, n.load(Ordering::Relaxed)))
+                    .map(|(r, n)| (r.code, n.get()))
                     .collect(),
-                unknown: counters.unknown.load(Ordering::Relaxed),
+                unknown: counters.unknown.get(),
             }
         })
     }
@@ -298,7 +296,7 @@ impl Kind {
 }
 
 /// One metric family's declaration. Every family either daemon exposes
-/// is declared exactly once — in the two tables below, or from
+/// is declared exactly once — as a `const` below, or from
 /// [`RULE_FAMILIES`] — and listed by [`catalogue`], which README's
 /// "Metrics reference" table is tested against.
 #[derive(Clone, Debug)]
@@ -324,108 +322,160 @@ const fn gauge(name: &'static str, help: Option<&'static str>) -> Family {
     family(name, Kind::Gauge, help)
 }
 
-/// The `flowd_*` families with fixed names, in exposition order (the
-/// rule families follow them). [`MetricsSnapshot::to_prometheus_text`]
-/// binds them by position.
-const FLOWD_FAMILIES: [Family; 23] = [
-    counter("flowd_jobs_total", Some("Jobs by terminal state.")),
-    gauge("flowd_queue_depth", None),
-    gauge("flowd_queue_depth_peak", None),
-    gauge("flowd_workers_configured", None),
-    counter("flowd_workers_respawned_total", None),
-    gauge("flowd_connections_open", None),
-    counter("flowd_connections_rejected_total", None),
-    counter("flowd_cache_hits_total", Some("Stage-cache hits by tier.")),
-    counter("flowd_cache_misses_total", None),
-    gauge("flowd_cache_entries", None),
-    counter("flowd_cache_memory_evicted_total", None),
-    counter("flowd_store_disk_hits_total", None),
-    counter("flowd_store_disk_misses_total", None),
-    counter("flowd_store_quarantined_total", None),
-    counter("flowd_store_evicted_total", None),
-    counter("flowd_store_writes_total", None),
-    counter(
-        "flowd_remote_fetch_total",
-        Some("Remote artifact fetches by result."),
-    ),
-    counter("flowd_remote_bytes_fetched_total", None),
-    counter("flowd_remote_publish_total", None),
-    gauge(
-        "flowd_remote_breaker_state",
-        Some("0=closed 1=half-open 2=open."),
-    ),
-    family(
-        "flowd_stage_duration_ms",
-        Kind::Histogram,
-        Some("Per-stage service latency (cache hits included)."),
-    ),
-    family(
-        "flowd_job_duration_ms",
-        Kind::Histogram,
-        Some("Request parsed to terminal event written, per job verb."),
-    ),
-    counter("flowd_unknown_stage_events_total", None),
+// The `flowd_*` families with fixed names. Each is declared here once
+// and bound by name wherever it is rendered; [`FLOWD_FAMILIES`] lists
+// them in exposition order (the rule families follow them).
+const JOBS: Family = counter("flowd_jobs_total", Some("Jobs by terminal state."));
+const QUEUE_DEPTH: Family = gauge("flowd_queue_depth", None);
+const QUEUE_DEPTH_PEAK: Family = gauge("flowd_queue_depth_peak", None);
+const WORKERS_CONFIGURED: Family = gauge("flowd_workers_configured", None);
+const WORKERS_RESPAWNED: Family = counter("flowd_workers_respawned_total", None);
+const CONNECTIONS_OPEN: Family = gauge("flowd_connections_open", None);
+const CONNECTIONS_REJECTED: Family = counter("flowd_connections_rejected_total", None);
+const CACHE_HITS: Family = counter("flowd_cache_hits_total", Some("Stage-cache hits by tier."));
+const CACHE_MISSES: Family = counter("flowd_cache_misses_total", None);
+const CACHE_ENTRIES: Family = gauge("flowd_cache_entries", None);
+const CACHE_MEMORY_EVICTED: Family = counter("flowd_cache_memory_evicted_total", None);
+const STORE_DISK_HITS: Family = counter("flowd_store_disk_hits_total", None);
+const STORE_DISK_MISSES: Family = counter("flowd_store_disk_misses_total", None);
+const STORE_QUARANTINED: Family = counter("flowd_store_quarantined_total", None);
+const STORE_EVICTED: Family = counter("flowd_store_evicted_total", None);
+const STORE_WRITES: Family = counter("flowd_store_writes_total", None);
+const STORE_WRITE_ERRORS: Family = counter("flowd_store_write_errors_total", None);
+const STORE_SCRUBBED: Family = counter("flowd_store_scrubbed_total", None);
+const REMOTE_FETCH: Family = counter(
+    "flowd_remote_fetch_total",
+    Some("Remote artifact fetches by result."),
+);
+const REMOTE_BYTES_FETCHED: Family = counter("flowd_remote_bytes_fetched_total", None);
+const REMOTE_PUBLISH: Family = counter("flowd_remote_publish_total", None);
+const REMOTE_BREAKER_STATE: Family = gauge(
+    "flowd_remote_breaker_state",
+    Some("0=closed 1=half-open 2=open."),
+);
+const STAGE_DURATION: Family = family(
+    "flowd_stage_duration_ms",
+    Kind::Histogram,
+    Some("Per-stage service latency (cache hits included)."),
+);
+const JOB_DURATION: Family = family(
+    "flowd_job_duration_ms",
+    Kind::Histogram,
+    Some("Request parsed to terminal event written, per job verb."),
+);
+const UNKNOWN_STAGE_EVENTS: Family = counter("flowd_unknown_stage_events_total", None);
+
+const FLOWD_FAMILIES: [Family; 25] = [
+    JOBS,
+    QUEUE_DEPTH,
+    QUEUE_DEPTH_PEAK,
+    WORKERS_CONFIGURED,
+    WORKERS_RESPAWNED,
+    CONNECTIONS_OPEN,
+    CONNECTIONS_REJECTED,
+    CACHE_HITS,
+    CACHE_MISSES,
+    CACHE_ENTRIES,
+    CACHE_MEMORY_EVICTED,
+    STORE_DISK_HITS,
+    STORE_DISK_MISSES,
+    STORE_QUARANTINED,
+    STORE_EVICTED,
+    STORE_WRITES,
+    STORE_WRITE_ERRORS,
+    STORE_SCRUBBED,
+    REMOTE_FETCH,
+    REMOTE_BYTES_FETCHED,
+    REMOTE_PUBLISH,
+    REMOTE_BREAKER_STATE,
+    STAGE_DURATION,
+    JOB_DURATION,
+    UNKNOWN_STAGE_EVENTS,
 ];
 
-/// The `flowgw_*` families, in exposition order;
-/// [`GatewaySnapshot::to_prometheus_text`] binds them by position.
+// The `flowgw_*` families, likewise; [`FLOWGW_FAMILIES`] is their
+// exposition order.
+const GW_JOBS: Family = counter("flowgw_jobs_total", Some("Gateway jobs by terminal state."));
+const GW_JOB_DURATION: Family = family(
+    "flowgw_job_duration_ms",
+    Kind::Histogram,
+    Some("Admission to terminal event forwarded, per job verb."),
+);
+const GW_BACKEND_REQUESTS: Family = counter(
+    "flowgw_backend_requests_total",
+    Some("Job attempts per backend."),
+);
+const GW_BACKEND_FAILURES: Family = counter("flowgw_backend_failures_total", None);
+const GW_BACKEND_FAILOVERS: Family = counter(
+    "flowgw_backend_failovers_total",
+    Some("Attempts re-routed here from a dead peer."),
+);
+const GW_BACKEND_STEALS: Family = counter(
+    "flowgw_backend_steals_total",
+    Some("Jobs routed here instead of their busy affinity backend."),
+);
+const GW_STEALS: Family = counter("flowgw_steals_total", None);
+const GW_BACKEND_IN_FLIGHT: Family = gauge("flowgw_backend_in_flight", None);
+const GW_BACKEND_HEALTHY: Family = gauge(
+    "flowgw_backend_healthy",
+    Some("Last probe ok and breaker not open."),
+);
+const GW_BREAKER_STATE: Family =
+    gauge("flowgw_breaker_state", Some("0=closed 1=half-open 2=open."));
+const GW_FETCH_BREAKER_STATE: Family = gauge(
+    "flowgw_fetch_breaker_state",
+    Some("Artifact-fetch breaker: 0=closed 1=half-open 2=open."),
+);
+const GW_BREAKER_TRANSITIONS: Family = counter("flowgw_breaker_transitions_total", None);
+const GW_TENANT_JOBS: Family = counter(
+    "flowgw_tenant_jobs_total",
+    Some("Per-tenant admission outcomes."),
+);
+const GW_ADMISSION_INFLIGHT: Family = gauge("flowgw_admission_inflight", None);
+const GW_ADMISSION_QUEUED: Family = gauge("flowgw_admission_queued", None);
+const GW_ARTIFACT_REQUESTS: Family = counter(
+    "flowgw_artifact_requests_total",
+    Some("Artifact verbs received from daemons."),
+);
+const GW_ARTIFACT_GETS: Family = counter(
+    "flowgw_artifact_gets_total",
+    Some("Artifact gets by result (failures degrade to misses downstream)."),
+);
+const GW_ARTIFACT_PUT_FAILURES: Family = counter("flowgw_artifact_put_failures_total", None);
+const GW_ARTIFACT_BYTES: Family = counter("flowgw_artifact_bytes_total", None);
+const GW_ARTIFACT_CORRUPTED: Family = counter(
+    "flowgw_artifact_corrupted_total",
+    Some("Payloads corrupted by the chaos hook."),
+);
+const GW_CACHE_HITS: Family = counter(
+    "flowgw_cache_hits_total",
+    Some("Backend stage-cache hits by tier (aggregated)."),
+);
+const GW_CACHE_MISSES: Family = counter("flowgw_cache_misses_total", None);
+
 const FLOWGW_FAMILIES: [Family; 22] = [
-    counter("flowgw_jobs_total", Some("Gateway jobs by terminal state.")),
-    family(
-        "flowgw_job_duration_ms",
-        Kind::Histogram,
-        Some("Admission to terminal event forwarded, per job verb."),
-    ),
-    counter(
-        "flowgw_backend_requests_total",
-        Some("Job attempts per backend."),
-    ),
-    counter("flowgw_backend_failures_total", None),
-    counter(
-        "flowgw_backend_failovers_total",
-        Some("Attempts re-routed here from a dead peer."),
-    ),
-    counter(
-        "flowgw_backend_steals_total",
-        Some("Jobs routed here instead of their busy affinity backend."),
-    ),
-    counter("flowgw_steals_total", None),
-    gauge("flowgw_backend_in_flight", None),
-    gauge(
-        "flowgw_backend_healthy",
-        Some("Last probe ok and breaker not open."),
-    ),
-    gauge("flowgw_breaker_state", Some("0=closed 1=half-open 2=open.")),
-    gauge(
-        "flowgw_fetch_breaker_state",
-        Some("Artifact-fetch breaker: 0=closed 1=half-open 2=open."),
-    ),
-    counter("flowgw_breaker_transitions_total", None),
-    counter(
-        "flowgw_tenant_jobs_total",
-        Some("Per-tenant admission outcomes."),
-    ),
-    gauge("flowgw_admission_inflight", None),
-    gauge("flowgw_admission_queued", None),
-    counter(
-        "flowgw_artifact_requests_total",
-        Some("Artifact verbs received from daemons."),
-    ),
-    counter(
-        "flowgw_artifact_gets_total",
-        Some("Artifact gets by result (failures degrade to misses downstream)."),
-    ),
-    counter("flowgw_artifact_put_failures_total", None),
-    counter("flowgw_artifact_bytes_total", None),
-    counter(
-        "flowgw_artifact_corrupted_total",
-        Some("Payloads corrupted by the chaos hook."),
-    ),
-    counter(
-        "flowgw_cache_hits_total",
-        Some("Backend stage-cache hits by tier (aggregated)."),
-    ),
-    counter("flowgw_cache_misses_total", None),
+    GW_JOBS,
+    GW_JOB_DURATION,
+    GW_BACKEND_REQUESTS,
+    GW_BACKEND_FAILURES,
+    GW_BACKEND_FAILOVERS,
+    GW_BACKEND_STEALS,
+    GW_STEALS,
+    GW_BACKEND_IN_FLIGHT,
+    GW_BACKEND_HEALTHY,
+    GW_BREAKER_STATE,
+    GW_FETCH_BREAKER_STATE,
+    GW_BREAKER_TRANSITIONS,
+    GW_TENANT_JOBS,
+    GW_ADMISSION_INFLIGHT,
+    GW_ADMISSION_QUEUED,
+    GW_ARTIFACT_REQUESTS,
+    GW_ARTIFACT_GETS,
+    GW_ARTIFACT_PUT_FAILURES,
+    GW_ARTIFACT_BYTES,
+    GW_ARTIFACT_CORRUPTED,
+    GW_CACHE_HITS,
+    GW_CACHE_MISSES,
 ];
 
 /// One [`RULE_FAMILIES`] row's two metric families: findings per rule
@@ -543,14 +593,14 @@ impl Exposition {
     }
 
     /// The stage-cache view both roles expose: hits by tier, and misses.
-    fn cache_tiers(&mut self, hits: &Family, misses: &Family, c: &StageCacheCounters) {
+    fn cache_tiers(&mut self, hits: &Family, misses: &Family, c: &StageStats) {
         let tiers = [
-            ("memory", c.memory_hits),
-            ("disk", c.disk_hits),
-            ("remote", c.remote_hits),
+            ("memory", c.memory_hits()),
+            ("disk", c.disk_hits.get()),
+            ("remote", c.remote_hits.get()),
         ];
         self.labelled(hits, "tier", tiers);
-        self.scalar(misses, c.misses);
+        self.scalar(misses, c.misses.get());
     }
 }
 
@@ -572,14 +622,14 @@ pub const GATEWAY_JOB_STATES: [&str; 5] = ["submitted", "completed", "failed", "
 /// Live job counters of one role: a slot per name in its state list.
 pub(crate) struct JobCounters<const N: usize> {
     states: &'static [&'static str; N],
-    counts: [AtomicU64; N],
+    counts: [Counter; N],
 }
 
 impl<const N: usize> JobCounters<N> {
     pub(crate) fn new(states: &'static [&'static str; N]) -> Self {
         JobCounters {
             states,
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            counts: std::array::from_fn(|_| Counter::default()),
         }
     }
 
@@ -588,12 +638,12 @@ impl<const N: usize> JobCounters<N> {
         let slot = self.states.iter().position(|s| *s == state);
         debug_assert!(slot.is_some(), "unknown job state '{state}'");
         if let Some(i) = slot {
-            self.counts[i].fetch_add(1, Ordering::Relaxed);
+            self.counts[i].inc();
         }
     }
 
     pub(crate) fn snapshot(&self) -> [u64; N] {
-        std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed))
+        std::array::from_fn(|i| self.counts[i].get())
     }
 }
 
@@ -623,26 +673,14 @@ pub struct ServiceCounters {
     pub connections_rejected: u64,
 }
 
-/// Cache tier counts: one stage's in a snapshot, or a sum over stages
-/// (and, at the gateway, over backends).
-#[derive(Clone, Debug, Default)]
-pub struct StageCacheCounters {
-    pub memory_hits: u64,
-    pub disk_hits: u64,
-    /// Hits served from a peer's store via the remote artifact tier.
-    pub remote_hits: u64,
-    pub misses: u64,
-    pub wall_ms: u64,
-}
-
-impl StageCacheCounters {
-    /// The four keys every JSON `cache` object (and stage row) carries.
-    fn insert_tiers(&self, map: &mut serde_json::Map<String, Value>) {
-        map.insert("memory_hits".into(), self.memory_hits.into());
-        map.insert("disk_hits".into(), self.disk_hits.into());
-        map.insert("remote_hits".into(), self.remote_hits.into());
-        map.insert("misses".into(), self.misses.into());
-    }
+/// The four keys every JSON `cache` object (and stage row) carries, from
+/// cache tier counts: one stage's, or a sum over stages (and, at the
+/// gateway, over backends).
+fn insert_tiers(c: &StageStats, map: &mut serde_json::Map<String, Value>) {
+    map.insert("memory_hits".into(), c.memory_hits().into());
+    map.insert("disk_hits".into(), c.disk_hits.get().into());
+    map.insert("remote_hits".into(), c.remote_hits.get().into());
+    map.insert("misses".into(), c.misses.get().into());
 }
 
 /// Daemon-side remote artifact tier client counters, present when
@@ -651,17 +689,17 @@ impl StageCacheCounters {
 /// counters are how operators see the tier limping.
 #[derive(Clone, Debug, Default)]
 pub struct RemoteTierCounters {
-    pub fetch_hits: u64,
-    pub fetch_misses: u64,
+    pub fetch_hits: Counter,
+    pub fetch_misses: Counter,
     /// Fetch attempts that errored out (connect/timeout/short read)
     /// after retries — degraded to a local recompute.
-    pub fetch_failures: u64,
-    pub bytes_fetched: u64,
-    pub published: u64,
-    pub publish_failures: u64,
+    pub fetch_failures: Counter,
+    pub bytes_fetched: Counter,
+    pub published: Counter,
+    pub publish_failures: Counter,
     /// Fetches skipped outright because the per-gateway breaker was open.
-    pub breaker_skips: u64,
-    /// Fetch breaker state.
+    pub breaker_skips: Counter,
+    /// Fetch breaker state, filled in when the snapshot is taken.
     pub breaker: BreakerState,
 }
 
@@ -670,7 +708,7 @@ pub struct RemoteTierCounters {
 pub struct MetricsSnapshot {
     pub service: ServiceCounters,
     /// `(stage_id, latency, cache)` in flow order.
-    pub stages: Vec<(&'static str, HistogramSnapshot, StageCacheCounters)>,
+    pub stages: Vec<(&'static str, HistogramSnapshot, StageStats)>,
     /// Request parsed → terminal event written, per job verb.
     pub job_durations: JobDurationSnapshot,
     pub cache_entries: u64,
@@ -695,13 +733,13 @@ pub struct RuleCounts {
 
 impl MetricsSnapshot {
     /// Tier counts summed over the stages.
-    fn totals(&self) -> StageCacheCounters {
-        let mut total = StageCacheCounters::default();
+    fn totals(&self) -> StageStats {
+        let total = StageStats::default();
         for (_, _, c) in &self.stages {
-            total.memory_hits += c.memory_hits;
-            total.disk_hits += c.disk_hits;
-            total.remote_hits += c.remote_hits;
-            total.misses += c.misses;
+            total.hits.add(c.hits.get());
+            total.disk_hits.add(c.disk_hits.get());
+            total.remote_hits.add(c.remote_hits.get());
+            total.misses.add(c.misses.get());
         }
         total
     }
@@ -713,8 +751,8 @@ impl MetricsSnapshot {
         for (name, hist, c) in &self.stages {
             let mut stage = serde_json::Map::new();
             stage.insert("latency".into(), hist.to_json());
-            c.insert_tiers(&mut stage);
-            stage.insert("wall_ms".into(), c.wall_ms.into());
+            insert_tiers(c, &mut stage);
+            stage.insert("wall_ms".into(), (c.wall_nanos.get() / 1_000_000).into());
             stages.insert(name.to_string(), Value::Object(stage));
         }
         let s = &self.service;
@@ -734,18 +772,20 @@ impl MetricsSnapshot {
             serde_json::json!({"open": s.connections_open, "rejected": s.connections_rejected}),
         );
         let mut cache = serde_json::Map::new();
-        self.totals().insert_tiers(&mut cache);
+        insert_tiers(&self.totals(), &mut cache);
         cache.insert("entries".into(), self.cache_entries.into());
         cache.insert("memory_evicted".into(), self.cache_memory_evicted.into());
         if let Some(c) = &self.store {
             cache.insert(
                 "store".into(),
                 serde_json::json!({
-                    "disk_hits": c.disk_hits,
-                    "disk_misses": c.disk_misses,
-                    "quarantined": c.quarantined,
-                    "evicted": c.evicted,
-                    "writes": c.writes,
+                    "disk_hits": c.disk_hits.get(),
+                    "disk_misses": c.disk_misses.get(),
+                    "quarantined": c.quarantined.get(),
+                    "evicted": c.evicted.get(),
+                    "writes": c.writes.get(),
+                    "write_errors": c.write_errors.get(),
+                    "scrubbed": c.scrubbed.get(),
                 }),
             );
         }
@@ -753,13 +793,13 @@ impl MetricsSnapshot {
             cache.insert(
                 "remote".into(),
                 serde_json::json!({
-                    "fetch_hits": r.fetch_hits,
-                    "fetch_misses": r.fetch_misses,
-                    "fetch_failures": r.fetch_failures,
-                    "bytes_fetched": r.bytes_fetched,
-                    "published": r.published,
-                    "publish_failures": r.publish_failures,
-                    "breaker_skips": r.breaker_skips,
+                    "fetch_hits": r.fetch_hits.get(),
+                    "fetch_misses": r.fetch_misses.get(),
+                    "fetch_failures": r.fetch_failures.get(),
+                    "bytes_fetched": r.bytes_fetched.get(),
+                    "published": r.published.get(),
+                    "publish_failures": r.publish_failures.get(),
+                    "breaker_skips": r.breaker_skips.get(),
                     "breaker": r.breaker.name(),
                 }),
             );
@@ -785,48 +825,47 @@ impl MetricsSnapshot {
     /// Prometheus-style text exposition (`flowd --metrics-dump`,
     /// `flowc metrics --text`).
     pub fn to_prometheus_text(&self) -> String {
-        let [jobs, queue_depth, queue_peak, workers, respawned, rest @ ..] = &FLOWD_FAMILIES;
-        let [conns_open, conns_rejected, cache_hits, cache_misses, rest @ ..] = rest;
-        let [cache_entries, cache_evicted, rest @ ..] = rest;
-        let [store_hits, store_misses, quarantined, store_evicted, store_writes, rest @ ..] = rest;
-        let [remote_fetch, remote_bytes, remote_publish, remote_breaker, rest @ ..] = rest;
-        let [stage_duration, job_duration, unknown_stage_events] = rest;
         let mut w = Exposition::default();
         let s = &self.service;
-        w.labelled(jobs, "state", JOB_STATES.into_iter().zip(s.jobs));
-        w.scalar(queue_depth, s.queue_depth);
-        w.scalar(queue_peak, s.queue_peak);
-        w.scalar(workers, s.workers_configured);
-        w.scalar(respawned, s.workers_respawned);
-        w.scalar(conns_open, s.connections_open);
-        w.scalar(conns_rejected, s.connections_rejected);
-        w.cache_tiers(cache_hits, cache_misses, &self.totals());
-        w.scalar(cache_entries, self.cache_entries);
-        w.scalar(cache_evicted, self.cache_memory_evicted);
+        w.labelled(&JOBS, "state", JOB_STATES.into_iter().zip(s.jobs));
+        w.scalar(&QUEUE_DEPTH, s.queue_depth);
+        w.scalar(&QUEUE_DEPTH_PEAK, s.queue_peak);
+        w.scalar(&WORKERS_CONFIGURED, s.workers_configured);
+        w.scalar(&WORKERS_RESPAWNED, s.workers_respawned);
+        w.scalar(&CONNECTIONS_OPEN, s.connections_open);
+        w.scalar(&CONNECTIONS_REJECTED, s.connections_rejected);
+        w.cache_tiers(&CACHE_HITS, &CACHE_MISSES, &self.totals());
+        w.scalar(&CACHE_ENTRIES, self.cache_entries);
+        w.scalar(&CACHE_MEMORY_EVICTED, self.cache_memory_evicted);
         if let Some(c) = &self.store {
-            w.scalar(store_hits, c.disk_hits);
-            w.scalar(store_misses, c.disk_misses);
-            w.scalar(quarantined, c.quarantined);
-            w.scalar(store_evicted, c.evicted);
-            w.scalar(store_writes, c.writes);
+            w.scalar(&STORE_DISK_HITS, c.disk_hits.get());
+            w.scalar(&STORE_DISK_MISSES, c.disk_misses.get());
+            w.scalar(&STORE_QUARANTINED, c.quarantined.get());
+            w.scalar(&STORE_EVICTED, c.evicted.get());
+            w.scalar(&STORE_WRITES, c.writes.get());
+            w.scalar(&STORE_WRITE_ERRORS, c.write_errors.get());
+            w.scalar(&STORE_SCRUBBED, c.scrubbed.get());
         }
         if let Some(r) = &self.remote {
             let fetches = [
-                ("hit", r.fetch_hits),
-                ("miss", r.fetch_misses),
-                ("failure", r.fetch_failures),
-                ("breaker-skip", r.breaker_skips),
+                ("hit", r.fetch_hits.get()),
+                ("miss", r.fetch_misses.get()),
+                ("failure", r.fetch_failures.get()),
+                ("breaker-skip", r.breaker_skips.get()),
             ];
-            w.labelled(remote_fetch, "result", fetches);
-            w.scalar(remote_bytes, r.bytes_fetched);
-            let publishes = [("ok", r.published), ("failure", r.publish_failures)];
-            w.labelled(remote_publish, "result", publishes);
-            w.scalar(remote_breaker, r.breaker.code());
+            w.labelled(&REMOTE_FETCH, "result", fetches);
+            w.scalar(&REMOTE_BYTES_FETCHED, r.bytes_fetched.get());
+            let publishes = [
+                ("ok", r.published.get()),
+                ("failure", r.publish_failures.get()),
+            ];
+            w.labelled(&REMOTE_PUBLISH, "result", publishes);
+            w.scalar(&REMOTE_BREAKER_STATE, r.breaker.code());
         }
         let latencies = self.stages.iter().map(|(id, h, _)| (("stage", *id), h));
-        w.histogram(stage_duration, latencies);
-        w.histogram(job_duration, job_duration_series(&self.job_durations));
-        w.scalar(unknown_stage_events, self.unknown_stage_events);
+        w.histogram(&STAGE_DURATION, latencies);
+        w.histogram(&JOB_DURATION, job_duration_series(&self.job_durations));
+        w.scalar(&UNKNOWN_STAGE_EVENTS, self.unknown_stage_events);
         for (family, counts) in RULE_FAMILIES.into_iter().zip(&self.rules) {
             let [hits, unknown] = rule_families(family);
             w.labelled(&hits, "rule", counts.hits.iter().copied());
@@ -845,43 +884,50 @@ pub struct BackendSnapshot {
     pub breaker: BreakerState,
     pub breaker_transitions: BreakerCounters,
     pub in_flight: u64,
-    /// Job attempts routed to this backend (including failed ones).
-    pub requests: u64,
-    /// Attempts that ended in a transport failure or lost worker.
-    pub failures: u64,
-    /// Attempts re-routed here *from* a failed peer attempt.
-    pub failovers: u64,
+    pub counters: BackendCounters,
     /// Artifact-fetch breaker — separate from the job breaker so a
     /// flaky artifact path never stops job routing.
     pub fetch_breaker: BreakerState,
+}
+
+/// One backend's routing counters: the gateway increments them on its
+/// live backend, and a clone rides in that backend's snapshot row.
+#[derive(Clone, Debug, Default)]
+pub struct BackendCounters {
+    /// Job attempts routed to this backend (including failed ones).
+    pub requests: Counter,
+    /// Attempts that ended in a transport failure or lost worker.
+    pub failures: Counter,
+    /// Attempts re-routed here *from* a failed peer attempt.
+    pub failovers: Counter,
     /// Jobs routed here instead of their busy affinity backend.
-    pub steals: u64,
+    pub steals: Counter,
 }
 
 /// Gateway artifact-tier counters (`artifact_get` / `artifact_put`
 /// verbs fanned out to backends).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct GatewayArtifactCounters {
     /// `artifact_get` requests received from daemons.
-    pub gets: u64,
+    pub gets: Counter,
     /// Gets answered with a payload from some backend.
-    pub hits: u64,
+    pub hits: Counter,
     /// Gets answered `hit=false` (no backend had the entry).
-    pub misses: u64,
+    pub misses: Counter,
     /// Backend exchanges that errored during a get (fed the fetch
     /// breaker; the get degrades to a miss, never an error).
-    pub fetch_failures: u64,
+    pub fetch_failures: Counter,
     /// `artifact_put` requests received from daemons.
-    pub puts: u64,
+    pub puts: Counter,
     /// Put replications that failed on a backend.
-    pub put_failures: u64,
+    pub put_failures: Counter,
     /// Payload bytes served to fetching daemons.
-    pub bytes_served: u64,
+    pub bytes_served: Counter,
     /// Payload bytes accepted from publishing daemons.
-    pub bytes_stored: u64,
+    pub bytes_stored: Counter,
     /// Payloads deliberately corrupted by the `--corrupt-artifacts`
     /// chaos hook before serving.
-    pub corrupted: u64,
+    pub corrupted: Counter,
 }
 
 /// Everything `flow-gateway`'s `metrics` verb reports — the gateway
@@ -906,19 +952,22 @@ pub struct GatewaySnapshot {
     /// snapshot time — lets cache-aware clients (`qor_bench
     /// --via-daemon`) read one `cache` object through the gateway
     /// exactly as they would from a single daemon.
-    pub cache: Option<StageCacheCounters>,
+    pub cache: Option<StageStats>,
 }
 
 impl GatewaySnapshot {
     /// Total failovers across backends (the headline counter the chaos
     /// harness asserts on).
     pub fn failover_total(&self) -> u64 {
-        self.backends.iter().map(|b| b.failovers).sum()
+        self.backends
+            .iter()
+            .map(|b| b.counters.failovers.get())
+            .sum()
     }
 
     /// Total work steals across backends.
     pub fn steal_total(&self) -> u64 {
-        self.backends.iter().map(|b| b.steals).sum()
+        self.backends.iter().map(|b| b.counters.steals.get()).sum()
     }
 
     /// The structured body of the gateway's `{"cmd":"metrics"}` reply.
@@ -949,11 +998,11 @@ impl GatewaySnapshot {
                         "closed": b.breaker_transitions.closed,
                     }),
                     "in_flight": b.in_flight,
-                    "requests": b.requests,
-                    "failures": b.failures,
-                    "failovers": b.failovers,
+                    "requests": b.counters.requests.get(),
+                    "failures": b.counters.failures.get(),
+                    "failovers": b.counters.failovers.get(),
                     "fetch_breaker": b.fetch_breaker.name(),
-                    "steals": b.steals,
+                    "steals": b.counters.steals.get(),
                 })
             })
             .collect();
@@ -983,20 +1032,20 @@ impl GatewaySnapshot {
         root.insert(
             "artifacts".into(),
             serde_json::json!({
-                "gets": a.gets,
-                "hits": a.hits,
-                "misses": a.misses,
-                "fetch_failures": a.fetch_failures,
-                "puts": a.puts,
-                "put_failures": a.put_failures,
-                "bytes_served": a.bytes_served,
-                "bytes_stored": a.bytes_stored,
-                "corrupted": a.corrupted,
+                "gets": a.gets.get(),
+                "hits": a.hits.get(),
+                "misses": a.misses.get(),
+                "fetch_failures": a.fetch_failures.get(),
+                "puts": a.puts.get(),
+                "put_failures": a.put_failures.get(),
+                "bytes_served": a.bytes_served.get(),
+                "bytes_stored": a.bytes_stored.get(),
+                "corrupted": a.corrupted.get(),
             }),
         );
         if let Some(c) = &self.cache {
             let mut cache = serde_json::Map::new();
-            c.insert_tiers(&mut cache);
+            insert_tiers(c, &mut cache);
             root.insert("cache".into(), Value::Object(cache));
         }
         Value::Object(root)
@@ -1004,34 +1053,35 @@ impl GatewaySnapshot {
 
     /// Prometheus-style text exposition (`flowgw_*` families).
     pub fn to_prometheus_text(&self) -> String {
-        let [jobs, job_duration, requests, failures, failovers, backend_steals, rest @ ..] =
-            &FLOWGW_FAMILIES;
-        let [steals, rest @ ..] = rest;
-        let [in_flight, healthy, breaker, fetch_breaker, transitions, tenant_jobs, rest @ ..] =
-            rest;
-        let [inflight, queued, artifact_requests, artifact_gets, put_failures, rest @ ..] = rest;
-        let [artifact_bytes, corrupted, cache_hits, cache_misses] = rest;
         let mut w = Exposition::default();
-        w.labelled(jobs, "state", GATEWAY_JOB_STATES.into_iter().zip(self.jobs));
-        w.histogram(job_duration, job_duration_series(&self.job_durations));
+        w.labelled(
+            &GW_JOBS,
+            "state",
+            GATEWAY_JOB_STATES.into_iter().zip(self.jobs),
+        );
+        w.histogram(&GW_JOB_DURATION, job_duration_series(&self.job_durations));
         let per_backend = |value: fn(&BackendSnapshot) -> u64| {
             self.backends
                 .iter()
                 .map(move |b| (b.addr.as_str(), value(b)))
         };
-        w.labelled(requests, "backend", per_backend(|b| b.requests));
-        w.labelled(failures, "backend", per_backend(|b| b.failures));
-        w.labelled(failovers, "backend", per_backend(|b| b.failovers));
-        w.labelled(backend_steals, "backend", per_backend(|b| b.steals));
-        w.scalar(steals, self.steal_total());
-        w.labelled(in_flight, "backend", per_backend(|b| b.in_flight));
-        w.labelled(healthy, "backend", per_backend(|b| b.healthy.into()));
-        w.labelled(breaker, "backend", per_backend(|b| b.breaker.code()));
-        w.labelled(
-            fetch_breaker,
-            "backend",
-            per_backend(|b| b.fetch_breaker.code()),
-        );
+        let requests = per_backend(|b| b.counters.requests.get());
+        w.labelled(&GW_BACKEND_REQUESTS, "backend", requests);
+        let failures = per_backend(|b| b.counters.failures.get());
+        w.labelled(&GW_BACKEND_FAILURES, "backend", failures);
+        let failovers = per_backend(|b| b.counters.failovers.get());
+        w.labelled(&GW_BACKEND_FAILOVERS, "backend", failovers);
+        let steals = per_backend(|b| b.counters.steals.get());
+        w.labelled(&GW_BACKEND_STEALS, "backend", steals);
+        w.scalar(&GW_STEALS, self.steal_total());
+        let in_flight = per_backend(|b| b.in_flight);
+        w.labelled(&GW_BACKEND_IN_FLIGHT, "backend", in_flight);
+        let healthy = per_backend(|b| b.healthy.into());
+        w.labelled(&GW_BACKEND_HEALTHY, "backend", healthy);
+        let breaker = per_backend(|b| b.breaker.code());
+        w.labelled(&GW_BREAKER_STATE, "backend", breaker);
+        let fetch_breaker = per_backend(|b| b.fetch_breaker.code());
+        w.labelled(&GW_FETCH_BREAKER_STATE, "backend", fetch_breaker);
         let by_backend = self.backends.iter().flat_map(|b| {
             let t = &b.breaker_transitions;
             let to = [
@@ -1041,7 +1091,7 @@ impl GatewaySnapshot {
             ];
             to.map(|(to, n)| ([("backend", b.addr.as_str()), ("to", to)], n))
         });
-        w.family(transitions, by_backend);
+        w.family(&GW_BREAKER_TRANSITIONS, by_backend);
         let by_tenant = self.tenants.iter().flat_map(|(tenant, c)| {
             let states = [
                 ("admitted", c.admitted),
@@ -1050,27 +1100,27 @@ impl GatewaySnapshot {
             ];
             states.map(|(state, n)| ([("tenant", tenant.as_str()), ("state", state)], n))
         });
-        w.family(tenant_jobs, by_tenant);
-        w.scalar(inflight, self.admission_inflight);
-        w.scalar(queued, self.admission_queued);
+        w.family(&GW_TENANT_JOBS, by_tenant);
+        w.scalar(&GW_ADMISSION_INFLIGHT, self.admission_inflight);
+        w.scalar(&GW_ADMISSION_QUEUED, self.admission_queued);
         let a = &self.artifacts;
-        w.labelled(
-            artifact_requests,
-            "verb",
-            [("get", a.gets), ("put", a.puts)],
-        );
+        let requests = [("get", a.gets.get()), ("put", a.puts.get())];
+        w.labelled(&GW_ARTIFACT_REQUESTS, "verb", requests);
         let gets = [
-            ("hit", a.hits),
-            ("miss", a.misses),
-            ("fetch-failure", a.fetch_failures),
+            ("hit", a.hits.get()),
+            ("miss", a.misses.get()),
+            ("fetch-failure", a.fetch_failures.get()),
         ];
-        w.labelled(artifact_gets, "result", gets);
-        w.scalar(put_failures, a.put_failures);
-        let bytes = [("served", a.bytes_served), ("stored", a.bytes_stored)];
-        w.labelled(artifact_bytes, "direction", bytes);
-        w.scalar(corrupted, a.corrupted);
+        w.labelled(&GW_ARTIFACT_GETS, "result", gets);
+        w.scalar(&GW_ARTIFACT_PUT_FAILURES, a.put_failures.get());
+        let bytes = [
+            ("served", a.bytes_served.get()),
+            ("stored", a.bytes_stored.get()),
+        ];
+        w.labelled(&GW_ARTIFACT_BYTES, "direction", bytes);
+        w.scalar(&GW_ARTIFACT_CORRUPTED, a.corrupted.get());
         if let Some(c) = &self.cache {
-            w.cache_tiers(cache_hits, cache_misses, c);
+            w.cache_tiers(&GW_CACHE_HITS, &GW_CACHE_MISSES, c);
         }
         w.out
     }
@@ -1229,12 +1279,12 @@ flowd_unknown_verify_rules_total 1
     /// remote tier with its breaker half-open, both rule families with an
     /// unknown each.
     fn full_flowd_snapshot() -> MetricsSnapshot {
-        let tiers = |memory_hits, disk_hits, remote_hits, misses, wall_ms| StageCacheCounters {
-            memory_hits,
-            disk_hits,
-            remote_hits,
-            misses,
-            wall_ms,
+        let tiers = |memory_hits: u64, disk_hits, remote_hits, misses, wall_ms: u64| StageStats {
+            hits: Counter::from(memory_hits + disk_hits + remote_hits),
+            misses: Counter::from(misses),
+            disk_hits: Counter::from(disk_hits),
+            remote_hits: Counter::from(remote_hits),
+            wall_nanos: Counter::from(wall_ms * 1_000_000),
         };
         let m = Metrics::new();
         for (code, stage) in [
@@ -1271,21 +1321,22 @@ flowd_unknown_verify_rules_total 1
             cache_entries: 14,
             cache_memory_evicted: 3,
             store: Some(StoreCounters {
-                disk_hits: 8,
-                disk_misses: 1,
-                quarantined: 2,
-                evicted: 3,
-                writes: 9,
-                ..Default::default()
+                disk_hits: Counter::from(8),
+                disk_misses: Counter::from(1),
+                quarantined: Counter::from(2),
+                evicted: Counter::from(3),
+                writes: Counter::from(9),
+                write_errors: Counter::from(4),
+                scrubbed: Counter::from(6),
             }),
             remote: Some(RemoteTierCounters {
-                fetch_hits: 4,
-                fetch_misses: 2,
-                fetch_failures: 1,
-                bytes_fetched: 1024,
-                published: 5,
-                publish_failures: 1,
-                breaker_skips: 2,
+                fetch_hits: Counter::from(4),
+                fetch_misses: Counter::from(2),
+                fetch_failures: Counter::from(1),
+                bytes_fetched: Counter::from(1024),
+                published: Counter::from(5),
+                publish_failures: Counter::from(1),
+                breaker_skips: Counter::from(2),
                 breaker: BreakerState::HalfOpen,
             }),
             unknown_stage_events: 1,
@@ -1306,11 +1357,13 @@ flowd_unknown_verify_rules_total 1
                     breaker: BreakerState::Closed,
                     breaker_transitions: BreakerCounters::default(),
                     in_flight: 1,
-                    requests: 3,
-                    failures: 0,
-                    failovers: 0,
+                    counters: BackendCounters {
+                        requests: Counter::from(3),
+                        failures: Counter::from(0),
+                        failovers: Counter::from(0),
+                        steals: Counter::from(2),
+                    },
                     fetch_breaker: BreakerState::Closed,
-                    steals: 2,
                 },
                 BackendSnapshot {
                     addr: "127.0.0.1:9102".into(),
@@ -1322,11 +1375,13 @@ flowd_unknown_verify_rules_total 1
                         closed: 0,
                     },
                     in_flight: 0,
-                    requests: 2,
-                    failures: 1,
-                    failovers: 1,
+                    counters: BackendCounters {
+                        requests: Counter::from(2),
+                        failures: Counter::from(1),
+                        failovers: Counter::from(1),
+                        steals: Counter::from(0),
+                    },
                     fetch_breaker: BreakerState::Open,
-                    steals: 0,
                 },
             ],
             tenants: vec![(
@@ -1342,22 +1397,22 @@ flowd_unknown_verify_rules_total 1
             max_inflight: 8,
             queue_bound: 16,
             artifacts: GatewayArtifactCounters {
-                gets: 7,
-                hits: 4,
-                misses: 2,
-                fetch_failures: 1,
-                puts: 5,
-                put_failures: 0,
-                bytes_served: 2048,
-                bytes_stored: 4096,
-                corrupted: 1,
+                gets: Counter::from(7),
+                hits: Counter::from(4),
+                misses: Counter::from(2),
+                fetch_failures: Counter::from(1),
+                puts: Counter::from(5),
+                put_failures: Counter::from(0),
+                bytes_served: Counter::from(2048),
+                bytes_stored: Counter::from(4096),
+                corrupted: Counter::from(1),
             },
-            cache: Some(StageCacheCounters {
-                memory_hits: 10,
-                disk_hits: 2,
-                remote_hits: 4,
-                misses: 3,
-                wall_ms: 0,
+            cache: Some(StageStats {
+                hits: Counter::from(10 + 2 + 4),
+                misses: Counter::from(3),
+                disk_hits: Counter::from(2),
+                remote_hits: Counter::from(4),
+                wall_nanos: Counter::from(0),
             }),
         }
     }
@@ -1478,6 +1533,31 @@ flowd_unknown_verify_rules_total 1
         assert_eq!(helped, with_help);
     }
 
+    /// Every family `const` in this file is named in exactly one table
+    /// row, and the tables hold nothing else — so each is in the
+    /// catalogue once (the test above shows the catalogue has no name
+    /// twice). Read from the source, since a `const` nobody lists is
+    /// otherwise only a dead-code warning away from unnoticed.
+    #[test]
+    fn every_family_const_is_catalogued_exactly_once() {
+        let source = include_str!("metrics.rs");
+        let declared: Vec<&str> = source
+            .lines()
+            .filter_map(|line| Some(line.strip_prefix("const ")?.split_once(": Family =")?.0))
+            .collect();
+        let listed: Vec<&str> = source
+            .lines()
+            .filter_map(|line| line.strip_prefix("    ")?.strip_suffix(','))
+            .filter(|row| row.chars().all(|c| c.is_ascii_uppercase() || c == '_'))
+            .collect();
+        for name in &declared {
+            let rows = listed.iter().filter(|row| *row == name).count();
+            assert_eq!(rows, 1, "{name} is in {rows} table rows");
+        }
+        assert_eq!(declared.len(), listed.len());
+        assert_eq!(listed.len(), FLOWD_FAMILIES.len() + FLOWGW_FAMILIES.len());
+    }
+
     /// README's "Metrics reference" table lists exactly the catalogue:
     /// same families, same types, same order.
     #[test]
@@ -1533,7 +1613,7 @@ flowd_unknown_verify_rules_total 1
         );
     }
 
-    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2,"respawned":1},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"remote_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9},"remote":{"fetch_hits":4,"fetch_misses":2,"fetch_failures":1,"bytes_fetched":1024,"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"remote_hits":1,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"remote_hits":2,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
+    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2,"respawned":1},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"remote_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9,"write_errors":4,"scrubbed":6},"remote":{"fetch_hits":4,"fetch_misses":2,"fetch_failures":1,"bytes_fetched":1024,"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"remote_hits":1,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"remote_hits":2,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
 
     const RECORDED_FLOWD_TEXT: &str = r#"# HELP flowd_jobs_total Jobs by terminal state.
 # TYPE flowd_jobs_total counter
@@ -1577,6 +1657,10 @@ flowd_store_quarantined_total 2
 flowd_store_evicted_total 3
 # TYPE flowd_store_writes_total counter
 flowd_store_writes_total 9
+# TYPE flowd_store_write_errors_total counter
+flowd_store_write_errors_total 4
+# TYPE flowd_store_scrubbed_total counter
+flowd_store_scrubbed_total 6
 # HELP flowd_remote_fetch_total Remote artifact fetches by result.
 # TYPE flowd_remote_fetch_total counter
 flowd_remote_fetch_total{result="hit"} 4

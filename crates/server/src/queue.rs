@@ -14,7 +14,9 @@
 //! the gateway's admission governor drives it under its own mutex.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
+
+use fpga_flow::sync::{lock, wait};
 
 /// Why a submission was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,18 +65,9 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Lock the state, recovering from poisoning: every mutation keeps
-    /// the deque valid between statements, so a panicking holder must
-    /// not take the whole daemon's queue down with it.
-    fn lock_state(&self) -> MutexGuard<'_, State<T>> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Enqueue, or reject with the reason.
     pub fn submit(&self, item: T) -> Result<(), SubmitError> {
-        let mut s = self.lock_state();
+        let mut s = lock(&self.state);
         if s.draining {
             return Err(SubmitError::ShuttingDown);
         }
@@ -91,7 +84,7 @@ impl<T> JobQueue<T> {
     /// Block until an item is available. `None` means the queue is
     /// draining and empty — the worker should exit.
     pub fn next(&self) -> Option<T> {
-        let mut s = self.lock_state();
+        let mut s = lock(&self.state);
         loop {
             if let Some(item) = s.items.pop_front() {
                 return Some(item);
@@ -99,27 +92,24 @@ impl<T> JobQueue<T> {
             if s.draining {
                 return None;
             }
-            s = self
-                .available
-                .wait(s)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            s = wait(&self.available, s);
         }
     }
 
     /// Stop accepting work; queued items still run, then workers drain
     /// out through `next() == None`.
     pub fn drain(&self) {
-        self.lock_state().draining = true;
+        lock(&self.state).draining = true;
         self.available.notify_all();
     }
 
     pub fn len(&self) -> usize {
-        self.lock_state().items.len()
+        lock(&self.state).items.len()
     }
 
     /// Deepest the queue has ever been.
     pub fn peak(&self) -> usize {
-        self.lock_state().peak
+        lock(&self.state).peak
     }
 
     pub fn is_empty(&self) -> bool {

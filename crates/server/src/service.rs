@@ -31,14 +31,14 @@ use std::{fmt, io};
 
 use fpga_flow::check::{self, CheckKind, Source};
 use fpga_flow::fault::{CancelToken, FaultPlan, KILL_WORKER_PANIC};
+use fpga_flow::sync::lock;
 use fpga_flow::{DiskStore, FlowCtx, StageCache, TraceLog};
 use fpga_lint::Diagnostic;
 use serde_json::Value;
 
 use crate::artifact::RemoteTierClient;
 use crate::metrics::{
-    counts_json, JobCounters, JobDurations, Metrics, MetricsSnapshot, ServiceCounters,
-    StageCacheCounters, JOB_STATES,
+    counts_json, JobCounters, JobDurations, Metrics, MetricsSnapshot, ServiceCounters, JOB_STATES,
 };
 use crate::net::{self, Conns, Endpoint, Limits, Node};
 use crate::proto::{self, CompileRequest, Event, JobKind, SourceFormat, PROTO_VERSION};
@@ -290,16 +290,7 @@ impl Shared {
             .stage_snapshots()
             .into_iter()
             .zip(self.cache.all_stats())
-            .map(|((name, hist), (_, c))| {
-                let cache = StageCacheCounters {
-                    memory_hits: c.memory_hits(),
-                    disk_hits: c.disk_hits,
-                    remote_hits: c.remote_hits,
-                    misses: c.misses,
-                    wall_ms: c.wall_nanos / 1_000_000,
-                };
-                (name, hist, cache)
-            })
+            .map(|((name, hist), (_, cache))| (name, hist, cache))
             .collect();
         MetricsSnapshot {
             service,
@@ -684,25 +675,19 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
     let tx = Mutex::new(events.clone());
     let observer = |s: &fpga_flow::StageReport| {
         if s.ok {
-            completed
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .push(s.stage.clone());
+            lock(&completed).push(s.stage.clone());
         }
         if let Some(stage_id) = &s.id {
             shared.metrics.observe_stage(stage_id, s.elapsed_ms);
         }
-        let _ = tx
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .send(Event::Stage {
-                job: id,
-                id: s.id.clone(),
-                stage: s.stage.clone(),
-                ok: s.ok,
-                elapsed_ms: s.elapsed_ms,
-                metrics: s.metrics.clone(),
-            });
+        let _ = lock(&tx).send(Event::Stage {
+            job: id,
+            id: s.id.clone(),
+            stage: s.stage.clone(),
+            ok: s.ok,
+            elapsed_ms: s.elapsed_ms,
+            metrics: s.metrics.clone(),
+        });
     };
     let trace = req.trace.then(TraceLog::new);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -789,9 +774,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
             });
         }
         Ok(Err(e)) => {
-            let completed = completed
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let completed = lock(&completed);
             if cancel.cancelled() {
                 // The client hung up; nobody is listening, but the event
                 // documents the ending for any late reader.

@@ -18,8 +18,10 @@
 //! from turning into unbounded memory and unbounded latency.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+use fpga_flow::sync::{lock, wait_timeout};
 
 use crate::queue::FairQueue;
 
@@ -339,18 +341,10 @@ impl TenantGovernor {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Recover from poisoning like the job queue does: the core keeps
-    /// its invariants between statements.
-    fn lock(&self) -> MutexGuard<'_, GovernorCore> {
-        self.core
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Admit one job for `tenant`, blocking in fair-queue order until a
     /// slot frees, the queue sheds us, or `deadline` passes.
     pub fn admit(self: &Arc<Self>, tenant: &str, deadline: Option<Instant>) -> AdmitOutcome {
-        let mut core = self.lock();
+        let mut core = lock(&self.core);
         let ticket = match core.submit(tenant, self.now_ms()) {
             Admission::Admitted => {
                 return AdmitOutcome::Admitted(Permit {
@@ -373,11 +367,7 @@ impl TenantGovernor {
                 // are noticed without a release event.
                 None => Duration::from_millis(50),
             };
-            core = self
-                .wake
-                .wait_timeout(core, wait)
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
+            core = wait_timeout(&self.wake, core, wait);
             if core.poll(ticket, self.now_ms()) {
                 return AdmitOutcome::Admitted(Permit {
                     governor: Arc::clone(self),
@@ -388,18 +378,18 @@ impl TenantGovernor {
 
     /// Current per-tenant counters.
     pub fn tenant_snapshots(&self) -> Vec<(String, TenantCounters)> {
-        self.lock().tenant_snapshots()
+        lock(&self.core).tenant_snapshots()
     }
 
     /// (in-flight, queued) right now.
     pub fn depths(&self) -> (usize, usize) {
-        let core = self.lock();
+        let core = lock(&self.core);
         (core.inflight(), core.queued())
     }
 
     /// The policy this governor runs.
     pub fn config(&self) -> GovernorConfig {
-        self.lock().config().clone()
+        lock(&self.core).config().clone()
     }
 }
 
@@ -412,7 +402,7 @@ pub struct Permit {
 impl Drop for Permit {
     fn drop(&mut self) {
         let now = self.governor.now_ms();
-        self.governor.lock().release(now);
+        lock(&self.governor.core).release(now);
         self.governor.wake.notify_all();
     }
 }

@@ -120,6 +120,38 @@ fn warm_restart_serves_every_stage_from_disk() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A store that cannot persist is visible to a scraper, and costs no
+/// job. Every shard path is made a regular file once the daemon is up
+/// (the startup scrub would remove them, and the suite may run as root,
+/// where a read-only mode bit stops nothing), so no entry can be written.
+#[test]
+fn unwritable_store_shows_write_errors_in_both_metrics_renderings() {
+    let dir = temp_cache_dir("unwritable");
+    let server = server_on(&dir, None);
+    for shard in 0..=255u8 {
+        fs::write(dir.join(format!("{shard:02x}")), b"not a directory").expect("plant shard file");
+    }
+    let done = compile(&server, &fpga_circuits::vhdl_counter(3));
+    assert_eq!(done.stage_events.len(), 8, "the job still completes");
+    assert!(!done.bitstream.is_empty());
+
+    let text = server.metrics_text();
+    let write_errors = text
+        .lines()
+        .find_map(|line| line.strip_prefix("flowd_store_write_errors_total "))
+        .expect("family exported")
+        .parse::<u64>()
+        .expect("a count");
+    assert_eq!(write_errors, 8, "one failed write per stage:\n{text}");
+    assert!(text.contains("\nflowd_store_writes_total 0\n"), "{text}");
+    assert!(text.contains("\nflowd_store_scrubbed_total 0\n"), "{text}");
+    let store = &server.metrics_json()["cache"]["store"];
+    assert_eq!(store["write_errors"], serde_json::json!(8));
+    assert_eq!(store["scrubbed"], serde_json::json!(0));
+    server.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupt_entry_is_quarantined_and_recomputed_without_failing_the_job() {
     let dir = temp_cache_dir("corrupt");

@@ -107,6 +107,29 @@ if grep -rn "fn prune_dead\|netlist::stats\|clb_delay" crates README.md DESIGN.m
     exit 1
 fi
 
+echo "==> source lint: one poison-recovering lock (fpga_flow::sync), metric families bound by name"
+# A poisoned mutex is recovered in one place, next to the one comment
+# saying why that is sound; everything else calls sync::lock / wait /
+# wait_timeout. And the exposition binds each family by its const: a
+# positional `rest @ ..` binding exports the wrong value under the
+# right name when two table rows swap. No allowlist.
+RECOVERIES=$(
+    for f in crates/flow/src/*.rs crates/server/src/*.rs; do
+        awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
+            /unwrap_or_else\(.*into_inner/ { print file; exit }' "$f"
+    done
+)
+if [ "$RECOVERIES" != "crates/flow/src/sync.rs" ]; then
+    echo "FAIL: poison recovery (unwrap_or_else(..into_inner..)) belongs in crates/flow/src/sync.rs only, found in:" >&2
+    printf '%s\n' "${RECOVERIES:-(none)}" >&2
+    echo "(call fpga_flow::sync::{lock, wait, wait_timeout})" >&2
+    exit 1
+fi
+if grep -n 'rest @ \.\.' crates/server/src/metrics.rs >&2; then
+    echo "FAIL: crates/server/src/metrics.rs binds a metric family by position (use its const)" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -30,32 +30,6 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 mkdir -p "$WORK"
-cat > "$WORK/counter.vhd" <<'EOF'
-library ieee;
-use ieee.std_logic_1164.all;
-
-entity counter4 is
-  port ( clk : in std_logic;
-         rst : in std_logic;
-         q   : out std_logic_vector(3 downto 0) );
-end counter4;
-
-architecture rtl of counter4 is
-  signal cnt : std_logic_vector(3 downto 0);
-begin
-  process (clk)
-  begin
-    if rising_edge(clk) then
-      if rst = '1' then
-        cnt <= "0000";
-      else
-        cnt <= cnt + 1;
-      end if;
-    end if;
-  end process;
-  q <= cnt;
-end rtl;
-EOF
 
 echo "==> building flowd + flowc"
 cargo build -q -p fpga-server --bins
@@ -63,6 +37,7 @@ FLOWD=target/debug/flowd
 FLOWC=target/debug/flowc
 
 . scripts/lib.sh
+write_counter4 "$WORK/counter.vhd"
 
 # Count durable entries (64-hex files inside the two-hex shard dirs).
 entries() {

@@ -62,34 +62,8 @@ GATEWAY=target/release/flow-gateway
 QOR_BENCH=target/release/qor_bench
 BENCH_DIFF=target/release/bench-diff
 
-cat > "$WORK/counter.vhd" <<'EOF'
-library ieee;
-use ieee.std_logic_1164.all;
-
-entity counter4 is
-  port ( clk : in std_logic;
-         rst : in std_logic;
-         q   : out std_logic_vector(3 downto 0) );
-end counter4;
-
-architecture rtl of counter4 is
-  signal cnt : std_logic_vector(3 downto 0);
-begin
-  process (clk)
-  begin
-    if rising_edge(clk) then
-      if rst = '1' then
-        cnt <= "0000";
-      else
-        cnt <= cnt + 1;
-      end if;
-    end if;
-  end process;
-  q <= cnt;
-end rtl;
-EOF
-
 . scripts/lib.sh
+write_counter4 "$WORK/counter.vhd"
 
 echo "==> leg 1: SIGKILL the busy backend mid-pipeline, job fails over"
 # Each backend stalls 8 s the first time it runs route: long enough to

@@ -11,6 +11,37 @@ wait_for() {
     done
 }
 
+# write_counter4 FILE — the 4-bit counter crash.sh and farm.sh compile
+# (one copy, so neither harness compiles a different design).
+write_counter4() {
+    cat > "$1" <<'EOF'
+library ieee;
+use ieee.std_logic_1164.all;
+
+entity counter4 is
+  port ( clk : in std_logic;
+         rst : in std_logic;
+         q   : out std_logic_vector(3 downto 0) );
+end counter4;
+
+architecture rtl of counter4 is
+  signal cnt : std_logic_vector(3 downto 0);
+begin
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if rst = '1' then
+        cnt <= "0000";
+      else
+        cnt <= cnt + 1;
+      end if;
+    end if;
+  end process;
+  q <= cnt;
+end rtl;
+EOF
+}
+
 # check_exposition FILE — validate a scraped text exposition, whichever
 # role served it: every line is `# HELP`, `# TYPE` or a well-formed
 # sample (name, optional {key="escaped value",...}, one space, a

@@ -90,7 +90,7 @@ fn stage_cache_keys_are_thread_count_invariant() {
             }
             let s = cache.stats(stage);
             assert_eq!(
-                (s.misses, s.hits),
+                (s.misses.get(), s.hits.get()),
                 (1, i as u64),
                 "{} at {} threads",
                 stage.name(),

@@ -85,7 +85,7 @@ fn four_concurrent_clients_share_one_computation() {
     for stage in STAGES {
         let s = server.cache().stats(stage);
         assert_eq!(
-            (s.misses, s.hits),
+            (s.misses.get(), s.hits.get()),
             (1, 3),
             "stage {}: one miss, three hits",
             stage.name()
@@ -102,7 +102,7 @@ fn four_concurrent_clients_share_one_computation() {
     for stage in STAGES {
         let s = server.cache().stats(stage);
         assert_eq!(
-            (s.misses, s.hits),
+            (s.misses.get(), s.hits.get()),
             (1, 4),
             "stage {} fully cached",
             stage.name()
@@ -122,7 +122,11 @@ fn four_concurrent_clients_share_one_computation() {
     let place = server.cache().stats(fpga_framework::flow::StageId::Place);
     assert_eq!(place.misses, 2, "new seed re-places");
     let map = server.cache().stats(fpga_framework::flow::StageId::LutMap);
-    assert_eq!((map.misses, map.hits), (1, 5), "front end still shared");
+    assert_eq!(
+        (map.misses.get(), map.hits.get()),
+        (1, 5),
+        "front end still shared"
+    );
 
     let stats = server.stats_json();
     assert_eq!(stats["jobs"]["submitted"], serde_json::json!(6u64));
