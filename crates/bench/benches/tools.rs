@@ -100,6 +100,22 @@ fn bench_tools(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    // The whole min-W search on `add32`, one probe per routed width:
+    // what `route_search` times once, times the probes it cannot skip.
+    let (add_clustering, add_placement) = {
+        let (clustering, device) = packed(&fpga_circuits::ripple_adder(32), &arch);
+        let placement = AnnealingPlacer::new(PlaceConfig::new().seed(1).inner_num(1.0))
+            .place(&clustering, device)
+            .unwrap();
+        (clustering, placement)
+    };
+    group.bench_function("min_width_search", |b| {
+        b.iter(|| {
+            PathFinderRouter::new(RouteConfig::new())
+                .find_min_channel_width(&add_clustering, &add_placement, 128)
+                .unwrap()
+        })
+    });
     // The annealer's move loop on its own: `mult16` from the QoR suite,
     // packed outside the timer, at the benchmark's effort on one thread —
     // the larger half of what `cold_mult` spends in `place`.

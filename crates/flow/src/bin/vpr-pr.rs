@@ -57,7 +57,7 @@ fn main() {
     );
     eprint!("{}", placement.stats_table());
     let router = PathFinderRouter::new(RouteConfig::new().parallelism(parallelism));
-    let (w, routed) = match args.options.get("w").and_then(|s| s.parse::<usize>().ok()) {
+    let (w, routed) = match cli::opt_u64(&args, "vpr-pr", "w").map(|w| w as usize) {
         Some(w) => {
             let g = fpga_route::rrgraph::RrGraph::build(&placement.device, w);
             let r = router
@@ -69,6 +69,9 @@ fn main() {
             .find_min_channel_width(&clustering, &placement, 128)
             .unwrap_or_else(|e| cli::die("vpr-pr", e)),
     };
+    for (probe_w, probe) in &routed.probes {
+        eprintln!("probe W={probe_w}: {probe:?}");
+    }
     eprintln!(
         "routed at channel width {w}: wirelength {}, {} iterations",
         routed.wirelength, routed.iterations

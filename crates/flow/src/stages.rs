@@ -316,7 +316,7 @@ pub fn route(
         // Search effort of the route that produced the result (under the
         // min-W search: of the final probe).
         let search = routing.search_totals();
-        let metrics = serde_json::json!({
+        let mut metrics = serde_json::json!({
             "channel_width": routing.channel_width,
             "wirelength": routing.wirelength,
             "iterations": routing.iterations,
@@ -327,6 +327,14 @@ pub fn route(
             "relaxations": search.relaxations,
             "pins_skipped": search.pins_skipped,
         });
+        // The search's own effort, under the min-W search only, so a
+        // pinned-width report keeps its bytes.
+        if let (None, serde_json::Value::Object(m)) = (channel_width, &mut metrics) {
+            let routed = routing.probes.iter().filter(|(_, p)| p.routed()).count();
+            let skipped = routing.probes.len() - routed;
+            m.insert("probes_routed".into(), routed.into());
+            m.insert("probes_skipped".into(), skipped.into());
+        }
         let routed = RoutedDesign {
             device: placement.device.clone(),
             graph,

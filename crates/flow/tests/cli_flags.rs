@@ -70,3 +70,26 @@ fn flowctl_refuses_a_garbage_seed_or_width_and_honours_good_ones() {
     // The bitstream's geometry follows the channel width: the flag is read.
     assert_ne!(output_of(flowctl, &["-w", "6"], "flowctl-w6.bit"), default);
 }
+
+#[test]
+fn vpr_pr_refuses_a_garbage_width_and_honours_a_good_one() {
+    let vpr_pr = env!("CARGO_BIN_EXE_vpr-pr");
+    assert_rejects(vpr_pr, "--w");
+    let default = output_of(vpr_pr, &[], "vpr-default.place");
+    assert!(!default.is_empty());
+    let path = out_path("vpr-w12.place");
+    let pinned = run(
+        vpr_pr,
+        &[MAJORITY, "--w", "12", "-o", path.to_str().expect("utf-8")],
+    );
+    let stderr = String::from_utf8_lossy(&pinned.stderr);
+    assert!(pinned.status.success(), "{stderr}");
+    let placed = std::fs::read(&path).expect("output written");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(placed, default, "the width does not move the placement");
+    assert!(stderr.contains("routed at channel width 12"), "{stderr}");
+    assert!(
+        !stderr.contains("probe W="),
+        "a pinned width is not searched: {stderr}"
+    );
+}

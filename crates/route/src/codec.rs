@@ -23,8 +23,9 @@ fn read_node(r: &mut ByteReader) -> CodecResult<RrNodeId> {
 }
 
 /// Serialize a routing result (net trees, channel width, iteration and
-/// wirelength counters). The per-iteration search statistics stay out:
-/// they describe a run, not the routing, and the bytes are a contract
+/// wirelength counters). The per-iteration search statistics and the
+/// min-W search's probes stay out: they describe a run, not the
+/// routing, and the bytes are a contract
 /// with every store already on disk.
 pub fn route_result_to_bytes(res: &RouteResult) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -64,6 +65,7 @@ pub fn route_result_from_bytes(bytes: &[u8]) -> CodecResult<RouteResult> {
         iterations,
         wirelength,
         stats: Vec::new(),
+        probes: Vec::new(),
     })
 }
 
@@ -96,6 +98,7 @@ mod tests {
             iterations: 3,
             wirelength: 2,
             stats: vec![crate::IterationStats::default()],
+            probes: vec![(12, crate::Probe::Routed)],
         }
     }
 
@@ -109,6 +112,7 @@ mod tests {
         assert_eq!(back.nets[0].tree.len(), 4);
         assert_eq!(back.channel_width, 12);
         assert!(back.stats.is_empty(), "run statistics are not serialized");
+        assert!(back.probes.is_empty(), "search probes are not serialized");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use fpga_pack::Clustering;
 use fpga_place::Placement;
 
-use crate::pathfinder::{route_with, RouteResult};
+use crate::pathfinder::{channel_demand, route_with, Probe, RouteResult};
 use crate::rrgraph::RrGraph;
 use crate::{Result, RouteError};
 
@@ -53,10 +53,19 @@ pub trait RouteEngine {
 
     /// Binary search for the minimum channel width that routes the design
     /// (the width VPR reports for an architecture). Starts from the
-    /// architecture's default width, doubles until routable, then bisects.
-    /// Only a failure that a different width could cure steers the search
-    /// ([`RouteError::Unroutable`], [`RouteError::NoPath`]); any other
-    /// error is returned from the probe that met it.
+    /// architecture's default width (at most `max_width`), doubles until
+    /// routable, then bisects. Only a failure that a different width
+    /// could cure steers the search ([`RouteError::Unroutable`],
+    /// [`RouteError::NoPath`]); any other error is returned from the probe
+    /// that met it.
+    ///
+    /// A width whose verdict is already known is passed as failed without
+    /// being routed: one below the `channel_demand` floor, where no
+    /// legal routing exists, or one that already failed (routing is
+    /// deterministic). The widths visited are those a search routing every
+    /// probe would visit, so the result is the same one; `probes` on it
+    /// says what happened at each. A probe at `max_width` is always
+    /// routed, so giving up returns the router's own error.
     fn find_min_channel_width(
         &self,
         clustering: &Clustering,
@@ -64,35 +73,46 @@ pub trait RouteEngine {
         max_width: usize,
     ) -> Result<(usize, RouteResult)> {
         let device = &placement.device;
+        let floor = channel_demand(clustering, placement)?;
+        let mut probes = Vec::new();
+        let route_at = |w, probes: &mut Vec<(usize, Probe)>| {
+            let routed = self.route(clustering, placement, &RrGraph::build(device, w));
+            probes.push((w, routed.as_ref().map_or(Probe::Failed, |_| Probe::Routed)));
+            routed
+        };
         // Find an upper bound that routes.
-        let mut hi = device.arch.routing.channel_width.max(2);
-        let mut best: Option<(usize, RouteResult)>;
-        loop {
-            let g = RrGraph::build(device, hi);
-            match self.route(clustering, placement, &g) {
-                Ok(r) => {
-                    best = Some((hi, r));
-                    break;
+        let mut hi = device.arch.routing.channel_width.max(2).min(max_width);
+        let mut best = loop {
+            if hi < floor && hi < max_width {
+                probes.push((hi, Probe::BelowDemand));
+            } else {
+                match route_at(hi, &mut probes) {
+                    Ok(r) => break (hi, r),
+                    Err(e) if width_dependent(&e) && hi < max_width => {}
+                    Err(e) => return Err(e),
                 }
-                Err(e) if width_dependent(&e) && hi < max_width => hi = (hi * 2).min(max_width),
-                Err(e) => return Err(e),
             }
-        }
-        let mut hi_w = hi;
+            hi = (hi * 2).min(max_width);
+        };
         let mut lo = 1usize;
-        while lo < hi_w {
-            let mid = (lo + hi_w) / 2;
-            let g = RrGraph::build(device, mid);
-            match self.route(clustering, placement, &g) {
-                Ok(r) => {
-                    best = Some((mid, r));
-                    hi_w = mid;
+        while lo < best.0 {
+            let mid = (lo + best.0) / 2;
+            if mid < floor {
+                probes.push((mid, Probe::BelowDemand));
+                lo = mid + 1;
+            } else if probes.contains(&(mid, Probe::Failed)) {
+                probes.push((mid, Probe::Repeat));
+                lo = mid + 1;
+            } else {
+                match route_at(mid, &mut probes) {
+                    Ok(r) => best = (mid, r),
+                    Err(e) if width_dependent(&e) => lo = mid + 1,
+                    Err(e) => return Err(e),
                 }
-                Err(e) if width_dependent(&e) => lo = mid + 1,
-                Err(e) => return Err(e),
             }
         }
-        best.ok_or_else(|| RouteError::Internal("no routable channel width".into()))
+        best.1.probes = probes;
+        Ok(best)
     }
 }
 
@@ -134,15 +154,25 @@ mod tests {
         assert_eq!(cfg.parallelism.threads, 4);
     }
 
-    /// Counts the probes the trait's default min-W search makes.
+    /// Records the width of every probe the trait's default min-W search
+    /// routes.
     struct Counting<E> {
         inner: E,
-        calls: std::cell::Cell<usize>,
+        widths: std::cell::RefCell<Vec<usize>>,
+    }
+
+    impl<E> Counting<E> {
+        fn new(inner: E) -> Self {
+            Counting {
+                inner,
+                widths: Default::default(),
+            }
+        }
     }
 
     impl<E: RouteEngine> RouteEngine for Counting<E> {
         fn route(&self, c: &Clustering, p: &Placement, g: &RrGraph) -> Result<RouteResult> {
-            self.calls.set(self.calls.get() + 1);
+            self.widths.borrow_mut().push(g.channel_width());
             self.inner.route(c, p, g)
         }
     }
@@ -185,12 +215,9 @@ mod tests {
     }
 
     fn search<E: RouteEngine>(inner: E, c: &Clustering, p: &Placement) -> (usize, RouteError) {
-        let engine = Counting {
-            inner,
-            calls: std::cell::Cell::new(0),
-        };
+        let engine = Counting::new(inner);
         let err = engine.find_min_channel_width(c, p, 64).unwrap_err();
-        (engine.calls.get(), err)
+        (engine.widths.into_inner().len(), err)
     }
 
     #[test]
@@ -202,8 +229,14 @@ mod tests {
         let (calls, err) = search(PathFinderRouter::default(), &c, &p);
         assert!(matches!(err, RouteError::BadEndpoint(_)), "{err}");
         assert_eq!(
-            calls, 1,
-            "a BadEndpoint must not be retried at other widths"
+            calls, 0,
+            "a BadEndpoint surfaces from the channel-demand floor, before any probe"
+        );
+        let probed = PathFinderRouter::default().route(&c, &p, &RrGraph::build(&p.device, 12));
+        assert_eq!(
+            Err(err),
+            probed.map(|_| ()),
+            "the error a probe would have met"
         );
     }
 
@@ -223,5 +256,25 @@ mod tests {
         ] {
             assert_eq!(search(Failing(error.clone()), &c, &p), (4, error));
         }
+    }
+
+    #[test]
+    fn min_width_search_never_probes_above_max_width() {
+        let (c, mut p) = placed_lut();
+        // `vpr-pr --arch` with `channel_width 200`.
+        p.device.arch.routing.channel_width = 200;
+        let engine = Counting::new(PathFinderRouter::default());
+        let (w, r) = engine.find_min_channel_width(&c, &p, 64).unwrap();
+        let widths = engine.widths.into_inner();
+        assert_eq!(widths.first(), Some(&64), "the first probe is clamped");
+        assert!(widths.iter().all(|&probed| probed <= 64), "{widths:?}");
+        assert_eq!(r.channel_width, w);
+        let routed: Vec<usize> = r
+            .probes
+            .iter()
+            .filter(|(_, p)| p.routed())
+            .map(|&(w, _)| w)
+            .collect();
+        assert_eq!(routed, widths, "`probes` lists exactly the routed widths");
     }
 }

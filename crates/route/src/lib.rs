@@ -24,7 +24,7 @@ pub mod timing;
 
 pub use codec::{route_result_from_bytes, route_result_to_bytes};
 pub use engine::{Parallelism, PathFinderRouter, RouteConfig, RouteEngine};
-pub use pathfinder::{IterationStats, RouteResult, RoutedNet, SearchStats};
+pub use pathfinder::{IterationStats, Probe, RouteResult, RoutedNet, SearchStats};
 pub use rrgraph::{RrGraph, RrKind, RrNodeId};
 pub use sta::{analyze_paths, LogicDelays, StaResult};
 
@@ -39,13 +39,9 @@ pub enum RouteError {
     /// A net's source cannot reach one of its sinks on this graph at
     /// all, whatever the congestion (with fractional Fc, the pins' track
     /// sets can miss each other at one width and meet at another).
-    NoPath {
-        channel_width: usize,
-        net: String,
-    },
+    NoPath { channel_width: usize, net: String },
     /// A net endpoint could not be attached to the graph.
     BadEndpoint(String),
-    Internal(String),
 }
 
 impl std::fmt::Display for RouteError {
@@ -65,7 +61,6 @@ impl std::fmt::Display for RouteError {
                 )
             }
             RouteError::BadEndpoint(msg) => write!(f, "bad net endpoint: {msg}"),
-            RouteError::Internal(msg) => write!(f, "internal routing error: {msg}"),
         }
     }
 }

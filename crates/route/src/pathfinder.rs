@@ -108,6 +108,31 @@ pub struct RouteResult {
     /// how the result was reached, not part of it: the codec leaves it
     /// out, so a decoded result carries none.
     pub stats: Vec<IterationStats>,
+    /// The widths the min-W search visited, in order, with what it did
+    /// at each; empty from a plain route. A record of the run like
+    /// `stats`, and left out by the codec like it.
+    pub probes: Vec<(usize, Probe)>,
+}
+
+/// What the min-W search did at one width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Probe {
+    /// Routed, and the routing is legal.
+    Routed,
+    /// Routed, and failed.
+    Failed,
+    /// Not routed: below the channel demand, where no legal routing
+    /// exists.
+    BelowDemand,
+    /// Not routed: this width already failed.
+    Repeat,
+}
+
+impl Probe {
+    /// Whether the router ran at this width.
+    pub fn routed(self) -> bool {
+        matches!(self, Probe::Routed | Probe::Failed)
+    }
 }
 
 impl RouteResult {
@@ -228,6 +253,36 @@ pub fn net_endpoints(
         out.push((pn.net, source, sinks));
     }
     Ok(out)
+}
+
+/// The most distinct nets with a pin on any one channel segment,
+/// counting only nets with at least one sink: no legal routing exists
+/// at a narrower channel, for any engine and any Fc. An output pin's
+/// only successors and an input pin's only predecessors are wires of
+/// the pin's own segment, and no edge joins two pins, so such a net
+/// holds a wire of every segment it has a pin on — and a legal routing
+/// gives each wire one net. On the one-track graph every segment is a
+/// single wire, so wire ids name segments.
+pub(crate) fn channel_demand(clustering: &Clustering, placement: &Placement) -> Result<usize> {
+    let g = RrGraph::build(&placement.device, 1);
+    let mut nets_on = vec![0usize; g.node_count()];
+    let mut segments = Vec::new();
+    for (_, source, sinks) in net_endpoints(clustering, placement, &g)? {
+        if sinks.is_empty() {
+            continue;
+        }
+        segments.clear();
+        segments.extend_from_slice(g.successors(source));
+        for &sink in &sinks {
+            g.for_each_feeder(sink, |wire| segments.push(wire));
+        }
+        segments.sort_unstable();
+        segments.dedup();
+        for wire in &segments {
+            nets_on[wire.0 as usize] += 1;
+        }
+    }
+    Ok(nets_on.into_iter().max().unwrap_or(0))
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -682,6 +737,7 @@ pub(crate) fn route_with(
             iterations,
             wirelength,
             stats,
+            probes: Vec::new(),
         }
     };
 
@@ -955,6 +1011,80 @@ mod tests {
         if w > 1 {
             let g = RrGraph::build(&p.device, w - 1);
             assert!(router(1).route(&c, &p, &g).is_err());
+        }
+    }
+
+    /// `k` nets from input pads on IO tile (1, 0) to output pads on
+    /// (2, 3), plus, if asked, a net with no sink driven from (1, 0) too.
+    fn pad_nets(k: u32, sinkless: bool) -> (Clustering, Placement) {
+        use fpga_arch::device::GridLoc;
+        use fpga_place::{PlacedNet, Slot};
+
+        let (c, _) = flow(1, 1);
+        let mut arch = Architecture::paper_default();
+        arch.io_per_tile = k as usize + 1;
+        let slot = |x, y, sub| Slot {
+            loc: GridLoc::new(x, y),
+            sub,
+        };
+        let mut slots = std::collections::HashMap::new();
+        let mut nets = Vec::new();
+        for i in 0..k + sinkless as u32 {
+            let net = NetId(i);
+            let mut terminals = vec![BlockRef::InputPad(net)];
+            slots.insert(BlockRef::InputPad(net), slot(1, 0, i));
+            if i < k {
+                terminals.push(BlockRef::OutputPad(net));
+                slots.insert(BlockRef::OutputPad(net), slot(2, 3, i));
+            }
+            nets.push(PlacedNet { net, terminals });
+        }
+        let p = Placement {
+            device: Device::new(arch, 2, 2),
+            slots,
+            cost: 0.0,
+            nets,
+            stats: Vec::new(),
+        };
+        (c, p)
+    }
+
+    #[test]
+    fn channel_demand_counts_the_nets_on_the_busiest_segment() {
+        for k in [1, 3, 5] {
+            let (c, p) = pad_nets(k, false);
+            assert_eq!(channel_demand(&c, &p), Ok(k as usize));
+            let (c, p) = pad_nets(k, true);
+            assert_eq!(
+                channel_demand(&c, &p),
+                Ok(k as usize),
+                "a sinkless net needs no wire"
+            );
+        }
+        let (c, p) = pad_nets(5, false);
+        let g = RrGraph::build(&p.device, 4);
+        assert!(
+            router(1).route(&c, &p, &g).is_err(),
+            "5 nets through a 4-track segment"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn channel_demand_is_a_floor_no_router_goes_below(n in 2usize..24, seed in 1u64..64) {
+            let (c, p) = flow(n, seed);
+            let demand = channel_demand(&c, &p).unwrap();
+            let (w, _) = router(1).find_min_channel_width(&c, &p, 64).unwrap();
+            proptest::prop_assert!(demand <= w, "demand {} above the width found {}", demand, w);
+            if demand > 1 {
+                let g = RrGraph::build(&p.device, demand - 1);
+                proptest::prop_assert!(
+                    router(1).route(&c, &p, &g).is_err(),
+                    "routed at W = {} below the demand {}", demand - 1, demand
+                );
+            }
         }
     }
 

@@ -5,10 +5,11 @@
 //! artifacts, so "the same trees" means the same bytes: a warm
 //! `DiskStore` written by an older build must still serve route-stage
 //! hits. Classic mode (<= 512 nets, no jitter, ties resolved by pop
-//! order) is covered through the min-W search on three small suite
-//! designs; jitter mode through `rent_1k`, the smallest suite design
-//! with more than 512 routable nets, at a comfortable pinned width.
-//! Both run at 1 and 2 threads.
+//! order) is covered through the min-W search on the five `minw_small`
+//! designs (`mult8` and `fsm_chain_4x8` recorded at PR 21); jitter mode
+//! through `rent_1k`, the smallest suite design with more than 512
+//! routable nets, at a comfortable pinned width. Both run at 1 and 2
+//! threads. The widths the search still routes are pinned beside them.
 //!
 //! The second half is a proptest over random fabrics that pins the
 //! graph facts the fast path rests on: `find` inverts `kind`, no
@@ -24,11 +25,14 @@ use fpga_framework::flow::{FlowCtx, FlowOptions};
 use fpga_framework::pack::Clustering;
 use fpga_framework::place::{Parallelism, Placement};
 use fpga_framework::route::{
-    route_result_to_bytes, PathFinderRouter, RouteConfig, RouteEngine, RouteResult, RrGraph,
-    RrKind, RrNodeId,
+    route_result_to_bytes, PathFinderRouter, RouteConfig, RouteEngine, RouteError, RouteResult,
+    RrGraph, RrKind, RrNodeId,
 };
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::sync::Arc;
+
+type Result<T> = std::result::Result<T, RouteError>;
 
 fn sha256_hex(bytes: &[u8]) -> String {
     let mut h = Sha256::new();
@@ -98,6 +102,63 @@ fn crc16_min_width_bytes_match_parent() {
 }
 
 #[test]
+fn mult8_min_width_bytes_match_parent() {
+    check_min_width("mult8", GOLDEN_MULT8);
+}
+
+#[test]
+fn fsm_chain_4x8_min_width_bytes_match_parent() {
+    check_min_width("fsm_chain_4x8", GOLDEN_FSM_CHAIN_4X8);
+}
+
+/// Records the width of every probe the min-W search routes.
+struct Counting<E> {
+    inner: E,
+    widths: RefCell<Vec<usize>>,
+}
+
+impl<E: RouteEngine> RouteEngine for Counting<E> {
+    fn route(&self, c: &Clustering, p: &Placement, g: &RrGraph) -> Result<RouteResult> {
+        self.widths.borrow_mut().push(g.channel_width());
+        self.inner.route(c, p, g)
+    }
+}
+
+/// The widths `minw_small`'s designs still route. Below the channel
+/// demand nothing is routed (`add32`'s 3 and 5), and a width that failed
+/// is not routed again (`mult8`'s 12, met first while doubling and
+/// again as the bisection's first midpoint).
+#[test]
+fn min_width_search_routes_only_the_probes_it_must() {
+    for (name, expected) in [
+        ("add32", &[12, 6][..]),
+        ("alu8", &[12, 9, 8]),
+        ("mult8", &[12, 24, 18, 15, 14, 13]),
+        ("crc16", &[12, 6]),
+        ("fsm_chain_4x8", &[12, 6, 9, 8, 7]),
+    ] {
+        let (c, p) = placed(name);
+        let engine = Counting {
+            inner: router(1),
+            widths: RefCell::new(Vec::new()),
+        };
+        let (_, r) = engine.find_min_channel_width(&c, &p, 128).expect("routes");
+        let routed = engine.widths.into_inner();
+        assert_eq!(routed, expected, "{name}: widths routed ({:?})", r.probes);
+        let listed: Vec<usize> = r
+            .probes
+            .iter()
+            .filter(|(_, p)| p.routed())
+            .map(|&(w, _)| w)
+            .collect();
+        assert_eq!(
+            listed, routed,
+            "{name}: `probes` names exactly the widths routed"
+        );
+    }
+}
+
+#[test]
 fn rent_1k_jitter_mode_bytes_match_parent() {
     let (c, p) = placed("rent_1k");
     assert!(p.nets.len() > 512, "rent_1k must route in jitter mode");
@@ -119,6 +180,17 @@ const GOLDEN_ALU8: (usize, &str) = (
 const GOLDEN_CRC16: (usize, &str) = (
     6,
     "d4d6dc7d680bf1fba5984062309683496c1d26913d9eb60e3d0781f8bb9cdd70",
+);
+/// Recorded at PR 21 (`6820305`), before the min-W search skipped
+/// probes: `mult8` fails W = 12 while doubling and meets it again as the
+/// bisection's first midpoint; `fsm_chain_4x8`'s search skips nothing.
+const GOLDEN_MULT8: (usize, &str) = (
+    13,
+    "e37e0ca4cfa554d6ba717e2d94f670a56478090cd5f39ad4dff684c498d5f5b1",
+);
+const GOLDEN_FSM_CHAIN_4X8: (usize, &str) = (
+    7,
+    "2a77db1cc08eb60b64c88a2274478bfb964f1691937f216d0a340f843394d93b",
 );
 /// Jitter mode at W = 48, well above `rent_1k`'s pinned 32: converges in
 /// a few iterations, so the case stays affordable in a debug build.
