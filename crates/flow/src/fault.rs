@@ -121,19 +121,11 @@ impl Gate {
     }
 }
 
-/// The panic payload [`FaultAction::KillWorker`] throws. The flow server
-/// recognizes it and lets the worker thread die (instead of converting
-/// the panic into a structured error event), exercising its supervisor's
-/// respawn path.
-pub const KILL_WORKER_PANIC: &str = "flowd-fault: kill worker thread";
-
 /// What an injected fault does when it fires.
 #[derive(Clone, Debug)]
 pub enum FaultAction {
     /// Panic inside the stage gate (a crashing stage).
     Panic,
-    /// Panic with [`KILL_WORKER_PANIC`] so a supervised worker dies.
-    KillWorker,
     /// Fail the stage with a structured error carrying this message.
     Fail(String),
     /// Sleep this long (a slow stage); wakes early if the job's
@@ -204,9 +196,6 @@ impl FaultPlan {
         match &rule.action {
             FaultAction::Panic => {
                 panic!("injected panic at stage '{stage}' (execution {n})");
-            }
-            FaultAction::KillWorker => {
-                std::panic::panic_any(KILL_WORKER_PANIC);
             }
             FaultAction::Fail(message) => Err(FlowError::new(
                 "fault",

@@ -95,9 +95,9 @@ pub struct GeneratedBitstream {
 /// The span is closed on both success and error, so a traced run sees
 /// exactly one start/finish pair per entered stage — including stages
 /// stopped by a fault, a deadline, or a flow error. The one exception is
-/// a *panicking* stage (injected `Panic`/`KillWorker` faults): the unwind
-/// skips the finish, leaving the span `Pending` — which is itself the
-/// signal, and the flow server's worker guard owns that path.
+/// a *panicking* stage (an injected `Panic` fault): the unwind skips the
+/// finish, leaving the span `Pending` — which is itself the signal, and
+/// the flow server's worker loop owns that path.
 fn run_step<T: Artifact>(
     ctx: FlowCtx,
     stage: StageId,

@@ -31,7 +31,7 @@ use fpga_flow::sync::lock;
 use fpga_flow::RemoteTier;
 use serde_json::Value;
 
-use crate::breaker::{xorshift64, CircuitBreaker};
+use crate::breaker::{backoff_step, CircuitBreaker};
 use crate::metrics::RemoteTierCounters;
 use crate::net;
 use crate::proto::{self, Request};
@@ -81,10 +81,6 @@ impl RemoteTierClient {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    fn next_rand(&self) -> u64 {
-        xorshift64(&mut lock(&self.rng))
-    }
-
     /// Snapshot for the daemon's `metrics` verb.
     pub fn counters(&self) -> RemoteTierCounters {
         RemoteTierCounters {
@@ -114,12 +110,11 @@ impl RemoteTier for RemoteTierClient {
             key: key.to_string(),
             kind: kind.to_string(),
         };
-        let mut backoff = BACKOFF_BASE_MS;
+        let mut window_ms = BACKOFF_BASE_MS;
         for attempt in 0..FETCH_ATTEMPTS {
             if attempt > 0 {
-                let jitter = backoff / 2 + self.next_rand() % (backoff / 2 + 1);
-                std::thread::sleep(Duration::from_millis(jitter.min(BACKOFF_CAP_MS)));
-                backoff = (backoff * 2).min(BACKOFF_CAP_MS);
+                let sleep_ms = backoff_step(&mut window_ms, BACKOFF_CAP_MS, &mut lock(&self.rng));
+                std::thread::sleep(Duration::from_millis(sleep_ms));
                 if !lock(&self.breaker).allow(self.now_ms()) {
                     break;
                 }
@@ -247,6 +242,21 @@ mod tests {
         assert_eq!(c.breaker, BreakerState::Open);
         assert_eq!(client.fetch("synthesis", "k", "netlist"), None);
         assert!(client.counters().breaker_skips.get() >= 1);
+    }
+
+    /// The retry sleeps of six fetches in a row — each fetch restarts at
+    /// the base window, the client's jitter stream runs on — as recorded
+    /// through `fetch` before the step moved to `breaker::backoff_step`.
+    #[test]
+    fn fetch_retry_sleeps_keep_their_recorded_schedule() {
+        let client = RemoteTierClient::new("127.0.0.1:9".into(), 1, 1 << 20);
+        let sleeps: Vec<u64> = (0..6)
+            .map(|_| {
+                let mut window_ms = BACKOFF_BASE_MS;
+                backoff_step(&mut window_ms, BACKOFF_CAP_MS, &mut lock(&client.rng))
+            })
+            .collect();
+        assert_eq!(sleeps, [28, 29, 34, 32, 28, 29]);
     }
 
     #[test]

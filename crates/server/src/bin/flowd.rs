@@ -22,8 +22,8 @@
 //! stdout after a graceful shutdown.
 //!
 //! Test-only: `--fault STAGE:K:ACTION[:ARG][,...]` injects a
-//! deterministic fault on a stage's K-th execution — `panic`, `kill`
-//! (dead worker), `fail:MSG`, or `sleep:MS`. Used by the crash-recovery
+//! deterministic fault on a stage's K-th execution — `panic`,
+//! `fail:MSG`, or `sleep:MS`. Used by the crash-recovery
 //! harness (`scripts/crash.sh`) to stall a pipeline long enough to
 //! `kill -9` it; never set in production.
 
@@ -63,8 +63,8 @@ disables that guard.
   --metrics-dump   after a graceful shutdown, print the final metrics
                    snapshot (Prometheus text exposition) to stdout
   --fault SPEC     test-only deterministic fault injection,
-                   STAGE:K:ACTION[:ARG][,...] with panic | kill |
-                   fail:MSG | sleep:MS
+                   STAGE:K:ACTION[:ARG][,...] with panic | fail:MSG |
+                   sleep:MS
 
 observe a running daemon with: flowc metrics [--text] | flowc stats";
 
@@ -84,7 +84,6 @@ fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
             .ok_or_else(|| format!("bad execution count in '{rule}'"))?;
         let action = match parts.next() {
             Some("panic") => FaultAction::Panic,
-            Some("kill") => FaultAction::KillWorker,
             Some(rest) => match rest.split_once(':') {
                 Some(("fail", msg)) => FaultAction::Fail(msg.to_string()),
                 Some(("sleep", ms)) => FaultAction::SleepMs(

@@ -181,6 +181,15 @@ pub(crate) fn xorshift64(state: &mut u64) -> u64 {
     fpga_netlist::mix::xorshift64(state)
 }
 
+/// One step of the crate's jittered exponential backoff (client retries,
+/// artifact-tier fetches): a draw over `[window/2, window]` from `rng`,
+/// after which `window` doubles up to `cap_ms`.
+pub(crate) fn backoff_step(window_ms: &mut u64, cap_ms: u64, rng: &mut u64) -> u64 {
+    let window = *window_ms;
+    *window_ms = (window * 2).min(cap_ms);
+    window / 2 + xorshift64(rng) % (window / 2 + 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@ use fpga_flow::CheckKind;
 use fpga_lint::Diagnostic;
 use serde_json::Value;
 
-use crate::breaker::xorshift64;
+use crate::breaker::backoff_step;
 use crate::net;
 use crate::proto::{
     self, from_hex, parse_event, CompileRequest, Event, EventParseError, JobKind, Request,
@@ -503,7 +503,7 @@ pub fn compile_with_retry(
 ) -> Result<CompileOutcome, CompileError> {
     let attempts = policy.max_attempts.max(1);
     let mut rng = policy.jitter_seed;
-    let mut backoff = policy.base_ms.max(1);
+    let mut window_ms = policy.base_ms.max(1);
     let started = std::time::Instant::now();
     let mut attempt_req = req.clone();
     for attempt in 1..=attempts {
@@ -524,8 +524,8 @@ pub fn compile_with_retry(
         if attempt == attempts || !err.is_retryable() {
             return Err(err);
         }
-        // Full jitter over [backoff/2, backoff], floored by the hint.
-        let jittered = backoff / 2 + xorshift64(&mut rng) % (backoff / 2 + 1);
+        // Jittered backoff, floored by the server's hint.
+        let jittered = backoff_step(&mut window_ms, policy.max_backoff_ms.max(1), &mut rng);
         let sleep_ms = jittered.max(err.retry_after_ms().unwrap_or(0));
         if let Some(total) = req.deadline_ms {
             let elapsed = started.elapsed().as_millis() as u64;
@@ -537,7 +537,6 @@ pub fn compile_with_retry(
         }
         on_retry(attempt, &err, sleep_ms);
         std::thread::sleep(Duration::from_millis(sleep_ms));
-        backoff = (backoff * 2).min(policy.max_backoff_ms.max(1));
     }
     unreachable!("loop always returns")
 }
@@ -545,6 +544,7 @@ pub fn compile_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::xorshift64;
     use std::io::Write;
 
     #[test]
@@ -582,6 +582,27 @@ mod tests {
         let seq_a: Vec<u64> = (0..8).map(|_| xorshift64(&mut a) % 1000).collect();
         let seq_b: Vec<u64> = (0..8).map(|_| xorshift64(&mut b) % 1000).collect();
         assert_eq!(seq_a, seq_b);
+    }
+
+    /// The first six sleeps under the default seed, as recorded before
+    /// the step moved to `breaker::backoff_step`: the window doubles from
+    /// 4 ms and holds at the 20 ms cap.
+    #[test]
+    fn retry_sleeps_keep_their_recorded_schedule() {
+        let mut sleeps = Vec::new();
+        let result = compile_with_retry(
+            || Err(io::Error::new(io::ErrorKind::ConnectionRefused, "down")),
+            &CompileRequest::new(SourceFormat::Vhdl, "entity e is end e;"),
+            &RetryPolicy {
+                max_attempts: 7,
+                base_ms: 4,
+                max_backoff_ms: 20,
+                ..RetryPolicy::default()
+            },
+            |_, _, sleep_ms| sleeps.push(sleep_ms),
+        );
+        assert!(matches!(result, Err(CompileError::Io(_))));
+        assert_eq!(sleeps, [3, 7, 16, 17, 14, 20]);
     }
 
     /// A one-connection scripted server: reads the request line, answers

@@ -44,8 +44,8 @@ use serde_json::Value;
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::metrics::{
-    BackendCounters, BackendSnapshot, GatewayArtifactCounters, GatewaySnapshot, JobCounters,
-    JobDurations, GATEWAY_JOB_STATES,
+    BackendCounters, BackendSnapshot, GatewayArtifactCounters, GatewayJobState, GatewaySnapshot,
+    JobCounters, JobDurations, GATEWAY_JOB_STATES,
 };
 use crate::net::{self, Conns, Endpoint, Limits, Node};
 use crate::proto::{self, CompileRequest, Event, JobKind, ReadLineError, Request, PROTO_VERSION};
@@ -323,7 +323,7 @@ impl Gateway {
             backends,
             governor,
             artifacts: GatewayArtifactCounters::default(),
-            jobs: JobCounters::new(&GATEWAY_JOB_STATES),
+            jobs: JobCounters::new(),
             job_durations: JobDurations::default(),
             next_job_id: AtomicU64::new(1),
             conns,
@@ -556,23 +556,17 @@ fn corrupt_hex(s: &mut String) {
 
 /// How one attempt against one backend ended.
 enum Attempt {
-    /// A terminal event was forwarded to the client; the job is over.
-    Terminal(Terminal),
+    /// A terminal event was forwarded to the client; the job ended in
+    /// this state.
+    Terminal(GatewayJobState),
     /// The client connection broke; the job is abandoned.
     ClientGone,
-    /// The backend failed mid-job (connect, drop, lost worker) — a
+    /// The backend failed mid-job (connect, drop, a malformed line) — a
     /// breaker failure; retry on a peer.
     Transient(String),
     /// The backend refused the job (queue full / shutting down) — not a
     /// breaker failure; try a peer.
     Saturated { retry_after_ms: Option<u64> },
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Terminal {
-    Completed,
-    Failed,
-    TimedOut,
 }
 
 /// Run one job through admission, affinity routing, and failover.
@@ -585,7 +579,7 @@ fn handle_job(
 ) -> bool {
     let started = Instant::now();
     let job_id = shared.next_job_id.fetch_add(1, Ordering::SeqCst);
-    shared.jobs.inc("submitted");
+    shared.jobs.inc(GatewayJobState::Submitted);
     let total_deadline_ms = req.deadline_ms;
     let deadline = total_deadline_ms.map(|ms| started + Duration::from_millis(ms));
     let tenant = req.tenant.clone().unwrap_or_else(|| "anon".to_string());
@@ -594,7 +588,7 @@ fn handle_job(
     let permit = match shared.governor.admit(&tenant, deadline) {
         AdmitOutcome::Admitted(permit) => permit,
         AdmitOutcome::Shed { retry_after_ms } => {
-            shared.jobs.inc("shed");
+            shared.jobs.inc(GatewayJobState::Shed);
             return proto::write_line(
                 writer,
                 &Event::Rejected {
@@ -609,7 +603,7 @@ fn handle_job(
             .is_ok();
         }
         AdmitOutcome::Expired => {
-            shared.jobs.inc("timed_out");
+            shared.jobs.inc(GatewayJobState::TimedOut);
             return proto::write_line(
                 writer,
                 &Event::Timeout {
@@ -649,7 +643,7 @@ fn handle_job(
                 let elapsed = started.elapsed().as_millis() as u64;
                 let left = total.saturating_sub(elapsed);
                 if left == 0 {
-                    shared.jobs.inc("timed_out");
+                    shared.jobs.inc(GatewayJobState::TimedOut);
                     return proto::write_line(
                         writer,
                         &Event::Timeout {
@@ -701,7 +695,7 @@ fn handle_job(
         let Some(index) = pick else {
             // Nobody left: shed with the best hint we have. Retryable
             // from the client's point of view (it is a `rejected`).
-            shared.jobs.inc("shed");
+            shared.jobs.inc(GatewayJobState::Shed);
             let (reason, retry_after_ms) = match (&last_saturated, &last_transient) {
                 (Some(hint), _) => (
                     "all backends saturated".to_string(),
@@ -746,20 +740,10 @@ fn handle_job(
             job_id,
             &mut completed_stages,
         ) {
-            Attempt::Terminal(terminal) => {
+            Attempt::Terminal(state) => {
                 shared.job_durations.observe_since(kind, admitted);
                 lock(&backend.breaker).on_success();
-                match terminal {
-                    Terminal::Completed => {
-                        shared.jobs.inc("completed");
-                    }
-                    Terminal::Failed => {
-                        shared.jobs.inc("failed");
-                    }
-                    Terminal::TimedOut => {
-                        shared.jobs.inc("timed_out");
-                    }
-                }
+                shared.jobs.inc(state);
                 return true;
             }
             Attempt::ClientGone => {
@@ -907,17 +891,12 @@ fn forward_events(
                 }
                 None
             }
-            // The backend's worker died under the job; a peer can still
-            // complete it (the compile is pure).
-            Event::Error { kind, message, .. } if kind.as_deref() == Some("worker-lost") => {
-                return Attempt::Transient(format!("{}: {message}", backend.addr));
-            }
-            // Every other `error` is a real flow failure (panics and
-            // lint denials included) and deterministic: failing over
-            // would just fail again.
-            Event::Error { .. } => Some(Terminal::Failed),
-            Event::Timeout { .. } => Some(Terminal::TimedOut),
-            done if done.is_terminal() => Some(Terminal::Completed),
+            // Every `error` is a real flow failure (panics and lint
+            // denials included) and deterministic: failing over would
+            // just fail again.
+            Event::Error { .. } => Some(GatewayJobState::Failed),
+            Event::Timeout { .. } => Some(GatewayJobState::TimedOut),
+            done if done.is_terminal() => Some(GatewayJobState::Completed),
             _ => {
                 return Attempt::Transient(format!(
                     "{} sent an out-of-place event mid-job",

@@ -48,9 +48,8 @@
 //!
 //! The daemon is hardened against misbehaving jobs and clients:
 //!
-//! * a panicking stage answers with `{"event":"error","kind":"panic"}`
-//!   and the worker keeps serving; a worker thread that dies outright is
-//!   respawned by a supervisor, so the pool never shrinks;
+//! * a panic anywhere in a job answers with
+//!   `{"event":"error","kind":"panic"}` and the worker keeps serving;
 //! * every job runs under a deadline (`deadline_ms` on the request,
 //!   clamped to the server's `--max-deadline` cap); overruns answer with
 //!   `{"event":"timeout","completed_stages":[...]}` and a client that
@@ -83,7 +82,6 @@ mod net;
 pub mod proto;
 pub mod queue;
 pub mod service;
-mod supervisor;
 pub mod tenancy;
 
 pub use artifact::RemoteTierClient;

@@ -1,7 +1,7 @@
 //! Process-wide metrics for `flowd`: per-stage latency histograms plus
 //! the counters the rest of the daemon already keeps (job outcomes,
-//! queue depth, worker restarts, cache tiers), gathered into one
-//! snapshot for the `metrics` protocol verb.
+//! queue depth, cache tiers), gathered into one snapshot for the
+//! `metrics` protocol verb.
 //!
 //! Histograms use fixed millisecond bucket bounds (the classic
 //! log-ish ladder 1..5000 ms plus `+Inf`), so two snapshots can be
@@ -329,7 +329,6 @@ const JOBS: Family = counter("flowd_jobs_total", Some("Jobs by terminal state.")
 const QUEUE_DEPTH: Family = gauge("flowd_queue_depth", None);
 const QUEUE_DEPTH_PEAK: Family = gauge("flowd_queue_depth_peak", None);
 const WORKERS_CONFIGURED: Family = gauge("flowd_workers_configured", None);
-const WORKERS_RESPAWNED: Family = counter("flowd_workers_respawned_total", None);
 const CONNECTIONS_OPEN: Family = gauge("flowd_connections_open", None);
 const CONNECTIONS_REJECTED: Family = counter("flowd_connections_rejected_total", None);
 const CACHE_HITS: Family = counter("flowd_cache_hits_total", Some("Stage-cache hits by tier."));
@@ -365,12 +364,11 @@ const JOB_DURATION: Family = family(
 );
 const UNKNOWN_STAGE_EVENTS: Family = counter("flowd_unknown_stage_events_total", None);
 
-const FLOWD_FAMILIES: [Family; 25] = [
+const FLOWD_FAMILIES: [Family; 24] = [
     JOBS,
     QUEUE_DEPTH,
     QUEUE_DEPTH_PEAK,
     WORKERS_CONFIGURED,
-    WORKERS_RESPAWNED,
     CONNECTIONS_OPEN,
     CONNECTIONS_REJECTED,
     CACHE_HITS,
@@ -619,31 +617,56 @@ pub const JOB_STATES: [&str; 7] = [
 /// queue bound) and every backend being saturated or broken.
 pub const GATEWAY_JOB_STATES: [&str; 5] = ["submitted", "completed", "failed", "shed", "timed_out"];
 
+/// A [`JOB_STATES`] slot, named: a misspelled state does not compile.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum JobState {
+    Submitted,
+    Completed,
+    Failed,
+    Rejected,
+    Panicked,
+    TimedOut,
+    Cancelled,
+}
+
+/// A [`GATEWAY_JOB_STATES`] slot, named.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum GatewayJobState {
+    Submitted,
+    Completed,
+    Failed,
+    Shed,
+    TimedOut,
+}
+
 /// Live job counters of one role: a slot per name in its state list.
 pub(crate) struct JobCounters<const N: usize> {
-    states: &'static [&'static str; N],
     counts: [Counter; N],
 }
 
 impl<const N: usize> JobCounters<N> {
-    pub(crate) fn new(states: &'static [&'static str; N]) -> Self {
+    pub(crate) fn new() -> Self {
         JobCounters {
-            states,
             counts: std::array::from_fn(|_| Counter::default()),
-        }
-    }
-
-    /// Count one job reaching `state`, which must be in the state list.
-    pub(crate) fn inc(&self, state: &str) {
-        let slot = self.states.iter().position(|s| *s == state);
-        debug_assert!(slot.is_some(), "unknown job state '{state}'");
-        if let Some(i) = slot {
-            self.counts[i].inc();
         }
     }
 
     pub(crate) fn snapshot(&self) -> [u64; N] {
         std::array::from_fn(|i| self.counts[i].get())
+    }
+}
+
+impl JobCounters<{ JOB_STATES.len() }> {
+    /// Count one flowd job reaching `state`.
+    pub(crate) fn inc(&self, state: JobState) {
+        self.counts[state as usize].inc();
+    }
+}
+
+impl JobCounters<{ GATEWAY_JOB_STATES.len() }> {
+    /// Count one gateway job reaching `state`.
+    pub(crate) fn inc(&self, state: GatewayJobState) {
+        self.counts[state as usize].inc();
     }
 }
 
@@ -668,7 +691,6 @@ pub struct ServiceCounters {
     pub queue_depth: u64,
     pub queue_peak: u64,
     pub workers_configured: u64,
-    pub workers_respawned: u64,
     pub connections_open: u64,
     pub connections_rejected: u64,
 }
@@ -765,7 +787,7 @@ impl MetricsSnapshot {
         );
         root.insert(
             "workers".into(),
-            serde_json::json!({"configured": s.workers_configured, "respawned": s.workers_respawned}),
+            serde_json::json!({"configured": s.workers_configured}),
         );
         root.insert(
             "connections".into(),
@@ -831,7 +853,6 @@ impl MetricsSnapshot {
         w.scalar(&QUEUE_DEPTH, s.queue_depth);
         w.scalar(&QUEUE_DEPTH_PEAK, s.queue_peak);
         w.scalar(&WORKERS_CONFIGURED, s.workers_configured);
-        w.scalar(&WORKERS_RESPAWNED, s.workers_respawned);
         w.scalar(&CONNECTIONS_OPEN, s.connections_open);
         w.scalar(&CONNECTIONS_REJECTED, s.connections_rejected);
         w.cache_tiers(&CACHE_HITS, &CACHE_MISSES, &self.totals());
@@ -1166,6 +1187,53 @@ mod tests {
         assert_eq!(m.unknown_stage_events(), 1);
     }
 
+    /// A typed state counts into the slot its name labels: the variant
+    /// in snake case is its state-list entry, for both roles.
+    #[test]
+    fn job_states_count_into_their_named_slots() {
+        // State `n` (0-based) was counted `n + 1` times.
+        fn expected<S: std::fmt::Debug>(states: &[S]) -> Vec<(String, u64)> {
+            let snake = |state: &S| {
+                let mut out = String::new();
+                for c in format!("{state:?}").chars() {
+                    if c.is_ascii_uppercase() && !out.is_empty() {
+                        out.push('_');
+                    }
+                    out.push(c.to_ascii_lowercase());
+                }
+                out
+            };
+            states.iter().map(snake).zip(1..).collect()
+        }
+        fn counted(names: &[&str], counts: &[u64]) -> Vec<(String, u64)> {
+            let names = names.iter().map(|name| name.to_string());
+            names.zip(counts.iter().copied()).collect()
+        }
+        use GatewayJobState as G;
+        use JobState as J;
+        let flowd = JobCounters::<{ JOB_STATES.len() }>::new();
+        let states = [
+            J::Submitted,
+            J::Completed,
+            J::Failed,
+            J::Rejected,
+            J::Panicked,
+            J::TimedOut,
+            J::Cancelled,
+        ];
+        for (n, state) in states.into_iter().enumerate() {
+            (0..=n).for_each(|_| flowd.inc(state));
+        }
+        assert_eq!(counted(&JOB_STATES, &flowd.snapshot()), expected(&states));
+        let gateway = JobCounters::<{ GATEWAY_JOB_STATES.len() }>::new();
+        let states = [G::Submitted, G::Completed, G::Failed, G::Shed, G::TimedOut];
+        for (n, state) in states.into_iter().enumerate() {
+            (0..=n).for_each(|_| gateway.inc(state));
+        }
+        let gateway = counted(&GATEWAY_JOB_STATES, &gateway.snapshot());
+        assert_eq!(gateway, expected(&states));
+    }
+
     /// The rule families keep the exact JSON and exposition the two
     /// hand-written counter families produced before they became one
     /// table (strings recorded from that commit), including the quirk
@@ -1201,7 +1269,7 @@ mod tests {
         assert_eq!(snap.to_prometheus_text(), RECORDED_TEXT);
     }
 
-    const RECORDED_JSON: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":0,"respawned":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":1,"EQ002":0,"EQ003":1,"unknown":1}}"#;
+    const RECORDED_JSON: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":1,"EQ002":0,"EQ003":1,"unknown":1}}"#;
 
     const RECORDED_TEXT: &str = "\
 # HELP flowd_jobs_total Jobs by terminal state.
@@ -1219,8 +1287,6 @@ flowd_queue_depth 0
 flowd_queue_depth_peak 0
 # TYPE flowd_workers_configured gauge
 flowd_workers_configured 0
-# TYPE flowd_workers_respawned_total counter
-flowd_workers_respawned_total 0
 # TYPE flowd_connections_open gauge
 flowd_connections_open 0
 # TYPE flowd_connections_rejected_total counter
@@ -1309,7 +1375,6 @@ flowd_unknown_verify_rules_total 1
                 queue_depth: 6,
                 queue_peak: 9,
                 workers_configured: 2,
-                workers_respawned: 1,
                 connections_open: 3,
                 connections_rejected: 8,
             },
@@ -1613,7 +1678,7 @@ flowd_unknown_verify_rules_total 1
         );
     }
 
-    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2,"respawned":1},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"remote_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9,"write_errors":4,"scrubbed":6},"remote":{"fetch_hits":4,"fetch_misses":2,"fetch_failures":1,"bytes_fetched":1024,"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"remote_hits":1,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"remote_hits":2,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
+    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"remote_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9,"write_errors":4,"scrubbed":6},"remote":{"fetch_hits":4,"fetch_misses":2,"fetch_failures":1,"bytes_fetched":1024,"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"remote_hits":1,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"remote_hits":2,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
 
     const RECORDED_FLOWD_TEXT: &str = r#"# HELP flowd_jobs_total Jobs by terminal state.
 # TYPE flowd_jobs_total counter
@@ -1630,8 +1695,6 @@ flowd_queue_depth 6
 flowd_queue_depth_peak 9
 # TYPE flowd_workers_configured gauge
 flowd_workers_configured 2
-# TYPE flowd_workers_respawned_total counter
-flowd_workers_respawned_total 1
 # TYPE flowd_connections_open gauge
 flowd_connections_open 3
 # TYPE flowd_connections_rejected_total counter

@@ -1416,6 +1416,8 @@ mod tests {
             (error(Some("shutting-down"), None), Some(None), true),
             (error(Some("oversized"), None), None, true),
             (error(Some("idle-timeout"), None), None, true),
+            // An old backend's dead-worker notice: to a new gateway, a
+            // terminal failure, not a refusal.
             (error(Some("worker-lost"), None), None, true),
             (error(Some("panic"), None), None, true),
             (error(Some("cancelled"), None), None, true),

@@ -5,11 +5,11 @@
 //! Fault-tolerance model (every path here is exercised by the chaos
 //! suite in `tests/`):
 //!
-//! * **Supervised workers** — each job runs under `catch_unwind`, so a
-//!   panicking stage becomes a structured `{"event":"error","kind":
-//!   "panic"}` terminal event and the worker keeps serving; if a worker
-//!   thread dies anyway, the supervisor respawns it (see
-//!   [`crate::supervisor`]), so the pool never shrinks.
+//! * **One panic boundary** — [`worker_loop`] runs each whole job under
+//!   `catch_unwind`, so a panic anywhere in a job becomes a structured
+//!   `{"event":"error","kind":"panic"}` terminal event and the worker
+//!   takes the next job. What can still end a worker thread — an abort,
+//!   a stack overflow — ends the whole process with it.
 //! * **Deadlines & cancellation** — every job carries a
 //!   [`CancelToken`]; the flow checks it between stages. Deadline
 //!   overruns answer with a `timeout` event naming the stages that did
@@ -22,6 +22,7 @@
 
 use std::io::Write;
 use std::net::SocketAddr;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -30,7 +31,7 @@ use std::time::{Duration, Instant};
 use std::{fmt, io};
 
 use fpga_flow::check::{self, CheckKind, Source};
-use fpga_flow::fault::{CancelToken, FaultPlan, KILL_WORKER_PANIC};
+use fpga_flow::fault::{CancelToken, FaultPlan};
 use fpga_flow::sync::lock;
 use fpga_flow::{DiskStore, FlowCtx, StageCache, TraceLog};
 use fpga_lint::Diagnostic;
@@ -38,12 +39,12 @@ use serde_json::Value;
 
 use crate::artifact::RemoteTierClient;
 use crate::metrics::{
-    counts_json, JobCounters, JobDurations, Metrics, MetricsSnapshot, ServiceCounters, JOB_STATES,
+    counts_json, JobCounters, JobDurations, JobState, Metrics, MetricsSnapshot, ServiceCounters,
+    JOB_STATES,
 };
 use crate::net::{self, Conns, Endpoint, Limits, Node};
 use crate::proto::{self, CompileRequest, Event, JobKind, SourceFormat, PROTO_VERSION};
 use crate::queue::JobQueue;
-use crate::supervisor;
 
 /// Where and how the daemon runs.
 #[derive(Clone, Debug)]
@@ -160,9 +161,6 @@ struct Shared {
     jobs: JobCounters<{ JOB_STATES.len() }>,
     /// Request parsed → terminal event written, per job verb.
     job_durations: JobDurations,
-    /// `Arc`ed separately so the supervisor can count respawns without
-    /// holding the whole shared state.
-    workers_respawned: Arc<AtomicU64>,
     next_job_id: AtomicU64,
 }
 
@@ -190,10 +188,7 @@ impl Node for Shared {
         root.insert("jobs".to_string(), Value::Object(jobs));
         root.insert(
             "workers".to_string(),
-            serde_json::json!({
-                "configured": self.config.workers.max(1) as u64,
-                "respawned": self.workers_respawned.load(Ordering::Relaxed),
-            }),
+            serde_json::json!({"configured": self.config.workers.max(1) as u64}),
         );
         root.insert(
             "connections".to_string(),
@@ -231,10 +226,7 @@ impl Node for Shared {
                 "capacity": self.config.queue_capacity as u64,
                 "peak": self.queue.peak() as u64,
             }),
-            "workers": serde_json::json!({
-                "configured": self.config.workers.max(1) as u64,
-                "respawned": self.workers_respawned.load(Ordering::Relaxed),
-            }),
+            "workers": serde_json::json!({"configured": self.config.workers.max(1) as u64}),
             "connections": serde_json::json!({
                 "open": self.conns.open(),
                 "limit": self.config.max_connections as u64,
@@ -281,7 +273,6 @@ impl Shared {
             queue_depth: self.queue.len() as u64,
             queue_peak: self.queue.peak() as u64,
             workers_configured: self.config.workers.max(1) as u64,
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
             connections_open: self.conns.open(),
             connections_rejected: self.conns.rejected(),
         };
@@ -312,7 +303,7 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     endpoint: Endpoint,
-    /// The worker supervisor.
+    /// The worker pool.
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -326,8 +317,7 @@ impl fmt::Debug for Server {
 }
 
 impl Server {
-    /// Bind the configured listeners and start the supervised worker
-    /// pool.
+    /// Bind the configured listeners and start the worker pool.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         if config.tcp_addr.is_none() && config.unix_path.is_none() {
             return Err(io::Error::new(
@@ -372,9 +362,8 @@ impl Server {
             config,
             metrics: Metrics::new(),
             conns,
-            jobs: JobCounters::new(&JOB_STATES),
+            jobs: JobCounters::new(),
             job_durations: JobDurations::default(),
-            workers_respawned: Arc::new(AtomicU64::new(0)),
             next_job_id: AtomicU64::new(1),
         });
 
@@ -383,17 +372,18 @@ impl Server {
             shared.config.unix_path.as_deref(),
             Arc::clone(&shared) as Arc<dyn Node>,
         )?;
-        let worker_shared = Arc::clone(&shared);
-        let supervisor = supervisor::supervise_workers(
-            "flowd-worker",
-            workers,
-            Arc::clone(&shared.workers_respawned),
-            move || worker_loop(&worker_shared),
-        )?;
+        let threads = (0..workers)
+            .map(|n| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("flowd-worker-{n}"))
+                    .spawn(move || worker_loop(&shared))
+            })
+            .collect::<io::Result<_>>()?;
         Ok(Server {
             shared,
             endpoint,
-            threads: vec![supervisor],
+            threads,
         })
     }
 
@@ -560,7 +550,7 @@ fn handle_submit(
         deadline_ms,
     }) {
         Err(reason) => {
-            shared.jobs.inc("rejected");
+            shared.jobs.inc(JobState::Rejected);
             let rejected = Event::Rejected {
                 job: id,
                 reason: reason.to_string(),
@@ -569,7 +559,7 @@ fn handle_submit(
             proto::write_line(writer, &rejected.to_value()).is_ok()
         }
         Ok(()) => {
-            shared.jobs.inc("submitted");
+            shared.jobs.inc(JobState::Submitted);
             if proto::write_line(writer, &Event::Queued { job: id }.to_value()).is_err() {
                 // Client left before the ack: stop the job at its next
                 // stage boundary instead of computing for nobody.
@@ -577,7 +567,6 @@ fn handle_submit(
                 return false;
             }
             // Forward until the worker's terminal event.
-            let mut saw_terminal = false;
             for event in rx {
                 let terminal = event.is_terminal();
                 if proto::write_line(writer, &event.to_value()).is_err() {
@@ -585,24 +574,7 @@ fn handle_submit(
                     return false;
                 }
                 if terminal {
-                    saw_terminal = true;
                     break;
-                }
-            }
-            if !saw_terminal {
-                // The worker died mid-job (its event sender dropped
-                // without a terminal event). The supervisor is already
-                // respawning it; tell the client what happened.
-                let lost = Event::Error {
-                    job: Some(id),
-                    kind: Some("worker-lost".into()),
-                    stage: None,
-                    message: "worker died while running this job".into(),
-                    retry_after_ms: None,
-                    diagnostics: Vec::new(),
-                };
-                if proto::write_line(writer, &lost.to_value()).is_err() {
-                    return false;
                 }
             }
             shared.job_durations.observe_since(kind, started);
@@ -611,9 +583,28 @@ fn handle_submit(
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
+/// The one panic boundary: a panic anywhere in a job becomes that job's
+/// `panic` terminal, and the worker takes the next job. The job is
+/// counted and answered here, once, after [`run_job`] has built its
+/// ending — so a panic cannot leave a job with two counts or two
+/// terminals, nor with none.
+fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.next() {
-        run_job(shared, job);
+        let (id, events) = (job.id, job.events.clone());
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| run_job(shared, job)));
+        let (state, terminal) = run.unwrap_or_else(|payload| {
+            let panic = Event::Error {
+                job: Some(id),
+                kind: Some("panic".into()),
+                stage: None,
+                message: panic_message(payload.as_ref()),
+                retry_after_ms: None,
+                diagnostics: Vec::new(),
+            };
+            (JobState::Panicked, panic)
+        });
+        shared.jobs.inc(state);
+        let _ = events.send(terminal);
     }
 }
 
@@ -634,10 +625,12 @@ enum Finished {
     Checked(CheckKind, fpga_flow::CheckReport),
 }
 
-/// Run one job under the panic guard and classify its ending: `done` or
-/// a check report, flow `error`, structured `panic`, `timeout` (with the
-/// completed-stage list), or silent cancellation after a client hang-up.
-fn run_job(shared: &Arc<Shared>, job: Job) {
+/// Run one job, streaming its stage events, and classify its ending:
+/// `done` or a check report, flow `error`, `timeout` (with the
+/// completed-stage list), or cancellation after a client hang-up.
+/// Returns the state to count and the terminal event to send, which
+/// [`worker_loop`] does.
+fn run_job(shared: &Shared, job: Job) -> (JobState, Event) {
     let Job {
         id,
         kind,
@@ -648,19 +641,18 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
     } = job;
     let mut options = match req.flow_options() {
         Ok(opts) => opts,
+        // Unreachable in practice: options were validated at parse
+        // time. Kept as a structured error, not a panic.
         Err(message) => {
-            // Unreachable in practice: options were validated at parse
-            // time. Kept as a structured error, not a panic.
-            shared.jobs.inc("failed");
-            let _ = events.send(Event::Error {
+            let error = Event::Error {
                 job: Some(id),
                 kind: None,
                 stage: Some("options".into()),
                 message,
                 retry_after_ms: None,
                 diagnostics: Vec::new(),
-            });
-            return;
+            };
+            return (JobState::Failed, error);
         }
     };
     // Per-job thread count beats the daemon default; neither enters the
@@ -672,7 +664,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
     // a timeout can report how far the job got. The sender side never
     // blocks; if the client left, sends fail and are ignored.
     let completed = Mutex::new(Vec::<String>::new());
-    let tx = Mutex::new(events.clone());
+    let tx = Mutex::new(events);
     let observer = |s: &fpga_flow::StageReport| {
         if s.ok {
             lock(&completed).push(s.stage.clone());
@@ -690,37 +682,34 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
         });
     };
     let trace = req.trace.then(TraceLog::new);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut builder = FlowCtx::builder()
-            .cache(&shared.cache)
-            .observer(&observer)
-            .cancel(&cancel);
-        if let Some(fault) = shared.config.fault.as_deref() {
-            builder = builder.fault(fault);
+    let mut builder = FlowCtx::builder()
+        .cache(&shared.cache)
+        .observer(&observer)
+        .cancel(&cancel);
+    if let Some(fault) = shared.config.fault.as_deref() {
+        builder = builder.fault(fault);
+    }
+    if let Some(trace) = &trace {
+        builder = builder.trace(trace);
+    }
+    let ctx = builder.build();
+    let result = match (kind, req.format) {
+        (JobKind::Compile, SourceFormat::Vhdl) => {
+            fpga_flow::compile_vhdl_ctx(&req.source, &options, ctx)
+                .map(|done| Finished::Compiled(Box::new(done)))
         }
-        if let Some(trace) = &trace {
-            builder = builder.trace(trace);
+        (JobKind::Compile, SourceFormat::Blif) => {
+            fpga_flow::compile_blif_ctx(&req.source, &options, ctx)
+                .map(|done| Finished::Compiled(Box::new(done)))
         }
-        let ctx = builder.build();
-        match (kind, req.format) {
-            (JobKind::Compile, SourceFormat::Vhdl) => {
-                fpga_flow::compile_vhdl_ctx(&req.source, &options, ctx)
-                    .map(|done| Finished::Compiled(Box::new(done)))
-            }
-            (JobKind::Compile, SourceFormat::Blif) => {
-                fpga_flow::compile_blif_ctx(&req.source, &options, ctx)
-                    .map(|done| Finished::Compiled(Box::new(done)))
-            }
-            (JobKind::Check(check), format) => {
-                let source = match format {
-                    SourceFormat::Vhdl => Source::Vhdl(&req.source),
-                    SourceFormat::Blif => Source::Blif(&req.source),
-                };
-                check::deep(check, source, &options, ctx)
-                    .map(|report| Finished::Checked(check, report))
-            }
+        (JobKind::Check(check), format) => {
+            let source = match format {
+                SourceFormat::Vhdl => Source::Vhdl(&req.source),
+                SourceFormat::Blif => Source::Blif(&req.source),
+            };
+            check::deep(check, source, &options, ctx).map(|report| Finished::Checked(check, report))
         }
-    }));
+    };
     // EQ findings feed the flowd_verify_* family; everything else the
     // flowd_lint_* family. A finding is counted where its rule lives,
     // not by which job kind surfaced it.
@@ -730,89 +719,71 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
         }
     };
     match result {
-        Err(payload) => {
-            if payload.downcast_ref::<&str>() == Some(&KILL_WORKER_PANIC) {
-                // Fault-injection asked for a dead worker: let the
-                // unwind continue so the supervisor's respawn path runs.
-                // The job's channel drops without a terminal event; the
-                // connection answers with `worker-lost`.
-                std::panic::resume_unwind(payload);
-            }
-            shared.jobs.inc("panicked");
-            let _ = events.send(Event::Error {
-                job: Some(id),
-                kind: Some("panic".into()),
-                stage: None,
-                message: panic_message(payload.as_ref()),
-                retry_after_ms: None,
-                diagnostics: Vec::new(),
-            });
-        }
-        Ok(Ok(Finished::Compiled(done))) => {
-            shared.jobs.inc("completed");
+        Ok(Finished::Compiled(done)) => {
             count_rules(&done.lint);
-            let _ = events.send(Event::Done {
+            let event = Event::Done {
                 job: id,
                 design: done.report.design.clone(),
                 report: serde_json::to_value(&done.report),
                 bitstream_hex: proto::to_hex(done.bitstream_bytes()),
                 trace: trace.as_ref().map(TraceLog::to_value),
                 lint: done.lint,
-            });
+            };
+            (JobState::Completed, event)
         }
-        Ok(Ok(Finished::Checked(kind, report))) => {
+        Ok(Finished::Checked(kind, report)) => {
             // A check job "completes" whatever it found; severity is the
             // client's verdict to act on, carried in the diagnostics.
-            shared.jobs.inc("completed");
             count_rules(&report.diagnostics);
-            let _ = events.send(Event::Report {
+            let event = Event::Report {
                 kind,
                 job: id,
                 design: report.design.clone(),
                 reached: report.reached.to_string(),
                 diagnostics: report.diagnostics,
-            });
+            };
+            (JobState::Completed, event)
         }
-        Ok(Err(e)) => {
-            let completed = lock(&completed);
-            if cancel.cancelled() {
-                // The client hung up; nobody is listening, but the event
-                // documents the ending for any late reader.
-                shared.jobs.inc("cancelled");
-                let _ = events.send(Event::Error {
-                    job: Some(id),
-                    kind: Some("cancelled".into()),
-                    stage: None,
-                    message: "job cancelled (client disconnected)".into(),
-                    retry_after_ms: None,
-                    diagnostics: Vec::new(),
-                });
-            } else if cancel.timed_out() {
-                shared.jobs.inc("timed_out");
-                let _ = events.send(Event::Timeout {
-                    job: id,
-                    deadline_ms,
-                    message: format!(
-                        "deadline of {}ms exceeded after {} completed stage(s)",
-                        deadline_ms.unwrap_or(0),
-                        completed.len()
-                    ),
-                    completed_stages: completed.clone(),
-                });
-            } else {
-                shared.jobs.inc("failed");
-                // A denied gate carries the run's findings; any other
-                // failure carries none.
-                count_rules(&e.diagnostics);
-                let _ = events.send(Event::Error {
-                    job: Some(id),
-                    kind: None,
-                    stage: Some(e.stage.to_string()),
-                    message: e.message,
-                    retry_after_ms: None,
-                    diagnostics: e.diagnostics,
-                });
-            }
+        // The client hung up; nobody is listening, but the event
+        // documents the ending for any late reader.
+        Err(_) if cancel.cancelled() => {
+            let event = Event::Error {
+                job: Some(id),
+                kind: Some("cancelled".into()),
+                stage: None,
+                message: "job cancelled (client disconnected)".into(),
+                retry_after_ms: None,
+                diagnostics: Vec::new(),
+            };
+            (JobState::Cancelled, event)
+        }
+        Err(_) if cancel.timed_out() => {
+            let completed = lock(&completed).clone();
+            let event = Event::Timeout {
+                job: id,
+                deadline_ms,
+                message: format!(
+                    "deadline of {}ms exceeded after {} completed stage(s)",
+                    deadline_ms.unwrap_or(0),
+                    completed.len()
+                ),
+                completed_stages: completed,
+            };
+            (JobState::TimedOut, event)
+        }
+        Err(e) => {
+            // A denied gate carries the run's findings; any other
+            // failure carries none.
+            count_rules(&e.diagnostics);
+            let event = Event::Error {
+                job: Some(id),
+                kind: None,
+                stage: Some(e.stage.to_string()),
+                message: e.message,
+                retry_after_ms: None,
+                diagnostics: e.diagnostics,
+            };
+            (JobState::Failed, event)
         }
     }
 }
@@ -861,11 +832,11 @@ mod tests {
         server.shutdown();
     }
 
-    const RECORDED_METRICS: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":3,"respawned":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{"synthesis":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"lut_map":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"pack":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"place":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"route":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"power":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"bitstream":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"verify":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0}},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":0,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"verify_rules":{"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"event":"metrics","version":"ifdf-0.2.0","proto_version":6}"#;
+    const RECORDED_METRICS: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":3},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{"synthesis":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"lut_map":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"pack":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"place":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"route":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"power":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"bitstream":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"verify":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0}},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":0,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"verify_rules":{"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"event":"metrics","version":"ifdf-0.2.0","proto_version":6}"#;
 
-    const RECORDED_STATS: &str = r#"{"event":"stats","version":"ifdf-0.2.0","jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0,"queued":0},"workers":{"configured":3,"respawned":0},"connections":{"open":0,"rejected":0,"limit":7},"limits":{"max_deadline_ms":60000,"idle_timeout_ms":null,"max_line_bytes":4096,"retry_after_ms":150},"cache":{"entries":0,"hits":0,"misses":0,"memory_evicted":0,"stages":{"synthesis":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"lut_map":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"pack":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"place":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"route":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"power":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"bitstream":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"verify":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0}}}}"#;
+    const RECORDED_STATS: &str = r#"{"event":"stats","version":"ifdf-0.2.0","jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0,"queued":0},"workers":{"configured":3},"connections":{"open":0,"rejected":0,"limit":7},"limits":{"max_deadline_ms":60000,"idle_timeout_ms":null,"max_line_bytes":4096,"retry_after_ms":150},"cache":{"entries":0,"hits":0,"misses":0,"memory_evicted":0,"stages":{"synthesis":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"lut_map":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"pack":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"place":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"route":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"power":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"bitstream":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"verify":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0}}}}"#;
 
-    const RECORDED_STATUS: &str = r#"{"event":"status","role":"flowd","version":"ifdf-0.2.0","proto_version":6,"shutting_down":false,"queue":{"depth":0,"capacity":5,"peak":0},"workers":{"configured":3,"respawned":0},"connections":{"open":0,"limit":7}}"#;
+    const RECORDED_STATUS: &str = r#"{"event":"status","role":"flowd","version":"ifdf-0.2.0","proto_version":6,"shutting_down":false,"queue":{"depth":0,"capacity":5,"peak":0},"workers":{"configured":3},"connections":{"open":0,"limit":7}}"#;
 
     #[test]
     fn deadline_clamping() {

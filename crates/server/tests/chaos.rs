@@ -277,8 +277,7 @@ fn one_daemon_survives_panic_timeout_oversize_and_overload() {
         assert_eq!(ev["event"], serde_json::json!("stage"));
     }
 
-    // --- The ledger: every scenario left its mark, and the pool never
-    // needed a respawn (panics are absorbed above the thread).
+    // --- The ledger: every scenario left its mark on one worker.
     let stats = server.stats_json();
     assert_eq!(
         stats["jobs"]["completed"],
@@ -293,7 +292,6 @@ fn one_daemon_survives_panic_timeout_oversize_and_overload() {
         "F plus at least one of G's early attempts"
     );
     assert_eq!(stats["workers"]["configured"], serde_json::json!(1u64));
-    assert_eq!(stats["workers"]["respawned"], serde_json::json!(0u64));
     server.shutdown();
 }
 

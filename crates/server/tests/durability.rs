@@ -1,6 +1,7 @@
 //! Durable-cache acceptance tests: stage artifacts survive daemon
 //! restarts, corruption is quarantined instead of failing jobs, and a
-//! crash mid-pipeline loses only the stages that had not finished.
+//! job that panics mid-pipeline loses only the stages that had not
+//! finished.
 //!
 //! Each scenario runs two daemon *lifetimes* over one `--cache-dir`:
 //! the first populates the store, the second proves what persisted.
@@ -190,28 +191,28 @@ fn corrupt_entry_is_quarantined_and_recomputed_without_failing_the_job() {
 }
 
 #[test]
-fn killed_worker_mid_pipeline_loses_only_unfinished_stages() {
-    let dir = temp_cache_dir("kill");
+fn panicking_job_mid_pipeline_loses_only_unfinished_stages() {
+    let dir = temp_cache_dir("panic");
     let src = fpga_circuits::vhdl_counter(5);
 
-    // Lifetime 1: the worker dies at place's fault hook (which fires
+    // Lifetime 1: the job panics at place's fault hook (which fires
     // *before* the cache lookup), so synthesis/lut_map/pack persisted
     // and nothing later did.
-    let plan = FaultPlan::new().on("place", 1, FaultAction::KillWorker);
+    let plan = FaultPlan::new().on("place", 1, FaultAction::Panic);
     let first = server_on(&dir, Some(plan));
     let err = FlowClient::connect_tcp(first.tcp_addr().expect("tcp enabled"))
         .expect("connect")
         .compile_detailed("vhdl", &src, Value::Null, None)
-        .expect_err("the worker was killed mid-job");
+        .expect_err("the job panicked mid-pipeline");
     match err {
-        CompileError::Failed { kind, .. } => assert_eq!(kind.as_deref(), Some("worker-lost")),
-        other => panic!("expected worker-lost, got {other}"),
+        CompileError::Failed { kind, .. } => assert_eq!(kind.as_deref(), Some("panic")),
+        other => panic!("expected panic, got {other}"),
     }
     first.shutdown();
     assert_eq!(
         entry_files(&dir).len(),
         3,
-        "only the stages that finished before the kill persisted"
+        "only the stages that finished before the panic persisted"
     );
 
     // Lifetime 2: a clean daemon resumes from the durable prefix.

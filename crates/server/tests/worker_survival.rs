@@ -1,9 +1,11 @@
-//! Supervisor-level fault tolerance: dead worker threads are replaced,
-//! and a storm of panicking jobs cannot shrink the pool or wedge the
-//! daemon.
+//! Worker-level fault tolerance: a panic at any stage, or a storm of
+//! panicking jobs, is answered job by job and cannot shrink the pool or
+//! wedge the daemon.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
+use fpga_flow::cache::STAGES;
 use fpga_flow::fault::{FaultAction, FaultPlan};
 use fpga_server::client::CompileError;
 use fpga_server::{FlowClient, Server, ServerConfig};
@@ -26,38 +28,61 @@ fn connect(server: &Server) -> FlowClient {
 }
 
 #[test]
-fn a_killed_worker_is_respawned_and_the_next_job_completes() {
-    // KillWorker escapes the per-job panic guard on purpose: the worker
-    // thread itself dies. The client is told the worker was lost; the
-    // supervisor replaces the thread; the next job runs on the
-    // replacement — same daemon, still one configured worker.
-    let server = start(
-        1,
-        4,
-        FaultPlan::new().on("synthesis", 1, FaultAction::KillWorker),
-    );
-    let src = fpga_circuits::vhdl_counter(4);
+fn a_panic_at_every_stage_leaves_every_worker_serving() {
+    // A `Panic` fault fires once at each of the eight stages. Jobs run
+    // one at a time on distinct designs, so job k passes the stages
+    // before k and panics at stage k. Then `workers + 1` clean jobs run
+    // at once, each under a deadline: a worker lost to any of the
+    // panics would leave one of them unanswered.
+    const DEADLINE_MS: u64 = 60_000;
+    for workers in [1, 3] {
+        let mut plan = FaultPlan::new();
+        for stage in STAGES {
+            plan = plan.on(stage.name(), 1, FaultAction::Panic);
+        }
+        let server = start(workers, 8, plan);
+        for (k, stage) in STAGES.iter().enumerate() {
+            let src = fpga_circuits::vhdl_counter(2 + k);
+            let err = connect(&server)
+                .compile_detailed("vhdl", &src, Value::Null, Some(DEADLINE_MS))
+                .expect_err("the job panics");
+            match err {
+                CompileError::Failed { kind, message, .. } => {
+                    assert_eq!(kind.as_deref(), Some("panic"), "{message}");
+                    let at = format!("injected panic at stage '{}'", stage.name());
+                    assert!(message.contains(&at), "{message}");
+                }
+                other => panic!("expected a panic at {}, got {other}", stage.name()),
+            }
+        }
 
-    let mut client = connect(&server);
-    let err = client
-        .compile_detailed("vhdl", &src, Value::Null, None)
-        .expect_err("the worker died under this job");
-    match err {
-        CompileError::Failed { kind, .. } => assert_eq!(kind.as_deref(), Some("worker-lost")),
-        other => panic!("expected worker-lost, got {other}"),
+        let (tx, rx) = mpsc::channel();
+        for i in 0..=workers {
+            let mut client = connect(&server);
+            let src = fpga_circuits::vhdl_counter(10 + i);
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let _ =
+                    tx.send(client.compile_detailed("vhdl", &src, Value::Null, Some(DEADLINE_MS)));
+            });
+        }
+        for _ in 0..=workers {
+            let outcome = rx
+                .recv_timeout(Duration::from_millis(2 * DEADLINE_MS))
+                .expect("every clean job is answered")
+                .expect("and completes");
+            assert_eq!(outcome.stage_events.len(), 8);
+        }
+
+        let stats = server.stats_json();
+        assert_eq!(stats["jobs"]["panicked"], serde_json::json!(8u64));
+        assert_eq!(
+            stats["jobs"]["completed"],
+            serde_json::json!(workers as u64 + 1)
+        );
+        assert_eq!(stats["jobs"]["failed"], serde_json::json!(0u64));
+        server.shutdown();
     }
-
-    let outcome = client
-        .compile_detailed("vhdl", &src, Value::Null, None)
-        .expect("the respawned worker serves the next job");
-    assert_eq!(outcome.stage_events.len(), 8);
-
-    let stats = server.stats_json();
-    assert_eq!(stats["workers"]["configured"], serde_json::json!(1u64));
-    assert_eq!(stats["workers"]["respawned"], serde_json::json!(1u64));
-    assert_eq!(stats["jobs"]["completed"], serde_json::json!(1u64));
-    assert_eq!(stats["jobs"]["panicked"], serde_json::json!(0u64));
-    server.shutdown();
 }
 
 #[test]
@@ -123,6 +148,5 @@ fn a_storm_of_panics_interleaved_with_good_jobs_leaves_the_pool_intact() {
     );
     assert_eq!(stats["jobs"]["rejected"], serde_json::json!(0u64));
     assert_eq!(stats["workers"]["configured"], serde_json::json!(3u64));
-    assert_eq!(stats["workers"]["respawned"], serde_json::json!(0u64));
     server.shutdown();
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Deterministic chaos run: the fault-injection suites that prove flowd
-# survives panicking stages, dead workers, deadline overruns, oversized
-# requests, and saturation — all under a pinned jitter seed so every run
+# survives panicking stages, deadline overruns, oversized requests, and
+# saturation — all under a pinned jitter seed so every run
 # retries on the same schedule. Override with CHAOS_SEED=N to explore;
 # any seed must pass.
 set -eu
@@ -18,7 +18,7 @@ cargo test -q -p fpga-flow fault
 echo "==> flowd chaos suite (panic / timeout / oversize / overload)"
 cargo test -q -p fpga-server --test chaos
 
-echo "==> flowd worker-survival suite (kill + respawn, panic storm)"
+echo "==> flowd worker-survival suite (a panic at every stage, panic storm)"
 cargo test -q -p fpga-server --test worker_survival
 
 echo "Chaos run passed."

@@ -5,31 +5,52 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# check_allowlist WHAT ALLOWLIST HINT SITES: SITES is a leg's unfiltered
+# `<file>: <trimmed line>` output. Fails on a site no entry of ALLOWLIST
+# matches, and on an entry that matches no site: a stale entry silently
+# pre-approves the return of the code it named.
+check_allowlist() {
+    unlisted=$(printf '%s\n' "$4" | grep -vFf "$2" || true)
+    if [ -n "$unlisted" ]; then
+        echo "FAIL: unallowlisted $1:" >&2
+        echo "$unlisted" >&2
+        echo "($3)" >&2
+        exit 1
+    fi
+    stale=$(grep -v '^#' "$2" | while IFS= read -r entry; do
+        printf '%s\n' "$4" | grep -qF -- "$entry" || printf '%s\n' "$entry"
+    done)
+    if [ -n "$stale" ]; then
+        echo "FAIL: stale $2 entries (no $1 matches them):" >&2
+        echo "$stale" >&2
+        echo "(delete them)" >&2
+        exit 1
+    fi
+}
+
 echo "==> source lint: no unwrap()/expect( outside tests and the allowlist"
 # Scan non-test code (everything above the first #[cfg(test)]) in the
 # flow and server crates. Justified sites live in
 # scripts/lint-allowlist.txt as `<file>: <trimmed line>`; anything else
-# is a new panic path and fails the gate.
+# is a new panic path and fails the gate, and so does an entry no site
+# matches any more.
 UNWRAPS=$(
     for f in crates/server/src/*.rs crates/server/src/bin/*.rs \
              crates/flow/src/*.rs crates/flow/src/bin/*.rs; do
         awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
             /\.unwrap\(\)|\.expect\(/{ sub(/^[ \t]+/, ""); print file": "$0 }' "$f"
-    done | grep -vFf scripts/lint-allowlist.txt || true
+    done
 )
-if [ -n "$UNWRAPS" ]; then
-    echo "FAIL: unallowlisted unwrap()/expect( in non-test code:" >&2
-    echo "$UNWRAPS" >&2
-    echo "(handle the error, or justify and add to scripts/lint-allowlist.txt)" >&2
-    exit 1
-fi
+check_allowlist "unwrap()/expect( in non-test code" scripts/lint-allowlist.txt \
+    "handle the error, or justify and add to scripts/lint-allowlist.txt" "$UNWRAPS"
 
 echo "==> source lint: no HashMap/HashSet in canonical-bytes / cache-key code"
 # The canonical encoders (stage-artifact codecs, canonical netlist text)
 # and the cache-key/digest plumbing must be iteration-order
 # deterministic: one HashMap iteration in a to_bytes path forks every
 # downstream cache key. Justified non-iterated uses live in
-# scripts/canon-allowlist.txt, same format as the unwrap allowlist.
+# scripts/canon-allowlist.txt, same format (and same staleness rule) as
+# the unwrap allowlist.
 HASHED=$(
     for f in crates/netlist/src/codec.rs crates/netlist/src/canonical.rs \
              crates/pack/src/codec.rs crates/place/src/codec.rs \
@@ -38,14 +59,10 @@ HASHED=$(
              crates/flow/src/store.rs; do
         awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
             /HashMap|HashSet/ && !/^[ \t]*\/\//{ sub(/^[ \t]+/, ""); print file": "$0 }' "$f"
-    done | grep -vFf scripts/canon-allowlist.txt || true
+    done
 )
-if [ -n "$HASHED" ]; then
-    echo "FAIL: HashMap/HashSet in canonical-bytes / cache-key code:" >&2
-    echo "$HASHED" >&2
-    echo "(use a BTreeMap/sorted Vec, or justify and add to scripts/canon-allowlist.txt)" >&2
-    exit 1
-fi
+check_allowlist "HashMap/HashSet in canonical-bytes / cache-key code" scripts/canon-allowlist.txt \
+    "use a BTreeMap/sorted Vec, or justify and add to scripts/canon-allowlist.txt" "$HASHED"
 
 echo "==> source lint: no HashMap/HashSet in the annealer's move loop (crates/place/src/sa.rs, run_region up to region_side)"
 # The placer's runtime is the cost of one move: run_region and run_phase
@@ -127,6 +144,37 @@ if [ "$RECOVERIES" != "crates/flow/src/sync.rs" ]; then
 fi
 if grep -n 'rest @ \.\.' crates/server/src/metrics.rs >&2; then
     echo "FAIL: crates/server/src/metrics.rs binds a metric family by position (use its const)" >&2
+    exit 1
+fi
+
+echo "==> source lint: one panic boundary (service.rs's worker loop), no worker supervisor"
+# A panic anywhere in a job is that job's `panic` terminal, caught once
+# around the whole job in service::worker_loop. What can still end a
+# worker thread (an abort, a stack overflow) ends the process, so no
+# supervisor, respawn counter or dead-worker error kind may come back.
+# Comment lines do not count as a catch; every line counts as a name.
+# No allowlist.
+CATCHES=$(
+    find crates/server/src -name '*.rs' | sort | while read -r f; do
+        awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
+            /catch_unwind/ && !/^[ \t]*\/\//{ print file }' "$f"
+    done
+)
+if [ "$CATCHES" != "crates/server/src/service.rs" ]; then
+    echo "FAIL: catch_unwind must occur exactly once in non-test server code, in crates/server/src/service.rs; found in:" >&2
+    printf '%s\n' "${CATCHES:-(none)}" >&2
+    exit 1
+fi
+SUPERVISION=$(
+    find crates/*/src -name '*.rs' | sort | while read -r f; do
+        awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
+            /supervis|KillWorker|KILL_WORKER|worker-lost|respawn/{ print file":"FNR": "$0 }' "$f"
+    done
+    grep -n 'supervis\|KillWorker\|KILL_WORKER\|worker-lost\|respawn' README.md DESIGN.md || true
+)
+if [ -n "$SUPERVISION" ]; then
+    echo "FAIL: the worker supervisor and its respawn / dead-worker plumbing are gone; found:" >&2
+    echo "$SUPERVISION" >&2
     exit 1
 fi
 
