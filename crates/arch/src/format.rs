@@ -106,16 +106,7 @@ pub fn parse_arch_text(text: &str) -> Result<Architecture, String> {
             other => return Err(format!("line {}: unknown keyword '{other}'", lineno + 1)),
         }
     }
-    // Sanity constraints.
-    if arch.clb.lut_k < 2 || arch.clb.lut_k > 6 {
-        return Err(format!(
-            "lut_k {} out of the supported 2..=6 range",
-            arch.clb.lut_k
-        ));
-    }
-    if arch.clb.cluster_size == 0 || arch.clb.outputs != arch.clb.cluster_size {
-        return Err("clb_outputs must equal cluster_size (one per BLE)".to_string());
-    }
+    arch.validate()?;
     Ok(arch)
 }
 

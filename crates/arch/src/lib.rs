@@ -175,7 +175,38 @@ impl Architecture {
 
     /// Parse the JSON architecture file.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
+        let arch: Self = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        arch.validate()?;
+        Ok(arch)
+    }
+
+    /// The one check both front doors (`from_json`, `parse_arch_text`)
+    /// apply: a field the tools cannot honour is refused by name, never
+    /// silently ignored.
+    pub fn validate(&self) -> Result<(), String> {
+        let (clb, routing) = (&self.clb, &self.routing);
+        if !(2..=6).contains(&clb.lut_k) {
+            return Err(format!(
+                "lut_k {} out of the supported 2..=6 range",
+                clb.lut_k
+            ));
+        }
+        if clb.cluster_size == 0 || clb.outputs != clb.cluster_size {
+            return Err("clb_outputs must equal cluster_size (one per BLE)".to_string());
+        }
+        if routing.segment_length != 1 {
+            return Err(format!(
+                "segment_length {} unsupported: the routing graph has length-1 wires only",
+                routing.segment_length
+            ));
+        }
+        if routing.fs != 3 {
+            return Err(format!(
+                "fs {} unsupported: the routing graph has the disjoint Fs = 3 switch box only",
+                routing.fs
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -236,5 +267,28 @@ mod tests {
         let back = Architecture::from_json(&js).unwrap();
         assert_eq!(back, arch);
         assert!(Architecture::from_json("{bad").is_err());
+    }
+
+    #[test]
+    fn both_front_doors_refuse_the_same_fields_by_name() {
+        type Edit = fn(&mut Architecture);
+        let cases: [(&str, Edit); 5] = [
+            ("clb_outputs", |a| a.clb.outputs = 3),
+            ("lut_k", |a| a.clb.lut_k = 9),
+            ("cluster_size", |a| a.clb.cluster_size = 0),
+            ("segment_length", |a| a.routing.segment_length = 4),
+            ("fs", |a| a.routing.fs = 6),
+        ];
+        for (field, edit) in cases {
+            let mut arch = Architecture::paper_default();
+            edit(&mut arch);
+            let json = Architecture::from_json(&arch.to_json());
+            let text = parse_arch_text(&write_arch_text(&arch));
+            for (door, parsed) in [("from_json", json), ("parse_arch_text", text)] {
+                let err = parsed.expect_err(&format!("{door} accepted a bad {field}"));
+                assert!(err.contains(field), "{door} on {field}: {err}");
+            }
+        }
+        assert_eq!(Architecture::paper_default().validate(), Ok(()));
     }
 }

@@ -6,15 +6,14 @@
 //! * logic delay per LUT evaluation (crossbar + pass tree + BLE mux),
 //! * intra-cluster feedback (the fully connected local crossbar),
 //! * per-connection routed net delay (Elmore over the actual route tree,
-//!   looked up per sink pin).
+//!   the worst sink pin in the consumer's tile).
 //!
 //! Paths start at primary inputs and FF outputs and end at FF D inputs
 //! and primary outputs; the maximum arrival is the critical path, whose
 //! net-by-net trace is reported for designers (and the ablation benches).
+//! Every table is a `Vec` indexed by the netlist's own cell and net ids.
 
-use std::collections::HashMap;
-
-use fpga_netlist::ir::{CellKind, NetId};
+use fpga_netlist::ir::{CellId, CellKind, NetId};
 use fpga_pack::{ClusterId, Clustering};
 use fpga_place::{BlockRef, Placement};
 
@@ -49,8 +48,9 @@ impl Default for LogicDelays {
 /// The analysis result.
 #[derive(Clone, Debug)]
 pub struct StaResult {
-    /// Arrival time per net (seconds), for nets on analyzed paths.
-    pub arrival: HashMap<NetId, f64>,
+    /// Arrival time (seconds) indexed by `NetId`; 0.0 for a net on no
+    /// analyzed path.
+    pub arrival: Vec<f64>,
     /// The critical path as a net trace, source first.
     pub critical_path: Vec<NetId>,
     /// Critical delay including FF setup (= minimum clock period for
@@ -81,121 +81,105 @@ pub fn analyze_paths(
 ) -> StaResult {
     let nl = &clustering.netlist;
 
-    // Per-(net, sink location) routed delay: map each sink RR pin back to
-    // its grid location.
-    let mut routed_delay: HashMap<(NetId, (u32, u32)), f64> = HashMap::new();
+    // Per net, the worst routed delay into each tile holding one of its
+    // sink pins, sorted by tile: the one home of a connection's wire delay.
+    let mut sink_tiles: Vec<Vec<((u32, u32), f64)>> = vec![Vec::new(); nl.nets.len()];
     for rn in &routing.nets {
-        for (sink, delay) in net_delays(rn, graph, wires) {
+        let mut pins = Vec::new();
+        for (&sink, delay) in rn.sinks.iter().zip(net_delays(rn, graph, wires)) {
             if let RrKind::Ipin { x, y, .. } = graph.kind(sink) {
-                let key = (rn.net, (x, y));
-                let entry = routed_delay.entry(key).or_insert(0.0);
-                *entry = entry.max(delay);
+                pins.push(((x, y), delay));
             }
         }
+        pins.sort_by_key(|&(tile, _)| tile);
+        sink_tiles[rn.net.index()] = pins
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run.iter().fold(0.0, |m: f64, p| m.max(p.1))))
+            .collect();
     }
-
-    // Which cluster is each cell in, and where is that cluster?
-    let mut cluster_of_cell: HashMap<u32, ClusterId> = HashMap::new();
-    for (ci, cluster) in clustering.clusters.iter().enumerate() {
-        for &bid in &cluster.bles {
-            let ble = &clustering.bles[bid.0 as usize];
-            if let Some(lut) = ble.lut {
-                cluster_of_cell.insert(lut.0, ClusterId(ci as u32));
-            }
-            if let Some(ff) = ble.ff {
-                cluster_of_cell.insert(ff.0, ClusterId(ci as u32));
-            }
-        }
-    }
-
-    // Interconnect delay for a net arriving at a consuming cell.
-    let conn_delay = |net: NetId, consumer: u32| -> f64 {
-        match cluster_of_cell.get(&consumer) {
-            Some(&c) => {
-                let producer = clustering.producer(net);
-                if producer == Some(c) {
-                    logic.local // stays inside the cluster
-                } else {
-                    let loc = placement.cluster_loc(c);
-                    routed_delay
-                        .get(&(net, (loc.x, loc.y)))
-                        .copied()
-                        .unwrap_or(logic.local)
-                        + logic.local
-                }
-            }
-            None => logic.local,
-        }
+    let routed = |net: NetId, tile: (u32, u32)| {
+        let tiles = &sink_tiles[net.index()];
+        let i = tiles.binary_search_by_key(&tile, |&(t, _)| t).ok()?;
+        Some(tiles[i].1)
     };
 
-    // Arrival propagation in topological order.
-    let order = nl.topo_order().expect("mapped netlist is acyclic");
-    let mut arrival: HashMap<NetId, f64> = HashMap::new();
-    let mut pred: HashMap<NetId, NetId> = HashMap::new();
-    for &pi in &nl.inputs {
-        arrival.insert(pi, 0.0);
-    }
-    for cell in &nl.cells {
-        if cell.kind.is_ff() {
-            arrival.insert(cell.output, logic.clk_to_q);
-        }
-    }
-    for cid in order {
-        let cell = &nl.cells[cid.index()];
-        let mut worst = 0.0f64;
-        let mut worst_src: Option<NetId> = None;
-        for &input in &cell.inputs {
-            let a = arrival.get(&input).copied().unwrap_or(0.0) + conn_delay(input, cid.0);
-            if a >= worst {
-                worst = a;
-                worst_src = Some(input);
+    // The cluster of each cell with its tile, and the producing cluster of
+    // each net: the first in cluster order, as `Clustering::producer`
+    // finds it.
+    let mut site_of: Vec<Option<(ClusterId, (u32, u32))>> = vec![None; nl.cells.len()];
+    let mut producer: Vec<Option<ClusterId>> = vec![None; nl.nets.len()];
+    for (ci, cluster) in clustering.clusters.iter().enumerate() {
+        let ci = ClusterId(ci as u32);
+        let loc = placement.cluster_loc(ci);
+        for &bid in &cluster.bles {
+            let ble = &clustering.bles[bid.0 as usize];
+            for cell in ble.lut.iter().chain(&ble.ff) {
+                site_of[cell.index()] = Some((ci, (loc.x, loc.y)));
             }
-        }
-        let out_arrival = worst + logic.lut;
-        arrival.insert(cell.output, out_arrival);
-        if let Some(src) = worst_src {
-            pred.insert(cell.output, src);
+            producer[ble.output.index()] = producer[ble.output.index()].or(Some(ci));
         }
     }
 
-    // Endpoints: FF D inputs (+ setup + their arrival through the net) and
-    // primary outputs (+ routed delay to the pad).
-    let mut worst_end = 0.0f64;
-    let mut worst_net: Option<NetId> = None;
-    for cell in &nl.cells {
-        if let CellKind::Dff { .. } = cell.kind {
-            let d = cell.inputs[0];
-            let t = arrival.get(&d).copied().unwrap_or(0.0) + conn_delay(d, u32::MAX) + logic.setup;
-            if t > worst_end {
-                worst_end = t;
-                worst_net = Some(d);
+    // Interconnect delay of a net into a consuming cell: the crossbar
+    // alone inside the producing cluster, else the routed delay into the
+    // consumer's tile plus the crossbar.
+    let conn_delay = |net: NetId, consumer: CellId| match site_of[consumer.index()] {
+        Some((c, tile)) if producer[net.index()] != Some(c) => {
+            routed(net, tile).unwrap_or(logic.local) + logic.local
+        }
+        _ => logic.local,
+    };
+
+    // Arrival propagation in topological order; over a cell's inputs the
+    // last worst (`>=`) is the predecessor.
+    let mut arrival = vec![0.0f64; nl.nets.len()];
+    let mut pred: Vec<Option<NetId>> = vec![None; nl.nets.len()];
+    for cell in nl.cells.iter().filter(|c| c.kind.is_ff()) {
+        arrival[cell.output.index()] = logic.clk_to_q;
+    }
+    for cid in nl.topo_order().expect("mapped netlist is acyclic") {
+        let cell = &nl.cells[cid.index()];
+        let mut worst = 0.0f64;
+        for &input in &cell.inputs {
+            let a = arrival[input.index()] + conn_delay(input, cid);
+            if a >= worst {
+                worst = a;
+                pred[cell.output.index()] = Some(input);
             }
         }
+        arrival[cell.output.index()] = worst + logic.lut;
     }
-    for &po in &nl.outputs {
+
+    // Endpoints, the first worst (`>`) winning: FF D inputs in cell
+    // order, then primary outputs plus their routed delay to the pad.
+    let ff_ends = nl.cells.iter().filter_map(|cell| match cell.kind {
+        // ROADMAP 1(a): a D net that arrives over routing is charged the
+        // crossbar only; the routed delay of that hop is dropped.
+        CellKind::Dff { .. } => {
+            let d = cell.inputs[0];
+            Some((d, arrival[d.index()] + logic.local + logic.setup))
+        }
+        _ => None,
+    });
+    let po_ends = nl.outputs.iter().map(|&po| {
         let pad_delay = placement
             .slots
             .get(&BlockRef::OutputPad(po))
-            .and_then(|s| routed_delay.get(&(po, (s.loc.x, s.loc.y))))
-            .copied()
+            .and_then(|s| routed(po, (s.loc.x, s.loc.y)))
             .unwrap_or(0.0);
-        let t = arrival.get(&po).copied().unwrap_or(0.0) + pad_delay;
+        (po, arrival[po.index()] + pad_delay)
+    });
+    let (mut worst_end, mut cur) = (0.0f64, None);
+    for (net, t) in ff_ends.chain(po_ends) {
         if t > worst_end {
-            worst_end = t;
-            worst_net = Some(po);
+            (worst_end, cur) = (t, Some(net));
         }
     }
 
-    // Trace the critical path backwards.
-    let mut critical_path = Vec::new();
-    let mut cur = worst_net;
-    while let Some(net) = cur {
-        critical_path.push(net);
-        cur = pred.get(&net).copied();
-        if critical_path.len() > nl.nets.len() {
-            break; // defensive: no cycles expected
-        }
-    }
+    // Trace the critical path backwards (bounded; no cycles are expected).
+    let mut critical_path: Vec<NetId> = std::iter::successors(cur, |net| pred[net.index()])
+        .take(nl.nets.len() + 1)
+        .collect();
     critical_path.reverse();
 
     StaResult {
@@ -273,7 +257,7 @@ mod tests {
         // Arrivals are monotone along the reported path.
         let mut last = -1.0;
         for net in &sta.critical_path {
-            let a = sta.arrival.get(net).copied().unwrap_or(0.0);
+            let a = sta.arrival[net.index()];
             assert!(a >= last, "arrivals must not decrease along the path");
             last = a;
         }
@@ -323,5 +307,62 @@ mod tests {
         // clk->Q + 2 LUTs + setup at minimum.
         assert!(sta.critical_delay >= logic.clk_to_q + 2.0 * logic.lut + logic.setup);
         assert!(sta.critical_delay < 100e-9);
+    }
+
+    /// ROADMAP 1(a), kept on purpose until the first `FLOW_VERSION` roll:
+    /// an FF whose D net arrives over routing is charged `logic.local`
+    /// only, and the routed delay of that last hop is dropped. When 1(a)
+    /// is fixed this test fails; replace it with one that charges the hop.
+    #[test]
+    fn roadmap_1a_ff_d_over_routing_is_charged_local_only() {
+        // One BLE per cluster. `w` feeds two FFs, so neither fuses with
+        // the LUT and `w` crosses clusters to reach both.
+        let mut nl = Netlist::new("d_hop");
+        let clk = nl.net("clk");
+        nl.add_clock(clk);
+        let [q0, q1, q2, w] = ["q0", "q1", "q2", "w"].map(|n| nl.net(n));
+        let dff = CellKind::Dff {
+            clock: clk,
+            init: false,
+        };
+        nl.add_cell("f0", dff.clone(), vec![q2], q0);
+        nl.add_cell(
+            "l0",
+            CellKind::Lut {
+                k: 2,
+                truth: 0b0110,
+            },
+            vec![q0, q1],
+            w,
+        );
+        nl.add_cell("f1", dff.clone(), vec![w], q1);
+        nl.add_cell("f2", dff, vec![w], q2);
+        let mut arch = Architecture::paper_default();
+        arch.clb = ClbArch {
+            cluster_size: 1,
+            outputs: 1,
+            inputs: fpga_arch::clb_inputs_eq1(4, 1),
+            ..ClbArch::paper_default()
+        };
+        let c = fpga_pack::pack(&nl, &arch.clb).unwrap();
+        // l0 drives w from its own cluster; f1 (which drives q1) sits in another.
+        assert!(c.producer(w).is_some());
+        assert_ne!(c.producer(w), c.producer(q1), "w must cross clusters");
+        let device = Device::sized_for(arch, c.clusters.len(), 1);
+        let p = AnnealingPlacer::new(PlaceConfig::new().seed(1).inner_num(1.0))
+            .place(&c, device)
+            .unwrap();
+        let g = RrGraph::build(&p.device, 8);
+        let r = PathFinderRouter::new(RouteConfig::new())
+            .route(&c, &p, &g)
+            .unwrap();
+        assert!(r.nets.iter().any(|n| n.net == w), "w is routed");
+        let logic = LogicDelays::default();
+        let sta = analyze_paths(&c, &p, &r, &g, &TimingModel::default(), &logic);
+        assert_eq!(sta.critical_path.last(), Some(&w));
+        assert_eq!(
+            sta.critical_delay,
+            sta.arrival[w.index()] + logic.local + logic.setup
+        );
     }
 }

@@ -2,8 +2,6 @@
 //! platform's wire and switch electricals (§3.3's selected design point:
 //! 10x pass transistors on length-1 segments).
 
-use std::collections::HashMap;
-
 use crate::pathfinder::RoutedNet;
 use crate::rrgraph::{RrGraph, RrKind, RrNodeId};
 
@@ -37,53 +35,52 @@ impl Default for TimingModel {
     }
 }
 
-/// Elmore delay (s) from the net source to each sink.
-pub fn net_delays(net: &RoutedNet, g: &RrGraph, model: &TimingModel) -> HashMap<RrNodeId, f64> {
-    // Downstream capacitance per tree node.
-    let idx: HashMap<RrNodeId, usize> = net
+/// Elmore delay (s) from the net source to each sink, in `net.sinks`
+/// order; 0.0 for a sink the tree does not reach. Precondition: `tree`
+/// lists every node after its parent, as the router grows it: one
+/// backward pass sums capacitance and one forward pass accumulates delay.
+pub fn net_delays(net: &RoutedNet, g: &RrGraph, model: &TimingModel) -> Vec<f64> {
+    // Tree position of a node, by binary search over positions sorted
+    // by node; a node listed twice resolves to its last listing.
+    let mut by_node: Vec<usize> = (0..net.tree.len()).collect();
+    by_node.sort_by_key(|&i| net.tree[i].0);
+    let pos = |id: RrNodeId| {
+        let k = by_node.partition_point(|&i| net.tree[i].0 <= id);
+        let i = *by_node[..k].last()?;
+        (net.tree[i].0 == id).then_some(i)
+    };
+    let parent_pos: Vec<Option<usize>> = net
         .tree
         .iter()
-        .enumerate()
-        .map(|(i, (n, _))| (*n, i))
+        .map(|&(_, p)| p.map(|p| pos(p).expect("a parent is a tree node")))
         .collect();
-    let node_c = |id: RrNodeId| -> f64 {
-        match g.kind(id) {
-            RrKind::Chanx { .. } | RrKind::Chany { .. } => model.wire_c,
-            RrKind::Ipin { .. } => model.ipin_c,
-            RrKind::Opin { .. } => 2e-15,
+    // Capacitance of a node, and resistance of the edge into it.
+    let rc = |id: RrNodeId| match g.kind(id) {
+        RrKind::Chanx { .. } | RrKind::Chany { .. } => {
+            (model.wire_c, model.switch_r + model.wire_r)
         }
+        RrKind::Ipin { .. } => (model.ipin_c, model.switch_r),
+        RrKind::Opin { .. } => (2e-15, model.driver_r),
     };
-    let node_r = |id: RrNodeId| -> f64 {
-        match g.kind(id) {
-            RrKind::Chanx { .. } | RrKind::Chany { .. } => model.switch_r + model.wire_r,
-            RrKind::Ipin { .. } => model.switch_r,
-            RrKind::Opin { .. } => model.driver_r,
-        }
-    };
-    let n = net.tree.len();
-    let mut cdown: Vec<f64> = net.tree.iter().map(|(id, _)| node_c(*id)).collect();
-    for i in (1..n).rev() {
-        if let Some(parent) = net.tree[i].1 {
-            let pi = idx[&parent];
+    // Downstream capacitance per tree node.
+    let mut cdown: Vec<f64> = net.tree.iter().map(|&(id, _)| rc(id).0).collect();
+    for i in (1..cdown.len()).rev() {
+        if let Some(pi) = parent_pos[i] {
             cdown[pi] += cdown[i];
         }
     }
     // Delay accumulates root -> leaves: delay(child) = delay(parent) +
     // R(edge into child) * Cdown(child).
-    let mut delay = vec![0.0f64; n];
-    for i in 0..n {
-        let (id, parent) = net.tree[i];
-        match parent {
-            None => delay[i] = model.driver_r * cdown[i],
-            Some(p) => {
-                let pi = idx[&p];
-                delay[i] = delay[pi] + node_r(id) * cdown[i];
-            }
-        }
+    let mut delay = vec![0.0f64; cdown.len()];
+    for (i, &(id, _)) in net.tree.iter().enumerate() {
+        delay[i] = match parent_pos[i] {
+            None => model.driver_r * cdown[i],
+            Some(pi) => delay[pi] + rc(id).1 * cdown[i],
+        };
     }
     net.sinks
         .iter()
-        .map(|s| (*s, idx.get(s).map(|&i| delay[i]).unwrap_or(0.0)))
+        .map(|&s| pos(s).map_or(0.0, |i| delay[i]))
         .collect()
 }
 
@@ -133,7 +130,7 @@ mod tests {
         for net in &r.nets {
             let delays = net_delays(net, &g, &model);
             assert_eq!(delays.len(), net.sinks.len());
-            for (_, d) in delays {
+            for d in delays {
                 assert!(d > 0.0 && d < 100e-9, "delay {d}");
             }
         }
@@ -149,10 +146,7 @@ mod tests {
             .iter()
             .map(|n| {
                 let wl = n.wirelength(&g);
-                let worst = net_delays(n, &g, &model)
-                    .values()
-                    .cloned()
-                    .fold(0.0f64, f64::max);
+                let worst = net_delays(n, &g, &model).into_iter().fold(0.0f64, f64::max);
                 (wl, worst)
             })
             .collect();

@@ -25,13 +25,13 @@
 //! way, so the artifact tier can delay a job, never wedge it.
 
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fpga_flow::sync::lock;
 use fpga_flow::RemoteTier;
 use serde_json::Value;
 
-use crate::breaker::{backoff_step, CircuitBreaker};
+use crate::breaker::{backoff_step, CircuitBreaker, MsClock};
 use crate::metrics::RemoteTierCounters;
 use crate::net;
 use crate::proto::{self, Request};
@@ -54,8 +54,7 @@ pub struct RemoteTierClient {
     max_line_bytes: usize,
     breaker: Mutex<CircuitBreaker>,
     rng: Mutex<u64>,
-    /// Breaker clock epoch (breakers take ms-since-start).
-    epoch: Instant,
+    clock: MsClock,
     /// Live counts; `breaker` is only filled in by [`Self::counters`].
     counters: RemoteTierCounters,
 }
@@ -72,13 +71,9 @@ impl RemoteTierClient {
                 0x5eed_a57e,
             )),
             rng: Mutex::new(0x5eed_a57e),
-            epoch: Instant::now(),
+            clock: MsClock::start(),
             counters: RemoteTierCounters::default(),
         }
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
     }
 
     /// Snapshot for the daemon's `metrics` verb.
@@ -101,7 +96,7 @@ fn artifact_payload(body: &Value) -> Option<Vec<u8>> {
 
 impl RemoteTier for RemoteTierClient {
     fn fetch(&self, stage: &'static str, key: &str, kind: &'static str) -> Option<Vec<u8>> {
-        if !lock(&self.breaker).allow(self.now_ms()) {
+        if !lock(&self.breaker).allow(self.clock.now_ms()) {
             self.counters.breaker_skips.inc();
             return None;
         }
@@ -115,7 +110,7 @@ impl RemoteTier for RemoteTierClient {
             if attempt > 0 {
                 let sleep_ms = backoff_step(&mut window_ms, BACKOFF_CAP_MS, &mut lock(&self.rng));
                 std::thread::sleep(Duration::from_millis(sleep_ms));
-                if !lock(&self.breaker).allow(self.now_ms()) {
+                if !lock(&self.breaker).allow(self.clock.now_ms()) {
                     break;
                 }
             }
@@ -131,7 +126,7 @@ impl RemoteTier for RemoteTierClient {
                     return None;
                 }
                 Err(_) => {
-                    lock(&self.breaker).on_failure(self.now_ms());
+                    lock(&self.breaker).on_failure(self.clock.now_ms());
                 }
             }
         }
@@ -140,7 +135,7 @@ impl RemoteTier for RemoteTierClient {
     }
 
     fn publish(&self, stage: &'static str, key: &str, kind: &'static str, raw: &[u8]) {
-        if !lock(&self.breaker).allow(self.now_ms()) {
+        if !lock(&self.breaker).allow(self.clock.now_ms()) {
             self.counters.breaker_skips.inc();
             return;
         }
@@ -162,7 +157,7 @@ impl RemoteTier for RemoteTierClient {
                 }
             }
             Err(_) => {
-                lock(&self.breaker).on_failure(self.now_ms());
+                lock(&self.breaker).on_failure(self.clock.now_ms());
                 self.counters.publish_failures.inc();
             }
         }

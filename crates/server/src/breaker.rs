@@ -20,6 +20,18 @@
 //! deadline; a success snaps the breaker closed and clears the failure
 //! count.
 
+/// Milliseconds since construction: the real clock breakers and the tenant governor read.
+pub struct MsClock(std::time::Instant);
+
+impl MsClock {
+    pub fn start() -> Self {
+        MsClock(std::time::Instant::now())
+    }
+    pub fn now_ms(&self) -> u64 {
+        self.0.elapsed().as_millis() as u64
+    }
+}
+
 /// Where the breaker is in its cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BreakerState {

@@ -42,7 +42,7 @@ use fpga_flow::sync::lock;
 use fpga_flow::StageStats;
 use serde_json::Value;
 
-use crate::breaker::{BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerState, CircuitBreaker, MsClock};
 use crate::metrics::{
     BackendCounters, BackendSnapshot, GatewayArtifactCounters, GatewayJobState, GatewaySnapshot,
     JobCounters, JobDurations, GATEWAY_JOB_STATES,
@@ -177,15 +177,10 @@ struct Shared {
     next_job_id: AtomicU64,
     /// Connection-level state, driven by [`net::serve`].
     conns: Conns,
-    /// Breaker clock epoch: breakers take ms-since-start.
-    epoch: Instant,
+    clock: MsClock,
 }
 
 impl Shared {
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
     fn snapshot(&self, cache: Option<StageStats>) -> GatewaySnapshot {
         let (inflight, queued) = self.governor.depths();
         let gov = self.governor.config();
@@ -327,7 +322,7 @@ impl Gateway {
             job_durations: JobDurations::default(),
             next_job_id: AtomicU64::new(1),
             conns,
-            epoch: Instant::now(),
+            clock: MsClock::start(),
         });
 
         let node = Arc::clone(&shared) as Arc<dyn Node>;
@@ -392,7 +387,7 @@ fn health_loop(shared: &Shared) {
             }
             // Respect the breaker: while open, no probes until the
             // jittered reopen deadline grants the half-open slot.
-            if !lock(&backend.breaker).allow(shared.now_ms()) {
+            if !lock(&backend.breaker).allow(shared.clock.now_ms()) {
                 continue;
             }
             let ok = matches!(
@@ -409,7 +404,7 @@ fn health_loop(shared: &Shared) {
             if ok {
                 breaker.on_success();
             } else {
-                breaker.on_failure(shared.now_ms());
+                breaker.on_failure(shared.clock.now_ms());
             }
         }
         // Sleep in small steps so shutdown is prompt.
@@ -437,13 +432,13 @@ fn walk_peers(
     let timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
     for &i in &affinity_order(key, &shared.config.backends) {
         let backend = &shared.backends[i];
-        if !lock(&backend.fetch_breaker).allow(shared.now_ms()) {
+        if !lock(&backend.fetch_breaker).allow(shared.clock.now_ms()) {
             continue;
         }
         let body = net::exchange(&backend.addr, req, timeout, shared.config.max_line_bytes).ok();
         match body {
             Some(_) => lock(&backend.fetch_breaker).on_success(),
-            None => lock(&backend.fetch_breaker).on_failure(shared.now_ms()),
+            None => lock(&backend.fetch_breaker).on_failure(shared.clock.now_ms()),
         }
         if !reply(body) {
             return;
@@ -664,7 +659,7 @@ fn handle_job(
         };
 
         // Next-best untried backend whose breaker admits a request.
-        let now = shared.now_ms();
+        let now = shared.clock.now_ms();
         let pick = order
             .iter()
             .copied()
@@ -754,7 +749,7 @@ fn handle_job(
             }
             Attempt::Transient(message) => {
                 backend.counters.failures.inc();
-                lock(&backend.breaker).on_failure(shared.now_ms());
+                lock(&backend.breaker).on_failure(shared.clock.now_ms());
                 last_transient = Some(message);
                 prior_failure = true;
                 // Loop: the next-best peer picks the job up with the

@@ -1118,6 +1118,18 @@ mod tests {
     }
 
     #[test]
+    fn an_architecture_field_the_tools_ignore_is_refused_at_parse() {
+        let mut arch = Architecture::paper_default();
+        arch.routing.fs = 6;
+        let line = format!(
+            r#"{{"cmd":"compile","source":"x","options":{{"arch":{}}}}}"#,
+            arch.canonical_text()
+        );
+        let err = parse_request(&line).expect_err("fs = 6 accepted");
+        assert!(err.starts_with("bad 'arch': fs 6"), "{err}");
+    }
+
+    #[test]
     fn requests_round_trip_through_to_value() {
         let reqs = [
             Request::Ping,

@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use fpga_flow::sync::{lock, wait_timeout};
 
+use crate::breaker::MsClock;
 use crate::queue::FairQueue;
 
 /// One job's worth of tokens, in milli-tokens (the bucket's unit, so
@@ -325,7 +326,7 @@ pub enum AdmitOutcome {
 pub struct TenantGovernor {
     core: Mutex<GovernorCore>,
     wake: Condvar,
-    epoch: Instant,
+    clock: MsClock,
 }
 
 impl TenantGovernor {
@@ -333,19 +334,15 @@ impl TenantGovernor {
         Arc::new(TenantGovernor {
             core: Mutex::new(GovernorCore::new(config)),
             wake: Condvar::new(),
-            epoch: Instant::now(),
+            clock: MsClock::start(),
         })
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
     }
 
     /// Admit one job for `tenant`, blocking in fair-queue order until a
     /// slot frees, the queue sheds us, or `deadline` passes.
     pub fn admit(self: &Arc<Self>, tenant: &str, deadline: Option<Instant>) -> AdmitOutcome {
         let mut core = lock(&self.core);
-        let ticket = match core.submit(tenant, self.now_ms()) {
+        let ticket = match core.submit(tenant, self.clock.now_ms()) {
             Admission::Admitted => {
                 return AdmitOutcome::Admitted(Permit {
                     governor: Arc::clone(self),
@@ -359,7 +356,7 @@ impl TenantGovernor {
                 Some(d) => match d.checked_duration_since(Instant::now()) {
                     Some(left) => left.min(Duration::from_millis(50)),
                     None => {
-                        core.cancel(tenant, ticket, self.now_ms());
+                        core.cancel(tenant, ticket, self.clock.now_ms());
                         return AdmitOutcome::Expired;
                     }
                 },
@@ -368,7 +365,7 @@ impl TenantGovernor {
                 None => Duration::from_millis(50),
             };
             core = wait_timeout(&self.wake, core, wait);
-            if core.poll(ticket, self.now_ms()) {
+            if core.poll(ticket, self.clock.now_ms()) {
                 return AdmitOutcome::Admitted(Permit {
                     governor: Arc::clone(self),
                 });
@@ -401,7 +398,7 @@ pub struct Permit {
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        let now = self.governor.now_ms();
+        let now = self.governor.clock.now_ms();
         lock(&self.governor.core).release(now);
         self.governor.wake.notify_all();
     }

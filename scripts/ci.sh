@@ -79,6 +79,27 @@ if printf '%s\n' "$MOVE_LOOP" | grep -nE 'HashMap|HashSet' >&2; then
     exit 1
 fi
 
+echo "==> source lint: static timing on dense arrays (no HashMap/HashSet in crates/route/src/{sta,timing}.rs, no .producer( in crates/route/src)"
+# STA addresses cells, nets and route-tree nodes by index (DESIGN.md
+# "Static timing"): every table is a Vec, and a net's producing cluster
+# is read from a table built once per analysis, never found by
+# Clustering::producer's scan over every BLE. No allowlist.
+STA_SITES=$(
+    for f in crates/route/src/sta.rs crates/route/src/timing.rs; do
+        awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
+            /HashMap|HashSet/{ sub(/^[ \t]+/, ""); print file":"FNR": "$0 }' "$f"
+    done
+    find crates/route/src -name '*.rs' | sort | while read -r f; do
+        awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
+            /\.producer\(/{ sub(/^[ \t]+/, ""); print file":"FNR": "$0 }' "$f"
+    done
+)
+if [ -n "$STA_SITES" ]; then
+    echo "FAIL: hashed lookup or producer scan in static timing:" >&2
+    echo "$STA_SITES" >&2
+    exit 1
+fi
+
 echo "==> source lint: sockets are opened, accepted, timed and given options in crates/server/src/net.rs only"
 # One transport: the endpoint loop and every outbound dial live in
 # net.rs, so a guard or a socket option (TCP_NODELAY) is decided in one

@@ -24,9 +24,10 @@ use fpga_framework::flow::stages;
 use fpga_framework::flow::{FlowCtx, FlowOptions};
 use fpga_framework::pack::Clustering;
 use fpga_framework::place::{Parallelism, Placement};
+use fpga_framework::route::timing::TimingModel;
 use fpga_framework::route::{
-    route_result_to_bytes, PathFinderRouter, RouteConfig, RouteEngine, RouteError, RouteResult,
-    RrGraph, RrKind, RrNodeId,
+    analyze_paths, route_result_to_bytes, LogicDelays, PathFinderRouter, RouteConfig, RouteEngine,
+    RouteError, RouteResult, RrGraph, RrKind, RrNodeId,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -198,6 +199,79 @@ const GOLDEN_RENT_1K: (usize, &str) = (
     48,
     "9c5002234ce0e998a91d859ebef68247285823ffcef4a7203db9e50721574899",
 );
+
+/// Static timing of a routed suite design at its pinned width, or at the
+/// width the min-W search finds: the bits of `critical_delay` and the
+/// SHA-256 of the critical path's net ids (`u32` little-endian, source
+/// first), recorded at `f434944`, before STA moved to dense arrays.
+#[test]
+fn sta_critical_path_matches_parent() {
+    for (name, golden_delay, golden_path) in GOLDEN_STA {
+        let (c, p) = placed(name);
+        let (g, r) = match suite_entry(name).and_then(|e| e.channel_width) {
+            Some(w) => {
+                let g = RrGraph::build(&p.device, w);
+                let r = router(1).route(&c, &p, &g).expect("routes");
+                (g, r)
+            }
+            None => {
+                let (w, r) = router(1)
+                    .find_min_channel_width(&c, &p, 128)
+                    .expect("routes");
+                (RrGraph::build(&p.device, w), r)
+            }
+        };
+        let sta = analyze_paths(
+            &c,
+            &p,
+            &r,
+            &g,
+            &TimingModel::default(),
+            &LogicDelays::default(),
+        );
+        let path: Vec<u8> = sta
+            .critical_path
+            .iter()
+            .flat_map(|n| n.0.to_le_bytes())
+            .collect();
+        assert_eq!(
+            (sta.critical_delay.to_bits(), sha256_hex(&path).as_str()),
+            (golden_delay, golden_path),
+            "{name}: critical delay {:.6e} s over {} nets",
+            sta.critical_delay,
+            sta.critical_path.len()
+        );
+    }
+}
+
+/// `(design, critical_delay bits, critical-path digest)`.
+const GOLDEN_STA: [(&str, u64, &str); 5] = [
+    (
+        "add32",
+        0x3e59830b49b4a18d,
+        "71ecd3dcffc6b2ebe1a87f02e76a6629768578d4dc1c24bb2eb663d2fb2c8cc5",
+    ),
+    (
+        "mult16",
+        0x3e6ed9f33840ea9d,
+        "818221bb1e2a564b7f7f335aff19a9a002b4e2f8bf18f1b4d994ce156a8a2141",
+    ),
+    (
+        "crc16",
+        0x3e14a2461546ea59,
+        "7c87e0ace4b12ff2dd3f2aa8f84abbd43a2180eba90adce3b720adab22be68a8",
+    ),
+    (
+        "rent_1k",
+        0x3e72b0ffbf4b2101,
+        "37081e203ad0a662e7be401ea4d1d5248bdf995d95c5fb84b0f57e3645f84380",
+    ),
+    (
+        "fsm_chain_4x8",
+        0x3e197e0a93a7187f,
+        "fd35fcede3c7bcb1220806bc9468d6edd52898b59eeac7f06bd390a3f1ae1b5c",
+    ),
+];
 
 fn wire_track(kind: RrKind) -> Option<u32> {
     match kind {
