@@ -134,7 +134,16 @@ pub fn render_layout(art: &FlowArtifacts) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_netlist, FlowOptions};
+    use crate::pipeline::{run_blif, run_netlist, FlowOptions};
+
+    /// Two separate runs draw one picture: blocks come out of the
+    /// placement's block table in its one order.
+    #[test]
+    fn layout_is_byte_identical_across_runs() {
+        let blif = include_str!("../../../examples/majority.blif");
+        let svg = || render_layout(&run_blif(blif, &FlowOptions::default()).unwrap());
+        assert_eq!(svg(), svg());
+    }
 
     #[test]
     fn svg_renders_all_elements() {

@@ -1,14 +1,11 @@
 //! Binary wire codec for [`Placement`] — the placed-design artifact the
 //! flow server persists between runs.
 //!
-//! Two wrinkles against the other codecs:
-//!
-//! * The block→slot map is a `HashMap`, whose iteration order is not
-//!   stable; entries are written sorted by block identity so equal
-//!   placements always encode byte-identically.
-//! * The device's [`Architecture`] already has a canonical, stable JSON
-//!   form (it is what the stage-cache keys digest), so that existing
-//!   machinery is reused verbatim rather than re-encoded field by field.
+//! The block table is written as it stands, ascending by block, and a
+//! decode refuses any other order: [`Placement::slot`] binary-searches
+//! it. The device's [`Architecture`] already has a canonical, stable
+//! JSON form (it is what the stage-cache keys digest), so that existing
+//! machinery is reused verbatim rather than re-encoded field by field.
 
 use fpga_arch::device::{Device, GridLoc};
 use fpga_arch::Architecture;
@@ -19,17 +16,13 @@ use fpga_pack::ClusterId;
 use crate::cost::PlacedNet;
 use crate::{BlockRef, Placement, Slot};
 
-/// Stable ordering key for map serialization: variant tag, then index.
-fn block_sort_key(b: &BlockRef) -> (u8, u32) {
-    match b {
+/// A block as its variant tag, then its index.
+fn write_block_ref(w: &mut ByteWriter, b: &BlockRef) {
+    let (tag, index) = match b {
         BlockRef::Cluster(c) => (0, c.0),
         BlockRef::InputPad(n) => (1, n.0),
         BlockRef::OutputPad(n) => (2, n.0),
-    }
-}
-
-fn write_block_ref(w: &mut ByteWriter, b: &BlockRef) {
-    let (tag, index) = block_sort_key(b);
+    };
     w.u8(tag);
     w.u32(index);
 }
@@ -63,13 +56,11 @@ pub fn read_device(r: &mut ByteReader) -> CodecResult<Device> {
     })
 }
 
-/// Serialize a placement (device, sorted slot map, cost, placed nets).
+/// Serialize a placement (device, block table, cost, placed nets).
 pub fn placement_to_bytes(p: &Placement) -> Vec<u8> {
     let mut w = ByteWriter::new();
     write_device(&mut w, &p.device);
-    let mut slots: Vec<(&BlockRef, &Slot)> = p.slots.iter().collect();
-    slots.sort_by_key(|(b, _)| block_sort_key(b));
-    w.seq(&slots, |w, (block, slot)| {
+    w.seq(&p.slots, |w, (block, slot)| {
         write_block_ref(w, block);
         w.u32(slot.loc.x);
         w.u32(slot.loc.y);
@@ -87,20 +78,20 @@ pub fn placement_to_bytes(p: &Placement) -> Vec<u8> {
 pub fn placement_from_bytes(bytes: &[u8]) -> CodecResult<Placement> {
     let mut r = ByteReader::new(bytes);
     let device = read_device(&mut r)?;
-    let slots = r
-        .seq(|r| {
-            let block = read_block_ref(r)?;
-            let slot = Slot {
-                loc: GridLoc {
-                    x: r.u32()?,
-                    y: r.u32()?,
-                },
-                sub: r.u32()?,
-            };
-            Ok((block, slot))
-        })?
-        .into_iter()
-        .collect();
+    let slots: Vec<(BlockRef, Slot)> = r.seq(|r| {
+        let block = read_block_ref(r)?;
+        let slot = Slot {
+            loc: GridLoc {
+                x: r.u32()?,
+                y: r.u32()?,
+            },
+            sub: r.u32()?,
+        };
+        Ok((block, slot))
+    })?;
+    if slots.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+        return Err(CodecError("placement blocks not strictly ascending".into()));
+    }
     let cost = r.f64()?;
     let nets = r.seq(|r| {
         Ok(PlacedNet {
@@ -121,32 +112,18 @@ pub fn placement_from_bytes(bytes: &[u8]) -> CodecResult<Placement> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     fn sample() -> Placement {
         let device = Device::new(Architecture::paper_default(), 2, 2);
-        let mut slots = HashMap::new();
-        slots.insert(
-            BlockRef::Cluster(ClusterId(0)),
-            Slot {
-                loc: GridLoc::new(1, 1),
-                sub: 0,
-            },
-        );
-        slots.insert(
-            BlockRef::InputPad(NetId(3)),
-            Slot {
-                loc: GridLoc::new(0, 1),
-                sub: 1,
-            },
-        );
-        slots.insert(
-            BlockRef::OutputPad(NetId(4)),
-            Slot {
-                loc: GridLoc::new(3, 2),
-                sub: 0,
-            },
-        );
+        let slot = |x, y, sub| Slot {
+            loc: GridLoc::new(x, y),
+            sub,
+        };
+        let slots = vec![
+            (BlockRef::Cluster(ClusterId(0)), slot(1, 1, 0)),
+            (BlockRef::InputPad(NetId(3)), slot(0, 1, 1)),
+            (BlockRef::OutputPad(NetId(4)), slot(3, 2, 0)),
+        ];
         Placement {
             device,
             slots,
@@ -175,17 +152,18 @@ mod tests {
         assert!(back.stats.is_empty(), "run statistics are not serialized");
     }
 
+    /// `Placement::slot` binary-searches the table, so a decode refuses
+    /// entries out of order and a block listed twice.
     #[test]
-    fn encoding_is_stable_despite_hashmap_order() {
-        // Two structurally equal placements built in different insertion
-        // orders must produce identical bytes (sorted map entries).
-        let a = sample();
-        let mut b = sample();
-        let entries: Vec<_> = b.slots.drain().collect();
-        for (k, v) in entries.into_iter().rev() {
-            b.slots.insert(k, v);
+    fn unordered_or_repeated_blocks_are_refused() {
+        let mut swapped = sample();
+        swapped.slots.swap(0, 2);
+        let mut repeated = sample();
+        repeated.slots.insert(1, repeated.slots[1]);
+        for p in [swapped, repeated] {
+            let err = placement_from_bytes(&placement_to_bytes(&p)).unwrap_err();
+            assert!(err.0.contains("strictly ascending"), "{err:?}");
         }
-        assert_eq!(placement_to_bytes(&a), placement_to_bytes(&b));
     }
 
     #[test]

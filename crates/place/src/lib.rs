@@ -27,8 +27,8 @@ use fpga_arch::device::GridLoc;
 use fpga_netlist::ir::NetId;
 use fpga_pack::ClusterId;
 
-/// A placeable block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// A placeable block, ordered by kind as declared here, then by index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BlockRef {
     /// A packed cluster.
     Cluster(ClusterId),

@@ -66,8 +66,6 @@
 //!   and the initial temperature is sampled on a whole-chip region at
 //!   `temp = ∞` whose moves are thrown away.
 
-use std::collections::HashMap;
-
 use fpga_arch::device::{Device, GridLoc};
 use fpga_netlist::mix::{splitmix64, xorshift64, XORSHIFT_STAR};
 use fpga_pack::{ClusterId, Clustering};
@@ -95,8 +93,10 @@ pub struct SweepStats {
 #[derive(Clone, Debug)]
 pub struct Placement {
     pub device: Device,
-    /// Block -> placed slot.
-    pub slots: HashMap<BlockRef, Slot>,
+    /// Block -> placed slot, one entry per block, strictly ascending by
+    /// block: [`Placement::slot`] binary-searches it, and every consumer
+    /// reads it in this one order.
+    pub slots: Vec<(BlockRef, Slot)>,
     /// Final bounding-box cost.
     pub cost: f64,
     /// Nets used for the cost (kept for routing and reports).
@@ -108,9 +108,15 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Location of a block.
+    /// Slot of a block, or `None` if it is not placed.
+    pub fn slot(&self, b: BlockRef) -> Option<Slot> {
+        let i = self.slots.partition_point(|&(block, _)| block < b);
+        self.slots.get(i).filter(|e| e.0 == b).map(|e| e.1)
+    }
+
+    /// Location of a block. Panics if the block is not placed.
     pub fn loc_of(&self, b: BlockRef) -> GridLoc {
-        self.slots[&b].loc
+        self.slot(b).expect("block is placed").loc
     }
 
     /// Location of a cluster.
@@ -122,7 +128,7 @@ impl Placement {
     pub fn hpwl(&self) -> u64 {
         self.nets
             .iter()
-            .map(|n| half_perimeter(n.terminals.iter().map(|t| self.slots[t].loc)) as u64)
+            .map(|n| half_perimeter(n.terminals.iter().map(|&t| self.loc_of(t))) as u64)
             .sum()
     }
 
@@ -165,24 +171,12 @@ impl Placement {
             self.device.width,
             self.device.height
         ));
-        let mut rows: Vec<(String, Slot)> = self
-            .slots
-            .iter()
-            .map(|(b, s)| {
-                let name = match b {
-                    BlockRef::Cluster(c) => format!("clb_{}", c.0),
-                    BlockRef::InputPad(n) => {
-                        format!("in_{}", clustering.netlist.net_name(*n))
-                    }
-                    BlockRef::OutputPad(n) => {
-                        format!("out_{}", clustering.netlist.net_name(*n))
-                    }
-                };
-                (name, *s)
-            })
-            .collect();
-        rows.sort();
-        for (name, slot) in rows {
+        for (block, slot) in &self.slots {
+            let name = match block {
+                BlockRef::Cluster(c) => format!("clb_{}", c.0),
+                BlockRef::InputPad(n) => format!("in_{}", clustering.netlist.net_name(*n)),
+                BlockRef::OutputPad(n) => format!("out_{}", clustering.netlist.net_name(*n)),
+            };
             out.push_str(&format!(
                 "{name} {} {} {}\n",
                 slot.loc.x, slot.loc.y, slot.sub
@@ -212,8 +206,8 @@ fn half_perimeter_at(terms: &[u32], loc: &[GridLoc]) -> u32 {
     half_perimeter(terms.iter().map(|&t| loc[t as usize]))
 }
 
-fn net_cost(net: &PlacedNet, slots: &HashMap<BlockRef, Slot>) -> f64 {
-    let hp = half_perimeter(net.terminals.iter().map(|t| slots[t].loc));
+fn net_cost(net: &PlacedNet, p: &Placement) -> f64 {
+    let hp = half_perimeter(net.terminals.iter().map(|&t| p.loc_of(t)));
     crossing_factor(net.terminals.len()) * hp as f64
 }
 
@@ -668,6 +662,15 @@ pub(crate) fn anneal(
         });
     }
     blocks.extend(io_blocks.iter().copied());
+    // The one block index, `(block, annealer index)` ascending by block:
+    // it resolves net terminals and, each index read as its block's
+    // final site, is the output table.
+    let mut index: Vec<(BlockRef, u32)> = blocks.iter().copied().zip(0..).collect();
+    index.sort_unstable();
+    let table = |board: &Board, sites: &[Slot]| -> Vec<(BlockRef, Slot)> {
+        let site = |i: u32| sites[board.site_of[i as usize] as usize];
+        index.iter().map(|&(b, i)| (b, site(i))).collect()
+    };
 
     let mut sites: Vec<Slot> = device
         .clb_locs()
@@ -698,24 +701,24 @@ pub(crate) fn anneal(
     };
 
     if blocks.is_empty() || nets.is_empty() {
-        let slots = slots_of(&blocks, &sites, &board);
-        return Ok(Placement {
-            cost: nets.iter().map(|n| net_cost(n, &slots)).sum(),
+        let mut p = Placement {
             device,
-            slots,
+            slots: table(&board, &sites),
+            cost: 0.0,
             nets,
             stats: Vec::new(),
-        });
+        };
+        p.cost = p.nets.iter().map(|n| net_cost(n, &p)).sum();
+        return Ok(p);
     }
 
-    // Index nets by block position index.
-    let mut block_idx: HashMap<BlockRef, u32> = HashMap::with_capacity(blocks.len());
-    for (i, &b) in blocks.iter().enumerate() {
-        block_idx.insert(b, i as u32);
-    }
+    let annealer_index = |t: &BlockRef| match index.binary_search_by_key(t, |&(b, _)| b) {
+        Ok(k) => index[k].1,
+        Err(_) => panic!("net terminal {t:?} is not a block"),
+    };
     let term_idx: Vec<Vec<u32>> = nets
         .iter()
-        .map(|n| n.terminals.iter().map(|t| block_idx[t]).collect())
+        .map(|n| n.terminals.iter().map(annealer_index).collect())
         .collect();
     let net_q: Vec<f64> = nets
         .iter()
@@ -797,19 +800,11 @@ pub(crate) fn anneal(
     }
     Ok(Placement {
         device,
-        slots: slots_of(&blocks, &ann.sites, &ann.board),
+        slots: table(&ann.board, &ann.sites),
         cost,
         nets,
         stats,
     })
-}
-
-fn slots_of(blocks: &[BlockRef], sites: &[Slot], board: &Board) -> HashMap<BlockRef, Slot> {
-    blocks
-        .iter()
-        .zip(&board.site_of)
-        .map(|(&b, &s)| (b, sites[s as usize]))
-        .collect()
 }
 
 #[cfg(test)]
@@ -890,8 +885,10 @@ mod tests {
         )
     }
 
-    /// Every block has a distinct slot of the right class.
+    /// Every block has a distinct slot of the right class, and the table
+    /// lists each block once, ascending.
     fn assert_legal(p: &Placement) {
+        assert!(p.slots.windows(2).all(|w| w[0].0 < w[1].0));
         let mut seen = std::collections::HashSet::new();
         for (b, s) in &p.slots {
             assert!(seen.insert(*s), "slot reused: {s:?}");
@@ -975,7 +972,7 @@ mod tests {
         assert_eq!(looped.terminals.iter().filter(|&&t| t == driver).count(), 2);
         assert!(looped.terminals.len() > 3, "past the flat part of q(t)");
         assert!(p.stats.iter().any(|s| s.accepted > 0));
-        let recomputed: f64 = p.nets.iter().map(|n| net_cost(n, &p.slots)).sum();
+        let recomputed: f64 = p.nets.iter().map(|n| net_cost(n, &p)).sum();
         assert_eq!(p.cost.to_bits(), recomputed.to_bits());
     }
 

@@ -175,12 +175,16 @@ pub fn net_endpoints(
     g: &RrGraph,
 ) -> Result<Vec<(NetId, RrNodeId, Vec<RrNodeId>)>> {
     let device = &placement.device;
+    let slot_of = |b: BlockRef| {
+        let unplaced = || RouteError::BadEndpoint(format!("{b:?} is not placed"));
+        placement.slot(b).ok_or_else(unplaced)
+    };
     let mut out = Vec::new();
     for pn in &placement.nets {
         let driver = pn.terminals[0];
         let source = match driver {
             BlockRef::Cluster(c) => {
-                let loc = placement.cluster_loc(c);
+                let loc = slot_of(driver)?.loc;
                 // Which BLE slot drives this net?
                 let cluster = &clustering.clusters[c.0 as usize];
                 let slot = cluster
@@ -197,8 +201,8 @@ pub fn net_endpoints(
                 clb_opin(g, device, loc, slot)
                     .ok_or_else(|| RouteError::BadEndpoint("missing CLB opin".to_string()))?
             }
-            BlockRef::InputPad(n) => {
-                let slot = placement.slots[&BlockRef::InputPad(n)];
+            BlockRef::InputPad(_) => {
+                let slot = slot_of(driver)?;
                 g.find(RrKind::Opin {
                     x: slot.loc.x,
                     y: slot.loc.y,
@@ -216,7 +220,7 @@ pub fn net_endpoints(
         for &term in &pn.terminals[1..] {
             match term {
                 BlockRef::Cluster(c) => {
-                    let loc = placement.cluster_loc(c);
+                    let loc = slot_of(term)?.loc;
                     let cluster = &clustering.clusters[c.0 as usize];
                     let idx = cluster
                         .inputs
@@ -234,8 +238,8 @@ pub fn net_endpoints(
                             .ok_or_else(|| RouteError::BadEndpoint("missing CLB ipin".into()))?,
                     );
                 }
-                BlockRef::OutputPad(n) => {
-                    let slot = placement.slots[&BlockRef::OutputPad(n)];
+                BlockRef::OutputPad(_) => {
+                    let slot = slot_of(term)?;
                     sinks.push(
                         g.find(RrKind::Ipin {
                             x: slot.loc.x,
@@ -1014,6 +1018,27 @@ mod tests {
         }
     }
 
+    /// A placement that lost a driving input pad is a bad endpoint to
+    /// the router and to the min-W search, not a panic.
+    #[test]
+    fn a_missing_pad_is_a_bad_endpoint() {
+        let (c, mut p) = flow(10, 3);
+        let pad = p
+            .nets
+            .iter()
+            .map(|n| n.terminals[0])
+            .find(|t| matches!(t, BlockRef::InputPad(_)))
+            .unwrap();
+        p.slots.retain(|&(b, _)| b != pad);
+        let g = RrGraph::build(&p.device, 12);
+        let unplaced = Err(RouteError::BadEndpoint(format!("{pad:?} is not placed")));
+        assert_eq!(router(1).route(&c, &p, &g).map(|_| ()), unplaced);
+        assert_eq!(
+            router(1).find_min_channel_width(&c, &p, 64).map(|_| ()),
+            unplaced
+        );
+    }
+
     /// `k` nets from input pads on IO tile (1, 0) to output pads on
     /// (2, 3), plus, if asked, a net with no sink driven from (1, 0) too.
     fn pad_nets(k: u32, sinkless: bool) -> (Clustering, Placement) {
@@ -1027,18 +1052,19 @@ mod tests {
             loc: GridLoc::new(x, y),
             sub,
         };
-        let mut slots = std::collections::HashMap::new();
+        let mut slots = Vec::new();
         let mut nets = Vec::new();
         for i in 0..k + sinkless as u32 {
             let net = NetId(i);
             let mut terminals = vec![BlockRef::InputPad(net)];
-            slots.insert(BlockRef::InputPad(net), slot(1, 0, i));
+            slots.push((BlockRef::InputPad(net), slot(1, 0, i)));
             if i < k {
                 terminals.push(BlockRef::OutputPad(net));
-                slots.insert(BlockRef::OutputPad(net), slot(2, 3, i));
+                slots.push((BlockRef::OutputPad(net), slot(2, 3, i)));
             }
             nets.push(PlacedNet { net, terminals });
         }
+        slots.sort_unstable_by_key(|&(b, _)| b);
         let p = Placement {
             device: Device::new(arch, 2, 2),
             slots,

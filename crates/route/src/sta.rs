@@ -163,8 +163,7 @@ pub fn analyze_paths(
     });
     let po_ends = nl.outputs.iter().map(|&po| {
         let pad_delay = placement
-            .slots
-            .get(&BlockRef::OutputPad(po))
+            .slot(BlockRef::OutputPad(po))
             .and_then(|s| routed(po, (s.loc.x, s.loc.y)))
             .unwrap_or(0.0);
         (po, arrival[po.index()] + pad_delay)

@@ -91,7 +91,7 @@ pub use client::{
     MAX_UNKNOWN_EVENTS,
 };
 pub use gateway::{Gateway, GatewayConfig};
-pub use metrics::{Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
+pub use metrics::{Histogram, Metrics, MetricsSnapshot};
 pub use proto::{
     CompileRequest, Event, EventParseError, JobKind, ReadLineError, Request, SourceFormat,
     PROTO_VERSION,

@@ -24,7 +24,7 @@
 //! list writer calls, each naming its family's const. [`GatewaySnapshot`]
 //! renders `flow-gateway`'s `flowgw_*` families the same way.
 //!
-//! The counter structs here ([`RemoteTierCounters`],
+//! The counter structs here ([`Histogram`], [`RemoteTierCounters`],
 //! [`GatewayArtifactCounters`], [`BackendCounters`]) and `fpga_flow`'s
 //! ([`StageStats`], [`StoreCounters`]) are the live structs their owners
 //! increment; a snapshot holds a `clone` of them.
@@ -48,10 +48,12 @@ use crate::tenancy::TenantCounters;
 /// sleep`).
 pub const BUCKET_BOUNDS_MS: [u64; 12] = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000];
 
-/// A fixed-bucket latency histogram. Cheap to observe, lock-free.
-#[derive(Default)]
+/// A fixed-bucket latency histogram. Cheap to observe, lock-free; a
+/// clone is its point-in-time snapshot.
+#[derive(Clone, Debug, Default)]
 pub struct Histogram {
     /// One slot per bound in [`BUCKET_BOUNDS_MS`] plus the `+Inf` slot.
+    /// *Not* cumulative; rendering accumulates.
     buckets: [Counter; BUCKET_BOUNDS_MS.len() + 1],
     count: Counter,
     /// Sum in microseconds: integer atomics, converted to ms on export.
@@ -75,32 +77,16 @@ impl Histogram {
         self.sum_us.add((ms * 1e3).round() as u64);
     }
 
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self.buckets.iter().map(Counter::get).collect(),
-            count: self.count.get(),
-            sum_ms: self.sum_us.get() as f64 / 1e3,
-        }
+    fn sum_ms(&self) -> f64 {
+        self.sum_us.get() as f64 / 1e3
     }
-}
 
-/// A point-in-time copy of one histogram.
-#[derive(Clone, Debug)]
-pub struct HistogramSnapshot {
-    /// Per-bucket counts, same order as [`BUCKET_BOUNDS_MS`] with the
-    /// trailing `+Inf` slot. *Not* cumulative; rendering accumulates.
-    pub buckets: Vec<u64>,
-    pub count: u64,
-    pub sum_ms: f64,
-}
-
-impl HistogramSnapshot {
     /// Cumulative `(le, count)` buckets, Prometheus-style; `None` is the
     /// `+Inf` bound.
     fn cumulative(&self) -> impl Iterator<Item = (Option<u64>, u64)> + '_ {
         let mut count = 0;
         self.buckets.iter().enumerate().map(move |(i, n)| {
-            count += n;
+            count += n.get();
             (BUCKET_BOUNDS_MS.get(i).copied(), count)
         })
     }
@@ -113,8 +99,8 @@ impl HistogramSnapshot {
             buckets.push(serde_json::json!({"le": le, "count": count}));
         }
         serde_json::json!({
-            "count": self.count,
-            "sum_ms": self.sum_ms,
+            "count": self.count.get(),
+            "sum_ms": self.sum_ms(),
             "buckets": Value::Array(buckets),
         })
     }
@@ -129,7 +115,7 @@ const JOB_KINDS: [JobKind; 3] = [
 
 /// One histogram per observed job verb, `(verb, histogram)` in
 /// [`JOB_KINDS`] order.
-pub type JobDurationSnapshot = Vec<(&'static str, HistogramSnapshot)>;
+pub type JobDurationSnapshot = Vec<(&'static str, Histogram)>;
 
 /// Whole-job latency per verb, as the node itself clocks it. The stage
 /// histograms time the stages only; this one also covers everything
@@ -152,8 +138,8 @@ impl JobDurations {
         JOB_KINDS
             .iter()
             .zip(&self.0)
-            .map(|(kind, hist)| (kind.verb(), hist.snapshot()))
-            .filter(|(_, hist)| hist.count > 0)
+            .map(|(kind, hist)| (kind.verb(), hist.clone()))
+            .filter(|(_, hist)| hist.count.get() > 0)
             .collect()
     }
 }
@@ -170,7 +156,7 @@ fn job_durations_json(durations: &JobDurationSnapshot) -> Value {
 /// The exposition series of a job-duration family.
 fn job_duration_series(
     durations: &JobDurationSnapshot,
-) -> impl Iterator<Item = ((&str, &str), &HistogramSnapshot)> {
+) -> impl Iterator<Item = ((&str, &str), &Histogram)> {
     durations.iter().map(|(verb, hist)| (("verb", *verb), hist))
 }
 
@@ -268,11 +254,11 @@ impl Metrics {
     }
 
     /// Snapshot every stage histogram, in flow order.
-    pub fn stage_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
+    pub fn stage_snapshots(&self) -> Vec<(&'static str, Histogram)> {
         STAGES
             .iter()
             .zip(self.stage_latency.iter())
-            .map(|(s, h)| (s.name(), h.snapshot()))
+            .map(|(s, h)| (s.name(), h.clone()))
             .collect()
     }
 }
@@ -576,7 +562,7 @@ impl Exposition {
     fn histogram<'a>(
         &mut self,
         f: &Family,
-        series: impl IntoIterator<Item = ((&'a str, &'a str), &'a HistogramSnapshot)>,
+        series: impl IntoIterator<Item = ((&'a str, &'a str), &'a Histogram)>,
     ) {
         self.header(f);
         let [bucket, sum, count] = ["bucket", "sum", "count"].map(|s| format!("{}_{s}", f.name));
@@ -585,8 +571,8 @@ impl Exposition {
                 let le = le.map_or("+Inf".to_string(), |bound| bound.to_string());
                 self.sample(&bucket, &[label, ("le", &le)], cumulative);
             }
-            self.sample(&sum, &[label], hist.sum_ms);
-            self.sample(&count, &[label], hist.count);
+            self.sample(&sum, &[label], hist.sum_ms());
+            self.sample(&count, &[label], hist.count.get());
         }
     }
 
@@ -730,7 +716,7 @@ pub struct RemoteTierCounters {
 pub struct MetricsSnapshot {
     pub service: ServiceCounters,
     /// `(stage_id, latency, cache)` in flow order.
-    pub stages: Vec<(&'static str, HistogramSnapshot, StageStats)>,
+    pub stages: Vec<(&'static str, Histogram, StageStats)>,
     /// Request parsed → terminal event written, per job verb.
     pub job_durations: JobDurationSnapshot,
     pub cache_entries: u64,
@@ -1158,12 +1144,12 @@ mod tests {
         h.observe_ms(1.0); // le=1 (inclusive bound)
         h.observe_ms(7.0); // le=10
         h.observe_ms(9999.0); // +Inf
-        let snap = h.snapshot();
+        let snap = h.clone();
         assert_eq!(snap.count, 4);
         assert_eq!(snap.buckets[0], 2);
         assert_eq!(snap.buckets[3], 1, "7ms lands in the le=10 bucket");
         assert_eq!(*snap.buckets.last().unwrap(), 1, "overflow lands in +Inf");
-        assert!((snap.sum_ms - 10007.4).abs() < 0.01);
+        assert!((snap.sum_ms() - 10007.4).abs() < 0.01);
 
         let js = snap.to_json();
         let buckets = js["buckets"].as_array().unwrap();
@@ -1332,12 +1318,12 @@ flowd_verify_rule_hits_total{rule=\"EQ003\"} 1
 flowd_unknown_verify_rules_total 1
 ";
 
-    fn hist(observations: &[f64]) -> HistogramSnapshot {
+    fn hist(observations: &[f64]) -> Histogram {
         let h = Histogram::new();
         for ms in observations {
             h.observe_ms(*ms);
         }
-        h.snapshot()
+        h
     }
 
     /// Every section present: two stages with observations in different

@@ -150,9 +150,10 @@ impl CombView {
             loc2c.insert((loc.x, loc.y), ci);
         }
         let mut pad2po: HashMap<(u32, u32, u32), NetId> = HashMap::new();
-        for &po in &c.netlist.outputs {
-            let slot = p.slots[&BlockRef::OutputPad(po)];
-            pad2po.insert((slot.loc.x, slot.loc.y, slot.sub), po);
+        for &(block, slot) in &p.slots {
+            if let BlockRef::OutputPad(po) = block {
+                pad2po.insert((slot.loc.x, slot.loc.y, slot.sub), po);
+            }
         }
 
         let mut delivered: HashMap<(usize, usize), NetId> = HashMap::new();
@@ -607,15 +608,12 @@ fn rebuild(
 fn check_placement(c: &Clustering, p: &Placement) -> Result<()> {
     let nl = &c.netlist;
     for ci in 0..c.clusters.len() {
-        if !p
-            .slots
-            .contains_key(&BlockRef::Cluster(ClusterId(ci as u32)))
-        {
+        if p.slot(BlockRef::Cluster(ClusterId(ci as u32))).is_none() {
             return Err(VerifyError::Boundary(format!("cluster {ci} is unplaced")));
         }
     }
     for &pi in &nl.inputs {
-        if !nl.clocks.contains(&pi) && !p.slots.contains_key(&BlockRef::InputPad(pi)) {
+        if !nl.clocks.contains(&pi) && p.slot(BlockRef::InputPad(pi)).is_none() {
             return Err(VerifyError::Boundary(format!(
                 "input '{}' has no pad",
                 nl.net_name(pi)
@@ -623,7 +621,7 @@ fn check_placement(c: &Clustering, p: &Placement) -> Result<()> {
         }
     }
     for &po in &nl.outputs {
-        if !p.slots.contains_key(&BlockRef::OutputPad(po)) {
+        if p.slot(BlockRef::OutputPad(po)).is_none() {
             return Err(VerifyError::Boundary(format!(
                 "output '{}' has no pad",
                 nl.net_name(po)
@@ -632,8 +630,8 @@ fn check_placement(c: &Clustering, p: &Placement) -> Result<()> {
     }
     let mut sites: Vec<(u32, u32, u32)> = p
         .slots
-        .values()
-        .map(|s| (s.loc.x, s.loc.y, s.sub))
+        .iter()
+        .map(|(_, s)| (s.loc.x, s.loc.y, s.sub))
         .collect();
     sites.sort_unstable();
     for pair in sites.windows(2) {

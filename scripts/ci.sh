@@ -64,18 +64,20 @@ HASHED=$(
 check_allowlist "HashMap/HashSet in canonical-bytes / cache-key code" scripts/canon-allowlist.txt \
     "use a BTreeMap/sorted Vec, or justify and add to scripts/canon-allowlist.txt" "$HASHED"
 
-echo "==> source lint: no HashMap/HashSet in the annealer's move loop (crates/place/src/sa.rs, run_region up to region_side)"
-# The placer's runtime is the cost of one move: run_region and run_phase
-# touch flat, index-addressed memory only (sa.rs module doc). No
-# allowlist — Placement::slots and anneal's one-time block index live
-# outside the range.
-MOVE_LOOP=$(awk '/^fn run_region\(/,/^fn region_side\(/' crates/place/src/sa.rs)
-if [ -z "$MOVE_LOOP" ]; then
-    echo "FAIL: fn run_region .. fn region_side not found in crates/place/src/sa.rs" >&2
-    exit 1
-fi
-if printf '%s\n' "$MOVE_LOOP" | grep -nE 'HashMap|HashSet' >&2; then
-    echo "FAIL: hashed lookup in the annealer's move loop (lines are relative to fn run_region)" >&2
+echo "==> source lint: a placement is an ordered block table (no HashMap/HashSet in crates/place/src, crates/lint/src/place.rs)"
+# The annealer's move loop touches flat, index-addressed memory only
+# (sa.rs module doc), and Placement::slots is a Vec ascending by block
+# that every consumer reads in that one order (DESIGN.md "A placement is
+# an ordered block table"). No allowlist.
+PLACE_SITES=$(
+    for f in crates/place/src/*.rs crates/lint/src/place.rs; do
+        awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
+            /HashMap|HashSet/{ sub(/^[ \t]+/, ""); print file":"FNR": "$0 }' "$f"
+    done
+)
+if [ -n "$PLACE_SITES" ]; then
+    echo "FAIL: hash-ordered container in placement code:" >&2
+    echo "$PLACE_SITES" >&2
     exit 1
 fi
 
