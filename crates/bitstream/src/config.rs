@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use fpga_arch::device::{Device, GridLoc};
 use fpga_netlist::ir::CellKind;
-use fpga_pack::Clustering;
+use fpga_pack::{ClusterId, Clustering};
 use fpga_place::{BlockRef, Placement};
 use fpga_route::rrgraph::{RrGraph, RrKind};
 use fpga_route::RouteResult;
@@ -186,7 +186,8 @@ pub fn generate(
 
     // --- CLB configurations.
     for (ci, cluster) in clustering.clusters.iter().enumerate() {
-        let loc = placement.cluster_loc(fpga_pack::ClusterId(ci as u32));
+        let id = ClusterId(ci as u32);
+        let loc = placement.cluster_loc(id);
         let mut bles = Vec::with_capacity(arch.clb.cluster_size);
         for slot in 0..arch.clb.cluster_size {
             match cluster.bles.get(slot) {
@@ -195,14 +196,10 @@ pub fn generate(
                     let ble = &clustering.bles[bid.0 as usize];
                     // Crossbar selection for a net feeding a LUT input.
                     let sel_for = |net| -> Result<XbarSel> {
-                        if let Some(idx) = cluster.inputs.iter().position(|&n| n == net) {
+                        if let Some(idx) = cluster.input_pin(net) {
                             return Ok(XbarSel::ClusterInput(idx as u8));
                         }
-                        if let Some(fb) = cluster
-                            .bles
-                            .iter()
-                            .position(|&b| clustering.bles[b.0 as usize].output == net)
-                        {
+                        if let Some(fb) = clustering.output_slot(id, net) {
                             return Ok(XbarSel::Feedback(fb as u8));
                         }
                         Err(BitstreamError::Generate(format!(

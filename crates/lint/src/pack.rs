@@ -4,8 +4,6 @@
 //! reports every over-limit cluster so a bad packer run is diagnosed in
 //! one shot.
 
-use std::collections::HashSet;
-
 use fpga_netlist::ir::NetId;
 use fpga_pack::Clustering;
 
@@ -44,7 +42,7 @@ pub fn lint_clustering(c: &Clustering) -> Vec<Diagnostic> {
                 ),
             ));
         }
-        let mut clocks: HashSet<NetId> = HashSet::new();
+        let mut clocks: Vec<NetId> = Vec::new();
         for &b in &cluster.bles {
             let Some(ble) = c.bles.get(b.0 as usize) else {
                 out.push(deny(
@@ -64,9 +62,7 @@ pub fn lint_clustering(c: &Clustering) -> Vec<Diagnostic> {
                     ),
                 ));
             }
-            if let Some(clk) = ble.clock {
-                clocks.insert(clk);
-            }
+            clocks.extend(ble.clock);
             match owner[b.0 as usize] {
                 None => owner[b.0 as usize] = Some(ci),
                 Some(first) => out.push(deny(
@@ -78,9 +74,10 @@ pub fn lint_clustering(c: &Clustering) -> Vec<Diagnostic> {
                 )),
             }
         }
+        clocks.sort_unstable();
+        clocks.dedup();
         if clocks.len() > arch.clocks {
-            let names: Vec<&str> = clocks.iter().map(|&n| c.netlist.net_name(n)).collect();
-            let mut names = names;
+            let mut names: Vec<&str> = clocks.iter().map(|&n| c.netlist.net_name(n)).collect();
             names.sort_unstable();
             out.push(
                 deny(

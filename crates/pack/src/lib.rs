@@ -24,7 +24,7 @@ pub mod netformat;
 
 pub use codec::{clustering_from_bytes, clustering_to_bytes};
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
 
 use fpga_arch::ClbArch;
 use fpga_netlist::ir::{CellId, CellKind, NetId, Netlist};
@@ -114,6 +114,13 @@ pub struct Clustering {
     pub clusters: Vec<Cluster>,
 }
 
+impl Cluster {
+    /// The input pin that carries `net` into the cluster.
+    pub fn input_pin(&self, net: NetId) -> Option<usize> {
+        self.inputs.iter().position(|&n| n == net)
+    }
+}
+
 impl Clustering {
     /// BLE utilization: fraction of available BLE slots filled.
     pub fn utilization(&self) -> f64 {
@@ -124,23 +131,18 @@ impl Clustering {
     }
 
     /// Nets that cross cluster boundaries (must be routed), including
-    /// primary IO nets. Returns (net, driving cluster or None for PI).
+    /// primary IO nets: every cluster input and clock and every primary
+    /// output, sorted and distinct.
     pub fn external_nets(&self) -> Vec<NetId> {
-        let mut out: HashSet<NetId> = HashSet::new();
-        for cluster in &self.clusters {
-            for &net in &cluster.inputs {
-                out.insert(net);
-            }
-            if let Some(clk) = cluster.clock {
-                out.insert(clk);
-            }
-        }
-        for &po in &self.netlist.outputs {
-            out.insert(po);
-        }
-        let mut v: Vec<NetId> = out.into_iter().collect();
-        v.sort();
-        v
+        let mut out: Vec<NetId> = self
+            .clusters
+            .iter()
+            .flat_map(|c| c.inputs.iter().copied().chain(c.clock))
+            .chain(self.netlist.outputs.iter().copied())
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Which cluster produces a net (None if a primary input).
@@ -153,6 +155,14 @@ impl Clustering {
             }
         }
         None
+    }
+
+    /// The BLE slot (output pin) of cluster `c` that drives `net`.
+    pub fn output_slot(&self, c: ClusterId, net: NetId) -> Option<usize> {
+        self.clusters[c.0 as usize]
+            .bles
+            .iter()
+            .position(|&b| self.bles[b.0 as usize].output == net)
     }
 }
 
@@ -194,11 +204,10 @@ pub fn form_bles(netlist: &Netlist, arch: &ClbArch) -> Result<Vec<Ble>> {
     let sinks = netlist.sinks();
     let drivers = netlist.drivers();
 
-    // Which LUTs feed exactly one FF (and nothing else)?
-    let mut fused_lut_of_ff: HashMap<CellId, CellId> = HashMap::new();
-    let mut fused_luts: HashSet<CellId> = HashSet::new();
+    // A LUT whose only fanout is one FF's D fuses with that FF; `fused`
+    // pairs the two cells both ways (the FF's LUT, the LUT's FF).
+    let mut fused: Vec<Option<CellId>> = vec![None; netlist.cells.len()];
     for (i, cell) in netlist.cells.iter().enumerate() {
-        let ffid = CellId(i as u32);
         if let CellKind::Dff { .. } = cell.kind {
             let d = cell.inputs[0];
             if netlist.outputs.contains(&d) {
@@ -207,8 +216,8 @@ pub fn form_bles(netlist: &Netlist, arch: &ClbArch) -> Result<Vec<Ble>> {
             if let Some(drv) = drivers[d.index()] {
                 let drv_cell = &netlist.cells[drv.index()];
                 if matches!(drv_cell.kind, CellKind::Lut { .. }) && sinks[d.index()].len() == 1 {
-                    fused_lut_of_ff.insert(ffid, drv);
-                    fused_luts.insert(drv);
+                    fused[i] = Some(drv);
+                    fused[drv.index()] = Some(CellId(i as u32));
                 }
             }
         }
@@ -226,7 +235,7 @@ pub fn form_bles(netlist: &Netlist, arch: &ClbArch) -> Result<Vec<Ble>> {
                         max: arch.lut_k,
                     });
                 }
-                if fused_luts.contains(&cid) {
+                if fused[i].is_some() {
                     continue; // emitted with its FF
                 }
                 let mut inputs: Vec<NetId> = cell.inputs.clone();
@@ -242,7 +251,7 @@ pub fn form_bles(netlist: &Netlist, arch: &ClbArch) -> Result<Vec<Ble>> {
                 });
             }
             CellKind::Dff { clock, .. } => {
-                let lut = fused_lut_of_ff.get(&cid).copied();
+                let lut = fused[i];
                 let inputs: Vec<NetId> = match lut {
                     Some(l) => {
                         let mut v = netlist.cells[l.index()].inputs.clone();
@@ -273,46 +282,120 @@ pub fn form_bles(netlist: &Netlist, arch: &ClbArch) -> Result<Vec<Ble>> {
     Ok(bles)
 }
 
+/// The cluster `members` form: its inputs are the member inputs that no
+/// member drives, sorted and distinct, and its clock is the first
+/// registered member's. [`pack`] and [`netformat::parse_net`] both build
+/// their clusters here.
+pub fn cluster_of(bles: &[Ble], members: Vec<BleId>) -> Cluster {
+    let ble = |b: &BleId| &bles[b.0 as usize];
+    let driven: Vec<NetId> = members.iter().map(|b| ble(b).output).collect();
+    let mut inputs: Vec<NetId> = members
+        .iter()
+        .flat_map(|b| ble(b).inputs.iter().copied())
+        .filter(|net| !driven.contains(net))
+        .collect();
+    inputs.sort_unstable();
+    inputs.dedup();
+    let clock = members.iter().find_map(|b| ble(b).clock);
+    Cluster {
+        bles: members,
+        inputs,
+        clock,
+    }
+}
+
+/// The cluster being grown, on per-net stamps that equal `epoch` while
+/// the net belongs to it: `used` when a member reads the net, `driven`
+/// when a member drives it. Its inputs are the used, undriven nets
+/// (`inputs` counts them); `nets` lists every net it touches.
+#[derive(Default)]
+struct Growing {
+    epoch: u32,
+    used: Vec<u32>,
+    driven: Vec<u32>,
+    nets: Vec<NetId>,
+    members: Vec<BleId>,
+    inputs: usize,
+    clock: Option<NetId>,
+}
+
+impl Growing {
+    fn touches(&self, net: NetId) -> bool {
+        self.used[net.index()] == self.epoch || self.driven[net.index()] == self.epoch
+    }
+
+    /// The cluster's input count with `b` absorbed. No member drives
+    /// `b`'s output, so a used output is an input `b` closes.
+    fn inputs_with(&self, b: &Ble) -> usize {
+        let opened = b
+            .inputs
+            .iter()
+            .filter(|&&n| n != b.output && !self.touches(n));
+        let closed = self.used[b.output.index()] == self.epoch;
+        self.inputs + opened.count() - usize::from(closed)
+    }
+
+    /// Attraction: how many of `b`'s inputs and output the cluster touches.
+    fn shared(&self, b: &Ble) -> usize {
+        let nets = b.inputs.iter().chain([&b.output]);
+        nets.filter(|&&n| self.touches(n)).count()
+    }
+
+    /// Start the next cluster with `seed` alone: a new epoch, so no
+    /// stamp needs clearing.
+    fn seed(&mut self, i: usize, b: &Ble) {
+        self.epoch += 1;
+        self.nets.clear();
+        (self.inputs, self.clock) = (0, None);
+        self.absorb(i, b);
+    }
+
+    fn absorb(&mut self, i: usize, b: &Ble) {
+        self.inputs = self.inputs_with(b);
+        for &n in &b.inputs {
+            if !self.touches(n) {
+                self.nets.push(n);
+            }
+            self.used[n.index()] = self.epoch;
+        }
+        if !self.touches(b.output) {
+            self.nets.push(b.output);
+        }
+        self.driven[b.output.index()] = self.epoch;
+        self.clock = self.clock.or(b.clock);
+        self.members.push(BleId(i as u32));
+    }
+}
+
 /// Stage 2: greedy clustering.
 pub fn pack(netlist: &Netlist, arch: &ClbArch) -> Result<Clustering> {
     let bles = form_bles(netlist, arch)?;
     let n = bles.len();
+    let n_nets = netlist.nets.len();
 
     // Net -> BLEs using it (for attraction).
-    let mut users: HashMap<NetId, Vec<usize>> = HashMap::new();
+    let mut users: Vec<Vec<usize>> = vec![Vec::new(); n_nets];
     for (i, ble) in bles.iter().enumerate() {
-        for &inp in &ble.inputs {
-            users.entry(inp).or_default().push(i);
+        for &net in ble.inputs.iter().chain([&ble.output]) {
+            users[net.index()].push(i);
         }
-        users.entry(ble.output).or_default().push(i);
     }
+    // Seeds in pick order: the most inputs first, then the lowest index.
+    let mut seeds: Vec<usize> = (0..n).collect();
+    seeds.sort_by_key(|&i| (Reverse(bles[i].inputs.len()), i));
 
     let mut clustered = vec![false; n];
     let mut clusters: Vec<Cluster> = Vec::new();
+    let mut g = Growing::default();
+    (g.used, g.driven) = (vec![0; n_nets], vec![0; n_nets]);
 
-    // External inputs of a candidate cluster.
-    let external_inputs = |members: &[usize]| -> Vec<NetId> {
-        let produced: HashSet<NetId> = members.iter().map(|&i| bles[i].output).collect();
-        let mut ext: Vec<NetId> = members
-            .iter()
-            .flat_map(|&i| bles[i].inputs.iter().copied())
-            .filter(|net| !produced.contains(net))
-            .collect();
-        ext.sort();
-        ext.dedup();
-        ext
-    };
-
-    while let Some(seed) = {
-        // Seed: unclustered BLE with the most inputs.
-        (0..n)
-            .filter(|&i| !clustered[i])
-            .max_by_key(|&i| (bles[i].inputs.len(), std::cmp::Reverse(i)))
-    } {
-        let mut members = vec![seed];
+    for &seed in &seeds {
+        if clustered[seed] {
+            continue;
+        }
         clustered[seed] = true;
-        let mut clock = bles[seed].clock;
-        if external_inputs(&members).len() > arch.inputs {
+        g.seed(seed, &bles[seed]);
+        if g.inputs > arch.inputs {
             return Err(PackError::Internal(format!(
                 "BLE '{}' needs {} distinct inputs but the architecture provides I = {}",
                 bles[seed].name,
@@ -321,90 +404,30 @@ pub fn pack(netlist: &Netlist, arch: &ClbArch) -> Result<Clustering> {
             )));
         }
 
-        while members.len() < arch.cluster_size {
-            // Attraction: shared nets with the cluster.
-            let cluster_nets: HashSet<NetId> = members
+        while g.members.len() < arch.cluster_size {
+            let fits = |c: usize| {
+                let clock_fits = g.clock.zip(bles[c].clock).is_none_or(|(a, b)| a == b);
+                !clustered[c] && clock_fits && g.inputs_with(&bles[c]) <= arch.inputs
+            };
+            // Attraction: of the fitting BLEs that share a net with the
+            // cluster, the one sharing the most, the lowest index on a tie.
+            let attracted = g
+                .nets
                 .iter()
-                .flat_map(|&i| {
-                    bles[i]
-                        .inputs
-                        .iter()
-                        .copied()
-                        .chain(std::iter::once(bles[i].output))
-                })
-                .collect();
-            let mut best: Option<(usize, usize)> = None; // (score, ble)
-            for &net in &cluster_nets {
-                if let Some(cands) = users.get(&net) {
-                    for &cand in cands {
-                        if clustered[cand] {
-                            continue;
-                        }
-                        // Clock feasibility.
-                        if let (Some(c1), Some(c2)) = (clock, bles[cand].clock) {
-                            if c1 != c2 {
-                                continue;
-                            }
-                        }
-                        // Input feasibility.
-                        let mut trial = members.clone();
-                        trial.push(cand);
-                        if external_inputs(&trial).len() > arch.inputs {
-                            continue;
-                        }
-                        let score = bles[cand]
-                            .inputs
-                            .iter()
-                            .copied()
-                            .chain(std::iter::once(bles[cand].output))
-                            .filter(|n| cluster_nets.contains(n))
-                            .count();
-                        if best.is_none_or(|(s, b)| score > s || (score == s && cand < b)) {
-                            best = Some((score, cand));
-                        }
-                    }
-                }
-            }
+                .flat_map(|net| users[net.index()].iter().copied())
+                .filter(|&c| fits(c))
+                .max_by_key(|&c| (g.shared(&bles[c]), Reverse(c)));
             // T-VPack fills clusters: when no connected BLE fits, absorb
-            // any feasible unclustered BLE rather than leaving the slot
-            // empty (this is what makes Eq. 1's input budget achieve its
-            // high BLE utilization).
-            if best.is_none() {
-                for cand in 0..n {
-                    if clustered[cand] {
-                        continue;
-                    }
-                    if let (Some(c1), Some(c2)) = (clock, bles[cand].clock) {
-                        if c1 != c2 {
-                            continue;
-                        }
-                    }
-                    let mut trial = members.clone();
-                    trial.push(cand);
-                    if external_inputs(&trial).len() <= arch.inputs {
-                        best = Some((0, cand));
-                        break;
-                    }
-                }
-            }
-            match best {
-                Some((_, cand)) => {
-                    clustered[cand] = true;
-                    if clock.is_none() {
-                        clock = bles[cand].clock;
-                    }
-                    members.push(cand);
-                }
-                None => break,
-            }
+            // the first fitting unclustered BLE rather than leaving the
+            // slot empty (this is what makes Eq. 1's input budget achieve
+            // its high BLE utilization).
+            let pick = attracted.or_else(|| (0..n).find(|&c| fits(c)));
+            let Some(cand) = pick else { break };
+            clustered[cand] = true;
+            g.absorb(cand, &bles[cand]);
         }
 
-        let inputs = external_inputs(&members);
-        clusters.push(Cluster {
-            bles: members.into_iter().map(|i| BleId(i as u32)).collect(),
-            inputs,
-            clock,
-        });
+        clusters.push(cluster_of(&bles, std::mem::take(&mut g.members)));
     }
 
     let clustering = Clustering {
@@ -419,7 +442,7 @@ pub fn pack(netlist: &Netlist, arch: &ClbArch) -> Result<Clustering> {
 
 /// Check all architecture constraints hold.
 pub fn validate(c: &Clustering) -> Result<()> {
-    let mut seen: HashSet<u32> = HashSet::new();
+    let mut seen = vec![false; c.bles.len()];
     for (ci, cluster) in c.clusters.iter().enumerate() {
         if cluster.bles.is_empty() || cluster.bles.len() > c.arch.cluster_size {
             return Err(PackError::Internal(format!(
@@ -435,15 +458,15 @@ pub fn validate(c: &Clustering) -> Result<()> {
                 c.arch.inputs
             )));
         }
-        let mut clocks: HashSet<NetId> = HashSet::new();
+        let mut clocks: Vec<NetId> = Vec::new();
         for &b in &cluster.bles {
-            if !seen.insert(b.0) {
+            if std::mem::replace(&mut seen[b.0 as usize], true) {
                 return Err(PackError::Internal(format!("BLE {} in two clusters", b.0)));
             }
-            if let Some(clk) = c.bles[b.0 as usize].clock {
-                clocks.insert(clk);
-            }
+            clocks.extend(c.bles[b.0 as usize].clock);
         }
+        clocks.sort_unstable();
+        clocks.dedup();
         if clocks.len() > c.arch.clocks {
             return Err(PackError::ClockConflict(format!(
                 "cluster {ci} needs {} clocks",
@@ -451,10 +474,10 @@ pub fn validate(c: &Clustering) -> Result<()> {
             )));
         }
     }
-    if seen.len() != c.bles.len() {
+    let clustered = seen.iter().filter(|&&s| s).count();
+    if clustered != c.bles.len() {
         return Err(PackError::Internal(format!(
-            "{} of {} BLEs clustered",
-            seen.len(),
+            "{clustered} of {} BLEs clustered",
             c.bles.len()
         )));
     }
@@ -465,6 +488,7 @@ pub fn validate(c: &Clustering) -> Result<()> {
 mod tests {
     use super::*;
     use fpga_netlist::ir::CellKind;
+    use std::collections::HashSet;
 
     /// A chain of `n` LUT+FF pairs: lut_i(q_{i-1}, x_i) -> ff_i -> q_i.
     fn lut_ff_chain(n: usize) -> Netlist {
@@ -500,6 +524,37 @@ mod tests {
         }
         nl.add_output(prev);
         nl
+    }
+
+    #[test]
+    fn cluster_of_derives_inputs_and_clock() {
+        let ble = |inputs: &[u32], output: u32, clock: Option<u32>| Ble {
+            name: format!("b{output}"),
+            lut: None,
+            ff: None,
+            inputs: inputs.iter().map(|&n| NetId(n)).collect(),
+            output: NetId(output),
+            clock: clock.map(NetId),
+        };
+        let bles = [
+            ble(&[3, 10], 10, Some(20)), // toggle FF: reads its own output
+            ble(&[1, 7, 10], 11, None),
+            ble(&[2, 11], 12, Some(21)),
+        ];
+        let nets = |ids: &[u32]| ids.iter().map(|&n| NetId(n)).collect::<Vec<_>>();
+
+        let toggle = cluster_of(&bles, vec![BleId(0)]);
+        assert_eq!(toggle.inputs, nets(&[3]), "its own output is no input");
+        assert_eq!(toggle.clock, Some(NetId(20)));
+
+        let c = cluster_of(&bles, vec![BleId(2), BleId(1)]);
+        assert_eq!(c.bles, vec![BleId(2), BleId(1)], "member order is kept");
+        assert_eq!(c.inputs, nets(&[1, 2, 7, 10]), "inputs come out sorted");
+        assert_eq!(c.clock, Some(NetId(21)));
+
+        let c = cluster_of(&bles, vec![BleId(1), BleId(0), BleId(2)]);
+        assert_eq!(c.inputs, nets(&[1, 2, 3, 7]));
+        assert_eq!(c.clock, Some(NetId(20)), "the first clocked member's");
     }
 
     #[test]

@@ -94,30 +94,6 @@ pub fn summarize_net(text: &str) -> NetFileSummary {
     s
 }
 
-/// Per-cluster pin utilization statistics for the Eq. 1 experiment.
-pub fn input_usage_histogram(c: &Clustering) -> Vec<usize> {
-    let mut hist = vec![0usize; c.arch.inputs + 1];
-    for cluster in &c.clusters {
-        hist[cluster.inputs.len().min(c.arch.inputs)] += 1;
-    }
-    hist
-}
-
-/// BLE occupancy per cluster.
-pub fn occupancy(cluster: &Cluster) -> usize {
-    cluster.bles.len()
-}
-
-/// Find which cluster and slot a BLE landed in.
-pub fn locate_ble(c: &Clustering, ble: BleId) -> Option<(usize, usize)> {
-    for (ci, cluster) in c.clusters.iter().enumerate() {
-        if let Some(slot) = cluster.bles.iter().position(|&b| b == ble) {
-            return Some((ci, slot));
-        }
-    }
-    None
-}
-
 /// Parse a `.net` document back into a [`Clustering`], given the mapped
 /// netlist it was produced from. The text's BLE groupings are
 /// reconstructed against the netlist (BLEs are re-derived and matched by
@@ -129,41 +105,26 @@ pub fn parse_net(
     netlist: &fpga_netlist::Netlist,
     arch: &fpga_arch::ClbArch,
 ) -> crate::Result<Clustering> {
-    use crate::{form_bles, Cluster, PackError};
-    use std::collections::{HashMap, HashSet};
+    use crate::{cluster_of, form_bles, PackError};
 
     let bles = form_bles(netlist, arch)?;
-    let ble_by_output: HashMap<&str, usize> = bles
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (netlist.net_name(b.output), i))
-        .collect();
+    // Net -> the BLE driving it.
+    let mut driver: Vec<Option<BleId>> = vec![None; netlist.nets.len()];
+    for (i, b) in bles.iter().enumerate() {
+        driver[b.output.index()] = Some(BleId(i as u32));
+    }
 
     let mut clusters: Vec<Cluster> = Vec::new();
-    let mut current: Option<Vec<usize>> = None;
-    let flush =
-        |current: &mut Option<Vec<usize>>, clusters: &mut Vec<Cluster>| -> crate::Result<()> {
-            if let Some(members) = current.take() {
-                if members.is_empty() {
-                    return Err(PackError::Internal("empty .clb block".into()));
-                }
-                let produced: HashSet<_> = members.iter().map(|&i| bles[i].output).collect();
-                let mut inputs: Vec<_> = members
-                    .iter()
-                    .flat_map(|&i| bles[i].inputs.iter().copied())
-                    .filter(|n| !produced.contains(n))
-                    .collect();
-                inputs.sort();
-                inputs.dedup();
-                let clock = members.iter().find_map(|&i| bles[i].clock);
-                clusters.push(Cluster {
-                    bles: members.into_iter().map(|i| BleId(i as u32)).collect(),
-                    inputs,
-                    clock,
-                });
+    let mut current: Option<Vec<BleId>> = None;
+    let flush = |current: &mut Option<Vec<BleId>>, clusters: &mut Vec<Cluster>| {
+        if let Some(members) = current.take() {
+            if members.is_empty() {
+                return Err(PackError::Internal("empty .clb block".into()));
             }
-            Ok(())
-        };
+            clusters.push(cluster_of(&bles, members));
+        }
+        Ok(())
+    };
 
     for (lineno, line) in text.lines().enumerate() {
         let t = line.trim();
@@ -187,13 +148,16 @@ pub fn parse_net(
                 .ok_or_else(|| {
                     PackError::Internal(format!("line {}: malformed subblock", lineno + 1))
                 })?;
-            let &idx = ble_by_output.get(out_name).ok_or_else(|| {
-                PackError::Internal(format!(
-                    "line {}: no BLE drives '{out_name}' in the netlist",
-                    lineno + 1
-                ))
-            })?;
-            members.push(idx);
+            let ble = netlist
+                .find_net(out_name)
+                .and_then(|net| driver[net.index()])
+                .ok_or_else(|| {
+                    PackError::Internal(format!(
+                        "line {}: no BLE drives '{out_name}' in the netlist",
+                        lineno + 1
+                    ))
+                })?;
+            members.push(ble);
         }
     }
     flush(&mut current, &mut clusters)?;
@@ -283,15 +247,5 @@ mod tests {
         let c = small_clustering();
         let text = write_net(&c).replace("-> q", "-> ghost_net");
         assert!(parse_net(&text, &c.netlist, &c.arch).is_err());
-    }
-
-    #[test]
-    fn histogram_and_locate() {
-        let c = small_clustering();
-        let hist = input_usage_histogram(&c);
-        assert_eq!(hist.iter().sum::<usize>(), c.clusters.len());
-        assert_eq!(locate_ble(&c, crate::BleId(0)), Some((0, 0)));
-        assert_eq!(locate_ble(&c, crate::BleId(99)), None);
-        assert_eq!(occupancy(&c.clusters[0]), 1);
     }
 }

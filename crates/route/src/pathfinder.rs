@@ -185,19 +185,13 @@ pub fn net_endpoints(
         let source = match driver {
             BlockRef::Cluster(c) => {
                 let loc = slot_of(driver)?.loc;
-                // Which BLE slot drives this net?
-                let cluster = &clustering.clusters[c.0 as usize];
-                let slot = cluster
-                    .bles
-                    .iter()
-                    .position(|&b| clustering.bles[b.0 as usize].output == pn.net)
-                    .ok_or_else(|| {
-                        RouteError::BadEndpoint(format!(
-                            "cluster {} does not drive net {}",
-                            c.0,
-                            clustering.netlist.net_name(pn.net)
-                        ))
-                    })?;
+                let slot = clustering.output_slot(c, pn.net).ok_or_else(|| {
+                    RouteError::BadEndpoint(format!(
+                        "cluster {} does not drive net {}",
+                        c.0,
+                        clustering.netlist.net_name(pn.net)
+                    ))
+                })?;
                 clb_opin(g, device, loc, slot)
                     .ok_or_else(|| RouteError::BadEndpoint("missing CLB opin".to_string()))?
             }
@@ -221,11 +215,8 @@ pub fn net_endpoints(
             match term {
                 BlockRef::Cluster(c) => {
                     let loc = slot_of(term)?.loc;
-                    let cluster = &clustering.clusters[c.0 as usize];
-                    let idx = cluster
-                        .inputs
-                        .iter()
-                        .position(|&n| n == pn.net)
+                    let idx = clustering.clusters[c.0 as usize]
+                        .input_pin(pn.net)
                         .ok_or_else(|| {
                             RouteError::BadEndpoint(format!(
                                 "cluster {} does not consume net {}",

@@ -64,41 +64,27 @@ HASHED=$(
 check_allowlist "HashMap/HashSet in canonical-bytes / cache-key code" scripts/canon-allowlist.txt \
     "use a BTreeMap/sorted Vec, or justify and add to scripts/canon-allowlist.txt" "$HASHED"
 
-echo "==> source lint: a placement is an ordered block table (no HashMap/HashSet in crates/place/src, crates/lint/src/place.rs)"
-# The annealer's move loop touches flat, index-addressed memory only
-# (sa.rs module doc), and Placement::slots is a Vec ascending by block
-# that every consumer reads in that one order (DESIGN.md "A placement is
-# an ordered block table"). No allowlist.
-PLACE_SITES=$(
-    for f in crates/place/src/*.rs crates/lint/src/place.rs; do
+echo "==> source lint: dense indices (no HashMap/HashSet in pack, place or STA code; no .producer( outside tests)"
+# Packing, the annealer and static timing address nets, BLEs, blocks and
+# route-tree nodes by index (DESIGN.md "Packing on the netlist's own
+# indices", "A placement is an ordered block table", "Static timing"):
+# every table is a Vec. A net's producing cluster is read from a table
+# built once, never found by Clustering::producer's scan over every BLE,
+# which stays a test oracle. No allowlist.
+DENSE_SITES=$(
+    for f in crates/pack/src/*.rs crates/lint/src/pack.rs crates/place/src/*.rs \
+             crates/lint/src/place.rs crates/route/src/sta.rs crates/route/src/timing.rs; do
         awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
             /HashMap|HashSet/{ sub(/^[ \t]+/, ""); print file":"FNR": "$0 }' "$f"
     done
-)
-if [ -n "$PLACE_SITES" ]; then
-    echo "FAIL: hash-ordered container in placement code:" >&2
-    echo "$PLACE_SITES" >&2
-    exit 1
-fi
-
-echo "==> source lint: static timing on dense arrays (no HashMap/HashSet in crates/route/src/{sta,timing}.rs, no .producer( in crates/route/src)"
-# STA addresses cells, nets and route-tree nodes by index (DESIGN.md
-# "Static timing"): every table is a Vec, and a net's producing cluster
-# is read from a table built once per analysis, never found by
-# Clustering::producer's scan over every BLE. No allowlist.
-STA_SITES=$(
-    for f in crates/route/src/sta.rs crates/route/src/timing.rs; do
-        awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
-            /HashMap|HashSet/{ sub(/^[ \t]+/, ""); print file":"FNR": "$0 }' "$f"
-    done
-    find crates/route/src -name '*.rs' | sort | while read -r f; do
+    find crates/*/src -name '*.rs' | sort | while read -r f; do
         awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
             /\.producer\(/{ sub(/^[ \t]+/, ""); print file":"FNR": "$0 }' "$f"
     done
 )
-if [ -n "$STA_SITES" ]; then
-    echo "FAIL: hashed lookup or producer scan in static timing:" >&2
-    echo "$STA_SITES" >&2
+if [ -n "$DENSE_SITES" ]; then
+    echo "FAIL: hashed container or producer scan in index-addressed code:" >&2
+    echo "$DENSE_SITES" >&2
     exit 1
 fi
 

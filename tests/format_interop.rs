@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use fpga_framework::circuits::{random_logic, RandomLogicParams};
 use fpga_framework::netlist::sim::check_equivalence;
 use fpga_framework::netlist::{blif, edif};
+use fpga_framework::pack::clustering_to_bytes;
 use fpga_framework::synth::{map_to_luts, MapOptions};
 
 #[test]
@@ -63,7 +64,8 @@ proptest! {
         })?;
     }
 
-    /// Packing any mapped circuit satisfies every architecture constraint.
+    /// Packing any mapped circuit satisfies every architecture constraint,
+    /// and its `.net` text parses back to the same clustering bytes.
     #[test]
     fn packing_is_always_legal(seed in 0u64..5000, gates in 20usize..120) {
         let nl = random_logic(&RandomLogicParams {
@@ -81,6 +83,10 @@ proptest! {
         })?;
         // Every BLE output net is either a PO or consumed somewhere.
         prop_assert!(c.utilization() > 0.0);
+        let text = fpga_framework::pack::netformat::write_net(&c);
+        let back = fpga_framework::pack::netformat::parse_net(&text, &c.netlist, &arch)
+            .map_err(|e| TestCaseError::fail(format!("seed {seed}: {e}")))?;
+        prop_assert_eq!(clustering_to_bytes(&back), clustering_to_bytes(&c));
     }
 
     /// BLIF round-trips preserve function for generated circuits.
