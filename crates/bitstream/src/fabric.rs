@@ -7,12 +7,15 @@
 //! here looks at the original netlist: if the emulated device behaves like
 //! the reference simulation, the whole flow (mapping through DAGGER) is
 //! end-to-end correct.
-
-use std::collections::HashMap;
+//!
+//! The bits are read once, in [`Fabric::new`]: every LUT input and output
+//! pad is bound to the one BLE or input pad that drives it, and the
+//! combinational BLEs are put in dependency order, so a settle is a single
+//! sweep over that order.
 
 use fpga_route::rrgraph::RrKind;
 
-use crate::config::{Bitstream, IoMode, WireKey, XbarSel};
+use crate::config::{Bitstream, IoConfig, IoMode, WireKey, XbarSel};
 use crate::{BitstreamError, Result};
 
 /// Union-find over wire-key indices `0..n`: the reduction from closed
@@ -45,325 +48,300 @@ impl Dsu {
     }
 }
 
+/// What drives a pin, resolved at load.
+#[derive(Clone, Copy)]
+enum Source {
+    /// Nothing: an undriven pin, an unused BLE or an empty feedback slot.
+    Low,
+    /// A used BLE's output, by flat index over every CLB's slots.
+    Ble(usize),
+    /// An input pad, by index into the sorted pad symbols.
+    Pad(usize),
+}
+
+impl Source {
+    fn value(self, ble: &[bool], pad: &[bool]) -> bool {
+        match self {
+            Source::Low => false,
+            Source::Ble(j) => ble[j],
+            Source::Pad(p) => pad[p],
+        }
+    }
+}
+
+/// One BLE's LUT: its truth table and the source of each input.
+struct Lut {
+    truth: u64,
+    inputs: Vec<Source>,
+}
+
+impl Lut {
+    fn eval(&self, ble: &[bool], pad: &[bool]) -> bool {
+        let m = (self.inputs.iter().enumerate())
+            .fold(0, |m, (i, s)| m | (s.value(ble, pad) as usize) << i);
+        self.truth >> m & 1 == 1
+    }
+}
+
 /// A configured, emulatable device.
 pub struct Fabric {
-    bs: Bitstream,
-    /// Wire/pin key -> electrical net index.
-    net_of: HashMap<WireKey, usize>,
     n_nets: usize,
-    /// Driver of each electrical net: an OPIN key.
-    driver_of_net: Vec<Option<WireKey>>,
-    /// FF state per (clb index, ble slot).
-    ff_state: Vec<Vec<bool>>,
-    /// Current value per electrical net.
-    net_values: Vec<bool>,
-    /// Current BLE output values per (clb, slot).
-    ble_out: Vec<Vec<bool>>,
-    /// Input pad values by net symbol.
-    pad_inputs: HashMap<String, bool>,
+    /// Every BLE slot's LUT, flat over the CLBs in bitstream order.
+    luts: Vec<Lut>,
+    /// Every BLE slot's output; a registered BLE's is its FF state.
+    ble: Vec<bool>,
+    /// The used combinational BLEs, each after every such BLE it reads.
+    order: Vec<usize>,
+    /// The used registered BLEs, with their initial states.
+    regs: Vec<(usize, bool)>,
+    /// The registered BLEs that capture on a tick: both clock enables set.
+    clocked: Vec<usize>,
+    /// Input pad symbols, sorted and deduplicated, and their values.
+    pad_names: Vec<String>,
+    pad: Vec<bool>,
+    /// Output pad symbols, sorted, each with its first pad's source.
+    outputs: Vec<(String, Source)>,
 }
 
 impl Fabric {
-    /// Build the electrical model from a bitstream.
+    /// Build the electrical model from a bitstream. Two output pins on
+    /// one net are contention, and a combinational loop is refused.
     pub fn new(bs: Bitstream) -> Result<Fabric> {
-        // Collect every key that participates in connectivity.
-        let mut keys: Vec<WireKey> = Vec::new();
-        let mut key_index: HashMap<WireKey, usize> = HashMap::new();
-        let intern = |k: WireKey,
-                      keys: &mut Vec<WireKey>,
-                      key_index: &mut HashMap<WireKey, usize>|
-         -> usize {
-            *key_index.entry(k).or_insert_with(|| {
-                keys.push(k);
-                keys.len() - 1
-            })
+        let opin = |x, y, pin| RrKind::Opin { x, y, pin };
+        let ipin = |x, y, pin| RrKind::Ipin { x, y, pin };
+        // Every closed switch as a key pair; IO pads participate even if
+        // unrouted (unused pads park).
+        let ins = (bs.cb_inputs.iter()).map(|(&(x, y, p), &w)| (ipin(x, y, p), w));
+        let outs = (bs.cb_outputs.iter()).map(|&((x, y, p), w)| (opin(x, y, p), w));
+        let sb = bs.sb_switches.iter().copied();
+        let pairs: Vec<(WireKey, WireKey)> = sb.chain(ins).chain(outs).collect();
+        let pad_key = |io: &IoConfig| match io.mode {
+            IoMode::Input => Some(opin(io.loc.x, io.loc.y, io.sub)),
+            IoMode::Output => Some(ipin(io.loc.x, io.loc.y, io.sub)),
+            IoMode::Unused => None,
         };
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (a, b) in &bs.sb_switches {
-            let ia = intern(*a, &mut keys, &mut key_index);
-            let ib = intern(*b, &mut keys, &mut key_index);
-            pairs.push((ia, ib));
-        }
-        for ((x, y, pin), wire) in &bs.cb_inputs {
-            let ipin = intern(
-                RrKind::Ipin {
-                    x: *x,
-                    y: *y,
-                    pin: *pin,
-                },
-                &mut keys,
-                &mut key_index,
-            );
-            let iw = intern(*wire, &mut keys, &mut key_index);
-            pairs.push((ipin, iw));
-        }
-        for ((x, y, pin), wire) in &bs.cb_outputs {
-            let opin = intern(
-                RrKind::Opin {
-                    x: *x,
-                    y: *y,
-                    pin: *pin,
-                },
-                &mut keys,
-                &mut key_index,
-            );
-            let iw = intern(*wire, &mut keys, &mut key_index);
-            pairs.push((opin, iw));
-        }
-        // IO pads participate even if unrouted (unused pads park).
-        for io in &bs.ios {
-            let k = match io.mode {
-                IoMode::Input => RrKind::Opin {
-                    x: io.loc.x,
-                    y: io.loc.y,
-                    pin: io.sub,
-                },
-                IoMode::Output => RrKind::Ipin {
-                    x: io.loc.x,
-                    y: io.loc.y,
-                    pin: io.sub,
-                },
-                IoMode::Unused => continue,
-            };
-            intern(k, &mut keys, &mut key_index);
-        }
-
+        let mut keys: Vec<WireKey> = (pairs.iter().flat_map(|&(a, b)| [a, b]))
+            .chain(bs.ios.iter().filter_map(pad_key))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
         let mut dsu = Dsu::new(keys.len());
-        for (a, b) in pairs {
-            dsu.union(a, b);
+        for (a, b) in &pairs {
+            if let (Ok(a), Ok(b)) = (keys.binary_search(a), keys.binary_search(b)) {
+                dsu.union(a, b);
+            }
         }
+        let root: Vec<usize> = (0..keys.len()).map(|i| dsu.find(i)).collect();
+        let n_nets = (root.iter().enumerate()).filter(|&(i, &r)| i == r).count();
 
-        // Electrical nets = DSU roots.
-        let mut net_of: HashMap<WireKey, usize> = HashMap::new();
-        let mut root_to_net: HashMap<usize, usize> = HashMap::new();
-        let mut n_nets = 0usize;
-        for (i, &k) in keys.iter().enumerate() {
-            let root = dsu.find(i);
-            let net = *root_to_net.entry(root).or_insert_with(|| {
-                n_nets += 1;
-                n_nets - 1
-            });
-            net_of.insert(k, net);
-        }
-
-        // Drivers: exactly one OPIN per net (contention check).
-        let mut driver_of_net: Vec<Option<WireKey>> = vec![None; n_nets];
-        for (&k, &net) in &net_of {
+        // Each net's one driving output pin, found in key order.
+        let mut driver: Vec<Option<WireKey>> = vec![None; keys.len()];
+        for (&k, &r) in keys.iter().zip(&root) {
             if let RrKind::Opin { .. } = k {
-                if let Some(prev) = driver_of_net[net] {
+                if let Some(prev) = driver[r] {
                     return Err(BitstreamError::Fabric(format!(
                         "electrical contention: {prev:?} and {k:?} drive the same net"
                     )));
                 }
-                driver_of_net[net] = Some(k);
+                driver[r] = Some(k);
             }
         }
 
-        let ff_state: Vec<Vec<bool>> = bs
-            .clbs
-            .iter()
-            .map(|clb| clb.bles.iter().map(|b| b.init).collect())
+        // What each driver is: the first CLB at its location, else the
+        // first input pad there.
+        let base: Vec<usize> = (bs.clbs.iter())
+            .scan(0, |n, clb| {
+                *n += clb.bles.len();
+                Some(*n - clb.bles.len())
+            })
             .collect();
-        let ble_out: Vec<Vec<bool>> = bs
-            .clbs
-            .iter()
-            .map(|clb| vec![false; clb.bles.len()])
+        let ble_src = |ci: usize, slot: usize| match bs.clbs[ci].bles.get(slot) {
+            Some(ble) if ble.used => Source::Ble(base[ci] + slot),
+            _ => Source::Low,
+        };
+        let mut clb_at: Vec<((u32, u32), usize)> = (bs.clbs.iter().enumerate())
+            .map(|(ci, clb)| ((clb.loc.x, clb.loc.y), ci))
             .collect();
+        clb_at.sort_by_key(|e| e.0);
+        clb_at.dedup_by_key(|e| e.0);
+        let inputs = bs.ios.iter().filter(|io| io.mode == IoMode::Input);
+        let mut pad_names: Vec<String> = inputs.clone().map(|io| io.net.clone()).collect();
+        pad_names.sort_unstable();
+        pad_names.dedup();
+        let mut pad_at: Vec<((u32, u32, u32), Source)> = inputs
+            .map(|io| {
+                let p = pad_names
+                    .binary_search(&io.net)
+                    .map_or(Source::Low, Source::Pad);
+                ((io.loc.x, io.loc.y, io.sub), p)
+            })
+            .collect();
+        pad_at.sort_by_key(|e| e.0);
+        pad_at.dedup_by_key(|e| e.0);
+        let net_src: Vec<Source> = (driver.iter())
+            .map(|d| match *d {
+                Some(RrKind::Opin { x, y, pin }) => {
+                    match clb_at.binary_search_by_key(&(x, y), |e| e.0) {
+                        Ok(i) => (pin as usize)
+                            .checked_sub(bs.clb_inputs)
+                            .map_or(Source::Low, |slot| ble_src(clb_at[i].1, slot)),
+                        Err(_) => (pad_at.binary_search_by_key(&(x, y, pin), |e| e.0))
+                            .map_or(Source::Low, |i| pad_at[i].1),
+                    }
+                }
+                _ => Source::Low,
+            })
+            .collect();
+        let read = |x, y, pin| {
+            let k = keys.binary_search(&ipin(x, y, pin));
+            k.map_or(Source::Low, |i| net_src[root[i]])
+        };
+
+        let (mut luts, mut comb) = (Vec::new(), Vec::new());
+        let (mut regs, mut clocked) = (Vec::new(), Vec::new());
+        for (ci, clb) in bs.clbs.iter().enumerate() {
+            for ble in &clb.bles {
+                let j = luts.len();
+                let inputs = (ble.inputs.iter())
+                    .map(|sel| match *sel {
+                        XbarSel::ClusterInput(p) => read(clb.loc.x, clb.loc.y, p as u32),
+                        XbarSel::Feedback(b) => ble_src(ci, b as usize),
+                        XbarSel::Unused => Source::Low,
+                    })
+                    .collect();
+                let truth = ble.truth;
+                luts.push(Lut { truth, inputs });
+                comb.push(ble.used && !ble.registered);
+                if ble.used && ble.registered {
+                    regs.push((j, ble.init));
+                    if ble.clock_enable && clb.clock_enable {
+                        clocked.push(j);
+                    }
+                }
+            }
+        }
+        let order = levelize(&luts, &comb).map_err(|j| {
+            let ci = base.partition_point(|&b| b <= j) - 1;
+            let (slot, x, y) = (j - base[ci], bs.clbs[ci].loc.x, bs.clbs[ci].loc.y);
+            BitstreamError::Fabric(format!(
+                "combinational loop through slot {slot} of the CLB at ({x}, {y})"
+            ))
+        })?;
+
+        let mut outputs: Vec<(String, Source)> = (bs.ios.iter())
+            .filter(|io| io.mode == IoMode::Output)
+            .map(|io| (io.net.clone(), read(io.loc.x, io.loc.y, io.sub)))
+            .collect();
+        outputs.sort_by(|a, b| a.0.cmp(&b.0));
+        outputs.dedup_by(|a, b| a.0 == b.0);
 
         let mut fabric = Fabric {
-            bs,
-            net_of,
             n_nets,
-            driver_of_net,
-            ff_state,
-            net_values: vec![false; n_nets],
-            ble_out,
-            pad_inputs: HashMap::new(),
+            ble: vec![false; luts.len()],
+            luts,
+            order,
+            regs,
+            clocked,
+            pad: vec![false; pad_names.len()],
+            pad_names,
+            outputs,
         };
-        fabric.settle();
+        fabric.reset();
         Ok(fabric)
     }
 
     /// Set the value on an input pad, by its net symbol.
     pub fn set_input(&mut self, net_symbol: &str, value: bool) -> Result<()> {
-        if !self
-            .bs
-            .ios
-            .iter()
-            .any(|io| io.mode == IoMode::Input && io.net == net_symbol)
-        {
-            return Err(BitstreamError::Fabric(format!(
-                "no input pad carries '{net_symbol}'"
-            )));
-        }
-        self.pad_inputs.insert(net_symbol.to_string(), value);
+        let i = (self
+            .pad_names
+            .binary_search_by_key(&net_symbol, String::as_str))
+        .map_err(|_| no_pad("input", net_symbol))?;
+        self.pad[i] = value;
         Ok(())
     }
 
     /// Read the value observed by an output pad, by its net symbol.
     pub fn read_output(&self, net_symbol: &str) -> Result<bool> {
-        let io = self
-            .bs
-            .ios
-            .iter()
-            .find(|io| io.mode == IoMode::Output && io.net == net_symbol)
-            .ok_or_else(|| {
-                BitstreamError::Fabric(format!("no output pad carries '{net_symbol}'"))
-            })?;
-        let key = RrKind::Ipin {
-            x: io.loc.x,
-            y: io.loc.y,
-            pin: io.sub,
-        };
-        match self.net_of.get(&key) {
-            Some(&net) => Ok(self.net_values[net]),
-            None => Ok(false), // unconnected output pad reads low
-        }
+        let i = (self
+            .outputs
+            .binary_search_by_key(&net_symbol, |(n, _)| n.as_str()))
+        .map_err(|_| no_pad("output", net_symbol))?;
+        Ok(self.outputs[i].1.value(&self.ble, &self.pad))
     }
 
-    /// The value at a CLB input pin (through the connection box).
-    fn clb_input_value(&self, x: u32, y: u32, pin: u32) -> bool {
-        let key = RrKind::Ipin { x, y, pin };
-        match self.net_of.get(&key) {
-            Some(&net) => self.net_values[net],
-            None => false,
-        }
-    }
-
-    /// Evaluate one BLE's LUT output from current values.
-    fn eval_ble(&self, ci: usize, slot: usize) -> bool {
-        let clb = &self.bs.clbs[ci];
-        let ble = &clb.bles[slot];
-        let mut m = 0usize;
-        for (i, sel) in ble.inputs.iter().enumerate() {
-            let v = match sel {
-                XbarSel::ClusterInput(pin) => {
-                    self.clb_input_value(clb.loc.x, clb.loc.y, *pin as u32)
-                }
-                XbarSel::Feedback(b) => self.ble_out[ci][*b as usize],
-                XbarSel::Unused => false,
-            };
-            if v {
-                m |= 1 << i;
-            }
-        }
-        ble.truth >> m & 1 == 1
-    }
-
-    /// Propagate until the fabric is stable (combinational settle).
+    /// Settle the combinational logic: one sweep in dependency order.
     pub fn settle(&mut self) {
-        // Iterate: pads drive nets; CLB outputs drive nets; BLEs evaluate.
-        // The configured design is acyclic through LUTs, so this
-        // converges in at most #levels passes; cap generously.
-        let max_passes = 4 * (self.bs.clbs.len() + 2);
-        for _ in 0..max_passes {
-            let mut changed = false;
-            // 1. Drive nets from their drivers.
-            for net in 0..self.n_nets {
-                let v = match self.driver_of_net[net] {
-                    Some(RrKind::Opin { x, y, pin }) => self.opin_value(x, y, pin),
-                    _ => false,
-                };
-                if self.net_values[net] != v {
-                    self.net_values[net] = v;
-                    changed = true;
-                }
-            }
-            // 2. Evaluate BLE outputs (registered BLEs hold FF state).
-            for ci in 0..self.bs.clbs.len() {
-                for slot in 0..self.bs.clbs[ci].bles.len() {
-                    let ble = &self.bs.clbs[ci].bles[slot];
-                    if !ble.used {
-                        continue;
-                    }
-                    let v = if ble.registered {
-                        self.ff_state[ci][slot]
-                    } else {
-                        self.eval_ble(ci, slot)
-                    };
-                    if self.ble_out[ci][slot] != v {
-                        self.ble_out[ci][slot] = v;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
+        for &j in &self.order {
+            let v = self.luts[j].eval(&self.ble, &self.pad);
+            self.ble[j] = v;
         }
-    }
-
-    /// What an OPIN currently drives.
-    fn opin_value(&self, x: u32, y: u32, pin: u32) -> bool {
-        // CLB output pin?
-        if let Some((ci, clb)) = self
-            .bs
-            .clbs
-            .iter()
-            .enumerate()
-            .find(|(_, c)| c.loc.x == x && c.loc.y == y)
-        {
-            let slot = pin as usize - self.bs.clb_inputs;
-            if slot < clb.bles.len() {
-                return self.ble_out[ci][slot];
-            }
-            return false;
-        }
-        // Input pad?
-        if let Some(io) =
-            self.bs.ios.iter().find(|io| {
-                io.mode == IoMode::Input && io.loc.x == x && io.loc.y == y && io.sub == pin
-            })
-        {
-            return self.pad_inputs.get(&io.net).copied().unwrap_or(false);
-        }
-        false
     }
 
     /// One clock event: settle, capture every enabled FF, settle again.
     pub fn tick(&mut self) {
         self.settle();
-        let mut captures: Vec<(usize, usize, bool)> = Vec::new();
-        for (ci, clb) in self.bs.clbs.iter().enumerate() {
-            if !clb.clock_enable {
-                continue;
-            }
-            for (slot, ble) in clb.bles.iter().enumerate() {
-                if ble.used && ble.registered && ble.clock_enable {
-                    captures.push((ci, slot, self.eval_ble(ci, slot)));
-                }
-            }
-        }
-        for (ci, slot, v) in captures {
-            self.ff_state[ci][slot] = v;
+        let captured: Vec<bool> = (self.clocked.iter())
+            .map(|&j| self.luts[j].eval(&self.ble, &self.pad))
+            .collect();
+        for (&j, v) in self.clocked.iter().zip(captured) {
+            self.ble[j] = v;
         }
         self.settle();
     }
 
     /// Reset every FF to its configured initial state.
     pub fn reset(&mut self) {
-        for (ci, clb) in self.bs.clbs.iter().enumerate() {
-            for (slot, ble) in clb.bles.iter().enumerate() {
-                self.ff_state[ci][slot] = ble.init;
-            }
+        for &(j, init) in &self.regs {
+            self.ble[j] = init;
         }
         self.settle();
     }
 
-    /// Input pad symbols.
+    /// Input pad symbols, sorted.
     pub fn input_names(&self) -> Vec<String> {
-        self.bs
-            .ios
-            .iter()
-            .filter(|io| io.mode == IoMode::Input)
-            .map(|io| io.net.clone())
-            .collect()
+        self.pad_names.clone()
     }
 
     /// Electrical net count (diagnostics).
     pub fn electrical_net_count(&self) -> usize {
         self.n_nets
     }
+}
+
+fn no_pad(dir: &str, net_symbol: &str) -> BitstreamError {
+    BitstreamError::Fabric(format!("no {dir} pad carries '{net_symbol}'"))
+}
+
+/// The BLEs marked in `comb`, each after every such BLE it reads (a
+/// depth-first post-order); on a loop, `Err` with a BLE on it.
+fn levelize(luts: &[Lut], comb: &[bool]) -> std::result::Result<Vec<usize>, usize> {
+    // 0 = not reached, 1 = on the search path, 2 = ordered.
+    let mut mark = vec![0u8; luts.len()];
+    let mut order = Vec::new();
+    for start in (0..luts.len()).filter(|&j| comb[j]) {
+        if mark[start] != 0 {
+            continue;
+        }
+        mark[start] = 1;
+        let mut path = vec![(start, 0)];
+        while let Some((j, next)) = path.pop() {
+            let Some(&src) = luts[j].inputs.get(next) else {
+                mark[j] = 2;
+                order.push(j);
+                continue;
+            };
+            path.push((j, next + 1));
+            match src {
+                Source::Ble(d) if comb[d] && mark[d] == 1 => return Err(d),
+                Source::Ble(d) if comb[d] && mark[d] == 0 => {
+                    mark[d] = 1;
+                    path.push((d, 0));
+                }
+                _ => {}
+            }
+        }
+    }
+    Ok(order)
 }
 
 /// Run the same random stimulus through the fabric and the reference
@@ -423,7 +401,7 @@ mod tests {
     use fpga_route::rrgraph::RrGraph;
     use fpga_route::{PathFinderRouter, RouteConfig, RouteEngine};
 
-    fn full_flow(nl: &Netlist) -> (Fabric, Netlist) {
+    fn flow_bitstream(nl: &Netlist) -> Bitstream {
         let c = fpga_pack::pack(nl, &ClbArch::paper_default()).unwrap();
         let device = Device::sized_for(
             Architecture::paper_default(),
@@ -440,12 +418,15 @@ mod tests {
         let bs = generate(&c, &p, &r, &g).unwrap();
         // Exercise serialization in the loop as well.
         let bytes = crate::frames::write(&bs);
-        let bs2 = crate::frames::parse(&bytes).unwrap();
-        (Fabric::new(bs2).unwrap(), nl.clone())
+        crate::frames::parse(&bytes).unwrap()
     }
 
-    #[test]
-    fn combinational_design_emulates() {
+    fn full_flow(nl: &Netlist) -> (Fabric, Netlist) {
+        (Fabric::new(flow_bitstream(nl)).unwrap(), nl.clone())
+    }
+
+    /// y = maj(a, b, c); z = a xor b xor c.
+    fn comb_netlist() -> Netlist {
         let mut nl = Netlist::new("comb");
         let a = nl.net("a");
         let b = nl.net("b");
@@ -457,7 +438,6 @@ mod tests {
         }
         nl.add_output(y);
         nl.add_output(z);
-        // y = maj(a, b, c); z = a xor b xor c.
         nl.add_cell(
             "m",
             CellKind::Lut {
@@ -476,7 +456,12 @@ mod tests {
             vec![a, b, cnet],
             z,
         );
-        let (mut fabric, golden) = full_flow(&nl);
+        nl
+    }
+
+    #[test]
+    fn combinational_design_emulates() {
+        let (mut fabric, golden) = full_flow(&comb_netlist());
         verify_against_netlist(&mut fabric, &golden, 64, 5).unwrap();
     }
 
@@ -597,5 +582,66 @@ mod tests {
         assert!(fabric.set_input("nonexistent", true).is_err());
         assert!(fabric.read_output("nonexistent").is_err());
         assert!(fabric.set_input("a", true).is_ok());
+    }
+
+    #[test]
+    fn contention_names_the_lower_driver_first_every_time() {
+        // Short the first two driven output connections' wires together.
+        let mut bs = flow_bitstream(&comb_netlist());
+        let mut outs = bs.cb_outputs.iter().copied();
+        let (o0, w0) = outs.next().unwrap();
+        let (o1, w1) = outs.find(|&(o, _)| o != o0).unwrap();
+        bs.sb_switches.insert((w0, w1));
+        let opin = |(x, y, pin)| RrKind::Opin { x, y, pin };
+        let (a, b) = (opin(o0), opin(o1));
+        let want = format!(
+            "electrical contention: {:?} and {:?} drive the same net",
+            a.min(b),
+            a.max(b)
+        );
+        for _ in 0..20 {
+            match Fabric::new(bs.clone()) {
+                Err(BitstreamError::Fabric(m)) => assert_eq!(m, want),
+                other => panic!("expected contention, got {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn combinational_self_feedback_is_refused_as_a_loop() {
+        let mut bs = flow_bitstream(&comb_netlist());
+        let (ci, slot) = (bs.clbs.iter().enumerate())
+            .find_map(|(ci, clb)| {
+                let slot = clb.bles.iter().position(|b| b.used && !b.registered)?;
+                Some((ci, slot))
+            })
+            .unwrap();
+        bs.clbs[ci].bles[slot].inputs[0] = XbarSel::Feedback(slot as u8);
+        let loc = bs.clbs[ci].loc;
+        let want = format!(
+            "combinational loop through slot {slot} of the CLB at ({}, {})",
+            loc.x, loc.y
+        );
+        assert!(
+            matches!(Fabric::new(bs), Err(BitstreamError::Fabric(m)) if m == want),
+            "want: {want}"
+        );
+    }
+
+    #[test]
+    fn output_connection_below_the_output_pins_reads_low() {
+        // A CLB input-pin number used as an output connection, on a wire
+        // nothing else touches: the net it drives is simply low.
+        let nl = comb_netlist();
+        let mut bs = flow_bitstream(&nl);
+        let loc = bs.clbs[0].loc;
+        let spare = RrKind::Chanx {
+            x: loc.x,
+            y: loc.y,
+            t: 999,
+        };
+        bs.cb_outputs.insert(((loc.x, loc.y, 0), spare));
+        let mut fabric = Fabric::new(bs).unwrap();
+        verify_against_netlist(&mut fabric, &nl, 16, 5).unwrap();
     }
 }

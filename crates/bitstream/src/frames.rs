@@ -21,6 +21,8 @@ use crate::{crc32, BitstreamError, Result};
 
 const MAGIC: &[u8; 4] = b"DAGR";
 const VERSION: u16 = 1;
+/// Bytes from the magic through `n_cbo`.
+const HEADER_BYTES: usize = 36;
 
 fn put_wire(buf: &mut BytesMut, k: &RrKind) {
     let (tag, x, y, t): (u8, u32, u32, u32) = match *k {
@@ -124,7 +126,7 @@ pub fn write(bs: &Bitstream) -> Vec<u8> {
 
 /// Parse (readback) a bitstream, verifying the CRC.
 pub fn parse(data: &[u8]) -> Result<Bitstream> {
-    if data.len() < 4 + 2 + 4 {
+    if data.len() < HEADER_BYTES + 4 {
         return Err(BitstreamError::Format("too short".into()));
     }
     let (payload, crc_bytes) = data.split_at(data.len() - 4);
@@ -149,6 +151,11 @@ pub fn parse(data: &[u8]) -> Result<Bitstream> {
     let height = buf.get_u16_le() as usize;
     let channel_width = buf.get_u16_le() as usize;
     let lut_k = buf.get_u8() as usize;
+    if !(2..=6).contains(&lut_k) {
+        return Err(BitstreamError::Format(format!(
+            "lut_k {lut_k} out of the supported 2..=6 range"
+        )));
+    }
     let cluster_size = buf.get_u8() as usize;
     let clb_inputs = buf.get_u8() as usize;
     let _pad = buf.get_u8();
@@ -363,5 +370,32 @@ mod tests {
         let crc = crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
         assert!(matches!(parse(&body), Err(BitstreamError::Format(_))));
+    }
+
+    #[test]
+    fn short_header_and_unsupported_lut_k_are_format_errors() {
+        // Every CRC-valid prefix of a real header is refused, not read
+        // past its end.
+        let bytes = write(&sample());
+        for n in 6..HEADER_BYTES {
+            let mut data = bytes[..n].to_vec();
+            let crc = crc32(&data);
+            data.extend_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(parse(&data), Err(BitstreamError::Format(_))),
+                "{n}-byte payload"
+            );
+        }
+        // A well-formed stream for 7-input LUTs: more than any truth
+        // table holds.
+        let mut bs = sample();
+        bs.lut_k = 7;
+        for ble in &mut bs.clbs[0].bles {
+            ble.inputs.resize(7, XbarSel::Unused);
+        }
+        assert!(matches!(
+            parse(&write(&bs)),
+            Err(BitstreamError::Format(m)) if m.contains("lut_k 7")
+        ));
     }
 }

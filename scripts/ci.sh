@@ -64,16 +64,18 @@ HASHED=$(
 check_allowlist "HashMap/HashSet in canonical-bytes / cache-key code" scripts/canon-allowlist.txt \
     "use a BTreeMap/sorted Vec, or justify and add to scripts/canon-allowlist.txt" "$HASHED"
 
-echo "==> source lint: dense indices (no HashMap/HashSet in pack, place or STA code; no .producer( outside tests)"
-# Packing, the annealer and static timing address nets, BLEs, blocks and
-# route-tree nodes by index (DESIGN.md "Packing on the netlist's own
-# indices", "A placement is an ordered block table", "Static timing"):
-# every table is a Vec. A net's producing cluster is read from a table
-# built once, never found by Clustering::producer's scan over every BLE,
-# which stays a test oracle. No allowlist.
+echo "==> source lint: dense indices (no HashMap/HashSet in pack, place, STA or fabric-emulator code; no .producer( outside tests)"
+# Packing, the annealer, static timing and the fabric emulator address
+# nets, BLEs, blocks, route-tree nodes and wire keys by index (DESIGN.md
+# "Packing on the netlist's own indices", "A placement is an ordered
+# block table", "Static timing", "The fabric emulator"): every table is
+# a Vec. A net's producing cluster is read from a table built once, never
+# found by Clustering::producer's scan over every BLE, which stays a test
+# oracle. No allowlist.
 DENSE_SITES=$(
     for f in crates/pack/src/*.rs crates/lint/src/pack.rs crates/place/src/*.rs \
-             crates/lint/src/place.rs crates/route/src/sta.rs crates/route/src/timing.rs; do
+             crates/lint/src/place.rs crates/route/src/sta.rs crates/route/src/timing.rs \
+             crates/bitstream/src/fabric.rs; do
         awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
             /HashMap|HashSet/{ sub(/^[ \t]+/, ""); print file":"FNR": "$0 }' "$f"
     done

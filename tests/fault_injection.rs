@@ -191,6 +191,30 @@ fn shorted_nets_are_reported_as_contention() {
 }
 
 #[test]
+fn combinational_self_feedback_is_caught() {
+    let art = flow_artifacts();
+    // Switch LUT input 0 of each combinational BLE to its own output: a
+    // configured loop the flow never writes.
+    let mut tried = 0usize;
+    for ci in 0..art.bitstream.clbs.len() {
+        for slot in 0..art.bitstream.clbs[ci].bles.len() {
+            let ble = &art.bitstream.clbs[ci].bles[slot];
+            if !ble.used || ble.registered {
+                continue;
+            }
+            tried += 1;
+            assert!(
+                fault_detected(&art, |bs| {
+                    bs.clbs[ci].bles[slot].inputs[0] = XbarSel::Feedback(slot as u8);
+                }),
+                "self-feedback at CLB {ci} slot {slot} must not verify"
+            );
+        }
+    }
+    assert!(tried > 0);
+}
+
+#[test]
 fn disabled_clb_clock_is_caught() {
     let art = flow_artifacts();
     for ci in 0..art.bitstream.clbs.len() {
