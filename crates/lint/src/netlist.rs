@@ -5,8 +5,6 @@
 //! error, these passes sweep the whole netlist and report every finding,
 //! so one lint run shows the complete damage.
 
-use std::collections::HashSet;
-
 use fpga_netlist::ir::{CellId, CellKind, Netlist};
 
 use crate::diag::{Diagnostic, Severity};
@@ -28,7 +26,8 @@ pub fn lint_netlist(nl: &Netlist) -> Vec<Diagnostic> {
 fn combinational_loops(nl: &Netlist, out: &mut Vec<Diagnostic>) {
     let drivers = nl.drivers();
     let n = nl.cells.len();
-    // fanin[i] = combinational cells driving cell i's inputs.
+    // fanin[i] = combinational cells driving cell i's inputs, each once:
+    // a net read on two pins is one edge, so no cycle is closed twice.
     let mut fanin: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, c) in nl.cells.iter().enumerate() {
         if c.kind.is_ff() {
@@ -36,7 +35,7 @@ fn combinational_loops(nl: &Netlist, out: &mut Vec<Diagnostic>) {
         }
         for &input in &c.inputs {
             if let Some(drv) = drivers[input.index()] {
-                if !nl.cells[drv.index()].kind.is_ff() {
+                if !nl.cells[drv.index()].kind.is_ff() && !fanin[i].contains(&drv.index()) {
                     fanin[i].push(drv.index());
                 }
             }
@@ -49,7 +48,6 @@ fn combinational_loops(nl: &Netlist, out: &mut Vec<Diagnostic>) {
     const GRAY: u8 = 1;
     const BLACK: u8 = 2;
     let mut color = vec![WHITE; n];
-    let mut reported: HashSet<Vec<usize>> = HashSet::new();
     for root in 0..n {
         if color[root] != WHITE || nl.cells[root].kind.is_ff() {
             continue;
@@ -73,19 +71,16 @@ fn combinational_loops(nl: &Netlist, out: &mut Vec<Diagnostic>) {
                             .position(|&(c, _)| c == next)
                             .expect("gray cell is on the path");
                         let cycle: Vec<usize> = stack[start..].iter().map(|&(c, _)| c).collect();
-                        // Canonical form: rotate so the smallest id leads,
-                        // deduplicating rediscoveries from other roots.
+                        // Canonical form: rotate so the smallest id leads.
                         let min_pos = cycle
                             .iter()
                             .enumerate()
                             .min_by_key(|(_, &c)| c)
                             .map(|(i, _)| i)
                             .expect("cycle is nonempty");
-                        let mut canon = cycle.clone();
+                        let mut canon = cycle;
                         canon.rotate_left(min_pos);
-                        if reported.insert(canon.clone()) {
-                            out.push(describe_cycle(nl, &canon));
-                        }
+                        out.push(describe_cycle(nl, &canon));
                     }
                     _ => {}
                 }
@@ -276,13 +271,21 @@ mod tests {
 
     #[test]
     fn self_driving_cell_reports_single_cell_loop() {
-        let mut n = Netlist::new("selfloop");
-        let x = n.net("x");
-        n.add_output(x);
-        n.add_cell("g", CellKind::Buf, vec![x], x);
-        let diags = lint_netlist(&n);
-        let d = diags.iter().find(|d| d.code == "NL001").unwrap();
-        assert!(d.message.contains("drives its own input"), "{}", d.message);
+        // And(x, x) reads its own output on two pins: still one loop.
+        for (kind, pins) in [(CellKind::Buf, 1), (CellKind::And, 2)] {
+            let mut n = Netlist::new("selfloop");
+            let x = n.net("x");
+            n.add_output(x);
+            n.add_cell("g", kind, vec![x; pins], x);
+            let diags = lint_netlist(&n);
+            let loops: Vec<_> = diags.iter().filter(|d| d.code == "NL001").collect();
+            assert_eq!(loops.len(), 1, "{diags:?}");
+            assert!(
+                loops[0].message.contains("drives its own input"),
+                "{}",
+                loops[0].message
+            );
+        }
     }
 
     #[test]

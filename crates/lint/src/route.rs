@@ -2,8 +2,6 @@
 //! one wire or input pin) and `RT002` disconnected routed nets (broken
 //! route trees, missing sinks, edges the RR graph does not have).
 
-use std::collections::{HashMap, HashSet};
-
 use fpga_netlist::ir::{NetId, Netlist};
 use fpga_route::rrgraph::{RrGraph, RrKind, RrNodeId};
 use fpga_route::RouteResult;
@@ -35,19 +33,21 @@ pub fn lint_routing(nl: &Netlist, g: &RrGraph, r: &RouteResult) -> Vec<Diagnosti
 /// exempt only in being per-net by construction, so any sharing at all
 /// is flagged.
 fn overused_resources(nl: &Netlist, g: &RrGraph, r: &RouteResult, out: &mut Vec<Diagnostic>) {
-    let mut users: HashMap<RrNodeId, Vec<NetId>> = HashMap::new();
-    for net in &r.nets {
-        let mut seen: HashSet<RrNodeId> = HashSet::new();
+    // Each node's users in `r.nets` order; a net counts once per node
+    // (stamped with its position + 1).
+    let mut users: Vec<Vec<NetId>> = vec![Vec::new(); g.node_count()];
+    let mut seen = vec![0usize; g.node_count()];
+    for (i, net) in r.nets.iter().enumerate() {
         for &(node, _) in &net.tree {
-            if seen.insert(node) {
-                users.entry(node).or_default().push(net.net);
+            let n = node.0 as usize;
+            if seen[n] != i + 1 {
+                seen[n] = i + 1;
+                users[n].push(net.net);
             }
         }
     }
-    let mut shorted: Vec<(&RrNodeId, &Vec<NetId>)> =
-        users.iter().filter(|(_, nets)| nets.len() > 1).collect();
-    shorted.sort_by_key(|(node, _)| node.0);
-    for (&node, nets) in shorted {
+    for (node, nets) in users.iter().enumerate().filter(|(_, nets)| nets.len() > 1) {
+        let node = RrNodeId(node as u32);
         let mut d = Diagnostic::new(
             "RT001",
             Severity::Deny,
@@ -69,10 +69,15 @@ fn overused_resources(nl: &Netlist, g: &RrGraph, r: &RouteResult, out: &mut Vec<
 /// RT002: each routed net must be one tree rooted at its source, with
 /// every sink present and every parent edge realizable in the RR graph.
 fn disconnected_nets(nl: &Netlist, g: &RrGraph, r: &RouteResult, out: &mut Vec<Diagnostic>) {
-    for net in &r.nets {
+    // in_tree[node] == position + 1 of the net whose tree holds it.
+    let mut in_tree = vec![0usize; g.node_count()];
+    for (i, net) in r.nets.iter().enumerate() {
         let subject = format!("net '{}'", nl.net_name(net.net));
         let mut problems: Vec<String> = Vec::new();
-        let in_tree: HashSet<RrNodeId> = net.tree.iter().map(|&(n, _)| n).collect();
+        for &(n, _) in &net.tree {
+            in_tree[n.0 as usize] = i + 1;
+        }
+        let in_tree = |n: RrNodeId| in_tree[n.0 as usize] == i + 1;
 
         let roots = net.tree.iter().filter(|(_, p)| p.is_none()).count();
         if roots != 1 {
@@ -89,7 +94,7 @@ fn disconnected_nets(nl: &Netlist, g: &RrGraph, r: &RouteResult, out: &mut Vec<D
             ));
         }
         for &sink in &net.sinks {
-            if !in_tree.contains(&sink) {
+            if !in_tree(sink) {
                 problems.push(format!(
                     "sink {} is not reached by the route",
                     rr_name(g.kind(sink))
@@ -98,7 +103,7 @@ fn disconnected_nets(nl: &Netlist, g: &RrGraph, r: &RouteResult, out: &mut Vec<D
         }
         for &(node, parent) in &net.tree {
             let Some(parent) = parent else { continue };
-            if !in_tree.contains(&parent) {
+            if !in_tree(parent) {
                 problems.push(format!(
                     "node {} hangs off {}, which is not in the tree",
                     rr_name(g.kind(node)),

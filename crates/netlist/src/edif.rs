@@ -357,7 +357,7 @@ pub fn parse(text: &str) -> Result<Netlist> {
 pub fn write(netlist: &Netlist) -> Result<String> {
     let mut cells_used: Vec<String> = Vec::new();
     let mut instances = String::new();
-    let mut net_joins: HashMap<NetId, Vec<String>> = HashMap::new();
+    let mut net_joins: Vec<Vec<String>> = vec![Vec::new(); netlist.nets.len()];
 
     for (i, cell) in netlist.cells.iter().enumerate() {
         let (prim, pins): (String, Vec<String>) = match &cell.kind {
@@ -391,38 +391,20 @@ pub fn write(netlist: &Netlist) -> Result<String> {
         ));
         // Pin joins.
         if let CellKind::Dff { clock, .. } = cell.kind {
-            net_joins
-                .entry(cell.inputs[0])
-                .or_default()
-                .push(format!("(portRef D (instanceRef {iname}))"));
-            net_joins
-                .entry(clock)
-                .or_default()
-                .push(format!("(portRef C (instanceRef {iname}))"));
-            net_joins
-                .entry(cell.output)
-                .or_default()
-                .push(format!("(portRef Q (instanceRef {iname}))"));
+            net_joins[cell.inputs[0].index()].push(format!("(portRef D (instanceRef {iname}))"));
+            net_joins[clock.index()].push(format!("(portRef C (instanceRef {iname}))"));
+            net_joins[cell.output.index()].push(format!("(portRef Q (instanceRef {iname}))"));
         } else {
             for (pin, &net) in pins.iter().zip(cell.inputs.iter()) {
-                net_joins
-                    .entry(net)
-                    .or_default()
-                    .push(format!("(portRef {pin} (instanceRef {iname}))"));
+                net_joins[net.index()].push(format!("(portRef {pin} (instanceRef {iname}))"));
             }
-            net_joins
-                .entry(cell.output)
-                .or_default()
-                .push(format!("(portRef Y (instanceRef {iname}))"));
+            net_joins[cell.output.index()].push(format!("(portRef Y (instanceRef {iname}))"));
         }
     }
 
     // Top-level ports join their own nets.
     for &n in netlist.inputs.iter().chain(netlist.outputs.iter()) {
-        net_joins
-            .entry(n)
-            .or_default()
-            .push(format!("(portRef {})", sanitize(netlist.net_name(n))));
+        net_joins[n.index()].push(format!("(portRef {})", sanitize(netlist.net_name(n))));
     }
 
     let mut out = String::new();
@@ -455,14 +437,14 @@ pub fn write(netlist: &Netlist) -> Result<String> {
     }
     out.push_str("      )\n      (contents\n");
     out.push_str(&instances);
-    let mut nets: Vec<(&NetId, &Vec<String>)> = net_joins.iter().collect();
-    nets.sort_by_key(|(n, _)| n.0);
-    for (net, joins) in nets {
-        out.push_str(&format!(
-            "      (net {} (joined {}))\n",
-            sanitize(netlist.net_name(*net)),
-            joins.join(" ")
-        ));
+    for (net, joins) in netlist.nets.iter().zip(&net_joins) {
+        if !joins.is_empty() {
+            out.push_str(&format!(
+                "      (net {} (joined {}))\n",
+                sanitize(&net.name),
+                joins.join(" ")
+            ));
+        }
     }
     // Close: contents, view, cell, library, edif.
     out.push_str("      )\n      )\n    )\n  )\n)\n");

@@ -105,10 +105,9 @@ impl<'a> Simulator<'a> {
     /// Apply one clock event to every clock in the design.
     pub fn tick_all(&mut self) {
         self.propagate();
-        let snapshot = self.values.clone();
         for (i, c) in self.netlist.cells.iter().enumerate() {
             if c.kind.is_ff() {
-                self.ff_state[i] = snapshot[c.inputs[0].index()];
+                self.ff_state[i] = self.values[c.inputs[0].index()];
             }
         }
         self.propagate();
@@ -243,14 +242,16 @@ pub fn activity_estimate(
 
     let mut state = seed | 1;
     let mut next_bit = || xorshift64(&mut state) & 1 == 1;
+    let data_inputs: Vec<NetId> = netlist
+        .inputs
+        .iter()
+        .copied()
+        .filter(|i| !netlist.clocks.contains(i))
+        .collect();
 
     for cycle in 0..cycles {
-        for &input in &netlist.inputs {
-            if netlist.clocks.contains(&input) {
-                continue;
-            }
-            let bit = next_bit();
-            sim.set_input(input, bit);
+        for &input in &data_inputs {
+            sim.set_input(input, next_bit());
         }
         sim.tick_all();
         for n in 0..netlist.nets.len() {

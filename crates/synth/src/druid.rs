@@ -22,7 +22,7 @@ pub fn normalize(mut netlist: Netlist) -> Result<Netlist> {
     // Canonical design name.
     netlist.name = canonical(&netlist.name);
     // Cell instance names: lower-case, identifier-safe, unique.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for (i, cell) in netlist.cells.iter_mut().enumerate() {
         let mut name = canonical(&cell.name);
         if !seen.insert(name.clone()) {

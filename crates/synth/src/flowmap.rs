@@ -9,8 +9,6 @@
 //! K-LUT per selected cut; each LUT's truth table is computed by
 //! simulating its cone over all leaf combinations.
 
-use std::collections::HashMap;
-
 use fpga_netlist::ir::{CellId, CellKind, NetId, Netlist};
 
 use crate::decompose::decompose;
@@ -112,21 +110,25 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
         }
     };
 
-    // Cut enumeration in topological order.
-    let mut cuts: HashMap<NetId, Vec<Cut>> = HashMap::new();
-    let mut arrival: HashMap<NetId, usize> = HashMap::new();
-    let mut fanout_est: HashMap<NetId, usize> = HashMap::new();
+    // Cut enumeration in topological order. Every net starts with its
+    // singleton cut (all a leaf offers); labeling a node replaces it.
+    let n_nets = two_bounded.nets.len();
+    let leaf_cut = |net: NetId| Cut { leaves: vec![net] };
+    let mut cuts: Vec<Vec<Cut>> = (0..n_nets)
+        .map(|n| vec![leaf_cut(NetId(n as u32))])
+        .collect();
+    let mut arrival: Vec<usize> = vec![0; n_nets];
+    let mut fanout_est: Vec<usize> = vec![0; n_nets];
     for c in &two_bounded.cells {
         for &i in &c.inputs {
-            *fanout_est.entry(i).or_insert(0) += 1;
+            fanout_est[i.index()] += 1;
         }
     }
 
-    let leaf_cut = |net: NetId| Cut { leaves: vec![net] };
-    let cut_arrival = |cut: &Cut, arrival: &HashMap<NetId, usize>| -> usize {
+    let cut_arrival = |cut: &Cut, arrival: &[usize]| -> usize {
         cut.leaves
             .iter()
-            .map(|l| arrival.get(l).copied().unwrap_or(0))
+            .map(|l| arrival[l.index()])
             .max()
             .unwrap_or(0)
     };
@@ -135,35 +137,22 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
         let cell = &two_bounded.cells[cid.index()];
         let out = cell.output;
         if matches!(cell.kind, CellKind::Const0 | CellKind::Const1) {
-            arrival.insert(out, 0);
             continue;
         }
-        // Gather fanin cut lists (leaves get their singleton cut).
-        let fanin_cuts: Vec<Vec<Cut>> = cell
-            .inputs
-            .iter()
-            .map(|&n| {
-                if is_leaf_net(n) {
-                    vec![leaf_cut(n)]
-                } else {
-                    cuts.get(&n).cloned().unwrap_or_else(|| vec![leaf_cut(n)])
-                }
-            })
-            .collect();
-
+        let fanin = |i: usize| cuts[cell.inputs[i].index()].as_slice();
         let mut candidates: Vec<Cut> = Vec::new();
-        match fanin_cuts.len() {
+        match cell.inputs.len() {
             0 => {}
             1 => {
-                for a in &fanin_cuts[0] {
+                for a in fanin(0) {
                     if a.leaves.len() <= opts.k {
                         candidates.push(a.clone());
                     }
                 }
             }
             2 => {
-                for a in &fanin_cuts[0] {
-                    for b in &fanin_cuts[1] {
+                for a in fanin(0) {
+                    for b in fanin(1) {
                         if let Some(m) = Cut::merge(a, b, opts.k) {
                             candidates.push(m);
                         }
@@ -195,7 +184,7 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
             let shared: isize = cut
                 .leaves
                 .iter()
-                .map(|l| fanout_est.get(l).copied().unwrap_or(1) as isize)
+                .map(|l| fanout_est[l.index()].max(1) as isize)
                 .sum();
             (arr, cut.leaves.len(), -shared)
         };
@@ -207,30 +196,32 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
             .iter()
             .find(|c| c.leaves != [out])
             .ok_or_else(|| SynthError::Internal("node with no usable cut".into()))?;
-        arrival.insert(out, cut_arrival(best, &arrival) + 1);
+        arrival[out.index()] = cut_arrival(best, &arrival) + 1;
 
         // Keep the trivial cut available for fanout merging.
-        let mut kept = candidates;
-        if !kept.iter().any(|c| c.leaves == [out]) {
-            kept.push(leaf_cut(out));
+        if !candidates.iter().any(|c| c.leaves == [out]) {
+            candidates.push(leaf_cut(out));
         }
-        cuts.insert(out, kept);
+        cuts[out.index()] = candidates;
     }
 
     // Covering: choose the best cut at every required root.
+    // Roots keep their first-occurrence order: the cover pops from the end.
     let mut required: Vec<NetId> = Vec::new();
-    let push_root = |net: NetId, required: &mut Vec<NetId>| {
-        if !is_leaf_net(net) && !required.contains(&net) {
+    let mut is_required = vec![false; n_nets];
+    let mut push_root = |net: NetId| {
+        if !is_leaf_net(net) && !is_required[net.index()] {
+            is_required[net.index()] = true;
             required.push(net);
         }
     };
     for &po in &two_bounded.outputs {
-        push_root(po, &mut required);
+        push_root(po);
     }
     for c in &two_bounded.cells {
         if let CellKind::Dff { clock, .. } = c.kind {
-            push_root(c.inputs[0], &mut required);
-            push_root(clock, &mut required);
+            push_root(c.inputs[0]);
+            push_root(clock);
         }
     }
 
@@ -265,7 +256,9 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
         }
     }
 
-    let mut emitted: Vec<bool> = vec![false; two_bounded.nets.len()];
+    let mut emitted: Vec<bool> = vec![false; n_nets];
+    // Cone evaluation scratch: (stamp, truth-table word) per net.
+    let mut cone: Vec<(usize, u64)> = vec![(0, 0); n_nets];
     let mut lut_count = 0usize;
     let mut max_depth = 0usize;
     let mut queue = required;
@@ -274,13 +267,12 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
             continue;
         }
         emitted[root.index()] = true;
-        let cut = cuts
-            .get(&root)
-            .and_then(|cs| cs.iter().find(|c| c.leaves != [root]))
-            .ok_or_else(|| SynthError::Internal("required net has no cut".into()))?
-            .clone();
+        let cut = cuts[root.index()]
+            .iter()
+            .find(|c| c.leaves != [root])
+            .ok_or_else(|| SynthError::Internal("required net has no cut".into()))?;
         // Compute the truth table of the cone.
-        let truth = cone_truth(&two_bounded, &drivers, root, &cut.leaves)?;
+        let truth = cone_truth(&two_bounded, &drivers, root, &cut.leaves, &mut cone)?;
         let name = format!(
             "lut_{}",
             two_bounded.net_name(root).replace(['(', ')'], "_")
@@ -299,7 +291,7 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
     // LUT depth: levelize the mapped netlist.
     let order = mapped.topo_order().map_err(SynthError::Netlist)?;
     let mdrivers = mapped.drivers();
-    let mut level: HashMap<CellId, usize> = HashMap::new();
+    let mut level: Vec<usize> = vec![0; mapped.cells.len()];
     for &cid in &order {
         let c = &mapped.cells[cid.index()];
         if !matches!(c.kind, CellKind::Lut { .. }) {
@@ -309,11 +301,11 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
         for &i in &c.inputs {
             if let Some(drv) = mdrivers[i.index()] {
                 if matches!(mapped.cells[drv.index()].kind, CellKind::Lut { .. }) {
-                    lvl = lvl.max(level.get(&drv).copied().unwrap_or(0) + 1);
+                    lvl = lvl.max(level[drv.index()] + 1);
                 }
             }
         }
-        level.insert(cid, lvl);
+        level[cid.index()] = lvl;
         max_depth = max_depth.max(lvl);
     }
 
@@ -329,17 +321,20 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
 }
 
 /// Truth table of the cone rooted at `root` with the given leaves:
-/// bit `m` = root value when leaf `i` carries bit `i` of `m`.
+/// bit `m` = root value when leaf `i` carries bit `i` of `m`. `values`
+/// holds one word per net, valid where its stamp is the root's id + 1
+/// (the cover evaluates each root once).
 fn cone_truth(
     netlist: &Netlist,
     drivers: &[Option<CellId>],
     root: NetId,
     leaves: &[NetId],
+    values: &mut [(usize, u64)],
 ) -> Result<u64> {
+    let stamp = root.index() + 1;
     let k = leaves.len();
     debug_assert!(k <= 6);
     // Projection patterns: leaf i toggles with period 2^(i+1).
-    let mut values: HashMap<NetId, u64> = HashMap::new();
     let n_bits = 1usize << k;
     let mask: u64 = if n_bits == 64 {
         !0
@@ -353,9 +348,9 @@ fn cone_truth(
                 pat |= 1 << m;
             }
         }
-        values.insert(leaf, pat);
+        values[leaf.index()] = (stamp, pat);
     }
-    let v = eval_net(netlist, drivers, root, &mut values, mask)?;
+    let v = eval_net(netlist, drivers, root, values, stamp, mask)?;
     Ok(v & mask)
 }
 
@@ -363,10 +358,12 @@ fn eval_net(
     netlist: &Netlist,
     drivers: &[Option<CellId>],
     net: NetId,
-    values: &mut HashMap<NetId, u64>,
+    values: &mut [(usize, u64)],
+    stamp: usize,
     mask: u64,
 ) -> Result<u64> {
-    if let Some(&v) = values.get(&net) {
+    let (s, v) = values[net.index()];
+    if s == stamp {
         return Ok(v);
     }
     let cid = drivers[net.index()].ok_or_else(|| {
@@ -379,17 +376,17 @@ fn eval_net(
     let v = match &cell.kind {
         CellKind::Const0 => 0,
         CellKind::Const1 => mask,
-        CellKind::Buf => eval_net(netlist, drivers, cell.inputs[0], values, mask)?,
-        CellKind::Not => !eval_net(netlist, drivers, cell.inputs[0], values, mask)? & mask,
+        CellKind::Buf => eval_net(netlist, drivers, cell.inputs[0], values, stamp, mask)?,
+        CellKind::Not => !eval_net(netlist, drivers, cell.inputs[0], values, stamp, mask)? & mask,
         CellKind::And
         | CellKind::Or
         | CellKind::Xor
         | CellKind::Nand
         | CellKind::Nor
         | CellKind::Xnor => {
-            let a = eval_net(netlist, drivers, cell.inputs[0], values, mask)?;
+            let a = eval_net(netlist, drivers, cell.inputs[0], values, stamp, mask)?;
             let b = if cell.inputs.len() > 1 {
-                eval_net(netlist, drivers, cell.inputs[1], values, mask)?
+                eval_net(netlist, drivers, cell.inputs[1], values, stamp, mask)?
             } else {
                 a
             };
@@ -415,7 +412,7 @@ fn eval_net(
             )))
         }
     };
-    values.insert(net, v & mask);
+    values[net.index()] = (stamp, v & mask);
     Ok(v & mask)
 }
 

@@ -5,8 +5,6 @@
 //! structural hashing (common-subexpression merging). Each pass preserves
 //! functional equivalence; `optimize` iterates them to a fixed point.
 
-use std::collections::HashMap;
-
 use fpga_netlist::ir::{CellKind, NetId, Netlist};
 
 use crate::Result;
@@ -61,35 +59,27 @@ pub fn sweep(netlist: &mut Netlist) -> Result<usize> {
 pub fn const_fold(netlist: &mut Netlist) -> Result<usize> {
     let mut changed = 0usize;
     loop {
-        // Net -> constant value map from Const cells.
-        let mut const_of: HashMap<NetId, bool> = HashMap::new();
+        // Net -> constant value, from Const cells.
+        let mut const_of: Vec<Option<bool>> = vec![None; netlist.nets.len()];
         for c in &netlist.cells {
             match c.kind {
-                CellKind::Const0 => {
-                    const_of.insert(c.output, false);
-                }
-                CellKind::Const1 => {
-                    const_of.insert(c.output, true);
-                }
+                CellKind::Const0 => const_of[c.output.index()] = Some(false),
+                CellKind::Const1 => const_of[c.output.index()] = Some(true),
                 _ => {}
             }
         }
         let mut round = 0usize;
         for i in 0..netlist.cells.len() {
-            let (kind, inputs, _output) = {
-                let c = &netlist.cells[i];
-                (c.kind.clone(), c.inputs.clone(), c.output)
-            };
+            let c = &netlist.cells[i];
             if matches!(
-                kind,
+                c.kind,
                 CellKind::Dff { .. } | CellKind::Const0 | CellKind::Const1
             ) {
                 continue;
             }
-            let vals: Vec<Option<bool>> = inputs.iter().map(|n| const_of.get(n).copied()).collect();
-            let new_kind = simplify(&kind, &inputs, &vals);
-            if let Some((nk, ni)) = new_kind {
-                if nk != kind || ni != inputs {
+            let vals: Vec<Option<bool>> = c.inputs.iter().map(|n| const_of[n.index()]).collect();
+            if let Some((nk, ni)) = simplify(&c.kind, &c.inputs, &vals) {
+                if nk != c.kind || ni != c.inputs {
                     netlist.cells[i].kind = nk;
                     netlist.cells[i].inputs = ni;
                     round += 1;
@@ -232,6 +222,7 @@ fn simplify(
 
 /// Remove buffers and double inverters by rewiring their sinks.
 pub fn elide_buffers(netlist: &mut Netlist) -> Result<usize> {
+    let is_po = po_flags(netlist);
     let mut changed = 0usize;
     loop {
         let drivers = netlist.drivers();
@@ -248,8 +239,7 @@ pub fn elide_buffers(netlist: &mut Netlist) -> Result<usize> {
             };
             // Nets whose value nobody consumes are dead; sweep handles
             // them — touching them here would loop forever.
-            let output_used =
-                !sinks[output.index()].is_empty() || netlist.outputs.contains(&output);
+            let output_used = !sinks[output.index()].is_empty() || is_po[output.index()];
             if !output_used {
                 continue;
             }
@@ -260,9 +250,7 @@ pub fn elide_buffers(netlist: &mut Netlist) -> Result<usize> {
                     let inner = c.inputs[0];
                     if let Some(drv) = drivers[inner.index()] {
                         let dcell = &netlist.cells[drv.index()];
-                        if matches!(dcell.kind, CellKind::Not)
-                            && !netlist.outputs.contains(&c.output)
-                        {
+                        if matches!(dcell.kind, CellKind::Not) && !is_po[c.output.index()] {
                             let root = dcell.inputs[0];
                             let out = c.output;
                             replace_uses(netlist, out, root);
@@ -280,7 +268,7 @@ pub fn elide_buffers(netlist: &mut Netlist) -> Result<usize> {
             };
             // Keep buffers that drive a primary output (the PO net must
             // keep its driver).
-            if netlist.outputs.contains(&output) {
+            if is_po[output.index()] {
                 continue;
             }
             replace_uses(netlist, output, input);
@@ -298,18 +286,25 @@ pub fn elide_buffers(netlist: &mut Netlist) -> Result<usize> {
 }
 
 /// Structural hashing: merge cells with identical (kind, inputs). Inputs
-/// of commutative gates are compared order-insensitively.
+/// of commutative gates are compared order-insensitively. A pass takes
+/// every merge it finds, in cell order, into the first cell of each
+/// class (a primary-output net is kept over a plain one); passes repeat
+/// until none is left.
 pub fn strash(netlist: &mut Netlist) -> Result<usize> {
+    let is_po = po_flags(netlist);
     let mut changed = 0usize;
     loop {
-        let mut seen: HashMap<String, NetId> = HashMap::new();
-        let mut merge: Option<(NetId, NetId)> = None;
+        // A class lives in the bucket of its lowest input net; cells
+        // without inputs (constants) share the last bucket.
+        let mut buckets: Vec<Vec<(&CellKind, Vec<NetId>, NetId)>> =
+            vec![Vec::new(); netlist.nets.len() + 1];
+        let mut merges: Vec<(NetId, NetId)> = Vec::new();
         for c in &netlist.cells {
             if matches!(c.kind, CellKind::Dff { .. }) {
                 continue;
             }
-            let mut key_inputs: Vec<u32> = c.inputs.iter().map(|n| n.0).collect();
-            let commutative = matches!(
+            let mut inputs = c.inputs.clone();
+            if matches!(
                 c.kind,
                 CellKind::And
                     | CellKind::Or
@@ -317,38 +312,51 @@ pub fn strash(netlist: &mut Netlist) -> Result<usize> {
                     | CellKind::Nor
                     | CellKind::Xor
                     | CellKind::Xnor
-            );
-            if commutative {
-                key_inputs.sort_unstable();
+            ) {
+                inputs.sort_unstable();
             }
-            let key = format!("{:?}|{:?}", c.kind, key_inputs);
-            match seen.get(&key) {
-                Some(&existing) if existing != c.output => {
-                    // Prefer keeping a PO net as the canonical output.
-                    if netlist.outputs.contains(&c.output) && !netlist.outputs.contains(&existing) {
-                        merge = Some((existing, c.output));
-                    } else if !netlist.outputs.contains(&c.output) {
-                        merge = Some((c.output, existing));
-                    }
-                    if merge.is_some() {
-                        break;
+            let lowest = inputs
+                .iter()
+                .min()
+                .map_or(netlist.nets.len(), |n| n.index());
+            let bucket = &mut buckets[lowest];
+            match bucket
+                .iter_mut()
+                .find(|(kind, ins, _)| **kind == c.kind && *ins == inputs)
+            {
+                Some((_, _, existing)) if *existing != c.output => {
+                    if is_po[c.output.index()] {
+                        if !is_po[existing.index()] {
+                            merges.push((*existing, c.output));
+                            *existing = c.output;
+                        }
+                    } else {
+                        merges.push((c.output, *existing));
                     }
                 }
-                _ => {
-                    seen.insert(key, c.output);
-                }
+                Some(_) => {}
+                None => bucket.push((&c.kind, inputs, c.output)),
             }
         }
-        match merge {
-            Some((from, to)) => {
-                replace_uses(netlist, from, to);
-                sweep(netlist)?;
-                changed += 1;
-            }
-            None => break,
+        if merges.is_empty() {
+            return Ok(changed);
         }
+        changed += merges.len();
+        for (from, to) in merges {
+            replace_uses(netlist, from, to);
+        }
+        sweep(netlist)?;
     }
-    Ok(changed)
+}
+
+/// Which nets are primary outputs. The passes never rename one: a merge
+/// or an elision always keeps the PO net.
+fn po_flags(netlist: &Netlist) -> Vec<bool> {
+    let mut is_po = vec![false; netlist.nets.len()];
+    for &po in &netlist.outputs {
+        is_po[po.index()] = true;
+    }
+    is_po
 }
 
 #[cfg(test)]

@@ -15,8 +15,6 @@
 //! but the design symbols survive every stage, so name-keyed cuts line
 //! the views up.
 
-use std::collections::HashMap;
-
 use fpga_bitstream::config::{Bitstream, IoMode, WireKey, XbarSel};
 use fpga_bitstream::fabric::Dsu;
 use fpga_netlist::ir::{CellId, CellKind, NetId, Netlist};
@@ -124,14 +122,14 @@ impl CombView {
     /// View of a packed design: the mapped netlist restricted to the
     /// cells the clustering actually carries.
     pub fn from_clustering(c: &Clustering) -> Result<CombView> {
-        rebuild(c, "pack", None, None)
+        rebuild(c, "pack", None)
     }
 
     /// View of a placed design: functionally the packed view, after
     /// checking the placement binds every block to exactly one site.
     pub fn from_placement(c: &Clustering, p: &Placement) -> Result<CombView> {
         check_placement(c, p)?;
-        rebuild(c, "place", None, None)
+        rebuild(c, "place", None)
     }
 
     /// View of a routed design: packed logic with every cross-cluster
@@ -144,20 +142,27 @@ impl CombView {
         r: &RouteResult,
     ) -> Result<CombView> {
         check_placement(c, p)?;
-        let mut loc2c: HashMap<(u32, u32), usize> = HashMap::new();
-        for ci in 0..c.clusters.len() {
-            let loc = p.cluster_loc(ClusterId(ci as u32));
-            loc2c.insert((loc.x, loc.y), ci);
-        }
-        let mut pad2po: HashMap<(u32, u32, u32), NetId> = HashMap::new();
-        for &(block, slot) in &p.slots {
-            if let BlockRef::OutputPad(po) = block {
-                pad2po.insert((slot.loc.x, slot.loc.y, slot.sub), po);
-            }
-        }
+        let loc2c = clusters_by_loc(c, p);
+        let mut pad2po: Vec<((u32, u32, u32), NetId)> = p
+            .slots
+            .iter()
+            .filter_map(|&(block, slot)| match block {
+                BlockRef::OutputPad(po) => Some(((slot.loc.x, slot.loc.y, slot.sub), po)),
+                _ => None,
+            })
+            .collect();
+        pad2po.sort_unstable();
 
-        let mut delivered: HashMap<(usize, usize), NetId> = HashMap::new();
-        let mut po_nets: HashMap<NetId, NetId> = HashMap::new();
+        // What the trees deliver to each cluster input pin and each
+        // primary output's pad.
+        let mut delivered: Vec<Vec<Option<NetId>>> = c
+            .clusters
+            .iter()
+            .map(|cl| vec![None; cl.inputs.len()])
+            .collect();
+        let mut po_nets: Vec<Option<NetId>> = vec![None; c.netlist.nets.len()];
+        let claim =
+            |slot: &mut Option<NetId>, net: NetId| slot.replace(net).is_none_or(|n| n == net);
         for rn in &r.nets {
             for &s in &rn.sinks {
                 let RrKind::Ipin { x, y, pin } = g.kind(s) else {
@@ -166,28 +171,24 @@ impl CombView {
                         c.netlist.net_name(rn.net)
                     )));
                 };
-                if let Some(&ci) = loc2c.get(&(x, y)) {
-                    if pin as usize >= c.clusters[ci].inputs.len() {
+                if let Some(ci) = first_at(&loc2c, (x, y)) {
+                    let Some(slot) = delivered[ci].get_mut(pin as usize) else {
                         return Err(VerifyError::Boundary(format!(
                             "net '{}' routed to cluster {ci} pin {pin}, which is unused",
                             c.netlist.net_name(rn.net)
                         )));
+                    };
+                    if !claim(slot, rn.net) {
+                        return Err(VerifyError::Boundary(format!(
+                            "two nets routed to cluster {ci} input pin {pin}"
+                        )));
                     }
-                    if let Some(prev) = delivered.insert((ci, pin as usize), rn.net) {
-                        if prev != rn.net {
-                            return Err(VerifyError::Boundary(format!(
-                                "two nets routed to cluster {ci} input pin {pin}"
-                            )));
-                        }
-                    }
-                } else if let Some(&po) = pad2po.get(&(x, y, pin)) {
-                    if let Some(prev) = po_nets.insert(po, rn.net) {
-                        if prev != rn.net {
-                            return Err(VerifyError::Boundary(format!(
-                                "two nets routed to output pad '{}'",
-                                c.netlist.net_name(po)
-                            )));
-                        }
+                } else if let Some(po) = first_at(&pad2po, (x, y, pin)) {
+                    if !claim(&mut po_nets[po.index()], rn.net) {
+                        return Err(VerifyError::Boundary(format!(
+                            "two nets routed to output pad '{}'",
+                            c.netlist.net_name(po)
+                        )));
                     }
                 } else {
                     return Err(VerifyError::Boundary(format!(
@@ -197,7 +198,7 @@ impl CombView {
                 }
             }
         }
-        rebuild(c, "route", Some(&delivered), Some(&po_nets))
+        rebuild(c, "route", Some((&delivered, &po_nets)))
     }
 
     /// View decoded from a bitstream: electrical nets recovered by
@@ -207,94 +208,77 @@ impl CombView {
     /// the IO pad symbols carried in the bitstream itself.
     pub fn from_bitstream(bs: &Bitstream, c: &Clustering, p: &Placement) -> Result<CombView> {
         let src = &c.netlist;
-        let mut loc2c: HashMap<(u32, u32), usize> = HashMap::new();
-        for ci in 0..c.clusters.len() {
-            let loc = p.cluster_loc(ClusterId(ci as u32));
-            loc2c.insert((loc.x, loc.y), ci);
-        }
+        let loc2c = clusters_by_loc(c, p);
 
-        // Electrical connectivity: union-find over every wire/pin key the
-        // configuration shorts together (the fabric emulator's own
-        // `Dsu`; the keys are decoded here, from the `Bitstream` model).
-        let mut keys: Vec<WireKey> = Vec::new();
-        let mut key_index: HashMap<WireKey, usize> = HashMap::new();
-        let mut intern = |k: WireKey, keys: &mut Vec<WireKey>| -> usize {
-            *key_index.entry(k).or_insert_with(|| {
+        // Electrical connectivity: union-find (the fabric emulator's own
+        // `Dsu`) over every wire/pin key the configuration shorts
+        // together, decoded here from the `Bitstream` model. `interned`
+        // holds the keys in the order they are met (switches, CB inputs,
+        // CB outputs, pads), the order nets are named in; `keys` is the
+        // same set sorted (as `packed` integers), for lookup.
+        let mut pairs: Vec<(WireKey, WireKey)> = bs.sb_switches.iter().copied().collect();
+        pairs.extend(
+            bs.cb_inputs
+                .iter()
+                .map(|(&(x, y, pin), &w)| (RrKind::Ipin { x, y, pin }, w)),
+        );
+        pairs.extend(
+            bs.cb_outputs
+                .iter()
+                .map(|&((x, y, pin), w)| (RrKind::Opin { x, y, pin }, w)),
+        );
+        let pads = bs.ios.iter().filter_map(|io| {
+            let (x, y, pin) = (io.loc.x, io.loc.y, io.sub);
+            match io.mode {
+                IoMode::Input => Some(RrKind::Opin { x, y, pin }),
+                IoMode::Output => Some(RrKind::Ipin { x, y, pin }),
+                IoMode::Unused => None,
+            }
+        });
+        let interned: Vec<WireKey> = pairs
+            .iter()
+            .flat_map(|&(a, b)| [a, b])
+            .chain(pads)
+            .collect();
+        let mut sorted: Vec<(u128, usize)> = interned.iter().map(|&k| packed(k)).zip(0..).collect();
+        sorted.sort_unstable();
+        // key_of[i]: the index of interned[i] among the distinct keys.
+        let mut keys: Vec<u128> = Vec::new();
+        let mut key_of = vec![0usize; interned.len()];
+        for (k, i) in sorted {
+            if keys.last() != Some(&k) {
                 keys.push(k);
-                keys.len() - 1
-            })
-        };
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (a, b) in &bs.sb_switches {
-            let (ia, ib) = (intern(*a, &mut keys), intern(*b, &mut keys));
-            pairs.push((ia, ib));
-        }
-        for ((x, y, pin), wire) in &bs.cb_inputs {
-            let ipin = intern(
-                RrKind::Ipin {
-                    x: *x,
-                    y: *y,
-                    pin: *pin,
-                },
-                &mut keys,
-            );
-            let iw = intern(*wire, &mut keys);
-            pairs.push((ipin, iw));
-        }
-        for ((x, y, pin), wire) in &bs.cb_outputs {
-            let opin = intern(
-                RrKind::Opin {
-                    x: *x,
-                    y: *y,
-                    pin: *pin,
-                },
-                &mut keys,
-            );
-            let iw = intern(*wire, &mut keys);
-            pairs.push((opin, iw));
-        }
-        for io in &bs.ios {
-            let k = match io.mode {
-                IoMode::Input => RrKind::Opin {
-                    x: io.loc.x,
-                    y: io.loc.y,
-                    pin: io.sub,
-                },
-                IoMode::Output => RrKind::Ipin {
-                    x: io.loc.x,
-                    y: io.loc.y,
-                    pin: io.sub,
-                },
-                IoMode::Unused => continue,
-            };
-            intern(k, &mut keys);
+            }
+            key_of[i] = keys.len() - 1;
         }
         let mut dsu = Dsu::new(keys.len());
-        for (a, b) in pairs {
-            dsu.union(a, b);
+        for ab in key_of[..2 * pairs.len()].chunks_exact(2) {
+            dsu.union(ab[0], ab[1]);
         }
-        // Electrical nets, numbered in key order (deterministic).
-        let mut root_to_enet: HashMap<usize, usize> = HashMap::new();
-        let mut enet_of_key: Vec<usize> = Vec::with_capacity(keys.len());
-        let mut n_enets = 0usize;
-        for i in 0..keys.len() {
-            let root = dsu.find(i);
-            let e = *root_to_enet.entry(root).or_insert_with(|| {
-                n_enets += 1;
-                n_enets - 1
-            });
-            enet_of_key.push(e);
-        }
+        let root: Vec<usize> = (0..keys.len()).map(|i| dsu.find(i)).collect();
 
-        // The symbol each electrical net carries: the name of its unique
-        // driving OPIN (a BLE output through the correspondence map, or
-        // an input pad symbol).
-        let mut name_of_enet: Vec<Option<String>> = vec![None; n_enets];
-        for (i, &k) in keys.iter().enumerate() {
+        // The symbol each electrical net carries, held at its root key: the
+        // name of its unique driving OPIN (a BLE output through the
+        // correspondence map, or an input pad symbol; the first pad at a
+        // site wins).
+        let mut in_pads: Vec<((u32, u32, u32), &str)> = bs
+            .ios
+            .iter()
+            .filter(|io| io.mode == IoMode::Input)
+            .map(|io| ((io.loc.x, io.loc.y, io.sub), io.net.as_str()))
+            .collect();
+        in_pads.sort_by_key(|e| e.0);
+        let mut name_at: Vec<Option<String>> = vec![None; keys.len()];
+        let mut named = vec![false; keys.len()];
+        for (&k, &i) in interned.iter().zip(&key_of) {
             let RrKind::Opin { x, y, pin } = k else {
                 continue;
             };
-            let name = if let Some(&ci) = loc2c.get(&(x, y)) {
+            if named[i] {
+                continue;
+            }
+            named[i] = true;
+            let name = if let Some(ci) = first_at(&loc2c, (x, y)) {
                 let slot = (pin as usize).wrapping_sub(bs.clb_inputs);
                 let cluster = &c.clusters[ci];
                 cluster
@@ -302,28 +286,22 @@ impl CombView {
                     .get(slot)
                     .map(|&bid| src.net_name(c.bles[bid.0 as usize].output).to_string())
             } else {
-                bs.ios
-                    .iter()
-                    .find(|io| {
-                        io.mode == IoMode::Input && io.loc.x == x && io.loc.y == y && io.sub == pin
-                    })
-                    .map(|io| io.net.clone())
+                first_at(&in_pads, (x, y, pin)).map(str::to_string)
             };
             if let Some(name) = name {
-                let e = enet_of_key[i];
-                if let Some(prev) = &name_of_enet[e] {
+                let net = &mut name_at[root[i]];
+                if let Some(prev) = net {
                     if *prev != name {
                         return Err(VerifyError::Boundary(format!(
                             "electrical contention: '{prev}' and '{name}' drive one net"
                         )));
                     }
                 }
-                name_of_enet[e] = Some(name);
+                *net = Some(name);
             }
         }
         let enet_name = |key: WireKey| -> Option<&str> {
-            let i = key_index.get(&key)?;
-            name_of_enet[enet_of_key[*i]].as_deref()
+            name_at[root[keys.binary_search(&packed(key)).ok()?]].as_deref()
         };
 
         // Rebuild the decoded logic as a netlist.
@@ -341,7 +319,7 @@ impl CombView {
             }
         }
         for clb in &bs.clbs {
-            let Some(&ci) = loc2c.get(&(clb.loc.x, clb.loc.y)) else {
+            let Some(ci) = first_at(&loc2c, (clb.loc.x, clb.loc.y)) else {
                 return Err(VerifyError::Boundary(format!(
                     "bitstream configures a CLB at ({}, {}) where no cluster is placed",
                     clb.loc.x, clb.loc.y
@@ -516,14 +494,13 @@ impl CombView {
     }
 }
 
+/// What routing delivered: per cluster input pin, and per primary
+/// output net (its pad's net).
+type Delivered<'a> = (&'a [Vec<Option<NetId>>], &'a [Option<NetId>]);
+
 /// Copy the clustering's cells into a fresh netlist, optionally rewiring
 /// each cluster's external inputs to what routing delivered.
-fn rebuild(
-    c: &Clustering,
-    stage: &'static str,
-    delivered: Option<&HashMap<(usize, usize), NetId>>,
-    po_nets: Option<&HashMap<NetId, NetId>>,
-) -> Result<CombView> {
+fn rebuild(c: &Clustering, stage: &'static str, routed: Option<Delivered>) -> Result<CombView> {
     let src = &c.netlist;
     let mut nl = Netlist::new(&src.name);
     for net in &src.nets {
@@ -534,25 +511,22 @@ fn rebuild(
     nl.clocks = src.clocks.clone();
 
     for (ci, cluster) in c.clusters.iter().enumerate() {
-        // What each external input net resolves to inside this cluster:
-        // itself, unless a routed view says otherwise.
-        let mut subst: HashMap<NetId, NetId> = HashMap::new();
-        if let Some(delivered) = delivered {
+        // What each external input pin carries inside this cluster: its
+        // own net, unless a routed view says otherwise.
+        let mut actual = cluster.inputs.clone();
+        if let Some((delivered, _)) = routed {
             for (i, &expected) in cluster.inputs.iter().enumerate() {
-                let actual = delivered.get(&(ci, i)).copied().ok_or_else(|| {
+                actual[i] = delivered[ci][i].ok_or_else(|| {
                     VerifyError::Boundary(format!(
                         "net '{}' expected at cluster {ci} input {i} was never routed",
                         src.net_name(expected)
                     ))
                 })?;
-                if actual != expected {
-                    subst.insert(expected, actual);
-                }
             }
         }
         let remap = |nets: &[NetId]| -> Vec<NetId> {
             nets.iter()
-                .map(|n| subst.get(n).copied().unwrap_or(*n))
+                .map(|&n| cluster.input_pin(n).map_or(n, |i| actual[i]))
                 .collect()
         };
         for &bid in &cluster.bles {
@@ -585,7 +559,7 @@ fn rebuild(
     }
 
     let (cuts, mut observables) = CombView::boundaries(&nl);
-    if let Some(po_nets) = po_nets {
+    if let Some((_, po_nets)) = routed {
         for (name, net) in observables.iter_mut() {
             let Some(po_name) = name.strip_prefix("po:") else {
                 continue;
@@ -593,7 +567,7 @@ fn rebuild(
             let po = src.find_net(po_name).ok_or_else(|| {
                 VerifyError::View(format!("primary output '{po_name}' has no net"))
             })?;
-            *net = po_nets.get(&po).copied().ok_or_else(|| {
+            *net = po_nets[po.index()].ok_or_else(|| {
                 VerifyError::Boundary(format!(
                     "primary output '{po_name}' was never routed to its pad"
                 ))
@@ -601,6 +575,40 @@ fn rebuild(
         }
     }
     CombView::assemble(stage, nl, cuts, observables)
+}
+
+/// A wire key as one integer, in the key's own order (kind, x, y, pin or
+/// track). Sorting these, not the enum, keeps the sorted lookup as fast
+/// as hashing was.
+fn packed(k: WireKey) -> u128 {
+    let (tag, x, y, t) = match k {
+        RrKind::Opin { x, y, pin } => (0u128, x, y, pin),
+        RrKind::Ipin { x, y, pin } => (1, x, y, pin),
+        RrKind::Chanx { x, y, t } => (2, x, y, t),
+        RrKind::Chany { x, y, t } => (3, x, y, t),
+    };
+    tag << 96 | (x as u128) << 64 | (y as u128) << 32 | t as u128
+}
+
+/// The value of the first entry keyed `k` in a table stably sorted by
+/// key.
+fn first_at<K: Ord, V: Copy>(table: &[(K, V)], k: K) -> Option<V> {
+    let i = table.partition_point(|e| e.0 < k);
+    table.get(i).filter(|e| e.0 == k).map(|e| e.1)
+}
+
+/// Cluster index by CLB location, for [`first_at`]. Entered last cluster
+/// first, so the last cluster placed at a location is the one found.
+fn clusters_by_loc(c: &Clustering, p: &Placement) -> Vec<((u32, u32), usize)> {
+    let mut table: Vec<((u32, u32), usize)> = (0..c.clusters.len())
+        .rev()
+        .map(|ci| {
+            let loc = p.cluster_loc(ClusterId(ci as u32));
+            ((loc.x, loc.y), ci)
+        })
+        .collect();
+    table.sort_by_key(|e| e.0);
+    table
 }
 
 /// Placement sanity: every cluster and IO block bound to a site, no two

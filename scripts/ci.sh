@@ -64,18 +64,19 @@ HASHED=$(
 check_allowlist "HashMap/HashSet in canonical-bytes / cache-key code" scripts/canon-allowlist.txt \
     "use a BTreeMap/sorted Vec, or justify and add to scripts/canon-allowlist.txt" "$HASHED"
 
-echo "==> source lint: dense indices (no HashMap/HashSet in pack, place, STA or fabric-emulator code; no .producer( outside tests)"
-# Packing, the annealer, static timing and the fabric emulator address
-# nets, BLEs, blocks, route-tree nodes and wire keys by index (DESIGN.md
-# "Packing on the netlist's own indices", "A placement is an ordered
-# block table", "Static timing", "The fabric emulator"): every table is
-# a Vec. A net's producing cluster is read from a table built once, never
-# found by Clustering::producer's scan over every BLE, which stays a test
-# oracle. No allowlist.
+echo "==> source lint: dense indices (no HashMap/HashSet in any CAD crate; no .producer( outside tests)"
+# Every CAD crate (synthesis, packing, placement, routing and STA,
+# bitstreams and the fabric emulator, the equivalence views, lint,
+# power) addresses nets, cells, BLEs, blocks, RR nodes and wire keys by
+# index (DESIGN.md "Synthesis and the views on dense indices" and the
+# sections it cites): its tables are Vecs, sorted Vecs or BTrees, so
+# whole crates are checked, not files. A net's producing cluster is
+# read from a table built once, never found by Clustering::producer's
+# scan over every BLE, which stays a test oracle. No allowlist.
 DENSE_SITES=$(
-    for f in crates/pack/src/*.rs crates/lint/src/pack.rs crates/place/src/*.rs \
-             crates/lint/src/place.rs crates/route/src/sta.rs crates/route/src/timing.rs \
-             crates/bitstream/src/fabric.rs; do
+    find crates/synth/src crates/pack/src crates/place/src crates/route/src \
+         crates/bitstream/src crates/verify/src crates/lint/src crates/power/src \
+         -name '*.rs' | sort | while read -r f; do
         awk -v file="$f" '/#\[cfg\(test\)\]/{exit}
             /HashMap|HashSet/{ sub(/^[ \t]+/, ""); print file":"FNR": "$0 }' "$f"
     done
