@@ -12,7 +12,9 @@ fn main() {
         Ok(design) => match fpga_vhdl::check(&design) {
             Err(e) => cli::die("vparse", format!("semantic error: {e}")),
             Ok(()) => {
-                let (entity, arch) = design.top().expect("checked design has a top");
+                let Some((entity, arch)) = design.top() else {
+                    cli::die("vparse", "no top entity");
+                };
                 println!(
                     "OK: entity '{}' (architecture '{}'), {} ports, {} signals, {} statements",
                     entity.name,

@@ -195,8 +195,14 @@ impl DiskStore {
     /// Final on-disk path for a key (exposed so tests and the crash
     /// harness can corrupt entries deliberately).
     pub fn entry_path(&self, key: &str) -> PathBuf {
-        let shard = if key.len() >= 2 { &key[..2] } else { "xx" };
-        self.root.join(shard).join(key)
+        self.shard_dir(key).join(key)
+    }
+
+    /// The shard directory a key's entry lives in: its first two hex
+    /// digits.
+    fn shard_dir(&self, key: &str) -> PathBuf {
+        self.root
+            .join(if key.len() >= 2 { &key[..2] } else { "xx" })
     }
 
     fn quarantine_path(&self, key: &str) -> PathBuf {
@@ -375,9 +381,9 @@ impl DiskStore {
         w.bytes(payload);
         let encoded = w.into_bytes();
 
-        let final_path = self.entry_path(key);
-        let shard = final_path.parent().expect("entry path has a shard dir");
-        fs::create_dir_all(shard)?;
+        let shard = self.shard_dir(key);
+        let final_path = shard.join(key);
+        fs::create_dir_all(&shard)?;
 
         let n = self.temp_seq.fetch_add(1, Ordering::Relaxed);
         let tmp = shard.join(format!(".{}-{n}.tmp", std::process::id()));
@@ -388,7 +394,7 @@ impl DiskStore {
             fs::rename(&tmp, &final_path)?;
             // Make the rename itself durable where the platform allows
             // opening directories; failure only weakens crash-freshness.
-            if let Ok(dir) = File::open(shard) {
+            if let Ok(dir) = File::open(&shard) {
                 let _ = dir.sync_all();
             }
             Ok(())

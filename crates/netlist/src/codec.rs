@@ -173,6 +173,20 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    /// Read a `u32` id into a table of `len` entries, refusing one that
+    /// lies outside it: a digest proves only that these are the bytes
+    /// the writer wrote, and an id past its table would panic the first
+    /// stage that indexes with it.
+    pub fn index(&mut self, table: &str, len: usize) -> CodecResult<u32> {
+        let id = self.u32()?;
+        if id as usize >= len {
+            return Err(CodecError(format!(
+                "{table} id {id} out of range: the table holds {len}"
+            )));
+        }
+        Ok(id)
+    }
+
     pub fn usize(&mut self) -> CodecResult<usize> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| CodecError(format!("length {v} exceeds usize")))
@@ -229,8 +243,8 @@ fn write_net_id(w: &mut ByteWriter, id: NetId) {
     w.u32(id.0);
 }
 
-fn read_net_id(r: &mut ByteReader) -> CodecResult<NetId> {
-    Ok(NetId(r.u32()?))
+fn read_net_id(r: &mut ByteReader, nets: usize) -> CodecResult<NetId> {
+    Ok(NetId(r.index("net", nets)?))
 }
 
 fn write_cell_kind(w: &mut ByteWriter, kind: &CellKind) {
@@ -267,7 +281,7 @@ fn write_cell_kind(w: &mut ByteWriter, kind: &CellKind) {
     }
 }
 
-fn read_cell_kind(r: &mut ByteReader) -> CodecResult<CellKind> {
+fn read_cell_kind(r: &mut ByteReader, nets: usize) -> CodecResult<CellKind> {
     Ok(match r.u8()? {
         0 => CellKind::Const0,
         1 => CellKind::Const1,
@@ -295,7 +309,7 @@ fn read_cell_kind(r: &mut ByteReader) -> CodecResult<CellKind> {
             CellKind::Sop(SopCover { n_inputs, cubes })
         }
         13 => CellKind::Dff {
-            clock: read_net_id(r)?,
+            clock: read_net_id(r, nets)?,
             init: r.bool()?,
         },
         other => return Err(CodecError(format!("bad cell-kind tag {other}"))),
@@ -317,23 +331,24 @@ pub fn write_netlist(w: &mut ByteWriter, nl: &Netlist) {
     w.seq(&nl.clocks, |w, &id| write_net_id(w, id));
 }
 
-/// Inverse of [`write_netlist`]; rebuilds the name index.
+/// Inverse of [`write_netlist`]; rebuilds the name index. Every net id
+/// must index the net table.
 pub fn read_netlist(r: &mut ByteReader) -> CodecResult<Netlist> {
     let mut nl = Netlist::new(&r.str()?);
-    let nets = r.seq(|r| Ok(Net { name: r.str()? }))?;
-    let cells = r.seq(|r| {
+    nl.nets = r.seq(|r| Ok(Net { name: r.str()? }))?;
+    let n = nl.nets.len();
+    let net = |r: &mut ByteReader| read_net_id(r, n);
+    nl.cells = r.seq(|r| {
         Ok(Cell {
             name: r.str()?,
-            kind: read_cell_kind(r)?,
-            inputs: r.seq(read_net_id)?,
-            output: read_net_id(r)?,
+            kind: read_cell_kind(r, n)?,
+            inputs: r.seq(net)?,
+            output: net(r)?,
         })
     })?;
-    nl.nets = nets;
-    nl.cells = cells;
-    nl.inputs = r.seq(read_net_id)?;
-    nl.outputs = r.seq(read_net_id)?;
-    nl.clocks = r.seq(read_net_id)?;
+    nl.inputs = r.seq(net)?;
+    nl.outputs = r.seq(net)?;
+    nl.clocks = r.seq(net)?;
     nl.rebuild_index();
     Ok(nl)
 }
@@ -422,6 +437,27 @@ mod tests {
                 netlist_from_bytes(&bytes[..cut]).is_err(),
                 "truncation at {cut} must not decode"
             );
+        }
+    }
+
+    #[test]
+    fn net_ids_outside_the_net_table_are_refused() {
+        let corruptions: [fn(&mut Netlist); 4] = [
+            |n| n.cells[0].inputs[1] = NetId(99),
+            |n| n.cells[0].output = NetId(99),
+            |n| {
+                n.cells[1].kind = CellKind::Dff {
+                    clock: NetId(99),
+                    init: true,
+                }
+            },
+            |n| n.outputs[0] = NetId(99),
+        ];
+        for corrupt in corruptions {
+            let mut nl = sample();
+            corrupt(&mut nl);
+            let err = netlist_from_bytes(&netlist_to_bytes(&nl)).unwrap_err();
+            assert_eq!(err.0, "net id 99 out of range: the table holds 6");
         }
     }
 

@@ -311,9 +311,31 @@ impl Netlist {
         Ok(order)
     }
 
-    /// Structural validation: unique drivers, no floating internal nets,
-    /// inputs not driven, outputs driven, arities consistent.
+    /// Structural validation: net ids in range, unique drivers, no
+    /// floating internal nets, inputs not driven, outputs driven, arities
+    /// consistent.
     pub fn validate(&self) -> Result<()> {
+        let clocks = self.cells.iter().filter_map(|c| match c.kind {
+            CellKind::Dff { clock, .. } => Some(clock),
+            _ => None,
+        });
+        let pins = self
+            .cells
+            .iter()
+            .flat_map(|c| c.inputs.iter().chain([&c.output]));
+        let lists = self.inputs.iter().chain(&self.outputs).chain(&self.clocks);
+        if let Some(id) = pins
+            .chain(lists)
+            .copied()
+            .chain(clocks)
+            .find(|id| id.index() >= self.nets.len())
+        {
+            return Err(NetlistError::Validate(format!(
+                "net id {} out of range: the netlist has {} nets",
+                id.0,
+                self.nets.len()
+            )));
+        }
         let mut driver_count = vec![0usize; self.nets.len()];
         for c in &self.cells {
             driver_count[c.output.index()] += 1;
@@ -447,6 +469,23 @@ mod tests {
             q,
         );
         n
+    }
+
+    #[test]
+    fn out_of_range_net_ids_fail_validation() {
+        let mut n = small();
+        n.cells[0].output = NetId(77);
+        let err = n.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("net id 77 out of range: the netlist has 5 nets"),
+            "{err}"
+        );
+        let mut n = small();
+        n.cells[1].kind = CellKind::Dff {
+            clock: NetId(5),
+            init: false,
+        };
+        assert!(n.validate().is_err());
     }
 
     #[test]

@@ -15,10 +15,6 @@ fn write_net_id(w: &mut ByteWriter, id: NetId) {
     w.u32(id.0);
 }
 
-fn read_net_id(r: &mut ByteReader) -> CodecResult<NetId> {
-    Ok(NetId(r.u32()?))
-}
-
 /// Serialize a clustering (the mapped netlist rides along, exactly as
 /// the in-memory struct keeps it).
 pub fn clustering_to_bytes(c: &Clustering) -> Vec<u8> {
@@ -46,10 +42,14 @@ pub fn clustering_to_bytes(c: &Clustering) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Inverse of [`clustering_to_bytes`].
+/// Inverse of [`clustering_to_bytes`]. Every cell, net and BLE id must
+/// index its table.
 pub fn clustering_from_bytes(bytes: &[u8]) -> CodecResult<Clustering> {
     let mut r = ByteReader::new(bytes);
     let netlist = netlist_from_bytes(r.bytes()?)?;
+    let (nets, cells) = (netlist.nets.len(), netlist.cells.len());
+    let net = |r: &mut ByteReader| Ok(NetId(r.index("net", nets)?));
+    let cell = |r: &mut ByteReader| Ok(CellId(r.index("cell", cells)?));
     let arch = ClbArch {
         lut_k: r.usize()?,
         cluster_size: r.usize()?,
@@ -61,18 +61,18 @@ pub fn clustering_from_bytes(bytes: &[u8]) -> CodecResult<Clustering> {
     let bles = r.seq(|r| {
         Ok(Ble {
             name: r.str()?,
-            lut: r.opt(|r| Ok(CellId(r.u32()?)))?,
-            ff: r.opt(|r| Ok(CellId(r.u32()?)))?,
-            inputs: r.seq(read_net_id)?,
-            output: read_net_id(r)?,
-            clock: r.opt(read_net_id)?,
+            lut: r.opt(cell)?,
+            ff: r.opt(cell)?,
+            inputs: r.seq(net)?,
+            output: net(r)?,
+            clock: r.opt(net)?,
         })
     })?;
     let clusters = r.seq(|r| {
         Ok(Cluster {
-            bles: r.seq(|r| Ok(BleId(r.u32()?)))?,
-            inputs: r.seq(read_net_id)?,
-            clock: r.opt(read_net_id)?,
+            bles: r.seq(|r| Ok(BleId(r.index("BLE", bles.len())?)))?,
+            inputs: r.seq(net)?,
+            clock: r.opt(net)?,
         })
     })?;
     r.finish()?;
@@ -114,6 +114,44 @@ mod tests {
         assert_eq!(back.clusters.len(), c.clusters.len());
         assert_eq!(back.arch, c.arch);
         assert_eq!(back.netlist.name, c.netlist.name);
+    }
+
+    /// Encode `c` after `corrupt`, decode, and return the refusal.
+    fn refusal(corrupt: impl FnOnce(&mut Clustering)) -> String {
+        let mut c = sample();
+        corrupt(&mut c);
+        clustering_from_bytes(&clustering_to_bytes(&c))
+            .unwrap_err()
+            .0
+    }
+
+    #[test]
+    fn cell_ids_outside_the_cell_table_are_refused() {
+        let cells = sample().netlist.cells.len();
+        let want = format!("cell id 500 out of range: the table holds {cells}");
+        assert_eq!(refusal(|c| c.bles[0].lut = Some(CellId(500))), want);
+        assert_eq!(refusal(|c| c.bles[0].ff = Some(CellId(500))), want);
+    }
+
+    #[test]
+    fn net_ids_outside_the_net_table_are_refused() {
+        let nets = sample().netlist.nets.len();
+        let want = format!("net id 500 out of range: the table holds {nets}");
+        assert_eq!(refusal(|c| c.bles[0].inputs[0] = NetId(500)), want);
+        assert_eq!(refusal(|c| c.bles[0].output = NetId(500)), want);
+        assert_eq!(refusal(|c| c.bles[0].clock = Some(NetId(500))), want);
+        assert_eq!(refusal(|c| c.clusters[0].inputs[0] = NetId(500)), want);
+        assert_eq!(refusal(|c| c.clusters[0].clock = Some(NetId(500))), want);
+    }
+
+    #[test]
+    fn ble_ids_outside_the_ble_table_are_refused() {
+        let bles = sample().bles.len();
+        let want = format!("BLE id {bles} out of range: the table holds {bles}");
+        assert_eq!(
+            refusal(|c| c.clusters[0].bles[0] = BleId(bles as u32)),
+            want
+        );
     }
 
     #[test]

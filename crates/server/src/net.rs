@@ -1,7 +1,7 @@
 //! The one NDJSON transport: every socket `flowd`, `flow-gateway` and
 //! `flowc` bind, accept, connect or put a timeout on goes through this
-//! module (`scripts/ci.sh` fails on a socket call anywhere else in the
-//! crate).
+//! module (the `sockets` row of `tests/source_rules.rs` fails on a
+//! socket call anywhere else in the crate).
 //!
 //! * **Listen side** — [`serve`] owns a node's endpoint: accept,
 //!   admission (shutdown notice, connection cap), the idle timeout, the
