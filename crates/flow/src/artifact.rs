@@ -16,6 +16,8 @@
 //! read path) treats *any* failure identically — quarantine the entry
 //! and recompute.
 
+use std::iter::once;
+
 use fpga_bitstream::frames;
 use fpga_netlist::codec::{ByteReader, ByteWriter};
 use fpga_netlist::{NetId, Netlist};
@@ -105,6 +107,25 @@ impl Artifact for RoutedDesign {
         })();
         let (device, routing, critical_nets) = inner.map_err(|e| e.to_string())?;
         let graph = RrGraph::build(&device, routing.channel_width);
+        // The entry's digest proves only that these are the bytes the
+        // writer wrote: an id past the rebuilt graph would index out of it
+        // in the bitstream, lint and timing code, so refuse it here.
+        let nodes = graph.node_count();
+        let mut ids = routing.nets.iter().flat_map(|net| {
+            let tree = net
+                .tree
+                .iter()
+                .flat_map(|&(node, parent)| once(node).chain(parent));
+            once(net.source)
+                .chain(net.sinks.iter().copied())
+                .chain(tree)
+        });
+        if let Some(id) = ids.find(|id| id.0 as usize >= nodes) {
+            return Err(format!(
+                "RR node id {} out of range: the graph holds {nodes}",
+                id.0
+            ));
+        }
         Ok(RoutedDesign {
             device,
             graph,
@@ -172,6 +193,48 @@ mod tests {
         assert!(Artifact::to_bytes(&()).is_empty());
         <() as Artifact>::from_bytes(&[]).unwrap();
         assert!(<() as Artifact>::from_bytes(&[0]).is_err());
+    }
+
+    #[test]
+    fn rr_node_ids_outside_the_rebuilt_graph_are_refused() {
+        use fpga_route::rrgraph::RrNodeId;
+        use fpga_route::{RouteResult, RoutedNet};
+
+        let device = fpga_arch::Device::new(fpga_arch::Architecture::paper_default(), 2, 2);
+        let graph = RrGraph::build(&device, 4);
+        let nodes = graph.node_count();
+        let design = RoutedDesign {
+            device,
+            graph,
+            routing: RouteResult {
+                nets: vec![RoutedNet {
+                    net: NetId(0),
+                    source: RrNodeId(0),
+                    sinks: vec![RrNodeId(1)],
+                    tree: vec![(RrNodeId(0), None), (RrNodeId(1), Some(RrNodeId(0)))],
+                }],
+                channel_width: 4,
+                iterations: 1,
+                wirelength: 0,
+                stats: Vec::new(),
+                probes: Vec::new(),
+            },
+            critical_nets: Vec::new(),
+        };
+        // Encode `design` after `corrupt`, decode, and return the refusal.
+        let refusal = |corrupt: fn(&mut RoutedNet, RrNodeId)| {
+            let mut bad = design.clone();
+            corrupt(&mut bad.routing.nets[0], RrNodeId(nodes as u32));
+            RoutedDesign::from_bytes(&bad.to_bytes()).err()
+        };
+        assert_eq!(refusal(|_, _| {}), None, "the clean design decodes");
+        let want = Some(format!(
+            "RR node id {nodes} out of range: the graph holds {nodes}"
+        ));
+        assert_eq!(refusal(|n, id| n.source = id), want);
+        assert_eq!(refusal(|n, id| n.sinks[0] = id), want);
+        assert_eq!(refusal(|n, id| n.tree[1].0 = id), want);
+        assert_eq!(refusal(|n, id| n.tree[1].1 = Some(id)), want);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! 2 = usage error, 6 = deny findings (the same code `flowc lint` uses,
 //! so CI scripts treat daemon and offline lint alike).
 
-use fpga_flow::check::{self, CheckKind, Source};
-use fpga_flow::{cli, FlowCtx, FlowOptions};
+use fpga_flow::check::{self, CheckKind};
+use fpga_flow::{cli, FlowCtx, FlowOptions, Source};
 
 const EXIT_USAGE: i32 = 2;
 /// Deny-severity findings present (matches `flowc`'s lint exit code).

@@ -25,10 +25,9 @@ use fpga_lint::{Diagnostic, GateMode, Severity};
 use fpga_netlist::Netlist;
 
 use crate::equiv::EquivGate;
-use crate::pipeline::{walk, Boundary, FlowCtx, FlowOptions};
-use crate::stages;
+use crate::pipeline::{enter, walk, Boundary, EntryCheck, FlowCtx, FlowOptions, Source};
 use crate::trace::SpanOutcome;
-use crate::{stage_err, FlowError, Result};
+use crate::{FlowError, Result};
 
 /// Which check a gate or a deep check job runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,13 +159,6 @@ fn is_deny(d: &Diagnostic) -> bool {
     d.severity == Severity::Deny
 }
 
-/// A design handed to [`deep`].
-pub enum Source<'a> {
-    Vhdl(&'a str),
-    Blif(&'a str),
-    Netlist(Netlist),
-}
-
 /// The outcome of a deep check: every finding, plus how far it got.
 #[derive(Debug)]
 pub struct CheckReport {
@@ -201,32 +193,24 @@ pub fn deep(
     opts: &FlowOptions,
     ctx: FlowCtx,
 ) -> Result<CheckReport> {
-    let rtl = match source {
-        Source::Vhdl(text) => stages::synthesize_vhdl(text, ctx)?,
-        // Lint alone reads BLIF *without* the upload stage's validation:
-        // structurally broken designs are the very thing it exists to
-        // report (NL001/NL002) rather than reject. Every other job
-        // enters through the validating front door a compile uses.
-        Source::Blif(text) if kind == CheckKind::Lint => {
-            stages::adopt_rtl(fpga_netlist::blif::parse(text).map_err(stage_err("blif"))?)
-        }
-        Source::Blif(text) => stages::parse_blif(text, ctx)?,
-        Source::Netlist(rtl) => stages::adopt_rtl(rtl),
+    let mut diagnostics = Vec::new();
+    let mut lint_netlist = |rtl: &Netlist| {
+        diagnostics = checks_at(kind, None, &Boundary::Netlist("netlist", rtl));
+        Ok(())
     };
+    let lint = kind == CheckKind::Lint;
+    let check = lint.then_some(&mut lint_netlist as EntryCheck);
+    let rtl = enter(source, lint, ctx, None, check)?;
     let mut report = CheckReport {
         design: rtl.value.name.clone(),
-        diagnostics: Vec::new(),
+        diagnostics,
         reached: "netlist",
     };
-    if kind == CheckKind::Lint {
-        let entering = Boundary::Netlist("netlist", &rtl.value);
-        report.diagnostics = checks_at(kind, None, &entering);
-        if !report.clean() {
-            // Mapping a netlist with loops or double drivers would
-            // either fail or silently "fix" the design; the netlist
-            // findings are the whole story.
-            return Ok(report);
-        }
+    if !report.clean() {
+        // Mapping a netlist with loops or double drivers would either
+        // fail or silently "fix" the design; the netlist findings are
+        // the whole story.
+        return Ok(report);
     }
     let equiv = (kind == CheckKind::Verify).then(|| EquivGate::new(&rtl.value));
     walk(&rtl, opts, ctx, None, |at| {

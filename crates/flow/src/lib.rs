@@ -36,14 +36,13 @@ pub mod trace;
 
 pub use artifact::Artifact;
 pub use cache::{CacheOutcome, RemoteTier, StageCache, StageId, StageStats};
-pub use check::{CheckKind, CheckReport, Source};
+pub use check::{CheckKind, CheckReport};
 pub use equiv::EquivGate;
 pub use fault::{CancelReason, CancelToken, FaultAction, FaultPlan, FaultRule, Gate};
 pub use fpga_lint::GateMode;
 pub use pipeline::{
-    compile_blif_ctx, compile_vhdl_ctx, run_blif, run_blif_ctx, run_netlist, run_netlist_ctx,
-    run_vhdl, run_vhdl_ctx, Compiled, FlowArtifacts, FlowCtx, FlowCtxBuilder, FlowOptions,
-    FlowOptionsBuilder,
+    compile, run_blif, run_blif_ctx, run_netlist, run_netlist_ctx, run_vhdl, run_vhdl_ctx,
+    Compiled, FlowArtifacts, FlowCtx, FlowCtxBuilder, FlowOptions, FlowOptionsBuilder, Source,
 };
 pub use report::{FlowReport, StageReport};
 pub use store::{verify_entry, DiskStore, LoadMiss, StoreCounters};

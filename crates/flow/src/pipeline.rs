@@ -26,7 +26,7 @@ use crate::fault::{CancelReason, CancelToken, FaultPlan};
 use crate::report::{FlowReport, StageReport};
 use crate::stages::{self, GeneratedBitstream, RoutedDesign, Staged};
 use crate::trace::TraceLog;
-use crate::{FlowError, Result};
+use crate::{stage_err, FlowError, Result};
 
 /// Flow configuration.
 #[derive(Clone, Debug)]
@@ -332,6 +332,17 @@ pub struct FlowArtifacts {
     pub lint: Vec<Diagnostic>,
 }
 
+/// A design as it enters the flow: the paper's two front doors, VHDL
+/// through the VHDL Parser and DIVINER and BLIF through the E2FMT
+/// hand-off, plus a gate-level netlist already in memory. Everything
+/// after the entering netlist is shared; [`compile`] and
+/// [`crate::check::deep`] both take one.
+pub enum Source<'a> {
+    Vhdl(&'a str),
+    Blif(&'a str),
+    Netlist(Netlist),
+}
+
 /// Run the full flow from VHDL source.
 pub fn run_vhdl(source: &str, opts: &FlowOptions) -> Result<FlowArtifacts> {
     run_vhdl_ctx(source, opts, FlowCtx::default())
@@ -350,80 +361,72 @@ pub fn run_netlist(rtl: Netlist, opts: &FlowOptions) -> Result<FlowArtifacts> {
 
 /// [`run_vhdl`] with a cache/observer context.
 pub fn run_vhdl_ctx(source: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<FlowArtifacts> {
-    compile_vhdl_ctx(source, opts, ctx).map(FlowArtifacts::from)
+    compile(Source::Vhdl(source), opts, ctx).map(FlowArtifacts::from)
 }
 
 /// [`run_blif`] with a cache/observer context.
 pub fn run_blif_ctx(text: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<FlowArtifacts> {
-    compile_blif_ctx(text, opts, ctx).map(FlowArtifacts::from)
-}
-
-/// Compile VHDL source, leaving the artifacts shared with the cache.
-pub fn compile_vhdl_ctx(source: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<Compiled> {
-    let t = Instant::now();
-    let rtl = stages::synthesize_vhdl(source, ctx)?;
-    let mut report = FlowReport {
-        design: rtl.value.name.clone(),
-        ..Default::default()
-    };
-    record(
-        Some(&mut report),
-        &ctx,
-        "synthesis (VHDL Parser + DIVINER)",
-        &rtl,
-        t,
-    );
-    let mut lint = Vec::new();
-    lint_netlist_gate(&ctx, opts, &rtl.value, &mut lint)?;
-    compile_from_rtl(rtl, opts, ctx, report, lint)
-}
-
-/// Compile a BLIF file, leaving the artifacts shared with the cache.
-pub fn compile_blif_ctx(text: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<Compiled> {
-    // When linting, pre-gate on a *raw* parse before the cached upload
-    // stage: a structurally broken BLIF (combinational loop, double
-    // driver) then fails with its precise diagnostics instead of the
-    // stage's first-error validate message — and without ever writing a
-    // cache entry. Parse errors fall through to the stage, which owns
-    // error reporting for unreadable input.
-    let mut lint = Vec::new();
-    if opts.lint.enabled() {
-        if let Ok(raw) = fpga_netlist::blif::parse(text) {
-            lint_netlist_gate(&ctx, opts, &raw, &mut lint)?;
-        }
-    }
-    let t = Instant::now();
-    let rtl = stages::parse_blif(text, ctx)?;
-    let mut report = FlowReport {
-        design: rtl.value.name.clone(),
-        ..Default::default()
-    };
-    record(Some(&mut report), &ctx, "file upload (BLIF)", &rtl, t);
-    compile_from_rtl(rtl, opts, ctx, report, lint)
+    compile(Source::Blif(text), opts, ctx).map(FlowArtifacts::from)
 }
 
 /// [`run_netlist`] with a cache/observer context.
 pub fn run_netlist_ctx(rtl: Netlist, opts: &FlowOptions, ctx: FlowCtx) -> Result<FlowArtifacts> {
-    let report = FlowReport {
-        design: rtl.name.clone(),
-        ..Default::default()
-    };
-    let rtl = stages::adopt_rtl(rtl);
-    let mut lint = Vec::new();
-    lint_netlist_gate(&ctx, opts, &rtl.value, &mut lint)?;
-    compile_from_rtl(rtl, opts, ctx, report, lint).map(FlowArtifacts::from)
+    compile(Source::Netlist(rtl), opts, ctx).map(FlowArtifacts::from)
 }
 
-/// The lint gate on the design as it enters the flow. The equivalence
-/// gate has no counterpart here: the entering netlist *is* its reference.
-fn lint_netlist_gate(
-    ctx: &FlowCtx,
-    opts: &FlowOptions,
-    rtl: &Netlist,
-    found: &mut Vec<Diagnostic>,
-) -> Result<()> {
-    let at = Boundary::Netlist("netlist", rtl);
-    gate(ctx, opts, CheckKind::Lint, None, &at, found)
+/// A netlist check run as a design enters: a compile's lint gate, or a
+/// deep lint's netlist pass.
+pub(crate) type EntryCheck<'c> = &'c mut dyn FnMut(&Netlist) -> Result<()>;
+
+/// How a design enters the flow, written once: the step that reads each
+/// source, and the title a compile's `report` records it under (none for
+/// a netlist already in memory, which no step reads). `check` then sees
+/// the entering netlist.
+///
+/// BLIF has one more rule: lint reads it *without* the upload stage's
+/// validation, because structurally broken designs (NL001/NL002) are
+/// what it reports rather than rejects. A deep lint (`raw_blif`) enters
+/// on that raw parse. Every other reader enters through the validating
+/// upload stage, and `check` sees the raw parse before that stage runs:
+/// a broken design then fails with its precise findings instead of the
+/// stage's first-error validate message, and without ever writing a
+/// cache entry. A raw parse error there falls through to the stage,
+/// which owns error reporting for unreadable input.
+pub(crate) fn enter(
+    source: Source,
+    raw_blif: bool,
+    ctx: FlowCtx,
+    report: Option<&mut FlowReport>,
+    mut check: Option<EntryCheck>,
+) -> Result<Staged<Netlist>> {
+    let mut started = Instant::now();
+    let (rtl, title) = match source {
+        Source::Vhdl(text) => (
+            stages::synthesize_vhdl(text, ctx)?,
+            Some("synthesis (VHDL Parser + DIVINER)"),
+        ),
+        Source::Blif(text) if raw_blif => {
+            let raw = fpga_netlist::blif::parse(text).map_err(stage_err("blif"))?;
+            (stages::adopt_rtl(raw), None)
+        }
+        Source::Blif(text) => {
+            if let Some(check) = check.take() {
+                if let Ok(raw) = fpga_netlist::blif::parse(text) {
+                    check(&raw)?;
+                }
+            }
+            started = Instant::now();
+            (stages::parse_blif(text, ctx)?, Some("file upload (BLIF)"))
+        }
+        Source::Netlist(rtl) => (stages::adopt_rtl(rtl), None),
+    };
+    if let Some(title) = title {
+        record(report, &ctx, title, &rtl, started);
+    }
+    if let Some(check) = check {
+        check(&rtl.value)?;
+    }
+    Ok(rtl)
 }
 
 /// Append a stage's report entry (tagging cache hits and their tier) and
@@ -591,13 +594,21 @@ pub(crate) fn walk(
     })
 }
 
-fn compile_from_rtl(
-    rtl: Staged<Netlist>,
-    opts: &FlowOptions,
-    ctx: FlowCtx,
-    mut report: FlowReport,
-    mut lint: Vec<Diagnostic>,
-) -> Result<Compiled> {
+/// Compile a design, leaving the artifacts shared with the cache.
+pub fn compile(source: Source, opts: &FlowOptions, ctx: FlowCtx) -> Result<Compiled> {
+    let mut report = FlowReport::default();
+    let mut lint = Vec::new();
+    // The lint gate on the design as it enters the flow. The equivalence
+    // gate has no counterpart here: the entering netlist *is* its
+    // reference.
+    let mut lint_gate = |rtl: &Netlist| {
+        let at = Boundary::Netlist("netlist", rtl);
+        gate(&ctx, opts, CheckKind::Lint, None, &at, &mut lint)
+    };
+    let check = opts.lint.enabled().then_some(&mut lint_gate as EntryCheck);
+    let rtl = enter(source, false, ctx, Some(&mut report), check)?;
+    report.design = rtl.value.name.clone();
+
     // The equivalence gates all compare against one reference view,
     // extracted from the synthesized netlist exactly once per run.
     let equiv = opts.verify.enabled().then(|| EquivGate::new(&rtl.value));

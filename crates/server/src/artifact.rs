@@ -29,12 +29,11 @@ use std::time::Duration;
 
 use fpga_flow::sync::lock;
 use fpga_flow::RemoteTier;
-use serde_json::Value;
 
 use crate::breaker::{backoff_step, CircuitBreaker, MsClock};
 use crate::metrics::RemoteTierCounters;
 use crate::net;
-use crate::proto::{self, Request};
+use crate::proto::{self, Event, Request};
 
 /// Attempts per fetch (1 initial + 1 retry). Publishes never retry.
 pub const FETCH_ATTEMPTS: u32 = 2;
@@ -87,11 +86,15 @@ impl RemoteTierClient {
 
 /// Extract a hit's payload. Anything else — a miss, a v4 daemon's
 /// "unknown cmd" error, garbled hex — is a miss, never an error.
-fn artifact_payload(body: &Value) -> Option<Vec<u8>> {
-    if body["event"].as_str() != Some("artifact") || body["hit"].as_bool() != Some(true) {
-        return None;
+fn artifact_payload(reply: Event) -> Option<Vec<u8>> {
+    match reply {
+        Event::Artifact {
+            hit: true,
+            data_hex: Some(hex),
+            ..
+        } => proto::from_hex(&hex).ok(),
+        _ => None,
     }
-    proto::from_hex(body["data_hex"].as_str()?).ok()
 }
 
 impl RemoteTier for RemoteTierClient {
@@ -115,9 +118,9 @@ impl RemoteTier for RemoteTierClient {
                 }
             }
             match net::exchange(&self.gateway, &req, self.timeout, self.max_line_bytes) {
-                Ok(body) => {
+                Ok(reply) => {
                     lock(&self.breaker).on_success();
-                    if let Some(raw) = artifact_payload(&body) {
+                    if let Some(raw) = artifact_payload(reply) {
                         self.counters.fetch_hits.inc();
                         self.counters.bytes_fetched.add(raw.len() as u64);
                         return Some(raw);
@@ -146,11 +149,9 @@ impl RemoteTier for RemoteTierClient {
             data_hex: proto::to_hex(raw),
         };
         match net::exchange(&self.gateway, &req, self.timeout, self.max_line_bytes) {
-            Ok(body) => {
+            Ok(reply) => {
                 lock(&self.breaker).on_success();
-                if body["event"].as_str() == Some("artifact_ack")
-                    && body["stored"].as_bool() == Some(true)
-                {
+                if matches!(reply, Event::ArtifactAck { stored: true, .. }) {
                     self.counters.published.inc();
                 } else {
                     self.counters.publish_failures.inc();
@@ -168,7 +169,6 @@ impl RemoteTier for RemoteTierClient {
 mod tests {
     use super::*;
     use crate::breaker::BreakerState;
-    use crate::proto::Event;
     use std::io::BufReader;
     use std::net::TcpListener;
 

@@ -18,7 +18,6 @@ usage:
                [--jitter-seed N]
                [--max-inflight N] [--admission-queue N]
                [--tenant-burst N] [--tenant-rate N]
-               [--tenant-weight TENANT=W[,TENANT=W...]]
                [--retry-after DUR] [--idle-timeout DUR]
                [--max-line SIZE] [--max-conns N]
                [--corrupt-artifacts]
@@ -50,8 +49,6 @@ defaulting to \"anon\"):
   --tenant-burst N      token-bucket burst per tenant (default 8)
   --tenant-rate N       tokens/sec refill per tenant; 0 = no refill
                         (default 4)
-  --tenant-weight T=W   fair-queue weight for tenant T (repeatable via
-                        commas; default weight 1)
   --retry-after DUR     floor for the retry_after_ms shed hint
                         (default 200ms)
 
@@ -74,7 +71,6 @@ fn main() {
         "admission-queue",
         "tenant-burst",
         "tenant-rate",
-        "tenant-weight",
         "retry-after",
         "idle-timeout",
         "max-line",
@@ -132,25 +128,6 @@ fn main() {
     }
     if let Some(n) = cli::opt_u64(&args, "flow-gateway", "tenant-rate") {
         config.governor.tenant_refill_milli_per_s = n * 1_000;
-    }
-    if let Some(spec) = args.options.get("tenant-weight") {
-        for pair in spec.split(',').filter(|s| !s.is_empty()) {
-            match pair.split_once('=') {
-                Some((tenant, w)) if !tenant.is_empty() => match w.parse::<u32>() {
-                    Ok(weight) if weight > 0 => {
-                        config.governor.weights.push((tenant.to_string(), weight))
-                    }
-                    _ => cli::die(
-                        "flow-gateway",
-                        format!("bad weight in --tenant-weight '{pair}'"),
-                    ),
-                },
-                _ => cli::die(
-                    "flow-gateway",
-                    format!("bad --tenant-weight '{pair}' (want TENANT=W)"),
-                ),
-            }
-        }
     }
     if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "retry-after") {
         config.governor.retry_after_ms = ms;

@@ -1,13 +1,10 @@
 //! `flowc`'s library half: a blocking client for the flowd protocol.
 //!
-//! Two levels of API:
-//!
-//! * [`FlowClient::compile`] — the original interface; every failure is
-//!   an `io::Error` with the server's message.
-//! * [`FlowClient::compile_detailed`] plus [`compile_with_retry`] — the
-//!   hardened path: failures come back as a typed [`CompileError`], and
-//!   the retry helper turns the daemon's `retry_after_ms` hints into
-//!   jittered exponential backoff across fresh connections.
+//! A job is a typed [`CompileRequest`]: [`FlowClient::compile_request`]
+//! and [`FlowClient::check_request`] send one and fold its event stream,
+//! and failures come back as a typed [`CompileError`].
+//! [`compile_with_retry`] turns the daemon's `retry_after_ms` hints into
+//! jittered exponential backoff across fresh connections.
 
 use std::io::{self, BufReader};
 use std::net::ToSocketAddrs;
@@ -22,7 +19,6 @@ use crate::breaker::backoff_step;
 use crate::net;
 use crate::proto::{
     self, from_hex, parse_event, CompileRequest, Event, EventParseError, JobKind, Request,
-    SourceFormat,
 };
 
 /// What every job's event stream folds into, whatever its kind.
@@ -176,15 +172,6 @@ impl From<io::Error> for CompileError {
     }
 }
 
-impl From<CompileError> for io::Error {
-    fn from(e: CompileError) -> io::Error {
-        match e {
-            CompileError::Io(e) => e,
-            other => io::Error::other(other.to_string()),
-        }
-    }
-}
-
 /// A connected client. One request/response exchange at a time.
 pub struct FlowClient {
     reader: BufReader<net::Stream>,
@@ -245,42 +232,6 @@ impl FlowClient {
     pub fn status(&mut self) -> io::Result<Value> {
         self.send(&Request::Status.to_value())?;
         self.recv()
-    }
-
-    /// Submit a design and block until it finishes, collecting the
-    /// streamed stage events along the way. `options` uses the wire
-    /// option names (`place_seed`, `place_effort`, `channel_width`,
-    /// `verify_cycles`, `arch`, `lint`, `verify`); pass `Value::Null`
-    /// for all-defaults.
-    ///
-    /// Flow errors and rejections come back as `io::ErrorKind::Other`
-    /// with the server's message.
-    pub fn compile(
-        &mut self,
-        format: &str,
-        source: &str,
-        options: Value,
-    ) -> io::Result<CompileOutcome> {
-        self.compile_detailed(format, source, options, None)
-            .map_err(io::Error::from)
-    }
-
-    /// Like [`FlowClient::compile`], but with a per-job deadline and a
-    /// typed error that distinguishes rejection / failure / timeout —
-    /// what [`compile_with_retry`] needs to decide whether to retry.
-    pub fn compile_detailed(
-        &mut self,
-        format: &str,
-        source: &str,
-        options: Value,
-        deadline_ms: Option<u64>,
-    ) -> Result<CompileOutcome, CompileError> {
-        let format = source_format(format)?;
-        let mut req = CompileRequest::new(format, source)
-            .with_options(options)
-            .map_err(|e| CompileError::Io(io::Error::new(io::ErrorKind::InvalidInput, e)))?;
-        req.deadline_ms = deadline_ms;
-        self.compile_request(&req)
     }
 
     /// The fully-typed compile path: send a [`CompileRequest`] (including
@@ -446,18 +397,6 @@ fn out_of_place(kind: JobKind, raw: &Value) -> CompileError {
     ))
 }
 
-/// Map a wire format name to [`SourceFormat`].
-fn source_format(name: &str) -> Result<SourceFormat, CompileError> {
-    match name {
-        "vhdl" => Ok(SourceFormat::Vhdl),
-        "blif" => Ok(SourceFormat::Blif),
-        other => Err(CompileError::Io(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("unknown format '{other}'"),
-        ))),
-    }
-}
-
 /// Backoff shape for [`compile_with_retry`]. Deterministic: the jitter
 /// comes from `jitter_seed`, so a fixed seed gives a fixed schedule.
 #[derive(Clone, Debug)]
@@ -545,6 +484,7 @@ pub fn compile_with_retry(
 mod tests {
     use super::*;
     use crate::breaker::xorshift64;
+    use crate::proto::SourceFormat;
     use std::io::Write;
 
     #[test]

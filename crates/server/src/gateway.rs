@@ -21,7 +21,7 @@
 //!   the pipeline, cache-accelerated), terminals never do.
 //! * **Tenant fair-share.** Admission runs through the
 //!   [`TenantGovernor`]: token-bucket quotas per tenant (the optional
-//!   `tenant` request field, proto v4) and weighted fair queuing, with
+//!   `tenant` request field, proto v4) and round-robin fair queuing, with
 //!   bounded waiting — overload sheds with a `retry_after_ms` hint
 //!   instead of queueing without limit.
 //!
@@ -68,7 +68,7 @@ pub struct GatewayConfig {
     pub breaker_reopen_ms: u64,
     /// Seed for breaker reopen jitter (pin for deterministic chaos runs).
     pub jitter_seed: u64,
-    /// Admission policy (quotas, fair-queue weights, bounds).
+    /// Admission policy (quotas, bounds).
     pub governor: GovernorConfig,
     /// Connection guards of the listening endpoint — the same three,
     /// enforced by the same code, as [`super::ServerConfig`]'s.
@@ -207,7 +207,13 @@ impl Shared {
         for backend in &self.backends {
             let scrape = Request::Metrics { text: false };
             let limit = self.config.max_line_bytes;
-            let Ok(body) = net::exchange(&backend.addr, &scrape, timeout, limit) else {
+            let Ok(reply) = net::exchange(&backend.addr, &scrape, timeout, limit) else {
+                continue;
+            };
+            // Any answer is a reachable backend; only a metrics body
+            // has counts to add.
+            any = true;
+            let Event::Metrics(body) = reply else {
                 continue;
             };
             let cache = &body["cache"];
@@ -217,7 +223,6 @@ impl Shared {
             total.disk_hits.add(disk_hits);
             total.remote_hits.add(remote_hits);
             total.misses.add(get("misses"));
-            any = true;
         }
         any.then_some(total)
     }
@@ -397,7 +402,7 @@ fn health_loop(shared: &Shared) {
                     timeout,
                     shared.config.max_line_bytes
                 ),
-                Ok(ref v) if v["event"].as_str() == Some("pong")
+                Ok(Event::Pong { .. })
             );
             backend.probe_ok.store(ok, Ordering::Relaxed);
             let mut breaker = lock(&backend.breaker);
@@ -427,7 +432,7 @@ fn walk_peers(
     shared: &Shared,
     key: &str,
     req: &Request,
-    mut reply: impl FnMut(Option<Value>) -> bool,
+    mut reply: impl FnMut(Option<Event>) -> bool,
 ) {
     let timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
     for &i in &affinity_order(key, &shared.config.backends) {
@@ -461,12 +466,11 @@ fn handle_artifact_get(shared: &Shared, stage: &str, key: &str, kind: &str) -> E
     let mut data_hex: Option<String> = None;
     walk_peers(shared, key, &req, |body| {
         match body {
-            Some(body)
-                if body["event"].as_str() == Some("artifact")
-                    && body["hit"].as_bool() == Some(true) =>
-            {
-                data_hex = body["data_hex"].as_str().map(str::to_string);
-            }
+            Some(Event::Artifact {
+                hit: true,
+                data_hex: hex,
+                ..
+            }) => data_hex = hex,
             Some(_) => {}
             None => counters.fetch_failures.inc(),
         }
@@ -521,12 +525,7 @@ fn handle_artifact_put(
     let mut attempted = 0usize;
     walk_peers(shared, key, &req, |body| {
         match body {
-            Some(body)
-                if body["event"].as_str() == Some("artifact_ack")
-                    && body["stored"].as_bool() == Some(true) =>
-            {
-                stored += 1;
-            }
+            Some(Event::ArtifactAck { stored: true, .. }) => stored += 1,
             _ => counters.put_failures.inc(),
         }
         attempted += 1;

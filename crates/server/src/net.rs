@@ -143,20 +143,25 @@ fn unix_unsupported(_path: &Path) -> io::Error {
     )
 }
 
-/// One short request/reply hop: dial, send `req`, read one line. Connect,
-/// write and read are each bounded by `timeout`, and the reply by
-/// `max_line_bytes` like every other read in the farm — a misbehaving
-/// peer cannot balloon the caller's memory with one endless line.
+/// One short request/reply hop: dial, send `req`, read one line and
+/// parse it as an [`Event`]. Connect, write and read are each bounded by
+/// `timeout`, and the reply by `max_line_bytes` like every other read in
+/// the farm — a misbehaving peer cannot balloon the caller's memory with
+/// one endless line. A reply that is not an event this build knows is
+/// `InvalidData`, like a line that is not JSON.
 pub(crate) fn exchange(
     addr: &str,
     req: &Request,
     timeout: Duration,
     max_line_bytes: usize,
-) -> io::Result<Value> {
+) -> io::Result<Event> {
     let (mut reader, mut writer) = dial(addr, Some(timeout), Some(timeout))?;
     proto::write_line(&mut writer, &req.to_value())?;
-    proto::read_line_limited(&mut reader, max_line_bytes)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before replying"))
+    let reply = proto::read_line_limited(&mut reader, max_line_bytes)?.ok_or_else(|| {
+        io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before replying")
+    })?;
+    proto::parse_event(&reply)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// The connection guards of one endpoint, fixed when the node starts.
@@ -497,14 +502,14 @@ mod tests {
         (addr, hold)
     }
 
-    fn ask(addr: &str) -> io::Result<Value> {
+    fn ask(addr: &str) -> io::Result<Event> {
         exchange(addr, &Request::Ping, Duration::from_millis(300), 1024)
     }
 
     #[test]
     fn exchange_returns_the_reply_line() {
         let (addr, _hold) = fake_peer(Some(b"{\"event\":\"pong\"}\n".to_vec()));
-        assert_eq!(ask(&addr).expect("reply")["event"].as_str(), Some("pong"));
+        assert!(matches!(ask(&addr).expect("reply"), Event::Pong { .. }));
     }
 
     #[test]
@@ -515,6 +520,11 @@ mod tests {
         };
         assert_eq!(kind(Some(b"")), io::ErrorKind::UnexpectedEof);
         assert_eq!(kind(Some(b"{\"event\":\n")), io::ErrorKind::InvalidData);
+        // JSON, but not an event this build knows.
+        assert_eq!(
+            kind(Some(b"{\"event\":\"gossip\"}\n")),
+            io::ErrorKind::InvalidData
+        );
         // Silence past the read timeout.
         assert!(matches!(
             kind(None),

@@ -1,5 +1,5 @@
-//! Bounded, backpressured job queue — and the weighted fair queue the
-//! gateway schedules tenants with.
+//! Bounded, backpressured job queue — and the fair queue the gateway
+//! schedules tenants with.
 //!
 //! Submissions beyond the capacity are *rejected*, not blocked: the
 //! daemon tells the client the service is saturated instead of letting
@@ -9,9 +9,9 @@
 //! them with `None`.
 //!
 //! [`FairQueue`] is the multi-class sibling: items are queued per class
-//! (tenant) and dequeued by weighted round robin, so one greedy class
-//! cannot starve the rest. It is pure data — no locks, no clock — and
-//! the gateway's admission governor drives it under its own mutex.
+//! (tenant) and dequeued round robin, so one greedy class cannot starve
+//! the rest. It is pure data — no locks, no clock — and the gateway's
+//! admission governor drives it under its own mutex.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -117,61 +117,32 @@ impl<T> JobQueue<T> {
     }
 }
 
-/// One class's backlog inside a [`FairQueue`].
-struct ClassQueue<T> {
-    items: VecDeque<T>,
-    weight: u32,
-    /// Dequeues this class may still take in the current round-robin
-    /// round; refilled to `weight` when its turn comes around again.
-    credits: u32,
-}
-
-/// A bounded multi-class queue dequeued by weighted round robin.
+/// A bounded multi-class queue dequeued round robin.
 ///
-/// Classes are created on first push. Each round of the scheduler visits
-/// the active classes in order and lets class `c` dequeue up to
-/// `weight(c)` items before yielding the head — classic deficit round
-/// robin with unit-cost items, so over any long window class shares
-/// converge to their weight ratios regardless of arrival order.
+/// Classes are created on first push. The scheduler visits the classes
+/// that have items in turn and takes one item from each, so one class's
+/// backlog never delays another's next item by more than one round,
+/// whatever the arrival order.
 ///
 /// The bound is global: a push beyond `bound` total queued items is
 /// rejected, which is what turns into a `retry_after_ms` shed at the
 /// gateway.
 pub struct FairQueue<T> {
-    classes: HashMap<String, ClassQueue<T>>,
+    classes: HashMap<String, VecDeque<T>>,
     /// Round-robin order over classes that currently have items.
     rotation: VecDeque<String>,
     len: usize,
     bound: usize,
-    default_weight: u32,
 }
 
 impl<T> FairQueue<T> {
-    pub fn new(bound: usize, default_weight: u32) -> Self {
+    pub fn new(bound: usize) -> Self {
         FairQueue {
             classes: HashMap::new(),
             rotation: VecDeque::new(),
             len: 0,
             bound,
-            default_weight: default_weight.max(1),
         }
-    }
-
-    /// Set a class's scheduling weight (takes effect from its next
-    /// round). Creating the class up front is fine: it occupies no
-    /// rotation slot until it has items.
-    pub fn set_weight(&mut self, class: &str, weight: u32) {
-        let weight = weight.max(1);
-        let default = self.default_weight;
-        let entry = self
-            .classes
-            .entry(class.to_string())
-            .or_insert_with(|| ClassQueue {
-                items: VecDeque::new(),
-                weight: default,
-                credits: 0,
-            });
-        entry.weight = weight;
     }
 
     /// Queue an item for `class`; `Err` when the global bound is hit
@@ -180,30 +151,20 @@ impl<T> FairQueue<T> {
         if self.len >= self.bound {
             return Err(item);
         }
-        let default = self.default_weight;
-        let entry = self
-            .classes
-            .entry(class.to_string())
-            .or_insert_with(|| ClassQueue {
-                items: VecDeque::new(),
-                weight: default,
-                credits: 0,
-            });
-        if entry.items.is_empty() && !self.rotation.iter().any(|c| c == class) {
-            // (Re)joining the rotation: start the round with full
-            // credits so a fresh class is served promptly. The linear
-            // scan guards against a duplicate slot when remove_where
-            // emptied the class but its rotation entry is still queued
-            // (class counts are small — tenants, not jobs).
-            entry.credits = entry.weight;
+        let items = self.classes.entry(class.to_string()).or_default();
+        if items.is_empty() && !self.rotation.iter().any(|c| c == class) {
+            // (Re)joining the rotation. The linear scan guards against a
+            // duplicate slot when remove_where emptied the class but its
+            // rotation entry is still queued (class counts are small —
+            // tenants, not jobs).
             self.rotation.push_back(class.to_string());
         }
-        entry.items.push_back(item);
+        items.push_back(item);
         self.len += 1;
         Ok(())
     }
 
-    /// Dequeue the next item by weighted round robin. `None` when empty.
+    /// Dequeue the next item round robin. `None` when empty.
     pub fn pop(&mut self) -> Option<(String, T)> {
         self.pop_where(|_| true)
     }
@@ -214,33 +175,23 @@ impl<T> FairQueue<T> {
     /// items.
     pub fn pop_where(&mut self, mut eligible: impl FnMut(&str) -> bool) -> Option<(String, T)> {
         // At most one full lap: if no eligible class was found after
-        // visiting every active class once, give up. Invariant: every
-        // class in the rotation has items and credits >= 1 (credits are
-        // refilled when a class rejoins or yields the head).
+        // visiting every active class once, give up.
         for _ in 0..self.rotation.len() {
             let class = self.rotation.pop_front()?;
-            let Some(cq) = self.classes.get_mut(&class) else {
+            let Some(items) = self.classes.get_mut(&class) else {
                 continue; // stale rotation entry
             };
-            if cq.items.is_empty() {
+            if items.is_empty() {
                 continue; // drained by remove_where; leaves the rotation
             }
             if !eligible(&class) {
                 self.rotation.push_back(class);
                 continue;
             }
-            cq.credits = cq.credits.max(1) - 1;
-            let item = cq.items.pop_front()?;
+            let item = items.pop_front()?;
             self.len -= 1;
-            if !cq.items.is_empty() {
-                // Stay at the head while credits last; yield and refill
-                // otherwise.
-                if cq.credits > 0 {
-                    self.rotation.push_front(class.clone());
-                } else {
-                    cq.credits = cq.weight;
-                    self.rotation.push_back(class.clone());
-                }
+            if !items.is_empty() {
+                self.rotation.push_back(class.clone());
             }
             return Some((class, item));
         }
@@ -250,12 +201,12 @@ impl<T> FairQueue<T> {
     /// Remove every queued item of `class` that matches `pred`,
     /// returning how many were removed (deadline-expired tickets).
     pub fn remove_where(&mut self, class: &str, pred: impl Fn(&T) -> bool) -> usize {
-        let Some(cq) = self.classes.get_mut(class) else {
+        let Some(items) = self.classes.get_mut(class) else {
             return 0;
         };
-        let before = cq.items.len();
-        cq.items.retain(|item| !pred(item));
-        let removed = before - cq.items.len();
+        let before = items.len();
+        items.retain(|item| !pred(item));
+        let removed = before - items.len();
         self.len -= removed;
         removed
     }
@@ -326,7 +277,7 @@ mod tests {
 
     #[test]
     fn fair_queue_interleaves_classes_round_robin() {
-        let mut q = FairQueue::new(16, 1);
+        let mut q = FairQueue::new(16);
         for i in 0..3 {
             q.push("a", format!("a{i}")).unwrap();
             q.push("b", format!("b{i}")).unwrap();
@@ -337,26 +288,8 @@ mod tests {
     }
 
     #[test]
-    fn fair_queue_weights_shape_the_schedule() {
-        let mut q = FairQueue::new(32, 1);
-        q.set_weight("heavy", 2);
-        for i in 0..6 {
-            q.push("heavy", i).unwrap();
-        }
-        for i in 0..3 {
-            q.push("light", i).unwrap();
-        }
-        let order: Vec<String> = std::iter::from_fn(|| q.pop().map(|(c, _)| c)).collect();
-        // Weight 2 vs 1: heavy takes two slots per round.
-        assert_eq!(
-            order,
-            vec!["heavy", "heavy", "light", "heavy", "heavy", "light", "heavy", "heavy", "light"]
-        );
-    }
-
-    #[test]
     fn fair_queue_one_greedy_class_cannot_starve_the_rest() {
-        let mut q = FairQueue::new(64, 1);
+        let mut q = FairQueue::new(64);
         for i in 0..50 {
             q.push("greedy", i).unwrap();
         }
@@ -369,7 +302,7 @@ mod tests {
 
     #[test]
     fn fair_queue_bound_rejects_and_hands_the_item_back() {
-        let mut q = FairQueue::new(2, 1);
+        let mut q = FairQueue::new(2);
         q.push("a", 1).unwrap();
         q.push("b", 2).unwrap();
         assert_eq!(q.push("a", 3), Err(3));
@@ -380,7 +313,7 @@ mod tests {
 
     #[test]
     fn fair_queue_pop_where_gates_classes_without_losing_their_turn() {
-        let mut q = FairQueue::new(8, 1);
+        let mut q = FairQueue::new(8);
         q.push("blocked", 1).unwrap();
         q.push("open", 2).unwrap();
         // Only "open" is eligible; "blocked" keeps its place.
@@ -394,7 +327,7 @@ mod tests {
 
     #[test]
     fn fair_queue_remove_where_drops_expired_tickets() {
-        let mut q = FairQueue::new(8, 1);
+        let mut q = FairQueue::new(8);
         for i in 0..4 {
             q.push("t", i).unwrap();
         }

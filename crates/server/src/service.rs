@@ -30,10 +30,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use std::{fmt, io};
 
-use fpga_flow::check::{self, CheckKind, Source};
+use fpga_flow::check::{self, CheckKind};
 use fpga_flow::fault::{CancelToken, FaultPlan};
 use fpga_flow::sync::lock;
-use fpga_flow::{DiskStore, FlowCtx, StageCache, TraceLog};
+use fpga_flow::{DiskStore, FlowCtx, Source, StageCache, TraceLog};
 use fpga_lint::Diagnostic;
 use serde_json::Value;
 
@@ -693,23 +693,17 @@ fn run_job(shared: &Shared, job: Job) -> (JobState, Event) {
         builder = builder.trace(trace);
     }
     let ctx = builder.build();
-    let result = match (kind, req.format) {
-        (JobKind::Compile, SourceFormat::Vhdl) => {
-            fpga_flow::compile_vhdl_ctx(&req.source, &options, ctx)
-                .map(|done| Finished::Compiled(Box::new(done)))
-        }
-        (JobKind::Compile, SourceFormat::Blif) => {
-            fpga_flow::compile_blif_ctx(&req.source, &options, ctx)
-                .map(|done| Finished::Compiled(Box::new(done)))
-        }
-        (JobKind::Check(check), format) => {
-            let source = match format {
-                SourceFormat::Vhdl => Source::Vhdl(&req.source),
-                SourceFormat::Blif => Source::Blif(&req.source),
-            };
-            check::deep(check, source, &options, ctx).map(|report| Finished::Checked(check, report))
-        }
+    let source = match req.format {
+        SourceFormat::Vhdl => Source::Vhdl(&req.source),
+        SourceFormat::Blif => Source::Blif(&req.source),
     };
+    let result =
+        match kind {
+            JobKind::Compile => fpga_flow::compile(source, &options, ctx)
+                .map(|done| Finished::Compiled(Box::new(done))),
+            JobKind::Check(check) => check::deep(check, source, &options, ctx)
+                .map(|report| Finished::Checked(check, report)),
+        };
     // EQ findings feed the flowd_verify_* family; everything else the
     // flowd_lint_* family. A finding is counted where its rule lives,
     // not by which job kind surfaced it.

@@ -1,5 +1,5 @@
 //! Per-tenant admission control for the gateway: token-bucket quotas
-//! plus weighted fair queuing over a bounded wait queue.
+//! plus round-robin fair queuing over a bounded wait queue.
 //!
 //! Split in two layers, like the breaker:
 //!
@@ -38,11 +38,11 @@ const MAX_RETRY_AFTER_MS: u64 = 60_000;
 /// metric label: a longer one is refused where requests are parsed.
 pub const MAX_TENANT_BYTES: usize = 64;
 
-/// Distinct tenant names the governor tracks. Every name in
-/// [`GovernorConfig::weights`] and `anon` always get theirs; a job
-/// under a name beyond the bound is admitted, queued, shed and counted
-/// as tenant `other` — one shared bucket, one fair-queue class — so
-/// neither the table nor the metrics grow with what clients send.
+/// Distinct tenant names the governor tracks. `anon` always gets its
+/// place; a job under a name beyond the bound is admitted, queued, shed
+/// and counted as tenant `other` — one shared bucket, one fair-queue
+/// class — so neither the table nor the metrics grow with what clients
+/// send.
 const MAX_TENANTS: usize = 1024;
 
 /// Admission policy knobs.
@@ -59,8 +59,6 @@ pub struct GovernorConfig {
     pub tenant_refill_milli_per_s: u64,
     /// Baseline backoff hint attached to sheds.
     pub retry_after_ms: u64,
-    /// Fair-queue weights; unlisted tenants weigh 1.
-    pub weights: Vec<(String, u32)>,
 }
 
 impl Default for GovernorConfig {
@@ -71,7 +69,6 @@ impl Default for GovernorConfig {
             tenant_burst: 8,
             tenant_refill_milli_per_s: 4_000,
             retry_after_ms: 200,
-            weights: Vec::new(),
         }
     }
 }
@@ -106,8 +103,6 @@ pub enum Admission {
 pub struct GovernorCore {
     config: GovernorConfig,
     tenants: HashMap<String, TenantState>,
-    /// Names guaranteed a place in `tenants` that have not claimed it.
-    reserved: HashSet<String>,
     /// Waiting tickets, fair-queued per tenant.
     waiters: FairQueue<u64>,
     /// Tickets the pump admitted that their waiter has not observed yet.
@@ -119,17 +114,10 @@ pub struct GovernorCore {
 
 impl GovernorCore {
     pub fn new(config: GovernorConfig) -> Self {
-        let mut waiters = FairQueue::new(config.queue_bound, 1);
-        let mut reserved = HashSet::from(["anon".to_string()]);
-        for (tenant, weight) in &config.weights {
-            waiters.set_weight(tenant, *weight);
-            reserved.insert(tenant.clone());
-        }
         GovernorCore {
+            waiters: FairQueue::new(config.queue_bound),
             config,
             tenants: HashMap::new(),
-            reserved,
-            waiters,
             ready: HashSet::new(),
             inflight: 0,
             next_ticket: 0,
@@ -199,7 +187,7 @@ impl GovernorCore {
     }
 
     /// Move waiters into `ready` while slots and tokens allow, in
-    /// weighted-fair order.
+    /// round-robin order.
     fn pump(&mut self, now_ms: u64) {
         while self.inflight < self.config.max_inflight {
             let config = &self.config;
@@ -269,9 +257,11 @@ impl GovernorCore {
     /// in the table (see [`MAX_TENANTS`]), `other` beyond. Stable for a
     /// name once answered — the table never shrinks.
     fn tracked<'a>(&self, tenant: &'a str) -> &'a str {
-        if self.tenants.contains_key(tenant)
-            || self.reserved.contains(tenant)
-            || self.tenants.len() + self.reserved.len() < MAX_TENANTS
+        // Until `anon` claims its place, one is kept free for it.
+        let held = usize::from(!self.tenants.contains_key("anon"));
+        if tenant == "anon"
+            || self.tenants.contains_key(tenant)
+            || self.tenants.len() + held < MAX_TENANTS
         {
             tenant
         } else {
@@ -283,14 +273,14 @@ impl GovernorCore {
     /// with a full bucket.
     fn tenant_mut(&mut self, tenant: &str, now_ms: u64) -> &mut TenantState {
         let config = &self.config;
-        let state = self.tenants.entry(tenant.to_string()).or_insert_with(|| {
-            self.reserved.remove(tenant);
-            TenantState {
+        let state = self
+            .tenants
+            .entry(tenant.to_string())
+            .or_insert_with(|| TenantState {
                 tokens_milli: config.tenant_burst.saturating_mul(TOKEN_MILLI),
                 last_refill_ms: now_ms,
                 counters: TenantCounters::default(),
-            }
-        });
+            });
         refill_state(state, config, now_ms);
         state
     }
@@ -415,7 +405,6 @@ mod tests {
             tenant_burst: burst,
             tenant_refill_milli_per_s: refill,
             retry_after_ms: 100,
-            weights: Vec::new(),
         }
     }
 
@@ -528,14 +517,11 @@ mod tests {
     /// leave a table of [`MAX_TENANTS`] + `other`: the overflow shares
     /// one bucket (one token here, so one admission and the rest shed),
     /// a queued overflow job cancels out of the class it waits in, and
-    /// the names the operator configured, and `anon`, still get their
-    /// own bucket after the flood.
+    /// `anon` still gets its own bucket after the flood.
     #[test]
     fn a_flood_of_tenant_names_folds_into_other() {
         const NAMES: usize = 100_000;
-        let mut cfg = config(usize::MAX, 1, 1, 0);
-        cfg.weights = vec![("gold".to_string(), 3)];
-        let mut g = GovernorCore::new(cfg);
+        let mut g = GovernorCore::new(config(usize::MAX, 1, 1, 0));
         let mut shed = 0u64;
         let mut waiting = None;
         for i in 0..NAMES {
@@ -552,16 +538,14 @@ mod tests {
         assert_eq!(g.queued(), 1);
         g.cancel(&name, ticket, 0);
         assert_eq!(g.queued(), 0, "cancelled under the name it was folded to");
-        assert_eq!(g.submit("gold", 0), Admission::Admitted);
         assert_eq!(g.submit("anon", 0), Admission::Admitted);
 
         let rows = g.tenant_snapshots();
         assert_eq!(rows.len(), MAX_TENANTS + 1);
         let row = |name: &str| rows.iter().find(|(n, _)| n == name).map(|(_, c)| *c);
-        assert_eq!(row("gold").map(|c| c.admitted), Some(1));
         assert_eq!(row("anon").map(|c| c.admitted), Some(1));
         let other = row("other").expect("the overflow row");
-        let overflow = (NAMES - (MAX_TENANTS - 2)) as u64;
+        let overflow = (NAMES - (MAX_TENANTS - 1)) as u64;
         assert_eq!(
             (other.admitted, other.queued, other.shed),
             (1, 1, overflow - 2)

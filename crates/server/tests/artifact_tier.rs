@@ -21,7 +21,6 @@ use fpga_server::gateway::{affinity_key, affinity_order};
 use fpga_server::{
     CompileRequest, FlowClient, Gateway, GatewayConfig, Server, ServerConfig, SourceFormat,
 };
-use serde_json::Value;
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -51,7 +50,10 @@ fn server_on(dir: &Path, artifact_gateway: Option<String>) -> Server {
 fn compile(server: &Server, source: &str) -> fpga_server::client::CompileOutcome {
     FlowClient::connect_tcp(server.tcp_addr().expect("tcp enabled"))
         .expect("connect")
-        .compile_detailed("vhdl", source, Value::Null, Some(60_000))
+        .compile_request(&CompileRequest {
+            deadline_ms: Some(60_000),
+            ..CompileRequest::new(SourceFormat::Vhdl, source)
+        })
         .expect("compile succeeds")
 }
 
@@ -317,7 +319,10 @@ fn idle_backend_steals_a_job_from_a_busy_affinity_pick() {
     let slow = thread::spawn(move || {
         FlowClient::connect_tcp(gw_addr)
             .expect("connect")
-            .compile_detailed("vhdl", &slow_source, Value::Null, Some(60_000))
+            .compile_request(&CompileRequest {
+                deadline_ms: Some(60_000),
+                ..CompileRequest::new(SourceFormat::Vhdl, &slow_source)
+            })
             .expect("slow job completes")
     });
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -334,7 +339,10 @@ fn idle_backend_steals_a_job_from_a_busy_affinity_pick() {
     // finish while A is still asleep.
     let stolen = FlowClient::connect_tcp(gateway.tcp_addr())
         .expect("connect")
-        .compile_detailed("vhdl", &designs[1], Value::Null, Some(60_000))
+        .compile_request(&CompileRequest {
+            deadline_ms: Some(60_000),
+            ..CompileRequest::new(SourceFormat::Vhdl, &designs[1])
+        })
         .expect("stolen job completes");
     assert!(!stolen.bitstream.is_empty());
     let metrics = gateway.metrics_json();

@@ -137,7 +137,7 @@ fn one_daemon_survives_panic_timeout_oversize_and_overload() {
     let src_ab = design_src(4);
     let mut client = FlowClient::connect_tcp(addr).expect("connect");
     let err = client
-        .compile_detailed("vhdl", &src_ab, Value::Null, None)
+        .compile_request(&CompileRequest::new(SourceFormat::Vhdl, &src_ab))
         .expect_err("job A must panic");
     match err {
         CompileError::Failed { kind, message, .. } => {
@@ -150,7 +150,7 @@ fn one_daemon_survives_panic_timeout_oversize_and_overload() {
         other => panic!("expected a panic error, got {other}"),
     }
     let outcome = client
-        .compile_detailed("vhdl", &src_ab, Value::Null, None)
+        .compile_request(&CompileRequest::new(SourceFormat::Vhdl, &src_ab))
         .expect("job B completes on the surviving worker");
     assert_eq!(outcome.stage_events.len(), 8, "one event per stage");
 
@@ -229,7 +229,7 @@ fn one_daemon_survives_panic_timeout_oversize_and_overload() {
 
     let mut client_f = FlowClient::connect_tcp(addr).expect("connect");
     let err = client_f
-        .compile_detailed("vhdl", &design_src(8), Value::Null, None)
+        .compile_request(&CompileRequest::new(SourceFormat::Vhdl, design_src(8)))
         .expect_err("F must be rejected: the queue is full");
     assert!(err.is_retryable(), "queue-full is retryable: {err}");
     assert_eq!(err.retry_after_ms(), Some(5), "server's backoff hint");

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use fpga_flow::fault::{FaultAction, FaultPlan};
 use fpga_server::client::CompileError;
-use fpga_server::{FlowClient, Server, ServerConfig};
+use fpga_server::{CompileRequest, FlowClient, Server, ServerConfig, SourceFormat};
 use serde_json::Value;
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
@@ -43,7 +43,7 @@ fn server_on(dir: &Path, fault: Option<FaultPlan>) -> Server {
 fn compile(server: &Server, source: &str) -> fpga_server::client::CompileOutcome {
     FlowClient::connect_tcp(server.tcp_addr().expect("tcp enabled"))
         .expect("connect")
-        .compile_detailed("vhdl", source, Value::Null, None)
+        .compile_request(&CompileRequest::new(SourceFormat::Vhdl, source))
         .expect("compile succeeds")
 }
 
@@ -202,7 +202,7 @@ fn panicking_job_mid_pipeline_loses_only_unfinished_stages() {
     let first = server_on(&dir, Some(plan));
     let err = FlowClient::connect_tcp(first.tcp_addr().expect("tcp enabled"))
         .expect("connect")
-        .compile_detailed("vhdl", &src, Value::Null, None)
+        .compile_request(&CompileRequest::new(SourceFormat::Vhdl, &src))
         .expect_err("the job panicked mid-pipeline");
     match err {
         CompileError::Failed { kind, .. } => assert_eq!(kind.as_deref(), Some("panic")),

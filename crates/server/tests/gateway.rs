@@ -452,7 +452,6 @@ fn tenant_quotas_shed_the_hog_but_not_the_neighbor() {
             tenant_burst: 1,              // one token per tenant...
             tenant_refill_milli_per_s: 0, // ...and no refill
             retry_after_ms: 123,
-            weights: Vec::new(),
         },
         ..GatewayConfig::default()
     })

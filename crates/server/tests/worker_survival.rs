@@ -8,8 +8,7 @@ use std::time::Duration;
 use fpga_flow::cache::STAGES;
 use fpga_flow::fault::{FaultAction, FaultPlan};
 use fpga_server::client::CompileError;
-use fpga_server::{FlowClient, Server, ServerConfig};
-use serde_json::Value;
+use fpga_server::{CompileRequest, FlowClient, Server, ServerConfig, SourceFormat};
 
 fn start(workers: usize, queue: usize, plan: FaultPlan) -> Server {
     Server::start(ServerConfig {
@@ -44,7 +43,10 @@ fn a_panic_at_every_stage_leaves_every_worker_serving() {
         for (k, stage) in STAGES.iter().enumerate() {
             let src = fpga_circuits::vhdl_counter(2 + k);
             let err = connect(&server)
-                .compile_detailed("vhdl", &src, Value::Null, Some(DEADLINE_MS))
+                .compile_request(&CompileRequest {
+                    deadline_ms: Some(DEADLINE_MS),
+                    ..CompileRequest::new(SourceFormat::Vhdl, &src)
+                })
                 .expect_err("the job panics");
             match err {
                 CompileError::Failed { kind, message, .. } => {
@@ -62,8 +64,10 @@ fn a_panic_at_every_stage_leaves_every_worker_serving() {
             let src = fpga_circuits::vhdl_counter(10 + i);
             let tx = tx.clone();
             std::thread::spawn(move || {
-                let _ =
-                    tx.send(client.compile_detailed("vhdl", &src, Value::Null, Some(DEADLINE_MS)));
+                let _ = tx.send(client.compile_request(&CompileRequest {
+                    deadline_ms: Some(DEADLINE_MS),
+                    ..CompileRequest::new(SourceFormat::Vhdl, &src)
+                }));
             });
         }
         for _ in 0..=workers {
@@ -109,7 +113,7 @@ fn a_storm_of_panics_interleaved_with_good_jobs_leaves_the_pool_intact() {
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
             barrier.wait();
-            client.compile_detailed("vhdl", &src, Value::Null, None)
+            client.compile_request(&CompileRequest::new(SourceFormat::Vhdl, &src))
         }));
     }
 

@@ -17,9 +17,9 @@ use std::sync::Arc;
 
 use fpga_framework::flow::cache::STAGES;
 use fpga_framework::server::{
-    FlowClient, Gateway, GatewayConfig, GovernorConfig, Server, ServerConfig,
+    CompileRequest, FlowClient, Gateway, GatewayConfig, GovernorConfig, Server, ServerConfig,
+    SourceFormat,
 };
-use serde_json::Value;
 
 fn start_server(workers: usize) -> Server {
     Server::start(ServerConfig {
@@ -53,7 +53,7 @@ fn four_concurrent_clients_share_one_computation() {
         handles.push(std::thread::spawn(move || {
             barrier.wait();
             let outcome = client
-                .compile("vhdl", &src, Value::Null)
+                .compile_request(&CompileRequest::new(SourceFormat::Vhdl, &src))
                 .expect("compile succeeds");
             assert!(outcome.job > 0);
             assert_eq!(outcome.stage_events.len(), 8, "one event per stage");
@@ -96,7 +96,7 @@ fn four_concurrent_clients_share_one_computation() {
     // zero recompute stages, verified via the metrics counters.
     let mut client = connect(&server);
     let warm = client
-        .compile("vhdl", &src, Value::Null)
+        .compile_request(&CompileRequest::new(SourceFormat::Vhdl, &src))
         .expect("warm compile");
     assert_eq!(warm.bitstream, bitstreams[0]);
     for stage in STAGES {
@@ -117,7 +117,11 @@ fn four_concurrent_clients_share_one_computation() {
     // Different placement seed: front end reused, back end recomputed.
     let opts = serde_json::json!({"place_seed": 5u64});
     client
-        .compile("vhdl", &src, opts)
+        .compile_request(
+            &CompileRequest::new(SourceFormat::Vhdl, &src)
+                .with_options(opts)
+                .expect("valid options"),
+        )
         .expect("different-seed compile");
     let place = server.cache().stats(fpga_framework::flow::StageId::Place);
     assert_eq!(place.misses, 2, "new seed re-places");
@@ -151,7 +155,7 @@ fn stats_ping_and_flow_errors_over_the_wire() {
     // A flow error comes back as a tagged error event, and the
     // connection stays usable for the next request.
     let err = client
-        .compile("vhdl", "entity oops", Value::Null)
+        .compile_request(&CompileRequest::new(SourceFormat::Vhdl, "entity oops"))
         .unwrap_err();
     assert!(err.to_string().contains("synthesis"), "{err}");
 
@@ -165,7 +169,7 @@ fn stats_ping_and_flow_errors_over_the_wire() {
 -11 1
 .end";
     let ok = client
-        .compile("blif", blif, Value::Null)
+        .compile_request(&CompileRequest::new(SourceFormat::Blif, blif))
         .expect("blif still works");
     assert!(!ok.bitstream.is_empty());
 
@@ -191,7 +195,7 @@ fn graceful_shutdown_rejects_new_work() {
         Err(_) => {} // listener already down
         Ok(mut late) => {
             let blif = ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end";
-            match late.compile("blif", blif, Value::Null) {
+            match late.compile_request(&CompileRequest::new(SourceFormat::Blif, blif)) {
                 Err(e) => {
                     let msg = e.to_string();
                     assert!(
@@ -237,14 +241,22 @@ fn warm_compiles_through_the_gateway_do_not_wait_on_the_wire() {
     let src = fpga_framework::circuits::vhdl_counter(4);
     let options = || serde_json::json!({"channel_width": 12u64, "verify_cycles": 0u64});
     let cold = client
-        .compile("vhdl", &src, options())
+        .compile_request(
+            &CompileRequest::new(SourceFormat::Vhdl, &src)
+                .with_options(options())
+                .expect("valid options"),
+        )
         .expect("cold fill compiles");
 
     let mut round_trips_ms: Vec<f64> = (0..30)
         .map(|_| {
             let sent = std::time::Instant::now();
             let warm = client
-                .compile("vhdl", &src, options())
+                .compile_request(
+                    &CompileRequest::new(SourceFormat::Vhdl, &src)
+                        .with_options(options())
+                        .expect("valid options"),
+                )
                 .expect("warm compile");
             let elapsed = sent.elapsed().as_secs_f64() * 1e3;
             assert_eq!(warm.bitstream, cold.bitstream);

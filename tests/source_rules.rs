@@ -67,8 +67,13 @@ const RULES: &[Rule] = &[
         hint: "call fpga_netlist::mix / fpga_bitstream::fabric::Dsu" },
     // Deleted duplicates and uncalled items stay deleted, from the docs too.
     Rule { name: "deleted items", scan: WHOLE, allowed: Nowhere, files: &["crates/**", "README.md", "DESIGN.md"],
-        patterns: &["fn prune_dead", "netlist::stats", "clb_delay"],
-        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep)" },
+        patterns: &["fn prune_dead", "netlist::stats", "clb_delay", "compile_vhdl_ctx", "compile_blif_ctx",
+            "compile_detailed", "tenant-weight"],
+        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry)" },
+    // Only the protocol module reads the wire format; everything else matches typed events.
+    Rule { name: "wire vocabulary", scan: 0, allowed: Nowhere, patterns: &["[\"event\"]"],
+        files: &["crates/server/src/**.rs", "crates/bench/src/**.rs", "!crates/server/src/proto.rs"],
+        hint: "parse the line with proto::parse_event and match the Event variant" },
     // A poisoned mutex is recovered in one place, beside the comment saying why that is sound.
     Rule { name: "poison recovery", scan: 0, allowed: Only(&["crates/flow/src/sync.rs"]), patterns: &["unwrap_or_else(…into_inner"],
         files: &["crates/flow/src/*.rs", "crates/server/src/*.rs"], hint: "call fpga_flow::sync::{lock, wait, wait_timeout}" },
