@@ -157,9 +157,11 @@ impl Clustering {
         None
     }
 
-    /// The BLE slot (output pin) of cluster `c` that drives `net`.
+    /// The BLE slot (output pin) of cluster `c` that drives `net`; `None`
+    /// also when there is no cluster `c`.
     pub fn output_slot(&self, c: ClusterId, net: NetId) -> Option<usize> {
-        self.clusters[c.0 as usize]
+        self.clusters
+            .get(c.0 as usize)?
             .bles
             .iter()
             .position(|&b| self.bles[b.0 as usize].output == net)

@@ -34,15 +34,16 @@
 //! barrier. The search heap breaks cost ties by node id so results never
 //! depend on heap insertion order.
 //!
-//! Searches reuse per-worker epoch-stamped distance/parent buffers
-//! instead of allocating per sink, which is where most of the serial
-//! router's time went on large graphs.
+//! Searches reuse per-worker stamped labels and mark buffers instead of
+//! allocating per sink, which is where most of the serial router's time
+//! went on large graphs. See `route_net` for what keeps each relaxation
+//! cheap and why none of it moves a tree.
 
 use std::collections::BinaryHeap;
 
 use fpga_netlist::ir::NetId;
 use fpga_netlist::mix::splitmix64;
-use fpga_pack::Clustering;
+use fpga_pack::{ClusterId, Clustering};
 use fpga_place::{BlockRef, Placement};
 
 use crate::engine::RouteConfig;
@@ -70,12 +71,28 @@ impl RoutedNet {
 /// Search effort, counted where the work happens: one heap pop per
 /// node taken off the frontier, one relaxation per successor edge
 /// costed, one skipped pin per input-pin successor left uncosted
-/// because it is not a sink the net is looking for.
+/// because it is not a sink the net is looking for. Those three are
+/// route-stage metrics. The rest say where they went, and only
+/// [`RouteResult::stats_table`] prints them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     pub heap_pops: u64,
     pub relaxations: u64,
     pub pins_skipped: u64,
+    /// Tree nodes pushed at distance 0 to start a search, one per node
+    /// of the net's tree so far for every sink.
+    pub seeds: u64,
+    /// Heap pushes, seeds included.
+    pub pushes: u64,
+    /// Pops of an entry whose node was pushed again, cheaper, since.
+    pub stale_pops: u64,
+    /// Relaxations that stopped before reading congestion: the
+    /// successor was already labelled at or below the cheapest cost the
+    /// edge could add.
+    pub early_outs: u64,
+    /// Searches run with more than `ASTAR_MAX_GOALS` (16) pending sinks,
+    /// and so with no distance-to-go bound.
+    pub unbounded_searches: u64,
 }
 
 impl SearchStats {
@@ -83,6 +100,11 @@ impl SearchStats {
         self.heap_pops += other.heap_pops;
         self.relaxations += other.relaxations;
         self.pins_skipped += other.pins_skipped;
+        self.seeds += other.seeds;
+        self.pushes += other.pushes;
+        self.stale_pops += other.stale_pops;
+        self.early_outs += other.early_outs;
+        self.unbounded_searches += other.unbounded_searches;
     }
 }
 
@@ -149,13 +171,30 @@ impl RouteResult {
     /// per iteration plus a totals line.
     pub fn stats_table(&self) -> String {
         let mut out = format!(
-            "{:>5} {:>9} {:>9} {:>12} {:>12} {:>13}\n",
-            "iter", "worklist", "overused", "heap_pops", "relaxations", "pins_skipped"
+            "{:>5} {:>9} {:>9} {:>12} {:>12} {:>13} {:>10} {:>11} {:>11} {:>11} {:>9}\n",
+            "iter",
+            "worklist",
+            "overused",
+            "heap_pops",
+            "relaxations",
+            "pins_skipped",
+            "seeds",
+            "pushes",
+            "stale_pops",
+            "early_outs",
+            "unbounded"
         );
         let mut line = |label: &str, worklist: usize, overused: &str, s: SearchStats| {
             out.push_str(&format!(
-                "{label:>5} {worklist:>9} {overused:>9} {:>12} {:>12} {:>13}\n",
-                s.heap_pops, s.relaxations, s.pins_skipped
+                "{label:>5} {worklist:>9} {overused:>9} {:>12} {:>12} {:>13} {:>10} {:>11} {:>11} {:>11} {:>9}\n",
+                s.heap_pops,
+                s.relaxations,
+                s.pins_skipped,
+                s.seeds,
+                s.pushes,
+                s.stale_pops,
+                s.early_outs,
+                s.unbounded_searches
             ));
         };
         for (i, row) in self.stats.iter().enumerate() {
@@ -179,12 +218,22 @@ pub fn net_endpoints(
         let unplaced = || RouteError::BadEndpoint(format!("{b:?} is not placed"));
         placement.slot(b).ok_or_else(unplaced)
     };
+    let cluster = |c: ClusterId| {
+        let unknown = || RouteError::BadEndpoint(format!("cluster {} is not packed", c.0));
+        clustering.clusters.get(c.0 as usize).ok_or_else(unknown)
+    };
     let mut out = Vec::new();
     for pn in &placement.nets {
-        let driver = pn.terminals[0];
+        let Some((&driver, sink_terms)) = pn.terminals.split_first() else {
+            return Err(RouteError::BadEndpoint(format!(
+                "net {} has no terminals",
+                pn.net.0
+            )));
+        };
         let source = match driver {
             BlockRef::Cluster(c) => {
                 let loc = slot_of(driver)?.loc;
+                cluster(c)?;
                 let slot = clustering.output_slot(c, pn.net).ok_or_else(|| {
                     RouteError::BadEndpoint(format!(
                         "cluster {} does not drive net {}",
@@ -211,19 +260,17 @@ pub fn net_endpoints(
             }
         };
         let mut sinks = Vec::new();
-        for &term in &pn.terminals[1..] {
+        for &term in sink_terms {
             match term {
                 BlockRef::Cluster(c) => {
                     let loc = slot_of(term)?.loc;
-                    let idx = clustering.clusters[c.0 as usize]
-                        .input_pin(pn.net)
-                        .ok_or_else(|| {
-                            RouteError::BadEndpoint(format!(
-                                "cluster {} does not consume net {}",
-                                c.0,
-                                clustering.netlist.net_name(pn.net)
-                            ))
-                        })?;
+                    let idx = cluster(c)?.input_pin(pn.net).ok_or_else(|| {
+                        RouteError::BadEndpoint(format!(
+                            "cluster {} does not consume net {}",
+                            c.0,
+                            clustering.netlist.net_name(pn.net)
+                        ))
+                    })?;
                     sinks.push(
                         clb_ipin(g, loc, idx)
                             .ok_or_else(|| RouteError::BadEndpoint("missing CLB ipin".into()))?,
@@ -280,26 +327,36 @@ pub(crate) fn channel_demand(clustering: &Clustering, placement: &Placement) -> 
     Ok(nets_on.into_iter().max().unwrap_or(0))
 }
 
-#[derive(Clone, Copy, PartialEq)]
+/// One frontier entry, 16 bytes. `cost` is the bit pattern of the
+/// priority (path cost plus distance-to-go), a non-negative finite f64:
+/// for those, the bits order exactly like the number. `seq` is the push
+/// id; the entry is live while it is still its node's latest push.
+#[derive(Clone, Copy)]
 struct HeapEntry {
-    /// Priority: path cost plus the admissible distance-to-go estimate.
-    cost: f64,
-    /// Path cost alone, for the stale-entry check against `dist`.
-    dist: f64,
-    node: RrNodeId,
+    cost: u64,
+    node: u32,
+    seq: u32,
 }
 
-impl Eq for HeapEntry {}
+impl HeapEntry {
+    fn new(cost: f64, node: RrNodeId, seq: u32) -> Self {
+        debug_assert!(
+            cost.is_finite() && cost.is_sign_positive(),
+            "heap priority {cost} is not a non-negative finite number"
+        );
+        HeapEntry {
+            cost: cost.to_bits(),
+            node: node.0,
+            seq,
+        }
+    }
+}
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Min-heap on cost; ties broken by node id so pop order never
-        // depends on heap insertion history.
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| other.node.0.cmp(&self.node.0))
+        // depends on heap insertion history. `seq` is not part of the key.
+        (other.cost, other.node).cmp(&(self.cost, self.node))
     }
 }
 
@@ -308,6 +365,14 @@ impl PartialOrd for HeapEntry {
         Some(self.cmp(other))
     }
 }
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for HeapEntry {}
 
 /// Beyond this fanout, remaining sinks blanket the chip and a
 /// min-over-sinks bound prunes little while costing O(sinks) per edge.
@@ -433,18 +498,35 @@ const STAGNATION_SWEEP: usize = 3;
 /// last legal routing is kept as a fallback.
 const POLISH_SWEEPS: usize = 2;
 
-/// Reusable, epoch-stamped per-worker search state. An entry of `dist`/
-/// `prev` is valid only when `stamp` carries the current search epoch;
-/// `mark` (in-tree), `own` (the net's previous tree) and `sinkm`
-/// (pending sinks) are valid under the current net epoch, as is
-/// `near_sink`, which flags the wires with an edge into one of the net's
-/// sinks. Bumping an epoch invalidates the whole array in O(1) instead
-/// of re-zeroing node-count-sized buffers for every sink of every net.
+/// A node's search label, `(dist, prev, stamp)`: path cost, parent node
+/// and the id of the node's latest push. One 16-byte entry per node, so
+/// a relaxation touches one cache line for all three.
+type Label = (f64, u32, u32);
+
+/// The push counter restarts, after clearing every stamp, before a
+/// search that would start at or above this id. That leaves 2^30 ids to
+/// one search, which pushes its seeds plus one entry per relaxation that
+/// lowers a label: under a consistent bound, about one per RR edge, and
+/// RR graphs that fit in memory have far fewer than 2^30 edges.
+const PUSH_ID_LIMIT: u32 = 3 << 30;
+
+/// A node's congestion, `(history, occupancy)`: the history cost and the
+/// number of nets using it. Read together by every full relaxation.
+type Congestion = (f64, u32);
+
+/// Reusable per-worker search state. A label belongs to the current
+/// search iff its stamp is at least the search's first push id, since
+/// ids only grow; an entry popped from the heap is live iff its `seq` is
+/// still its node's stamp. `mark` (in-tree), `own` (the net's previous
+/// tree) and `sinkm` (pending sinks) are valid under the current net
+/// epoch, as is `near_sink`, which flags the wires with an edge into one
+/// of the net's sinks. Starting a search or a net invalidates the old
+/// state in O(1) instead of re-zeroing node-count-sized buffers for
+/// every sink of every net.
 struct SearchBuffers {
-    dist: Vec<f64>,
-    prev: Vec<u32>,
-    stamp: Vec<u32>,
-    search_epoch: u32,
+    labels: Vec<Label>,
+    /// The last push id handed out.
+    pushes: u32,
     mark: Vec<u32>,
     own: Vec<u32>,
     sinkm: Vec<u32>,
@@ -459,10 +541,10 @@ struct SearchBuffers {
 impl SearchBuffers {
     fn new(n: usize) -> Self {
         SearchBuffers {
-            dist: vec![0.0; n],
-            prev: vec![u32::MAX; n],
-            stamp: vec![0; n],
-            search_epoch: 0,
+            // All-zero tuples, so the pages are zeroed lazily by the OS
+            // instead of written here.
+            labels: vec![(0.0, 0, 0); n],
+            pushes: first_push_id(),
             mark: vec![0; n],
             own: vec![0; n],
             sinkm: vec![0; n],
@@ -474,24 +556,41 @@ impl SearchBuffers {
     }
 }
 
+/// The push id new buffers start from.
+#[cfg(not(test))]
+fn first_push_id() -> u32 {
+    0
+}
+
+/// Tests may start new buffers just below [`PUSH_ID_LIMIT`], so that a
+/// route runs through the stamp reset.
+#[cfg(test)]
+fn first_push_id() -> u32 {
+    tests::FIRST_PUSH_ID.with(std::cell::Cell::get)
+}
+
 /// A*-grown route tree for one net against a frozen congestion
 /// snapshot, with the net's own previous tree subtracted from its view.
 ///
 /// An input pin that is not a pending sink of this net is never relaxed.
 /// Such a pin could only ever be popped and dropped — a path cannot run
-/// *through* a pin, and nothing reads its `dist`/`prev` — and the heap
-/// order is a total order on `(cost, node id)`, so leaving its entries
-/// out changes no other pop, no `dist`, no `prev` and no tree. The pin
-/// part of a wire's successor range is read only when `near_sink` says
-/// the wire feeds one of the net's sinks.
+/// *through* a pin, and nothing reads its label — and the live entries
+/// pop in `(cost, node id)` order, so leaving its entries out changes no
+/// other pop, no label and no tree. The pin part of a wire's successor
+/// range is read only when `near_sink` says the wire feeds one of the
+/// net's sinks.
+///
+/// A successor already labelled in this search at `dist <= d + base` is
+/// left before its congestion is read: every multiplier on `base` is at
+/// least 1 and rounding is monotone, so its cost could not come out
+/// below `d + base`, and the label would not move.
 #[allow(clippy::too_many_arguments)]
 fn route_net(
     g: &RrGraph,
     net_salt: Option<u64>,
     source: RrNodeId,
     sinks: &[RrNodeId],
-    occupancy: &[u32],
-    history: &[f64],
+    congestion: &[Congestion],
     own_old: Option<&[(RrNodeId, Option<RrNodeId>)]>,
     pres_fac: f64,
     bufs: &mut SearchBuffers,
@@ -499,10 +598,8 @@ fn route_net(
     bufs.net_epoch += 1;
     let ne = bufs.net_epoch;
     let SearchBuffers {
-        dist,
-        prev,
-        stamp,
-        search_epoch,
+        labels,
+        pushes,
         mark,
         own,
         sinkm,
@@ -550,28 +647,34 @@ fn route_net(
                         .filter(|s| sinkm[s.0 as usize] == ne)
                         .map(|&s| g.tile(s)),
                 );
+            } else {
+                stats.unbounded_searches += 1;
             }
-            *search_epoch += 1;
-            let se = *search_epoch;
+            if *pushes >= PUSH_ID_LIMIT {
+                labels.iter_mut().for_each(|l| l.2 = 0);
+                *pushes = 0;
+            }
+            let first = *pushes + 1;
             heap.clear();
             for &(tn, _) in &tree {
-                let i = tn.0 as usize;
-                dist[i] = 0.0;
-                stamp[i] = se;
-                prev[i] = u32::MAX;
-                heap.push(HeapEntry {
-                    cost: lower_bound(h_fac, &goals, g.tile(tn)),
-                    dist: 0.0,
-                    node: tn,
-                });
+                *pushes += 1;
+                labels[tn.0 as usize] = (0.0, u32::MAX, *pushes);
+                let cost = lower_bound(h_fac, &goals, g.tile(tn));
+                heap.push(HeapEntry::new(cost, tn, *pushes));
             }
+            stats.seeds += tree.len() as u64;
             let mut reached: Option<RrNodeId> = None;
-            while let Some(HeapEntry { dist: d, node, .. }) = heap.pop() {
+            while let Some(entry) = heap.pop() {
                 stats.heap_pops += 1;
-                let i = node.0 as usize;
-                if stamp[i] == se && d > dist[i] {
+                let i = entry.node as usize;
+                let (d, _, stamp) = labels[i];
+                if entry.seq != stamp {
+                    // Every push lowers its node's dist, so this entry
+                    // carries an older, higher one.
+                    stats.stale_pops += 1;
                     continue;
                 }
+                let node = RrNodeId(entry.node);
                 if sinkm[i] == ne {
                     reached = Some(node);
                     break;
@@ -580,21 +683,29 @@ fn route_net(
                 // and has no successors: paths end at pins.
                 let mut relax = |succ: RrNodeId, base: f64| {
                     let si = succ.0 as usize;
-                    let occ = occupancy[si].saturating_sub((own[si] == ne) as u32);
-                    let over = occ as f64; // capacity 1: occ >= 1 means congestion next
+                    let label = &mut labels[si];
+                    let labelled = label.2 >= first;
+                    if labelled && label.0 <= d + base {
+                        stats.early_outs += 1;
+                        return;
+                    }
+                    let (hist, occ) = congestion[si];
+                    // Capacity 1: occ >= 1 means congestion next. The
+                    // net's own previous use is not congestion.
+                    let occ = if occ == 0 {
+                        0
+                    } else {
+                        occ - (own[si] == ne) as u32
+                    };
                     let c = d + base
-                        * (1.0 + history[si])
-                        * (1.0 + pres_fac * over)
+                        * (1.0 + hist)
+                        * (1.0 + pres_fac * occ as f64)
                         * net_salt.map_or(1.0, |salt| jitter(salt, si));
-                    if stamp[si] != se || c < dist[si] {
-                        dist[si] = c;
-                        stamp[si] = se;
-                        prev[si] = node.0;
-                        heap.push(HeapEntry {
-                            cost: c + lower_bound(h_fac, &goals, g.tile(succ)),
-                            dist: c,
-                            node: succ,
-                        });
+                    if !labelled || c < label.0 {
+                        *pushes += 1;
+                        *label = (c, node.0, *pushes);
+                        let cost = c + lower_bound(h_fac, &goals, g.tile(succ));
+                        heap.push(HeapEntry::new(cost, succ, *pushes));
                     }
                 };
                 let (wires, pins) = g.split_successors(node);
@@ -615,6 +726,7 @@ fn route_net(
                     stats.pins_skipped += pins.len() as u64;
                 }
             }
+            stats.pushes += u64::from(*pushes - first + 1);
             let Some(sink) = reached else {
                 break 'net None;
             };
@@ -622,7 +734,7 @@ fn route_net(
             let mut cur = sink;
             let mut path = Vec::new();
             while mark[cur.0 as usize] != ne {
-                let p = prev[cur.0 as usize];
+                let p = labels[cur.0 as usize].1;
                 if p == u32::MAX {
                     break 'net None;
                 }
@@ -651,8 +763,7 @@ fn route_batch(
     endpoints: &[(NetId, RrNodeId, Vec<RrNodeId>)],
     trees: &[Option<Tree>],
     worklist: &[u32],
-    occupancy: &[u32],
-    history: &[f64],
+    congestion: &[Congestion],
     pres_fac: f64,
     use_jitter: bool,
     threads: usize,
@@ -669,8 +780,7 @@ fn route_batch(
             use_jitter.then(|| splitmix64(0x7ac0_5e1f ^ net.0 as u64)),
             *source,
             sinks,
-            occupancy,
-            history,
+            congestion,
             trees[wi as usize].as_deref(),
             pres_fac,
             bufs,
@@ -707,9 +817,7 @@ pub(crate) fn route_with(
     g: &RrGraph,
 ) -> Result<RouteResult> {
     let endpoints = net_endpoints(clustering, placement, g)?;
-    let n_nodes = g.node_count();
-    let mut occupancy = vec![0u32; n_nodes];
-    let mut history = vec![0.0f64; n_nodes];
+    let mut congestion: Vec<Congestion> = vec![(0.0, 0); g.node_count()];
     let mut trees: Vec<Option<Tree>> = vec![None; endpoints.len()];
     let threads = cfg.parallelism.threads.max(1);
     let mut pool: Vec<SearchBuffers> = Vec::new();
@@ -760,7 +868,7 @@ pub(crate) fn route_with(
             .filter(|&i| {
                 trees[i as usize]
                     .as_ref()
-                    .is_some_and(|t| t.iter().any(|(n, _)| occupancy[n.0 as usize] > 1))
+                    .is_some_and(|t| t.iter().any(|(n, _)| congestion[n.0 as usize].1 > 1))
             })
             .collect();
         let polishing = iteration > 0 && congested.is_empty();
@@ -796,7 +904,14 @@ pub(crate) fn route_with(
             .chain(tail.chunks(batch_size));
         for batch in batches {
             let results = route_batch(
-                g, &endpoints, &trees, batch, &occupancy, &history, pres_fac, use_jitter, threads,
+                g,
+                &endpoints,
+                &trees,
+                batch,
+                &congestion,
+                pres_fac,
+                use_jitter,
+                threads,
                 &mut pool,
             );
             for (&wi, tree) in batch.iter().zip(results) {
@@ -807,21 +922,21 @@ pub(crate) fn route_with(
                 })?;
                 if let Some(old) = trees[wi].take() {
                     for (n, _) in &old {
-                        occupancy[n.0 as usize] -= 1;
+                        congestion[n.0 as usize].1 -= 1;
                     }
                 }
                 for (n, _) in &tree {
-                    occupancy[n.0 as usize] += 1;
+                    congestion[n.0 as usize].1 += 1;
                 }
                 trees[wi] = Some(tree);
             }
         }
         // Congestion check: every node capacity is 1.
         let mut overused = 0usize;
-        for (i, &occ) in occupancy.iter().enumerate() {
-            if occ > 1 {
+        for (history, occ) in &mut congestion {
+            if *occ > 1 {
                 overused += 1;
-                history[i] += HIST_FAC * (occ - 1) as f64;
+                *history += HIST_FAC * (*occ - 1) as f64;
             }
         }
         let mut row = IterationStats {
@@ -857,7 +972,7 @@ pub(crate) fn route_with(
         // routing was legal, so ship that.
         return Ok(finish(&trees, iterations, stats));
     }
-    let overused = occupancy.iter().filter(|&&o| o > 1).count();
+    let overused = congestion.iter().filter(|&&(_, occ)| occ > 1).count();
     Err(RouteError::Unroutable {
         channel_width: g.channel_width(),
         overused,
@@ -1006,6 +1121,113 @@ mod tests {
         if w > 1 {
             let g = RrGraph::build(&p.device, w - 1);
             assert!(router(1).route(&c, &p, &g).is_err());
+        }
+    }
+
+    thread_local! {
+        pub(super) static FIRST_PUSH_ID: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Buffers whose push counter runs past the reset threshold mid-route
+    /// give the same trees and the same counts as fresh ones.
+    #[test]
+    fn push_ids_reset_without_changing_the_route() {
+        let (c, p) = flow(20, 5);
+        let g = RrGraph::build(&p.device, p.device.arch.routing.channel_width);
+        for threads in [1, 2] {
+            let fresh = router(threads).route(&c, &p, &g).unwrap();
+            FIRST_PUSH_ID.with(|id| id.set(PUSH_ID_LIMIT - 3));
+            let wrapped = router(threads).route(&c, &p, &g);
+            FIRST_PUSH_ID.with(|id| id.set(0));
+            let wrapped = wrapped.unwrap();
+            assert_eq!(fresh.stats, wrapped.stats, "threads={threads}");
+            for (a, b) in fresh.nets.iter().zip(&wrapped.nets) {
+                assert_eq!(a.tree, b.tree, "threads={threads}");
+            }
+        }
+    }
+
+    /// A non-negative finite f64 drawn by `kind`: 0.0, a subnormal, any
+    /// finite value, or the neighbour just above `bits`' value.
+    fn priority(kind: u8, bits: u64) -> f64 {
+        let any = f64::from_bits(bits % (f64::MAX.to_bits() + 1));
+        match kind {
+            0 => 0.0,
+            1 => f64::from_bits(bits % (1 << 52)),
+            2 => any,
+            _ => f64::from_bits(any.to_bits().min(f64::MAX.to_bits() - 1) + 1),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// The heap's integer key orders like the priority it encodes,
+        /// ties broken by node id, and pops the least first.
+        #[test]
+        fn heap_keys_order_like_their_costs(
+            ka in 0u8..4,
+            kb in 0u8..4,
+            bits in 0u64..u64::MAX,
+            na in 0u32..3,
+            nb in 0u32..3,
+        ) {
+            let a = priority(ka, bits);
+            let b = priority(kb, if kb == 3 { bits } else { bits.rotate_left(29) });
+            proptest::prop_assert!(a.is_finite() && a.is_sign_positive());
+            proptest::prop_assert!(b.is_finite() && b.is_sign_positive());
+            proptest::prop_assert_eq!(
+                a.to_bits().cmp(&b.to_bits()),
+                a.partial_cmp(&b).unwrap()
+            );
+            let (ea, eb) = (HeapEntry::new(a, RrNodeId(na), 1), HeapEntry::new(b, RrNodeId(nb), 2));
+            let numeric = a.partial_cmp(&b).unwrap().then(na.cmp(&nb));
+            proptest::prop_assert_eq!(eb.cmp(&ea), numeric);
+        }
+    }
+
+    /// A malformed placement — a net with no terminals, or a terminal on
+    /// a cluster the clustering does not have — is a bad endpoint to the
+    /// router and to the min-W search (whose channel-demand floor meets
+    /// it first), not a panic.
+    #[test]
+    fn a_malformed_placement_is_a_bad_endpoint() {
+        let (c, p) = flow(10, 3);
+        let check = |p: &Placement, msg: String| {
+            let g = RrGraph::build(&p.device, 12);
+            let bad = Err(RouteError::BadEndpoint(msg));
+            assert_eq!(router(1).route(&c, p, &g).map(|_| ()), bad);
+            assert_eq!(router(1).find_min_channel_width(&c, p, 64).map(|_| ()), bad);
+        };
+
+        let mut empty = p.clone();
+        empty.nets.push(fpga_place::PlacedNet {
+            net: NetId(0),
+            terminals: Vec::new(),
+        });
+        check(&empty, "net 0 has no terminals".into());
+
+        // Move a cluster terminal, driver or sink, to a cluster one past
+        // the last, placed where the real one is.
+        let unknown = BlockRef::Cluster(ClusterId(c.clusters.len() as u32));
+        for driver in [true, false] {
+            let mut p = p.clone();
+            let (ni, ti) = p
+                .nets
+                .iter()
+                .enumerate()
+                .find_map(|(ni, n)| {
+                    let ti = n.terminals.iter().enumerate().position(|(ti, t)| {
+                        (ti == 0) == driver && matches!(t, BlockRef::Cluster(_))
+                    })?;
+                    Some((ni, ti))
+                })
+                .unwrap();
+            let slot = p.slot(p.nets[ni].terminals[ti]).unwrap();
+            p.nets[ni].terminals[ti] = unknown;
+            p.slots.push((unknown, slot));
+            p.slots.sort_unstable_by_key(|&(b, _)| b);
+            check(&p, format!("cluster {} is not packed", c.clusters.len()));
         }
     }
 
