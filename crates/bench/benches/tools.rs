@@ -145,7 +145,8 @@ fn bench_tools(c: &mut Criterion) {
 /// ~243 KB line): hex-encode, build and serialize the `done` event on
 /// the sending side; parse, type and hex-decode it on the receiving
 /// side. After the transport stall these passes over the bytes *are* a
-/// hit's latency, and each is paid once per hop.
+/// hit's latency, and each is paid once per hop. Beside it, the digest
+/// and the warm compile a hit costs on the backend.
 fn bench_wire(c: &mut Criterion) {
     use fpga_server::proto::{self, Event};
 
@@ -158,6 +159,20 @@ fn bench_wire(c: &mut Criterion) {
     let report = serde_json::to_value(&art.report);
 
     let mut group = c.benchmark_group("wire");
+    // The key work of a memory-tier hit: a digest over the request's
+    // BLIF, and a whole warm compile of it, every stage served from
+    // memory.
+    let blif = fpga_netlist::blif::write(&fpga_circuits::multiplier(16)).unwrap();
+    group.bench_function("digest_mult16_blif", |b| {
+        b.iter(|| fpga_flow::hash::digest_hex(&[blif.as_bytes()]))
+    });
+    let cache = fpga_flow::StageCache::new();
+    let warm = || {
+        let ctx = fpga_flow::FlowCtx::with_cache(&cache);
+        fpga_flow::compile(fpga_flow::Source::Blif(&blif), &opts, ctx).unwrap()
+    };
+    warm();
+    group.bench_function("warm_hit_mult16", |b| b.iter(warm));
     group.bench_function("wire_done_line", |b| {
         b.iter(|| {
             let done = Event::Done {

@@ -41,7 +41,8 @@ use fpga_synth::{map_to_luts, MapOptions};
 use serde_json::Value;
 
 use crate::artifact::Artifact;
-use crate::cache::{stage_key, CacheOutcome, StageId};
+use crate::cache::{key_state, stage_key, CacheOutcome, StageId};
+use crate::hash::to_hex;
 use crate::pipeline::{FlowCtx, FlowOptions};
 use crate::trace::SpanOutcome;
 use crate::{stage_err, Result};
@@ -190,16 +191,29 @@ pub fn adopt_rtl(rtl: Netlist) -> Staged<Netlist> {
 /// netlist text — not the upstream key — so equivalent logic reaching
 /// this point from different front doors (VHDL, BLIF, in-memory) shares
 /// cache entries from here down.
+///
+/// The key is `stage_key(LutMap, [canonical text, fingerprint])`. The
+/// state after the canonical text depends only on the netlist, so the
+/// cache keeps it on the netlist's own entry and a hit re-derives
+/// neither the text nor its digest; only the fingerprint, which differs
+/// by architecture, is absorbed per call.
 pub fn lut_map(rtl: &Staged<Netlist>, opts: &FlowOptions, ctx: FlowCtx) -> Result<Staged<Netlist>> {
     let map_opts = MapOptions {
         k: opts.arch.clb.lut_k,
         cut_limit: 10,
     };
     let fingerprint = format!("k={} cut_limit={}", map_opts.k, map_opts.cut_limit);
-    let key = stage_key(
-        StageId::LutMap,
-        &[&canonical_text(&rtl.value), &fingerprint],
-    );
+    let prefix = || {
+        let mut h = key_state(StageId::LutMap);
+        h.update_part(canonical_text(&rtl.value).as_bytes());
+        h
+    };
+    let mut h = match ctx.cache {
+        Some(cache) => cache.content_prefix(&rtl.key, prefix),
+        None => prefix(),
+    };
+    h.update_part(fingerprint.as_bytes());
+    let key = to_hex(&h.finish());
     let rtl = Arc::clone(&rtl.value);
     run_step(ctx, StageId::LutMap, key, move || {
         let (mut mapped, map_report) =

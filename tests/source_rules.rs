@@ -84,6 +84,10 @@ const RULES: &[Rule] = &[
     Rule { name: "panic boundary", scan: NO_COMMENTS, allowed: Once("crates/server/src/service.rs"), patterns: &["catch_unwind"],
         files: &["crates/server/src/**.rs"],
         hint: "catch_unwind must occur exactly once in non-test server code, in crates/server/src/service.rs" },
+    // The SHA-256 kernel's call, behind its CPU feature check, is the one place the compiler's guarantees are waived.
+    Rule { name: "unsafe", scan: NO_COMMENTS, allowed: Once("crates/flow/src/hash.rs"), patterns: &["unsafe"],
+        files: &["crates/*/src/**.rs"],
+        hint: "the one unsafe is the SHA-extension kernel's call in crates/flow/src/hash.rs, behind is_x86_feature_detected!" },
     // What can still end a worker thread ends the process; nothing restarts it.
     Rule { name: "supervisor", scan: 0, allowed: Nowhere, files: &["crates/*/src/**.rs", "README.md", "DESIGN.md"],
         patterns: &["supervis", "KillWorker", "KILL_WORKER", "worker-lost", "respawn"],
@@ -202,6 +206,10 @@ fn the_scanner_reads_each_definition_as_written() {
         ("crates/bitstream/src/fabric.rs", "parent[x]"),
         ("crates/flow/src/a.rs", "    x.unwrap();"),
         (
+            "crates/flow/src/hash.rs",
+            "return unsafe { kernel(state) };",
+        ),
+        (
             "crates/flow/src/sync.rs",
             "m.lock().unwrap_or_else(|e| e.into_inner())",
         ),
@@ -298,4 +306,13 @@ fn the_scanner_reads_each_definition_as_written() {
     ];
     let twice = "catch_unwind(a)\ncatch_unwind(b)";
     assert_eq!(run(&[("crates/server/src/service.rs", twice)]), want);
+
+    // A second `unsafe`, in any crate, fails both; a comment naming it
+    // is no site.
+    let want = [
+        "unsafe: crates/flow/src/hash.rs:1: return unsafe { kernel(state) };",
+        "unsafe: crates/route/src/r.rs:2: unsafe { f() }",
+    ];
+    let code = "// unsafe is one line\nunsafe { f() }";
+    assert_eq!(run(&[("crates/route/src/r.rs", code)]), want);
 }
