@@ -8,7 +8,7 @@ use fpga_arch::device::Device;
 use fpga_arch::Architecture;
 use fpga_netlist::Netlist;
 use fpga_pack::Clustering;
-use fpga_place::{AnnealingPlacer, Parallelism, PlaceConfig, PlaceEngine};
+use fpga_place::{AnnealingPlacer, PlaceConfig, PlaceEngine};
 use fpga_route::rrgraph::RrGraph;
 use fpga_route::{PathFinderRouter, RouteConfig, RouteEngine};
 
@@ -117,14 +117,11 @@ fn bench_tools(c: &mut Criterion) {
         })
     });
     // The annealer's move loop on its own: `mult16` from the QoR suite,
-    // packed outside the timer, at the benchmark's effort on one thread —
+    // packed outside the timer, at the benchmark's effort —
     // the larger half of what `cold_mult` spends in `place`.
     let (mult_clustering, mult_device) = packed(&fpga_circuits::multiplier(16), &arch);
     group.bench_function("place_anneal", |b| {
-        let cfg = PlaceConfig::new()
-            .seed(1)
-            .inner_num(1.0)
-            .parallelism(Parallelism::serial());
+        let cfg = PlaceConfig::new().seed(1).inner_num(1.0);
         b.iter(|| {
             AnnealingPlacer::new(cfg.clone())
                 .place(&mult_clustering, mult_device.clone())

@@ -23,7 +23,7 @@ const USAGE: &str = "qor_bench — QoR + speed benchmark suite runner
 
 USAGE:
     qor_bench [--tier smoke|full] [--out FILE] [--via-daemon ADDR]
-              [--seed N] [--effort X] [--verify-cycles N] [--threads N]
+              [--seed N] [--effort X] [--verify-cycles N]
               [--verify off|warn|deny] [--only NAME]...
     qor_bench --list
     qor_bench --canon NAME
@@ -42,10 +42,6 @@ OPTIONS:
                          default: off). Adds verify:* spans to each row's
                          stage list and the verify_ms wall-clock column;
                          QoR columns never depend on it
-    --threads N          place-and-route worker threads (default: engine
-                         default). Moves wall-clock only: results are
-                         bit-identical at any thread count, so QoR columns
-                         never depend on this
     --only NAME          run just this design (repeatable; debugging aid —
                          subset reports are not baselines)
     --list               print the suite registry and exit
@@ -96,12 +92,6 @@ fn run() -> Result<ExitCode, String> {
                     .map_err(|_| "--effort must be a number".to_string())?;
             }
             "--only" => cfg.only.push(value("--only")?),
-            "--threads" => {
-                cfg.threads = match value("--threads")?.parse() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => return Err("--threads must be a positive integer".to_string()),
-                };
-            }
             "--verify-cycles" => {
                 cfg.verify_cycles = value("--verify-cycles")?
                     .parse()

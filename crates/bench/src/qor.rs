@@ -10,7 +10,7 @@
 //! trajectory; `BENCH_ci.json` is the per-change smoke record).
 //!
 //! [`diff`] compares two reports row-by-row with configurable
-//! regression thresholds, so "make it faster" PRs (parallel P&R, AIG
+//! regression thresholds, so "make it faster" PRs (a faster router, AIG
 //! mapping) prove their claims — and CI fails when a change quietly
 //! regresses wall-clock or QoR.
 //!
@@ -22,7 +22,7 @@
 use fpga_circuits::{qor_suite, SuiteEntry, SuiteTier};
 use fpga_flow::report::QorSummary;
 use fpga_flow::trace::TraceLog;
-use fpga_flow::{run_netlist_ctx, FlowCtx, FlowOptions, FlowReport, GateMode};
+use fpga_flow::{compile, FlowCtx, FlowOptions, FlowReport, GateMode, Source};
 use fpga_server::client::FlowClient;
 use fpga_server::proto::{CompileRequest, SourceFormat};
 use serde::{Deserialize, Serialize};
@@ -50,12 +50,6 @@ pub struct BenchConfig {
     /// when the *baseline* had them, and a subset run is for debugging,
     /// not for checking in.
     pub only: Vec<String>,
-    /// Place-and-route worker threads (`None` = engine default). The
-    /// engines are bit-identical across thread counts, so this only
-    /// moves wall-clock — every QoR column must match at any setting,
-    /// and `scripts/bench.sh` diffs a 1-thread against an N-thread run
-    /// with `--max-qor-regress 0` to prove it.
-    pub threads: Option<usize>,
     /// Cross-stage equivalence checking mode for the run. `Off` (the
     /// default) keeps trajectory numbers comparable with pre-verify
     /// baselines; `Warn`/`Deny` add the `verify:*` spans, reported in
@@ -71,7 +65,6 @@ impl Default for BenchConfig {
             place_effort: 1.0,
             verify_cycles: 0,
             only: Vec::new(),
-            threads: None,
             verify: GateMode::Off,
         }
     }
@@ -165,9 +158,9 @@ pub struct BenchReport {
     /// Equivalence-checking mode the run used (`off`/`warn`/`deny`);
     /// `None` on reports from before the column existed (same as `off`).
     pub verify: Option<String>,
-    /// Place-and-route worker threads the run asked for (`None` = the
-    /// engine default; also what pre-parallelism reports deserialize
-    /// to). Never affects QoR columns — only wall-clock.
+    /// Place-and-route worker threads a run asked for, on reports from
+    /// before P&R ran on one thread (`BENCH_2.json`, `BENCH_3.json`);
+    /// `None` on every newer report. Never affected QoR columns.
     pub pnr_threads: Option<u64>,
     /// Whether the rows went through a live `flowd` (wire path, shared
     /// cache) instead of the in-process pipeline.
@@ -286,9 +279,6 @@ fn flow_options(entry: &SuiteEntry, cfg: &BenchConfig) -> FlowOptions {
     if let Some(w) = entry.channel_width {
         b = b.channel_width(w);
     }
-    if let Some(t) = cfg.threads {
-        b = b.threads(t);
-    }
     b.build()
 }
 
@@ -299,9 +289,9 @@ pub fn run_design(entry: &SuiteEntry, cfg: &BenchConfig) -> Result<DesignRow, St
     let opts = flow_options(entry, cfg);
     let trace = TraceLog::new();
     let ctx = FlowCtx::builder().trace(&trace).build();
-    let art = run_netlist_ctx(netlist, &opts, ctx)
+    let compiled = compile(Source::Netlist(netlist), &opts, ctx)
         .map_err(|e| format!("design '{}' failed: {e}", entry.name))?;
-    let qor = art
+    let qor = compiled
         .report
         .qor
         .ok_or_else(|| format!("design '{}' completed without a QoR summary", entry.name))?;
@@ -345,7 +335,7 @@ pub fn assemble(cfg: &BenchConfig, via_daemon: bool, rows: Vec<DesignRow>) -> Be
         place_effort: cfg.place_effort,
         verify_cycles: cfg.verify_cycles as u64,
         verify: Some(cfg.verify.name().to_string()),
-        pnr_threads: cfg.threads.map(|n| n as u64),
+        pnr_threads: None,
         via_daemon,
         host: HostInfo::current(),
         aggregate: aggregate(&rows),
@@ -416,7 +406,6 @@ pub fn run_design_via_daemon(
         .with_options(serde_json::Value::Object(options))
         .map_err(|e| format!("design '{}': bad options: {e}", entry.name))?;
     req.trace = true;
-    req.threads = cfg.threads.map(|n| n as u64);
     let outcome = client
         .compile_request(&req)
         .map_err(|e| format!("design '{}' failed over the wire: {e}", entry.name))?;

@@ -4,15 +4,15 @@
 use fpga_arch::device::Device;
 use fpga_arch::Architecture;
 use fpga_flow::cli;
-use fpga_place::{AnnealingPlacer, Parallelism, PlaceConfig, PlaceEngine};
-use fpga_route::{PathFinderRouter, RouteConfig, RouteEngine};
+use fpga_place::{AnnealingPlacer, PlaceConfig, PlaceEngine};
+use fpga_route::{PathFinderRouter, RouteEngine};
 
 fn main() {
-    let args = cli::parse_args(&["o", "arch", "seed", "w", "net", "threads"]);
+    let args = cli::parse_args(&["o", "arch", "seed", "w", "net"]);
     cli::handle_version("vpr-pr", &args);
     let text = cli::input_or_usage(
         &args,
-        "vpr-pr <mapped.blif> [--arch arch.txt] [--seed 1] [--w <tracks>] [--threads N] [-o out.place]",
+        "vpr-pr <mapped.blif> [--arch arch.txt] [--seed 1] [--w <tracks>] [-o out.place]",
     );
     let arch = match args.options.get("arch") {
         Some(path) => {
@@ -37,17 +37,7 @@ fn main() {
     };
     let ios = netlist.inputs.len() + netlist.outputs.len() + 1;
     let device = Device::sized_for(arch, clustering.clusters.len(), ios);
-    let parallelism = match args.options.get("threads").map(|s| s.parse::<usize>()) {
-        Some(Ok(n)) if n >= 1 => Parallelism::default().threads(n),
-        Some(_) => cli::die("vpr-pr", "--threads must be a positive integer"),
-        None => Parallelism::default(),
-    };
-    let placer = AnnealingPlacer::new(
-        PlaceConfig::new()
-            .seed(seed)
-            .inner_num(5.0)
-            .parallelism(parallelism),
-    );
+    let placer = AnnealingPlacer::new(PlaceConfig::new().seed(seed).inner_num(5.0));
     let placement = placer
         .place(&clustering, device)
         .unwrap_or_else(|e| cli::die("vpr-pr", e));
@@ -56,7 +46,7 @@ fn main() {
         placement.device.width, placement.device.height, placement.cost
     );
     eprint!("{}", placement.stats_table());
-    let router = PathFinderRouter::new(RouteConfig::new().parallelism(parallelism));
+    let router = PathFinderRouter;
     let (w, routed) = match cli::opt_u64(&args, "vpr-pr", "w").map(|w| w as usize) {
         Some(w) => {
             let g = fpga_route::rrgraph::RrGraph::build(&placement.device, w);

@@ -41,8 +41,8 @@ pub use equiv::EquivGate;
 pub use fault::{CancelReason, CancelToken, FaultAction, FaultPlan, FaultRule, Gate};
 pub use fpga_lint::GateMode;
 pub use pipeline::{
-    compile, run_blif, run_blif_ctx, run_netlist, run_netlist_ctx, run_vhdl, run_vhdl_ctx,
-    Compiled, FlowArtifacts, FlowCtx, FlowCtxBuilder, FlowOptions, FlowOptionsBuilder, Source,
+    compile, run_blif, run_blif_ctx, run_netlist, run_vhdl, run_vhdl_ctx, Compiled, FlowArtifacts,
+    FlowCtx, FlowCtxBuilder, FlowOptions, FlowOptionsBuilder, Source,
 };
 pub use report::{FlowReport, StageReport};
 pub use store::{verify_entry, DiskStore, LoadMiss, StoreCounters};

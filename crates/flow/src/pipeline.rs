@@ -45,17 +45,15 @@ pub struct FlowOptions {
     /// (run the passes, report, proceed), or `Deny` (any deny-severity
     /// finding fails the job with the diagnostics attached).
     pub lint: GateMode,
-    /// P&R worker threads. `None` defers to the `FLOW_THREADS`
-    /// environment variable (or 1). Engine results are bit-identical
-    /// across thread counts, so this never enters stage-cache keys.
+    /// No effect: P&R runs on one thread; goes with ROADMAP 5's unfreeze.
     pub threads: Option<usize>,
     /// Cross-stage equivalence gate (signature-based CEC, `fpga-verify`)
     /// at every stage boundary: `Off` (default — today's behavior, byte
     /// for byte, including cache keys), `Warn` (check, report EQ
     /// findings, proceed), or `Deny` (a non-equivalent artifact fails
-    /// the job with the counterexample attached). Like `lint` and
-    /// `threads`, this is a check on the flow, not an input to it — it
-    /// never enters stage-cache keys.
+    /// the job with the counterexample attached). Like `lint`, this is a
+    /// check on the flow, not an input to it — it never enters
+    /// stage-cache keys.
     pub verify: GateMode,
 }
 
@@ -82,14 +80,9 @@ impl FlowOptions {
         FlowOptionsBuilder::default()
     }
 
-    /// The engine parallelism these options select: explicit `threads`
-    /// when set, otherwise the `FLOW_THREADS`/serial default.
-    pub fn parallelism(&self) -> fpga_place::Parallelism {
-        let mut p = fpga_place::Parallelism::default();
-        if let Some(t) = self.threads {
-            p.threads = t.max(1);
-        }
-        p
+    /// No effect: P&R runs on one thread; goes with ROADMAP 5's unfreeze.
+    pub fn parallelism(&self) -> fpga_route::Parallelism {
+        fpga_route::Parallelism
     }
 
     /// The gate mode these options select for one check kind.
@@ -148,8 +141,7 @@ impl FlowOptionsBuilder {
         self
     }
 
-    /// P&R worker threads (see [`FlowOptions::threads`]). Thread count
-    /// never changes results or stage-cache keys.
+    /// No effect: P&R runs on one thread; goes with ROADMAP 5's unfreeze.
     pub fn threads(mut self, threads: usize) -> Self {
         self.opts.threads = Some(threads.max(1));
         self
@@ -356,22 +348,19 @@ pub fn run_blif(text: &str, opts: &FlowOptions) -> Result<FlowArtifacts> {
 
 /// Run the flow from an in-memory gate-level netlist.
 pub fn run_netlist(rtl: Netlist, opts: &FlowOptions) -> Result<FlowArtifacts> {
-    run_netlist_ctx(rtl, opts, FlowCtx::default())
+    compile(Source::Netlist(rtl), opts, FlowCtx::default()).map(FlowArtifacts::from)
 }
 
-/// [`run_vhdl`] with a cache/observer context.
+/// [`run_vhdl`] with a cache/observer context (`benchmark/flowbench`
+/// calls this form).
 pub fn run_vhdl_ctx(source: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<FlowArtifacts> {
     compile(Source::Vhdl(source), opts, ctx).map(FlowArtifacts::from)
 }
 
-/// [`run_blif`] with a cache/observer context.
+/// [`run_blif`] with a cache/observer context (`benchmark/flowbench`
+/// calls this form).
 pub fn run_blif_ctx(text: &str, opts: &FlowOptions, ctx: FlowCtx) -> Result<FlowArtifacts> {
     compile(Source::Blif(text), opts, ctx).map(FlowArtifacts::from)
-}
-
-/// [`run_netlist`] with a cache/observer context.
-pub fn run_netlist_ctx(rtl: Netlist, opts: &FlowOptions, ctx: FlowCtx) -> Result<FlowArtifacts> {
-    compile(Source::Netlist(rtl), opts, ctx).map(FlowArtifacts::from)
 }
 
 /// A netlist check run as a design enters: a compile's lint gate, or a
@@ -957,39 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn threads_do_not_change_cache_keys() {
-        let cache = StageCache::new();
-        let src = fpga_circuits::vhdl_counter(3);
-        let serial = FlowOptions::builder().threads(1).build();
-        let parallel = FlowOptions::builder().threads(8).build();
-        run_vhdl_ctx(&src, &serial, FlowCtx::with_cache(&cache)).unwrap();
-        // Same design at 8 threads: every stage is a memory hit — engine
-        // results are thread-count-invariant, so parallelism lives
-        // outside the content-addressed keys.
-        run_vhdl_ctx(&src, &parallel, FlowCtx::with_cache(&cache)).unwrap();
-        for stage in STAGES {
-            let s = cache.stats(stage);
-            assert_eq!((s.misses.get(), s.hits.get()), (1, 1), "{}", stage.name());
-        }
-    }
-
-    #[test]
-    fn parallel_flow_matches_serial_artifacts() {
-        let src = fpga_circuits::vhdl_counter(4);
-        let serial = run_vhdl(&src, &FlowOptions::builder().threads(1).build()).unwrap();
-        let parallel = run_vhdl(&src, &FlowOptions::builder().threads(4).build()).unwrap();
-        assert_eq!(
-            fpga_place::placement_to_bytes(&serial.placement),
-            fpga_place::placement_to_bytes(&parallel.placement)
-        );
-        assert_eq!(
-            fpga_route::route_result_to_bytes(&serial.routing),
-            fpga_route::route_result_to_bytes(&parallel.routing)
-        );
-        assert_eq!(serial.bitstream_bytes, parallel.bitstream_bytes);
-    }
-
-    #[test]
     fn lint_gates_emit_their_own_trace_spans() {
         let src = fpga_circuits::vhdl_counter(3);
         let log = crate::trace::TraceLog::new();
@@ -1016,7 +972,7 @@ mod tests {
         run_vhdl_ctx(&src, &off, FlowCtx::with_cache(&cache)).unwrap();
         // Same design with the equivalence gate on: every stage is a
         // memory hit — verification lives outside the content-addressed
-        // keys, exactly like lint and threads.
+        // keys, exactly like lint.
         run_vhdl_ctx(&src, &deny, FlowCtx::with_cache(&cache)).unwrap();
         for stage in STAGES {
             let s = cache.stats(stage);

@@ -36,7 +36,7 @@ use fpga_pack::Clustering;
 use fpga_place::{AnnealingPlacer, PlaceConfig, PlaceEngine, Placement, SweepStats};
 use fpga_power::PowerReport;
 use fpga_route::rrgraph::RrGraph;
-use fpga_route::{PathFinderRouter, RouteConfig, RouteEngine, RouteResult};
+use fpga_route::{PathFinderRouter, RouteEngine, RouteResult};
 use fpga_synth::{map_to_luts, MapOptions};
 use serde_json::Value;
 
@@ -261,13 +261,10 @@ pub fn place(
     );
     let clustering = Arc::clone(&clustering.value);
     let arch = opts.arch.clone();
-    // Parallelism never enters the fingerprint: engine results are
-    // bit-identical across thread counts, so keys stay thread-invariant.
     let engine = AnnealingPlacer::new(
         PlaceConfig::new()
             .seed(opts.place_seed)
-            .inner_num(opts.place_effort)
-            .parallelism(opts.parallelism()),
+            .inner_num(opts.place_effort),
     );
     run_step(ctx, StageId::Place, key, move || {
         let nl = &clustering.netlist;
@@ -302,7 +299,7 @@ pub fn route(
     let clustering = Arc::clone(&clustering.value);
     let placement = Arc::clone(&placement.value);
     let channel_width = opts.channel_width;
-    let engine = PathFinderRouter::new(RouteConfig::new().parallelism(opts.parallelism()));
+    let engine = PathFinderRouter;
     run_step(ctx, StageId::Route, key, move || {
         let (graph, routing) = match channel_width {
             Some(w) => {

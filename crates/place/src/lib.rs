@@ -20,7 +20,7 @@ pub mod sa;
 
 pub use codec::{placement_from_bytes, placement_to_bytes};
 pub use cost::{net_terminals, PlacedNet};
-pub use engine::{AnnealingPlacer, Parallelism, PlaceConfig, PlaceEngine};
+pub use engine::{AnnealingPlacer, PlaceConfig, PlaceEngine};
 pub use sa::{Placement, SweepStats};
 
 use fpga_arch::device::GridLoc;

@@ -1,15 +1,19 @@
-//! Region-partitioned parallel simulated annealing (the VPR schedule).
+//! Region-partitioned simulated annealing (the VPR schedule).
 //!
 //! The chip is partitioned into square regions whose side tracks the
 //! annealer's range limit `rlim`. Each sweep runs two checkerboard
-//! phases: all "even" regions (`(rx + ry) % 2 == 0`) propose and accept
-//! moves concurrently, then all "odd" regions. Same-colour regions are
-//! never adjacent, and a move never leaves its region, so concurrent
-//! regions touch disjoint blocks and sites. The partition origin
-//! alternates by half a region side every sweep so blocks migrate across
-//! region boundaries over time; while `rlim` still spans the chip the
-//! sweep degenerates to a single serial whole-chip region, preserving the
-//! early global moves the VPR schedule relies on.
+//! phases: all "even" regions (`(rx + ry) % 2 == 0`), then all "odd"
+//! regions. Same-colour regions are never adjacent, and a move never
+//! leaves its region, so the regions of one phase touch disjoint blocks
+//! and sites. The partition origin alternates by half a region side
+//! every sweep so blocks migrate across region boundaries over time;
+//! while `rlim` still spans the chip the sweep degenerates to a single
+//! whole-chip region, preserving the early global moves the VPR schedule
+//! relies on.
+//!
+//! The regions of a phase run one after another on one thread. The
+//! partition is not there for speed: it is the schedule, and the
+//! schedule decides every placed byte (see "Exactness").
 //!
 //! # What a move touches
 //!
@@ -17,31 +21,29 @@
 //! writes flat, index-addressed memory only and allocates nothing.
 //! Blocks, sites (CLB sites first, then IO pads) and nets are dense
 //! indices. The committed state is a `Board` — block → location,
-//! block → site, site → block — plus one cost per net. Every worker owns
-//! a *working copy* of both, refreshed from the committed state at the
-//! start of a phase. A move writes the block's (and the displaced
+//! block → site, site → block — plus one cost per net. The `Worker`
+//! holds a *working copy* of both, refreshed from the committed state at
+//! the start of a phase. A move writes the block's (and the displaced
 //! block's) location into the copy, evaluates each affected net by plain
 //! indexing, and on reject writes the two locations back; on accept it
 //! also updates the copy's site and occupancy entries and net costs and
 //! flags the blocks as touched. When a region's attempts are spent its
 //! touched blocks are reported with their new sites and the copy is put
 //! back — sites, occupancy, locations and the nets of the touched blocks
-//! — from the phase-start state, so the next region the same worker runs
-//! starts from exactly what every other worker sees.
+//! — from the phase-start state, so the next region starts from exactly
+//! the state the phase started from.
 //!
-//! # Determinism across thread counts
+//! # The schedule a placement depends on
 //!
-//! By construction:
 //! * every region draws from its own xorshift stream seeded from
-//!   `(seed, sweep, phase, region index)` — never
-//!   from a shared RNG or a thread id;
+//!   `(seed, sweep, phase, region index)`;
 //! * a region reads other regions' blocks as they stood at phase start
-//!   (the undo above is what keeps a worker's copy equal to that
-//!   snapshot outside the region it is running) and moves only its own;
+//!   (the undo above is what keeps the working copy equal to that
+//!   snapshot outside the region being run) and moves only its own;
 //! * per-region move batches are committed in region-index order at the
 //!   phase barrier, and net costs are recomputed exactly afterwards;
-//! * region geometry is a function of the deterministic schedule state
-//!   (`rlim`, sweep number) only — never of the thread count.
+//! * region geometry is a function of the schedule state (`rlim`, sweep
+//!   number) only.
 //!
 //! # Exactness
 //!
@@ -103,7 +105,7 @@ pub struct Placement {
     pub nets: Vec<PlacedNet>,
     /// One row per annealing sweep. A record of how the result was
     /// reached, not part of it: the codec leaves it out, so a decoded
-    /// placement carries none. Identical at every thread count.
+    /// placement carries none.
     pub stats: Vec<SweepStats>,
 }
 
@@ -306,9 +308,9 @@ struct RegionOutcome {
     accepted: usize,
 }
 
-/// A worker's private state: the working copy its moves are made on,
-/// equal to the phase-start state outside the region it is running, and
-/// the scratch a move would otherwise allocate.
+/// The working copy moves are made on, equal to the phase-start state
+/// outside the region being run, and the scratch a move would otherwise
+/// allocate.
 struct Worker {
     board: Board,
     net_costs: Vec<f64>,
@@ -318,7 +320,7 @@ struct Worker {
     new_costs: Vec<f64>,
 }
 
-/// Run one region's annealing moves on the worker's copy of the
+/// Run one region's annealing moves on the working copy of the
 /// phase-start state `ann`, then put the copy back. The caller commits
 /// the returned batch at the phase barrier. `on_accept` sees the delta
 /// of every accepted move, in order.
@@ -423,8 +425,8 @@ fn run_region(
             moved.push((b, board.site_of[b as usize]));
         }
     }
-    // Undo: back to the phase-start state for whichever region this
-    // worker runs next. Only nets of touched blocks were re-costed.
+    // Undo: back to the phase-start state for the next region. Only
+    // nets of touched blocks were re-costed.
     board.place_all(
         &ann.sites,
         moved
@@ -439,39 +441,20 @@ fn run_region(
     RegionOutcome { moved, accepted }
 }
 
-/// Run a phase's regions, one chunk per worker when there is more than
-/// one of each. Outcomes are returned in task order regardless of which
-/// worker ran which region.
+/// Run a phase's regions in task order, each from the phase-start state.
 fn run_phase(
     tasks: &[RegionTask],
     ann: &Annealer,
     temp: f64,
     rlim: f64,
-    workers: &mut [Worker],
+    worker: &mut Worker,
 ) -> Vec<RegionOutcome> {
-    let run_chunk = &|chunk: &[RegionTask], w: &mut Worker| -> Vec<RegionOutcome> {
-        w.board.copy_from(&ann.board);
-        w.net_costs.copy_from_slice(&ann.net_costs);
-        chunk
-            .iter()
-            .map(|t| run_region(t, ann, temp, rlim, w, |_| {}))
-            .collect()
-    };
-    let n = workers.len().min(tasks.len());
-    if n == 1 {
-        return run_chunk(tasks, &mut workers[0]);
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = tasks
-            .chunks(tasks.len().div_ceil(n))
-            .zip(workers.iter_mut())
-            .map(|(chunk, w)| s.spawn(move || run_chunk(chunk, w)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("annealing worker panicked"))
-            .collect()
-    })
+    worker.board.copy_from(&ann.board);
+    worker.net_costs.copy_from_slice(&ann.net_costs);
+    tasks
+        .iter()
+        .map(|t| run_region(t, ann, temp, rlim, worker, |_| {}))
+        .collect()
 }
 
 /// Smallest power-of-two region side (min 8) that covers `rlim`.
@@ -485,7 +468,7 @@ fn region_side(rlim: f64, maxdim: u32) -> u32 {
 }
 
 /// The committed state between phase barriers, and the tables a move
-/// reads. Workers see it through `&Annealer` while a phase runs.
+/// reads. A phase sees it through `&Annealer` while it runs.
 struct Annealer {
     /// Grid extent, IO ring included.
     extent: (u32, u32),
@@ -530,7 +513,7 @@ impl Annealer {
         temp: f64,
         rlim: f64,
         moves_per_temp: usize,
-        workers: &mut [Worker],
+        worker: &mut Worker,
         cfg: &PlaceConfig,
     ) -> SweepStats {
         // Region geometry covers the *full* grid including the IO ring
@@ -606,7 +589,7 @@ impl Annealer {
             if tasks.is_empty() {
                 continue;
             }
-            let outcomes = run_phase(&tasks, self, temp, rlim, workers);
+            let outcomes = run_phase(&tasks, self, temp, rlim, worker);
             // Barrier: commit in region-index (task) order, then refresh
             // net costs so the next phase sees exact baselines.
             for (task, out) in tasks.iter().zip(outcomes) {
@@ -744,9 +727,7 @@ pub(crate) fn anneal(
     };
     ann.recompute_net_costs();
     let mut cost: f64 = ann.net_costs.iter().sum();
-    let mut workers: Vec<Worker> = (0..cfg.parallelism.threads.max(1))
-        .map(|_| ann.worker())
-        .collect();
+    let mut worker = ann.worker();
 
     let moves_per_temp = ((cfg.inner_num * (blocks.len() as f64).powf(4.0 / 3.0)) as usize).max(16);
     let maxdim = device.width.max(device.height);
@@ -763,7 +744,7 @@ pub(crate) fn anneal(
         attempts: blocks.len().min(200),
         seed: splitmix64(splitmix64(cfg.seed) ^ u64::MAX),
     };
-    run_region(&sample, &ann, f64::INFINITY, rlim, &mut workers[0], |d| {
+    run_region(&sample, &ann, f64::INFINITY, rlim, &mut worker, |d| {
         deltas.push(d)
     });
     let mean = deltas.iter().sum::<f64>() / deltas.len().max(1) as f64;
@@ -779,7 +760,7 @@ pub(crate) fn anneal(
             temp,
             rlim,
             moves_per_temp,
-            &mut workers,
+            &mut worker,
             cfg,
         );
         cost = row.cost;
@@ -810,7 +791,7 @@ pub(crate) fn anneal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{AnnealingPlacer, Parallelism, PlaceEngine};
+    use crate::engine::{AnnealingPlacer, PlaceEngine};
     use fpga_arch::{Architecture, ClbArch};
     use fpga_netlist::ir::{CellKind, Netlist};
 
@@ -876,13 +857,8 @@ mod tests {
         fpga_pack::pack(&nl, &ClbArch::paper_default()).unwrap()
     }
 
-    fn engine(seed: u64, inner_num: f64, threads: usize) -> AnnealingPlacer {
-        AnnealingPlacer::new(
-            PlaceConfig::new()
-                .seed(seed)
-                .inner_num(inner_num)
-                .parallelism(Parallelism::serial().threads(threads)),
-        )
+    fn engine(seed: u64, inner_num: f64) -> AnnealingPlacer {
+        AnnealingPlacer::new(PlaceConfig::new().seed(seed).inner_num(inner_num))
     }
 
     /// Every block has a distinct slot of the right class, and the table
@@ -913,7 +889,7 @@ mod tests {
             c.clusters.len(),
             c.netlist.inputs.len() + c.netlist.outputs.len(),
         );
-        let p = engine(1, 5.0, 1).place(&c, device).unwrap();
+        let p = engine(1, 5.0).place(&c, device).unwrap();
         assert_legal(&p);
         assert!(p.cost > 0.0);
     }
@@ -959,7 +935,7 @@ mod tests {
         }
 
         let device = Device::sized_for(Architecture::paper_default(), c.clusters.len(), 4);
-        let p = engine(3, 1.0, 1).place(&c, device).unwrap();
+        let p = engine(3, 1.0).place(&c, device).unwrap();
         assert_legal(&p);
         let fan = p.nets.iter().find(|n| n.net == x).unwrap();
         assert!(
@@ -983,7 +959,7 @@ mod tests {
         let c = chain_clustering(3);
         assert_eq!(c.clusters.len(), 1);
         let device = Device::new(Architecture::paper_default(), 1, 1);
-        let p = engine(1, 1.0, 1).place(&c, device).unwrap();
+        let p = engine(1, 1.0).place(&c, device).unwrap();
         assert_legal(&p);
         // 4 blocks: moves per temperature sit at the floor of 16, all in
         // the one whole-chip region.
@@ -999,7 +975,7 @@ mod tests {
         let device = Device::sized_for(Architecture::paper_default(), c.clusters.len(), 4);
         // Compare against a clearly bad measure: the worst-case bbox if
         // every net spanned the whole chip.
-        let p = engine(3, 4.0, 1).place(&c, device.clone()).unwrap();
+        let p = engine(3, 4.0).place(&c, device.clone()).unwrap();
         let span = (device.width + device.height) as f64;
         let worst: f64 = p
             .nets
@@ -1022,7 +998,7 @@ mod tests {
         let c = chain_clustering(20);
         let mk = || {
             let device = Device::sized_for(Architecture::paper_default(), c.clusters.len(), 4);
-            engine(7, 2.0, 1).place(&c, device).unwrap()
+            engine(7, 2.0).place(&c, device).unwrap()
         };
         let p1 = mk();
         let p2 = mk();
@@ -1031,27 +1007,11 @@ mod tests {
     }
 
     #[test]
-    fn bit_identical_across_thread_counts() {
-        let c = chain_clustering(48);
-        let mk = |threads: usize| {
-            let device = Device::sized_for(Architecture::paper_default(), c.clusters.len(), 4);
-            engine(5, 2.0, threads).place(&c, device).unwrap()
-        };
-        let p1 = mk(1);
-        for threads in [2, 3, 8] {
-            let pn = mk(threads);
-            assert_eq!(p1.slots, pn.slots, "threads={threads} diverged");
-            assert_eq!(p1.cost.to_bits(), pn.cost.to_bits());
-            assert_eq!(p1.stats, pn.stats, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn too_small_device_rejected() {
         let c = chain_clustering(40);
         let device = Device::new(Architecture::paper_default(), 1, 1);
         assert!(matches!(
-            engine(1, 5.0, 1).place(&c, device),
+            engine(1, 5.0).place(&c, device),
             Err(PlaceError::DoesNotFit { .. })
         ));
     }
@@ -1060,7 +1020,7 @@ mod tests {
     fn place_file_lists_all_blocks() {
         let c = chain_clustering(10);
         let device = Device::sized_for(Architecture::paper_default(), c.clusters.len(), 4);
-        let p = engine(2, 1.0, 1).place(&c, device).unwrap();
+        let p = engine(2, 1.0).place(&c, device).unwrap();
         let text = p.write_place(&c);
         let body_lines = text.lines().filter(|l| !l.starts_with('#')).count();
         assert_eq!(body_lines, p.slots.len());

@@ -4,9 +4,9 @@
 //! bench harness consume routers through the [`RouteEngine`] trait so
 //! alternative engines (a greedy pattern router, a timing-driven
 //! PathFinder, ...) can be slotted in later. [`PathFinderRouter`] is the
-//! production engine: negotiation-based iterations with concurrent
-//! per-net workers whose results are bit-identical across thread counts
-//! (see the `pathfinder` module docs for the determinism argument).
+//! production engine: negotiation-based iterations with batch-synchronous
+//! commits, on one thread (see the `pathfinder` module docs for the
+//! schedule).
 
 use fpga_pack::Clustering;
 use fpga_place::Placement;
@@ -15,28 +15,23 @@ use crate::pathfinder::{channel_demand, route_with, Probe, RouteResult};
 use crate::rrgraph::RrGraph;
 use crate::{Result, RouteError};
 
-/// The shared parallelism knob, re-exported from `fpga-place` so both
-/// P&R engines configure threading with one type.
-pub use fpga_place::engine::Parallelism;
+/// No effect: P&R runs on one thread; goes with ROADMAP 5's unfreeze.
+#[derive(Clone, Copy, Debug)]
+pub struct Parallelism;
 
-/// Typed builder-style configuration for [`PathFinderRouter`].
+/// Configuration for [`PathFinderRouter`]. The negotiation schedule is
+/// fixed (a routed result is a cache value whose key names only the
+/// channel width), so there is nothing to set.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct RouteConfig {
-    pub parallelism: Parallelism,
-}
+pub struct RouteConfig;
 
 impl RouteConfig {
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    pub fn parallelism(mut self, p: Parallelism) -> Self {
-        self.parallelism = p;
-        self
-    }
-
-    pub fn threads(mut self, n: usize) -> Self {
-        self.parallelism.threads = n.max(1);
+    /// No effect: P&R runs on one thread; goes with ROADMAP 5's unfreeze.
+    pub fn parallelism(self, _: Parallelism) -> Self {
         self
     }
 }
@@ -120,16 +115,14 @@ fn width_dependent(e: &RouteError) -> bool {
     matches!(e, RouteError::Unroutable { .. } | RouteError::NoPath { .. })
 }
 
-/// The PathFinder negotiated-congestion router with concurrent per-net
-/// search workers and deterministic barrier commits.
+/// The PathFinder negotiated-congestion router with deterministic
+/// batch-barrier commits.
 #[derive(Clone, Debug, Default)]
-pub struct PathFinderRouter {
-    cfg: RouteConfig,
-}
+pub struct PathFinderRouter;
 
 impl PathFinderRouter {
-    pub fn new(cfg: RouteConfig) -> Self {
-        PathFinderRouter { cfg }
+    pub fn new(_: RouteConfig) -> Self {
+        PathFinderRouter
     }
 }
 
@@ -140,19 +133,13 @@ impl RouteEngine for PathFinderRouter {
         placement: &Placement,
         g: &RrGraph,
     ) -> Result<RouteResult> {
-        route_with(&self.cfg, clustering, placement, g)
+        route_with(clustering, placement, g)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_builder_sets_fields() {
-        let cfg = RouteConfig::new().threads(4);
-        assert_eq!(cfg.parallelism.threads, 4);
-    }
 
     /// Records the width of every probe the trait's default min-W search
     /// routes.
@@ -226,13 +213,13 @@ mod tests {
         // The placement still says cluster 0 drives `y`; the clustering
         // no longer does. No channel width cures that.
         c.clusters[0].bles.clear();
-        let (calls, err) = search(PathFinderRouter::default(), &c, &p);
+        let (calls, err) = search(PathFinderRouter, &c, &p);
         assert!(matches!(err, RouteError::BadEndpoint(_)), "{err}");
         assert_eq!(
             calls, 0,
             "a BadEndpoint surfaces from the channel-demand floor, before any probe"
         );
-        let probed = PathFinderRouter::default().route(&c, &p, &RrGraph::build(&p.device, 12));
+        let probed = PathFinderRouter.route(&c, &p, &RrGraph::build(&p.device, 12));
         assert_eq!(
             Err(err),
             probed.map(|_| ()),
@@ -263,7 +250,7 @@ mod tests {
         let (c, mut p) = placed_lut();
         // `vpr-pr --arch` with `channel_width 200`.
         p.device.arch.routing.channel_width = 200;
-        let engine = Counting::new(PathFinderRouter::default());
+        let engine = Counting::new(PathFinderRouter);
         let (w, r) = engine.find_min_channel_width(&c, &p, 64).unwrap();
         let widths = engine.widths.into_inner();
         assert_eq!(widths.first(), Some(&64), "the first probe is clamped");

@@ -7,17 +7,16 @@
 //! cost accumulates on persistently overused nodes, and the loop ends
 //! when no node is shared.
 //!
-//! The iteration structure is batch-synchronous Gauss-Seidel so per-net
-//! searches can run concurrently without giving up serial convergence:
-//! the worklist is cut into fixed-size batches in canonical net order,
-//! every net in a batch routes against the congestion state *frozen at
-//! batch start* (with its own previous tree's occupancy subtracted from
-//! its cost view), and the batch's trees are committed at a barrier in
+//! The iteration structure is batch-synchronous Gauss-Seidel: the
+//! worklist is cut into fixed-size batches in canonical net order, every
+//! net in a batch routes against the congestion state *frozen at batch
+//! start* (with its own previous tree's occupancy subtracted from its
+//! cost view), and the batch's trees are committed at a barrier in
 //! canonical net order before the next batch starts. Later batches
 //! therefore see earlier batches' rip-ups and new trees within the same
 //! iteration — the information flow that makes serial PathFinder
-//! converge — while the handful of nets inside one batch route
-//! independently. After iteration 0, only nets whose trees touch an
+//! converge — while the handful of nets inside one batch route blind to
+//! each other. After iteration 0, only nets whose trees touch an
 //! overused node are rerouted; once the routing is legal, a couple of
 //! full clean-up sweeps at frozen pressure reclaim the detour cost the
 //! congested stragglers absorbed (see `POLISH_SWEEPS` — incremental
@@ -26,15 +25,15 @@
 //! mutually blind forever, small worklists route serially to break
 //! negotiation standoffs, and small *designs* run fully classic — serial
 //! full sweeps, no jitter (see `SERIAL_WORKLIST`).
-//! Determinism across thread counts is by
-//! construction: the batch size is a constant (never derived from the
-//! thread count), so batch composition, each batch-start snapshot, and
-//! the commit order are functions of canonical net order alone;
-//! history/pressure updates happen single-threaded at the iteration
-//! barrier. The search heap breaks cost ties by node id so results never
-//! depend on heap insertion order.
 //!
-//! Searches reuse per-worker stamped labels and mark buffers instead of
+//! Every net routes on one thread, one after another. The batches are
+//! not there for speed: they are the schedule, and the schedule decides
+//! every routed byte. Batch composition, each batch-start snapshot and
+//! the commit order are functions of canonical net order alone, and the
+//! search heap breaks cost ties by node id so results never depend on
+//! heap insertion order.
+//!
+//! Searches reuse one set of stamped labels and mark buffers instead of
 //! allocating per sink, which is where most of the serial router's time
 //! went on large graphs. See `route_net` for what keeps each relaxation
 //! cheap and why none of it moves a tree.
@@ -46,7 +45,6 @@ use fpga_netlist::mix::splitmix64;
 use fpga_pack::{ClusterId, Clustering};
 use fpga_place::{BlockRef, Placement};
 
-use crate::engine::RouteConfig;
 use crate::rrgraph::{clb_ipin, clb_opin, RrGraph, RrKind, RrNodeId};
 use crate::{Result, RouteError};
 
@@ -428,9 +426,8 @@ type Tree = Vec<(RrNodeId, Option<RrNodeId>)>;
 /// Nets inside one batch route against identical frozen congestion, so
 /// without a tie-breaker two symmetric nets fighting over a node can
 /// relocate in lockstep. A tiny multiplicative jitter keyed on
-/// `(net, node)` — never on thread or iteration — makes their cost
-/// landscapes slightly different, so negotiation converges, while results
-/// stay bit-identical across thread counts.
+/// `(net, node)` — never on iteration — makes their cost landscapes
+/// slightly different, so negotiation converges.
 const JITTER_FAC: f64 = 0.01;
 
 fn jitter(net_salt: u64, node: usize) -> f64 {
@@ -454,11 +451,11 @@ const PRES_FAC_FIRST: f64 = 0.5;
 const PRES_FAC_MULT: f64 = 1.8;
 const HIST_FAC: f64 = 0.4;
 
-/// Nets routed concurrently between commit barriers. A constant — never
-/// derived from the thread count — so batch composition and barrier
-/// placement, and therefore the routed result, are identical at any
-/// parallelism. Small enough that congestion information still flows
-/// through an iteration nearly as fast as fully serial Gauss-Seidel.
+/// Nets routed against one frozen snapshot between commit barriers. A
+/// constant, so batch composition and barrier placement are functions of
+/// the worklist alone. Small enough that congestion information still
+/// flows through an iteration nearly as fast as fully serial
+/// Gauss-Seidel.
 const NET_BATCH: usize = 32;
 
 /// Serial threshold, applied at two levels. A *design* with at most
@@ -467,14 +464,13 @@ const NET_BATCH: usize = 32;
 /// Convergence at *marginal* channel widths — exactly what
 /// `find_min_channel_width` probes on small designs — measurably
 /// degrades under both within-batch blindness and incremental rip-up
-/// (minimum widths came out 1–2 tracks worse), and small designs carry
-/// no useful parallelism anyway. On bigger designs, an *iteration*
-/// whose worklist shrinks to this size goes serial (batch size 1): in
-/// the negotiation endgame the last few stragglers fighting over one
-/// node can swap resources in lockstep when routed blind inside one
-/// batch, while one-at-a-time each sees the others' commits and the
-/// standoff resolves. Both tests are functions of the design and the
-/// canonical worklist alone, so thread-count invariance is untouched.
+/// (minimum widths came out 1–2 tracks worse). On bigger designs, an
+/// *iteration* whose worklist shrinks to this size goes serial (batch
+/// size 1): in the negotiation endgame the last few stragglers fighting
+/// over one node can swap resources in lockstep when routed blind
+/// inside one batch, while one-at-a-time each sees the others' commits
+/// and the standoff resolves. Both tests are functions of the design
+/// and the canonical worklist alone.
 const SERIAL_WORKLIST: usize = 512;
 
 /// After this many consecutive iterations without the overused-node
@@ -482,10 +478,10 @@ const SERIAL_WORKLIST: usize = 512;
 /// stragglers keep trading the same nodes while every net that could
 /// yield a resource sits outside the worklist. Escalate to full sweeps
 /// — classic PathFinder's global renegotiation — until overuse drops
-/// again. A pure function of the iteration history, so thread-count
-/// invariance is untouched. Measured on `rent_4k` at its pinned width
-/// of 44: incremental-only negotiation parks at 2 overused nodes until
-/// the ceiling, while sweep escalation converges.
+/// again. A pure function of the iteration history. Measured on
+/// `rent_4k` at its pinned width of 44: incremental-only negotiation
+/// parks at 2 overused nodes until the ceiling, while sweep escalation
+/// converges.
 const STAGNATION_SWEEP: usize = 3;
 
 /// Full clean-up sweeps run after negotiation converges, at frozen
@@ -514,7 +510,7 @@ const PUSH_ID_LIMIT: u32 = 3 << 30;
 /// number of nets using it. Read together by every full relaxation.
 type Congestion = (f64, u32);
 
-/// Reusable per-worker search state. A label belongs to the current
+/// Reusable search state. A label belongs to the current
 /// search iff its stamp is at least the search's first push id, since
 /// ids only grow; an entry popped from the heap is live iff its `seq` is
 /// still its node's stamp. `mark` (in-tree), `own` (the net's previous
@@ -754,9 +750,8 @@ fn route_net(
     routed
 }
 
-/// Route one batch of nets against the frozen batch-start state, spread
-/// over `threads` workers. Results come back in worklist order no matter
-/// which worker routed which net.
+/// Route one batch of nets against the frozen batch-start state. Results
+/// come back in worklist order; the caller commits them.
 #[allow(clippy::too_many_arguments)]
 fn route_batch(
     g: &RrGraph,
@@ -766,52 +761,28 @@ fn route_batch(
     congestion: &[Congestion],
     pres_fac: f64,
     use_jitter: bool,
-    threads: usize,
-    pool: &mut Vec<SearchBuffers>,
+    bufs: &mut SearchBuffers,
 ) -> Vec<Option<Tree>> {
-    let workers = threads.min(worklist.len()).max(1);
-    while pool.len() < workers {
-        pool.push(SearchBuffers::new(g.node_count()));
-    }
-    let run = |bufs: &mut SearchBuffers, wi: u32| -> Option<Tree> {
-        let (net, source, sinks) = &endpoints[wi as usize];
-        route_net(
-            g,
-            use_jitter.then(|| splitmix64(0x7ac0_5e1f ^ net.0 as u64)),
-            *source,
-            sinks,
-            congestion,
-            trees[wi as usize].as_deref(),
-            pres_fac,
-            bufs,
-        )
-    };
-    if workers == 1 {
-        let bufs = &mut pool[0];
-        return worklist.iter().map(|&wi| run(bufs, wi)).collect();
-    }
-    let chunk = worklist.len().div_ceil(workers);
-    let mut results: Vec<Option<Tree>> = worklist.iter().map(|_| None).collect();
-    std::thread::scope(|s| {
-        let run = &run;
-        for ((wch, rch), bufs) in worklist
-            .chunks(chunk)
-            .zip(results.chunks_mut(chunk))
-            .zip(pool.iter_mut())
-        {
-            s.spawn(move || {
-                for (&wi, r) in wch.iter().zip(rch.iter_mut()) {
-                    *r = run(bufs, wi);
-                }
-            });
-        }
-    });
-    results
+    worklist
+        .iter()
+        .map(|&wi| {
+            let (net, source, sinks) = &endpoints[wi as usize];
+            route_net(
+                g,
+                use_jitter.then(|| splitmix64(0x7ac0_5e1f ^ net.0 as u64)),
+                *source,
+                sinks,
+                congestion,
+                trees[wi as usize].as_deref(),
+                pres_fac,
+                bufs,
+            )
+        })
+        .collect()
 }
 
 /// Route all nets of a placement on an RR graph (engine entry point).
 pub(crate) fn route_with(
-    cfg: &RouteConfig,
     clustering: &Clustering,
     placement: &Placement,
     g: &RrGraph,
@@ -819,8 +790,7 @@ pub(crate) fn route_with(
     let endpoints = net_endpoints(clustering, placement, g)?;
     let mut congestion: Vec<Congestion> = vec![(0.0, 0); g.node_count()];
     let mut trees: Vec<Option<Tree>> = vec![None; endpoints.len()];
-    let threads = cfg.parallelism.threads.max(1);
-    let mut pool: Vec<SearchBuffers> = Vec::new();
+    let mut bufs = SearchBuffers::new(g.node_count());
 
     let finish = |trees: &[Option<Tree>], iterations: usize, stats| -> RouteResult {
         let nets: Vec<RoutedNet> = endpoints
@@ -896,7 +866,7 @@ pub(crate) fn route_with(
         // nets adjacent in canonical order share a batch — mutually
         // blind — in *every* iteration, and can trade the same overused
         // node forever. The stagger is a function of the iteration index
-        // only, so it is identical at any thread count.
+        // only.
         let lead = (iteration * 7 % batch_size).min(worklist.len());
         let (head, tail) = worklist.split_at(lead);
         let batches = std::iter::once(head)
@@ -911,8 +881,7 @@ pub(crate) fn route_with(
                 &congestion,
                 pres_fac,
                 use_jitter,
-                threads,
-                &mut pool,
+                &mut bufs,
             );
             for (&wi, tree) in batch.iter().zip(results) {
                 let wi = wi as usize;
@@ -939,15 +908,11 @@ pub(crate) fn route_with(
                 *history += HIST_FAC * (*occ - 1) as f64;
             }
         }
-        let mut row = IterationStats {
+        stats.push(IterationStats {
             worklist: worklist.len(),
             overused,
-            search: SearchStats::default(),
-        };
-        for bufs in &mut pool {
-            row.search.add(std::mem::take(&mut bufs.stats));
-        }
-        stats.push(row);
+            search: std::mem::take(&mut bufs.stats),
+        });
         if overused == 0 {
             if polish_left == 0 {
                 return Ok(finish(&trees, iteration + 1, stats));
@@ -982,17 +947,11 @@ pub(crate) fn route_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Parallelism, PathFinderRouter, RouteEngine};
+    use crate::engine::{PathFinderRouter, RouteEngine};
     use fpga_arch::device::Device;
     use fpga_arch::{Architecture, ClbArch};
     use fpga_netlist::ir::{CellKind, Netlist};
     use fpga_place::{AnnealingPlacer, PlaceConfig, PlaceEngine};
-
-    fn router(threads: usize) -> PathFinderRouter {
-        PathFinderRouter::new(
-            RouteConfig::new().parallelism(Parallelism::serial().threads(threads)),
-        )
-    }
 
     fn flow(n_luts: usize, seed: u64) -> (Clustering, Placement) {
         // A few LUT+FF chains with cross-links for routing pressure.
@@ -1040,7 +999,7 @@ mod tests {
     fn routes_small_design() {
         let (c, p) = flow(12, 1);
         let g = RrGraph::build(&p.device, p.device.arch.routing.channel_width);
-        let r = router(1).route(&c, &p, &g).unwrap();
+        let r = PathFinderRouter.route(&c, &p, &g).unwrap();
         assert_eq!(r.nets.len(), p.nets.len());
         assert!(r.wirelength > 0);
         // Classic mode: every iteration reroutes every net, the last
@@ -1079,7 +1038,7 @@ mod tests {
     fn trees_follow_graph_edges() {
         let (c, p) = flow(8, 2);
         let g = RrGraph::build(&p.device, 10);
-        let r = router(1).route(&c, &p, &g).unwrap();
+        let r = PathFinderRouter.route(&c, &p, &g).unwrap();
         for net in &r.nets {
             for (node, parent) in &net.tree {
                 if let Some(par) = parent {
@@ -1095,32 +1054,15 @@ mod tests {
     }
 
     #[test]
-    fn bit_identical_across_thread_counts() {
-        let (c, p) = flow(20, 5);
-        let g = RrGraph::build(&p.device, p.device.arch.routing.channel_width);
-        let r1 = router(1).route(&c, &p, &g).unwrap();
-        for threads in [2, 3, 8] {
-            let rn = router(threads).route(&c, &p, &g).unwrap();
-            assert_eq!(r1.iterations, rn.iterations, "threads={threads}");
-            assert_eq!(r1.wirelength, rn.wirelength, "threads={threads}");
-            assert_eq!(r1.stats, rn.stats, "threads={threads}");
-            for (a, b) in r1.nets.iter().zip(rn.nets.iter()) {
-                assert_eq!(a.net, b.net);
-                assert_eq!(a.tree, b.tree, "threads={threads} tree diverged");
-            }
-        }
-    }
-
-    #[test]
     fn min_channel_width_is_found() {
         let (c, p) = flow(10, 3);
-        let (w, r) = router(1).find_min_channel_width(&c, &p, 64).unwrap();
+        let (w, r) = PathFinderRouter.find_min_channel_width(&c, &p, 64).unwrap();
         assert!((1..=64).contains(&w));
         assert_eq!(r.channel_width, w);
         // One less track must fail (minimality), unless already 1.
         if w > 1 {
             let g = RrGraph::build(&p.device, w - 1);
-            assert!(router(1).route(&c, &p, &g).is_err());
+            assert!(PathFinderRouter.route(&c, &p, &g).is_err());
         }
     }
 
@@ -1134,16 +1076,14 @@ mod tests {
     fn push_ids_reset_without_changing_the_route() {
         let (c, p) = flow(20, 5);
         let g = RrGraph::build(&p.device, p.device.arch.routing.channel_width);
-        for threads in [1, 2] {
-            let fresh = router(threads).route(&c, &p, &g).unwrap();
-            FIRST_PUSH_ID.with(|id| id.set(PUSH_ID_LIMIT - 3));
-            let wrapped = router(threads).route(&c, &p, &g);
-            FIRST_PUSH_ID.with(|id| id.set(0));
-            let wrapped = wrapped.unwrap();
-            assert_eq!(fresh.stats, wrapped.stats, "threads={threads}");
-            for (a, b) in fresh.nets.iter().zip(&wrapped.nets) {
-                assert_eq!(a.tree, b.tree, "threads={threads}");
-            }
+        let fresh = PathFinderRouter.route(&c, &p, &g).unwrap();
+        FIRST_PUSH_ID.with(|id| id.set(PUSH_ID_LIMIT - 3));
+        let wrapped = PathFinderRouter.route(&c, &p, &g);
+        FIRST_PUSH_ID.with(|id| id.set(0));
+        let wrapped = wrapped.unwrap();
+        assert_eq!(fresh.stats, wrapped.stats);
+        for (a, b) in fresh.nets.iter().zip(&wrapped.nets) {
+            assert_eq!(a.tree, b.tree);
         }
     }
 
@@ -1196,8 +1136,13 @@ mod tests {
         let check = |p: &Placement, msg: String| {
             let g = RrGraph::build(&p.device, 12);
             let bad = Err(RouteError::BadEndpoint(msg));
-            assert_eq!(router(1).route(&c, p, &g).map(|_| ()), bad);
-            assert_eq!(router(1).find_min_channel_width(&c, p, 64).map(|_| ()), bad);
+            assert_eq!(PathFinderRouter.route(&c, p, &g).map(|_| ()), bad);
+            assert_eq!(
+                PathFinderRouter
+                    .find_min_channel_width(&c, p, 64)
+                    .map(|_| ()),
+                bad
+            );
         };
 
         let mut empty = p.clone();
@@ -1245,9 +1190,11 @@ mod tests {
         p.slots.retain(|&(b, _)| b != pad);
         let g = RrGraph::build(&p.device, 12);
         let unplaced = Err(RouteError::BadEndpoint(format!("{pad:?} is not placed")));
-        assert_eq!(router(1).route(&c, &p, &g).map(|_| ()), unplaced);
+        assert_eq!(PathFinderRouter.route(&c, &p, &g).map(|_| ()), unplaced);
         assert_eq!(
-            router(1).find_min_channel_width(&c, &p, 64).map(|_| ()),
+            PathFinderRouter
+                .find_min_channel_width(&c, &p, 64)
+                .map(|_| ()),
             unplaced
         );
     }
@@ -1303,7 +1250,7 @@ mod tests {
         let (c, p) = pad_nets(5, false);
         let g = RrGraph::build(&p.device, 4);
         assert!(
-            router(1).route(&c, &p, &g).is_err(),
+            PathFinderRouter.route(&c, &p, &g).is_err(),
             "5 nets through a 4-track segment"
         );
     }
@@ -1315,12 +1262,12 @@ mod tests {
         fn channel_demand_is_a_floor_no_router_goes_below(n in 2usize..24, seed in 1u64..64) {
             let (c, p) = flow(n, seed);
             let demand = channel_demand(&c, &p).unwrap();
-            let (w, _) = router(1).find_min_channel_width(&c, &p, 64).unwrap();
+            let (w, _) = PathFinderRouter.find_min_channel_width(&c, &p, 64).unwrap();
             proptest::prop_assert!(demand <= w, "demand {} above the width found {}", demand, w);
             if demand > 1 {
                 let g = RrGraph::build(&p.device, demand - 1);
                 proptest::prop_assert!(
-                    router(1).route(&c, &p, &g).is_err(),
+                    PathFinderRouter.route(&c, &p, &g).is_err(),
                     "routed at W = {} below the demand {}", demand - 1, demand
                 );
             }
@@ -1331,7 +1278,7 @@ mod tests {
     fn tiny_channel_is_unroutable() {
         let (c, p) = flow(25, 4);
         let g = RrGraph::build(&p.device, 1);
-        let r = router(1);
+        let r = PathFinderRouter;
         match r.route(&c, &p, &g) {
             Err(RouteError::Unroutable { .. }) | Err(RouteError::NoPath { .. }) => {}
             Ok(r) => {

@@ -54,13 +54,13 @@ flowc — command-line client for flowd
 usage:
   flowc [--tcp HOST:PORT | --unix PATH] compile <design.vhd|design.blif>
         [--blif] [--seed N] [--effort F] [--width W] [--cycles N]
-        [--threads N] [--lint off|warn|deny] [--verify off|warn|deny]
+        [--lint off|warn|deny] [--verify off|warn|deny]
         [--deadline DUR] [--retries N] [--trace] [-o design.bit]
         [--report report.json]
   flowc [--tcp HOST:PORT | --unix PATH] lint <design.vhd|design.blif>
-        [--blif] [--json] [--quiet] [--deadline DUR] [--threads N]
+        [--blif] [--json] [--quiet] [--deadline DUR]
   flowc [--tcp HOST:PORT | --unix PATH] verify <design.vhd|design.blif>
-        [--blif] [--json] [--quiet] [--deadline DUR] [--threads N]
+        [--blif] [--json] [--quiet] [--deadline DUR]
   flowc [--tcp HOST:PORT | --unix PATH] metrics [--text]
   flowc [--tcp HOST:PORT | --unix PATH] status | stats | ping | shutdown
   flowc --help | --version
@@ -90,9 +90,6 @@ flowd accepts for its --max-deadline / --idle-timeout / --retry-after.
             per-tenant admission counters
   --tenant  tag compile/lint jobs with a tenant id for the gateway's
             per-tenant fair-share quotas (proto v4; flowd ignores it)
-  --threads ask the daemon to place and route this job with N worker
-            threads; results are bit-identical at any thread count, so
-            cached artifacts and QoR never depend on it
 
 {}
 exit codes:
@@ -122,14 +119,6 @@ fn render_pretty(v: &Value) -> String {
     serde_json::to_string_pretty(v).unwrap_or_else(|_| v.to_string())
 }
 
-/// Parse `--threads N` (shared by compile and lint submissions).
-fn parse_threads(args: &cli::Args) -> Option<u64> {
-    args.options.get("threads").map(|raw| match raw.parse() {
-        Ok(n) if n >= 1 => n,
-        _ => cli::die("flowc", format!("bad --threads '{raw}'")),
-    })
-}
-
 fn try_connect(args: &cli::Args) -> io::Result<FlowClient> {
     if let Some(path) = args.options.get("unix") {
         return FlowClient::connect_unix(path);
@@ -152,7 +141,7 @@ fn connect(args: &cli::Args) -> FlowClient {
 fn main() {
     let args = cli::parse_args(&[
         "tcp", "unix", "seed", "effort", "width", "cycles", "lint", "verify", "deadline",
-        "retries", "o", "report", "tenant", "threads",
+        "retries", "o", "report", "tenant",
     ]);
     cli::handle_version("flowc", &args);
     if args.flags.iter().any(|f| f == "help") {
@@ -280,7 +269,6 @@ fn compile(args: &cli::Args) {
     req.deadline_ms = deadline_ms;
     req.trace = args.flags.iter().any(|f| f == "trace");
     req.tenant = args.options.get("tenant").cloned();
-    req.threads = parse_threads(args);
 
     let outcome = match compile_with_retry(
         || try_connect(args),
@@ -393,7 +381,6 @@ fn check(kind: CheckKind, args: &cli::Args) {
     let mut req = CompileRequest::new(format, source);
     req.deadline_ms = cli::opt_duration_ms(args, "flowc", "deadline");
     req.tenant = args.options.get("tenant").cloned();
-    req.threads = parse_threads(args);
 
     let outcome = match connect(args).check_request(kind, &req) {
         Ok(o) => o,

@@ -38,7 +38,6 @@ flowd — the flow compile-service daemon
 
 usage:
   flowd [--tcp HOST:PORT] [--unix PATH] [--workers N] [--queue N]
-        [--threads N]
         [--max-deadline DUR] [--idle-timeout DUR] [--max-line SIZE]
         [--max-conns N] [--retry-after DUR]
         [--cache-dir DIR] [--cache-budget-mb N] [--cache-entries N]
@@ -50,9 +49,6 @@ durations (DUR) take 250 / 250ms / 30s / 5m / 1h; sizes (SIZE) take
 512 / 64k / 8m / 2g — the same spellings flowc accepts. A DUR of 0
 disables that guard.
 
-  --threads N      default place-and-route threads per job (requests may
-                   override per job; results are bit-identical at any
-                   thread count, so cached artifacts stay shared)
   --artifact-gateway HOST:PORT
                    fetch missing stage artifacts from farm peers through
                    this gateway before recomputing (needs --cache-dir);
@@ -105,7 +101,6 @@ fn main() {
         "unix",
         "workers",
         "queue",
-        "threads",
         "max-deadline",
         "idle-timeout",
         "max-line",
@@ -140,9 +135,6 @@ fn main() {
     }
     if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "queue") {
         config.queue_capacity = n as usize;
-    }
-    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "threads") {
-        config.threads = Some(n as usize);
     }
     // 0 disables the corresponding guard.
     if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "max-deadline") {
@@ -205,12 +197,6 @@ fn main() {
     eprintln!(
         "flowd {} workers, queue depth {} (stop with: flowc shutdown)",
         config.workers, config.queue_capacity
-    );
-    eprintln!(
-        "flowd place-and-route threads: {}",
-        config
-            .threads
-            .map_or("engine default".to_string(), |n| n.to_string())
     );
     eprintln!(
         "flowd guards: deadline cap {}, idle timeout {}, max line {} B, max conns {}",

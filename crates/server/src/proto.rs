@@ -90,11 +90,9 @@ pub struct CompileRequest {
     /// and advisory: `flowd` itself ignores it, and version-3 peers drop
     /// it as an unknown field (proto 4).
     pub tenant: Option<String>,
-    /// Place-and-route worker threads for this job. Optional and
-    /// advisory: absent means "server default". Deliberately a top-level
-    /// field rather than a flow option so it never enters stage-cache
-    /// keys, and so older peers drop it as an unknown field
-    /// (wire-compatible with version 5 in both directions).
+    /// No effect: P&R runs on one thread; goes with ROADMAP 5's unfreeze.
+    /// Still parsed, validated and forwarded so the wire form is
+    /// unchanged; older peers drop it as an unknown field.
     pub threads: Option<u64>,
 }
 

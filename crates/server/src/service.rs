@@ -103,11 +103,7 @@ pub struct ServerConfig {
     /// panic/fail/stall on their K-th execution. Never set in
     /// production configs.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Default place-and-route worker threads per job. A request's own
-    /// `threads` field wins over this; `None` defers to the engines'
-    /// default (the `FLOW_THREADS` environment variable, else 1).
-    /// Never part of stage-cache keys, so a farm of daemons with
-    /// different thread counts still shares artifacts.
+    /// No effect: P&R runs on one thread; goes with ROADMAP 5's unfreeze.
     pub threads: Option<usize>,
 }
 
@@ -639,7 +635,7 @@ fn run_job(shared: &Shared, job: Job) -> (JobState, Event) {
         cancel,
         deadline_ms,
     } = job;
-    let mut options = match req.flow_options() {
+    let options = match req.flow_options() {
         Ok(opts) => opts,
         // Unreachable in practice: options were validated at parse
         // time. Kept as a structured error, not a panic.
@@ -655,10 +651,6 @@ fn run_job(shared: &Shared, job: Job) -> (JobState, Event) {
             return (JobState::Failed, error);
         }
     };
-    // Per-job thread count beats the daemon default; neither enters the
-    // stage cache, so artifacts stay shared across differently-threaded
-    // nodes.
-    options.threads = req.threads.map(|n| n as usize).or(shared.config.threads);
     // Stream per-stage progress as it happens (feeding the latency
     // histograms on the way out), and remember which stages finished so
     // a timeout can report how far the job got. The sender side never

@@ -224,7 +224,7 @@ pub fn check_equiv(
 }
 
 /// A stable digest of one view's signature response: what the
-/// determinism suite compares across thread counts and cache replays.
+/// determinism suite compares across fresh runs and cache replays.
 pub fn signature_digest(view: &CombView, seed: u64, batches: usize) -> u64 {
     let mut words = vec![0u64; view.cuts.len()];
     let mut digest = FNV_OFFSET;

@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # The full gate a change must pass before merging. Keep this in sync with
-# README "Testing": formatting, lints as errors, then the whole suite. The
-# source rules (one home per primitive, dense indices, one transport, one
-# panic boundary, the unwrap and canon allowlists) are rows of the table
-# in tests/source_rules.rs, so the `cargo test` legs below run them.
+# README "Testing": formatting, lints as errors, then the whole suite
+# once (place and route run on one thread, so there is no second
+# configuration to test). The source rules (one home per primitive,
+# dense indices, one thread per compile, one transport, one panic
+# boundary, the unwrap and canon allowlists) are rows of the table in
+# tests/source_rules.rs, so the `cargo test` leg below runs them.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,12 +18,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test -q (every crate, plus the source rules)"
 cargo test -q --workspace
-
-echo "==> cargo test -q with FLOW_THREADS=2 (parallel engines by default)"
-# Every test that doesn't pin a thread count now exercises the parallel
-# place/route paths; cross-thread determinism means results — and
-# therefore every assertion — must come out the same.
-FLOW_THREADS=2 cargo test -q --workspace
 
 echo "==> scripts/chaos.sh (fault-injection suites, pinned seed)"
 sh scripts/chaos.sh

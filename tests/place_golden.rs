@@ -12,8 +12,7 @@
 //! `stages::place` exactly as the benchmark's compiles are
 //! (`place_effort` 1.0, no fabric verify) at two place seeds; `crc16`
 //! also through the engine at the seed the removed
-//! `Parallelism::deterministic_seed` knob aliased. Every case runs at
-//! 1, 2, 3 and 8 threads.
+//! `Parallelism::deterministic_seed` knob aliased.
 
 use fpga_framework::arch::device::Device;
 use fpga_framework::circuits::{multiplier, suite_entry};
@@ -23,10 +22,8 @@ use fpga_framework::flow::{FlowCtx, FlowOptions};
 use fpga_framework::netlist::Netlist;
 use fpga_framework::pack::Clustering;
 use fpga_framework::place::{
-    placement_to_bytes, AnnealingPlacer, Parallelism, PlaceConfig, PlaceEngine, Placement,
+    placement_to_bytes, AnnealingPlacer, PlaceConfig, PlaceEngine, Placement,
 };
-
-const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 fn sha256_hex(bytes: &[u8]) -> String {
     let mut h = Sha256::new();
@@ -34,17 +31,16 @@ fn sha256_hex(bytes: &[u8]) -> String {
     h.finish().iter().map(|b| format!("{b:02x}")).collect()
 }
 
-fn options(place_seed: u64, threads: usize) -> FlowOptions {
+fn options(place_seed: u64) -> FlowOptions {
     FlowOptions::builder()
         .place_effort(1.0)
         .place_seed(place_seed)
         .verify_cycles(0)
-        .threads(threads)
         .build()
 }
 
 fn packed(rtl: Netlist) -> Staged<Clustering> {
-    let opts = options(1, 1);
+    let opts = options(1);
     let ctx = FlowCtx::default();
     let mapped = stages::lut_map(&stages::adopt_rtl(rtl), &opts, ctx).expect("maps");
     stages::pack(&mapped, &opts.arch, ctx).expect("packs")
@@ -53,24 +49,21 @@ fn packed(rtl: Netlist) -> Staged<Clustering> {
 /// `(SHA-256 of placement_to_bytes, cost.to_bits())`.
 type Golden = (&'static str, u64);
 
-fn assert_golden(what: &str, threads: usize, p: &Placement, golden: Golden) {
+fn assert_golden(what: &str, p: &Placement, golden: Golden) {
     let digest = sha256_hex(&placement_to_bytes(p));
     assert_eq!(
         (digest.as_str(), p.cost.to_bits()),
         golden,
-        "{what}: placement bytes at {threads} thread(s) differ from the parent commit's"
+        "{what}: placement bytes differ from the parent commit's"
     );
 }
 
-/// Place at seeds 1 and 7, at every thread count, through the stage.
+/// Place at seeds 1 and 7 through the stage.
 fn check(name: &str, rtl: Netlist, goldens: [Golden; 2]) {
     let clustering = packed(rtl);
     for (seed, golden) in [1u64, 7].into_iter().zip(goldens) {
-        for threads in THREADS {
-            let p = stages::place(&clustering, &options(seed, threads), FlowCtx::default())
-                .expect("places");
-            assert_golden(&format!("{name} seed {seed}"), threads, &p.value, golden);
-        }
+        let p = stages::place(&clustering, &options(seed), FlowCtx::default()).expect("places");
+        assert_golden(&format!("{name} seed {seed}"), &p.value, golden);
     }
 }
 
@@ -107,27 +100,19 @@ fn crc16_placement_bytes_match_parent() {
 fn crc16_deterministic_seed_bytes_match_parent() {
     let clustering = packed(suite("crc16")).value;
     let nl = &clustering.netlist;
-    let opts = options(1, 1);
-    for threads in THREADS {
-        let device = Device::sized_for(
-            opts.arch.clone(),
-            clustering.clusters.len(),
-            nl.inputs.len() + nl.outputs.len() + 1,
-        );
-        let cfg = PlaceConfig::new()
-            .seed(opts.place_seed ^ 99u64.rotate_left(17))
-            .inner_num(opts.place_effort)
-            .parallelism(Parallelism::serial().threads(threads));
-        let p = AnnealingPlacer::new(cfg)
-            .place(&clustering, device)
-            .expect("places");
-        assert_golden(
-            "crc16 seed 1 ^ 99.rotate_left(17)",
-            threads,
-            &p,
-            GOLDEN_CRC16_DET99,
-        );
-    }
+    let opts = options(1);
+    let device = Device::sized_for(
+        opts.arch.clone(),
+        clustering.clusters.len(),
+        nl.inputs.len() + nl.outputs.len() + 1,
+    );
+    let cfg = PlaceConfig::new()
+        .seed(opts.place_seed ^ 99u64.rotate_left(17))
+        .inner_num(opts.place_effort);
+    let p = AnnealingPlacer::new(cfg)
+        .place(&clustering, device)
+        .expect("places");
+    assert_golden("crc16 seed 1 ^ 99.rotate_left(17)", &p, GOLDEN_CRC16_DET99);
 }
 
 /// Seeds 1 and 7 per design.

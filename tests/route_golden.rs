@@ -8,8 +8,8 @@
 //! order) is covered through the min-W search on the five `minw_small`
 //! designs (`mult8` and `fsm_chain_4x8` recorded at PR 21); jitter mode
 //! through `rent_1k`, the smallest suite design with more than 512
-//! routable nets, at a comfortable pinned width. Both run at 1 and 2
-//! threads. The widths the search still routes are pinned beside them.
+//! routable nets, at a comfortable pinned width. The widths the search
+//! still routes are pinned beside them.
 //!
 //! The second half is a proptest over random fabrics that pins the
 //! graph facts the fast path rests on: `find` inverts `kind`, no
@@ -23,11 +23,11 @@ use fpga_framework::flow::hash::Sha256;
 use fpga_framework::flow::stages;
 use fpga_framework::flow::{FlowCtx, FlowOptions};
 use fpga_framework::pack::Clustering;
-use fpga_framework::place::{Parallelism, Placement};
+use fpga_framework::place::Placement;
 use fpga_framework::route::timing::TimingModel;
 use fpga_framework::route::{
-    analyze_paths, route_result_to_bytes, LogicDelays, PathFinderRouter, RouteConfig, RouteEngine,
-    RouteError, RouteResult, RrGraph, RrKind, RrNodeId,
+    analyze_paths, route_result_to_bytes, LogicDelays, PathFinderRouter, RouteEngine, RouteError,
+    RouteResult, RrGraph, RrKind, RrNodeId,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -42,13 +42,12 @@ fn sha256_hex(bytes: &[u8]) -> String {
 }
 
 /// Map, pack and place a suite design exactly as the benchmark's
-/// compiles do (`place_effort` 1.0, place seed 1, one thread).
+/// compiles do (`place_effort` 1.0, place seed 1).
 fn placed(name: &str) -> (Arc<Clustering>, Arc<Placement>) {
     let entry = suite_entry(name).expect("suite design exists");
     let opts = FlowOptions::builder()
         .place_effort(1.0)
         .verify_cycles(0)
-        .threads(1)
         .build();
     let ctx = FlowCtx::default();
     let rtl = stages::adopt_rtl((entry.build)());
@@ -58,33 +57,24 @@ fn placed(name: &str) -> (Arc<Clustering>, Arc<Placement>) {
     (clustering.value, placement.value)
 }
 
-fn router(threads: usize) -> PathFinderRouter {
-    PathFinderRouter::new(RouteConfig::new().parallelism(Parallelism::serial().threads(threads)))
-}
-
-/// Route at 1 and 2 threads and compare `(channel width, SHA-256 of
-/// route_result_to_bytes)` with the recorded pair.
-fn check(name: &str, golden: (usize, &str), route: impl Fn(usize) -> RouteResult) {
-    for threads in [1, 2] {
-        let r = route(threads);
-        let digest = sha256_hex(&route_result_to_bytes(&r));
-        assert_eq!(
-            (r.channel_width, digest.as_str()),
-            golden,
-            "{name}: route bytes at {threads} thread(s) differ from the parent commit's"
-        );
-    }
+/// Compare `(channel width, SHA-256 of route_result_to_bytes)` with the
+/// recorded pair.
+fn check(name: &str, golden: (usize, &str), r: &RouteResult) {
+    let digest = sha256_hex(&route_result_to_bytes(r));
+    assert_eq!(
+        (r.channel_width, digest.as_str()),
+        golden,
+        "{name}: route bytes differ from the parent commit's"
+    );
 }
 
 fn check_min_width(name: &str, golden: (usize, &str)) {
     let (c, p) = placed(name);
     assert!(p.nets.len() <= 512, "{name} must route in classic mode");
-    check(name, golden, |threads| {
-        let (_, r) = router(threads)
-            .find_min_channel_width(&c, &p, 128)
-            .expect("routes");
-        r
-    });
+    let (_, r) = PathFinderRouter
+        .find_min_channel_width(&c, &p, 128)
+        .expect("routes");
+    check(name, golden, &r);
 }
 
 #[test]
@@ -140,7 +130,7 @@ fn min_width_search_routes_only_the_probes_it_must() {
     ] {
         let (c, p) = placed(name);
         let engine = Counting {
-            inner: router(1),
+            inner: PathFinderRouter,
             widths: RefCell::new(Vec::new()),
         };
         let (_, r) = engine.find_min_channel_width(&c, &p, 128).expect("routes");
@@ -164,9 +154,8 @@ fn rent_1k_jitter_mode_bytes_match_parent() {
     let (c, p) = placed("rent_1k");
     assert!(p.nets.len() > 512, "rent_1k must route in jitter mode");
     let g = RrGraph::build(&p.device, GOLDEN_RENT_1K.0);
-    check("rent_1k", GOLDEN_RENT_1K, |threads| {
-        router(threads).route(&c, &p, &g).expect("routes")
-    });
+    let r = PathFinderRouter.route(&c, &p, &g).expect("routes");
+    check("rent_1k", GOLDEN_RENT_1K, &r);
 }
 
 /// `(min W, digest)` per classic-mode design.
@@ -211,11 +200,11 @@ fn sta_critical_path_matches_parent() {
         let (g, r) = match suite_entry(name).and_then(|e| e.channel_width) {
             Some(w) => {
                 let g = RrGraph::build(&p.device, w);
-                let r = router(1).route(&c, &p, &g).expect("routes");
+                let r = PathFinderRouter.route(&c, &p, &g).expect("routes");
                 (g, r)
             }
             None => {
-                let (w, r) = router(1)
+                let (w, r) = PathFinderRouter
                     .find_min_channel_width(&c, &p, 128)
                     .expect("routes");
                 (RrGraph::build(&p.device, w), r)

@@ -16,9 +16,9 @@ use fpga_framework::flow::hash::Sha256;
 use fpga_framework::flow::stages;
 use fpga_framework::flow::{FlowCtx, FlowOptions};
 use fpga_framework::pack::Clustering;
-use fpga_framework::place::{Parallelism, Placement};
+use fpga_framework::place::Placement;
 use fpga_framework::route::{
-    route_result_to_bytes, PathFinderRouter, RouteConfig, RouteEngine, RouteResult, RrGraph,
+    route_result_to_bytes, PathFinderRouter, RouteEngine, RouteResult, RrGraph,
 };
 use std::sync::Arc;
 
@@ -29,13 +29,12 @@ fn sha256_hex(bytes: &[u8]) -> String {
 }
 
 /// Map, pack and place a suite design exactly as the benchmark's
-/// compiles do (`place_effort` 1.0, place seed 1, one thread).
+/// compiles do (`place_effort` 1.0, place seed 1).
 fn placed(name: &str) -> (Arc<Clustering>, Arc<Placement>) {
     let entry = suite_entry(name).expect("suite design exists");
     let opts = FlowOptions::builder()
         .place_effort(1.0)
         .verify_cycles(0)
-        .threads(1)
         .build();
     let ctx = FlowCtx::default();
     let rtl = stages::adopt_rtl((entry.build)());
@@ -45,29 +44,12 @@ fn placed(name: &str) -> (Arc<Clustering>, Arc<Placement>) {
     (clustering.value, placement.value)
 }
 
-/// Route `name` at width `w` on 1 and 2 threads; both runs must agree.
+/// Route `name` at width `w`.
 fn route_at(name: &str, w: usize) -> RouteResult {
     let (c, p) = placed(name);
     assert!(p.nets.len() > 512, "{name} must route in jitter mode");
     let g = RrGraph::build(&p.device, w);
-    let route = |threads: usize| {
-        PathFinderRouter::new(
-            RouteConfig::new().parallelism(Parallelism::serial().threads(threads)),
-        )
-        .route(&c, &p, &g)
-        .expect("routes")
-    };
-    let (one, two) = (route(1), route(2));
-    assert_eq!(
-        route_result_to_bytes(&one),
-        route_result_to_bytes(&two),
-        "{name}: 1 and 2 threads route differently"
-    );
-    assert_eq!(
-        one.stats, two.stats,
-        "{name}: 1 and 2 threads count differently"
-    );
-    one
+    PathFinderRouter.route(&c, &p, &g).expect("routes")
 }
 
 fn totals(r: &RouteResult) -> (u64, u64, u64) {

@@ -34,6 +34,12 @@ struct Rule {
     hint: &'static str,
 }
 
+/// The CAD crates: every stage between the netlist and the bitstream.
+#[rustfmt::skip]
+const CAD: &[&str] = &["crates/synth/src/**.rs", "crates/pack/src/**.rs", "crates/place/src/**.rs",
+    "crates/route/src/**.rs", "crates/bitstream/src/**.rs", "crates/verify/src/**.rs", "crates/lint/src/**.rs",
+    "crates/power/src/**.rs"];
+
 #[rustfmt::skip]
 const RULES: &[Rule] = &[
     // A panic path in non-test flow or server code is a bug unless it is infallible and listed.
@@ -48,8 +54,7 @@ const RULES: &[Rule] = &[
         hint: "use a BTreeMap/sorted Vec, or justify and add to scripts/canon-allowlist.txt" },
     // Every CAD crate addresses nets, cells, BLEs, blocks, RR nodes and wire keys by index.
     Rule { name: "dense indices", scan: 0, allowed: Nowhere, patterns: &["HashMap", "HashSet"],
-        files: &["crates/synth/src/**.rs", "crates/pack/src/**.rs", "crates/place/src/**.rs", "crates/route/src/**.rs",
-            "crates/bitstream/src/**.rs", "crates/verify/src/**.rs", "crates/lint/src/**.rs", "crates/power/src/**.rs"],
+        files: CAD,
         hint: "hashed container in index-addressed code: use a Vec, a sorted Vec or a BTree" },
     // Clustering::producer scans every BLE; it stays a test oracle.
     Rule { name: "producer scan", scan: 0, allowed: Nowhere, patterns: &[".producer("], files: &["crates/*/src/**.rs"],
@@ -68,8 +73,12 @@ const RULES: &[Rule] = &[
     // Deleted duplicates and uncalled items stay deleted, from the docs too.
     Rule { name: "deleted items", scan: WHOLE, allowed: Nowhere, files: &["crates/**", "README.md", "DESIGN.md"],
         patterns: &["fn prune_dead", "netlist::stats", "clb_delay", "compile_vhdl_ctx", "compile_blif_ctx",
-            "compile_detailed", "tenant-weight"],
+            "compile_detailed", "tenant-weight", "FLOW_THREADS", "run_netlist_ctx"],
         hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry)" },
+    // Place and route run on one thread; a schedule decides the bytes, not a thread count.
+    Rule { name: "one thread per compile", scan: NO_COMMENTS, allowed: Nowhere, patterns: &["thread::"],
+        files: CAD,
+        hint: "a CAD crate spawns no threads; a fan-out, if one returns, partitions nets by disjoint boxes (ROADMAP 17)" },
     // Only the protocol module reads the wire format; everything else matches typed events.
     Rule { name: "wire vocabulary", scan: 0, allowed: Nowhere, patterns: &["[\"event\"]"],
         files: &["crates/server/src/**.rs", "crates/bench/src/**.rs", "!crates/server/src/proto.rs"],
@@ -315,4 +324,10 @@ fn the_scanner_reads_each_definition_as_written() {
     ];
     let code = "// unsafe is one line\nunsafe { f() }";
     assert_eq!(run(&[("crates/route/src/r.rs", code)]), want);
+
+    // A CAD crate's non-test code names no thread; a comment or a test may.
+    let want = ["one thread per compile: crates/place/src/sa.rs:2: std::thread::scope(|s| f(s));"];
+    let code =
+        "// thread::scope is gone\nstd::thread::scope(|s| f(s));\n#[cfg(test)]\nthread::spawn(f);";
+    assert_eq!(run(&[("crates/place/src/sa.rs", code)]), want);
 }

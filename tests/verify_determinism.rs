@@ -3,33 +3,31 @@
 //! (see DESIGN.md, "Cross-stage equivalence checking").
 //!
 //! The verifier's simulation signatures are pure functions of (view,
-//! seed, batch count): they must not move with the place-and-route
-//! thread count, and a warm-cache replay of the same flow must verify
-//! the cached artifacts to the same signatures a cold run computed.
-//! If either drifted, a verify-deny farm would flag cached jobs that
-//! passed when first computed.
+//! seed, batch count): a fresh run of the same flow must reach the same
+//! signatures, and a warm-cache replay must verify the cached artifacts
+//! to the same signatures a cold run computed. If either drifted, a
+//! verify-deny farm would flag cached jobs that passed when first
+//! computed.
 
 use fpga_framework::bitstream::config::IoMode;
 use fpga_framework::circuits::{qor_suite, rent_logic, SuiteTier};
 use fpga_framework::flow::equiv::EquivGate;
 use fpga_framework::flow::hash::Sha256;
-use fpga_framework::flow::pipeline::run_netlist_ctx;
-use fpga_framework::flow::{FlowCtx, FlowOptions, GateMode, StageCache};
+use fpga_framework::flow::{
+    compile, run_netlist, FlowArtifacts, FlowCtx, FlowOptions, GateMode, Source, StageCache,
+};
 use fpga_framework::netlist::codec::netlist_to_bytes;
 use fpga_framework::netlist::{CellKind, Netlist};
 use fpga_framework::verify::{signature_digest, CombView, DEFAULT_BATCHES, DEFAULT_SEED};
 use proptest::prelude::*;
 
 /// Signature digests of every stage view for one Rent netlist pushed
-/// through the flow at a given thread count.
-fn stage_digests(luts: usize, seed: u64, threads: usize) -> Vec<u64> {
+/// through the flow.
+fn stage_digests(luts: usize, seed: u64) -> Vec<u64> {
     let nl = rent_logic(luts, 0.62, seed);
     let reference = CombView::from_netlist("rtl", &nl).expect("reference view");
-    let opts = FlowOptions::builder()
-        .threads(threads)
-        .verify(GateMode::Deny)
-        .build();
-    let art = run_netlist_ctx(nl, &opts, FlowCtx::default()).expect("flow verifies");
+    let opts = FlowOptions::builder().verify(GateMode::Deny).build();
+    let art = run_netlist(nl, &opts).expect("flow verifies");
     let mapped = CombView::from_netlist("mapped", &art.mapped).expect("mapped view");
     let packed = CombView::from_clustering(&art.clustering).expect("packed view");
     let placed = CombView::from_placement(&art.clustering, &art.placement).expect("placed view");
@@ -42,23 +40,20 @@ fn stage_digests(luts: usize, seed: u64, threads: usize) -> Vec<u64> {
 }
 
 proptest! {
-    // Each case is three full verify-deny flows; a handful of random
+    // Each case is two full verify-deny flows; a handful of random
     // instances buys the coverage without minutes of wall clock.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn signatures_are_thread_count_invariant(
+    fn signatures_repeat_on_a_fresh_run(
         luts in 24usize..64,
         seed in 1u64..500,
     ) {
-        let serial = stage_digests(luts, seed, 1);
-        for threads in [2usize, 8] {
-            let parallel = stage_digests(luts, seed, threads);
-            prop_assert_eq!(
-                &serial, &parallel,
-                "signatures differ at {} threads (luts={}, seed={})", threads, luts, seed
-            );
-        }
+        prop_assert_eq!(
+            stage_digests(luts, seed),
+            stage_digests(luts, seed),
+            "signatures differ between runs (luts={}, seed={})", luts, seed
+        );
     }
 }
 
@@ -74,7 +69,9 @@ fn warm_cache_replays_verify_to_identical_signatures() {
         let nl = rent_logic(40, 0.62, 11);
         let gate = EquivGate::new(&nl);
         let opts = FlowOptions::builder().verify(GateMode::Deny).build();
-        let art = run_netlist_ctx(nl, &opts, FlowCtx::with_cache(&cache)).expect("flow verifies");
+        let art = compile(Source::Netlist(nl), &opts, FlowCtx::with_cache(&cache))
+            .map(FlowArtifacts::from)
+            .expect("flow verifies");
         assert_gate_clean(&gate, &art);
         let digests: Vec<u64> = [
             CombView::from_netlist("mapped", &art.mapped).expect("mapped view"),
@@ -133,9 +130,8 @@ fn routed_and_bitstream_views_match_parent() {
         let opts = FlowOptions::builder()
             .channel_width(e.channel_width.unwrap_or(20))
             .verify_cycles(0)
-            .threads(1)
             .build();
-        let art = run_netlist_ctx((e.build)(), &opts, FlowCtx::default()).expect("flow runs");
+        let art = run_netlist((e.build)(), &opts).expect("flow runs");
         let routed =
             CombView::from_routing(&art.clustering, &art.placement, &art.graph, &art.routing)
                 .expect("routed view");
@@ -182,9 +178,8 @@ fn bitstream_view_names_shorted_drivers() {
     let opts = FlowOptions::builder()
         .channel_width(8)
         .verify_cycles(0)
-        .threads(1)
         .build();
-    let art = run_netlist_ctx(nl, &opts, FlowCtx::default()).expect("flow runs");
+    let art = run_netlist(nl, &opts).expect("flow runs");
     let mut bs = art.bitstream.clone();
     let wire_of = |sym: &str| {
         let io = bs
