@@ -218,6 +218,7 @@ mod tests {
                 wirelength: 0,
                 stats: Vec::new(),
                 probes: Vec::new(),
+                polished: false,
             },
             critical_nets: Vec::new(),
         };

@@ -52,8 +52,12 @@ pub use trace::{
 
 /// Single source of truth for the toolset's version, folded into every
 /// stage-cache key (a flow upgrade invalidates all cached stages) and
-/// reported by every tool binary's `--version`.
-pub const FLOW_VERSION: &str = concat!("ifdf-", env!("CARGO_PKG_VERSION"));
+/// reported by every tool binary's `--version`. The `+rN` suffix counts
+/// the rolls that moved stage bytes under one package version:
+/// `benchmark/flowbench/Cargo.lock` pins the path crates at that
+/// version, so a roll does not bump it. `+r1`: the router routes
+/// serially.
+pub const FLOW_VERSION: &str = concat!("ifdf-", env!("CARGO_PKG_VERSION"), "+r1");
 
 /// Errors from any stage, tagged with the stage name.
 #[derive(Debug)]

@@ -331,6 +331,8 @@ pub fn route(
             "channel_width": routing.channel_width,
             "wirelength": routing.wirelength,
             "iterations": routing.iterations,
+            "first_legal_iteration": routing.first_legal_iteration(),
+            "polished": routing.polished,
             "critical_ns": sta.critical_delay * 1e9,
             "fmax_mhz": sta.fmax() / 1e6,
             "nets_rerouted": routing.stats.iter().map(|r| r.worklist).sum::<usize>(),

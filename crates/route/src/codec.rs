@@ -66,6 +66,7 @@ pub fn route_result_from_bytes(bytes: &[u8]) -> CodecResult<RouteResult> {
         wirelength,
         stats: Vec::new(),
         probes: Vec::new(),
+        polished: false,
     })
 }
 
@@ -99,6 +100,7 @@ mod tests {
             wirelength: 2,
             stats: vec![crate::IterationStats::default()],
             probes: vec![(12, crate::Probe::Routed)],
+            polished: true,
         }
     }
 
@@ -113,6 +115,7 @@ mod tests {
         assert_eq!(back.channel_width, 12);
         assert!(back.stats.is_empty(), "run statistics are not serialized");
         assert!(back.probes.is_empty(), "search probes are not serialized");
+        assert!(!back.polished, "the polish record is not serialized");
     }
 
     #[test]

@@ -7,31 +7,22 @@
 //! cost accumulates on persistently overused nodes, and the loop ends
 //! when no node is shared.
 //!
-//! The iteration structure is batch-synchronous Gauss-Seidel: the
-//! worklist is cut into fixed-size batches in canonical net order, every
-//! net in a batch routes against the congestion state *frozen at batch
-//! start* (with its own previous tree's occupancy subtracted from its
-//! cost view), and the batch's trees are committed at a barrier in
-//! canonical net order before the next batch starts. Later batches
-//! therefore see earlier batches' rip-ups and new trees within the same
-//! iteration — the information flow that makes serial PathFinder
-//! converge — while the handful of nets inside one batch route blind to
-//! each other. After iteration 0, only nets whose trees touch an
-//! overused node are rerouted; once the routing is legal, a couple of
-//! full clean-up sweeps at frozen pressure reclaim the detour cost the
-//! congested stragglers absorbed (see `POLISH_SWEEPS` — incremental
-//! rip-up alone was measured notably worse on critical path). Batch
-//! boundaries are staggered per iteration so order-adjacent nets are not
-//! mutually blind forever, small worklists route serially to break
-//! negotiation standoffs, and small *designs* run fully classic — serial
-//! full sweeps, no jitter (see `SERIAL_WORKLIST`).
+//! The iteration structure is serial Gauss-Seidel, as in VPR: the
+//! worklist runs in canonical net order, every net routes against the
+//! live congestion (its own previous tree's occupancy subtracted from
+//! its cost view), and its new tree is committed before the next net
+//! starts, so each net sees every rip-up and every tree routed before
+//! it. After iteration 0, only nets whose trees touch an overused node
+//! are rerouted (incremental rip-up); once the routing is legal, a
+//! couple of full clean-up sweeps at frozen pressure reclaim the detour
+//! cost the congested stragglers absorbed (see `POLISH_SWEEPS` —
+//! incremental rip-up alone was measured notably worse on critical
+//! path). Small *designs* run fully classic — full sweeps, no jitter,
+//! no polish (see `SERIAL_WORKLIST`).
 //!
-//! Every net routes on one thread, one after another. The batches are
-//! not there for speed: they are the schedule, and the schedule decides
-//! every routed byte. Batch composition, each batch-start snapshot and
-//! the commit order are functions of canonical net order alone, and the
-//! search heap breaks cost ties by node id so results never depend on
-//! heap insertion order.
+//! The worklist and the commit order are functions of canonical net
+//! order alone, and the search heap breaks cost ties by node id, so
+//! results never depend on heap insertion order.
 //!
 //! Searches reuse one set of stamped labels and mark buffers instead of
 //! allocating per sink, which is where most of the serial router's time
@@ -132,6 +123,11 @@ pub struct RouteResult {
     /// at each; empty from a plain route. A record of the run like
     /// `stats`, and left out by the codec like it.
     pub probes: Vec<(usize, Probe)>,
+    /// Whether the routing shipped finished every polish sweep: false
+    /// when the iteration budget ran out mid-polish and the last legal
+    /// routing shipped instead. A record of the run like `stats`; a
+    /// decoded result reads false.
+    pub polished: bool,
 }
 
 /// What the min-W search did at one width.
@@ -156,6 +152,15 @@ impl Probe {
 }
 
 impl RouteResult {
+    /// The first iteration (1-based) whose routing was legal, read off
+    /// `stats`; `None` when no row was legal, or none was recorded.
+    pub fn first_legal_iteration(&self) -> Option<usize> {
+        self.stats
+            .iter()
+            .position(|r| r.overused == 0)
+            .map(|i| i + 1)
+    }
+
     /// Search effort summed over all iterations.
     pub fn search_totals(&self) -> SearchStats {
         let mut total = SearchStats::default();
@@ -423,11 +428,10 @@ type Tree = Vec<(RrNodeId, Option<RrNodeId>)>;
 
 /// Deterministic per-(net, node) cost jitter in `[0, JITTER_FAC)`.
 ///
-/// Nets inside one batch route against identical frozen congestion, so
-/// without a tie-breaker two symmetric nets fighting over a node can
-/// relocate in lockstep. A tiny multiplicative jitter keyed on
-/// `(net, node)` — never on iteration — makes their cost landscapes
-/// slightly different, so negotiation converges.
+/// Keyed on `(net, node)`, never on iteration, so two symmetric nets
+/// see slightly different cost landscapes. It was the tie-breaker of
+/// the blind batches the router once ran; it stays, with
+/// `H_FAC_JITTER`, until measured on its own (ROADMAP 19).
 const JITTER_FAC: f64 = 0.01;
 
 fn jitter(net_salt: u64, node: usize) -> f64 {
@@ -435,11 +439,9 @@ fn jitter(net_salt: u64, node: usize) -> f64 {
         * ((splitmix64(net_salt ^ node as u64) >> 11) as f64 * (1.0 / (1u64 << 53) as f64))
 }
 
-/// Iteration ceiling. Batch-synchronous Gauss-Seidel converges like the
-/// serial router (later batches see earlier batches' commits within an
-/// iteration); a third of headroom over the old serial ceiling of 30
-/// absorbs within-batch blindness on designs pinned near their minimum
-/// channel width.
+/// Iteration ceiling: the serial router's old 30 plus the third of
+/// headroom the blind batches once needed. It stays until measured on
+/// its own (ROADMAP 19).
 const MAX_ITERATIONS: usize = 40;
 
 /// The negotiation schedule: the present-congestion factor starts at
@@ -451,26 +453,12 @@ const PRES_FAC_FIRST: f64 = 0.5;
 const PRES_FAC_MULT: f64 = 1.8;
 const HIST_FAC: f64 = 0.4;
 
-/// Nets routed against one frozen snapshot between commit barriers. A
-/// constant, so batch composition and barrier placement are functions of
-/// the worklist alone. Small enough that congestion information still
-/// flows through an iteration nearly as fast as fully serial
-/// Gauss-Seidel.
-const NET_BATCH: usize = 32;
-
-/// Serial threshold, applied at two levels. A *design* with at most
-/// this many nets routes in classic mode throughout: full serial
-/// sweeps, no jitter, no polish — plain Gauss-Seidel PathFinder.
+/// A *design* with at most this many nets routes in classic mode
+/// throughout: full sweeps, no jitter, no polish — plain PathFinder.
 /// Convergence at *marginal* channel widths — exactly what
 /// `find_min_channel_width` probes on small designs — measurably
-/// degrades under both within-batch blindness and incremental rip-up
-/// (minimum widths came out 1–2 tracks worse). On bigger designs, an
-/// *iteration* whose worklist shrinks to this size goes serial (batch
-/// size 1): in the negotiation endgame the last few stragglers fighting
-/// over one node can swap resources in lockstep when routed blind
-/// inside one batch, while one-at-a-time each sees the others' commits
-/// and the standoff resolves. Both tests are functions of the design
-/// and the canonical worklist alone.
+/// degrades under incremental rip-up (minimum widths came out 1–2
+/// tracks worse). The test is a function of the design alone.
 const SERIAL_WORKLIST: usize = 512;
 
 /// After this many consecutive iterations without the overused-node
@@ -565,8 +553,8 @@ fn first_push_id() -> u32 {
     tests::FIRST_PUSH_ID.with(std::cell::Cell::get)
 }
 
-/// A*-grown route tree for one net against a frozen congestion
-/// snapshot, with the net's own previous tree subtracted from its view.
+/// A*-grown route tree for one net against the current congestion, with
+/// the net's own previous tree subtracted from its view.
 ///
 /// An input pin that is not a pending sink of this net is never relaxed.
 /// Such a pin could only ever be popped and dropped — a path cannot run
@@ -750,37 +738,6 @@ fn route_net(
     routed
 }
 
-/// Route one batch of nets against the frozen batch-start state. Results
-/// come back in worklist order; the caller commits them.
-#[allow(clippy::too_many_arguments)]
-fn route_batch(
-    g: &RrGraph,
-    endpoints: &[(NetId, RrNodeId, Vec<RrNodeId>)],
-    trees: &[Option<Tree>],
-    worklist: &[u32],
-    congestion: &[Congestion],
-    pres_fac: f64,
-    use_jitter: bool,
-    bufs: &mut SearchBuffers,
-) -> Vec<Option<Tree>> {
-    worklist
-        .iter()
-        .map(|&wi| {
-            let (net, source, sinks) = &endpoints[wi as usize];
-            route_net(
-                g,
-                use_jitter.then(|| splitmix64(0x7ac0_5e1f ^ net.0 as u64)),
-                *source,
-                sinks,
-                congestion,
-                trees[wi as usize].as_deref(),
-                pres_fac,
-                bufs,
-            )
-        })
-        .collect()
-}
-
 /// Route all nets of a placement on an RR graph (engine entry point).
 pub(crate) fn route_with(
     clustering: &Clustering,
@@ -792,7 +749,7 @@ pub(crate) fn route_with(
     let mut trees: Vec<Option<Tree>> = vec![None; endpoints.len()];
     let mut bufs = SearchBuffers::new(g.node_count());
 
-    let finish = |trees: &[Option<Tree>], iterations: usize, stats| -> RouteResult {
+    let finish = |trees: &[Option<Tree>], iterations: usize, stats, polished| -> RouteResult {
         let nets: Vec<RoutedNet> = endpoints
             .iter()
             .enumerate()
@@ -811,15 +768,16 @@ pub(crate) fn route_with(
             wirelength,
             stats,
             probes: Vec::new(),
+            polished,
         }
     };
 
-    // Small designs route in classic mode: full serial sweeps, no
-    // jitter. Their minimum channel width is itself a QoR metric (the
+    // Small designs route in classic mode: full sweeps, no jitter.
+    // Their minimum channel width is itself a QoR metric (the
     // binary-search experiment), and marginal-width convergence
-    // measurably degrades under both within-batch blindness and
-    // incremental rip-up — while costing nothing to run serially at
-    // this size. The mode is a function of the design alone.
+    // measurably degrades under incremental rip-up — while full sweeps
+    // cost little at this size. The mode is a function of the design
+    // alone.
     let classic = endpoints.len() <= SERIAL_WORKLIST;
 
     let mut pres_fac = PRES_FAC_FIRST;
@@ -848,57 +806,35 @@ pub(crate) fn route_with(
             } else {
                 congested
             };
-        // Batch-synchronous sweep: each fixed-size batch routes against
-        // the occupancy left by the batches before it, then commits at a
-        // barrier in canonical net order (see module docs). Small
-        // worklists run serially — classic Gauss-Seidel — which also
-        // breaks endgame standoffs on big designs: the last stragglers
-        // fighting over one node can swap resources in lockstep when
-        // routed blind inside one batch, while one-at-a-time each sees
-        // the others' commits.
-        let batch_size = if classic || worklist.len() <= SERIAL_WORKLIST {
-            1
-        } else {
-            NET_BATCH
-        };
-        let use_jitter = !classic;
-        // Stagger batch boundaries by iteration: with a fixed phase, two
-        // nets adjacent in canonical order share a batch — mutually
-        // blind — in *every* iteration, and can trade the same overused
-        // node forever. The stagger is a function of the iteration index
-        // only.
-        let lead = (iteration * 7 % batch_size).min(worklist.len());
-        let (head, tail) = worklist.split_at(lead);
-        let batches = std::iter::once(head)
-            .filter(|b| !b.is_empty())
-            .chain(tail.chunks(batch_size));
-        for batch in batches {
-            let results = route_batch(
+        // Serial Gauss-Seidel: each net routes against the live
+        // occupancy, its own old tree subtracted, and commits before the
+        // next net starts.
+        for &wi in &worklist {
+            let wi = wi as usize;
+            let (net, source, sinks) = &endpoints[wi];
+            let tree = route_net(
                 g,
-                &endpoints,
-                &trees,
-                batch,
+                (!classic).then(|| splitmix64(0x7ac0_5e1f ^ net.0 as u64)),
+                *source,
+                sinks,
                 &congestion,
+                trees[wi].as_deref(),
                 pres_fac,
-                use_jitter,
                 &mut bufs,
-            );
-            for (&wi, tree) in batch.iter().zip(results) {
-                let wi = wi as usize;
-                let tree = tree.ok_or_else(|| RouteError::NoPath {
-                    channel_width: g.channel_width(),
-                    net: clustering.netlist.net_name(endpoints[wi].0).to_string(),
-                })?;
-                if let Some(old) = trees[wi].take() {
-                    for (n, _) in &old {
-                        congestion[n.0 as usize].1 -= 1;
-                    }
+            )
+            .ok_or_else(|| RouteError::NoPath {
+                channel_width: g.channel_width(),
+                net: clustering.netlist.net_name(*net).to_string(),
+            })?;
+            if let Some(old) = trees[wi].take() {
+                for (n, _) in &old {
+                    congestion[n.0 as usize].1 -= 1;
                 }
-                for (n, _) in &tree {
-                    congestion[n.0 as usize].1 += 1;
-                }
-                trees[wi] = Some(tree);
             }
+            for (n, _) in &tree {
+                congestion[n.0 as usize].1 += 1;
+            }
+            trees[wi] = Some(tree);
         }
         // Congestion check: every node capacity is 1.
         let mut overused = 0usize;
@@ -915,7 +851,7 @@ pub(crate) fn route_with(
         });
         if overused == 0 {
             if polish_left == 0 {
-                return Ok(finish(&trees, iteration + 1, stats));
+                return Ok(finish(&trees, iteration + 1, stats, true));
             }
             // Legal but not yet polished: keep this routing as the
             // fallback, hold pressure steady, and run a clean-up sweep
@@ -935,7 +871,7 @@ pub(crate) fn route_with(
     if let Some((trees, iterations)) = last_legal {
         // The iteration budget ran out mid-polish; the pre-polish
         // routing was legal, so ship that.
-        return Ok(finish(&trees, iterations, stats));
+        return Ok(finish(&trees, iterations, stats, false));
     }
     let overused = congestion.iter().filter(|&&(_, occ)| occ > 1).count();
     Err(RouteError::Unroutable {

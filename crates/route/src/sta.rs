@@ -308,7 +308,7 @@ mod tests {
         assert!(sta.critical_delay < 100e-9);
     }
 
-    /// ROADMAP 1(a), kept on purpose until the first `FLOW_VERSION` roll:
+    /// ROADMAP 1(a), kept on purpose until its own `FLOW_VERSION` roll:
     /// an FF whose D net arrives over routing is charged `logic.local`
     /// only, and the routed delay of that last hop is dropped. When 1(a)
     /// is fixed this test fails; replace it with one that charges the hop.

@@ -215,7 +215,8 @@ awk -v mean="$WARM_MEAN_MS" 'BEGIN { exit !(mean < 40) }' \
 echo "==> leg 4: SIGKILL mid-job, replay on the peer lands warm remote hits"
 # Store node S4 holds the shared artifact tier (fronted by PGA); workers
 # A and B publish every finished stage there and stall 8 s the first
-# time they run route. Kill whichever worker holds the job mid-route:
+# time they run route. Kill whichever worker holds the job mid-route,
+# after S4 has stored the four stages before it:
 # the failover peer misses locally on every stage but is served warm
 # *remote* hits from S4 — and must still finish inside the client's
 # original 60 s deadline (which covers both nodes' 8 s stalls).
@@ -255,6 +256,14 @@ case "$BUSY4" in
     *:"$P7") VICTIM4=$B7; SURVIVOR=$P6 ;;
     *) echo "FAIL: unrecognized busy backend '$BUSY4'" >&2; exit 1 ;;
 esac
+# Kill only once S4 has stored synthesis, lut_map, pack and place (4
+# writes): the victim then sits in its route stall, and the survivor has
+# something to hit. Busy alone can come before the first publish.
+published4() {
+    "$FLOWC" --tcp "127.0.0.1:$PS4" metrics --text 2>/dev/null \
+        | awk '$1 == "flowd_store_writes_total" && $2 >= 4 { ok = 1 } END { exit !ok }'
+}
+wait_for published4
 echo "    busy backend $BUSY4 (pid $VICTIM4) — kill -9, survivor :$SURVIVOR"
 kill -9 "$VICTIM4"
 wait "$VICTIM4" 2>/dev/null || true

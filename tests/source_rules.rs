@@ -73,8 +73,8 @@ const RULES: &[Rule] = &[
     // Deleted duplicates and uncalled items stay deleted, from the docs too.
     Rule { name: "deleted items", scan: WHOLE, allowed: Nowhere, files: &["crates/**", "README.md", "DESIGN.md"],
         patterns: &["fn prune_dead", "netlist::stats", "clb_delay", "compile_vhdl_ctx", "compile_blif_ctx",
-            "compile_detailed", "tenant-weight", "FLOW_THREADS", "run_netlist_ctx"],
-        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry)" },
+            "compile_detailed", "tenant-weight", "FLOW_THREADS", "run_netlist_ctx", "NET_BATCH", "fn route_batch"],
+        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time)" },
     // Place and route run on one thread; a schedule decides the bytes, not a thread count.
     Rule { name: "one thread per compile", scan: NO_COMMENTS, allowed: Nowhere, patterns: &["thread::"],
         files: CAD,
@@ -330,4 +330,16 @@ fn the_scanner_reads_each_definition_as_written() {
     let code =
         "// thread::scope is gone\nstd::thread::scope(|s| f(s));\n#[cfg(test)]\nthread::spawn(f);";
     assert_eq!(run(&[("crates/place/src/sa.rs", code)]), want);
+
+    // A deleted item fails anywhere: in a doc, a comment or a test.
+    let want = [
+        "deleted items: crates/route/src/r.rs:2: fn route_batch() {}",
+        "deleted items: DESIGN.md:1: batches of `NET_BATCH` nets",
+    ];
+    let code = "#[cfg(test)]\nfn route_batch() {}";
+    let doc = "batches of `NET_BATCH` nets";
+    assert_eq!(
+        run(&[("crates/route/src/r.rs", code), ("DESIGN.md", doc)]),
+        want
+    );
 }
