@@ -520,7 +520,8 @@ impl DiffOutcome {
 }
 
 /// Compare `current` against `baseline`. Refuses mismatched schema
-/// versions; a design missing from `current` is a regression (rows are
+/// versions and reports that came through different front doors; a
+/// design missing from `current` is a regression (rows are
 /// append-only); every lower-is-better QoR metric is checked against
 /// the threshold.
 pub fn diff(baseline: &BenchReport, current: &BenchReport, th: &DiffThresholds) -> DiffOutcome {
@@ -529,6 +530,24 @@ pub fn diff(baseline: &BenchReport, current: &BenchReport, th: &DiffThresholds) 
         out.regressions.push(format!(
             "schema version mismatch: baseline v{}, current v{} (regenerate the baseline)",
             baseline.schema_version, current.schema_version
+        ));
+        return out;
+    }
+    // `--via-daemon` ships each design as BLIF, which reads back as SOP
+    // covers and maps differently (`rent_1k`: 1594 LUTs over the wire,
+    // 1373 in process), so rows from the two paths never compare.
+    if baseline.via_daemon != current.via_daemon {
+        let path = |via_daemon| {
+            if via_daemon {
+                "via a daemon"
+            } else {
+                "in process"
+            }
+        };
+        out.regressions.push(format!(
+            "front door mismatch: baseline ran {}, current ran {} (BLIF over the wire maps differently; compare like with like)",
+            path(baseline.via_daemon),
+            path(current.via_daemon)
         ));
         return out;
     }
@@ -812,6 +831,24 @@ mod tests {
         assert!(!out.passed());
         assert_eq!(out.compared, 0);
         assert!(out.regressions[0].contains("schema version"));
+    }
+
+    #[test]
+    fn front_door_mismatch_refuses_to_compare() {
+        let base = report(vec![row("a", 10.0, 5.0, 100)]);
+        let mut wire = base.clone();
+        wire.via_daemon = true;
+        for (b, c) in [(&base, &wire), (&wire, &base)] {
+            let out = diff(b, c, &DiffThresholds::default());
+            assert!(!out.passed());
+            assert_eq!(out.compared, 0);
+            assert_eq!(out.regressions.len(), 1);
+            assert!(out.regressions[0].contains("front door mismatch"));
+        }
+        // Two wire reports still compare.
+        let out = diff(&wire, &wire.clone(), &DiffThresholds::default());
+        assert!(out.passed());
+        assert_eq!(out.compared, 1);
     }
 
     #[test]

@@ -96,9 +96,6 @@ pub enum CacheOutcome {
     MemoryHit,
     /// Served from the durable [`DiskStore`] after a memory miss.
     DiskHit,
-    /// Served from a peer's store via the remote artifact tier
-    /// ([`RemoteTier`]) after both memory and disk missed.
-    RemoteHit,
 }
 
 impl CacheOutcome {
@@ -113,29 +110,20 @@ impl CacheOutcome {
             CacheOutcome::Computed => "computed",
             CacheOutcome::MemoryHit => "memory-hit",
             CacheOutcome::DiskHit => "disk-hit",
-            CacheOutcome::RemoteHit => "remote-hit",
         }
     }
 }
 
-/// A remote source of verified stage artifacts — the farm's shared
-/// artifact tier. The cache consults it only after memory *and* disk
-/// miss, and treats it as strictly best-effort: `fetch` returning `None`
-/// (not found, transport trouble, breaker open, corrupt transfer) simply
-/// falls through to a local recompute. Implementations must therefore be
-/// *bounded* — a fetch may be slow, but never unboundedly so — and must
-/// never panic; they own their own timeouts, retries, and breakers.
-///
-/// `fetch` returns the peer's raw on-disk entry bytes (the self-verifying
-/// [`DiskStore`] format); the cache re-verifies the digest before trusting
-/// a single byte. `publish` offers a locally computed entry to the tier;
-/// it is fire-and-forget.
+/// Where the cache offers each freshly computed entry: the farm's
+/// replication, which copies it into peers' durable stores so that a
+/// peer asked for the same stage later finds it on its own disk. The
+/// cache never reads from it — a stage is served from memory, from the
+/// local [`DiskStore`], or computed. `publish` receives the raw on-disk
+/// entry bytes (the self-verifying [`DiskStore`] format) and is
+/// fire-and-forget: an implementation must be bounded and must never
+/// panic; it owns its own timeouts and breaker.
 pub trait RemoteTier: Send + Sync {
-    /// Fetch the raw store entry for `key`, or `None` on any miss or
-    /// failure.
-    fn fetch(&self, stage: &'static str, key: &str, kind: &'static str) -> Option<Vec<u8>>;
-
-    /// Offer a freshly computed entry to the tier (best-effort).
+    /// Offer a freshly computed entry to the farm (best-effort).
     fn publish(&self, stage: &'static str, key: &str, kind: &'static str, raw: &[u8]);
 }
 
@@ -143,27 +131,24 @@ pub trait RemoteTier: Send + Sync {
 /// a clone of it is that stage's snapshot ([`StageCache::stats`]).
 /// `misses` counts actual computations, `hits` counts lookups served
 /// without computing — from a ready entry, from waiting out another
-/// job's in-flight computation, from a verified disk entry, or from a
-/// verified remote fetch. `disk_hits` and `remote_hits` attribute the
-/// subsets of `hits` that came from the durable store and the remote
-/// tier. `wall_nanos` accumulates compute time spent on misses.
+/// job's in-flight computation, or from a verified disk entry.
+/// `disk_hits` attributes the subset of `hits` that came from the
+/// durable store. `wall_nanos` accumulates compute time spent on misses.
 #[derive(Clone, Debug, Default)]
 pub struct StageStats {
     pub hits: Counter,
     pub misses: Counter,
     pub disk_hits: Counter,
-    pub remote_hits: Counter,
     pub wall_nanos: Counter,
 }
 
 impl StageStats {
     /// Hits served straight from the in-memory slot map: `hits` less the
-    /// two tier counts. Saturating, because a tier hit is two increments
-    /// and a snapshot can land between them, holding the tier count but
-    /// not yet the hit.
+    /// disk hits. Saturating, because a disk hit is two increments and a
+    /// snapshot can land between them, holding the disk count but not
+    /// yet the hit.
     pub fn memory_hits(&self) -> u64 {
-        let lower_tiers = self.disk_hits.get() + self.remote_hits.get();
-        self.hits.get().saturating_sub(lower_tiers)
+        self.hits.get().saturating_sub(self.disk_hits.get())
     }
 }
 
@@ -267,10 +252,9 @@ impl StageCache {
         self
     }
 
-    /// Attach a remote artifact tier: a miss that also misses disk asks
-    /// peers before computing, and computed artifacts are offered back.
-    /// Requires a store ([`StageCache::with_store`]) — remote bytes are
-    /// verified and installed through it, never trusted directly.
+    /// Attach the farm's replication: every computed entry is offered
+    /// to it once persisted. Requires a store ([`StageCache::with_store`])
+    /// — what is offered is the stored entry's bytes.
     pub fn with_remote(mut self, remote: Arc<dyn RemoteTier>) -> Self {
         self.remote = Some(remote);
         self
@@ -353,12 +337,12 @@ impl StageCache {
     /// contention) and remember its output. Returns the typed output, the
     /// stage metrics, and the [`CacheOutcome`] attribution of the lookup.
     ///
-    /// A memory miss first tries the attached [`DiskStore`], then the
-    /// remote tier. A verified, decodable entry from either counts as a
-    /// hit (the job skipped the computation — that is what the counter
-    /// means); a corrupt or undecodable one is quarantined and the stage
-    /// recomputes, so a bad entry can never fail a job. Computed
-    /// artifacts are persisted best-effort before being published to
+    /// A memory miss first tries the attached [`DiskStore`]. A verified,
+    /// decodable entry counts as a hit (the job skipped the computation —
+    /// that is what the counter means); a corrupt or undecodable one is
+    /// quarantined and the stage recomputes, so a bad entry can never
+    /// fail a job. Computed artifacts are persisted best-effort, and
+    /// offered to the farm's replication, before being published to
     /// memory.
     ///
     /// Failed computations are not cached: the in-flight marker is
@@ -380,27 +364,9 @@ impl StageCache {
         };
 
         if let Some(store) = &self.store {
-            // Disk first, then the remote tier, if one is attached. Every
-            // failure mode — no peer has it, transport trouble, corrupt
-            // bytes (`load` and `admit_raw` quarantine them), undecodable
-            // payload — falls through to the next tier and finally to a
-            // local recompute; the remote tier can slow a job down by one
-            // bounded fetch, never fail it.
-            let c = &self.counters[stage.index()];
-            for outcome in [CacheOutcome::DiskHit, CacheOutcome::RemoteHit] {
-                let (stored, tier_hits) = match outcome {
-                    CacheOutcome::DiskHit => (store.load(stage, key, T::KIND).ok(), &c.disk_hits),
-                    _ => (
-                        self.remote
-                            .as_ref()
-                            .and_then(|remote| remote.fetch(stage.name(), key, T::KIND))
-                            .and_then(|raw| store.admit_raw(stage, key, T::KIND, &raw).ok()),
-                        &c.remote_hits,
-                    ),
-                };
-                let Some((payload, metrics_text)) = stored else {
-                    continue;
-                };
+            // Corrupt bytes (`load` quarantines them) and an undecodable
+            // payload both fall through to a local recompute.
+            if let Ok((payload, metrics_text)) = store.load(stage, key, T::KIND) {
                 match T::from_bytes(&payload) {
                     Ok(value) => {
                         let metrics = serde_json::from_str::<Value>(&metrics_text)
@@ -410,9 +376,10 @@ impl StageCache {
                             Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
                             metrics.clone(),
                         );
+                        let c = &self.counters[stage.index()];
                         c.hits.inc();
-                        tier_hits.inc();
-                        return Ok((value, metrics, outcome));
+                        c.disk_hits.inc();
+                        return Ok((value, metrics, CacheOutcome::DiskHit));
                     }
                     Err(e) => {
                         // Structurally sound in the store but semantically
@@ -431,10 +398,10 @@ impl StageCache {
                     .put(stage, key, T::KIND, &metrics_text, &value.to_bytes())
                     .is_ok()
                 {
-                    // Offer the freshly persisted entry to the farm so a
-                    // peer that inherits this job's keys finds them warm.
-                    // Reading the entry back hands the tier the exact
-                    // self-verifying bytes a fetcher would re-check.
+                    // Offer the freshly persisted entry to the farm, so a
+                    // peer that inherits this job's keys finds them on its
+                    // own disk. Reading the entry back hands the farm the
+                    // exact self-verifying bytes a receiver re-checks.
                     if let Some(remote) = &self.remote {
                         if let Some(raw) = store.raw_entry(stage, key, T::KIND) {
                             remote.publish(stage.name(), key, T::KIND, &raw);
@@ -540,7 +507,6 @@ impl StageCache {
                     "hits": s.hits.get(),
                     "misses": s.misses.get(),
                     "disk_hits": s.disk_hits.get(),
-                    "remote_hits": s.remote_hits.get(),
                     "wall_ms": s.wall_nanos.get() / 1_000_000,
                 }),
             );
@@ -924,133 +890,46 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    /// An in-memory [`RemoteTier`] for tests: a shared map of raw entry
-    /// bytes, optionally corrupting everything it serves.
-    struct MapTier {
-        entries: Mutex<HashMap<String, Vec<u8>>>,
-        corrupt: bool,
-    }
+    /// A [`RemoteTier`] that records every entry it is offered.
+    #[derive(Default)]
+    struct Offered(Mutex<Vec<(String, Vec<u8>)>>);
 
-    impl MapTier {
-        fn new(corrupt: bool) -> Arc<Self> {
-            Arc::new(MapTier {
-                entries: Mutex::new(HashMap::new()),
-                corrupt,
-            })
-        }
-    }
-
-    impl RemoteTier for MapTier {
-        fn fetch(&self, _stage: &'static str, key: &str, _kind: &'static str) -> Option<Vec<u8>> {
-            let mut raw = self.entries.lock().unwrap().get(key).cloned()?;
-            if self.corrupt {
-                raw[0] ^= 0xff;
-            }
-            Some(raw)
-        }
-
+    impl RemoteTier for Offered {
         fn publish(&self, _stage: &'static str, key: &str, _kind: &'static str, raw: &[u8]) {
-            self.entries
-                .lock()
-                .unwrap()
-                .insert(key.to_string(), raw.to_vec());
+            self.0.lock().unwrap().push((key.to_string(), raw.to_vec()));
         }
     }
 
     #[test]
-    fn remote_tier_serves_published_entries_as_remote_hits() {
-        let root_a = std::env::temp_dir().join(format!(
-            "ifdf-cache-remote-a-{}-{:?}",
+    fn computed_entries_are_offered_to_the_farm_and_hits_are_not() {
+        let root = std::env::temp_dir().join(format!(
+            "ifdf-cache-offered-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
-        let root_b = std::env::temp_dir().join(format!(
-            "ifdf-cache-remote-b-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&root_a);
-        let _ = std::fs::remove_dir_all(&root_b);
-        let tier = MapTier::new(false);
-        let key = stage_key(StageId::Verify, &["remote"]);
-
-        // Node A computes; the artifact is published to the tier.
-        let store_a = Arc::new(DiskStore::open(&root_a, None).unwrap());
-        let cache_a = StageCache::new()
-            .with_store(store_a)
-            .with_remote(Arc::clone(&tier) as Arc<dyn RemoteTier>);
-        let (_, _, outcome) = cache_a
-            .get_or_compute_artifact(StageId::Verify, &key, || {
-                Ok(((), serde_json::json!({"ok": true})))
-            })
-            .unwrap();
-        assert_eq!(outcome, CacheOutcome::Computed);
-        assert_eq!(tier.entries.lock().unwrap().len(), 1, "publish happened");
-
-        // Node B (fresh memory, fresh disk) is served remotely, no
-        // recompute; the fetched entry is installed in B's own store.
-        let store_b = Arc::new(DiskStore::open(&root_b, None).unwrap());
-        let cache_b = StageCache::new()
-            .with_store(Arc::clone(&store_b))
-            .with_remote(Arc::clone(&tier) as Arc<dyn RemoteTier>);
-        let (_, metrics, outcome) = cache_b
+        let _ = std::fs::remove_dir_all(&root);
+        let store = Arc::new(DiskStore::open(&root, None).unwrap());
+        let offered = Arc::new(Offered::default());
+        let cache = || {
+            StageCache::new()
+                .with_store(Arc::clone(&store))
+                .with_remote(Arc::clone(&offered) as Arc<dyn RemoteTier>)
+        };
+        let key = stage_key(StageId::Verify, &["offered"]);
+        let warm = cache();
+        for want in [CacheOutcome::Computed, CacheOutcome::MemoryHit] {
+            let (_, _, outcome) = warm
+                .get_or_compute_artifact(StageId::Verify, &key, || Ok(((), Value::Null)))
+                .unwrap();
+            assert_eq!(outcome, want);
+        }
+        let (_, _, outcome) = cache()
             .get_or_compute_artifact::<()>(StageId::Verify, &key, || panic!("must not recompute"))
             .unwrap();
-        assert_eq!(outcome, CacheOutcome::RemoteHit);
-        assert_eq!(metrics["ok"], serde_json::json!(true));
-        let s = cache_b.stats(StageId::Verify);
-        assert_eq!(
-            (s.hits.get(), s.remote_hits.get(), s.memory_hits()),
-            (1, 1, 0)
-        );
-        assert_eq!(store_b.len(), 1, "remote hit installed locally");
-        std::fs::remove_dir_all(&root_a).unwrap();
-        std::fs::remove_dir_all(&root_b).unwrap();
-    }
-
-    #[test]
-    fn corrupt_remote_transfer_is_quarantined_and_recomputed() {
-        let root_a = std::env::temp_dir().join(format!(
-            "ifdf-cache-remote-rot-a-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let root_b = std::env::temp_dir().join(format!(
-            "ifdf-cache-remote-rot-b-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&root_a);
-        let _ = std::fs::remove_dir_all(&root_b);
-        let tier = MapTier::new(true); // serves flipped bytes
-        let key = stage_key(StageId::Verify, &["remote-rot"]);
-
-        let store_a = Arc::new(DiskStore::open(&root_a, None).unwrap());
-        let cache_a = StageCache::new()
-            .with_store(store_a)
-            .with_remote(Arc::clone(&tier) as Arc<dyn RemoteTier>);
-        cache_a
-            .get_or_compute_artifact(StageId::Verify, &key, || Ok(((), Value::Null)))
-            .unwrap();
-
-        let store_b = Arc::new(DiskStore::open(&root_b, None).unwrap());
-        let cache_b = StageCache::new()
-            .with_store(Arc::clone(&store_b))
-            .with_remote(Arc::clone(&tier) as Arc<dyn RemoteTier>);
-        let (_, _, outcome) = cache_b
-            .get_or_compute_artifact(StageId::Verify, &key, || Ok(((), Value::Null)))
-            .unwrap();
-        assert_eq!(
-            outcome,
-            CacheOutcome::Computed,
-            "corrupt transfer degrades to recompute, never an error"
-        );
-        assert_eq!(
-            store_b.counters().quarantined,
-            1,
-            "corrupt bytes were quarantined as evidence"
-        );
-        std::fs::remove_dir_all(&root_a).unwrap();
-        std::fs::remove_dir_all(&root_b).unwrap();
+        assert_eq!(outcome, CacheOutcome::DiskHit);
+        // One offer, of the exact self-verifying bytes the store holds.
+        let raw = store.raw_entry(StageId::Verify, &key, "verified").unwrap();
+        assert_eq!(*offered.0.lock().unwrap(), [(key.clone(), raw)]);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

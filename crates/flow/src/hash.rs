@@ -282,7 +282,7 @@ const NIBBLE: [u8; 256] = {
 };
 
 /// Inverse of [`to_hex`]: exactly pairs of `[0-9a-fA-F]`. The input is a
-/// peer's (`artifact_put.data_hex`, a gateway's `artifact` reply), so
+/// peer's (`artifact_put.data_hex`, a `done` event's `bitstream_hex`), so
 /// anything else — a sign, a non-ASCII character — is an `Err`, never a
 /// panic.
 pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {

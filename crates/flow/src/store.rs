@@ -463,7 +463,7 @@ impl DiskStore {
     }
 
     /// Read the raw, self-verifying entry bytes for `key` — the exact
-    /// payload the remote artifact tier ships between nodes. The entry
+    /// payload the farm's replication ships between nodes. The entry
     /// is re-verified before it is served: a corrupt entry is
     /// quarantined and reported as `None`, so a node can never hand a
     /// peer bytes it would not trust itself.
@@ -577,9 +577,8 @@ impl DiskStore {
 /// Verify a raw entry against what the caller expects: magic, header and
 /// flow versions, stage, key, kind, and the recomputed payload digest
 /// must all match. Pure so it can be tested without touching a
-/// filesystem — and public so the remote artifact tier can re-verify
-/// fetched bytes before trusting them.
-pub fn verify_entry(
+/// filesystem.
+fn verify_entry(
     raw: &[u8],
     stage: StageId,
     key: &str,

@@ -9,8 +9,8 @@
 //! from the durable disk store, stopped by an injected fault, cancelled,
 //! or failed. Inside the span, discrete timestamped [`TraceEvent`]s mark
 //! the lifecycle: `start`, the cache attribution
-//! (`cache-memory-hit` / `cache-disk-hit` / `cache-remote-hit` /
-//! `compute`), `fault` when an injected fault fired, and `finish`.
+//! (`cache-memory-hit` / `cache-disk-hit` / `compute`), `fault` when an
+//! injected fault fired, and `finish`.
 //!
 //! Timing is monotonic ([`Instant`]), measured in microseconds from the
 //! log's epoch (its creation), so spans from one job order and nest
@@ -45,8 +45,6 @@ pub enum SpanOutcome {
     MemoryHit,
     /// Served from the durable disk store.
     DiskHit,
-    /// Served from a peer's store via the remote artifact tier.
-    RemoteHit,
     /// An injected fault stopped the stage.
     Fault,
     /// Cancellation (explicit or deadline) stopped the stage.
@@ -63,7 +61,6 @@ impl SpanOutcome {
             SpanOutcome::Computed => "computed",
             SpanOutcome::MemoryHit => "memory-hit",
             SpanOutcome::DiskHit => "disk-hit",
-            SpanOutcome::RemoteHit => "remote-hit",
             SpanOutcome::Fault => "fault",
             SpanOutcome::Cancelled => "cancelled",
             SpanOutcome::Error => "error",
@@ -87,7 +84,6 @@ impl SpanOutcome {
             SpanOutcome::Computed => Some("compute"),
             SpanOutcome::MemoryHit => Some("cache-memory-hit"),
             SpanOutcome::DiskHit => Some("cache-disk-hit"),
-            SpanOutcome::RemoteHit => Some("cache-remote-hit"),
             SpanOutcome::Fault => Some("fault"),
             SpanOutcome::Cancelled => Some("cancel"),
             SpanOutcome::Error => Some("error"),
@@ -102,7 +98,6 @@ impl From<crate::cache::CacheOutcome> for SpanOutcome {
             crate::cache::CacheOutcome::Computed => SpanOutcome::Computed,
             crate::cache::CacheOutcome::MemoryHit => SpanOutcome::MemoryHit,
             crate::cache::CacheOutcome::DiskHit => SpanOutcome::DiskHit,
-            crate::cache::CacheOutcome::RemoteHit => SpanOutcome::RemoteHit,
         }
     }
 }
@@ -113,7 +108,7 @@ pub struct TraceEvent {
     /// Microseconds since the log's epoch.
     pub at_us: u64,
     /// `start`, `compute`, `cache-memory-hit`, `cache-disk-hit`,
-    /// `cache-remote-hit`, `fault`, `cancel`, `error`, or `finish`.
+    /// `fault`, `cancel`, `error`, or `finish`.
     pub kind: String,
 }
 

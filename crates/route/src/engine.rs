@@ -4,9 +4,9 @@
 //! bench harness consume routers through the [`RouteEngine`] trait so
 //! alternative engines (a greedy pattern router, a timing-driven
 //! PathFinder, ...) can be slotted in later. [`PathFinderRouter`] is the
-//! production engine: negotiation-based iterations with batch-synchronous
-//! commits, on one thread (see the `pathfinder` module docs for the
-//! schedule).
+//! production engine: serial PathFinder, each net routed against live
+//! congestion and committed before the next, on one thread (see the
+//! `pathfinder` module docs for the schedule).
 
 use fpga_pack::Clustering;
 use fpga_place::Placement;
@@ -115,8 +115,8 @@ fn width_dependent(e: &RouteError) -> bool {
     matches!(e, RouteError::Unroutable { .. } | RouteError::NoPath { .. })
 }
 
-/// The PathFinder negotiated-congestion router with deterministic
-/// batch-barrier commits.
+/// The serial PathFinder negotiated-congestion router: nets route one
+/// at a time in canonical order, each committed before the next.
 #[derive(Clone, Debug, Default)]
 pub struct PathFinderRouter;
 

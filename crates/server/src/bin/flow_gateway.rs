@@ -20,7 +20,6 @@ usage:
                [--tenant-burst N] [--tenant-rate N]
                [--retry-after DUR] [--idle-timeout DUR]
                [--max-line SIZE] [--max-conns N]
-               [--corrupt-artifacts]
   flow-gateway --help | --version
 
 routing:
@@ -29,7 +28,8 @@ routing:
                         hashing), so resubmissions of a design reuse the
                         backend that already holds its cached stages;
                         while that backend is busy an idle peer takes
-                        the job and warms it through the artifact tier
+                        the job, serving what replication put on its
+                        disk and computing the rest
   --health-interval DUR ping each backend this often (default 500ms)
   --probe-timeout DUR   connect/probe timeout (default 1s)
   --breaker-failures N  consecutive failures that trip a backend's
@@ -38,9 +38,6 @@ routing:
                         half-opens; actual adds up to 50% jitter
                         (default 5s)
   --jitter-seed N       pin breaker jitter for deterministic chaos runs
-  --corrupt-artifacts   test-only: flip one hex digit in every artifact
-                        payload served, to exercise the digest-verified
-                        quarantine path; never set in production
 
 admission (per-tenant fair share; tenant = request's `tenant` field,
 defaulting to \"anon\"):
@@ -141,14 +138,10 @@ fn main() {
     if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flow-gateway", "max-conns") {
         config.max_connections = n as usize;
     }
-    if args.flags.iter().any(|f| f == "corrupt-artifacts") {
-        config.corrupt_artifacts = true;
-    }
 
     let backends = config.backends.clone();
     let gov = config.governor.clone();
     let (threshold, reopen) = (config.breaker_threshold, config.breaker_reopen_ms);
-    let corrupt = config.corrupt_artifacts;
     let mut gateway = match Gateway::start(config) {
         Ok(g) => g,
         Err(e) => cli::die("flow-gateway", e),
@@ -168,10 +161,7 @@ fn main() {
         gov.tenant_burst,
         gov.tenant_refill_milli_per_s / 1_000
     );
-    eprintln!("flow-gateway artifact tier: serving peer fetches, stealing for idle backends");
-    if corrupt {
-        eprintln!("flow-gateway CORRUPTING ARTIFACT TRANSFERS (test mode)");
-    }
+    eprintln!("flow-gateway replication: copying published stages to two backends");
     gateway.wait();
     eprintln!("flow-gateway stopped");
 }

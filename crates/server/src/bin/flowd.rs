@@ -50,12 +50,12 @@ durations (DUR) take 250 / 250ms / 30s / 5m / 1h; sizes (SIZE) take
 disables that guard.
 
   --artifact-gateway HOST:PORT
-                   fetch missing stage artifacts from farm peers through
-                   this gateway before recomputing (needs --cache-dir);
-                   best-effort — any remote failure degrades to local
-                   recompute within the job's deadline
+                   publish every computed stage through this gateway,
+                   which copies it into two backends' stores (needs
+                   --cache-dir); the daemon never fetches, and a
+                   publish failure never fails a job
   --artifact-timeout DUR
-                   per-fetch timeout for the artifact tier (default 1s)
+                   per-publish timeout (default 1s)
   --metrics-dump   after a graceful shutdown, print the final metrics
                    snapshot (Prometheus text exposition) to stdout
   --fault SPEC     test-only deterministic fault injection,
@@ -224,10 +224,10 @@ fn main() {
     }
     match &config.artifact_gateway {
         Some(gw) => eprintln!(
-            "flowd artifact tier: fetch via {} (timeout {} ms, best-effort)",
+            "flowd replication: publish via {} (timeout {} ms, best-effort)",
             gw, config.artifact_timeout_ms
         ),
-        None => eprintln!("flowd artifact tier: off (local cache only)"),
+        None => eprintln!("flowd replication: off (local cache only)"),
     }
     if config.fault.is_some() {
         eprintln!("flowd FAULT INJECTION ACTIVE (test mode)");

@@ -185,7 +185,7 @@ impl CircuitBreaker {
 }
 
 /// The server crate's one jitter PRNG (breaker reopen, client retry
-/// backoff, artifact-tier backoff): xorshift64 — enough randomness to
+/// backoff): xorshift64 — enough randomness to
 /// de-synchronize retrying peers, dependency-free, and fully
 /// deterministic under a fixed seed.
 pub(crate) fn xorshift64(state: &mut u64) -> u64 {
@@ -193,9 +193,9 @@ pub(crate) fn xorshift64(state: &mut u64) -> u64 {
     fpga_netlist::mix::xorshift64(state)
 }
 
-/// One step of the crate's jittered exponential backoff (client retries,
-/// artifact-tier fetches): a draw over `[window/2, window]` from `rng`,
-/// after which `window` doubles up to `cap_ms`.
+/// One step of the crate's jittered exponential backoff (client
+/// retries): a draw over `[window/2, window]` from `rng`, after which
+/// `window` doubles up to `cap_ms`.
 pub(crate) fn backoff_step(window_ms: &mut u64, cap_ms: u64, rng: &mut u64) -> u64 {
     let window = *window_ms;
     *window_ms = (window * 2).min(cap_ms);

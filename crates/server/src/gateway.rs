@@ -27,7 +27,7 @@
 //!
 //! The gateway speaks the same typed protocol as `flowd` (`ping`,
 //! `status`, `metrics`, `stats`, `compile`, `lint`, `verify`,
-//! `shutdown`, and the artifact verbs), so
+//! `shutdown`, and `artifact_put`), so
 //! `flowc` and `qor_bench --via-daemon` work against either unchanged.
 
 use std::io::BufReader;
@@ -78,9 +78,6 @@ pub struct GatewayConfig {
     pub idle_timeout_ms: Option<u64>,
     pub max_line_bytes: usize,
     pub max_connections: usize,
-    /// Chaos hook: flip one byte of every artifact payload served
-    /// through the gateway, so receivers must quarantine and recompute.
-    pub corrupt_artifacts: bool,
 }
 
 impl Default for GatewayConfig {
@@ -97,7 +94,6 @@ impl Default for GatewayConfig {
             idle_timeout_ms: Some(300_000),
             max_line_bytes: 8 * 1024 * 1024,
             max_connections: 256,
-            corrupt_artifacts: false,
         }
     }
 }
@@ -141,8 +137,8 @@ pub fn affinity_key(kind: &str, req: &CompileRequest) -> String {
 struct Backend {
     addr: String,
     breaker: Mutex<CircuitBreaker>,
-    /// Separate breaker for artifact fetch/put exchanges: a flaky
-    /// artifact path must never stop job routing, and vice versa.
+    /// Separate breaker for `artifact_put` replication: a flaky
+    /// replication path must never stop job routing, and vice versa.
     fetch_breaker: Mutex<CircuitBreaker>,
     /// Last health probe succeeded.
     probe_ok: AtomicBool,
@@ -218,10 +214,9 @@ impl Shared {
             };
             let cache = &body["cache"];
             let get = |k: &str| cache[k].as_u64().unwrap_or(0);
-            let (disk_hits, remote_hits) = (get("disk_hits"), get("remote_hits"));
-            total.hits.add(get("memory_hits") + disk_hits + remote_hits);
+            let disk_hits = get("disk_hits");
+            total.hits.add(get("memory_hits") + disk_hits);
             total.disk_hits.add(disk_hits);
-            total.remote_hits.add(remote_hits);
             total.misses.add(get("misses"));
         }
         any.then_some(total)
@@ -259,10 +254,6 @@ impl Node for Shared {
 
     fn submit(&self, kind: JobKind, req: CompileRequest, writer: &mut net::Stream) -> bool {
         handle_job(kind, req, self, writer)
-    }
-
-    fn artifact_get(&self, stage: &str, key: &str, kind: &str) -> Event {
-        handle_artifact_get(self, stage, key, kind)
     }
 
     fn artifact_put(&self, stage: &str, key: &str, kind: &str, data_hex: &str) -> Event {
@@ -422,86 +413,14 @@ fn health_loop(shared: &Shared) {
     }
 }
 
-/// The artifact verbs' peer walk: offer `req` to `key`'s affinity peers,
-/// best-ranked first, skipping any whose fetch breaker is open. `reply`
-/// gets each peer's answer — `None` when the exchange failed — and says
-/// whether to go on to the next peer. Any well-formed answer counts as
-/// a live backend: a version-4 daemon's "unknown cmd" error is just a
-/// miss.
-fn walk_peers(
-    shared: &Shared,
-    key: &str,
-    req: &Request,
-    mut reply: impl FnMut(Option<Event>) -> bool,
-) {
-    let timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
-    for &i in &affinity_order(key, &shared.config.backends) {
-        let backend = &shared.backends[i];
-        if !lock(&backend.fetch_breaker).allow(shared.clock.now_ms()) {
-            continue;
-        }
-        let body = net::exchange(&backend.addr, req, timeout, shared.config.max_line_bytes).ok();
-        match body {
-            Some(_) => lock(&backend.fetch_breaker).on_success(),
-            None => lock(&backend.fetch_breaker).on_failure(shared.clock.now_ms()),
-        }
-        if !reply(body) {
-            return;
-        }
-    }
-}
-
-/// Serve an `artifact_get` from the first peer that holds the entry.
-/// Every failure mode — no backend, breaker open, exchange error, peer
-/// without the entry — collapses to a `hit=false` reply; the requesting
-/// daemon then recomputes locally, never errors.
-fn handle_artifact_get(shared: &Shared, stage: &str, key: &str, kind: &str) -> Event {
-    let counters = &shared.artifacts;
-    counters.gets.inc();
-    let req = Request::ArtifactGet {
-        stage: stage.to_string(),
-        key: key.to_string(),
-        kind: kind.to_string(),
-    };
-    let mut data_hex: Option<String> = None;
-    walk_peers(shared, key, &req, |body| {
-        match body {
-            Some(Event::Artifact {
-                hit: true,
-                data_hex: hex,
-                ..
-            }) => data_hex = hex,
-            Some(_) => {}
-            None => counters.fetch_failures.inc(),
-        }
-        data_hex.is_none()
-    });
-    match &mut data_hex {
-        Some(data_hex) => {
-            if shared.config.corrupt_artifacts {
-                corrupt_hex(data_hex);
-                counters.corrupted.inc();
-            }
-            counters.hits.inc();
-            counters.bytes_served.add((data_hex.len() / 2) as u64);
-        }
-        None => counters.misses.inc(),
-    }
-    Event::Artifact {
-        stage: stage.to_string(),
-        key: key.to_string(),
-        hit: data_hex.is_some(),
-        data_hex,
-    }
-}
-
 /// Replicas an `artifact_put` fans out to: two affinity peers, so the
-/// entry survives one node's SIGKILL and the next fetch for it still
-/// lands warm.
+/// entry survives one node's SIGKILL and a peer that later runs the
+/// same stage finds it on its own disk.
 const PUT_REPLICAS: usize = 2;
 
 /// Serve an `artifact_put` by replicating to the first
-/// [`PUT_REPLICAS`] fetch-breaker-admitted peers in affinity order.
+/// [`PUT_REPLICAS`] fetch-breaker-admitted peers in affinity order of
+/// the entry's key. Any well-formed answer counts as a live backend.
 /// Best-effort: the ack reports whether *any* replica stored it, and
 /// the publishing daemon ignores even that — publish failures only
 /// show in counters.
@@ -521,30 +440,35 @@ fn handle_artifact_put(
         kind: kind.to_string(),
         data_hex: data_hex.to_string(),
     };
+    let timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
     let mut stored = 0usize;
     let mut attempted = 0usize;
-    walk_peers(shared, key, &req, |body| {
-        match body {
-            Some(Event::ArtifactAck { stored: true, .. }) => stored += 1,
-            _ => counters.put_failures.inc(),
+    for &i in &affinity_order(key, &shared.config.backends) {
+        if attempted == PUT_REPLICAS {
+            break;
+        }
+        let backend = &shared.backends[i];
+        if !lock(&backend.fetch_breaker).allow(shared.clock.now_ms()) {
+            continue;
         }
         attempted += 1;
-        attempted < PUT_REPLICAS
-    });
+        match net::exchange(&backend.addr, &req, timeout, shared.config.max_line_bytes) {
+            Ok(reply) => {
+                lock(&backend.fetch_breaker).on_success();
+                match reply {
+                    Event::ArtifactAck { stored: true, .. } => stored += 1,
+                    _ => counters.put_failures.inc(),
+                }
+            }
+            Err(_) => {
+                lock(&backend.fetch_breaker).on_failure(shared.clock.now_ms());
+                counters.put_failures.inc();
+            }
+        }
+    }
     Event::ArtifactAck {
         stored: stored > 0,
         message: (stored == 0).then(|| "no backend stored the artifact".to_string()),
-    }
-}
-
-/// Flip the payload's first byte while keeping the hex well-formed, so
-/// the receiver's digest verification — not its hex decoder — is what
-/// catches the corruption.
-fn corrupt_hex(s: &mut String) {
-    if s.starts_with('0') {
-        s.replace_range(0..1, "1");
-    } else if !s.is_empty() {
-        s.replace_range(0..1, "0");
     }
 }
 
@@ -664,10 +588,11 @@ fn handle_job(
             .copied()
             .find(|&i| !tried[i] && lock(&shared.backends[i].breaker).allow(now));
         // Work stealing: when the affinity pick is busy and a peer sits
-        // idle, route there — its cold stage prefix is one remote fetch
-        // away, cheaper than queueing behind the busy node. Only fully
-        // closed breakers take part, so a half-open probe slot granted
-        // by `allow` above is never abandoned unanswered.
+        // idle, route there rather than queue behind the busy node; the
+        // peer serves what replication put on its disk and computes the
+        // rest. Only fully closed breakers take part, so a half-open
+        // probe slot granted by `allow` above is never abandoned
+        // unanswered.
         let pick = pick.map(|best| {
             if shared.backends[best].in_flight.load(Ordering::Relaxed) > 0
                 && lock(&shared.backends[best].breaker).state() == BreakerState::Closed

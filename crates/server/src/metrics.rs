@@ -328,11 +328,6 @@ const STORE_EVICTED: Family = counter("flowd_store_evicted_total", None);
 const STORE_WRITES: Family = counter("flowd_store_writes_total", None);
 const STORE_WRITE_ERRORS: Family = counter("flowd_store_write_errors_total", None);
 const STORE_SCRUBBED: Family = counter("flowd_store_scrubbed_total", None);
-const REMOTE_FETCH: Family = counter(
-    "flowd_remote_fetch_total",
-    Some("Remote artifact fetches by result."),
-);
-const REMOTE_BYTES_FETCHED: Family = counter("flowd_remote_bytes_fetched_total", None);
 const REMOTE_PUBLISH: Family = counter("flowd_remote_publish_total", None);
 const REMOTE_BREAKER_STATE: Family = gauge(
     "flowd_remote_breaker_state",
@@ -350,7 +345,7 @@ const JOB_DURATION: Family = family(
 );
 const UNKNOWN_STAGE_EVENTS: Family = counter("flowd_unknown_stage_events_total", None);
 
-const FLOWD_FAMILIES: [Family; 24] = [
+const FLOWD_FAMILIES: [Family; 22] = [
     JOBS,
     QUEUE_DEPTH,
     QUEUE_DEPTH_PEAK,
@@ -368,8 +363,6 @@ const FLOWD_FAMILIES: [Family; 24] = [
     STORE_WRITES,
     STORE_WRITE_ERRORS,
     STORE_SCRUBBED,
-    REMOTE_FETCH,
-    REMOTE_BYTES_FETCHED,
     REMOTE_PUBLISH,
     REMOTE_BREAKER_STATE,
     STAGE_DURATION,
@@ -421,23 +414,15 @@ const GW_ARTIFACT_REQUESTS: Family = counter(
     "flowgw_artifact_requests_total",
     Some("Artifact verbs received from daemons."),
 );
-const GW_ARTIFACT_GETS: Family = counter(
-    "flowgw_artifact_gets_total",
-    Some("Artifact gets by result (failures degrade to misses downstream)."),
-);
 const GW_ARTIFACT_PUT_FAILURES: Family = counter("flowgw_artifact_put_failures_total", None);
 const GW_ARTIFACT_BYTES: Family = counter("flowgw_artifact_bytes_total", None);
-const GW_ARTIFACT_CORRUPTED: Family = counter(
-    "flowgw_artifact_corrupted_total",
-    Some("Payloads corrupted by the chaos hook."),
-);
 const GW_CACHE_HITS: Family = counter(
     "flowgw_cache_hits_total",
     Some("Backend stage-cache hits by tier (aggregated)."),
 );
 const GW_CACHE_MISSES: Family = counter("flowgw_cache_misses_total", None);
 
-const FLOWGW_FAMILIES: [Family; 22] = [
+const FLOWGW_FAMILIES: [Family; 20] = [
     GW_JOBS,
     GW_JOB_DURATION,
     GW_BACKEND_REQUESTS,
@@ -454,10 +439,8 @@ const FLOWGW_FAMILIES: [Family; 22] = [
     GW_ADMISSION_INFLIGHT,
     GW_ADMISSION_QUEUED,
     GW_ARTIFACT_REQUESTS,
-    GW_ARTIFACT_GETS,
     GW_ARTIFACT_PUT_FAILURES,
     GW_ARTIFACT_BYTES,
-    GW_ARTIFACT_CORRUPTED,
     GW_CACHE_HITS,
     GW_CACHE_MISSES,
 ];
@@ -578,11 +561,7 @@ impl Exposition {
 
     /// The stage-cache view both roles expose: hits by tier, and misses.
     fn cache_tiers(&mut self, hits: &Family, misses: &Family, c: &StageStats) {
-        let tiers = [
-            ("memory", c.memory_hits()),
-            ("disk", c.disk_hits.get()),
-            ("remote", c.remote_hits.get()),
-        ];
+        let tiers = [("memory", c.memory_hits()), ("disk", c.disk_hits.get())];
         self.labelled(hits, "tier", tiers);
         self.scalar(misses, c.misses.get());
     }
@@ -681,33 +660,26 @@ pub struct ServiceCounters {
     pub connections_rejected: u64,
 }
 
-/// The four keys every JSON `cache` object (and stage row) carries, from
+/// The three keys every JSON `cache` object (and stage row) carries, from
 /// cache tier counts: one stage's, or a sum over stages (and, at the
 /// gateway, over backends).
 fn insert_tiers(c: &StageStats, map: &mut serde_json::Map<String, Value>) {
     map.insert("memory_hits".into(), c.memory_hits().into());
     map.insert("disk_hits".into(), c.disk_hits.get().into());
-    map.insert("remote_hits".into(), c.remote_hits.get().into());
     map.insert("misses".into(), c.misses.get().into());
 }
 
-/// Daemon-side remote artifact tier client counters, present when
-/// `--artifact-gateway` is configured. Every failure here is a
-/// degradation (the stage recomputes locally), never a job error — the
-/// counters are how operators see the tier limping.
+/// Daemon-side replication client counters, present when
+/// `--artifact-gateway` is configured. A failure here is never a job
+/// error — the counters are how operators see replication limping.
 #[derive(Clone, Debug, Default)]
 pub struct RemoteTierCounters {
-    pub fetch_hits: Counter,
-    pub fetch_misses: Counter,
-    /// Fetch attempts that errored out (connect/timeout/short read)
-    /// after retries — degraded to a local recompute.
-    pub fetch_failures: Counter,
-    pub bytes_fetched: Counter,
     pub published: Counter,
     pub publish_failures: Counter,
-    /// Fetches skipped outright because the per-gateway breaker was open.
+    /// Publishes skipped outright because the per-gateway breaker was
+    /// open.
     pub breaker_skips: Counter,
-    /// Fetch breaker state, filled in when the snapshot is taken.
+    /// Publish breaker state, filled in when the snapshot is taken.
     pub breaker: BreakerState,
 }
 
@@ -723,8 +695,8 @@ pub struct MetricsSnapshot {
     pub cache_memory_evicted: u64,
     /// Durable-store counters, when `--cache-dir` is configured.
     pub store: Option<StoreCounters>,
-    /// Remote artifact tier client counters, when `--artifact-gateway`
-    /// is configured.
+    /// Replication client counters, when `--artifact-gateway` is
+    /// configured.
     pub remote: Option<RemoteTierCounters>,
     pub unknown_stage_events: u64,
     /// Findings per rule family, indexed by [`CheckKind`].
@@ -746,7 +718,6 @@ impl MetricsSnapshot {
         for (_, _, c) in &self.stages {
             total.hits.add(c.hits.get());
             total.disk_hits.add(c.disk_hits.get());
-            total.remote_hits.add(c.remote_hits.get());
             total.misses.add(c.misses.get());
         }
         total
@@ -801,10 +772,6 @@ impl MetricsSnapshot {
             cache.insert(
                 "remote".into(),
                 serde_json::json!({
-                    "fetch_hits": r.fetch_hits.get(),
-                    "fetch_misses": r.fetch_misses.get(),
-                    "fetch_failures": r.fetch_failures.get(),
-                    "bytes_fetched": r.bytes_fetched.get(),
                     "published": r.published.get(),
                     "publish_failures": r.publish_failures.get(),
                     "breaker_skips": r.breaker_skips.get(),
@@ -854,14 +821,6 @@ impl MetricsSnapshot {
             w.scalar(&STORE_SCRUBBED, c.scrubbed.get());
         }
         if let Some(r) = &self.remote {
-            let fetches = [
-                ("hit", r.fetch_hits.get()),
-                ("miss", r.fetch_misses.get()),
-                ("failure", r.fetch_failures.get()),
-                ("breaker-skip", r.breaker_skips.get()),
-            ];
-            w.labelled(&REMOTE_FETCH, "result", fetches);
-            w.scalar(&REMOTE_BYTES_FETCHED, r.bytes_fetched.get());
             let publishes = [
                 ("ok", r.published.get()),
                 ("failure", r.publish_failures.get()),
@@ -892,8 +851,8 @@ pub struct BackendSnapshot {
     pub breaker_transitions: BreakerCounters,
     pub in_flight: u64,
     pub counters: BackendCounters,
-    /// Artifact-fetch breaker — separate from the job breaker so a
-    /// flaky artifact path never stops job routing.
+    /// Replication breaker — separate from the job breaker so a
+    /// flaky replication path never stops job routing.
     pub fetch_breaker: BreakerState,
 }
 
@@ -911,30 +870,16 @@ pub struct BackendCounters {
     pub steals: Counter,
 }
 
-/// Gateway artifact-tier counters (`artifact_get` / `artifact_put`
-/// verbs fanned out to backends).
+/// Gateway replication counters (`artifact_put` fanned out to
+/// backends).
 #[derive(Clone, Debug, Default)]
 pub struct GatewayArtifactCounters {
-    /// `artifact_get` requests received from daemons.
-    pub gets: Counter,
-    /// Gets answered with a payload from some backend.
-    pub hits: Counter,
-    /// Gets answered `hit=false` (no backend had the entry).
-    pub misses: Counter,
-    /// Backend exchanges that errored during a get (fed the fetch
-    /// breaker; the get degrades to a miss, never an error).
-    pub fetch_failures: Counter,
     /// `artifact_put` requests received from daemons.
     pub puts: Counter,
     /// Put replications that failed on a backend.
     pub put_failures: Counter,
-    /// Payload bytes served to fetching daemons.
-    pub bytes_served: Counter,
     /// Payload bytes accepted from publishing daemons.
     pub bytes_stored: Counter,
-    /// Payloads deliberately corrupted by the `--corrupt-artifacts`
-    /// chaos hook before serving.
-    pub corrupted: Counter,
 }
 
 /// Everything `flow-gateway`'s `metrics` verb reports — the gateway
@@ -953,7 +898,7 @@ pub struct GatewaySnapshot {
     pub admission_queued: u64,
     pub max_inflight: u64,
     pub queue_bound: u64,
-    /// Artifact-tier traffic through the gateway.
+    /// Replication traffic through the gateway.
     pub artifacts: GatewayArtifactCounters,
     /// Tier counts summed over the healthy backends, scraped at
     /// snapshot time — lets cache-aware clients (`qor_bench
@@ -1039,15 +984,9 @@ impl GatewaySnapshot {
         root.insert(
             "artifacts".into(),
             serde_json::json!({
-                "gets": a.gets.get(),
-                "hits": a.hits.get(),
-                "misses": a.misses.get(),
-                "fetch_failures": a.fetch_failures.get(),
                 "puts": a.puts.get(),
                 "put_failures": a.put_failures.get(),
-                "bytes_served": a.bytes_served.get(),
                 "bytes_stored": a.bytes_stored.get(),
-                "corrupted": a.corrupted.get(),
             }),
         );
         if let Some(c) = &self.cache {
@@ -1111,21 +1050,10 @@ impl GatewaySnapshot {
         w.scalar(&GW_ADMISSION_INFLIGHT, self.admission_inflight);
         w.scalar(&GW_ADMISSION_QUEUED, self.admission_queued);
         let a = &self.artifacts;
-        let requests = [("get", a.gets.get()), ("put", a.puts.get())];
-        w.labelled(&GW_ARTIFACT_REQUESTS, "verb", requests);
-        let gets = [
-            ("hit", a.hits.get()),
-            ("miss", a.misses.get()),
-            ("fetch-failure", a.fetch_failures.get()),
-        ];
-        w.labelled(&GW_ARTIFACT_GETS, "result", gets);
+        w.labelled(&GW_ARTIFACT_REQUESTS, "verb", [("put", a.puts.get())]);
         w.scalar(&GW_ARTIFACT_PUT_FAILURES, a.put_failures.get());
-        let bytes = [
-            ("served", a.bytes_served.get()),
-            ("stored", a.bytes_stored.get()),
-        ];
+        let bytes = [("stored", a.bytes_stored.get())];
         w.labelled(&GW_ARTIFACT_BYTES, "direction", bytes);
-        w.scalar(&GW_ARTIFACT_CORRUPTED, a.corrupted.get());
         if let Some(c) = &self.cache {
             w.cache_tiers(&GW_CACHE_HITS, &GW_CACHE_MISSES, c);
         }
@@ -1255,7 +1183,7 @@ mod tests {
         assert_eq!(snap.to_prometheus_text(), RECORDED_TEXT);
     }
 
-    const RECORDED_JSON: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":1,"EQ002":0,"EQ003":1,"unknown":1}}"#;
+    const RECORDED_JSON: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":1,"EQ002":0,"EQ003":1,"unknown":1}}"#;
 
     const RECORDED_TEXT: &str = "\
 # HELP flowd_jobs_total Jobs by terminal state.
@@ -1281,7 +1209,6 @@ flowd_connections_rejected_total 0
 # TYPE flowd_cache_hits_total counter
 flowd_cache_hits_total{tier=\"memory\"} 0
 flowd_cache_hits_total{tier=\"disk\"} 0
-flowd_cache_hits_total{tier=\"remote\"} 0
 # TYPE flowd_cache_misses_total counter
 flowd_cache_misses_total 0
 # TYPE flowd_cache_entries gauge
@@ -1327,15 +1254,14 @@ flowd_unknown_verify_rules_total 1
     }
 
     /// Every section present: two stages with observations in different
-    /// buckets (`+Inf` included), all tier counters nonzero, a store, a
-    /// remote tier with its breaker half-open, both rule families with an
-    /// unknown each.
+    /// buckets (`+Inf` included), all tier counters nonzero, a store,
+    /// replication with its breaker half-open, both rule families with
+    /// an unknown each.
     fn full_flowd_snapshot() -> MetricsSnapshot {
-        let tiers = |memory_hits: u64, disk_hits, remote_hits, misses, wall_ms: u64| StageStats {
-            hits: Counter::from(memory_hits + disk_hits + remote_hits),
+        let tiers = |memory_hits: u64, disk_hits, misses, wall_ms: u64| StageStats {
+            hits: Counter::from(memory_hits + disk_hits),
             misses: Counter::from(misses),
             disk_hits: Counter::from(disk_hits),
-            remote_hits: Counter::from(remote_hits),
             wall_nanos: Counter::from(wall_ms * 1_000_000),
         };
         let m = Metrics::new();
@@ -1365,8 +1291,8 @@ flowd_unknown_verify_rules_total 1
                 connections_rejected: 8,
             },
             stages: vec![
-                ("pack", hist(&[0.4, 12.0]), tiers(5, 2, 1, 3, 40)),
-                ("route", hist(&[150.0, 9999.0]), tiers(4, 1, 2, 6, 10150)),
+                ("pack", hist(&[0.4, 12.0]), tiers(5, 2, 3, 40)),
+                ("route", hist(&[150.0, 9999.0]), tiers(4, 1, 6, 10150)),
             ],
             job_durations: vec![("compile", hist(&[1.5, 88.0]))],
             cache_entries: 14,
@@ -1381,10 +1307,6 @@ flowd_unknown_verify_rules_total 1
                 scrubbed: Counter::from(6),
             }),
             remote: Some(RemoteTierCounters {
-                fetch_hits: Counter::from(4),
-                fetch_misses: Counter::from(2),
-                fetch_failures: Counter::from(1),
-                bytes_fetched: Counter::from(1024),
                 published: Counter::from(5),
                 publish_failures: Counter::from(1),
                 breaker_skips: Counter::from(2),
@@ -1448,21 +1370,14 @@ flowd_unknown_verify_rules_total 1
             max_inflight: 8,
             queue_bound: 16,
             artifacts: GatewayArtifactCounters {
-                gets: Counter::from(7),
-                hits: Counter::from(4),
-                misses: Counter::from(2),
-                fetch_failures: Counter::from(1),
                 puts: Counter::from(5),
                 put_failures: Counter::from(0),
-                bytes_served: Counter::from(2048),
                 bytes_stored: Counter::from(4096),
-                corrupted: Counter::from(1),
             },
             cache: Some(StageStats {
-                hits: Counter::from(10 + 2 + 4),
+                hits: Counter::from(10 + 2),
                 misses: Counter::from(3),
                 disk_hits: Counter::from(2),
-                remote_hits: Counter::from(4),
                 wall_nanos: Counter::from(0),
             }),
         }
@@ -1664,7 +1579,7 @@ flowd_unknown_verify_rules_total 1
         );
     }
 
-    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"remote_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9,"write_errors":4,"scrubbed":6},"remote":{"fetch_hits":4,"fetch_misses":2,"fetch_failures":1,"bytes_fetched":1024,"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"remote_hits":1,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"remote_hits":2,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
+    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9,"write_errors":4,"scrubbed":6},"remote":{"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
 
     const RECORDED_FLOWD_TEXT: &str = r#"# HELP flowd_jobs_total Jobs by terminal state.
 # TYPE flowd_jobs_total counter
@@ -1689,7 +1604,6 @@ flowd_connections_rejected_total 8
 # TYPE flowd_cache_hits_total counter
 flowd_cache_hits_total{tier="memory"} 9
 flowd_cache_hits_total{tier="disk"} 3
-flowd_cache_hits_total{tier="remote"} 3
 # TYPE flowd_cache_misses_total counter
 flowd_cache_misses_total 9
 # TYPE flowd_cache_entries gauge
@@ -1710,14 +1624,6 @@ flowd_store_writes_total 9
 flowd_store_write_errors_total 4
 # TYPE flowd_store_scrubbed_total counter
 flowd_store_scrubbed_total 6
-# HELP flowd_remote_fetch_total Remote artifact fetches by result.
-# TYPE flowd_remote_fetch_total counter
-flowd_remote_fetch_total{result="hit"} 4
-flowd_remote_fetch_total{result="miss"} 2
-flowd_remote_fetch_total{result="failure"} 1
-flowd_remote_fetch_total{result="breaker-skip"} 2
-# TYPE flowd_remote_bytes_fetched_total counter
-flowd_remote_bytes_fetched_total 1024
 # TYPE flowd_remote_publish_total counter
 flowd_remote_publish_total{result="ok"} 5
 flowd_remote_publish_total{result="failure"} 1
@@ -1799,7 +1705,7 @@ flowd_verify_rule_hits_total{rule="EQ003"} 0
 flowd_unknown_verify_rules_total 1
 "#;
 
-    const RECORDED_GATEWAY_JSON: &str = r#"{"role":"gateway","jobs":{"submitted":5,"completed":4,"failed":0,"shed":1,"timed_out":0,"failovers":1,"steals":2},"job_duration_ms":{"compile":{"count":1,"sum_ms":2.5,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":1},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":1}]}},"backends":[{"addr":"127.0.0.1:9101","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":1,"requests":3,"failures":0,"failovers":0,"fetch_breaker":"closed","steals":2},{"addr":"127.0.0.1:9102","healthy":false,"breaker":"open","breaker_transitions":{"opened":1,"half_opened":0,"closed":0},"in_flight":0,"requests":2,"failures":1,"failovers":1,"fetch_breaker":"open","steals":0}],"tenants":{"acme":{"admitted":4,"queued":2,"shed":1}},"admission":{"inflight":1,"queued":0,"max_inflight":8,"queue_bound":16},"artifacts":{"gets":7,"hits":4,"misses":2,"fetch_failures":1,"puts":5,"put_failures":0,"bytes_served":2048,"bytes_stored":4096,"corrupted":1},"cache":{"memory_hits":10,"disk_hits":2,"remote_hits":4,"misses":3}}"#;
+    const RECORDED_GATEWAY_JSON: &str = r#"{"role":"gateway","jobs":{"submitted":5,"completed":4,"failed":0,"shed":1,"timed_out":0,"failovers":1,"steals":2},"job_duration_ms":{"compile":{"count":1,"sum_ms":2.5,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":1},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":1}]}},"backends":[{"addr":"127.0.0.1:9101","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":1,"requests":3,"failures":0,"failovers":0,"fetch_breaker":"closed","steals":2},{"addr":"127.0.0.1:9102","healthy":false,"breaker":"open","breaker_transitions":{"opened":1,"half_opened":0,"closed":0},"in_flight":0,"requests":2,"failures":1,"failovers":1,"fetch_breaker":"open","steals":0}],"tenants":{"acme":{"admitted":4,"queued":2,"shed":1}},"admission":{"inflight":1,"queued":0,"max_inflight":8,"queue_bound":16},"artifacts":{"puts":5,"put_failures":0,"bytes_stored":4096},"cache":{"memory_hits":10,"disk_hits":2,"misses":3}}"#;
 
     const RECORDED_GATEWAY_TEXT: &str = r#"# HELP flowgw_jobs_total Gateway jobs by terminal state.
 # TYPE flowgw_jobs_total counter
@@ -1875,26 +1781,15 @@ flowgw_admission_inflight 1
 flowgw_admission_queued 0
 # HELP flowgw_artifact_requests_total Artifact verbs received from daemons.
 # TYPE flowgw_artifact_requests_total counter
-flowgw_artifact_requests_total{verb="get"} 7
 flowgw_artifact_requests_total{verb="put"} 5
-# HELP flowgw_artifact_gets_total Artifact gets by result (failures degrade to misses downstream).
-# TYPE flowgw_artifact_gets_total counter
-flowgw_artifact_gets_total{result="hit"} 4
-flowgw_artifact_gets_total{result="miss"} 2
-flowgw_artifact_gets_total{result="fetch-failure"} 1
 # TYPE flowgw_artifact_put_failures_total counter
 flowgw_artifact_put_failures_total 0
 # TYPE flowgw_artifact_bytes_total counter
-flowgw_artifact_bytes_total{direction="served"} 2048
 flowgw_artifact_bytes_total{direction="stored"} 4096
-# HELP flowgw_artifact_corrupted_total Payloads corrupted by the chaos hook.
-# TYPE flowgw_artifact_corrupted_total counter
-flowgw_artifact_corrupted_total 1
 # HELP flowgw_cache_hits_total Backend stage-cache hits by tier (aggregated).
 # TYPE flowgw_cache_hits_total counter
 flowgw_cache_hits_total{tier="memory"} 10
 flowgw_cache_hits_total{tier="disk"} 2
-flowgw_cache_hits_total{tier="remote"} 4
 # TYPE flowgw_cache_misses_total counter
 flowgw_cache_misses_total 3
 "#;

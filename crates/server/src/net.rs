@@ -12,7 +12,7 @@
 //!   decided here, once, for both roles.
 //! * **Dial side** — [`dial`] opens every outbound connection, and
 //!   [`exchange`] is the one short request/reply hop (health probe,
-//!   cache scrape, artifact fan-out, remote tier).
+//!   cache scrape, artifact replication).
 //!
 //! One socket-option policy, decided here and nowhere else: every TCP
 //! socket the system opens ([`dial`]) or accepts ([`serve`]) has
@@ -224,7 +224,6 @@ pub(crate) trait Node: Send + Sync + 'static {
     /// Run one job, streaming its events to `writer`. `false` when the
     /// client connection broke.
     fn submit(&self, kind: JobKind, req: CompileRequest, writer: &mut Stream) -> bool;
-    fn artifact_get(&self, stage: &str, key: &str, kind: &str) -> Event;
     fn artifact_put(&self, stage: &str, key: &str, kind: &str, data_hex: &str) -> Event;
     /// The role's own part of a shutdown, run once: after the flag is
     /// set, before the listeners are woken.
@@ -463,9 +462,6 @@ fn serve_connection(stream: Stream, node: &dyn Node, addrs: &Addrs) {
                 }
                 continue;
             }
-            Ok(Request::ArtifactGet { stage, key, kind }) => {
-                node.artifact_get(&stage, &key, &kind).to_value()
-            }
             Ok(Request::ArtifactPut {
                 stage,
                 key,
@@ -592,9 +588,6 @@ mod tests {
         fn submit(&self, _: JobKind, _: CompileRequest, writer: &mut Stream) -> bool {
             *self.accepted_nodelay.lock().expect("no panic holds it") = Some(nodelay(writer));
             false
-        }
-        fn artifact_get(&self, _: &str, _: &str, _: &str) -> Event {
-            Event::ShuttingDown
         }
         fn artifact_put(&self, _: &str, _: &str, _: &str, _: &str) -> Event {
             Event::ShuttingDown

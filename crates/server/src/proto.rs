@@ -46,7 +46,9 @@ pub use fpga_flow::hash::{from_hex, to_hex};
 ///   digest-checked on receipt) between farm nodes via the gateway.
 ///   New verbs only — version-4 peers interoperate unchanged, and a
 ///   version-4 daemon answering "unknown cmd" is treated as an artifact
-///   miss, never an error.
+///   miss, never an error. `artifact_get` is gone again: today's nodes
+///   answer it with that same "unknown cmd" error, which every
+///   version-5 peer already reads as a miss, so the number stays.
 /// * 6 — equivalence checking: the `verify` verb and its terminal
 ///   `verify_report` event (deep cross-stage CEC, EQ rule codes), and
 ///   the `verify` flow option (`off`/`warn`/`deny`) gating compiles.
@@ -187,20 +189,11 @@ pub enum Request {
     /// stopping at the first — and terminates with a `lint_report` /
     /// `verify_report` event.
     Check(CheckKind, Box<CompileRequest>),
-    /// Fetch one stage artifact's raw store entry by its content
-    /// address (proto 5, the farm's shared artifact tier). `flowd`
-    /// answers from its own durable store only; `flow-gateway` fans the
-    /// lookup out to affinity peers. Answered with one `artifact` event
-    /// — a miss is a normal answer, never an error.
-    ArtifactGet {
-        stage: String,
-        key: String,
-        kind: String,
-    },
     /// Offer a raw store entry (hex-encoded self-verifying bytes) for
-    /// local installation. The receiver verifies the digest before
-    /// storing; corrupt bytes are quarantined and refused. Answered
-    /// with one `artifact_ack` event.
+    /// local installation (proto 5, the farm's replication): `flowd`
+    /// stores it, `flow-gateway` copies it to two backends. The receiver
+    /// verifies the digest before storing; corrupt bytes are quarantined
+    /// and refused. Answered with one `artifact_ack` event.
     ArtifactPut {
         stage: String,
         key: String,
@@ -256,12 +249,6 @@ impl Request {
                 if let Some(threads) = c.threads {
                     obj.insert("threads".into(), threads.into());
                 }
-            }
-            Request::ArtifactGet { stage, key, kind } => {
-                obj.insert("cmd".into(), "artifact_get".into());
-                obj.insert("stage".into(), stage.clone().into());
-                obj.insert("key".into(), key.clone().into());
-                obj.insert("kind".into(), kind.clone().into());
             }
             Request::ArtifactPut {
                 stage,
@@ -368,24 +355,19 @@ pub fn parse_request_value(v: &Value) -> Result<Request, String> {
                 _ => Request::Compile(req),
             })
         }
-        "artifact_get" | "artifact_put" => {
+        "artifact_put" => {
             let field = |name: &str| -> Result<String, String> {
                 v.get(name)
                     .and_then(Value::as_str)
                     .map(str::to_string)
                     .ok_or_else(|| format!("'{cmd}' missing '{name}'"))
             };
-            let (stage, key, kind) = (field("stage")?, field("key")?, field("kind")?);
-            if cmd == "artifact_get" {
-                Ok(Request::ArtifactGet { stage, key, kind })
-            } else {
-                Ok(Request::ArtifactPut {
-                    stage,
-                    key,
-                    kind,
-                    data_hex: field("data_hex")?,
-                })
-            }
+            Ok(Request::ArtifactPut {
+                stage: field("stage")?,
+                key: field("key")?,
+                kind: field("kind")?,
+                data_hex: field("data_hex")?,
+            })
         }
         other => Err(format!("unknown cmd '{other}'")),
     }
@@ -537,15 +519,6 @@ pub enum Event {
         message: String,
         retry_after_ms: Option<u64>,
         diagnostics: Vec<Diagnostic>,
-    },
-    /// Reply to `artifact_get` (proto 5). On a hit, `data_hex` carries
-    /// the raw self-verifying store entry; a miss (`hit: false`, no
-    /// data) is a normal answer — the fetcher falls back to computing.
-    Artifact {
-        stage: String,
-        key: String,
-        hit: bool,
-        data_hex: Option<String>,
     },
     /// Reply to `artifact_put` (proto 5). `stored: false` means the
     /// bytes failed verification (and were quarantined) or could not be
@@ -727,20 +700,6 @@ impl Event {
                 }
                 if !diagnostics.is_empty() {
                     obj.insert("diagnostics".into(), diagnostics_to_value(diagnostics));
-                }
-            }
-            Event::Artifact {
-                stage,
-                key,
-                hit,
-                data_hex,
-            } => {
-                obj.insert("event".into(), "artifact".into());
-                obj.insert("stage".into(), stage.clone().into());
-                obj.insert("key".into(), key.clone().into());
-                obj.insert("hit".into(), (*hit).into());
-                if let Some(data) = data_hex {
-                    obj.insert("data_hex".into(), data.clone().into());
                 }
             }
             Event::ArtifactAck { stored, message } => {
@@ -933,23 +892,6 @@ pub fn parse_event(v: &Value) -> Result<Event, EventParseError> {
             retry_after_ms: v.get("retry_after_ms").and_then(Value::as_u64),
             diagnostics: diagnostics_from_value(v.get("diagnostics").unwrap_or(&Value::Null))
                 .map_err(|e| Malformed(format!("'error' diagnostics: {e}")))?,
-        }),
-        "artifact" => Ok(Event::Artifact {
-            stage: v
-                .get("stage")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            key: v
-                .get("key")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            hit: v.get("hit").and_then(Value::as_bool).unwrap_or(false),
-            data_hex: v
-                .get("data_hex")
-                .and_then(Value::as_str)
-                .map(str::to_string),
         }),
         "artifact_ack" => Ok(Event::ArtifactAck {
             stored: v.get("stored").and_then(Value::as_bool).unwrap_or(false),
@@ -1161,11 +1103,6 @@ mod tests {
                         .unwrap(),
                 ),
             ),
-            Request::ArtifactGet {
-                stage: "route".into(),
-                key: "ab".repeat(32),
-                kind: "routed-design".into(),
-            },
             Request::ArtifactPut {
                 stage: "pack".into(),
                 key: "cd".repeat(32),
@@ -1285,18 +1222,6 @@ mod tests {
                     "cluster 0 holds 6 BLEs but the architecture allows 5",
                 )],
             },
-            Event::Artifact {
-                stage: "route".into(),
-                key: "ab".repeat(32),
-                hit: true,
-                data_hex: Some("00ff".into()),
-            },
-            Event::Artifact {
-                stage: "route".into(),
-                key: "ab".repeat(32),
-                hit: false,
-                data_hex: None,
-            },
             Event::ArtifactAck {
                 stored: true,
                 message: None,
@@ -1403,16 +1328,6 @@ mod tests {
                 },
                 None,
                 true,
-            ),
-            (
-                Event::Artifact {
-                    stage: "route".into(),
-                    key: "k".into(),
-                    hit: false,
-                    data_hex: None,
-                },
-                None,
-                false,
             ),
             (
                 Event::ArtifactAck {
@@ -1571,6 +1486,12 @@ mod tests {
             Err(EventParseError::Unknown(name)) => assert_eq!(name, "hologram"),
             other => panic!("expected Unknown, got {other:?}"),
         }
+        // The `artifact_get` reply, as a version-5 peer still sends it:
+        // an unknown event like any other.
+        let v = serde_json::json!({"event": "artifact", "stage": "route", "key": "ab", "hit": true, "data_hex": "00ff"});
+        assert!(
+            matches!(parse_event(&v), Err(EventParseError::Unknown(name)) if name == "artifact")
+        );
         // A version-1 pong (no proto_version) parses as protocol 1.
         let v = serde_json::json!({"event": "pong", "version": "0.9"});
         match parse_event(&v) {
@@ -1822,11 +1743,13 @@ mod tests {
     #[test]
     fn write_line_issues_exactly_one_write_ending_in_newline() {
         let small = Event::Queued { job: 7 }.to_value();
-        let large = Event::Artifact {
-            stage: "route".into(),
-            key: "ab".repeat(32),
-            hit: true,
-            data_hex: Some(to_hex(&vec![0x5a; 512 * 1024])),
+        let large = Event::Done {
+            job: 7,
+            design: "d".into(),
+            report: Value::Null,
+            bitstream_hex: to_hex(&vec![0x5a; 512 * 1024]),
+            trace: None,
+            lint: Vec::new(),
         }
         .to_value();
         for value in [small, large] {

@@ -89,15 +89,16 @@ pub struct ServerConfig {
     /// reachable from the durable store when one is configured). `None`
     /// means unbounded.
     pub cache_entries: Option<usize>,
-    /// `flow-gateway` address for the farm's shared artifact tier.
-    /// When set (together with `cache_dir`), stage misses consult
-    /// affinity peers through the gateway before recomputing, and fresh
-    /// artifacts are published back. Strictly best-effort: any tier
-    /// failure degrades to a local recompute within the job's remaining
-    /// deadline, never a job error. No effect without `cache_dir` (the
-    /// tier ships raw durable-store entries).
+    /// `flow-gateway` address for the farm's replication. When set
+    /// (together with `cache_dir`), every computed stage's store entry
+    /// is published through the gateway, which copies it into two
+    /// backends' stores. The daemon never fetches from the farm: it
+    /// serves its own memory and disk, or computes. Strictly
+    /// best-effort: a publish failure is a counter, never a job error.
+    /// No effect without `cache_dir` (replication ships raw
+    /// durable-store entries).
     pub artifact_gateway: Option<String>,
-    /// Connect/read/write timeout for artifact tier exchanges.
+    /// Connect/read/write timeout for each publish exchange.
     pub artifact_timeout_ms: u64,
     /// Deterministic fault injection for tests: makes named stages
     /// panic/fail/stall on their K-th execution. Never set in
@@ -144,8 +145,8 @@ struct Job {
 
 struct Shared {
     cache: StageCache,
-    /// Remote artifact tier client, kept for its counters; the cache
-    /// holds its own `Arc` and drives the actual fetch/publish calls.
+    /// Replication client, kept for its counters; the cache holds its
+    /// own `Arc` and drives the publish calls.
     remote: Option<Arc<RemoteTierClient>>,
     queue: JobQueue<Job>,
     config: ServerConfig,
@@ -243,10 +244,6 @@ impl Node for Shared {
 
     fn submit(&self, kind: JobKind, req: CompileRequest, writer: &mut net::Stream) -> bool {
         handle_submit(kind, req, self, writer)
-    }
-
-    fn artifact_get(&self, stage: &str, key: &str, kind: &str) -> Event {
-        artifact_get_event(self, stage, key, kind)
     }
 
     fn artifact_put(&self, stage: &str, key: &str, kind: &str, data_hex: &str) -> Event {
@@ -439,41 +436,14 @@ impl Server {
     }
 }
 
-/// Map a wire stage name to its [`fpga_flow::StageId`]. Unknown names
-/// answer as a miss, not an error — a newer peer may know stages this
-/// daemon doesn't.
+/// Map a wire stage name to its [`fpga_flow::StageId`]. An unknown name
+/// is a refused put, not a job error — a newer peer may know stages
+/// this daemon doesn't.
 fn stage_by_name(name: &str) -> Option<fpga_flow::StageId> {
     fpga_flow::cache::STAGES
         .iter()
         .copied()
         .find(|s| s.name() == name)
-}
-
-/// Answer a peer's `artifact_get` from the durable store ONLY — never
-/// from this daemon's own remote tier, so lookups can't bounce around
-/// the farm. `raw_entry` re-verifies the digest before shipping, so a
-/// locally-rotted entry is quarantined here and answered as a miss.
-fn artifact_get_event(shared: &Shared, stage: &str, key: &str, kind: &str) -> Event {
-    let raw = stage_by_name(stage).and_then(|sid| {
-        shared
-            .cache
-            .store()
-            .and_then(|store| store.raw_entry(sid, key, kind))
-    });
-    match raw {
-        Some(raw) => Event::Artifact {
-            stage: stage.to_string(),
-            key: key.to_string(),
-            hit: true,
-            data_hex: Some(proto::to_hex(&raw)),
-        },
-        None => Event::Artifact {
-            stage: stage.to_string(),
-            key: key.to_string(),
-            hit: false,
-            data_hex: None,
-        },
-    }
 }
 
 /// Accept a replicated `artifact_put` into the durable store.
@@ -818,9 +788,9 @@ mod tests {
         server.shutdown();
     }
 
-    const RECORDED_METRICS: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":3},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{"synthesis":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"lut_map":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"pack":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"place":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"route":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"power":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"bitstream":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0},"verify":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0,"wall_ms":0}},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":0,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"verify_rules":{"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"event":"metrics","version":"ifdf-0.2.0","proto_version":6}"#;
+    const RECORDED_METRICS: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":3},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{"synthesis":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"lut_map":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"pack":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"place":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"route":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"power":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"bitstream":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"verify":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0}},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":0,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"verify_rules":{"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"event":"metrics","version":"ifdf-0.2.0","proto_version":6}"#;
 
-    const RECORDED_STATS: &str = r#"{"event":"stats","version":"ifdf-0.2.0","jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0,"queued":0},"workers":{"configured":3},"connections":{"open":0,"rejected":0,"limit":7},"limits":{"max_deadline_ms":60000,"idle_timeout_ms":null,"max_line_bytes":4096,"retry_after_ms":150},"cache":{"entries":0,"hits":0,"misses":0,"memory_evicted":0,"stages":{"synthesis":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"lut_map":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"pack":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"place":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"route":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"power":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"bitstream":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0},"verify":{"hits":0,"misses":0,"disk_hits":0,"remote_hits":0,"wall_ms":0}}}}"#;
+    const RECORDED_STATS: &str = r#"{"event":"stats","version":"ifdf-0.2.0","jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0,"queued":0},"workers":{"configured":3},"connections":{"open":0,"rejected":0,"limit":7},"limits":{"max_deadline_ms":60000,"idle_timeout_ms":null,"max_line_bytes":4096,"retry_after_ms":150},"cache":{"entries":0,"hits":0,"misses":0,"memory_evicted":0,"stages":{"synthesis":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"lut_map":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"pack":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"place":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"route":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"power":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"bitstream":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"verify":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0}}}}"#;
 
     const RECORDED_STATUS: &str = r#"{"event":"status","role":"flowd","version":"ifdf-0.2.0","proto_version":6,"shutting_down":false,"queue":{"depth":0,"capacity":5,"peak":0},"workers":{"configured":3},"connections":{"open":0,"limit":7}}"#;
 

@@ -1,14 +1,16 @@
 //! Gateway integration tests: mid-job failover with an exactly-once
-//! terminal event, circuit-breaker isolation of a dead backend, and
-//! per-tenant quota shedding — all in-process, no subprocesses, no
-//! sleeps-as-synchronization (polling loops rendezvous on observable
-//! state with generous ceilings).
+//! terminal event, circuit-breaker isolation of a dead backend,
+//! per-tenant quota shedding and work stealing — all in-process, no
+//! subprocesses, no sleeps-as-synchronization (polling loops rendezvous
+//! on observable state with generous ceilings).
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use fpga_flow::fault::{FaultAction, FaultPlan};
 use fpga_server::client::CompileError;
 use fpga_server::gateway::{affinity_key, affinity_order};
 use fpga_server::{
@@ -568,7 +570,7 @@ fn hostile_tenant_cannot_forge_exposition_lines() {
 /// farm (backend address masked; recorded at ifdf-0.2.0 / proto 6).
 #[test]
 fn fresh_gateway_replies_render_as_recorded() {
-    const SNAPSHOT: &str = r#"{"role":"gateway","jobs":{"submitted":0,"completed":0,"failed":0,"shed":0,"timed_out":0,"failovers":0,"steals":0},"job_duration_ms":{},"backends":[{"addr":"BACKEND","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":0,"requests":0,"failures":0,"failovers":0,"fetch_breaker":"closed","steals":0}],"tenants":{},"admission":{"inflight":0,"queued":0,"max_inflight":64,"queue_bound":128},"artifacts":{"gets":0,"hits":0,"misses":0,"fetch_failures":0,"puts":0,"put_failures":0,"bytes_served":0,"bytes_stored":0,"corrupted":0}"#;
+    const SNAPSHOT: &str = r#"{"role":"gateway","jobs":{"submitted":0,"completed":0,"failed":0,"shed":0,"timed_out":0,"failovers":0,"steals":0},"job_duration_ms":{},"backends":[{"addr":"BACKEND","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":0,"requests":0,"failures":0,"failovers":0,"fetch_breaker":"closed","steals":0}],"tenants":{},"admission":{"inflight":0,"queued":0,"max_inflight":64,"queue_bound":128},"artifacts":{"puts":0,"put_failures":0,"bytes_stored":0}"#;
     let backend = start_flowd();
     let backend_addr = backend.tcp_addr().expect("tcp enabled").to_string();
     let gateway = Gateway::start(GatewayConfig {
@@ -594,10 +596,160 @@ fn fresh_gateway_replies_render_as_recorded() {
     assert_eq!(
         masked(client.metrics(false).expect("metrics")),
         format!(
-            r#"{SNAPSHOT},"cache":{{"memory_hits":0,"disk_hits":0,"remote_hits":0,"misses":0}},"event":"metrics"}}"#
+            r#"{SNAPSHOT},"cache":{{"memory_hits":0,"disk_hits":0,"misses":0}},"event":"metrics"}}"#
         )
     );
 
+    gateway.shutdown();
+    backend.shutdown();
+}
+
+/// Wait until every gateway backend reports healthy (probed + breaker
+/// closed), so steal decisions see a settled farm.
+fn wait_all_healthy(gateway: &Gateway, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = gateway.status_json();
+        let healthy = (0..n).all(|i| status["backends"][i]["healthy"].as_bool() == Some(true));
+        if healthy {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "backends never healthy: {status}"
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Find `want` distinct counter designs the rendezvous hash routes to
+/// backend 0, so stealing starts from a busy affinity pick by
+/// construction.
+fn designs_routed_to_first(backends: &[String], want: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    for bits in 2..64usize {
+        let source = fpga_circuits::vhdl_counter(bits);
+        let req = CompileRequest::new(SourceFormat::Vhdl, source.clone());
+        if affinity_order(&affinity_key("compile", &req), backends)[0] == 0 {
+            out.push(source);
+            if out.len() == want {
+                return out;
+            }
+        }
+    }
+    panic!("not enough counter designs hashed to backend 0");
+}
+
+#[test]
+fn idle_backend_steals_a_job_from_a_busy_affinity_pick() {
+    // Backend A sleeps 3s inside its first route stage, so its first
+    // job parks in flight; backend B stays idle.
+    let node_a = Server::start(ServerConfig {
+        tcp_addr: Some("127.0.0.1:0".to_string()),
+        unix_path: None,
+        workers: 1,
+        queue_capacity: 4,
+        fault: Some(Arc::new(FaultPlan::new().on(
+            "route",
+            1,
+            FaultAction::SleepMs(3_000),
+        ))),
+        ..ServerConfig::default()
+    })
+    .expect("bind in-process flowd");
+    let node_b = start_flowd();
+    let backends = vec![
+        node_a.tcp_addr().expect("tcp").to_string(),
+        node_b.tcp_addr().expect("tcp").to_string(),
+    ];
+    let designs = designs_routed_to_first(&backends, 2);
+
+    let gateway = Gateway::start(GatewayConfig {
+        backends,
+        health_interval_ms: 50,
+        ..GatewayConfig::default()
+    })
+    .expect("start gateway");
+    wait_all_healthy(&gateway, 2);
+
+    // Job 1 occupies A (asleep in route). Wait until the gateway sees
+    // it in flight there.
+    let gw_addr = gateway.tcp_addr();
+    let slow_source = designs[0].clone();
+    let slow = thread::spawn(move || {
+        FlowClient::connect_tcp(gw_addr)
+            .expect("connect")
+            .compile_request(&CompileRequest {
+                deadline_ms: Some(60_000),
+                ..CompileRequest::new(SourceFormat::Vhdl, &slow_source)
+            })
+            .expect("slow job completes")
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = gateway.status_json();
+        if status["backends"][0]["in_flight"].as_u64() == Some(1) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "job 1 never in flight: {status}");
+        thread::sleep(Duration::from_millis(10));
+    }
+
+    // Job 2's affinity pick is the busy A; the idle B must steal it and
+    // finish while A is still asleep.
+    let stolen = FlowClient::connect_tcp(gateway.tcp_addr())
+        .expect("connect")
+        .compile_request(&CompileRequest {
+            deadline_ms: Some(60_000),
+            ..CompileRequest::new(SourceFormat::Vhdl, &designs[1])
+        })
+        .expect("stolen job completes");
+    assert!(!stolen.bitstream.is_empty());
+    let metrics = gateway.metrics_json();
+    assert!(
+        metrics["jobs"]["steals"].as_u64() >= Some(1),
+        "steal counted: {metrics}"
+    );
+    assert!(
+        metrics["backends"][1]["steals"].as_u64() >= Some(1),
+        "B credited with the steal: {metrics}"
+    );
+
+    slow.join().expect("slow job thread");
+    gateway.shutdown();
+    node_a.shutdown();
+    node_b.shutdown();
+}
+
+/// `artifact_get`, the deleted fetch verb, as a version-5 peer sends
+/// it, gets the ordinary `unknown cmd` error from both roles, and the
+/// same connection serves on. A version-5 daemon reads that error as a
+/// fetch miss and a version-5 gateway reads it as a peer without the
+/// entry, so neither needs a protocol floor.
+#[test]
+fn artifact_get_gets_a_plain_refusal_from_both_roles() {
+    let backend = start_flowd();
+    let backend_addr = backend.tcp_addr().expect("tcp enabled");
+    let gateway = Gateway::start(GatewayConfig {
+        backends: vec![backend_addr.to_string()],
+        ..GatewayConfig::default()
+    })
+    .expect("start gateway");
+    let get = serde_json::json!({
+        "cmd": "artifact_get", "stage": "route", "key": "ab".repeat(32), "kind": "routed-design"
+    });
+    for addr in [backend_addr, gateway.tcp_addr()] {
+        let mut conn = RawConn::connect(addr);
+        conn.send(&get);
+        assert_eq!(
+            conn.recv().to_string(),
+            r#"{"event":"error","message":"unknown cmd 'artifact_get'"}"#,
+            "at {addr}"
+        );
+        conn.send(&serde_json::json!({"cmd": "ping"}));
+        let pong = conn.recv();
+        assert_eq!(pong["event"].as_str(), Some("pong"), "{pong}");
+    }
     gateway.shutdown();
     backend.shutdown();
 }

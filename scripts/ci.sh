@@ -37,7 +37,7 @@ sh scripts/bench.sh
 echo "==> benchmark/selfcheck.sh (flowbench: catalogue, BENCHMARK.json and recorded results agree)"
 bash benchmark/selfcheck.sh
 
-echo "==> scripts/farm.sh (compile farm: kill-a-node failover, breakers, tenant quotas, gateway QoR parity, artifact tier chaos)"
+echo "==> scripts/farm.sh (compile farm: kill-a-node failover, breakers, tenant quotas, gateway QoR parity)"
 sh scripts/farm.sh
 
 echo "CI gate passed."

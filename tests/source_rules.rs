@@ -73,8 +73,9 @@ const RULES: &[Rule] = &[
     // Deleted duplicates and uncalled items stay deleted, from the docs too.
     Rule { name: "deleted items", scan: WHOLE, allowed: Nowhere, files: &["crates/**", "README.md", "DESIGN.md"],
         patterns: &["fn prune_dead", "netlist::stats", "clb_delay", "compile_vhdl_ctx", "compile_blif_ctx",
-            "compile_detailed", "tenant-weight", "FLOW_THREADS", "run_netlist_ctx", "NET_BATCH", "fn route_batch"],
-        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time)" },
+            "compile_detailed", "tenant-weight", "FLOW_THREADS", "run_netlist_ctx", "NET_BATCH", "fn route_batch",
+            "RemoteHit", "remote_hits", "FETCH_ATTEMPTS", "corrupt_artifacts"],
+        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time; the farm replicates, never fetches)" },
     // Place and route run on one thread; a schedule decides the bytes, not a thread count.
     Rule { name: "one thread per compile", scan: NO_COMMENTS, allowed: Nowhere, patterns: &["thread::"],
         files: CAD,
@@ -340,6 +341,18 @@ fn the_scanner_reads_each_definition_as_written() {
     let doc = "batches of `NET_BATCH` nets";
     assert_eq!(
         run(&[("crates/route/src/r.rs", code), ("DESIGN.md", doc)]),
+        want
+    );
+
+    // So do the remote fetch's items, in a test file or README.
+    let want = [
+        "deleted items: crates/server/tests/t.rs:1: assert_eq!(c.remote_hits.get(), 1);",
+        "deleted items: README.md:1: a `RemoteHit` after the disk",
+    ];
+    let test = "assert_eq!(c.remote_hits.get(), 1);";
+    let doc = "a `RemoteHit` after the disk";
+    assert_eq!(
+        run(&[("crates/server/tests/t.rs", test), ("README.md", doc)]),
         want
     );
 }
