@@ -8,20 +8,25 @@ use fpga_cells::routing::{
     optimum_width, paper_lengths, paper_widths, SizingExperiment, SwitchKind,
 };
 use fpga_cells::tech::WireGeometry;
+use fpga_flow::cli;
+
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("config", Some("min-min|min-double|double-double"), "print this geometry's figure only"),
+    ("csv", None, "emit plot-ready CSV"),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let csv = args.iter().any(|a| a == "--csv");
-    let which = args
-        .iter()
-        .position(|a| a == "--config")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str());
-    let geoms: Vec<WireGeometry> = match which {
+    let args = cli::parse_args("fig8_10_switch_sizing [options]", OPTS, "");
+    let csv = args.flag("csv");
+    let geoms: Vec<WireGeometry> = match args.get("config") {
+        None => WireGeometry::all().to_vec(),
         Some("min-min") => vec![WireGeometry::MinWidthMinSpace],
         Some("min-double") => vec![WireGeometry::MinWidthDoubleSpace],
         Some("double-double") => vec![WireGeometry::DoubleWidthDoubleSpace],
-        _ => WireGeometry::all().to_vec(),
+        Some(other) => args.refuse(format!(
+            "unknown --config '{other}' (min-min|min-double|double-double)"
+        )),
     };
     for geom in geoms {
         let exp = SizingExperiment::new(geom, SwitchKind::PassTransistor);

@@ -18,40 +18,31 @@ use std::process::ExitCode;
 
 use fpga_bench::qor::{self, BenchConfig};
 use fpga_circuits::{qor_suite, suite_entry, SuiteTier};
+use fpga_flow::cli;
 
-const USAGE: &str = "qor_bench — QoR + speed benchmark suite runner
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("tier", Some("smoke|full"), "suite tier (default: smoke; full takes minutes)"),
+    ("out", Some("FILE"), "write the BENCH_*.json report here (default: stdout)"),
+    ("via-daemon", Some("ADDR"), "run through a live flowd at ADDR (TCP)"),
+    ("seed", Some("N"), "placement seed (default: 1)"),
+    ("effort", Some("X"), "annealing effort (default: 1.0, the bench standard)"),
+    ("verify-cycles", Some("N"), "bitstream verification cycles (default: 0 = skip)"),
+    ("verify", Some("MODE"), "cross-stage equivalence checking, off|warn|deny"),
+    ("only", Some("NAME"), "run just this design (repeatable; not a baseline)"),
+    ("list", None, "print the suite registry and exit"),
+    ("canon", Some("NAME"), "print design NAME's canonical netlist text and exit"),
+];
 
-USAGE:
-    qor_bench [--tier smoke|full] [--out FILE] [--via-daemon ADDR]
-              [--seed N] [--effort X] [--verify-cycles N]
-              [--verify off|warn|deny] [--only NAME]...
-    qor_bench --list
-    qor_bench --canon NAME
-
-OPTIONS:
-    --tier smoke|full    suite tier (default: smoke; full adds the scaled
-                         Rent sweeps up to >=10k LUTs — minutes, not seconds)
-    --out FILE           write the BENCH_*.json report here (default: stdout)
-    --via-daemon ADDR    run through a live flowd at ADDR (TCP): rows carry
-                         the daemon's per-stage cache-tier attribution and
-                         the report embeds its typed-metrics cache counters
-    --seed N             placement seed (default: 1)
-    --effort X           annealing effort (default: 1.0, the bench standard)
-    --verify-cycles N    bitstream verification cycles (default: 0 = skip)
-    --verify MODE        cross-stage equivalence checking (off|warn|deny,
-                         default: off). Adds verify:* spans to each row's
-                         stage list and the verify_ms wall-clock column;
-                         QoR columns never depend on it
-    --only NAME          run just this design (repeatable; debugging aid —
-                         subset reports are not baselines)
-    --list               print the suite registry and exit
-    --canon NAME         print design NAME's canonical netlist text and exit
-    --version            print the toolset version
-    -h, --help           this text
-";
+const FOOTER: &str = "\
+--tier full adds the scaled Rent sweeps up to >=10k LUTs. Through a
+daemon, rows carry its per-stage cache-tier attribution and the report
+embeds its cache counters. --verify adds verify:* spans to each row's
+stage list and the verify_ms column; QoR columns never depend on it.";
 
 fn main() -> ExitCode {
-    match run() {
+    let usage = "qor_bench [options]\n       qor_bench --list | --canon NAME";
+    match run(&cli::parse_args(usage, OPTS, FOOTER)) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("qor_bench: {e}");
@@ -60,88 +51,54 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<ExitCode, String> {
-    let mut cfg = BenchConfig::default();
-    let mut out: Option<PathBuf> = None;
-    let mut daemon: Option<String> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("{name} needs a value (see --help)"))
-        };
-        match arg.as_str() {
-            "--tier" => {
-                cfg.tier = match value("--tier")?.as_str() {
-                    "smoke" => SuiteTier::Smoke,
-                    "full" => SuiteTier::Full,
-                    other => return Err(format!("unknown tier '{other}' (smoke|full)")),
-                };
-            }
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--via-daemon" => daemon = Some(value("--via-daemon")?),
-            "--seed" => {
-                cfg.place_seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer".to_string())?;
-            }
-            "--effort" => {
-                cfg.place_effort = value("--effort")?
-                    .parse()
-                    .map_err(|_| "--effort must be a number".to_string())?;
-            }
-            "--only" => cfg.only.push(value("--only")?),
-            "--verify-cycles" => {
-                cfg.verify_cycles = value("--verify-cycles")?
-                    .parse()
-                    .map_err(|_| "--verify-cycles must be an integer".to_string())?;
-            }
-            "--verify" => {
-                let raw = value("--verify")?;
-                cfg.verify = fpga_flow::GateMode::parse(&raw)
-                    .ok_or_else(|| format!("unknown --verify mode '{raw}' (off|warn|deny)"))?;
-            }
-            "--list" => {
-                for e in qor_suite() {
-                    println!(
-                        "{:<16} tier={:<6} channel_width={}",
-                        e.name,
-                        if e.tier == SuiteTier::Smoke {
-                            "smoke"
-                        } else {
-                            "full"
-                        },
-                        e.channel_width
-                            .map(|w| w.to_string())
-                            .unwrap_or_else(|| "min-search".to_string()),
-                    );
-                }
-                return Ok(ExitCode::SUCCESS);
-            }
-            "--canon" => {
-                let name = value("--canon")?;
-                let entry = suite_entry(&name)
-                    .ok_or_else(|| format!("unknown suite design '{name}' (try --list)"))?;
-                print!("{}", fpga_netlist::canonical_text(&(entry.build)()));
-                return Ok(ExitCode::SUCCESS);
-            }
-            "--version" => {
-                println!("qor_bench {}", fpga_flow::FLOW_VERSION);
-                return Ok(ExitCode::SUCCESS);
-            }
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other => return Err(format!("unknown argument '{other}' (see --help)")),
+fn run(args: &cli::Args) -> Result<ExitCode, String> {
+    if args.flag("list") {
+        for e in qor_suite() {
+            println!(
+                "{:<16} tier={:<6} channel_width={}",
+                e.name,
+                if e.tier == SuiteTier::Smoke {
+                    "smoke"
+                } else {
+                    "full"
+                },
+                e.channel_width
+                    .map(|w| w.to_string())
+                    .unwrap_or_else(|| "min-search".to_string()),
+            );
         }
+        return Ok(ExitCode::SUCCESS);
     }
+    if let Some(name) = args.get("canon") {
+        let entry = suite_entry(name)
+            .ok_or_else(|| format!("unknown suite design '{name}' (try --list)"))?;
+        print!("{}", fpga_netlist::canonical_text(&(entry.build)()));
+        return Ok(ExitCode::SUCCESS);
+    }
+    let default = BenchConfig::default();
+    let verify = |raw| {
+        fpga_flow::GateMode::parse(raw).unwrap_or_else(|| {
+            args.refuse(format!("unknown --verify mode '{raw}' (off|warn|deny)"))
+        })
+    };
+    let cfg = BenchConfig {
+        tier: match args.get("tier") {
+            None | Some("smoke") => SuiteTier::Smoke,
+            Some("full") => SuiteTier::Full,
+            Some(other) => args.refuse(format!("unknown tier '{other}' (smoke|full)")),
+        },
+        place_seed: cli::opt_u64(args, "seed").unwrap_or(default.place_seed),
+        place_effort: cli::opt_f64(args, "effort").unwrap_or(default.place_effort),
+        verify_cycles: cli::opt_u64(args, "verify-cycles")
+            .map_or(default.verify_cycles, |n| n as usize),
+        only: args.all("only").map(str::to_string).collect(),
+        verify: args.get("verify").map_or(default.verify, verify),
+    };
 
     let progress = |i: usize, n: usize, name: &str| {
         eprintln!("[{}/{n}] {name}", i + 1);
     };
-    let report = match &daemon {
+    let report = match args.get("via-daemon") {
         Some(addr) => qor::run_suite_via_daemon(addr, &cfg, progress)?,
         None => qor::run_suite(&cfg, progress)?,
     };
@@ -160,7 +117,7 @@ fn run() -> Result<ExitCode, String> {
         report.aggregate.geomean_wall_ms,
         report.aggregate.total_wall_ms / 1e3,
     );
-    match out {
+    match args.get("out").map(PathBuf::from) {
         Some(path) => {
             report.save(&path)?;
             eprintln!("wrote {}", path.display());

@@ -5,9 +5,13 @@
 
 use fpga_bench::Table;
 use fpga_cells::detff::{selected_detff, table1, Fig4Stimulus};
+use fpga_flow::cli;
+
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[("waveform", None, "dump the Fig. 4 input waveforms as CSV instead")];
 
 fn main() {
-    let waveform = std::env::args().any(|a| a == "--waveform");
+    let waveform = cli::parse_args("table1_detff [options]", OPTS, "").flag("waveform");
     let stim = Fig4Stimulus::default();
 
     if waveform {

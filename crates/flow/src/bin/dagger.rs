@@ -4,15 +4,21 @@
 use fpga_flow::cli;
 use fpga_flow::{run_blif, FlowOptions};
 
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("o", Some("FILE"), "write the bitstream here (default: design.bit)"),
+    ("seed", Some("N"), "placement seed (default: 1)"),
+    ("no-verify", None, "skip fabric-level verification of the bitstream"),
+];
+
 fn main() {
-    let args = cli::parse_args(&["o", "seed"]);
-    cli::handle_version("dagger", &args);
-    let text = cli::input_or_usage(&args, "dagger <design.blif> [-o out.bit] [--no-verify]");
+    let args = cli::parse_args("dagger <design.blif> [options]", OPTS, "");
+    let text = cli::input_or_usage(&args);
     let mut opts = FlowOptions::default();
-    if args.flags.iter().any(|f| f == "no-verify") {
+    if args.flag("no-verify") {
         opts.verify_cycles = 0;
     }
-    if let Some(seed) = cli::opt_u64(&args, "dagger", "seed") {
+    if let Some(seed) = cli::opt_u64(&args, "seed") {
         opts.place_seed = seed;
     }
     match run_blif(&text, &opts) {

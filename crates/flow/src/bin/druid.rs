@@ -2,10 +2,11 @@
 
 use fpga_flow::cli;
 
+const OPTS: &[cli::Opt] = &[("o", Some("FILE"), "write the EDIF here (default: stdout)")];
+
 fn main() {
-    let args = cli::parse_args(&["o"]);
-    cli::handle_version("druid", &args);
-    let text = cli::input_or_usage(&args, "druid <in.edif> [-o out.edif]");
+    let args = cli::parse_args("druid <in.edif> [options]", OPTS, "");
+    let text = cli::input_or_usage(&args);
     match fpga_synth::druid::normalize_edif(&text) {
         Ok(out) => cli::write_output(&args, &out),
         Err(e) => cli::die("druid", e),

@@ -2,14 +2,16 @@
 
 use fpga_flow::cli;
 
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("o", Some("FILE"), "write the translation here (default: stdout)"),
+    ("reverse", None, "translate BLIF to EDIF instead"),
+];
+
 fn main() {
-    let args = cli::parse_args(&["o"]);
-    cli::handle_version("e2fmt", &args);
-    let text = cli::input_or_usage(
-        &args,
-        "e2fmt <in.edif> [-o out.blif] | e2fmt --reverse <in.blif>",
-    );
-    let result = if args.flags.iter().any(|f| f == "reverse") {
+    let args = cli::parse_args("e2fmt <in.edif | in.blif> [options]", OPTS, "");
+    let text = cli::input_or_usage(&args);
+    let result = if args.flag("reverse") {
         fpga_synth::e2fmt::blif_to_edif(&text)
     } else {
         fpga_synth::e2fmt::edif_to_blif(&text)

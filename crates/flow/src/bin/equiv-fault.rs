@@ -88,32 +88,24 @@ fn xorshift(state: &mut u64) -> u64 {
     xorshift64(state).wrapping_mul(XORSHIFT_STAR)
 }
 
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("seed", Some("N"), "seed of the netlist and the fault site (default: 7)"),
+    ("luts", Some("N"), "size of the seeded netlist in LUTs (default: 48)"),
+    ("clean", None, "inject no fault; expect zero findings"),
+];
+
 fn main() {
-    let args = cli::parse_args(&["seed", "luts"]);
-    cli::handle_version("equiv-fault", &args);
-    let seed: u64 = args
-        .options
-        .get("seed")
-        .map(|raw| {
-            raw.parse()
-                .unwrap_or_else(|_| cli::die("equiv-fault", format!("bad --seed '{raw}'")))
-        })
-        .unwrap_or(7);
-    let luts: usize = args
-        .options
-        .get("luts")
-        .map(|raw| {
-            raw.parse()
-                .unwrap_or_else(|_| cli::die("equiv-fault", format!("bad --luts '{raw}'")))
-        })
-        .unwrap_or(48);
+    let args = cli::parse_args("equiv-fault [options]", OPTS, "");
+    let seed = cli::opt_u64(&args, "seed").unwrap_or(7);
+    let luts = cli::opt_u64(&args, "luts").map_or(48, |n| n as usize);
 
     let rtl = fpga_circuits::rent_logic(luts, 0.62, seed);
     let (mapped, _) = fpga_synth::map_to_luts(&rtl, fpga_synth::MapOptions::default())
         .unwrap_or_else(|e| cli::die("equiv-fault", format!("mapping failed: {e}")));
     let gate = EquivGate::new(&rtl);
 
-    if args.flags.iter().any(|f| f == "clean") {
+    if args.flag("clean") {
         let diags = gate.check_netlist("mapped", &mapped);
         if !diags.is_empty() {
             eprintln!("equiv-fault: clean mapping produced findings:");

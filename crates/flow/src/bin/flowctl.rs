@@ -6,28 +6,33 @@
 use fpga_flow::cli;
 use fpga_flow::{run_blif, run_vhdl, FlowArtifacts, FlowOptions};
 
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("o", Some("FILE"), "write the bitstream here"),
+    ("report", Some("FILE"), "write the stage report here as JSON"),
+    ("seed", Some("N"), "placement seed (default: 1)"),
+    ("w", Some("N"), "route at this channel width (default: search the minimum)"),
+    ("svg", Some("FILE"), "draw the placed and routed layout here"),
+    ("interactive", None, "the six-stage menu of the paper's GUI"),
+];
+
+const STAGES: &str = "stages: 1 file upload  2 synthesis  3 format translation
+        4 power estimation  5 placement & routing  6 FPGA program";
+
 fn main() {
-    let args = cli::parse_args(&["o", "report", "seed", "w", "svg"]);
-    cli::handle_version("flowctl", &args);
-    if args.flags.iter().any(|f| f == "interactive") {
+    let usage = "flowctl <design.vhd|design.blif> [options]\n       flowctl --interactive [design]";
+    let args = cli::parse_args(usage, OPTS, STAGES);
+    if args.flag("interactive") {
         interactive(args.positionals.first().cloned());
         return;
     }
-    let Some(path) = args.positionals.first().cloned() else {
-        eprintln!("usage: flowctl <design.vhd|design.blif> [-o out.bit] [--report r.json]");
-        eprintln!("       flowctl --interactive [design]");
-        eprintln!();
-        eprintln!("stages: 1 file upload  2 synthesis  3 format translation");
-        eprintln!("        4 power estimation  5 placement & routing  6 FPGA program");
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| cli::die("flowctl", format!("cannot read '{path}': {e}")));
+    let text = cli::input_or_usage(&args);
+    let path = &args.positionals[0];
     let mut opts = FlowOptions::default();
-    if let Some(seed) = cli::opt_u64(&args, "flowctl", "seed") {
+    if let Some(seed) = cli::opt_u64(&args, "seed") {
         opts.place_seed = seed;
     }
-    if let Some(w) = cli::opt_u64(&args, "flowctl", "w") {
+    if let Some(w) = cli::opt_u64(&args, "w") {
         opts.channel_width = Some(w as usize);
     }
     let result = if path.ends_with(".blif") {
@@ -38,17 +43,17 @@ fn main() {
     match result {
         Ok(art) => {
             print!("{}", art.report.summary());
-            if let Some(rpath) = args.options.get("report") {
+            if let Some(rpath) = args.get("report") {
                 std::fs::write(rpath, art.report.to_json())
                     .unwrap_or_else(|e| cli::die("flowctl", e));
                 eprintln!("wrote {rpath}");
             }
-            if let Some(svg_path) = args.options.get("svg") {
+            if let Some(svg_path) = args.get("svg") {
                 std::fs::write(svg_path, fpga_flow::svg::render_layout(&art))
                     .unwrap_or_else(|e| cli::die("flowctl", e));
                 eprintln!("wrote {svg_path}");
             }
-            if args.options.contains_key("o") {
+            if args.get("o").is_some() {
                 cli::write_binary_output(&args, &art.bitstream_bytes, "design.bit");
             }
         }

@@ -13,28 +13,21 @@
 use fpga_flow::check::{self, CheckKind};
 use fpga_flow::{cli, FlowCtx, FlowOptions, Source};
 
-const EXIT_USAGE: i32 = 2;
 /// Deny-severity findings present (matches `flowc`'s lint exit code).
 const EXIT_DENIED: i32 = 6;
 
-fn help() -> String {
-    format!(
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("blif", None, "treat the input as BLIF regardless of extension"),
+    ("verify", None, "run the cross-stage equivalence check (the EQ rules) instead"),
+    ("json", None, "print findings as a JSON array (one object per finding)"),
+    ("quiet", None, "print only the summary line"),
+    ("rules", None, "print the rule catalogue and exit"),
+];
+
+fn main() {
+    let footer = format!(
         "\
-fpga-lint — offline design-rule checker
-
-usage:
-  fpga-lint <design.vhd|design.blif> [--blif] [--verify] [--json] [--quiet]
-  fpga-lint --rules
-  fpga-lint --help | --version
-
-  --blif    treat the input as BLIF regardless of extension
-  --verify  run the cross-stage equivalence check (the EQ rules: every
-            stage artifact proved functionally equivalent to the
-            synthesized netlist) instead of the design-rule lint
-  --json    print findings as a JSON array (one object per finding)
-  --quiet   print only the summary line
-  --rules   print the rule catalogue and exit
-
 {}
 severities: deny fails the check (exit 6), warn and info report only.
 
@@ -44,36 +37,22 @@ exit codes:
   2  usage error
   6  the design has deny-severity findings",
         fpga_lint::catalogue_text()
-    )
-}
-
-fn main() {
-    let args = cli::parse_args(&[]);
-    cli::handle_version("fpga-lint", &args);
-    if args.flags.iter().any(|f| f == "help") {
-        println!("{}", help());
-        return;
-    }
-    if args.flags.iter().any(|f| f == "rules") {
+    );
+    let usage = "fpga-lint <design.vhd|design.blif> [options]\n       fpga-lint --rules";
+    let args = cli::parse_args(usage, OPTS, &footer);
+    if args.flag("rules") {
         print!("{}", fpga_lint::catalogue_text());
         return;
     }
-    let Some(path) = args.positionals.first() else {
-        eprintln!("usage: fpga-lint <design.vhd|design.blif> [--blif] [--json]");
-        eprintln!("       (see fpga-lint --help for the rule catalogue)");
-        std::process::exit(EXIT_USAGE);
-    };
-    let source = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => cli::die("fpga-lint", format!("cannot read '{path}': {e}")),
-    };
+    let source = cli::input_or_usage(&args);
+    let path = &args.positionals[0];
 
-    let kind = if args.flags.iter().any(|f| f == "verify") {
+    let kind = if args.flag("verify") {
         CheckKind::Verify
     } else {
         CheckKind::Lint
     };
-    let source = if args.flags.iter().any(|f| f == "blif") || path.ends_with(".blif") {
+    let source = if args.flag("blif") || path.ends_with(".blif") {
         Source::Blif(&source)
     } else {
         Source::Vhdl(&source)
@@ -82,8 +61,8 @@ fn main() {
         Ok(r) => r,
         Err(e) => cli::die("fpga-lint", e),
     };
-    let quiet = args.flags.iter().any(|f| f == "quiet");
-    if args.flags.iter().any(|f| f == "json") {
+    let quiet = args.flag("quiet");
+    if args.flag("json") {
         let body = fpga_lint::diagnostics_to_value(&report.diagnostics);
         match serde_json::to_string_pretty(&body) {
             Ok(text) => println!("{text}"),

@@ -6,23 +6,25 @@ use fpga_cells::tech::Tech;
 use fpga_flow::cli;
 use fpga_power::PowerOptions;
 
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("f", Some("HZ"), "clock frequency (default: 100e6)"),
+    ("cycles", Some("N"), "simulated cycles for switching activity (default: 1000)"),
+];
+
 fn main() {
-    let args = cli::parse_args(&["f", "cycles"]);
-    cli::handle_version("powermodel", &args);
-    let text = cli::input_or_usage(
-        &args,
-        "powermodel <mapped.blif> [--f 100e6] [--cycles 1000]",
-    );
+    let args = cli::parse_args("powermodel <mapped.blif> [options]", OPTS, "");
+    let text = cli::input_or_usage(&args);
     let mut netlist =
         fpga_netlist::blif::parse(&text).unwrap_or_else(|e| cli::die("powermodel", e));
     fpga_pack::prepare(&mut netlist).unwrap_or_else(|e| cli::die("powermodel", e));
     let clustering = fpga_pack::pack(&netlist, &fpga_arch::ClbArch::paper_default())
         .unwrap_or_else(|e| cli::die("powermodel", e));
     let mut opts = PowerOptions::default();
-    if let Some(f) = cli::opt_f64(&args, "powermodel", "f") {
+    if let Some(f) = cli::opt_f64(&args, "f") {
         opts.frequency = f;
     }
-    if let Some(c) = cli::opt_u64(&args, "powermodel", "cycles") {
+    if let Some(c) = cli::opt_u64(&args, "cycles") {
         opts.activity_cycles = c as usize;
     }
     let tech = Tech::stm018();

@@ -4,11 +4,16 @@
 use fpga_flow::cli;
 use fpga_synth::{map_to_luts, MapOptions};
 
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("o", Some("FILE"), "write the mapped BLIF here (default: stdout)"),
+    ("k", Some("N"), "LUT inputs (default: 4)"),
+];
+
 fn main() {
-    let args = cli::parse_args(&["o", "k"]);
-    cli::handle_version("sis-map", &args);
-    let text = cli::input_or_usage(&args, "sis-map <in.blif> [-k 4] [-o out.blif]");
-    let k = cli::opt_u64(&args, "sis-map", "k").map_or(4, |k| k as usize);
+    let args = cli::parse_args("sis-map <in.blif> [options]", OPTS, "");
+    let text = cli::input_or_usage(&args);
+    let k = cli::opt_u64(&args, "k").map_or(4, |k| k as usize);
     let mut netlist = match fpga_netlist::blif::parse(&text) {
         Ok(n) => n,
         Err(e) => cli::die("sis-map", e),

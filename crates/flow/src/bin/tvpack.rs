@@ -4,13 +4,20 @@
 use fpga_arch::{clb_inputs_eq1, ClbArch};
 use fpga_flow::cli;
 
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("o", Some("FILE"), "write the .net clustering here (default: stdout)"),
+    ("k", Some("N"), "LUT inputs (default: 4)"),
+    ("n", Some("N"), "BLEs per CLB (default: 5)"),
+    ("i", Some("N"), "CLB inputs (default: Eq. 1, (K/2)(N+1))"),
+];
+
 fn main() {
-    let args = cli::parse_args(&["o", "k", "n", "i"]);
-    cli::handle_version("tvpack", &args);
-    let text = cli::input_or_usage(&args, "tvpack <in.blif> [-k 4] [-n 5] [-i 12] [-o out.net]");
-    let k = cli::opt_u64(&args, "tvpack", "k").map_or(4, |k| k as usize);
-    let n = cli::opt_u64(&args, "tvpack", "n").map_or(5, |n| n as usize);
-    let i = cli::opt_u64(&args, "tvpack", "i").map_or_else(|| clb_inputs_eq1(k, n), |i| i as usize);
+    let args = cli::parse_args("tvpack <in.blif> [options]", OPTS, "");
+    let text = cli::input_or_usage(&args);
+    let k = cli::opt_u64(&args, "k").map_or(4, |k| k as usize);
+    let n = cli::opt_u64(&args, "n").map_or(5, |n| n as usize);
+    let i = cli::opt_u64(&args, "i").map_or_else(|| clb_inputs_eq1(k, n), |i| i as usize);
     let arch = ClbArch {
         lut_k: k,
         cluster_size: n,

@@ -4,9 +4,8 @@
 use fpga_flow::cli;
 
 fn main() {
-    let args = cli::parse_args(&[]);
-    cli::handle_version("vparse", &args);
-    let text = cli::input_or_usage(&args, "vparse <design.vhd>");
+    let args = cli::parse_args("vparse <design.vhd>", &[], "");
+    let text = cli::input_or_usage(&args);
     match fpga_vhdl::parse(&text) {
         Err(e) => cli::die("vparse", format!("syntax error: {e}")),
         Ok(design) => match fpga_vhdl::check(&design) {

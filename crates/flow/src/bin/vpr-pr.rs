@@ -7,14 +7,19 @@ use fpga_flow::cli;
 use fpga_place::{AnnealingPlacer, PlaceConfig, PlaceEngine};
 use fpga_route::{PathFinderRouter, RouteEngine};
 
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("o", Some("FILE"), "write the placement here (default: stdout)"),
+    ("arch", Some("FILE"), "architecture file from dutys (default: the paper's)"),
+    ("seed", Some("N"), "placement seed (default: 1)"),
+    ("w", Some("N"), "route at this channel width (default: search the minimum)"),
+    ("net", Some("FILE"), "read tvpack's .net clustering instead of packing"),
+];
+
 fn main() {
-    let args = cli::parse_args(&["o", "arch", "seed", "w", "net"]);
-    cli::handle_version("vpr-pr", &args);
-    let text = cli::input_or_usage(
-        &args,
-        "vpr-pr <mapped.blif> [--arch arch.txt] [--seed 1] [--w <tracks>] [-o out.place]",
-    );
-    let arch = match args.options.get("arch") {
+    let args = cli::parse_args("vpr-pr <mapped.blif> [options]", OPTS, "");
+    let text = cli::input_or_usage(&args);
+    let arch = match args.get("arch") {
         Some(path) => {
             let atext = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| cli::die("vpr-pr", format!("cannot read '{path}': {e}")));
@@ -22,11 +27,11 @@ fn main() {
         }
         None => Architecture::paper_default(),
     };
-    let seed = cli::opt_u64(&args, "vpr-pr", "seed").unwrap_or(1);
+    let seed = cli::opt_u64(&args, "seed").unwrap_or(1);
     let mut netlist = fpga_netlist::blif::parse(&text).unwrap_or_else(|e| cli::die("vpr-pr", e));
     fpga_pack::prepare(&mut netlist).unwrap_or_else(|e| cli::die("vpr-pr", e));
     // Either consume T-VPack's .net file or re-pack internally.
-    let clustering = match args.options.get("net") {
+    let clustering = match args.get("net") {
         Some(net_path) => {
             let net_text = std::fs::read_to_string(net_path)
                 .unwrap_or_else(|e| cli::die("vpr-pr", format!("cannot read '{net_path}': {e}")));
@@ -47,7 +52,7 @@ fn main() {
     );
     eprint!("{}", placement.stats_table());
     let router = PathFinderRouter;
-    let (w, routed) = match cli::opt_u64(&args, "vpr-pr", "w").map(|w| w as usize) {
+    let (w, routed) = match cli::opt_u64(&args, "w").map(|w| w as usize) {
         Some(w) => {
             let g = fpga_route::rrgraph::RrGraph::build(&placement.device, w);
             let r = router

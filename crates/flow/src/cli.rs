@@ -1,59 +1,155 @@
-//! Minimal shared command-line plumbing for the tool binaries. The tools
-//! follow the paper's conventions: positional input file, `-o` output,
-//! long flags for options, helpful usage text on error.
+//! Shared command-line plumbing for the tool binaries. The tools follow
+//! the paper's conventions: positional input file, `-o` output, long
+//! flags for options.
+//!
+//! Each binary declares one table of its options, and [`parse_args`] is
+//! the one reader of argv. It answers `--help` from the table and
+//! `--version` with the toolset version. It refuses, with exit 2 and the
+//! usage on stderr, a name the table does not hold and an option given
+//! without its value, and the `opt_*` readers refuse a value that does
+//! not parse. So a flag that nothing reads cannot pass unnoticed.
 
-use std::collections::HashMap;
+use std::process::exit;
 
-/// Parsed command line: positionals plus `--key value` / `-o value` pairs
-/// and bare `--flags`.
-#[derive(Debug, Default)]
+/// One option: its name (given as `--name` or `-name`), the placeholder
+/// of its value (`None` for a bare flag), and its help line.
+pub type Opt = (&'static str, Option<&'static str>, &'static str);
+
+/// What every binary answers without a table entry.
+const BUILTIN: &[Opt] = &[
+    ("help", None, "print this help and exit (also -h)"),
+    ("version", None, "print the toolset version (also -V)"),
+];
+
+/// A command line read against a binary's table: positionals plus the
+/// options given, in order.
+#[derive(Debug)]
 pub struct Args {
     pub positionals: Vec<String>,
-    pub options: HashMap<String, String>,
-    pub flags: Vec<String>,
+    usage: &'static str,
+    opts: &'static [Opt],
+    given: Vec<(&'static str, Option<String>)>,
 }
 
-/// Options that take a value (everything else with a dash is a flag).
-pub fn parse_args(valued: &[&str]) -> Args {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1).peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) {
-            if valued.contains(&name) {
-                let v = it.next().unwrap_or_default();
-                args.options.insert(name.to_string(), v);
-            } else {
-                args.flags.push(name.to_string());
-            }
-        } else {
+/// Reads argv against `opts`. `usage` is the usage line, the tool's
+/// name first (further forms on lines of their own); `footer` is the
+/// prose `--help` prints after the options.
+pub fn parse_args(usage: &'static str, opts: &'static [Opt], footer: &str) -> Args {
+    let mut args = Args {
+        positionals: Vec::new(),
+        usage,
+        opts,
+        given: Vec::new(),
+    };
+    let mut argv = std::env::args().skip(1);
+    while let Some(a) = argv.next() {
+        let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) else {
             args.positionals.push(a);
+            continue;
+        };
+        match name {
+            "help" | "h" => {
+                print!("{}", help(usage, opts, footer));
+                exit(0);
+            }
+            "version" | "V" => {
+                println!("{} {}", args.tool(), crate::FLOW_VERSION);
+                exit(0);
+            }
+            _ => {}
         }
+        let Some(&(name, value, _)) = opts.iter().find(|o| o.0 == name) else {
+            args.refuse(format!("unknown option '{a}'"));
+        };
+        let value = value.map(|v| {
+            let missing = || args.refuse(format!("{a} needs a value ({v})"));
+            argv.next().unwrap_or_else(missing)
+        });
+        args.given.push((name, value));
     }
     args
 }
 
-/// Read the input file (first positional) or exit with usage.
-pub fn input_or_usage(args: &Args, usage: &str) -> String {
+/// The `--help` text: usage, one row per option, then `footer`.
+fn help(usage: &str, opts: &[Opt], footer: &str) -> String {
+    let label = |&(name, value, _): &Opt| {
+        let dash = if name.len() == 1 { "-" } else { "--" };
+        value.map_or(format!("{dash}{name}"), |v| format!("{dash}{name} {v}"))
+    };
+    let rows = || opts.iter().chain(BUILTIN);
+    let width = rows().map(|o| label(o).len()).max().unwrap_or(0);
+    let mut out = format!("usage: {usage}\n\noptions:\n");
+    for o in rows() {
+        out += &format!("  {:<width$}  {}\n", label(o), o.2);
+    }
+    if !footer.is_empty() {
+        out += &format!("\n{footer}\n");
+    }
+    out
+}
+
+impl Args {
+    /// The binary's name: the usage line's first word.
+    fn tool(&self) -> &'static str {
+        self.usage
+            .split_once(' ')
+            .map_or(self.usage, |(tool, _)| tool)
+    }
+
+    /// Each time `name` was given, with its value. Asking for a name the
+    /// table does not hold is a bug in the binary.
+    fn given(&self, name: &str) -> impl Iterator<Item = &Option<String>> {
+        let Some(&(name, ..)) = self.opts.iter().find(|o| o.0 == name) else {
+            panic!("{} has no --{name}", self.tool());
+        };
+        self.given.iter().filter(move |g| g.0 == name).map(|g| &g.1)
+    }
+
+    /// The bare flag `--name` was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.given(name).next().is_some()
+    }
+
+    /// The last value given for `--name`.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.all(name).last()
+    }
+
+    /// Every value given for `--name`, in order.
+    pub fn all(&self, name: &str) -> impl Iterator<Item = &str> {
+        self.given(name).filter_map(Option::as_deref)
+    }
+
+    /// Exits 2 with `msg` and the usage: the command line is wrong.
+    pub fn refuse(&self, msg: impl std::fmt::Display) -> ! {
+        let tool = self.tool();
+        eprintln!("{tool}: error: {msg}");
+        eprintln!("usage: {}\n       (see {tool} --help)", self.usage);
+        exit(2);
+    }
+}
+
+/// Read the input file (first positional), or refuse without one.
+pub fn input_or_usage(args: &Args) -> String {
     let Some(path) = args.positionals.first() else {
-        eprintln!("usage: {usage}");
-        std::process::exit(2);
+        args.refuse("no input file");
     };
     match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("error: cannot read '{path}': {e}");
-            std::process::exit(1);
+            exit(1);
         }
     }
 }
 
 /// Write to `-o <path>`, or stdout when absent.
 pub fn write_output(args: &Args, content: &str) {
-    match args.options.get("o") {
+    match args.get("o") {
         Some(path) => {
             if let Err(e) = std::fs::write(path, content) {
                 eprintln!("error: cannot write '{path}': {e}");
-                std::process::exit(1);
+                exit(1);
             }
             eprintln!("wrote {path}");
         }
@@ -63,14 +159,10 @@ pub fn write_output(args: &Args, content: &str) {
 
 /// Write binary output to `-o <path>` (mandatory for binary formats).
 pub fn write_binary_output(args: &Args, content: &[u8], default_name: &str) {
-    let path = args
-        .options
-        .get("o")
-        .cloned()
-        .unwrap_or_else(|| default_name.to_string());
-    if let Err(e) = std::fs::write(&path, content) {
+    let path = args.get("o").unwrap_or(default_name);
+    if let Err(e) = std::fs::write(path, content) {
         eprintln!("error: cannot write '{path}': {e}");
-        std::process::exit(1);
+        exit(1);
     }
     eprintln!("wrote {path} ({} bytes)", content.len());
 }
@@ -78,17 +170,7 @@ pub fn write_binary_output(args: &Args, content: &[u8], default_name: &str) {
 /// Exit printing a tool error.
 pub fn die(tool: &str, err: impl std::fmt::Display) -> ! {
     eprintln!("{tool}: error: {err}");
-    std::process::exit(1);
-}
-
-/// Shared `--version` handling: when the flag is present, print the
-/// tool's name with the toolset version ([`crate::FLOW_VERSION`], the
-/// same string folded into stage-cache keys) and exit.
-pub fn handle_version(tool: &str, args: &Args) {
-    if args.flags.iter().any(|f| f == "version" || f == "V") {
-        println!("{tool} {}", crate::FLOW_VERSION);
-        std::process::exit(0);
-    }
+    exit(1);
 }
 
 /// Parse a human duration into milliseconds. Accepts a bare number
@@ -146,49 +228,43 @@ pub fn parse_size_bytes(text: &str) -> Result<u64, String> {
     Ok((value * scale as f64).round() as u64)
 }
 
-/// `--flag N`: a plain number option, or exit with `tool`'s error.
-fn opt_number<T: std::str::FromStr>(args: &Args, tool: &str, flag: &str) -> Option<T> {
-    args.options.get(flag).map(|raw| match raw.parse() {
-        Ok(n) => n,
-        Err(_) => die(tool, format!("bad --{flag} '{raw}'")),
-    })
+/// `--flag N`: a plain number option; a value that does not parse is refused.
+fn opt_number<T: std::str::FromStr>(args: &Args, flag: &str) -> Option<T> {
+    let bad = |raw: &str| args.refuse(format!("bad --{flag} '{raw}'"));
+    args.get(flag)
+        .map(|raw| raw.parse().unwrap_or_else(|_| bad(raw)))
 }
 
 /// `--flag N`: an integer [`opt_number`].
-pub fn opt_u64(args: &Args, tool: &str, flag: &str) -> Option<u64> {
-    opt_number(args, tool, flag)
+pub fn opt_u64(args: &Args, flag: &str) -> Option<u64> {
+    opt_number(args, flag)
 }
 
 /// `--flag X`: a floating-point [`opt_number`].
-pub fn opt_f64(args: &Args, tool: &str, flag: &str) -> Option<f64> {
-    opt_number(args, tool, flag)
+pub fn opt_f64(args: &Args, flag: &str) -> Option<f64> {
+    opt_number(args, flag)
 }
 
 /// `--flag DUR`: a [`parse_duration_ms`] option, in milliseconds.
-pub fn opt_duration_ms(args: &Args, tool: &str, flag: &str) -> Option<u64> {
-    args.options.get(flag).map(|raw| {
-        parse_duration_ms(raw).unwrap_or_else(|e| die(tool, format!("bad --{flag}: {e}")))
-    })
+pub fn opt_duration_ms(args: &Args, flag: &str) -> Option<u64> {
+    let bad = |e: String| args.refuse(format!("bad --{flag}: {e}"));
+    args.get(flag)
+        .map(|raw| parse_duration_ms(raw).unwrap_or_else(bad))
 }
 
 /// `--flag SIZE`: a [`parse_size_bytes`] option, in bytes.
-pub fn opt_size_bytes(args: &Args, tool: &str, flag: &str) -> Option<u64> {
-    args.options.get(flag).map(|raw| {
-        parse_size_bytes(raw).unwrap_or_else(|e| die(tool, format!("bad --{flag}: {e}")))
-    })
+pub fn opt_size_bytes(args: &Args, flag: &str) -> Option<u64> {
+    let bad = |e: String| args.refuse(format!("bad --{flag}: {e}"));
+    args.get(flag)
+        .map(|raw| parse_size_bytes(raw).unwrap_or_else(bad))
 }
 
 /// `opt` ([`opt_u64`], [`opt_duration_ms`] or [`opt_size_bytes`]) for a
-/// flag whose zero means nothing: `--flag 0` exits with `tool`'s error.
-pub fn nonzero(
-    opt: fn(&Args, &str, &str) -> Option<u64>,
-    args: &Args,
-    tool: &str,
-    flag: &str,
-) -> Option<u64> {
-    let value = opt(args, tool, flag)?;
+/// flag whose zero means nothing: `--flag 0` is refused.
+pub fn nonzero(opt: fn(&Args, &str) -> Option<u64>, args: &Args, flag: &str) -> Option<u64> {
+    let value = opt(args, flag)?;
     if value == 0 {
-        die(tool, format!("bad --{flag} '0'"));
+        args.refuse(format!("bad --{flag} '0'"));
     }
     Some(value)
 }

@@ -93,3 +93,39 @@ fn vpr_pr_refuses_a_garbage_width_and_honours_a_good_one() {
         "a pinned width is not searched: {stderr}"
     );
 }
+
+#[path = "support/flag_table.rs"]
+mod flag_table;
+
+#[test]
+fn every_flow_binary_answers_from_its_flag_table_and_refuses_the_rest() {
+    #[rustfmt::skip]
+    let tables: [(&str, &str, &[&str]); 13] = [
+        (env!("CARGO_BIN_EXE_dagger"), "dagger", &["-o FILE", "--seed N", "--no-verify"]),
+        (env!("CARGO_BIN_EXE_diviner"), "diviner", &["-o FILE"]),
+        (env!("CARGO_BIN_EXE_druid"), "druid", &["-o FILE"]),
+        (env!("CARGO_BIN_EXE_dutys"), "dutys", &["-o FILE", "-k N", "-n N", "-w N", "--name NAME", "--json"]),
+        (env!("CARGO_BIN_EXE_e2fmt"), "e2fmt", &["-o FILE", "--reverse"]),
+        (env!("CARGO_BIN_EXE_equiv-fault"), "equiv-fault", &["--seed N", "--luts N", "--clean"]),
+        (env!("CARGO_BIN_EXE_flowctl"), "flowctl",
+            &["-o FILE", "--report FILE", "--seed N", "-w N", "--svg FILE", "--interactive"]),
+        (env!("CARGO_BIN_EXE_fpga-lint"), "fpga-lint", &["--blif", "--verify", "--json", "--quiet", "--rules"]),
+        (env!("CARGO_BIN_EXE_powermodel"), "powermodel", &["-f HZ", "--cycles N"]),
+        (env!("CARGO_BIN_EXE_sis-map"), "sis-map", &["-o FILE", "-k N"]),
+        (env!("CARGO_BIN_EXE_tvpack"), "tvpack", &["-o FILE", "-k N", "-n N", "-i N"]),
+        (env!("CARGO_BIN_EXE_vparse"), "vparse", &[]),
+        (env!("CARGO_BIN_EXE_vpr-pr"), "vpr-pr", &["-o FILE", "--arch FILE", "--seed N", "-w N", "--net FILE"]),
+    ];
+    for (exe, tool, rows) in tables {
+        flag_table::assert_table(exe, tool, rows);
+    }
+}
+
+#[test]
+fn a_value_that_does_not_parse_is_a_usage_error() {
+    let equiv_fault = env!("CARGO_BIN_EXE_equiv-fault");
+    flag_table::refused(equiv_fault, &["--seed", "-1"], "bad --seed '-1'");
+    flag_table::refused(equiv_fault, &["--luts", "many"], "bad --luts 'many'");
+    let tvpack = env!("CARGO_BIN_EXE_tvpack");
+    flag_table::refused(tvpack, &[MAJORITY, "-k", "five"], "bad --k 'five'");
+}

@@ -8,82 +8,48 @@
 use fpga_flow::cli;
 use fpga_server::{Gateway, GatewayConfig};
 
-const HELP: &str = "\
-flow-gateway — fault-tolerant front door for a flowd compile farm
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("backend", Some("HOST:PORT[,...]"), "flowd addresses (required)"),
+    ("tcp", Some("HOST:PORT"), "listen address (default: 127.0.0.1, any free port)"),
+    ("health-interval", Some("DUR"), "ping each backend this often (default: 500ms)"),
+    ("probe-timeout", Some("DUR"), "connect/probe timeout (default: 1s)"),
+    ("breaker-failures", Some("N"), "failures in a row that trip a breaker (default: 3)"),
+    ("breaker-reopen", Some("DUR"), "base quiet period of a tripped breaker (default: 5s)"),
+    ("jitter-seed", Some("N"), "pin breaker jitter for deterministic chaos runs"),
+    ("max-inflight", Some("N"), "jobs running across the farm (default: 64)"),
+    ("admission-queue", Some("N"), "waiters beyond that before shedding (default: 128)"),
+    ("tenant-burst", Some("N"), "token-bucket burst per tenant (default: 8)"),
+    ("tenant-rate", Some("N"), "tokens/s refilled per tenant; 0 = none (default: 4)"),
+    ("retry-after", Some("DUR"), "floor of the retry_after_ms shed hint (default: 200ms)"),
+    ("idle-timeout", Some("DUR"), "drop a connection silent this long (default: 5m)"),
+    ("max-line", Some("SIZE"), "longest request line (default: 8m)"),
+    ("max-conns", Some("N"), "concurrent connections (default: 256)"),
+];
 
-usage:
-  flow-gateway --backend HOST:PORT[,HOST:PORT...] [--tcp HOST:PORT]
-               [--health-interval DUR] [--probe-timeout DUR]
-               [--breaker-failures N] [--breaker-reopen DUR]
-               [--jitter-seed N]
-               [--max-inflight N] [--admission-queue N]
-               [--tenant-burst N] [--tenant-rate N]
-               [--retry-after DUR] [--idle-timeout DUR]
-               [--max-line SIZE] [--max-conns N]
-  flow-gateway --help | --version
+const FOOTER: &str = "\
+Jobs shard by stage-cache affinity (rendezvous hashing), so a design's
+resubmissions reuse the backend that holds its cached stages; while that
+backend is busy an idle peer takes the job, serving what replication put
+on its disk and computing the rest. A tripped breaker half-opens after
+its quiet period plus up to 50% jitter. A tenant is the request's
+`tenant` field, \"anon\" when absent.
 
-routing:
-  --backend LIST        flowd addresses (comma separated, required);
-                        jobs shard by stage-cache affinity (rendezvous
-                        hashing), so resubmissions of a design reuse the
-                        backend that already holds its cached stages;
-                        while that backend is busy an idle peer takes
-                        the job, serving what replication put on its
-                        disk and computing the rest
-  --health-interval DUR ping each backend this often (default 500ms)
-  --probe-timeout DUR   connect/probe timeout (default 1s)
-  --breaker-failures N  consecutive failures that trip a backend's
-                        circuit breaker (default 3)
-  --breaker-reopen DUR  base quiet period before a tripped breaker
-                        half-opens; actual adds up to 50% jitter
-                        (default 5s)
-  --jitter-seed N       pin breaker jitter for deterministic chaos runs
-
-admission (per-tenant fair share; tenant = request's `tenant` field,
-defaulting to \"anon\"):
-  --max-inflight N      jobs running across the farm (default 64)
-  --admission-queue N   waiters beyond that before shedding (default 128)
-  --tenant-burst N      token-bucket burst per tenant (default 8)
-  --tenant-rate N       tokens/sec refill per tenant; 0 = no refill
-                        (default 4)
-  --retry-after DUR     floor for the retry_after_ms shed hint
-                        (default 200ms)
-
-guards (same spellings as flowd):
-  --idle-timeout DUR, --max-line SIZE, --max-conns N
-
-observe with: flowc status | flowc metrics [--text]
-durations (DUR) take 250 / 250ms / 30s / 5m; sizes take 512 / 64k / 8m";
+durations (DUR) take 250 / 250ms / 30s / 5m; sizes take 512 / 64k / 8m
+observe with: flowc status | flowc metrics [--text]";
 
 fn main() {
-    let args = cli::parse_args(&[
-        "tcp",
-        "backend",
-        "health-interval",
-        "probe-timeout",
-        "breaker-failures",
-        "breaker-reopen",
-        "jitter-seed",
-        "max-inflight",
-        "admission-queue",
-        "tenant-burst",
-        "tenant-rate",
-        "retry-after",
-        "idle-timeout",
-        "max-line",
-        "max-conns",
-    ]);
-    cli::handle_version("flow-gateway", &args);
-    if args.flags.iter().any(|f| f == "help" || f == "h") {
-        println!("{HELP}");
-        return;
-    }
+    let args = cli::parse_args(
+        "flow-gateway --backend HOST:PORT[,...] [options]",
+        OPTS,
+        FOOTER,
+    );
 
     let mut config = GatewayConfig::default();
-    if let Some(addr) = args.options.get("tcp") {
-        config.tcp_addr = addr.clone();
+    if let Some(addr) = args.get("tcp") {
+        config.tcp_addr = addr.to_string();
     }
-    match args.options.get("backend") {
+    match args.get("backend") {
         Some(list) => {
             config.backends = list
                 .split(',')
@@ -92,50 +58,47 @@ fn main() {
                 .map(str::to_string)
                 .collect();
         }
-        None => cli::die("flow-gateway", "--backend HOST:PORT[,...] is required"),
+        None => args.refuse("--backend HOST:PORT[,...] is required"),
     }
-    if let Some(ms) = cli::nonzero(
-        cli::opt_duration_ms,
-        &args,
-        "flow-gateway",
-        "health-interval",
-    ) {
+    if let Some(ms) = cli::nonzero(cli::opt_duration_ms, &args, "health-interval") {
         config.health_interval_ms = ms;
     }
-    if let Some(ms) = cli::nonzero(cli::opt_duration_ms, &args, "flow-gateway", "probe-timeout") {
+    if let Some(ms) = cli::nonzero(cli::opt_duration_ms, &args, "probe-timeout") {
         config.probe_timeout_ms = ms;
     }
-    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flow-gateway", "breaker-failures") {
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "breaker-failures") {
         config.breaker_threshold = n as u32;
     }
-    if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "breaker-reopen") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "breaker-reopen") {
         config.breaker_reopen_ms = ms;
     }
-    if let Some(seed) = cli::opt_u64(&args, "flow-gateway", "jitter-seed") {
+    if let Some(seed) = cli::opt_u64(&args, "jitter-seed") {
         config.jitter_seed = seed;
     }
-    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flow-gateway", "max-inflight") {
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "max-inflight") {
         config.governor.max_inflight = n as usize;
     }
-    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "admission-queue") {
+    if let Some(n) = cli::opt_u64(&args, "admission-queue") {
         config.governor.queue_bound = n as usize;
     }
-    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flow-gateway", "tenant-burst") {
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "tenant-burst") {
         config.governor.tenant_burst = n;
     }
-    if let Some(n) = cli::opt_u64(&args, "flow-gateway", "tenant-rate") {
-        config.governor.tenant_refill_milli_per_s = n * 1_000;
+    if let Some(n) = cli::opt_u64(&args, "tenant-rate") {
+        let milli = n.checked_mul(1_000);
+        let milli = milli.unwrap_or_else(|| args.refuse(format!("bad --tenant-rate '{n}'")));
+        config.governor.tenant_refill_milli_per_s = milli;
     }
-    if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "retry-after") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "retry-after") {
         config.governor.retry_after_ms = ms;
     }
-    if let Some(ms) = cli::opt_duration_ms(&args, "flow-gateway", "idle-timeout") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "idle-timeout") {
         config.idle_timeout_ms = (ms > 0).then_some(ms);
     }
-    if let Some(bytes) = cli::nonzero(cli::opt_size_bytes, &args, "flow-gateway", "max-line") {
+    if let Some(bytes) = cli::nonzero(cli::opt_size_bytes, &args, "max-line") {
         config.max_line_bytes = bytes as usize;
     }
-    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flow-gateway", "max-conns") {
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "max-conns") {
         config.max_connections = n as usize;
     }
 

@@ -1,13 +1,6 @@
 //! `flowc` — command-line client for `flowd`.
 //!
-//! ```text
-//! flowc [--tcp HOST:PORT | --unix PATH] compile design.vhd [--blif]
-//!       [--seed N] [--effort F] [--width W] [--cycles N]
-//!       [--deadline DUR] [--retries N] [--trace]
-//!       [-o design.bit] [--report report.json]
-//! flowc [...] lint|verify design.vhd [--blif] [--json] [--quiet]
-//! flowc [...] metrics [--text] | stats | ping | shutdown
-//! ```
+//! `flowc --help` lists the verbs and options.
 //!
 //! When the daemon is saturated (queue full or connection cap hit) it
 //! answers with a `retry_after_ms` hint; `flowc` retries on a fresh
@@ -34,8 +27,7 @@ use fpga_server::{
 };
 use serde_json::Value;
 
-/// Exit codes, the contract scripts rely on.
-const EXIT_USAGE: i32 = 2;
+/// Exit codes, the contract scripts rely on (2 is a usage error).
 /// Could not reach or talk to the daemon (connect/read/protocol).
 const EXIT_TRANSPORT: i32 = 3;
 /// The daemon answered and reported the compile failed or was refused.
@@ -46,50 +38,53 @@ const EXIT_DEADLINE: i32 = 5;
 /// `fpga-lint` uses; the verify gate's EQ denials land here too).
 const EXIT_LINT: i32 = 6;
 
-fn help() -> String {
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("tcp", Some("HOST:PORT"), "the daemon's address (default: 127.0.0.1:7171)"),
+    ("unix", Some("PATH"), "the daemon's Unix socket, in place of --tcp"),
+    ("blif", None, "treat the design as BLIF regardless of extension"),
+    ("seed", Some("N"), "compile: placement seed"),
+    ("effort", Some("X"), "compile: annealing effort"),
+    ("width", Some("W"), "compile: channel width (default: search the minimum)"),
+    ("cycles", Some("N"), "compile: bitstream verification cycles"),
+    ("lint", Some("MODE"), "compile: design-rule gates, off|warn|deny (default: off)"),
+    ("verify", Some("MODE"), "compile: equivalence gates, off|warn|deny (default: off)"),
+    ("deadline", Some("DUR"), "the job's time budget"),
+    ("retries", Some("N"), "compile: attempts while the daemon is saturated"),
+    ("trace", None, "compile: print the job's span tree as a waterfall (stderr)"),
+    ("o", Some("FILE"), "compile: write the bitstream here (default: stdout)"),
+    ("report", Some("FILE"), "compile: write the flow report here"),
+    ("tenant", Some("ID"), "tag the job for the gateway's per-tenant quotas"),
+    ("json", None, "lint, verify: print findings as a JSON array"),
+    ("quiet", None, "lint, verify: print only the summary line"),
+    ("text", None, "metrics: Prometheus-style text instead of JSON"),
+];
+
+const USAGE: &str = "flowc [options] compile <design.vhd|design.blif>
+       flowc [options] lint|verify <design.vhd|design.blif>
+       flowc [options] metrics | status | stats | ping | shutdown";
+
+fn footer() -> String {
     format!(
         "\
-flowc — command-line client for flowd
-
-usage:
-  flowc [--tcp HOST:PORT | --unix PATH] compile <design.vhd|design.blif>
-        [--blif] [--seed N] [--effort F] [--width W] [--cycles N]
-        [--lint off|warn|deny] [--verify off|warn|deny]
-        [--deadline DUR] [--retries N] [--trace] [-o design.bit]
-        [--report report.json]
-  flowc [--tcp HOST:PORT | --unix PATH] lint <design.vhd|design.blif>
-        [--blif] [--json] [--quiet] [--deadline DUR]
-  flowc [--tcp HOST:PORT | --unix PATH] verify <design.vhd|design.blif>
-        [--blif] [--json] [--quiet] [--deadline DUR]
-  flowc [--tcp HOST:PORT | --unix PATH] metrics [--text]
-  flowc [--tcp HOST:PORT | --unix PATH] status | stats | ping | shutdown
-  flowc --help | --version
-
 durations (DUR) take 250 / 250ms / 30s / 5m / 1h — the same spellings
 flowd accepts for its --max-deadline / --idle-timeout / --retry-after.
 
-  --trace   record a per-stage span tree for this job and print it as a
-            waterfall (stderr), cache hits attributed to their tier
-  --lint    design-rule gates during compile: warn reports findings,
-            deny fails the job on deny-severity findings (default: off)
+  --trace   attributes cache hits to their tier
+  --verify  checks every stage artifact (mapped netlist, packed, placed,
+            routed, decoded bitstream) functionally equivalent to the
+            synthesized netlist; deny fails the job with a replayable
+            counterexample
   lint      run the deep design-rule check on the daemon: every rule
             below, through as much of the flow as the design survives
-  --verify  cross-stage equivalence gates during compile: every stage
-            artifact (mapped netlist, packed, placed, routed, decoded
-            bitstream) is checked functionally equivalent to the
-            synthesized netlist; warn reports EQ findings, deny fails
-            the job with a replayable counterexample (default: off)
   verify    run the deep equivalence check on the daemon: the EQ rules
             below at every flow point the design survives, without
             gating — findings ride back in the report
   metrics   fetch flowd's per-stage latency histograms, cache
-            memory/disk hit counters, and per-rule lint counters as
-            JSON (--text: Prometheus-style)
+            memory/disk hit counters, and per-rule lint counters
   status    fetch the server's health summary; against a flow-gateway
             this is the per-backend health/breaker/failover table and
             per-tenant admission counters
-  --tenant  tag compile/lint jobs with a tenant id for the gateway's
-            per-tenant fair-share quotas (proto v4; flowd ignores it)
 
 {}
 exit codes:
@@ -120,15 +115,10 @@ fn render_pretty(v: &Value) -> String {
 }
 
 fn try_connect(args: &cli::Args) -> io::Result<FlowClient> {
-    if let Some(path) = args.options.get("unix") {
+    if let Some(path) = args.get("unix") {
         return FlowClient::connect_unix(path);
     }
-    let addr = args
-        .options
-        .get("tcp")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7171".to_string());
-    FlowClient::connect_tcp(addr.as_str())
+    FlowClient::connect_tcp(args.get("tcp").unwrap_or("127.0.0.1:7171"))
 }
 
 fn connect(args: &cli::Args) -> FlowClient {
@@ -139,22 +129,9 @@ fn connect(args: &cli::Args) -> FlowClient {
 }
 
 fn main() {
-    let args = cli::parse_args(&[
-        "tcp", "unix", "seed", "effort", "width", "cycles", "lint", "verify", "deadline",
-        "retries", "o", "report", "tenant",
-    ]);
-    cli::handle_version("flowc", &args);
-    if args.flags.iter().any(|f| f == "help") {
-        println!("{}", help());
-        return;
-    }
-
+    let args = cli::parse_args(USAGE, OPTS, &footer());
     let Some(cmd) = args.positionals.first().map(String::as_str) else {
-        eprintln!(
-            "usage: flowc [--tcp HOST:PORT | --unix PATH] <compile|lint|verify|stats|ping|shutdown> ..."
-        );
-        eprintln!("       (see flowc --help for options, rule codes, and exit codes)");
-        std::process::exit(EXIT_USAGE);
+        args.refuse("no verb");
     };
     match cmd {
         "ping" => match connect(&args).ping() {
@@ -170,7 +147,7 @@ fn main() {
             Err(e) => fail(EXIT_TRANSPORT, e),
         },
         "metrics" => {
-            let text = args.flags.iter().any(|f| f == "text");
+            let text = args.flag("text");
             match connect(&args).metrics(text) {
                 // In text mode the exposition rides in a "text" field;
                 // print it raw so the output pipes straight to a scraper.
@@ -189,7 +166,7 @@ fn main() {
         "compile" => compile(&args),
         "lint" => check(CheckKind::Lint, &args),
         "verify" => check(CheckKind::Verify, &args),
-        other => cli::die("flowc", format!("unknown command '{other}'")),
+        other => args.refuse(format!("unknown verb '{other}'")),
     }
 }
 
@@ -200,7 +177,7 @@ fn read_design(args: &cli::Args, path: &str) -> (SourceFormat, String) {
         Ok(s) => s,
         Err(e) => cli::die("flowc", format!("cannot read '{path}': {e}")),
     };
-    let format = if args.flags.iter().any(|f| f == "blif") || path.ends_with(".blif") {
+    let format = if args.flag("blif") || path.ends_with(".blif") {
         SourceFormat::Blif
     } else {
         SourceFormat::Vhdl
@@ -221,44 +198,33 @@ fn warn_unknown_events(names: &[String], dropped: u64) {
 
 fn compile(args: &cli::Args) {
     let Some(path) = args.positionals.get(1) else {
-        eprintln!("usage: flowc compile <design.vhd|design.blif> [--blif] [--seed N] ...");
-        std::process::exit(EXIT_USAGE);
+        args.refuse("compile needs a design");
     };
     let (format, source) = read_design(args, path);
 
     let mut options = serde_json::Map::new();
-    let mut numeric = |flag: &str, wire: &str| {
-        if let Some(raw) = args.options.get(flag) {
-            match raw.parse::<f64>() {
-                Ok(n) if n.fract() == 0.0 && flag != "effort" => {
-                    options.insert(wire.to_string(), serde_json::json!(n as u64));
-                }
-                Ok(n) => {
-                    options.insert(wire.to_string(), serde_json::json!(n));
-                }
-                Err(_) => cli::die("flowc", format!("bad --{flag} '{raw}'")),
-            }
+    let mut put = |wire: &str, value: Option<Value>| {
+        if let Some(value) = value {
+            options.insert(wire.to_string(), value);
         }
     };
-    numeric("seed", "place_seed");
-    numeric("effort", "place_effort");
-    numeric("width", "channel_width");
-    numeric("cycles", "verify_cycles");
-    if let Some(mode) = args.options.get("lint") {
-        options.insert("lint".to_string(), serde_json::json!(mode));
-    }
-    if let Some(mode) = args.options.get("verify") {
-        options.insert("verify".to_string(), serde_json::json!(mode));
-    }
+    let int = |flag| cli::opt_u64(args, flag).map(Value::from);
+    let effort = cli::opt_f64(args, "effort").map(Value::from);
+    put("place_seed", int("seed"));
+    put("place_effort", effort);
+    put("channel_width", int("width"));
+    put("verify_cycles", int("cycles"));
+    put("lint", args.get("lint").map(Value::from));
+    put("verify", args.get("verify").map(Value::from));
     let options = if options.is_empty() {
         Value::Null
     } else {
         Value::Object(options)
     };
 
-    let deadline_ms = cli::opt_duration_ms(args, "flowc", "deadline");
+    let deadline_ms = cli::opt_duration_ms(args, "deadline");
     let mut policy = RetryPolicy::default();
-    if let Some(n) = cli::nonzero(cli::opt_u64, args, "flowc", "retries") {
+    if let Some(n) = cli::nonzero(cli::opt_u64, args, "retries") {
         policy.max_attempts = u32::try_from(n).unwrap_or(u32::MAX);
     }
 
@@ -267,8 +233,8 @@ fn compile(args: &cli::Args) {
         Err(e) => cli::die("flowc", e),
     };
     req.deadline_ms = deadline_ms;
-    req.trace = args.flags.iter().any(|f| f == "trace");
-    req.tenant = args.options.get("tenant").cloned();
+    req.trace = args.flag("trace");
+    req.tenant = args.get("tenant").map(str::to_string);
 
     let outcome = match compile_with_retry(
         || try_connect(args),
@@ -331,14 +297,14 @@ fn compile(args: &cli::Args) {
             None => eprintln!("flowc: warning: daemon sent no trace (older flowd?)"),
         }
     }
-    if let Some(report_path) = args.options.get("report") {
+    if let Some(report_path) = args.get("report") {
         let text = render_pretty(&outcome.report);
         if let Err(e) = std::fs::write(report_path, text) {
             cli::die("flowc", format!("cannot write '{report_path}': {e}"));
         }
         eprintln!("wrote {report_path}");
     }
-    match args.options.get("o") {
+    match args.get("o") {
         Some(out) => {
             if let Err(e) = std::fs::write(out, &outcome.bitstream) {
                 cli::die("flowc", format!("cannot write '{out}': {e}"));
@@ -373,14 +339,14 @@ fn check(kind: CheckKind, args: &cli::Args) {
         CheckKind::Verify => ("EQ rule codes", "verified"),
     };
     let Some(path) = args.positionals.get(1) else {
-        eprintln!("usage: flowc {verb} <design.vhd|design.blif> [--blif] [--json] [--quiet]");
-        eprintln!("       (see flowc --help for the {catalogue})");
-        std::process::exit(EXIT_USAGE);
+        args.refuse(format!(
+            "{verb} needs a design (see --help for the {catalogue})"
+        ));
     };
     let (format, source) = read_design(args, path);
     let mut req = CompileRequest::new(format, source);
-    req.deadline_ms = cli::opt_duration_ms(args, "flowc", "deadline");
-    req.tenant = args.options.get("tenant").cloned();
+    req.deadline_ms = cli::opt_duration_ms(args, "deadline");
+    req.tenant = args.get("tenant").map(str::to_string);
 
     let outcome = match connect(args).check_request(kind, &req) {
         Ok(o) => o,
@@ -391,8 +357,8 @@ fn check(kind: CheckKind, args: &cli::Args) {
         }
     };
     warn_unknown_events(&outcome.unknown_events, outcome.unknown_events_dropped);
-    let quiet = args.flags.iter().any(|f| f == "quiet");
-    if args.flags.iter().any(|f| f == "json") {
+    let quiet = args.flag("quiet");
+    if args.flag("json") {
         let body = fpga_lint::diagnostics_to_value(&outcome.diagnostics);
         println!("{}", render_pretty(&body));
     } else if !quiet {

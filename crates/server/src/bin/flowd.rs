@@ -1,31 +1,10 @@
 //! `flowd` — the compile-service daemon (the paper's web-server front
 //! end, Fig. 12). Serves newline-delimited JSON over TCP and/or a Unix
-//! socket; see `fpga-server`'s crate docs for the protocol.
-//!
-//! Robustness knobs (all optional; see README "Operating flowd"):
-//! `--max-deadline DUR` caps/defaults per-job deadlines, `--idle-timeout
-//! DUR` drops silent connections, `--max-line SIZE` bounds request
-//! lines, `--max-conns N` caps concurrent connections, and
-//! `--retry-after DUR` tunes the backoff hint sent with rejections.
-//! Durations and sizes use the same spellings `flowc` accepts (`30s`,
-//! `5m`, `64k`, `8m`; see `fpga_flow::cli`).
-//!
-//! Durable cache knobs: `--cache-dir DIR` persists completed stage
-//! artifacts on disk so they survive restarts (and crashes),
-//! `--cache-budget-mb N` bounds that store with LRU eviction, and
-//! `--cache-entries N` caps the in-memory cache (evictees stay
-//! reachable on disk).
-//!
-//! Observability: the `metrics` protocol verb (see `flowc metrics`)
-//! reports per-stage latency histograms and cache tiers while running;
-//! `--metrics-dump` prints the final Prometheus-style exposition to
-//! stdout after a graceful shutdown.
-//!
-//! Test-only: `--fault STAGE:K:ACTION[:ARG][,...]` injects a
-//! deterministic fault on a stage's K-th execution — `panic`,
-//! `fail:MSG`, or `sleep:MS`. Used by the crash-recovery
-//! harness (`scripts/crash.sh`) to stall a pipeline long enough to
-//! `kill -9` it; never set in production.
+//! socket; see `fpga-server`'s crate docs for the protocol, `flowd
+//! --help` for the options and README "Operating flowd" for their use.
+//! `--fault` is test-only: the crash-recovery harness
+//! (`scripts/crash.sh`) stalls a pipeline with it long enough to
+//! `kill -9` the daemon.
 
 use std::sync::Arc;
 
@@ -33,34 +12,34 @@ use fpga_flow::cli;
 use fpga_flow::fault::{FaultAction, FaultPlan};
 use fpga_server::{Server, ServerConfig};
 
-const HELP: &str = "\
-flowd — the flow compile-service daemon
+#[rustfmt::skip]
+const OPTS: &[cli::Opt] = &[
+    ("tcp", Some("HOST:PORT"), "listen on TCP (default: 127.0.0.1, any free port)"),
+    ("unix", Some("PATH"), "listen on a Unix socket (alone: Unix only)"),
+    ("workers", Some("N"), "jobs run at once (default: 2)"),
+    ("queue", Some("N"), "jobs queued beyond those (default: 32)"),
+    ("max-deadline", Some("DUR"), "cap and default of a job's deadline (default: 5m)"),
+    ("idle-timeout", Some("DUR"), "drop a connection silent this long (default: 5m)"),
+    ("max-line", Some("SIZE"), "longest request line (default: 8m)"),
+    ("max-conns", Some("N"), "concurrent connections (default: 256)"),
+    ("retry-after", Some("DUR"), "backoff hint sent with a rejection (default: 200ms)"),
+    ("cache-dir", Some("DIR"), "keep stage artifacts on disk across restarts"),
+    ("cache-budget-mb", Some("N"), "bound the disk cache, evicting LRU (needs --cache-dir)"),
+    ("cache-entries", Some("N"), "cap the memory cache (evictees stay on disk)"),
+    ("artifact-gateway", Some("HOST:PORT"), "publish computed stages via this gateway"),
+    ("artifact-timeout", Some("DUR"), "per-publish timeout (default: 1s)"),
+    ("metrics-dump", None, "print the final metrics exposition after shutdown"),
+    ("fault", Some("SPEC"), "test-only fault injection, STAGE:K:ACTION[:ARG][,...]"),
+];
 
-usage:
-  flowd [--tcp HOST:PORT] [--unix PATH] [--workers N] [--queue N]
-        [--max-deadline DUR] [--idle-timeout DUR] [--max-line SIZE]
-        [--max-conns N] [--retry-after DUR]
-        [--cache-dir DIR] [--cache-budget-mb N] [--cache-entries N]
-        [--artifact-gateway HOST:PORT] [--artifact-timeout DUR]
-        [--metrics-dump] [--fault SPEC]
-  flowd --help | --version
-
+const FOOTER: &str = "\
 durations (DUR) take 250 / 250ms / 30s / 5m / 1h; sizes (SIZE) take
 512 / 64k / 8m / 2g — the same spellings flowc accepts. A DUR of 0
-disables that guard.
+disables --max-deadline and --idle-timeout.
 
-  --artifact-gateway HOST:PORT
-                   publish every computed stage through this gateway,
-                   which copies it into two backends' stores (needs
-                   --cache-dir); the daemon never fetches, and a
-                   publish failure never fails a job
-  --artifact-timeout DUR
-                   per-publish timeout (default 1s)
-  --metrics-dump   after a graceful shutdown, print the final metrics
-                   snapshot (Prometheus text exposition) to stdout
-  --fault SPEC     test-only deterministic fault injection,
-                   STAGE:K:ACTION[:ARG][,...] with panic | fail:MSG |
-                   sleep:MS
+--artifact-gateway needs --cache-dir: the gateway copies every computed
+stage into two backends' stores. The daemon never fetches, and a publish
+failure never fails a job. --fault actions: panic | fail:MSG | sleep:MS.
 
 observe a running daemon with: flowc metrics [--text] | flowc stats";
 
@@ -96,90 +75,69 @@ fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
 }
 
 fn main() {
-    let args = cli::parse_args(&[
-        "tcp",
-        "unix",
-        "workers",
-        "queue",
-        "max-deadline",
-        "idle-timeout",
-        "max-line",
-        "max-conns",
-        "retry-after",
-        "cache-dir",
-        "cache-budget-mb",
-        "cache-entries",
-        "artifact-gateway",
-        "artifact-timeout",
-        "fault",
-    ]);
-    cli::handle_version("flowd", &args);
-    if args.flags.iter().any(|f| f == "help" || f == "h") {
-        println!("{HELP}");
-        return;
-    }
+    let args = cli::parse_args("flowd [options]", OPTS, FOOTER);
 
     let mut config = ServerConfig::default();
-    if let Some(addr) = args.options.get("tcp") {
-        config.tcp_addr = Some(addr.clone());
+    if let Some(addr) = args.get("tcp") {
+        config.tcp_addr = Some(addr.to_string());
     }
-    if let Some(path) = args.options.get("unix") {
+    if let Some(path) = args.get("unix") {
         config.unix_path = Some(path.into());
         // An explicit --unix with no --tcp means unix-only.
-        if !args.options.contains_key("tcp") {
+        if args.get("tcp").is_none() {
             config.tcp_addr = None;
         }
     }
-    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "workers") {
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "workers") {
         config.workers = n as usize;
     }
-    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "queue") {
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "queue") {
         config.queue_capacity = n as usize;
     }
     // 0 disables the corresponding guard.
-    if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "max-deadline") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "max-deadline") {
         config.max_deadline_ms = (ms > 0).then_some(ms);
     }
-    if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "idle-timeout") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "idle-timeout") {
         config.idle_timeout_ms = (ms > 0).then_some(ms);
     }
-    if let Some(bytes) = cli::nonzero(cli::opt_size_bytes, &args, "flowd", "max-line") {
+    if let Some(bytes) = cli::nonzero(cli::opt_size_bytes, &args, "max-line") {
         config.max_line_bytes = bytes as usize;
     }
-    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "max-conns") {
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "max-conns") {
         config.max_connections = n as usize;
     }
-    if let Some(ms) = cli::opt_duration_ms(&args, "flowd", "retry-after") {
+    if let Some(ms) = cli::opt_duration_ms(&args, "retry-after") {
         config.retry_after_ms = ms;
     }
-    if let Some(dir) = args.options.get("cache-dir") {
+    if let Some(dir) = args.get("cache-dir") {
         config.cache_dir = Some(dir.into());
     }
-    if let Some(mb) = cli::opt_u64(&args, "flowd", "cache-budget-mb") {
+    if let Some(mb) = cli::opt_u64(&args, "cache-budget-mb") {
         if config.cache_dir.is_none() {
-            cli::die("flowd", "--cache-budget-mb needs --cache-dir");
+            args.refuse("--cache-budget-mb needs --cache-dir");
         }
         config.cache_budget_mb = Some(mb);
     }
-    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "flowd", "cache-entries") {
+    if let Some(n) = cli::nonzero(cli::opt_u64, &args, "cache-entries") {
         config.cache_entries = Some(n as usize);
     }
-    if let Some(gw) = args.options.get("artifact-gateway") {
+    if let Some(gw) = args.get("artifact-gateway") {
         if config.cache_dir.is_none() {
-            cli::die("flowd", "--artifact-gateway needs --cache-dir");
+            args.refuse("--artifact-gateway needs --cache-dir");
         }
-        config.artifact_gateway = Some(gw.clone());
+        config.artifact_gateway = Some(gw.to_string());
     }
-    if let Some(ms) = cli::nonzero(cli::opt_duration_ms, &args, "flowd", "artifact-timeout") {
+    if let Some(ms) = cli::nonzero(cli::opt_duration_ms, &args, "artifact-timeout") {
         if config.artifact_gateway.is_none() {
-            cli::die("flowd", "--artifact-timeout needs --artifact-gateway");
+            args.refuse("--artifact-timeout needs --artifact-gateway");
         }
         config.artifact_timeout_ms = ms;
     }
-    if let Some(spec) = args.options.get("fault") {
+    if let Some(spec) = args.get("fault") {
         match parse_fault_plan(spec) {
             Ok(plan) => config.fault = Some(Arc::new(plan)),
-            Err(e) => cli::die("flowd", format!("bad --fault: {e}")),
+            Err(e) => args.refuse(format!("bad --fault: {e}")),
         }
     }
 
@@ -234,7 +192,7 @@ fn main() {
     }
     server.wait();
     eprintln!("flowd drained and stopped");
-    if args.flags.iter().any(|f| f == "metrics-dump") {
+    if args.flag("metrics-dump") {
         // Final observability snapshot for scrapers and CI smoke tests.
         print!("{}", server.metrics_text());
     }

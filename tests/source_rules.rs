@@ -74,7 +74,7 @@ const RULES: &[Rule] = &[
     Rule { name: "deleted items", scan: WHOLE, allowed: Nowhere, files: &["crates/**", "README.md", "DESIGN.md"],
         patterns: &["fn prune_dead", "netlist::stats", "clb_delay", "compile_vhdl_ctx", "compile_blif_ctx",
             "compile_detailed", "tenant-weight", "FLOW_THREADS", "run_netlist_ctx", "NET_BATCH", "fn route_batch",
-            "RemoteHit", "remote_hits", "FETCH_ATTEMPTS", "corrupt_artifacts"],
+            "RemoteHit", "remote_hits", "FETCH_ATTEMPTS", "corrupt_artifacts", "handle_version"],
         hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time; the farm replicates, never fetches)" },
     // Place and route run on one thread; a schedule decides the bytes, not a thread count.
     Rule { name: "one thread per compile", scan: NO_COMMENTS, allowed: Nowhere, patterns: &["thread::"],
@@ -98,6 +98,9 @@ const RULES: &[Rule] = &[
     Rule { name: "unsafe", scan: NO_COMMENTS, allowed: Once("crates/flow/src/hash.rs"), patterns: &["unsafe"],
         files: &["crates/*/src/**.rs"],
         hint: "the one unsafe is the SHA-extension kernel's call in crates/flow/src/hash.rs, behind is_x86_feature_detected!" },
+    // One argv reader: a binary's command line is read against its flag table, so nothing passes unread.
+    Rule { name: "one argv reader", scan: NO_COMMENTS, allowed: Only(&["crates/flow/src/cli.rs"]), patterns: &["env::args"],
+        files: &["crates/*/src/**.rs"], hint: "declare the binary's flag table and call fpga_flow::cli::parse_args" },
     // What can still end a worker thread ends the process; nothing restarts it.
     Rule { name: "supervisor", scan: 0, allowed: Nowhere, files: &["crates/*/src/**.rs", "README.md", "DESIGN.md"],
         patterns: &["supervis", "KillWorker", "KILL_WORKER", "worker-lost", "respawn"],
@@ -216,6 +219,10 @@ fn the_scanner_reads_each_definition_as_written() {
         ("crates/bitstream/src/fabric.rs", "parent[x]"),
         ("crates/flow/src/a.rs", "    x.unwrap();"),
         (
+            "crates/flow/src/cli.rs",
+            "let mut argv = std::env::args().skip(1);",
+        ),
+        (
             "crates/flow/src/hash.rs",
             "return unsafe { kernel(state) };",
         ),
@@ -331,6 +338,12 @@ fn the_scanner_reads_each_definition_as_written() {
     let code =
         "// thread::scope is gone\nstd::thread::scope(|s| f(s));\n#[cfg(test)]\nthread::spawn(f);";
     assert_eq!(run(&[("crates/place/src/sa.rs", code)]), want);
+
+    // Only cli.rs reads argv; a comment naming it is no site.
+    let want = ["one argv reader: crates/bench/src/bin/b.rs:2: let csv = std::env::args().any(|a| a == \"--csv\");"];
+    let code =
+        "// std::env::args is read in cli.rs\nlet csv = std::env::args().any(|a| a == \"--csv\");";
+    assert_eq!(run(&[("crates/bench/src/bin/b.rs", code)]), want);
 
     // A deleted item fails anywhere: in a doc, a comment or a test.
     let want = [
