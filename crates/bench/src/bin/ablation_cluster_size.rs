@@ -9,7 +9,7 @@ use fpga_cells::tech::Tech;
 use fpga_power::PowerOptions;
 
 fn main() {
-    fpga_flow::cli::parse_args("ablation_cluster_size", &[], "");
+    fpga_flow::cli::parse_args("ablation_cluster_size", &[], 0, "");
     let k = 4usize;
     println!("Ablation: cluster size N vs estimated power (K = {k}, I per Eq. 1)\n");
     let tech = Tech::stm018();

@@ -9,7 +9,7 @@ use fpga_cells::tech::Tech;
 use fpga_power::PowerOptions;
 
 fn main() {
-    fpga_flow::cli::parse_args("ablation_det_clocking", &[], "");
+    fpga_flow::cli::parse_args("ablation_det_clocking", &[], 0, "");
     println!("Ablation: single-edge vs double-edge-triggered clocking\n");
     let tech = Tech::stm018();
     let caps = ClbCaps::from_designs(&tech);

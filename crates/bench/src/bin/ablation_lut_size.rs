@@ -8,7 +8,7 @@ use fpga_cells::tech::Tech;
 use fpga_power::PowerOptions;
 
 fn main() {
-    fpga_flow::cli::parse_args("ablation_lut_size", &[], "");
+    fpga_flow::cli::parse_args("ablation_lut_size", &[], 0, "");
     println!("Ablation: LUT size K (cluster size 5, I per Eq. 1)\n");
     let tech = Tech::stm018();
     let caps = ClbCaps::from_designs(&tech);

@@ -7,7 +7,7 @@ use fpga_cells::routing::{paper_lengths, paper_widths, SizingExperiment, SwitchK
 use fpga_cells::tech::WireGeometry;
 
 fn main() {
-    fpga_flow::cli::parse_args("ablation_switch_type", &[], "");
+    fpga_flow::cli::parse_args("ablation_switch_type", &[], 0, "");
     println!("Ablation: routing switch style (min width, double spacing)\n");
     let t = Table::new(&[18, 6, 12, 12, 12, 14]);
     println!(

@@ -22,7 +22,12 @@ const OPTS: &[cli::Opt] = &[
 ];
 
 fn main() -> ExitCode {
-    let args = cli::parse_args("bench-diff BASELINE.json CURRENT.json [options]", OPTS, "");
+    let args = cli::parse_args(
+        "bench-diff BASELINE.json CURRENT.json [options]",
+        OPTS,
+        2,
+        "",
+    );
     match run(&args) {
         Ok(code) => code,
         Err(e) => {

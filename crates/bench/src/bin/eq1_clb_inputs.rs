@@ -7,7 +7,7 @@ use fpga_arch::{clb_inputs_eq1, ClbArch};
 use fpga_bench::{map_benchmark, Table};
 
 fn main() {
-    fpga_flow::cli::parse_args("eq1_clb_inputs", &[], "");
+    fpga_flow::cli::parse_args("eq1_clb_inputs", &[], 0, "");
     let k = 4usize;
     let n = 5usize;
     let eq1 = clb_inputs_eq1(k, n);

@@ -17,7 +17,7 @@ const OPTS: &[cli::Opt] = &[
 ];
 
 fn main() {
-    let args = cli::parse_args("fig8_10_switch_sizing [options]", OPTS, "");
+    let args = cli::parse_args("fig8_10_switch_sizing [options]", OPTS, 0, "");
     let csv = args.flag("csv");
     let geoms: Vec<WireGeometry> = match args.get("config") {
         None => WireGeometry::all().to_vec(),

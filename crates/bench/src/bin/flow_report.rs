@@ -6,7 +6,7 @@ use fpga_bench::Table;
 use fpga_flow::{run_netlist, run_vhdl, FlowOptions};
 
 fn main() {
-    fpga_flow::cli::parse_args("flow_report", &[], "");
+    fpga_flow::cli::parse_args("flow_report", &[], 0, "");
     println!("Complete flow (Fig. 11): VHDL/netlist -> verified bitstream\n");
     let t = Table::new(&[10, 7, 7, 7, 7, 9, 11, 11, 8]);
     println!(

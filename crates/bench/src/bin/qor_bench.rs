@@ -42,7 +42,7 @@ stage list and the verify_ms column; QoR columns never depend on it.";
 
 fn main() -> ExitCode {
     let usage = "qor_bench [options]\n       qor_bench --list | --canon NAME";
-    match run(&cli::parse_args(usage, OPTS, FOOTER)) {
+    match run(&cli::parse_args(usage, OPTS, 0, FOOTER)) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("qor_bench: {e}");

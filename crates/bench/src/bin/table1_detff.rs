@@ -11,7 +11,7 @@ use fpga_flow::cli;
 const OPTS: &[cli::Opt] = &[("waveform", None, "dump the Fig. 4 input waveforms as CSV instead")];
 
 fn main() {
-    let waveform = cli::parse_args("table1_detff [options]", OPTS, "").flag("waveform");
+    let waveform = cli::parse_args("table1_detff [options]", OPTS, 0, "").flag("waveform");
     let stim = Fig4Stimulus::default();
 
     if waveform {

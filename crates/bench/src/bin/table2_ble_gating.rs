@@ -3,7 +3,7 @@
 use fpga_cells::clockgate::table2;
 
 fn main() {
-    fpga_flow::cli::parse_args("table2_ble_gating", &[], "");
+    fpga_flow::cli::parse_args("table2_ble_gating", &[], 0, "");
     println!("Table 2: Energy consumption for single and gated clock (BLE level)");
     println!("(per clock cycle; Fig. 5 circuits; Llopis-1 DETFF)\n");
     let t2 = table2(1e-12, 4);

@@ -4,7 +4,7 @@ use fpga_bench::Table;
 use fpga_cells::clockgate::{breakeven_idle_probability, table3};
 
 fn main() {
-    fpga_flow::cli::parse_args("table3_clb_gating", &[], "");
+    fpga_flow::cli::parse_args("table3_clb_gating", &[], 0, "");
     println!("Table 3: Energy for single and gated clock at CLB level");
     println!("(per clock cycle; Fig. 6 circuits: 5 Llopis-1 DETFFs, local clock network)\n");
     let t = Table::new(&[14, 14, 14, 10]);

@@ -9,7 +9,7 @@ use fpga_bench::Table;
 use fpga_flow::{run_netlist, FlowOptions};
 
 fn main() {
-    fpga_flow::cli::parse_args("timing_report", &[], "");
+    fpga_flow::cli::parse_args("timing_report", &[], 0, "");
     println!("Post-route timing (paper architecture):\n");
     let t = Table::new(&[10, 8, 12, 10, 14]);
     println!(

@@ -12,7 +12,7 @@ const OPTS: &[cli::Opt] = &[
 ];
 
 fn main() {
-    let args = cli::parse_args("dagger <design.blif> [options]", OPTS, "");
+    let args = cli::parse_args("dagger <design.blif> [options]", OPTS, 1, "");
     let text = cli::input_or_usage(&args);
     let mut opts = FlowOptions::default();
     if args.flag("no-verify") {

@@ -14,7 +14,7 @@ const OPTS: &[cli::Opt] = &[
 ];
 
 fn main() {
-    let args = cli::parse_args("dutys [options]", OPTS, "");
+    let args = cli::parse_args("dutys [options]", OPTS, 0, "");
     let mut arch = Architecture::paper_default();
     if let Some(name) = args.get("name") {
         arch.name = name.to_string();

@@ -9,7 +9,7 @@ const OPTS: &[cli::Opt] = &[
 ];
 
 fn main() {
-    let args = cli::parse_args("e2fmt <in.edif | in.blif> [options]", OPTS, "");
+    let args = cli::parse_args("e2fmt <in.edif | in.blif> [options]", OPTS, 1, "");
     let text = cli::input_or_usage(&args);
     let result = if args.flag("reverse") {
         fpga_synth::e2fmt::blif_to_edif(&text)

@@ -96,7 +96,7 @@ const OPTS: &[cli::Opt] = &[
 ];
 
 fn main() {
-    let args = cli::parse_args("equiv-fault [options]", OPTS, "");
+    let args = cli::parse_args("equiv-fault [options]", OPTS, 0, "");
     let seed = cli::opt_u64(&args, "seed").unwrap_or(7);
     let luts = cli::opt_u64(&args, "luts").map_or(48, |n| n as usize);
 

@@ -21,7 +21,7 @@ const STAGES: &str = "stages: 1 file upload  2 synthesis  3 format translation
 
 fn main() {
     let usage = "flowctl <design.vhd|design.blif> [options]\n       flowctl --interactive [design]";
-    let args = cli::parse_args(usage, OPTS, STAGES);
+    let args = cli::parse_args(usage, OPTS, 1, STAGES);
     if args.flag("interactive") {
         interactive(args.positionals.first().cloned());
         return;

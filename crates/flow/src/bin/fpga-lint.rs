@@ -39,7 +39,7 @@ exit codes:
         fpga_lint::catalogue_text()
     );
     let usage = "fpga-lint <design.vhd|design.blif> [options]\n       fpga-lint --rules";
-    let args = cli::parse_args(usage, OPTS, &footer);
+    let args = cli::parse_args(usage, OPTS, 1, &footer);
     if args.flag("rules") {
         print!("{}", fpga_lint::catalogue_text());
         return;

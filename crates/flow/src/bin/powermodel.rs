@@ -13,7 +13,7 @@ const OPTS: &[cli::Opt] = &[
 ];
 
 fn main() {
-    let args = cli::parse_args("powermodel <mapped.blif> [options]", OPTS, "");
+    let args = cli::parse_args("powermodel <mapped.blif> [options]", OPTS, 1, "");
     let text = cli::input_or_usage(&args);
     let mut netlist =
         fpga_netlist::blif::parse(&text).unwrap_or_else(|e| cli::die("powermodel", e));

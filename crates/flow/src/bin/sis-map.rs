@@ -11,7 +11,7 @@ const OPTS: &[cli::Opt] = &[
 ];
 
 fn main() {
-    let args = cli::parse_args("sis-map <in.blif> [options]", OPTS, "");
+    let args = cli::parse_args("sis-map <in.blif> [options]", OPTS, 1, "");
     let text = cli::input_or_usage(&args);
     let k = cli::opt_u64(&args, "k").map_or(4, |k| k as usize);
     let mut netlist = match fpga_netlist::blif::parse(&text) {

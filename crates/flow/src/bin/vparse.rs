@@ -4,7 +4,7 @@
 use fpga_flow::cli;
 
 fn main() {
-    let args = cli::parse_args("vparse <design.vhd>", &[], "");
+    let args = cli::parse_args("vparse <design.vhd>", &[], 1, "");
     let text = cli::input_or_usage(&args);
     match fpga_vhdl::parse(&text) {
         Err(e) => cli::die("vparse", format!("syntax error: {e}")),

@@ -17,7 +17,7 @@ const OPTS: &[cli::Opt] = &[
 ];
 
 fn main() {
-    let args = cli::parse_args("vpr-pr <mapped.blif> [options]", OPTS, "");
+    let args = cli::parse_args("vpr-pr <mapped.blif> [options]", OPTS, 1, "");
     let text = cli::input_or_usage(&args);
     let arch = match args.get("arch") {
         Some(path) => {

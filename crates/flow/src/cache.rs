@@ -496,36 +496,6 @@ impl StageCache {
     pub fn memory_evicted(&self) -> u64 {
         self.memory_evicted.get()
     }
-
-    /// Metrics as JSON, shaped for `flowc stats`.
-    pub fn stats_json(&self) -> Value {
-        let mut stages = serde_json::Map::new();
-        for (name, s) in self.all_stats() {
-            stages.insert(
-                name.to_string(),
-                serde_json::json!({
-                    "hits": s.hits.get(),
-                    "misses": s.misses.get(),
-                    "disk_hits": s.disk_hits.get(),
-                    "wall_ms": s.wall_nanos.get() / 1_000_000,
-                }),
-            );
-        }
-        let (hits, misses) = self.totals();
-        let mut root = serde_json::Map::new();
-        root.insert("entries".to_string(), serde_json::json!(self.len() as u64));
-        root.insert("hits".to_string(), serde_json::json!(hits));
-        root.insert("misses".to_string(), serde_json::json!(misses));
-        root.insert(
-            "memory_evicted".to_string(),
-            serde_json::json!(self.memory_evicted()),
-        );
-        root.insert("stages".to_string(), Value::Object(stages));
-        if let Some(store) = &self.store {
-            root.insert("disk".to_string(), store.stats_json());
-        }
-        Value::Object(root)
-    }
 }
 
 /// Digest key parts into a stage key. Parts are length-prefixed, so no

@@ -5,9 +5,10 @@
 //! Each binary declares one table of its options, and [`parse_args`] is
 //! the one reader of argv. It answers `--help` from the table and
 //! `--version` with the toolset version. It refuses, with exit 2 and the
-//! usage on stderr, a name the table does not hold and an option given
-//! without its value, and the `opt_*` readers refuse a value that does
-//! not parse. So a flag that nothing reads cannot pass unnoticed.
+//! usage on stderr, a name the table does not hold, an option given
+//! without its value and a positional past the most the binary reads,
+//! and the `opt_*` readers refuse a value that does not parse. So an
+//! argument that nothing reads cannot pass unnoticed.
 
 use std::process::exit;
 
@@ -31,10 +32,16 @@ pub struct Args {
     given: Vec<(&'static str, Option<String>)>,
 }
 
-/// Reads argv against `opts`. `usage` is the usage line, the tool's
-/// name first (further forms on lines of their own); `footer` is the
-/// prose `--help` prints after the options.
-pub fn parse_args(usage: &'static str, opts: &'static [Opt], footer: &str) -> Args {
+/// Reads argv against `opts`, taking at most `positionals` positional
+/// arguments. `usage` is the usage line, the tool's name first (further
+/// forms on lines of their own); `footer` is the prose `--help` prints
+/// after the options.
+pub fn parse_args(
+    usage: &'static str,
+    opts: &'static [Opt],
+    positionals: usize,
+    footer: &str,
+) -> Args {
     let mut args = Args {
         positionals: Vec::new(),
         usage,
@@ -67,14 +74,23 @@ pub fn parse_args(usage: &'static str, opts: &'static [Opt], footer: &str) -> Ar
         });
         args.given.push((name, value));
     }
+    if let Some(extra) = args.positionals.get(positionals) {
+        args.refuse(format!("unexpected argument '{extra}'"));
+    }
     args
+}
+
+/// An option as it is typed: `-o` for a one-letter name, else `--name`.
+pub fn flag_label(name: &str) -> String {
+    let dash = if name.len() == 1 { "-" } else { "--" };
+    format!("{dash}{name}")
 }
 
 /// The `--help` text: usage, one row per option, then `footer`.
 fn help(usage: &str, opts: &[Opt], footer: &str) -> String {
     let label = |&(name, value, _): &Opt| {
-        let dash = if name.len() == 1 { "-" } else { "--" };
-        value.map_or(format!("{dash}{name}"), |v| format!("{dash}{name} {v}"))
+        let flag = flag_label(name);
+        value.map_or(flag.clone(), |v| format!("{flag} {v}"))
     };
     let rows = || opts.iter().chain(BUILTIN);
     let width = rows().map(|o| label(o).len()).max().unwrap_or(0);
@@ -103,6 +119,11 @@ impl Args {
             panic!("{} has no --{name}", self.tool());
         };
         self.given.iter().filter(move |g| g.0 == name).map(|g| &g.1)
+    }
+
+    /// The name of each option given, in order.
+    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.given.iter().map(|g| g.0)
     }
 
     /// The bare flag `--name` was given.

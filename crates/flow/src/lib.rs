@@ -45,7 +45,7 @@ pub use pipeline::{
     FlowCtx, FlowCtxBuilder, FlowOptions, FlowOptionsBuilder, Source,
 };
 pub use report::{FlowReport, StageReport};
-pub use store::{DiskStore, LoadMiss, StoreCounters};
+pub use store::{DiskStore, LoadMiss, StoreCounters, StoreSnapshot};
 pub use trace::{
     render_waterfall, spans_from_value, SpanId, SpanOutcome, TraceEvent, TraceLog, TraceSpan,
 };

@@ -40,7 +40,7 @@
 //! * Every outcome is counted where it happens, in one [`StoreCounters`]
 //!   (hits, misses, quarantines, evictions, writes, write errors,
 //!   scrubbed files); [`DiskStore::counters`] is a clone of it, and all
-//!   seven reach `stats` and both `metrics` renderings.
+//!   seven reach both `metrics` renderings.
 //!
 //! [`StageCache`]: crate::cache::StageCache
 
@@ -86,7 +86,7 @@ impl Default for QuarantineLimits {
 }
 
 /// Why a load did not return a payload. Distinguishes "never stored"
-/// from "stored but failed verification" for the stats counters.
+/// from "stored but failed verification" for the store's counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoadMiss {
     /// No entry under this key.
@@ -117,6 +117,15 @@ pub struct StoreCounters {
     pub writes: Counter,
     pub write_errors: Counter,
     pub scrubbed: Counter,
+}
+
+/// What `metrics` reports of a store: [`DiskStore::snapshot`].
+#[derive(Clone, Debug, Default)]
+pub struct StoreSnapshot {
+    pub counters: StoreCounters,
+    pub entries: u64,
+    pub bytes: u64,
+    pub budget_bytes: Option<u64>,
 }
 
 /// A durable, digest-verified, size-bounded store of stage artifacts.
@@ -552,25 +561,14 @@ impl DiskStore {
         self.counters.clone()
     }
 
-    /// Store health as a JSON object (embedded in the cache stats).
-    pub fn stats_json(&self) -> serde_json::Value {
-        let c = &self.counters;
-        let budget = match self.budget_bytes {
-            Some(b) => serde_json::json!(b),
-            None => serde_json::Value::Null,
-        };
-        serde_json::json!({
-            "entries": self.len() as u64,
-            "bytes": self.total_bytes(),
-            "budget_bytes": budget,
-            "disk_hits": c.disk_hits.get(),
-            "disk_misses": c.disk_misses.get(),
-            "quarantined": c.quarantined.get(),
-            "evicted": c.evicted.get(),
-            "writes": c.writes.get(),
-            "write_errors": c.write_errors.get(),
-            "scrubbed": c.scrubbed.get(),
-        })
+    /// The counters, with the store's size against its budget.
+    pub fn snapshot(&self) -> StoreSnapshot {
+        StoreSnapshot {
+            counters: self.counters(),
+            entries: self.len() as u64,
+            bytes: self.total_bytes(),
+            budget_bytes: self.budget_bytes,
+        }
     }
 }
 

@@ -100,24 +100,24 @@ mod flag_table;
 #[test]
 fn every_flow_binary_answers_from_its_flag_table_and_refuses_the_rest() {
     #[rustfmt::skip]
-    let tables: [(&str, &str, &[&str]); 13] = [
-        (env!("CARGO_BIN_EXE_dagger"), "dagger", &["-o FILE", "--seed N", "--no-verify"]),
-        (env!("CARGO_BIN_EXE_diviner"), "diviner", &["-o FILE"]),
-        (env!("CARGO_BIN_EXE_druid"), "druid", &["-o FILE"]),
-        (env!("CARGO_BIN_EXE_dutys"), "dutys", &["-o FILE", "-k N", "-n N", "-w N", "--name NAME", "--json"]),
-        (env!("CARGO_BIN_EXE_e2fmt"), "e2fmt", &["-o FILE", "--reverse"]),
-        (env!("CARGO_BIN_EXE_equiv-fault"), "equiv-fault", &["--seed N", "--luts N", "--clean"]),
-        (env!("CARGO_BIN_EXE_flowctl"), "flowctl",
+    let tables: [(&str, &str, usize, &[&str]); 13] = [
+        (env!("CARGO_BIN_EXE_dagger"), "dagger", 1, &["-o FILE", "--seed N", "--no-verify"]),
+        (env!("CARGO_BIN_EXE_diviner"), "diviner", 1, &["-o FILE"]),
+        (env!("CARGO_BIN_EXE_druid"), "druid", 1, &["-o FILE"]),
+        (env!("CARGO_BIN_EXE_dutys"), "dutys", 0, &["-o FILE", "-k N", "-n N", "-w N", "--name NAME", "--json"]),
+        (env!("CARGO_BIN_EXE_e2fmt"), "e2fmt", 1, &["-o FILE", "--reverse"]),
+        (env!("CARGO_BIN_EXE_equiv-fault"), "equiv-fault", 0, &["--seed N", "--luts N", "--clean"]),
+        (env!("CARGO_BIN_EXE_flowctl"), "flowctl", 1,
             &["-o FILE", "--report FILE", "--seed N", "-w N", "--svg FILE", "--interactive"]),
-        (env!("CARGO_BIN_EXE_fpga-lint"), "fpga-lint", &["--blif", "--verify", "--json", "--quiet", "--rules"]),
-        (env!("CARGO_BIN_EXE_powermodel"), "powermodel", &["-f HZ", "--cycles N"]),
-        (env!("CARGO_BIN_EXE_sis-map"), "sis-map", &["-o FILE", "-k N"]),
-        (env!("CARGO_BIN_EXE_tvpack"), "tvpack", &["-o FILE", "-k N", "-n N", "-i N"]),
-        (env!("CARGO_BIN_EXE_vparse"), "vparse", &[]),
-        (env!("CARGO_BIN_EXE_vpr-pr"), "vpr-pr", &["-o FILE", "--arch FILE", "--seed N", "-w N", "--net FILE"]),
+        (env!("CARGO_BIN_EXE_fpga-lint"), "fpga-lint", 1, &["--blif", "--verify", "--json", "--quiet", "--rules"]),
+        (env!("CARGO_BIN_EXE_powermodel"), "powermodel", 1, &["-f HZ", "--cycles N"]),
+        (env!("CARGO_BIN_EXE_sis-map"), "sis-map", 1, &["-o FILE", "-k N"]),
+        (env!("CARGO_BIN_EXE_tvpack"), "tvpack", 1, &["-o FILE", "-k N", "-n N", "-i N"]),
+        (env!("CARGO_BIN_EXE_vparse"), "vparse", 1, &[]),
+        (env!("CARGO_BIN_EXE_vpr-pr"), "vpr-pr", 1, &["-o FILE", "--arch FILE", "--seed N", "-w N", "--net FILE"]),
     ];
-    for (exe, tool, rows) in tables {
-        flag_table::assert_table(exe, tool, rows);
+    for (exe, tool, positionals, rows) in tables {
+        flag_table::assert_table(exe, tool, positionals, rows);
     }
 }
 

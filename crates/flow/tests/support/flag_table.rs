@@ -1,7 +1,8 @@
 //! The contract every binary's flag table keeps (`fpga_flow::cli`):
 //! `--version` prints `<tool> <FLOW_VERSION>`, `--help` lists exactly
-//! the table, and an unknown name or a valued option without its value
-//! exits 2 with the usage on stderr. Each package's tests include this
+//! the table, and an unknown name, a valued option without its value or
+//! a positional past the most the binary reads exits 2 with the usage on
+//! stderr. Each package's tests include this
 //! file by path, since a test can start only its own package's binaries.
 
 use std::process::{Command, Output, Stdio};
@@ -40,9 +41,10 @@ pub fn refused(exe: &str, args: &[&str], why: &str) -> String {
     stderr
 }
 
-/// `exe` keeps the contract; `rows` are its table's entries as `--help`
-/// labels them (`--name VALUE`, `-o FILE`, `--flag`), in table order.
-pub fn assert_table(exe: &str, tool: &str, rows: &[&str]) {
+/// `exe` keeps the contract; it reads at most `positionals` positional
+/// arguments, and `rows` are its table's entries as `--help` labels them
+/// (`--name VALUE`, `-o FILE`, `--flag`), in table order.
+pub fn assert_table(exe: &str, tool: &str, positionals: usize, rows: &[&str]) {
     let version = run(exe, &["--version"]);
     assert_eq!(version.status.code(), Some(0), "{tool} --version");
     let want = format!("{tool} {}\n", fpga_flow::FLOW_VERSION);
@@ -60,6 +62,8 @@ pub fn assert_table(exe: &str, tool: &str, rows: &[&str]) {
     assert_eq!(listed, [rows, &builtin].concat(), "{tool} --help:\n{text}");
 
     refused(exe, &["--no-such-flag"], "unknown option '--no-such-flag'");
+    let extra = vec!["extra"; positionals + 1];
+    refused(exe, &extra, "unexpected argument 'extra'");
     for flag in rows.iter().filter_map(|row| row.split_once(' ')) {
         refused(exe, &[flag.0], &format!("{} needs a value", flag.0));
     }

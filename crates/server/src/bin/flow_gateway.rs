@@ -42,6 +42,7 @@ fn main() {
     let args = cli::parse_args(
         "flow-gateway --backend HOST:PORT[,...] [options]",
         OPTS,
+        0,
         FOOTER,
     );
 

@@ -43,30 +43,75 @@ const OPTS: &[cli::Opt] = &[
     ("tcp", Some("HOST:PORT"), "the daemon's address (default: 127.0.0.1:7171)"),
     ("unix", Some("PATH"), "the daemon's Unix socket, in place of --tcp"),
     ("blif", None, "treat the design as BLIF regardless of extension"),
-    ("seed", Some("N"), "compile: placement seed"),
-    ("effort", Some("X"), "compile: annealing effort"),
-    ("width", Some("W"), "compile: channel width (default: search the minimum)"),
-    ("cycles", Some("N"), "compile: bitstream verification cycles"),
-    ("lint", Some("MODE"), "compile: design-rule gates, off|warn|deny (default: off)"),
-    ("verify", Some("MODE"), "compile: equivalence gates, off|warn|deny (default: off)"),
+    ("seed", Some("N"), "placement seed"),
+    ("effort", Some("X"), "annealing effort"),
+    ("width", Some("W"), "channel width (default: search the minimum)"),
+    ("cycles", Some("N"), "bitstream verification cycles"),
+    ("lint", Some("MODE"), "design-rule gates, off|warn|deny (default: off)"),
+    ("verify", Some("MODE"), "equivalence gates, off|warn|deny (default: off)"),
     ("deadline", Some("DUR"), "the job's time budget"),
-    ("retries", Some("N"), "compile: attempts while the daemon is saturated"),
-    ("trace", None, "compile: print the job's span tree as a waterfall (stderr)"),
-    ("o", Some("FILE"), "compile: write the bitstream here (default: stdout)"),
-    ("report", Some("FILE"), "compile: write the flow report here"),
+    ("retries", Some("N"), "attempts while the daemon is saturated"),
+    ("trace", None, "print the job's span tree as a waterfall (stderr)"),
+    ("o", Some("FILE"), "write the bitstream here (default: stdout)"),
+    ("report", Some("FILE"), "write the flow report here"),
     ("tenant", Some("ID"), "tag the job for the gateway's per-tenant quotas"),
-    ("json", None, "lint, verify: print findings as a JSON array"),
-    ("quiet", None, "lint, verify: print only the summary line"),
-    ("text", None, "metrics: Prometheus-style text instead of JSON"),
+    ("json", None, "print findings as a JSON array"),
+    ("quiet", None, "print only the summary line"),
+    ("text", None, "Prometheus-style text instead of JSON"),
+];
+
+/// The options every verb reads: where the daemon is.
+const DIAL: &[&str] = &["tcp", "unix"];
+
+/// What `lint` and `verify` read beside [`DIAL`].
+const CHECK: &[&str] = &["blif", "deadline", "tenant", "json", "quiet"];
+
+/// Each verb: whether it takes a design, the options it reads beside
+/// [`DIAL`], and what runs it. Anything else on its command line is
+/// refused before the daemon is dialled.
+type Verb = (&'static str, bool, &'static [&'static str], fn(&cli::Args));
+
+#[rustfmt::skip]
+const VERBS: &[Verb] = &[
+    ("compile", true, &["blif", "seed", "effort", "width", "cycles", "lint", "verify", "deadline",
+        "retries", "trace", "o", "report", "tenant"], compile),
+    ("lint", true, CHECK, |args| check(CheckKind::Lint, args)),
+    ("verify", true, CHECK, |args| check(CheckKind::Verify, args)),
+    ("metrics", false, &["text"], metrics),
+    ("status", false, &[], |args| reply(connect(args).status(), render_pretty)),
+    ("ping", false, &[], |args| reply(connect(args).ping(), Value::to_string)),
+    ("shutdown", false, &[], |args| {
+        reply(connect(args).shutdown_server(), |_| "flowd acknowledged shutdown".to_string())
+    }),
 ];
 
 const USAGE: &str = "flowc [options] compile <design.vhd|design.blif>
        flowc [options] lint|verify <design.vhd|design.blif>
-       flowc [options] metrics | status | stats | ping | shutdown";
+       flowc [options] metrics | status | ping | shutdown";
+
+/// One `--help` line per verb: what it takes and reads, from [`VERBS`].
+fn verb_rows() -> String {
+    let mut out = String::from("verbs, and the options each reads beside --tcp/--unix:\n");
+    for &(verb, design, reads, _) in VERBS {
+        let operand = if design { " <design>" } else { "" };
+        let mut line = format!("  {:<18}", format!("{verb}{operand}"));
+        for flag in reads.iter().map(|&name| cli::flag_label(name)) {
+            if line.len() + flag.len() > 72 {
+                out += line.trim_end();
+                line = format!("\n{:20}", "");
+            }
+            line += &format!("{flag} ");
+        }
+        out += line.trim_end();
+        out.push('\n');
+    }
+    out
+}
 
 fn footer() -> String {
     format!(
         "\
+{}
 durations (DUR) take 250 / 250ms / 30s / 5m / 1h — the same spellings
 flowd accepts for its --max-deadline / --idle-timeout / --retry-after.
 
@@ -80,11 +125,13 @@ flowd accepts for its --max-deadline / --idle-timeout / --retry-after.
   verify    run the deep equivalence check on the daemon: the EQ rules
             below at every flow point the design survives, without
             gating — findings ride back in the report
-  metrics   fetch flowd's per-stage latency histograms, cache
-            memory/disk hit counters, and per-rule lint counters
-  status    fetch the server's health summary; against a flow-gateway
-            this is the per-backend health/breaker/failover table and
-            per-tenant admission counters
+  metrics   fetch flowd's job and connection counters, per-stage
+            latency histograms, cache memory/disk hit counters, the
+            durable store's ledger, and per-rule lint counters
+  status    fetch the server's health summary: on flowd the queue,
+            workers, connections and configured limits; against a
+            flow-gateway the per-backend health/breaker/failover table
+            and per-tenant admission counters
 
 {}
 exit codes:
@@ -98,6 +145,7 @@ exit codes:
   5  deadline exceeded: the job's time budget elapsed mid-flow
   6  design-rule or equivalence check found deny-severity problems
      (lint/verify subcommands, or compile with --lint/--verify deny)",
+        verb_rows(),
         fpga_lint::catalogue_text()
     )
 }
@@ -129,44 +177,43 @@ fn connect(args: &cli::Args) -> FlowClient {
 }
 
 fn main() {
-    let args = cli::parse_args(USAGE, OPTS, &footer());
+    let args = cli::parse_args(USAGE, OPTS, 2, &footer());
     let Some(cmd) = args.positionals.first().map(String::as_str) else {
         args.refuse("no verb");
     };
-    match cmd {
-        "ping" => match connect(&args).ping() {
-            Ok(v) => println!("{v}"),
-            Err(e) => fail(EXIT_TRANSPORT, e),
+    let Some(&(_, design, reads, run)) = VERBS.iter().find(|v| v.0 == cmd) else {
+        args.refuse(format!("unknown verb '{cmd}'"));
+    };
+    if let Some(extra) = args.positionals.get(1).filter(|_| !design) {
+        args.refuse(format!("{cmd} takes no operand, got '{extra}'"));
+    }
+    let unread = args
+        .names()
+        .find(|n| !DIAL.contains(n) && !reads.contains(n));
+    if let Some(name) = unread {
+        args.refuse(format!("{cmd} does not read {}", cli::flag_label(name)));
+    }
+    run(&args);
+}
+
+/// Print a one-line reply the way each verb shows it.
+fn reply(got: io::Result<Value>, show: fn(&Value) -> String) {
+    match got {
+        Ok(v) => println!("{}", show(&v)),
+        Err(e) => fail(EXIT_TRANSPORT, e),
+    }
+}
+
+fn metrics(args: &cli::Args) {
+    let text = args.flag("text");
+    match connect(args).metrics(text) {
+        // In text mode the exposition rides in a "text" field;
+        // print it raw so the output pipes straight to a scraper.
+        Ok(v) if text => match v.get("text").and_then(Value::as_str) {
+            Some(body) => print!("{body}"),
+            None => fail(EXIT_TRANSPORT, "metrics reply missing text body"),
         },
-        "status" => match connect(&args).status() {
-            Ok(v) => println!("{}", render_pretty(&v)),
-            Err(e) => fail(EXIT_TRANSPORT, e),
-        },
-        "stats" => match connect(&args).stats() {
-            Ok(v) => println!("{}", render_pretty(&v)),
-            Err(e) => fail(EXIT_TRANSPORT, e),
-        },
-        "metrics" => {
-            let text = args.flag("text");
-            match connect(&args).metrics(text) {
-                // In text mode the exposition rides in a "text" field;
-                // print it raw so the output pipes straight to a scraper.
-                Ok(v) if text => match v.get("text").and_then(Value::as_str) {
-                    Some(body) => print!("{body}"),
-                    None => fail(EXIT_TRANSPORT, "metrics reply missing text body"),
-                },
-                Ok(v) => println!("{}", render_pretty(&v)),
-                Err(e) => fail(EXIT_TRANSPORT, e),
-            }
-        }
-        "shutdown" => match connect(&args).shutdown_server() {
-            Ok(_) => println!("flowd acknowledged shutdown"),
-            Err(e) => fail(EXIT_TRANSPORT, e),
-        },
-        "compile" => compile(&args),
-        "lint" => check(CheckKind::Lint, &args),
-        "verify" => check(CheckKind::Verify, &args),
-        other => args.refuse(format!("unknown verb '{other}'")),
+        got => reply(got, render_pretty),
     }
 }
 

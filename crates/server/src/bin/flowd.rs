@@ -41,7 +41,7 @@ disables --max-deadline and --idle-timeout.
 stage into two backends' stores. The daemon never fetches, and a publish
 failure never fails a job. --fault actions: panic | fail:MSG | sleep:MS.
 
-observe a running daemon with: flowc metrics [--text] | flowc stats";
+observe a running daemon with: flowc metrics [--text] | flowc status";
 
 /// Parse a comma-separated fault spec, e.g.
 /// `route:1:sleep:5000,pack:2:panic`.
@@ -75,7 +75,7 @@ fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
 }
 
 fn main() {
-    let args = cli::parse_args("flowd [options]", OPTS, FOOTER);
+    let args = cli::parse_args("flowd [options]", OPTS, 0, FOOTER);
 
     let mut config = ServerConfig::default();
     if let Some(addr) = args.get("tcp") {

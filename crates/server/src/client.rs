@@ -207,12 +207,6 @@ impl FlowClient {
         self.recv()
     }
 
-    /// `stats` — job counters plus per-stage cache metrics.
-    pub fn stats(&mut self) -> io::Result<Value> {
-        self.send(&Request::Stats.to_value())?;
-        self.recv()
-    }
-
     /// `metrics` — per-stage latency histograms, cache tiers, queue
     /// high-water mark. With `text`, the body carries a Prometheus-style
     /// exposition under `"text"` instead of structured fields.

@@ -26,8 +26,8 @@
 //!   instead of queueing without limit.
 //!
 //! The gateway speaks the same typed protocol as `flowd` (`ping`,
-//! `status`, `metrics`, `stats`, `compile`, `lint`, `verify`,
-//! `shutdown`, and `artifact_put`), so
+//! `status`, `metrics`, `compile`, `lint`, `verify`, `shutdown`, and
+//! `artifact_put`), so
 //! `flowc` and `qor_bench --via-daemon` work against either unchanged.
 
 use std::io::BufReader;
@@ -139,7 +139,7 @@ struct Backend {
     breaker: Mutex<CircuitBreaker>,
     /// Separate breaker for `artifact_put` replication: a flaky
     /// replication path must never stop job routing, and vice versa.
-    fetch_breaker: Mutex<CircuitBreaker>,
+    put_breaker: Mutex<CircuitBreaker>,
     /// Last health probe succeeded.
     probe_ok: AtomicBool,
     in_flight: AtomicU64,
@@ -156,7 +156,7 @@ impl Backend {
             breaker_transitions: breaker.counters(),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             counters: self.counters.clone(),
-            fetch_breaker: lock(&self.fetch_breaker).state(),
+            put_breaker: lock(&self.put_breaker).state(),
         }
     }
 }
@@ -230,10 +230,6 @@ impl Node for Shared {
         &self.conns
     }
 
-    fn stats(&self) -> Value {
-        Value::Object(proto::framed_body("stats", self.snapshot(None).to_json()))
-    }
-
     /// The `status` verb body: the per-backend health/breaker table.
     fn status(&self) -> Value {
         let mut body = proto::framed_body("status", self.snapshot(None).to_json());
@@ -297,7 +293,7 @@ impl Gateway {
                         // Distinct seed per backend: no lockstep reprobes.
                         config.jitter_seed.wrapping_add(i as u64 + 1),
                     )),
-                    fetch_breaker: Mutex::new(CircuitBreaker::new(
+                    put_breaker: Mutex::new(CircuitBreaker::new(
                         config.breaker_threshold,
                         config.breaker_reopen_ms,
                         config.jitter_seed.wrapping_add(0x100 + i as u64),
@@ -419,7 +415,7 @@ fn health_loop(shared: &Shared) {
 const PUT_REPLICAS: usize = 2;
 
 /// Serve an `artifact_put` by replicating to the first
-/// [`PUT_REPLICAS`] fetch-breaker-admitted peers in affinity order of
+/// [`PUT_REPLICAS`] put-breaker-admitted peers in affinity order of
 /// the entry's key. Any well-formed answer counts as a live backend.
 /// Best-effort: the ack reports whether *any* replica stored it, and
 /// the publishing daemon ignores even that — publish failures only
@@ -448,20 +444,20 @@ fn handle_artifact_put(
             break;
         }
         let backend = &shared.backends[i];
-        if !lock(&backend.fetch_breaker).allow(shared.clock.now_ms()) {
+        if !lock(&backend.put_breaker).allow(shared.clock.now_ms()) {
             continue;
         }
         attempted += 1;
         match net::exchange(&backend.addr, &req, timeout, shared.config.max_line_bytes) {
             Ok(reply) => {
-                lock(&backend.fetch_breaker).on_success();
+                lock(&backend.put_breaker).on_success();
                 match reply {
                     Event::ArtifactAck { stored: true, .. } => stored += 1,
                     _ => counters.put_failures.inc(),
                 }
             }
             Err(_) => {
-                lock(&backend.fetch_breaker).on_failure(shared.clock.now_ms());
+                lock(&backend.put_breaker).on_failure(shared.clock.now_ms());
                 counters.put_failures.inc();
             }
         }

@@ -24,11 +24,12 @@
 //! ```
 //!
 //! plus `{"cmd":"ping"}` (the hello — both sides exchange
-//! [`proto::PROTO_VERSION`] here), `{"cmd":"stats"}` (job counters and
-//! per-stage cache hit/miss/wall-time metrics), `{"cmd":"metrics"}`
-//! (per-stage latency histograms, cache memory/disk hit tiers, the
-//! queue high-water mark, and per-rule lint counters — ask with
-//! `"format":"text"` for a Prometheus-style exposition),
+//! [`proto::PROTO_VERSION`] here), `{"cmd":"metrics"}` (job and
+//! connection counters, per-stage latency histograms and cache
+//! hit/miss/wall-time, the durable store's ledger, the queue high-water
+//! mark, and per-rule lint counters — ask with `"format":"text"` for a
+//! Prometheus-style exposition), `{"cmd":"status"}` (the health probe:
+//! queue, workers, connections and the configured limits),
 //! `{"cmd":"lint"}` / `{"cmd":"verify"}` (same shape as `compile`; run
 //! one kind of deep check — design rules or cross-stage equivalence —
 //! and answer with a terminal `{"event":"lint_report"}` /

@@ -26,15 +26,16 @@
 //!
 //! The counter structs here ([`Histogram`], [`RemoteTierCounters`],
 //! [`GatewayArtifactCounters`], [`BackendCounters`]) and `fpga_flow`'s
-//! ([`StageStats`], [`StoreCounters`]) are the live structs their owners
-//! increment; a snapshot holds a `clone` of them.
+//! ([`StageStats`], [`StoreCounters`](fpga_flow::StoreCounters)) are the
+//! live structs their owners increment; a snapshot holds a `clone` of
+//! them.
 
 use std::borrow::Cow;
 use std::time::Instant;
 
 use fpga_flow::cache::STAGES;
 use fpga_flow::sync::Counter;
-use fpga_flow::{CheckKind, StageStats, StoreCounters};
+use fpga_flow::{CheckKind, StageStats, StoreSnapshot};
 use fpga_lint::{Diagnostic, Rule, RULES};
 use serde_json::Value;
 
@@ -399,9 +400,9 @@ const GW_BACKEND_HEALTHY: Family = gauge(
 );
 const GW_BREAKER_STATE: Family =
     gauge("flowgw_breaker_state", Some("0=closed 1=half-open 2=open."));
-const GW_FETCH_BREAKER_STATE: Family = gauge(
-    "flowgw_fetch_breaker_state",
-    Some("Artifact-fetch breaker: 0=closed 1=half-open 2=open."),
+const GW_PUT_BREAKER_STATE: Family = gauge(
+    "flowgw_put_breaker_state",
+    Some("artifact_put replication breaker: 0=closed 1=half-open 2=open."),
 );
 const GW_BREAKER_TRANSITIONS: Family = counter("flowgw_breaker_transitions_total", None);
 const GW_TENANT_JOBS: Family = counter(
@@ -433,7 +434,7 @@ const FLOWGW_FAMILIES: [Family; 20] = [
     GW_BACKEND_IN_FLIGHT,
     GW_BACKEND_HEALTHY,
     GW_BREAKER_STATE,
-    GW_FETCH_BREAKER_STATE,
+    GW_PUT_BREAKER_STATE,
     GW_BREAKER_TRANSITIONS,
     GW_TENANT_JOBS,
     GW_ADMISSION_INFLIGHT,
@@ -693,8 +694,8 @@ pub struct MetricsSnapshot {
     pub job_durations: JobDurationSnapshot,
     pub cache_entries: u64,
     pub cache_memory_evicted: u64,
-    /// Durable-store counters, when `--cache-dir` is configured.
-    pub store: Option<StoreCounters>,
+    /// Durable-store counters and size, when `--cache-dir` is configured.
+    pub store: Option<StoreSnapshot>,
     /// Replication client counters, when `--artifact-gateway` is
     /// configured.
     pub remote: Option<RemoteTierCounters>,
@@ -754,10 +755,14 @@ impl MetricsSnapshot {
         insert_tiers(&self.totals(), &mut cache);
         cache.insert("entries".into(), self.cache_entries.into());
         cache.insert("memory_evicted".into(), self.cache_memory_evicted.into());
-        if let Some(c) = &self.store {
+        if let Some(st) = &self.store {
+            let c = &st.counters;
             cache.insert(
                 "store".into(),
                 serde_json::json!({
+                    "entries": st.entries,
+                    "bytes": st.bytes,
+                    "budget_bytes": st.budget_bytes,
                     "disk_hits": c.disk_hits.get(),
                     "disk_misses": c.disk_misses.get(),
                     "quarantined": c.quarantined.get(),
@@ -811,7 +816,8 @@ impl MetricsSnapshot {
         w.cache_tiers(&CACHE_HITS, &CACHE_MISSES, &self.totals());
         w.scalar(&CACHE_ENTRIES, self.cache_entries);
         w.scalar(&CACHE_MEMORY_EVICTED, self.cache_memory_evicted);
-        if let Some(c) = &self.store {
+        if let Some(st) = &self.store {
+            let c = &st.counters;
             w.scalar(&STORE_DISK_HITS, c.disk_hits.get());
             w.scalar(&STORE_DISK_MISSES, c.disk_misses.get());
             w.scalar(&STORE_QUARANTINED, c.quarantined.get());
@@ -851,9 +857,9 @@ pub struct BackendSnapshot {
     pub breaker_transitions: BreakerCounters,
     pub in_flight: u64,
     pub counters: BackendCounters,
-    /// Replication breaker — separate from the job breaker so a
-    /// flaky replication path never stops job routing.
-    pub fetch_breaker: BreakerState,
+    /// `artifact_put` replication breaker — separate from the job
+    /// breaker so a flaky replication path never stops job routing.
+    pub put_breaker: BreakerState,
 }
 
 /// One backend's routing counters: the gateway increments them on its
@@ -953,7 +959,7 @@ impl GatewaySnapshot {
                     "requests": b.counters.requests.get(),
                     "failures": b.counters.failures.get(),
                     "failovers": b.counters.failovers.get(),
-                    "fetch_breaker": b.fetch_breaker.name(),
+                    "put_breaker": b.put_breaker.name(),
                     "steals": b.counters.steals.get(),
                 })
             })
@@ -1026,8 +1032,8 @@ impl GatewaySnapshot {
         w.labelled(&GW_BACKEND_HEALTHY, "backend", healthy);
         let breaker = per_backend(|b| b.breaker.code());
         w.labelled(&GW_BREAKER_STATE, "backend", breaker);
-        let fetch_breaker = per_backend(|b| b.fetch_breaker.code());
-        w.labelled(&GW_FETCH_BREAKER_STATE, "backend", fetch_breaker);
+        let put_breaker = per_backend(|b| b.put_breaker.code());
+        w.labelled(&GW_PUT_BREAKER_STATE, "backend", put_breaker);
         let by_backend = self.backends.iter().flat_map(|b| {
             let t = &b.breaker_transitions;
             let to = [
@@ -1064,6 +1070,7 @@ impl GatewaySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpga_flow::StoreCounters;
 
     #[test]
     fn histogram_buckets_observations_by_bound() {
@@ -1297,14 +1304,19 @@ flowd_unknown_verify_rules_total 1
             job_durations: vec![("compile", hist(&[1.5, 88.0]))],
             cache_entries: 14,
             cache_memory_evicted: 3,
-            store: Some(StoreCounters {
-                disk_hits: Counter::from(8),
-                disk_misses: Counter::from(1),
-                quarantined: Counter::from(2),
-                evicted: Counter::from(3),
-                writes: Counter::from(9),
-                write_errors: Counter::from(4),
-                scrubbed: Counter::from(6),
+            store: Some(StoreSnapshot {
+                counters: StoreCounters {
+                    disk_hits: Counter::from(8),
+                    disk_misses: Counter::from(1),
+                    quarantined: Counter::from(2),
+                    evicted: Counter::from(3),
+                    writes: Counter::from(9),
+                    write_errors: Counter::from(4),
+                    scrubbed: Counter::from(6),
+                },
+                entries: 11,
+                bytes: 5120,
+                budget_bytes: Some(8192),
             }),
             remote: Some(RemoteTierCounters {
                 published: Counter::from(5),
@@ -1336,7 +1348,7 @@ flowd_unknown_verify_rules_total 1
                         failovers: Counter::from(0),
                         steals: Counter::from(2),
                     },
-                    fetch_breaker: BreakerState::Closed,
+                    put_breaker: BreakerState::Closed,
                 },
                 BackendSnapshot {
                     addr: "127.0.0.1:9102".into(),
@@ -1354,7 +1366,7 @@ flowd_unknown_verify_rules_total 1
                         failovers: Counter::from(1),
                         steals: Counter::from(0),
                     },
-                    fetch_breaker: BreakerState::Open,
+                    put_breaker: BreakerState::Open,
                 },
             ],
             tenants: vec![(
@@ -1579,7 +1591,7 @@ flowd_unknown_verify_rules_total 1
         );
     }
 
-    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9,"write_errors":4,"scrubbed":6},"remote":{"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
+    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"entries":11,"bytes":5120,"budget_bytes":8192,"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9,"write_errors":4,"scrubbed":6},"remote":{"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
 
     const RECORDED_FLOWD_TEXT: &str = r#"# HELP flowd_jobs_total Jobs by terminal state.
 # TYPE flowd_jobs_total counter
@@ -1705,7 +1717,7 @@ flowd_verify_rule_hits_total{rule="EQ003"} 0
 flowd_unknown_verify_rules_total 1
 "#;
 
-    const RECORDED_GATEWAY_JSON: &str = r#"{"role":"gateway","jobs":{"submitted":5,"completed":4,"failed":0,"shed":1,"timed_out":0,"failovers":1,"steals":2},"job_duration_ms":{"compile":{"count":1,"sum_ms":2.5,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":1},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":1}]}},"backends":[{"addr":"127.0.0.1:9101","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":1,"requests":3,"failures":0,"failovers":0,"fetch_breaker":"closed","steals":2},{"addr":"127.0.0.1:9102","healthy":false,"breaker":"open","breaker_transitions":{"opened":1,"half_opened":0,"closed":0},"in_flight":0,"requests":2,"failures":1,"failovers":1,"fetch_breaker":"open","steals":0}],"tenants":{"acme":{"admitted":4,"queued":2,"shed":1}},"admission":{"inflight":1,"queued":0,"max_inflight":8,"queue_bound":16},"artifacts":{"puts":5,"put_failures":0,"bytes_stored":4096},"cache":{"memory_hits":10,"disk_hits":2,"misses":3}}"#;
+    const RECORDED_GATEWAY_JSON: &str = r#"{"role":"gateway","jobs":{"submitted":5,"completed":4,"failed":0,"shed":1,"timed_out":0,"failovers":1,"steals":2},"job_duration_ms":{"compile":{"count":1,"sum_ms":2.5,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":1},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":1}]}},"backends":[{"addr":"127.0.0.1:9101","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":1,"requests":3,"failures":0,"failovers":0,"put_breaker":"closed","steals":2},{"addr":"127.0.0.1:9102","healthy":false,"breaker":"open","breaker_transitions":{"opened":1,"half_opened":0,"closed":0},"in_flight":0,"requests":2,"failures":1,"failovers":1,"put_breaker":"open","steals":0}],"tenants":{"acme":{"admitted":4,"queued":2,"shed":1}},"admission":{"inflight":1,"queued":0,"max_inflight":8,"queue_bound":16},"artifacts":{"puts":5,"put_failures":0,"bytes_stored":4096},"cache":{"memory_hits":10,"disk_hits":2,"misses":3}}"#;
 
     const RECORDED_GATEWAY_TEXT: &str = r#"# HELP flowgw_jobs_total Gateway jobs by terminal state.
 # TYPE flowgw_jobs_total counter
@@ -1759,10 +1771,10 @@ flowgw_backend_healthy{backend="127.0.0.1:9102"} 0
 # TYPE flowgw_breaker_state gauge
 flowgw_breaker_state{backend="127.0.0.1:9101"} 0
 flowgw_breaker_state{backend="127.0.0.1:9102"} 2
-# HELP flowgw_fetch_breaker_state Artifact-fetch breaker: 0=closed 1=half-open 2=open.
-# TYPE flowgw_fetch_breaker_state gauge
-flowgw_fetch_breaker_state{backend="127.0.0.1:9101"} 0
-flowgw_fetch_breaker_state{backend="127.0.0.1:9102"} 2
+# HELP flowgw_put_breaker_state artifact_put replication breaker: 0=closed 1=half-open 2=open.
+# TYPE flowgw_put_breaker_state gauge
+flowgw_put_breaker_state{backend="127.0.0.1:9101"} 0
+flowgw_put_breaker_state{backend="127.0.0.1:9102"} 2
 # TYPE flowgw_breaker_transitions_total counter
 flowgw_breaker_transitions_total{backend="127.0.0.1:9101",to="open"} 0
 flowgw_breaker_transitions_total{backend="127.0.0.1:9101",to="half-open"} 0

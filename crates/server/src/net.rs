@@ -8,7 +8,7 @@
 //!   bounded read → parse → dispatch loop with its one `match` over
 //!   [`Request`], the shutdown poke and the connection drain. What a
 //!   verb *does* is the [`Node`]'s business; how a connection is
-//!   guarded and how `ping`/`stats`/`status`/`metrics` are framed is
+//!   guarded and how `ping`/`status`/`metrics` are framed is
 //!   decided here, once, for both roles.
 //! * **Dial side** — [`dial`] opens every outbound connection, and
 //!   [`exchange`] is the one short request/reply hop (health probe,
@@ -177,7 +177,7 @@ pub(crate) struct Limits {
 }
 
 /// Connection-level state of one endpoint: [`serve`] drives it, the
-/// node's `stats`/`status`/`metrics` bodies read it.
+/// node's `status`/`metrics` bodies read it.
 pub(crate) struct Conns {
     /// Thread-name prefix (`flowd` / `gw`).
     role: &'static str,
@@ -215,8 +215,7 @@ impl Conns {
 /// Everything about the connection itself is `serve`'s.
 pub(crate) trait Node: Send + Sync + 'static {
     fn conns(&self) -> &Conns;
-    /// The `stats`, `status` and JSON `metrics` bodies, framed.
-    fn stats(&self) -> Value;
+    /// The `status` and JSON `metrics` bodies, framed.
     fn status(&self) -> Value;
     fn metrics_json(&self) -> Value;
     /// The text exposition a `metrics` text reply carries.
@@ -436,7 +435,6 @@ fn serve_connection(stream: Stream, node: &dyn Node, addrs: &Addrs) {
                 proto_version: PROTO_VERSION,
             }
             .to_value(),
-            Ok(Request::Stats) => Event::Stats(node.stats()).to_value(),
             Ok(Request::Status) => Event::Status(node.status()).to_value(),
             Ok(Request::Metrics { text: false }) => Event::Metrics(node.metrics_json()).to_value(),
             Ok(Request::Metrics { text: true }) => {
@@ -572,9 +570,6 @@ mod tests {
     impl Node for Quiet {
         fn conns(&self) -> &Conns {
             &self.conns
-        }
-        fn stats(&self) -> Value {
-            Value::Null
         }
         fn status(&self) -> Value {
             Value::Null

@@ -28,6 +28,7 @@ pub use fpga_flow::hash::{from_hex, to_hex};
 /// verb or event changes shape; absent on the wire means 1.
 ///
 /// * 1 — `ping`/`stats`/`shutdown`/`compile`, stringly matched.
+///   `stats` is gone: it gets "unknown cmd", `metrics`/`status` carry its fields.
 /// * 2 — typed enums; adds the `metrics` verb, `trace` on compile
 ///   requests (spans in the `done` event), and `proto_version` itself.
 /// * 3 — design-rule lint: the `lint` verb and its terminal
@@ -170,7 +171,6 @@ fn report_event(kind: CheckKind) -> &'static str {
 #[derive(Clone, Debug)]
 pub enum Request {
     Ping,
-    Stats,
     /// Latency histograms + counters; `text` asks for the
     /// Prometheus-style exposition instead of JSON.
     Metrics {
@@ -210,9 +210,6 @@ impl Request {
             Request::Ping => {
                 obj.insert("cmd".into(), "ping".into());
                 obj.insert("proto_version".into(), PROTO_VERSION.into());
-            }
-            Request::Stats => {
-                obj.insert("cmd".into(), "stats".into());
             }
             Request::Metrics { text } => {
                 obj.insert("cmd".into(), "metrics".into());
@@ -283,7 +280,6 @@ pub fn parse_request_value(v: &Value) -> Result<Request, String> {
         .ok_or_else(|| "missing 'cmd'".to_string())?;
     match cmd {
         "ping" => Ok(Request::Ping),
-        "stats" => Ok(Request::Stats),
         "metrics" => {
             let text = match v.get("format").and_then(Value::as_str) {
                 None | Some("json") => false,
@@ -440,7 +436,7 @@ fn parse_options(v: Option<&Value>) -> Result<FlowOptions, String> {
 /// Everything a server can answer. One JSON object per line on the
 /// wire; [`Event::to_value`] and [`parse_event`] are inverses.
 ///
-/// The `Stats` and `Metrics` payloads stay opaque [`Value`]s: their
+/// The `Metrics` and `Status` payloads stay opaque [`Value`]s: their
 /// bodies are assembled by the service from live counters and rendered
 /// verbatim — the protocol layer only frames them.
 #[derive(Clone, Debug)]
@@ -448,13 +444,11 @@ pub enum Event {
     /// Ack of `ping`; carries the server's flow version and
     /// [`PROTO_VERSION`] (absent from version-1 servers — parsed as 1).
     Pong { version: String, proto_version: u64 },
-    /// Full stats body, including its `"event":"stats"` marker.
-    Stats(Value),
     /// Full metrics body (JSON or `{"format":"text","text":...}`),
     /// including its `"event":"metrics"` marker.
     Metrics(Value),
     /// Full status body (node health), including its `"event":"status"`
-    /// marker. Opaque like `Stats`/`Metrics`: the serving node assembles
+    /// marker. Opaque like `Metrics`: the serving node assembles
     /// it from live state, the protocol layer only frames it.
     Status(Value),
     /// Ack of `shutdown`: the queue is already draining.
@@ -570,9 +564,8 @@ impl Event {
                 obj.insert("version".into(), version.clone().into());
                 obj.insert("proto_version".into(), (*proto_version).into());
             }
-            Event::Stats(body) | Event::Metrics(body) | Event::Status(body) => {
+            Event::Metrics(body) | Event::Status(body) => {
                 let marker = match self {
-                    Event::Stats(_) => "stats",
                     Event::Metrics(_) => "metrics",
                     _ => "status",
                 };
@@ -801,7 +794,6 @@ pub fn parse_event(v: &Value) -> Result<Event, EventParseError> {
             // Absent = a version-1 server.
             proto_version: v.get("proto_version").and_then(Value::as_u64).unwrap_or(1),
         }),
-        "stats" => Ok(Event::Stats(v.clone())),
         "metrics" => Ok(Event::Metrics(v.clone())),
         "status" => Ok(Event::Status(v.clone())),
         "shutting_down" => Ok(Event::ShuttingDown),
@@ -1073,7 +1065,6 @@ mod tests {
     fn requests_round_trip_through_to_value() {
         let reqs = [
             Request::Ping,
-            Request::Stats,
             Request::Metrics { text: true },
             Request::Metrics { text: false },
             Request::Shutdown,
@@ -1261,7 +1252,6 @@ mod tests {
                 None,
                 false,
             ),
-            (Event::Stats(Value::Null), None, false),
             (Event::Metrics(Value::Null), None, false),
             (Event::Status(Value::Null), None, false),
             (Event::ShuttingDown, None, false),
@@ -1573,7 +1563,7 @@ mod tests {
     }
 
     #[test]
-    fn status_events_frame_their_body_like_stats() {
+    fn status_events_frame_their_body_like_metrics() {
         let body = serde_json::json!({
             "event": "status", "role": "gateway",
             "backends": serde_json::json!([
@@ -1637,12 +1627,12 @@ mod tests {
 
     #[test]
     fn read_line_limited_handles_crlf() {
-        let input = "{\"cmd\":\"ping\"}\r\n{\"cmd\":\"stats\"}\r\n";
+        let input = "{\"cmd\":\"ping\"}\r\n{\"cmd\":\"status\"}\r\n";
         let mut r = std::io::BufReader::new(input.as_bytes());
         let v = read_line_limited(&mut r, 64).unwrap().unwrap();
         assert_eq!(v["cmd"], serde_json::json!("ping"));
         let v = read_line_limited(&mut r, 64).unwrap().unwrap();
-        assert_eq!(v["cmd"], serde_json::json!("stats"));
+        assert_eq!(v["cmd"], serde_json::json!("status"));
         assert!(read_line_limited(&mut r, 64).unwrap().is_none());
     }
 

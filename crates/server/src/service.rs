@@ -39,8 +39,7 @@ use serde_json::Value;
 
 use crate::artifact::RemoteTierClient;
 use crate::metrics::{
-    counts_json, JobCounters, JobDurations, JobState, Metrics, MetricsSnapshot, ServiceCounters,
-    JOB_STATES,
+    JobCounters, JobDurations, JobState, Metrics, MetricsSnapshot, ServiceCounters, JOB_STATES,
 };
 use crate::net::{self, Conns, Endpoint, Limits, Node};
 use crate::proto::{self, CompileRequest, Event, JobKind, SourceFormat, PROTO_VERSION};
@@ -168,49 +167,10 @@ impl Node for Shared {
         &self.conns
     }
 
-    fn stats(&self) -> Value {
-        let queued = [("queued", self.queue.len() as u64)];
-        let jobs = counts_json(
-            JOB_STATES
-                .into_iter()
-                .zip(self.jobs.snapshot())
-                .chain(queued),
-        );
-        let mut root = serde_json::Map::new();
-        root.insert("event".to_string(), serde_json::json!("stats"));
-        root.insert(
-            "version".to_string(),
-            serde_json::json!(fpga_flow::FLOW_VERSION),
-        );
-        root.insert("jobs".to_string(), Value::Object(jobs));
-        root.insert(
-            "workers".to_string(),
-            serde_json::json!({"configured": self.config.workers.max(1) as u64}),
-        );
-        root.insert(
-            "connections".to_string(),
-            serde_json::json!({
-                "open": self.conns.open(),
-                "rejected": self.conns.rejected(),
-                "limit": self.config.max_connections as u64,
-            }),
-        );
-        root.insert(
-            "limits".to_string(),
-            serde_json::json!({
-                "max_deadline_ms": self.config.max_deadline_ms,
-                "idle_timeout_ms": self.config.idle_timeout_ms,
-                "max_line_bytes": self.config.max_line_bytes as u64,
-                "retry_after_ms": self.config.retry_after_ms,
-            }),
-        );
-        root.insert("cache".to_string(), self.cache.stats_json());
-        Value::Object(root)
-    }
-
     /// The `status` verb body: a lightweight health probe — queue and
-    /// worker state without the full stats/metrics payloads. Shaped for
-    /// `flow-gateway`, which folds it into its per-backend table.
+    /// worker state and the configured limits, without the counters
+    /// `metrics` carries. Shaped for `flow-gateway`, which folds it into
+    /// its per-backend table.
     fn status(&self) -> Value {
         serde_json::json!({
             "event": "status",
@@ -227,6 +187,12 @@ impl Node for Shared {
             "connections": serde_json::json!({
                 "open": self.conns.open(),
                 "limit": self.config.max_connections as u64,
+            }),
+            "limits": serde_json::json!({
+                "max_deadline_ms": self.config.max_deadline_ms,
+                "idle_timeout_ms": self.config.idle_timeout_ms,
+                "max_line_bytes": self.config.max_line_bytes as u64,
+                "retry_after_ms": self.config.retry_after_ms,
             }),
         })
     }
@@ -282,7 +248,7 @@ impl Shared {
             job_durations: self.job_durations.snapshot(),
             cache_entries: self.cache.len() as u64,
             cache_memory_evicted: self.cache.memory_evicted(),
-            store: self.cache.store().map(|s| s.counters()),
+            store: self.cache.store().map(|s| s.snapshot()),
             remote: self.remote.as_ref().map(|r| r.counters()),
             unknown_stage_events: self.metrics.unknown_stage_events(),
             rules: self.metrics.rule_counts(),
@@ -393,11 +359,6 @@ impl Server {
     /// The shared stage cache (tests assert on its counters).
     pub fn cache(&self) -> &StageCache {
         &self.shared.cache
-    }
-
-    /// Current job + cache statistics.
-    pub fn stats_json(&self) -> Value {
-        self.shared.stats()
     }
 
     /// The `status` verb's body: the daemon's lightweight health probe.
@@ -748,8 +709,9 @@ fn run_job(shared: &Shared, job: Job) -> (JobState, Event) {
 mod tests {
     use super::*;
 
-    /// The `stats`, `status` and framed `metrics` bodies of a fresh
-    /// daemon, byte for byte as commit 17b1350 rendered them.
+    /// The `status` and framed `metrics` bodies of a fresh daemon, byte
+    /// for byte as commit 17b1350 rendered them; `status` has carried
+    /// the configured `limits` since the `stats` verb went.
     #[test]
     fn fresh_bodies_render_as_recorded() {
         let server = Server::start(ServerConfig {
@@ -774,10 +736,6 @@ mod tests {
                 )
         };
         assert_eq!(
-            server.stats_json().to_string(),
-            at_this_version(RECORDED_STATS)
-        );
-        assert_eq!(
             server.status_json().to_string(),
             at_this_version(RECORDED_STATUS)
         );
@@ -790,9 +748,7 @@ mod tests {
 
     const RECORDED_METRICS: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":3},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{"synthesis":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"lut_map":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"pack":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"place":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"route":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"power":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"bitstream":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0},"verify":{"latency":{"count":0,"sum_ms":0.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":2000,"count":0},{"le":5000,"count":0},{"le":"+Inf","count":0}]},"memory_hits":0,"disk_hits":0,"misses":0,"wall_ms":0}},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":0,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"verify_rules":{"EQ001":0,"EQ002":0,"EQ003":0,"unknown":0},"event":"metrics","version":"ifdf-0.2.0","proto_version":6}"#;
 
-    const RECORDED_STATS: &str = r#"{"event":"stats","version":"ifdf-0.2.0","jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0,"queued":0},"workers":{"configured":3},"connections":{"open":0,"rejected":0,"limit":7},"limits":{"max_deadline_ms":60000,"idle_timeout_ms":null,"max_line_bytes":4096,"retry_after_ms":150},"cache":{"entries":0,"hits":0,"misses":0,"memory_evicted":0,"stages":{"synthesis":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"lut_map":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"pack":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"place":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"route":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"power":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"bitstream":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0},"verify":{"hits":0,"misses":0,"disk_hits":0,"wall_ms":0}}}}"#;
-
-    const RECORDED_STATUS: &str = r#"{"event":"status","role":"flowd","version":"ifdf-0.2.0","proto_version":6,"shutting_down":false,"queue":{"depth":0,"capacity":5,"peak":0},"workers":{"configured":3},"connections":{"open":0,"limit":7}}"#;
+    const RECORDED_STATUS: &str = r#"{"event":"status","role":"flowd","version":"ifdf-0.2.0","proto_version":6,"shutting_down":false,"queue":{"depth":0,"capacity":5,"peak":0},"workers":{"configured":3},"connections":{"open":0,"limit":7},"limits":{"max_deadline_ms":60000,"idle_timeout_ms":null,"max_line_bytes":4096,"retry_after_ms":150}}"#;
 
     #[test]
     fn deadline_clamping() {

@@ -1,6 +1,6 @@
 //! Property tests for the [`CircuitBreaker`] state machine under random
 //! outcome/clock schedules. The invariants the gateway (and the artifact
-//! tier's fetch breakers) lean on:
+//! tier's put breakers) lean on:
 //!
 //! 1. while `Open`, `allow` never grants before the base quiet period
 //!    has elapsed since the trip (jitter only ever *delays* the probe,

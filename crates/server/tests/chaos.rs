@@ -278,20 +278,20 @@ fn one_daemon_survives_panic_timeout_oversize_and_overload() {
     }
 
     // --- The ledger: every scenario left its mark on one worker.
-    let stats = server.stats_json();
+    let metrics = server.metrics_json();
     assert_eq!(
-        stats["jobs"]["completed"],
+        metrics["jobs"]["completed"],
         serde_json::json!(4u64),
         "B, D, E, G"
     );
-    assert_eq!(stats["jobs"]["panicked"], serde_json::json!(1u64), "A");
-    assert_eq!(stats["jobs"]["timed_out"], serde_json::json!(1u64), "C");
-    assert_eq!(stats["jobs"]["failed"], serde_json::json!(0u64));
+    assert_eq!(metrics["jobs"]["panicked"], serde_json::json!(1u64), "A");
+    assert_eq!(metrics["jobs"]["timed_out"], serde_json::json!(1u64), "C");
+    assert_eq!(metrics["jobs"]["failed"], serde_json::json!(0u64));
     assert!(
-        stats["jobs"]["rejected"].as_u64().expect("rejected") >= 2,
+        metrics["jobs"]["rejected"].as_u64().expect("rejected") >= 2,
         "F plus at least one of G's early attempts"
     );
-    assert_eq!(stats["workers"]["configured"], serde_json::json!(1u64));
+    assert_eq!(metrics["workers"]["configured"], serde_json::json!(1u64));
     server.shutdown();
 }
 
@@ -308,6 +308,9 @@ fn design_src(bits: usize) -> String {
 // lines a build of d7a98e5 sent (`goldens/guards_<role>.txt`, recorded
 // before the loops were merged). The gateway rows that differ from that
 // recording are the drifted behaviours DESIGN.md "Transport" lists.
+// Since the `stats` verb went, its row is the `unknown cmd` refusal,
+// `status` carries flowd's limits, the rejection is counted through
+// `metrics`, and the gateway's replication breaker is `put_breaker`.
 
 const ROLES: [&str; 2] = ["flowd", "gateway"];
 const RECORDED: [&str; 2] = [
@@ -399,8 +402,9 @@ fn connection_guards_answer_as_recorded_on_both_roles() {
             }
         };
 
-        // The first connection asks every read-only verb, then stays
-        // open as one of the two admission slots.
+        // The first connection asks every read-only verb, and the
+        // deleted `stats`, then stays open as one of the two admission
+        // slots.
         let mut first = RawConn::at(addr).expect("connect");
         for verb in ["ping", "stats", "status", "metrics"] {
             first.send_bytes(format!("{{\"cmd\":\"{verb}\"}}").as_bytes());
@@ -418,8 +422,8 @@ fn connection_guards_answer_as_recorded_on_both_roles() {
             "one connection over the cap",
             &[second.line(), third.line(), third.line()],
         );
-        first.send_bytes(b"{\"cmd\":\"stats\"}");
-        row("stats after the rejection", &[first.line()]);
+        first.send_bytes(b"{\"cmd\":\"metrics\"}");
+        row("metrics after the rejection", &[first.line()]);
         drop((second, third));
 
         // An admitted connection that goes quiet is told so and closed.

@@ -112,11 +112,11 @@ fn warm_restart_serves_every_stage_from_disk() {
     assert_eq!(counters.disk_hits, 8, "all eight stages were disk hits");
     assert_eq!(counters.quarantined, 0);
 
-    // The stats surface reports the same numbers (this is what
-    // `flowc stats` and scripts/crash.sh read).
-    let stats = second.stats_json();
-    assert_eq!(stats["cache"]["disk"]["disk_hits"], serde_json::json!(8));
-    assert_eq!(stats["cache"]["disk"]["entries"], serde_json::json!(8));
+    // `metrics` reports the same numbers (this is what `flowc metrics`
+    // and scripts/crash.sh read).
+    let store = &second.metrics_json()["cache"]["store"];
+    assert_eq!(store["disk_hits"], serde_json::json!(8));
+    assert_eq!(store["entries"], serde_json::json!(8));
     second.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -565,12 +565,13 @@ fn hostile_tenant_cannot_forge_exposition_lines() {
     backend.shutdown();
 }
 
-/// The gateway's `status`, `stats` and `metrics` replies over the wire,
-/// byte for byte as commit 17b1350 sent them for a fresh one-backend
-/// farm (backend address masked; recorded at ifdf-0.2.0 / proto 6).
+/// The gateway's `status` and `metrics` replies over the wire, byte for
+/// byte as commit 17b1350 sent them for a fresh one-backend farm
+/// (backend address masked; recorded at ifdf-0.2.0 / proto 6), with the
+/// replication breaker's key renamed `put_breaker`.
 #[test]
 fn fresh_gateway_replies_render_as_recorded() {
-    const SNAPSHOT: &str = r#"{"role":"gateway","jobs":{"submitted":0,"completed":0,"failed":0,"shed":0,"timed_out":0,"failovers":0,"steals":0},"job_duration_ms":{},"backends":[{"addr":"BACKEND","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":0,"requests":0,"failures":0,"failovers":0,"fetch_breaker":"closed","steals":0}],"tenants":{},"admission":{"inflight":0,"queued":0,"max_inflight":64,"queue_bound":128},"artifacts":{"puts":0,"put_failures":0,"bytes_stored":0}"#;
+    const SNAPSHOT: &str = r#"{"role":"gateway","jobs":{"submitted":0,"completed":0,"failed":0,"shed":0,"timed_out":0,"failovers":0,"steals":0},"job_duration_ms":{},"backends":[{"addr":"BACKEND","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":0,"requests":0,"failures":0,"failovers":0,"put_breaker":"closed","steals":0}],"tenants":{},"admission":{"inflight":0,"queued":0,"max_inflight":64,"queue_bound":128},"artifacts":{"puts":0,"put_failures":0,"bytes_stored":0}"#;
     let backend = start_flowd();
     let backend_addr = backend.tcp_addr().expect("tcp enabled").to_string();
     let gateway = Gateway::start(GatewayConfig {
@@ -588,10 +589,6 @@ fn fresh_gateway_replies_render_as_recorded() {
         format!(
             r#"{SNAPSHOT},"event":"status","version":"{version}","proto_version":{proto},"shutting_down":false}}"#
         )
-    );
-    assert_eq!(
-        masked(client.stats().expect("stats")),
-        format!(r#"{SNAPSHOT},"event":"stats","version":"{version}"}}"#)
     );
     assert_eq!(
         masked(client.metrics(false).expect("metrics")),
@@ -725,7 +722,9 @@ fn idle_backend_steals_a_job_from_a_busy_affinity_pick() {
 /// it, gets the ordinary `unknown cmd` error from both roles, and the
 /// same connection serves on. A version-5 daemon reads that error as a
 /// fetch miss and a version-5 gateway reads it as a peer without the
-/// entry, so neither needs a protocol floor.
+/// entry, so neither needs a protocol floor. `stats`, the deleted
+/// counter verb, gets the same refusal: `metrics` and `status` carry
+/// what it had.
 #[test]
 fn artifact_get_gets_a_plain_refusal_from_both_roles() {
     let backend = start_flowd();
@@ -738,17 +737,20 @@ fn artifact_get_gets_a_plain_refusal_from_both_roles() {
     let get = serde_json::json!({
         "cmd": "artifact_get", "stage": "route", "key": "ab".repeat(32), "kind": "routed-design"
     });
+    let stats = serde_json::json!({"cmd": "stats"});
     for addr in [backend_addr, gateway.tcp_addr()] {
-        let mut conn = RawConn::connect(addr);
-        conn.send(&get);
-        assert_eq!(
-            conn.recv().to_string(),
-            r#"{"event":"error","message":"unknown cmd 'artifact_get'"}"#,
-            "at {addr}"
-        );
-        conn.send(&serde_json::json!({"cmd": "ping"}));
-        let pong = conn.recv();
-        assert_eq!(pong["event"].as_str(), Some("pong"), "{pong}");
+        for (request, verb) in [(&get, "artifact_get"), (&stats, "stats")] {
+            let mut conn = RawConn::connect(addr);
+            conn.send(request);
+            assert_eq!(
+                conn.recv().to_string(),
+                format!(r#"{{"event":"error","message":"unknown cmd '{verb}'"}}"#),
+                "at {addr}"
+            );
+            conn.send(&serde_json::json!({"cmd": "ping"}));
+            let pong = conn.recv();
+            assert_eq!(pong["event"].as_str(), Some("pong"), "{pong}");
+        }
     }
     gateway.shutdown();
     backend.shutdown();

@@ -78,13 +78,13 @@ fn a_panic_at_every_stage_leaves_every_worker_serving() {
             assert_eq!(outcome.stage_events.len(), 8);
         }
 
-        let stats = server.stats_json();
-        assert_eq!(stats["jobs"]["panicked"], serde_json::json!(8u64));
+        let metrics = server.metrics_json();
+        assert_eq!(metrics["jobs"]["panicked"], serde_json::json!(8u64));
         assert_eq!(
-            stats["jobs"]["completed"],
+            metrics["jobs"]["completed"],
             serde_json::json!(workers as u64 + 1)
         );
-        assert_eq!(stats["jobs"]["failed"], serde_json::json!(0u64));
+        assert_eq!(metrics["jobs"]["failed"], serde_json::json!(0u64));
         server.shutdown();
     }
 }
@@ -140,17 +140,17 @@ fn a_storm_of_panics_interleaved_with_good_jobs_leaves_the_pool_intact() {
     assert_eq!(done, JOBS - PANICS.len());
     assert_eq!(panicked, PANICS.len());
 
-    let stats = server.stats_json();
-    assert_eq!(stats["jobs"]["submitted"], serde_json::json!(JOBS as u64));
+    let metrics = server.metrics_json();
+    assert_eq!(metrics["jobs"]["submitted"], serde_json::json!(JOBS as u64));
     assert_eq!(
-        stats["jobs"]["completed"],
+        metrics["jobs"]["completed"],
         serde_json::json!((JOBS - PANICS.len()) as u64)
     );
     assert_eq!(
-        stats["jobs"]["panicked"],
+        metrics["jobs"]["panicked"],
         serde_json::json!(PANICS.len() as u64)
     );
-    assert_eq!(stats["jobs"]["rejected"], serde_json::json!(0u64));
-    assert_eq!(stats["workers"]["configured"], serde_json::json!(3u64));
+    assert_eq!(metrics["jobs"]["rejected"], serde_json::json!(0u64));
+    assert_eq!(metrics["workers"]["configured"], serde_json::json!(3u64));
     server.shutdown();
 }

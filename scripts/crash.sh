@@ -7,7 +7,7 @@
 #      stages before the stall have persisted, kill -9 the daemon;
 #   2. restart on the same cache dir, resubmit the identical design,
 #      and assert exactly those four stages report "[cache hit]" and
-#      flowc stats shows four disk hits;
+#      flowc metrics shows four disk hits;
 #   3. shut down cleanly, flip bytes in one stored entry, restart, and
 #      assert the job still succeeds with the bad entry quarantined.
 #
@@ -81,9 +81,9 @@ start_daemon
     -o "$WORK/recovered.bit" 2> "$WORK/leg2.log"
 HITS=$(grep -c 'cache hit' "$WORK/leg2.log" || true)
 [ "$HITS" -eq 4 ] || { echo "FAIL: expected 4 '[cache hit]' stages, got $HITS" >&2; cat "$WORK/leg2.log" >&2; exit 1; }
-"$FLOWC" --tcp "$ADDR" stats > "$WORK/stats2.json"
-grep -q '"disk_hits": 4' "$WORK/stats2.json" \
-    || { echo "FAIL: stats do not show 4 disk hits" >&2; cat "$WORK/stats2.json" >&2; exit 1; }
+"$FLOWC" --tcp "$ADDR" metrics > "$WORK/metrics2.json"
+grep -q '"disk_hits": 4' "$WORK/metrics2.json" \
+    || { echo "FAIL: metrics do not show 4 disk hits" >&2; cat "$WORK/metrics2.json" >&2; exit 1; }
 
 echo "==> leg 3: corrupt one entry, restart, expect quarantine + success"
 "$FLOWC" --tcp "$ADDR" shutdown
@@ -95,9 +95,9 @@ dd if=/dev/zero of="$VICTIM" bs=1 count=8 conv=notrunc 2>/dev/null
 start_daemon
 "$FLOWC" --tcp "$ADDR" compile "$WORK/counter.vhd" \
     -o "$WORK/healed.bit" 2> "$WORK/leg3.log"
-"$FLOWC" --tcp "$ADDR" stats > "$WORK/stats3.json"
-grep -q '"quarantined": 1' "$WORK/stats3.json" \
-    || { echo "FAIL: stats do not show the quarantined entry" >&2; cat "$WORK/stats3.json" >&2; exit 1; }
+"$FLOWC" --tcp "$ADDR" metrics > "$WORK/metrics3.json"
+grep -q '"quarantined": 1' "$WORK/metrics3.json" \
+    || { echo "FAIL: metrics do not show the quarantined entry" >&2; cat "$WORK/metrics3.json" >&2; exit 1; }
 cmp -s "$WORK/recovered.bit" "$WORK/healed.bit" \
     || { echo "FAIL: recompiled bitstream differs after quarantine" >&2; exit 1; }
 "$FLOWC" --tcp "$ADDR" shutdown

@@ -132,16 +132,16 @@ fn four_concurrent_clients_share_one_computation() {
         "front end still shared"
     );
 
-    let stats = server.stats_json();
-    assert_eq!(stats["jobs"]["submitted"], serde_json::json!(6u64));
-    assert_eq!(stats["jobs"]["completed"], serde_json::json!(6u64));
-    assert_eq!(stats["jobs"]["failed"], serde_json::json!(0u64));
+    let metrics = server.metrics_json();
+    assert_eq!(metrics["jobs"]["submitted"], serde_json::json!(6u64));
+    assert_eq!(metrics["jobs"]["completed"], serde_json::json!(6u64));
+    assert_eq!(metrics["jobs"]["failed"], serde_json::json!(0u64));
 
     server.shutdown();
 }
 
 #[test]
-fn stats_ping_and_flow_errors_over_the_wire() {
+fn metrics_ping_and_flow_errors_over_the_wire() {
     let server = start_server(2);
     let mut client = connect(&server);
 
@@ -173,10 +173,13 @@ fn stats_ping_and_flow_errors_over_the_wire() {
         .expect("blif still works");
     assert!(!ok.bitstream.is_empty());
 
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats["jobs"]["failed"], serde_json::json!(1u64));
-    assert_eq!(stats["jobs"]["completed"], serde_json::json!(1u64));
-    assert!(stats["cache"]["stages"]["bitstream"]["misses"] == serde_json::json!(1u64));
+    let metrics = client.metrics(false).expect("metrics");
+    assert_eq!(metrics["jobs"]["failed"], serde_json::json!(1u64));
+    assert_eq!(metrics["jobs"]["completed"], serde_json::json!(1u64));
+    assert_eq!(
+        metrics["stages"]["bitstream"]["misses"],
+        serde_json::json!(1u64)
+    );
 
     server.shutdown();
 }

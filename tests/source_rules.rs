@@ -74,8 +74,9 @@ const RULES: &[Rule] = &[
     Rule { name: "deleted items", scan: WHOLE, allowed: Nowhere, files: &["crates/**", "README.md", "DESIGN.md"],
         patterns: &["fn prune_dead", "netlist::stats", "clb_delay", "compile_vhdl_ctx", "compile_blif_ctx",
             "compile_detailed", "tenant-weight", "FLOW_THREADS", "run_netlist_ctx", "NET_BATCH", "fn route_batch",
-            "RemoteHit", "remote_hits", "FETCH_ATTEMPTS", "corrupt_artifacts", "handle_version"],
-        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time; the farm replicates, never fetches)" },
+            "RemoteHit", "remote_hits", "FETCH_ATTEMPTS", "corrupt_artifacts", "handle_version", "stats_json",
+            "Request::Stats", "Event::Stats", "flowc stats", "fetch_breaker"],
+        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time; the farm replicates, never fetches; `metrics` and `status` serve what `stats` did)" },
     // Place and route run on one thread; a schedule decides the bytes, not a thread count.
     Rule { name: "one thread per compile", scan: NO_COMMENTS, allowed: Nowhere, patterns: &["thread::"],
         files: CAD,
@@ -366,6 +367,19 @@ fn the_scanner_reads_each_definition_as_written() {
     let doc = "a `RemoteHit` after the disk";
     assert_eq!(
         run(&[("crates/server/tests/t.rs", test), ("README.md", doc)]),
+        want
+    );
+
+    // So do the `stats` verb's items; `StageCache::stats(stage)` is another item.
+    let want = [
+        "deleted items: crates/server/src/net.rs:2: Ok(Request::Stats) => Event::Stats(node.stats()),",
+        "deleted items: README.md:1: then `flowc stats` shows the ledger",
+    ];
+    let code =
+        "let s = cache.stats(StageId::Pack);\nOk(Request::Stats) => Event::Stats(node.stats()),";
+    let doc = "then `flowc stats` shows the ledger";
+    assert_eq!(
+        run(&[("crates/server/src/net.rs", code), ("README.md", doc)]),
         want
     );
 }
