@@ -716,13 +716,13 @@ mod tests {
         let cold = run_vhdl_ctx(&src, &opts, FlowCtx::with_cache(&cache)).unwrap();
         for stage in STAGES {
             let s = cache.stats(stage);
-            assert_eq!((s.misses.get(), s.hits.get()), (1, 0), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits()), (1, 0), "{}", stage.name());
         }
 
         let warm = run_vhdl_ctx(&src, &opts, FlowCtx::with_cache(&cache)).unwrap();
         for stage in STAGES {
             let s = cache.stats(stage);
-            assert_eq!((s.misses.get(), s.hits.get()), (1, 1), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits()), (1, 1), "{}", stage.name());
         }
         assert_eq!(cold.bitstream_bytes, warm.bitstream_bytes);
         assert!(warm
@@ -778,7 +778,7 @@ mod tests {
         let art = run_vhdl_ctx(&src, &FlowOptions::default(), ctx).unwrap();
         assert!(art.bitstream_bytes.len() > 64);
         let synth = cache.stats(StageId::Synthesis);
-        assert_eq!((synth.misses.get(), synth.hits.get()), (1, 1));
+        assert_eq!((synth.misses.get(), synth.hits()), (1, 1));
     }
 
     #[test]
@@ -926,7 +926,7 @@ mod tests {
         assert_eq!(err.stage, "lint");
         // The deny fired before the cached upload stage ever ran.
         let s = cache.stats(StageId::Synthesis);
-        assert_eq!((s.misses.get(), s.hits.get()), (0, 0));
+        assert_eq!((s.misses.get(), s.hits()), (0, 0));
     }
 
     #[test]
@@ -941,7 +941,7 @@ mod tests {
         run_vhdl_ctx(&src, &warn, FlowCtx::with_cache(&cache)).unwrap();
         for stage in STAGES {
             let s = cache.stats(stage);
-            assert_eq!((s.misses.get(), s.hits.get()), (1, 1), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits()), (1, 1), "{}", stage.name());
         }
     }
 
@@ -976,7 +976,7 @@ mod tests {
         run_vhdl_ctx(&src, &deny, FlowCtx::with_cache(&cache)).unwrap();
         for stage in STAGES {
             let s = cache.stats(stage);
-            assert_eq!((s.misses.get(), s.hits.get()), (1, 1), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits()), (1, 1), "{}", stage.name());
         }
     }
 
@@ -1142,7 +1142,7 @@ mod tests {
         assert_ne!(keys[0], keys[1]);
         assert_eq!(keys[0], keys[2]);
         let s = cache.stats(StageId::LutMap);
-        assert_eq!((s.misses.get(), s.hits.get()), (2, 1));
+        assert_eq!((s.misses.get(), s.hits()), (2, 1));
     }
 
     #[test]
@@ -1163,7 +1163,7 @@ mod tests {
         let read = fpga_netlist::blif::parse(&blif).unwrap();
         assert_eq!(map(&uploaded), map(&stages::adopt_rtl(read)));
         let s = cache.stats(StageId::LutMap);
-        assert_eq!((s.misses.get(), s.hits.get()), (2, 2));
+        assert_eq!((s.misses.get(), s.hits()), (2, 2));
     }
 
     #[test]
@@ -1177,12 +1177,12 @@ mod tests {
         // Front end (synth/map/pack) is seed-independent: shared.
         for stage in [StageId::Synthesis, StageId::LutMap, StageId::Pack] {
             let s = cache.stats(stage);
-            assert_eq!((s.misses.get(), s.hits.get()), (1, 1), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits()), (1, 1), "{}", stage.name());
         }
         // Placement and everything chained after it re-ran.
         for stage in [StageId::Place, StageId::Route, StageId::Bitstream] {
             let s = cache.stats(stage);
-            assert_eq!((s.misses.get(), s.hits.get()), (2, 0), "{}", stage.name());
+            assert_eq!((s.misses.get(), s.hits()), (2, 0), "{}", stage.name());
         }
     }
 }

@@ -3,7 +3,9 @@
 //!
 //! The block table is written as it stands, ascending by block, and a
 //! decode refuses any other order: [`Placement::slot`] binary-searches
-//! it. The device's [`Architecture`] already has a canonical, stable
+//! it. A decode also refuses a net the router could not route: one with
+//! fewer than two terminals, or with a terminal the table does not
+//! place. The device's [`Architecture`] already has a canonical, stable
 //! JSON form (it is what the stage-cache keys digest), so that existing
 //! machinery is reused verbatim rather than re-encoded field by field.
 
@@ -94,10 +96,23 @@ pub fn placement_from_bytes(bytes: &[u8]) -> CodecResult<Placement> {
     }
     let cost = r.f64()?;
     let nets = r.seq(|r| {
-        Ok(PlacedNet {
-            net: NetId(r.u32()?),
-            terminals: r.seq(read_block_ref)?,
-        })
+        let net = NetId(r.u32()?);
+        let terminals = r.seq(read_block_ref)?;
+        if terminals.len() < 2 {
+            return Err(CodecError(format!(
+                "placed net {} has {} terminal(s)",
+                net.0,
+                terminals.len()
+            )));
+        }
+        let unplaced = |t: &&BlockRef| slots.binary_search_by_key(*t, |(b, _)| *b).is_err();
+        if let Some(t) = terminals.iter().find(unplaced) {
+            return Err(CodecError(format!(
+                "placed net {} has terminal {t:?}, which no slot places",
+                net.0
+            )));
+        }
+        Ok(PlacedNet { net, terminals })
     })?;
     r.finish()?;
     Ok(Placement {
@@ -163,6 +178,23 @@ mod tests {
         for p in [swapped, repeated] {
             let err = placement_from_bytes(&placement_to_bytes(&p)).unwrap_err();
             assert!(err.0.contains("strictly ascending"), "{err:?}");
+        }
+    }
+
+    /// The router needs a driver and a sink for every net, each in the
+    /// block table: a decode refuses a net with fewer than two
+    /// terminals, or with one no slot places.
+    #[test]
+    fn nets_the_router_cannot_route_are_refused() {
+        let mut lone = sample();
+        lone.nets[0].terminals.pop();
+        let mut unplaced = sample();
+        unplaced.nets[0]
+            .terminals
+            .push(BlockRef::Cluster(ClusterId(7)));
+        for (p, want) in [(lone, "1 terminal"), (unplaced, "Cluster(ClusterId(7))")] {
+            let err = placement_from_bytes(&placement_to_bytes(&p)).unwrap_err();
+            assert!(err.0.contains(want), "{err:?}");
         }
     }
 

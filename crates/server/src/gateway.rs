@@ -189,6 +189,7 @@ impl Shared {
             admission_queued: queued as u64,
             max_inflight: gov.max_inflight as u64,
             queue_bound: gov.queue_bound as u64,
+            connections: self.conns.counts(),
             artifacts: self.artifacts.clone(),
             cache,
         }
@@ -214,9 +215,8 @@ impl Shared {
             };
             let cache = &body["cache"];
             let get = |k: &str| cache[k].as_u64().unwrap_or(0);
-            let disk_hits = get("disk_hits");
-            total.hits.add(get("memory_hits") + disk_hits);
-            total.disk_hits.add(disk_hits);
+            total.memory_hits.add(get("memory_hits"));
+            total.disk_hits.add(get("disk_hits"));
             total.misses.add(get("misses"));
         }
         any.then_some(total)

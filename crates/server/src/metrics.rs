@@ -30,13 +30,12 @@
 //! live structs their owners increment; a snapshot holds a `clone` of
 //! them.
 
-use std::borrow::Cow;
 use std::time::Instant;
 
 use fpga_flow::cache::STAGES;
 use fpga_flow::sync::Counter;
 use fpga_flow::{CheckKind, StageStats, StoreSnapshot};
-use fpga_lint::{Diagnostic, Rule, RULES};
+use fpga_lint::{Diagnostic, RULES};
 use serde_json::Value;
 
 use crate::breaker::{BreakerCounters, BreakerState};
@@ -171,34 +170,12 @@ pub struct Metrics {
     /// Stage events whose id the registry did not recognize — should
     /// stay zero; nonzero means a flow/daemon version skew.
     unknown_stage_events: Counter,
-    /// Findings by rule code, one table per family (indexed by
-    /// [`CheckKind`]): the structural design rules under `flowd_lint_*`,
-    /// the EQ equivalence rules under `flowd_verify_*`.
-    rule_hits: [RuleHits; 2],
-}
-
-/// One rule family's finding counters.
-#[derive(Default)]
-struct RuleHits {
-    /// By rule code, in [`RULES`] order.
-    hits: [Counter; RULES.len()],
-    /// Findings whose code the family does not list — the rule analogue
+    /// Findings by rule code, in [`RULES`] order: the structural design
+    /// rules and the EQ equivalence rules alike.
+    rule_hits: [Counter; RULES.len()],
+    /// Findings whose code [`RULES`] does not list — the rule analogue
     /// of `unknown_stage_events`; nonzero means version skew.
-    unknown: Counter,
-}
-
-/// The rule families, indexed by [`CheckKind`]: metric name stem and
-/// help text.
-const RULE_FAMILIES: [(&str, &str); 2] = [
-    ("lint", "Design-rule findings by rule code."),
-    ("verify", "Equivalence findings by EQ rule code."),
-];
-
-/// Whether a family lists a catalogue rule: `verify` the EQ slice of
-/// [`RULES`], `lint` the whole catalogue (the EQ codes included, which
-/// it never counts).
-fn family_lists(family: CheckKind, rule: &Rule) -> bool {
-    family == CheckKind::Lint || rule.stage == "verify"
+    unknown_rules: Counter,
 }
 
 impl Metrics {
@@ -219,39 +196,25 @@ impl Metrics {
         self.unknown_stage_events.get()
     }
 
-    /// Record one finding. It is counted where its rule lives — EQ
-    /// findings (stage `verify`) in the verify family, everything else
-    /// in the lint family — not by which job kind surfaced it.
+    /// Record one finding, under its rule code, whichever job kind
+    /// surfaced it.
     pub fn observe_rule(&self, d: &Diagnostic) {
-        let family = if d.stage == "verify" {
-            CheckKind::Verify
-        } else {
-            CheckKind::Lint
-        };
-        let counters = &self.rule_hits[family as usize];
-        let listed = RULES
-            .iter()
-            .position(|r| r.code == d.code && family_lists(family, r));
-        match listed {
-            Some(i) => counters.hits[i].inc(),
-            None => counters.unknown.inc(),
+        match RULES.iter().position(|r| r.code == d.code) {
+            Some(i) => self.rule_hits[i].inc(),
+            None => self.unknown_rules.inc(),
         }
     }
 
-    /// Every family's per-rule finding counts, in catalogue order.
-    pub fn rule_counts(&self) -> [RuleCounts; 2] {
-        [CheckKind::Lint, CheckKind::Verify].map(|family| {
-            let counters = &self.rule_hits[family as usize];
-            RuleCounts {
-                hits: RULES
-                    .iter()
-                    .zip(counters.hits.iter())
-                    .filter(|(r, _)| family_lists(family, r))
-                    .map(|(r, n)| (r.code, n.get()))
-                    .collect(),
-                unknown: counters.unknown.get(),
-            }
-        })
+    /// The per-rule finding counts, in catalogue order.
+    pub fn rule_counts(&self) -> RuleCounts {
+        RuleCounts {
+            hits: RULES
+                .iter()
+                .zip(&self.rule_hits)
+                .map(|(r, n)| (r.code, n.get()))
+                .collect(),
+            unknown: self.unknown_rules.get(),
+        }
     }
 
     /// Snapshot every stage histogram, in flow order.
@@ -283,22 +246,18 @@ impl Kind {
 }
 
 /// One metric family's declaration. Every family either daemon exposes
-/// is declared exactly once — as a `const` below, or from
-/// [`RULE_FAMILIES`] — and listed by [`catalogue`], which README's
-/// "Metrics reference" table is tested against.
+/// is declared exactly once, as a `const` below, and listed by
+/// [`catalogue`], which README's "Metrics reference" table is tested
+/// against.
 #[derive(Clone, Debug)]
 pub struct Family {
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     pub kind: Kind,
     pub help: Option<&'static str>,
 }
 
 const fn family(name: &'static str, kind: Kind, help: Option<&'static str>) -> Family {
-    Family {
-        name: Cow::Borrowed(name),
-        kind,
-        help,
-    }
+    Family { name, kind, help }
 }
 
 const fn counter(name: &'static str, help: Option<&'static str>) -> Family {
@@ -309,9 +268,9 @@ const fn gauge(name: &'static str, help: Option<&'static str>) -> Family {
     family(name, Kind::Gauge, help)
 }
 
-// The `flowd_*` families with fixed names. Each is declared here once
-// and bound by name wherever it is rendered; [`FLOWD_FAMILIES`] lists
-// them in exposition order (the rule families follow them).
+// The `flowd_*` families. Each is declared here once and bound by name
+// wherever it is rendered; [`FLOWD_FAMILIES`] lists them in exposition
+// order.
 const JOBS: Family = counter("flowd_jobs_total", Some("Jobs by terminal state."));
 const QUEUE_DEPTH: Family = gauge("flowd_queue_depth", None);
 const QUEUE_DEPTH_PEAK: Family = gauge("flowd_queue_depth_peak", None);
@@ -345,8 +304,13 @@ const JOB_DURATION: Family = family(
     Some("Request parsed to terminal event written, per job verb."),
 );
 const UNKNOWN_STAGE_EVENTS: Family = counter("flowd_unknown_stage_events_total", None);
+const RULE_HITS: Family = counter(
+    "flowd_lint_rule_hits_total",
+    Some("Design-rule findings by rule code."),
+);
+const UNKNOWN_RULES: Family = counter("flowd_unknown_lint_rules_total", None);
 
-const FLOWD_FAMILIES: [Family; 22] = [
+const FLOWD_FAMILIES: [Family; 24] = [
     JOBS,
     QUEUE_DEPTH,
     QUEUE_DEPTH_PEAK,
@@ -369,6 +333,8 @@ const FLOWD_FAMILIES: [Family; 22] = [
     STAGE_DURATION,
     JOB_DURATION,
     UNKNOWN_STAGE_EVENTS,
+    RULE_HITS,
+    UNKNOWN_RULES,
 ];
 
 // The `flowgw_*` families, likewise; [`FLOWGW_FAMILIES`] is their
@@ -411,6 +377,8 @@ const GW_TENANT_JOBS: Family = counter(
 );
 const GW_ADMISSION_INFLIGHT: Family = gauge("flowgw_admission_inflight", None);
 const GW_ADMISSION_QUEUED: Family = gauge("flowgw_admission_queued", None);
+const GW_CONNECTIONS_OPEN: Family = gauge("flowgw_connections_open", None);
+const GW_CONNECTIONS_REJECTED: Family = counter("flowgw_connections_rejected_total", None);
 const GW_ARTIFACT_REQUESTS: Family = counter(
     "flowgw_artifact_requests_total",
     Some("Artifact verbs received from daemons."),
@@ -423,7 +391,7 @@ const GW_CACHE_HITS: Family = counter(
 );
 const GW_CACHE_MISSES: Family = counter("flowgw_cache_misses_total", None);
 
-const FLOWGW_FAMILIES: [Family; 20] = [
+const FLOWGW_FAMILIES: [Family; 22] = [
     GW_JOBS,
     GW_JOB_DURATION,
     GW_BACKEND_REQUESTS,
@@ -439,6 +407,8 @@ const FLOWGW_FAMILIES: [Family; 20] = [
     GW_TENANT_JOBS,
     GW_ADMISSION_INFLIGHT,
     GW_ADMISSION_QUEUED,
+    GW_CONNECTIONS_OPEN,
+    GW_CONNECTIONS_REJECTED,
     GW_ARTIFACT_REQUESTS,
     GW_ARTIFACT_PUT_FAILURES,
     GW_ARTIFACT_BYTES,
@@ -446,28 +416,10 @@ const FLOWGW_FAMILIES: [Family; 20] = [
     GW_CACHE_MISSES,
 ];
 
-/// One [`RULE_FAMILIES`] row's two metric families: findings per rule
-/// code, and the unknown-code tripwire.
-fn rule_families((stem, help): (&str, &'static str)) -> [Family; 2] {
-    let named = |name: String, help| Family {
-        name: Cow::Owned(name),
-        kind: Kind::Counter,
-        help,
-    };
-    [
-        named(format!("flowd_{stem}_rule_hits_total"), Some(help)),
-        named(format!("flowd_unknown_{stem}_rules_total"), None),
-    ]
-}
-
 /// Every family `flowd` and `flow-gateway` can expose, in exposition
-/// order: the daemon's (fixed, then one pair per rule family), then the
-/// gateway's.
+/// order: the daemon's, then the gateway's.
 pub fn catalogue() -> Vec<Family> {
-    let mut all = FLOWD_FAMILIES.to_vec();
-    all.extend(RULE_FAMILIES.into_iter().flat_map(rule_families));
-    all.extend(FLOWGW_FAMILIES);
-    all
+    [FLOWD_FAMILIES.as_slice(), &FLOWGW_FAMILIES].concat()
 }
 
 /// The text exposition writer — the only code that knows the format:
@@ -522,7 +474,7 @@ impl Exposition {
     ) {
         self.header(f);
         for (labels, value) in samples {
-            self.sample(&f.name, &labels, value);
+            self.sample(f.name, &labels, value);
         }
     }
 
@@ -562,9 +514,32 @@ impl Exposition {
 
     /// The stage-cache view both roles expose: hits by tier, and misses.
     fn cache_tiers(&mut self, hits: &Family, misses: &Family, c: &StageStats) {
-        let tiers = [("memory", c.memory_hits()), ("disk", c.disk_hits.get())];
+        let tiers = [("memory", c.memory_hits.get()), ("disk", c.disk_hits.get())];
         self.labelled(hits, "tier", tiers);
         self.scalar(misses, c.misses.get());
+    }
+
+    /// The connection guard both roles expose: connections being served,
+    /// and those refused at the cap.
+    fn connections(&mut self, open: &Family, rejected: &Family, c: &Connections) {
+        self.scalar(open, c.open);
+        self.scalar(rejected, c.rejected);
+    }
+}
+
+/// An endpoint's connection-guard counts, as `net::serve` keeps them for
+/// either role.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Connections {
+    pub open: u64,
+    /// Connections refused at the `--max-conns` cap.
+    pub rejected: u64,
+}
+
+impl Connections {
+    /// The JSON `connections` object both roles' `metrics` carry.
+    fn to_json(self) -> Value {
+        serde_json::json!({"open": self.open, "rejected": self.rejected})
     }
 }
 
@@ -657,15 +632,14 @@ pub struct ServiceCounters {
     pub queue_depth: u64,
     pub queue_peak: u64,
     pub workers_configured: u64,
-    pub connections_open: u64,
-    pub connections_rejected: u64,
+    pub connections: Connections,
 }
 
 /// The three keys every JSON `cache` object (and stage row) carries, from
 /// cache tier counts: one stage's, or a sum over stages (and, at the
 /// gateway, over backends).
 fn insert_tiers(c: &StageStats, map: &mut serde_json::Map<String, Value>) {
-    map.insert("memory_hits".into(), c.memory_hits().into());
+    map.insert("memory_hits".into(), c.memory_hits.get().into());
     map.insert("disk_hits".into(), c.disk_hits.get().into());
     map.insert("misses".into(), c.misses.get().into());
 }
@@ -700,11 +674,10 @@ pub struct MetricsSnapshot {
     /// configured.
     pub remote: Option<RemoteTierCounters>,
     pub unknown_stage_events: u64,
-    /// Findings per rule family, indexed by [`CheckKind`].
-    pub rules: [RuleCounts; 2],
+    pub rules: RuleCounts,
 }
 
-/// One rule family's findings in a [`MetricsSnapshot`].
+/// The findings in a [`MetricsSnapshot`].
 #[derive(Default)]
 pub struct RuleCounts {
     /// `(rule_code, findings)` in catalogue order.
@@ -717,7 +690,7 @@ impl MetricsSnapshot {
     fn totals(&self) -> StageStats {
         let total = StageStats::default();
         for (_, _, c) in &self.stages {
-            total.hits.add(c.hits.get());
+            total.memory_hits.add(c.memory_hits.get());
             total.disk_hits.add(c.disk_hits.get());
             total.misses.add(c.misses.get());
         }
@@ -747,10 +720,7 @@ impl MetricsSnapshot {
             "workers".into(),
             serde_json::json!({"configured": s.workers_configured}),
         );
-        root.insert(
-            "connections".into(),
-            serde_json::json!({"open": s.connections_open, "rejected": s.connections_rejected}),
-        );
+        root.insert("connections".into(), s.connections.to_json());
         let mut cache = serde_json::Map::new();
         insert_tiers(&self.totals(), &mut cache);
         cache.insert("entries".into(), self.cache_entries.into());
@@ -794,11 +764,9 @@ impl MetricsSnapshot {
             "unknown_stage_events".into(),
             self.unknown_stage_events.into(),
         );
-        for ((family, _), counts) in RULE_FAMILIES.iter().zip(&self.rules) {
-            let unknown = [("unknown", counts.unknown)];
-            let rules = counts_json(counts.hits.iter().copied().chain(unknown));
-            root.insert(format!("{family}_rules"), Value::Object(rules));
-        }
+        let unknown = [("unknown", self.rules.unknown)];
+        let rules = counts_json(self.rules.hits.iter().copied().chain(unknown));
+        root.insert("lint_rules".into(), Value::Object(rules));
         Value::Object(root)
     }
 
@@ -811,8 +779,7 @@ impl MetricsSnapshot {
         w.scalar(&QUEUE_DEPTH, s.queue_depth);
         w.scalar(&QUEUE_DEPTH_PEAK, s.queue_peak);
         w.scalar(&WORKERS_CONFIGURED, s.workers_configured);
-        w.scalar(&CONNECTIONS_OPEN, s.connections_open);
-        w.scalar(&CONNECTIONS_REJECTED, s.connections_rejected);
+        w.connections(&CONNECTIONS_OPEN, &CONNECTIONS_REJECTED, &s.connections);
         w.cache_tiers(&CACHE_HITS, &CACHE_MISSES, &self.totals());
         w.scalar(&CACHE_ENTRIES, self.cache_entries);
         w.scalar(&CACHE_MEMORY_EVICTED, self.cache_memory_evicted);
@@ -838,11 +805,8 @@ impl MetricsSnapshot {
         w.histogram(&STAGE_DURATION, latencies);
         w.histogram(&JOB_DURATION, job_duration_series(&self.job_durations));
         w.scalar(&UNKNOWN_STAGE_EVENTS, self.unknown_stage_events);
-        for (family, counts) in RULE_FAMILIES.into_iter().zip(&self.rules) {
-            let [hits, unknown] = rule_families(family);
-            w.labelled(&hits, "rule", counts.hits.iter().copied());
-            w.scalar(&unknown, counts.unknown);
-        }
+        w.labelled(&RULE_HITS, "rule", self.rules.hits.iter().copied());
+        w.scalar(&UNKNOWN_RULES, self.rules.unknown);
         w.out
     }
 }
@@ -904,6 +868,7 @@ pub struct GatewaySnapshot {
     pub admission_queued: u64,
     pub max_inflight: u64,
     pub queue_bound: u64,
+    pub connections: Connections,
     /// Replication traffic through the gateway.
     pub artifacts: GatewayArtifactCounters,
     /// Tier counts summed over the healthy backends, scraped at
@@ -986,6 +951,7 @@ impl GatewaySnapshot {
                 "queue_bound": self.queue_bound,
             }),
         );
+        root.insert("connections".into(), self.connections.to_json());
         let a = &self.artifacts;
         root.insert(
             "artifacts".into(),
@@ -1055,6 +1021,8 @@ impl GatewaySnapshot {
         w.family(&GW_TENANT_JOBS, by_tenant);
         w.scalar(&GW_ADMISSION_INFLIGHT, self.admission_inflight);
         w.scalar(&GW_ADMISSION_QUEUED, self.admission_queued);
+        let c = &self.connections;
+        w.connections(&GW_CONNECTIONS_OPEN, &GW_CONNECTIONS_REJECTED, c);
         let a = &self.artifacts;
         w.labelled(&GW_ARTIFACT_REQUESTS, "verb", [("put", a.puts.get())]);
         w.scalar(&GW_ARTIFACT_PUT_FAILURES, a.put_failures.get());
@@ -1155,12 +1123,11 @@ mod tests {
         assert_eq!(gateway, expected(&states));
     }
 
-    /// The rule families keep the exact JSON and exposition the two
-    /// hand-written counter families produced before they became one
-    /// table (strings recorded from that commit), including the quirk
-    /// that `lint_rules` lists the EQ codes it never counts.
+    /// Each finding counts once, under its code, in the one family over
+    /// the whole catalogue — an EQ finding as much as a design-rule one —
+    /// and a code the catalogue does not list lands in the one tripwire.
     #[test]
-    fn rule_families_route_by_stage_and_render_as_recorded() {
+    fn each_finding_counts_once_under_its_code() {
         let m = Metrics::new();
         for (code, stage) in [
             ("NL001", "netlist"),
@@ -1178,9 +1145,9 @@ mod tests {
             ));
         }
         let rules = m.rule_counts();
-        let lint = &rules[CheckKind::Lint as usize];
-        assert_eq!(lint.hits.len(), RULES.len());
-        assert_eq!((lint.hits[0], lint.unknown), (("NL001", 1), 1));
+        let counted: Vec<_> = rules.hits.iter().filter(|(_, n)| *n > 0).collect();
+        assert_eq!(counted, [&("NL001", 1), &("EQ001", 1), &("EQ003", 1)]);
+        assert_eq!((rules.hits.len(), rules.unknown), (RULES.len(), 2));
         let snap = MetricsSnapshot {
             rules,
             ..Default::default()
@@ -1190,7 +1157,7 @@ mod tests {
         assert_eq!(snap.to_prometheus_text(), RECORDED_TEXT);
     }
 
-    const RECORDED_JSON: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":1,"EQ002":0,"EQ003":1,"unknown":1}}"#;
+    const RECORDED_JSON: &str = r#"{"jobs":{"submitted":0,"completed":0,"failed":0,"rejected":0,"panicked":0,"timed_out":0,"cancelled":0},"queue":{"depth":0,"peak":0},"workers":{"configured":0},"connections":{"open":0,"rejected":0},"cache":{"memory_hits":0,"disk_hits":0,"misses":0,"entries":0,"memory_evicted":0},"stages":{},"job_duration_ms":{},"unknown_stage_events":0,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":0,"BS001":0,"EQ001":1,"EQ002":0,"EQ003":1,"unknown":2}}"#;
 
     const RECORDED_TEXT: &str = "\
 # HELP flowd_jobs_total Jobs by terminal state.
@@ -1238,18 +1205,11 @@ flowd_lint_rule_hits_total{rule=\"PL001\"} 0
 flowd_lint_rule_hits_total{rule=\"RT001\"} 0
 flowd_lint_rule_hits_total{rule=\"RT002\"} 0
 flowd_lint_rule_hits_total{rule=\"BS001\"} 0
-flowd_lint_rule_hits_total{rule=\"EQ001\"} 0
+flowd_lint_rule_hits_total{rule=\"EQ001\"} 1
 flowd_lint_rule_hits_total{rule=\"EQ002\"} 0
-flowd_lint_rule_hits_total{rule=\"EQ003\"} 0
+flowd_lint_rule_hits_total{rule=\"EQ003\"} 1
 # TYPE flowd_unknown_lint_rules_total counter
-flowd_unknown_lint_rules_total 1
-# HELP flowd_verify_rule_hits_total Equivalence findings by EQ rule code.
-# TYPE flowd_verify_rule_hits_total counter
-flowd_verify_rule_hits_total{rule=\"EQ001\"} 1
-flowd_verify_rule_hits_total{rule=\"EQ002\"} 0
-flowd_verify_rule_hits_total{rule=\"EQ003\"} 1
-# TYPE flowd_unknown_verify_rules_total counter
-flowd_unknown_verify_rules_total 1
+flowd_unknown_lint_rules_total 2
 ";
 
     fn hist(observations: &[f64]) -> Histogram {
@@ -1262,13 +1222,13 @@ flowd_unknown_verify_rules_total 1
 
     /// Every section present: two stages with observations in different
     /// buckets (`+Inf` included), all tier counters nonzero, a store,
-    /// replication with its breaker half-open, both rule families with
-    /// an unknown each.
+    /// replication with its breaker half-open, findings of a design rule
+    /// and an EQ rule, and two unlisted codes.
     fn full_flowd_snapshot() -> MetricsSnapshot {
-        let tiers = |memory_hits: u64, disk_hits, misses, wall_ms: u64| StageStats {
-            hits: Counter::from(memory_hits + disk_hits),
-            misses: Counter::from(misses),
+        let tiers = |memory_hits, disk_hits, misses, wall_ms: u64| StageStats {
+            memory_hits: Counter::from(memory_hits),
             disk_hits: Counter::from(disk_hits),
+            misses: Counter::from(misses),
             wall_nanos: Counter::from(wall_ms * 1_000_000),
         };
         let m = Metrics::new();
@@ -1294,8 +1254,10 @@ flowd_unknown_verify_rules_total 1
                 queue_depth: 6,
                 queue_peak: 9,
                 workers_configured: 2,
-                connections_open: 3,
-                connections_rejected: 8,
+                connections: Connections {
+                    open: 3,
+                    rejected: 8,
+                },
             },
             stages: vec![
                 ("pack", hist(&[0.4, 12.0]), tiers(5, 2, 3, 40)),
@@ -1329,8 +1291,8 @@ flowd_unknown_verify_rules_total 1
         }
     }
 
-    /// Two backends (breakers closed and open), one tenant, an
-    /// aggregated cache.
+    /// Two backends (breakers closed and open), one tenant, a refused
+    /// connection, an aggregated cache.
     fn full_gateway_snapshot() -> GatewaySnapshot {
         GatewaySnapshot {
             jobs: [5, 4, 0, 1, 0],
@@ -1381,22 +1343,27 @@ flowd_unknown_verify_rules_total 1
             admission_queued: 0,
             max_inflight: 8,
             queue_bound: 16,
+            connections: Connections {
+                open: 2,
+                rejected: 1,
+            },
             artifacts: GatewayArtifactCounters {
                 puts: Counter::from(5),
                 put_failures: Counter::from(0),
                 bytes_stored: Counter::from(4096),
             },
             cache: Some(StageStats {
-                hits: Counter::from(10 + 2),
-                misses: Counter::from(3),
+                memory_hits: Counter::from(10),
                 disk_hits: Counter::from(2),
+                misses: Counter::from(3),
                 wall_nanos: Counter::from(0),
             }),
         }
     }
 
-    /// Both renderings of both roles, byte for byte as commit 17b1350's
-    /// hand-written renderers produced them for these snapshots.
+    /// Both renderings of both roles, byte for byte as recorded: commit
+    /// 17b1350's hand-written renderers, with the findings in one family
+    /// and the gateway's connection guard added since.
     #[test]
     fn full_snapshots_render_as_recorded() {
         let flowd = full_flowd_snapshot();
@@ -1506,7 +1473,7 @@ flowd_unknown_verify_rules_total 1
         assert_eq!(typed, declared);
         let with_help: Vec<(&str, &str)> = catalogue
             .iter()
-            .filter_map(|f| Some((f.name.as_ref(), f.help?)))
+            .filter_map(|f| Some((f.name, f.help?)))
             .collect();
         assert_eq!(helped, with_help);
     }
@@ -1591,7 +1558,7 @@ flowd_unknown_verify_rules_total 1
         );
     }
 
-    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"entries":11,"bytes":5120,"budget_bytes":8192,"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9,"write_errors":4,"scrubbed":6},"remote":{"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":0,"EQ003":0,"unknown":1},"verify_rules":{"EQ001":0,"EQ002":1,"EQ003":0,"unknown":1}}"#;
+    const RECORDED_FLOWD_JSON: &str = r#"{"jobs":{"submitted":11,"completed":7,"failed":2,"rejected":3,"panicked":1,"timed_out":4,"cancelled":5},"queue":{"depth":6,"peak":9},"workers":{"configured":2},"connections":{"open":3,"rejected":8},"cache":{"memory_hits":9,"disk_hits":3,"misses":9,"entries":14,"memory_evicted":3,"store":{"entries":11,"bytes":5120,"budget_bytes":8192,"disk_hits":8,"disk_misses":1,"quarantined":2,"evicted":3,"writes":9,"write_errors":4,"scrubbed":6},"remote":{"published":5,"publish_failures":1,"breaker_skips":2,"breaker":"half-open"}},"stages":{"pack":{"latency":{"count":2,"sum_ms":12.4,"buckets":[{"le":1,"count":1},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":2},{"le":50,"count":2},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]},"memory_hits":5,"disk_hits":2,"misses":3,"wall_ms":40},"route":{"latency":{"count":2,"sum_ms":10149.0,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":2}]},"memory_hits":4,"disk_hits":1,"misses":6,"wall_ms":10150}},"job_duration_ms":{"compile":{"count":2,"sum_ms":89.5,"buckets":[{"le":1,"count":0},{"le":2,"count":1},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":2},{"le":200,"count":2},{"le":500,"count":2},{"le":1000,"count":2},{"le":2000,"count":2},{"le":5000,"count":2},{"le":"+Inf","count":2}]}},"unknown_stage_events":1,"lint_rules":{"NL001":1,"NL002":0,"NL003":0,"PK001":0,"PL001":0,"RT001":0,"RT002":2,"BS001":0,"EQ001":0,"EQ002":1,"EQ003":0,"unknown":2}}"#;
 
     const RECORDED_FLOWD_TEXT: &str = r#"# HELP flowd_jobs_total Jobs by terminal state.
 # TYPE flowd_jobs_total counter
@@ -1704,20 +1671,13 @@ flowd_lint_rule_hits_total{rule="RT001"} 0
 flowd_lint_rule_hits_total{rule="RT002"} 2
 flowd_lint_rule_hits_total{rule="BS001"} 0
 flowd_lint_rule_hits_total{rule="EQ001"} 0
-flowd_lint_rule_hits_total{rule="EQ002"} 0
+flowd_lint_rule_hits_total{rule="EQ002"} 1
 flowd_lint_rule_hits_total{rule="EQ003"} 0
 # TYPE flowd_unknown_lint_rules_total counter
-flowd_unknown_lint_rules_total 1
-# HELP flowd_verify_rule_hits_total Equivalence findings by EQ rule code.
-# TYPE flowd_verify_rule_hits_total counter
-flowd_verify_rule_hits_total{rule="EQ001"} 0
-flowd_verify_rule_hits_total{rule="EQ002"} 1
-flowd_verify_rule_hits_total{rule="EQ003"} 0
-# TYPE flowd_unknown_verify_rules_total counter
-flowd_unknown_verify_rules_total 1
+flowd_unknown_lint_rules_total 2
 "#;
 
-    const RECORDED_GATEWAY_JSON: &str = r#"{"role":"gateway","jobs":{"submitted":5,"completed":4,"failed":0,"shed":1,"timed_out":0,"failovers":1,"steals":2},"job_duration_ms":{"compile":{"count":1,"sum_ms":2.5,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":1},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":1}]}},"backends":[{"addr":"127.0.0.1:9101","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":1,"requests":3,"failures":0,"failovers":0,"put_breaker":"closed","steals":2},{"addr":"127.0.0.1:9102","healthy":false,"breaker":"open","breaker_transitions":{"opened":1,"half_opened":0,"closed":0},"in_flight":0,"requests":2,"failures":1,"failovers":1,"put_breaker":"open","steals":0}],"tenants":{"acme":{"admitted":4,"queued":2,"shed":1}},"admission":{"inflight":1,"queued":0,"max_inflight":8,"queue_bound":16},"artifacts":{"puts":5,"put_failures":0,"bytes_stored":4096},"cache":{"memory_hits":10,"disk_hits":2,"misses":3}}"#;
+    const RECORDED_GATEWAY_JSON: &str = r#"{"role":"gateway","jobs":{"submitted":5,"completed":4,"failed":0,"shed":1,"timed_out":0,"failovers":1,"steals":2},"job_duration_ms":{"compile":{"count":1,"sum_ms":2.5,"buckets":[{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":1},{"le":10,"count":1},{"le":20,"count":1},{"le":50,"count":1},{"le":100,"count":1},{"le":200,"count":1},{"le":500,"count":1},{"le":1000,"count":1},{"le":2000,"count":1},{"le":5000,"count":1},{"le":"+Inf","count":1}]}},"backends":[{"addr":"127.0.0.1:9101","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":1,"requests":3,"failures":0,"failovers":0,"put_breaker":"closed","steals":2},{"addr":"127.0.0.1:9102","healthy":false,"breaker":"open","breaker_transitions":{"opened":1,"half_opened":0,"closed":0},"in_flight":0,"requests":2,"failures":1,"failovers":1,"put_breaker":"open","steals":0}],"tenants":{"acme":{"admitted":4,"queued":2,"shed":1}},"admission":{"inflight":1,"queued":0,"max_inflight":8,"queue_bound":16},"connections":{"open":2,"rejected":1},"artifacts":{"puts":5,"put_failures":0,"bytes_stored":4096},"cache":{"memory_hits":10,"disk_hits":2,"misses":3}}"#;
 
     const RECORDED_GATEWAY_TEXT: &str = r#"# HELP flowgw_jobs_total Gateway jobs by terminal state.
 # TYPE flowgw_jobs_total counter
@@ -1791,6 +1751,10 @@ flowgw_tenant_jobs_total{tenant="acme",state="shed"} 1
 flowgw_admission_inflight 1
 # TYPE flowgw_admission_queued gauge
 flowgw_admission_queued 0
+# TYPE flowgw_connections_open gauge
+flowgw_connections_open 2
+# TYPE flowgw_connections_rejected_total counter
+flowgw_connections_rejected_total 1
 # HELP flowgw_artifact_requests_total Artifact verbs received from daemons.
 # TYPE flowgw_artifact_requests_total counter
 flowgw_artifact_requests_total{verb="put"} 5

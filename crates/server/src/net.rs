@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 
 use serde_json::Value;
 
+use crate::metrics::Connections;
 use crate::proto::{self, conn_error, CompileRequest, Event, JobKind, Request, PROTO_VERSION};
 
 /// Either transport, behind one blocking interface.
@@ -206,8 +207,12 @@ impl Conns {
         self.open.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::SeqCst)
+    /// What the node's `metrics` reports of its connection guard.
+    pub(crate) fn counts(&self) -> Connections {
+        Connections {
+            open: self.open(),
+            rejected: self.rejected.load(Ordering::SeqCst),
+        }
     }
 }
 

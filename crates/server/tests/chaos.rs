@@ -310,7 +310,8 @@ fn design_src(bits: usize) -> String {
 // recording are the drifted behaviours DESIGN.md "Transport" lists.
 // Since the `stats` verb went, its row is the `unknown cmd` refusal,
 // `status` carries flowd's limits, the rejection is counted through
-// `metrics`, and the gateway's replication breaker is `put_breaker`.
+// `metrics` (on both roles), and the gateway's replication breaker is
+// `put_breaker`.
 
 const ROLES: [&str; 2] = ["flowd", "gateway"];
 const RECORDED: [&str; 2] = [
@@ -423,7 +424,14 @@ fn connection_guards_answer_as_recorded_on_both_roles() {
             &[second.line(), third.line(), third.line()],
         );
         first.send_bytes(b"{\"cmd\":\"metrics\"}");
-        row("metrics after the rejection", &[first.line()]);
+        let after = first.line();
+        let metrics: Value = serde_json::from_str(&after).expect("a metrics body");
+        assert_eq!(
+            metrics["connections"]["rejected"].as_u64(),
+            Some(1),
+            "{role}: {after}"
+        );
+        row("metrics after the rejection", &[after]);
         drop((second, third));
 
         // An admitted connection that goes quiet is told so and closed.

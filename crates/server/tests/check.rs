@@ -160,7 +160,6 @@ fn lint_findings_feed_the_rule_counters() {
         "lint events must not register as unknown stages"
     );
     assert!(text.contains("flowd_unknown_lint_rules_total 0"));
-    assert!(text.contains("flowd_unknown_verify_rules_total 0"));
 
     // The check verbs round-trip through the typed request layer too.
     for kind in KINDS {

@@ -375,7 +375,16 @@ impl CombView {
                     truth: ble.truth,
                 };
                 let tag = format!("{}_{}_{slot}", clb.loc.x, clb.loc.y);
-                if ble.registered {
+                if ble.registered && !(ble.clock_enable && clb.clock_enable) {
+                    // A flip-flop whose clock is gated off never captures:
+                    // it holds its `init` and is no register boundary.
+                    let held = if ble.init {
+                        CellKind::Const1
+                    } else {
+                        CellKind::Const0
+                    };
+                    nl.add_cell(&format!("$ff${tag}"), held, Vec::new(), out_net);
+                } else if ble.registered {
                     let d = nl.net(&format!("$verify$d${tag}"));
                     nl.add_cell(&format!("$lut${tag}"), lut_kind, ins, d);
                     nl.add_cell(

@@ -26,7 +26,8 @@
 #           counterexample that replays (a clean control run reports
 #           nothing); the whole smoke tier runs under `--verify deny`;
 #           `flowc compile --verify deny` compiles every example; and
-#           `flowd_verify_rule_hits_total` shows in the exposition.
+#           the EQ rules are series of the one findings family
+#           (`flowd_lint_rule_hits_total{rule="EQ001"}`) in the exposition.
 #
 # Any `flowc: warning: unknown event` line fails the run, same promise
 # as scripts/metrics.sh.
@@ -184,8 +185,8 @@ for design in examples/*.vhd examples/*.blif; do
 done
 "$FLOWC" --tcp "$ADDR" metrics --text > "$WORK/metrics.log" 2>&1 \
     || die "metrics verb broke" "$WORK/metrics.log"
-grep -q 'flowd_verify_rule_hits_total' "$WORK/metrics.log" \
-    || die "no flowd_verify_* metrics in the exposition"
+grep -qF 'flowd_lint_rule_hits_total{rule="EQ001"}' "$WORK/metrics.log" \
+    || die "no EQ001 series in the findings family of the exposition"
 
 "$FLOWC" --tcp "$ADDR" shutdown
 wait "$DAEMON_PID" 2>/dev/null || true

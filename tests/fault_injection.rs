@@ -5,6 +5,7 @@
 use fpga_framework::bitstream::config::XbarSel;
 use fpga_framework::bitstream::fabric::{verify_against_netlist, Fabric};
 use fpga_framework::bitstream::Bitstream;
+use fpga_framework::flow::EquivGate;
 use fpga_framework::flow::{run_netlist, FlowArtifacts, FlowOptions};
 
 fn flow_artifacts() -> FlowArtifacts {
@@ -233,4 +234,33 @@ fn disabled_clb_clock_is_caught() {
             return;
         }
     }
+}
+
+/// The EQ002 twin of `disabled_clb_clock_is_caught`, on a design with
+/// registers: the bitstream view reads the clock enables itself, so a
+/// cluster whose clock is gated off is refused at the register boundary
+/// with no re-simulation at all.
+#[test]
+fn disabled_clb_clock_is_an_eq002_boundary_mismatch() {
+    let nl = fpga_framework::circuits::crc(8, 0x07);
+    let art = run_netlist(nl, &FlowOptions::default()).expect("flow");
+    let gate = EquivGate::new(&art.rtl);
+    let check = |bs: &Bitstream| gate.check_bitstream(bs, &art.clustering, &art.placement);
+    assert_eq!(
+        check(&art.bitstream),
+        Vec::new(),
+        "the generated bitstream passes EQ002"
+    );
+    let ci = (art.bitstream.clbs.iter())
+        .position(|clb| clb.clock_enable && clb.bles.iter().any(|b| b.used && b.registered))
+        .expect("a cluster with registers");
+    let mut bs = art.bitstream.clone();
+    bs.clbs[ci].clock_enable = false;
+    let findings = check(&bs);
+    assert!(
+        findings
+            .iter()
+            .any(|d| d.code == "EQ002" && d.message.contains("missing")),
+        "a clock-gated-off cluster must be an EQ002 boundary mismatch: {findings:?}"
+    );
 }

@@ -85,7 +85,7 @@ fn four_concurrent_clients_share_one_computation() {
     for stage in STAGES {
         let s = server.cache().stats(stage);
         assert_eq!(
-            (s.misses.get(), s.hits.get()),
+            (s.misses.get(), s.hits()),
             (1, 3),
             "stage {}: one miss, three hits",
             stage.name()
@@ -102,7 +102,7 @@ fn four_concurrent_clients_share_one_computation() {
     for stage in STAGES {
         let s = server.cache().stats(stage);
         assert_eq!(
-            (s.misses.get(), s.hits.get()),
+            (s.misses.get(), s.hits()),
             (1, 4),
             "stage {} fully cached",
             stage.name()
@@ -127,7 +127,7 @@ fn four_concurrent_clients_share_one_computation() {
     assert_eq!(place.misses, 2, "new seed re-places");
     let map = server.cache().stats(fpga_framework::flow::StageId::LutMap);
     assert_eq!(
-        (map.misses.get(), map.hits.get()),
+        (map.misses.get(), map.hits()),
         (1, 5),
         "front end still shared"
     );

@@ -75,8 +75,9 @@ const RULES: &[Rule] = &[
         patterns: &["fn prune_dead", "netlist::stats", "clb_delay", "compile_vhdl_ctx", "compile_blif_ctx",
             "compile_detailed", "tenant-weight", "FLOW_THREADS", "run_netlist_ctx", "NET_BATCH", "fn route_batch",
             "RemoteHit", "remote_hits", "FETCH_ATTEMPTS", "corrupt_artifacts", "handle_version", "stats_json",
-            "Request::Stats", "Event::Stats", "flowc stats", "fetch_breaker"],
-        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time; the farm replicates, never fetches; `metrics` and `status` serve what `stats` did)" },
+            "Request::Stats", "Event::Stats", "flowc stats", "fetch_breaker", "flowd_verify_rule_hits_total",
+            "unknown_verify_rules", "\"verify_rules\"", "RULE_FAMILIES", "family_lists"],
+        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time; the farm replicates, never fetches; `metrics` and `status` serve what `stats` did; every finding counts once, under its code, in flowd_lint_rule_hits_total)" },
     // Place and route run on one thread; a schedule decides the bytes, not a thread count.
     Rule { name: "one thread per compile", scan: NO_COMMENTS, allowed: Nowhere, patterns: &["thread::"],
         files: CAD,
@@ -380,6 +381,19 @@ fn the_scanner_reads_each_definition_as_written() {
     let doc = "then `flowc stats` shows the ledger";
     assert_eq!(
         run(&[("crates/server/src/net.rs", code), ("README.md", doc)]),
+        want
+    );
+
+    // So do the split findings families; `"lint_rules"` is the one family's key.
+    let want = [
+        "deleted items: crates/server/src/metrics.rs:2: root.insert(\"verify_rules\".into(), rules);",
+        "deleted items: README.md:1: | `flowd_verify_rule_hits_total` | counter | `rule` |",
+    ];
+    let code =
+        "root.insert(\"lint_rules\".into(), rules);\nroot.insert(\"verify_rules\".into(), rules);";
+    let doc = "| `flowd_verify_rule_hits_total` | counter | `rule` |";
+    assert_eq!(
+        run(&[("crates/server/src/metrics.rs", code), ("README.md", doc)]),
         want
     );
 }
