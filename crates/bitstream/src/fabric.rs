@@ -8,10 +8,12 @@
 //! the reference simulation, the whole flow (mapping through DAGGER) is
 //! end-to-end correct.
 //!
-//! The bits are read once, in [`Fabric::new`]: every LUT input and output
-//! pad is bound to the one BLE or input pad that drives it, and the
-//! combinational BLEs are put in dependency order, so a settle is a single
-//! sweep over that order.
+//! What each configuration bit means is decoded in one place,
+//! [`Decoded::new`]: every LUT input and output pad is bound to the one
+//! BLE or input pad that drives it. [`Fabric::new`] builds on that decode
+//! and puts the combinational BLEs in dependency order, so a settle is a
+//! single sweep over that order; `fpga-verify`'s bitstream view rebuilds
+//! its netlist from the same decode.
 
 use fpga_route::rrgraph::RrKind;
 
@@ -19,20 +21,19 @@ use crate::config::{Bitstream, IoConfig, IoMode, WireKey, XbarSel};
 use crate::{BitstreamError, Result};
 
 /// Union-find over wire-key indices `0..n`: the reduction from closed
-/// switches to electrical nets, shared with `fpga-verify`'s bitstream
-/// decode.
-pub struct Dsu {
+/// switches to electrical nets.
+struct Dsu {
     parent: Vec<usize>,
 }
 
 impl Dsu {
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Dsu {
             parent: (0..n).collect(),
         }
     }
 
-    pub fn find(&mut self, mut x: usize) -> usize {
+    fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
             x = self.parent[x];
@@ -40,7 +41,7 @@ impl Dsu {
         x
     }
 
-    pub fn union(&mut self, a: usize, b: usize) {
+    fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;
@@ -48,14 +49,31 @@ impl Dsu {
     }
 }
 
-/// What drives a pin, resolved at load.
-#[derive(Clone, Copy)]
-enum Source {
+/// A wire key as one integer, in the key's own order: kind, x, y, then
+/// pin or track. Sorting these, not the enum, keeps the decode's sort and
+/// lookups cheap.
+fn packed(k: WireKey) -> u128 {
+    let (tag, x, y, t) = match k {
+        RrKind::Opin { x, y, pin } => (OPIN, x, y, pin),
+        RrKind::Ipin { x, y, pin } => (1, x, y, pin),
+        RrKind::Chanx { x, y, t } => (2, x, y, t),
+        RrKind::Chany { x, y, t } => (3, x, y, t),
+    };
+    tag << 96 | (x as u128) << 64 | (y as u128) << 32 | t as u128
+}
+
+/// [`packed`]'s kind tag of an output pin: the lowest, so output pins sort
+/// first.
+const OPIN: u128 = 0;
+
+/// What drives a pin.
+#[derive(Clone, Copy, Debug)]
+pub enum Source {
     /// Nothing: an undriven pin, an unused BLE or an empty feedback slot.
     Low,
-    /// A used BLE's output, by flat index over every CLB's slots.
+    /// A used BLE's output, by index into [`Decoded::slots`].
     Ble(usize),
-    /// An input pad, by index into the sorted pad symbols.
+    /// An input pad, by index into [`Decoded::pads`].
     Pad(usize),
 }
 
@@ -69,13 +87,24 @@ impl Source {
     }
 }
 
-/// One BLE's LUT: its truth table and the source of each input.
-struct Lut {
-    truth: u64,
-    inputs: Vec<Source>,
+/// One BLE slot as the bitstream configures it.
+#[derive(Debug)]
+pub struct Slot {
+    /// Its CLB, by index into [`Bitstream::clbs`], and its slot there.
+    pub clb: usize,
+    pub slot: usize,
+    pub used: bool,
+    pub registered: bool,
+    /// The BLE's and its CLB's clock enables are both set: a registered
+    /// BLE captures on a tick, and holds `init` otherwise.
+    pub clocked: bool,
+    pub init: bool,
+    pub truth: u64,
+    /// What drives each LUT input, in crossbar order.
+    pub inputs: Vec<Source>,
 }
 
-impl Lut {
+impl Slot {
     fn eval(&self, ble: &[bool], pad: &[bool]) -> bool {
         let m = (self.inputs.iter().enumerate())
             .fold(0, |m, (i, s)| m | (s.value(ble, pad) as usize) << i);
@@ -83,30 +112,35 @@ impl Lut {
     }
 }
 
-/// A configured, emulatable device.
-pub struct Fabric {
-    n_nets: usize,
-    /// Every BLE slot's LUT, flat over the CLBs in bitstream order.
-    luts: Vec<Lut>,
-    /// Every BLE slot's output; a registered BLE's is its FF state.
-    ble: Vec<bool>,
-    /// The used combinational BLEs, each after every such BLE it reads.
-    order: Vec<usize>,
-    /// The used registered BLEs, with their initial states.
-    regs: Vec<(usize, bool)>,
-    /// The registered BLEs that capture on a tick: both clock enables set.
-    clocked: Vec<usize>,
-    /// Input pad symbols, sorted and deduplicated, and their values.
-    pad_names: Vec<String>,
-    pad: Vec<bool>,
+/// A bitstream's configuration, decoded once: what each LUT input and
+/// output pad reads.
+#[derive(Debug)]
+pub struct Decoded {
+    /// Every BLE slot, flat over the CLBs in bitstream order.
+    pub slots: Vec<Slot>,
+    /// Input pad symbols, sorted and deduplicated.
+    pub pads: Vec<String>,
     /// Output pad symbols, sorted, each with its first pad's source.
-    outputs: Vec<(String, Source)>,
+    pub outputs: Vec<(String, Source)>,
+    /// Electrical net count.
+    pub nets: usize,
 }
 
-impl Fabric {
-    /// Build the electrical model from a bitstream. Two output pins on
-    /// one net are contention, and a combinational loop is refused.
-    pub fn new(bs: Bitstream) -> Result<Fabric> {
+/// Two output pins on one electrical net, the lower key first, with what
+/// each one is. The configuration is refused; the rest of its decode
+/// rides along (the net reads its lower pin) so a reader can name both.
+#[derive(Debug)]
+pub struct Contention {
+    pub pins: [(WireKey, Source); 2],
+    pub decoded: Decoded,
+}
+
+impl Decoded {
+    /// Decode the connectivity of a bitstream. The first CLB or input pad
+    /// at a location wins; a pin nothing drives, an unused BLE, an empty
+    /// feedback slot and a CLB output connection below the output pins
+    /// all read [`Source::Low`]. Two output pins on one net are refused.
+    pub fn new(bs: &Bitstream) -> std::result::Result<Decoded, Box<Contention>> {
         let opin = |x, y, pin| RrKind::Opin { x, y, pin };
         let ipin = |x, y, pin| RrKind::Ipin { x, y, pin };
         // Every closed switch as a key pair; IO pads participate even if
@@ -120,35 +154,31 @@ impl Fabric {
             IoMode::Output => Some(ipin(io.loc.x, io.loc.y, io.sub)),
             IoMode::Unused => None,
         };
-        let mut keys: Vec<WireKey> = (pairs.iter().flat_map(|&(a, b)| [a, b]))
+        // `keys`: the distinct keys, sorted; `key_of[i]`: the index there
+        // of the `i`th key met (the pairs' ends in order, then the pads).
+        let mut sorted: Vec<(u128, usize)> = (pairs.iter().flat_map(|&(a, b)| [a, b]))
             .chain(bs.ios.iter().filter_map(pad_key))
+            .map(packed)
+            .zip(0..)
             .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut dsu = Dsu::new(keys.len());
-        for (a, b) in &pairs {
-            if let (Ok(a), Ok(b)) = (keys.binary_search(a), keys.binary_search(b)) {
-                dsu.union(a, b);
+        sorted.sort_unstable();
+        let mut keys: Vec<u128> = Vec::with_capacity(sorted.len());
+        let mut key_of = vec![0usize; sorted.len()];
+        for (k, i) in sorted {
+            if keys.last() != Some(&k) {
+                keys.push(k);
             }
+            key_of[i] = keys.len() - 1;
+        }
+        let mut dsu = Dsu::new(keys.len());
+        for ab in key_of[..2 * pairs.len()].chunks_exact(2) {
+            dsu.union(ab[0], ab[1]);
         }
         let root: Vec<usize> = (0..keys.len()).map(|i| dsu.find(i)).collect();
-        let n_nets = (root.iter().enumerate()).filter(|&(i, &r)| i == r).count();
+        let nets = (root.iter().enumerate()).filter(|&(i, &r)| i == r).count();
 
-        // Each net's one driving output pin, found in key order.
-        let mut driver: Vec<Option<WireKey>> = vec![None; keys.len()];
-        for (&k, &r) in keys.iter().zip(&root) {
-            if let RrKind::Opin { .. } = k {
-                if let Some(prev) = driver[r] {
-                    return Err(BitstreamError::Fabric(format!(
-                        "electrical contention: {prev:?} and {k:?} drive the same net"
-                    )));
-                }
-                driver[r] = Some(k);
-            }
-        }
-
-        // What each driver is: the first CLB at its location, else the
-        // first input pad there.
+        // What an output pin is: a slot of the first CLB at its location,
+        // else the first input pad there.
         let base: Vec<usize> = (bs.clbs.iter())
             .scan(0, |n, clb| {
                 *n += clb.bles.len();
@@ -165,43 +195,55 @@ impl Fabric {
         clb_at.sort_by_key(|e| e.0);
         clb_at.dedup_by_key(|e| e.0);
         let inputs = bs.ios.iter().filter(|io| io.mode == IoMode::Input);
-        let mut pad_names: Vec<String> = inputs.clone().map(|io| io.net.clone()).collect();
-        pad_names.sort_unstable();
-        pad_names.dedup();
+        let mut pads: Vec<String> = inputs.clone().map(|io| io.net.clone()).collect();
+        pads.sort_unstable();
+        pads.dedup();
         let mut pad_at: Vec<((u32, u32, u32), Source)> = inputs
             .map(|io| {
-                let p = pad_names
-                    .binary_search(&io.net)
-                    .map_or(Source::Low, Source::Pad);
+                let p = pads.binary_search(&io.net).map_or(Source::Low, Source::Pad);
                 ((io.loc.x, io.loc.y, io.sub), p)
             })
             .collect();
         pad_at.sort_by_key(|e| e.0);
         pad_at.dedup_by_key(|e| e.0);
-        let net_src: Vec<Source> = (driver.iter())
-            .map(|d| match *d {
-                Some(RrKind::Opin { x, y, pin }) => {
-                    match clb_at.binary_search_by_key(&(x, y), |e| e.0) {
-                        Ok(i) => (pin as usize)
-                            .checked_sub(bs.clb_inputs)
-                            .map_or(Source::Low, |slot| ble_src(clb_at[i].1, slot)),
-                        Err(_) => (pad_at.binary_search_by_key(&(x, y, pin), |e| e.0))
-                            .map_or(Source::Low, |i| pad_at[i].1),
-                    }
+        let pin_src = |x, y, pin| match clb_at.binary_search_by_key(&(x, y), |e| e.0) {
+            Ok(i) => (pin as usize)
+                .checked_sub(bs.clb_inputs)
+                .map_or(Source::Low, |slot| ble_src(clb_at[i].1, slot)),
+            Err(_) => (pad_at.binary_search_by_key(&(x, y, pin), |e| e.0))
+                .map_or(Source::Low, |i| pad_at[i].1),
+        };
+
+        // Each net's one driving output pin, found in key order (output
+        // pins sort first); a second one is contention, named with the
+        // first.
+        let mut driver: Vec<Option<WireKey>> = vec![None; keys.len()];
+        let mut net_src = vec![Source::Low; keys.len()];
+        let mut contention = None;
+        for (&k, &r) in keys.iter().zip(&root) {
+            if k >> 96 != OPIN {
+                break;
+            }
+            let (x, y, pin) = ((k >> 64) as u32, (k >> 32) as u32, k as u32);
+            let k = opin(x, y, pin);
+            match driver[r] {
+                Some(prev) => {
+                    contention.get_or_insert([(prev, net_src[r]), (k, pin_src(x, y, pin))]);
                 }
-                _ => Source::Low,
-            })
-            .collect();
+                None => {
+                    driver[r] = Some(k);
+                    net_src[r] = pin_src(x, y, pin);
+                }
+            }
+        }
         let read = |x, y, pin| {
-            let k = keys.binary_search(&ipin(x, y, pin));
+            let k = keys.binary_search(&packed(ipin(x, y, pin)));
             k.map_or(Source::Low, |i| net_src[root[i]])
         };
 
-        let (mut luts, mut comb) = (Vec::new(), Vec::new());
-        let (mut regs, mut clocked) = (Vec::new(), Vec::new());
+        let mut slots = Vec::new();
         for (ci, clb) in bs.clbs.iter().enumerate() {
-            for ble in &clb.bles {
-                let j = luts.len();
+            for (slot, ble) in clb.bles.iter().enumerate() {
                 let inputs = (ble.inputs.iter())
                     .map(|sel| match *sel {
                         XbarSel::ClusterInput(p) => read(clb.loc.x, clb.loc.y, p as u32),
@@ -209,24 +251,18 @@ impl Fabric {
                         XbarSel::Unused => Source::Low,
                     })
                     .collect();
-                let truth = ble.truth;
-                luts.push(Lut { truth, inputs });
-                comb.push(ble.used && !ble.registered);
-                if ble.used && ble.registered {
-                    regs.push((j, ble.init));
-                    if ble.clock_enable && clb.clock_enable {
-                        clocked.push(j);
-                    }
-                }
+                slots.push(Slot {
+                    clb: ci,
+                    slot,
+                    used: ble.used,
+                    registered: ble.registered,
+                    clocked: ble.clock_enable && clb.clock_enable,
+                    init: ble.init,
+                    truth: ble.truth,
+                    inputs,
+                });
             }
         }
-        let order = levelize(&luts, &comb).map_err(|j| {
-            let ci = base.partition_point(|&b| b <= j) - 1;
-            let (slot, x, y) = (j - base[ci], bs.clbs[ci].loc.x, bs.clbs[ci].loc.y);
-            BitstreamError::Fabric(format!(
-                "combinational loop through slot {slot} of the CLB at ({x}, {y})"
-            ))
-        })?;
 
         let mut outputs: Vec<(String, Source)> = (bs.ios.iter())
             .filter(|io| io.mode == IoMode::Output)
@@ -235,16 +271,64 @@ impl Fabric {
         outputs.sort_by(|a, b| a.0.cmp(&b.0));
         outputs.dedup_by(|a, b| a.0 == b.0);
 
+        let decoded = Decoded {
+            slots,
+            pads,
+            outputs,
+            nets,
+        };
+        match contention {
+            None => Ok(decoded),
+            Some(pins) => Err(Box::new(Contention { pins, decoded })),
+        }
+    }
+}
+
+/// A configured, emulatable device.
+pub struct Fabric {
+    decoded: Decoded,
+    /// Every BLE slot's output; a registered BLE's is its FF state.
+    ble: Vec<bool>,
+    /// Input pad values, aligned with [`Decoded::pads`].
+    pad: Vec<bool>,
+    /// The used combinational BLEs, each after every such BLE it reads.
+    order: Vec<usize>,
+    /// The used registered BLEs.
+    regs: Vec<usize>,
+    /// The used registered BLEs that capture on a tick.
+    clocked: Vec<usize>,
+}
+
+impl Fabric {
+    /// Build the electrical model from a bitstream. Two output pins on
+    /// one net are contention, and a combinational loop is refused.
+    pub fn new(bs: Bitstream) -> Result<Fabric> {
+        let decoded = Decoded::new(&bs).map_err(|c| {
+            let [(a, _), (b, _)] = c.pins;
+            BitstreamError::Fabric(format!(
+                "electrical contention: {a:?} and {b:?} drive the same net"
+            ))
+        })?;
+        let slots = &decoded.slots;
+        let comb: Vec<bool> = slots.iter().map(|s| s.used && !s.registered).collect();
+        let regs: Vec<usize> = (0..slots.len())
+            .filter(|&j| slots[j].used && slots[j].registered)
+            .collect();
+        let clocked = regs.iter().copied().filter(|&j| slots[j].clocked).collect();
+        let order = levelize(slots, &comb).map_err(|j| {
+            let loc = bs.clbs[slots[j].clb].loc;
+            BitstreamError::Fabric(format!(
+                "combinational loop through slot {} of the CLB at ({}, {})",
+                slots[j].slot, loc.x, loc.y
+            ))
+        })?;
         let mut fabric = Fabric {
-            n_nets,
-            ble: vec![false; luts.len()],
-            luts,
+            ble: vec![false; slots.len()],
+            pad: vec![false; decoded.pads.len()],
+            decoded,
             order,
             regs,
             clocked,
-            pad: vec![false; pad_names.len()],
-            pad_names,
-            outputs,
         };
         fabric.reset();
         Ok(fabric)
@@ -252,27 +336,25 @@ impl Fabric {
 
     /// Set the value on an input pad, by its net symbol.
     pub fn set_input(&mut self, net_symbol: &str, value: bool) -> Result<()> {
-        let i = (self
-            .pad_names
-            .binary_search_by_key(&net_symbol, String::as_str))
-        .map_err(|_| no_pad("input", net_symbol))?;
+        let i = (self.decoded.pads)
+            .binary_search_by_key(&net_symbol, String::as_str)
+            .map_err(|_| no_pad("input", net_symbol))?;
         self.pad[i] = value;
         Ok(())
     }
 
     /// Read the value observed by an output pad, by its net symbol.
     pub fn read_output(&self, net_symbol: &str) -> Result<bool> {
-        let i = (self
-            .outputs
-            .binary_search_by_key(&net_symbol, |(n, _)| n.as_str()))
-        .map_err(|_| no_pad("output", net_symbol))?;
-        Ok(self.outputs[i].1.value(&self.ble, &self.pad))
+        let outputs = &self.decoded.outputs;
+        let i = (outputs.binary_search_by_key(&net_symbol, |(n, _)| n.as_str()))
+            .map_err(|_| no_pad("output", net_symbol))?;
+        Ok(outputs[i].1.value(&self.ble, &self.pad))
     }
 
     /// Settle the combinational logic: one sweep in dependency order.
     pub fn settle(&mut self) {
         for &j in &self.order {
-            let v = self.luts[j].eval(&self.ble, &self.pad);
+            let v = self.decoded.slots[j].eval(&self.ble, &self.pad);
             self.ble[j] = v;
         }
     }
@@ -281,7 +363,7 @@ impl Fabric {
     pub fn tick(&mut self) {
         self.settle();
         let captured: Vec<bool> = (self.clocked.iter())
-            .map(|&j| self.luts[j].eval(&self.ble, &self.pad))
+            .map(|&j| self.decoded.slots[j].eval(&self.ble, &self.pad))
             .collect();
         for (&j, v) in self.clocked.iter().zip(captured) {
             self.ble[j] = v;
@@ -291,20 +373,20 @@ impl Fabric {
 
     /// Reset every FF to its configured initial state.
     pub fn reset(&mut self) {
-        for &(j, init) in &self.regs {
-            self.ble[j] = init;
+        for &j in &self.regs {
+            self.ble[j] = self.decoded.slots[j].init;
         }
         self.settle();
     }
 
     /// Input pad symbols, sorted.
     pub fn input_names(&self) -> Vec<String> {
-        self.pad_names.clone()
+        self.decoded.pads.clone()
     }
 
     /// Electrical net count (diagnostics).
     pub fn electrical_net_count(&self) -> usize {
-        self.n_nets
+        self.decoded.nets
     }
 }
 
@@ -312,20 +394,20 @@ fn no_pad(dir: &str, net_symbol: &str) -> BitstreamError {
     BitstreamError::Fabric(format!("no {dir} pad carries '{net_symbol}'"))
 }
 
-/// The BLEs marked in `comb`, each after every such BLE it reads (a
-/// depth-first post-order); on a loop, `Err` with a BLE on it.
-fn levelize(luts: &[Lut], comb: &[bool]) -> std::result::Result<Vec<usize>, usize> {
+/// The slots marked in `comb`, each after every such slot it reads (a
+/// depth-first post-order); on a loop, `Err` with a slot on it.
+fn levelize(slots: &[Slot], comb: &[bool]) -> std::result::Result<Vec<usize>, usize> {
     // 0 = not reached, 1 = on the search path, 2 = ordered.
-    let mut mark = vec![0u8; luts.len()];
+    let mut mark = vec![0u8; slots.len()];
     let mut order = Vec::new();
-    for start in (0..luts.len()).filter(|&j| comb[j]) {
+    for start in (0..slots.len()).filter(|&j| comb[j]) {
         if mark[start] != 0 {
             continue;
         }
         mark[start] = 1;
         let mut path = vec![(start, 0)];
         while let Some((j, next)) = path.pop() {
-            let Some(&src) = luts[j].inputs.get(next) else {
+            let Some(&src) = slots[j].inputs.get(next) else {
                 mark[j] = 2;
                 order.push(j);
                 continue;

@@ -100,13 +100,12 @@ mod flag_table;
 #[test]
 fn every_flow_binary_answers_from_its_flag_table_and_refuses_the_rest() {
     #[rustfmt::skip]
-    let tables: [(&str, &str, usize, &[&str]); 13] = [
+    let tables: [(&str, &str, usize, &[&str]); 12] = [
         (env!("CARGO_BIN_EXE_dagger"), "dagger", 1, &["-o FILE", "--seed N", "--no-verify"]),
         (env!("CARGO_BIN_EXE_diviner"), "diviner", 1, &["-o FILE"]),
         (env!("CARGO_BIN_EXE_druid"), "druid", 1, &["-o FILE"]),
         (env!("CARGO_BIN_EXE_dutys"), "dutys", 0, &["-o FILE", "-k N", "-n N", "-w N", "--name NAME", "--json"]),
         (env!("CARGO_BIN_EXE_e2fmt"), "e2fmt", 1, &["-o FILE", "--reverse"]),
-        (env!("CARGO_BIN_EXE_equiv-fault"), "equiv-fault", 0, &["--seed N", "--luts N", "--clean"]),
         (env!("CARGO_BIN_EXE_flowctl"), "flowctl", 1,
             &["-o FILE", "--report FILE", "--seed N", "-w N", "--svg FILE", "--interactive"]),
         (env!("CARGO_BIN_EXE_fpga-lint"), "fpga-lint", 1, &["--blif", "--verify", "--json", "--quiet", "--rules"]),
@@ -123,9 +122,8 @@ fn every_flow_binary_answers_from_its_flag_table_and_refuses_the_rest() {
 
 #[test]
 fn a_value_that_does_not_parse_is_a_usage_error() {
-    let equiv_fault = env!("CARGO_BIN_EXE_equiv-fault");
-    flag_table::refused(equiv_fault, &["--seed", "-1"], "bad --seed '-1'");
-    flag_table::refused(equiv_fault, &["--luts", "many"], "bad --luts 'many'");
+    let dagger = env!("CARGO_BIN_EXE_dagger");
+    flag_table::refused(dagger, &[MAJORITY, "--seed", "-1"], "bad --seed '-1'");
     let tvpack = env!("CARGO_BIN_EXE_tvpack");
     flag_table::refused(tvpack, &[MAJORITY, "-k", "five"], "bad --k 'five'");
 }

@@ -230,9 +230,12 @@ impl Node for Shared {
         &self.conns
     }
 
-    /// The `status` verb body: the per-backend health/breaker table.
+    /// The `status` verb body: the per-backend health/breaker table — the
+    /// `metrics` snapshot without `cache` — with the status shape of
+    /// `connections` both roles share.
     fn status(&self) -> Value {
         let mut body = proto::framed_body("status", self.snapshot(None).to_json());
+        body.insert("connections".into(), self.conns.status_json());
         body.insert("role".into(), "gateway".into());
         body.insert("proto_version".into(), PROTO_VERSION.into());
         body.insert("shutting_down".into(), self.conns.shutting_down().into());

@@ -207,6 +207,14 @@ impl Conns {
         self.open.load(Ordering::SeqCst)
     }
 
+    /// The `connections` object both roles' `status` carries: the
+    /// connections being served, those refused at the cap, and the cap.
+    pub(crate) fn status_json(&self) -> Value {
+        let c = self.counts();
+        let limit = self.limits.max_connections as u64;
+        serde_json::json!({"open": c.open, "rejected": c.rejected, "limit": limit})
+    }
+
     /// What the node's `metrics` reports of its connection guard.
     pub(crate) fn counts(&self) -> Connections {
         Connections {

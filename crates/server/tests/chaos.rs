@@ -311,7 +311,8 @@ fn design_src(bits: usize) -> String {
 // Since the `stats` verb went, its row is the `unknown cmd` refusal,
 // `status` carries flowd's limits, the rejection is counted through
 // `metrics` (on both roles), and the gateway's replication breaker is
-// `put_breaker`.
+// `put_breaker`. Both roles' `status` renders `connections` as
+// `{open, rejected, limit}`.
 
 const ROLES: [&str; 2] = ["flowd", "gateway"];
 const RECORDED: [&str; 2] = [

@@ -568,11 +568,12 @@ fn hostile_tenant_cannot_forge_exposition_lines() {
 /// The gateway's `status` and `metrics` replies over the wire, byte for
 /// byte as commit 17b1350 sent them for a fresh one-backend farm
 /// (backend address masked; recorded at ifdf-0.2.0 / proto 6), with the
-/// replication breaker's key renamed `put_breaker` and the connection
-/// guard's counts added.
+/// replication breaker's key renamed `put_breaker`, the connection
+/// guard's counts added, and `status` carrying the guard's `limit` too.
 #[test]
 fn fresh_gateway_replies_render_as_recorded() {
-    const SNAPSHOT: &str = r#"{"role":"gateway","jobs":{"submitted":0,"completed":0,"failed":0,"shed":0,"timed_out":0,"failovers":0,"steals":0},"job_duration_ms":{},"backends":[{"addr":"BACKEND","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":0,"requests":0,"failures":0,"failovers":0,"put_breaker":"closed","steals":0}],"tenants":{},"admission":{"inflight":0,"queued":0,"max_inflight":64,"queue_bound":128},"connections":{"open":1,"rejected":0},"artifacts":{"puts":0,"put_failures":0,"bytes_stored":0}"#;
+    const HEAD: &str = r#"{"role":"gateway","jobs":{"submitted":0,"completed":0,"failed":0,"shed":0,"timed_out":0,"failovers":0,"steals":0},"job_duration_ms":{},"backends":[{"addr":"BACKEND","healthy":true,"breaker":"closed","breaker_transitions":{"opened":0,"half_opened":0,"closed":0},"in_flight":0,"requests":0,"failures":0,"failovers":0,"put_breaker":"closed","steals":0}],"tenants":{},"admission":{"inflight":0,"queued":0,"max_inflight":64,"queue_bound":128}"#;
+    const TAIL: &str = r#""artifacts":{"puts":0,"put_failures":0,"bytes_stored":0}"#;
     let backend = start_flowd();
     let backend_addr = backend.tcp_addr().expect("tcp enabled").to_string();
     let gateway = Gateway::start(GatewayConfig {
@@ -588,13 +589,13 @@ fn fresh_gateway_replies_render_as_recorded() {
     assert_eq!(
         masked(client.status().expect("status")),
         format!(
-            r#"{SNAPSHOT},"event":"status","version":"{version}","proto_version":{proto},"shutting_down":false}}"#
+            r#"{HEAD},"connections":{{"open":1,"rejected":0,"limit":256}},{TAIL},"event":"status","version":"{version}","proto_version":{proto},"shutting_down":false}}"#
         )
     );
     assert_eq!(
         masked(client.metrics(false).expect("metrics")),
         format!(
-            r#"{SNAPSHOT},"cache":{{"memory_hits":0,"disk_hits":0,"misses":0}},"event":"metrics"}}"#
+            r#"{HEAD},"connections":{{"open":1,"rejected":0}},{TAIL},"cache":{{"memory_hits":0,"disk_hits":0,"misses":0}},"event":"metrics"}}"#
         )
     );
 

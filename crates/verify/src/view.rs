@@ -15,8 +15,8 @@
 //! but the design symbols survive every stage, so name-keyed cuts line
 //! the views up.
 
-use fpga_bitstream::config::{Bitstream, IoMode, WireKey, XbarSel};
-use fpga_bitstream::fabric::Dsu;
+use fpga_bitstream::config::Bitstream;
+use fpga_bitstream::fabric::{Decoded, Source};
 use fpga_netlist::ir::{CellId, CellKind, NetId, Netlist};
 use fpga_netlist::mix::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use fpga_netlist::sim::eval_cell;
@@ -201,114 +201,42 @@ impl CombView {
         rebuild(c, "route", Some((&delivered, &po_nets)))
     }
 
-    /// View decoded from a bitstream: electrical nets recovered by
-    /// union-find over the configured switches, LUT/FF structure from the
-    /// decoded BLE configurations, names anchored through the placement
-    /// correspondence (CLB location -> cluster -> BLE output symbol) and
-    /// the IO pad symbols carried in the bitstream itself.
+    /// View decoded from a bitstream: the fabric emulator's own decode
+    /// ([`Decoded`]) gives each LUT input and output pad its driver, and
+    /// the placement correspondence names it (CLB location -> cluster ->
+    /// BLE output symbol, or the input pad symbol the bitstream carries).
     pub fn from_bitstream(bs: &Bitstream, c: &Clustering, p: &Placement) -> Result<CombView> {
         let src = &c.netlist;
         let loc2c = clusters_by_loc(c, p);
-
-        // Electrical connectivity: union-find (the fabric emulator's own
-        // `Dsu`) over every wire/pin key the configuration shorts
-        // together, decoded here from the `Bitstream` model. `interned`
-        // holds the keys in the order they are met (switches, CB inputs,
-        // CB outputs, pads), the order nets are named in; `keys` is the
-        // same set sorted (as `packed` integers), for lookup.
-        let mut pairs: Vec<(WireKey, WireKey)> = bs.sb_switches.iter().copied().collect();
-        pairs.extend(
-            bs.cb_inputs
-                .iter()
-                .map(|(&(x, y, pin), &w)| (RrKind::Ipin { x, y, pin }, w)),
-        );
-        pairs.extend(
-            bs.cb_outputs
-                .iter()
-                .map(|&((x, y, pin), w)| (RrKind::Opin { x, y, pin }, w)),
-        );
-        let pads = bs.ios.iter().filter_map(|io| {
-            let (x, y, pin) = (io.loc.x, io.loc.y, io.sub);
-            match io.mode {
-                IoMode::Input => Some(RrKind::Opin { x, y, pin }),
-                IoMode::Output => Some(RrKind::Ipin { x, y, pin }),
-                IoMode::Unused => None,
-            }
-        });
-        let interned: Vec<WireKey> = pairs
-            .iter()
-            .flat_map(|&(a, b)| [a, b])
-            .chain(pads)
+        // The cluster placed at each configured CLB's location.
+        let clb2c: Vec<Option<usize>> = (bs.clbs.iter())
+            .map(|clb| first_at(&loc2c, (clb.loc.x, clb.loc.y)))
             .collect();
-        let mut sorted: Vec<(u128, usize)> = interned.iter().map(|&k| packed(k)).zip(0..).collect();
-        sorted.sort_unstable();
-        // key_of[i]: the index of interned[i] among the distinct keys.
-        let mut keys: Vec<u128> = Vec::new();
-        let mut key_of = vec![0usize; interned.len()];
-        for (k, i) in sorted {
-            if keys.last() != Some(&k) {
-                keys.push(k);
-            }
-            key_of[i] = keys.len() - 1;
-        }
-        let mut dsu = Dsu::new(keys.len());
-        for ab in key_of[..2 * pairs.len()].chunks_exact(2) {
-            dsu.union(ab[0], ab[1]);
-        }
-        let root: Vec<usize> = (0..keys.len()).map(|i| dsu.find(i)).collect();
-
-        // The symbol each electrical net carries, held at its root key: the
-        // name of its unique driving OPIN (a BLE output through the
-        // correspondence map, or an input pad symbol; the first pad at a
-        // site wins).
-        let mut in_pads: Vec<((u32, u32, u32), &str)> = bs
-            .ios
-            .iter()
-            .filter(|io| io.mode == IoMode::Input)
-            .map(|io| ((io.loc.x, io.loc.y, io.sub), io.net.as_str()))
-            .collect();
-        in_pads.sort_by_key(|e| e.0);
-        let mut name_at: Vec<Option<String>> = vec![None; keys.len()];
-        let mut named = vec![false; keys.len()];
-        for (&k, &i) in interned.iter().zip(&key_of) {
-            let RrKind::Opin { x, y, pin } = k else {
-                continue;
-            };
-            if named[i] {
-                continue;
-            }
-            named[i] = true;
-            let name = if let Some(ci) = first_at(&loc2c, (x, y)) {
-                let slot = (pin as usize).wrapping_sub(bs.clb_inputs);
-                let cluster = &c.clusters[ci];
-                cluster
-                    .bles
-                    .get(slot)
-                    .map(|&bid| src.net_name(c.bles[bid.0 as usize].output).to_string())
-            } else {
-                first_at(&in_pads, (x, y, pin)).map(str::to_string)
-            };
-            if let Some(name) = name {
-                let net = &mut name_at[root[i]];
-                if let Some(prev) = net {
-                    if *prev != name {
-                        return Err(VerifyError::Boundary(format!(
-                            "electrical contention: '{prev}' and '{name}' drive one net"
-                        )));
-                    }
-                }
-                *net = Some(name);
-            }
-        }
-        let enet_name = |key: WireKey| -> Option<&str> {
-            name_at[root[keys.binary_search(&packed(key)).ok()?]].as_deref()
+        let ble_name = |clb: usize, slot: usize| -> Option<&str> {
+            let bid = c.clusters[clb2c[clb]?].bles.get(slot)?;
+            Some(src.net_name(c.bles[bid.0 as usize].output))
         };
+        let name = |d: &Decoded, s: Source| -> Option<String> {
+            match s {
+                Source::Low => None,
+                Source::Ble(j) => ble_name(d.slots[j].clb, d.slots[j].slot).map(str::to_string),
+                Source::Pad(p) => Some(d.pads[p].clone()),
+            }
+        };
+        let decoded = Decoded::new(bs).map_err(|e| {
+            let [a, b] =
+                (e.pins).map(|(pin, s)| name(&e.decoded, s).unwrap_or_else(|| format!("{pin:?}")));
+            VerifyError::Boundary(format!(
+                "electrical contention: '{a}' and '{b}' drive one net"
+            ))
+        })?;
 
         // Rebuild the decoded logic as a netlist.
         let mut nl = Netlist::new(&src.name);
         let zero = nl.net("$verify$zero"); // undriven pins read low
         let clk = nl.net("$verify$clk");
         nl.add_clock(clk);
+        let net_of = |nl: &mut Netlist, s: Source| name(&decoded, s).map_or(zero, |n| nl.net(&n));
         let mut cuts: Vec<(String, NetId)> = Vec::new();
         let mut observables: Vec<(String, NetId)> = Vec::new();
         for &pi in &src.inputs {
@@ -318,112 +246,64 @@ impl CombView {
                 cuts.push((name.to_string(), n));
             }
         }
-        for clb in &bs.clbs {
-            let Some(ci) = first_at(&loc2c, (clb.loc.x, clb.loc.y)) else {
+        for s in &decoded.slots {
+            let loc = bs.clbs[s.clb].loc;
+            let Some(ci) = clb2c[s.clb] else {
                 return Err(VerifyError::Boundary(format!(
                     "bitstream configures a CLB at ({}, {}) where no cluster is placed",
-                    clb.loc.x, clb.loc.y
+                    loc.x, loc.y
                 )));
             };
-            let cluster = &c.clusters[ci];
-            for (slot, ble) in clb.bles.iter().enumerate() {
-                if !ble.used {
-                    continue;
-                }
-                let Some(&bid) = cluster.bles.get(slot) else {
-                    return Err(VerifyError::Boundary(format!(
-                        "bitstream configures BLE slot {slot} of cluster {ci}, which is empty"
-                    )));
-                };
-                let out_name = src.net_name(c.bles[bid.0 as usize].output).to_string();
-                let out_net = nl.net(&out_name);
-                let mut ins = Vec::with_capacity(ble.inputs.len());
-                for sel in &ble.inputs {
-                    let n = match sel {
-                        XbarSel::ClusterInput(pin) => {
-                            let key = RrKind::Ipin {
-                                x: clb.loc.x,
-                                y: clb.loc.y,
-                                pin: *pin as u32,
-                            };
-                            match enet_name(key) {
-                                Some(name) => {
-                                    let name = name.to_string();
-                                    nl.net(&name)
-                                }
-                                None => zero,
-                            }
-                        }
-                        XbarSel::Feedback(b) => match cluster.bles.get(*b as usize) {
-                            Some(&fb) => {
-                                let name = src.net_name(c.bles[fb.0 as usize].output).to_string();
-                                nl.net(&name)
-                            }
-                            None => {
-                                return Err(VerifyError::Boundary(format!(
-                                    "BLE feedback {b} in cluster {ci} selects an empty slot"
-                                )))
-                            }
-                        },
-                        XbarSel::Unused => zero,
-                    };
-                    ins.push(n);
-                }
-                let k = ble.inputs.len() as u8;
-                let lut_kind = CellKind::Lut {
-                    k,
-                    truth: ble.truth,
-                };
-                let tag = format!("{}_{}_{slot}", clb.loc.x, clb.loc.y);
-                if ble.registered && !(ble.clock_enable && clb.clock_enable) {
-                    // A flip-flop whose clock is gated off never captures:
-                    // it holds its `init` and is no register boundary.
-                    let held = if ble.init {
-                        CellKind::Const1
-                    } else {
-                        CellKind::Const0
-                    };
-                    nl.add_cell(&format!("$ff${tag}"), held, Vec::new(), out_net);
-                } else if ble.registered {
-                    let d = nl.net(&format!("$verify$d${tag}"));
-                    nl.add_cell(&format!("$lut${tag}"), lut_kind, ins, d);
-                    nl.add_cell(
-                        &format!("$ff${tag}"),
-                        CellKind::Dff {
-                            clock: clk,
-                            init: ble.init,
-                        },
-                        vec![d],
-                        out_net,
-                    );
-                    observables.push((format!("ff:{out_name}"), d));
-                    cuts.push((out_name, out_net));
+            if !s.used {
+                continue;
+            }
+            let Some(out_name) = ble_name(s.clb, s.slot) else {
+                return Err(VerifyError::Boundary(format!(
+                    "bitstream configures BLE slot {} of cluster {ci}, which is empty",
+                    s.slot
+                )));
+            };
+            let out_name = out_name.to_string();
+            let out_net = nl.net(&out_name);
+            let ins: Vec<NetId> = s.inputs.iter().map(|&i| net_of(&mut nl, i)).collect();
+            let lut_kind = CellKind::Lut {
+                k: s.inputs.len() as u8,
+                truth: s.truth,
+            };
+            let tag = format!("{}_{}_{}", loc.x, loc.y, s.slot);
+            if s.registered && !s.clocked {
+                // A flip-flop whose clock is gated off never captures:
+                // it holds its `init` and is no register boundary.
+                let held = if s.init {
+                    CellKind::Const1
                 } else {
-                    nl.add_cell(&format!("$lut${tag}"), lut_kind, ins, out_net);
-                }
+                    CellKind::Const0
+                };
+                nl.add_cell(&format!("$ff${tag}"), held, Vec::new(), out_net);
+            } else if s.registered {
+                let d = nl.net(&format!("$verify$d${tag}"));
+                nl.add_cell(&format!("$lut${tag}"), lut_kind, ins, d);
+                nl.add_cell(
+                    &format!("$ff${tag}"),
+                    CellKind::Dff {
+                        clock: clk,
+                        init: s.init,
+                    },
+                    vec![d],
+                    out_net,
+                );
+                observables.push((format!("ff:{out_name}"), d));
+                cuts.push((out_name, out_net));
+            } else {
+                nl.add_cell(&format!("$lut${tag}"), lut_kind, ins, out_net);
             }
         }
         for &po in &src.outputs {
             let po_name = src.net_name(po);
-            let io = bs
-                .ios
-                .iter()
-                .find(|io| io.mode == IoMode::Output && io.net == po_name)
-                .ok_or_else(|| {
-                    VerifyError::Boundary(format!("no output pad carries '{po_name}'"))
-                })?;
-            let key = RrKind::Ipin {
-                x: io.loc.x,
-                y: io.loc.y,
-                pin: io.sub,
-            };
-            let n = match enet_name(key) {
-                Some(name) => {
-                    let name = name.to_string();
-                    nl.net(&name)
-                }
-                None => zero,
-            };
+            let outputs = &decoded.outputs;
+            let i = (outputs.binary_search_by_key(&po_name, |(n, _)| n.as_str()))
+                .map_err(|_| VerifyError::Boundary(format!("no output pad carries '{po_name}'")))?;
+            let n = net_of(&mut nl, outputs[i].1);
             observables.push((format!("po:{po_name}"), n));
         }
         Self::assemble("bitstream", nl, cuts, observables)
@@ -584,19 +464,6 @@ fn rebuild(c: &Clustering, stage: &'static str, routed: Option<Delivered>) -> Re
         }
     }
     CombView::assemble(stage, nl, cuts, observables)
-}
-
-/// A wire key as one integer, in the key's own order (kind, x, y, pin or
-/// track). Sorting these, not the enum, keeps the sorted lookup as fast
-/// as hashing was.
-fn packed(k: WireKey) -> u128 {
-    let (tag, x, y, t) = match k {
-        RrKind::Opin { x, y, pin } => (0u128, x, y, pin),
-        RrKind::Ipin { x, y, pin } => (1, x, y, pin),
-        RrKind::Chanx { x, y, t } => (2, x, y, t),
-        RrKind::Chany { x, y, t } => (3, x, y, t),
-    };
-    tag << 96 | (x as u128) << 64 | (y as u128) << 32 | t as u128
 }
 
 /// The value of the first entry keyed `k` in a table stably sorted by

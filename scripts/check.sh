@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Check gate: every example design must pass both kinds of deep check —
 # the design-rule lint and the cross-stage equivalence check — offline
-# and over the wire, broken input must be answered the right way by each
-# kind, and a seeded mid-flow corruption must be caught.
+# and over the wire, and broken input must be answered the right way by
+# each kind. (The seeded mid-flow corruption — one LUT truth bit flipped
+# after mapping, caught as EQ001 with a counterexample that replays — is
+# a unit test of `crates/flow/src/equiv.rs`, run by `cargo test`.)
 #
 # One flowd serves the whole run. For each kind in `lint verify`:
 #
@@ -21,10 +23,7 @@
 #
 #   lint    `flowc compile --lint deny` on the loop fails at the lint
 #           stage (exit 6), and the default (lint off) compile still works;
-#   verify  `equiv-fault` flips one seeded LUT truth-table bit after
-#           mapping and the gate must report EQ001-deny with a
-#           counterexample that replays (a clean control run reports
-#           nothing); the whole smoke tier runs under `--verify deny`;
+#   verify  the whole smoke tier runs under `--verify deny`;
 #           `flowc compile --verify deny` compiles every example; and
 #           the EQ rules are series of the one findings family
 #           (`flowd_lint_rule_hits_total{rule="EQ001"}`) in the exposition.
@@ -48,12 +47,11 @@ trap cleanup EXIT INT TERM
 
 mkdir -p "$WORK"
 
-echo "==> building flowd + flowc + fpga-lint + equiv-fault + qor_bench"
+echo "==> building flowd + flowc + fpga-lint + qor_bench"
 cargo build -q -p fpga-server -p fpga-flow -p fpga-bench --bins
 FLOWD=target/debug/flowd
 FLOWC=target/debug/flowc
 LINT=target/debug/fpga-lint
-FAULT=target/debug/equiv-fault
 BENCH=target/debug/qor_bench
 
 . scripts/lib.sh
@@ -155,18 +153,6 @@ grep -q '\[lint\]' "$WORK/gate.log" \
     || die "denial was not attributed to the lint stage" "$WORK/gate.log"
 "$FLOWC" --tcp "$ADDR" compile examples/counter.vhd -o /dev/null 2> "$WORK/off.log" \
     || die "default compile (lint off) broke" "$WORK/off.log"
-
-echo "==> verify: seeded LUT corruption is caught as EQ001 with a replayable counterexample"
-for seed in 1 7 42; do
-    "$FAULT" --seed "$seed" > "$WORK/fault.log" 2>&1 \
-        || die "seeded fault (seed $seed) escaped the gate" "$WORK/fault.log"
-    grep -q 'EQ001' "$WORK/fault.log" \
-        || die "catch was not attributed to EQ001" "$WORK/fault.log"
-    grep -q 'counterexample replayed' "$WORK/fault.log" \
-        || die "counterexample was not replayed" "$WORK/fault.log"
-    "$FAULT" --seed "$seed" --clean > "$WORK/clean.log" 2>&1 \
-        || die "clean control run (seed $seed) reported findings" "$WORK/clean.log"
-done
 
 echo "==> verify: smoke-tier bench suite passes --verify deny"
 "$BENCH" --tier smoke --verify deny --out "$WORK/BENCH_verify.json" 2> "$WORK/bench.log" \

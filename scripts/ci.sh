@@ -28,7 +28,7 @@ sh scripts/crash.sh
 echo "==> scripts/metrics.sh (observability smoke: metrics verb + trace)"
 sh scripts/metrics.sh
 
-echo "==> scripts/check.sh (lint + equivalence gate over examples/, broken input, seeded LUT corruption)"
+echo "==> scripts/check.sh (lint + equivalence gate over examples/, broken input)"
 sh scripts/check.sh
 
 echo "==> scripts/bench.sh (QoR gate: smoke tier vs BENCH_baseline.json)"

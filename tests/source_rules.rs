@@ -69,7 +69,11 @@ const RULES: &[Rule] = &[
         patterns: &["<< 13", "fn splitmix64", "2545f4914f6cdd1d", "100000001b3", "parent["],
         allowed: Only(&["crates/netlist/src/mix.rs", "crates/netlist/src/mix.rs", "crates/netlist/src/mix.rs",
             "crates/netlist/src/mix.rs", "crates/bitstream/src/fabric.rs"]),
-        hint: "call fpga_netlist::mix / fpga_bitstream::fabric::Dsu" },
+        hint: "call fpga_netlist::mix; closed switches become nets only in fpga_bitstream::fabric::Decoded::new" },
+    // What a configuration bit means is decoded once, by the fabric emulator's model.
+    Rule { name: "one bitstream decode", scan: 0, allowed: Nowhere, files: &["crates/verify/src/**.rs"],
+        patterns: &["sb_switches", "cb_inputs", "cb_outputs"],
+        hint: "read a bitstream's connectivity through fpga_bitstream::fabric::Decoded" },
     // Deleted duplicates and uncalled items stay deleted, from the docs too.
     Rule { name: "deleted items", scan: WHOLE, allowed: Nowhere, files: &["crates/**", "README.md", "DESIGN.md"],
         patterns: &["fn prune_dead", "netlist::stats", "clb_delay", "compile_vhdl_ctx", "compile_blif_ctx",
@@ -346,6 +350,12 @@ fn the_scanner_reads_each_definition_as_written() {
     let code =
         "// std::env::args is read in cli.rs\nlet csv = std::env::args().any(|a| a == \"--csv\");";
     assert_eq!(run(&[("crates/bench/src/bin/b.rs", code)]), want);
+
+    // The view reads no switch or connection box itself; its tests may.
+    let want =
+        ["one bitstream decode: crates/verify/src/view.rs:1: let pairs = bs.sb_switches.iter();"];
+    let code = "let pairs = bs.sb_switches.iter();\n#[cfg(test)]\nbs.cb_outputs.insert(c);";
+    assert_eq!(run(&[("crates/verify/src/view.rs", code)]), want);
 
     // A deleted item fails anywhere: in a doc, a comment or a test.
     let want = [
