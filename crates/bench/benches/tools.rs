@@ -138,12 +138,14 @@ fn bench_tools(c: &mut Criterion) {
 }
 
 /// What one hop does to a cache hit's terminal event, on the largest
-/// design of the served pool (`mult16` at W=28: a ~121 KB bitstream, a
-/// ~243 KB line): hex-encode, build and serialize the `done` event on
-/// the sending side; parse, type and hex-decode it on the receiving
+/// design of the served pool (`mult16` at W=28: a ~101 KB bitstream, a
+/// ~203 KB line): hex-encode, build the `done` event and print it with
+/// `proto::write_line` on the sending side; read it back with
+/// `proto::read_line_limited`, type it and hex-decode it on the receiving
 /// side. After the transport stall these passes over the bytes *are* a
-/// hit's latency, and each is paid once per hop. Beside it, the digest
-/// and the warm compile a hit costs on the backend.
+/// hit's latency, and each is paid once per hop. Then each of the four
+/// kernels alone on the same line, and beside them the digest and the
+/// warm compile a hit costs on the backend.
 fn bench_wire(c: &mut Criterion) {
     use fpga_server::proto::{self, Event};
 
@@ -154,8 +156,44 @@ fn bench_wire(c: &mut Criterion) {
         .build();
     let art = fpga_flow::run_netlist(fpga_circuits::multiplier(16), &opts).unwrap();
     let report = serde_json::to_value(&art.report);
+    let done = || Event::Done {
+        job: 1,
+        design: art.report.design.clone(),
+        report: report.clone(),
+        bitstream_hex: proto::to_hex(&art.bitstream_bytes),
+        trace: None,
+        lint: Vec::new(),
+    };
+    let print = |event: &Event| {
+        let mut line = Vec::new();
+        proto::write_line(&mut line, &event.to_value()).unwrap();
+        line
+    };
+    let parse = |line: &[u8]| proto::read_line(&mut &line[..]).unwrap().unwrap();
+    let decode = |value: &serde_json::Value| match proto::parse_event(value) {
+        Ok(Event::Done { bitstream_hex, .. }) => proto::from_hex(&bitstream_hex).unwrap(),
+        other => panic!("not a done event: {other:?}"),
+    };
 
     let mut group = c.benchmark_group("wire");
+    group.sample_size(50);
+    group.bench_function("wire_done_line", |b| {
+        b.iter(|| decode(&parse(&print(&done()))))
+    });
+    let event = done();
+    let line = print(&event);
+    let value = event.to_value();
+    group.bench_function("print_done_line", |b| b.iter(|| print(&event)));
+    group.bench_function("parse_done_line", |b| b.iter(|| parse(&line)));
+    group.bench_function("to_hex_mult16_bitstream", |b| {
+        b.iter(|| proto::to_hex(&art.bitstream_bytes))
+    });
+    let hex = proto::to_hex(&art.bitstream_bytes);
+    group.bench_function("from_hex_mult16_bitstream", |b| {
+        b.iter(|| proto::from_hex(&hex).unwrap())
+    });
+    assert_eq!(decode(&value), art.bitstream_bytes);
+    group.sample_size(20);
     // The key work of a memory-tier hit: a digest over the request's
     // BLIF, and a whole warm compile of it, every stage served from
     // memory.
@@ -170,24 +208,6 @@ fn bench_wire(c: &mut Criterion) {
     };
     warm();
     group.bench_function("warm_hit_mult16", |b| b.iter(warm));
-    group.bench_function("wire_done_line", |b| {
-        b.iter(|| {
-            let done = Event::Done {
-                job: 1,
-                design: art.report.design.clone(),
-                report: report.clone(),
-                bitstream_hex: proto::to_hex(&art.bitstream_bytes),
-                trace: None,
-                lint: Vec::new(),
-            };
-            let line = serde_json::to_string(&done.to_value()).unwrap();
-            let value: serde_json::Value = serde_json::from_str(&line).unwrap();
-            match proto::parse_event(&value) {
-                Ok(Event::Done { bitstream_hex, .. }) => proto::from_hex(&bitstream_hex).unwrap(),
-                other => panic!("not a done event: {other:?}"),
-            }
-        })
-    });
     group.finish();
 }
 

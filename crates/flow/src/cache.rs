@@ -365,7 +365,7 @@ impl StageCache {
             if let Ok((payload, metrics_text)) = store.load(stage, key, T::KIND) {
                 match T::from_bytes(&payload) {
                     Ok(value) => {
-                        let metrics = serde_json::from_str::<Value>(&metrics_text)
+                        let metrics = serde_json::from_str_value(&metrics_text)
                             .unwrap_or_else(|_| serde_json::json!({}));
                         let value = Arc::new(value);
                         guard.fulfill(

@@ -97,7 +97,11 @@ impl EquivGate {
     ) -> Vec<Diagnostic> {
         let reference = match &self.reference {
             Ok(view) => view,
-            Err(e) => return vec![unverifiable(point, format!("reference view: {e}"))],
+            // A reference that cannot be built, a cyclic one included,
+            // leaves every verdict unknown.
+            Err(VerifyError::View(msg) | VerifyError::Boundary(msg)) => {
+                return vec![unverifiable(point, format!("reference view: {msg}"))]
+            }
         };
         let candidate = match build() {
             Ok(view) => view,
@@ -285,6 +289,42 @@ mod tests {
             assert_eq!((want, got), (cex.want, cex.got), "seed {seed}: {note}");
             assert_ne!(want, got, "seed {seed}: {note}");
         }
+    }
+
+    /// A LUT fed from its own output: in a candidate that is a deny
+    /// (the reference is acyclic once its flip-flops are cut), in the
+    /// reference it leaves every verdict unknown.
+    #[test]
+    fn combinational_loop_denies_a_candidate_and_blinds_a_reference() {
+        let rtl = fpga_circuits::rent_logic(30, 0.6, 11);
+        let good = mapped(&rtl);
+        let mut looped = good.clone();
+        let lut = (looped.cells.iter_mut())
+            .find(|c| matches!(c.kind, CellKind::Lut { .. }) && !c.inputs.is_empty())
+            .expect("a LUT with an input");
+        lut.inputs[0] = lut.output;
+
+        let diags = EquivGate::new(&rtl).check_netlist("mapped", &looped);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(
+            (diags[0].code.as_str(), diags[0].severity),
+            ("EQ001", Severity::Deny)
+        );
+        assert!(diags[0].message.contains("combinational loop"), "{diags:?}");
+
+        let diags = EquivGate::new(&looped).check_netlist("mapped", &good);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(
+            diags[0]
+                .notes
+                .iter()
+                .any(|n| n.contains("combinational loop")),
+            "{diags:?}"
+        );
+        assert_eq!(
+            (diags[0].code.as_str(), diags[0].severity),
+            ("EQ003", Severity::Warn)
+        );
     }
 
     #[test]

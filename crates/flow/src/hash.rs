@@ -258,14 +258,24 @@ pub fn digest_hex(parts: &[&[u8]]) -> String {
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-/// Lowercase hex: digests, and artifact / bitstream bytes on the wire.
-pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(HEX_DIGITS[usize::from(b >> 4)] as char);
-        s.push(HEX_DIGITS[usize::from(b & 0xf)] as char);
+/// Each byte's two lowercase hex digits.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut table = [[0; 2]; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = [HEX_DIGITS[i >> 4], HEX_DIGITS[i & 0xf]];
+        i += 1;
     }
-    s
+    table
+};
+
+/// Lowercase hex: digests, and artifact / bitstream bytes on the wire.
+/// One table lookup per byte fills a buffer sized up front.
+pub fn to_hex(bytes: &[u8]) -> String {
+    let pairs: Vec<[u8; 2]> = bytes.iter().map(|&b| HEX_PAIRS[usize::from(b)]).collect();
+    // Every pair is two ASCII digits, so the conversion cannot fail; the
+    // default is there only to keep this function free of a panic path.
+    String::from_utf8(pairs.into_flattened()).unwrap_or_default()
 }
 
 /// Hex digit value by byte, either case; `0xff` for every byte that is
@@ -281,21 +291,37 @@ const NIBBLE: [u8; 256] = {
     table
 };
 
+/// A hex pair's two digit values; either is above 0xf if it is bad.
+fn nibbles([hi, lo]: [u8; 2]) -> (u8, u8) {
+    (NIBBLE[usize::from(hi)], NIBBLE[usize::from(lo)])
+}
+
 /// Inverse of [`to_hex`]: exactly pairs of `[0-9a-fA-F]`. The input is a
 /// peer's (`artifact_put.data_hex`, a `done` event's `bitstream_hex`), so
 /// anything else — a sign, a non-ASCII character — is an `Err`, never a
-/// panic.
+/// panic. Every pair is decoded into a buffer sized up front, and a bad
+/// digit only sets a flag; an input with one is searched again for the
+/// offset of its first bad pair.
 pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) {
         return Err("odd-length hex".to_string());
     }
-    let mut bytes = Vec::with_capacity(s.len() / 2);
-    for (i, pair) in s.as_bytes().chunks_exact(2).enumerate() {
-        let (hi, lo) = (NIBBLE[usize::from(pair[0])], NIBBLE[usize::from(pair[1])]);
-        if hi | lo > 0xf {
-            return Err(format!("bad hex at {}", 2 * i));
-        }
-        bytes.push(hi << 4 | lo);
+    let pairs = s.as_bytes().as_chunks::<2>().0;
+    let mut bad = 0u8;
+    let bytes: Vec<u8> = pairs
+        .iter()
+        .map(|&pair| {
+            let (hi, lo) = nibbles(pair);
+            bad |= hi | lo;
+            hi << 4 | lo
+        })
+        .collect();
+    if bad > 0xf {
+        let first = pairs.iter().position(|&p| {
+            let (hi, lo) = nibbles(p);
+            hi | lo > 0xf
+        });
+        return Err(format!("bad hex at {}", 2 * first.unwrap_or(0)));
     }
     Ok(bytes)
 }

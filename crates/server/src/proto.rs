@@ -266,7 +266,7 @@ impl Request {
 
 /// Parse one request line.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
+    let v = serde_json::from_str_value(line).map_err(|e| format!("bad JSON: {e}"))?;
     parse_request_value(&v)
 }
 
@@ -1004,7 +1004,7 @@ pub fn read_line_limited(
         if line.trim().is_empty() {
             continue;
         }
-        return serde_json::from_str(line.trim())
+        return serde_json::from_str_value(line.trim())
             .map(Some)
             .map_err(|e| ReadLineError::BadJson(e.to_string()));
     }

@@ -42,7 +42,8 @@ pub enum VerifyError {
     /// (surfaced as EQ003).
     View(String),
     /// The artifact's register/IO boundary contradicts the reference:
-    /// missing state elements, unrouted pins, contention. A real
+    /// missing state elements, unrouted pins, contention, or a
+    /// combinational loop that no flip-flop cuts. A real
     /// stage-level mismatch, but one with no single counterexample
     /// vector.
     Boundary(String),

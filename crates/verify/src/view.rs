@@ -52,9 +52,13 @@ impl CombView {
         mut cuts: Vec<(String, NetId)>,
         mut observables: Vec<(String, NetId)>,
     ) -> Result<CombView> {
-        let order = netlist
-            .topo_order()
-            .map_err(|e| VerifyError::View(format!("{stage} view is not acyclic: {e}")))?;
+        // Cut at its flip-flops, a design the flow accepts is acyclic, so
+        // a loop here is a finding about the artifact, not a gap in the
+        // checker: a boundary mismatch for a candidate. A cyclic
+        // reference still makes every verdict unknown (`EquivGate`).
+        let order = netlist.topo_order().map_err(|e| {
+            VerifyError::Boundary(format!("{stage} view has a combinational loop: {e}"))
+        })?;
         cuts.sort();
         observables.sort();
         for pair in cuts.windows(2) {

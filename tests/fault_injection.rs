@@ -271,7 +271,9 @@ fn combinational_self_feedback_is_caught() {
         }
     }
     assert!(tried > 0);
-    assert_eq!(eq, tally(&[("EQ003", 22)]));
+    // Cut at its flip-flops the reference is acyclic, so a configured
+    // loop is a deny at the bitstream, not an unknown.
+    assert_eq!(eq, tally(&[("EQ002", 22)]));
 }
 
 #[test]

@@ -90,6 +90,10 @@ const RULES: &[Rule] = &[
     Rule { name: "wire vocabulary", scan: 0, allowed: Nowhere, patterns: &["[\"event\"]"],
         files: &["crates/server/src/**.rs", "crates/bench/src/**.rs", "!crates/server/src/proto.rs"],
         hint: "parse the line with proto::parse_event and match the Event variant" },
+    // A line is parsed once, straight to a `Value`: `from_str` copies the whole tree through serde's `Content` and back.
+    Rule { name: "one parse per line", scan: 0, allowed: Nowhere, patterns: &["serde_json::from_str(", "serde_json::from_str::<"],
+        files: &["crates/server/src/**.rs", "crates/flow/src/**.rs"],
+        hint: "parse JSON text with serde_json::from_str_value" },
     // A poisoned mutex is recovered in one place, beside the comment saying why that is sound.
     Rule { name: "poison recovery", scan: 0, allowed: Only(&["crates/flow/src/sync.rs"]), patterns: &["unwrap_or_else(…into_inner"],
         files: &["crates/flow/src/*.rs", "crates/server/src/*.rs"], hint: "call fpga_flow::sync::{lock, wait, wait_timeout}" },
@@ -350,6 +354,23 @@ fn the_scanner_reads_each_definition_as_written() {
     let code =
         "// std::env::args is read in cli.rs\nlet csv = std::env::args().any(|a| a == \"--csv\");";
     assert_eq!(run(&[("crates/bench/src/bin/b.rs", code)]), want);
+
+    // Flow and server code parse straight to a `Value`; `from_str_value` is no site, nor is a test.
+    let want = [
+        "one parse per line: crates/flow/src/cache.rs:2: let m = serde_json::from_str::<Value>(&text);",
+        "one parse per line: crates/server/src/proto.rs:1: let v: Value = serde_json::from_str(line)?;",
+    ];
+    let cache =
+        "let m = serde_json::from_str_value(&text);\nlet m = serde_json::from_str::<Value>(&text);";
+    let proto =
+        "let v: Value = serde_json::from_str(line)?;\n#[cfg(test)]\nserde_json::from_str(line)";
+    assert_eq!(
+        run(&[
+            ("crates/flow/src/cache.rs", cache),
+            ("crates/server/src/proto.rs", proto)
+        ]),
+        want
+    );
 
     // The view reads no switch or connection box itself; its tests may.
     let want =
