@@ -1,6 +1,7 @@
 //! Criterion benches of the mapping toolset: one benchmark per Fig. 11
-//! stage, run on a mid-size generated circuit, plus the per-byte work a
-//! served cache hit does on its `done` line.
+//! stage, run on a mid-size generated circuit, each consumer of the
+//! compiled simulation tape, plus the per-byte work a served cache hit
+//! does on its `done` line.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -211,5 +212,43 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tools, bench_wire);
+/// Each consumer of `fpga_netlist::tape::Tape` on its own: the power
+/// stage's 1000-cycle activity estimate on `rent_1k`'s mapped netlist,
+/// the EQ gate's check of `mult16`'s mapped netlist against its RTL, and
+/// the verify stage's 48-cycle fabric re-simulation of `mult16`'s
+/// bitstream (its decode included, as the stage does it).
+fn bench_sim(c: &mut Criterion) {
+    use fpga_bitstream::fabric::{verify_against_netlist, Fabric};
+
+    let rent = fpga_circuits::rent_logic(1_000, 0.62, 17);
+    let (rent_mapped, _) =
+        fpga_synth::map_to_luts(&rent, fpga_synth::MapOptions::default()).unwrap();
+    let mult = fpga_circuits::multiplier(16);
+    let opts = fpga_flow::FlowOptions::builder()
+        .channel_width(28)
+        .place_effort(1.0)
+        .verify_cycles(0)
+        .build();
+    let art = fpga_flow::run_netlist(mult.clone(), &opts).unwrap();
+    let gate = fpga_flow::EquivGate::new(&mult);
+
+    let mut group = c.benchmark_group("sim");
+    group.sample_size(10);
+    group.bench_function("activity_estimate_rent_1k", |b| {
+        b.iter(|| fpga_netlist::sim::activity_estimate(&rent_mapped, 1000, 42).unwrap())
+    });
+    group.bench_function("cec_mult16", |b| {
+        b.iter(|| assert!(gate.check_netlist("mapped", &art.mapped).is_empty()))
+    });
+    group.bench_function("fabric_verify_mult16_48", |b| {
+        b.iter(|| {
+            let bits = fpga_bitstream::frames::parse(&art.bitstream_bytes).unwrap();
+            let mut fabric = Fabric::new(bits).unwrap();
+            verify_against_netlist(&mut fabric, &art.mapped, 48, 0xF00D).unwrap()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_tools, bench_sim, bench_wire);
 criterion_main!(benches);

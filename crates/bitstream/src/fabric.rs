@@ -10,11 +10,13 @@
 //!
 //! What each configuration bit means is decoded in one place,
 //! [`Decoded::new`]: every LUT input and output pad is bound to the one
-//! BLE or input pad that drives it. [`Fabric::new`] builds on that decode
-//! and puts the combinational BLEs in dependency order, so a settle is a
-//! single sweep over that order; `fpga-verify`'s bitstream view rebuilds
-//! its netlist from the same decode.
+//! BLE or input pad that drives it. [`Fabric::new`] compiles that decode
+//! to the netlist crate's [`Tape`], the evaluator every simulation in the
+//! flow runs on, so a settle is one pass over the tape; `fpga-verify`'s
+//! bitstream view rebuilds its netlist from the same decode.
 
+use fpga_netlist::ir::{Cell, CellKind, NetId};
+use fpga_netlist::tape::{lanes, Tape};
 use fpga_route::rrgraph::RrKind;
 
 use crate::config::{Bitstream, IoConfig, IoMode, WireKey, XbarSel};
@@ -77,16 +79,6 @@ pub enum Source {
     Pad(usize),
 }
 
-impl Source {
-    fn value(self, ble: &[bool], pad: &[bool]) -> bool {
-        match self {
-            Source::Low => false,
-            Source::Ble(j) => ble[j],
-            Source::Pad(p) => pad[p],
-        }
-    }
-}
-
 /// One BLE slot as the bitstream configures it.
 #[derive(Debug)]
 pub struct Slot {
@@ -102,14 +94,6 @@ pub struct Slot {
     pub truth: u64,
     /// What drives each LUT input, in crossbar order.
     pub inputs: Vec<Source>,
-}
-
-impl Slot {
-    fn eval(&self, ble: &[bool], pad: &[bool]) -> bool {
-        let m = (self.inputs.iter().enumerate())
-            .fold(0, |m, (i, s)| m | (s.value(ble, pad) as usize) << i);
-        self.truth >> m & 1 == 1
-    }
 }
 
 /// A bitstream's configuration, decoded once: what each LUT input and
@@ -282,21 +266,27 @@ impl Decoded {
             Some(pins) => Err(Box::new(Contention { pins, decoded })),
         }
     }
+
+    /// The emulator's net for what a source carries: net 0 reads low,
+    /// then one net per input pad, then one per BLE slot.
+    fn net(&self, s: Source) -> NetId {
+        let i = match s {
+            Source::Low => 0,
+            Source::Pad(p) => 1 + p,
+            Source::Ble(j) => 1 + self.pads.len() + j,
+        };
+        NetId(i as u32)
+    }
 }
 
 /// A configured, emulatable device.
 pub struct Fabric {
     decoded: Decoded,
-    /// Every BLE slot's output; a registered BLE's is its FF state.
-    ble: Vec<bool>,
-    /// Input pad values, aligned with [`Decoded::pads`].
-    pad: Vec<bool>,
-    /// The used combinational BLEs, each after every such BLE it reads.
-    order: Vec<usize>,
-    /// The used registered BLEs.
-    regs: Vec<usize>,
-    /// The used registered BLEs that capture on a tick.
-    clocked: Vec<usize>,
+    /// The decode as cells: net 0 reads low, then one net per input pad,
+    /// one per BLE slot's output, and one per clocked BLE's D input.
+    tape: Tape,
+    /// One word per tape net, each 0 or !0 (the tape's lane 0).
+    values: Vec<u64>,
 }
 
 impl Fabric {
@@ -310,78 +300,96 @@ impl Fabric {
             ))
         })?;
         let slots = &decoded.slots;
-        let comb: Vec<bool> = slots.iter().map(|s| s.used && !s.registered).collect();
-        let regs: Vec<usize> = (0..slots.len())
-            .filter(|&j| slots[j].used && slots[j].registered)
-            .collect();
-        let clocked = regs.iter().copied().filter(|&j| slots[j].clocked).collect();
-        let order = levelize(slots, &comb).map_err(|j| {
-            let loc = bs.clbs[slots[j].clb].loc;
+        let net = |s: Source| decoded.net(s);
+        // A registered BLE whose clock is gated off holds `init`: a
+        // constant. A clocked one's LUT drives its own D net.
+        let cell = |kind, inputs, output| Cell {
+            name: String::new(),
+            kind,
+            inputs,
+            output,
+        };
+        let (mut cells, mut slot_of) = (Vec::new(), Vec::new());
+        let mut nets = net(Source::Ble(slots.len())).index();
+        for (j, s) in slots.iter().enumerate().filter(|(_, s)| s.used) {
+            let out = net(Source::Ble(j));
+            let k = s.inputs.len() as u8;
+            let lut = CellKind::Lut { k, truth: s.truth };
+            let ins = s.inputs.iter().map(|&i| net(i)).collect();
+            if !s.registered {
+                cells.push(cell(lut, ins, out));
+            } else if !s.clocked {
+                let held = if s.init {
+                    CellKind::Const1
+                } else {
+                    CellKind::Const0
+                };
+                cells.push(cell(held, Vec::new(), out));
+            } else {
+                let d = NetId(nets as u32);
+                nets += 1;
+                cells.push(cell(lut, ins, d));
+                let (clock, init) = (net(Source::Low), s.init);
+                cells.push(cell(CellKind::Dff { clock, init }, vec![d], out));
+            }
+            slot_of.resize(cells.len(), j);
+        }
+        let tape = Tape::new(nets, &cells).map_err(|c| {
+            let s = &slots[slot_of[c.on_cycle.index()]];
+            let loc = bs.clbs[s.clb].loc;
             BitstreamError::Fabric(format!(
                 "combinational loop through slot {} of the CLB at ({}, {})",
-                slots[j].slot, loc.x, loc.y
+                s.slot, loc.x, loc.y
             ))
         })?;
         let mut fabric = Fabric {
-            ble: vec![false; slots.len()],
-            pad: vec![false; decoded.pads.len()],
+            values: tape.values(),
             decoded,
-            order,
-            regs,
-            clocked,
+            tape,
         };
         fabric.reset();
         Ok(fabric)
     }
 
-    /// Set the value on an input pad, by its net symbol.
-    pub fn set_input(&mut self, net_symbol: &str, value: bool) -> Result<()> {
+    /// The tape net of the input pad carrying `net_symbol`.
+    fn pad(&self, net_symbol: &str) -> Result<NetId> {
         let i = (self.decoded.pads)
             .binary_search_by_key(&net_symbol, String::as_str)
             .map_err(|_| no_pad("input", net_symbol))?;
-        self.pad[i] = value;
+        Ok(self.decoded.net(Source::Pad(i)))
+    }
+
+    /// The tape net the output pad carrying `net_symbol` reads.
+    fn output(&self, net_symbol: &str) -> Result<NetId> {
+        let outputs = &self.decoded.outputs;
+        let i = (outputs.binary_search_by_key(&net_symbol, |(n, _)| n.as_str()))
+            .map_err(|_| no_pad("output", net_symbol))?;
+        Ok(self.decoded.net(outputs[i].1))
+    }
+
+    /// Set the value on an input pad, by its net symbol.
+    pub fn set_input(&mut self, net_symbol: &str, value: bool) -> Result<()> {
+        let net = self.pad(net_symbol)?;
+        self.values[net.index()] = lanes(value as u64);
         Ok(())
     }
 
     /// Read the value observed by an output pad, by its net symbol.
     pub fn read_output(&self, net_symbol: &str) -> Result<bool> {
-        let outputs = &self.decoded.outputs;
-        let i = (outputs.binary_search_by_key(&net_symbol, |(n, _)| n.as_str()))
-            .map_err(|_| no_pad("output", net_symbol))?;
-        Ok(outputs[i].1.value(&self.ble, &self.pad))
-    }
-
-    /// Settle the combinational logic: one sweep in dependency order.
-    pub fn settle(&mut self) {
-        for &j in &self.order {
-            let v = self.decoded.slots[j].eval(&self.ble, &self.pad);
-            self.ble[j] = v;
-        }
+        Ok(self.values[self.output(net_symbol)?.index()] & 1 == 1)
     }
 
     /// One clock event: settle, capture every enabled FF, settle again.
     pub fn tick(&mut self) {
-        self.settle();
-        let captured: Vec<bool> = (self.clocked.iter())
-            .map(|&j| self.decoded.slots[j].eval(&self.ble, &self.pad))
-            .collect();
-        for (&j, v) in self.clocked.iter().zip(captured) {
-            self.ble[j] = v;
-        }
-        self.settle();
+        self.tape.eval1(&mut self.values);
+        self.tape.capture(&mut self.values, None);
+        self.tape.eval1(&mut self.values);
     }
 
     /// Reset every FF to its configured initial state.
     pub fn reset(&mut self) {
-        for &j in &self.regs {
-            self.ble[j] = self.decoded.slots[j].init;
-        }
-        self.settle();
-    }
-
-    /// Input pad symbols, sorted.
-    pub fn input_names(&self) -> Vec<String> {
-        self.decoded.pads.clone()
+        self.tape.reset(&mut self.values);
+        self.tape.eval1(&mut self.values);
     }
 
     /// Electrical net count (diagnostics).
@@ -392,38 +400,6 @@ impl Fabric {
 
 fn no_pad(dir: &str, net_symbol: &str) -> BitstreamError {
     BitstreamError::Fabric(format!("no {dir} pad carries '{net_symbol}'"))
-}
-
-/// The slots marked in `comb`, each after every such slot it reads (a
-/// depth-first post-order); on a loop, `Err` with a slot on it.
-fn levelize(slots: &[Slot], comb: &[bool]) -> std::result::Result<Vec<usize>, usize> {
-    // 0 = not reached, 1 = on the search path, 2 = ordered.
-    let mut mark = vec![0u8; slots.len()];
-    let mut order = Vec::new();
-    for start in (0..slots.len()).filter(|&j| comb[j]) {
-        if mark[start] != 0 {
-            continue;
-        }
-        mark[start] = 1;
-        let mut path = vec![(start, 0)];
-        while let Some((j, next)) = path.pop() {
-            let Some(&src) = slots[j].inputs.get(next) else {
-                mark[j] = 2;
-                order.push(j);
-                continue;
-            };
-            path.push((j, next + 1));
-            match src {
-                Source::Ble(d) if comb[d] && mark[d] == 1 => return Err(d),
-                Source::Ble(d) if comb[d] && mark[d] == 0 => {
-                    mark[d] = 1;
-                    path.push((d, 0));
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok(order)
 }
 
 /// Run the same random stimulus through the fabric and the reference
@@ -443,26 +419,30 @@ pub fn verify_against_netlist(
     let mut state = seed | 1;
     let mut next_bit = || xorshift64(&mut state) & 1 == 1;
 
-    let fabric_inputs = fabric.input_names();
+    // Each data input with the fabric net of the pad carrying it, if one
+    // does, and each output with the net its pad reads: resolved once.
+    let inputs: Vec<(NetId, Option<NetId>)> = (netlist.inputs.iter())
+        .filter(|i| !netlist.clocks.contains(i))
+        .map(|&i| (i, fabric.pad(netlist.net_name(i)).ok()))
+        .collect();
+    let outputs = (netlist.outputs.iter())
+        .map(|&po| Ok((po, fabric.output(netlist.net_name(po))?)))
+        .collect::<Result<Vec<_>>>()?;
     for cycle in 0..cycles {
-        for &input in &netlist.inputs {
-            if netlist.clocks.contains(&input) {
-                continue;
-            }
-            let name = netlist.net_name(input).to_string();
+        for &(input, pad) in &inputs {
             let bit = next_bit();
             sim.set_input(input, bit);
-            if fabric_inputs.contains(&name) {
-                fabric.set_input(&name, bit)?;
+            if let Some(pad) = pad {
+                fabric.values[pad.index()] = lanes(bit as u64);
             }
         }
         sim.tick_all();
         fabric.tick();
-        for &po in &netlist.outputs {
-            let name = netlist.net_name(po);
+        for &(po, pad) in &outputs {
             let want = sim.value(po);
-            let got = fabric.read_output(name)?;
+            let got = fabric.values[pad.index()] & 1 == 1;
             if want != got {
+                let name = netlist.net_name(po);
                 return Err(BitstreamError::Fabric(format!(
                     "output '{name}' differs at cycle {cycle}: reference {want}, fabric {got}"
                 )));

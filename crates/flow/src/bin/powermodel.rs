@@ -25,6 +25,11 @@ fn main() {
         opts.frequency = f;
     }
     if let Some(c) = cli::opt_u64(&args, "cycles") {
+        if c < 2 {
+            args.refuse(format!(
+                "--cycles {c}: switching activity needs at least 2 cycles"
+            ));
+        }
         opts.activity_cycles = c as usize;
     }
     let tech = Tech::stm018();

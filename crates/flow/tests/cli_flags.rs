@@ -94,6 +94,27 @@ fn vpr_pr_refuses_a_garbage_width_and_honours_a_good_one() {
     );
 }
 
+#[test]
+fn powermodel_refuses_too_few_cycles_and_honours_two() {
+    let powermodel = env!("CARGO_BIN_EXE_powermodel");
+    assert_rejects(powermodel, "--cycles");
+    for few in ["0", "1"] {
+        let refused = run(powermodel, &[MAJORITY, "--cycles", few]);
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert_eq!(refused.status.code(), Some(2), "--cycles {few}: {stderr}");
+        assert!(stderr.contains("at least 2 cycles"), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(refused.stdout.is_empty(), "no report on a refusal");
+    }
+    let two = run(powermodel, &[MAJORITY, "--cycles", "2"]);
+    assert!(
+        two.status.success(),
+        "{}",
+        String::from_utf8_lossy(&two.stderr)
+    );
+    assert!(String::from_utf8_lossy(&two.stdout).contains("TOTAL"));
+}
+
 #[path = "support/flag_table.rs"]
 mod flag_table;
 

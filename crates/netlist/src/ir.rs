@@ -268,47 +268,12 @@ impl Netlist {
     /// inputs are sources; FFs and outputs are sinks). Errors on
     /// combinational cycles.
     pub fn topo_order(&self) -> Result<Vec<CellId>> {
-        let drivers = self.drivers();
-        let n = self.cells.len();
-        // in-degree of each combinational cell = number of its inputs that
-        // are driven by other combinational cells.
-        let mut indeg = vec![0usize; n];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, c) in self.cells.iter().enumerate() {
-            if c.kind.is_ff() {
-                continue;
-            }
-            for &input in &c.inputs {
-                if let Some(drv) = drivers[input.index()] {
-                    if !self.cells[drv.index()].kind.is_ff() {
-                        indeg[i] += 1;
-                        consumers[drv.index()].push(i);
-                    }
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n)
-            .filter(|&i| !self.cells[i].kind.is_ff() && indeg[i] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = queue.pop() {
-            order.push(CellId(i as u32));
-            for &j in &consumers[i] {
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    queue.push(j);
-                }
-            }
-        }
-        let comb_count = self.cells.iter().filter(|c| !c.kind.is_ff()).count();
-        if order.len() != comb_count {
-            return Err(NetlistError::Validate(format!(
+        comb_order(self.nets.len(), &self.cells).map_err(|l| {
+            NetlistError::Validate(format!(
                 "combinational cycle: ordered {} of {} cells",
-                order.len(),
-                comb_count
-            )));
-        }
-        Ok(order)
+                l.ordered, l.comb
+            ))
+        })
     }
 
     /// Structural validation: net ids in range, unique drivers, no
@@ -440,6 +405,86 @@ impl Netlist {
             })
             .collect()
     }
+}
+
+/// A combinational cycle in a cell list: how many of its `comb`
+/// combinational cells could be ordered, and one cell on the cycle.
+#[derive(Clone, Copy, Debug)]
+pub struct Cycle {
+    pub ordered: usize,
+    pub comb: usize,
+    pub on_cycle: CellId,
+}
+
+/// Kahn's topological order of the combinational `cells` over `nets`
+/// nets, [`Netlist::topo_order`]'s and the [`crate::tape::Tape`]'s one
+/// ordering. Each cell waits for the combinational cells driving its
+/// inputs; FF outputs and undriven nets are sources.
+pub fn comb_order(nets: usize, cells: &[Cell]) -> std::result::Result<Vec<CellId>, Cycle> {
+    let mut drivers = vec![None; nets];
+    for (i, c) in cells.iter().enumerate() {
+        drivers[c.output.index()] = Some(i);
+    }
+    let comb_driver = |net: NetId| drivers[net.index()].filter(|&d| !cells[d].kind.is_ff());
+    let n = cells.len();
+    // in-degree of each combinational cell = number of its inputs that
+    // are driven by other combinational cells. The cells reading cell
+    // `d` are `consumers[at[d]..at[d + 1]]`, in cell then pin order.
+    let edges = || {
+        let comb = cells.iter().enumerate().filter(|(_, c)| !c.kind.is_ff());
+        comb.flat_map(|(i, c)| {
+            c.inputs
+                .iter()
+                .filter_map(move |&n| Some((comb_driver(n)?, i)))
+        })
+    };
+    let mut indeg = vec![0usize; n];
+    let mut at = vec![0usize; n + 1];
+    for (d, i) in edges() {
+        indeg[i] += 1;
+        at[d + 1] += 1;
+    }
+    for d in 0..n {
+        at[d + 1] += at[d];
+    }
+    let mut consumers = vec![0usize; at[n]];
+    let mut fill = at.clone();
+    for (d, i) in edges() {
+        consumers[fill[d]] = i;
+        fill[d] += 1;
+    }
+    let mut queue: Vec<usize> = (0..n)
+        .filter(|&i| !cells[i].kind.is_ff() && indeg[i] == 0)
+        .collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(i) = queue.pop() {
+        order.push(CellId(i as u32));
+        for &j in &consumers[at[i]..at[i + 1]] {
+            indeg[j] -= 1;
+            if indeg[j] == 0 {
+                queue.push(j);
+            }
+        }
+    }
+    let comb = cells.iter().filter(|c| !c.kind.is_ff()).count();
+    if order.len() == comb {
+        return Ok(order);
+    }
+    // Every cell left unordered reads one that is left too: walk back
+    // along those until a cell comes round again.
+    let stuck = |i: usize| !cells[i].kind.is_ff() && indeg[i] > 0;
+    let mut seen = vec![false; n];
+    let mut at = (0..n).find(|&i| stuck(i)).unwrap_or_default();
+    while !seen[at] {
+        seen[at] = true;
+        let mut back = cells[at].inputs.iter().filter_map(|&i| comb_driver(i));
+        at = back.find(|&d| stuck(d)).unwrap_or(at);
+    }
+    Err(Cycle {
+        ordered: order.len(),
+        comb,
+        on_cycle: CellId(at as u32),
+    })
 }
 
 #[cfg(test)]

@@ -16,6 +16,10 @@
 //! * [`sim`] — a two-valued cycle-accurate logic simulator (the reference
 //!   model that synthesis, mapping, packing and bitstream generation are
 //!   all checked against);
+//! * [`tape`] — the netlist compiled once for evaluation on 64 lanes, the
+//!   one evaluator under the simulator, the activity estimate, the
+//!   equivalence checker, the LUT mapper's cut truth tables and the
+//!   fabric emulator;
 //! * [`mix`] — the xorshift step, `splitmix64` and FNV-1a that every
 //!   crate's seeded streams and structural hashes are built from.
 
@@ -27,6 +31,7 @@ pub mod ir;
 pub mod mix;
 pub mod sim;
 pub mod sop;
+pub mod tape;
 
 pub use canonical::canonical_text;
 pub use codec::{ByteReader, ByteWriter, CodecError, CodecResult};

@@ -7,35 +7,32 @@
 //! [`Simulator::tick`]; the target platform's FFs are double-edge-
 //! triggered, so one `tick` corresponds to one clock *edge* there, which
 //! is transparent at this level.
+//!
+//! [`eval_cell`] is the scalar reference semantics of one cell. Whole
+//! netlists run on the compiled [`Tape`]: the simulator on one lane, the
+//! activity estimate on one lane per cycle.
 
-use crate::ir::{CellId, CellKind, NetId, Netlist};
+use crate::ir::{CellKind, NetId, Netlist};
 use crate::mix::xorshift64;
+use crate::tape::{lanes, Tape};
 use crate::{NetlistError, Result};
 
 /// Cycle-level simulator over a netlist.
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    order: Vec<CellId>,
-    values: Vec<bool>,
-    ff_state: Vec<bool>,
+    tape: Tape,
+    /// One word per net, each 0 or !0 (the tape's lane 0 broadcast).
+    values: Vec<u64>,
 }
 
 impl<'a> Simulator<'a> {
     pub fn new(netlist: &'a Netlist) -> Result<Self> {
-        let order = netlist.topo_order()?;
-        let ff_state = netlist
-            .cells
-            .iter()
-            .map(|c| match c.kind {
-                CellKind::Dff { init, .. } => init,
-                _ => false,
-            })
-            .collect();
+        let tape = Tape::compile(netlist)?;
+        let values = tape.values();
         let mut sim = Simulator {
             netlist,
-            order,
-            values: vec![false; netlist.nets.len()],
-            ff_state,
+            tape,
+            values,
         };
         sim.propagate();
         Ok(sim)
@@ -45,7 +42,7 @@ impl<'a> Simulator<'a> {
     /// [`propagate`](Self::propagate) (or [`tick`](Self::tick)) after
     /// setting all inputs for the cycle.
     pub fn set_input(&mut self, net: NetId, value: bool) {
-        self.values[net.index()] = value;
+        self.values[net.index()] = lanes(value as u64);
     }
 
     /// Set an input by name; errors if the net does not exist.
@@ -60,7 +57,7 @@ impl<'a> Simulator<'a> {
 
     /// Current value of a net.
     pub fn value(&self, net: NetId) -> bool {
-        self.values[net.index()]
+        self.values[net.index()] & 1 == 1
     }
 
     /// Values of the primary outputs, in declaration order.
@@ -75,94 +72,57 @@ impl<'a> Simulator<'a> {
     /// Re-evaluate all combinational logic from the current inputs and FF
     /// states.
     pub fn propagate(&mut self) {
-        // FF outputs first.
-        for (i, c) in self.netlist.cells.iter().enumerate() {
-            if c.kind.is_ff() {
-                self.values[c.output.index()] = self.ff_state[i];
-            }
-        }
-        for &cid in &self.order {
-            let c = &self.netlist.cells[cid.index()];
-            let v = eval_cell(&c.kind, &c.inputs, &self.values);
-            self.values[c.output.index()] = v;
-        }
+        self.tape.eval1(&mut self.values);
     }
 
     /// Apply one clock event: combinational logic settles, then every FF
     /// clocked by `clock` captures its D input, then logic settles again.
     pub fn tick(&mut self, clock: NetId) {
-        self.propagate();
-        for (i, c) in self.netlist.cells.iter().enumerate() {
-            if let CellKind::Dff { clock: ff_clk, .. } = c.kind {
-                if ff_clk == clock {
-                    self.ff_state[i] = self.values[c.inputs[0].index()];
-                }
-            }
-        }
-        self.propagate();
+        self.step(Some(clock));
     }
 
     /// Apply one clock event to every clock in the design.
     pub fn tick_all(&mut self) {
+        self.step(None);
+    }
+
+    fn step(&mut self, clock: Option<NetId>) {
         self.propagate();
-        for (i, c) in self.netlist.cells.iter().enumerate() {
-            if c.kind.is_ff() {
-                self.ff_state[i] = self.values[c.inputs[0].index()];
-            }
-        }
+        self.tape.capture(&mut self.values, clock);
         self.propagate();
     }
 
     /// Reset every FF to its declared initial value.
     pub fn reset(&mut self) {
-        for (i, c) in self.netlist.cells.iter().enumerate() {
-            if let CellKind::Dff { init, .. } = c.kind {
-                self.ff_state[i] = init;
-            }
-        }
+        self.tape.reset(&mut self.values);
         self.propagate();
     }
 }
 
-/// Evaluate one cell from net values.
-pub fn eval_cell(kind: &CellKind, inputs: &[NetId], values: &[bool]) -> bool {
-    let v = |i: usize| values[inputs[i].index()];
+/// Evaluate one combinational cell from its input bits, in order.
+pub fn eval_cell(kind: &CellKind, bits: &[bool]) -> bool {
+    let ones = || bits.iter().filter(|&&b| b).count();
+    let m = || (bits.iter().rev()).fold(0u64, |m, &b| m << 1 | b as u64);
     match kind {
         CellKind::Const0 => false,
         CellKind::Const1 => true,
-        CellKind::Buf => v(0),
-        CellKind::Not => !v(0),
-        CellKind::And => inputs.iter().all(|&n| values[n.index()]),
-        CellKind::Or => inputs.iter().any(|&n| values[n.index()]),
-        CellKind::Nand => !inputs.iter().all(|&n| values[n.index()]),
-        CellKind::Nor => !inputs.iter().any(|&n| values[n.index()]),
-        CellKind::Xor => inputs.iter().filter(|&&n| values[n.index()]).count() % 2 == 1,
-        CellKind::Xnor => inputs.iter().filter(|&&n| values[n.index()]).count() % 2 == 0,
+        CellKind::Buf => bits[0],
+        CellKind::Not => !bits[0],
+        CellKind::And => ones() == bits.len(),
+        CellKind::Or => ones() > 0,
+        CellKind::Nand => ones() < bits.len(),
+        CellKind::Nor => ones() == 0,
+        CellKind::Xor => ones() % 2 == 1,
+        CellKind::Xnor => ones() % 2 == 0,
         CellKind::Mux2 => {
-            if v(0) {
-                v(2)
+            if bits[0] {
+                bits[2]
             } else {
-                v(1)
+                bits[1]
             }
         }
-        CellKind::Lut { truth, .. } => {
-            let mut m = 0u64;
-            for (i, &n) in inputs.iter().enumerate() {
-                if values[n.index()] {
-                    m |= 1 << i;
-                }
-            }
-            truth >> m & 1 == 1
-        }
-        CellKind::Sop(cover) => {
-            let mut m = 0u64;
-            for (i, &n) in inputs.iter().enumerate() {
-                if values[n.index()] {
-                    m |= 1 << i;
-                }
-            }
-            cover.eval(m)
-        }
+        CellKind::Lut { truth, .. } => truth >> m() & 1 == 1,
+        CellKind::Sop(cover) => cover.eval(m()),
         // FF outputs are written by the simulator's state step.
         CellKind::Dff { .. } => unreachable!("FFs are not combinationally evaluated"),
     }
@@ -227,50 +187,78 @@ pub fn check_equivalence(
     Ok(())
 }
 
-/// Estimate per-net switching activity by random simulation: returns
-/// (static probability, transition density per cycle) for every net.
-/// This feeds the PowerModel tool.
-pub fn activity_estimate(
-    netlist: &Netlist,
-    cycles: usize,
-    seed: u64,
-) -> Result<(Vec<f64>, Vec<f64>)> {
-    let mut sim = Simulator::new(netlist)?;
-    let mut ones = vec![0usize; netlist.nets.len()];
-    let mut transitions = vec![0usize; netlist.nets.len()];
-    let mut prev: Vec<bool> = vec![false; netlist.nets.len()];
+/// Estimate per-net switching activity by random simulation: the
+/// transition density per cycle of every net over `cycles` cycles (at
+/// least 2: a density needs a transition to count). This feeds the
+/// PowerModel tool.
+///
+/// Cycle `c` is lane `c % 64` of each net's history word, so transitions
+/// are counted 64 cycles at a time, by popcount. A design without
+/// flip-flops runs its 64 cycles as the 64 lanes of one tape pass; a
+/// sequential one steps the tape on one lane per cycle and ORs each net's
+/// bit into its history. Either way the stimulus is drawn cycle by cycle,
+/// input by input.
+pub fn activity_estimate(netlist: &Netlist, cycles: usize, seed: u64) -> Result<Vec<f64>> {
+    if cycles < 2 {
+        return Err(NetlistError::Validate(format!(
+            "activity estimation needs at least 2 cycles, got {cycles}"
+        )));
+    }
+    let tape = Tape::compile(netlist)?;
+    let mut values = tape.values();
+    let nets = netlist.nets.len();
+    let mut history = vec![0u64; nets];
+    // Each net's last cycle of the block before, in bit 0.
+    let mut carry = vec![0u64; nets];
+    let mut transitions = vec![0u32; nets];
 
     let mut state = seed | 1;
-    let mut next_bit = || xorshift64(&mut state) & 1 == 1;
-    let data_inputs: Vec<NetId> = netlist
-        .inputs
-        .iter()
-        .copied()
+    let data_inputs: Vec<usize> = (netlist.inputs.iter())
         .filter(|i| !netlist.clocks.contains(i))
+        .map(|i| i.index())
         .collect();
 
-    for cycle in 0..cycles {
-        for &input in &data_inputs {
-            sim.set_input(input, next_bit());
+    for block in (0..cycles).step_by(64) {
+        let width = (cycles - block).min(64);
+        if tape.ffs() == 0 {
+            for &i in &data_inputs {
+                values[i] = 0;
+            }
+            for lane in 0..width {
+                for &i in &data_inputs {
+                    values[i] |= (xorshift64(&mut state) & 1) << lane;
+                }
+            }
+            tape.eval(&mut values);
+            history.copy_from_slice(&values[..nets]);
+        } else {
+            history.fill(0);
+            for lane in 0..width {
+                for &i in &data_inputs {
+                    values[i] = lanes(xorshift64(&mut state));
+                }
+                tape.eval1(&mut values);
+                tape.capture(&mut values, None);
+                tape.eval1(&mut values);
+                for (h, v) in history.iter_mut().zip(&values) {
+                    *h |= v & 1 << lane;
+                }
+            }
         }
-        sim.tick_all();
-        for n in 0..netlist.nets.len() {
-            let v = sim.value(NetId(n as u32));
-            if v {
-                ones[n] += 1;
-            }
-            if cycle > 0 && v != prev[n] {
-                transitions[n] += 1;
-            }
-            prev[n] = v;
+        // Bit `c` of `h ^ (h << 1 | carry)` is set where cycle `c` differs
+        // from the cycle before it; the very first cycle has none.
+        let mut mask = u64::MAX >> (64 - width);
+        if block == 0 {
+            mask &= !1;
+        }
+        for ((t, &h), c) in transitions.iter_mut().zip(&history).zip(&mut carry) {
+            *t += ((h ^ (h << 1 | *c)) & mask).count_ones();
+            *c = h >> 63;
         }
     }
-    let p1: Vec<f64> = ones.iter().map(|&o| o as f64 / cycles as f64).collect();
-    let density: Vec<f64> = transitions
-        .iter()
-        .map(|&t| t as f64 / (cycles.max(2) - 1) as f64)
-        .collect();
-    Ok((p1, density))
+    Ok((transitions.iter())
+        .map(|&t| t as f64 / (cycles - 1) as f64)
+        .collect())
 }
 
 #[cfg(test)]
@@ -440,13 +428,25 @@ mod tests {
     #[test]
     fn activity_estimates_are_probabilities() {
         let n = xor_netlist();
-        let (p1, density) = activity_estimate(&n, 500, 42).unwrap();
-        for (p, d) in p1.iter().zip(density.iter()) {
-            assert!((0.0..=1.0).contains(p));
+        let density = activity_estimate(&n, 500, 42).unwrap();
+        for d in &density {
             assert!(*d >= 0.0 && *d <= 1.0);
         }
         // A random-driven XOR output should toggle roughly half the time.
         let y = n.find_net("y").unwrap();
         assert!(density[y.index()] > 0.3 && density[y.index()] < 0.7);
+    }
+
+    #[test]
+    fn too_few_cycles_to_count_a_transition_are_refused() {
+        let n = xor_netlist();
+        for cycles in [0, 1] {
+            let err = activity_estimate(&n, cycles, 42).unwrap_err();
+            assert!(
+                matches!(&err, NetlistError::Validate(m) if m.contains("at least 2 cycles")),
+                "{err}"
+            );
+        }
+        assert_eq!(activity_estimate(&n, 2, 42).unwrap().len(), n.nets.len());
     }
 }

@@ -128,7 +128,7 @@ pub fn estimate(
     opts: &PowerOptions,
 ) -> Result<PowerReport, String> {
     let nl = &clustering.netlist;
-    let (_, density) =
+    let density =
         activity_estimate(nl, opts.activity_cycles, opts.seed).map_err(|e| e.to_string())?;
     let v2 = tech.vdd * tech.vdd;
     let f = opts.frequency;
@@ -151,8 +151,7 @@ pub fn estimate(
 
     // --- Logic power: LUT + FF internals and cluster-local wiring.
     let mut logic = 0.0;
-    for (bi, ble) in clustering.bles.iter().enumerate() {
-        let _ = bi;
+    for ble in &clustering.bles {
         let out_density = density[ble.output.index()];
         if let Some(lut) = ble.lut {
             let cell = &nl.cells[lut.index()];

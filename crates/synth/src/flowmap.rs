@@ -7,9 +7,11 @@
 //! (FlowMap's optimality criterion), and tie-break on area flow so the
 //! cover stays compact. Covering walks from the outputs, instantiating one
 //! K-LUT per selected cut; each LUT's truth table is computed by
-//! simulating its cone over all leaf combinations.
+//! simulating its cone over all leaf combinations, as one slice of the
+//! network's compiled tape.
 
-use fpga_netlist::ir::{CellId, CellKind, NetId, Netlist};
+use fpga_netlist::ir::{CellKind, NetId, Netlist};
+use fpga_netlist::tape::Tape;
 
 use crate::decompose::decompose;
 use crate::{Result, SynthError};
@@ -257,8 +259,14 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
     }
 
     let mut emitted: Vec<bool> = vec![false; n_nets];
-    // Cone evaluation scratch: (stamp, truth-table word) per net.
-    let mut cone: Vec<(usize, u64)> = vec![(0, 0); n_nets];
+    let tape = Tape::ordered(n_nets, &two_bounded.cells, &order);
+    let mut cone = Cone {
+        ops: tape.drivers(),
+        seen: vec![0; n_nets],
+        values: tape.values(),
+        slice: Vec::new(),
+        stack: Vec::new(),
+    };
     let mut lut_count = 0usize;
     let mut max_depth = 0usize;
     let mut queue = required;
@@ -272,7 +280,7 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
             .find(|c| c.leaves != [root])
             .ok_or_else(|| SynthError::Internal("required net has no cut".into()))?;
         // Compute the truth table of the cone.
-        let truth = cone_truth(&two_bounded, &drivers, root, &cut.leaves, &mut cone)?;
+        let truth = cone.truth(&tape, &two_bounded, root, &cut.leaves)?;
         let name = format!(
             "lut_{}",
             two_bounded.net_name(root).replace(['(', ')'], "_")
@@ -320,100 +328,59 @@ pub fn map_to_luts(netlist: &Netlist, opts: MapOptions) -> Result<(Netlist, MapR
     Ok((mapped, report))
 }
 
-/// Truth table of the cone rooted at `root` with the given leaves:
-/// bit `m` = root value when leaf `i` carries bit `i` of `m`. `values`
-/// holds one word per net, valid where its stamp is the root's id + 1
-/// (the cover evaluates each root once).
-fn cone_truth(
-    netlist: &Netlist,
-    drivers: &[Option<CellId>],
-    root: NetId,
-    leaves: &[NetId],
-    values: &mut [(usize, u64)],
-) -> Result<u64> {
-    let stamp = root.index() + 1;
-    let k = leaves.len();
-    debug_assert!(k <= 6);
-    // Projection patterns: leaf i toggles with period 2^(i+1).
-    let n_bits = 1usize << k;
-    let mask: u64 = if n_bits == 64 {
-        !0
-    } else {
-        (1u64 << n_bits) - 1
-    };
-    for (i, &leaf) in leaves.iter().enumerate() {
-        let mut pat = 0u64;
-        for m in 0..n_bits {
-            if m >> i & 1 == 1 {
-                pat |= 1 << m;
-            }
-        }
-        values[leaf.index()] = (stamp, pat);
-    }
-    let v = eval_net(netlist, drivers, root, values, stamp, mask)?;
-    Ok(v & mask)
+/// Cut truth tables from slices of the network's tape, with scratch
+/// kept across roots.
+struct Cone {
+    /// The tape op computing each net, if one does.
+    ops: Vec<Option<usize>>,
+    /// Per net, the stamp (root index + 1) of the last cone that reached it.
+    seen: Vec<usize>,
+    values: Vec<u64>,
+    slice: Vec<usize>,
+    /// Nets to visit, and (net, op) to emit once its inputs are.
+    stack: Vec<(NetId, Option<usize>)>,
 }
 
-fn eval_net(
-    netlist: &Netlist,
-    drivers: &[Option<CellId>],
-    net: NetId,
-    values: &mut [(usize, u64)],
-    stamp: usize,
-    mask: u64,
-) -> Result<u64> {
-    let (s, v) = values[net.index()];
-    if s == stamp {
-        return Ok(v);
-    }
-    let cid = drivers[net.index()].ok_or_else(|| {
-        SynthError::Internal(format!(
-            "cone evaluation reached undriven net '{}' outside the cut",
-            netlist.net_name(net)
-        ))
-    })?;
-    let cell = &netlist.cells[cid.index()];
-    let v = match &cell.kind {
-        CellKind::Const0 => 0,
-        CellKind::Const1 => mask,
-        CellKind::Buf => eval_net(netlist, drivers, cell.inputs[0], values, stamp, mask)?,
-        CellKind::Not => !eval_net(netlist, drivers, cell.inputs[0], values, stamp, mask)? & mask,
-        CellKind::And
-        | CellKind::Or
-        | CellKind::Xor
-        | CellKind::Nand
-        | CellKind::Nor
-        | CellKind::Xnor => {
-            let a = eval_net(netlist, drivers, cell.inputs[0], values, stamp, mask)?;
-            let b = if cell.inputs.len() > 1 {
-                eval_net(netlist, drivers, cell.inputs[1], values, stamp, mask)?
-            } else {
-                a
-            };
-            match cell.kind {
-                CellKind::And => a & b,
-                CellKind::Or => a | b,
-                CellKind::Xor => a ^ b,
-                CellKind::Nand => !(a & b) & mask,
-                CellKind::Nor => !(a | b) & mask,
-                CellKind::Xnor => !(a ^ b) & mask,
-                _ => unreachable!(),
+impl Cone {
+    /// Truth table of the cone rooted at `root` with the given leaves:
+    /// bit `m` = root value when leaf `i` carries bit `i` of `m`. The
+    /// cone's ops are found depth-first from the root, each after its
+    /// inputs, and run as one slice of the tape over the leaves'
+    /// projection lanes (the cover evaluates each root once).
+    fn truth(&mut self, tape: &Tape, nl: &Netlist, root: NetId, leaves: &[NetId]) -> Result<u64> {
+        let stamp = root.index() + 1;
+        debug_assert!(leaves.len() <= 6);
+        for (i, &leaf) in leaves.iter().enumerate() {
+            // Bit `m` of leaf `i`'s word is bit `i` of `m`: 0xAAAA…, 0xCCCC…
+            let period = 1 << (1 << i);
+            self.values[leaf.index()] = u64::MAX / (period + 1) * period;
+            self.seen[leaf.index()] = stamp;
+        }
+        self.slice.clear();
+        self.stack.push((root, None));
+        while let Some((net, done)) = self.stack.pop() {
+            if let Some(op) = done {
+                self.slice.push(op);
+                continue;
             }
+            if self.seen[net.index()] == stamp {
+                continue;
+            }
+            let Some(op) = self.ops[net.index()] else {
+                return Err(SynthError::Internal(format!(
+                    "cone evaluation reached net '{}' outside the cut, which no gate drives",
+                    nl.net_name(net)
+                )));
+            };
+            self.seen[net.index()] = stamp;
+            self.stack.push((net, Some(op)));
+            let unseen = tape.inputs(op).filter(|i| self.seen[i.index()] != stamp);
+            self.stack.extend(unseen.map(|i| (i, None)));
         }
-        CellKind::Dff { .. } => {
-            return Err(SynthError::Internal(
-                "cone crossed a flip-flop; FF outputs must be cut leaves".into(),
-            ))
-        }
-        other => {
-            return Err(SynthError::Internal(format!(
-                "unexpected {} cell in 2-bounded network",
-                other.mnemonic()
-            )))
-        }
-    };
-    values[net.index()] = (stamp, v & mask);
-    Ok(v & mask)
+        tape.eval_ops(&self.slice, &mut self.values);
+        let mask = u64::MAX >> (64 - (1 << leaves.len()));
+        Ok(self.values[root.index()] & mask)
+    }
 }
 
 #[cfg(test)]

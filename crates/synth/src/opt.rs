@@ -6,6 +6,7 @@
 //! functional equivalence; `optimize` iterates them to a fixed point.
 
 use fpga_netlist::ir::{CellKind, NetId, Netlist};
+use fpga_netlist::sim::eval_cell;
 
 use crate::Result;
 
@@ -101,43 +102,10 @@ fn simplify(
     inputs: &[NetId],
     vals: &[Option<bool>],
 ) -> Option<(CellKind, Vec<NetId>)> {
-    let all_known = vals.iter().all(|v| v.is_some());
-    // Fully-constant cells evaluate outright.
-    if all_known && !inputs.is_empty() {
-        let bits: Vec<bool> = vals.iter().map(|v| v.unwrap()).collect();
-        let out = match kind {
-            CellKind::Buf => bits[0],
-            CellKind::Not => !bits[0],
-            CellKind::And => bits.iter().all(|&b| b),
-            CellKind::Or => bits.iter().any(|&b| b),
-            CellKind::Nand => !bits.iter().all(|&b| b),
-            CellKind::Nor => !bits.iter().any(|&b| b),
-            CellKind::Xor => bits.iter().filter(|&&b| b).count() % 2 == 1,
-            CellKind::Xnor => bits.iter().filter(|&&b| b).count() % 2 == 0,
-            CellKind::Mux2 => {
-                if bits[0] {
-                    bits[2]
-                } else {
-                    bits[1]
-                }
-            }
-            CellKind::Lut { truth, .. } => {
-                let m = bits
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i));
-                truth >> m & 1 == 1
-            }
-            CellKind::Sop(cover) => {
-                let m = bits
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i));
-                cover.eval(m)
-            }
-            _ => return None,
-        };
-        let k = if out {
+    // Fully-constant cells evaluate outright, by the reference semantics.
+    let bits: Option<Vec<bool>> = vals.iter().copied().collect();
+    if let Some(bits) = bits.filter(|_| !inputs.is_empty() && !kind.is_ff()) {
+        let k = if eval_cell(kind, &bits) {
             CellKind::Const1
         } else {
             CellKind::Const0

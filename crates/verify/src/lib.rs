@@ -26,7 +26,7 @@ mod view;
 
 use fpga_netlist::mix::{fnv1a, xorshift64, FNV_OFFSET, FNV_PRIME, XORSHIFT_STAR};
 
-pub use view::{eval_cell64, CombView};
+pub use view::CombView;
 
 /// Default signature seed. Matches the seed the fabric-emulation stage
 /// uses so one `--verify` knob governs both checks.
@@ -169,8 +169,8 @@ pub fn check_equiv(
     boundary_match("cut point", &reference.cuts, &candidate.cuts)?;
     boundary_match("observable", &reference.observables, &candidate.observables)?;
 
-    let ref_hashes = reference.cone_hashes();
-    let cand_hashes = candidate.cone_hashes();
+    let ref_hashes = reference.cone_hashes()?;
+    let cand_hashes = candidate.cone_hashes()?;
     let pending: Vec<usize> = (0..reference.observables.len())
         .filter(|&i| ref_hashes[i] != cand_hashes[i])
         .collect();

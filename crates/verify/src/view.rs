@@ -17,9 +17,10 @@
 
 use fpga_bitstream::config::Bitstream;
 use fpga_bitstream::fabric::{Decoded, Source};
-use fpga_netlist::ir::{CellId, CellKind, NetId, Netlist};
+use fpga_netlist::ir::{CellKind, NetId, Netlist};
 use fpga_netlist::mix::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use fpga_netlist::sim::eval_cell;
+use fpga_netlist::tape::Tape;
 use fpga_pack::{ClusterId, Clustering};
 use fpga_place::{BlockRef, Placement};
 use fpga_route::{RouteResult, RrGraph, RrKind};
@@ -35,8 +36,8 @@ pub struct CombView {
     pub stage: &'static str,
     /// The rebuilt (or cloned) netlist holding the combinational logic.
     pub netlist: Netlist,
-    /// Topological evaluation order of the combinational cells.
-    order: Vec<CellId>,
+    /// The netlist compiled for 64-lane evaluation.
+    tape: Tape,
     /// Cut points: (name, net), sorted by name. Non-clock primary inputs
     /// under their own name, flip-flop Q outputs under the Q net name.
     pub cuts: Vec<(String, NetId)>,
@@ -56,7 +57,7 @@ impl CombView {
         // a loop here is a finding about the artifact, not a gap in the
         // checker: a boundary mismatch for a candidate. A cyclic
         // reference still makes every verdict unknown (`EquivGate`).
-        let order = netlist.topo_order().map_err(|e| {
+        let tape = Tape::compile(&netlist).map_err(|e| {
             VerifyError::Boundary(format!("{stage} view has a combinational loop: {e}"))
         })?;
         cuts.sort();
@@ -80,7 +81,7 @@ impl CombView {
         Ok(CombView {
             stage,
             netlist,
-            order,
+            tape,
             cuts,
             observables,
         })
@@ -318,14 +319,11 @@ impl CombView {
     /// [`observables`](Self::observables).
     pub fn eval64(&self, cut_words: &[u64]) -> Vec<u64> {
         debug_assert_eq!(cut_words.len(), self.cuts.len());
-        let mut values = vec![0u64; self.netlist.nets.len()];
+        let mut values = self.tape.values();
         for ((_, net), &w) in self.cuts.iter().zip(cut_words) {
             values[net.index()] = w;
         }
-        for &cid in &self.order {
-            let cell = &self.netlist.cells[cid.index()];
-            values[cell.output.index()] = eval_cell64(&cell.kind, &cell.inputs, &values);
-        }
+        self.tape.eval(&mut values);
         self.observables
             .iter()
             .map(|(_, n)| values[n.index()])
@@ -333,9 +331,10 @@ impl CombView {
     }
 
     /// Replay one concrete cut assignment through the scalar reference
-    /// evaluator ([`fpga_netlist::sim::eval_cell`]) — the independent
-    /// semantics the 64-wide engine is checked against. Returns the
-    /// observable values, aligned with [`observables`](Self::observables).
+    /// evaluator ([`fpga_netlist::sim::eval_cell`]), cell by cell in the
+    /// netlist's own topological order — the independent semantics the
+    /// tape is checked against. Returns the observable values, aligned
+    /// with [`observables`](Self::observables).
     pub fn replay(&self, assignment: &[(String, bool)]) -> Result<Vec<(String, bool)>> {
         let mut values = vec![false; self.netlist.nets.len()];
         for (name, v) in assignment {
@@ -351,9 +350,10 @@ impl CombView {
                 })?;
             values[net.index()] = *v;
         }
-        for &cid in &self.order {
+        for cid in self.order()? {
             let cell = &self.netlist.cells[cid.index()];
-            values[cell.output.index()] = eval_cell(&cell.kind, &cell.inputs, &values);
+            let bits: Vec<bool> = cell.inputs.iter().map(|n| values[n.index()]).collect();
+            values[cell.output.index()] = eval_cell(&cell.kind, &bits);
         }
         Ok(self
             .observables
@@ -367,12 +367,12 @@ impl CombView {
     /// isomorphic cones hash equal across views regardless of net
     /// numbering; hash-equal cone pairs are deduplicated without
     /// simulation.
-    pub fn cone_hashes(&self) -> Vec<u64> {
+    pub fn cone_hashes(&self) -> Result<Vec<u64>> {
         let mut memo: Vec<u64> = vec![fnv64(b"undriven"); self.netlist.nets.len()];
         for (name, net) in &self.cuts {
             memo[net.index()] = fnv64(format!("cut:{name}").as_bytes());
         }
-        for &cid in &self.order {
+        for cid in self.order()? {
             let cell = &self.netlist.cells[cid.index()];
             let mut h = kind_hash(&cell.kind);
             for &i in &cell.inputs {
@@ -380,10 +380,17 @@ impl CombView {
             }
             memo[cell.output.index()] = h;
         }
-        self.observables
+        Ok(self
+            .observables
             .iter()
             .map(|(_, n)| memo[n.index()])
-            .collect()
+            .collect())
+    }
+
+    /// The combinational cells in topological order (the view was
+    /// checked acyclic when it was built).
+    fn order(&self) -> Result<Vec<fpga_netlist::CellId>> {
+        (self.netlist.topo_order()).map_err(|e| VerifyError::View(format!("{}: {e}", self.stage)))
     }
 }
 
@@ -531,63 +538,6 @@ fn check_placement(c: &Clustering, p: &Placement) -> Result<()> {
         }
     }
     Ok(())
-}
-
-/// 64-lane mirror of [`fpga_netlist::sim::eval_cell`]: bit `b` of every
-/// word is an independent evaluation under input vector `b`.
-pub fn eval_cell64(kind: &CellKind, inputs: &[NetId], values: &[u64]) -> u64 {
-    let v = |i: usize| values[inputs[i].index()];
-    match kind {
-        CellKind::Const0 => 0,
-        CellKind::Const1 => !0,
-        CellKind::Buf => v(0),
-        CellKind::Not => !v(0),
-        CellKind::And => inputs.iter().fold(!0u64, |acc, &n| acc & values[n.index()]),
-        CellKind::Or => inputs.iter().fold(0u64, |acc, &n| acc | values[n.index()]),
-        CellKind::Nand => !inputs.iter().fold(!0u64, |acc, &n| acc & values[n.index()]),
-        CellKind::Nor => !inputs.iter().fold(0u64, |acc, &n| acc | values[n.index()]),
-        CellKind::Xor => inputs.iter().fold(0u64, |acc, &n| acc ^ values[n.index()]),
-        CellKind::Xnor => !inputs.iter().fold(0u64, |acc, &n| acc ^ values[n.index()]),
-        CellKind::Mux2 => {
-            let s = v(0);
-            (s & v(2)) | (!s & v(1))
-        }
-        CellKind::Lut { truth, .. } => {
-            // Lane-parallel truth-table lookup: OR over set minterms of
-            // the AND of matching literals. At most 2^6 minterms.
-            let mut out = 0u64;
-            for m in 0..(1u64 << inputs.len()) {
-                if truth >> m & 1 == 0 {
-                    continue;
-                }
-                let mut lanes = !0u64;
-                for (i, &n) in inputs.iter().enumerate() {
-                    let val = values[n.index()];
-                    lanes &= if m >> i & 1 == 1 { val } else { !val };
-                }
-                out |= lanes;
-            }
-            out
-        }
-        CellKind::Sop(cover) => {
-            // Cube-wise: AND of cared literals, OR over cubes — linear in
-            // the cover, no minterm enumeration.
-            let mut out = 0u64;
-            for cube in &cover.cubes {
-                let mut lanes = !0u64;
-                for (i, &n) in inputs.iter().enumerate() {
-                    if cube.care >> i & 1 == 0 {
-                        continue;
-                    }
-                    let val = values[n.index()];
-                    lanes &= if cube.value >> i & 1 == 1 { val } else { !val };
-                }
-                out |= lanes;
-            }
-            out
-        }
-        CellKind::Dff { .. } => unreachable!("FFs are cut, never combinationally evaluated"),
-    }
 }
 
 fn fnv64(bytes: &[u8]) -> u64 {

@@ -80,8 +80,12 @@ const RULES: &[Rule] = &[
             "compile_detailed", "tenant-weight", "FLOW_THREADS", "run_netlist_ctx", "NET_BATCH", "fn route_batch",
             "RemoteHit", "remote_hits", "FETCH_ATTEMPTS", "corrupt_artifacts", "handle_version", "stats_json",
             "Request::Stats", "Event::Stats", "flowc stats", "fetch_breaker", "flowd_verify_rule_hits_total",
-            "unknown_verify_rules", "\"verify_rules\"", "RULE_FAMILIES", "family_lists"],
-        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time; the farm replicates, never fetches; `metrics` and `status` serve what `stats` did; every finding counts once, under its code, in flowd_lint_rule_hits_total)" },
+            "unknown_verify_rules", "\"verify_rules\"", "RULE_FAMILIES", "family_lists", "eval_net", "fn levelize"],
+        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time; the farm replicates, never fetches; `metrics` and `status` serve what `stats` did; every finding counts once, under its code, in flowd_lint_rule_hits_total; cut truth tables and the fabric emulator run on fpga_netlist::tape::Tape)" },
+    // Every simulation runs on the compiled tape; one scalar cell evaluator stays as the reference it is tested against.
+    Rule { name: "one evaluator", scan: NO_COMMENTS, allowed: Once("crates/netlist/src/sim.rs"), patterns: &["fn eval_cell"],
+        files: &["crates/**.rs"],
+        hint: "evaluate a netlist on fpga_netlist::tape::Tape; sim::eval_cell is the one scalar reference" },
     // Place and route run on one thread; a schedule decides the bytes, not a thread count.
     Rule { name: "one thread per compile", scan: NO_COMMENTS, allowed: Nowhere, patterns: &["thread::"],
         files: CAD,
@@ -243,6 +247,10 @@ fn the_scanner_reads_each_definition_as_written() {
         (
             "crates/netlist/src/mix.rs",
             "x << 13\nfn splitmix64\n0x2545F4914F6CDD1D\n0x100000001b3",
+        ),
+        (
+            "crates/netlist/src/sim.rs",
+            "pub fn eval_cell(kind: &CellKind, bits: &[bool]) -> bool {",
         ),
         ("crates/server/src/service.rs", "catch_unwind(job)"),
         (
@@ -412,6 +420,25 @@ fn the_scanner_reads_each_definition_as_written() {
     let doc = "then `flowc stats` shows the ledger";
     assert_eq!(
         run(&[("crates/server/src/net.rs", code), ("README.md", doc)]),
+        want
+    );
+
+    // A second cell evaluator fails both, wherever it is; so do the
+    // deleted cone and fabric evaluators, in a test or a doc.
+    let want = [
+        "one evaluator: crates/netlist/src/sim.rs:1: pub fn eval_cell(kind: &CellKind, bits: &[bool]) -> bool {",
+        "one evaluator: crates/verify/src/view.rs:1: pub fn eval_cell64(kind: &CellKind) -> u64 {",
+    ];
+    let code = "pub fn eval_cell64(kind: &CellKind) -> u64 {";
+    assert_eq!(run(&[("crates/verify/src/view.rs", code)]), want);
+    let want = [
+        "deleted items: crates/synth/src/flowmap.rs:2: let v = eval_net(nl, root)?;",
+        "deleted items: DESIGN.md:1: the emulator's `fn levelize`",
+    ];
+    let code = "#[cfg(test)]\nlet v = eval_net(nl, root)?;";
+    let doc = "the emulator's `fn levelize`";
+    assert_eq!(
+        run(&[("crates/synth/src/flowmap.rs", code), ("DESIGN.md", doc)]),
         want
     );
 
