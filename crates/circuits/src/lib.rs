@@ -580,8 +580,8 @@ pub fn fsm_chain(segments: usize, states: usize) -> Netlist {
 /// overshoots slightly so a `rent_10k` sweep point maps to >= 10k LUTs.
 ///
 /// Deterministic: the netlist is a pure function of the three parameters
-/// (the RNG is seeded, names are sequential), so canonical text — and
-/// therefore every stage-cache key — is byte-identical across runs.
+/// (the RNG is seeded, names are sequential), so its bytes — and
+/// therefore every stage-cache key — are identical across runs.
 pub fn rent_logic(target_luts: usize, rent_exponent: f64, seed: u64) -> Netlist {
     assert!(target_luts >= 16);
     assert!((0.0..=1.0).contains(&rent_exponent));

@@ -5,7 +5,7 @@
 //! storable: an exact, deterministic byte encoding and its inverse.
 //! "Exact" means `from_bytes(to_bytes(x))` reproduces `x` completely
 //! (cell names included — the lossy, human-facing `canonical_text`
-//! renderings are *key* material, not storage formats), and
+//! renderings are not storage formats), and
 //! "deterministic" means equal values encode to equal bytes, so a stored
 //! payload can be digest-verified on every load.
 //!

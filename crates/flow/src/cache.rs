@@ -1,12 +1,13 @@
 //! Content-addressed stage cache for the compile flow.
 //!
-//! Every pipeline stage is keyed by a SHA-256 digest of its canonical
-//! input: the canonicalized netlist/architecture text, the stage's own
-//! options, the [`crate::FLOW_VERSION`] string, and — for downstream
-//! stages — the key of the stage they consume. Chaining upstream keys
-//! keeps each digest cheap while preserving content addressing
-//! transitively: if any byte of any input to any ancestor stage changes,
-//! every descendant key changes with it.
+//! Every pipeline stage is keyed by a SHA-256 digest of the
+//! [`crate::FLOW_VERSION`] string, the stage name, its own options and —
+//! past the entry stage — the key of the stage it consumes. The entry
+//! key digests the design exactly as it arrived: VHDL or BLIF text, or
+//! an in-memory netlist's codec bytes. Chaining upstream keys keeps each
+//! digest cheap while preserving content addressing transitively: if
+//! any byte of any input to any ancestor stage changes, every descendant
+//! key changes with it, so a key names one artifact.
 //!
 //! The cache is process-local and in-memory (the daemon owns one for its
 //! lifetime), optionally backed by a durable [`DiskStore`]: a memory miss
@@ -153,10 +154,6 @@ struct ReadyEntry {
     metrics: Value,
     /// Monotonic recency tick; the smallest tick is the LRU victim.
     last_used: u64,
-    /// The key state of the one stage keyed on this entry's content
-    /// rather than on its key (`lut_map`, on a synthesis entry), filled
-    /// by the first [`StageCache::content_prefix`] that asks for it.
-    content_prefix: Option<Sha256>,
 }
 
 enum Slot {
@@ -201,7 +198,6 @@ impl ClaimGuard<'_> {
                     value,
                     metrics,
                     last_used: tick,
-                    content_prefix: None,
                 }),
             );
             self.cache.evict_over_capacity(&mut slots, &self.key);
@@ -430,29 +426,6 @@ impl StageCache {
         Ok((value, metrics, CacheOutcome::Computed))
     }
 
-    /// The key state `prefix` computes from the content of the ready
-    /// entry under `key`, computed once per entry: later calls clone the
-    /// kept state. The state goes with the entry when it is evicted; with
-    /// no ready entry under `key` (in flight, evicted, never cached) it is
-    /// computed and not kept. Keys are content addresses, so every value
-    /// that could stand under `key` gives the same state.
-    pub(crate) fn content_prefix(&self, key: &str, prefix: impl FnOnce() -> Sha256) -> Sha256 {
-        if let Some(Slot::Ready(ReadyEntry {
-            content_prefix: Some(kept),
-            ..
-        })) = lock(&self.slots).get(key)
-        {
-            return kept.clone();
-        }
-        // Computed outside the lock: two first callers may both compute,
-        // and both get the same state.
-        let state = prefix();
-        if let Some(Slot::Ready(entry)) = lock(&self.slots).get_mut(key) {
-            entry.content_prefix = Some(state.clone());
-        }
-        state
-    }
-
     /// Snapshot one stage's counters.
     pub fn stats(&self, stage: StageId) -> StageStats {
         self.counters[stage.index()].clone()
@@ -492,24 +465,17 @@ impl StageCache {
     }
 }
 
-/// Digest key parts into a stage key. Parts are length-prefixed, so no
-/// two distinct part lists collide by concatenation.
-pub fn stage_key(stage: StageId, parts: &[&str]) -> String {
-    let mut h = key_state(stage);
-    for p in parts {
-        h.update_part(p.as_bytes());
-    }
-    to_hex(&h.finish())
-}
-
-/// The state every key of `stage` starts from: [`crate::FLOW_VERSION`]
-/// and the stage name absorbed, each framed as a part. Absorbing parts
-/// into it and finishing gives exactly [`stage_key`].
-pub(crate) fn key_state(stage: StageId) -> Sha256 {
+/// Digest key parts into a stage key, after [`crate::FLOW_VERSION`] and
+/// the stage name. Parts are length-prefixed, so no two distinct part
+/// lists collide by concatenation.
+pub fn stage_key<P: AsRef<[u8]>>(stage: StageId, parts: &[P]) -> String {
     let mut h = Sha256::new();
     h.update_part(crate::FLOW_VERSION.as_bytes());
     h.update_part(stage.name().as_bytes());
-    h
+    for p in parts {
+        h.update_part(p.as_ref());
+    }
+    to_hex(&h.finish())
 }
 
 #[cfg(test)]
@@ -679,47 +645,6 @@ mod tests {
             .get_or_compute_artifact(StageId::Pack, &keys[1], || Ok((Num(1), Value::Null)))
             .unwrap();
         assert!(!o1.is_hit(), "LRU entry was evicted");
-    }
-
-    #[test]
-    fn content_prefix_is_kept_on_its_entry_and_evicted_with_it() {
-        let cache = StageCache::new().with_capacity(1);
-        let keys = [
-            stage_key(StageId::Synthesis, &["a"]),
-            stage_key(StageId::Pack, &["b"]),
-        ];
-        let computed = AtomicUsize::new(0);
-        let prefix = || {
-            computed.fetch_add(1, Ordering::SeqCst);
-            let mut h = key_state(StageId::LutMap);
-            h.update_part(b"content");
-            h
-        };
-        let key_from = |h: Sha256| to_hex(&h.finish());
-        let want = stage_key(StageId::LutMap, &["content"]);
-        let put = |key: &str| {
-            cache
-                .get_or_compute_artifact(StageId::Pack, key, || Ok((Num(1), Value::Null)))
-                .unwrap();
-        };
-
-        // No entry: computed every time, kept nowhere.
-        for round in 1..=2 {
-            assert_eq!(key_from(cache.content_prefix(&keys[0], prefix)), want);
-            assert_eq!(computed.load(Ordering::SeqCst), round);
-        }
-        // A ready entry keeps the first computation.
-        put(&keys[0]);
-        for _ in 0..2 {
-            assert_eq!(key_from(cache.content_prefix(&keys[0], prefix)), want);
-            assert_eq!(computed.load(Ordering::SeqCst), 3);
-        }
-        // Evicting the entry drops what it kept; a new entry starts empty.
-        put(&keys[1]);
-        put(&keys[0]);
-        assert_eq!(cache.memory_evicted(), 2);
-        assert_eq!(key_from(cache.content_prefix(&keys[0], prefix)), want);
-        assert_eq!(computed.load(Ordering::SeqCst), 4);
     }
 
     #[test]

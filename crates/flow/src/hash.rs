@@ -1,7 +1,7 @@
 //! SHA-256, implemented from the FIPS 180-4 specification.
 //!
-//! The stage cache addresses stage outputs by a digest of their canonical
-//! inputs, and the build environment has no crates registry, so the hash
+//! The stage cache addresses stage outputs by a digest of their inputs,
+//! and the build environment has no crates registry, so the hash
 //! lives here rather than behind an external dependency.
 //!
 //! Compression runs on the x86 SHA extensions where the CPU has them

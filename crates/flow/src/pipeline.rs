@@ -653,9 +653,8 @@ pub fn compile(source: Source, opts: &FlowOptions, ctx: FlowCtx) -> Result<Compi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{stage_key, CacheOutcome, StageId, STAGES};
+    use crate::cache::{stage_key, StageId, STAGES};
     use fpga_lint::Severity;
-    use fpga_netlist::canonical_text;
 
     #[test]
     fn vhdl_counter_to_verified_bitstream() {
@@ -1063,66 +1062,8 @@ mod tests {
         assert!(collected.iter().any(|d| d.code == "EQ001"), "{collected:?}");
     }
 
-    /// `lut_map`'s key derived from scratch: the netlist's canonical text
-    /// and the mapper fingerprint for LUT size `k`.
-    fn map_key_from_scratch(rtl: &Netlist, k: usize) -> String {
-        let fingerprint = format!("k={k} cut_limit=10");
-        stage_key(StageId::LutMap, &[&canonical_text(rtl), &fingerprint])
-    }
-
-    fn scratch_store(tag: &str) -> (std::path::PathBuf, Arc<crate::DiskStore>) {
-        let root = std::env::temp_dir().join(format!("ifdf-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let store = Arc::new(crate::DiskStore::open(&root, None).unwrap());
-        (root, store)
-    }
-
     #[test]
-    fn kept_lut_map_prefix_gives_the_key_derived_from_scratch() {
-        let blif = fpga_netlist::blif::write(&fpga_circuits::ripple_adder(4)).unwrap();
-        let opts = FlowOptions::default();
-        let k = opts.arch.clb.lut_k;
-        // Enter through the upload stage, expect `entered` there, and map.
-        let mapped_key = |cache: &StageCache, entered: CacheOutcome| {
-            let ctx = FlowCtx::with_cache(cache);
-            let rtl = stages::parse_blif(&blif, ctx).unwrap();
-            assert_eq!(rtl.outcome, entered);
-            let key = stages::lut_map(&rtl, &opts, ctx).unwrap().key;
-            assert_eq!(key, map_key_from_scratch(&rtl.value, k));
-            key
-        };
-        let want = map_key_from_scratch(&fpga_netlist::blif::parse(&blif).unwrap(), k);
-
-        // Memory: the first walk keeps the prefix, the hits reuse it.
-        let cache = StageCache::new();
-        assert_eq!(mapped_key(&cache, CacheOutcome::Computed), want);
-        for _ in 0..2 {
-            assert_eq!(mapped_key(&cache, CacheOutcome::MemoryHit), want);
-        }
-
-        // Disk: a fresh cache over a warm store keeps it on the loaded entry.
-        let (root, store) = scratch_store("kept-prefix");
-        mapped_key(
-            &StageCache::new().with_store(Arc::clone(&store)),
-            CacheOutcome::Computed,
-        );
-        let cache = StageCache::new().with_store(store);
-        assert_eq!(mapped_key(&cache, CacheOutcome::DiskHit), want);
-        assert_eq!(mapped_key(&cache, CacheOutcome::MemoryHit), want);
-        std::fs::remove_dir_all(&root).unwrap();
-
-        // Evicted: with room for one entry, mapping evicts the synthesis
-        // entry, and its kept prefix goes with it.
-        let cache = StageCache::new().with_capacity(1);
-        for _ in 0..2 {
-            assert_eq!(mapped_key(&cache, CacheOutcome::Computed), want);
-            assert_eq!(cache.len(), 1);
-        }
-        assert!(cache.memory_evicted() >= 2);
-    }
-
-    #[test]
-    fn lut_size_stays_outside_the_kept_prefix() {
+    fn lut_size_is_part_of_the_lut_map_key() {
         let cache = StageCache::new();
         let ctx = FlowCtx::with_cache(&cache);
         let blif = fpga_netlist::blif::write(&fpga_circuits::ripple_adder(4)).unwrap();
@@ -1135,7 +1076,9 @@ mod tests {
                 arch.clb.lut_k = lut_k;
                 let opts = FlowOptions::builder().arch(arch).build();
                 let key = stages::lut_map(&rtl, &opts, ctx).unwrap().key;
-                assert_eq!(key, map_key_from_scratch(&rtl.value, lut_k));
+                // Chained on the entry's key, like every later stage.
+                let fingerprint = format!("k={lut_k} cut_limit=10");
+                assert_eq!(key, stage_key(StageId::LutMap, &[&rtl.key, &fingerprint]));
                 key
             })
             .collect();
@@ -1143,27 +1086,6 @@ mod tests {
         assert_eq!(keys[0], keys[2]);
         let s = cache.stats(StageId::LutMap);
         assert_eq!((s.misses.get(), s.hits()), (2, 1));
-    }
-
-    #[test]
-    fn every_front_door_shares_lut_map_entries() {
-        let cache = StageCache::new();
-        let ctx = FlowCtx::with_cache(&cache);
-        let opts = FlowOptions::default();
-        let map = |rtl: &Staged<Netlist>| stages::lut_map(rtl, &opts, ctx).unwrap().key;
-        // A VHDL design and the netlist it synthesizes to.
-        let vhdl = stages::synthesize_vhdl(&fpga_circuits::vhdl_counter(3), ctx).unwrap();
-        let adopted = stages::adopt_rtl((*vhdl.value).clone());
-        assert_eq!(map(&vhdl), map(&adopted));
-        // A BLIF upload and the netlist read from the same text. (A BLIF
-        // written from a gate netlist reads back as SOP covers, another
-        // canonical text: that pair shares nothing, before or after.)
-        let blif = fpga_netlist::blif::write(&fpga_circuits::ripple_adder(4)).unwrap();
-        let uploaded = stages::parse_blif(&blif, ctx).unwrap();
-        let read = fpga_netlist::blif::parse(&blif).unwrap();
-        assert_eq!(map(&uploaded), map(&stages::adopt_rtl(read)));
-        let s = cache.stats(StageId::LutMap);
-        assert_eq!((s.misses.get(), s.hits()), (2, 2));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use fpga_bitstream::fabric::{verify_against_netlist, Fabric};
 use fpga_bitstream::Bitstream;
 use fpga_cells::caps::ClbCaps;
 use fpga_cells::tech::Tech;
-use fpga_netlist::{canonical_text, NetId, Netlist};
+use fpga_netlist::{NetId, Netlist};
 use fpga_pack::Clustering;
 use fpga_place::{AnnealingPlacer, PlaceConfig, PlaceEngine, Placement, SweepStats};
 use fpga_power::PowerReport;
@@ -41,8 +41,7 @@ use fpga_synth::{map_to_luts, MapOptions};
 use serde_json::Value;
 
 use crate::artifact::Artifact;
-use crate::cache::{key_state, stage_key, CacheOutcome, StageId};
-use crate::hash::to_hex;
+use crate::cache::{stage_key, CacheOutcome, StageId};
 use crate::pipeline::{FlowCtx, FlowOptions};
 use crate::trace::SpanOutcome;
 use crate::{stage_err, Result};
@@ -175,9 +174,11 @@ pub fn parse_blif(text: &str, ctx: FlowCtx) -> Result<Staged<Netlist>> {
 }
 
 /// Wrap an already-synthesized netlist as a stage output without running
-/// (or counting) anything: the key is its canonical content.
+/// (or counting) anything: the key is its codec bytes, storage order and
+/// names included, since every later stage breaks ties by storage order.
 pub fn adopt_rtl(rtl: Netlist) -> Staged<Netlist> {
-    let key = stage_key(StageId::Synthesis, &["netlist", &canonical_text(&rtl)]);
+    let bytes = fpga_netlist::codec::netlist_to_bytes(&rtl);
+    let key = stage_key(StageId::Synthesis, &[&b"netlist"[..], &bytes]);
     Staged {
         value: Arc::new(rtl),
         stage: StageId::Synthesis,
@@ -187,33 +188,15 @@ pub fn adopt_rtl(rtl: Netlist) -> Staged<Netlist> {
     }
 }
 
-/// LUT mapping (SIS) plus constant absorption. Keyed on the *canonical*
-/// netlist text — not the upstream key — so equivalent logic reaching
-/// this point from different front doors (VHDL, BLIF, in-memory) shares
-/// cache entries from here down.
-///
-/// The key is `stage_key(LutMap, [canonical text, fingerprint])`. The
-/// state after the canonical text depends only on the netlist, so the
-/// cache keeps it on the netlist's own entry and a hit re-derives
-/// neither the text nor its digest; only the fingerprint, which differs
-/// by architecture, is absorbed per call.
+/// LUT mapping (SIS) plus constant absorption, keyed on the upstream
+/// entry's key like every later stage: a key names one artifact.
 pub fn lut_map(rtl: &Staged<Netlist>, opts: &FlowOptions, ctx: FlowCtx) -> Result<Staged<Netlist>> {
     let map_opts = MapOptions {
         k: opts.arch.clb.lut_k,
         cut_limit: 10,
     };
     let fingerprint = format!("k={} cut_limit={}", map_opts.k, map_opts.cut_limit);
-    let prefix = || {
-        let mut h = key_state(StageId::LutMap);
-        h.update_part(canonical_text(&rtl.value).as_bytes());
-        h
-    };
-    let mut h = match ctx.cache {
-        Some(cache) => cache.content_prefix(&rtl.key, prefix),
-        None => prefix(),
-    };
-    h.update_part(fingerprint.as_bytes());
-    let key = to_hex(&h.finish());
+    let key = stage_key(StageId::LutMap, &[&rtl.key, &fingerprint]);
     let rtl = Arc::clone(&rtl.value);
     run_step(ctx, StageId::LutMap, key, move || {
         let (mut mapped, map_report) =

@@ -17,7 +17,7 @@
 
 use fpga_bitstream::config::Bitstream;
 use fpga_bitstream::fabric::{Decoded, Source};
-use fpga_netlist::ir::{CellKind, NetId, Netlist};
+use fpga_netlist::ir::{CellId, CellKind, NetId, Netlist};
 use fpga_netlist::mix::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use fpga_netlist::sim::eval_cell;
 use fpga_netlist::tape::Tape;
@@ -36,7 +36,9 @@ pub struct CombView {
     pub stage: &'static str,
     /// The rebuilt (or cloned) netlist holding the combinational logic.
     pub netlist: Netlist,
-    /// The netlist compiled for 64-lane evaluation.
+    /// The combinational cells in topological order, sorted once here.
+    order: Vec<CellId>,
+    /// The netlist compiled for 64-lane evaluation, in that order.
     tape: Tape,
     /// Cut points: (name, net), sorted by name. Non-clock primary inputs
     /// under their own name, flip-flop Q outputs under the Q net name.
@@ -57,9 +59,10 @@ impl CombView {
         // a loop here is a finding about the artifact, not a gap in the
         // checker: a boundary mismatch for a candidate. A cyclic
         // reference still makes every verdict unknown (`EquivGate`).
-        let tape = Tape::compile(&netlist).map_err(|e| {
+        let order = netlist.topo_order().map_err(|e| {
             VerifyError::Boundary(format!("{stage} view has a combinational loop: {e}"))
         })?;
+        let tape = Tape::ordered(netlist.nets.len(), &netlist.cells, &order);
         cuts.sort();
         observables.sort();
         for pair in cuts.windows(2) {
@@ -81,6 +84,7 @@ impl CombView {
         Ok(CombView {
             stage,
             netlist,
+            order,
             tape,
             cuts,
             observables,
@@ -350,7 +354,7 @@ impl CombView {
                 })?;
             values[net.index()] = *v;
         }
-        for cid in self.order()? {
+        for cid in &self.order {
             let cell = &self.netlist.cells[cid.index()];
             let bits: Vec<bool> = cell.inputs.iter().map(|n| values[n.index()]).collect();
             values[cell.output.index()] = eval_cell(&cell.kind, &bits);
@@ -367,12 +371,12 @@ impl CombView {
     /// isomorphic cones hash equal across views regardless of net
     /// numbering; hash-equal cone pairs are deduplicated without
     /// simulation.
-    pub fn cone_hashes(&self) -> Result<Vec<u64>> {
+    pub fn cone_hashes(&self) -> Vec<u64> {
         let mut memo: Vec<u64> = vec![fnv64(b"undriven"); self.netlist.nets.len()];
         for (name, net) in &self.cuts {
             memo[net.index()] = fnv64(format!("cut:{name}").as_bytes());
         }
-        for cid in self.order()? {
+        for cid in &self.order {
             let cell = &self.netlist.cells[cid.index()];
             let mut h = kind_hash(&cell.kind);
             for &i in &cell.inputs {
@@ -380,17 +384,10 @@ impl CombView {
             }
             memo[cell.output.index()] = h;
         }
-        Ok(self
-            .observables
+        self.observables
             .iter()
             .map(|(_, n)| memo[n.index()])
-            .collect())
-    }
-
-    /// The combinational cells in topological order (the view was
-    /// checked acyclic when it was built).
-    fn order(&self) -> Result<Vec<fpga_netlist::CellId>> {
-        (self.netlist.topo_order()).map_err(|e| VerifyError::View(format!("{}: {e}", self.stage)))
+            .collect()
     }
 }
 

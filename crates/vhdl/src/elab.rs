@@ -476,9 +476,9 @@ impl<'d> Elab<'d> {
                                 let sel = self.eval_bit(cexpr, *line)?;
                                 // Bits written in either branch get a mux.
                                 // Sorted + deduped: HashMap order would make
-                                // mux cell/net numbering (and so the netlist's
-                                // canonical text, which stage cache keys hash)
-                                // vary run to run, and a bit in both envs
+                                // mux cell/net numbering (and so every artifact
+                                // under the source text's stage keys) vary
+                                // run to run, and a bit in both envs
                                 // would get a second, orphaned mux.
                                 let mut merged = HashMap::new();
                                 let mut keys: Vec<NetId> =

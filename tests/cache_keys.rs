@@ -1,14 +1,23 @@
-//! Properties of the canonical netlist serialization that the flow
-//! server's content-addressed stage cache is built on:
+//! Properties of the stage keys the flow server's content-addressed
+//! stage cache is built on, derived through the real stages
+//! (`stages::adopt_rtl` → `stages::lut_map`):
 //!
-//! 1. permuting cell/net *storage order* (a representation detail) never
-//!    changes the canonical text or the derived stage key;
+//! 1. permuting cell/net *storage order* never changes the canonical
+//!    text, but mapping, packing, placement and routing break ties by
+//!    storage order, so it either changes the `lut_map` key or leaves
+//!    every artifact byte-equal;
 //! 2. a logic-visible mutation (gate polarity, LUT truth bit, FF init,
-//!    rewired input) always changes both.
+//!    rewired input) always changes both;
+//! 3. a compile's bytes do not depend on what the cache already holds:
+//!    a BLIF with its blocks reversed compiles the same through a warm
+//!    cache as it does fresh.
 
-use fpga_framework::circuits::{random_logic, RandomLogicParams};
-use fpga_framework::flow::cache::{stage_key, StageId};
-use fpga_framework::netlist::{canonical_text, CellKind, NetId, Netlist};
+use fpga_framework::circuits::{random_logic, suite_entry, RandomLogicParams};
+use fpga_framework::flow::stages::{adopt_rtl, lut_map};
+use fpga_framework::flow::{
+    run_blif, run_blif_ctx, run_netlist, Artifact, FlowCtx, FlowOptions, StageCache,
+};
+use fpga_framework::netlist::{blif, canonical_text, CellKind, NetId, Netlist};
 use proptest::prelude::*;
 
 /// Small deterministic generator for the shuffles (xorshift64*).
@@ -174,10 +183,25 @@ fn gen(seed: u64, n_gates: usize) -> Netlist {
     })
 }
 
-/// The cache key a netlist would contribute at the LUT-mapping stage
-/// (where content addressing starts from canonical text).
+/// A netlist's `lut_map` key, as a compile that enters with it derives it.
 fn map_key(n: &Netlist) -> String {
-    stage_key(StageId::LutMap, &[&canonical_text(n), "k=4 cut_limit=10"])
+    let rtl = adopt_rtl(n.clone());
+    let opts = FlowOptions::default();
+    lut_map(&rtl, &opts, FlowCtx::default())
+        .expect("random logic maps")
+        .key
+}
+
+/// Every artifact an uncached compile of `n` stores, as bytes, by name.
+fn artifact_bytes(n: &Netlist) -> [(&'static str, Vec<u8>); 4] {
+    let opts = FlowOptions::builder().verify_cycles(0).build();
+    let art = run_netlist(n.clone(), &opts).expect("random logic compiles");
+    [
+        ("mapped", art.mapped.to_bytes()),
+        ("clustering", art.clustering.to_bytes()),
+        ("placement", art.placement.to_bytes()),
+        ("bitstream", art.bitstream_bytes),
+    ]
 }
 
 proptest! {
@@ -189,7 +213,14 @@ proptest! {
         let original = gen(seed, 24);
         let permuted = permute_storage(&original, shuffle_seed);
         prop_assert_eq!(canonical_text(&original), canonical_text(&permuted));
-        prop_assert_eq!(map_key(&original), map_key(&permuted));
+        // One key, one artifact: a permutation the key cannot see must
+        // not move a byte.
+        if map_key(&original) == map_key(&permuted) {
+            let (a, b) = (artifact_bytes(&original), artifact_bytes(&permuted));
+            for ((name, a), (_, b)) in a.iter().zip(&b) {
+                prop_assert!(a == b, "one lut_map key, two {} artifacts", name);
+            }
+        }
     }
 
     #[test]
@@ -206,6 +237,53 @@ proptest! {
             "mutation was invisible: {}", what
         );
         prop_assert_ne!(map_key(&original), map_key(&mutated), "key unchanged: {}", what);
+    }
+}
+
+/// `text` with its `.names`/`.latch` blocks in reverse order: the same
+/// logic, read into another storage order.
+fn reverse_blocks(text: &str) -> String {
+    let mut head = String::new();
+    let mut blocks: Vec<String> = Vec::new();
+    let mut tail = String::new();
+    for line in text.lines() {
+        let line = format!("{line}\n");
+        if line.starts_with(".names") || line.starts_with(".latch") {
+            blocks.push(line);
+        } else if line.starts_with(".end") || !tail.is_empty() {
+            tail.push_str(&line);
+        } else if let Some(block) = blocks.last_mut() {
+            block.push_str(&line);
+        } else {
+            head.push_str(&line);
+        }
+    }
+    blocks.reverse();
+    head + &blocks.concat() + &tail
+}
+
+#[test]
+fn a_warm_cache_does_not_decide_the_result() {
+    let opts = FlowOptions::default();
+    for name in ["add32", "alu8"] {
+        let entry = suite_entry(name).expect("suite design");
+        let text = blif::write(&(entry.build)()).expect("suite design writes as BLIF");
+        let reversed = reverse_blocks(&text);
+        let (a, b) = (blif::parse(&text).unwrap(), blif::parse(&reversed).unwrap());
+        assert_eq!(canonical_text(&a), canonical_text(&b), "{name}: same logic");
+        assert_ne!(
+            a.cells[0].name, b.cells[0].name,
+            "{name}: another storage order"
+        );
+
+        let cache = StageCache::new();
+        run_blif_ctx(&text, &opts, FlowCtx::with_cache(&cache)).unwrap();
+        let warm = run_blif_ctx(&reversed, &opts, FlowCtx::with_cache(&cache)).unwrap();
+        let fresh = run_blif(&reversed, &opts).unwrap();
+        assert!(
+            warm.bitstream_bytes == fresh.bitstream_bytes,
+            "{name}: the reversed text compiled to other bytes through a warm cache"
+        );
     }
 }
 

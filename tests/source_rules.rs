@@ -80,8 +80,13 @@ const RULES: &[Rule] = &[
             "compile_detailed", "tenant-weight", "FLOW_THREADS", "run_netlist_ctx", "NET_BATCH", "fn route_batch",
             "RemoteHit", "remote_hits", "FETCH_ATTEMPTS", "corrupt_artifacts", "handle_version", "stats_json",
             "Request::Stats", "Event::Stats", "flowc stats", "fetch_breaker", "flowd_verify_rule_hits_total",
-            "unknown_verify_rules", "\"verify_rules\"", "RULE_FAMILIES", "family_lists", "eval_net", "fn levelize"],
-        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time; the farm replicates, never fetches; `metrics` and `status` serve what `stats` did; every finding counts once, under its code, in flowd_lint_rule_hits_total; cut truth tables and the fabric emulator run on fpga_netlist::tape::Tape)" },
+            "unknown_verify_rules", "\"verify_rules\"", "RULE_FAMILIES", "family_lists", "eval_net", "fn levelize",
+            "content_prefix"],
+        hint: "a deleted duplicate or uncalled item is back (Netlist::sweep_dead is the sweep, fpga_flow::compile the entry; nets route one at a time; the farm replicates, never fetches; `metrics` and `status` serve what `stats` did; every finding counts once, under its code, in flowd_lint_rule_hits_total; cut truth tables and the fabric emulator run on fpga_netlist::tape::Tape; a stage key chains from its entry's key)" },
+    // The canonical text drops storage order, which every stage after it breaks ties by: no stage key may read it.
+    Rule { name: "one key chain", scan: NO_COMMENTS, allowed: Nowhere, files: &["crates/flow/src/**.rs"],
+        patterns: &["netlist::…canonical_text", "canonical_text(&"],
+        hint: "key a stage on its upstream entry's key, an adopted netlist on its codec bytes (Architecture::canonical_text is another item)" },
     // Every simulation runs on the compiled tape; one scalar cell evaluator stays as the reference it is tested against.
     Rule { name: "one evaluator", scan: NO_COMMENTS, allowed: Once("crates/netlist/src/sim.rs"), patterns: &["fn eval_cell"],
         files: &["crates/**.rs"],
@@ -420,6 +425,26 @@ fn the_scanner_reads_each_definition_as_written() {
     let doc = "then `flowc stats` shows the ledger";
     assert_eq!(
         run(&[("crates/server/src/net.rs", code), ("README.md", doc)]),
+        want
+    );
+
+    // Flow code keys nothing on the netlist's canonical text, imported or
+    // called; the architecture's method of that name and a test may.
+    let want = [
+        "one key chain: crates/flow/src/stages.rs:1: use fpga_netlist::{canonical_text, Netlist};",
+        "one key chain: crates/flow/src/stages.rs:2: let key = stage_key(LutMap, &[&canonical_text(&rtl)]);",
+    ];
+    let code = "use fpga_netlist::{canonical_text, Netlist};\nlet key = stage_key(LutMap, &[&canonical_text(&rtl)]);\nlet key = stage_key(Pack, &[&arch.canonical_text()]);\n#[cfg(test)]\nlet t = fpga_netlist::canonical_text(&rtl);";
+    assert_eq!(run(&[("crates/flow/src/stages.rs", code)]), want);
+    // The kept key prefix is a deleted item, in a test or a doc.
+    let want = [
+        "deleted items: crates/flow/src/cache.rs:2: cache.content_prefix(&key, prefix)",
+        "deleted items: DESIGN.md:1: kept in `ReadyEntry::content_prefix`",
+    ];
+    let code = "#[cfg(test)]\ncache.content_prefix(&key, prefix)";
+    let doc = "kept in `ReadyEntry::content_prefix`";
+    assert_eq!(
+        run(&[("crates/flow/src/cache.rs", code), ("DESIGN.md", doc)]),
         want
     );
 

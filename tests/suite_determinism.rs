@@ -2,8 +2,8 @@
 //!
 //! Every benchmark number the subsystem reports rests on one property:
 //! the same `(generator, parameters, seed)` triple always yields the
-//! same netlist, byte for byte, in canonical form. Cache keys hash that
-//! text, so a nondeterministic generator would silently turn warm
+//! same netlist, byte for byte, in canonical form. Cache keys hash the
+//! netlist, so a nondeterministic generator would silently turn warm
 //! daemon benchmarks into cold ones (or worse, alias distinct
 //! circuits). The cross-*process* half of this gate lives in
 //! `crates/bench/tests/qor_subsystem.rs`; here proptest sweeps the

@@ -14,7 +14,7 @@
 //! - the VHDL sources through `diviner::synthesize`, where the
 //!   synthesized netlist's canonical text is pinned as well: it is the
 //!   output of `opt::optimize` (constant folding, buffer elision,
-//!   structural hashing) and the key of the lut-map stage.
+//!   structural hashing).
 
 use fpga_framework::circuits::{
     benchmark_suite, qor_suite, vhdl_counter, vhdl_sequence_detector, SuiteTier,

@@ -1,13 +1,13 @@
 //! Cross-thread determinism of synthesis — the property the durable
 //! cache's key scheme rests on.
 //!
-//! Downstream stage keys hash the *canonical text* of the synthesized
-//! netlist (see `flow::stages::lut_map`), so elaboration must produce
-//! byte-identical canonical text no matter which worker thread runs it,
-//! in which daemon lifetime. A HashMap-ordered mux merge in the VHDL
-//! elaborator used to break this: a restart that recomputed synthesis
-//! (e.g. after a quarantined entry) would derive *different* downstream
-//! keys and miss every surviving disk entry.
+//! Every stage key chains from the synthesis key, which hashes the VHDL
+//! text (see `flow::stages`), so elaboration must produce the same
+//! netlist no matter which worker thread runs it, in which daemon
+//! lifetime: otherwise one key names two artifacts. A HashMap-ordered
+//! mux merge in the VHDL elaborator used to break this: a restart that
+//! recomputed synthesis (e.g. after a quarantined entry) got a netlist
+//! that disagreed with the surviving downstream entries.
 
 use fpga_framework::circuits::vhdl_counter;
 use fpga_framework::flow::{stages, FlowCtx, FlowOptions};
@@ -42,8 +42,6 @@ fn elaboration_canonical_text_is_thread_deterministic() {
 
 /// The cache-layer corollary: the front-end stage keys — what the
 /// durable store files entries under — are identical across threads.
-/// `lut_map`'s key hashes the synthesized netlist's canonical text, so
-/// it is the first key a nondeterministic elaboration would break.
 #[test]
 fn stage_keys_are_thread_deterministic() {
     let src = vhdl_counter(4);
